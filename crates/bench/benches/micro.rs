@@ -7,7 +7,7 @@ use cumulo_core::{FlushTracker, PersistTracker};
 use cumulo_sim::metrics::Histogram;
 use cumulo_sim::Sim;
 use cumulo_store::codec::{decode_wal_batch, encode_wal_batch, WalRecord};
-use cumulo_store::{BlockCache, MemStore, Mutation, RegionId, Timestamp, WriteSet};
+use cumulo_store::{BlockCache, MemStore, Mutation, RegionId, StoreFileData, Timestamp, WriteSet};
 use cumulo_txn::{ConflictChecker, LogRecord, RecoveryLog, RecoveryLogConfig};
 use cumulo_ycsb::generators::{ScrambledZipfian, Uniform};
 
@@ -45,6 +45,52 @@ fn bench_memstore(c: &mut Criterion) {
             let key = format!("row{i:08}");
             std::hint::black_box(ms.get(key.as_bytes(), b"f0", Timestamp::MAX))
         })
+    });
+}
+
+/// The wall side of the range-read path: a 50-row scan seeks into a
+/// 50 k-row memstore or store file (it must not walk it), and a point
+/// get that misses probes the memstore with a borrowed key.
+fn bench_scans(c: &mut Criterion) {
+    const ROWS: usize = 50_000;
+    let keys: Vec<Bytes> = (0..ROWS)
+        .map(|i| Bytes::from(format!("row{i:08}")))
+        .collect();
+    let absent: Vec<Bytes> = (0..ROWS)
+        .map(|i| Bytes::from(format!("row{i:08}x")))
+        .collect();
+    let mut ms = MemStore::new();
+    for key in &keys {
+        ms.apply(
+            key.clone(),
+            Bytes::from_static(b"f0"),
+            Timestamp(1),
+            Some(Bytes::from_static(b"value")),
+        );
+    }
+    let file = StoreFileData::from_memstore(RegionId(0), "/bench/file", &ms);
+    // A stride coprime to the row count visits starts all over the range.
+    let next = |i: &mut usize| {
+        *i = (*i + 7_919) % (ROWS - 50);
+        *i
+    };
+    c.bench_function("memstore/scan50_of_50k", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let at = next(&mut i);
+            std::hint::black_box(ms.scan(&keys[at], Some(&keys[at + 50]), Timestamp::MAX))
+        })
+    });
+    c.bench_function("sstable/scan50_of_50k", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            let at = next(&mut i);
+            std::hint::black_box(file.scan(&keys[at], Some(&keys[at + 50]), Timestamp::MAX))
+        })
+    });
+    c.bench_function("memstore/get_miss", |b| {
+        let mut i = 0;
+        b.iter(|| std::hint::black_box(ms.get(&absent[next(&mut i)], b"f0", Timestamp::MAX)))
     });
 }
 
@@ -184,6 +230,7 @@ fn bench_histogram(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_memstore,
+    bench_scans,
     bench_block_cache,
     bench_trackers,
     bench_codec,

@@ -101,13 +101,13 @@
 //! cannot use per-key filters; for them only range pruning and the file
 //! count bound apply.
 
+use crate::merge_iter::MergeIter;
 use crate::sstable::{StoreFileData, StoreFileEntry};
 use crate::types::{RegionId, Timestamp};
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge, GaugeVec};
 use cumulo_sim::SimDuration;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 /// Marker prefix of in-flight compaction outputs. Files with this
@@ -604,39 +604,6 @@ pub fn pick_candidates(sizes: &[usize], cfg: &CompactionConfig) -> Option<Vec<us
     (picked.len() >= 2).then_some(picked)
 }
 
-/// One entry in the k-way merge heap, ordered by the store-file sort key
-/// `(row, column, descending ts)`, with the input index as tie-break so
-/// duplicates resolve deterministically.
-struct HeapKey {
-    row: bytes::Bytes,
-    col: bytes::Bytes,
-    inv_ts: u64,
-    input: usize,
-    pos: usize,
-}
-
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HeapKey {}
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (&self.row, &self.col, self.inv_ts, self.input).cmp(&(
-            &other.row,
-            &other.col,
-            other.inv_ts,
-            other.input,
-        ))
-    }
-}
-
 /// The outcome of one merge.
 pub struct MergeResult {
     /// The merged, garbage-collected store file.
@@ -729,69 +696,41 @@ pub fn merge_store_files_partitioned(
     }
 }
 
-/// The shared k-way merge + MVCC GC core: returns the surviving entries
-/// in `(row, column, descending ts)` order plus the dropped count.
+/// The MVCC GC core, applied on top of the store's shared k-way merge
+/// ([`MergeIter`]; duplicates of one version come out adjacent, earliest
+/// input first): returns the surviving entries in `(row, column,
+/// descending ts)` order plus the dropped count.
 fn merge_entries(
     inputs: &[Rc<StoreFileData>],
     gc: GcWatermark,
     purge_tombstones: bool,
     has_older_elsewhere: &dyn Fn(&[u8], &[u8], Timestamp) -> bool,
 ) -> (Vec<StoreFileEntry>, u64) {
-    let entry_lists: Vec<Vec<&StoreFileEntry>> =
-        inputs.iter().map(|sf| sf.entries().collect()).collect();
-    let mut heap: BinaryHeap<Reverse<HeapKey>> = BinaryHeap::new();
-    for (input, list) in entry_lists.iter().enumerate() {
-        if let Some((r, c, ts, _)) = list.first() {
-            heap.push(Reverse(HeapKey {
-                row: r.clone(),
-                col: c.clone(),
-                inv_ts: !ts.0,
-                input,
-                pos: 0,
-            }));
-        }
-    }
-
     let mut out: Vec<StoreFileEntry> = Vec::new();
     let mut dropped = 0u64;
     // Per-cell GC state, valid while `current_cell` matches.
-    let mut current_cell: Option<(bytes::Bytes, bytes::Bytes)> = None;
+    let mut current_cell: Option<(&Bytes, &Bytes)> = None;
     let mut cell_resolved_below_watermark = false;
     let mut last_ts: Option<Timestamp> = None;
 
-    while let Some(Reverse(key)) = heap.pop() {
-        let (row, col, ts, value) = entry_lists[key.input][key.pos];
-        if key.pos + 1 < entry_lists[key.input].len() {
-            let (r, c, t, _) = entry_lists[key.input][key.pos + 1];
-            heap.push(Reverse(HeapKey {
-                row: r.clone(),
-                col: c.clone(),
-                inv_ts: !t.0,
-                input: key.input,
-                pos: key.pos + 1,
-            }));
-        }
-
-        let same_cell = current_cell
-            .as_ref()
-            .map(|(r, c)| r == row && c == col)
-            .unwrap_or(false);
+    for (row, col, ts, value) in MergeIter::new(inputs.iter().map(|sf| sf.range(b"", None))) {
+        let same_cell = current_cell == Some((row, col));
         if !same_cell {
-            current_cell = Some((row.clone(), col.clone()));
+            current_cell = Some((row, col));
             cell_resolved_below_watermark = false;
             last_ts = None;
         }
 
         // Cross-file duplicate of the same version (possible after a
         // crash left both a merged file and its inputs): keep one.
-        if same_cell && last_ts == Some(*ts) {
+        if same_cell && last_ts == Some(ts) {
             dropped += 1;
             continue;
         }
-        last_ts = Some(*ts);
+        last_ts = Some(ts);
 
-        if *ts > gc.horizon {
-            out.push((row.clone(), col.clone(), *ts, value.clone()));
+        if ts > gc.horizon {
+            out.push((row.clone(), col.clone(), ts, value.clone()));
             continue;
         }
         if cell_resolved_below_watermark {
@@ -803,12 +742,12 @@ fn merge_entries(
         cell_resolved_below_watermark = true;
         let purge = purge_tombstones
             && value.is_none()
-            && *ts <= gc.purge_floor
-            && !has_older_elsewhere(row, col, *ts);
+            && ts <= gc.purge_floor
+            && !has_older_elsewhere(row, col, ts);
         if purge {
             dropped += 1;
         } else {
-            out.push((row.clone(), col.clone(), *ts, value.clone()));
+            out.push((row.clone(), col.clone(), ts, value.clone()));
         }
     }
 

@@ -100,6 +100,7 @@ mod error;
 mod hooks;
 mod master;
 mod memstore;
+pub mod merge_iter;
 mod region;
 mod server;
 mod sstable;

@@ -5,10 +5,14 @@
 //! file. Versions are commit timestamps, so applying the same write-set
 //! twice — which recovery replay can do — is idempotent.
 
+use crate::merge_iter::{to_cell, visible_at, EntryRef};
 use crate::types::{MutationKind, Timestamp};
 use bytes::Bytes;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 /// Key of one versioned cell: (row, column, timestamp).
 ///
@@ -34,6 +38,57 @@ impl VersionKey {
     fn ts(&self) -> Timestamp {
         Timestamp(!self.inv_ts)
     }
+}
+
+/// A [`VersionKey`] seen as borrowed slices, so that reads can probe the
+/// map with the caller's `&[u8]` row and column instead of allocating an
+/// owned key per lookup. `BTreeMap` accepts a probe of any type `Q` the
+/// key can `Borrow` as; a trait object is the one `Q` that both an owned
+/// key and a tuple of slices can be viewed as. Its ordering below is the
+/// same `(row, column, inv_ts)` order `VersionKey` derives.
+trait KeyView {
+    fn view(&self) -> (&[u8], &[u8], u64);
+}
+
+impl KeyView for VersionKey {
+    fn view(&self) -> (&[u8], &[u8], u64) {
+        (&self.row, &self.column, self.inv_ts)
+    }
+}
+
+impl KeyView for (&[u8], &[u8], u64) {
+    fn view(&self) -> (&[u8], &[u8], u64) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for VersionKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+impl Eq for dyn KeyView + '_ {}
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.view().cmp(&other.view())
+    }
+}
+
+/// The smallest key of `row`: sorts at or before every version of every
+/// column of that row.
+fn row_floor(row: &[u8]) -> (&[u8], &[u8], u64) {
+    (row, &[], 0)
 }
 
 /// One versioned cell value as returned by reads: the version that wrote
@@ -112,12 +167,12 @@ impl MemStore {
     /// `snapshot`, if any (including tombstones: callers distinguish
     /// "no entry" from "deleted").
     pub fn get(&self, row: &[u8], column: &[u8], snapshot: Timestamp) -> Option<VersionedValue> {
-        let start = VersionKey::new(
-            Bytes::copy_from_slice(row),
-            Bytes::copy_from_slice(column),
-            snapshot,
-        );
-        let (key, value) = self.cells.range(start..).next()?;
+        let probe = (row, column, !snapshot.0);
+        let from = Bound::Included(&probe as &dyn KeyView);
+        let (key, value) = self
+            .cells
+            .range::<dyn KeyView, _>((from, Bound::Unbounded))
+            .next()?;
         if key.row == row && key.column == column {
             Some(VersionedValue {
                 ts: key.ts(),
@@ -129,56 +184,52 @@ impl MemStore {
     }
 
     /// Iterates all versions in (row, column, descending ts) order, as
-    /// `(row, column, ts, value)` — the flush path and scans use this.
-    pub fn iter(&self) -> impl Iterator<Item = (&Bytes, &Bytes, Timestamp, &Option<Bytes>)> + '_ {
+    /// `(row, column, ts, value)` — the flush path uses this. Unlike
+    /// [`MemStore::range`] it knows its length, so collecting it
+    /// allocates once.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = EntryRef<'_>> + '_ {
         self.cells
             .iter()
             .map(|(k, v)| (&k.row, &k.column, k.ts(), v))
     }
 
-    /// Latest visible value per cell for rows in `[start, end)` at
-    /// `snapshot` (`end` exclusive, `None` = unbounded), excluding
-    /// tombstoned cells. Rows come back in key order. This is one
-    /// region's in-memory slice of a scan: the region server merges it
-    /// with the flushing snapshot and store files, and the store client
-    /// stitches consecutive regions' pages into the full cross-region
-    /// result.
+    /// Bounded cursor: every version of rows in `[start, end)` (`end`
+    /// exclusive, `None` = unbounded) in (row, column, descending ts)
+    /// order. Seeks to `start` in O(log n) and ends at `end`, so a
+    /// consumer pays for what it pulls, not for the memstore's size.
+    pub fn range(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+    ) -> impl Iterator<Item = EntryRef<'_>> + '_ {
+        let from = row_floor(start);
+        // `BTreeMap::range` panics on inverted bounds; an `end` before
+        // `start` is simply an empty range.
+        let to = end.map(|end| row_floor(end.max(start)));
+        let to = match &to {
+            Some(to) => Bound::Excluded(to as &dyn KeyView),
+            None => Bound::Unbounded,
+        };
+        self.cells
+            .range::<dyn KeyView, _>((Bound::Included(&from as &dyn KeyView), to))
+            .map(|(k, v)| (&k.row, &k.column, k.ts(), v))
+    }
+
+    /// Newest version at or below `snapshot` per cell for rows in
+    /// `[start, end)` (`end` exclusive, `None` = unbounded), in key
+    /// order — *including* tombstones: a delete still in the memstore
+    /// must shadow an older value in a store file, so the region's merge
+    /// ([`crate::merge_iter::scan_page`]) has to see it. A collector
+    /// over [`MemStore::range`].
     pub fn scan(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         snapshot: Timestamp,
     ) -> Vec<(Bytes, Bytes, VersionedValue)> {
-        let mut out: Vec<(Bytes, Bytes, VersionedValue)> = Vec::new();
-        for (row, col, ts, value) in self.iter() {
-            if ts > snapshot {
-                continue;
-            }
-            if &row[..] < start {
-                continue;
-            }
-            if let Some(end) = end {
-                if &row[..] >= end {
-                    continue;
-                }
-            }
-            // Entries are sorted newest-first per cell: keep only the first
-            // version seen for each (row, col).
-            if let Some((lr, lc, _)) = out.last() {
-                if lr == row && lc == col {
-                    continue;
-                }
-            }
-            out.push((
-                row.clone(),
-                col.clone(),
-                VersionedValue {
-                    ts,
-                    value: value.clone(),
-                },
-            ));
-        }
-        out
+        visible_at(self.range(start, end), snapshot)
+            .map(to_cell)
+            .collect()
     }
 
     /// Number of stored versions.

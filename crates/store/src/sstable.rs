@@ -45,6 +45,7 @@
 use crate::bloom::BloomFilter;
 use crate::codec::{decode_mutation, encode_mutation, DecodeError, Decoder, Encoder};
 use crate::memstore::{MemStore, VersionedValue};
+use crate::merge_iter::{to_cell, visible_at, EntryRef};
 use crate::types::{Mutation, MutationKind, RegionId, Timestamp};
 use bytes::Bytes;
 use std::cell::RefCell;
@@ -188,20 +189,13 @@ impl StoreFileData {
         start: &[u8],
         end: Option<&[u8]>,
     ) -> Option<StoreFileData> {
-        let all = &parent.entries[..];
-        // Clip within the parent's own visible window (a reference over a
-        // reference composes — daughters can split again).
-        let lo = parent.lo + all[parent.lo..parent.hi].partition_point(|(r, ..)| &r[..] < start);
-        let hi = match end {
-            Some(end) => {
-                parent.lo + all[parent.lo..parent.hi].partition_point(|(r, ..)| &r[..] < end)
-            }
-            None => parent.hi,
-        };
+        // Clipping within the parent's own visible window means a
+        // reference over a reference composes — daughters can split again.
+        let (lo, hi) = parent.row_bounds(start, end);
         if lo >= hi {
             return None;
         }
-        let slice = &all[lo..hi];
+        let slice = &parent.entries[lo..hi];
         let total_bytes = slice
             .iter()
             .map(|(r, c, _, v)| r.len() + c.len() + v.as_ref().map(Bytes::len).unwrap_or(0) + 24)
@@ -230,8 +224,38 @@ impl StoreFileData {
         &self.entries[self.lo..self.hi]
     }
 
+    /// Bounds, as indices into the shared `entries` array, of the visible
+    /// rows in `[start, end)`: two binary searches inside `[lo, hi)`. An
+    /// `end` at or before `start` gives an empty range.
+    fn row_bounds(&self, start: &[u8], end: Option<&[u8]>) -> (usize, usize) {
+        let visible = self.slice();
+        let from = self.lo + visible.partition_point(|(r, ..)| &r[..] < start);
+        let to = match end {
+            Some(end) => self.lo + visible.partition_point(|(r, ..)| &r[..] < end),
+            None => self.hi,
+        };
+        (from, to.max(from))
+    }
+
+    /// Bounded cursor: every stored version of rows in `[start, end)`
+    /// (`end` exclusive, `None` = unbounded) in `(row, column,
+    /// descending ts)` order — what scans and the compaction merge
+    /// consume. Seeks in O(log n) (reference half-files included: the
+    /// search runs inside their clipped window), so a consumer pays for
+    /// what it pulls, not for the file's size.
+    pub fn range(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+    ) -> impl ExactSizeIterator<Item = EntryRef<'_>> + '_ {
+        let (from, to) = self.row_bounds(start, end);
+        self.entries[from..to]
+            .iter()
+            .map(|(r, c, ts, v)| (r, c, *ts, v))
+    }
+
     /// Iterates all stored versions in `(row, column, descending ts)`
-    /// order (the order scans and the compaction merge consume).
+    /// order.
     pub fn entries(&self) -> impl Iterator<Item = &StoreFileEntry> + '_ {
         self.slice().iter()
     }
@@ -344,39 +368,18 @@ impl StoreFileData {
     /// Latest version ≤ `snapshot` per cell for rows in `[start, end)`
     /// (`end` exclusive, `None` = unbounded) — including tombstones,
     /// which the region server's merge needs so a newer file-borne
-    /// delete shadows older values. One file's slice of a single
-    /// region's scan page; cross-region merging happens in the client.
+    /// delete shadows older values. A collector over
+    /// [`StoreFileData::range`]; the region's own scan merges the
+    /// cursors directly ([`crate::merge_iter::scan_page`]).
     pub fn scan(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         snapshot: Timestamp,
     ) -> Vec<(Bytes, Bytes, VersionedValue)> {
-        let mut out: Vec<(Bytes, Bytes, VersionedValue)> = Vec::new();
-        for (r, c, ts, v) in self.slice() {
-            if *ts > snapshot || &r[..] < start {
-                continue;
-            }
-            if let Some(end) = end {
-                if &r[..] >= end {
-                    continue;
-                }
-            }
-            if let Some((lr, lc, _)) = out.last() {
-                if lr == r && lc == c {
-                    continue;
-                }
-            }
-            out.push((
-                r.clone(),
-                c.clone(),
-                VersionedValue {
-                    ts: *ts,
-                    value: v.clone(),
-                },
-            ));
-        }
-        out
+        visible_at(self.range(start, end), snapshot)
+            .map(to_cell)
+            .collect()
     }
 
     /// Serializes the file for the DFS write.

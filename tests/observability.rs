@@ -292,3 +292,62 @@ fn trace_spans_cover_txn_lifecycle_and_rpcs() {
         "commit span must follow its begin span"
     );
 }
+
+/// A limit-bounded scan reads what it returns, not the region: the
+/// server's merge seeks to `start` and stops at the limit, so ten cells
+/// out of a 50 000-row region cost a few dozen stored versions, counted
+/// in `store.scan.cells_examined` and on the `rpc.scan` span.
+#[test]
+fn scan_examines_what_it_returns_not_the_region() {
+    const ROWS: u64 = 50_000;
+    let cluster = Cluster::build(ClusterConfig {
+        seed: 35,
+        clients: 1,
+        servers: 1,
+        regions: 1,
+        key_count: ROWS,
+        ..ClusterConfig::default()
+    });
+    cluster.load_rows(ROWS, &["f0"], 16, false);
+    // A second, newer version of two of the scanned rows, in the memstore.
+    run_txn(&cluster, 0, &[(25_000, "f0", "x"), (25_003, "f0", "y")]);
+    cluster.run_for(SimDuration::from_secs(2));
+
+    let before = cluster.metrics.sum("store.scan.cells_examined");
+    let page: Rc<RefCell<Option<Vec<_>>>> = Rc::new(RefCell::new(None));
+    let p = page.clone();
+    cluster.client(0).begin(move |txn| {
+        let txn = txn.expect("begin on live client");
+        txn.scan(key(25_000), None, 10, move |r| {
+            *p.borrow_mut() = Some(r.expect("scan"));
+        });
+    });
+    cluster.run_for(SimDuration::from_secs(2));
+    let page = page.borrow_mut().take().expect("scan completed");
+    assert_eq!(page.len(), 10);
+    assert_eq!(&page[0].2[..], b"x");
+    assert_eq!(&page[3].2[..], b"y");
+
+    // Two sources (memstore, loaded file) of at most one version per
+    // cell each, plus the head each source has waiting when the merge
+    // stops.
+    let (sources, versions_per_cell) = (2, 2);
+    let examined = cluster.metrics.sum("store.scan.cells_examined") - before;
+    assert!(
+        (10..=10 * versions_per_cell + sources).contains(&examined),
+        "examined {examined} stored versions for 10 cells of {ROWS}"
+    );
+    let span = cluster
+        .trace
+        .entries()
+        .into_iter()
+        .rev()
+        .find(|e| e.kind == "rpc.scan")
+        .expect("scan span");
+    assert!(
+        span.detail
+            .ends_with(&format!("returned=10 examined={examined}")),
+        "{}",
+        span.detail
+    );
+}
