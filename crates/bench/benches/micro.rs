@@ -6,10 +6,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cumulo_core::{FlushTracker, PersistTracker};
 use cumulo_sim::metrics::Histogram;
 use cumulo_sim::Sim;
+use cumulo_store::bloom::BloomFilter;
 use cumulo_store::codec::{decode_wal_batch, encode_wal_batch, WalRecord};
+use cumulo_store::compaction::{merge_store_files, GcWatermark};
 use cumulo_store::{BlockCache, MemStore, Mutation, RegionId, StoreFileData, Timestamp, WriteSet};
 use cumulo_txn::{ConflictChecker, LogRecord, RecoveryLog, RecoveryLogConfig};
 use cumulo_ycsb::generators::{ScrambledZipfian, Uniform};
+use std::rc::Rc;
 
 fn bench_memstore(c: &mut Criterion) {
     c.bench_function("memstore/apply_10k", |b| {
@@ -91,6 +94,79 @@ fn bench_scans(c: &mut Criterion) {
     c.bench_function("memstore/get_miss", |b| {
         let mut i = 0;
         b.iter(|| std::hint::black_box(ms.get(&absent[next(&mut i)], b"f0", Timestamp::MAX)))
+    });
+}
+
+/// The background file pipeline — flush build, encode, point lookup,
+/// filter build, compaction merge — at the sizes `write_heavy` runs it:
+/// a loaded 50 k-row base file of 100-byte values meeting three
+/// flush-sized files of fresh versions.
+fn bench_file_pipeline(c: &mut Criterion) {
+    const ROWS: usize = 50_000;
+    const FLUSH_ROWS: usize = 2_000;
+    let keys: Vec<Bytes> = (0..ROWS)
+        .map(|i| Bytes::from(format!("user{i:012}")))
+        .collect();
+    let value = Bytes::from(vec![0x61; 100]);
+    let memstore = |rows: &mut dyn Iterator<Item = usize>, ts: u64| {
+        let mut ms = MemStore::new();
+        for i in rows {
+            ms.apply(
+                keys[i].clone(),
+                Bytes::from_static(b"f0"),
+                Timestamp(ts),
+                Some(value.clone()),
+            );
+        }
+        ms
+    };
+    let base_ms = memstore(&mut (0..ROWS), 1);
+    c.bench_function("sstable/build_from_memstore_50k", |b| {
+        b.iter(|| StoreFileData::from_memstore(RegionId(0), "/bench/base", &base_ms))
+    });
+    let base = Rc::new(StoreFileData::from_memstore(
+        RegionId(0),
+        "/bench/base",
+        &base_ms,
+    ));
+    c.bench_function("sstable/encode_50k", |b| {
+        b.iter(|| std::hint::black_box(&base).encode())
+    });
+    c.bench_function("sstable/get_of_50k", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 7_919) % ROWS;
+            std::hint::black_box(base.get(&keys[i], b"f0", Timestamp::MAX))
+        })
+    });
+    c.bench_function("bloom/build_50k", |b| {
+        b.iter(|| BloomFilter::build(keys.iter().map(|k| (&k[..], &b"f0"[..]))))
+    });
+    // Three flushes of rows spread over the base file, each newer than
+    // the last; the watermark sits between them, so some base versions
+    // are shadowed and dropped and some are kept.
+    let mut inputs = vec![Rc::clone(&base)];
+    for f in 0..3 {
+        let mut rows = (0..FLUSH_ROWS).map(|j| (j * 23 + f * 7) % ROWS);
+        let ms = memstore(&mut rows, 10 + f as u64);
+        let path = format!("/bench/flush{f}");
+        inputs.push(Rc::new(StoreFileData::from_memstore(
+            RegionId(0),
+            path,
+            &ms,
+        )));
+    }
+    c.bench_function("compaction/merge_50k_plus_3x2k", |b| {
+        b.iter(|| {
+            merge_store_files(
+                RegionId(0),
+                "/bench/merged",
+                std::hint::black_box(&inputs),
+                GcWatermark::at(Timestamp(11)),
+                false,
+                &|_, _, _| false,
+            )
+        })
     });
 }
 
@@ -231,6 +307,7 @@ criterion_group!(
     benches,
     bench_memstore,
     bench_scans,
+    bench_file_pipeline,
     bench_block_cache,
     bench_trackers,
     bench_codec,

@@ -54,6 +54,51 @@ fn fnv1a(seed: u64, row: &[u8], column: &[u8]) -> u64 {
     h
 }
 
+/// The double-hashing pair `(h1, h2)` of a `(row, column)` key. The
+/// stride `h2` is forced odd so it never degenerates to probing one bit.
+pub fn hash_pair(row: &[u8], column: &[u8]) -> (u64, u64) {
+    (fnv1a(SEED_H1, row, column), fnv1a(SEED_H2, row, column) | 1)
+}
+
+/// What a probe position moves by, modulo `nbits`, when the 64-bit sum
+/// `h1 + i·h2` wraps: `-2⁶⁴ mod nbits`, in `1..=nbits`.
+fn carry_fix(nbits: u64) -> u64 {
+    nbits - (u64::MAX % nbits + 1) % nbits
+}
+
+/// [`probe_bits`] with the filter's [`carry_fix`] already worked out.
+/// Branch-free: whether a sum wraps is a coin toss per probe.
+fn step_bits(h1: u64, h2: u64, nbits: u64, carry_fix: u64) -> [u64; NUM_PROBES as usize] {
+    debug_assert!(nbits <= 1 << 62, "position sums must not overflow");
+    // `x` in `0..2·nbits` reduced into `0..nbits`: the subtraction wraps
+    // to a huge value exactly when `x` is already in range.
+    let reduce = |x: u64| x.min(x.wrapping_sub(nbits));
+    let step = h2 % nbits;
+    let mut sum = h1;
+    let mut bit = h1 % nbits;
+    let mut bits = [0; NUM_PROBES as usize];
+    for slot in &mut bits {
+        *slot = bit;
+        let (next, carried) = sum.overflowing_add(h2);
+        sum = next;
+        bit = reduce(bit + step);
+        bit = reduce(bit + (carry_fix & u64::from(carried).wrapping_neg()));
+    }
+    bits
+}
+
+/// The [`NUM_PROBES`] bit positions `h1.wrapping_add(i * h2) % nbits`,
+/// `i = 0, 1, …`, of one key in a filter of `nbits` bits, with two
+/// divisions per key instead of one per probe: each position is the
+/// previous one plus `h2 % nbits`, moved by `2⁶⁴ % nbits` whenever the
+/// 64-bit sum `h1 + i·h2` wrapped — which is all that distinguishes the
+/// wrapping sum from the true one. The filter is persisted and its false
+/// positives feed the simulated service time, so the positions are
+/// exactly the formula's (see `tests/filter_properties.rs`).
+pub fn probe_bits(h1: u64, h2: u64, nbits: u64) -> [u64; NUM_PROBES as usize] {
+    step_bits(h1, h2, nbits, carry_fix(nbits))
+}
+
 /// A fixed-size bloom filter over `(row, column)` pairs.
 ///
 /// Built once (store files are immutable), probed on every point get.
@@ -89,32 +134,29 @@ impl BloomFilter {
     where
         I: IntoIterator<Item = (&'a [u8], &'a [u8])>,
     {
-        let keys: Vec<(&[u8], &[u8])> = keys.into_iter().collect();
-        if keys.is_empty() {
+        let hashes: Vec<(u64, u64)> = keys.into_iter().map(|(r, c)| hash_pair(r, c)).collect();
+        BloomFilter::from_hashes(&hashes)
+    }
+
+    /// Builds a filter sized for (and containing) the keys whose
+    /// [`hash_pair`]s are given — the store-file builder hashes each
+    /// distinct key as it streams past and sizes the filter at the end.
+    pub fn from_hashes(hashes: &[(u64, u64)]) -> BloomFilter {
+        if hashes.is_empty() {
             return BloomFilter {
                 words: Box::default(),
             };
         }
-        let bits = (keys.len() * BITS_PER_KEY).max(64);
-        let words = vec![0u64; bits.div_ceil(64)];
-        let mut filter = BloomFilter {
-            words: words.into_boxed_slice(),
-        };
-        for (row, column) in keys {
-            filter.insert(row, column);
+        let bits = (hashes.len() * BITS_PER_KEY).max(64);
+        let mut words = vec![0u64; bits.div_ceil(64)].into_boxed_slice();
+        let nbits = (words.len() * 64) as u64;
+        let carry_fix = carry_fix(nbits);
+        for &(h1, h2) in hashes {
+            for bit in step_bits(h1, h2, nbits, carry_fix) {
+                words[(bit / 64) as usize] |= 1 << (bit % 64);
+            }
         }
-        filter
-    }
-
-    fn insert(&mut self, row: &[u8], column: &[u8]) {
-        let nbits = (self.words.len() * 64) as u64;
-        let h1 = fnv1a(SEED_H1, row, column);
-        // Force the stride odd so it never degenerates to probing one bit.
-        let h2 = fnv1a(SEED_H2, row, column) | 1;
-        for i in 0..NUM_PROBES as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % nbits;
-            self.words[(bit / 64) as usize] |= 1 << (bit % 64);
-        }
+        BloomFilter { words }
     }
 
     /// Whether the filter may contain `(row, column)`. `false` is
@@ -125,20 +167,20 @@ impl BloomFilter {
             return false;
         }
         let nbits = (self.words.len() * 64) as u64;
-        let h1 = fnv1a(SEED_H1, row, column);
-        let h2 = fnv1a(SEED_H2, row, column) | 1;
-        for i in 0..NUM_PROBES as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % nbits;
-            if self.words[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
+        let (h1, h2) = hash_pair(row, column);
+        probe_bits(h1, h2, nbits)
+            .iter()
+            .all(|bit| self.words[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
     }
 
     /// In-memory (and on-disk) size of the bit array in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.words.len() * 8
+    }
+
+    /// Bytes [`BloomFilter::encode`] appends.
+    pub fn encoded_len(&self) -> usize {
+        4 + self.approx_bytes()
     }
 
     /// Serializes the filter (word count, then the words).
@@ -156,6 +198,10 @@ impl BloomFilter {
     /// Returns a [`DecodeError`] on truncated input.
     pub fn decode(dec: &mut Decoder<'_>) -> Result<BloomFilter, DecodeError> {
         let n = dec.get_u32()? as usize;
+        // A count read from input is bounded before it sizes anything.
+        if n > dec.remaining() / 8 {
+            return Err(dec.error("filter word count"));
+        }
         let mut words = Vec::with_capacity(n);
         for _ in 0..n {
             words.push(dec.get_u64()?);

@@ -38,6 +38,14 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// Creates an empty encoder whose buffer already holds `capacity`
+    /// bytes — a caller that knows its output size never regrows it.
+    pub fn with_capacity(capacity: usize) -> Encoder {
+        Encoder {
+            buf: BytesMut::with_capacity(capacity),
+        }
+    }
+
     /// Appends a fixed-width `u8`.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
@@ -59,9 +67,29 @@ impl Encoder {
         self.buf.put_slice(v);
     }
 
+    /// Overwrites the four bytes at `at` (already written, e.g. a count
+    /// left blank until it was known) with a big-endian `u32`.
+    ///
+    /// # Panics
+    ///
+    /// If fewer than `at + 4` bytes have been encoded.
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_be_bytes());
+    }
+
+    /// Appends raw bytes with no length prefix (an already-encoded run).
+    pub fn put_raw(&mut self, v: &[u8]) {
+        self.buf.put_slice(v);
+    }
+
     /// Finishes encoding, returning the immutable buffer.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+
+    /// The bytes encoded so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Bytes encoded so far.
@@ -88,12 +116,22 @@ impl<'a> Decoder<'a> {
         Decoder { buf, pos: 0 }
     }
 
+    /// Bytes consumed so far (the cursor's offset into the input).
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// A decoding failure at the cursor.
+    pub fn error(&self, what: &'static str) -> DecodeError {
+        DecodeError {
+            what,
+            offset: self.pos,
+        }
+    }
+
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
-            return Err(DecodeError {
-                what,
-                offset: self.pos,
-            });
+        if n > self.remaining() {
+            return Err(self.error(what));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -117,10 +155,15 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_be_bytes(s.try_into().expect("length checked")))
     }
 
+    /// Reads a length-prefixed byte string, borrowed from the input.
+    pub fn get_slice(&mut self) -> Result<&'a [u8], DecodeError> {
+        let len = self.get_u32()? as usize;
+        self.take(len, "bytes body")
+    }
+
     /// Reads a length-prefixed byte string (copied out).
     pub fn get_bytes(&mut self) -> Result<Bytes, DecodeError> {
-        let len = self.get_u32()? as usize;
-        Ok(Bytes::copy_from_slice(self.take(len, "bytes body")?))
+        self.get_slice().map(Bytes::copy_from_slice)
     }
 
     /// Whether the cursor consumed the entire input.
@@ -134,37 +177,58 @@ impl<'a> Decoder<'a> {
     }
 }
 
-const TAG_PUT: u8 = 1;
+pub(crate) const TAG_PUT: u8 = 1;
 const TAG_DELETE: u8 = 2;
 
-/// Encodes one mutation.
-pub fn encode_mutation(enc: &mut Encoder, m: &Mutation) {
-    enc.put_bytes(&m.row);
-    enc.put_bytes(&m.column);
-    match &m.kind {
-        MutationKind::Put(v) => {
+/// Encodes one cell write — row, column, and a value or (`None`) a
+/// delete. WAL mutations and store-file entries share this wire form.
+pub fn encode_cell(enc: &mut Encoder, row: &[u8], column: &[u8], value: Option<&[u8]>) {
+    enc.put_bytes(row);
+    enc.put_bytes(column);
+    match value {
+        Some(v) => {
             enc.put_u8(TAG_PUT);
             enc.put_bytes(v);
         }
-        MutationKind::Delete => enc.put_u8(TAG_DELETE),
+        None => enc.put_u8(TAG_DELETE),
     }
+}
+
+/// Decodes one cell write encoded by [`encode_cell`] as `(row, column,
+/// value)` borrowed from the input.
+pub fn decode_cell<'a>(
+    dec: &mut Decoder<'a>,
+) -> Result<(&'a [u8], &'a [u8], Option<&'a [u8]>), DecodeError> {
+    let row = dec.get_slice()?;
+    let column = dec.get_slice()?;
+    let value = match dec.get_u8()? {
+        TAG_PUT => Some(dec.get_slice()?),
+        TAG_DELETE => None,
+        _ => return Err(dec.error("mutation tag")),
+    };
+    Ok((row, column, value))
+}
+
+/// Encodes one mutation.
+pub fn encode_mutation(enc: &mut Encoder, m: &Mutation) {
+    let value = match &m.kind {
+        MutationKind::Put(v) => Some(&v[..]),
+        MutationKind::Delete => None,
+    };
+    encode_cell(enc, &m.row, &m.column, value);
 }
 
 /// Decodes one mutation.
 pub fn decode_mutation(dec: &mut Decoder<'_>) -> Result<Mutation, DecodeError> {
-    let row = dec.get_bytes()?;
-    let column = dec.get_bytes()?;
-    let kind = match dec.get_u8()? {
-        TAG_PUT => MutationKind::Put(dec.get_bytes()?),
-        TAG_DELETE => MutationKind::Delete,
-        _ => {
-            return Err(DecodeError {
-                what: "mutation tag",
-                offset: 0,
-            })
-        }
-    };
-    Ok(Mutation { row, column, kind })
+    let (row, column, value) = decode_cell(dec)?;
+    Ok(Mutation {
+        row: Bytes::copy_from_slice(row),
+        column: Bytes::copy_from_slice(column),
+        kind: match value {
+            Some(v) => MutationKind::Put(Bytes::copy_from_slice(v)),
+            None => MutationKind::Delete,
+        },
+    })
 }
 
 /// One durable write-ahead-log record: a transaction's mutations for one
@@ -180,7 +244,8 @@ pub struct WalRecord {
 }
 
 impl WalRecord {
-    /// Approximate wire size.
+    /// Approximate wire size (an upper bound on the encoded size: the
+    /// per-mutation and per-record allowances exceed the codec's framing).
     pub fn wire_size(&self) -> usize {
         24 + self
             .mutations
@@ -192,7 +257,8 @@ impl WalRecord {
 
 /// Encodes a batch of WAL records into one DFS record.
 pub fn encode_wal_batch(records: &[WalRecord]) -> Bytes {
-    let mut enc = Encoder::new();
+    let size = 4 + records.iter().map(WalRecord::wire_size).sum::<usize>();
+    let mut enc = Encoder::with_capacity(size);
     enc.put_u32(records.len() as u32);
     for r in records {
         enc.put_u32(r.region.0);

@@ -93,8 +93,8 @@
 //! rest at a small `filter_probe_service` cost each. Compaction interacts
 //! with that model in two ways: it bounds the *file count* (and with it
 //! the number of probes a get pays), and its merge output is rebuilt with
-//! fresh range and filter metadata via
-//! [`StoreFileData::from_sorted_entries`] — dropping the inputs' filters
+//! fresh range and filter metadata by the output's
+//! [`StoreFileBuilder`] — dropping the inputs' filters
 //! and creating one sized for the surviving entries, which
 //! [`CompactionStats::filter_bytes_dropped`] and
 //! [`CompactionStats::filter_bytes_created`] make observable. Scans
@@ -102,7 +102,7 @@
 //! count bound apply.
 
 use crate::merge_iter::MergeIter;
-use crate::sstable::{StoreFileData, StoreFileEntry};
+use crate::sstable::{StoreFileBuilder, StoreFileData};
 use crate::types::{RegionId, Timestamp};
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge, GaugeVec};
@@ -642,19 +642,37 @@ pub fn merge_store_files(
     purge_tombstones: bool,
     has_older_elsewhere: &dyn Fn(&[u8], &[u8], Timestamp) -> bool,
 ) -> MergeResult {
-    let (out, dropped) = merge_entries(inputs, gc, purge_tombstones, has_older_elsewhere);
+    let path = path.into();
+    let mut merged = merge_store_files_partitioned(
+        region,
+        &|_| path.clone(),
+        inputs,
+        gc,
+        purge_tombstones,
+        has_older_elsewhere,
+        None,
+    );
     MergeResult {
-        output: StoreFileData::from_sorted_entries(region, path, out),
-        versions_dropped: dropped,
+        // One uncapped partition at most; none when everything was
+        // garbage, which a single-output merge reports as an empty file.
+        output: merged
+            .outputs
+            .pop()
+            .unwrap_or_else(|| StoreFileBuilder::with_capacity(0, 0).finish(region, path)),
+        versions_dropped: merged.versions_dropped,
     }
 }
 
-/// Like [`merge_store_files`], but splits the merged stream at row
-/// boundaries into files of roughly `max_output_bytes` each (the leveled
-/// policy's disjoint runs; `None` keeps one output). `path_for(i)` names
-/// the `i`-th partition. Splitting only ever happens *between* rows, so
-/// each output's row range is disjoint from its siblings' and key-range
-/// pruning stays exact.
+/// The merge itself: [`merge_store_files`]' MVCC garbage collection
+/// applied on top of the store's shared k-way merge ([`MergeIter`];
+/// duplicates of one version come out adjacent, earliest input first),
+/// with the survivors streamed straight into the output file's builder —
+/// no intermediate entry list. With `max_output_bytes` the stream is cut
+/// at row boundaries into files of roughly that many bytes each (the
+/// leveled policy's disjoint runs; `None` keeps one output).
+/// `path_for(i)` names the `i`-th partition. Cutting only ever happens
+/// *between* rows, so each output's row range is disjoint from its
+/// siblings' and key-range pruning stays exact.
 pub fn merge_store_files_partitioned(
     region: RegionId,
     path_for: &dyn Fn(usize) -> String,
@@ -664,94 +682,78 @@ pub fn merge_store_files_partitioned(
     has_older_elsewhere: &dyn Fn(&[u8], &[u8], Timestamp) -> bool,
     max_output_bytes: Option<usize>,
 ) -> MultiMergeResult {
-    let (out, dropped) = merge_entries(inputs, gc, purge_tombstones, has_older_elsewhere);
-    let mut outputs = Vec::new();
-    let mut part: Vec<StoreFileEntry> = Vec::new();
-    let mut part_bytes = 0usize;
-    for entry in out {
-        let full = max_output_bytes
-            .map(|max| part_bytes >= max)
-            .unwrap_or(false);
-        let row_boundary = part.last().map(|(r, ..)| *r != entry.0).unwrap_or(false);
-        if full && row_boundary {
-            let path = path_for(outputs.len());
-            outputs.push(StoreFileData::from_sorted_entries(
-                region,
-                path,
-                std::mem::take(&mut part),
-            ));
-            part_bytes = 0;
+    // Builders are sized from the inputs: an output holds at most what
+    // went in, and a capped one about a cap's worth of it.
+    let input_bytes: usize = inputs.iter().map(|sf| sf.total_bytes()).sum();
+    let input_entries: usize = inputs.iter().map(|sf| sf.len()).sum();
+    let new_builder = || match max_output_bytes {
+        Some(max) if max < input_bytes => {
+            let bytes = max.saturating_add(max / 4);
+            let share = bytes as f64 / input_bytes as f64;
+            StoreFileBuilder::with_capacity((input_entries as f64 * share) as usize, bytes)
         }
-        part_bytes +=
-            entry.0.len() + entry.1.len() + entry.3.as_ref().map(Bytes::len).unwrap_or(0) + 24;
-        part.push(entry);
-    }
-    if !part.is_empty() {
-        let path = path_for(outputs.len());
-        outputs.push(StoreFileData::from_sorted_entries(region, path, part));
-    }
-    MultiMergeResult {
-        outputs,
-        versions_dropped: dropped,
-    }
-}
+        _ => StoreFileBuilder::with_capacity(input_entries, input_bytes),
+    };
 
-/// The MVCC GC core, applied on top of the store's shared k-way merge
-/// ([`MergeIter`]; duplicates of one version come out adjacent, earliest
-/// input first): returns the surviving entries in `(row, column,
-/// descending ts)` order plus the dropped count.
-fn merge_entries(
-    inputs: &[Rc<StoreFileData>],
-    gc: GcWatermark,
-    purge_tombstones: bool,
-    has_older_elsewhere: &dyn Fn(&[u8], &[u8], Timestamp) -> bool,
-) -> (Vec<StoreFileEntry>, u64) {
-    let mut out: Vec<StoreFileEntry> = Vec::new();
+    let mut outputs: Vec<StoreFileData> = Vec::new();
+    let mut part = new_builder();
     let mut dropped = 0u64;
     // Per-cell GC state, valid while `current_cell` matches.
-    let mut current_cell: Option<(&Bytes, &Bytes)> = None;
+    let mut current_cell: Option<(&[u8], &[u8])> = None;
     let mut cell_resolved_below_watermark = false;
     let mut last_ts: Option<Timestamp> = None;
 
-    for (row, col, ts, value) in MergeIter::new(inputs.iter().map(|sf| sf.range(b"", None))) {
-        let same_cell = current_cell == Some((row, col));
+    for e in MergeIter::new(inputs.iter().map(|sf| sf.range(b"", None))) {
+        let same_cell = current_cell == Some((e.row, e.column));
         if !same_cell {
-            current_cell = Some((row, col));
+            current_cell = Some((e.row, e.column));
             cell_resolved_below_watermark = false;
             last_ts = None;
         }
 
         // Cross-file duplicate of the same version (possible after a
         // crash left both a merged file and its inputs): keep one.
-        if same_cell && last_ts == Some(ts) {
+        if same_cell && last_ts == Some(e.ts) {
             dropped += 1;
             continue;
         }
-        last_ts = Some(ts);
+        last_ts = Some(e.ts);
 
-        if ts > gc.horizon {
-            out.push((row.clone(), col.clone(), ts, value.clone()));
-            continue;
+        if e.ts <= gc.horizon {
+            if cell_resolved_below_watermark {
+                // Shadowed by a newer version at or below the watermark:
+                // no snapshot can resolve to this version any more.
+                dropped += 1;
+                continue;
+            }
+            cell_resolved_below_watermark = true;
+            let purge = purge_tombstones
+                && e.is_tombstone()
+                && e.ts <= gc.purge_floor
+                && !has_older_elsewhere(e.row, e.column, e.ts);
+            if purge {
+                dropped += 1;
+                continue;
+            }
         }
-        if cell_resolved_below_watermark {
-            // Shadowed by a newer version at or below the watermark: no
-            // snapshot can resolve to this version any more.
-            dropped += 1;
-            continue;
+
+        // A survivor. The current output is cut before it once the
+        // output is full and the survivor starts a new row.
+        let full = max_output_bytes.is_some_and(|max| part.total_bytes() >= max);
+        if full && part.last_row().is_some_and(|row| row != e.row) {
+            let path = path_for(outputs.len());
+            outputs.push(std::mem::replace(&mut part, new_builder()).finish(region, path));
         }
-        cell_resolved_below_watermark = true;
-        let purge = purge_tombstones
-            && value.is_none()
-            && ts <= gc.purge_floor
-            && !has_older_elsewhere(row, col, ts);
-        if purge {
-            dropped += 1;
-        } else {
-            out.push((row.clone(), col.clone(), ts, value.clone()));
-        }
+        part.push(e.row, e.column, e.ts, e.value());
     }
-
-    (out, dropped)
+    if !part.is_empty() {
+        let path = path_for(outputs.len());
+        outputs.push(part.finish(region, path));
+    }
+    MultiMergeResult {
+        outputs,
+        versions_dropped: dropped,
+    }
 }
 
 #[cfg(test)]

@@ -123,6 +123,6 @@ pub use server::{
     FilterStats, MemstoreSnapshot, RegionServer, RegionServerConfig, ReplAck, ReplicationConfig,
     ReplicationStats, ScanPage, SplitConfig, SplitStats,
 };
-pub use sstable::{StoreFileData, StoreFileEntry, StoreFileRegistry};
+pub use sstable::{StoreFileBuilder, StoreFileData, StoreFileEntry, StoreFileRegistry};
 pub use types::{ClientId, Mutation, MutationKind, RegionId, ServerId, Timestamp, WriteSet};
 pub use wal::{split_wal, Wal, WalSyncMode};

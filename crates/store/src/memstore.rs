@@ -5,7 +5,7 @@
 //! file. Versions are commit timestamps, so applying the same write-set
 //! twice — which recovery replay can do — is idempotent.
 
-use crate::merge_iter::{to_cell, visible_at, EntryRef};
+use crate::merge_iter::{visible_at, EntryRef};
 use crate::types::{MutationKind, Timestamp};
 use bytes::Bytes;
 use std::borrow::Borrow;
@@ -187,7 +187,9 @@ impl MemStore {
     /// `(row, column, ts, value)` — the flush path uses this. Unlike
     /// [`MemStore::range`] it knows its length, so collecting it
     /// allocates once.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = EntryRef<'_>> + '_ {
+    pub fn iter(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&Bytes, &Bytes, Timestamp, &Option<Bytes>)> + '_ {
         self.cells
             .iter()
             .map(|(k, v)| (&k.row, &k.column, k.ts(), v))
@@ -212,7 +214,7 @@ impl MemStore {
         };
         self.cells
             .range::<dyn KeyView, _>((Bound::Included(&from as &dyn KeyView), to))
-            .map(|(k, v)| (&k.row, &k.column, k.ts(), v))
+            .map(|(k, v)| EntryRef::from_cells(&k.row, &k.column, k.ts(), v))
     }
 
     /// Newest version at or below `snapshot` per cell for rows in
@@ -228,7 +230,7 @@ impl MemStore {
         snapshot: Timestamp,
     ) -> Vec<(Bytes, Bytes, VersionedValue)> {
         visible_at(self.range(start, end), snapshot)
-            .map(to_cell)
+            .map(|e| e.to_cell())
             .collect()
     }
 

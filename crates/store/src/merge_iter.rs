@@ -7,7 +7,7 @@
 //! top, see [`crate::compaction`]) and the scan path ([`scan_page`]:
 //! first version at or below the snapshot per cell, tombstones elided,
 //! stop at `limit`). [`MergeIter`] is that stream. It borrows its
-//! sources — heap keys are references into them, nothing is cloned or
+//! sources — heap keys are slices into them, nothing is cloned or
 //! materialised — so a consumer that stops early has paid only for the
 //! entries it pulled.
 
@@ -16,13 +16,119 @@ use crate::sstable::StoreFileData;
 use crate::types::Timestamp;
 use bytes::Bytes;
 use std::cmp::{Ordering, Reverse};
-use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-/// One borrowed versioned cell, `(row, column, ts, value)`, with `None`
-/// marking a delete tombstone — what the sorted cursors
-/// ([`MemStore::range`], [`StoreFileData::range`]) yield.
-pub type EntryRef<'a> = (&'a Bytes, &'a Bytes, Timestamp, &'a Option<Bytes>);
+/// One borrowed versioned cell — what the sorted cursors
+/// ([`MemStore::range`], [`StoreFileData::range`]) yield. The key fields
+/// are plain slices, so merging and garbage collection compare and copy
+/// bytes in place; [`EntryRef::to_cell`] turns the entry into owned
+/// buffers without copying them.
+#[derive(Clone, Copy, Debug)]
+pub struct EntryRef<'a> {
+    /// Row key.
+    pub row: &'a [u8],
+    /// Column qualifier.
+    pub column: &'a [u8],
+    /// The commit timestamp that wrote this version.
+    pub ts: Timestamp,
+    source: Source<'a>,
+}
+
+/// Where an entry lives: what its value is read from, and what
+/// [`EntryRef::to_cell`] takes its reference counts on.
+#[derive(Clone, Copy, Debug)]
+enum Source<'a> {
+    /// A memstore entry: each field is a buffer of its own. (The value
+    /// is only dereferenced when asked for: most entries a merge pulls
+    /// are compared and passed over.)
+    Cells {
+        row: &'a Bytes,
+        column: &'a Bytes,
+        value: &'a Option<Bytes>,
+    },
+    /// A store-file entry: every field is a slice of the file's image.
+    Image {
+        image: &'a Bytes,
+        value: Option<&'a [u8]>,
+    },
+}
+
+impl<'a> EntryRef<'a> {
+    /// An entry whose fields are separately owned buffers.
+    pub fn from_cells(
+        row: &'a Bytes,
+        column: &'a Bytes,
+        ts: Timestamp,
+        value: &'a Option<Bytes>,
+    ) -> EntryRef<'a> {
+        EntryRef {
+            row,
+            column,
+            ts,
+            source: Source::Cells { row, column, value },
+        }
+    }
+
+    /// An entry parsed out of `image`: `row`, `column` and `value` must
+    /// be slices of `image`'s own memory.
+    pub(crate) fn in_image(
+        image: &'a Bytes,
+        row: &'a [u8],
+        column: &'a [u8],
+        ts: Timestamp,
+        value: Option<&'a [u8]>,
+    ) -> EntryRef<'a> {
+        EntryRef {
+            row,
+            column,
+            ts,
+            source: Source::Image { image, value },
+        }
+    }
+
+    /// The value, or `None` for a delete tombstone.
+    pub fn value(&self) -> Option<&'a [u8]> {
+        match self.source {
+            Source::Cells { value, .. } => value.as_deref(),
+            Source::Image { value, .. } => value,
+        }
+    }
+
+    /// Whether this version is a delete.
+    pub fn is_tombstone(&self) -> bool {
+        match self.source {
+            Source::Cells { value, .. } => value.is_none(),
+            Source::Image { value, .. } => value.is_none(),
+        }
+    }
+
+    /// The value as an owned buffer sharing the entry's allocation.
+    pub fn value_bytes(&self) -> Option<Bytes> {
+        match self.source {
+            Source::Cells { value, .. } => value.clone(),
+            Source::Image { image, value } => value.map(|v| image.slice_ref(v)),
+        }
+    }
+
+    /// The entry in the owned cell shape reads return. Nothing is
+    /// copied: a memstore entry's buffers are cloned, a store-file
+    /// entry's fields become views of the file's image — which stays
+    /// alive as long as any of them does, so hold the result briefly or
+    /// copy it (the view-pinning rule, see [`StoreFileData`]).
+    pub fn to_cell(&self) -> (Bytes, Bytes, VersionedValue) {
+        let (row, column) = match self.source {
+            Source::Cells { row, column, .. } => (row.clone(), column.clone()),
+            Source::Image { image, .. } => {
+                (image.slice_ref(self.row), image.slice_ref(self.column))
+            }
+        };
+        let value = VersionedValue {
+            ts: self.ts,
+            value: self.value_bytes(),
+        };
+        (row, column, value)
+    }
+}
 
 /// The head entry of one source, ordered by the store sort key
 /// `(row, column, descending ts)` with the source index as tie-break, so
@@ -35,8 +141,8 @@ struct Head<'a> {
 
 impl Head<'_> {
     fn key(&self) -> (&[u8], &[u8], u64, usize) {
-        let (row, column, ts, _) = self.entry;
-        (row.as_slice(), column.as_slice(), !ts.0, self.source)
+        let e = &self.entry;
+        (e.row, e.column, !e.ts.0, self.source)
     }
 }
 
@@ -62,10 +168,17 @@ impl Ord for Head<'_> {
 /// different sources come out adjacent, lowest source index first —
 /// callers list the source that should win a tie first.
 ///
-/// Costs O(log s) per entry pulled for `s` sources and allocates only
-/// the `s`-slot heap.
+/// The smallest head (the *leader*) is held out of the heap. When the
+/// leader's source follows it with an entry that still precedes every
+/// other head — the usual case when one big file meets a few small
+/// ones, or a scan runs through rows only one source holds — that entry
+/// becomes the leader after one comparison and the heap is not touched.
+/// Otherwise it costs O(log s) for `s` sources. Allocates only the
+/// `s`-slot heap.
 pub struct MergeIter<'a, I> {
     sources: Vec<I>,
+    leader: Option<Head<'a>>,
+    /// The heads of every other non-exhausted source.
     heap: BinaryHeap<Reverse<Head<'a>>>,
     examined: u64,
 }
@@ -74,21 +187,23 @@ impl<'a, I: Iterator<Item = EntryRef<'a>>> MergeIter<'a, I> {
     /// Starts the merge, reading each source's first entry.
     pub fn new(sources: impl IntoIterator<Item = I>) -> Self {
         let mut sources: Vec<I> = sources.into_iter().collect();
-        let heap: BinaryHeap<_> = sources
+        let mut heap: BinaryHeap<_> = sources
             .iter_mut()
             .enumerate()
             .filter_map(|(source, it)| it.next().map(|entry| Reverse(Head { entry, source })))
             .collect();
         let examined = heap.len() as u64;
+        let leader = heap.pop().map(|Reverse(head)| head);
         MergeIter {
             sources,
+            leader,
             heap,
             examined,
         }
     }
 
     /// Entries read from the sources so far: everything yielded plus the
-    /// (at most one per source) heads waiting in the heap.
+    /// (at most one per source) heads waiting to be.
     pub fn examined(&self) -> u64 {
         self.examined
     }
@@ -98,17 +213,27 @@ impl<'a, I: Iterator<Item = EntryRef<'a>>> Iterator for MergeIter<'a, I> {
     type Item = EntryRef<'a>;
 
     fn next(&mut self) -> Option<EntryRef<'a>> {
-        let mut top = self.heap.peek_mut()?;
-        let source = top.0.source;
-        Some(match self.sources[source].next() {
-            // Replacing the head in place costs one sift instead of a
-            // pop's plus a push's.
+        let Head { entry, source } = self.leader.take()?;
+        self.leader = match self.sources[source].next() {
             Some(next) => {
                 self.examined += 1;
-                std::mem::replace(&mut top.0.entry, next)
+                let follower = Head {
+                    entry: next,
+                    source,
+                };
+                match self.heap.peek_mut() {
+                    // Another source's head comes first: it leads now,
+                    // and the follower takes its place in the heap (one
+                    // sift when the `PeekMut` drops).
+                    Some(mut top) if top.0 < follower => {
+                        Some(std::mem::replace(&mut top.0, follower))
+                    }
+                    _ => Some(follower),
+                }
             }
-            None => PeekMut::pop(top).0.entry,
-        })
+            None => self.heap.pop().map(|Reverse(head)| head),
+        };
+        Some(entry)
     }
 }
 
@@ -120,26 +245,14 @@ pub fn visible_at<'a>(
     entries: impl Iterator<Item = EntryRef<'a>>,
     snapshot: Timestamp,
 ) -> impl Iterator<Item = EntryRef<'a>> {
-    let mut resolved: Option<(&'a Bytes, &'a Bytes)> = None;
-    entries.filter(move |&(row, column, ts, _)| {
-        if ts > snapshot || resolved == Some((row, column)) {
+    let mut resolved: Option<(&'a [u8], &'a [u8])> = None;
+    entries.filter(move |e| {
+        if e.ts > snapshot || resolved == Some((e.row, e.column)) {
             return false;
         }
-        resolved = Some((row, column));
+        resolved = Some((e.row, e.column));
         true
     })
-}
-
-/// Clones a borrowed entry into the owned cell shape reads return.
-pub(crate) fn to_cell((row, column, ts, value): EntryRef<'_>) -> (Bytes, Bytes, VersionedValue) {
-    (
-        row.clone(),
-        column.clone(),
-        VersionedValue {
-            ts,
-            value: value.clone(),
-        },
-    )
 }
 
 /// One region's page of a snapshot scan: the newest version at or below
@@ -176,9 +289,9 @@ pub fn scan_page<'a>(
     let mut cells = Vec::with_capacity(limit.min(in_range));
     cells.extend(
         visible_at(merge.by_ref(), snapshot)
-            .filter(|(.., value)| value.is_some())
+            .filter(|e| !e.is_tombstone())
             .take(limit)
-            .map(to_cell),
+            .map(|e| e.to_cell()),
     );
     (cells, merge.examined())
 }
@@ -215,7 +328,7 @@ mod tests {
         let mut merge = MergeIter::new([first.range(b"", None), second.range(b"", None)]);
         let got: Vec<_> = merge
             .by_ref()
-            .map(|(r, _, ts, v)| (r.clone(), ts.0, v.clone()))
+            .map(|e| (Bytes::copy_from_slice(e.row), e.ts.0, e.value_bytes()))
             .collect();
         assert_eq!(
             got,

@@ -1355,10 +1355,14 @@ impl RegionServer {
         };
         let consider = |best: &mut Option<VersionedValue>, sf: &StoreFileData| {
             stats.files_consulted.inc();
-            if bloom && !sf.contains_key(row, column) {
+            let found = sf.get(row, column, snapshot);
+            // A version at the snapshot proves the key is in the file;
+            // only a miss needs the exact check (a second search) to tell
+            // a filter false positive from versions above the snapshot.
+            if bloom && found.is_none() && !sf.contains_key(row, column) {
                 stats.false_positives.inc();
             }
-            if let Some(c) = sf.get(row, column, snapshot) {
+            if let Some(c) = found {
                 if best.as_ref().map(|b| c.ts > b.ts).unwrap_or(true) {
                     *best = Some(c);
                 }

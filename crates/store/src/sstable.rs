@@ -30,6 +30,42 @@
 //! Scans use key-range pruning only: a scan touches many rows, so a
 //! per-`(row, column)` filter cannot exclude a file for it.
 //!
+//! ## Representation: a file is its wire image
+//!
+//! A [`StoreFileData`] holds the exact bytes the file has in the
+//! distributed filesystem — `image`, the same buffer the replicas keep —
+//! plus an offset index with one `u32` per stored version:
+//!
+//! ```text
+//! image:  region:u32  count:u32 | entry 0 | entry 1 | … | filter words
+//! entry:  len:u32 row | len:u32 column | tag:u8 [len:u32 value] | ts:u64
+//! index:  [offset of entry 0, …, offset of entry count-1, end of entries]
+//! ```
+//!
+//! Every file is built through one streaming constructor,
+//! [`StoreFileBuilder`]: `push` appends an entry's wire form to a
+//! pre-sized buffer, `finish` appends the bloom filter and freezes the
+//! buffer without copying it. So [`StoreFileData::encode`] is a
+//! reference-count bump, [`StoreFileData::decode`] is one pass that
+//! validates the input and records offsets without allocating per entry,
+//! point lookups binary-search the index and compare key bytes in place,
+//! and cursors walk the image front to back. A split's reference
+//! half-file shares the parent's image and index and clips the index to
+//! `lo..hi`.
+//!
+//! ### The view-pinning rule
+//!
+//! What a file hands out as owned [`Bytes`] — values from
+//! [`StoreFileData::get`], cells from [`StoreFileData::scan`] and
+//! [`crate::merge_iter::scan_page`] — are *views* of the image
+//! ([`Bytes::slice_ref`]): free to make, but each keeps the whole image
+//! allocated until it is dropped. That suits what is handed to a client
+//! and dropped with the reply. Anything long-lived must **copy, not
+//! view**: the file's own [`StoreFileData::key_range`],
+//! [`StoreFileData::mid_row`] (it becomes a region boundary), block-cache
+//! keys, and whatever is parked in a memstore. Otherwise one retired
+//! multi-megabyte file stays resident for the sake of a 16-byte key.
+//!
 //! ## Simulation note: the registry
 //!
 //! In HBase, any region server can read any store file block from HDFS. We
@@ -42,35 +78,97 @@
 //! Liveness stays honest too: the read path checks that at least one
 //! replica datanode of the file is alive before serving from the registry.
 
-use crate::bloom::BloomFilter;
-use crate::codec::{decode_mutation, encode_mutation, DecodeError, Decoder, Encoder};
+use crate::bloom::{hash_pair, BloomFilter};
+use crate::codec::{decode_cell, encode_cell, DecodeError, Decoder, Encoder, TAG_PUT};
 use crate::memstore::{MemStore, VersionedValue};
-use crate::merge_iter::{to_cell, visible_at, EntryRef};
-use crate::types::{Mutation, MutationKind, RegionId, Timestamp};
+use crate::merge_iter::{visible_at, EntryRef};
+use crate::types::{RegionId, Timestamp};
 use bytes::Bytes;
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
+/// Bytes of the image before the first entry: region id, entry count.
+const HEADER_BYTES: usize = 8;
+
+/// The smallest entry on the wire: empty row and column, a delete.
+const MIN_ENTRY_BYTES: usize = 4 + 4 + 1 + 8;
+
+/// Reads the fields of entries out of a file's own image, in wire order.
+/// The image was written by the builder or checked field by field in
+/// `decode`, and is immutable since, so unlike [`Decoder`] this reports
+/// nothing: a field that does not fit is a bug here, and panics (every
+/// access is still a checked slice index).
+struct Reader<'a> {
+    image: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn fixed<const N: usize>(&mut self) -> [u8; N] {
+        let bytes = &self.image[self.at..self.at + N];
+        self.at += N;
+        bytes.try_into().expect("sliced to N bytes")
+    }
+
+    /// A length-prefixed byte string: a row or a column.
+    fn bytes(&mut self) -> &'a [u8] {
+        let len = u32::from_be_bytes(self.fixed()) as usize;
+        let bytes = &self.image[self.at..self.at + len];
+        self.at += len;
+        bytes
+    }
+
+    /// The tag and what follows it: a value, or nothing for a delete.
+    fn value(&mut self) -> Option<&'a [u8]> {
+        let [tag] = self.fixed();
+        (tag == TAG_PUT).then(|| self.bytes())
+    }
+
+    fn ts(&mut self) -> Timestamp {
+        Timestamp(u64::from_be_bytes(self.fixed()))
+    }
+}
+
+/// What one stored version counts for in [`StoreFileData::total_bytes`]
+/// (and in a memstore's `approx_bytes`): its payload plus a fixed
+/// per-entry allowance.
+fn entry_bytes(row: &[u8], column: &[u8], value: Option<&[u8]>) -> usize {
+    row.len() + column.len() + value.map_or(0, <[u8]>::len) + 24
+}
+
 /// One sorted immutable store file's contents — either a *physical* file
-/// (a flush or compaction output, owning its entries) or a *reference
+/// (a flush or compaction output, owning its image) or a *reference
 /// half-file* created by an online region split, which shares the parent
-/// file's entry array and clips it to the daughter's key range (see
-/// [`StoreFileData::reference`]).
+/// file's image and index and clips them to the daughter's key range
+/// (see [`StoreFileData::reference`]).
+///
+/// **The view-pinning rule.** The file holds its exact wire image (layout
+/// in `sstable.rs`'s module docs), and the owned [`Bytes`] it hands out —
+/// [`StoreFileData::get`] values, [`StoreFileData::scan`] cells — are
+/// views that keep the whole image allocated while they live. Hold them
+/// for the length of a request; anything long-lived (a region boundary,
+/// a cache key, a memstore entry) must copy instead, as
+/// [`StoreFileData::key_range`] and [`StoreFileData::mid_row`] do.
 pub struct StoreFileData {
     region: RegionId,
     path: String,
-    /// Sorted by (row, column, descending ts) — same order as a memstore.
-    /// Shared (`Rc`) so a split's reference half-files are O(metadata):
-    /// they alias the parent's array and narrow `[lo, hi)`.
-    entries: Rc<Vec<(Bytes, Bytes, Timestamp, Option<Bytes>)>>,
-    /// Visible slice bounds into `entries` (`0..len` for physical files).
+    /// The file's wire image (the parent's, for a reference half-file).
+    /// Entries are sorted by (row, column, descending ts) — the same
+    /// order as a memstore.
+    image: Bytes,
+    /// Offset into `image` of every entry, then of the end of the
+    /// entries. Shared (`Rc`) so a split's reference half-files are
+    /// O(metadata): they alias the parent's index and narrow `[lo, hi)`.
+    index: Rc<Vec<u32>>,
+    /// Visible bounds into `index` (`0..count` for physical files).
     lo: usize,
     hi: usize,
     total_bytes: usize,
     /// Min/max row key stored (`None` for an empty file); the read path's
-    /// free range-pruning check.
+    /// free range-pruning check. Copies, not views (module docs).
     key_range: Option<(Bytes, Bytes)>,
     /// Membership filter over the file's distinct `(row, column)` pairs.
     /// Reference files share the parent's filter (it may answer `true`
@@ -88,36 +186,182 @@ impl fmt::Debug for StoreFileData {
         f.debug_struct("StoreFileData")
             .field("region", &self.region)
             .field("path", &self.path)
-            .field("entries", &self.entries.len())
+            .field("entries", &self.len())
             .field("bytes", &self.total_bytes)
             .field("filter_bytes", &self.bloom.approx_bytes())
             .finish()
     }
 }
 
-/// One versioned cell as stored in a file: `(row, column, ts, value)`,
-/// with `None` marking a delete tombstone.
+/// One versioned cell in owned form: `(row, column, ts, value)`, with
+/// `None` marking a delete tombstone. Files do not store these (see the
+/// module docs); it is the input shape of
+/// [`StoreFileData::from_sorted_entries`].
 pub type StoreFileEntry = (Bytes, Bytes, Timestamp, Option<Bytes>);
 
-/// Min/max row key over sorted entries (`None` when empty).
-fn key_range_of(entries: &[StoreFileEntry]) -> Option<(Bytes, Bytes)> {
-    match (entries.first(), entries.last()) {
-        (Some((min, ..)), Some((max, ..))) => Some((min.clone(), max.clone())),
-        _ => None,
+/// The one constructor of store files: entries are pushed in `(row,
+/// column, descending ts)` order and appended to the file's wire image
+/// as they arrive; [`StoreFileBuilder::finish`] seals the image.
+///
+/// Memstore flushes, compaction outputs and
+/// [`StoreFileData::from_sorted_entries`] all build through this, so the
+/// wire format, the size accounting and the filter are defined once.
+pub struct StoreFileBuilder {
+    /// The image so far: a header with the count still blank, then the
+    /// entries pushed.
+    image: Encoder,
+    /// Offset of each entry pushed.
+    index: Vec<u32>,
+    /// Hash pair of each distinct `(row, column)` pushed, taken while
+    /// the key is in cache; the filter is sized from their number.
+    hashes: Vec<(u64, u64)>,
+    total_bytes: usize,
+}
+
+impl StoreFileBuilder {
+    /// A builder for a file expected to hold about `entries` versions
+    /// counting `total_bytes` (in [`StoreFileData::total_bytes`] terms).
+    /// With exact or high estimates nothing regrows: the image of such a
+    /// file, filter included, is never larger than its `total_bytes`
+    /// plus the header.
+    pub fn with_capacity(entries: usize, total_bytes: usize) -> StoreFileBuilder {
+        let mut image = Encoder::with_capacity(HEADER_BYTES + total_bytes + 12);
+        image.put_u32(0);
+        image.put_u32(0);
+        StoreFileBuilder {
+            image,
+            index: Vec::with_capacity(entries + 1),
+            hashes: Vec::with_capacity(entries),
+            total_bytes: 0,
+        }
+    }
+
+    /// The row and column of the last entry pushed, and a reader placed
+    /// behind them.
+    fn last_key(&self) -> Option<(&[u8], &[u8], Reader<'_>)> {
+        let mut entry = Reader {
+            image: self.image.as_slice(),
+            at: *self.index.last()? as usize,
+        };
+        Some((entry.bytes(), entry.bytes(), entry))
+    }
+
+    /// Appends one version. Entries must arrive strictly sorted by
+    /// `(row, column, descending ts)`.
+    ///
+    /// # Panics
+    ///
+    /// If the image would reach 4 GiB (offsets are `u32`);
+    /// debug-asserts the ordering.
+    pub fn push(&mut self, row: &[u8], column: &[u8], ts: Timestamp, value: Option<&[u8]>) {
+        let same_cell = self
+            .last_key()
+            .is_some_and(|(last_row, last_column, mut rest)| {
+                debug_assert!(
+                    {
+                        rest.value();
+                        (last_row, last_column, !rest.ts().0) < (row, column, !ts.0)
+                    },
+                    "entries must be strictly sorted by (row, column, descending ts)"
+                );
+                last_row == row && last_column == column
+            });
+        if !same_cell {
+            self.hashes.push(hash_pair(row, column));
+        }
+        let at = u32::try_from(self.image.len()).expect("a store file's image stays below 4 GiB");
+        self.index.push(at);
+        encode_cell(&mut self.image, row, column, value);
+        self.image.put_u64(ts.0);
+        self.total_bytes += entry_bytes(row, column, value);
+    }
+
+    /// Whether nothing has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// [`StoreFileData::total_bytes`] of the entries pushed so far.
+    pub fn total_bytes(&self) -> usize {
+        self.total_bytes
+    }
+
+    /// The row of the last entry pushed.
+    pub fn last_row(&self) -> Option<&[u8]> {
+        self.last_key().map(|(row, ..)| row)
+    }
+
+    /// Seals the file: fills in the header, builds the bloom filter over
+    /// the distinct `(row, column)` pairs and appends it (it trails the
+    /// entries so the deterministic bits survive the DFS round trip; the
+    /// row range is derivable from the sorted entries and is not
+    /// encoded), and freezes the image without copying it.
+    ///
+    /// # Panics
+    ///
+    /// If the image would reach 4 GiB.
+    pub fn finish(self, region: RegionId, path: impl Into<String>) -> StoreFileData {
+        let StoreFileBuilder {
+            mut image,
+            mut index,
+            hashes,
+            total_bytes,
+        } = self;
+        let count = index.len();
+        image.set_u32(0, region.0);
+        image.set_u32(4, count as u32);
+        let bloom = BloomFilter::from_hashes(&hashes);
+        let end = image.len() + bloom.encoded_len();
+        assert!(
+            u32::try_from(end).is_ok(),
+            "a store file's image stays below 4 GiB"
+        );
+        index.push(image.len() as u32);
+        bloom.encode(&mut image);
+        let mut file = StoreFileData {
+            region,
+            path: path.into(),
+            image: image.finish(),
+            index: Rc::new(index),
+            lo: 0,
+            hi: count,
+            total_bytes,
+            key_range: None,
+            bloom: Rc::new(bloom),
+            backing: None,
+        };
+        file.key_range = file.key_range_of_window();
+        file
     }
 }
 
-/// Builds the file's bloom filter over its distinct `(row, column)`
-/// pairs. Entries are sorted, so distinct pairs are adjacent.
-fn build_bloom(entries: &[StoreFileEntry]) -> BloomFilter {
-    let mut last: Option<(&Bytes, &Bytes)> = None;
-    let distinct = entries.iter().filter(move |(r, c, ..)| {
-        let fresh = last != Some((r, c));
-        last = Some((r, c));
-        fresh
-    });
-    BloomFilter::build(distinct.map(|(r, c, ..)| (&r[..], &c[..])))
+/// Sequential cursor over a run of a file's entries: parses the image
+/// front to back (it never consults the index).
+struct Cursor<'a> {
+    image: &'a Bytes,
+    reader: Reader<'a>,
+    left: usize,
 }
+
+impl<'a> Iterator for Cursor<'a> {
+    type Item = EntryRef<'a>;
+
+    fn next(&mut self) -> Option<EntryRef<'a>> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (row, column) = (self.reader.bytes(), self.reader.bytes());
+        let (value, ts) = (self.reader.value(), self.reader.ts());
+        Some(EntryRef::in_image(self.image, row, column, ts, value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Cursor<'_> {}
 
 impl StoreFileData {
     /// Builds a store file from a (snapshot) memstore.
@@ -126,15 +370,15 @@ impl StoreFileData {
         path: impl Into<String>,
         ms: &MemStore,
     ) -> StoreFileData {
-        let entries: Vec<_> = ms
-            .iter()
-            .map(|(r, c, ts, v)| (r.clone(), c.clone(), ts, v.clone()))
-            .collect();
-        StoreFileData::from_sorted_entries(region, path, entries)
+        let mut builder = StoreFileBuilder::with_capacity(ms.len(), ms.approx_bytes());
+        for (row, column, ts, value) in ms.iter() {
+            builder.push(row, column, ts, value.as_deref());
+        }
+        builder.finish(region, path)
     }
 
-    /// Builds a store file from entries already in `(row, column,
-    /// descending ts)` order — the compaction merge path.
+    /// Builds a store file from owned entries already in `(row, column,
+    /// descending ts)` order.
     ///
     /// # Panics
     ///
@@ -144,41 +388,26 @@ impl StoreFileData {
         path: impl Into<String>,
         entries: Vec<StoreFileEntry>,
     ) -> StoreFileData {
-        debug_assert!(
-            entries.windows(2).all(|w| {
-                let a = (&w[0].0, &w[0].1, !w[0].2 .0);
-                let b = (&w[1].0, &w[1].1, !w[1].2 .0);
-                a < b
-            }),
-            "entries must be strictly sorted by (row, column, descending ts)"
-        );
         let total_bytes = entries
             .iter()
-            .map(|(r, c, _, v)| r.len() + c.len() + v.as_ref().map(Bytes::len).unwrap_or(0) + 24)
+            .map(|(r, c, _, v)| entry_bytes(r, c, v.as_deref()))
             .sum();
-        let bloom = build_bloom(&entries);
-        let hi = entries.len();
-        StoreFileData {
-            region,
-            path: path.into(),
-            key_range: key_range_of(&entries),
-            lo: 0,
-            hi,
-            total_bytes,
-            bloom: Rc::new(bloom),
-            entries: Rc::new(entries),
-            backing: None,
+        let mut builder = StoreFileBuilder::with_capacity(entries.len(), total_bytes);
+        for (row, column, ts, value) in &entries {
+            builder.push(row, column, *ts, value.as_deref());
         }
+        builder.finish(region, path)
     }
 
     /// Builds a reference half-file over `parent` for an online region
-    /// split: the result aliases the parent's entry array clipped to rows
-    /// in `[start, end)` (two `partition_point` calls — O(log n), no data
-    /// copy) and shares the parent's bloom filter. The reference's
-    /// [`StoreFileData::backing_path`] names the parent file, whose
-    /// replicas actually hold the bytes; the parent file must outlive
-    /// every reference (the daughter's first compaction covering the
-    /// reference rewrites it into a physical file).
+    /// split: the result aliases the parent's image and index clipped to
+    /// rows in `[start, end)` and shares the parent's bloom filter. No
+    /// entry is copied; finding the clip points is two binary searches,
+    /// and one pass over the clipped entries sums their sizes. The
+    /// reference's [`StoreFileData::backing_path`] names the parent file,
+    /// whose replicas actually hold the bytes; the parent file must
+    /// outlive every reference (the daughter's first compaction covering
+    /// the reference rewrites it into a physical file).
     ///
     /// Returns `None` when no row of the parent falls inside the range
     /// (nothing to reference).
@@ -195,43 +424,92 @@ impl StoreFileData {
         if lo >= hi {
             return None;
         }
-        let slice = &parent.entries[lo..hi];
-        let total_bytes = slice
-            .iter()
-            .map(|(r, c, _, v)| r.len() + c.len() + v.as_ref().map(Bytes::len).unwrap_or(0) + 24)
-            .sum();
-        Some(StoreFileData {
+        let mut file = StoreFileData {
             region,
             path: path.into(),
-            key_range: key_range_of(slice),
+            image: parent.image.clone(),
+            index: Rc::clone(&parent.index),
             lo,
             hi,
-            total_bytes,
+            total_bytes: 0,
+            key_range: None,
             bloom: Rc::clone(&parent.bloom),
-            entries: Rc::clone(&parent.entries),
             backing: Some(
                 parent
                     .backing
                     .clone()
                     .unwrap_or_else(|| parent.path.clone()),
             ),
-        })
+        };
+        file.total_bytes = file
+            .entries()
+            .map(|e| entry_bytes(e.row, e.column, e.value()))
+            .sum();
+        file.key_range = file.key_range_of_window();
+        Some(file)
     }
 
-    /// The visible entry slice (the whole array for physical files, the
-    /// clipped window for reference half-files).
-    fn slice(&self) -> &[StoreFileEntry] {
-        &self.entries[self.lo..self.hi]
+    /// Min/max row key of the visible window, copied out of the image
+    /// (`None` when empty).
+    fn key_range_of_window(&self) -> Option<(Bytes, Bytes)> {
+        if self.is_empty() {
+            return None;
+        }
+        let min = self.entry(self.lo).row;
+        let max = self.entry(self.hi - 1).row;
+        Some((Bytes::copy_from_slice(min), Bytes::copy_from_slice(max)))
     }
 
-    /// Bounds, as indices into the shared `entries` array, of the visible
-    /// rows in `[start, end)`: two binary searches inside `[lo, hi)`. An
-    /// `end` at or before `start` gives an empty range.
+    /// Entry `i` of the shared index, parsed.
+    fn entry(&self, i: usize) -> EntryRef<'_> {
+        self.cursor(i, i + 1).next().expect("index in bounds")
+    }
+
+    /// Cursor over entries `[from, to)` of the shared index.
+    fn cursor(&self, from: usize, to: usize) -> Cursor<'_> {
+        Cursor {
+            image: &self.image,
+            reader: Reader {
+                image: &self.image,
+                at: self.index[from] as usize,
+            },
+            left: to - from,
+        }
+    }
+
+    /// The first visible entry, as an index into the shared array, whose
+    /// key is not before `(row, column, inv_ts)` in `(row, column,
+    /// descending ts)` order — a binary search over the index comparing
+    /// key bytes in place, each field parsed only if the ones before it
+    /// tie.
+    fn lower_bound(&self, row: &[u8], column: &[u8], inv_ts: u64) -> usize {
+        let image: &[u8] = &self.image;
+        let before = |&at: &u32| {
+            let mut entry = Reader {
+                image,
+                at: at as usize,
+            };
+            let order = entry
+                .bytes()
+                .cmp(row)
+                .then_with(|| entry.bytes().cmp(column))
+                .then_with(|| {
+                    entry.value();
+                    (!entry.ts().0).cmp(&inv_ts)
+                });
+            order == Ordering::Less
+        };
+        self.lo + self.index[self.lo..self.hi].partition_point(before)
+    }
+
+    /// Bounds, as indices into the shared index, of the visible rows in
+    /// `[start, end)`: two binary searches inside `[lo, hi)`. An `end` at
+    /// or before `start` gives an empty range.
     fn row_bounds(&self, start: &[u8], end: Option<&[u8]>) -> (usize, usize) {
-        let visible = self.slice();
-        let from = self.lo + visible.partition_point(|(r, ..)| &r[..] < start);
+        // `(row, "", !MAX)` sorts at or before every version of `row`.
+        let from = self.lower_bound(start, b"", 0);
         let to = match end {
-            Some(end) => self.lo + visible.partition_point(|(r, ..)| &r[..] < end),
+            Some(end) => self.lower_bound(end, b"", 0),
             None => self.hi,
         };
         (from, to.max(from))
@@ -249,15 +527,13 @@ impl StoreFileData {
         end: Option<&[u8]>,
     ) -> impl ExactSizeIterator<Item = EntryRef<'_>> + '_ {
         let (from, to) = self.row_bounds(start, end);
-        self.entries[from..to]
-            .iter()
-            .map(|(r, c, ts, v)| (r, c, *ts, v))
+        self.cursor(from, to)
     }
 
     /// Iterates all stored versions in `(row, column, descending ts)`
     /// order.
-    pub fn entries(&self) -> impl Iterator<Item = &StoreFileEntry> + '_ {
-        self.slice().iter()
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = EntryRef<'_>> + '_ {
+        self.cursor(self.lo, self.hi)
     }
 
     /// Whether this is a reference half-file over another file's bytes.
@@ -273,10 +549,11 @@ impl StoreFileData {
 
     /// The row key of the middle visible entry — the split-point heuristic
     /// (HBase picks the largest store file's index midkey the same way).
-    /// `None` for an empty file.
+    /// `None` for an empty file. A copy, not a view: the caller makes it
+    /// a region boundary.
     pub fn mid_row(&self) -> Option<Bytes> {
-        let slice = self.slice();
-        slice.get(slice.len() / 2).map(|(r, ..)| r.clone())
+        let mid = self.lo + self.len() / 2;
+        (mid < self.hi).then(|| Bytes::copy_from_slice(self.entry(mid).row))
     }
 
     /// The region this file belongs to.
@@ -337,9 +614,11 @@ impl StoreFileData {
     /// is stored, regardless of snapshot. Used to classify filter
     /// outcomes (false positives / negatives), not to serve reads.
     pub fn contains_key(&self, row: &[u8], column: &[u8]) -> bool {
-        let slice = self.slice();
-        let idx = slice.partition_point(|(r, c, ..)| (&r[..], &c[..]) < (row, column));
-        matches!(slice.get(idx), Some((r, c, ..)) if r == row && c == column)
+        let idx = self.lower_bound(row, column, 0);
+        idx < self.hi && {
+            let e = self.entry(idx);
+            e.row == row && e.column == column
+        }
     }
 
     /// Bytes of filter metadata (the bloom bit array) this file carries.
@@ -348,21 +627,19 @@ impl StoreFileData {
     }
 
     /// The newest version of `(row, column)` at or before `snapshot`.
+    /// The value is a view of the file's image (module docs).
     pub fn get(&self, row: &[u8], column: &[u8], snapshot: Timestamp) -> Option<VersionedValue> {
         // First entry with key >= (row, column, inv(snapshot)) in the
         // (row, col, desc-ts) order.
-        let slice = self.slice();
-        let idx = slice
-            .partition_point(|(r, c, ts, _)| (&r[..], &c[..], !ts.0) < (row, column, !snapshot.0));
-        let (r, c, ts, v) = slice.get(idx)?;
-        if r == row && c == column {
-            Some(VersionedValue {
-                ts: *ts,
-                value: v.clone(),
-            })
-        } else {
-            None
+        let idx = self.lower_bound(row, column, !snapshot.0);
+        if idx >= self.hi {
+            return None;
         }
+        let e = self.entry(idx);
+        (e.row == row && e.column == column).then(|| VersionedValue {
+            ts: e.ts,
+            value: e.value_bytes(),
+        })
     }
 
     /// Latest version ≤ `snapshot` per cell for rows in `[start, end)`
@@ -378,70 +655,78 @@ impl StoreFileData {
         snapshot: Timestamp,
     ) -> Vec<(Bytes, Bytes, VersionedValue)> {
         visible_at(self.range(start, end), snapshot)
-            .map(to_cell)
+            .map(|e| e.to_cell())
             .collect()
     }
 
-    /// Serializes the file for the DFS write.
+    /// The file's bytes for the DFS write. A physical file hands out its
+    /// image (O(1)); a reference half-file, which is never itself
+    /// written, re-frames its run of the parent's entries with its own
+    /// header and the shared filter.
     pub fn encode(&self) -> Bytes {
-        let mut enc = Encoder::new();
+        if self.backing.is_none() {
+            return self.image.clone();
+        }
+        let run = &self.image[self.index[self.lo] as usize..self.index[self.hi] as usize];
+        let mut enc = Encoder::with_capacity(HEADER_BYTES + run.len() + self.bloom.encoded_len());
         enc.put_u32(self.region.0);
         enc.put_u32(self.len() as u32);
-        for (r, c, ts, v) in self.slice() {
-            let kind = match v {
-                Some(v) => MutationKind::Put(v.clone()),
-                None => MutationKind::Delete,
-            };
-            let m = Mutation {
-                row: r.clone(),
-                column: c.clone(),
-                kind,
-            };
-            encode_mutation(&mut enc, &m);
-            enc.put_u64(ts.0);
-        }
-        // Filter metadata trails the entries so the deterministic bloom
-        // bits survive the DFS round trip (the row range is derivable
-        // from the sorted entries and is not encoded).
+        enc.put_raw(run);
         self.bloom.encode(&mut enc);
         enc.finish()
     }
 
-    /// Parses a file previously produced by [`StoreFileData::encode`].
+    /// Parses a file previously produced by [`StoreFileData::encode`]:
+    /// one copy of `buf` becomes the image, and one pass over it checks
+    /// the framing and the entry order and records the offsets.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncated or corrupt input.
     pub fn decode(path: impl Into<String>, buf: &[u8]) -> Result<StoreFileData, DecodeError> {
-        let mut dec = Decoder::new(buf);
-        let region = RegionId(dec.get_u32()?);
-        let n = dec.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(n);
-        let mut total_bytes = 0;
-        for _ in 0..n {
-            let m = decode_mutation(&mut dec)?;
-            let ts = Timestamp(dec.get_u64()?);
-            let v = match m.kind {
-                MutationKind::Put(v) => Some(v),
-                MutationKind::Delete => None,
-            };
-            total_bytes +=
-                m.row.len() + m.column.len() + v.as_ref().map(Bytes::len).unwrap_or(0) + 24;
-            entries.push((m.row, m.column, ts, v));
+        if u32::try_from(buf.len()).is_err() {
+            return Err(Decoder::new(buf).error("store file over 4 GiB"));
         }
+        let image = Bytes::from(buf.to_vec());
+        let mut dec = Decoder::new(&image);
+        let region = RegionId(dec.get_u32()?);
+        let count = dec.get_u32()? as usize;
+        // A count read from input is bounded before it sizes anything.
+        if count > dec.remaining() / MIN_ENTRY_BYTES {
+            return Err(dec.error("entry count"));
+        }
+        let mut index = Vec::with_capacity(count + 1);
+        let mut total_bytes = 0;
+        let mut last: Option<(&[u8], &[u8], u64)> = None;
+        for _ in 0..count {
+            index.push(dec.pos() as u32);
+            let (row, column, value) = decode_cell(&mut dec)?;
+            let inv_ts = !dec.get_u64()?;
+            if last.is_some_and(|last| last >= (row, column, inv_ts)) {
+                return Err(dec.error("entry order"));
+            }
+            last = Some((row, column, inv_ts));
+            total_bytes += entry_bytes(row, column, value);
+        }
+        index.push(dec.pos() as u32);
         let bloom = BloomFilter::decode(&mut dec)?;
-        let hi = entries.len();
-        Ok(StoreFileData {
+        if !dec.is_at_end() {
+            return Err(dec.error("trailing bytes"));
+        }
+        let mut file = StoreFileData {
             region,
             path: path.into(),
-            key_range: key_range_of(&entries),
+            image,
+            index: Rc::new(index),
             lo: 0,
-            hi,
+            hi: count,
             total_bytes,
+            key_range: None,
             bloom: Rc::new(bloom),
-            entries: Rc::new(entries),
             backing: None,
-        })
+        };
+        file.key_range = file.key_range_of_window();
+        Ok(file)
     }
 }
 
@@ -663,9 +948,13 @@ mod tests {
     #[test]
     fn from_sorted_entries_matches_memstore_build() {
         let via_ms = sample();
-        let entries: Vec<_> = via_ms.entries().cloned().collect();
+        let entries: Vec<StoreFileEntry> = via_ms
+            .entries()
+            .map(|e| e.to_cell())
+            .map(|(r, c, vv)| (r, c, vv.ts, vv.value))
+            .collect();
         let direct = StoreFileData::from_sorted_entries(RegionId(1), "/store/r1/0", entries);
-        assert_eq!(direct.len(), via_ms.len());
+        assert_eq!(direct.encode(), via_ms.encode());
         assert_eq!(direct.total_bytes(), via_ms.total_bytes());
         assert_eq!(
             direct.get(b"a", b"c", Timestamp(20)),
@@ -702,12 +991,73 @@ mod tests {
         let back = StoreFileData::decode("/store/r1/0", &sf.encode()).expect("decode");
         assert_eq!(back.key_range(), sf.key_range());
         assert_eq!(back.filter_bytes(), sf.filter_bytes());
-        for (r, c, ..) in sf.entries() {
-            assert!(back.filter_may_contain(r, c), "no false negatives");
+        for e in sf.entries() {
+            assert!(
+                back.filter_may_contain(e.row, e.column),
+                "no false negatives"
+            );
         }
         // The trailing filter section is covered by truncation checks too.
         let encoded = sf.encode();
         assert!(StoreFileData::decode("/x", &encoded[..encoded.len() - 2]).is_err());
+    }
+
+    /// The view-pinning rule (module docs): what reads hand out points
+    /// into the image; what the file or a region keeps does not.
+    #[test]
+    fn reads_are_views_and_metadata_is_copied() {
+        let sf = sample();
+        let image = sf.image.as_ptr_range();
+        let pinned = |b: &[u8]| image.contains(&b.as_ptr());
+        let value = sf.get(b"a", b"c", Timestamp(20)).unwrap().value.unwrap();
+        assert!(pinned(&value));
+        let (row, column, vv) = sf.scan(b"c", None, Timestamp::MAX).remove(0);
+        assert!(pinned(&row) && pinned(&column) && pinned(&vv.value.unwrap()));
+        assert_eq!(
+            sf.encode().as_ptr(),
+            sf.image.as_ptr(),
+            "encode is the image"
+        );
+
+        assert!(!pinned(&sf.mid_row().unwrap()));
+        let (min, max) = sf.key_range().unwrap();
+        assert!(!pinned(min) && !pinned(max));
+        let parent = Rc::new(sf);
+        let half = StoreFileData::reference(&parent, RegionId(2), "/h", b"b", None).unwrap();
+        assert_eq!(
+            half.image.as_ptr(),
+            parent.image.as_ptr(),
+            "a reference copies nothing"
+        );
+        let (min, max) = half.key_range().unwrap();
+        assert!(!pinned(min) && !pinned(max) && !pinned(&half.mid_row().unwrap()));
+    }
+
+    #[test]
+    fn builder_tracks_what_the_partitioned_merge_cuts_on() {
+        let mut builder = StoreFileBuilder::with_capacity(0, 0);
+        assert!(builder.is_empty());
+        assert_eq!(builder.last_row(), None);
+        builder.push(b"a", b"c", Timestamp(2), Some(b"new"));
+        builder.push(b"a", b"c", Timestamp(1), None);
+        builder.push(b"b", b"", Timestamp(1), Some(b""));
+        assert_eq!(builder.last_row(), Some(&b"b"[..]));
+        assert_eq!(
+            builder.total_bytes(),
+            (1 + 1 + 3 + 24) + (1 + 1 + 24) + (1 + 24)
+        );
+        let sf = builder.finish(RegionId(7), "/b");
+        assert_eq!(sf.len(), 3);
+        assert_eq!(sf.total_bytes(), 80);
+        assert_eq!(sf.key_range(), Some((b"a".as_ref(), b"b".as_ref())));
+        assert!(sf.filter_may_contain(b"a", b"c") && sf.filter_may_contain(b"b", b""));
+        assert_eq!(
+            sf.get(b"b", b"", Timestamp(1)).unwrap().value,
+            Some(Bytes::new())
+        );
+        // Sized from exact totals, the image never regrows (see
+        // `StoreFileBuilder::with_capacity`).
+        assert!(sf.encode().len() <= HEADER_BYTES + sf.total_bytes() + 12);
     }
 
     #[test]

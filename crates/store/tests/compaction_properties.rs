@@ -9,7 +9,7 @@ use cumulo_store::compaction::{
     merge_store_files, merge_store_files_partitioned, pick_candidates, CompactionConfig,
     CompactionPolicy, FileMeta, GcWatermark, LeveledPolicy,
 };
-use cumulo_store::{MemStore, RegionId, StoreFileData, Timestamp};
+use cumulo_store::{MemStore, RegionId, StoreFileData, StoreFileEntry, Timestamp};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -89,7 +89,153 @@ fn folded_scan(files: &[Rc<StoreFileData>], snap: u64) -> HashMap<(Bytes, Bytes)
         .collect()
 }
 
+/// A file's entries in owned form.
+fn owned_entries(sf: &StoreFileData) -> Vec<StoreFileEntry> {
+    sf.entries()
+        .map(|e| e.to_cell())
+        .map(|(row, col, vv)| (row, col, vv.ts, vv.value))
+        .collect()
+}
+
+/// The merge the streaming one replaced, kept as the reference: gather
+/// the inputs' entries in `(row, column, descending ts)` order with
+/// copies of a version adjacent (earliest input first), apply the MVCC
+/// GC rules into one list of survivors, and only then walk that list
+/// again, cutting it at the first row boundary past `max_output_bytes`.
+fn merge_then_partition(
+    inputs: &[Rc<StoreFileData>],
+    gc: GcWatermark,
+    purge_tombstones: bool,
+    has_older_elsewhere: &dyn Fn(&[u8], &[u8], Timestamp) -> bool,
+    max_output_bytes: Option<usize>,
+) -> (Vec<Vec<StoreFileEntry>>, u64) {
+    let mut all: Vec<(StoreFileEntry, usize)> = Vec::new();
+    for (i, sf) in inputs.iter().enumerate() {
+        all.extend(owned_entries(sf).into_iter().map(|e| (e, i)));
+    }
+    all.sort_by(|(a, i), (b, j)| (&a.0, &a.1, !a.2 .0, i).cmp(&(&b.0, &b.1, !b.2 .0, j)));
+
+    let mut out: Vec<StoreFileEntry> = Vec::new();
+    let mut dropped = 0u64;
+    let mut current_cell: Option<(Bytes, Bytes)> = None;
+    let mut cell_resolved_below_watermark = false;
+    let mut last_ts: Option<Timestamp> = None;
+    for ((row, col, ts, value), _) in all {
+        let same_cell = current_cell.as_ref() == Some(&(row.clone(), col.clone()));
+        if !same_cell {
+            current_cell = Some((row.clone(), col.clone()));
+            cell_resolved_below_watermark = false;
+            last_ts = None;
+        }
+        if same_cell && last_ts == Some(ts) {
+            dropped += 1;
+            continue;
+        }
+        last_ts = Some(ts);
+        if ts > gc.horizon {
+            out.push((row, col, ts, value));
+            continue;
+        }
+        if cell_resolved_below_watermark {
+            dropped += 1;
+            continue;
+        }
+        cell_resolved_below_watermark = true;
+        let purge = purge_tombstones
+            && value.is_none()
+            && ts <= gc.purge_floor
+            && !has_older_elsewhere(&row, &col, ts);
+        if purge {
+            dropped += 1;
+        } else {
+            out.push((row, col, ts, value));
+        }
+    }
+
+    let mut outputs: Vec<Vec<StoreFileEntry>> = Vec::new();
+    let mut part: Vec<StoreFileEntry> = Vec::new();
+    let mut part_bytes = 0usize;
+    for entry in out {
+        let full = max_output_bytes.is_some_and(|max| part_bytes >= max);
+        let row_boundary = part.last().is_some_and(|(r, ..)| *r != entry.0);
+        if full && row_boundary {
+            outputs.push(std::mem::take(&mut part));
+            part_bytes = 0;
+        }
+        part_bytes += entry.0.len() + entry.1.len() + entry.3.as_ref().map_or(0, Bytes::len) + 24;
+        part.push(entry);
+    }
+    if !part.is_empty() {
+        outputs.push(part);
+    }
+    (outputs, dropped)
+}
+
 proptest! {
+    /// The streaming merge — survivors go straight into the current
+    /// output's builder, which is cut as it fills — produces what
+    /// merging into a list and partitioning the list produced: the same
+    /// files, entry for entry, cut at the same rows, named in the same
+    /// order, the same versions dropped. Whatever the watermark, the
+    /// purge mode and its guard, and with no cap, a cap of a few entries
+    /// or one of a few rows.
+    #[test]
+    fn streaming_merge_matches_merge_then_partition(
+        writes in prop::collection::vec(
+            ((any::<u8>(), any::<u8>(), 0u64..60, prop::option::of(0u8..4)), any::<u8>()),
+            0..160
+        ),
+        n_files in 1usize..5,
+        horizon in 0u64..80,
+        purge_floor in 0u64..80,
+        purge in any::<bool>(),
+        guarded_row in any::<u8>(),
+        cap_kind in 0u8..3,
+        cap_bytes in 100usize..1_500,
+    ) {
+        let cap = match cap_kind {
+            0 => None,
+            1 => Some(cap_bytes % 100 + 1),
+            _ => Some(cap_bytes),
+        };
+        let files = build_files(&writes, n_files);
+        let gc = GcWatermark { horizon: Timestamp(horizon), purge_floor: Timestamp(purge_floor) };
+        let guard = |r: &[u8], _: &[u8], _: Timestamp| r == &row(guarded_row)[..];
+        let (want, want_dropped) = merge_then_partition(&files, gc, purge, &guard, cap);
+
+        let named = std::cell::RefCell::new(Vec::new());
+        let path_for = |i: usize| {
+            named.borrow_mut().push(i);
+            format!("/p{i}")
+        };
+        let got = merge_store_files_partitioned(
+            RegionId(3), &path_for, &files, gc, purge, &guard, cap,
+        );
+        prop_assert_eq!(got.versions_dropped, want_dropped);
+        prop_assert_eq!(got.outputs.len(), want.len());
+        prop_assert_eq!(&*named.borrow(), &(0..want.len()).collect::<Vec<_>>());
+        for (i, (sf, want)) in got.outputs.iter().zip(&want).enumerate() {
+            prop_assert_eq!(sf.path(), format!("/p{i}"));
+            prop_assert_eq!(sf.region(), RegionId(3));
+            prop_assert_eq!(&owned_entries(sf), want, "partition {}", i);
+            // Each output is the file those entries build on their own.
+            let alone = StoreFileData::from_sorted_entries(RegionId(3), "/x", want.clone());
+            prop_assert_eq!(sf.encode(), alone.encode());
+            prop_assert_eq!(sf.total_bytes(), alone.total_bytes());
+        }
+
+        // The single-output merge is the uncapped partitioned one, with
+        // an empty file standing in for "nothing survived".
+        let single = merge_store_files(RegionId(3), "/single", &files, gc, purge, &guard);
+        let (want, want_dropped) = merge_then_partition(&files, gc, purge, &guard, None);
+        prop_assert_eq!(single.versions_dropped, want_dropped);
+        prop_assert_eq!(single.output.path(), "/single");
+        prop_assert_eq!(
+            owned_entries(&single.output),
+            want.into_iter().next().unwrap_or_default()
+        );
+    }
+
     /// Merge equivalence: for any write history split across files, any
     /// watermark and any purge mode, the merged file answers every get
     /// identically to the uncompacted set at every snapshot >= watermark

@@ -53,15 +53,15 @@ proptest! {
         let count = |f: &Option<StoreFileData>| f.as_ref().map(|f| f.len()).unwrap_or(0);
         prop_assert_eq!(count(&bottom) + count(&top), parent.len());
         if let Some(b) = &bottom {
-            for (r, ..) in b.entries() {
-                prop_assert!(r[..] < split_key[..], "bottom row beyond the split key");
+            for e in b.entries() {
+                prop_assert!(e.row < &split_key[..], "bottom row beyond the split key");
             }
             prop_assert!(b.is_reference());
             prop_assert_eq!(b.backing_path(), parent.path());
         }
         if let Some(t) = &top {
-            for (r, ..) in t.entries() {
-                prop_assert!(r[..] >= split_key[..], "top row below the split key");
+            for e in t.entries() {
+                prop_assert!(e.row >= &split_key[..], "top row below the split key");
             }
         }
 
@@ -128,10 +128,10 @@ proptest! {
         );
         let direct = direct.expect("nested non-empty implies direct non-empty");
         prop_assert_eq!(nested.len(), direct.len());
-        for (r, c, ..) in direct.entries() {
+        for e in direct.entries() {
             prop_assert_eq!(
-                nested.get(r, c, Timestamp::MAX),
-                direct.get(r, c, Timestamp::MAX)
+                nested.get(e.row, e.column, Timestamp::MAX),
+                direct.get(e.row, e.column, Timestamp::MAX)
             );
         }
     }
