@@ -5,7 +5,8 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use cumulo_core::{FlushTracker, PersistTracker};
 use cumulo_sim::metrics::Histogram;
-use cumulo_sim::Sim;
+use cumulo_sim::trace::Journal;
+use cumulo_sim::{Sim, SimTime};
 use cumulo_store::bloom::BloomFilter;
 use cumulo_store::codec::{decode_wal_batch, encode_wal_batch, WalRecord};
 use cumulo_store::compaction::{merge_store_files, GcWatermark};
@@ -138,6 +139,42 @@ fn bench_file_pipeline(c: &mut Criterion) {
             i = (i + 7_919) % ROWS;
             std::hint::black_box(base.get(&keys[i], b"f0", Timestamp::MAX))
         })
+    });
+    // Absent keys that sort between the stored rows: the probe ends at an
+    // empty slot or after one mismatched key.
+    let absent: Vec<Bytes> = (0..ROWS)
+        .map(|i| Bytes::from(format!("user{i:012}x")))
+        .collect();
+    c.bench_function("sstable/get_miss_of_50k", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 7_919) % ROWS;
+            std::hint::black_box(base.get(&absent[i], b"f0", Timestamp::MAX))
+        })
+    });
+    // One hot cell with 10 000 versions in a single file, read at
+    // snapshots spread over the whole chain.
+    const VERSIONS: u64 = 10_000;
+    let mut hot = MemStore::new();
+    for ts in 1..=VERSIONS {
+        hot.apply(
+            keys[0].clone(),
+            Bytes::from_static(b"f0"),
+            Timestamp(ts),
+            Some(value.clone()),
+        );
+    }
+    let hot = StoreFileData::from_memstore(RegionId(0), "/bench/hot", &hot);
+    c.bench_function("sstable/get_deep_chain_10k_versions", |b| {
+        let mut snapshot = 0;
+        b.iter(|| {
+            snapshot = (snapshot + 7_919) % VERSIONS;
+            std::hint::black_box(hot.get(&keys[0], b"f0", Timestamp(snapshot)))
+        })
+    });
+    let encoded = base.encode();
+    c.bench_function("sstable/decode_50k", |b| {
+        b.iter(|| StoreFileData::decode("/bench/base", std::hint::black_box(&encoded)))
     });
     c.bench_function("bloom/build_50k", |b| {
         b.iter(|| BloomFilter::build(keys.iter().map(|k| (&k[..], &b"f0"[..]))))
@@ -303,6 +340,24 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
+/// What every RPC and transaction step pays for an enabled journal whose
+/// ring evicts the record before anyone reads it: the shipped default.
+fn bench_journal(c: &mut Criterion) {
+    c.bench_function("journal/record_unread", |b| {
+        let journal = Journal::new(65_536);
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let (queue_ns, service_ns) = (i % 977, 250_000 + i % 13);
+            journal.record(SimTime::from_nanos(i), "rpc.get", move || {
+                format!(
+                    "server=1 region=3 queue_ns={queue_ns} service_ns={service_ns} files=2 probes=3 hit=true"
+                )
+            });
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_memstore,
@@ -315,5 +370,6 @@ criterion_group!(
     bench_conflict_checker,
     bench_generators,
     bench_histogram,
+    bench_journal,
 );
 criterion_main!(benches);

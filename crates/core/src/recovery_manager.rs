@@ -410,7 +410,9 @@ impl RecoveryManager {
             self.t_f.set(min);
             self.events
                 .borrow()
-                .record(self.sim.now(), "threshold.tf", || format!("t_f={}", min.0));
+                .record(self.sim.now(), "threshold.tf", move || {
+                    format!("t_f={}", min.0)
+                });
             self.coord.set_data(paths::TF_PATH, paths::encode_ts(min));
         }
     }
@@ -429,7 +431,9 @@ impl RecoveryManager {
             self.t_p.set(min);
             self.events
                 .borrow()
-                .record(self.sim.now(), "threshold.tp", || format!("t_p={}", min.0));
+                .record(self.sim.now(), "threshold.tp", move || {
+                    format!("t_p={}", min.0)
+                });
             self.coord.set_data(paths::TP_PATH, paths::encode_ts(min));
         }
     }
@@ -443,7 +447,7 @@ impl RecoveryManager {
             self.truncations.inc();
             self.events
                 .borrow()
-                .record(self.sim.now(), "log.truncate", || {
+                .record(self.sim.now(), "log.truncate", move || {
                     format!("below={}", t_p.0)
                 });
             let tm = Rc::clone(&self.tm);
@@ -461,7 +465,7 @@ impl RecoveryManager {
         self.client_recoveries.inc();
         self.events
             .borrow()
-            .record(self.sim.now(), "client.recover", || {
+            .record(self.sim.now(), "client.recover", move || {
                 format!("client={c} t_f_r={}", t_f_r.0)
             });
         // Pin the global T_F at the dead client's threshold: the recovery
@@ -702,16 +706,14 @@ impl RecoveryManager {
         }
         // The `promoted` marker only appears on promotion epochs so the
         // replay-path event text stays byte-identical to earlier releases.
+        let host = server.id();
         self.events
             .borrow()
-            .record(self.sim.now(), "region.recovered", || {
+            .record(self.sim.now(), "region.recovered", move || {
                 if promoted {
-                    format!(
-                        "region={region} server={} failed={failed} promoted=true",
-                        server.id()
-                    )
+                    format!("region={region} server={host} failed={failed} promoted=true")
                 } else {
-                    format!("region={region} server={} failed={failed}", server.id())
+                    format!("region={region} server={host} failed={failed}")
                 }
             });
         self.coord.delete(&paths::region_floor(region));

@@ -570,17 +570,12 @@ impl Transaction {
                     match outcome {
                         CommitOutcome::Committed(ts) => {
                             inner.committed.inc();
+                            let (client, writes) = (inner.id, ws2.mutations.len());
                             inner
                                 .trace
                                 .borrow()
-                                .record(inner.sim.now(), "txn.commit", || {
-                                    format!(
-                                        "client={} txn={} ts={} writes={}",
-                                        inner.id,
-                                        txn.0,
-                                        ts,
-                                        ws2.mutations.len()
-                                    )
+                                .record(inner.sim.now(), "txn.commit", move || {
+                                    format!("client={client} txn={} ts={ts} writes={writes}", txn.0)
                                 });
                             if ws2.is_empty() {
                                 done(Ok(ts));
@@ -604,21 +599,23 @@ impl Transaction {
                         }
                         CommitOutcome::Conflict => {
                             inner.aborted.inc();
+                            let client = inner.id;
                             inner
                                 .trace
                                 .borrow()
-                                .record(inner.sim.now(), "txn.abort", || {
-                                    format!("client={} txn={} cause=conflict", inner.id, txn.0)
+                                .record(inner.sim.now(), "txn.abort", move || {
+                                    format!("client={client} txn={} cause=conflict", txn.0)
                                 });
                             done(Err(TxnError::Conflict));
                         }
                         CommitOutcome::UnknownTxn => {
                             inner.aborted.inc();
+                            let client = inner.id;
                             inner
                                 .trace
                                 .borrow()
-                                .record(inner.sim.now(), "txn.abort", || {
-                                    format!("client={} txn={} cause=unknown", inner.id, txn.0)
+                                .record(inner.sim.now(), "txn.abort", move || {
+                                    format!("client={client} txn={} cause=unknown", txn.0)
                                 });
                             done(Err(TxnError::UnknownTxn));
                         }
@@ -639,14 +636,14 @@ impl Transaction {
             return;
         }
         self.inner.aborted.inc();
+        let (client, txn) = (self.inner.id, self.id);
         self.inner
             .trace
             .borrow()
-            .record(self.inner.sim.now(), "txn.abort", || {
-                format!("client={} txn={} cause=user", self.inner.id, self.id.0)
+            .record(self.inner.sim.now(), "txn.abort", move || {
+                format!("client={client} txn={} cause=user", txn.0)
             });
         let tm = Rc::clone(&self.inner.tm);
-        let txn = self.id;
         self.inner
             .net
             .send(self.inner.node, tm.node(), 48, move || {
@@ -811,11 +808,12 @@ impl TransactionalClient {
                         write_set: WriteSet::new(),
                     },
                 );
+                let client = inner.id;
                 inner
                     .trace
                     .borrow()
-                    .record(inner.sim.now(), "txn.begin", || {
-                        format!("client={} txn={} snapshot={}", inner.id, txn.0, start_ts)
+                    .record(inner.sim.now(), "txn.begin", move || {
+                        format!("client={client} txn={} snapshot={start_ts}", txn.0)
                     });
                 done(Ok(Transaction { inner, id: txn }));
             });
@@ -974,11 +972,12 @@ fn settle_attempt(
     match outcome {
         Err(TxnError::Conflict) if attempt + 1 < policy.max_attempts => {
             inner.conflict_retries.inc();
+            let client = inner.id;
             inner
                 .trace
                 .borrow()
-                .record(inner.sim.now(), "txn.retry", || {
-                    format!("client={} attempt={}", inner.id, attempt + 1)
+                .record(inner.sim.now(), "txn.retry", move || {
+                    format!("client={client} attempt={}", attempt + 1)
                 });
             let wait = policy.backoff_for(attempt);
             let sim = inner.sim.clone();

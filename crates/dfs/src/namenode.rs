@@ -191,6 +191,17 @@ impl NameNode {
             .collect())
     }
 
+    /// Whether the file exists and the datanode of at least one of its
+    /// replicas is alive — what a reader asks before serving the file's
+    /// bytes; allocates nothing, unlike [`NameNode::live_replicas`].
+    pub fn has_live_replica(&self, path: &str) -> bool {
+        self.files.borrow().get(path).is_some_and(|m| {
+            m.replicas
+                .iter()
+                .any(|&i| self.net.is_alive(self.datanodes[i].node()))
+        })
+    }
+
     /// Whether the file exists.
     pub fn exists(&self, path: &str) -> bool {
         self.files.borrow().contains_key(path)
@@ -404,12 +415,16 @@ mod tests {
         let (_sim, net, nn) = cluster(2, 2);
         let replicas = nn.create_file("/a").unwrap();
         net.crash(nn.datanode(replicas[0]).node());
+        assert!(nn.has_live_replica("/a"));
+        assert!(!nn.has_live_replica("/nope"));
         let live = nn.live_replicas("/a").unwrap();
         assert_eq!(live, vec![replicas[1]]);
         assert_eq!(
             nn.live_replicas("/nope"),
             Err(DfsError::NotFound("/nope".into()))
         );
+        net.crash(nn.datanode(replicas[1]).node());
+        assert!(!nn.has_live_replica("/a"));
     }
 
     #[test]

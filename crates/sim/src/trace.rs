@@ -20,6 +20,21 @@
 //!   first, but the per-kind [`Journal::counts`] keep counting evicted
 //!   records, so aggregate assertions survive long runs.
 //!
+//! ## Details render on read
+//!
+//! The cluster ships with its journals on, and a run nobody inspects
+//! evicts almost every record unread. So [`Journal::record`] keeps the
+//! closure that renders a record's detail line and runs it the first
+//! time the record is read ([`Journal::entries`],
+//! [`Journal::drain_sorted`], [`Journal::dump`]) — or never, if the ring
+//! evicts the record first. What a read returns must be what recording
+//! eagerly would have stored, hence the **capture-values rule**: a detail
+//! closure owns everything it formats — `move` closures over `Copy`
+//! values, or clones taken at the record site — and never holds an `Rc`
+//! (or any other handle) to state that can change between the record and
+//! the read. Debug builds check the rule: `record` renders eagerly as
+//! well, and the read asserts that the late rendering is the same string.
+//!
 //! Handles are cheap to clone (`Rc`-shared) and single-threaded, like
 //! the rest of the simulation.
 
@@ -43,8 +58,60 @@ pub struct JournalEntry {
     pub detail: String,
 }
 
+/// A record's detail line: the closure given to [`Journal::record`]
+/// until the record is first read, the string it rendered afterwards.
+enum Detail {
+    Pending {
+        render: Box<dyn Fn() -> String>,
+        /// What rendering at record time gave (module docs).
+        #[cfg(debug_assertions)]
+        eager: String,
+    },
+    Rendered(String),
+}
+
+/// A retained record: a [`JournalEntry`] whose detail may be pending.
+struct Slot {
+    time: SimTime,
+    seq: u64,
+    kind: &'static str,
+    detail: Detail,
+}
+
+impl Slot {
+    /// The record as readers see it, its detail rendered now if this is
+    /// the first read; `detail` copies the rendered line, or takes it
+    /// when the record is leaving the ring.
+    fn entry(&mut self, detail: impl FnOnce(&mut String) -> String) -> JournalEntry {
+        if let Detail::Pending {
+            render,
+            #[cfg(debug_assertions)]
+            eager,
+        } = &self.detail
+        {
+            let line = render();
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                &line, eager,
+                "the detail closure of a {} record captured state that changed after the record",
+                self.kind
+            );
+            self.detail = Detail::Rendered(line);
+        }
+        let Detail::Rendered(line) = &mut self.detail else {
+            unreachable!("rendered above");
+        };
+        JournalEntry {
+            time: self.time,
+            seq: self.seq,
+            kind: self.kind,
+            detail: detail(line),
+        }
+    }
+}
+
 struct JournalInner {
-    entries: VecDeque<JournalEntry>,
+    entries: VecDeque<Slot>,
     counts: BTreeMap<&'static str, u64>,
     next_seq: u64,
     dropped: u64,
@@ -84,15 +151,18 @@ impl Journal {
     }
 
     /// Whether records are being kept. Callers may use this to skip
-    /// expensive detail computation, though [`Journal::record`] already
-    /// takes the detail lazily.
+    /// expensive preparation of what a detail closure captures, though
+    /// [`Journal::record`] already renders the detail lazily.
     pub fn is_enabled(&self) -> bool {
         self.inner.borrow().enabled
     }
 
-    /// Appends one record. `detail` is only invoked when the journal is
-    /// enabled, so a disabled journal costs one refcell borrow.
-    pub fn record(&self, now: SimTime, kind: &'static str, detail: impl FnOnce() -> String) {
+    /// Appends one record. `detail` renders the record's detail line; it
+    /// runs when the record is first read, and never if the journal is
+    /// disabled or the ring evicts the record unread. It must therefore
+    /// own what it formats — see the capture-values rule in the module
+    /// docs, which debug builds enforce by also rendering here.
+    pub fn record(&self, now: SimTime, kind: &'static str, detail: impl Fn() -> String + 'static) {
         let mut inner = self.inner.borrow_mut();
         if !inner.enabled {
             return;
@@ -109,11 +179,15 @@ impl Journal {
             inner.entries.pop_front();
             inner.dropped += 1;
         }
-        inner.entries.push_back(JournalEntry {
+        inner.entries.push_back(Slot {
             time: now,
             seq,
             kind,
-            detail: detail(),
+            detail: Detail::Pending {
+                #[cfg(debug_assertions)]
+                eager: detail(),
+                render: Box::new(detail),
+            },
         });
     }
 
@@ -154,7 +228,12 @@ impl Journal {
 
     /// A copy of the retained entries in `(time, seq)` order.
     pub fn entries(&self) -> Vec<JournalEntry> {
-        let mut v: Vec<JournalEntry> = self.inner.borrow().entries.iter().cloned().collect();
+        let mut inner = self.inner.borrow_mut();
+        let mut v: Vec<JournalEntry> = inner
+            .entries
+            .iter_mut()
+            .map(|s| s.entry(|line| line.clone()))
+            .collect();
         v.sort_by_key(|e| (e.time, e.seq));
         v
     }
@@ -162,7 +241,12 @@ impl Journal {
     /// Removes and returns the retained entries in `(time, seq)` order.
     /// Per-kind counts and the total are unaffected.
     pub fn drain_sorted(&self) -> Vec<JournalEntry> {
-        let mut v: Vec<JournalEntry> = self.inner.borrow_mut().entries.drain(..).collect();
+        let mut inner = self.inner.borrow_mut();
+        let mut v: Vec<JournalEntry> = inner
+            .entries
+            .drain(..)
+            .map(|mut s| s.entry(std::mem::take))
+            .collect();
         v.sort_by_key(|e| (e.time, e.seq));
         v
     }
@@ -206,6 +290,7 @@ impl std::fmt::Debug for Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -244,6 +329,86 @@ mod tests {
         assert_eq!(j.len(), 0);
         assert_eq!(j.count("k"), 0);
         assert!(!j.is_enabled());
+    }
+
+    /// How often a detail closure runs at record time: debug builds
+    /// render eagerly as well, to check the capture-values rule.
+    const EAGER: u32 = cfg!(debug_assertions) as u32;
+
+    /// A detail closure that counts its calls.
+    fn counted(calls: &Rc<Cell<u32>>, line: &'static str) -> impl Fn() -> String + 'static {
+        let calls = Rc::clone(calls);
+        move || {
+            calls.set(calls.get() + 1);
+            line.to_owned()
+        }
+    }
+
+    #[test]
+    fn details_render_on_first_read_only() {
+        let j = Journal::new(8);
+        let calls = Rc::new(Cell::new(0));
+        j.record(t(2), "k", counted(&calls, "b"));
+        j.record(t(1), "k", counted(&calls, "a"));
+        assert_eq!(calls.get(), 2 * EAGER, "recording renders nothing");
+        let read = j.entries();
+        assert_eq!(calls.get(), 2 * EAGER + 2);
+        // What a read returns is what eager recording stored: same
+        // fields, same order, same dump.
+        let details: Vec<&str> = read.iter().map(|e| e.detail.as_str()).collect();
+        assert_eq!(details, ["a", "b"]);
+        assert_eq!((read[0].seq, read[1].seq), (1, 0));
+        assert_eq!(j.dump(), "1 k a\n2 k b\n");
+        assert_eq!(j.entries(), read);
+        assert_eq!(calls.get(), 2 * EAGER + 2, "later reads reuse the line");
+        // Draining hands the rendered lines over; nothing is left to
+        // render twice.
+        assert_eq!(j.drain_sorted(), read);
+        assert!(j.entries().is_empty());
+        assert_eq!(calls.get(), 2 * EAGER + 2);
+    }
+
+    #[test]
+    fn drain_renders_unread_entries_once() {
+        let j = Journal::new(8);
+        let calls = Rc::new(Cell::new(0));
+        j.record(t(1), "k", counted(&calls, "a"));
+        assert_eq!(j.drain_sorted()[0].detail, "a");
+        assert_eq!(calls.get(), EAGER + 1);
+        assert!(j.drain_sorted().is_empty() && j.entries().is_empty());
+        assert_eq!(calls.get(), EAGER + 1);
+    }
+
+    #[test]
+    fn evicted_and_disabled_records_never_render() {
+        let calls = Rc::new(Cell::new(0));
+        let j = Journal::new(1);
+        j.record(t(1), "k", counted(&calls, "evicted"));
+        j.record(t(2), "k", counted(&calls, "kept"));
+        let counts_only = Journal::new(0);
+        counts_only.record(t(1), "k", counted(&calls, "uncounted"));
+        assert_eq!(j.dump(), "2 k kept\n");
+        assert_eq!(calls.get(), 2 * EAGER + 1, "only the retained record");
+        assert_eq!((j.dropped(), counts_only.dropped()), (1, 1));
+
+        let off = Journal::disabled();
+        off.record(t(1), "k", counted(&calls, "off"));
+        assert!(off.entries().is_empty() && off.drain_sorted().is_empty());
+        assert_eq!(calls.get(), 2 * EAGER + 1, "not even eagerly");
+    }
+
+    /// The capture-values rule, enforced: a closure that reads shared
+    /// state renders differently late than it would have at record time.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "captured state that changed")]
+    fn a_detail_over_shared_state_is_caught_on_read() {
+        let j = Journal::new(8);
+        let state = Rc::new(Cell::new(1));
+        let seen = Rc::clone(&state);
+        j.record(t(1), "k", move || format!("state={}", seen.get()));
+        state.set(2);
+        j.entries();
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! per distinct `(row, column)` pair.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
+use bytes::Bytes;
 use std::fmt;
 
 /// Filter bits allocated per distinct `(row, column)` key.
@@ -57,7 +58,48 @@ fn fnv1a(seed: u64, row: &[u8], column: &[u8]) -> u64 {
 /// The double-hashing pair `(h1, h2)` of a `(row, column)` key. The
 /// stride `h2` is forced odd so it never degenerates to probing one bit.
 pub fn hash_pair(row: &[u8], column: &[u8]) -> (u64, u64) {
-    (fnv1a(SEED_H1, row, column), fnv1a(SEED_H2, row, column) | 1)
+    (cell_hash(row, column), fnv1a(SEED_H2, row, column) | 1)
+}
+
+/// The first half of [`hash_pair`] alone: what addresses a store file's
+/// hash index, for callers that probe no filter.
+pub fn cell_hash(row: &[u8], column: &[u8]) -> u64 {
+    fnv1a(SEED_H1, row, column)
+}
+
+/// A requested `(row, column)` with its [`hash_pair`] taken once. A point
+/// read builds one per requested cell and hands it to every file it
+/// probes ([`crate::StoreFileData::filter_may_contain_cell`],
+/// [`crate::StoreFileData::get_cell`]), so the key bytes are hashed once
+/// per get rather than once per file and step.
+#[derive(Clone, Debug)]
+pub struct CellKey {
+    row: Bytes,
+    column: Bytes,
+    hash: (u64, u64),
+}
+
+impl CellKey {
+    /// Hashes `(row, column)`.
+    pub fn new(row: Bytes, column: Bytes) -> CellKey {
+        let hash = hash_pair(&row, &column);
+        CellKey { row, column, hash }
+    }
+
+    /// The row key.
+    pub fn row(&self) -> &Bytes {
+        &self.row
+    }
+
+    /// The column qualifier.
+    pub fn column(&self) -> &Bytes {
+        &self.column
+    }
+
+    /// [`hash_pair`] of the row and column.
+    pub fn hash(&self) -> (u64, u64) {
+        self.hash
+    }
 }
 
 /// What a probe position moves by, modulo `nbits`, when the 64-bit sum
@@ -163,11 +205,16 @@ impl BloomFilter {
     /// definitive (the pair was never inserted); `true` may be a false
     /// positive.
     pub fn may_contain(&self, row: &[u8], column: &[u8]) -> bool {
+        self.may_contain_hashed(hash_pair(row, column))
+    }
+
+    /// [`BloomFilter::may_contain`] for a key whose [`hash_pair`] the
+    /// caller already holds.
+    pub fn may_contain_hashed(&self, (h1, h2): (u64, u64)) -> bool {
         if self.words.is_empty() {
             return false;
         }
         let nbits = (self.words.len() * 64) as u64;
-        let (h1, h2) = hash_pair(row, column);
         probe_bits(h1, h2, nbits)
             .iter()
             .all(|bit| self.words[(bit / 64) as usize] & (1 << (bit % 64)) != 0)

@@ -108,6 +108,7 @@ mod types;
 mod wal;
 
 pub use blockcache::BlockCache;
+pub use bloom::CellKey;
 pub use client::{StoreClient, StoreClientConfig};
 pub use codec::WalRecord;
 pub use compaction::{

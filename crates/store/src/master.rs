@@ -458,10 +458,11 @@ impl Master {
         }
         self.failovers.inc();
         let regions = self.region_map.borrow().regions_of(failed);
+        let count = regions.len();
         self.events
             .borrow()
-            .record(self.sim.now(), "server.failover", || {
-                format!("server={failed} regions={}", regions.len())
+            .record(self.sim.now(), "server.failover", move || {
+                format!("server={failed} regions={count}")
             });
         // Roll back any split intent granted to the failed server. This
         // is always safe before the map flip: clients can only address
@@ -560,7 +561,7 @@ impl Master {
         self.splits_rolled_back.inc();
         self.events
             .borrow()
-            .record(self.sim.now(), "split.rollback", || {
+            .record(self.sim.now(), "split.rollback", move || {
                 format!("region={} server={}", intent.parent, intent.server)
             });
         self.dfs.delete(&format!("/split/{}", intent.parent));
@@ -591,7 +592,7 @@ impl Master {
         self.merges_rolled_back.inc();
         self.events
             .borrow()
-            .record(self.sim.now(), "merge.rollback", || {
+            .record(self.sim.now(), "merge.rollback", move || {
                 format!(
                     "left={} right={} server={}",
                     intent.left, intent.right, intent.server
@@ -752,7 +753,7 @@ impl Master {
         self.region_map.borrow_mut().assign(region, target);
         self.events
             .borrow()
-            .record(self.sim.now(), "region.assign", || {
+            .record(self.sim.now(), "region.assign", move || {
                 format!("region={region} server={target}")
             });
         let server = self.dir.get(target).expect("registered");
@@ -896,7 +897,7 @@ impl Master {
                 master
                     .events
                     .borrow()
-                    .record(master.sim.now(), "split.persisted", || {
+                    .record(master.sim.now(), "split.persisted", move || {
                         format!("region={region} server={server} bottom={bottom} top={top}")
                     });
                 // The server may have died while the intent was being
@@ -1026,7 +1027,7 @@ impl Master {
                 master
                     .events
                     .borrow()
-                    .record(master.sim.now(), "merge.persisted", || {
+                    .record(master.sim.now(), "merge.persisted", move || {
                         format!("left={left} right={right} server={server} merged={merged}")
                     });
                 // The server may have died while the intent was being
@@ -1127,7 +1128,7 @@ impl Master {
         self.moves_started.inc();
         self.events
             .borrow()
-            .record(self.sim.now(), "move.start", || {
+            .record(self.sim.now(), "move.start", move || {
                 format!("region={region} donor={donor} target={target}")
             });
         let Some(server) = self.dir.get(donor) else {
@@ -1182,7 +1183,7 @@ impl Master {
         self.moves_completed.inc();
         self.events
             .borrow()
-            .record(self.sim.now(), "move.open", || {
+            .record(self.sim.now(), "move.open", move || {
                 format!("region={region} donor={donor} target={target}")
             });
         let desc = self
@@ -1275,13 +1276,11 @@ impl Master {
                 bserver.open_shadow(region, desc, epoch);
             });
         }
+        let backup_count = replicas.len();
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.establish", || {
-                format!(
-                    "region={region} primary={primary} epoch={epoch} backups={}",
-                    replicas.len()
-                )
+            .record(self.sim.now(), "replication.establish", move || {
+                format!("region={region} primary={primary} epoch={epoch} backups={backup_count}")
             });
         let pnode = pserver.node();
         self.net.send(self.node, pnode, 128, move || {
@@ -1337,7 +1336,7 @@ impl Master {
             self.region_map.borrow_mut().set_replicas(region, replicas);
             self.events
                 .borrow()
-                .record(self.sim.now(), "replication.repair", || {
+                .record(self.sim.now(), "replication.repair", move || {
                     format!("region={region} lost_backup={failed}")
                 });
             if primary.is_some() {
@@ -1463,7 +1462,7 @@ impl Master {
                 self.repl_promotions.inc();
                 self.events
                     .borrow()
-                    .record(self.sim.now(), "replication.promote", || {
+                    .record(self.sim.now(), "replication.promote", move || {
                         format!("region={region} winner={winner} failed={failed}")
                     });
                 self.region_map.borrow_mut().assign(region, winner);
@@ -1494,7 +1493,7 @@ impl Master {
                 self.repl_fallback_replays.inc();
                 self.events
                     .borrow()
-                    .record(self.sim.now(), "replication.fallback", || {
+                    .record(self.sim.now(), "replication.fallback", move || {
                         format!("region={region} failed={failed}")
                     });
                 let records = {
@@ -1582,7 +1581,7 @@ impl SplitCoordinator for Master {
         self.splits_applied.inc();
         self.events
             .borrow()
-            .record(self.sim.now(), "split.applied", || {
+            .record(self.sim.now(), "split.applied", move || {
                 format!(
                     "region={parent} bottom={} top={}",
                     intent.bottom, intent.top
@@ -1651,7 +1650,7 @@ impl SplitCoordinator for Master {
         self.merges_applied.inc();
         self.events
             .borrow()
-            .record(self.sim.now(), "merge.applied", || {
+            .record(self.sim.now(), "merge.applied", move || {
                 format!(
                     "left={} right={} merged={}",
                     intent.left, intent.right, intent.merged
@@ -1699,7 +1698,7 @@ impl ReplicationCoordinator for Master {
         if stale {
             self.events
                 .borrow()
-                .record(self.sim.now(), "replication.stale_report", || {
+                .record(self.sim.now(), "replication.stale_report", move || {
                     format!("region={region} epoch={epoch} backup={backup}")
                 });
             done(true);
@@ -1710,7 +1709,7 @@ impl ReplicationCoordinator for Master {
             .insert((region, epoch, backup));
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.ineligible", || {
+            .record(self.sim.now(), "replication.ineligible", move || {
                 format!("region={region} epoch={epoch} backup={backup}")
             });
         // Acking *after* recording is the soundness point: the primary
@@ -1727,7 +1726,7 @@ impl ReplicationCoordinator for Master {
         {
             self.events
                 .borrow()
-                .record(self.sim.now(), "replication.eligible", || {
+                .record(self.sim.now(), "replication.eligible", move || {
                     format!("region={region} epoch={epoch} backup={backup}")
                 });
         }

@@ -3,6 +3,7 @@
 //! and participates in recovery via the [`RecoveryHooks`].
 
 use crate::blockcache::BlockCache;
+use crate::bloom::CellKey;
 use crate::codec::WalRecord;
 use crate::compaction::{
     self, CompactionConfig, CompactionJob, CompactionPolicy, CompactionPolicyKind, CompactionStats,
@@ -312,6 +313,16 @@ pub struct FilterStats {
     /// Current bytes of bloom-filter metadata across the server's hosted
     /// store files (including flushing snapshots).
     pub filter_bytes: Gauge,
+}
+
+/// What [`RegionServer::files_to_consult`] decided on the way to the
+/// files it yielded, in [`FilterStats`] terms.
+#[derive(Default)]
+struct Pruned {
+    range_skips: u64,
+    probes: u64,
+    filter_skips: u64,
+    false_negatives: u64,
 }
 
 struct RegionState {
@@ -1197,6 +1208,23 @@ impl RegionServer {
     // Request handling (invoked at this node via network events)
     // ------------------------------------------------------------------
 
+    /// The hosted region a get of `row` (or a scan starting there) is
+    /// served by, and whether it is online. More than one can transiently
+    /// cover a row (e.g. an offline parent beside an online daughter
+    /// mid-split): the online one is preferred, the lowest id breaks
+    /// ties. A minimum is the same whatever order the map yields its
+    /// regions in — `HashMap` iteration order must never pick the reply —
+    /// and allocates nothing on the path of every read.
+    fn covering_region(&self, row: &[u8]) -> Option<(RegionId, bool)> {
+        self.regions
+            .borrow()
+            .values()
+            .filter(|st| st.desc.contains(row))
+            .map(|st| (!st.online, st.desc.id))
+            .min()
+            .map(|(offline, id)| (id, !offline))
+    }
+
     /// Serves a versioned read at `snapshot`.
     pub fn handle_get(
         self: &Rc<Self>,
@@ -1208,35 +1236,17 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        let region_id = {
-            let regions = self.regions.borrow();
-            // Deterministic choice when more than one hosted region
-            // transiently covers `row` (e.g. an offline parent beside an
-            // online daughter mid-split): prefer the online region,
-            // tie-break by id — HashMap iteration order must never pick
-            // the reply (same policy as `handle_scan`).
-            let mut covering: Vec<_> = regions
-                .values()
-                .filter(|st| st.desc.contains(&row))
-                .map(|st| (st.desc.id, st.online))
-                .collect();
-            covering.sort_unstable_by_key(|(id, _)| *id);
-            match covering
-                .iter()
-                .find(|(_, online)| *online)
-                .or_else(|| covering.first())
-            {
-                Some((id, true)) => *id,
-                Some((id, false)) => {
-                    self.not_serving.inc();
-                    reply(Err(StoreError::NotServing(*id)));
-                    return;
-                }
-                None => {
-                    self.not_serving.inc();
-                    reply(Err(StoreError::RegionUnknown));
-                    return;
-                }
+        let region_id = match self.covering_region(&row) {
+            Some((id, true)) => id,
+            Some((id, false)) => {
+                self.not_serving.inc();
+                reply(Err(StoreError::NotServing(id)));
+                return;
+            }
+            None => {
+                self.not_serving.inc();
+                reply(Err(StoreError::RegionUnknown));
+                return;
             }
         };
         // Hit/miss and the consulted-file plan are decided up front; they
@@ -1244,31 +1254,21 @@ impl RegionServer {
         // bloom probe on a range-covering file costs
         // `filter_probe_service`, and only files the filter cannot
         // exclude charge the `storefile_read_service` amplification term.
+        // The cell is hashed here, once, for every filter probe and file
+        // lookup of this get.
+        let key = CellKey::new(row, column);
         let (in_memstore, probes, consulted_files) = {
             let regions = self.regions.borrow();
             let st = &regions[&region_id];
-            let bloom = self.bloom_enabled.get();
-            let mut probes = 0u64;
-            let mut consulted = 0usize;
-            for sf in st.flushing.iter().chain(st.storefiles.iter()) {
-                if !sf.row_in_range(&row) {
-                    continue;
-                }
-                if bloom {
-                    probes += 1;
-                    if !sf.filter_may_contain(&row, &column) {
-                        continue;
-                    }
-                }
-                consulted += 1;
-            }
+            let mut pruned = Pruned::default();
+            let consulted = self.files_to_consult(st, &key, &mut pruned).count();
             (
-                st.memstore.get(&row, &column, snapshot).is_some(),
-                probes,
+                st.memstore.get(key.row(), key.column(), snapshot).is_some(),
+                pruned.probes,
                 consulted,
             )
         };
-        let hit = in_memstore || self.cache.borrow_mut().access(region_id, &row);
+        let hit = in_memstore || self.cache.borrow_mut().access(region_id, key.row());
         // Read amplification: every *consulted* store file beyond the
         // first costs extra handler time. Compaction bounds the file
         // count; range pruning and bloom filters bound how many of those
@@ -1291,19 +1291,20 @@ impl RegionServer {
             if !this.alive.get() {
                 return;
             }
-            let result = this.lookup(region_id, &row, &column, snapshot);
+            let result = this.lookup(region_id, &key, snapshot);
             if !hit {
-                this.cache.borrow_mut().insert(region_id, row.clone());
+                this.cache.borrow_mut().insert(region_id, key.row().clone());
             }
             this.gets.inc();
             // Span: queue wait is everything between submission and
             // completion that was not this request's own service.
             let now = this.sim.now();
             let queue_ns = (now.nanos() - submitted.nanos()).saturating_sub(service.nanos());
-            this.trace.borrow().record(now, "rpc.get", || {
+            let me = this.id;
+            this.trace.borrow().record(now, "rpc.get", move || {
                 format!(
                     "server={} region={} queue_ns={} service_ns={} files={} probes={} hit={}",
-                    this.id,
+                    me,
                     region_id,
                     queue_ns,
                     service.nanos(),
@@ -1316,11 +1317,46 @@ impl RegionServer {
         });
     }
 
+    /// The files of `st` a point read of `key` has to consult, newest
+    /// first, each with whether it is durable (a store file) or the
+    /// flushing snapshot: those that neither the row range (free) nor,
+    /// while filters are on, the bloom probe (`filter_probe_service`
+    /// each) excludes. This is the one place both the admission plan and
+    /// [`RegionServer::lookup`] prune; `pruned` counts what was decided
+    /// for the files pulled so far.
+    fn files_to_consult<'a>(
+        &self,
+        st: &'a RegionState,
+        key: &'a CellKey,
+        pruned: &'a mut Pruned,
+    ) -> impl Iterator<Item = (&'a StoreFileData, bool)> + 'a {
+        let bloom = self.bloom_enabled.get();
+        let verify = self.cfg.verify_filters;
+        let flushing = st.flushing.iter().map(|sf| (&**sf, false));
+        let durable = st.storefiles.iter().map(|sf| (&**sf, true));
+        flushing.chain(durable).filter(move |(sf, _)| {
+            if !sf.row_in_range(key.row()) {
+                pruned.range_skips += 1;
+                return false;
+            }
+            if bloom {
+                pruned.probes += 1;
+                if !sf.filter_may_contain_cell(key) {
+                    pruned.filter_skips += 1;
+                    if verify && sf.contains_cell(key) {
+                        pruned.false_negatives += 1;
+                    }
+                    return false;
+                }
+            }
+            true
+        })
+    }
+
     fn lookup(
         &self,
         region_id: RegionId,
-        row: &[u8],
-        column: &[u8],
+        key: &CellKey,
         snapshot: Timestamp,
     ) -> Result<Option<VersionedValue>, StoreError> {
         let regions = self.regions.borrow();
@@ -1330,72 +1366,45 @@ impl RegionServer {
         if !st.online {
             return Err(StoreError::NotServing(region_id));
         }
-        let mut best = st.memstore.get(row, column, snapshot);
+        let mut best = st.memstore.get(key.row(), key.column(), snapshot);
         let bloom = self.bloom_enabled.get();
         let stats = &self.filter_stats;
-        // Range pruning + bloom probe, shared by the flushing snapshot
-        // and the durable store files. Returns whether the file must be
-        // consulted; records the probe/skip statistics.
-        let prune = |sf: &StoreFileData| -> bool {
-            if !sf.row_in_range(row) {
-                stats.range_skips.inc();
-                return false;
-            }
-            if bloom {
-                stats.probes.inc();
-                if !sf.filter_may_contain(row, column) {
-                    stats.filter_skips.inc();
-                    if self.cfg.verify_filters && sf.contains_key(row, column) {
-                        stats.false_negatives.inc();
-                    }
-                    return false;
-                }
-            }
-            true
-        };
-        let consider = |best: &mut Option<VersionedValue>, sf: &StoreFileData| {
-            stats.files_consulted.inc();
-            let found = sf.get(row, column, snapshot);
-            // A version at the snapshot proves the key is in the file;
-            // only a miss needs the exact check (a second search) to tell
-            // a filter false positive from versions above the snapshot.
-            if bloom && found.is_none() && !sf.contains_key(row, column) {
-                stats.false_positives.inc();
-            }
-            if let Some(c) = found {
-                if best.as_ref().map(|b| c.ts > b.ts).unwrap_or(true) {
-                    *best = Some(c);
-                }
-            }
-        };
-        // The flushing snapshot is served from memory while its DFS write
-        // is in flight, so it gets no replica-liveness check.
-        if let Some(fl) = &st.flushing {
-            if prune(fl) {
-                consider(&mut best, fl);
-            }
-        }
-        for sf in &st.storefiles {
-            if !prune(sf) {
-                continue;
-            }
+        let mut pruned = Pruned::default();
+        let mut unreadable = None;
+        for (sf, durable) in self.files_to_consult(st, key, &mut pruned) {
             // Honesty check: a consulted store file is only readable
             // while at least one filesystem replica survives (pruned
             // files are not touched, so their replicas need not be).
             // Reference half-files check the *backing* parent file —
-            // that is where the bytes physically live.
-            let live = self
-                .dfs
-                .namenode()
-                .live_replicas(sf.backing_path())
-                .map(|l| !l.is_empty())
-                .unwrap_or(false);
-            if !live {
-                return Err(StoreError::Unavailable(sf.path().to_owned()));
+            // that is where the bytes physically live. The flushing
+            // snapshot is served from memory while its DFS write is in
+            // flight, so it gets no replica-liveness check.
+            if durable && !self.dfs.namenode().has_live_replica(sf.backing_path()) {
+                unreadable = Some(sf.path().to_owned());
+                break;
             }
-            consider(&mut best, sf);
+            stats.files_consulted.inc();
+            match sf.get_cell(key, snapshot) {
+                Some(found) if best.as_ref().is_none_or(|b| found.ts > b.ts) => {
+                    best = Some(found);
+                }
+                Some(_) => {}
+                // A version at the snapshot proves the key is in the
+                // file; only a miss needs the exact check (a second probe
+                // of the hash index) to tell a filter false positive from
+                // versions above the snapshot.
+                None if bloom && !sf.contains_cell(key) => stats.false_positives.inc(),
+                None => {}
+            }
         }
-        Ok(best)
+        stats.range_skips.add(pruned.range_skips);
+        stats.probes.add(pruned.probes);
+        stats.filter_skips.add(pruned.filter_skips);
+        stats.false_negatives.add(pruned.false_negatives);
+        match unreadable {
+            Some(path) => Err(StoreError::Unavailable(path)),
+            None => Ok(best),
+        }
     }
 
     /// Serves a batch of point reads for one region in a single message
@@ -1453,38 +1462,30 @@ impl RegionServer {
         // Per-cell consulted-file plan and cache hit/miss, decided up
         // front exactly like `handle_get`; the batch's handler occupancy
         // is the sum of its cells'.
+        let cells: Vec<CellKey> = cells
+            .into_iter()
+            .map(|(row, column)| CellKey::new(row, column))
+            .collect();
         let mut service = self.cfg.base_service;
         let mut misses: Vec<Bytes> = Vec::new();
         {
             let regions = self.regions.borrow();
             let st = &regions[&region];
-            let bloom = self.bloom_enabled.get();
             let mut cache = self.cache.borrow_mut();
-            for (row, column) in &cells {
-                let mut probes = 0u64;
-                let mut consulted = 0usize;
-                for sf in st.flushing.iter().chain(st.storefiles.iter()) {
-                    if !sf.row_in_range(row) {
-                        continue;
-                    }
-                    if bloom {
-                        probes += 1;
-                        if !sf.filter_may_contain(row, column) {
-                            continue;
-                        }
-                    }
-                    consulted += 1;
-                }
+            for key in &cells {
+                let row = key.row();
+                let mut pruned = Pruned::default();
+                let consulted = self.files_to_consult(st, key, &mut pruned).count();
                 // A row already planned as a miss earlier in this batch
                 // is fetched once for the whole batch: later cells on it
                 // ride the same block, like sequential gets would hit
                 // the cache the first miss populated.
-                let hit = st.memstore.get(row, column, snapshot).is_some()
+                let hit = st.memstore.get(row, key.column(), snapshot).is_some()
                     || misses.contains(row)
                     || cache.access(region, row);
                 service += self.cfg.read_service
                     + self.cfg.storefile_read_service * consulted.saturating_sub(1) as u64
-                    + self.cfg.filter_probe_service * probes;
+                    + self.cfg.filter_probe_service * pruned.probes;
                 if !hit {
                     service += self.cfg.block_fetch_penalty;
                     misses.push(row.clone());
@@ -1499,8 +1500,8 @@ impl RegionServer {
                 return;
             }
             let mut out: Vec<Option<VersionedValue>> = Vec::with_capacity(cells.len());
-            for (row, column) in &cells {
-                match this.lookup(region, row, column, snapshot) {
+            for key in &cells {
+                match this.lookup(region, key, snapshot) {
                     Ok(v) => out.push(v),
                     Err(e) => {
                         // A partially readable stack fails the whole
@@ -1510,20 +1511,21 @@ impl RegionServer {
                     }
                 }
             }
-            let miss_count = misses.len();
+            let (cell_count, miss_count) = (cells.len(), misses.len());
             for row in misses {
                 this.cache.borrow_mut().insert(region, row);
             }
-            this.gets.add(cells.len() as u64);
+            this.gets.add(cell_count as u64);
             this.multi_gets.inc();
             let now = this.sim.now();
             let queue_ns = (now.nanos() - submitted.nanos()).saturating_sub(service.nanos());
-            this.trace.borrow().record(now, "rpc.multi_get", || {
+            let me = this.id;
+            this.trace.borrow().record(now, "rpc.multi_get", move || {
                 format!(
                     "server={} region={} cells={} queue_ns={} service_ns={} misses={}",
-                    this.id,
+                    me,
                     region,
-                    cells.len(),
+                    cell_count,
                     queue_ns,
                     service.nanos(),
                     miss_count
@@ -1637,10 +1639,11 @@ impl RegionServer {
             this.puts.inc();
             let now = this.sim.now();
             let queue_ns = (now.nanos() - submitted.nanos()).saturating_sub(service.nanos());
-            this.trace.borrow().record(now, "rpc.put", || {
+            let me = this.id;
+            this.trace.borrow().record(now, "rpc.put", move || {
                 format!(
                     "server={} region={} mutations={} queue_ns={} service_ns={} replay={}",
-                    this.id,
+                    me,
                     region,
                     n_mutations,
                     queue_ns,
@@ -1687,33 +1690,15 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        let region_id = {
-            let regions = self.regions.borrow();
-            // Deterministic choice when more than one hosted region
-            // transiently covers `start` (e.g. an offline parent beside
-            // an online daughter mid-split): prefer the online region,
-            // tie-break by id — HashMap iteration order must never pick
-            // the reply.
-            let mut covering: Vec<_> = regions
-                .values()
-                .filter(|st| st.desc.contains(&start))
-                .map(|st| (st.desc.id, st.online))
-                .collect();
-            covering.sort_unstable_by_key(|(id, _)| *id);
-            match covering
-                .iter()
-                .find(|(_, online)| *online)
-                .or_else(|| covering.first())
-            {
-                Some((id, true)) => *id,
-                Some((id, false)) => {
-                    reply(Err(StoreError::NotServing(*id)));
-                    return;
-                }
-                None => {
-                    reply(Err(StoreError::RegionUnknown));
-                    return;
-                }
+        let region_id = match self.covering_region(&start) {
+            Some((id, true)) => id,
+            Some((id, false)) => {
+                reply(Err(StoreError::NotServing(id)));
+                return;
+            }
+            None => {
+                reply(Err(StoreError::RegionUnknown));
+                return;
             }
         };
         // Scans touch many rows, so per-(row, column) bloom filters
@@ -1764,15 +1749,16 @@ impl RegionServer {
             this.scans.inc();
             let now = this.sim.now();
             let queue_ns = (now.nanos() - submitted.nanos()).saturating_sub(service.nanos());
-            this.trace.borrow().record(now, "rpc.scan", || {
+            let (me, returned) = (this.id, out.len());
+            this.trace.borrow().record(now, "rpc.scan", move || {
                 format!(
                     "server={} region={} files={} queue_ns={} service_ns={} returned={} examined={}",
-                    this.id,
+                    me,
                     region_id,
                     consulted_files,
                     queue_ns,
                     service.nanos(),
-                    out.len(),
+                    returned,
                     examined
                 )
             });
@@ -1884,12 +1870,12 @@ impl RegionServer {
                             }
                         }
                     }
+                    let me = this.id;
                     this.events
                         .borrow()
-                        .record(this.sim.now(), "region.replay", || {
+                        .record(this.sim.now(), "region.replay", move || {
                             format!(
-                                "server={} region={} path={span_path} edits={edit_count}",
-                                this.id, region
+                                "server={me} region={region} path={span_path} edits={edit_count}"
                             )
                         });
                     // Replaying edits costs handler time.
@@ -1941,10 +1927,11 @@ impl RegionServer {
     pub fn mark_region_online(&self, region: RegionId) {
         if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
             st.online = true;
+            let me = self.id;
             self.events
                 .borrow()
-                .record(self.sim.now(), "region.online", || {
-                    format!("server={} region={}", self.id, region)
+                .record(self.sim.now(), "region.online", move || {
+                    format!("server={me} region={region}")
                 });
         }
     }
@@ -1992,15 +1979,11 @@ impl RegionServer {
                     self.compaction_stats
                         .stall_ns
                         .add(self.cfg.flush_check_interval.nanos());
+                    let (me, region, files) = (self.id, *id, st.stall_signal().total_files);
                     self.events
                         .borrow()
-                        .record(self.sim.now(), "flush.stall", || {
-                            format!(
-                                "server={} region={} files={}",
-                                self.id,
-                                id,
-                                st.stall_signal().total_files
-                            )
+                        .record(self.sim.now(), "flush.stall", move || {
+                            format!("server={me} region={region} files={files}")
                         });
                     continue;
                 }
@@ -2165,28 +2148,24 @@ impl RegionServer {
         // merge waits — but each deferral banks a deficit token, and a
         // full bank forces the merge so read amplification cannot grow
         // without bound under sustained overload.
+        let me = self.id;
         if cfg.backpressure && utilization > cfg.utilization_threshold {
             if self.compaction_deficit.get() < cfg.max_deferrals {
-                self.compaction_deficit
-                    .set(self.compaction_deficit.get() + 1);
+                let deficit = self.compaction_deficit.get() + 1;
+                self.compaction_deficit.set(deficit);
                 self.compaction_stats.deferred.inc();
                 self.events
                     .borrow()
-                    .record(self.sim.now(), "compaction.defer", || {
-                        format!(
-                            "server={} region={} deficit={}",
-                            self.id,
-                            region,
-                            self.compaction_deficit.get()
-                        )
+                    .record(self.sim.now(), "compaction.defer", move || {
+                        format!("server={me} region={region} deficit={deficit}")
                     });
                 return;
             }
             self.compaction_stats.forced.inc();
             self.events
                 .borrow()
-                .record(self.sim.now(), "compaction.force", || {
-                    format!("server={} region={}", self.id, region)
+                .record(self.sim.now(), "compaction.force", move || {
+                    format!("server={me} region={region}")
                 });
         }
         self.compaction_deficit.set(0);
@@ -2198,16 +2177,11 @@ impl RegionServer {
             st.compaction_in_progress = true;
         }
         self.compaction_stats.started.inc();
+        let (inputs, level) = (plan.input_paths.len(), plan.output_level);
         self.events
             .borrow()
-            .record(self.sim.now(), "compaction.start", || {
-                format!(
-                    "server={} region={} inputs={} level={}",
-                    self.id,
-                    region,
-                    plan.input_paths.len(),
-                    plan.output_level
-                )
+            .record(self.sim.now(), "compaction.start", move || {
+                format!("server={me} region={region} inputs={inputs} level={level}")
             });
         let service = self.cfg.base_service + cfg.merge_service_per_entry * total_entries.max(1);
         let this = Rc::clone(self);
@@ -2461,16 +2435,11 @@ impl RegionServer {
         self.compaction_stats
             .filter_bytes_created
             .add(filter_created);
+        let (me, retired) = (self.id, input_paths.len());
         self.events
             .borrow()
-            .record(self.sim.now(), "compaction.finish", || {
-                format!(
-                    "server={} region={} retired={} bytes={}",
-                    self.id,
-                    region,
-                    input_paths.len(),
-                    bytes
-                )
+            .record(self.sim.now(), "compaction.finish", move || {
+                format!("server={me} region={region} retired={retired} bytes={bytes}")
             });
         self.update_file_metrics();
         // Compaction rewrote the file set; re-baseline backup lanes so a
@@ -2610,10 +2579,11 @@ impl RegionServer {
             st.splitting = true;
         }
         self.split_stats.considered.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "split.consider", || {
-                format!("server={} region={}", self.id, region)
+            .record(self.sim.now(), "split.consider", move || {
+                format!("server={me} region={region}")
             });
         *self.pending_split.borrow_mut() = Some(PendingSplit {
             region,
@@ -2670,10 +2640,11 @@ impl RegionServer {
             return;
         };
         self.split_stats.intents_requested.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "split.intent", || {
-                format!("server={} region={}", self.id, region)
+            .record(self.sim.now(), "split.intent", move || {
+                format!("server={me} region={region}")
             });
         let id = self.id;
         let net = Rc::clone(&self.net);
@@ -2706,10 +2677,11 @@ impl RegionServer {
             .unwrap_or(false);
         if matches {
             self.split_stats.aborted.inc();
+            let me = self.id;
             self.events
                 .borrow()
-                .record(self.sim.now(), "split.denied", || {
-                    format!("server={} region={}", self.id, region)
+                .record(self.sim.now(), "split.denied", move || {
+                    format!("server={me} region={region}")
                 });
             self.clear_pending_split(region);
         }
@@ -2762,13 +2734,11 @@ impl RegionServer {
             return;
         }
         self.split_stats.executing.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "split.execute", || {
-                format!(
-                    "server={} region={} bottom={} top={}",
-                    self.id, region, bottom, top
-                )
+            .record(self.sim.now(), "split.execute", move || {
+                format!("server={me} region={region} bottom={bottom} top={top}")
             });
         // Tell the backups a split intent is executing, so a promotion
         // racing the flip knows the shadow may be mid-split (the master
@@ -2879,10 +2849,11 @@ impl RegionServer {
             self.dfs.delete(path);
         }
         self.split_stats.aborted.inc();
+        let (me, region) = (self.id, work.region);
         self.events
             .borrow()
-            .record(self.sim.now(), "split.abort", || {
-                format!("server={} region={}", self.id, work.region)
+            .record(self.sim.now(), "split.abort", move || {
+                format!("server={me} region={region}")
             });
         self.clear_pending_split(work.region);
         self.notify_split_aborted(work.region);
@@ -3001,13 +2972,11 @@ impl RegionServer {
             .add(work.top.0 as u64, parent_load - parent_load / 2);
         self.pending_split.borrow_mut().take();
         self.split_stats.completed.inc();
+        let (me, region, bottom, top) = (self.id, work.region, work.bottom, work.top);
         self.events
             .borrow()
-            .record(self.sim.now(), "split.flip", || {
-                format!(
-                    "server={} region={} bottom={} top={}",
-                    self.id, work.region, work.bottom, work.top
-                )
+            .record(self.sim.now(), "split.flip", move || {
+                format!("server={me} region={region} bottom={bottom} top={top}")
             });
         self.update_file_metrics();
         // The parent's replica group follows the flip: daughters inherit
@@ -3174,10 +3143,11 @@ impl RegionServer {
             }
         }
         self.merge_stats.considered.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "merge.consider", || {
-                format!("server={} left={} right={}", self.id, left, right)
+            .record(self.sim.now(), "merge.consider", move || {
+                format!("server={me} left={left} right={right}")
             });
         *self.pending_merge.borrow_mut() = Some(PendingMerge {
             left,
@@ -3239,10 +3209,11 @@ impl RegionServer {
             return;
         };
         self.merge_stats.intents_requested.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "merge.intent", || {
-                format!("server={} left={} right={}", self.id, left, right)
+            .record(self.sim.now(), "merge.intent", move || {
+                format!("server={me} left={left} right={right}")
             });
         let id = self.id;
         let net = Rc::clone(&self.net);
@@ -3278,10 +3249,11 @@ impl RegionServer {
             .map(|p| (p.left, p.right));
         if let Some((left, right)) = pair {
             self.merge_stats.aborted.inc();
+            let me = self.id;
             self.events
                 .borrow()
-                .record(self.sim.now(), "merge.denied", || {
-                    format!("server={} left={} right={}", self.id, left, right)
+                .record(self.sim.now(), "merge.denied", move || {
+                    format!("server={me} left={left} right={right}")
                 });
             self.clear_pending_merge(left, right);
         }
@@ -3329,13 +3301,11 @@ impl RegionServer {
             return;
         }
         self.merge_stats.executing.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "merge.execute", || {
-                format!(
-                    "server={} left={} right={} merged={}",
-                    self.id, left, right, merged
-                )
+            .record(self.sim.now(), "merge.execute", move || {
+                format!("server={me} left={left} right={right} merged={merged}")
             });
         let sources: Vec<(RegionDescriptor, Vec<(Rc<StoreFileData>, u32)>)> = {
             let regions = self.regions.borrow();
@@ -3449,10 +3419,11 @@ impl RegionServer {
             self.dfs.delete(path);
         }
         self.merge_stats.aborted.inc();
+        let (me, left, right) = (self.id, work.left, work.right);
         self.events
             .borrow()
-            .record(self.sim.now(), "merge.abort", || {
-                format!("server={} left={} right={}", self.id, work.left, work.right)
+            .record(self.sim.now(), "merge.abort", move || {
+                format!("server={me} left={left} right={right}")
             });
         self.clear_pending_merge(work.left, work.right);
         self.notify_merge_aborted(work.left);
@@ -3546,13 +3517,11 @@ impl RegionServer {
         self.split_stats.region_load.add(work.merged.0 as u64, load);
         self.pending_merge.borrow_mut().take();
         self.merge_stats.completed.inc();
+        let (me, left, right, merged) = (self.id, work.left, work.right, work.merged);
         self.events
             .borrow()
-            .record(self.sim.now(), "merge.flip", || {
-                format!(
-                    "server={} left={} right={} merged={}",
-                    self.id, work.left, work.right, work.merged
-                )
+            .record(self.sim.now(), "merge.flip", move || {
+                format!("server={me} left={left} right={right} merged={merged}")
             });
         self.update_file_metrics();
         if !superseded.is_empty() {
@@ -3608,10 +3577,11 @@ impl RegionServer {
             st.splitting = true;
         }
         *self.pending_move.borrow_mut() = Some(region);
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "move.close", || {
-                format!("server={} region={}", self.id, region)
+            .record(self.sim.now(), "move.close", move || {
+                format!("server={me} region={region}")
             });
         self.advance_pending_move(region, done, 0);
     }
@@ -3677,10 +3647,11 @@ impl RegionServer {
         self.split_stats.region_load.remove(region.0 as u64);
         self.pending_move.borrow_mut().take();
         self.update_file_metrics();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "move.closed", || {
-                format!("server={} region={}", self.id, region)
+            .record(self.sim.now(), "move.closed", move || {
+                format!("server={me} region={region}")
             });
         done(true);
     }
@@ -3825,10 +3796,11 @@ impl RegionServer {
             }
             finishes
         };
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.establish", || {
-                format!("server={} region={region} epoch={epoch}", self.id)
+            .record(self.sim.now(), "replication.establish", move || {
+                format!("server={me} region={region} epoch={epoch}")
             });
         for f in finishes {
             f(Ok(()));
@@ -3859,10 +3831,11 @@ impl RegionServer {
             shadow.epoch = shadow.epoch.max(epoch);
             shadow.synced = false;
         }
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.shadow_open", || {
-                format!("server={} region={region} epoch={epoch}", self.id)
+            .record(self.sim.now(), "replication.shadow_open", move || {
+                format!("server={me} region={region} epoch={epoch}")
             });
     }
 
@@ -3880,10 +3853,11 @@ impl RegionServer {
             }
         };
         if removed {
+            let me = self.id;
             self.events
                 .borrow()
-                .record(self.sim.now(), "replication.shadow_close", || {
-                    format!("server={} region={region}", self.id)
+                .record(self.sim.now(), "replication.shadow_close", move || {
+                    format!("server={me} region={region}")
                 });
         }
     }
@@ -3905,10 +3879,11 @@ impl RegionServer {
             }
             drain_ready_gates(group)
         };
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.drop_lane", || {
-                format!("server={} region={region} backup={backup}", self.id)
+            .record(self.sim.now(), "replication.drop_lane", move || {
+                format!("server={me} region={region} backup={backup}")
             });
         for f in finishes {
             f(Ok(()));
@@ -3968,13 +3943,11 @@ impl RegionServer {
                 splitting: false,
             },
         );
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.promote", || {
-                format!(
-                    "server={} region={region} epoch={epoch} failed={failed}",
-                    self.id
-                )
+            .record(self.sim.now(), "replication.promote", move || {
+                format!("server={me} region={region} epoch={epoch} failed={failed}")
             });
         self.update_file_metrics();
         self.flush_region(region);
@@ -4056,12 +4029,12 @@ impl RegionServer {
         for (backup, node, handle) in targets {
             self.repl_stats.ships.inc();
             self.repl_stats.ship_bytes.add(bytes as u64);
-            self.trace.borrow().record(self.sim.now(), "repl.ship", || {
-                format!(
-                    "server={} region={region} seq={seq} backup={backup} bytes={bytes}",
-                    self.id
-                )
-            });
+            let me = self.id;
+            self.trace
+                .borrow()
+                .record(self.sim.now(), "repl.ship", move || {
+                    format!("server={me} region={region} seq={seq} backup={backup} bytes={bytes}")
+                });
             let muts = mutations.to_vec();
             let reply = self.ack_reply(region, epoch, backup, node);
             self.net.send(self.node, node, bytes, move || {
@@ -4148,10 +4121,11 @@ impl RegionServer {
             group.epoch
         };
         self.repl_stats.lane_drops.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.lane_unsynced", || {
-                format!("server={} region={region} backup={backup}", self.id)
+            .record(self.sim.now(), "replication.lane_unsynced", move || {
+                format!("server={me} region={region} backup={backup}")
             });
         self.report_lane_unsynced(region, epoch, backup);
     }
@@ -4345,10 +4319,11 @@ impl RegionServer {
                     f(Ok(()));
                 }
                 if resynced {
+                    let me = self.id;
                     self.events.borrow().record(
                         self.sim.now(),
                         "replication.lane_resynced",
-                        || format!("server={} region={region} backup={backup}", self.id),
+                        move || format!("server={me} region={region} backup={backup}"),
                     );
                     if let Some(coord) = self.repl_coord.borrow().clone() {
                         let node = self.node;
@@ -4409,13 +4384,11 @@ impl RegionServer {
             st.online = false;
         }
         self.repl_stats.fenced.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.fenced", || {
-                format!(
-                    "server={} region={region} newer_epoch={newer_epoch}",
-                    self.id
-                )
+            .record(self.sim.now(), "replication.fenced", move || {
+                format!("server={me} region={region} newer_epoch={newer_epoch}")
             });
         for f in finishes {
             f(Err(StoreError::WrongRegion(region)));
@@ -4553,13 +4526,11 @@ impl RegionServer {
             }
         };
         if matches!(ack, ReplAck::Applied(_)) {
+            let me = self.id;
             self.events
                 .borrow()
-                .record(self.sim.now(), "replication.split_intent", || {
-                    format!(
-                        "server={} region={region} bottom={bottom} top={top}",
-                        self.id
-                    )
+                .record(self.sim.now(), "replication.split_intent", move || {
+                    format!("server={me} region={region} bottom={bottom} top={top}")
                 });
         }
         self.note_backup_ack(region, &ack);
@@ -4612,13 +4583,11 @@ impl RegionServer {
             .unwrap_or(epoch + 1)
             .max(epoch + 1);
         self.repl_stats.fences.inc();
+        let me = self.id;
         self.events
             .borrow()
-            .record(self.sim.now(), "replication.fence", || {
-                format!(
-                    "server={} region={region} stale_epoch={epoch} newer={newer}",
-                    self.id
-                )
+            .record(self.sim.now(), "replication.fence", move || {
+                format!("server={me} region={region} stale_epoch={epoch} newer={newer}")
             });
         Some(ReplAck::Stale(newer))
     }
@@ -4631,10 +4600,11 @@ impl RegionServer {
             ReplAck::Gap(_) => {}
             ReplAck::Stale(_) => {
                 self.repl_stats.fences.inc();
+                let me = self.id;
                 self.events
                     .borrow()
-                    .record(self.sim.now(), "replication.fence", || {
-                        format!("server={} region={region}", self.id)
+                    .record(self.sim.now(), "replication.fence", move || {
+                        format!("server={me} region={region}")
                     });
             }
         }
@@ -4713,13 +4683,11 @@ impl RegionServer {
         for (seq, epoch, backup, node, handle) in targets {
             self.repl_stats.syncs.inc();
             self.repl_stats.ship_bytes.add(bytes as u64);
+            let me = self.id;
             self.events
                 .borrow()
-                .record(self.sim.now(), "replication.sync", || {
-                    format!(
-                        "server={} region={region} seq={seq} backup={backup} bytes={bytes}",
-                        self.id
-                    )
+                .record(self.sim.now(), "replication.sync", move || {
+                    format!("server={me} region={region} seq={seq} backup={backup} bytes={bytes}")
                 });
             let desc = desc.clone();
             let paths = paths.clone();

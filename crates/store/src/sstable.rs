@@ -2,8 +2,10 @@
 //! store-file registry.
 //!
 //! A memstore flush writes its contents as a sorted, immutable store file
-//! into the distributed filesystem. Readers locate the newest version ≤
-//! their snapshot with binary search.
+//! into the distributed filesystem. A point read hashes its `(row,
+//! column)` once, finds the cell's newest version through the file's
+//! hash index, and steps to the first version ≤ its snapshot; ordered
+//! seeks (scans, split clip points) binary-search the offset index.
 //!
 //! ## Read-path service model
 //!
@@ -34,12 +36,15 @@
 //!
 //! A [`StoreFileData`] holds the exact bytes the file has in the
 //! distributed filesystem — `image`, the same buffer the replicas keep —
-//! plus an offset index with one `u32` per stored version:
+//! plus two indexes that exist only in memory: an offset index with one
+//! `u32` per stored version, and a hash index with one slot or more per
+//! distinct cell:
 //!
 //! ```text
 //! image:  region:u32  count:u32 | entry 0 | entry 1 | … | filter words
 //! entry:  len:u32 row | len:u32 column | tag:u8 [len:u32 value] | ts:u64
 //! index:  [offset of entry 0, …, offset of entry count-1, end of entries]
+//! slots:  [entry number of a cell's newest version, or EMPTY; 2ⁿ of them]
 //! ```
 //!
 //! Every file is built through one streaming constructor,
@@ -48,10 +53,28 @@
 //! buffer without copying it. So [`StoreFileData::encode`] is a
 //! reference-count bump, [`StoreFileData::decode`] is one pass that
 //! validates the input and records offsets without allocating per entry,
-//! point lookups binary-search the index and compare key bytes in place,
 //! and cursors walk the image front to back. A split's reference
-//! half-file shares the parent's image and index and clips the index to
-//! `lo..hi`.
+//! half-file shares the parent's image and both indexes and clips them
+//! to `lo..hi`.
+//!
+//! ### The hash index
+//!
+//! `slots` is an open-addressed table (linear probing) of the smallest
+//! power of two that is at least twice the file's distinct `(row, column)`
+//! cells, so 8–16 bytes per cell beside ~130 of image. A cell's home slot
+//! comes from the first half of the [`hash_pair`] the bloom filter already
+//! takes of it ([`cell_hash`]), and cells are inserted in file order: the
+//! table is a pure function of the file's bytes, so it is not on the wire
+//! — the builder fills it in `finish`, `decode` in its validating pass,
+//! and both arrive at the same table. [`StoreFileData::get_cell`] is hash → probe →
+//! compare key bytes in place → gallop from the newest version to the
+//! first one at or below the snapshot (O(log v) for a cell with v
+//! versions); [`StoreFileData::contains_cell`] is the probe alone. A
+//! reference half-file probes the parent's table and treats an entry
+//! outside `lo..hi` as a miss. What needs *order* rather than identity —
+//! [`StoreFileData::range`], the clip points of
+//! [`StoreFileData::reference`] — still binary-searches the offset index
+//! (`lower_bound`).
 //!
 //! ### The view-pinning rule
 //!
@@ -78,7 +101,7 @@
 //! Liveness stays honest too: the read path checks that at least one
 //! replica datanode of the file is alive before serving from the registry.
 
-use crate::bloom::{hash_pair, BloomFilter};
+use crate::bloom::{cell_hash, hash_pair, BloomFilter, CellKey};
 use crate::codec::{decode_cell, encode_cell, DecodeError, Decoder, Encoder, TAG_PUT};
 use crate::memstore::{MemStore, VersionedValue};
 use crate::merge_iter::{visible_at, EntryRef};
@@ -95,6 +118,42 @@ const HEADER_BYTES: usize = 8;
 
 /// The smallest entry on the wire: empty row and column, a delete.
 const MIN_ENTRY_BYTES: usize = 4 + 4 + 1 + 8;
+
+/// An unoccupied slot of the hash index (never an entry number: a file
+/// below 4 GiB holds fewer entries than that).
+const EMPTY: u32 = u32::MAX;
+
+/// Where the probe for a cell whose first [`hash_pair`] half is `hash`
+/// starts, in a table of `mask + 1` slots. FNV's low bits depend only on
+/// the low bits of the key's bytes, so the high half is folded in.
+fn home_slot(hash: u64, mask: usize) -> usize {
+    (hash ^ (hash >> 32)) as usize & mask
+}
+
+/// Builds the hash index (module docs) from each distinct cell's hash and
+/// the entry number of its newest version, in file order.
+fn build_slots(cells: impl ExactSizeIterator<Item = (u64, u32)>) -> Rc<[u32]> {
+    if cells.len() == 0 {
+        return Rc::new([]);
+    }
+    let mut slots = vec![EMPTY; (cells.len() * 2).next_power_of_two()];
+    let mask = slots.len() - 1;
+    for (hash, entry) in cells {
+        let mut slot = home_slot(hash, mask);
+        while slots[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        slots[slot] = entry;
+    }
+    slots.into()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Entries [`StoreFileData::sorts_before`] compared on this thread:
+    /// what the unit tests bound a lookup's work by, without a clock.
+    static KEY_COMPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Reads the fields of entries out of a file's own image, in wire order.
 /// The image was written by the builder or checked field by field in
@@ -163,6 +222,10 @@ pub struct StoreFileData {
     /// entries. Shared (`Rc`) so a split's reference half-files are
     /// O(metadata): they alias the parent's index and narrow `[lo, hi)`.
     index: Rc<Vec<u32>>,
+    /// Hash index: for each distinct cell, the number in `index` of its
+    /// newest version (module docs). Shared like `index`; a reference
+    /// half-file ignores what it finds outside `[lo, hi)`.
+    slots: Rc<[u32]>,
     /// Visible bounds into `index` (`0..count` for physical files).
     lo: usize,
     hi: usize,
@@ -213,8 +276,12 @@ pub struct StoreFileBuilder {
     /// Offset of each entry pushed.
     index: Vec<u32>,
     /// Hash pair of each distinct `(row, column)` pushed, taken while
-    /// the key is in cache; the filter is sized from their number.
+    /// the key is in cache; the filter and the hash index are sized from
+    /// their number.
     hashes: Vec<(u64, u64)>,
+    /// Entry number of each distinct cell's first (newest) version, in
+    /// step with `hashes`.
+    firsts: Vec<u32>,
     total_bytes: usize,
 }
 
@@ -232,6 +299,7 @@ impl StoreFileBuilder {
             image,
             index: Vec::with_capacity(entries + 1),
             hashes: Vec::with_capacity(entries),
+            firsts: Vec::with_capacity(entries),
             total_bytes: 0,
         }
     }
@@ -268,6 +336,7 @@ impl StoreFileBuilder {
             });
         if !same_cell {
             self.hashes.push(hash_pair(row, column));
+            self.firsts.push(self.index.len() as u32);
         }
         let at = u32::try_from(self.image.len()).expect("a store file's image stays below 4 GiB");
         self.index.push(at);
@@ -294,8 +363,8 @@ impl StoreFileBuilder {
     /// Seals the file: fills in the header, builds the bloom filter over
     /// the distinct `(row, column)` pairs and appends it (it trails the
     /// entries so the deterministic bits survive the DFS round trip; the
-    /// row range is derivable from the sorted entries and is not
-    /// encoded), and freezes the image without copying it.
+    /// row range and the hash index are derivable from the sorted entries
+    /// and are not encoded), and freezes the image without copying it.
     ///
     /// # Panics
     ///
@@ -305,6 +374,7 @@ impl StoreFileBuilder {
             mut image,
             mut index,
             hashes,
+            firsts,
             total_bytes,
         } = self;
         let count = index.len();
@@ -323,6 +393,7 @@ impl StoreFileBuilder {
             path: path.into(),
             image: image.finish(),
             index: Rc::new(index),
+            slots: build_slots(hashes.iter().map(|h| h.0).zip(firsts)),
             lo: 0,
             hi: count,
             total_bytes,
@@ -400,7 +471,7 @@ impl StoreFileData {
     }
 
     /// Builds a reference half-file over `parent` for an online region
-    /// split: the result aliases the parent's image and index clipped to
+    /// split: the result aliases the parent's image and indexes clipped to
     /// rows in `[start, end)` and shares the parent's bloom filter. No
     /// entry is copied; finding the clip points is two binary searches,
     /// and one pass over the clipped entries sums their sizes. The
@@ -429,6 +500,7 @@ impl StoreFileData {
             path: path.into(),
             image: parent.image.clone(),
             index: Rc::clone(&parent.index),
+            slots: Rc::clone(&parent.slots),
             lo,
             hi,
             total_bytes: 0,
@@ -477,29 +549,121 @@ impl StoreFileData {
         }
     }
 
-    /// The first visible entry, as an index into the shared array, whose
-    /// key is not before `(row, column, inv_ts)` in `(row, column,
-    /// descending ts)` order — a binary search over the index comparing
+    /// Whether the entry at offset `at` of `image` sorts before `(row,
+    /// column, inv_ts)` in `(row, column, descending ts)` order, comparing
     /// key bytes in place, each field parsed only if the ones before it
     /// tie.
-    fn lower_bound(&self, row: &[u8], column: &[u8], inv_ts: u64) -> usize {
-        let image: &[u8] = &self.image;
-        let before = |&at: &u32| {
-            let mut entry = Reader {
-                image,
-                at: at as usize,
-            };
-            let order = entry
-                .bytes()
-                .cmp(row)
-                .then_with(|| entry.bytes().cmp(column))
-                .then_with(|| {
-                    entry.value();
-                    (!entry.ts().0).cmp(&inv_ts)
-                });
-            order == Ordering::Less
+    fn sorts_before(image: &[u8], at: u32, row: &[u8], column: &[u8], inv_ts: u64) -> bool {
+        #[cfg(test)]
+        KEY_COMPARES.with(|n| n.set(n.get() + 1));
+        let mut entry = Reader {
+            image,
+            at: at as usize,
         };
-        self.lo + self.index[self.lo..self.hi].partition_point(before)
+        let order = entry
+            .bytes()
+            .cmp(row)
+            .then_with(|| entry.bytes().cmp(column))
+            .then_with(|| {
+                entry.value();
+                (!entry.ts().0).cmp(&inv_ts)
+            });
+        order == Ordering::Less
+    }
+
+    /// The first entry of `[from, to)`, as an index into the shared
+    /// array, that does not sort before `(row, column, inv_ts)` — a binary
+    /// search over the offset index.
+    fn search(&self, from: usize, to: usize, row: &[u8], column: &[u8], inv_ts: u64) -> usize {
+        let image: &[u8] = &self.image;
+        from + self.index[from..to]
+            .partition_point(|&at| Self::sorts_before(image, at, row, column, inv_ts))
+    }
+
+    /// [`StoreFileData::search`] over the whole visible window: what
+    /// ordered seeks (`range`, `reference`) use. Point reads go through
+    /// the hash index instead ([`StoreFileData::find`]).
+    fn lower_bound(&self, row: &[u8], column: &[u8], inv_ts: u64) -> usize {
+        self.search(self.lo, self.hi, row, column, inv_ts)
+    }
+
+    /// [`StoreFileData::search`] over `[from, hi)` for a key expected
+    /// close behind `from`: probes at doubling distances until one does
+    /// not sort before the key, then binary-searches the last stride —
+    /// O(log d) comparisons for an answer d entries away.
+    fn gallop(&self, from: usize, row: &[u8], column: &[u8], inv_ts: u64) -> usize {
+        let mut lo = from;
+        let mut stride = 1;
+        let hi = loop {
+            let probe = lo + stride - 1;
+            if probe >= self.hi {
+                break self.hi;
+            }
+            if !Self::sorts_before(&self.image, self.index[probe], row, column, inv_ts) {
+                break probe;
+            }
+            lo = probe + 1;
+            stride *= 2;
+        };
+        self.search(lo, hi, row, column, inv_ts)
+    }
+
+    /// The entry number of the newest version of `(row, column)`, whose
+    /// first [`hash_pair`] half is `hash`, if the visible window stores
+    /// the cell: a probe of the hash index, comparing key bytes in place.
+    /// The table is at most half full, so the probe ends at an empty slot.
+    fn find(&self, row: &[u8], column: &[u8], hash: u64) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = home_slot(hash, mask);
+        loop {
+            let entry = self.slots[slot];
+            if entry == EMPTY {
+                return None;
+            }
+            let entry = entry as usize;
+            let mut key = Reader {
+                image: &self.image,
+                at: self.index[entry] as usize,
+            };
+            if key.bytes() == row && key.bytes() == column {
+                // A reference half-file shares the parent's table: cells
+                // clipped into the sibling are there, and are misses.
+                return (self.lo..self.hi).contains(&entry).then_some(entry);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The newest version of `(row, column)` at or before `snapshot`,
+    /// given the first half of the cell's [`hash_pair`].
+    fn get_hashed(
+        &self,
+        row: &[u8],
+        column: &[u8],
+        hash: u64,
+        snapshot: Timestamp,
+    ) -> Option<VersionedValue> {
+        let newest = self.find(row, column, hash)?;
+        let mut e = self.entry(newest);
+        if e.ts > snapshot {
+            // Older versions follow in descending ts; the run may be
+            // thousands long (a hot cell in one flush), so no linear walk.
+            let idx = self.gallop(newest + 1, row, column, !snapshot.0);
+            if idx >= self.hi {
+                return None;
+            }
+            e = self.entry(idx);
+            if e.row != row || e.column != column {
+                return None;
+            }
+        }
+        Some(VersionedValue {
+            ts: e.ts,
+            value: e.value_bytes(),
+        })
     }
 
     /// Bounds, as indices into the shared index, of the visible rows in
@@ -610,15 +774,21 @@ impl StoreFileData {
         self.bloom.may_contain(row, column)
     }
 
+    /// [`StoreFileData::filter_may_contain`] for a cell hashed already.
+    pub fn filter_may_contain_cell(&self, key: &CellKey) -> bool {
+        self.bloom.may_contain_hashed(key.hash())
+    }
+
     /// Exact membership check: whether *any* version of `(row, column)`
     /// is stored, regardless of snapshot. Used to classify filter
     /// outcomes (false positives / negatives), not to serve reads.
     pub fn contains_key(&self, row: &[u8], column: &[u8]) -> bool {
-        let idx = self.lower_bound(row, column, 0);
-        idx < self.hi && {
-            let e = self.entry(idx);
-            e.row == row && e.column == column
-        }
+        self.find(row, column, cell_hash(row, column)).is_some()
+    }
+
+    /// [`StoreFileData::contains_key`] for a cell hashed already.
+    pub fn contains_cell(&self, key: &CellKey) -> bool {
+        self.find(key.row(), key.column(), key.hash().0).is_some()
     }
 
     /// Bytes of filter metadata (the bloom bit array) this file carries.
@@ -629,17 +799,12 @@ impl StoreFileData {
     /// The newest version of `(row, column)` at or before `snapshot`.
     /// The value is a view of the file's image (module docs).
     pub fn get(&self, row: &[u8], column: &[u8], snapshot: Timestamp) -> Option<VersionedValue> {
-        // First entry with key >= (row, column, inv(snapshot)) in the
-        // (row, col, desc-ts) order.
-        let idx = self.lower_bound(row, column, !snapshot.0);
-        if idx >= self.hi {
-            return None;
-        }
-        let e = self.entry(idx);
-        (e.row == row && e.column == column).then(|| VersionedValue {
-            ts: e.ts,
-            value: e.value_bytes(),
-        })
+        self.get_hashed(row, column, cell_hash(row, column), snapshot)
+    }
+
+    /// [`StoreFileData::get`] for a cell hashed already.
+    pub fn get_cell(&self, key: &CellKey, snapshot: Timestamp) -> Option<VersionedValue> {
+        self.get_hashed(key.row(), key.column(), key.hash().0, snapshot)
     }
 
     /// Latest version ≤ `snapshot` per cell for rows in `[start, end)`
@@ -678,7 +843,8 @@ impl StoreFileData {
 
     /// Parses a file previously produced by [`StoreFileData::encode`]:
     /// one copy of `buf` becomes the image, and one pass over it checks
-    /// the framing and the entry order and records the offsets.
+    /// the framing and the entry order, records the offsets and hashes
+    /// each distinct cell for the hash index.
     ///
     /// # Errors
     ///
@@ -696,14 +862,20 @@ impl StoreFileData {
             return Err(dec.error("entry count"));
         }
         let mut index = Vec::with_capacity(count + 1);
+        // Hash and entry number of each distinct cell's newest version,
+        // as the builder collects them, for the hash index.
+        let mut cells: Vec<(u64, u32)> = Vec::new();
         let mut total_bytes = 0;
         let mut last: Option<(&[u8], &[u8], u64)> = None;
-        for _ in 0..count {
+        for entry in 0..count {
             index.push(dec.pos() as u32);
             let (row, column, value) = decode_cell(&mut dec)?;
             let inv_ts = !dec.get_u64()?;
             if last.is_some_and(|last| last >= (row, column, inv_ts)) {
                 return Err(dec.error("entry order"));
+            }
+            if last.is_none_or(|(r, c, _)| (r, c) != (row, column)) {
+                cells.push((cell_hash(row, column), entry as u32));
             }
             last = Some((row, column, inv_ts));
             total_bytes += entry_bytes(row, column, value);
@@ -718,6 +890,7 @@ impl StoreFileData {
             path: path.into(),
             image,
             index: Rc::new(index),
+            slots: build_slots(cells.into_iter()),
             lo: 0,
             hi: count,
             total_bytes,
@@ -1060,13 +1233,138 @@ mod tests {
         assert!(sf.encode().len() <= HEADER_BYTES + sf.total_bytes() + 12);
     }
 
+    /// Entries compared by [`StoreFileData::sorts_before`] while `f` ran.
+    fn key_compares(f: impl FnOnce()) -> u64 {
+        let before = KEY_COMPARES.with(|n| n.get());
+        f();
+        KEY_COMPARES.with(|n| n.get()) - before
+    }
+
+    /// A hot cell between two neighbours: 10 000 versions at the even
+    /// timestamps 2..=20 000 in one file.
+    #[test]
+    fn deep_version_chain_is_searched_logarithmically() {
+        const VERSIONS: u64 = 10_000;
+        let mut builder = StoreFileBuilder::with_capacity(0, 0);
+        builder.push(b"a", b"c", Timestamp(1), Some(b"before"));
+        for ts in (1..=VERSIONS).rev() {
+            builder.push(b"hot", b"c", Timestamp(2 * ts), Some(&ts.to_be_bytes()));
+        }
+        builder.push(b"z", b"c", Timestamp(1), Some(b"after"));
+        let sf = builder.finish(RegionId(0), "/deep");
+        let version = |snapshot: u64| {
+            let mut found = None;
+            let compares = key_compares(|| found = sf.get(b"hot", b"c", Timestamp(snapshot)));
+            (found.map(|vv| vv.ts.0), compares)
+        };
+        // The newest version costs no search at all.
+        assert_eq!(version(u64::MAX), (Some(2 * VERSIONS), 0));
+        assert_eq!(version(2 * VERSIONS), (Some(2 * VERSIONS), 0));
+        // A gallop and a binary search over at most 2¹⁴ entries: under 30
+        // comparisons where a walk would take thousands.
+        for (snapshot, want) in [
+            (2 * VERSIONS - 1, Some(2 * VERSIONS - 2)),
+            (VERSIONS + 1, Some(VERSIONS)),
+            (3, Some(2)),
+            (2, Some(2)),
+            (1, None),
+            (0, None),
+        ] {
+            let (got, compares) = version(snapshot);
+            assert_eq!(got, want, "snapshot {snapshot}");
+            assert!(compares <= 30, "snapshot {snapshot}: {compares} compares");
+        }
+        // Near the newest version the search is short, not log(run).
+        assert!(version(2 * VERSIONS - 1).1 <= 3);
+        // The chain's neighbours and absent keys around it resolve exactly.
+        assert_eq!(sf.get(b"a", b"c", Timestamp(0)), None);
+        assert_eq!(sf.get(b"z", b"c", Timestamp(5)).unwrap().ts, Timestamp(1));
+        assert!(!sf.contains_key(b"hot", b"b") && !sf.contains_key(b"hos", b"c"));
+        assert_eq!(key_compares(|| assert!(sf.contains_key(b"hot", b"c"))), 0);
+    }
+
+    /// Eight cells that all hash to one home slot of their table still
+    /// resolve exactly, present and absent, before and after a decode.
+    #[test]
+    fn colliding_cells_probe_past_each_other() {
+        const CELLS: usize = 8;
+        let mask = (2 * CELLS).next_power_of_two() - 1;
+        let home = |row: &str| home_slot(hash_pair(row.as_bytes(), b"c").0, mask);
+        let mut crowd: Vec<String> = (0..)
+            .map(|i| format!("row{i:05}"))
+            .filter(|row| home(row) == 5)
+            .take(CELLS + 1)
+            .collect();
+        let absent = crowd.pop().unwrap();
+        crowd.sort();
+        let mut builder = StoreFileBuilder::with_capacity(0, 0);
+        for row in &crowd {
+            builder.push(row.as_bytes(), b"c", Timestamp(9), Some(row.as_bytes()));
+            builder.push(row.as_bytes(), b"c", Timestamp(4), None);
+        }
+        let built = builder.finish(RegionId(0), "/crowd");
+        assert_eq!(built.slots.len(), mask + 1);
+        // One run of occupied slots from the shared home, in file order.
+        let run: Vec<u32> = (0..CELLS).map(|i| built.slots[(5 + i) & mask]).collect();
+        assert_eq!(run, (0..CELLS as u32).map(|i| 2 * i).collect::<Vec<_>>());
+        let decoded = StoreFileData::decode("/crowd", &built.encode()).unwrap();
+        for sf in [&built, &decoded] {
+            for row in &crowd {
+                let newest = sf.get(row.as_bytes(), b"c", Timestamp(9)).unwrap();
+                assert_eq!(newest.value.as_deref(), Some(row.as_bytes()));
+                let older = sf.get(row.as_bytes(), b"c", Timestamp(8)).unwrap();
+                assert_eq!((older.ts, older.value), (Timestamp(4), None));
+                assert_eq!(sf.get(row.as_bytes(), b"c", Timestamp(3)), None);
+                assert!(sf.contains_key(row.as_bytes(), b"c"));
+            }
+            assert!(!sf.contains_key(absent.as_bytes(), b"c"));
+            assert_eq!(sf.get(absent.as_bytes(), b"c", Timestamp::MAX), None);
+        }
+    }
+
+    /// The hash index is a function of the file's bytes: `decode` arrives
+    /// at the builder's table, which is sized as documented and shared,
+    /// not copied, by reference half-files.
+    #[test]
+    fn hash_index_is_rebuilt_by_decode_and_shared_by_references() {
+        let mut ms = MemStore::new();
+        for i in 0..300u32 {
+            let row = b(&format!("row{:04}", i % 100));
+            ms.apply(row, b("c"), Timestamp(u64::from(i) + 1), Some(b("v")));
+        }
+        ms.apply(b("row0007"), b(""), Timestamp(1), None);
+        let sf = Rc::new(StoreFileData::from_memstore(RegionId(1), "/p", &ms));
+        assert_eq!(sf.len(), 301);
+        assert_eq!(sf.slots.len(), 256, "101 cells: the power of two ≥ 202");
+        let occupied = sf.slots.iter().filter(|&&e| e != EMPTY).count();
+        assert_eq!(occupied, 101);
+        let decoded = StoreFileData::decode("/p", &sf.encode()).unwrap();
+        assert_eq!(decoded.slots, sf.slots);
+
+        let half = StoreFileData::reference(&sf, RegionId(2), "/h", b"row0050", None).unwrap();
+        assert!(Rc::ptr_eq(&half.slots, &sf.slots));
+        // The shared table still holds the sibling's cells; the window
+        // makes them misses.
+        assert!(sf.contains_key(b"row0049", b"c") && !half.contains_key(b"row0049", b"c"));
+        assert_eq!(half.get(b"row0007", b"", Timestamp::MAX), None);
+        assert!(half.contains_key(b"row0050", b"c"));
+        // A reference's own wire form decodes to a table of its own size.
+        let rewritten = StoreFileData::decode("/h", &half.encode()).unwrap();
+        assert_eq!(rewritten.slots.len(), 128);
+        assert_eq!(
+            rewritten.get(b"row0099", b"c", Timestamp(250)),
+            half.get(b"row0099", b"c", Timestamp(250))
+        );
+    }
+
     #[test]
     fn empty_file() {
         let ms = MemStore::new();
         let sf = StoreFileData::from_memstore(RegionId(0), "/f", &ms);
         assert!(sf.is_empty());
         assert_eq!(sf.get(b"a", b"c", Timestamp::MAX), None);
+        assert!(!sf.contains_key(b"", b"") && sf.slots.is_empty());
         let back = StoreFileData::decode("/f", &sf.encode()).unwrap();
-        assert!(back.is_empty());
+        assert!(back.is_empty() && back.slots.is_empty());
     }
 }

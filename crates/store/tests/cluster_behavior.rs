@@ -22,6 +22,14 @@ struct Cluster {
 }
 
 fn build(seed: u64, n_servers: usize, n_regions: usize, wal_mode: WalSyncMode) -> Cluster {
+    let cfg = RegionServerConfig {
+        wal_mode,
+        ..RegionServerConfig::default()
+    };
+    build_with(seed, n_servers, n_regions, cfg)
+}
+
+fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerConfig) -> Cluster {
     let sim = Sim::new(seed);
     let net = Network::new(&sim, LatencyConfig::lan_100mbps());
 
@@ -56,10 +64,6 @@ fn build(seed: u64, n_servers: usize, n_regions: usize, wal_mode: WalSyncMode) -
     let mut servers = Vec::new();
     for (i, node) in server_nodes.iter().enumerate() {
         let dfs = DfsClient::new(&sim, &net, &nn, *node);
-        let cfg = RegionServerConfig {
-            wal_mode,
-            ..RegionServerConfig::default()
-        };
         let server = RegionServer::new(
             &sim,
             &net,
@@ -416,6 +420,111 @@ fn cache_warms_with_reads() {
         warm_rate > cold_rate,
         "hit rate should improve: {cold_rate} -> {warm_rate}"
     );
+}
+
+/// The filter accounting of a fixed read sequence over a three-file
+/// stack did not move when point reads went from a binary search per
+/// file to one key hash per get and a hash-index probe per file: the
+/// numbers below are the ones commit bdbd7a7 (binary search, a prune
+/// loop in each of `handle_get`, `handle_multi_get` and `lookup`)
+/// counts for this sequence. They feed the simulated service time.
+#[test]
+fn filter_stats_of_a_fixed_read_sequence_are_pinned() {
+    let mut cfg = RegionServerConfig {
+        verify_filters: true,
+        ..RegionServerConfig::default()
+    };
+    cfg.compaction.enabled = false;
+    let c = build_with(12, 1, 1, cfg);
+    let server = Rc::clone(&c.servers[0]);
+    let region = server.hosted_regions()[0];
+    let put = |ts: u64, mutation: Mutation| {
+        c.client
+            .multi_put(region, Timestamp(ts), vec![mutation], None, false, || {});
+    };
+    // Three overlapping files (rows 0..40 at ts 100.., 20..60 at 200..,
+    // deletes and rewrites of 50..56 at 300..), then a live memstore.
+    let flush = || {
+        c.sim.run_for(SimDuration::from_secs(2));
+        server.flush_region(region);
+        c.sim.run_for(SimDuration::from_secs(2));
+    };
+    for i in 0..40 {
+        put(100 + i, Mutation::put(key(i), "f0", format!("a{i}")));
+    }
+    flush();
+    for i in 20..60 {
+        put(200 + i, Mutation::put(key(i), "f0", format!("b{i}")));
+    }
+    flush();
+    for i in 50..56 {
+        put(300 + i, Mutation::delete(key(i), "f0"));
+        put(320 + i, Mutation::put(key(i), "f1", format!("c{i}")));
+    }
+    flush();
+    for i in 0..5 {
+        put(400 + i, Mutation::put(key(i), "f0", format!("d{i}")));
+    }
+    c.sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(server.storefile_count(region), 3);
+
+    let got: Rc<RefCell<Vec<Option<Bytes>>>> = Rc::default();
+    let get = |row: Bytes, column: &'static str, snapshot: u64| {
+        let got = Rc::clone(&got);
+        c.client.get(
+            row,
+            Bytes::from_static(column.as_bytes()),
+            Timestamp(snapshot),
+            move |v| got.borrow_mut().push(v.and_then(|vv| vv.value)),
+        );
+        c.sim.run_for(SimDuration::from_secs(1));
+    };
+    // Present rows at the newest snapshot, then between and below the
+    // files' versions; rows past every file; absent keys inside them.
+    for i in (0..70).step_by(3) {
+        get(key(i), "f0", 1000);
+    }
+    for i in (0..60).step_by(7) {
+        get(key(i), "f0", 250);
+        get(key(i), "f0", 50);
+    }
+    for i in (1..60).step_by(11) {
+        get(Bytes::from(format!("user{i:012}x")), "f0", 1000);
+        get(key(i), "f1", 1000);
+    }
+    let batch: Vec<(Bytes, Bytes)> = (0..64)
+        .step_by(4)
+        .flat_map(|i| [(key(i), "f0"), (key(i + 1), "f1")])
+        .map(|(row, column)| (row, Bytes::from_static(column.as_bytes())))
+        .collect();
+    for snapshot in [1000, 210] {
+        let got = Rc::clone(&got);
+        c.client
+            .multi_get(batch.clone(), Timestamp(snapshot), move |cells| {
+                got.borrow_mut()
+                    .extend(cells.into_iter().map(|v| v.and_then(|vv| vv.value)));
+            });
+        c.sim.run_for(SimDuration::from_secs(1));
+    }
+    let got = got.borrow();
+    assert_eq!(got.len(), 24 + 18 + 12 + 64);
+    assert_eq!(got[0].as_deref(), Some(&b"d0"[..]), "memstore wins");
+    assert_eq!(got[7].as_deref(), Some(&b"b21"[..]), "newer file wins");
+    assert_eq!(got[17], None, "row 51 is deleted");
+
+    let stats = server.filter_stats();
+    assert_eq!(
+        [
+            stats.probes.get(),
+            stats.range_skips.get(),
+            stats.filter_skips.get(),
+            stats.files_consulted.get(),
+            stats.false_positives.get(),
+            stats.false_negatives.get(),
+        ],
+        [153, 201, 56, 97, 0, 0]
+    );
+    assert_eq!(server.gets_served(), 24 + 18 + 12 + 64);
 }
 
 #[test]

@@ -134,6 +134,28 @@ proptest! {
                 direct.get(e.row, e.column, Timestamp::MAX)
             );
         }
+        // Both references probe the parent's hash index, which holds every
+        // cell of the parent; each must still answer, for every one of
+        // those cells and at every snapshot, like its half physically
+        // rewritten (whose index holds its own cells only) — so a cell
+        // clipped into the sibling is a miss.
+        for half in [&*top, &nested] {
+            let rewritten = StoreFileData::decode("/rewritten", &half.encode()).expect("decode");
+            prop_assert_eq!(rewritten.len(), half.len());
+            for e in parent.entries() {
+                let inside = e.row >= half.key_range().unwrap().0
+                    && e.row <= half.key_range().unwrap().1;
+                prop_assert_eq!(half.contains_key(e.row, e.column), inside);
+                prop_assert_eq!(rewritten.contains_key(e.row, e.column), inside);
+                for snap in (0..=40).chain([u64::MAX]).map(Timestamp) {
+                    prop_assert_eq!(
+                        half.get(e.row, e.column, snap),
+                        rewritten.get(e.row, e.column, snap),
+                        "{} get({:?}, {:?}) @ {:?}", half.path(), e.row, e.column, snap
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -565,6 +565,59 @@ proptest! {
         }
     }
 
+    /// A point read through the hash index answers what an ordered seek
+    /// through the offset index answers and what the `Vec` model answers
+    /// — over files with many versions per cell, tombstones, and empty
+    /// rows, columns and values, for stored cells and for absent keys
+    /// sorting before, between and after them, at every snapshot from
+    /// below the oldest version up. `decode` rebuilds an index that
+    /// answers the same.
+    #[test]
+    fn indexed_get_matches_ordered_seek_and_model(
+        writes in prop::collection::vec(
+            (0usize..5, 0usize..3, 1u64..12, prop::option::of(0u8..3)),
+            0..120,
+        ),
+    ) {
+        const ROWS: [&[u8]; 5] = [b"", b"a", b"ab", b"b", b"ba"];
+        const COLUMNS: [&[u8]; 3] = [b"", b"c", b"cc"];
+        // Never written: before, between and after the stored keys.
+        const ABSENT_ROWS: [&[u8]; 4] = [b"\0", b"aa", b"abc", b"c"];
+        const ABSENT_COLUMNS: [&[u8]; 3] = [b"b", b"ca", b"d"];
+        let mut ms = MemStore::new();
+        for &(r, c, ts, v) in &writes {
+            let value = v.map(|len| Bytes::from(vec![b'v'; len as usize]));
+            ms.apply(Bytes::from(ROWS[r]), Bytes::from(COLUMNS[c]), Timestamp(ts), value);
+        }
+        let built = StoreFileData::from_memstore(RegionId(0), "/f", &ms);
+        let decoded = StoreFileData::decode("/f", &built.encode()).expect("decode");
+        let model = ModelFile::new(RegionId(0), owned_entries(&ms));
+        for row in ROWS.iter().chain(&ABSENT_ROWS) {
+            for col in COLUMNS.iter().chain(&ABSENT_COLUMNS) {
+                for sf in [&built, &decoded] {
+                    prop_assert_eq!(sf.contains_key(row, col), model.contains_key(row, col));
+                }
+                // The row's versions as a seek finds them: `row ++ 0x00`
+                // is the least key after `row`.
+                let next_row = [row, &[0][..]].concat();
+                for snap in (0..=12).chain([u64::MAX]).map(Timestamp) {
+                    let want = model.get(row, col, snap);
+                    let sought = built
+                        .range(row, Some(&next_row))
+                        .find(|e| e.column == *col && e.ts <= snap)
+                        .map(|e| e.to_cell().2);
+                    prop_assert_eq!(&sought, &want, "seek ({:?}, {:?}) @ {:?}", row, col, snap);
+                    for sf in [&built, &decoded] {
+                        prop_assert_eq!(
+                            sf.get(row, col, snap), want.clone(),
+                            "get({:?}, {:?}) @ {:?}", row, col, snap
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// `decode` inverts `encode` byte for byte, for physical files and
     /// for the re-framed bytes of a reference half-file.
     #[test]
