@@ -1,17 +1,26 @@
-//! Replication-off output baselines: with `region_replication` at its
-//! default of 1, the replication subsystem must be completely inert —
-//! no extra messages, no extra RNG draws, no timer phase shifts. The
-//! strongest cheap probe of that is byte-identity of the calibrated
-//! bench CSVs against baselines captured before the replication
-//! subsystem existed: a single stray `net.send` or reordered HashMap
-//! iteration anywhere near the scheduling path shifts the jitter stream
-//! and diverges every number downstream.
+//! Pinned bench CSVs. Two of them are replication-off output baselines:
+//! with `region_replication` at its default of 1, the replication
+//! subsystem must be completely inert — no extra messages, no extra RNG
+//! draws, no timer phase shifts. The strongest cheap probe of that is
+//! byte-identity of the calibrated bench CSVs against baselines captured
+//! before the replication subsystem existed: a single stray `net.send`
+//! or reordered HashMap iteration anywhere near the scheduling path
+//! shifts the jitter stream and diverges every number downstream.
+//!
+//! The third pins the other half of the structure-change protocol:
+//! `split_bench` only splits, while `scale_bench --quick` also merges,
+//! moves and fails over (87 splits, 16 merges, 3 moves and a failover by
+//! its second phase). Its baseline was captured at c0717f2, the last
+//! commit with separate split and merge pipelines.
 
 use std::process::Command;
 
 fn run_quick(bin: &str) -> String {
-    let out = Command::new(bin)
-        .env("CUMULO_QUICK", "1")
+    run(Command::new(bin).env("CUMULO_QUICK", "1"), bin)
+}
+
+fn run(command: &mut Command, bin: &str) -> String {
+    let out = command
         .output()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(
@@ -41,5 +50,20 @@ fn split_bench_csv_matches_pre_replication_baseline() {
         got, want,
         "split_bench CSV diverged from the replication-off baseline: \
          something perturbed the default-path event or RNG stream"
+    );
+}
+
+#[test]
+fn scale_bench_csv_matches_pinned_baseline() {
+    let bin = env!("CARGO_BIN_EXE_scale_bench");
+    // This bin takes its quick mode as an argument, not from the
+    // environment.
+    let got = run(Command::new(bin).arg("--quick"), bin);
+    let want = include_str!("baselines/scale_bench_quick.csv");
+    assert_eq!(
+        got, want,
+        "scale_bench CSV diverged from the pinned baseline: a split, merge, \
+         move or failover took a different step, or something perturbed the \
+         event or RNG stream"
     );
 }

@@ -19,9 +19,9 @@ use cumulo_sim::{
     DiskConfig, Journal, LatencyConfig, MetricsRegistry, Network, Sim, SimDuration, SimTime,
 };
 use cumulo_store::{
-    ClientId, CompactionPolicyKind, Master, MasterConfig, MemStore, RegionId, RegionMap,
-    RegionServer, RegionServerConfig, ServerDirectory, ServerId, StoreClient, StoreClientConfig,
-    StoreFileData, StoreFileRegistry, Timestamp, WalSyncMode,
+    ChangeKind, ClientId, CompactionPolicyKind, Master, MasterConfig, MemStore, RegionId,
+    RegionMap, RegionServer, RegionServerConfig, ServerDirectory, ServerId, StoreClient,
+    StoreClientConfig, StoreFileData, StoreFileRegistry, Timestamp, WalSyncMode,
 };
 use cumulo_txn::{TransactionManager, TxnManagerConfig};
 use std::cell::RefCell;
@@ -693,38 +693,35 @@ impl Cluster {
 
     /// Cluster-wide snapshot of the online-split statistics: per-server
     /// counters summed, master-side intent/apply/rollback counters
-    /// attached (see `cumulo_store::SplitStats`).
-    pub fn split_totals(&self) -> SplitTotals {
-        SplitTotals {
-            considered: self.metrics.sum("store.split.considered"),
-            intents_requested: self.metrics.sum("store.split.intents_requested"),
-            executing: self.metrics.sum("store.split.executing"),
-            completed: self.metrics.sum("store.split.completed"),
-            server_aborted: self.metrics.sum("store.split.aborted"),
-            intents_persisted: self.metrics.sum("master.split.intents_persisted"),
-            applied: self.metrics.sum("master.split.applied"),
-            rolled_back: self.metrics.sum("master.split.rolled_back"),
+    /// attached (see `cumulo_store::StructureStats`).
+    pub fn split_totals(&self) -> StructureTotals {
+        self.structure_totals(ChangeKind::Split)
+    }
+
+    /// Cluster-wide snapshot of the online-merge statistics, in the same
+    /// terms as [`Cluster::split_totals`].
+    pub fn merge_totals(&self) -> StructureTotals {
+        self.structure_totals(ChangeKind::Merge)
+    }
+
+    fn structure_totals(&self, kind: ChangeKind) -> StructureTotals {
+        let kind = kind.name();
+        let sum = |side: &str, name: &str| self.metrics.sum(&format!("{side}.{kind}.{name}"));
+        StructureTotals {
+            considered: sum("store", "considered"),
+            intents_requested: sum("store", "intents_requested"),
+            executing: sum("store", "executing"),
+            completed: sum("store", "completed"),
+            server_aborted: sum("store", "aborted"),
+            intents_persisted: sum("master", "intents_persisted"),
+            applied: sum("master", "applied"),
+            rolled_back: sum("master", "rolled_back"),
         }
     }
 
     /// Splits applied to the region map so far.
     pub fn total_splits(&self) -> u64 {
         self.master.splits_applied()
-    }
-
-    /// Cluster-wide snapshot of the online-merge statistics, mirroring
-    /// [`Cluster::split_totals`] (see `cumulo_store`'s `MergeStats`).
-    pub fn merge_totals(&self) -> MergeTotals {
-        MergeTotals {
-            considered: self.metrics.sum("store.merge.considered"),
-            intents_requested: self.metrics.sum("store.merge.intents_requested"),
-            executing: self.metrics.sum("store.merge.executing"),
-            completed: self.metrics.sum("store.merge.completed"),
-            server_aborted: self.metrics.sum("store.merge.aborted"),
-            intents_persisted: self.metrics.sum("master.merge.intents_persisted"),
-            applied: self.metrics.sum("master.merge.applied"),
-            rolled_back: self.metrics.sum("master.merge.rolled_back"),
-        }
     }
 
     /// Merges applied to the region map so far.
@@ -851,45 +848,25 @@ impl Cluster {
     }
 }
 
-/// Cluster-wide sums of the online-split statistics (server counters
-/// plus the master's intent bookkeeping).
+/// Cluster-wide sums of the statistics of one kind of online structure
+/// change — splits or merges (server counters plus the master's intent
+/// bookkeeping).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct SplitTotals {
-    /// Split candidacies accepted by servers.
+pub struct StructureTotals {
+    /// Candidacies accepted by servers (timer or admin trigger).
     pub considered: u64,
     /// Intent requests sent to the master.
     pub intents_requested: u64,
     /// Intents whose execution reached reference building.
     pub executing: u64,
-    /// Splits flipped on a server (parent replaced by daughters).
+    /// Changes flipped on a server (inputs replaced by outputs).
     pub completed: u64,
-    /// Granted intents abandoned server-side.
+    /// Requests the master denied plus granted intents abandoned
+    /// server-side.
     pub server_aborted: u64,
     /// Intents the master made durable.
     pub intents_persisted: u64,
-    /// Splits applied to the region map.
-    pub applied: u64,
-    /// Intents rolled back at the master (failover or abort).
-    pub rolled_back: u64,
-}
-
-/// Cluster-wide sums of the online-merge statistics, the exact mirror
-/// of [`SplitTotals`] for the reverse operation.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct MergeTotals {
-    /// Merge candidacies accepted by servers (timer or admin trigger).
-    pub considered: u64,
-    /// Intent requests sent to the master.
-    pub intents_requested: u64,
-    /// Intents whose execution reached reference building.
-    pub executing: u64,
-    /// Merges flipped on a server (daughters replaced by merged region).
-    pub completed: u64,
-    /// Granted intents abandoned server-side (plus denials).
-    pub server_aborted: u64,
-    /// Intents the master made durable.
-    pub intents_persisted: u64,
-    /// Merges applied to the region map.
+    /// Changes applied to the region map.
     pub applied: u64,
     /// Intents rolled back at the master (failover or abort).
     pub rolled_back: u64,

@@ -76,9 +76,7 @@ mod server_tracker;
 #[warn(clippy::unwrap_used, clippy::expect_used)]
 mod txn_client;
 
-pub use cluster::{
-    Cluster, ClusterConfig, CompactionTotals, FilterTotals, MergeTotals, SplitTotals,
-};
+pub use cluster::{Cluster, ClusterConfig, CompactionTotals, FilterTotals, StructureTotals};
 pub use flush_tracker::FlushTracker;
 pub use hooks_impl::MiddlewareHooks;
 pub use persist_tracker::PersistTracker;

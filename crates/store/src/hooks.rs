@@ -4,9 +4,15 @@
 //! (§1): a hook in the master that reports server failures, a hook in
 //! region initialization that delays a recovered region's online
 //! declaration until transactional recovery completes, and server-side
-//! tracking of applied write-sets. This trait is exactly that surface;
-//! `cumulo-core` provides the real implementation, and [`NoopHooks`] is
-//! the behaviour of a vanilla (non-transactional) cluster.
+//! tracking of applied write-sets. [`RecoveryHooks`] is exactly that
+//! surface; `cumulo-core` provides the real implementation, and
+//! [`NoopHooks`] is the behaviour of a vanilla (non-transactional)
+//! cluster.
+//!
+//! The other two traits point the opposite way — the master-side
+//! surfaces a region server calls, kept here so the `server` module
+//! never names `master.rs`: [`StructureCoordinator`] (three calls, the
+//! same three for a split and a merge) and [`ReplicationCoordinator`].
 
 use crate::server::RegionServer;
 use crate::types::{RegionId, ServerId, Timestamp};
@@ -15,52 +21,36 @@ use cumulo_sim::NodeId;
 use std::fmt;
 use std::rc::Rc;
 
-/// The master-side coordination surface an online region split needs: the
-/// region server proposes a split, the master allocates daughter ids and
-/// persists the split intent, and the server reports completion (or
-/// abandonment). The `Master` implements this; servers hold it as a trait
-/// object so `server.rs` does not depend on `master.rs`. All calls are
-/// made *at the master's node* — callers send themselves there through
-/// the simulated network first (see [`SplitCoordinator::node`]).
-pub trait SplitCoordinator {
+/// The master-side coordination surface an online structure change (a
+/// region split or merge) needs: the region server proposes the change,
+/// the master validates it, allocates the output ids and persists the
+/// [`crate::StructureChange`] intent, and the server reports completion
+/// (or abandonment). The `Master` implements this; servers hold it as a
+/// trait object so the `server` module does not depend on `master.rs`.
+/// All calls are made *at the master's node* — callers send themselves
+/// there through the simulated network first (see
+/// [`StructureCoordinator::node`]).
+pub trait StructureCoordinator {
     /// The node the coordinator runs on (the RPC destination).
     fn node(&self) -> NodeId;
 
-    /// A server asks to split `region` (which it hosts) at `split_key`.
-    /// The master validates, persists a [`crate::SplitIntent`], and — once
-    /// the intent is durable — tells the server to execute.
-    fn request_split(&self, server: ServerId, region: RegionId, split_key: Bytes);
+    /// A server asks to replace `inputs` (which it hosts; adjacent, in
+    /// key order) by `cuts.len() + 1` new regions with `cuts` as the
+    /// boundaries between them: one input and one cut is a split, two
+    /// inputs and no cut a merge. The master validates, persists the
+    /// intent, and — once it is durable — tells the server to execute;
+    /// anything else is denied.
+    fn request_change(&self, server: ServerId, inputs: Vec<RegionId>, cuts: Vec<Bytes>);
 
-    /// The server finished the local flip: daughters are online in its
-    /// memory, the parent is gone. The master applies the split to the
-    /// region map and retires the intent.
-    fn split_completed(&self, server: ServerId, parent: RegionId);
+    /// The server finished the local flip of the change whose first
+    /// input is `first`: the outputs are online in its memory, the
+    /// inputs are gone. The master applies the change to the region map
+    /// and retires the intent.
+    fn change_completed(&self, server: ServerId, first: RegionId);
 
     /// The server abandoned an intent it was granted (e.g. the reference
     /// marker writes failed); the master rolls the intent back.
-    fn split_aborted(&self, server: ServerId, parent: RegionId);
-
-    /// A server asks to merge the adjacent shrunken daughters `left` and
-    /// `right` (both of which it hosts). The master validates adjacency
-    /// and co-hosting, persists a [`crate::MergeIntent`], and — once the
-    /// intent is durable — tells the server to execute. The default
-    /// denies: merge arbitration is optional coordinator surface.
-    fn request_merge(&self, server: ServerId, left: RegionId, right: RegionId) {
-        let _ = (server, left, right);
-    }
-
-    /// The server finished the local merge flip: the merged region is
-    /// online in its memory, both daughters are gone. The master applies
-    /// the merge to the region map and retires the intent.
-    fn merge_completed(&self, server: ServerId, left: RegionId) {
-        let _ = (server, left);
-    }
-
-    /// The server abandoned a merge intent it was granted; the master
-    /// rolls the intent back.
-    fn merge_aborted(&self, server: ServerId, left: RegionId) {
-        let _ = (server, left);
-    }
+    fn change_aborted(&self, server: ServerId, first: RegionId);
 }
 
 /// Callbacks from the store into the recovery middleware.
@@ -100,26 +90,10 @@ pub trait RecoveryHooks {
         wal_seq: u64,
         floor: Option<Timestamp>,
     );
-
-    /// The master applied an online split: `parent` was replaced in the
-    /// region map by `bottom`/`top`. Purely informational for the
-    /// middleware (per-region recovery state is keyed by region id and
-    /// daughter ids are fresh); the default does nothing.
-    fn on_region_split(&self, parent: RegionId, bottom: RegionId, top: RegionId) {
-        let _ = (parent, bottom, top);
-    }
-
-    /// The master applied an online merge: adjacent daughters `left` and
-    /// `right` were replaced in the region map by `merged`. Informational,
-    /// mirroring [`RecoveryHooks::on_region_split`]; the default does
-    /// nothing.
-    fn on_region_merged(&self, left: RegionId, right: RegionId, merged: RegionId) {
-        let _ = (left, right, merged);
-    }
 }
 
 /// The master-side coordination surface region replication needs beyond
-/// [`SplitCoordinator`]: lane sync-state reports. A primary must not
+/// [`StructureCoordinator`]: lane sync-state reports. A primary must not
 /// release write gates for an out-of-sync lane until the master has
 /// acknowledged the report — the master is the promotion arbiter, so its
 /// ack is what makes un-gating sound (the backup is now ineligible). All

@@ -4,10 +4,11 @@
 //! middleware interacts with (§2.1):
 //!
 //! * a table partitioned into **regions** (contiguous key ranges), each
-//!   hosted by one **region server** — with **online splits**: a hot
-//!   region is atomically replaced by two daughters whose store-file
-//!   sets are O(metadata) reference half-files over the parent's files
-//!   (see ARCHITECTURE.md, "Online region splits");
+//!   hosted by one **region server** — with **online structure
+//!   changes**: a hot region is atomically replaced by two daughters, or
+//!   two shrunken neighbours by their union, the new store-file sets
+//!   being O(metadata) reference files over the old regions' files (see
+//!   ARCHITECTURE.md, "Structure changes");
 //! * per-region in-memory **memstores** holding recent updates, flushed in
 //!   batches to immutable **store files** in the distributed filesystem;
 //! * a per-server **write-ahead log** whose synchronous flush can be
@@ -116,13 +117,13 @@ pub use compaction::{
     SizeTieredPolicy,
 };
 pub use error::StoreError;
-pub use hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, SplitCoordinator};
+pub use hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, StructureCoordinator};
 pub use master::{Master, MasterConfig, MoveConfig, ServerDirectory};
 pub use memstore::{MemStore, VersionedValue};
-pub use region::{MergeIntent, RegionDescriptor, RegionMap, SplitIntent};
+pub use region::{ChangeKind, RegionDescriptor, RegionMap, StructureChange};
 pub use server::{
     FilterStats, MemstoreSnapshot, RegionServer, RegionServerConfig, ReplAck, ReplicationConfig,
-    ReplicationStats, ScanPage, SplitConfig, SplitStats,
+    ReplicationStats, ScanPage, SplitConfig, StructureStats,
 };
 pub use sstable::{StoreFileBuilder, StoreFileData, StoreFileEntry, StoreFileRegistry};
 pub use types::{ClientId, Mutation, MutationKind, RegionId, ServerId, Timestamp, WriteSet};

@@ -2,8 +2,8 @@
 //! coordination service, WAL splitting and region reassignment.
 
 use crate::codec::WalRecord;
-use crate::hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, SplitCoordinator};
-use crate::region::{MergeIntent, RegionDescriptor, RegionMap, SplitIntent};
+use crate::hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, StructureCoordinator};
+use crate::region::{ChangeKind, RegionDescriptor, RegionMap, StructureChange};
 use crate::server::RegionServer;
 use crate::sstable::StoreFileRegistry;
 use crate::types::{Mutation, RegionId, ServerId};
@@ -123,6 +123,19 @@ impl Default for MoveConfig {
     }
 }
 
+/// The master's bookkeeping for one kind of structure change (kept once
+/// for splits and once for merges, like the servers' `StructureStats`).
+#[derive(Default)]
+struct IntentCounters {
+    /// Intents made durable in the filesystem.
+    persisted: Counter,
+    /// Changes applied to the region map.
+    applied: Counter,
+    /// Intents rolled back (server failed mid-change, marker writes
+    /// failed, or the server no longer recognized the intent).
+    rolled_back: Counter,
+}
+
 /// Per-region state of an in-flight failover of a *replicated* region:
 /// the promotion probe and the WAL-split records race, and the region is
 /// resolved once both the probe concluded and (on fallback) the records
@@ -164,21 +177,14 @@ pub struct Master {
     /// The next region id to hand out to a split daughter (ids are never
     /// reused, so a cached id always means the same key range).
     next_region_id: Cell<u32>,
-    /// Split intents granted and durable but not yet completed, keyed by
-    /// parent region. The master's authoritative in-flight set; the DFS
-    /// record at `/split/{parent}` mirrors it for a real deployment's
-    /// master restart.
-    split_intents: RefCell<HashMap<RegionId, SplitIntent>>,
-    intents_persisted: Counter,
-    splits_applied: Counter,
-    splits_rolled_back: Counter,
-    /// Merge intents granted and durable but not yet completed, keyed by
-    /// the *left* daughter (the intent's filesystem record lives at
-    /// `/merge/{left}`), mirroring `split_intents`.
-    merge_intents: RefCell<HashMap<RegionId, MergeIntent>>,
-    merge_intents_persisted: Counter,
-    merges_applied: Counter,
-    merges_rolled_back: Counter,
+    /// Structure-change intents granted but not yet completed, keyed by
+    /// their first input (a split's parent, a merge's left region). The
+    /// master's authoritative in-flight set; the DFS record at
+    /// [`StructureChange::intent_path`] mirrors it for a real
+    /// deployment's master restart.
+    intents: RefCell<BTreeMap<RegionId, StructureChange>>,
+    split_counters: IntentCounters,
+    merge_counters: IntentCounters,
     /// The one in-flight proactive move, if any: (region, donor, target).
     /// One at a time — moves are a background rebalance, not a bulk
     /// migration, and serializing them keeps the load signal honest
@@ -252,14 +258,9 @@ impl Master {
             failovers: Counter::new(),
             events: RefCell::new(Journal::disabled()),
             next_region_id: Cell::new(0),
-            split_intents: RefCell::new(HashMap::new()),
-            intents_persisted: Counter::new(),
-            splits_applied: Counter::new(),
-            splits_rolled_back: Counter::new(),
-            merge_intents: RefCell::new(HashMap::new()),
-            merge_intents_persisted: Counter::new(),
-            merges_applied: Counter::new(),
-            merges_rolled_back: Counter::new(),
+            intents: RefCell::new(BTreeMap::new()),
+            split_counters: IntentCounters::default(),
+            merge_counters: IntentCounters::default(),
             pending_move: RefCell::new(None),
             moves_started: Counter::new(),
             moves_completed: Counter::new(),
@@ -335,15 +336,16 @@ impl Master {
 
     /// Assigns every region of `map` round-robin across the registered
     /// servers and opens them (cluster bootstrap). Also wires every
-    /// registered server's split coordination back to this master and
-    /// seeds the daughter-id allocator above the map's largest id.
+    /// registered server's structure-change coordination back to this
+    /// master and seeds the region-id allocator above the map's largest
+    /// id.
     pub fn bootstrap(self: &Rc<Self>, map: RegionMap) {
         self.next_region_id
             .set(map.max_region_id().map(|r| r.0 + 1).unwrap_or(0));
         *self.region_map.borrow_mut() = map;
         for id in self.dir.ids() {
             if let Some(server) = self.dir.get(id) {
-                server.set_split_coordinator(Rc::clone(self) as Rc<dyn SplitCoordinator>);
+                server.set_structure_coordinator(Rc::clone(self) as Rc<dyn StructureCoordinator>);
             }
         }
         let descs: Vec<RegionDescriptor> = self.region_map.borrow().regions().to_vec();
@@ -416,20 +418,16 @@ impl Master {
     /// keys. Cluster wiring; call once.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         registry.register_counter("master.failovers", &[], &self.failovers);
-        registry.register_counter(
-            "master.split.intents_persisted",
-            &[],
-            &self.intents_persisted,
-        );
-        registry.register_counter("master.split.applied", &[], &self.splits_applied);
-        registry.register_counter("master.split.rolled_back", &[], &self.splits_rolled_back);
-        registry.register_counter(
-            "master.merge.intents_persisted",
-            &[],
-            &self.merge_intents_persisted,
-        );
-        registry.register_counter("master.merge.applied", &[], &self.merges_applied);
-        registry.register_counter("master.merge.rolled_back", &[], &self.merges_rolled_back);
+        for kind in [ChangeKind::Split, ChangeKind::Merge] {
+            let (c, name) = (self.counters(kind), kind.name());
+            registry.register_counter(
+                &format!("master.{name}.intents_persisted"),
+                &[],
+                &c.persisted,
+            );
+            registry.register_counter(&format!("master.{name}.applied"), &[], &c.applied);
+            registry.register_counter(&format!("master.{name}.rolled_back"), &[], &c.rolled_back);
+        }
         registry.register_counter("master.move.started", &[], &self.moves_started);
         registry.register_counter("master.move.completed", &[], &self.moves_completed);
         registry.register_counter("master.move.refused", &[], &self.moves_refused);
@@ -464,43 +462,24 @@ impl Master {
             .record(self.sim.now(), "server.failover", move || {
                 format!("server={failed} regions={count}")
             });
-        // Roll back any split intent granted to the failed server. This
-        // is always safe before the map flip: clients can only address
+        // Roll back every intent granted to the failed server. This is
+        // always safe before the map flip: clients can only address
         // region ids the map has shown them, so no write was ever
-        // acknowledged under a daughter id — the parent's WAL and store
-        // files still cover everything, and the daughters' orphaned
-        // reference markers are deleted below. (Once `split_completed`
-        // has flipped the map, the intent is gone and the daughters
+        // acknowledged under an output id — the inputs' WALs and store
+        // files still cover everything, and the outputs' orphaned
+        // reference markers are deleted below. (Once `change_completed`
+        // has flipped the map, the intent is gone and the outputs
         // recover here like any other region.)
-        let intents: Vec<SplitIntent> = {
-            let mut pending = self.split_intents.borrow_mut();
-            regions.iter().filter_map(|r| pending.remove(r)).collect()
-        };
-        for intent in intents {
-            self.rollback_intent(intent);
-        }
-        // Merge intents granted to the failed server roll back under the
-        // same argument: the map never flipped, so no client ever
-        // addressed the merged id — both daughters' WALs and store files
-        // are untouched and recover normally below.
-        let merge_intents: Vec<MergeIntent> = {
-            let mut pending = self.merge_intents.borrow_mut();
-            let mut doomed: Vec<RegionId> = pending
-                .iter()
-                .filter(|(_, i)| i.server == failed)
-                .map(|(k, _)| *k)
-                .collect();
-            // HashMap iteration order varies per process; roll back in
-            // key order so runs with the same seed stay byte-identical.
-            doomed.sort_unstable();
-            doomed
-                .into_iter()
-                .filter_map(|k| pending.remove(&k))
-                .collect()
-        };
-        // lint:allow(CD001, reason = "false positive: this `merge_intents` is the local Vec built above, already sorted by key — it shadows the map field of the same name")
-        for intent in merge_intents {
-            self.rollback_merge_intent(intent);
+        // (The map is ordered, so the rollbacks run in key order and
+        // runs with the same seed stay byte-identical.)
+        let (doomed, kept): (BTreeMap<_, _>, BTreeMap<_, _>) = self
+            .intents
+            .take()
+            .into_iter()
+            .partition(|(_, change)| change.server == failed);
+        self.intents.replace(kept);
+        for change in doomed.into_values() {
+            self.rollback_intent(change);
         }
         // A move whose donor or target died is abandoned: the region is
         // either still assigned to the donor (recovered right here) or
@@ -554,66 +533,39 @@ impl Master {
         });
     }
 
-    /// Rolls a durable-but-uncompleted split intent back: the intent
-    /// record and the daughters' orphaned reference markers are deleted;
-    /// the region map was never touched.
-    fn rollback_intent(&self, intent: SplitIntent) {
-        self.splits_rolled_back.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.rollback", move || {
-                format!("region={} server={}", intent.parent, intent.server)
-            });
-        self.dfs.delete(&format!("/split/{}", intent.parent));
-        for daughter in [intent.bottom, intent.top] {
-            // The dead server may have registered reference half-files
-            // before crashing; purge them so the parent's physical files
-            // do not carry inflated backing counts forever (which would
-            // make them undeletable after a later successful split).
+    /// Rolls a granted-but-uncompleted intent back: the intent record
+    /// and the outputs' orphaned reference markers are deleted; the
+    /// region map was never touched, so the inputs carry on (or recover)
+    /// from their own untouched files.
+    fn rollback_intent(&self, change: StructureChange) {
+        let kind = change.kind();
+        self.counters(kind).rolled_back.inc();
+        let (inputs, server) = (change.inputs.clone(), change.server);
+        self.events.borrow().record(
+            self.sim.now(),
+            kind.pick("split.rollback", "merge.rollback"),
+            move || format!("{} server={server}", kind.inputs_label(&inputs)),
+        );
+        self.dfs.delete(&change.intent_path());
+        for output in change.outputs {
+            let dir = format!("/store/{}/", output.id);
+            // The dead server may have registered reference files before
+            // crashing; purge them so the inputs' physical files do not
+            // carry inflated backing counts forever (which would make
+            // them undeletable after a later successful change).
             if let Some(registry) = self.registry.borrow().as_ref() {
-                registry.purge_references_under(&format!("/store/{daughter}/"));
+                registry.purge_references_under(&dir);
             }
             let dfs = self.dfs.clone();
-            self.dfs
-                .clone()
-                .list(&format!("/store/{daughter}/"), move |paths| {
-                    for p in paths {
-                        dfs.delete(&p);
-                    }
-                });
-        }
-    }
-
-    /// Rolls a durable-but-uncompleted merge intent back: the intent
-    /// record and the merged region's orphaned reference markers are
-    /// deleted; the region map was never touched, so both daughters
-    /// recover from their own untouched files.
-    fn rollback_merge_intent(&self, intent: MergeIntent) {
-        self.merges_rolled_back.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.rollback", move || {
-                format!(
-                    "left={} right={} server={}",
-                    intent.left, intent.right, intent.server
-                )
-            });
-        self.dfs.delete(&format!("/merge/{}", intent.left));
-        let merged = intent.merged;
-        if let Some(registry) = self.registry.borrow().as_ref() {
-            registry.purge_references_under(&format!("/store/{merged}/"));
-        }
-        let dfs = self.dfs.clone();
-        self.dfs
-            .clone()
-            .list(&format!("/store/{merged}/"), move |paths| {
+            self.dfs.clone().list(&dir, move |paths| {
                 for p in paths {
                     dfs.delete(&p);
                 }
             });
+        }
     }
 
-    /// Installs the shared store-file registry (cluster wiring) so split
+    /// Installs the shared store-file registry (cluster wiring) so intent
     /// rollbacks can purge a crashed server's orphaned reference
     /// registrations. Without one, rollbacks only clean the filesystem.
     pub fn set_registry(&self, registry: Rc<StoreFileRegistry>) {
@@ -805,234 +757,125 @@ impl Master {
     }
 
     // ------------------------------------------------------------------
-    // Online region splits (master side; see `SplitCoordinator`)
+    // Online structure changes — splits and merges (master side; see
+    // `StructureCoordinator`)
     // ------------------------------------------------------------------
-
-    /// Split intents made durable in the filesystem.
-    pub fn split_intents_persisted(&self) -> u64 {
-        self.intents_persisted.get()
-    }
 
     /// Splits applied to the region map.
     pub fn splits_applied(&self) -> u64 {
-        self.splits_applied.get()
-    }
-
-    /// Split intents rolled back (server failed mid-split, marker writes
-    /// failed, or the intent could not be persisted).
-    pub fn splits_rolled_back(&self) -> u64 {
-        self.splits_rolled_back.get()
-    }
-
-    /// Whether a split intent is currently outstanding for `region`.
-    pub fn split_intent_outstanding(&self, region: RegionId) -> bool {
-        self.split_intents.borrow().contains_key(&region)
-    }
-
-    /// Validates a server's split request; on success persists the
-    /// intent and, once durable, tells the server to execute.
-    fn handle_split_request(self: &Rc<Self>, server: ServerId, region: RegionId, split_key: Bytes) {
-        let valid = {
-            let map = self.region_map.borrow();
-            let assigned_here = map.server_for(region) == Some(server);
-            let inside = map
-                .descriptor(region)
-                .map(|d| {
-                    split_key[..] > d.start[..]
-                        && d.end.as_ref().map(|e| &split_key < e).unwrap_or(true)
-                })
-                .unwrap_or(false);
-            assigned_here
-                && inside
-                && !self.handled_failures.borrow().contains(&server)
-                && !self.split_intents.borrow().contains_key(&region)
-                && !self.merge_involves(region)
-        };
-        if !valid {
-            self.deny_split(server, region);
-            return;
-        }
-        let bottom = RegionId(self.next_region_id.get());
-        let top = RegionId(self.next_region_id.get() + 1);
-        self.next_region_id.set(self.next_region_id.get() + 2);
-        let intent = SplitIntent {
-            parent: region,
-            split_key: split_key.clone(),
-            bottom,
-            top,
-            server,
-        };
-        // Record in memory first so a racing second request is denied;
-        // the DFS record is written before the server may execute — the
-        // durability point the crash-window analysis hinges on.
-        self.split_intents
-            .borrow_mut()
-            .insert(region, intent.clone());
-        let encoded = intent.encode();
-        let weak = Rc::downgrade(self);
-        self.dfs.create(&format!("/split/{region}"), move |file| {
-            let Some(master) = weak.upgrade() else { return };
-            let Ok(file) = file else {
-                // Create can fail with AlreadyExists when an earlier
-                // attempt's append died half-way and left the file
-                // behind; delete it so the region is not permanently
-                // split-blocked, then deny (the server re-requests).
-                master.dfs.delete(&format!("/split/{region}"));
-                master.split_intents.borrow_mut().remove(&region);
-                master.deny_split(server, region);
-                return;
-            };
-            let weak = weak.clone();
-            file.append(encoded, move |result| {
-                let Some(master) = weak.upgrade() else { return };
-                if result.is_err() {
-                    // The created-but-unwritten intent file would block
-                    // every future split of this region (AlreadyExists).
-                    master.dfs.delete(&format!("/split/{region}"));
-                    master.split_intents.borrow_mut().remove(&region);
-                    master.deny_split(server, region);
-                    return;
-                }
-                master.intents_persisted.inc();
-                master
-                    .events
-                    .borrow()
-                    .record(master.sim.now(), "split.persisted", move || {
-                        format!("region={region} server={server} bottom={bottom} top={top}")
-                    });
-                // The server may have died while the intent was being
-                // written; its failover already rolled the intent back.
-                if !master.split_intents.borrow().contains_key(&region) {
-                    return;
-                }
-                let Some(target) = master.dir.get(server) else {
-                    return;
-                };
-                let node = target.node();
-                master.net.send(master.node, node, 96, move || {
-                    target.execute_split(region, split_key, bottom, top);
-                });
-            });
-        });
-    }
-
-    fn deny_split(&self, server: ServerId, region: RegionId) {
-        let Some(target) = self.dir.get(server) else {
-            return;
-        };
-        let node = target.node();
-        self.net.send(self.node, node, 48, move || {
-            target.split_request_denied(region);
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Online region merges (master side; see `SplitCoordinator`)
-    // ------------------------------------------------------------------
-
-    /// Merge intents made durable in the filesystem.
-    pub fn merge_intents_persisted(&self) -> u64 {
-        self.merge_intents_persisted.get()
+        self.split_counters.applied.get()
     }
 
     /// Merges applied to the region map.
     pub fn merges_applied(&self) -> u64 {
-        self.merges_applied.get()
+        self.merge_counters.applied.get()
     }
 
-    /// Merge intents rolled back (server failed mid-merge, marker writes
-    /// failed, or the intent could not be persisted).
-    pub fn merges_rolled_back(&self) -> u64 {
-        self.merges_rolled_back.get()
+    fn counters(&self, kind: ChangeKind) -> &IntentCounters {
+        kind.pick(&self.split_counters, &self.merge_counters)
     }
 
-    /// Whether a merge intent currently involves `region` (as either
-    /// daughter).
-    pub fn merge_involves(&self, region: RegionId) -> bool {
-        self.merge_intents
+    /// Whether an outstanding intent names `region` as an input.
+    fn intent_involves(&self, region: RegionId) -> bool {
+        self.intents
             .borrow()
             .values()
-            .any(|i| i.left == region || i.right == region)
+            .any(|change| change.inputs.contains(&region))
     }
 
-    /// Validates a server's merge request; on success persists the
-    /// intent and, once durable, tells the server to execute. Valid
-    /// requests name two regions that are adjacent in key order, both
-    /// assigned to the requesting server, with no split or merge intent
-    /// outstanding on either. Merging replicated regions is not
-    /// supported: the daughters' shadow lanes would have to be collapsed
-    /// too, and the scale campaign does not need the combination.
-    fn handle_merge_request(self: &Rc<Self>, server: ServerId, left: RegionId, right: RegionId) {
-        let valid = {
-            let map = self.region_map.borrow();
-            let assigned_here =
-                map.server_for(left) == Some(server) && map.server_for(right) == Some(server);
-            let adjacent = map
-                .descriptor(left)
-                .zip(map.descriptor(right))
-                .map(|(l, r)| l.end.as_deref() == Some(&r.start[..]))
-                .unwrap_or(false);
-            let unreplicated =
-                map.replicas_of(left).is_empty() && map.replicas_of(right).is_empty();
-            let intents = self.split_intents.borrow();
-            assigned_here
-                && adjacent
-                && unreplicated
-                && !self.handled_failures.borrow().contains(&server)
-                && !intents.contains_key(&left)
-                && !intents.contains_key(&right)
-                && !self.merge_involves(left)
-                && !self.merge_involves(right)
+    /// Validates a server's proposal and builds the change it asks for,
+    /// with freshly allocated output ids. Every input must be assigned
+    /// to the (live) requesting server with no intent outstanding on it;
+    /// beyond that a split's key must fall strictly inside the parent,
+    /// and a merge's pair must be adjacent in key order and
+    /// unreplicated (the inputs' shadow lanes would have to be collapsed
+    /// too, and the scale campaign does not need the combination). Any
+    /// other shape is refused.
+    fn admit_change(
+        &self,
+        server: ServerId,
+        inputs: &[RegionId],
+        cuts: &[Bytes],
+    ) -> Option<StructureChange> {
+        let map = self.region_map.borrow();
+        let descs: Vec<&RegionDescriptor> = inputs
+            .iter()
+            .map(|r| map.descriptor(*r))
+            .collect::<Option<_>>()?;
+        let shape_valid = match (&descs[..], cuts) {
+            ([parent], [key]) => parent.splits_at(key),
+            ([left, right], []) => {
+                left.end.as_deref() == Some(&right.start[..])
+                    && map.replicas_of(left.id).is_empty()
+                    && map.replicas_of(right.id).is_empty()
+            }
+            _ => false,
         };
+        let valid = shape_valid
+            && !self.handled_failures.borrow().contains(&server)
+            && inputs
+                .iter()
+                .all(|r| map.server_for(*r) == Some(server) && !self.intent_involves(*r));
         if !valid {
-            self.deny_merge(server, left);
-            return;
+            return None;
         }
-        let merged = RegionId(self.next_region_id.get());
-        self.next_region_id.set(self.next_region_id.get() + 1);
-        let intent = MergeIntent {
-            left,
-            right,
-            merged,
-            server,
+        let next = self.next_region_id.get();
+        let ids: Vec<RegionId> = (next..).take(cuts.len() + 1).map(RegionId).collect();
+        self.next_region_id.set(next + ids.len() as u32);
+        Some(StructureChange::new(&descs, cuts, &ids, server))
+    }
+
+    /// Validates a server's request; on success persists the intent and,
+    /// once durable, tells the server to execute.
+    fn handle_change_request(
+        self: &Rc<Self>,
+        server: ServerId,
+        inputs: Vec<RegionId>,
+        cuts: Vec<Bytes>,
+    ) {
+        let Some(&first) = inputs.first() else {
+            return;
+        };
+        let Some(change) = self.admit_change(server, &inputs, &cuts) else {
+            self.deny(server, first);
+            return;
         };
         // Record in memory first so a racing second request is denied;
         // the DFS record is written before the server may execute — the
-        // same durability point as the split intent.
-        self.merge_intents.borrow_mut().insert(left, intent.clone());
-        let encoded = intent.encode();
+        // durability point the crash-window analysis hinges on.
+        self.intents.borrow_mut().insert(first, change.clone());
+        let encoded = change.encode();
         let weak = Rc::downgrade(self);
-        self.dfs.create(&format!("/merge/{left}"), move |file| {
+        self.dfs.create(&change.intent_path(), move |file| {
             let Some(master) = weak.upgrade() else { return };
             let Ok(file) = file else {
-                // Create can fail with AlreadyExists when an earlier
-                // attempt's append died half-way and left the file
-                // behind; delete it so the pair is not permanently
-                // merge-blocked, then deny (the server re-requests).
-                master.dfs.delete(&format!("/merge/{left}"));
-                master.merge_intents.borrow_mut().remove(&left);
-                master.deny_merge(server, left);
+                master.refuse_intent(&change);
                 return;
             };
             let weak = weak.clone();
             file.append(encoded, move |result| {
                 let Some(master) = weak.upgrade() else { return };
                 if result.is_err() {
-                    master.dfs.delete(&format!("/merge/{left}"));
-                    master.merge_intents.borrow_mut().remove(&left);
-                    master.deny_merge(server, left);
+                    master.refuse_intent(&change);
                     return;
                 }
-                master.merge_intents_persisted.inc();
-                master
-                    .events
-                    .borrow()
-                    .record(master.sim.now(), "merge.persisted", move || {
-                        format!("left={left} right={right} server={server} merged={merged}")
-                    });
+                let kind = change.kind();
+                master.counters(kind).persisted.inc();
+                let journal_change = change.clone();
+                master.events.borrow().record(
+                    master.sim.now(),
+                    kind.pick("split.persisted", "merge.persisted"),
+                    move || {
+                        format!(
+                            "{} server={server} {}",
+                            kind.inputs_label(&journal_change.inputs),
+                            journal_change.outputs_label()
+                        )
+                    },
+                );
                 // The server may have died while the intent was being
                 // written; its failover already rolled the intent back.
-                if !master.merge_intents.borrow().contains_key(&left) {
+                if !master.intents.borrow().contains_key(&first) {
                     return;
                 }
                 let Some(target) = master.dir.get(server) else {
@@ -1040,19 +883,31 @@ impl Master {
                 };
                 let node = target.node();
                 master.net.send(master.node, node, 96, move || {
-                    target.execute_merge(left, right, merged);
+                    target.execute_change(change);
                 });
             });
         });
     }
 
-    fn deny_merge(&self, server: ServerId, left: RegionId) {
+    /// The intent record could not be written. Creating it fails with
+    /// AlreadyExists when an earlier attempt's append died half-way and
+    /// left the file behind, and a created-but-unwritten record would do
+    /// the same to every later attempt: delete it so the inputs are not
+    /// permanently blocked, then deny (the server re-requests).
+    fn refuse_intent(&self, change: &StructureChange) {
+        let first = change.inputs[0];
+        self.dfs.delete(&change.intent_path());
+        self.intents.borrow_mut().remove(&first);
+        self.deny(change.server, first);
+    }
+
+    fn deny(&self, server: ServerId, first: RegionId) {
         let Some(target) = self.dir.get(server) else {
             return;
         };
         let node = target.node();
         self.net.send(self.node, node, 48, move || {
-            target.merge_request_denied(left);
+            target.change_request_denied(first);
         });
     }
 
@@ -1112,11 +967,7 @@ impl Master {
             let candidate = map
                 .regions_of(hot)
                 .into_iter()
-                .filter(|r| {
-                    !self.split_intents.borrow().contains_key(r)
-                        && !self.merge_involves(*r)
-                        && map.replicas_of(*r).is_empty()
-                })
+                .filter(|r| !self.intent_involves(*r) && map.replicas_of(*r).is_empty())
                 .map(|r| (donor.region_load_ns(r), r))
                 .max_by(|a, b| (a.0, std::cmp::Reverse(a.1)).cmp(&(b.0, std::cmp::Reverse(b.1))));
             candidate.map(|(_, region)| (region, hot, cold))
@@ -1543,135 +1394,74 @@ impl Master {
     }
 }
 
-impl SplitCoordinator for Master {
+impl StructureCoordinator for Master {
     fn node(&self) -> NodeId {
         self.node
     }
 
-    fn request_split(&self, server: ServerId, region: RegionId, split_key: Bytes) {
+    fn request_change(&self, server: ServerId, inputs: Vec<RegionId>, cuts: Vec<Bytes>) {
         if let Some(master) = self.self_weak.borrow().upgrade() {
-            master.handle_split_request(server, region, split_key);
+            master.handle_change_request(server, inputs, cuts);
         }
     }
 
-    fn split_completed(&self, server: ServerId, parent: RegionId) {
+    fn change_completed(&self, server: ServerId, first: RegionId) {
         // A failover that raced ahead has already rolled the intent back
         // (and this message came from a now-dead server): ignore.
-        let intent = {
-            let intents = self.split_intents.borrow();
-            match intents.get(&parent) {
-                Some(i) if i.server == server => Some(i.clone()),
-                _ => None,
-            }
-        };
-        let Some(intent) = intent else { return };
+        let change = self
+            .intents
+            .borrow()
+            .get(&first)
+            .filter(|change| change.server == server)
+            .cloned();
+        let Some(change) = change else { return };
         if self.handled_failures.borrow().contains(&server) {
             return;
         }
-        let applied = self.region_map.borrow_mut().apply_split(
-            parent,
-            &intent.split_key,
-            intent.bottom,
-            intent.top,
-        );
-        if !applied {
+        if !self.region_map.borrow_mut().apply_change(&change) {
             return;
         }
-        self.split_intents.borrow_mut().remove(&parent);
-        self.splits_applied.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.applied", move || {
-                format!(
-                    "region={parent} bottom={} top={}",
-                    intent.bottom, intent.top
-                )
-            });
-        self.dfs.delete(&format!("/split/{parent}"));
-        self.hooks
-            .borrow()
-            .on_region_split(parent, intent.bottom, intent.top);
-        // The daughters inherited the parent's replicas in the map;
+        self.intents.borrow_mut().remove(&first);
+        let kind = change.kind();
+        self.counters(kind).applied.inc();
+        let journal_change = change.clone();
+        self.events.borrow().record(
+            self.sim.now(),
+            kind.pick("split.applied", "merge.applied"),
+            move || journal_change.label(),
+        );
+        self.dfs.delete(&change.intent_path());
+        // Split daughters inherited the parent's replicas in the map;
         // rebuild their groups under the bumped epoch (the server already
         // moved its lanes and closed the parent shadows at the flip).
-        if self.replication_factor.get() > 1 {
+        // Merges only ever touch unreplicated regions.
+        if self.replication_factor.get() > 1 && kind == ChangeKind::Split {
             if let Some(master) = self.self_weak.borrow().upgrade() {
-                master.repl_epochs.borrow_mut().remove(&parent);
-                for daughter in [intent.bottom, intent.top] {
-                    if !master.region_map.borrow().replicas_of(daughter).is_empty() {
-                        master.establish_group(daughter);
+                master.repl_epochs.borrow_mut().remove(&first);
+                for daughter in &change.outputs {
+                    if !master
+                        .region_map
+                        .borrow()
+                        .replicas_of(daughter.id)
+                        .is_empty()
+                    {
+                        master.establish_group(daughter.id);
                     }
                 }
             }
         }
     }
 
-    fn split_aborted(&self, server: ServerId, parent: RegionId) {
-        let intent = {
-            let mut intents = self.split_intents.borrow_mut();
-            match intents.get(&parent) {
-                Some(i) if i.server == server => intents.remove(&parent),
+    fn change_aborted(&self, server: ServerId, first: RegionId) {
+        let change = {
+            let mut intents = self.intents.borrow_mut();
+            match intents.get(&first) {
+                Some(change) if change.server == server => intents.remove(&first),
                 _ => None,
             }
         };
-        if let Some(intent) = intent {
-            self.rollback_intent(intent);
-        }
-    }
-
-    fn request_merge(&self, server: ServerId, left: RegionId, right: RegionId) {
-        if let Some(master) = self.self_weak.borrow().upgrade() {
-            master.handle_merge_request(server, left, right);
-        }
-    }
-
-    fn merge_completed(&self, server: ServerId, left: RegionId) {
-        // A failover that raced ahead has already rolled the intent back
-        // (and this message came from a now-dead server): ignore.
-        let intent = {
-            let intents = self.merge_intents.borrow();
-            match intents.get(&left) {
-                Some(i) if i.server == server => Some(i.clone()),
-                _ => None,
-            }
-        };
-        let Some(intent) = intent else { return };
-        if self.handled_failures.borrow().contains(&server) {
-            return;
-        }
-        let applied =
-            self.region_map
-                .borrow_mut()
-                .apply_merge(intent.left, intent.right, intent.merged);
-        if !applied {
-            return;
-        }
-        self.merge_intents.borrow_mut().remove(&left);
-        self.merges_applied.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.applied", move || {
-                format!(
-                    "left={} right={} merged={}",
-                    intent.left, intent.right, intent.merged
-                )
-            });
-        self.dfs.delete(&format!("/merge/{left}"));
-        self.hooks
-            .borrow()
-            .on_region_merged(intent.left, intent.right, intent.merged);
-    }
-
-    fn merge_aborted(&self, server: ServerId, left: RegionId) {
-        let intent = {
-            let mut intents = self.merge_intents.borrow_mut();
-            match intents.get(&left) {
-                Some(i) if i.server == server => intents.remove(&left),
-                _ => None,
-            }
-        };
-        if let Some(intent) = intent {
-            self.rollback_merge_intent(intent);
+        if let Some(change) = change {
+            self.rollback_intent(change);
         }
     }
 }

@@ -4,13 +4,19 @@
 //! range; every region is hosted by exactly one region server at a time
 //! (§2.1 of the paper). The paper itself treats the boundaries as fixed
 //! (online splits are out of its scope), but this implementation goes
-//! further: the map is epoch-versioned and *mutable* — an online region
-//! split ([`RegionMap::apply_split`]) atomically replaces a hot parent
-//! region with two daughters, and clients that route with a stale map get
-//! a `WrongRegion` error telling them to refresh and re-group (see
-//! ARCHITECTURE.md, "Online region splits"). [`RegionMap::from_split_points`]
-//! remains the bootstrap path. Region ids are never reused, so a cached id
-//! always means the same key range.
+//! further: the map is epoch-versioned and *mutable* — an online
+//! [`StructureChange`] ([`RegionMap::apply_change`]) atomically replaces a
+//! hot parent region with two daughters (a split) or two shrunken
+//! neighbours with their union (a merge), and clients that route with a
+//! stale map get a `WrongRegion` error telling them to refresh and
+//! re-group (see ARCHITECTURE.md, "Structure changes").
+//! [`RegionMap::from_split_points`] remains the bootstrap path. Region ids
+//! are never reused, so a cached id always means the same key range.
+//!
+//! [`StructureChange`] is the one description of such a change — the
+//! server's unit of work, the master's in-flight record and the durable
+//! intent's wire form; [`ChangeKind`], derived from its shape, carries
+//! the few strings in which a split and a merge differ.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::types::{RegionId, ServerId};
@@ -18,104 +24,197 @@ use bytes::Bytes;
 use std::collections::HashMap;
 use std::fmt;
 
-/// The durable record of an in-flight online split, persisted by the
-/// master (at `/split/{parent}` in the filesystem) *before* the hosting
-/// server is told to execute. Failover of a server with an intent
-/// outstanding consults it to either roll the split back (daughters never
-/// went live in the map — always safe, because clients cannot address
-/// daughter ids the map has never shown them) or, once the map flip
-/// happened, recover the daughters directly. Parent and daughters are
-/// never served simultaneously.
+/// Which structure change a [`StructureChange`] is. Derived from the
+/// shape, never stored: one input is a split, two are a merge. The kind
+/// supplies what differs between the two on the wire and in the journals
+/// (ARCHITECTURE.md, "Structure changes", has the table).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum ChangeKind {
+    /// One region replaced by two daughters cut at a key inside it.
+    Split,
+    /// Two adjacent regions replaced by one spanning their union.
+    Merge,
+}
+
+impl ChangeKind {
+    /// The kind of the change that replaces `inputs`.
+    pub fn of(inputs: &[RegionId]) -> ChangeKind {
+        if inputs.len() == 1 {
+            ChangeKind::Split
+        } else {
+            ChangeKind::Merge
+        }
+    }
+
+    /// `"split"` or `"merge"`: the metric-name segment and the intent
+    /// record's directory.
+    pub fn name(self) -> &'static str {
+        self.pick("split", "merge")
+    }
+
+    /// The first argument for a split, the second for a merge. Journal
+    /// kinds are `&'static str`, so each record site names both.
+    pub fn pick<T>(self, split: T, merge: T) -> T {
+        match self {
+            ChangeKind::Split => split,
+            ChangeKind::Merge => merge,
+        }
+    }
+
+    /// The journal-detail rendering of a change's inputs: `region=4`
+    /// for a split, `left=4 right=5` for a merge.
+    pub fn inputs_label(self, inputs: &[RegionId]) -> String {
+        labelled(self.pick(&["region"][..], &["left", "right"][..]), inputs)
+    }
+}
+
+fn labelled(names: &[&str], ids: &[RegionId]) -> String {
+    let parts: Vec<String> = names
+        .iter()
+        .zip(ids)
+        .map(|(name, id)| format!("{name}={id}"))
+        .collect();
+    parts.join(" ")
+}
+
+/// One online change to the table's structure: the adjacent regions
+/// `inputs` (in key order) are atomically replaced by `outputs`, which
+/// partition exactly the same key range (also in key order). A split is
+/// 1→2, a merge 2→1. This is both the master's in-flight record and the
+/// durable intent it persists (at `/split/{parent}` or `/merge/{left}`)
+/// *before* the hosting server is told to execute. Failover of a server
+/// with an intent outstanding rolls the change back when the map never
+/// flipped — always safe, because clients cannot address output ids the
+/// map has never shown them; after the flip the outputs recover like
+/// any other region. Inputs and outputs are never served simultaneously.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SplitIntent {
-    /// The region being split.
-    pub parent: RegionId,
-    /// The daughter boundary: bottom gets `[start, split_key)`, top gets
-    /// `[split_key, end)`.
-    pub split_key: Bytes,
-    /// The bottom daughter's id.
-    pub bottom: RegionId,
-    /// The top daughter's id.
-    pub top: RegionId,
-    /// The server executing the split.
+pub struct StructureChange {
+    /// The regions being replaced, adjacent and in key order.
+    pub inputs: Vec<RegionId>,
+    /// The regions replacing them, with never-before-used ids.
+    pub outputs: Vec<RegionDescriptor>,
+    /// The server executing the change (it hosts every input).
     pub server: ServerId,
 }
 
-impl SplitIntent {
-    /// Serializes the intent for its filesystem record.
+impl StructureChange {
+    /// The change that replaces `inputs` (adjacent, in key order) with
+    /// `ids.len()` regions whose interior boundaries are `cuts`: output
+    /// `i` spans from the `i`-th boundary to the next, the outermost
+    /// boundaries being the inputs' own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is empty or `ids.len() != cuts.len() + 1`.
+    pub fn new(
+        inputs: &[&RegionDescriptor],
+        cuts: &[Bytes],
+        ids: &[RegionId],
+        server: ServerId,
+    ) -> StructureChange {
+        assert_eq!(ids.len(), cuts.len() + 1, "one output per key range");
+        let last = inputs
+            .last()
+            .expect("a change replaces at least one region");
+        let starts = std::iter::once(&inputs[0].start).chain(cuts);
+        let ends = cuts.iter().cloned().map(Some).chain([last.end.clone()]);
+        StructureChange {
+            inputs: inputs.iter().map(|d| d.id).collect(),
+            outputs: ids
+                .iter()
+                .zip(starts.zip(ends))
+                .map(|(id, (start, end))| RegionDescriptor {
+                    id: *id,
+                    start: start.clone(),
+                    end,
+                })
+                .collect(),
+            server,
+        }
+    }
+
+    /// Split or merge, by shape.
+    pub fn kind(&self) -> ChangeKind {
+        ChangeKind::of(&self.inputs)
+    }
+
+    /// The journal-detail rendering of the outputs: `bottom=6 top=7`
+    /// for a split, `merged=6` for a merge.
+    pub fn outputs_label(&self) -> String {
+        let ids: Vec<RegionId> = self.outputs.iter().map(|o| o.id).collect();
+        let names = self.kind().pick(&["bottom", "top"][..], &["merged"][..]);
+        labelled(names, &ids)
+    }
+
+    /// The inputs ([`ChangeKind::inputs_label`]), then the outputs.
+    pub fn label(&self) -> String {
+        let inputs = self.kind().inputs_label(&self.inputs);
+        format!("{inputs} {}", self.outputs_label())
+    }
+
+    /// The boundaries between consecutive outputs (a split's one key;
+    /// none for a merge).
+    pub fn cuts(&self) -> impl Iterator<Item = &Bytes> {
+        self.outputs.iter().skip(1).map(|o| &o.start)
+    }
+
+    /// Where the intent record lives in the filesystem.
+    pub fn intent_path(&self) -> String {
+        format!("/{}/{}", self.kind().name(), self.inputs[0])
+    }
+
+    /// Serializes the intent for its filesystem record: input ids, the
+    /// cuts, output ids, the server. The inputs' outer boundaries are
+    /// not recorded — the region map the intent is against has them.
     pub fn encode(&self) -> Bytes {
         let mut enc = Encoder::new();
-        enc.put_u32(self.parent.0);
-        enc.put_bytes(&self.split_key);
-        enc.put_u32(self.bottom.0);
-        enc.put_u32(self.top.0);
+        for id in &self.inputs {
+            enc.put_u32(id.0);
+        }
+        for cut in self.cuts() {
+            enc.put_bytes(cut);
+        }
+        for out in &self.outputs {
+            enc.put_u32(out.id.0);
+        }
         enc.put_u32(self.server.0);
         enc.finish()
     }
 
     /// Parses an intent record previously produced by
-    /// [`SplitIntent::encode`].
+    /// [`StructureChange::encode`]. The record's directory gives the
+    /// `kind`; `map` — which must still hold the inputs, as it does for
+    /// any intent that has not flipped — supplies their outer boundaries.
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on truncated or corrupt input.
-    pub fn decode(buf: &[u8]) -> Result<SplitIntent, DecodeError> {
+    /// Returns a [`DecodeError`] on truncated or corrupt input, or when
+    /// an input is not in `map`.
+    pub fn decode(
+        kind: ChangeKind,
+        buf: &[u8],
+        map: &RegionMap,
+    ) -> Result<StructureChange, DecodeError> {
+        let (n_in, n_out) = kind.pick((1, 2), (2, 1));
         let mut dec = Decoder::new(buf);
-        Ok(SplitIntent {
-            parent: RegionId(dec.get_u32()?),
-            split_key: dec.get_bytes()?,
-            bottom: RegionId(dec.get_u32()?),
-            top: RegionId(dec.get_u32()?),
-            server: ServerId(dec.get_u32()?),
-        })
-    }
-}
-
-/// The durable record of an in-flight online merge, persisted by the
-/// master (at `/merge/{left}` in the filesystem) *before* the hosting
-/// server is told to execute — the mirror image of [`SplitIntent`]. Two
-/// adjacent shrunken daughters `left` and `right` collapse into a single
-/// `merged` region spanning their union. Failover of a server with a
-/// merge intent outstanding rolls the merge back when the map never
-/// flipped (clients cannot address the merged id the map has never shown
-/// them); after the flip the merged region recovers like any other.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MergeIntent {
-    /// The lower-range region being merged (`[start, boundary)`).
-    pub left: RegionId,
-    /// The upper-range region being merged (`[boundary, end)`).
-    pub right: RegionId,
-    /// The merged region's id (`[left.start, right.end)`).
-    pub merged: RegionId,
-    /// The server executing the merge (it must host both daughters).
-    pub server: ServerId,
-}
-
-impl MergeIntent {
-    /// Serializes the intent for its filesystem record.
-    pub fn encode(&self) -> Bytes {
-        let mut enc = Encoder::new();
-        enc.put_u32(self.left.0);
-        enc.put_u32(self.right.0);
-        enc.put_u32(self.merged.0);
-        enc.put_u32(self.server.0);
-        enc.finish()
-    }
-
-    /// Parses an intent record previously produced by
-    /// [`MergeIntent::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncated or corrupt input.
-    pub fn decode(buf: &[u8]) -> Result<MergeIntent, DecodeError> {
-        let mut dec = Decoder::new(buf);
-        Ok(MergeIntent {
-            left: RegionId(dec.get_u32()?),
-            right: RegionId(dec.get_u32()?),
-            merged: RegionId(dec.get_u32()?),
-            server: ServerId(dec.get_u32()?),
-        })
+        let mut inputs = Vec::with_capacity(n_in);
+        for _ in 0..n_in {
+            let id = RegionId(dec.get_u32()?);
+            inputs.push(
+                map.descriptor(id)
+                    .ok_or_else(|| dec.error("unknown input region"))?,
+            );
+        }
+        let mut cuts = Vec::with_capacity(n_out - 1);
+        for _ in 1..n_out {
+            cuts.push(dec.get_bytes()?);
+        }
+        let mut ids = Vec::with_capacity(n_out);
+        for _ in 0..n_out {
+            ids.push(RegionId(dec.get_u32()?));
+        }
+        let server = ServerId(dec.get_u32()?);
+        Ok(StructureChange::new(&inputs, &cuts, &ids, server))
     }
 }
 
@@ -138,6 +237,12 @@ impl RegionDescriptor {
                 Some(end) => row < &end[..],
                 None => true,
             }
+    }
+
+    /// Whether `key` could split this region: inside it and above its
+    /// start, so both sides of the cut are non-empty key ranges.
+    pub fn splits_at(&self, key: &[u8]) -> bool {
+        key > &self.start[..] && self.contains(key)
     }
 }
 
@@ -344,97 +449,72 @@ impl RegionMap {
         out
     }
 
-    /// Applies an online split: the `parent` descriptor is atomically
-    /// replaced by two daughters partitioning its range at `split_key`
-    /// (`bottom` = `[start, split_key)`, `top` = `[split_key, end)`), the
-    /// parent's assignment (if any) carries over to both daughters, and
-    /// the epoch bumps so caches detect the change. Returns `false` (and
-    /// changes nothing) when `parent` is not in the map or `split_key`
-    /// does not fall strictly inside its range.
-    pub fn apply_split(
-        &mut self,
-        parent: RegionId,
-        split_key: &Bytes,
-        bottom: RegionId,
-        top: RegionId,
-    ) -> bool {
-        let Some(idx) = self.regions.iter().position(|r| r.id == parent) else {
+    /// Applies an online structure change: the `inputs`' descriptors are
+    /// atomically replaced by `outputs`, the inputs' common assignment
+    /// (if any) carries over to every output, and the epoch bumps so
+    /// caches detect the change. Returns `false` (and changes nothing)
+    /// unless the change is a 1→2 split or a 2→1 merge whose inputs are
+    /// in the map, adjacent in key order and assigned to one server (or
+    /// none), and whose outputs partition exactly the inputs' key range
+    /// into non-empty ranges.
+    pub fn apply_change(&mut self, change: &StructureChange) -> bool {
+        let (inputs, outputs) = (&change.inputs, &change.outputs);
+        if !matches!((inputs.len(), outputs.len()), (1, 2) | (2, 1)) {
+            return false;
+        }
+        let Some(idx) = self.regions.iter().position(|r| r.id == inputs[0]) else {
             return false;
         };
-        let desc = self.regions[idx].clone();
-        let inside = split_key[..] > desc.start[..]
-            && desc.end.as_ref().map(|e| split_key < e).unwrap_or(true);
-        if !inside {
-            return false;
-        }
-        self.regions[idx] = RegionDescriptor {
-            id: bottom,
-            start: desc.start,
-            end: Some(split_key.clone()),
-        };
-        self.regions.insert(
-            idx + 1,
-            RegionDescriptor {
-                id: top,
-                start: split_key.clone(),
-                end: desc.end,
-            },
-        );
-        if let Some(server) = self.assignments.remove(&parent) {
-            self.assignments.insert(bottom, server);
-            self.assignments.insert(top, server);
-            self.count_inc(server);
-        }
-        // The parent's backup set carries to both daughters: the master
-        // re-ships daughter state to the same hosts, preserving locality.
-        if let Some(backups) = self.replicas.remove(&parent) {
-            self.replicas.insert(bottom, backups.clone());
-            self.replicas.insert(top, backups);
-        }
-        self.epoch += 1;
-        true
-    }
-
-    /// Applies an online merge: the adjacent `left` and `right`
-    /// descriptors are atomically replaced by a single `merged` region
-    /// spanning their union, the common assignment (if any) carries over,
-    /// and the epoch bumps so caches detect the change. Returns `false`
-    /// (and changes nothing) when either region is missing, they are not
-    /// adjacent in key order (`left` immediately below `right`), or they
-    /// are assigned to different servers.
-    pub fn apply_merge(&mut self, left: RegionId, right: RegionId, merged: RegionId) -> bool {
-        let Some(idx) = self.regions.iter().position(|r| r.id == left) else {
+        let Some(run) = self.regions.get(idx..idx + inputs.len()) else {
             return false;
         };
-        if idx + 1 >= self.regions.len() || self.regions[idx + 1].id != right {
+        if !run.iter().map(|r| r.id).eq(inputs.iter().copied()) {
             return false;
         }
-        if self.assignments.get(&left) != self.assignments.get(&right) {
+        let server = self.assignments.get(&inputs[0]).copied();
+        if inputs
+            .iter()
+            .any(|r| self.assignments.get(r).copied() != server)
+        {
             return false;
         }
-        let l = self.regions[idx].clone();
-        let r = self.regions[idx + 1].clone();
-        debug_assert_eq!(
-            l.end.as_deref(),
-            Some(&r.start[..]),
-            "map regions contiguous"
-        );
-        self.regions[idx] = RegionDescriptor {
-            id: merged,
-            start: l.start,
-            end: r.end,
-        };
-        self.regions.remove(idx + 1);
-        if let Some(server) = self.assignments.remove(&right) {
-            self.count_dec(server);
+        let partitions = outputs[0].start == run[0].start
+            && outputs[outputs.len() - 1].end == run[run.len() - 1].end
+            && outputs
+                .windows(2)
+                .all(|w| w[0].end.as_ref() == Some(&w[1].start))
+            && outputs
+                .iter()
+                .all(|o| o.end.as_ref().map(|e| o.start < *e).unwrap_or(true));
+        if !partitions {
+            return false;
         }
-        if let Some(server) = self.assignments.remove(&left) {
-            self.assignments.insert(merged, server);
+        self.regions
+            .splice(idx..idx + inputs.len(), outputs.iter().cloned());
+        if let Some(server) = server {
+            for r in inputs {
+                self.assignments.remove(r);
+                self.count_dec(server);
+            }
+            for o in outputs {
+                self.assignments.insert(o.id, server);
+                self.count_inc(server);
+            }
         }
-        // The daughters' backup sets retire with them; the master
-        // re-establishes a group for the merged region from scratch.
-        self.replicas.remove(&left);
-        self.replicas.remove(&right);
+        // A split parent's backup set carries to every daughter: the
+        // master re-ships daughter state to the same hosts, preserving
+        // locality. Merged inputs' backup sets retire with them; the
+        // master would re-establish a group for the merged region from
+        // scratch.
+        let backups: Vec<Vec<ServerId>> = inputs
+            .iter()
+            .filter_map(|r| self.replicas.remove(r))
+            .collect();
+        if let ([_], [backups]) = (&inputs[..], &backups[..]) {
+            for o in outputs {
+                self.replicas.insert(o.id, backups.clone());
+            }
+        }
         self.epoch += 1;
         true
     }
@@ -521,13 +601,39 @@ mod tests {
         let _ = RegionMap::from_split_points(&[Bytes::from_static(b"m"), Bytes::from_static(b"a")]);
     }
 
+    /// The split of `parent` at `key` into `bottom`/`top`, as the master
+    /// would build it from `map`.
+    fn split_of(
+        map: &RegionMap,
+        parent: u32,
+        key: &'static [u8],
+        bottom: u32,
+        top: u32,
+    ) -> StructureChange {
+        let parent = map.descriptor(RegionId(parent)).expect("parent in map");
+        StructureChange::new(
+            &[parent],
+            &[Bytes::from_static(key)],
+            &[RegionId(bottom), RegionId(top)],
+            ServerId(0),
+        )
+    }
+
+    /// The merge of `left` and `right` into `merged`, as the master would
+    /// build it from `map`.
+    fn merge_of(map: &RegionMap, left: u32, right: u32, merged: u32) -> StructureChange {
+        let left = map.descriptor(RegionId(left)).expect("left in map");
+        let right = map.descriptor(RegionId(right)).expect("right in map");
+        StructureChange::new(&[left, right], &[], &[RegionId(merged)], ServerId(0))
+    }
+
     #[test]
     fn apply_split_replaces_parent_and_partitions_range() {
         let mut map = RegionMap::split_decimal_keyspace("user", 100, 2);
         map.assign(RegionId(0), ServerId(7));
         let epoch = map.epoch();
-        let key = Bytes::from_static(b"user000000000020");
-        assert!(map.apply_split(RegionId(0), &key, RegionId(2), RegionId(3)));
+        let split = split_of(&map, 0, b"user000000000020", 2, 3);
+        assert!(map.apply_change(&split));
         assert!(map.epoch() > epoch);
         assert!(map.descriptor(RegionId(0)).is_none(), "parent retired");
         assert_eq!(map.region_for(b"user000000000019"), RegionId(2));
@@ -556,14 +662,15 @@ mod tests {
         let mut map = RegionMap::split_decimal_keyspace("user", 100, 2);
         let epoch = map.epoch();
         // Key at the region start: bottom daughter would be empty.
-        let start = Bytes::from_static(b"");
-        assert!(!map.apply_split(RegionId(0), &start, RegionId(2), RegionId(3)));
+        let at_start = split_of(&map, 0, b"", 2, 3);
+        assert!(!map.apply_change(&at_start));
         // Key outside the region.
-        let outside = Bytes::from_static(b"user000000000090");
-        assert!(!map.apply_split(RegionId(0), &outside, RegionId(2), RegionId(3)));
+        let outside = split_of(&map, 0, b"user000000000090", 2, 3);
+        assert!(!map.apply_change(&outside));
         // Unknown parent.
-        let key = Bytes::from_static(b"user000000000020");
-        assert!(!map.apply_split(RegionId(9), &key, RegionId(2), RegionId(3)));
+        let mut unknown = split_of(&map, 0, b"user000000000020", 2, 3);
+        unknown.inputs = vec![RegionId(9)];
+        assert!(!map.apply_change(&unknown));
         assert_eq!(map.epoch(), epoch, "failed splits must not bump the epoch");
         assert_eq!(map.regions().len(), 2);
     }
@@ -574,10 +681,11 @@ mod tests {
         map.assign(RegionId(0), ServerId(7));
         map.assign(RegionId(1), ServerId(7));
         // Split then merge back: the keyspace partition round-trips.
-        let key = Bytes::from_static(b"user000000000020");
-        assert!(map.apply_split(RegionId(0), &key, RegionId(2), RegionId(3)));
+        let split = split_of(&map, 0, b"user000000000020", 2, 3);
+        assert!(map.apply_change(&split));
         let epoch = map.epoch();
-        assert!(map.apply_merge(RegionId(2), RegionId(3), RegionId(4)));
+        let merge = merge_of(&map, 2, 3, 4);
+        assert!(map.apply_change(&merge));
         assert!(map.epoch() > epoch);
         assert!(map.descriptor(RegionId(2)).is_none(), "left retired");
         assert!(map.descriptor(RegionId(3)).is_none(), "right retired");
@@ -606,18 +714,54 @@ mod tests {
         map.assign(RegionId(3), ServerId(2));
         let epoch = map.epoch();
         // Wrong order: right must be immediately above left.
-        assert!(!map.apply_merge(RegionId(1), RegionId(0), RegionId(9)));
+        assert!(!map.apply_change(&merge_of(&map, 1, 0, 9)));
         // Not adjacent.
-        assert!(!map.apply_merge(RegionId(0), RegionId(2), RegionId(9)));
+        assert!(!map.apply_change(&merge_of(&map, 0, 2, 9)));
         // Adjacent but hosted by different servers.
-        assert!(!map.apply_merge(RegionId(1), RegionId(2), RegionId(9)));
+        assert!(!map.apply_change(&merge_of(&map, 1, 2, 9)));
         // Unknown region.
-        assert!(!map.apply_merge(RegionId(8), RegionId(1), RegionId(9)));
+        let mut unknown = merge_of(&map, 0, 1, 9);
+        unknown.inputs[0] = RegionId(8);
+        assert!(!map.apply_change(&unknown));
         assert_eq!(map.epoch(), epoch, "failed merges must not bump the epoch");
         assert_eq!(map.regions().len(), 4);
         // A valid merge of the co-hosted adjacent pair still works.
-        assert!(map.apply_merge(RegionId(2), RegionId(3), RegionId(9)));
+        assert!(map.apply_change(&merge_of(&map, 2, 3, 9)));
         assert_eq!(map.regions().len(), 3);
+    }
+
+    #[test]
+    fn apply_change_rejects_every_other_shape() {
+        let mut map = RegionMap::split_decimal_keyspace("user", 100, 4);
+        let d = |id: u32| map.descriptor(RegionId(id)).expect("in map").clone();
+        let key = |k: &'static [u8]| Bytes::from_static(k);
+        let ids = |ids: &[u32]| ids.iter().map(|i| RegionId(*i)).collect::<Vec<_>>();
+        let shapes = [
+            // 1→1: a rename (what a move would be).
+            StructureChange::new(&[&d(0)], &[], &ids(&[9]), ServerId(0)),
+            // 1→3.
+            StructureChange::new(
+                &[&d(0)],
+                &[key(b"user000000000005"), key(b"user000000000010")],
+                &ids(&[9, 10, 11]),
+                ServerId(0),
+            ),
+            // 2→2: a boundary shift.
+            StructureChange::new(
+                &[&d(0), &d(1)],
+                &[key(b"user000000000030")],
+                &ids(&[9, 10]),
+                ServerId(0),
+            ),
+            // 3→1.
+            StructureChange::new(&[&d(0), &d(1), &d(2)], &[], &ids(&[9]), ServerId(0)),
+        ];
+        let epoch = map.epoch();
+        for change in &shapes {
+            assert!(!map.apply_change(change), "{change:?}");
+        }
+        assert_eq!(map.epoch(), epoch);
+        assert_eq!(map.regions().len(), 4);
     }
 
     #[test]
@@ -636,10 +780,11 @@ mod tests {
         map.unassign(RegionId(0));
         assert_eq!(map.assigned_count(ServerId(1)), 0);
         // Splits add one hosted region; merges remove one.
-        let key = Bytes::from_static(b"user000000000050");
-        assert!(map.apply_split(RegionId(1), &key, RegionId(3), RegionId(4)));
+        let split = split_of(&map, 1, b"user000000000050", 3, 4);
+        assert!(map.apply_change(&split));
         assert_eq!(map.assigned_count(ServerId(2)), 3);
-        assert!(map.apply_merge(RegionId(3), RegionId(4), RegionId(5)));
+        let merge = merge_of(&map, 3, 4, 5);
+        assert!(map.apply_change(&merge));
         assert_eq!(map.assigned_count(ServerId(2)), 2);
         // Counts always agree with the exhaustive scan.
         for s in [ServerId(1), ServerId(2)] {
@@ -647,31 +792,65 @@ mod tests {
         }
     }
 
+    /// The intent records' bytes as captured from the last commit that
+    /// had one intent type (and one encoder) per kind: record lengths
+    /// are inputs to the simulated filesystem, so the wire form is
+    /// pinned.
     #[test]
-    fn merge_intent_roundtrip() {
-        let intent = MergeIntent {
-            left: RegionId(10),
-            right: RegionId(11),
-            merged: RegionId(12),
-            server: ServerId(2),
-        };
-        let back = MergeIntent::decode(&intent.encode()).expect("decode");
-        assert_eq!(back, intent);
-        assert!(MergeIntent::decode(&intent.encode()[..3]).is_err());
-    }
+    fn intent_records_keep_their_bytes_and_roundtrip() {
+        let mut map = RegionMap::split_decimal_keyspace("user", 100, 2);
+        // Make the ids the golden records name: 4 splits into 10/11,
+        // which merge into 12.
+        let setup = StructureChange::new(
+            &[&map.descriptor(RegionId(0)).expect("in map").clone()],
+            &[Bytes::from_static(b"user000000000010")],
+            &[RegionId(3), RegionId(4)],
+            ServerId(1),
+        );
+        assert!(map.apply_change(&setup));
 
-    #[test]
-    fn split_intent_roundtrip() {
-        let intent = SplitIntent {
-            parent: RegionId(4),
-            split_key: Bytes::from_static(b"user000000000033"),
-            bottom: RegionId(10),
-            top: RegionId(11),
-            server: ServerId(1),
-        };
-        let back = SplitIntent::decode(&intent.encode()).expect("decode");
-        assert_eq!(back, intent);
-        assert!(SplitIntent::decode(&intent.encode()[..3]).is_err());
+        let mut split = split_of(&map, 4, b"user000000000033", 10, 11);
+        split.server = ServerId(1);
+        assert_eq!(split.kind(), ChangeKind::Split);
+        assert_eq!(split.intent_path(), "/split/r4");
+        let golden_split: &[u8] = &[
+            0, 0, 0, 4, 0, 0, 0, 16, 117, 115, 101, 114, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48,
+            51, 51, 0, 0, 0, 10, 0, 0, 0, 11, 0, 0, 0, 1,
+        ];
+        assert_eq!(&split.encode()[..], golden_split);
+        let back = StructureChange::decode(ChangeKind::Split, golden_split, &map);
+        assert_eq!(back.as_ref(), Ok(&split));
+        assert_eq!(
+            back.expect("decoded").outputs[1].end,
+            Some(Bytes::from_static(b"user000000000050"))
+        );
+
+        assert!(map.apply_change(&split));
+        let mut merge = merge_of(&map, 10, 11, 12);
+        merge.server = ServerId(2);
+        assert_eq!(merge.kind(), ChangeKind::Merge);
+        assert_eq!(merge.intent_path(), "/merge/r10");
+        let golden_merge: &[u8] = &[0, 0, 0, 10, 0, 0, 0, 11, 0, 0, 0, 12, 0, 0, 0, 2];
+        assert_eq!(&merge.encode()[..], golden_merge);
+        assert_eq!(
+            StructureChange::decode(ChangeKind::Merge, golden_merge, &map),
+            Ok(merge)
+        );
+
+        // Truncation anywhere is an error, for both shapes; so is a
+        // record naming a region the map does not hold.
+        for (kind, golden) in [
+            (ChangeKind::Split, golden_split),
+            (ChangeKind::Merge, golden_merge),
+        ] {
+            for cut in 0..golden.len() {
+                assert!(
+                    StructureChange::decode(kind, &golden[..cut], &map).is_err(),
+                    "{kind:?} truncated to {cut} bytes"
+                );
+            }
+        }
+        assert!(StructureChange::decode(ChangeKind::Split, golden_split, &map).is_err());
     }
 
     #[test]
@@ -686,8 +865,8 @@ mod tests {
         assert_eq!(map.replica_hosts(ServerId(2)), vec![RegionId(0)]);
         assert_eq!(map.replica_hosts(ServerId(1)), Vec::<RegionId>::new());
         // Splitting the parent carries its backup set to both daughters.
-        let key = Bytes::from_static(b"user000000000020");
-        assert!(map.apply_split(RegionId(0), &key, RegionId(2), RegionId(3)));
+        let split = split_of(&map, 0, b"user000000000020", 2, 3);
+        assert!(map.apply_change(&split));
         assert_eq!(map.replicas_of(RegionId(2)), &[ServerId(2), ServerId(3)]);
         assert_eq!(map.replicas_of(RegionId(3)), &[ServerId(2), ServerId(3)]);
         assert_eq!(
@@ -700,6 +879,11 @@ mod tests {
         map.clear_replicas(RegionId(2));
         assert_eq!(map.epoch(), epoch);
         assert_eq!(map.replicas_of(RegionId(2)), &[] as &[ServerId]);
+        // Merging drops the inputs' backup sets with them.
+        let merge = merge_of(&map, 2, 3, 4);
+        assert!(map.apply_change(&merge));
+        assert_eq!(map.replicas_of(RegionId(4)), &[] as &[ServerId]);
+        assert_eq!(map.replica_hosts(ServerId(3)), Vec::<RegionId>::new());
     }
 
     #[test]

@@ -1,6 +1,13 @@
 //! The region server: serves gets/puts/scans for its assigned regions,
 //! applies updates to WAL + memstore, flushes memstores to store files,
 //! and participates in recovery via the [`RecoveryHooks`].
+//!
+//! Online splits and merges — one protocol — live in [`structure`];
+//! everything else is still this one `impl`.
+
+mod structure;
+
+pub use structure::StructureStats;
 
 use crate::blockcache::BlockCache;
 use crate::bloom::CellKey;
@@ -10,10 +17,10 @@ use crate::compaction::{
     FileMeta, GcWatermark, StallSignal,
 };
 use crate::error::StoreError;
-use crate::hooks::{NoopHooks, RecoveryHooks, SplitCoordinator};
+use crate::hooks::{NoopHooks, RecoveryHooks, StructureCoordinator};
 use crate::memstore::{MemStore, VersionedValue};
 use crate::merge_iter;
-use crate::region::RegionDescriptor;
+use crate::region::{ChangeKind, RegionDescriptor};
 use crate::sstable::{StoreFileData, StoreFileRegistry};
 use crate::types::{Mutation, RegionId, ServerId, Timestamp};
 use crate::wal::{Wal, WalSyncMode};
@@ -213,46 +220,6 @@ impl Default for MergeConfig {
     }
 }
 
-/// Shared observability for online region merges (all handles clone
-/// cheaply and share state, like [`SplitStats`]).
-#[derive(Clone, Default, Debug)]
-pub struct MergeStats {
-    /// Merge candidacies accepted (a pending merge was set up).
-    pub considered: Counter,
-    /// Merge-intent requests sent to the master.
-    pub intents_requested: Counter,
-    /// Intents whose execution reached the reference-building phase.
-    pub executing: Counter,
-    /// Merges flipped: both daughters atomically replaced by the merged
-    /// region.
-    pub completed: Counter,
-    /// Granted intents abandoned server-side (reference marker writes
-    /// failed) plus denied requests; master-side rollbacks are counted at
-    /// the master.
-    pub aborted: Counter,
-}
-
-/// Shared observability for online region splits (all handles clone
-/// cheaply and share state, like [`CompactionStats`]).
-#[derive(Clone, Default, Debug)]
-pub struct SplitStats {
-    /// Split candidacies accepted (a pending split was set up).
-    pub considered: Counter,
-    /// Split-intent requests sent to the master.
-    pub intents_requested: Counter,
-    /// Intents whose execution reached the reference-building phase.
-    pub executing: Counter,
-    /// Splits flipped: the parent was atomically replaced by daughters.
-    pub completed: Counter,
-    /// Granted intents abandoned server-side (reference marker writes
-    /// failed); master-side rollbacks are counted at the master.
-    pub aborted: Counter,
-    /// Cumulative foreground service nanoseconds charged per hosted
-    /// region — the master's load-aware placement signal and the
-    /// per-region load gauge the split threshold reasoning builds on.
-    pub region_load: GaugeMap,
-}
-
 impl Default for RegionServerConfig {
     fn default() -> Self {
         RegionServerConfig {
@@ -341,14 +308,51 @@ struct RegionState {
     online: bool,
     flush_in_progress: bool,
     compaction_in_progress: bool,
-    /// A structural operation (split or merge) on this region is pending
-    /// or executing: flush checks and new compactions skip it so the
-    /// file set stays stable until the flip (requests keep being served
-    /// normally throughout).
-    splitting: bool,
+    /// A structural operation (split, merge or move) on this region is
+    /// pending or executing: flush checks and new compactions skip it so
+    /// the file set stays stable until the flip or the close (a region
+    /// being split or merged keeps serving requests throughout).
+    restructuring: bool,
 }
 
 impl RegionState {
+    /// A region over `storefiles`, all at level 0, that is not online
+    /// yet and has nothing in flight.
+    fn new(desc: RegionDescriptor, memstore: MemStore, storefiles: Vec<Rc<StoreFileData>>) -> Self {
+        RegionState {
+            desc,
+            memstore,
+            flushing: None,
+            storefiles,
+            file_levels: HashMap::new(),
+            recovered_paths: Vec::new(),
+            online: false,
+            flush_in_progress: false,
+            compaction_in_progress: false,
+            restructuring: false,
+        }
+    }
+
+    /// Whether a flush is running or its snapshot is not yet a durable
+    /// store file.
+    fn flush_busy(&self) -> bool {
+        self.flush_in_progress || self.flushing.is_some()
+    }
+
+    /// Whether the file set is stable: no flush and no compaction in
+    /// flight. References may only be cut over — and a moving region may
+    /// only be dropped from — a quiescent file set.
+    fn quiescent(&self) -> bool {
+        !self.compaction_in_progress && !self.flush_busy()
+    }
+
+    /// Whether a structural operation may start on this region: online,
+    /// not already in one, and no recovered edits still only in the
+    /// memstore.
+    fn restructurable(&self) -> bool {
+        self.online && !self.restructuring && self.recovered_paths.is_empty()
+    }
+
     /// The LSM level of the file at `path` (level 0 unless a compaction
     /// placed it deeper).
     fn level_of(&self, path: &str) -> u32 {
@@ -392,83 +396,6 @@ struct PlannedCompaction {
     input_paths: Vec<String>,
     output_level: u32,
     max_output_bytes: Option<usize>,
-}
-
-/// The server-local state machine of one in-flight split (one at a time
-/// per server — splits are rare, metadata-only events).
-struct PendingSplit {
-    region: RegionId,
-    split_key: Bytes,
-    /// Whether the pre-split flush round has been issued.
-    flush_issued: bool,
-    /// Whether the intent request has been sent to the master.
-    intent_sent: bool,
-}
-
-/// Everything a granted split carries between the reference-building
-/// phase, the marker writes and the flip.
-struct SplitWork {
-    region: RegionId,
-    split_key: Bytes,
-    bottom: RegionId,
-    top: RegionId,
-    parent_desc: RegionDescriptor,
-    /// Daughter reference files with the level inherited from their
-    /// parent file (levels ≥ 1 stay pairwise disjoint after clipping).
-    bottom_files: Vec<(Rc<StoreFileData>, u32)>,
-    top_files: Vec<(Rc<StoreFileData>, u32)>,
-    /// `(marker path, marker content)` per reference, written to the
-    /// filesystem before the flip so a failover can list the daughters'
-    /// file sets.
-    markers: Vec<(String, Bytes)>,
-}
-
-/// The server-local state machine of one in-flight merge (one at a time
-/// per server, like [`PendingSplit`]).
-struct PendingMerge {
-    left: RegionId,
-    right: RegionId,
-    /// Whether the pre-merge flush round has been issued for both
-    /// daughters.
-    flush_issued: bool,
-    /// Whether the intent request has been sent to the master.
-    intent_sent: bool,
-}
-
-/// Everything a granted merge carries between the reference-building
-/// phase, the marker writes and the flip (the [`SplitWork`] mirror).
-struct MergeWork {
-    left: RegionId,
-    right: RegionId,
-    merged: RegionId,
-    merged_desc: RegionDescriptor,
-    /// The merged region's reference files with the level inherited from
-    /// their source file (the daughters' ranges are disjoint, so levels
-    /// ≥ 1 stay pairwise disjoint after the union).
-    files: Vec<(Rc<StoreFileData>, u32)>,
-    /// `(marker path, marker content)` per reference, written to the
-    /// filesystem before the flip so a failover can list the merged
-    /// region's file set.
-    markers: Vec<(String, Bytes)>,
-}
-
-/// The durable content of a reference marker file: which physical file
-/// backs the reference and the clip range. (The simulation resolves
-/// references through the shared registry; the marker's bytes exist so
-/// the daughter directory listing — what a failover reads — is honest.)
-fn encode_ref_marker(r: &StoreFileData) -> Bytes {
-    let mut enc = crate::codec::Encoder::new();
-    enc.put_bytes(r.backing_path().as_bytes());
-    enc.put_u32(r.region().0);
-    match r.key_range() {
-        Some((min, max)) => {
-            enc.put_u8(1);
-            enc.put_bytes(min);
-            enc.put_bytes(max);
-        }
-        None => enc.put_u8(0),
-    }
-    enc.finish()
 }
 
 /// A serialized memstore image shipped in a full-state sync:
@@ -652,15 +579,19 @@ pub struct RegionServer {
     /// Coordination handle (set by [`RegionServer::start`]); compaction
     /// uses it as a fencing check before destroying retired files.
     coord: RefCell<Option<CoordClient>>,
-    /// The master-side split coordination surface (installed by the
-    /// cluster wiring; splits are inert without it).
-    split_coord: RefCell<Option<Rc<dyn SplitCoordinator>>>,
-    /// The in-flight split, if any.
-    pending_split: RefCell<Option<PendingSplit>>,
-    split_stats: SplitStats,
-    /// The in-flight merge, if any.
-    pending_merge: RefCell<Option<PendingMerge>>,
-    merge_stats: MergeStats,
+    /// The master-side structure-change coordination surface (installed
+    /// by the cluster wiring; splits and merges are inert without it).
+    structure_coord: RefCell<Option<Rc<dyn StructureCoordinator>>>,
+    /// The in-flight split or merge, if any (one structure change at a
+    /// time per server, so their flush/quiescence phases never
+    /// interleave).
+    pending_change: RefCell<Option<structure::PendingChange>>,
+    split_stats: StructureStats,
+    merge_stats: StructureStats,
+    /// Cumulative foreground service nanoseconds charged per hosted
+    /// region — the master's load-aware placement signal and the
+    /// per-region load gauge the split threshold reasoning builds on.
+    region_load: GaugeMap,
     /// The region currently being closed for a master-driven move, if
     /// any (one at a time per server, like splits and merges).
     pending_move: RefCell<Option<RegionId>>,
@@ -739,11 +670,11 @@ impl RegionServer {
             background_ns: Cell::new(0),
             sched_background_ns: Cell::new(0),
             coord: RefCell::new(None),
-            split_coord: RefCell::new(None),
-            pending_split: RefCell::new(None),
-            split_stats: SplitStats::default(),
-            pending_merge: RefCell::new(None),
-            merge_stats: MergeStats::default(),
+            structure_coord: RefCell::new(None),
+            pending_change: RefCell::new(None),
+            split_stats: StructureStats::default(),
+            merge_stats: StructureStats::default(),
+            region_load: GaugeMap::default(),
             pending_move: RefCell::new(None),
             gc_watermark: RefCell::new(None),
             repl: RefCell::new(ReplState::default()),
@@ -814,76 +745,36 @@ impl RegionServer {
         );
         self.timers.borrow_mut().push(timer);
 
-        // Background compaction checks. The phase is fixed (no RNG
-        // jitter): drawing from the shared simulation RNG here would
-        // shift the random stream of every run that merely *enables*
-        // compaction, perturbing previously calibrated schedules.
-        if self.cfg.compaction.enabled {
-            let weak = Rc::downgrade(self);
-            let timer = every_from(
-                &self.sim,
-                self.cfg.compaction.check_interval,
-                self.cfg.compaction.check_interval,
-                move || {
-                    if let Some(server) = weak.upgrade() {
-                        server.check_compactions();
-                    }
-                },
-            );
-            self.timers.borrow_mut().push(timer);
+        // The background checks run at a fixed phase (no RNG jitter):
+        // drawing from the shared simulation RNG here would shift the
+        // random stream of every run that merely *enables* one of them,
+        // perturbing previously calibrated schedules.
+        let cfg = &self.cfg;
+        if cfg.compaction.enabled {
+            self.every_fixed_phase(cfg.compaction.check_interval, Self::check_compactions);
         }
+        if cfg.split.enabled {
+            self.every_fixed_phase(cfg.split.check_interval, Self::check_splits);
+        }
+        if cfg.merge.enabled {
+            self.every_fixed_phase(cfg.merge.check_interval, Self::check_merges);
+        }
+        // Ships full region state to out-of-sync backup lanes.
+        if cfg.replication.enabled {
+            self.every_fixed_phase(cfg.replication.resync_interval, Self::check_resyncs);
+        }
+    }
 
-        // Online split checks. Fixed phase, no RNG jitter, for the same
-        // determinism reason as the compaction timer.
-        if self.cfg.split.enabled {
-            let weak = Rc::downgrade(self);
-            let timer = every_from(
-                &self.sim,
-                self.cfg.split.check_interval,
-                self.cfg.split.check_interval,
-                move || {
-                    if let Some(server) = weak.upgrade() {
-                        server.check_splits();
-                    }
-                },
-            );
-            self.timers.borrow_mut().push(timer);
-        }
-
-        // Online merge checks. Fixed phase, no RNG jitter, for the same
-        // determinism reason as the compaction timer.
-        if self.cfg.merge.enabled {
-            let weak = Rc::downgrade(self);
-            let timer = every_from(
-                &self.sim,
-                self.cfg.merge.check_interval,
-                self.cfg.merge.check_interval,
-                move || {
-                    if let Some(server) = weak.upgrade() {
-                        server.check_merges();
-                    }
-                },
-            );
-            self.timers.borrow_mut().push(timer);
-        }
-
-        // Replication re-sync checks: ship full region state to
-        // out-of-sync backup lanes. Fixed phase, no RNG jitter, for the
-        // same determinism reason as the compaction timer.
-        if self.cfg.replication.enabled {
-            let weak = Rc::downgrade(self);
-            let timer = every_from(
-                &self.sim,
-                self.cfg.replication.resync_interval,
-                self.cfg.replication.resync_interval,
-                move || {
-                    if let Some(server) = weak.upgrade() {
-                        server.check_resyncs();
-                    }
-                },
-            );
-            self.timers.borrow_mut().push(timer);
-        }
+    /// Runs `tick` every `interval`, first after one `interval`, for as
+    /// long as the server lives.
+    fn every_fixed_phase(self: &Rc<Self>, interval: SimDuration, tick: fn(&Rc<RegionServer>)) {
+        let weak = Rc::downgrade(self);
+        let timer = every_from(&self.sim, interval, interval, move || {
+            if let Some(server) = weak.upgrade() {
+                tick(&server);
+            }
+        });
+        self.timers.borrow_mut().push(timer);
     }
 
     /// This server's id.
@@ -932,22 +823,23 @@ impl RegionServer {
         &self.filter_stats
     }
 
-    /// Split observability: candidacies, intents, completions and the
-    /// per-region load gauges (shared handles; clone freely).
-    pub fn split_stats(&self) -> &SplitStats {
-        &self.split_stats
+    /// Observability of one kind of structure change — splits or merges:
+    /// candidacies, intents, completions (shared handles; clone freely).
+    pub fn structure_stats(&self, kind: ChangeKind) -> &StructureStats {
+        kind.pick(&self.split_stats, &self.merge_stats)
     }
 
-    /// Merge observability: candidacies, intents, completions (shared
-    /// handles; clone freely).
-    pub fn merge_stats(&self) -> &MergeStats {
-        &self.merge_stats
+    /// The kind of the split or merge this server has pending or
+    /// executing, if any.
+    pub fn pending_change(&self) -> Option<ChangeKind> {
+        self.pending_change.borrow().as_ref().map(|p| p.kind())
     }
 
-    /// Installs the master's split coordination surface (cluster wiring;
-    /// without one, split candidacy checks never fire an intent).
-    pub fn set_split_coordinator(&self, coord: Rc<dyn SplitCoordinator>) {
-        *self.split_coord.borrow_mut() = Some(coord);
+    /// Installs the master's structure-change coordination surface
+    /// (cluster wiring; without one, candidacy checks never fire an
+    /// intent).
+    pub fn set_structure_coordinator(&self, coord: Rc<dyn StructureCoordinator>) {
+        *self.structure_coord.borrow_mut() = Some(coord);
     }
 
     /// Installs the cluster-shared trace and failure-event journals.
@@ -1003,19 +895,18 @@ impl RegionServer {
         registry.register_gauge("store.read_amplification", labels, &k.read_amplification);
         registry.register_vec("store.level.files", labels, "level", &k.level_files);
         registry.register_vec("store.level.bytes", labels, "level", &k.level_bytes);
-        let s = &self.split_stats;
-        c("store.split.considered", &s.considered);
-        c("store.split.intents_requested", &s.intents_requested);
-        c("store.split.executing", &s.executing);
-        c("store.split.completed", &s.completed);
-        c("store.split.aborted", &s.aborted);
-        registry.register_map("store.region.load_ns", labels, "region", &s.region_load);
-        let m = &self.merge_stats;
-        c("store.merge.considered", &m.considered);
-        c("store.merge.intents_requested", &m.intents_requested);
-        c("store.merge.executing", &m.executing);
-        c("store.merge.completed", &m.completed);
-        c("store.merge.aborted", &m.aborted);
+        for kind in [ChangeKind::Split, ChangeKind::Merge] {
+            let (s, name) = (self.structure_stats(kind), kind.name());
+            c(&format!("store.{name}.considered"), &s.considered);
+            c(
+                &format!("store.{name}.intents_requested"),
+                &s.intents_requested,
+            );
+            c(&format!("store.{name}.executing"), &s.executing);
+            c(&format!("store.{name}.completed"), &s.completed);
+            c(&format!("store.{name}.aborted"), &s.aborted);
+        }
+        registry.register_map("store.region.load_ns", labels, "region", &self.region_load);
         let r = &self.repl_stats;
         c("store.repl.ships", &r.ships);
         c("store.repl.ship_bytes", &r.ship_bytes);
@@ -1033,12 +924,19 @@ impl RegionServer {
     /// Cumulative foreground service nanoseconds across this server's
     /// hosted regions — the master's load-aware placement signal.
     pub fn service_load_ns(&self) -> u64 {
-        self.split_stats.region_load.total()
+        self.region_load.total()
     }
 
     /// Cumulative foreground service nanoseconds charged to `region`.
     pub fn region_load_ns(&self, region: RegionId) -> u64 {
-        self.split_stats.region_load.get(region.0 as u64)
+        self.region_load.get(region.0 as u64)
+    }
+
+    /// The per-region load gauges behind
+    /// [`RegionServer::region_load_ns`], keyed by region id (a shared
+    /// handle; clone freely).
+    pub fn region_load(&self) -> &GaugeMap {
+        &self.region_load
     }
 
     /// The descriptor of a hosted region (recovery replay filters
@@ -1050,9 +948,7 @@ impl RegionServer {
 
     /// Attributes foreground service time to the region that pays it.
     fn charge_region_load(&self, region: RegionId, service: SimDuration) {
-        self.split_stats
-            .region_load
-            .add(region.0 as u64, service.nanos());
+        self.region_load.add(region.0 as u64, service.nanos());
     }
 
     /// Enables or disables bloom probing on point gets at runtime (the
@@ -1100,15 +996,6 @@ impl RegionServer {
             .borrow()
             .get(&region)
             .map(|st| st.compaction_in_progress)
-            .unwrap_or(false)
-    }
-
-    /// Whether `region` currently has an online split in flight.
-    pub fn split_in_progress(&self, region: RegionId) -> bool {
-        self.regions
-            .borrow()
-            .get(&region)
-            .map(|st| st.splitting)
             .unwrap_or(false)
     }
 
@@ -1804,21 +1691,13 @@ impl RegionServer {
             .collect();
         self.regions.borrow_mut().insert(
             region,
+            // Adopted files all start at level 0: a failed-over server
+            // does not know its predecessor's level layout, and L0 is
+            // the only level that tolerates overlapping ranges. The
+            // leveled policy re-sorts them down.
             RegionState {
-                desc,
-                memstore: MemStore::new(),
-                flushing: None,
-                storefiles,
-                // Adopted files all start at level 0: a failed-over
-                // server does not know its predecessor's level layout,
-                // and L0 is the only level that tolerates overlapping
-                // ranges. The leveled policy re-sorts them down.
-                file_levels: HashMap::new(),
                 recovered_paths: recovered_paths.clone(),
-                online: false,
-                flush_in_progress: false,
-                compaction_in_progress: false,
-                splitting: false,
+                ..RegionState::new(desc, MemStore::new(), storefiles)
             },
         );
         self.update_file_metrics();
@@ -1954,10 +1833,11 @@ impl RegionServer {
                 .filter(|(_, st)| {
                     st.online
                         && !st.flush_in_progress
-                        // A splitting region's file set must stay stable
-                        // between reference creation and the flip; its
-                        // memstore leftovers move to the daughters.
-                        && !st.splitting
+                        // A restructuring region's file set must stay
+                        // stable between reference creation and the
+                        // flip; its memstore leftovers move to the
+                        // outputs.
+                        && !st.restructuring
                         && st.memstore.approx_bytes() >= self.cfg.memstore_flush_bytes
                 })
                 .collect();
@@ -2113,7 +1993,7 @@ impl RegionServer {
             ordered.sort_unstable_by_key(|(id, _)| **id);
             let mut best: Option<(usize, RegionId, PlannedCompaction, u64)> = None;
             for (id, st) in ordered {
-                if !st.online || st.compaction_in_progress || st.splitting {
+                if !st.online || st.compaction_in_progress || st.restructuring {
                     continue;
                 }
                 let metas = st.file_metas();
@@ -2511,1032 +2391,6 @@ impl RegionServer {
     }
 
     // ------------------------------------------------------------------
-    // Online region splits (see ARCHITECTURE.md, "Online region splits":
-    // candidate → flush → intent → reference markers → atomic flip)
-    // ------------------------------------------------------------------
-
-    /// The split candidacy check (fixed-phase timer). One split runs at a
-    /// time per server; a pending split is advanced before any new
-    /// candidate is considered.
-    fn check_splits(self: &Rc<Self>) {
-        if !self.alive.get() {
-            return;
-        }
-        if self.pending_split.borrow().is_some() {
-            self.advance_pending_split();
-            return;
-        }
-        // One structural operation per server at a time: a merge in
-        // flight defers split candidacy to the next tick (and vice
-        // versa), so their flush/quiescence phases never interleave.
-        if self.pending_merge.borrow().is_some() {
-            return;
-        }
-        if self.split_coord.borrow().is_none() {
-            return; // no master wiring — splits are inert
-        }
-        // Deepest store-file backlog first, ids as the deterministic
-        // tie-break (same discipline as the compaction scheduler).
-        let picked = {
-            let regions = self.regions.borrow();
-            let mut ordered: Vec<(&RegionId, &RegionState)> = regions.iter().collect();
-            ordered.sort_unstable_by_key(|(id, _)| **id);
-            let mut best: Option<(usize, RegionId, Bytes)> = None;
-            for (id, st) in ordered {
-                if !st.online || st.splitting || !st.recovered_paths.is_empty() {
-                    continue;
-                }
-                let bytes: usize = st.storefiles.iter().map(|sf| sf.total_bytes()).sum();
-                if bytes < self.cfg.split.threshold_bytes {
-                    continue;
-                }
-                // Midpoint from file metadata: the largest store file's
-                // middle row (HBase's midkey heuristic), valid only if it
-                // falls strictly inside the region — both daughters must
-                // be non-empty key ranges.
-                let largest = st
-                    .storefiles
-                    .iter()
-                    .max_by(|a, b| (a.total_bytes(), a.path()).cmp(&(b.total_bytes(), b.path())));
-                let Some(key) = largest.and_then(|sf| sf.mid_row()) else {
-                    continue;
-                };
-                let inside = key[..] > st.desc.start[..]
-                    && st.desc.end.as_ref().map(|e| &key < e).unwrap_or(true);
-                if !inside {
-                    continue;
-                }
-                if best.as_ref().map(|(b, ..)| bytes > *b).unwrap_or(true) {
-                    best = Some((bytes, *id, key));
-                }
-            }
-            best
-        };
-        let Some((_, region, split_key)) = picked else {
-            return;
-        };
-        if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
-            st.splitting = true;
-        }
-        self.split_stats.considered.inc();
-        let me = self.id;
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.consider", move || {
-                format!("server={me} region={region}")
-            });
-        *self.pending_split.borrow_mut() = Some(PendingSplit {
-            region,
-            split_key,
-            flush_issued: false,
-            intent_sent: false,
-        });
-        self.advance_pending_split();
-    }
-
-    /// Drives a pending split forward: flush the parent's memstore once,
-    /// then ask the master for a durable split intent. Anything the
-    /// memstore absorbs after the flush moves to the daughters at the
-    /// flip, so the parent keeps serving throughout.
-    fn advance_pending_split(self: &Rc<Self>) {
-        let (region, split_key, flush_issued, intent_sent) = {
-            let p = self.pending_split.borrow();
-            let Some(p) = p.as_ref() else { return };
-            (p.region, p.split_key.clone(), p.flush_issued, p.intent_sent)
-        };
-        if intent_sent {
-            return; // waiting for the master's execute / denial
-        }
-        let (gone, flush_busy, memstore_dirty) = {
-            let regions = self.regions.borrow();
-            match regions.get(&region) {
-                Some(st) => (
-                    false,
-                    st.flush_in_progress || st.flushing.is_some(),
-                    !st.memstore.is_empty(),
-                ),
-                None => (true, false, false),
-            }
-        };
-        if gone {
-            self.clear_pending_split(region);
-            return;
-        }
-        if flush_busy {
-            return; // next check tick
-        }
-        if memstore_dirty && !flush_issued {
-            if let Some(p) = self.pending_split.borrow_mut().as_mut() {
-                p.flush_issued = true;
-            }
-            self.flush_region(region);
-            return;
-        }
-        if let Some(p) = self.pending_split.borrow_mut().as_mut() {
-            p.intent_sent = true;
-        }
-        let Some(coord) = self.split_coord.borrow().clone() else {
-            self.clear_pending_split(region);
-            return;
-        };
-        self.split_stats.intents_requested.inc();
-        let me = self.id;
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.intent", move || {
-                format!("server={me} region={region}")
-            });
-        let id = self.id;
-        let net = Rc::clone(&self.net);
-        net.send(self.node, coord.node(), 96 + split_key.len(), move || {
-            coord.request_split(id, region, split_key)
-        });
-    }
-
-    /// Drops the pending split and clears the region's `splitting` flag
-    /// (denial, abandonment or a vanished region).
-    fn clear_pending_split(&self, region: RegionId) {
-        self.pending_split.borrow_mut().take();
-        if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
-            st.splitting = false;
-        }
-    }
-
-    /// Master RPC: the split request was rejected (stale assignment, an
-    /// intent already in flight, or an invalid key). The region resumes
-    /// normal flush/compaction scheduling.
-    pub fn split_request_denied(&self, region: RegionId) {
-        if !self.alive.get() {
-            return;
-        }
-        let matches = self
-            .pending_split
-            .borrow()
-            .as_ref()
-            .map(|p| p.region == region)
-            .unwrap_or(false);
-        if matches {
-            self.split_stats.aborted.inc();
-            let me = self.id;
-            self.events
-                .borrow()
-                .record(self.sim.now(), "split.denied", move || {
-                    format!("server={me} region={region}")
-                });
-            self.clear_pending_split(region);
-        }
-    }
-
-    /// Master RPC: the split intent is durable — execute. Builds the
-    /// daughters' reference half-files over the parent's store files,
-    /// makes their marker files durable in the filesystem (so a failover
-    /// can resolve the daughters' file sets), then flips atomically.
-    pub fn execute_split(
-        self: &Rc<Self>,
-        region: RegionId,
-        split_key: Bytes,
-        bottom: RegionId,
-        top: RegionId,
-    ) {
-        if !self.alive.get() {
-            return;
-        }
-        let matches = self
-            .pending_split
-            .borrow()
-            .as_ref()
-            .map(|p| p.region == region && p.split_key == split_key)
-            .unwrap_or(false);
-        if !matches {
-            // We no longer recognize this intent (e.g. abandoned); tell
-            // the master to roll it back rather than leaving it dangling.
-            self.notify_split_aborted(region);
-            return;
-        }
-        // A compaction admitted before the split became pending may still
-        // be in flight; the file set must be quiescent before references
-        // are cut over it. Retry shortly (fixed delay, no RNG).
-        let busy = {
-            let regions = self.regions.borrow();
-            regions
-                .get(&region)
-                .map(|st| {
-                    st.compaction_in_progress || st.flush_in_progress || st.flushing.is_some()
-                })
-                .unwrap_or(false)
-        };
-        if busy {
-            let this = Rc::clone(self);
-            self.sim
-                .schedule_in(SimDuration::from_millis(200), move || {
-                    this.execute_split(region, split_key, bottom, top)
-                });
-            return;
-        }
-        self.split_stats.executing.inc();
-        let me = self.id;
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.execute", move || {
-                format!("server={me} region={region} bottom={bottom} top={top}")
-            });
-        // Tell the backups a split intent is executing, so a promotion
-        // racing the flip knows the shadow may be mid-split (the master
-        // rolls the intent back before promoting, so the promoted
-        // replica discards it).
-        self.ship_split_intent(region, bottom, top);
-        let (desc, parents): (RegionDescriptor, Vec<(Rc<StoreFileData>, u32)>) = {
-            let regions = self.regions.borrow();
-            let Some(st) = regions.get(&region) else {
-                drop(regions);
-                self.notify_split_aborted(region);
-                self.clear_pending_split(region);
-                return;
-            };
-            (
-                st.desc.clone(),
-                st.storefiles
-                    .iter()
-                    .map(|sf| (Rc::clone(sf), st.level_of(sf.path())))
-                    .collect(),
-            )
-        };
-        let mut bottom_files: Vec<(Rc<StoreFileData>, u32)> = Vec::new();
-        let mut top_files: Vec<(Rc<StoreFileData>, u32)> = Vec::new();
-        let mut markers: Vec<(String, Bytes)> = Vec::new();
-        for (sf, level) in &parents {
-            let base = sf.path().rsplit('/').next().unwrap_or("file").to_owned();
-            let clips = [
-                (bottom, &desc.start[..], Some(&split_key[..])),
-                (top, &split_key[..], desc.end.as_deref()),
-            ];
-            for (daughter, lo, hi) in clips {
-                let path = format!("/store/{daughter}/ref-{base}");
-                if let Some(r) = StoreFileData::reference(sf, daughter, path, lo, hi) {
-                    let r = Rc::new(r);
-                    // The parent's physical file must outlive this
-                    // reference; the registry tracks the hold.
-                    self.registry.add_backing_ref(r.backing_path());
-                    self.registry.insert(Rc::clone(&r));
-                    markers.push((r.path().to_owned(), encode_ref_marker(&r)));
-                    if daughter == bottom {
-                        bottom_files.push((r, *level));
-                    } else {
-                        top_files.push((r, *level));
-                    }
-                }
-            }
-        }
-        let work = Rc::new(SplitWork {
-            region,
-            split_key,
-            bottom,
-            top,
-            parent_desc: desc,
-            bottom_files,
-            top_files,
-            markers,
-        });
-        self.write_split_markers(work, 0);
-    }
-
-    /// Writes reference marker file `idx` to the filesystem, then
-    /// recurses; once all are durable the flip runs. A crash mid-way
-    /// leaves only orphaned markers under daughter directories the region
-    /// map never learns about — the master's failover rolls the intent
-    /// back and recovers the parent from its untouched files.
-    fn write_split_markers(self: &Rc<Self>, work: Rc<SplitWork>, idx: usize) {
-        if !self.alive.get() {
-            return;
-        }
-        if idx == work.markers.len() {
-            self.finish_split(&work);
-            return;
-        }
-        let (path, content) = work.markers[idx].clone();
-        let weak = Rc::downgrade(self);
-        self.dfs.create(&path, move |file| {
-            let Some(server) = weak.upgrade() else { return };
-            let Ok(file) = file else {
-                server.abort_granted_split(&work);
-                return;
-            };
-            let weak = weak.clone();
-            file.append(content, move |result| {
-                let Some(server) = weak.upgrade() else { return };
-                if !server.alive.get() {
-                    return;
-                }
-                if result.is_err() {
-                    server.abort_granted_split(&work);
-                    return;
-                }
-                server.write_split_markers(work, idx + 1);
-            });
-        });
-    }
-
-    /// Server-side rollback of a granted intent (marker writes failed):
-    /// unregister the references, release the backing holds (the parent
-    /// region still owns its physical files, so nothing is deleted),
-    /// best-effort delete the markers, and tell the master.
-    fn abort_granted_split(self: &Rc<Self>, work: &SplitWork) {
-        for (sf, _) in work.bottom_files.iter().chain(work.top_files.iter()) {
-            self.registry.remove(sf.path());
-            let _ = self.registry.release_backing_ref(sf.backing_path());
-        }
-        for (path, _) in &work.markers {
-            self.dfs.delete(path);
-        }
-        self.split_stats.aborted.inc();
-        let (me, region) = (self.id, work.region);
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.abort", move || {
-                format!("server={me} region={region}")
-            });
-        self.clear_pending_split(work.region);
-        self.notify_split_aborted(work.region);
-    }
-
-    fn notify_split_aborted(&self, region: RegionId) {
-        let Some(coord) = self.split_coord.borrow().clone() else {
-            return;
-        };
-        let id = self.id;
-        self.net.send(self.node, coord.node(), 48, move || {
-            coord.split_aborted(id, region)
-        });
-    }
-
-    /// The atomic flip: in one event, the parent region state is removed
-    /// and both daughters appear online — reference files as their store
-    /// stacks, the parent's leftover memstore partitioned between them at
-    /// the split key. At no instant are parent and daughters both
-    /// servable. The master is then told to apply the map change.
-    fn finish_split(self: &Rc<Self>, work: &SplitWork) {
-        if !self.alive.get() {
-            return;
-        }
-        let superseded = {
-            let mut regions = self.regions.borrow_mut();
-            let Some(parent) = regions.remove(&work.region) else {
-                drop(regions);
-                self.abort_granted_split(work);
-                return;
-            };
-            // Leftover memstore entries (absorbed since the pre-split
-            // flush; all covered by WAL records the failover remaps by
-            // row) move to the owning daughter.
-            let mut ms_bottom = MemStore::new();
-            let mut ms_top = MemStore::new();
-            for (r, c, ts, v) in parent.memstore.iter() {
-                if r[..] < work.split_key[..] {
-                    ms_bottom.apply(r.clone(), c.clone(), ts, v.clone());
-                } else {
-                    ms_top.apply(r.clone(), c.clone(), ts, v.clone());
-                }
-            }
-            // A parent file that is itself a reference (the parent was a
-            // daughter of an earlier split) is superseded: the new
-            // references back directly onto the physical file and hold
-            // their own counts. Its retirement is destructive (registry
-            // and filesystem deletes), so it runs *after* the flip,
-            // behind the same coordination fence as compaction input
-            // retirement — a zombie server must not delete files its
-            // failover successor is reading.
-            let superseded: Vec<Rc<StoreFileData>> = parent
-                .storefiles
-                .iter()
-                .filter(|sf| sf.is_reference())
-                .cloned()
-                .collect();
-            let mk_state =
-                |desc: RegionDescriptor, files: &[(Rc<StoreFileData>, u32)], memstore: MemStore| {
-                    RegionState {
-                        desc,
-                        memstore,
-                        flushing: None,
-                        storefiles: files.iter().map(|(f, _)| Rc::clone(f)).collect(),
-                        file_levels: files
-                            .iter()
-                            .filter(|(_, l)| *l > 0)
-                            .map(|(f, l)| (f.path().to_owned(), *l))
-                            .collect(),
-                        recovered_paths: Vec::new(),
-                        online: true,
-                        flush_in_progress: false,
-                        compaction_in_progress: false,
-                        splitting: false,
-                    }
-                };
-            regions.insert(
-                work.bottom,
-                mk_state(
-                    RegionDescriptor {
-                        id: work.bottom,
-                        start: work.parent_desc.start.clone(),
-                        end: Some(work.split_key.clone()),
-                    },
-                    &work.bottom_files,
-                    ms_bottom,
-                ),
-            );
-            regions.insert(
-                work.top,
-                mk_state(
-                    RegionDescriptor {
-                        id: work.top,
-                        start: work.split_key.clone(),
-                        end: work.parent_desc.end.clone(),
-                    },
-                    &work.top_files,
-                    ms_top,
-                ),
-            );
-            superseded
-        };
-        // The parent's cached blocks belong to a region that no longer
-        // exists; daughters refill under their own ids.
-        self.cache.borrow_mut().evict_region(work.region);
-        // The parent's accumulated load history moves to the daughters
-        // (half each) — the placement signal must not read a server that
-        // just split its hottest region as suddenly idle.
-        let parent_load = self.split_stats.region_load.get(work.region.0 as u64);
-        self.split_stats.region_load.remove(work.region.0 as u64);
-        self.split_stats
-            .region_load
-            .add(work.bottom.0 as u64, parent_load / 2);
-        self.split_stats
-            .region_load
-            .add(work.top.0 as u64, parent_load - parent_load / 2);
-        self.pending_split.borrow_mut().take();
-        self.split_stats.completed.inc();
-        let (me, region, bottom, top) = (self.id, work.region, work.bottom, work.top);
-        self.events
-            .borrow()
-            .record(self.sim.now(), "split.flip", move || {
-                format!("server={me} region={region} bottom={bottom} top={top}")
-            });
-        self.update_file_metrics();
-        // The parent's replica group follows the flip: daughters inherit
-        // the parent's lanes (brought in sync by immediate full-state
-        // syncs carrying the daughters' reference files), the parent's
-        // shadows are closed.
-        self.split_replica_groups(work.region, work.bottom, work.top);
-        if !superseded.is_empty() {
-            self.retire_superseded_references(superseded);
-        }
-        if let Some(coord) = self.split_coord.borrow().clone() {
-            let id = self.id;
-            let region = work.region;
-            self.net.send(self.node, coord.node(), 64, move || {
-                coord.split_completed(id, region)
-            });
-        }
-    }
-
-    /// Destroys intermediate reference files superseded by a re-split,
-    /// releasing (and possibly destroying) their backing holds — behind
-    /// the same liveness fence as [`RegionServer::retire_compacted_inputs`]:
-    /// a server partitioned from the coordination service may already
-    /// have been failed over, and its successor reads exactly these
-    /// files. A wrongly held fence merely leaks them (reads stay correct).
-    fn retire_superseded_references(self: &Rc<Self>, refs: Vec<Rc<StoreFileData>>) {
-        let retire = |server: &RegionServer, refs: Vec<Rc<StoreFileData>>| {
-            for sf in refs {
-                server.registry.remove(sf.path());
-                server.dfs.delete(sf.path());
-                let backing = sf.backing_path().to_owned();
-                if server.registry.release_backing_ref(&backing) {
-                    server.registry.remove(&backing);
-                    server.dfs.delete(&backing);
-                }
-            }
-        };
-        let coord = self.coord.borrow().clone();
-        match coord {
-            Some(coord) => {
-                let weak = Rc::downgrade(self);
-                coord.get_data(&format!("/live/servers/{}", self.id), move |znode| {
-                    let Some(server) = weak.upgrade() else { return };
-                    if znode.is_some() && server.alive.get() {
-                        retire(&server, refs);
-                    }
-                });
-            }
-            // No coordination service (standalone server, unit tests):
-            // there is no failover to fence against.
-            None => retire(self, refs),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Online region merges (the split protocol run in reverse: see
-    // ARCHITECTURE.md, "Scale campaign & region merges")
-    // ------------------------------------------------------------------
-
-    /// Periodic merge candidacy check: among hosted, online, quiescent
-    /// regions, find the adjacent co-hosted pair with the smallest
-    /// combined durable bytes under the threshold and start merging it.
-    fn check_merges(self: &Rc<Self>) {
-        if !self.alive.get() {
-            return;
-        }
-        if self.pending_merge.borrow().is_some() {
-            self.advance_pending_merge();
-            return;
-        }
-        if self.pending_split.borrow().is_some() {
-            return; // one structural operation per server at a time
-        }
-        if self.split_coord.borrow().is_none() {
-            return; // no master wiring — merges are inert
-        }
-        let picked = {
-            let regions = self.regions.borrow();
-            let mut hosted: Vec<(&RegionId, &RegionState)> = regions
-                .iter()
-                .filter(|(_, st)| st.online && !st.splitting && st.recovered_paths.is_empty())
-                .collect();
-            // Adjacency is a key-order property: sort by start key (the
-            // sort also fixes HashMap iteration order, keeping runs with
-            // the same seed byte-identical).
-            hosted.sort_unstable_by(|a, b| a.1.desc.start.cmp(&b.1.desc.start));
-            let mut best: Option<(usize, RegionId, RegionId)> = None;
-            for w in hosted.windows(2) {
-                let (lid, l) = w[0];
-                let (rid, r) = w[1];
-                if l.desc.end.as_deref() != Some(&r.desc.start[..]) {
-                    continue; // co-hosted but not adjacent in the keyspace
-                }
-                let bytes: usize = l
-                    .storefiles
-                    .iter()
-                    .chain(r.storefiles.iter())
-                    .map(|sf| sf.total_bytes())
-                    .sum();
-                if bytes >= self.cfg.merge.threshold_bytes {
-                    continue;
-                }
-                // Smallest combined pair first; strict < keeps the first
-                // pair in key order on ties.
-                if best.as_ref().map(|(b, ..)| bytes < *b).unwrap_or(true) {
-                    best = Some((bytes, *lid, *rid));
-                }
-            }
-            best
-        };
-        let Some((_, left, right)) = picked else {
-            return;
-        };
-        self.begin_merge(left, right);
-    }
-
-    /// Admin trigger: merge the two hosted regions `left` and `right`
-    /// immediately (subject to the same validation the candidacy timer
-    /// applies), regardless of thresholds or whether the merge timer is
-    /// enabled. Returns `false` without side effects when the pair is
-    /// not currently mergeable here — not hosted, not adjacent, mid-op,
-    /// or another structural operation is in flight. This is the
-    /// HBase-style `merge_region` admin surface; tests and benches use
-    /// it to exercise the protocol deterministically.
-    pub fn request_region_merge(self: &Rc<Self>, left: RegionId, right: RegionId) -> bool {
-        if !self.alive.get()
-            || self.pending_merge.borrow().is_some()
-            || self.pending_split.borrow().is_some()
-            || self.split_coord.borrow().is_none()
-        {
-            return false;
-        }
-        let ok = {
-            let regions = self.regions.borrow();
-            match (regions.get(&left), regions.get(&right)) {
-                (Some(l), Some(r)) => {
-                    l.online
-                        && r.online
-                        && !l.splitting
-                        && !r.splitting
-                        && l.recovered_paths.is_empty()
-                        && r.recovered_paths.is_empty()
-                        && l.desc.end.as_deref() == Some(&r.desc.start[..])
-                }
-                _ => false,
-            }
-        };
-        if !ok {
-            return false;
-        }
-        self.begin_merge(left, right);
-        true
-    }
-
-    /// Marks both daughters as mid-structural-op and starts driving the
-    /// pending merge (flush both, then ask the master for an intent).
-    fn begin_merge(self: &Rc<Self>, left: RegionId, right: RegionId) {
-        {
-            let mut regions = self.regions.borrow_mut();
-            for id in [left, right] {
-                if let Some(st) = regions.get_mut(&id) {
-                    st.splitting = true;
-                }
-            }
-        }
-        self.merge_stats.considered.inc();
-        let me = self.id;
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.consider", move || {
-                format!("server={me} left={left} right={right}")
-            });
-        *self.pending_merge.borrow_mut() = Some(PendingMerge {
-            left,
-            right,
-            flush_issued: false,
-            intent_sent: false,
-        });
-        self.advance_pending_merge();
-    }
-
-    /// Drives a pending merge forward: flush both daughters' memstores
-    /// once, then ask the master for a durable merge intent. Anything
-    /// the memstores absorb after the flush moves to the merged region
-    /// at the flip, so both daughters keep serving throughout.
-    fn advance_pending_merge(self: &Rc<Self>) {
-        let (left, right, flush_issued, intent_sent) = {
-            let p = self.pending_merge.borrow();
-            let Some(p) = p.as_ref() else { return };
-            (p.left, p.right, p.flush_issued, p.intent_sent)
-        };
-        if intent_sent {
-            return; // waiting for the master's execute / denial
-        }
-        let mut gone = false;
-        let mut flush_busy = false;
-        let mut dirty = false;
-        {
-            let regions = self.regions.borrow();
-            for id in [left, right] {
-                match regions.get(&id) {
-                    Some(st) => {
-                        flush_busy |= st.flush_in_progress || st.flushing.is_some();
-                        dirty |= !st.memstore.is_empty();
-                    }
-                    None => gone = true,
-                }
-            }
-        }
-        if gone {
-            self.clear_pending_merge(left, right);
-            return;
-        }
-        if flush_busy {
-            return; // next check tick
-        }
-        if dirty && !flush_issued {
-            if let Some(p) = self.pending_merge.borrow_mut().as_mut() {
-                p.flush_issued = true;
-            }
-            self.flush_region(left);
-            self.flush_region(right);
-            return;
-        }
-        if let Some(p) = self.pending_merge.borrow_mut().as_mut() {
-            p.intent_sent = true;
-        }
-        let Some(coord) = self.split_coord.borrow().clone() else {
-            self.clear_pending_merge(left, right);
-            return;
-        };
-        self.merge_stats.intents_requested.inc();
-        let me = self.id;
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.intent", move || {
-                format!("server={me} left={left} right={right}")
-            });
-        let id = self.id;
-        let net = Rc::clone(&self.net);
-        net.send(self.node, coord.node(), 96, move || {
-            coord.request_merge(id, left, right)
-        });
-    }
-
-    /// Drops the pending merge and clears both daughters' structural-op
-    /// flags (denial, abandonment or a vanished region).
-    fn clear_pending_merge(&self, left: RegionId, right: RegionId) {
-        self.pending_merge.borrow_mut().take();
-        let mut regions = self.regions.borrow_mut();
-        for id in [left, right] {
-            if let Some(st) = regions.get_mut(&id) {
-                st.splitting = false;
-            }
-        }
-    }
-
-    /// Master RPC: the merge request was rejected (stale assignment, an
-    /// intent already in flight, or a non-adjacent pair). Both regions
-    /// resume normal flush/compaction scheduling.
-    pub fn merge_request_denied(&self, left: RegionId) {
-        if !self.alive.get() {
-            return;
-        }
-        let pair = self
-            .pending_merge
-            .borrow()
-            .as_ref()
-            .filter(|p| p.left == left)
-            .map(|p| (p.left, p.right));
-        if let Some((left, right)) = pair {
-            self.merge_stats.aborted.inc();
-            let me = self.id;
-            self.events
-                .borrow()
-                .record(self.sim.now(), "merge.denied", move || {
-                    format!("server={me} left={left} right={right}")
-                });
-            self.clear_pending_merge(left, right);
-        }
-    }
-
-    /// Master RPC: the merge intent is durable — execute. Builds the
-    /// merged region's reference files over both daughters' store files,
-    /// makes their marker files durable in the filesystem (so a failover
-    /// can resolve the merged region's file set), then flips atomically.
-    pub fn execute_merge(self: &Rc<Self>, left: RegionId, right: RegionId, merged: RegionId) {
-        if !self.alive.get() {
-            return;
-        }
-        let matches = self
-            .pending_merge
-            .borrow()
-            .as_ref()
-            .map(|p| p.left == left && p.right == right)
-            .unwrap_or(false);
-        if !matches {
-            // We no longer recognize this intent (e.g. abandoned); tell
-            // the master to roll it back rather than leaving it dangling.
-            self.notify_merge_aborted(left);
-            return;
-        }
-        // Both daughters' file sets must be quiescent before references
-        // are cut over them. Retry shortly (fixed delay, no RNG).
-        let busy = {
-            let regions = self.regions.borrow();
-            [left, right].iter().any(|id| {
-                regions
-                    .get(id)
-                    .map(|st| {
-                        st.compaction_in_progress || st.flush_in_progress || st.flushing.is_some()
-                    })
-                    .unwrap_or(false)
-            })
-        };
-        if busy {
-            let this = Rc::clone(self);
-            self.sim
-                .schedule_in(SimDuration::from_millis(200), move || {
-                    this.execute_merge(left, right, merged)
-                });
-            return;
-        }
-        self.merge_stats.executing.inc();
-        let me = self.id;
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.execute", move || {
-                format!("server={me} left={left} right={right} merged={merged}")
-            });
-        let sources: Vec<(RegionDescriptor, Vec<(Rc<StoreFileData>, u32)>)> = {
-            let regions = self.regions.borrow();
-            let mut out = Vec::with_capacity(2);
-            for id in [left, right] {
-                let Some(st) = regions.get(&id) else {
-                    drop(regions);
-                    self.notify_merge_aborted(left);
-                    self.clear_pending_merge(left, right);
-                    return;
-                };
-                out.push((
-                    st.desc.clone(),
-                    st.storefiles
-                        .iter()
-                        .map(|sf| (Rc::clone(sf), st.level_of(sf.path())))
-                        .collect(),
-                ));
-            }
-            out
-        };
-        let merged_desc = RegionDescriptor {
-            id: merged,
-            start: sources[0].0.start.clone(),
-            end: sources[1].0.end.clone(),
-        };
-        let mut files: Vec<(Rc<StoreFileData>, u32)> = Vec::new();
-        let mut markers: Vec<(String, Bytes)> = Vec::new();
-        for (src_desc, src_files) in &sources {
-            for (sf, level) in src_files {
-                let base = sf.path().rsplit('/').next().unwrap_or("file").to_owned();
-                // The source region id disambiguates: both daughters may
-                // hold references with the same base name after earlier
-                // splits of a common ancestor.
-                let path = format!("/store/{merged}/ref-{}-{base}", src_desc.id.0);
-                if let Some(r) = StoreFileData::reference(
-                    sf,
-                    merged,
-                    path,
-                    &src_desc.start[..],
-                    src_desc.end.as_deref(),
-                ) {
-                    let r = Rc::new(r);
-                    // The daughter's physical file must outlive this
-                    // reference; the registry tracks the hold.
-                    self.registry.add_backing_ref(r.backing_path());
-                    self.registry.insert(Rc::clone(&r));
-                    markers.push((r.path().to_owned(), encode_ref_marker(&r)));
-                    files.push((r, *level));
-                }
-            }
-        }
-        let work = Rc::new(MergeWork {
-            left,
-            right,
-            merged,
-            merged_desc,
-            files,
-            markers,
-        });
-        self.write_merge_markers(work, 0);
-    }
-
-    /// Writes reference marker file `idx` to the filesystem, then
-    /// recurses; once all are durable the flip runs. A crash mid-way
-    /// leaves only orphaned markers under the merged region's directory,
-    /// which the region map never learns about — the master's failover
-    /// rolls the intent back and recovers both daughters from their
-    /// untouched files.
-    fn write_merge_markers(self: &Rc<Self>, work: Rc<MergeWork>, idx: usize) {
-        if !self.alive.get() {
-            return;
-        }
-        if idx == work.markers.len() {
-            self.finish_merge(&work);
-            return;
-        }
-        let (path, content) = work.markers[idx].clone();
-        let weak = Rc::downgrade(self);
-        self.dfs.create(&path, move |file| {
-            let Some(server) = weak.upgrade() else { return };
-            let Ok(file) = file else {
-                server.abort_granted_merge(&work);
-                return;
-            };
-            let weak = weak.clone();
-            file.append(content, move |result| {
-                let Some(server) = weak.upgrade() else { return };
-                if !server.alive.get() {
-                    return;
-                }
-                if result.is_err() {
-                    server.abort_granted_merge(&work);
-                    return;
-                }
-                server.write_merge_markers(work, idx + 1);
-            });
-        });
-    }
-
-    /// Server-side rollback of a granted merge intent (marker writes
-    /// failed): unregister the references, release the backing holds
-    /// (both daughters still own their physical files, so nothing is
-    /// deleted), best-effort delete the markers, and tell the master.
-    fn abort_granted_merge(self: &Rc<Self>, work: &MergeWork) {
-        for (sf, _) in &work.files {
-            self.registry.remove(sf.path());
-            let _ = self.registry.release_backing_ref(sf.backing_path());
-        }
-        for (path, _) in &work.markers {
-            self.dfs.delete(path);
-        }
-        self.merge_stats.aborted.inc();
-        let (me, left, right) = (self.id, work.left, work.right);
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.abort", move || {
-                format!("server={me} left={left} right={right}")
-            });
-        self.clear_pending_merge(work.left, work.right);
-        self.notify_merge_aborted(work.left);
-    }
-
-    fn notify_merge_aborted(&self, left: RegionId) {
-        let Some(coord) = self.split_coord.borrow().clone() else {
-            return;
-        };
-        let id = self.id;
-        self.net.send(self.node, coord.node(), 48, move || {
-            coord.merge_aborted(id, left)
-        });
-    }
-
-    /// The atomic flip, in reverse of [`RegionServer::finish_split`]: in
-    /// one event both daughter region states are removed and the merged
-    /// region appears online — reference files as its store stack, both
-    /// daughters' leftover memstores combined (their ranges are
-    /// disjoint). At no instant are a daughter and the merged region
-    /// both servable. The master is then told to apply the map change.
-    fn finish_merge(self: &Rc<Self>, work: &MergeWork) {
-        if !self.alive.get() {
-            return;
-        }
-        let superseded = {
-            let mut regions = self.regions.borrow_mut();
-            if !regions.contains_key(&work.left) || !regions.contains_key(&work.right) {
-                drop(regions);
-                self.abort_granted_merge(work);
-                return;
-            }
-            let l = regions.remove(&work.left).expect("checked");
-            let r = regions.remove(&work.right).expect("checked");
-            // Leftover memstore entries (absorbed since the pre-merge
-            // flush; all covered by WAL records the failover remaps by
-            // row) combine — the daughters' ranges are disjoint.
-            let mut memstore = MemStore::new();
-            for src in [&l, &r] {
-                for (row, c, ts, v) in src.memstore.iter() {
-                    memstore.apply(row.clone(), c.clone(), ts, v.clone());
-                }
-            }
-            // A daughter file that is itself a reference (the daughter
-            // came from an earlier split or merge) is superseded: the
-            // new references back directly onto the physical file and
-            // hold their own counts. Retirement is destructive, so it
-            // runs after the flip behind the coordination fence (see
-            // `finish_split`).
-            let superseded: Vec<Rc<StoreFileData>> = l
-                .storefiles
-                .iter()
-                .chain(r.storefiles.iter())
-                .filter(|sf| sf.is_reference())
-                .cloned()
-                .collect();
-            regions.insert(
-                work.merged,
-                RegionState {
-                    desc: work.merged_desc.clone(),
-                    memstore,
-                    flushing: None,
-                    storefiles: work.files.iter().map(|(f, _)| Rc::clone(f)).collect(),
-                    file_levels: work
-                        .files
-                        .iter()
-                        .filter(|(_, lv)| *lv > 0)
-                        .map(|(f, lv)| (f.path().to_owned(), *lv))
-                        .collect(),
-                    recovered_paths: Vec::new(),
-                    online: true,
-                    flush_in_progress: false,
-                    compaction_in_progress: false,
-                    splitting: false,
-                },
-            );
-            superseded
-        };
-        // The daughters' cached blocks belong to regions that no longer
-        // exist; the merged region refills under its own id.
-        for id in [work.left, work.right] {
-            self.cache.borrow_mut().evict_region(id);
-        }
-        // The daughters' accumulated load history moves to the merged
-        // region — the placement signal must not read a server that just
-        // merged two warm regions as suddenly idle.
-        let load = self.split_stats.region_load.get(work.left.0 as u64)
-            + self.split_stats.region_load.get(work.right.0 as u64);
-        self.split_stats.region_load.remove(work.left.0 as u64);
-        self.split_stats.region_load.remove(work.right.0 as u64);
-        self.split_stats.region_load.add(work.merged.0 as u64, load);
-        self.pending_merge.borrow_mut().take();
-        self.merge_stats.completed.inc();
-        let (me, left, right, merged) = (self.id, work.left, work.right, work.merged);
-        self.events
-            .borrow()
-            .record(self.sim.now(), "merge.flip", move || {
-                format!("server={me} left={left} right={right} merged={merged}")
-            });
-        self.update_file_metrics();
-        if !superseded.is_empty() {
-            self.retire_superseded_references(superseded);
-        }
-        if let Some(coord) = self.split_coord.borrow().clone() {
-            let id = self.id;
-            let left = work.left;
-            self.net.send(self.node, coord.node(), 64, move || {
-                coord.merge_completed(id, left)
-            });
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Master-driven region moves (proactive load shedding)
     // ------------------------------------------------------------------
 
@@ -3556,12 +2410,7 @@ impl RegionServer {
             let regions = self.regions.borrow();
             regions
                 .get(&region)
-                .map(|st| {
-                    st.online
-                        && !st.splitting
-                        && !st.compaction_in_progress
-                        && st.recovered_paths.is_empty()
-                })
+                .map(|st| st.restructurable() && !st.compaction_in_progress)
                 .unwrap_or(false)
         };
         if !ok {
@@ -3574,7 +2423,7 @@ impl RegionServer {
             st.online = false;
             // The structural-op flag keeps flush checks and compaction
             // candidacy away while this close drives the flush itself.
-            st.splitting = true;
+            st.restructuring = true;
         }
         *self.pending_move.borrow_mut() = Some(region);
         let me = self.id;
@@ -3603,11 +2452,7 @@ impl RegionServer {
         let (gone, busy, dirty) = {
             let regions = self.regions.borrow();
             match regions.get(&region) {
-                Some(st) => (
-                    false,
-                    st.flush_in_progress || st.flushing.is_some(),
-                    !st.memstore.is_empty(),
-                ),
+                Some(st) => (false, !st.quiescent(), !st.memstore.is_empty()),
                 None => (true, false, false),
             }
         };
@@ -3625,7 +2470,7 @@ impl RegionServer {
                     let mut regions = self.regions.borrow_mut();
                     if let Some(st) = regions.get_mut(&region) {
                         st.online = true;
-                        st.splitting = false;
+                        st.restructuring = false;
                     }
                 }
                 self.pending_move.borrow_mut().take();
@@ -3644,7 +2489,7 @@ impl RegionServer {
         }
         self.regions.borrow_mut().remove(&region);
         self.cache.borrow_mut().evict_region(region);
-        self.split_stats.region_load.remove(region.0 as u64);
+        self.region_load.remove(region.0 as u64);
         self.pending_move.borrow_mut().take();
         self.update_file_metrics();
         let me = self.id;
@@ -3930,18 +2775,7 @@ impl RegionServer {
             .collect();
         self.regions.borrow_mut().insert(
             region,
-            RegionState {
-                desc: shadow.desc,
-                memstore: shadow.memstore,
-                flushing: None,
-                storefiles,
-                file_levels: HashMap::new(),
-                recovered_paths: Vec::new(),
-                online: false,
-                flush_in_progress: false,
-                compaction_in_progress: false,
-                splitting: false,
-            },
+            RegionState::new(shadow.desc, shadow.memstore, storefiles),
         );
         let me = self.id;
         self.events
@@ -4624,7 +3458,7 @@ impl RegionServer {
             let Some(st) = regions.get(&region) else {
                 return;
             };
-            if st.flush_in_progress || st.flushing.is_some() {
+            if st.flush_busy() {
                 return;
             }
             let snapshot: MemstoreSnapshot = st

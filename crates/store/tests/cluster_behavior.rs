@@ -4,10 +4,12 @@
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, CoordService};
 use cumulo_dfs::{DataNode, DfsClient, NameNode, NameNodeConfig};
+use cumulo_sim::trace::Journal;
 use cumulo_sim::{DiskConfig, LatencyConfig, Network, Sim, SimDuration};
 use cumulo_store::{
-    Master, MasterConfig, Mutation, RegionMap, RegionServer, RegionServerConfig, ServerDirectory,
-    StoreClient, StoreClientConfig, StoreFileRegistry, Timestamp, WalSyncMode, WriteSet,
+    ChangeKind, Master, MasterConfig, Mutation, RegionId, RegionMap, RegionServer,
+    RegionServerConfig, ServerDirectory, StoreClient, StoreClientConfig, StoreFileRegistry,
+    Timestamp, WalSyncMode, WriteSet,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,6 +21,10 @@ struct Cluster {
     dir: Rc<ServerDirectory>,
     servers: Vec<Rc<RegionServer>>,
     client: StoreClient,
+    /// The failure-event journal every server and the master record into.
+    events: Journal,
+    /// A filesystem client on the client's node, for listing the namespace.
+    dfs: DfsClient,
 }
 
 fn build(seed: u64, n_servers: usize, n_regions: usize, wal_mode: WalSyncMode) -> Cluster {
@@ -59,6 +65,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
 
     let registry = StoreFileRegistry::new();
     let dir = ServerDirectory::new();
+    let events = Journal::new(4096);
 
     // Region servers.
     let mut servers = Vec::new();
@@ -73,6 +80,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
             dfs,
             Rc::clone(&registry),
         );
+        server.set_journals(Journal::disabled(), events.clone());
         let coord = CoordClient::new(&sim, &net, &coord_svc, *node);
         server.start(&coord);
         dir.register(Rc::clone(&server));
@@ -90,6 +98,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
         master_dfs,
         Rc::clone(&dir),
     );
+    master.set_events_journal(events.clone());
     let master_coord = CoordClient::new(&sim, &net, &coord_svc, master_node);
     master.start(&master_coord);
     master.bootstrap(RegionMap::split_decimal_keyspace("user", 1000, n_regions));
@@ -105,6 +114,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
         &dir,
         StoreClientConfig::default(),
     );
+    let dfs = DfsClient::new(&sim, &net, &nn, client_node);
 
     Cluster {
         sim,
@@ -113,6 +123,8 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
         dir,
         servers,
         client,
+        events,
+        dfs,
     }
 }
 
@@ -546,4 +558,233 @@ fn concurrent_failures_leave_no_region_unassigned_forever() {
         assert!(survivor.region_online(r.id), "region {} online", r.id);
     }
     let _ = c.net;
+}
+
+/// Advances the simulation to `millis` after its start.
+fn run_to(c: &Cluster, millis: u64) {
+    c.sim
+        .run_until(cumulo_sim::SimTime::from_nanos(millis * 1_000_000));
+}
+
+/// Puts `value` under column `f0` of rows `rows`, one single-mutation
+/// batch per row at timestamp `base_ts + row`, routed by the client's
+/// cached map.
+fn put_rows(c: &Cluster, base_ts: u64, rows: impl Iterator<Item = u64>, value: &str) {
+    for i in rows {
+        let m = Mutation::put(key(i), "f0", format!("{value}{i:0>90}"));
+        let region = c.client.region_for(&key(i));
+        c.client
+            .multi_put(region, Timestamp(base_ts + i), vec![m], None, false, || {});
+    }
+}
+
+/// A server configuration for driving structure changes by hand: both
+/// candidacy timers on at the given periods, a split threshold any
+/// flushed region exceeds, a merge threshold no pair is under (only the
+/// admin trigger starts a merge), compaction off so file sets only
+/// change through flushes and structure changes.
+fn structure_cfg(split_every: u64, merge_every: u64) -> RegionServerConfig {
+    let mut cfg = RegionServerConfig::default();
+    cfg.compaction.enabled = false;
+    cfg.split.enabled = true;
+    cfg.split.threshold_bytes = 1 << 10;
+    cfg.split.check_interval = SimDuration::from_secs(split_every);
+    cfg.merge.enabled = true;
+    cfg.merge.threshold_bytes = 0;
+    cfg.merge.check_interval = SimDuration::from_secs(merge_every);
+    cfg
+}
+
+/// One region is split by the candidacy timer and its daughters are
+/// merged back by the admin trigger, with writes landing between each
+/// pre-change flush and its flip. The journal counts, the final map and
+/// the filesystem namespace below are what the last commit with two
+/// separate pipelines (c0717f2) produces for this schedule: the unified
+/// protocol must walk the same steps and leave the same files.
+#[test]
+fn split_then_merge_of_a_fixed_schedule_is_pinned() {
+    // Split ticks at 10 s, 20 s, ...; merge ticks at 7 s, 14 s, ...
+    let c = build_with(21, 1, 1, structure_cfg(10, 7));
+    let server = Rc::clone(&c.servers[0]);
+    let parent = server.hosted_regions()[0];
+    put_rows(&c, 1_000, 0..120, "a");
+    run_to(&c, 3_000);
+    server.flush_region(parent);
+    run_to(&c, 5_000);
+    put_rows(&c, 2_000, (0..120).step_by(5), "b");
+    // 10 s: candidacy accepted, pre-split flush. 20 s: intent, flip.
+    run_to(&c, 19_900);
+    assert_eq!(server.hosted_regions(), vec![parent], "not split yet");
+    // Absorbed after the pre-split flush: partitioned at the flip.
+    put_rows(&c, 3_000, (0..120).step_by(7), "c");
+    run_to(&c, 22_000);
+    let daughters = server.hosted_regions();
+    assert_eq!(daughters.len(), 2, "split at the 20 s tick");
+    assert_eq!(c.master.splits_applied(), 1);
+    put_rows(&c, 4_000, (0..120).step_by(11), "d");
+    run_to(&c, 23_000);
+    // Both daughters dirty: the trigger flushes them and the 28 s merge
+    // tick sends the intent.
+    assert!(server.request_region_merge(daughters[0], daughters[1]));
+    run_to(&c, 27_900);
+    // Absorbed after the pre-merge flush: combined at the flip.
+    put_rows(&c, 5_000, (0..120).step_by(13), "e");
+    run_to(&c, 29_500);
+    assert_eq!(c.master.merges_applied(), 1);
+
+    let counts: Vec<(&str, u64)> = c
+        .events
+        .counts()
+        .into_iter()
+        .filter(|(kind, _)| kind.starts_with("split.") || kind.starts_with("merge."))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("merge.applied", 1),
+            ("merge.consider", 1),
+            ("merge.execute", 1),
+            ("merge.flip", 1),
+            ("merge.intent", 1),
+            ("merge.persisted", 1),
+            ("split.applied", 1),
+            ("split.consider", 1),
+            ("split.execute", 1),
+            ("split.flip", 1),
+            ("split.intent", 1),
+            ("split.persisted", 1),
+        ]
+    );
+    let map = c.master.snapshot_map();
+    let shape: Vec<(u32, &[u8], Option<&[u8]>, Option<u32>)> = map
+        .regions()
+        .iter()
+        .map(|d| {
+            (
+                d.id.0,
+                &d.start[..],
+                d.end.as_deref(),
+                map.server_for(d.id).map(|s| s.0),
+            )
+        })
+        .collect();
+    assert_eq!(shape, [(3, &b""[..], None, Some(0))]);
+    assert_eq!(server.hosted_regions(), vec![RegionId(3)]);
+
+    let files: Rc<RefCell<Vec<String>>> = Rc::default();
+    let sink = Rc::clone(&files);
+    c.dfs.list("/", move |mut paths| {
+        paths.sort();
+        *sink.borrow_mut() = paths;
+    });
+    c.sim.run_for(SimDuration::from_millis(100));
+    assert_eq!(*files.borrow(), PINNED_NAMESPACE);
+
+    // Every row reads back its newest write through the merged region.
+    for i in 0..120u64 {
+        let newest = [(13, "e"), (11, "d"), (7, "c"), (5, "b"), (1, "a")]
+            .into_iter()
+            .find(|(step, _)| i % step == 0)
+            .map(|(_, value)| format!("{value}{i:0>90}"))
+            .expect("every row was written");
+        let got = read_row(&c, i, 10_000).and_then(|(_, v)| v);
+        assert_eq!(got, Some(Bytes::from(newest)), "row {i}");
+    }
+}
+
+/// The filesystem namespace [`split_then_merge_of_a_fixed_schedule_is_pinned`]
+/// ends with.
+/// ends with: the parent's two flushes, each daughter's one, and the
+/// merged region's references — over the daughters' own files and, the
+/// daughters' references having been superseded and retired, directly
+/// over the parent's.
+const PINNED_NAMESPACE: &[&str] = &[
+    "/store/r0/000000-rs0",
+    "/store/r0/000001-rs0",
+    "/store/r1/000002-rs0",
+    "/store/r2/000003-rs0",
+    "/store/r3/ref-1-000002-rs0",
+    "/store/r3/ref-1-ref-000000-rs0",
+    "/store/r3/ref-1-ref-000001-rs0",
+    "/store/r3/ref-2-000003-rs0",
+    "/store/r3/ref-2-ref-000000-rs0",
+    "/store/r3/ref-2-ref-000001-rs0",
+    "/wal/rs0",
+];
+
+/// One structure change runs at a time per server: while one of either
+/// kind is pending, the admin merge trigger refuses, and the *other*
+/// kind's candidacy tick neither starts a change of its own nor pushes
+/// the pending one along — only the pending change's own timer does.
+#[test]
+fn a_pending_change_defers_the_other_kinds_candidacy() {
+    // A pending merge, split ticks every second: three regions, the
+    // upper two (clean store files plus dirty memstores) get the merge
+    // request, then the lowest grows past the split threshold.
+    let c = build_with(22, 1, 3, structure_cfg(1, 10));
+    let server = Rc::clone(&c.servers[0]);
+    let splits = server.structure_stats(ChangeKind::Split);
+    let merges = server.structure_stats(ChangeKind::Merge);
+    let regions = server.hosted_regions();
+    put_rows(&c, 1_000, 400..1_000, "a");
+    c.sim.run_for(SimDuration::from_millis(400));
+    assert!(server.request_region_merge(regions[1], regions[2]));
+    assert!(
+        !server.request_region_merge(regions[0], regions[1]),
+        "the slot is taken"
+    );
+    put_rows(&c, 2_000, 0..100, "b");
+    c.sim.run_for(SimDuration::from_millis(200));
+    server.flush_region(regions[0]);
+    // Split ticks at 1 s .. 9 s all see the pending merge.
+    run_to(&c, 9_500);
+    assert_eq!(merges.considered.get(), 1);
+    assert_eq!(
+        merges.intents_requested.get(),
+        0,
+        "a split tick advanced the pending merge"
+    );
+    assert_eq!(
+        splits.considered.get(),
+        0,
+        "a split started beside the pending merge"
+    );
+    // The 10 s merge tick sends the intent; the split follows.
+    run_to(&c, 10_900);
+    assert_eq!(merges.intents_requested.get(), 1);
+    assert_eq!(merges.completed.get(), 1);
+    assert_eq!(splits.considered.get(), 0);
+    run_to(&c, 11_500);
+    assert_eq!(splits.considered.get(), 1);
+
+    // A pending split, merge ticks every second: the lowest of three
+    // regions is over the split threshold and dirty at the 10 s tick.
+    let c = build_with(23, 1, 3, structure_cfg(10, 1));
+    let server = Rc::clone(&c.servers[0]);
+    let splits = server.structure_stats(ChangeKind::Split);
+    let merges = server.structure_stats(ChangeKind::Merge);
+    let regions = server.hosted_regions();
+    put_rows(&c, 1_000, 0..100, "a");
+    c.sim.run_for(SimDuration::from_millis(200));
+    server.flush_region(regions[0]);
+    run_to(&c, 9_000);
+    put_rows(&c, 2_000, 0..10, "b");
+    run_to(&c, 10_500);
+    assert_eq!(splits.considered.get(), 1);
+    assert!(
+        !server.request_region_merge(regions[1], regions[2]),
+        "the slot is taken"
+    );
+    // Merge ticks at 11 s .. 19 s all see the pending split.
+    run_to(&c, 19_500);
+    assert_eq!(
+        splits.intents_requested.get(),
+        0,
+        "a merge tick advanced the pending split"
+    );
+    assert_eq!(merges.considered.get(), 0);
+    run_to(&c, 20_900);
+    assert_eq!(splits.intents_requested.get(), 1);
+    assert_eq!(splits.completed.get(), 1);
+    assert!(server.request_region_merge(regions[1], regions[2]));
 }

@@ -6,7 +6,9 @@
 //! early).
 
 use bytes::Bytes;
-use cumulo_store::{MemStore, RegionId, RegionMap, ServerId, StoreFileData, Timestamp};
+use cumulo_store::{
+    MemStore, RegionId, RegionMap, ServerId, StoreFileData, StructureChange, Timestamp,
+};
 use proptest::prelude::*;
 use std::rc::Rc;
 
@@ -56,7 +58,7 @@ proptest! {
 
         // The merge: region 4's file set is one reference per daughter
         // file, each clipped to that daughter's own range — exactly what
-        // `execute_merge` builds.
+        // `execute_change` builds for a merge.
         let merged: Vec<Rc<StoreFileData>> = [
             bottom.as_ref().map(|f| (f, &b""[..], Some(&split_key[..]))),
             top.as_ref().map(|f| (f, &split_key[..], None)),
@@ -144,12 +146,15 @@ proptest! {
             Bytes::from(k)
         };
         let (bottom, top) = (RegionId(100), RegionId(101));
-        prop_assert!(map.apply_split(target.id, &key, bottom, top));
+        let split = StructureChange::new(&[&target], &[key], &[bottom, top], ServerId(7));
+        prop_assert!(map.apply_change(&split));
         assert_partition(&map);
         prop_assert_eq!(map.regions().len(), before.len() + 1);
 
         // Merge the daughters back.
-        prop_assert!(map.apply_merge(bottom, top, RegionId(102)));
+        let daughters: Vec<_> = split.outputs.iter().collect();
+        let merge = StructureChange::new(&daughters, &[], &[RegionId(102)], ServerId(7));
+        prop_assert!(map.apply_change(&merge));
         assert_partition(&map);
         let after: Vec<(Bytes, Option<Bytes>)> = map
             .regions()
@@ -168,9 +173,9 @@ proptest! {
     /// physical file's count rises as references are cut over it,
     /// returns to exactly zero once every generation is retired, and is
     /// never released below zero. (This is the registry arithmetic
-    /// `finish_split`/`finish_merge`/`retire_superseded_references`
-    /// perform; a leak here would pin physical files forever, an early
-    /// zero would let compaction delete a file still being read.)
+    /// `finish_change`/`retire_superseded_references` perform; a leak
+    /// here would pin physical files forever, an early zero would let
+    /// compaction delete a file still being read.)
     #[test]
     fn backing_ref_counts_balance_across_split_merge_chains(
         writes in prop::collection::vec(

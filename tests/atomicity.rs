@@ -2,6 +2,9 @@
 //! spanning regions and servers must be all-or-nothing in every snapshot
 //! a reader can observe — through crashes, recoveries and replays.
 
+mod common;
+
+use common::bank::{shift_rng, Bank};
 use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
@@ -9,45 +12,10 @@ use std::rc::Rc;
 
 const ACCOUNTS: u64 = 120;
 const INITIAL: i64 = 500;
-
-fn account(i: u64) -> String {
-    format!("user{i:012}")
-}
-
-fn parse(v: Option<bytes::Bytes>) -> i64 {
-    v.map(|b| String::from_utf8_lossy(&b).parse().unwrap_or(0))
-        .unwrap_or(INITIAL)
-}
-
-fn transfer(cluster: &Cluster, client: TransactionalClient, committed: Rc<Cell<u32>>) {
-    let sim = cluster.sim.clone();
-    let from = sim.gen_range(0, ACCOUNTS);
-    let to = (from + 1 + sim.gen_range(0, ACCOUNTS - 1)) % ACCOUNTS;
-    let amount = sim.gen_range(1, 20) as i64;
-    client.begin(move |txn| {
-        let Ok(txn) = txn else { return };
-        let committed2 = committed.clone();
-        let txn2 = txn.clone();
-        txn.get(account(from), "bal", move |vf| {
-            let Ok(vf) = vf else { return };
-            let bf = parse(vf);
-            let committed3 = committed2.clone();
-            let txn3 = txn2.clone();
-            txn2.get(account(to), "bal", move |vt| {
-                let Ok(vt) = vt else { return };
-                let bt = parse(vt);
-                let _ = txn3.put(account(from), "bal", (bf - amount).to_string());
-                let _ = txn3.put(account(to), "bal", (bt + amount).to_string());
-                let committed4 = committed3.clone();
-                txn3.commit(move |r| {
-                    if r.is_ok() {
-                        committed4.set(committed4.get() + 1);
-                    }
-                });
-            });
-        });
-    });
-}
+const BANK: Bank = Bank {
+    accounts: ACCOUNTS,
+    initial: INITIAL,
+};
 
 /// The shared schedule of the conservation tests: 60 rounds of
 /// transfers with a server crash at round 20 and a client crash at
@@ -55,12 +23,7 @@ fn transfer(cluster: &Cluster, client: TransactionalClient, committed: Rc<Cell<u
 fn run_transfer_schedule(cluster: &Cluster) {
     let committed = Rc::new(Cell::new(0u32));
     for round in 0..60 {
-        for i in 0..cluster.clients.len() {
-            let client = cluster.client(i).clone();
-            if client.is_alive() {
-                transfer(cluster, client, committed.clone());
-            }
-        }
+        BANK.transfer_round(cluster, &committed);
         cluster.run_for(SimDuration::from_millis(400));
         if round == 20 {
             cluster.crash_server(0);
@@ -76,12 +39,8 @@ fn run_transfer_schedule(cluster: &Cluster) {
         committed.get()
     );
 
-    let mut total = 0i64;
-    for i in 0..ACCOUNTS {
-        total += parse(cluster.read_cell(account(i), "bal", SimDuration::from_secs(10)));
-    }
     assert_eq!(
-        total,
+        BANK.total(cluster),
         ACCOUNTS as i64 * INITIAL,
         "atomicity violated: money not conserved"
     );
@@ -126,9 +85,7 @@ fn transfers_conserve_total_balance_with_shifted_rng() {
     for shift in [1u32, 2, 3] {
         let cluster = conservation_cluster();
         // Extra draws that shift every subsequent gen_range/gen_f64.
-        for _ in 0..shift {
-            let _ = cluster.sim.jitter(SimDuration::from_secs(1), 0.5);
-        }
+        shift_rng(&cluster, shift);
         run_transfer_schedule(&cluster);
     }
 }

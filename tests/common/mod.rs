@@ -17,14 +17,18 @@
 //! Every helper draws randomness only through `cluster.sim`, so a
 //! schedule is a pure function of the seed and a failing run replays
 //! byte-identically.
+//!
+//! The bank-transfer workload those suites audit with is in [`bank`].
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a subset of it.
 #![allow(dead_code)]
 
+pub mod bank;
+
 use cumulo_core::Cluster;
 use cumulo_sim::{NodeId, SimDuration};
-use cumulo_store::{RegionId, RegionServer};
+use cumulo_store::{ChangeKind, RegionId, RegionServer};
 
 /// One fault-injection step in a [`ChaosSchedule`].
 pub enum ChaosAction {
@@ -231,4 +235,13 @@ pub fn crash_first_observed(
         }
         None => false,
     }
+}
+
+/// The index of the live server with a structure change of `kind`
+/// pending or executing, if any.
+pub fn changing_server(cluster: &Cluster, kind: ChangeKind) -> Option<usize> {
+    cluster
+        .servers
+        .iter()
+        .position(|s| s.is_alive() && s.pending_change() == Some(kind))
 }

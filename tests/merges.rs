@@ -24,22 +24,22 @@
 //! victim's regions onto survivors, deterministically creating adjacent
 //! co-hosted pairs the merge-candidacy timer then finds.
 
-use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
+mod common;
+
+use common::bank::{run_until, Bank};
+use common::changing_server;
+use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
+use cumulo_store::ChangeKind;
 use std::cell::Cell;
 use std::rc::Rc;
 
 const ACCOUNTS: u64 = 400;
 const INITIAL: i64 = 1_000;
-
-fn account(i: u64) -> String {
-    format!("user{i:012}")
-}
-
-fn parse(v: Option<bytes::Bytes>) -> i64 {
-    v.map(|b| String::from_utf8_lossy(&b).parse().unwrap_or(0))
-        .unwrap_or(INITIAL)
-}
+const BANK: Bank = Bank {
+    accounts: ACCOUNTS,
+    initial: INITIAL,
+};
 
 /// A merge-happy cluster: many small regions, merges on with a generous
 /// threshold (every adjacent co-hosted pair qualifies), splits off.
@@ -59,80 +59,11 @@ fn merge_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// One money transfer between two random accounts (full key space, so
-/// transfers routinely straddle merge boundaries).
-fn transfer(cluster: &Cluster, client: TransactionalClient, committed: Rc<Cell<u32>>) {
-    let sim = cluster.sim.clone();
-    let from = sim.gen_range(0, ACCOUNTS);
-    let to = (from + 1 + sim.gen_range(0, ACCOUNTS - 1)) % ACCOUNTS;
-    let amount = sim.gen_range(1, 20) as i64;
-    client.begin(move |txn| {
-        let Ok(txn) = txn else { return };
-        let committed2 = committed.clone();
-        let txn2 = txn.clone();
-        txn.get(account(from), "bal", move |vf| {
-            let Ok(vf) = vf else { return };
-            let bf = parse(vf);
-            let committed3 = committed2.clone();
-            let txn3 = txn2.clone();
-            txn2.get(account(to), "bal", move |vt| {
-                let Ok(vt) = vt else { return };
-                let bt = parse(vt);
-                let _ = txn3.put(account(from), "bal", (bf - amount).to_string());
-                let _ = txn3.put(account(to), "bal", (bt + amount).to_string());
-                let committed4 = committed3.clone();
-                txn3.commit(move |r| {
-                    if r.is_ok() {
-                        committed4.set(committed4.get() + 1);
-                    }
-                });
-            });
-        });
-    });
-}
-
-/// One scheduling round: every live client fires a transfer.
-fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>) {
-    for i in 0..cluster.clients.len() {
-        let client = cluster.client(i).clone();
-        if client.is_alive() {
-            transfer(cluster, client, Rc::clone(committed));
-        }
-    }
-}
-
-/// Steps the simulation in `step`-sized increments until `pred` holds or
-/// `max` elapses; returns whether the predicate fired.
-fn run_until(
-    cluster: &Cluster,
-    step: SimDuration,
-    max: SimDuration,
-    pred: impl Fn() -> bool,
-) -> bool {
-    let deadline = cluster.now() + max;
-    while cluster.now() < deadline {
-        if pred() {
-            return true;
-        }
-        cluster.run_for(step);
-    }
-    pred()
-}
-
-/// The index of the server currently carrying a pending/executing merge.
-fn merging_server(cluster: &Cluster) -> Option<usize> {
-    cluster.servers.iter().position(|s| {
-        s.is_alive()
-            && s.merge_stats().considered.get()
-                > s.merge_stats().completed.get() + s.merge_stats().aborted.get()
-    })
-}
-
 /// The setup crash: kill one server so the failover packs its regions
 /// onto survivors, creating the adjacent co-hosted pairs merges need.
 fn create_adjacency(cluster: &Cluster, committed: &Rc<Cell<u32>>) {
     for _ in 0..10 {
-        round(cluster, committed);
+        BANK.transfer_round(cluster, committed);
         cluster.run_for(SimDuration::from_millis(300));
     }
     cluster.crash_server(cluster.servers.len() - 1);
@@ -153,12 +84,8 @@ fn audit(cluster: &Cluster, committed: u32) {
         "cluster did not fully recover"
     );
     cluster.assert_region_partition();
-    let mut total = 0i64;
-    for i in 0..ACCOUNTS {
-        total += parse(cluster.read_cell(account(i), "bal", SimDuration::from_secs(10)));
-    }
     assert_eq!(
-        total,
+        BANK.total(cluster),
         ACCOUNTS as i64 * INITIAL,
         "merge x failover lost or duplicated money"
     );
@@ -179,27 +106,30 @@ fn crash_before_intent_persisted_recovers_daughters() {
     // coarse polling catches it).
     let mut caught = false;
     for _ in 0..600 {
-        round(&cluster, &committed);
+        BANK.transfer_round(&cluster, &committed);
         if run_until(
             &cluster,
             SimDuration::from_millis(10),
             SimDuration::from_millis(200),
-            || merging_server(&cluster).is_some() && cluster.master.merge_intents_persisted() == 0,
+            || {
+                changing_server(&cluster, ChangeKind::Merge).is_some()
+                    && cluster.merge_totals().intents_persisted == 0
+            },
         ) {
             caught = true;
             break;
         }
     }
     assert!(caught, "no merge candidacy was ever observed");
-    let victim = merging_server(&cluster).expect("just observed");
+    let victim = changing_server(&cluster, ChangeKind::Merge).expect("just observed");
     assert_eq!(
-        cluster.master.merge_intents_persisted(),
+        cluster.merge_totals().intents_persisted,
         0,
         "crash point 1 requires no durable intent"
     );
     cluster.crash_server(victim);
     for _ in 0..20 {
-        round(&cluster, &committed);
+        BANK.transfer_round(&cluster, &committed);
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
@@ -217,14 +147,14 @@ fn crash_after_intent_before_merged_online_rolls_back() {
     create_adjacency(&cluster, &committed);
     let mut caught = false;
     for _ in 0..600 {
-        round(&cluster, &committed);
+        BANK.transfer_round(&cluster, &committed);
         // Fine-grained stepping: the window between the durable intent
         // and the map flip is a handful of DFS marker writes wide.
         if run_until(
             &cluster,
             SimDuration::from_millis(2),
             SimDuration::from_millis(200),
-            || cluster.master.merge_intents_persisted() > 0 && cluster.master.merges_applied() == 0,
+            || cluster.merge_totals().intents_persisted > 0 && cluster.master.merges_applied() == 0,
         ) {
             caught = true;
             break;
@@ -234,7 +164,8 @@ fn crash_after_intent_before_merged_online_rolls_back() {
         }
     }
     assert!(caught, "never caught the intent-persisted window");
-    let victim = merging_server(&cluster).expect("a server holds the granted intent");
+    let victim =
+        changing_server(&cluster, ChangeKind::Merge).expect("a server holds the granted intent");
     cluster.crash_server(victim);
     // The master's failover must roll the intent back (never serve the
     // merged region of an unapplied merge).
@@ -242,11 +173,11 @@ fn crash_after_intent_before_merged_online_rolls_back() {
         &cluster,
         SimDuration::from_millis(100),
         SimDuration::from_secs(30),
-        || cluster.master.merges_rolled_back() > 0,
+        || cluster.merge_totals().rolled_back > 0,
     );
     assert!(rolled, "failover did not roll the durable intent back");
     for _ in 0..20 {
-        round(&cluster, &committed);
+        BANK.transfer_round(&cluster, &committed);
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
@@ -266,7 +197,7 @@ fn crash_after_merged_online_fails_over_merged_region() {
     create_adjacency(&cluster, &committed);
     let mut applied = false;
     for _ in 0..600 {
-        round(&cluster, &committed);
+        BANK.transfer_round(&cluster, &committed);
         cluster.run_for(SimDuration::from_millis(200));
         if cluster.master.merges_applied() > 0 {
             applied = true;
@@ -276,7 +207,7 @@ fn crash_after_merged_online_fails_over_merged_region() {
     assert!(applied, "no merge was ever applied");
     // Let the merged region absorb post-merge writes before the crash.
     for _ in 0..8 {
-        round(&cluster, &committed);
+        BANK.transfer_round(&cluster, &committed);
         cluster.run_for(SimDuration::from_millis(300));
     }
     // Crash the server hosting a merged region (initial max id was 7,
@@ -295,7 +226,7 @@ fn crash_after_merged_online_fails_over_merged_region() {
         .expect("directory index");
     cluster.crash_server(victim);
     for _ in 0..25 {
-        round(&cluster, &committed);
+        BANK.transfer_round(&cluster, &committed);
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));

@@ -10,9 +10,11 @@
 
 mod common;
 
+use common::bank::{account, shift_rng, Bank};
 use common::{crash_first_observed, ChaosAction, ChaosSchedule};
-use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
+use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
+use cumulo_store::ChangeKind;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -21,15 +23,10 @@ const TICK: SimDuration = SimDuration::from_millis(400);
 
 const ACCOUNTS: u64 = 120;
 const INITIAL: i64 = 500;
-
-fn account(i: u64) -> String {
-    format!("user{i:012}")
-}
-
-fn parse(v: Option<bytes::Bytes>) -> i64 {
-    v.map(|b| String::from_utf8_lossy(&b).parse().unwrap_or(0))
-        .unwrap_or(INITIAL)
-}
+const BANK: Bank = Bank {
+    accounts: ACCOUNTS,
+    initial: INITIAL,
+};
 
 fn replicated_config(seed: u64) -> ClusterConfig {
     ClusterConfig {
@@ -44,66 +41,12 @@ fn replicated_config(seed: u64) -> ClusterConfig {
     }
 }
 
-/// One random transfer between two accounts (the atomicity suite's
-/// idiom): read both balances, move a random amount, commit.
-fn transfer(cluster: &Cluster, client: TransactionalClient, committed: Rc<Cell<u32>>) {
-    let sim = cluster.sim.clone();
-    let from = sim.gen_range(0, ACCOUNTS);
-    let to = (from + 1 + sim.gen_range(0, ACCOUNTS - 1)) % ACCOUNTS;
-    let amount = sim.gen_range(1, 20) as i64;
-    client.begin(move |txn| {
-        let Ok(txn) = txn else { return };
-        let committed2 = committed.clone();
-        let txn2 = txn.clone();
-        txn.get(account(from), "bal", move |vf| {
-            let Ok(vf) = vf else { return };
-            let bf = parse(vf);
-            let committed3 = committed2.clone();
-            let txn3 = txn2.clone();
-            txn2.get(account(to), "bal", move |vt| {
-                let Ok(vt) = vt else { return };
-                let bt = parse(vt);
-                let _ = txn3.put(account(from), "bal", (bf - amount).to_string());
-                let _ = txn3.put(account(to), "bal", (bt + amount).to_string());
-                let committed4 = committed3.clone();
-                txn3.commit(move |r| {
-                    if r.is_ok() {
-                        committed4.set(committed4.get() + 1);
-                    }
-                });
-            });
-        });
-    });
-}
-
-fn fire_transfers(cluster: &Cluster, committed: &Rc<Cell<u32>>) {
-    for i in 0..cluster.clients.len() {
-        let client = cluster.client(i).clone();
-        if client.is_alive() {
-            transfer(cluster, client, committed.clone());
-        }
-    }
-}
-
 fn audit_balances(cluster: &Cluster, label: &str) {
-    let mut total = 0i64;
-    for i in 0..ACCOUNTS {
-        total += parse(cluster.read_cell(account(i), "bal", SimDuration::from_secs(10)));
-    }
     assert_eq!(
-        total,
+        BANK.total(cluster),
         ACCOUNTS as i64 * INITIAL,
         "{label}: money not conserved"
     );
-}
-
-/// Shifts the RNG stream by `shift` extra draws so the same logical
-/// schedule runs under perturbed timings (the repo's standard seed-race
-/// probe).
-fn shift_rng(cluster: &Cluster, shift: u32) {
-    for _ in 0..shift {
-        let _ = cluster.sim.jitter(SimDuration::from_secs(1), 0.5);
-    }
 }
 
 /// Crash a primary under transfer load: the master must promote a
@@ -119,7 +62,7 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
         ChaosSchedule::new()
             .at(TICK * 21, ChaosAction::CrashServer(0))
             .run_rounds(&cluster, 40, TICK, |cluster, _| {
-                fire_transfers(cluster, &committed)
+                BANK.transfer_round(cluster, &committed)
             });
         cluster.run_for(SimDuration::from_secs(25));
         assert!(
@@ -158,7 +101,7 @@ fn partitioned_primary_is_fenced_after_promotion() {
             .at(TICK * 20, ChaosAction::IsolateServer(0))
             .at(TICK * 36, ChaosAction::HealAll)
             .run_rounds(&cluster, 50, TICK, |cluster, _| {
-                fire_transfers(cluster, &committed)
+                BANK.transfer_round(cluster, &committed)
             });
         cluster.run_for(SimDuration::from_secs(25));
         assert!(
@@ -201,7 +144,7 @@ fn all_replicas_dead_falls_back_to_replay() {
             .at(TICK * 21, ChaosAction::CrashServer(0))
             .at(TICK * 21, ChaosAction::CrashServer(1))
             .run_rounds(&cluster, 45, TICK, |cluster, _| {
-                fire_transfers(cluster, &committed)
+                BANK.transfer_round(cluster, &committed)
             });
         cluster.run_for(SimDuration::from_secs(30));
         assert!(
@@ -258,14 +201,16 @@ fn primary_crash_mid_split_converges() {
         let committed = Rc::new(Cell::new(0u32));
         let mut crashed = false;
         for round in 0..60 {
-            fire_transfers(&cluster, &committed);
+            BANK.transfer_round(&cluster, &committed);
             fire_pads(&cluster, round);
             for _ in 0..20 {
                 cluster.run_for(SimDuration::from_millis(20));
                 // Crash the first server observed with a split in
                 // flight (after enough rounds that data exists).
                 if !crashed && round > 10 {
-                    crashed = crash_first_observed(&cluster, |s, r| s.split_in_progress(r));
+                    crashed = crash_first_observed(&cluster, |s, _| {
+                        s.pending_change() == Some(ChangeKind::Split)
+                    });
                 }
             }
         }

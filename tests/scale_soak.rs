@@ -20,8 +20,9 @@
 
 mod common;
 
+use common::bank::{filler, Bank};
 use common::DiceFaults;
-use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
+use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -32,15 +33,10 @@ const INITIAL: i64 = 1_000;
 const HOT: u64 = 150;
 const PHASES: u64 = 3;
 const ROUNDS_PER_PHASE: u64 = 15;
-
-fn account(i: u64) -> String {
-    format!("user{i:012}")
-}
-
-fn parse(v: Option<bytes::Bytes>) -> i64 {
-    v.map(|b| String::from_utf8_lossy(&b).parse().unwrap_or(0))
-        .unwrap_or(INITIAL)
-}
+const BANK: Bank = Bank {
+    accounts: ACCOUNTS,
+    initial: INITIAL,
+};
 
 /// The scale scenario shrunk to test size: every structural feature on
 /// at once — splits (low threshold), merges (lower still, so shrunken
@@ -69,47 +65,6 @@ fn soak_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-fn transfer(cluster: &Cluster, client: TransactionalClient, committed: Rc<Cell<u32>>) {
-    let sim = cluster.sim.clone();
-    let from = sim.gen_range(0, ACCOUNTS);
-    let to = (from + 1 + sim.gen_range(0, ACCOUNTS - 1)) % ACCOUNTS;
-    let amount = sim.gen_range(1, 20) as i64;
-    client.begin(move |txn| {
-        let Ok(txn) = txn else { return };
-        let committed2 = committed.clone();
-        let txn2 = txn.clone();
-        txn.get(account(from), "bal", move |vf| {
-            let Ok(vf) = vf else { return };
-            let bf = parse(vf);
-            let committed3 = committed2.clone();
-            let txn3 = txn2.clone();
-            txn2.get(account(to), "bal", move |vt| {
-                let Ok(vt) = vt else { return };
-                let bt = parse(vt);
-                let _ = txn3.put(account(from), "bal", (bf - amount).to_string());
-                let _ = txn3.put(account(to), "bal", (bt + amount).to_string());
-                let committed4 = committed3.clone();
-                txn3.commit(move |r| {
-                    if r.is_ok() {
-                        committed4.set(committed4.get() + 1);
-                    }
-                });
-            });
-        });
-    });
-}
-
-/// Bulky hot-prefix padding writes: split fuel.
-fn filler(cluster: &Cluster, client: TransactionalClient, round: u64) {
-    let sim = cluster.sim.clone();
-    let key = sim.gen_range(0, HOT);
-    client.begin(move |txn| {
-        let Ok(txn) = txn else { return };
-        let _ = txn.put(account(key), "pad", format!("{round:_<512}"));
-        txn.commit(|_| {});
-    });
-}
-
 /// Quiesce and audit conservation: drain in-flight transfers, then sum
 /// every balance. Transfers are zero-sum, so any deviation means a
 /// committed write was lost or doubly applied somewhere in the
@@ -121,12 +76,8 @@ fn audit_balances(cluster: &Cluster, seed: u64, label: &str) {
         "seed {seed}: regions failed to converge before the {label} audit"
     );
     cluster.assert_region_partition();
-    let mut total = 0i64;
-    for i in 0..ACCOUNTS {
-        total += parse(cluster.read_cell(account(i), "bal", SimDuration::from_secs(10)));
-    }
     assert_eq!(
-        total,
+        BANK.total(cluster),
         ACCOUNTS as i64 * INITIAL,
         "seed {seed}: conservation violated at the {label} audit"
     );
@@ -178,8 +129,8 @@ fn soak_run(seed: u64, shift: u64) {
             for ci in 0..cluster.clients.len() {
                 let client = cluster.client(ci).clone();
                 if client.is_alive() {
-                    transfer(&cluster, client.clone(), Rc::clone(&committed));
-                    filler(&cluster, client, phase * ROUNDS_PER_PHASE + round);
+                    BANK.transfer(&cluster, client.clone(), Rc::clone(&committed));
+                    filler(&cluster, client, HOT, phase * ROUNDS_PER_PHASE + round);
                 }
             }
             cluster.run_for(SimDuration::from_millis(400));

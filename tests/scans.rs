@@ -20,6 +20,7 @@
 
 mod common;
 
+use common::bank::{account, run_until, shift_rng, Bank};
 use common::{ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Transaction, TransactionalClient};
 use cumulo_sim::{Sim, SimDuration};
@@ -28,56 +29,10 @@ use std::rc::Rc;
 
 const ACCOUNTS: u64 = 400;
 const INITIAL: i64 = 1_000;
-
-fn account(i: u64) -> String {
-    format!("user{i:012}")
-}
-
-fn parse(v: Option<bytes::Bytes>) -> i64 {
-    v.map(|b| String::from_utf8_lossy(&b).parse().unwrap_or(0))
-        .unwrap_or(INITIAL)
-}
-
-/// Shifts the RNG stream by `shift` extra draws so the same logical
-/// schedule runs under perturbed timings (the repo's standard seed-race
-/// probe).
-fn shift_rng(cluster: &Cluster, shift: u32) {
-    for _ in 0..shift {
-        let _ = cluster.sim.jitter(SimDuration::from_secs(1), 0.5);
-    }
-}
-
-/// One money transfer between two random accounts (full key space, so
-/// transfers routinely straddle region boundaries mid-scan).
-fn transfer(cluster: &Cluster, client: TransactionalClient, committed: Rc<Cell<u32>>) {
-    let sim = cluster.sim.clone();
-    let from = sim.gen_range(0, ACCOUNTS);
-    let to = (from + 1 + sim.gen_range(0, ACCOUNTS - 1)) % ACCOUNTS;
-    let amount = sim.gen_range(1, 20) as i64;
-    client.begin(move |txn| {
-        let Ok(txn) = txn else { return };
-        let committed2 = committed.clone();
-        let txn2 = txn.clone();
-        txn.get(account(from), "bal", move |vf| {
-            let Ok(vf) = vf else { return };
-            let bf = parse(vf);
-            let committed3 = committed2.clone();
-            let txn3 = txn2.clone();
-            txn2.get(account(to), "bal", move |vt| {
-                let Ok(vt) = vt else { return };
-                let bt = parse(vt);
-                let _ = txn3.put(account(from), "bal", (bf - amount).to_string());
-                let _ = txn3.put(account(to), "bal", (bt + amount).to_string());
-                let committed4 = committed3.clone();
-                txn3.commit(move |r| {
-                    if r.is_ok() {
-                        committed4.set(committed4.get() + 1);
-                    }
-                });
-            });
-        });
-    });
-}
+const BANK: Bank = Bank {
+    accounts: ACCOUNTS,
+    initial: INITIAL,
+};
 
 /// One load round: every live client except the audit client (index 0)
 /// fires a transfer.
@@ -85,27 +40,9 @@ fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>) {
     for i in 1..cluster.clients.len() {
         let client = cluster.client(i).clone();
         if client.is_alive() {
-            transfer(cluster, client, Rc::clone(committed));
+            BANK.transfer(cluster, client, Rc::clone(committed));
         }
     }
-}
-
-/// Steps the simulation in `step`-sized increments until `pred` holds or
-/// `max` elapses; returns whether the predicate fired.
-fn run_until(
-    cluster: &Cluster,
-    step: SimDuration,
-    max: SimDuration,
-    mut pred: impl FnMut() -> bool,
-) -> bool {
-    let deadline = cluster.now() + max;
-    while cluster.now() < deadline {
-        if pred() {
-            return true;
-        }
-        cluster.run_for(step);
-    }
-    pred()
 }
 
 /// Shared state of the continuous scan-vs-oracle audit loop.
@@ -313,12 +250,8 @@ fn final_audit(
         "{label}: cluster did not fully recover"
     );
     cluster.assert_region_partition();
-    let mut total = 0i64;
-    for i in 0..ACCOUNTS {
-        total += parse(cluster.read_cell(account(i), "bal", SimDuration::from_secs(10)));
-    }
     assert_eq!(
-        total,
+        BANK.total(cluster),
         ACCOUNTS as i64 * INITIAL,
         "{label}: chaos lost or duplicated money"
     );

@@ -83,7 +83,7 @@ fn run_schedule(shift: u32) -> String {
         ));
     }
     for s in &cluster.servers {
-        for (region, load) in s.split_stats().region_load.snapshot() {
+        for (region, load) in s.region_load().snapshot() {
             csv.push_str(&format!("load,{},{},{}\n", s.id(), region, load));
         }
     }

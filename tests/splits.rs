@@ -18,8 +18,13 @@
 //! daughters never both online), and the region map still partitions the
 //! key space.
 
-use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
+mod common;
+
+use common::bank::{filler, run_until, Bank};
+use common::changing_server;
+use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
+use cumulo_store::ChangeKind;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -28,15 +33,10 @@ const INITIAL: i64 = 1_000;
 /// The hot prefix: filler traffic lands here so region 0 grows and
 /// splits while transfers roam the whole key space.
 const HOT: u64 = 100;
-
-fn account(i: u64) -> String {
-    format!("user{i:012}")
-}
-
-fn parse(v: Option<bytes::Bytes>) -> i64 {
-    v.map(|b| String::from_utf8_lossy(&b).parse().unwrap_or(0))
-        .unwrap_or(INITIAL)
-}
+const BANK: Bank = Bank {
+    accounts: ACCOUNTS,
+    initial: INITIAL,
+};
 
 /// A split-happy cluster: 2 regions, low split threshold, small flushes.
 fn split_cluster(seed: u64) -> Cluster {
@@ -56,91 +56,15 @@ fn split_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// One money transfer between two random accounts (full key space, so
-/// transfers routinely straddle split boundaries).
-fn transfer(cluster: &Cluster, client: TransactionalClient, committed: Rc<Cell<u32>>) {
-    let sim = cluster.sim.clone();
-    let from = sim.gen_range(0, ACCOUNTS);
-    let to = (from + 1 + sim.gen_range(0, ACCOUNTS - 1)) % ACCOUNTS;
-    let amount = sim.gen_range(1, 20) as i64;
-    client.begin(move |txn| {
-        let Ok(txn) = txn else { return };
-        let committed2 = committed.clone();
-        let txn2 = txn.clone();
-        txn.get(account(from), "bal", move |vf| {
-            let Ok(vf) = vf else { return };
-            let bf = parse(vf);
-            let committed3 = committed2.clone();
-            let txn3 = txn2.clone();
-            txn2.get(account(to), "bal", move |vt| {
-                let Ok(vt) = vt else { return };
-                let bt = parse(vt);
-                let _ = txn3.put(account(from), "bal", (bf - amount).to_string());
-                let _ = txn3.put(account(to), "bal", (bt + amount).to_string());
-                let committed4 = committed3.clone();
-                txn3.commit(move |r| {
-                    if r.is_ok() {
-                        committed4.set(committed4.get() + 1);
-                    }
-                });
-            });
-        });
-    });
-}
-
-/// Bulky single-row writes into the hot prefix (a separate `pad` column,
-/// so balances are untouched) — the fuel that grows region 0 past the
-/// split threshold.
-fn filler(cluster: &Cluster, client: TransactionalClient, round: u64) {
-    let sim = cluster.sim.clone();
-    let key = sim.gen_range(0, HOT);
-    client.begin(move |txn| {
-        let Ok(txn) = txn else { return };
-        let _ = txn.put(
-            account(key),
-            "pad",
-            format!("{round:_<512}"), // 512 bytes of padding
-        );
-        txn.commit(|_| {});
-    });
-}
-
 /// One scheduling round: every live client fires a transfer and a filler.
 fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, round_no: u64) {
     for i in 0..cluster.clients.len() {
         let client = cluster.client(i).clone();
         if client.is_alive() {
-            transfer(cluster, client.clone(), Rc::clone(committed));
-            filler(cluster, client, round_no);
+            BANK.transfer(cluster, client.clone(), Rc::clone(committed));
+            filler(cluster, client, HOT, round_no);
         }
     }
-}
-
-/// Steps the simulation in `step`-sized increments until `pred` holds or
-/// `max` elapses; returns whether the predicate fired.
-fn run_until(
-    cluster: &Cluster,
-    step: SimDuration,
-    max: SimDuration,
-    pred: impl Fn() -> bool,
-) -> bool {
-    let deadline = cluster.now() + max;
-    while cluster.now() < deadline {
-        if pred() {
-            return true;
-        }
-        cluster.run_for(step);
-    }
-    pred()
-}
-
-/// The index of the server currently carrying a pending/executing split.
-fn splitting_server(cluster: &Cluster) -> Option<usize> {
-    cluster.servers.iter().position(|s| {
-        s.is_alive()
-            && s.split_stats().considered.get()
-                > s.split_stats().completed.get() + s.split_stats().aborted.get()
-    })
 }
 
 /// The post-crash audit shared by all three schedules.
@@ -151,12 +75,8 @@ fn audit(cluster: &Cluster, committed: u32) {
         "cluster did not fully recover"
     );
     cluster.assert_region_partition();
-    let mut total = 0i64;
-    for i in 0..ACCOUNTS {
-        total += parse(cluster.read_cell(account(i), "bal", SimDuration::from_secs(10)));
-    }
     assert_eq!(
-        total,
+        BANK.total(cluster),
         ACCOUNTS as i64 * INITIAL,
         "split x failover lost or duplicated money"
     );
@@ -183,8 +103,8 @@ fn crash_before_intent_persisted_recovers_parent() {
             SimDuration::from_millis(10),
             SimDuration::from_millis(200),
             || {
-                splitting_server(&cluster).is_some()
-                    && cluster.master.split_intents_persisted() == 0
+                changing_server(&cluster, ChangeKind::Split).is_some()
+                    && cluster.split_totals().intents_persisted == 0
             },
         ) {
             caught = true;
@@ -192,9 +112,9 @@ fn crash_before_intent_persisted_recovers_parent() {
         }
     }
     assert!(caught, "no split candidacy was ever observed");
-    let victim = splitting_server(&cluster).expect("just observed");
+    let victim = changing_server(&cluster, ChangeKind::Split).expect("just observed");
     assert_eq!(
-        cluster.master.split_intents_persisted(),
+        cluster.split_totals().intents_persisted,
         0,
         "crash point 1 requires no durable intent"
     );
@@ -228,7 +148,7 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
             &cluster,
             SimDuration::from_millis(2),
             SimDuration::from_millis(200),
-            || cluster.master.split_intents_persisted() > 0 && cluster.master.splits_applied() == 0,
+            || cluster.split_totals().intents_persisted > 0 && cluster.master.splits_applied() == 0,
         ) {
             caught = true;
             break;
@@ -238,7 +158,8 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
         }
     }
     assert!(caught, "never caught the intent-persisted window");
-    let victim = splitting_server(&cluster).expect("a server holds the granted intent");
+    let victim =
+        changing_server(&cluster, ChangeKind::Split).expect("a server holds the granted intent");
     cluster.crash_server(victim);
     // The master's failover must roll the intent back (never serve the
     // daughters of an unapplied split).
@@ -246,7 +167,7 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
         &cluster,
         SimDuration::from_millis(100),
         SimDuration::from_secs(30),
-        || cluster.master.splits_rolled_back() > 0,
+        || cluster.split_totals().rolled_back > 0,
     );
     assert!(rolled, "failover did not roll the durable intent back");
     for _ in 0..20 {

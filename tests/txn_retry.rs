@@ -5,6 +5,9 @@
 //! balances at its own fresh snapshot and a conflicted attempt writes
 //! nothing.
 
+mod common;
+
+use common::bank::{account, Bank};
 use cumulo_core::{Cluster, ClusterConfig, RetryPolicy, TxnError};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
@@ -15,15 +18,10 @@ use std::rc::Rc;
 /// committing concurrently).
 const ACCOUNTS: u64 = 10;
 const INITIAL: i64 = 1_000;
-
-fn account(i: u64) -> String {
-    format!("user{i:012}")
-}
-
-fn parse(v: Option<bytes::Bytes>) -> i64 {
-    v.map(|b| String::from_utf8_lossy(&b).parse().unwrap_or(0))
-        .unwrap_or(INITIAL)
-}
+const BANK: Bank = Bank {
+    accounts: ACCOUNTS,
+    initial: INITIAL,
+};
 
 fn transfer(
     cluster: &Cluster,
@@ -42,13 +40,13 @@ fn transfer(
             let txn2 = txn.clone();
             txn.get(account(from), "bal", move |vf| {
                 let bf = match vf {
-                    Ok(v) => parse(v),
+                    Ok(v) => BANK.parse(v),
                     Err(e) => return finish(Err(e)),
                 };
                 let txn3 = txn2.clone();
                 txn2.get(account(to), "bal", move |vt| {
                     let bt = match vt {
-                        Ok(v) => parse(v),
+                        Ok(v) => BANK.parse(v),
                         Err(e) => return finish(Err(e)),
                     };
                     let wrote = txn3
@@ -109,12 +107,8 @@ fn run_retry_conserves_transfer_totals_under_induced_conflicts() {
         committed.get()
     );
 
-    let mut total = 0i64;
-    for i in 0..ACCOUNTS {
-        total += parse(cluster.read_cell(account(i), "bal", SimDuration::from_secs(10)));
-    }
     assert_eq!(
-        total,
+        BANK.total(&cluster),
         ACCOUNTS as i64 * INITIAL,
         "retries must never replay a write-set (committed {}, exhausted {}, retries {retries})",
         committed.get(),
