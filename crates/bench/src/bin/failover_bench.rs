@@ -3,8 +3,8 @@
 //! Two identically-seeded runs of the same transfer-style workload crash
 //! the same server at the same simulated instant. The `replay` run has
 //! region replication off (`region_replication = 1`), so the master must
-//! split the dead server's WAL and replay recovered edits before the
-//! regions return; the `promotion` run keeps one synced backup per
+//! split the dead server's WAL into store files for the next host
+//! before the regions return; the `promotion` run keeps one synced backup per
 //! region (`region_replication = 2`), so the master promotes the most
 //! caught-up replica instead. The measured **unavailability window** is
 //! the simulated time from the crash until every region in the master's

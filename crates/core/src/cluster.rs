@@ -328,9 +328,9 @@ impl Cluster {
             master_cfg,
             master_dfs,
             Rc::clone(&dir),
+            Rc::clone(&registry),
         );
         let master_coord = CoordClient::new(&sim, &net, &coord, master_node);
-        master.set_registry(Rc::clone(&registry));
         master.set_events_journal(events.clone());
         master.register_metrics(&metrics);
         master.start(&master_coord);
@@ -339,6 +339,7 @@ impl Cluster {
         let rm_node = net.add_node("recovery-manager");
         let rc_store = StoreClient::new(&sim, &net, rm_node, &master, &dir, cfg.store_client_cfg);
         let rc = RecoveryClient::new(&sim, &net, rm_node, rc_store, &tm);
+        rc.set_events_journal(events.clone());
         let rm_coord = CoordClient::new(&sim, &net, &coord, rm_node);
         let rm_cfg = RecoveryManagerConfig {
             tracking: cfg.tracking,

@@ -27,9 +27,10 @@
 //! The invariant is load-bearing twice over: server-failure recovery
 //! replays only the log suffix *above* the failed server's `T_P(s)`
 //! (anything below must already be in its durable WAL, i.e. in the
-//! recovered-edits files), and the recovery manager truncates the log
-//! below the global `T_P` — an overclaim would therefore both skip a
-//! needed replay *and* destroy the record that could have fixed it.
+//! store file the WAL split writes), and the recovery manager truncates
+//! the log below the global `T_P` — an overclaim would therefore both
+//! skip a needed replay *and* destroy the record that could have fixed
+//! it.
 
 use cumulo_store::Timestamp;
 use std::collections::BTreeMap;

@@ -9,12 +9,33 @@
 //! responsibility for the replayed data.
 
 use cumulo_sim::metrics::Counter;
+use cumulo_sim::trace::Journal;
 use cumulo_sim::{Network, NodeId, Sim};
 use cumulo_store::{Mutation, RegionId, StoreClient, Timestamp};
 use cumulo_txn::{LogRecord, TransactionManager};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
+
+/// Replayed write-set portions a region replay keeps in flight. Replay
+/// is idempotent and every version is keyed by its original commit
+/// timestamp, so portions may land in any order — as live clients'
+/// flushes already do; one at a time, each paid a full round trip while
+/// the recovering server's handlers sat idle. A handful is enough to keep
+/// those busy: the replay is then bound by their service time.
+const REPLAY_WINDOW: usize = 8;
+
+/// One region's replay in progress (shared by its in-flight portions).
+struct RegionReplay {
+    region: RegionId,
+    floor: Timestamp,
+    items: Vec<(Timestamp, Vec<Mutation>)>,
+    /// The next item to send.
+    next: Cell<usize>,
+    /// Items acknowledged so far.
+    applied: Cell<usize>,
+    done: RefCell<Option<Box<dyn FnOnce()>>>,
+}
 
 /// The recovery client. Shared via `Rc`; lives on the recovery manager's
 /// node.
@@ -26,6 +47,9 @@ pub struct RecoveryClient {
     tm: Rc<TransactionManager>,
     client_txns_replayed: Counter,
     region_txns_replayed: Counter,
+    /// Failure-event journal (shared cluster journal; disabled until the
+    /// cluster wiring installs one).
+    events: RefCell<Journal>,
 }
 
 impl fmt::Debug for RecoveryClient {
@@ -56,7 +80,14 @@ impl RecoveryClient {
             tm: Rc::clone(tm),
             client_txns_replayed: Counter::new(),
             region_txns_replayed: Counter::new(),
+            events: RefCell::new(Journal::disabled()),
         })
+    }
+
+    /// Installs the cluster-shared failure-event journal (disabled until
+    /// then).
+    pub fn set_events_journal(&self, events: Journal) {
+        *self.events.borrow_mut() = events;
     }
 
     /// The region containing `row` (static boundary lookup, used by the
@@ -126,10 +157,11 @@ impl RecoveryClient {
     }
 
     /// Server recovery (Algorithm 4's replay): applies the given
-    /// region-filtered updates to the recovering region, in commit order,
-    /// each carrying the effective recovery `floor` (the failed server's
-    /// `T_P(s)`, lowered further by any interrupted earlier recovery of
-    /// the same region). `done` runs when every update is applied.
+    /// region-filtered updates to the recovering region, `REPLAY_WINDOW`
+    /// of them in flight at a time, each carrying the effective recovery
+    /// `floor` (the failed server's `T_P(s)`, lowered further by any
+    /// interrupted earlier recovery of the same region). `done` runs when
+    /// every update is applied.
     pub fn replay_region_log(
         self: &Rc<Self>,
         region: RegionId,
@@ -137,35 +169,56 @@ impl RecoveryClient {
         floor: Timestamp,
         done: Box<dyn FnOnce()>,
     ) {
-        self.replay_region_next(region, Rc::new(items), floor, 0, done);
-    }
-
-    fn replay_region_next(
-        self: &Rc<Self>,
-        region: RegionId,
-        items: Rc<Vec<(Timestamp, Vec<Mutation>)>>,
-        floor: Timestamp,
-        idx: usize,
-        done: Box<dyn FnOnce()>,
-    ) {
-        let Some((ts, mutations)) = items.get(idx) else {
+        let txns = items.len();
+        self.events
+            .borrow()
+            .record(self.sim.now(), "region.replay_start", move || {
+                format!("region={region} txns={txns}")
+            });
+        if items.is_empty() {
             done();
             return;
+        }
+        let replay = Rc::new(RegionReplay {
+            region,
+            floor,
+            items,
+            next: Cell::new(0),
+            applied: Cell::new(0),
+            done: RefCell::new(Some(done)),
+        });
+        for _ in 0..REPLAY_WINDOW {
+            self.replay_region_next(&replay);
+        }
+    }
+
+    /// Sends the replay's next unsent item, if any; its ack sends the one
+    /// after, or completes the replay when it is the last one out.
+    fn replay_region_next(self: &Rc<Self>, replay: &Rc<RegionReplay>) {
+        let idx = replay.next.get();
+        let Some((ts, mutations)) = replay.items.get(idx) else {
+            return;
         };
+        replay.next.set(idx + 1);
         let this = Rc::clone(self);
-        let items2 = Rc::clone(&items);
+        let replay2 = Rc::clone(replay);
         // `replay = true`: the target region is still offline (gated on
         // this very recovery); the floor piggyback makes the receiving
         // server inherit responsibility for the replayed updates.
         self.store.multi_put(
-            region,
+            replay.region,
             *ts,
             mutations.clone(),
-            Some(floor),
+            Some(replay.floor),
             true,
             move || {
                 this.region_txns_replayed.inc();
-                this.replay_region_next(region, items2, floor, idx + 1, done);
+                replay2.applied.set(replay2.applied.get() + 1);
+                if replay2.applied.get() < replay2.items.len() {
+                    this.replay_region_next(&replay2);
+                } else if let Some(done) = replay2.done.borrow_mut().take() {
+                    done();
+                }
             },
         );
     }

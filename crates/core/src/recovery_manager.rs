@@ -21,12 +21,23 @@
 //!   commit ≤ `T_F(c)` is fully flushed ([`crate::FlushTracker`]);
 //! * server recovery replays `(T_P(s_f), ∞)` per region — sound because
 //!   every commit ≤ `T_P(s_f)` involving `s_f` is durable in its WAL on
-//!   the filesystem ([`crate::PersistTracker`]), i.e. covered by the
-//!   recovered-edits replay;
+//!   the filesystem ([`crate::PersistTracker`]), i.e. in the store file
+//!   the master's WAL split writes for the region's next host;
 //! * log truncation below `T_P = min_s T_P(s)` destroys only records
 //!   every participant has persisted — and the store's compaction
 //!   tombstone purge is in turn fenced by the truncation point, so a
 //!   replay can never resurrect a purged-over version.
+//!
+//! ## Server recovery is staged once per failed server
+//!
+//! Everything the replay needs that does not depend on where a region
+//! lands — the per-region floors, durable in the coordination service,
+//! and the log suffix above the lowest of them — is gathered once, when
+//! the master reports the failure, while the master is still splitting
+//! the dead server's WAL. A region's new host then only has to report in
+//! for its share to be cut out of the staged suffix (by *its*
+//! descriptor) and replayed. Staging is volatile: a restarted manager
+//! rebuilds it when the first host reports in.
 
 use crate::paths;
 use crate::recovery_client::RecoveryClient;
@@ -35,7 +46,7 @@ use cumulo_sim::metrics::{Counter, MetricsRegistry};
 use cumulo_sim::trace::Journal;
 use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, TimerHandle};
 use cumulo_store::{ClientId, Mutation, RegionId, RegionServer, ServerId, Timestamp};
-use cumulo_txn::TransactionManager;
+use cumulo_txn::{LogRecord, TransactionManager};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -66,15 +77,39 @@ impl Default for RecoveryManagerConfig {
 
 struct RegionTask {
     generation: u64,
-    target: ServerId,
+    /// The region's new host.
+    server: Rc<RegionServer>,
+    /// The server whose failure this recovers the region from.
+    failed: ServerId,
     /// Deferred online declarations (shared with the hook's retry loop).
     online: Rc<RefCell<Option<Box<dyn FnOnce()>>>>,
+    /// The replay floor (pins `T_P`); provisional until the replay has
+    /// been cut from the failed server's staging.
     floor: Timestamp,
+    /// The region's share of the staged suffix has been handed to the
+    /// recovery client.
+    replaying: bool,
     /// True when the region arrived via replica promotion rather than a
     /// WAL split: the same floor/replay machinery runs (the replay is
     /// idempotent), but the recovery is counted and journaled as a
     /// promotion epoch.
     promoted: bool,
+}
+
+/// The transactional replay of one failed server's regions, staged once
+/// (module docs).
+struct StagedReplay {
+    /// Tells this staging from one it superseded.
+    generation: u64,
+    /// Effective replay floor per region: the failed server's `T_P(s)`,
+    /// lowered to the floor an interrupted earlier recovery of the region
+    /// persisted (cascading failure; ARCHITECTURE.md, server failure).
+    floors: BTreeMap<RegionId, Timestamp>,
+    /// The log suffix above the lowest floor. `None` until it arrives,
+    /// which is after every floor is durable in the coordination service
+    /// — so no replay is ever sent under a floor a restarted manager
+    /// could not find again.
+    suffix: Option<Rc<Vec<LogRecord>>>,
 }
 
 /// The recovery manager. Shared via `Rc`.
@@ -100,6 +135,8 @@ pub struct RecoveryManager {
     next_generation: Cell<u64>,
     /// Regions of each failed server still awaiting recovery.
     pending_regions: RefCell<BTreeMap<ServerId, BTreeSet<RegionId>>>,
+    /// The staged replay of each failed server (volatile).
+    staged: RefCell<BTreeMap<ServerId, StagedReplay>>,
     t_f: Cell<Timestamp>,
     t_p: Cell<Timestamp>,
     last_truncated: Cell<Timestamp>,
@@ -155,6 +192,7 @@ impl RecoveryManager {
             region_tasks: RefCell::new(HashMap::new()),
             next_generation: Cell::new(0),
             pending_regions: RefCell::new(BTreeMap::new()),
+            staged: RefCell::new(BTreeMap::new()),
             t_f: Cell::new(Timestamp::ZERO),
             t_p: Cell::new(Timestamp::ZERO),
             last_truncated: Cell::new(Timestamp::ZERO),
@@ -512,7 +550,8 @@ impl RecoveryManager {
     // ------------------------------------------------------------------
 
     /// Master hook: server `failed` died and its `regions` are being
-    /// reassigned. Records the pending-recovery set (idempotent).
+    /// reassigned. Records the pending-recovery set and stages their
+    /// replay (idempotent).
     pub fn note_server_failed(self: &Rc<Self>, failed: ServerId, regions: Vec<RegionId>) {
         if self.pending_regions.borrow().contains_key(&failed) {
             return;
@@ -522,17 +561,162 @@ impl RecoveryManager {
             &paths::pending_recovery(failed),
             paths::encode_regions(&regions),
         );
-        let empty = set.is_empty();
-        self.pending_regions.borrow_mut().insert(failed, set);
-        if empty {
+        self.pending_regions
+            .borrow_mut()
+            .insert(failed, set.clone());
+        if set.is_empty() {
             self.finish_failed_server(failed);
+        } else {
+            self.stage_replay(failed, set);
+        }
+    }
+
+    fn next_generation(&self) -> u64 {
+        let generation = self.next_generation.get();
+        self.next_generation.set(generation + 1);
+        generation
+    }
+
+    /// The failed server's last reported `T_P(s)`: what its regions
+    /// replay from, unless an earlier recovery left a lower floor.
+    fn failed_threshold(&self, failed: ServerId) -> Timestamp {
+        let tracked = self.servers.borrow().get(&failed).copied();
+        tracked
+            .filter(|_| self.cfg.tracking)
+            .unwrap_or(Timestamp::ZERO)
+    }
+
+    /// `failed`'s staging, if it is still the one `generation` names.
+    fn staging(
+        staged: &mut BTreeMap<ServerId, StagedReplay>,
+        failed: ServerId,
+        generation: u64,
+    ) -> Option<&mut StagedReplay> {
+        staged
+            .get_mut(&failed)
+            .filter(|st| st.generation == generation)
+    }
+
+    /// Stages the replay of `failed`'s `regions` (replacing any earlier
+    /// staging of that server): combines each region's floor with the one
+    /// an interrupted earlier recovery persisted, persists the effective
+    /// floors, and fetches the log suffix above the lowest — once, not
+    /// once per region. Regions whose hosts report in meanwhile start
+    /// when the suffix lands.
+    fn stage_replay(self: &Rc<Self>, failed: ServerId, regions: BTreeSet<RegionId>) {
+        let generation = self.next_generation();
+        let t_p_r = self.failed_threshold(failed);
+        self.staged.borrow_mut().insert(
+            failed,
+            StagedReplay {
+                generation,
+                floors: regions.iter().map(|r| (*r, t_p_r)).collect(),
+                suffix: None,
+            },
+        );
+        let unread = Rc::new(Cell::new(regions.len()));
+        for region in regions {
+            let this = Rc::clone(self);
+            let unread = Rc::clone(&unread);
+            self.coord
+                .get_data(&paths::region_floor(region), move |stored| {
+                    let mut staged = this.staged.borrow_mut();
+                    let Some(st) = Self::staging(&mut staged, failed, generation) else {
+                        return; // superseded, or lost in a crash
+                    };
+                    if let (Some(prior), Some(floor)) = (stored, st.floors.get_mut(&region)) {
+                        *floor = (*floor).min(paths::decode_ts(&prior));
+                    }
+                    unread.set(unread.get() - 1);
+                    if unread.get() == 0 {
+                        let floors = st.floors.clone();
+                        drop(staged);
+                        this.fetch_staged_suffix(failed, generation, floors);
+                    }
+                });
+        }
+    }
+
+    /// Second half of [`RecoveryManager::stage_replay`]: `floors` are
+    /// final; make them durable, then fetch the suffix above the lowest.
+    fn fetch_staged_suffix(
+        self: &Rc<Self>,
+        failed: ServerId,
+        generation: u64,
+        floors: BTreeMap<RegionId, Timestamp>,
+    ) {
+        let (Some((&last_region, _)), Some(&lowest)) =
+            (floors.last_key_value(), floors.values().min())
+        else {
+            return;
+        };
+        for (region, floor) in &floors {
+            self.coord
+                .set_data(&paths::region_floor(*region), paths::encode_ts(*floor));
+        }
+        // The read is a write barrier: messages to the coordination
+        // service arrive in order, so when it returns every floor above is
+        // durable there — before the suffix is fetched, so before any
+        // replay is sent.
+        let this = Rc::clone(self);
+        self.coord
+            .get_data(&paths::region_floor(last_region), move |_| {
+                let tm = Rc::clone(&this.tm);
+                let net = Rc::clone(&this.net);
+                let node = this.node;
+                this.net.clone().send(node, tm.node(), 64, move || {
+                    let records = tm.log().fetch_after(lowest);
+                    let size = 64 + records.iter().map(|r| r.wire_size()).sum::<usize>();
+                    net.send(tm.node(), node, size, move || {
+                        this.suffix_staged(failed, generation, lowest, records);
+                    });
+                });
+            });
+    }
+
+    /// The staged suffix arrived: journal it and start every region of
+    /// `failed` whose host has already reported in.
+    fn suffix_staged(
+        self: &Rc<Self>,
+        failed: ServerId,
+        generation: u64,
+        lowest: Timestamp,
+        records: Vec<LogRecord>,
+    ) {
+        {
+            let mut staged = self.staged.borrow_mut();
+            let Some(st) = Self::staging(&mut staged, failed, generation) else {
+                return;
+            };
+            let (regions, count) = (st.floors.len(), records.len());
+            st.suffix = Some(Rc::new(records));
+            self.events
+                .borrow()
+                .record(self.sim.now(), "recovery.staged", move || {
+                    format!(
+                        "server={failed} regions={regions} records={count} floor={}",
+                        lowest.0
+                    )
+                });
+        }
+        // Sorted: `HashMap` order must not pick which replay goes first.
+        let mut waiting: Vec<RegionId> = self
+            .region_tasks
+            .borrow()
+            .iter()
+            .filter(|(_, task)| task.failed == failed && !task.replaying)
+            .map(|(region, _)| *region)
+            .collect();
+        waiting.sort_unstable();
+        for region in waiting {
+            self.start_region_replay(region);
         }
     }
 
     /// Region hook: `region` finished HBase-internal recovery on `server`
-    /// after `failed`'s crash; replay the log suffix for it, then let it
-    /// go online. `online` is shared with the hook's retry loop — taken
-    /// exactly once, when the replay completes.
+    /// after `failed`'s crash; replay its share of the staged log suffix,
+    /// then let it go online. `online` is shared with the hook's retry
+    /// loop — taken exactly once, when the replay completes.
     pub fn handle_region_recovered(
         self: &Rc<Self>,
         server: Rc<RegionServer>,
@@ -547,7 +731,7 @@ impl RecoveryManager {
         // Duplicate notification for an in-progress task on the same
         // target: the retry loop re-delivered; nothing to do.
         if let Some(task) = self.region_tasks.borrow().get(&region) {
-            if task.target == server.id() {
+            if task.server.id() == server.id() {
                 return;
             }
         }
@@ -559,125 +743,102 @@ impl RecoveryManager {
             }
             return;
         }
-        let generation = self.next_generation.get();
-        self.next_generation.set(generation + 1);
-        let t_p_r = if self.cfg.tracking {
-            self.servers
-                .borrow()
-                .get(&failed)
-                .copied()
-                .unwrap_or(Timestamp::ZERO)
-        } else {
-            Timestamp::ZERO
-        };
+        let staged_floor = self
+            .staged
+            .borrow()
+            .get(&failed)
+            .and_then(|st| st.floors.get(&region).copied());
         self.region_tasks.borrow_mut().insert(
             region,
             RegionTask {
-                generation,
-                target: server.id(),
-                online: Rc::clone(&online),
-                floor: t_p_r,
+                generation: self.next_generation(),
+                server,
+                failed,
+                online,
+                floor: staged_floor.unwrap_or_else(|| self.failed_threshold(failed)),
                 promoted,
+                replaying: false,
             },
         );
-        // Combine with a persisted floor from an interrupted earlier
-        // recovery of this region (cascading failure; ARCHITECTURE.md, server failure),
-        // persist the effective floor, then start the replay. The second
-        // read is a write barrier: the floor znode is durable at the
-        // coordination service before any replay is sent.
-        let this = Rc::clone(self);
-        self.coord
-            .get_data(&paths::region_floor(region), move |stored| {
-                let prior = stored
-                    .map(|d| paths::decode_ts(&d))
-                    .unwrap_or(Timestamp::MAX);
-                let floor = t_p_r.min(prior);
-                {
-                    let mut tasks = this.region_tasks.borrow_mut();
-                    match tasks.get_mut(&region) {
-                        Some(task) if task.generation == generation => task.floor = floor,
-                        _ => return, // superseded
-                    }
-                }
-                this.coord
-                    .set_data(&paths::region_floor(region), paths::encode_ts(floor));
-                let this2 = Rc::clone(&this);
-                this.coord.get_data(&paths::region_floor(region), move |_| {
-                    this2.start_region_replay(generation, server, region, failed, floor);
-                });
-            });
+        if staged_floor.is_none() {
+            // Nothing staged covers the region: the manager restarted
+            // since the failure (staging is volatile), or this host beat
+            // the master's notification here. Stage on demand, for every
+            // region of `failed` known to be waiting.
+            let mut regions = BTreeSet::from([region]);
+            if let Some(pending) = self.pending_regions.borrow().get(&failed) {
+                regions.extend(pending);
+            }
+            if let Some(st) = self.staged.borrow().get(&failed) {
+                regions.extend(st.floors.keys());
+            }
+            self.stage_replay(failed, regions);
+        }
+        self.start_region_replay(region);
     }
 
-    fn start_region_replay(
-        self: &Rc<Self>,
-        generation: u64,
-        server: Rc<RegionServer>,
-        region: RegionId,
-        failed: ServerId,
-        floor: Timestamp,
-    ) {
-        if !self.alive.get() {
-            return;
-        }
-        {
-            let tasks = self.region_tasks.borrow();
-            match tasks.get(&region) {
-                Some(task) if task.generation == generation => {}
-                _ => return, // superseded by a newer recovery round
-            }
-        }
-        // Fetch everything committed after the floor, then filter each
-        // write-set down to the updates that fall in the region
-        // (Algorithm 4's per-update region check). The filter runs on
-        // the *recovering server's descriptor* for the region, not on
-        // the recovery client's cached region map: after an online
-        // split, the cached map can still show the parent and would
-        // silently filter every daughter-bound update away.
+    /// Cuts `region`'s share out of its failed server's staged suffix and
+    /// hands it to the recovery client — unless the suffix is still on
+    /// its way, in which case [`RecoveryManager::suffix_staged`] calls
+    /// back here.
+    fn start_region_replay(self: &Rc<Self>, region: RegionId) {
+        let (generation, server, failed, floor, suffix) = {
+            let mut tasks = self.region_tasks.borrow_mut();
+            let Some(task) = tasks.get_mut(&region).filter(|t| !t.replaying) else {
+                return;
+            };
+            let staged = self.staged.borrow();
+            let Some(st) = staged.get(&task.failed) else {
+                return;
+            };
+            let (Some(suffix), Some(floor)) = (&st.suffix, st.floors.get(&region)) else {
+                return;
+            };
+            task.replaying = true;
+            task.floor = *floor;
+            (
+                task.generation,
+                Rc::clone(&task.server),
+                task.failed,
+                *floor,
+                Rc::clone(suffix),
+            )
+        };
+        // Filter each write-set above the region's floor down to the
+        // updates that fall in the region (Algorithm 4's per-update
+        // region check). The filter runs on the *recovering server's
+        // descriptor* for the region, not on the recovery client's cached
+        // region map: after an online split, the cached map can still
+        // show the parent and would silently filter every daughter-bound
+        // update away.
         let desc = server.region_descriptor(region);
-        let tm = Rc::clone(&self.tm);
-        let net = Rc::clone(&self.net);
-        let node = self.node;
-        let this = Rc::clone(self);
-        self.net.send(node, tm.node(), 64, move || {
-            let records = tm.log().fetch_after(floor);
-            let size = 64 + records.iter().map(|r| r.wire_size()).sum::<usize>();
-            net.send(tm.node(), node, size, move || {
-                if !this.alive.get() {
-                    return;
-                }
-                let in_region = |row: &[u8]| match &desc {
-                    Some(d) => d.contains(row),
-                    None => this.rc.region_for(row) == region,
-                };
-                let items: Vec<(Timestamp, Vec<Mutation>)> = records
-                    .into_iter()
-                    .filter_map(|r| {
-                        let muts: Vec<Mutation> = r
-                            .write_set
-                            .mutations
-                            .iter()
-                            .filter(|m| in_region(&m.row))
-                            .cloned()
-                            .collect();
-                        if muts.is_empty() {
-                            None
-                        } else {
-                            Some((r.ts, muts))
-                        }
-                    })
+        let in_region = |row: &[u8]| match &desc {
+            Some(d) => d.contains(row),
+            None => self.rc.region_for(row) == region,
+        };
+        let items: Vec<(Timestamp, Vec<Mutation>)> = suffix
+            .iter()
+            .filter(|r| r.ts > floor)
+            .filter_map(|r| {
+                let muts: Vec<Mutation> = r
+                    .write_set
+                    .mutations
+                    .iter()
+                    .filter(|m| in_region(&m.row))
+                    .cloned()
                     .collect();
-                let this2 = Rc::clone(&this);
-                let rc = Rc::clone(&this.rc);
-                rc.replay_region_log(
-                    region,
-                    items,
-                    floor,
-                    Box::new(move || {
-                        this2.finish_region_recovery(generation, server, region, failed);
-                    }),
-                );
-            });
-        });
+                (!muts.is_empty()).then_some((r.ts, muts))
+            })
+            .collect();
+        let this = Rc::clone(self);
+        self.rc.replay_region_log(
+            region,
+            items,
+            floor,
+            Box::new(move || {
+                this.finish_region_recovery(generation, server, region, failed);
+            }),
+        );
     }
 
     fn finish_region_recovery(
@@ -721,31 +882,35 @@ impl RecoveryManager {
         if let Some(cb) = online.borrow_mut().take() {
             self.net.send(self.node, server.node(), 32, cb);
         }
-        // Update the failed server's pending set; drop it entirely once
-        // every region has been recovered.
-        let now_empty = {
-            let mut pending = self.pending_regions.borrow_mut();
-            match pending.get_mut(&failed) {
-                Some(set) => {
-                    set.remove(&region);
-                    let regions: Vec<RegionId> = set.iter().copied().collect();
-                    self.coord.set_data(
-                        &paths::pending_recovery(failed),
-                        paths::encode_regions(&regions),
-                    );
-                    set.is_empty()
+        // The region is off every failed server's pending set — in a
+        // cascade it was still on the set of the host before `failed`,
+        // whose own recovery of it never finished. A server whose set
+        // empties is done with.
+        let mut done = Vec::new();
+        for (server, set) in self.pending_regions.borrow_mut().iter_mut() {
+            if set.remove(&region) {
+                let regions: Vec<RegionId> = set.iter().copied().collect();
+                self.coord.set_data(
+                    &paths::pending_recovery(*server),
+                    paths::encode_regions(&regions),
+                );
+                if set.is_empty() {
+                    done.push(*server);
                 }
-                None => false,
             }
-        };
-        if now_empty {
-            self.finish_failed_server(failed);
+        }
+        for st in self.staged.borrow_mut().values_mut() {
+            st.floors.remove(&region);
+        }
+        for server in done {
+            self.finish_failed_server(server);
         }
         self.recompute_t_p();
     }
 
     fn finish_failed_server(&self, failed: ServerId) {
         self.pending_regions.borrow_mut().remove(&failed);
+        self.staged.borrow_mut().remove(&failed);
         self.coord.delete(&paths::pending_recovery(failed));
         self.servers.borrow_mut().remove(&failed);
         self.coord.delete(&paths::server_threshold(failed));
@@ -768,6 +933,7 @@ impl RecoveryManager {
         self.timers.borrow_mut().clear();
         // Volatile recovery state is lost with the process.
         self.region_tasks.borrow_mut().clear();
+        self.staged.borrow_mut().clear();
         self.pins.borrow_mut().clear();
         self.pending_regions.borrow_mut().clear();
         self.clients.borrow_mut().clear();
@@ -855,7 +1021,8 @@ impl RecoveryManager {
                                 } else {
                                     this3.pending_regions.borrow_mut().insert(s, set);
                                     // The per-region hooks keep retrying their
-                                    // notifications; replays resume from them.
+                                    // notifications; the first to arrive
+                                    // re-stages the replay.
                                 }
                             }
                         });

@@ -1,5 +1,5 @@
 //! Purpose-built binary codec for on-"disk" formats (WAL records, store
-//! files, recovered-edits files, threshold payloads).
+//! files, threshold payloads).
 //!
 //! A hand-rolled codec rather than serde: reproducing a storage system
 //! includes its serialization layer, and the format must be stable and

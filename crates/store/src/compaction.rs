@@ -60,8 +60,8 @@
 //! shadow — provided two additional conditions hold:
 //!
 //! * the caller-supplied guard confirms no older version of the cell
-//!   survives outside the inputs (e.g. replayed recovered edits sitting
-//!   in the memstore), and
+//!   survives outside the inputs (e.g. a recovery's replayed log
+//!   suffix sitting in the memstore), and
 //! * the tombstone is at or below the **purge floor**
 //!   ([`GcWatermark::purge_floor`]), the recovery log's truncation
 //!   point. Client- and server-recovery replays re-apply write-sets

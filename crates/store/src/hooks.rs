@@ -68,7 +68,7 @@ pub trait RecoveryHooks {
     /// `promoted` is true when the region arrived via replica promotion
     /// rather than WAL-split placement: recovery still replays the
     /// transaction-log suffix above the persisted floor (idempotently),
-    /// but there is no recovered-edits file to wait for.
+    /// on top of the promoted shadow instead of an adopted WAL-split file.
     fn on_region_recovered(
         &self,
         server: Rc<RegionServer>,

@@ -17,8 +17,8 @@
 //! * a **block cache** whose cold-start after failover produces the slow
 //!   return to peak throughput in the paper's Fig. 3;
 //! * a **master** that detects server failures through the coordination
-//!   service, splits the failed server's WAL by region, and reassigns
-//!   regions to surviving servers — with the paper's two recovery hooks
+//!   service, splits the failed server's WAL into one store file per
+//!   region, and reassigns regions to surviving servers — with the paper's two recovery hooks
 //!   (failure notification, and gating a recovered region's online
 //!   declaration on the recovery manager's response);
 //! * a **store client** with location caching and, per §3.2 of the paper,
@@ -43,7 +43,10 @@
 //!    as a sorted, immutable **store file** ([`StoreFileData`]) carrying
 //!    min/max row-key range metadata and a deterministic per-file
 //!    [`bloom`] filter over its `(row, column)` pairs; the WAL entries it
-//!    covers become dead weight and recovered-edits files are deleted.
+//!    covers become dead weight. A failover takes the same step for a
+//!    dead server: the master sorts each region's share of its split
+//!    WAL into one store file ([`StoreFileData::from_wal_records`]),
+//!    which the region's next host adopts with the others at open.
 //!    Point gets consult only files whose range covers the key *and*
 //!    whose filter matches ([`FilterStats`] counts probes, skips and
 //!    false positives); scans prune by range only.
@@ -127,4 +130,4 @@ pub use server::{
 };
 pub use sstable::{StoreFileBuilder, StoreFileData, StoreFileEntry, StoreFileRegistry};
 pub use types::{ClientId, Mutation, MutationKind, RegionId, ServerId, Timestamp, WriteSet};
-pub use wal::{split_wal, Wal, WalSyncMode};
+pub use wal::{split_wal, Wal, WalSplit, WalSyncMode};

@@ -5,7 +5,7 @@ use crate::codec::WalRecord;
 use crate::hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, StructureCoordinator};
 use crate::region::{ChangeKind, RegionDescriptor, RegionMap, StructureChange};
 use crate::server::RegionServer;
-use crate::sstable::StoreFileRegistry;
+use crate::sstable::{StoreFileData, StoreFileRegistry};
 use crate::types::{Mutation, RegionId, ServerId};
 use crate::wal::split_wal;
 use bytes::Bytes;
@@ -166,11 +166,16 @@ pub struct Master {
     region_map: RefCell<RegionMap>,
     hooks: RefCell<Rc<dyn RecoveryHooks>>,
     handled_failures: RefCell<HashSet<ServerId>>,
-    /// Regions awaiting placement (no live server was available), with
-    /// their pending recovered edits and failed-server attribution.
-    unplaced: RefCell<Vec<(RegionId, Vec<crate::codec::WalRecord>, Option<ServerId>)>>,
-    edits_counter: Cell<u64>,
+    /// Regions awaiting placement (no live server was available, or
+    /// their split WAL records could not be written), with those records
+    /// and their failed-server attribution.
+    unplaced: RefCell<Vec<(RegionId, Vec<WalRecord>, Option<ServerId>)>>,
+    /// Store files written by WAL splits so far (names them).
+    split_files: Cell<u64>,
     failovers: Counter,
+    /// WAL batches a split could not decode although later batches
+    /// follow them — acknowledged writes the log no longer holds.
+    wal_split_corrupt_batches: Counter,
     /// Failure-event journal (shared cluster journal; disabled until the
     /// cluster wiring installs one via [`Master::set_events_journal`]).
     events: RefCell<Journal>,
@@ -199,10 +204,11 @@ pub struct Master {
     /// for the placement scaling cliff, emitted in `BENCH_scale.json`.
     placement_cost: Counter,
     placement_cost_naive: Counter,
-    /// The shared store-file registry (installed by the cluster wiring);
-    /// intent rollback purges a crashed split's orphaned reference
-    /// registrations through it so backing-ref counts cannot leak.
-    registry: RefCell<Option<Rc<StoreFileRegistry>>>,
+    /// The shared store-file registry: a WAL split's output enters it
+    /// once durable, and intent rollback purges a crashed split's
+    /// orphaned reference registrations through it so backing-ref
+    /// counts cannot leak.
+    registry: Rc<StoreFileRegistry>,
     timers: RefCell<Vec<TimerHandle>>,
     self_weak: RefCell<Weak<Master>>,
     /// Copies of each region hosted on `replication_factor - 1` backup
@@ -242,6 +248,7 @@ impl Master {
         cfg: MasterConfig,
         dfs: DfsClient,
         dir: Rc<ServerDirectory>,
+        registry: Rc<StoreFileRegistry>,
     ) -> Rc<Master> {
         let master = Rc::new(Master {
             sim: sim.clone(),
@@ -254,8 +261,9 @@ impl Master {
             hooks: RefCell::new(Rc::new(NoopHooks)),
             handled_failures: RefCell::new(HashSet::new()),
             unplaced: RefCell::new(Vec::new()),
-            edits_counter: Cell::new(0),
+            split_files: Cell::new(0),
             failovers: Counter::new(),
+            wal_split_corrupt_batches: Counter::new(),
             events: RefCell::new(Journal::disabled()),
             next_region_id: Cell::new(0),
             intents: RefCell::new(BTreeMap::new()),
@@ -267,7 +275,7 @@ impl Master {
             moves_refused: Counter::new(),
             placement_cost: Counter::new(),
             placement_cost_naive: Counter::new(),
-            registry: RefCell::new(None),
+            registry,
             timers: RefCell::new(Vec::new()),
             self_weak: RefCell::new(Weak::new()),
             replication_factor: Cell::new(1),
@@ -372,7 +380,7 @@ impl Master {
             let server = self.dir.get(target).expect("registered");
             let node = server.node();
             self.net.send(self.node, node, 256, move || {
-                server.open_region(desc, Vec::new(), Vec::new(), None);
+                server.open_region(desc, Vec::new(), None);
             });
         }
         if rf > 1 && servers.len() > 1 {
@@ -418,6 +426,11 @@ impl Master {
     /// keys. Cluster wiring; call once.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
         registry.register_counter("master.failovers", &[], &self.failovers);
+        registry.register_counter(
+            "master.wal_split.corrupt_batches",
+            &[],
+            &self.wal_split_corrupt_batches,
+        );
         for kind in [ChangeKind::Split, ChangeKind::Merge] {
             let (c, name) = (self.counters(kind), kind.name());
             registry.register_counter(
@@ -446,8 +459,8 @@ impl Master {
     }
 
     /// Handles a detected server failure: marks its regions offline,
-    /// notifies the recovery hooks, splits the failed server's WAL and
-    /// reassigns each region with its recovered edits (§2.1 + §3.2).
+    /// notifies the recovery hooks, splits the failed server's WAL into
+    /// one store file per region and reassigns each region (§2.1 + §3.2).
     ///
     /// Idempotent per server id.
     pub fn handle_server_failure(self: &Rc<Self>, failed: ServerId) {
@@ -516,12 +529,21 @@ impl Master {
             self.begin_promotion_probe(*region, failed);
         }
         let weak = Rc::downgrade(self);
-        split_wal(&self.dfs, &format!("/wal/{failed}"), move |grouped| {
+        split_wal(&self.dfs, &format!("/wal/{failed}"), move |split| {
             let Some(master) = weak.upgrade() else { return };
+            for batch in split.corrupt_batches {
+                master.wal_split_corrupt_batches.inc();
+                master
+                    .events
+                    .borrow()
+                    .record(master.sim.now(), "wal.split.corrupt", move || {
+                        format!("server={failed} batch={batch}")
+                    });
+            }
             // WAL records written before an online split are tagged with
             // the parent region id, which may no longer exist — re-route
-            // every record against the current map before replay.
-            let mut remapped = master.remap_wal_groups(grouped);
+            // every record against the current map first.
+            let mut remapped = master.remap_wal_groups(split.groups);
             for region in regions {
                 let records = remapped.remove(&region).unwrap_or_default();
                 if replicated.contains(&region) {
@@ -553,9 +575,7 @@ impl Master {
             // crashing; purge them so the inputs' physical files do not
             // carry inflated backing counts forever (which would make
             // them undeletable after a later successful change).
-            if let Some(registry) = self.registry.borrow().as_ref() {
-                registry.purge_references_under(&dir);
-            }
+            self.registry.purge_references_under(&dir);
             let dfs = self.dfs.clone();
             self.dfs.clone().list(&dir, move |paths| {
                 for p in paths {
@@ -565,19 +585,12 @@ impl Master {
         }
     }
 
-    /// Installs the shared store-file registry (cluster wiring) so intent
-    /// rollbacks can purge a crashed server's orphaned reference
-    /// registrations. Without one, rollbacks only clean the filesystem.
-    pub fn set_registry(&self, registry: Rc<StoreFileRegistry>) {
-        *self.registry.borrow_mut() = Some(registry);
-    }
-
     /// Re-groups a failed server's WAL records by the *current* region
     /// map: records tagged with a since-split parent id are partitioned
     /// at the daughter boundary (a record whose region still exists
     /// passes through untouched). Source groups are visited in sorted
-    /// region order so the recovered-edits encoding stays byte-identical
-    /// across processes.
+    /// region order so every region's records — and the store file built
+    /// from them — are the same in every process.
     fn remap_wal_groups(
         &self,
         grouped: HashMap<RegionId, Vec<WalRecord>>,
@@ -610,51 +623,60 @@ impl Master {
         out
     }
 
-    /// Places a region on the live server hosting the fewest regions;
-    /// queues it for retry if no server is alive.
-    ///
-    /// Split WAL records are first persisted as a *recovered-edits file*
-    /// in the filesystem (as HBase does), so that a cascading failure of
-    /// the new host cannot lose them: the next recovery round re-reads
-    /// them. The file is deleted once the region's memstore flushes.
+    /// Places a region: its split WAL records, if any, are first written
+    /// as one store file under `/store/{region}/`, then a host is chosen
+    /// ([`Master::assign_region`]) and adopts the file with the region's
+    /// others. The persisted part of a failed server's state so reaches
+    /// the new host as a file, not as edits to replay — and a cascading
+    /// failure of that host cannot lose it: the next round's host lists
+    /// and adopts the same file.
     fn place_region(
         self: &Rc<Self>,
         region: RegionId,
-        records: Vec<crate::codec::WalRecord>,
+        records: Vec<WalRecord>,
         failed: Option<ServerId>,
     ) {
         if records.is_empty() {
-            self.place_region_with_edits(region, failed);
+            self.assign_region(region, failed);
             return;
         }
-        let n = self.edits_counter.get();
-        self.edits_counter.set(n + 1);
-        let path = format!("/recovered/{region}/{n:06}");
-        let encoded = crate::codec::encode_wal_batch(&records);
+        let n = self.split_files.get();
+        self.split_files.set(n + 1);
+        // `wal-`: neither a flush (`{n}-{server}`) nor a compaction
+        // (`{n}c-{server}`) output, a reference or a compaction temporary.
+        let path = format!("/store/{region}/wal-{n:06}");
+        let file = Rc::new(StoreFileData::from_wal_records(
+            region,
+            path.clone(),
+            &records,
+        ));
+        // Not created, or created and not written: no datanodes. Retry
+        // from the queue (under a new name; an unwritten file is in no
+        // registry, so nothing ever opens it).
+        let requeue = move |master: &Master, records: Vec<WalRecord>| {
+            master.unplaced.borrow_mut().push((region, records, failed));
+        };
         let weak = self.self_weak.borrow().clone();
-        self.dfs.create(&path, move |file| {
-            let Ok(file) = file else {
-                // Already exists should be impossible (unique counter);
-                // a failed create means no datanodes — retry via queue.
-                if let Some(master) = weak.upgrade() {
-                    master.unplaced.borrow_mut().push((region, records, failed));
-                }
+        self.dfs.create(&path, move |created| {
+            let Some(master) = weak.upgrade() else { return };
+            let Ok(created) = created else {
+                requeue(&master, records);
                 return;
             };
-            let weak = weak.clone();
-            file.append(encoded, move |result| {
+            created.append(file.encode(), move |result| {
                 let Some(master) = weak.upgrade() else { return };
                 if result.is_err() {
-                    master.unplaced.borrow_mut().push((region, records, failed));
+                    requeue(&master, records);
                     return;
                 }
-                master.place_region_with_edits(region, failed);
+                master.registry.insert(file);
+                master.assign_region(region, failed);
             });
         });
     }
 
-    /// Second placement phase: recovered edits (if any) are durable in the
-    /// filesystem; choose a host and open the region there.
+    /// Second placement phase: whatever the region's past hosts persisted
+    /// is in its store files; choose a host and open the region there.
     ///
     /// Placement is *load-aware*: the least-loaded live server wins,
     /// where load is the cumulative foreground service time its assigned
@@ -662,7 +684,7 @@ impl Master {
     /// deterministic). Region counts are a poor proxy under skew — one
     /// hot region outweighs many cold ones, and it is exactly the hot
     /// parent's daughters this most often places.
-    fn place_region_with_edits(self: &Rc<Self>, region: RegionId, failed: Option<ServerId>) {
+    fn assign_region(self: &Rc<Self>, region: RegionId, failed: Option<ServerId>) {
         let target = {
             let map = self.region_map.borrow();
             let live_ids = self.dir.live_ids();
@@ -713,17 +735,13 @@ impl Master {
         let dfs = self.dfs.clone();
         let net = Rc::clone(&self.net);
         let master_node = self.node;
-        // Resolve the region's store files and recovered-edits files from
-        // the filesystem namespace (the equivalent of listing the
-        // region's HDFS directories).
-        dfs.clone()
-            .list(&format!("/store/{region}/"), move |paths| {
-                dfs.list(&format!("/recovered/{region}/"), move |edits| {
-                    net.send(master_node, node, 512, move || {
-                        server.open_region(desc, paths, edits, failed);
-                    });
-                });
+        // Resolve the region's store files from the filesystem namespace
+        // (the equivalent of listing the region's HDFS directory).
+        dfs.list(&format!("/store/{region}/"), move |paths| {
+            net.send(master_node, node, 512, move || {
+                server.open_region(desc, paths, failed);
             });
+        });
         // A replicated region placed via the replay fallback gets its
         // group rebuilt around the new primary.
         if self.replication_factor.get() > 1
@@ -1027,7 +1045,7 @@ impl Master {
         let alive = self.dir.get(target).map(|s| s.is_alive()).unwrap_or(false);
         if !alive {
             self.region_map.borrow_mut().unassign(region);
-            self.place_region_with_edits(region, None);
+            self.assign_region(region, None);
             return;
         }
         self.region_map.borrow_mut().assign(region, target);
@@ -1051,7 +1069,7 @@ impl Master {
         dfs.clone()
             .list(&format!("/store/{region}/"), move |paths| {
                 net.send(master_node, node, 512, move || {
-                    server.open_region(desc, paths, Vec::new(), None);
+                    server.open_region(desc, paths, None);
                 });
             });
     }
@@ -1364,8 +1382,8 @@ impl Master {
         }
     }
 
-    /// The WAL split delivered `region`'s recovered records: replayed on
-    /// the fallback path, discarded after a promotion (the promoted
+    /// The WAL split delivered `region`'s records: written out and placed
+    /// on the fallback path, discarded after a promotion (the promoted
     /// replica already holds every acknowledged write).
     fn recovery_records_ready(self: &Rc<Self>, region: RegionId, records: Vec<WalRecord>) {
         let next: Option<Option<ServerId>> = {

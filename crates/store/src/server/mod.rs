@@ -302,9 +302,6 @@ struct RegionState {
     /// level 0 (flush outputs, bulk loads, files adopted at open — only
     /// compaction outputs placed below L0 need an entry).
     file_levels: HashMap<String, u32>,
-    /// Recovered-edits files replayed into the memstore at open; deleted
-    /// once a flush makes their contents durable in a store file.
-    recovered_paths: Vec<String>,
     online: bool,
     flush_in_progress: bool,
     compaction_in_progress: bool,
@@ -325,7 +322,6 @@ impl RegionState {
             flushing: None,
             storefiles,
             file_levels: HashMap::new(),
-            recovered_paths: Vec::new(),
             online: false,
             flush_in_progress: false,
             compaction_in_progress: false,
@@ -346,11 +342,10 @@ impl RegionState {
         !self.compaction_in_progress && !self.flush_busy()
     }
 
-    /// Whether a structural operation may start on this region: online,
-    /// not already in one, and no recovered edits still only in the
-    /// memstore.
+    /// Whether a structural operation may start on this region: online
+    /// and not already in one.
     fn restructurable(&self) -> bool {
-        self.online && !self.restructuring && self.recovered_paths.is_empty()
+        self.online && !self.restructuring
     }
 
     /// The LSM level of the file at `path` (level 0 unless a compaction
@@ -1660,20 +1655,20 @@ impl RegionServer {
     // Region lifecycle
     // ------------------------------------------------------------------
 
-    /// Opens a region on this server.
+    /// Opens a region on this server over the store files at
+    /// `storefile_paths`.
     ///
-    /// For a fresh open `recovered_paths` is empty and `failed` is `None`;
-    /// the region goes online immediately. After a failover the master
-    /// passes the paths of the region's recovered-edits files (its split
-    /// WAL records, durable in the filesystem) and the failed server's
-    /// id; the edits are read back and replayed into a fresh memstore
-    /// (HBase-internal recovery) and the region stays offline until the
-    /// recovery hooks call back (transactional recovery, §3.2).
+    /// For a fresh open `failed` is `None` and the region goes online
+    /// immediately. After a failover it names the failed server: what
+    /// that server had persisted is already among the files (the master
+    /// wrote its split WAL records out as one — HBase-internal recovery
+    /// is a file adoption, no edits are replayed here), and the region
+    /// stays offline until the recovery hooks call back (transactional
+    /// recovery, §3.2).
     pub fn open_region(
         self: &Rc<Self>,
         desc: RegionDescriptor,
         storefile_paths: Vec<String>,
-        recovered_paths: Vec<String>,
         failed: Option<ServerId>,
     ) {
         if !self.alive.get() {
@@ -1695,85 +1690,10 @@ impl RegionServer {
             // does not know its predecessor's level layout, and L0 is
             // the only level that tolerates overlapping ranges. The
             // leveled policy re-sorts them down.
-            RegionState {
-                recovered_paths: recovered_paths.clone(),
-                ..RegionState::new(desc, MemStore::new(), storefiles)
-            },
+            RegionState::new(desc, MemStore::new(), storefiles),
         );
         self.update_file_metrics();
-        self.replay_recovered_edits(region, recovered_paths, 0, failed);
-    }
-
-    /// Sequentially reads and replays recovered-edits files, then runs the
-    /// recovery gating. Unreadable files are retried: skipping them would
-    /// silently lose acknowledged data.
-    fn replay_recovered_edits(
-        self: &Rc<Self>,
-        region: RegionId,
-        paths: Vec<String>,
-        idx: usize,
-        failed: Option<ServerId>,
-    ) {
-        if !self.alive.get() {
-            return;
-        }
-        if idx >= paths.len() {
-            self.finish_region_open(region, failed, false);
-            return;
-        }
-        let this = Rc::clone(self);
-        let path = paths[idx].clone();
-        let span_path = path.clone();
-        self.dfs.read(&path, move |data| {
-            match data {
-                Ok(batches) => {
-                    let mut edit_count = 0u64;
-                    {
-                        let mut regions = this.regions.borrow_mut();
-                        let Some(st) = regions.get_mut(&region) else {
-                            return;
-                        };
-                        for batch in &batches {
-                            if let Ok(records) = crate::codec::decode_wal_batch(batch) {
-                                for rec in records {
-                                    for m in &rec.mutations {
-                                        edit_count += 1;
-                                        st.memstore.apply_mutation(
-                                            m.row.clone(),
-                                            m.column.clone(),
-                                            rec.ts,
-                                            &m.kind,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let me = this.id;
-                    this.events
-                        .borrow()
-                        .record(this.sim.now(), "region.replay", move || {
-                            format!(
-                                "server={me} region={region} path={span_path} edits={edit_count}"
-                            )
-                        });
-                    // Replaying edits costs handler time.
-                    let service = this.cfg.base_service
-                        + this.cfg.write_service_per_mutation * edit_count.max(1) / 2;
-                    let next = Rc::clone(&this);
-                    this.handlers.submit(service, move || {
-                        next.replay_recovered_edits(region, paths, idx + 1, failed);
-                    });
-                }
-                Err(_) => {
-                    let retry = Rc::clone(&this);
-                    this.sim
-                        .schedule_in(SimDuration::from_millis(200), move || {
-                            retry.replay_recovered_edits(region, paths, idx, failed);
-                        });
-                }
-            }
-        });
+        self.finish_region_open(region, failed, false);
     }
 
     fn finish_region_open(
@@ -1923,28 +1843,16 @@ impl RegionServer {
                     return;
                 }
                 registry.insert(Rc::clone(&data2));
-                let recovered = {
-                    let mut regions = server.regions.borrow_mut();
-                    match regions.get_mut(&region) {
-                        Some(st) => {
-                            st.storefiles.push(Rc::clone(&data2));
-                            st.flushing = None;
-                            st.flush_in_progress = false;
-                            std::mem::take(&mut st.recovered_paths)
-                        }
-                        None => Vec::new(),
-                    }
-                };
+                if let Some(st) = server.regions.borrow_mut().get_mut(&region) {
+                    st.storefiles.push(Rc::clone(&data2));
+                    st.flushing = None;
+                    st.flush_in_progress = false;
+                }
                 server.update_file_metrics();
                 // The file set changed and the memstore was truncated:
                 // re-baseline every backup lane with a full-state sync
                 // (this is also what keeps shadow memstores bounded).
                 server.ship_sync(region);
-                // The flushed store file now covers the recovered edits;
-                // their files can be garbage-collected.
-                for path in recovered {
-                    server.dfs.delete(&path);
-                }
             });
         });
     }
@@ -2101,7 +2009,7 @@ impl RegionServer {
             }
             // Tombstones may only be purged when this merge sees every
             // file of the region (nothing left for them to shadow) — and
-            // even then, replayed recovered edits can park *older*
+            // even then, a recovery's log-suffix replay can park *older*
             // versions in the memstore, so a guard checks for those.
             let major = inputs.len() == st.storefiles.len() && st.flushing.is_none();
             let watermark = self

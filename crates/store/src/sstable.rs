@@ -102,10 +102,10 @@
 //! replica datanode of the file is alive before serving from the registry.
 
 use crate::bloom::{cell_hash, hash_pair, BloomFilter, CellKey};
-use crate::codec::{decode_cell, encode_cell, DecodeError, Decoder, Encoder, TAG_PUT};
+use crate::codec::{decode_cell, encode_cell, DecodeError, Decoder, Encoder, WalRecord, TAG_PUT};
 use crate::memstore::{MemStore, VersionedValue};
 use crate::merge_iter::{visible_at, EntryRef};
-use crate::types::{RegionId, Timestamp};
+use crate::types::{MutationKind, RegionId, Timestamp};
 use bytes::Bytes;
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -266,7 +266,8 @@ pub type StoreFileEntry = (Bytes, Bytes, Timestamp, Option<Bytes>);
 /// column, descending ts)` order and appended to the file's wire image
 /// as they arrive; [`StoreFileBuilder::finish`] seals the image.
 ///
-/// Memstore flushes, compaction outputs and
+/// Memstore flushes, compaction outputs, the WAL split
+/// ([`StoreFileData::from_wal_records`]) and
 /// [`StoreFileData::from_sorted_entries`] all build through this, so the
 /// wire format, the size accounting and the filter are defined once.
 pub struct StoreFileBuilder {
@@ -444,6 +445,51 @@ impl StoreFileData {
         let mut builder = StoreFileBuilder::with_capacity(ms.len(), ms.approx_bytes());
         for (row, column, ts, value) in ms.iter() {
             builder.push(row, column, ts, value.as_deref());
+        }
+        builder.finish(region, path)
+    }
+
+    /// Builds the store file a memstore that replayed `records` in order
+    /// would flush to: every mutation becomes a version at its record's
+    /// timestamp, sorted into file order, and of several writes of one
+    /// `(cell, ts)` — a write-set delivered twice, a put and a delete of
+    /// one cell in one transaction — the last in log order stands. This
+    /// is how a failed server's split WAL reaches its regions' new hosts
+    /// (as a file to adopt, not edits to replay).
+    pub fn from_wal_records(
+        region: RegionId,
+        path: impl Into<String>,
+        records: &[WalRecord],
+    ) -> StoreFileData {
+        let mut versions: Vec<(&[u8], &[u8], u64, Option<&[u8]>)> = records
+            .iter()
+            .flat_map(|rec| {
+                rec.mutations.iter().map(|m| {
+                    let value = match &m.kind {
+                        MutationKind::Put(v) => Some(&v[..]),
+                        MutationKind::Delete => None,
+                    };
+                    (&m.row[..], &m.column[..], !rec.ts.0, value)
+                })
+            })
+            .collect();
+        // Stable, so writes of one (cell, ts) stay in log order; of each
+        // such run the last write is kept.
+        versions.sort_by_key(|&(row, column, inv_ts, _)| (row, column, inv_ts));
+        versions.dedup_by(|later, kept| {
+            let same = (later.0, later.1, later.2) == (kept.0, kept.1, kept.2);
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        let total_bytes = versions
+            .iter()
+            .map(|(r, c, _, v)| entry_bytes(r, c, *v))
+            .sum();
+        let mut builder = StoreFileBuilder::with_capacity(versions.len(), total_bytes);
+        for (row, column, inv_ts, value) in versions {
+            builder.push(row, column, Timestamp(!inv_ts), value);
         }
         builder.finish(region, path)
     }

@@ -255,34 +255,43 @@ impl Wal {
     }
 }
 
+/// What [`split_wal`] read out of a failed server's WAL.
+#[derive(Debug, Default)]
+pub struct WalSplit {
+    /// The log's records grouped by the region they were written for, in
+    /// log order within each group.
+    pub groups: HashMap<RegionId, Vec<WalRecord>>,
+    /// Numbers of the batches that did not decode although a later batch
+    /// follows them. A crash can tear only the append it interrupts, so
+    /// these were acknowledged as durable and are gone: the caller must
+    /// say so loudly, never skip them silently.
+    pub corrupt_batches: Vec<usize>,
+}
+
 /// Reads a failed server's WAL from the filesystem and groups its records
 /// by region — the first step of HBase's recovery procedure (§2.1).
 ///
-/// `done` receives an empty map if the WAL file does not exist (the server
-/// never synced anything).
-pub fn split_wal(
-    dfs: &DfsClient,
-    wal_path: &str,
-    done: impl FnOnce(HashMap<RegionId, Vec<WalRecord>>) + 'static,
-) {
+/// A *final* batch that does not decode is a torn append (the crash hit
+/// mid-write, nothing in it was ever acknowledged as durable) and is
+/// dropped; an undecodable batch anywhere else is reported in
+/// [`WalSplit::corrupt_batches`]. `done` receives an empty split if the
+/// WAL file does not exist (the server never synced anything).
+pub fn split_wal(dfs: &DfsClient, wal_path: &str, done: impl FnOnce(WalSplit) + 'static) {
     dfs.read(wal_path, move |data| {
-        let mut grouped: HashMap<RegionId, Vec<WalRecord>> = HashMap::new();
-        if let Ok(batches) = data {
-            for batch in batches {
-                match decode_wal_batch(&batch) {
-                    Ok(records) => {
-                        for r in records {
-                            grouped.entry(r.region).or_default().push(r);
-                        }
-                    }
-                    Err(_) => {
-                        // A torn final batch (crash mid-append) is ignored:
-                        // it was never acknowledged as durable.
+        let mut split = WalSplit::default();
+        let batches = data.unwrap_or_default();
+        for (n, batch) in batches.iter().enumerate() {
+            match decode_wal_batch(batch) {
+                Ok(records) => {
+                    for r in records {
+                        split.groups.entry(r.region).or_default().push(r);
                     }
                 }
+                Err(_) if n + 1 == batches.len() => {}
+                Err(_) => split.corrupt_batches.push(n),
             }
         }
-        done(grouped);
+        done(split);
     });
 }
 
@@ -318,6 +327,17 @@ mod tests {
         (sim, net, dfs, server)
     }
 
+    /// Splits the log at `path` through `dfs`, running the simulation
+    /// until the split is delivered.
+    fn split(sim: &Sim, dfs: &DfsClient, path: &str) -> WalSplit {
+        let got: Rc<RefCell<Option<WalSplit>>> = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        split_wal(dfs, path, move |s| *g.borrow_mut() = Some(s));
+        sim.run_for(SimDuration::from_secs(1));
+        let split = got.borrow_mut().take();
+        split.expect("split delivered")
+    }
+
     fn rec(region: u32, ts: u64) -> WalRecord {
         WalRecord {
             region: RegionId(region),
@@ -345,12 +365,7 @@ mod tests {
         assert!(wal.synced_bytes() > 0);
 
         // Verify the records round-trip through split_wal.
-        let got: Rc<RefCell<Option<HashMap<RegionId, Vec<WalRecord>>>>> =
-            Rc::new(RefCell::new(None));
-        let g = got.clone();
-        split_wal(&dfs, "/wal/rs0", move |m| *g.borrow_mut() = Some(m));
-        sim.run_until(SimTime::from_secs(2));
-        let grouped = got.borrow_mut().take().unwrap();
+        let grouped = split(&sim, &dfs, "/wal/rs0").groups;
         assert_eq!(grouped[&RegionId(0)].len(), 5);
         assert_eq!(grouped[&RegionId(0)][0].ts, Timestamp(1));
         assert_eq!(grouped[&RegionId(0)][4].ts, Timestamp(5));
@@ -418,12 +433,7 @@ mod tests {
         net.crash(server);
         // Recovery reads what the filesystem has.
         let reader = DfsClient::new(&sim, &net, dfs.namenode(), net.add_node("master"));
-        let got: Rc<RefCell<Option<HashMap<RegionId, Vec<WalRecord>>>>> =
-            Rc::new(RefCell::new(None));
-        let g = got.clone();
-        split_wal(&reader, "/wal/rs0", move |m| *g.borrow_mut() = Some(m));
-        sim.run_until(SimTime::from_secs(2));
-        let grouped = got.borrow_mut().take().unwrap();
+        let grouped = split(&sim, &reader, "/wal/rs0").groups;
         assert_eq!(
             grouped[&RegionId(0)].len(),
             2,
@@ -441,12 +451,7 @@ mod tests {
         wal.append(rec(2, 4));
         wal.sync(|| {});
         sim.run_until(SimTime::from_secs(1));
-        let got: Rc<RefCell<Option<HashMap<RegionId, Vec<WalRecord>>>>> =
-            Rc::new(RefCell::new(None));
-        let g = got.clone();
-        split_wal(&dfs, "/wal/rs0", move |m| *g.borrow_mut() = Some(m));
-        sim.run_until(SimTime::from_secs(2));
-        let grouped = got.borrow_mut().take().unwrap();
+        let grouped = split(&sim, &dfs, "/wal/rs0").groups;
         assert_eq!(grouped.len(), 3);
         assert_eq!(grouped[&RegionId(0)].len(), 2);
         assert_eq!(grouped[&RegionId(1)].len(), 1);
@@ -456,11 +461,64 @@ mod tests {
     #[test]
     fn split_missing_wal_returns_empty() {
         let (sim, _net, dfs, _) = setup();
-        let got: Rc<RefCell<Option<HashMap<RegionId, Vec<WalRecord>>>>> =
-            Rc::new(RefCell::new(None));
-        let g = got.clone();
-        split_wal(&dfs, "/wal/ghost", move |m| *g.borrow_mut() = Some(m));
-        sim.run_until(SimTime::from_secs(1));
-        assert!(got.borrow_mut().take().unwrap().is_empty());
+        let split = split(&sim, &dfs, "/wal/ghost");
+        assert!(split.groups.is_empty() && split.corrupt_batches.is_empty());
+    }
+
+    /// Writes `batches` as one DFS record each — what a WAL's syncs leave.
+    fn write_log(sim: &Sim, dfs: &DfsClient, path: &str, batches: Vec<bytes::Bytes>) {
+        fn append_all(file: DfsFile, mut batches: std::vec::IntoIter<bytes::Bytes>) {
+            let Some(batch) = batches.next() else { return };
+            let next = file.clone();
+            file.append(batch, move |r| {
+                r.expect("append");
+                append_all(next, batches);
+            });
+        }
+        let batches = batches.into_iter();
+        dfs.create(path, move |file| append_all(file.expect("create"), batches));
+        sim.run_for(SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn split_drops_a_torn_final_batch_silently() {
+        let (sim, _net, dfs, _) = setup();
+        let whole = encode_wal_batch(&[rec(0, 1), rec(1, 2)]);
+        let torn = encode_wal_batch(&[rec(0, 3)]);
+        let torn = torn.slice(..torn.len() - 3);
+        write_log(&sim, &dfs, "/wal/torn", vec![whole, torn]);
+        let split = split(&sim, &dfs, "/wal/torn");
+        assert_eq!(
+            split.groups[&RegionId(0)].len(),
+            1,
+            "the whole batch survives"
+        );
+        assert_eq!(split.groups[&RegionId(1)].len(), 1);
+        assert!(
+            split.corrupt_batches.is_empty(),
+            "a torn tail was never acknowledged: not corruption"
+        );
+    }
+
+    #[test]
+    fn split_reports_an_undecodable_batch_before_the_tail() {
+        let (sim, _net, dfs, _) = setup();
+        let first = encode_wal_batch(&[rec(0, 1)]);
+        let damaged = encode_wal_batch(&[rec(0, 2)]);
+        let damaged = damaged.slice(..damaged.len() - 3);
+        let last = encode_wal_batch(&[rec(0, 3)]);
+        write_log(&sim, &dfs, "/wal/damaged", vec![first, damaged, last]);
+        let split = split(&sim, &dfs, "/wal/damaged");
+        let kept: Vec<Timestamp> = split.groups[&RegionId(0)].iter().map(|r| r.ts).collect();
+        assert_eq!(
+            kept,
+            vec![Timestamp(1), Timestamp(3)],
+            "the rest is recovered"
+        );
+        assert_eq!(
+            split.corrupt_batches,
+            vec![1],
+            "acknowledged data is missing: the split must say which batch"
+        );
     }
 }

@@ -7,9 +7,9 @@ use cumulo_dfs::{DataNode, DfsClient, NameNode, NameNodeConfig};
 use cumulo_sim::trace::Journal;
 use cumulo_sim::{DiskConfig, LatencyConfig, Network, Sim, SimDuration};
 use cumulo_store::{
-    ChangeKind, Master, MasterConfig, Mutation, RegionId, RegionMap, RegionServer,
-    RegionServerConfig, ServerDirectory, StoreClient, StoreClientConfig, StoreFileRegistry,
-    Timestamp, WalSyncMode, WriteSet,
+    ChangeKind, Master, MasterConfig, Mutation, RecoveryHooks, RegionId, RegionMap, RegionServer,
+    RegionServerConfig, ServerDirectory, ServerId, StoreClient, StoreClientConfig,
+    StoreFileRegistry, Timestamp, WalSyncMode, WriteSet,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -75,7 +75,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
             &sim,
             &net,
             *node,
-            cumulo_store::ServerId(i as u32),
+            ServerId(i as u32),
             cfg,
             dfs,
             Rc::clone(&registry),
@@ -97,6 +97,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
         MasterConfig::default(),
         master_dfs,
         Rc::clone(&dir),
+        Rc::clone(&registry),
     );
     master.set_events_journal(events.clone());
     let master_coord = CoordClient::new(&sim, &net, &coord_svc, master_node);
@@ -186,14 +187,40 @@ fn write_then_read_roundtrip() {
 /// region also covers the row (a failover or split window), whether a get
 /// served or bounced `NotServing` depended on per-process hash order. The
 /// pick must prefer the online region deterministically.
+/// Recovery hooks that hold every recovered region offline forever.
+struct NeverOnline;
+
+impl RecoveryHooks for NeverOnline {
+    fn on_server_failed(&self, _: ServerId, _: &[RegionId]) {}
+    fn on_region_recovered(
+        &self,
+        _: Rc<RegionServer>,
+        _: RegionId,
+        _: ServerId,
+        _: bool,
+        _online: Box<dyn FnOnce()>,
+    ) {
+    }
+    fn on_write_set_applied(
+        &self,
+        _: ServerId,
+        _: RegionId,
+        _: Timestamp,
+        _: u64,
+        _: Option<Timestamp>,
+    ) {
+    }
+}
+
 #[test]
 fn get_prefers_online_region_over_offline_coverers() {
     let c = build(11, 1, 1, WalSyncMode::Async);
     write_rows(&c, 1, 5);
-    // Pile whole-keyspace *offline* regions onto the same server: a
-    // non-empty recovered-edits list keeps each offline until its (bogus)
-    // WAL read completes, which cannot happen before the sim runs again.
+    // Pile whole-keyspace *offline* regions onto the same server: opened
+    // as failovers, each stays offline until the recovery hooks let it go
+    // online, and these hooks never do.
     let server = &c.servers[0];
+    server.set_hooks(Rc::new(NeverOnline));
     for i in 0..8u32 {
         server.open_region(
             cumulo_store::RegionDescriptor {
@@ -202,8 +229,7 @@ fn get_prefers_online_region_over_offline_coverers() {
                 end: None,
             },
             Vec::new(),
-            vec![format!("/bogus/recovered-{i}")],
-            None,
+            Some(ServerId(99)),
         );
     }
     // Issue the get directly at the server: the region pick happens

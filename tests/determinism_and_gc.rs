@@ -1,6 +1,7 @@
 //! Whole-cluster determinism (the foundation of every reproducible
-//! experiment in this repository) and housekeeping behaviours: recovered-
-//! edits garbage collection and memstore flushes during recovery.
+//! experiment in this repository) and housekeeping behaviours: the WAL
+//! split's store files through adoption and compaction, and memstore
+//! flushes during recovery.
 
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, TxnError};
 use cumulo_sim::SimDuration;
@@ -49,16 +50,32 @@ fn identical_seeds_reproduce_identical_failure_runs() {
 }
 
 #[test]
-fn recovered_edits_files_are_garbage_collected_after_flush() {
+fn wal_split_output_is_adopted_at_open_and_compacted_away() {
     let cluster = Cluster::build(ClusterConfig {
         seed: 93,
         clients: 2,
         servers: 2,
         regions: 2,
         key_count: 1_000,
+        compaction: true,
+        compaction_threshold: 2,
         ..ClusterConfig::default()
     });
-    // Commit rows, crash a server so recovered-edits files get written.
+    let read_all = |cluster: &Cluster| -> Vec<Option<Vec<u8>>> {
+        (0..20u64)
+            .map(|i| {
+                cluster
+                    .read_cell(
+                        format!("user{:012}", i * 43),
+                        "f0",
+                        SimDuration::from_secs(10),
+                    )
+                    .map(|v| v.to_vec())
+            })
+            .collect()
+    };
+    // Commit rows, let the WAL sync, crash a server: the master splits
+    // its WAL into one store file per region.
     for i in 0..20u64 {
         let client = cluster.client((i % 2) as usize).clone();
         client.begin(move |txn| {
@@ -68,34 +85,73 @@ fn recovered_edits_files_are_garbage_collected_after_flush() {
         });
     }
     cluster.run_for(SimDuration::from_secs(3));
+    let expected: Vec<Option<Vec<u8>>> = (0..20u64)
+        .map(|i| Some(format!("v{i}").into_bytes()))
+        .collect();
+    assert_eq!(read_all(&cluster), expected);
+    let victim_regions = cluster.servers[0].hosted_regions();
     cluster.crash_server(0);
     cluster.run_for(SimDuration::from_secs(12));
-    let edits_before = cluster.namenode.list("/recovered/");
+    assert!(cluster.all_regions_online());
+    let is_split_output = |p: &String| p.rsplit('/').next().is_some_and(|f| f.starts_with("wal-"));
+    let split_outputs: Vec<String> = cluster
+        .namenode
+        .list("/store/")
+        .into_iter()
+        .filter(is_split_output)
+        .collect();
     assert!(
-        !edits_before.is_empty(),
-        "failover must persist recovered-edits files before reopening regions"
+        !split_outputs.is_empty(),
+        "the WAL split must leave its records as store files"
     );
-    // Force a flush of every region on the survivor: the recovered edits
-    // are then covered by store files and must be deleted.
+    for path in &split_outputs {
+        assert!(
+            cluster.registry.get(path).is_some(),
+            "{path} is durable, so its new host can adopt it"
+        );
+    }
+    assert!(
+        cluster.namenode.list("/recovered/").is_empty(),
+        "there is no recovered-edits namespace"
+    );
+    // The survivor serves the dead server's rows out of the adopted
+    // files: nothing was replayed into its memstore but the log suffix.
     let survivor = &cluster.servers[1];
+    assert!(victim_regions.iter().all(|r| survivor.region_online(*r)));
+    assert_eq!(read_all(&cluster), expected, "reads after adoption");
+    // One more version per row and a flush: every region now has a second
+    // file, so the compactor merges each region's whole file set.
+    for i in 0..20u64 {
+        let client = cluster.client((i % 2) as usize).clone();
+        client.begin(move |txn| {
+            let Ok(txn) = txn else { return };
+            let _ = txn.put(format!("user{:012}", i * 43), "f1", "x");
+            txn.commit(|_| {});
+        });
+    }
+    cluster.run_for(SimDuration::from_secs(2));
     for r in survivor.hosted_regions() {
         survivor.flush_region(r);
     }
-    cluster.run_for(SimDuration::from_secs(5));
-    let edits_after = cluster.namenode.list("/recovered/");
+    cluster.run_for(SimDuration::from_secs(20));
     assert!(
-        edits_after.is_empty(),
-        "recovered-edits must be garbage-collected after the flush: {edits_after:?}"
+        cluster.total_compactions() >= 1,
+        "a compaction must have run"
     );
-    // Data still present, now from store files.
-    for i in 0..20u64 {
-        let v = cluster.read_cell(
-            format!("user{:012}", i * 43),
-            "f0",
-            SimDuration::from_secs(10),
-        );
-        assert_eq!(v.as_deref(), Some(format!("v{i}").as_bytes()));
-    }
+    let left: Vec<String> = cluster
+        .namenode
+        .list("/store/")
+        .into_iter()
+        .filter(is_split_output)
+        .collect();
+    assert!(
+        left.is_empty(),
+        "a major compaction folds the split output away: {left:?}"
+    );
+    assert!(split_outputs
+        .iter()
+        .all(|p| cluster.registry.get(p).is_none()));
+    assert_eq!(read_all(&cluster), expected, "reads after compaction");
 }
 
 #[test]

@@ -291,6 +291,154 @@ fn cascading_server_failures_preserve_all_commits() {
     }
 }
 
+/// The value of `key=` in a journal detail line.
+fn field<'a>(detail: &'a str, key: &str) -> &'a str {
+    detail
+        .split(' ')
+        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= in {detail:?}"))
+}
+
+#[test]
+fn new_host_crash_before_online_hands_the_same_file_to_the_next_host() {
+    let cluster = Cluster::build(ClusterConfig {
+        seed: 12,
+        clients: 3,
+        servers: 3,
+        regions: 6,
+        key_count: 10_000,
+        ..ClusterConfig::default()
+    });
+    let mut expected = Vec::new();
+    for i in 0..40u64 {
+        run_txn(
+            &cluster,
+            (i % 3) as usize,
+            &[(i * 200, "f0", &format!("v{i}"))],
+        );
+        expected.push((i * 200, format!("v{i}")));
+    }
+    // Let WAL syncs and threshold heartbeats cover most of them, then a
+    // few more that the dead server's WAL may not hold.
+    cluster.run_for(SimDuration::from_secs(2));
+    for i in 40..46u64 {
+        run_txn(
+            &cluster,
+            (i % 3) as usize,
+            &[(i * 200, "f0", &format!("v{i}"))],
+        );
+        expected.push((i * 200, format!("v{i}")));
+    }
+    let crash_seq = cluster.events.total_recorded();
+    cluster.crash_server(0);
+    // Step to the first reassignment of one of rs0's regions and kill the
+    // new host there and then: assigned, not yet online.
+    let assign = loop {
+        cluster.run_for(SimDuration::from_micros(100));
+        let found = cluster
+            .events
+            .entries()
+            .into_iter()
+            .find(|e| e.seq >= crash_seq && e.kind == "region.assign");
+        if let Some(e) = found {
+            break e;
+        }
+        assert!(
+            cluster.now().nanos() < 60_000_000_000,
+            "rs0 was never failed over"
+        );
+    };
+    let region = field(&assign.detail, "region").to_owned();
+    let host = field(&assign.detail, "server").to_owned();
+    let host_idx = cluster
+        .servers
+        .iter()
+        .position(|s| s.id().to_string() == host)
+        .expect("the new host is a cluster server");
+    assert_ne!(host_idx, 0);
+    assert!(
+        !cluster
+            .events
+            .entries()
+            .iter()
+            .any(|e| e.kind == "region.online" && e.seq > assign.seq),
+        "the host must die before the region is online"
+    );
+    // What the first round left behind: the region's split WAL as a store
+    // file, and its replay floor in the coordination service.
+    let split_files: Vec<String> = cluster
+        .namenode
+        .list(&format!("/store/{region}/"))
+        .into_iter()
+        .filter(|p| p.contains("/wal-"))
+        .collect();
+    assert_eq!(split_files.len(), 1, "one split output for {region}");
+    let znode = |path: String| {
+        cluster
+            .coord
+            .get_data(&path)
+            .map(|d| cumulo_core::paths::decode_ts(&d))
+    };
+    let first_floor = znode(format!("/recovery/floor/{region}"))
+        .expect("the floor is persisted before any host can report in");
+    let host_t_p =
+        znode(format!("/thresholds/servers/{host}")).expect("the new host publishes T_P");
+    assert!(
+        host_t_p > first_floor,
+        "the seed must put the new host's T_P ({host_t_p:?}) above the persisted floor \
+         ({first_floor:?}), or ignoring that floor would go unnoticed below"
+    );
+    cluster.crash_server(host_idx);
+    cluster.run_for(SimDuration::from_secs(25));
+
+    assert!(
+        cluster.all_regions_online(),
+        "all regions must land on the survivor"
+    );
+    let survivor = (1..3).find(|i| *i != host_idx).expect("three servers");
+    assert!(cluster.servers[survivor]
+        .hosted_regions()
+        .iter()
+        .any(|r| r.to_string() == region));
+    // The second round staged the region again — under the floor the first
+    // round persisted, not just under the second dead host's own T_P.
+    let staged: Vec<_> = cluster
+        .events
+        .entries()
+        .into_iter()
+        .filter(|e| e.seq >= crash_seq && e.kind == "recovery.staged")
+        .collect();
+    let second = staged
+        .iter()
+        .find(|e| field(&e.detail, "server") == host)
+        .expect("the new host's failure is staged too");
+    assert_eq!(
+        field(&second.detail, "floor"),
+        first_floor.min(host_t_p).0.to_string(),
+        "first floor {first_floor:?}, dead host's T_P {host_t_p:?}: {}",
+        second.detail
+    );
+    // The file the first split wrote is still the region's: the survivor
+    // adopted it (nothing else holds what rs0 had persisted).
+    assert!(cluster.registry.get(&split_files[0]).is_some());
+    for (k, v) in expected {
+        let got = cluster.read_cell(key(k), "f0", SimDuration::from_secs(10));
+        assert_eq!(
+            got.as_deref(),
+            Some(v.as_bytes()),
+            "row {k} lost in cascade"
+        );
+    }
+    // Both failed servers are done with: nothing pins T_P any more.
+    run_txn(&cluster, 0, &[(47 * 200, "f0", "post")]);
+    cluster.run_for(SimDuration::from_secs(6));
+    assert!(
+        cluster.rm.t_p() > first_floor,
+        "T_P must move on after the cascade: {:?} vs {first_floor:?}",
+        cluster.rm.t_p()
+    );
+}
+
 #[test]
 fn recovery_manager_crash_delays_but_does_not_lose_recovery() {
     let cluster = small_cluster(7);

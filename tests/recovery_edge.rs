@@ -131,8 +131,11 @@ fn fully_flushed_client_crash_recovers_nothing_but_cleans_up() {
     assert!(cluster.rm.t_f().0 >= 1);
 }
 
-#[test]
-fn flapping_recovery_manager_still_converges() {
+/// Crashes a server, then flaps the recovery manager three times during
+/// the recovery window — first going down when `first_down` says so, for
+/// 800 ms each time — and checks that recovery converges with every row
+/// intact. Returns the cluster and the journal position of the crash.
+fn flap_through_recovery(first_down: impl Fn(&Cluster, u64)) -> (Cluster, u64) {
     let cluster = Cluster::build(ClusterConfig {
         seed: 204,
         clients: 3,
@@ -146,10 +149,14 @@ fn flapping_recovery_manager_still_converges() {
         commit_row(&cluster, (i % 3) as usize, i * 300, &format!("f{i}"));
         expected.push((i * 300, format!("f{i}")));
     }
+    let crash_seq = cluster.events.total_recorded();
     cluster.crash_server(0);
-    // Flap the recovery manager three times during the recovery window.
-    for _ in 0..3 {
-        cluster.run_for(SimDuration::from_millis(1500));
+    for flap in 0..3 {
+        if flap == 0 {
+            first_down(&cluster, crash_seq);
+        } else {
+            cluster.run_for(SimDuration::from_millis(1500));
+        }
         cluster.crash_recovery_manager();
         cluster.run_for(SimDuration::from_millis(800));
         cluster.restart_recovery_manager();
@@ -163,6 +170,50 @@ fn flapping_recovery_manager_still_converges() {
         let got = cluster.read_cell(key(k), "f0", SimDuration::from_secs(10));
         assert_eq!(got.as_deref(), Some(v.as_bytes()), "row {k}");
     }
+    (cluster, crash_seq)
+}
+
+#[test]
+fn flapping_recovery_manager_still_converges() {
+    // Down across the failure detection: the manager first hears of the
+    // failure from the retried notifications, after its restart.
+    flap_through_recovery(|cluster, _| cluster.run_for(SimDuration::from_millis(1500)));
+
+    // Down right after it staged the failed server's replay, before the
+    // master has reassigned a single region: staging is volatile, so the
+    // restarted manager rebuilds it when the first new host reports in.
+    let kinds_since = |cluster: &Cluster, seq: u64| -> Vec<&'static str> {
+        let entries = cluster.events.entries();
+        entries
+            .iter()
+            .filter(|e| e.seq >= seq)
+            .map(|e| e.kind)
+            .collect()
+    };
+    let (cluster, crash_seq) = flap_through_recovery(|cluster, crash_seq| {
+        while !kinds_since(cluster, crash_seq).contains(&"recovery.staged") {
+            cluster.run_for(SimDuration::from_micros(100));
+            assert!(cluster.now().nanos() < 60_000_000_000, "never staged");
+        }
+        assert!(
+            !kinds_since(cluster, crash_seq).contains(&"region.assign"),
+            "the manager must go down before any region is reassigned"
+        );
+    });
+    let kinds = kinds_since(&cluster, crash_seq);
+    let staged = kinds.iter().filter(|k| **k == "recovery.staged").count();
+    assert!(
+        staged >= 2,
+        "the lost staging must have been rebuilt: staged {staged} time(s)"
+    );
+    let rebuilt = kinds
+        .iter()
+        .rposition(|k| *k == "recovery.staged")
+        .expect("counted above");
+    assert!(
+        kinds[rebuilt..].contains(&"region.recovered"),
+        "regions recover from the rebuilt staging"
+    );
 }
 
 #[test]
