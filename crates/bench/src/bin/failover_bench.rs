@@ -102,31 +102,45 @@ fn run_mode(replication: usize, rows: u64, warmup_rounds: u64, seed: u64) -> (Mo
     }
 
     let crash_at = cluster.now();
-    let failovers_before = cluster.master.failover_count();
     cluster.crash_server(0);
 
-    // Keep the load running through the outage and poll finely for two
-    // instants: when the master *detects* the failure (session expiry —
-    // identical machinery in both modes) and when every region is back
-    // online on a live server. The difference is the recovery mechanism
-    // itself: WAL split + replay vs replica promotion.
-    let mut detected_at = None;
-    let mut unavailability = None;
+    // Keep the load running through the outage until every region is
+    // back online on a live server. The poll only decides when to stop;
+    // the two instants come from the event journal, which records them
+    // to the nanosecond: when the master *detects* the failure
+    // (`server.failover` — session expiry, identical machinery in both
+    // modes) and when the last region comes back (`region.online`). The
+    // difference is the recovery mechanism itself: WAL split + replay
+    // vs replica promotion — a few milliseconds apart at this size,
+    // below what a 10 ms poll can tell apart.
+    let mut converged = false;
     'outer: for round in 0..300u64 {
         fire_load(&cluster, rows, warmup_rounds + round, &committed);
         for _ in 0..40 {
             cluster.run_for(SimDuration::from_millis(10));
-            if detected_at.is_none() && cluster.master.failover_count() > failovers_before {
-                detected_at = Some(cluster.now());
-            }
             if all_regions_available(&cluster) {
-                unavailability = Some(cluster.now() - crash_at);
+                converged = true;
                 break 'outer;
             }
         }
     }
-    let unavailability = unavailability.expect("cluster never converged after the crash");
+    assert!(converged, "cluster never converged after the crash");
+    assert_eq!(
+        cluster.events.dropped(),
+        0,
+        "the event journal evicted records; the instants below may be missing"
+    );
+    let entries = cluster.events.entries();
+    let since_crash = |kind: &'static str| {
+        entries
+            .iter()
+            .filter(move |e| e.kind == kind && e.time >= crash_at)
+            .map(|e| e.time)
+    };
+    let detected_at = since_crash("server.failover").next();
+    let online_at = since_crash("region.online").next_back();
     let detection = detected_at.expect("master never detected the crash") - crash_at;
+    let unavailability = online_at.expect("no region came back after the crash") - crash_at;
     // Drain in-flight retries before snapshotting.
     cluster.run_for(SimDuration::from_secs(5));
 

@@ -16,6 +16,13 @@
 //! host as a store file and its replay to be staged once and windowed,
 //! the two failovers got shorter and every later step moved with them
 //! (CHANGES.md, PR 16, has the before and after rows).
+//!
+//! The fourth is the only pinned output that runs with replication *on*:
+//! `failover_bench`'s promotion mode ships every write to a backup lane,
+//! syncs after flushes and promotes two shadows, so its journal instants
+//! move if the ship/ack/gate stream takes a different step. Captured on
+//! c2c9aa2 (the last commit with three ship and three apply paths), once
+//! the bench read its instants from the event journal.
 
 use std::process::Command;
 
@@ -69,5 +76,16 @@ fn scale_bench_csv_matches_pinned_baseline() {
         "scale_bench CSV diverged from the pinned baseline: a split, merge, \
          move or failover took a different step, or something perturbed the \
          event or RNG stream"
+    );
+}
+
+#[test]
+fn failover_bench_csv_matches_pinned_baseline() {
+    let got = run_quick(env!("CARGO_BIN_EXE_failover_bench"));
+    let want = include_str!("baselines/failover_bench_quick.csv");
+    assert_eq!(
+        got, want,
+        "failover_bench CSV diverged from the pinned baseline: the replication \
+         stream, a promotion or the replay path took a different step"
     );
 }

@@ -23,6 +23,8 @@ struct Cluster {
     client: StoreClient,
     /// The failure-event journal every server and the master record into.
     events: Journal,
+    /// The trace journal every server records its spans into.
+    trace: Journal,
     /// A filesystem client on the client's node, for listing the namespace.
     dfs: DfsClient,
 }
@@ -36,6 +38,18 @@ fn build(seed: u64, n_servers: usize, n_regions: usize, wal_mode: WalSyncMode) -
 }
 
 fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerConfig) -> Cluster {
+    build_replicated(seed, n_servers, n_regions, cfg, 1)
+}
+
+/// As [`build_with`], every region hosted on `copies` servers (1 = no
+/// region replication; more needs `cfg.replication.enabled`).
+fn build_replicated(
+    seed: u64,
+    n_servers: usize,
+    n_regions: usize,
+    cfg: RegionServerConfig,
+    copies: usize,
+) -> Cluster {
     let sim = Sim::new(seed);
     let net = Network::new(&sim, LatencyConfig::lan_100mbps());
 
@@ -66,6 +80,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
     let registry = StoreFileRegistry::new();
     let dir = ServerDirectory::new();
     let events = Journal::new(4096);
+    let trace = Journal::new(4096);
 
     // Region servers.
     let mut servers = Vec::new();
@@ -80,7 +95,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
             dfs,
             Rc::clone(&registry),
         );
-        server.set_journals(Journal::disabled(), events.clone());
+        server.set_journals(trace.clone(), events.clone());
         let coord = CoordClient::new(&sim, &net, &coord_svc, *node);
         server.start(&coord);
         dir.register(Rc::clone(&server));
@@ -102,6 +117,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
     master.set_events_journal(events.clone());
     let master_coord = CoordClient::new(&sim, &net, &coord_svc, master_node);
     master.start(&master_coord);
+    master.set_replication_factor(copies);
     master.bootstrap(RegionMap::split_decimal_keyspace("user", 1000, n_regions));
     sim.run_for(SimDuration::from_millis(500)); // let regions open
 
@@ -125,6 +141,7 @@ fn build_with(seed: u64, n_servers: usize, n_regions: usize, cfg: RegionServerCo
         servers,
         client,
         events,
+        trace,
         dfs,
     }
 }
@@ -813,4 +830,212 @@ fn a_pending_change_defers_the_other_kinds_candidacy() {
     assert_eq!(splits.intents_requested.get(), 1);
     assert_eq!(splits.completed.get(), 1);
     assert!(server.request_region_merge(regions[1], regions[2]));
+}
+
+/// One fixed schedule through the replication stream with two copies of
+/// each region and splits on: data ships gated on their acks, full-state
+/// syncs after flushes, split intents and the daughters' inherited lanes,
+/// a lane dropped by a gap nack and one by an ack timeout (each re-synced
+/// by the next tick), then a primary crash and the promotions and lane
+/// repairs that follow. The numbers below are what commit c2c9aa2 (three
+/// ship and three apply functions) produces; with one backup lane per
+/// region the one-stream server must send the same elements in the same
+/// order at the same instants.
+#[test]
+fn replication_of_a_fixed_schedule_is_pinned() {
+    let mut cfg = RegionServerConfig::default();
+    cfg.compaction.enabled = false;
+    cfg.replication.enabled = true;
+    cfg.split.enabled = true;
+    cfg.split.threshold_bytes = 6 << 10;
+    cfg.split.check_interval = SimDuration::from_secs(10);
+    let c = build_replicated(31, 3, 3, cfg, 2);
+    let node = |i: usize| c.servers[i].node();
+    // The schedule's writes: rows `0, step, 2 * step, ..` get `value`.
+    let writes: [(u64, &str); 8] = [
+        (5, "a"),
+        (7, "b"),
+        (11, "c"),
+        (13, "d"),
+        (17, "e"),
+        (19, "f"),
+        (23, "g"),
+        (29, "h"),
+    ];
+    let put = |n: usize| {
+        let (step, value) = writes[n];
+        put_rows(
+            &c,
+            1_000 * (n as u64 + 1),
+            (0..1000).step_by(step as usize),
+            value,
+        );
+    };
+    put(0);
+    run_to(&c, 3_000);
+    for server in &c.servers {
+        for region in server.hosted_regions() {
+            server.flush_region(region);
+        }
+    }
+    run_to(&c, 5_000);
+    put(1);
+    // 10 s: every server's region is a split candidate and flushes.
+    // 20 s: intents, flips; the daughters inherit the lanes.
+    run_to(&c, 19_900);
+    put(2);
+    run_to(&c, 23_000);
+    assert_eq!(c.master.splits_applied(), 3);
+    put(3);
+    // Ships lost behind a short partition, the next ones arrive: the
+    // backup nacks the gap, the 26 s re-sync tick restores the lane.
+    run_to(&c, 24_000);
+    c.net.partition(node(1), node(2));
+    put(4);
+    run_to(&c, 24_600);
+    c.net.heal(node(1), node(2));
+    run_to(&c, 24_700);
+    put(5);
+    // Ships lost and nothing after them: the ack timeout drops the lane
+    // at 28.5 s, the 30 s tick restores it.
+    run_to(&c, 27_000);
+    c.net.partition(node(0), node(1));
+    put(6);
+    run_to(&c, 28_800);
+    c.net.heal(node(0), node(1));
+    // 30 s: the next round of split candidates; rs2 dies holding one.
+    run_to(&c, 33_000);
+    c.servers[2].crash();
+    put(7);
+    run_to(&c, 47_000);
+
+    let counts = |journal: &Journal, prefix: &str| -> Vec<(&str, u64)> {
+        journal
+            .counts()
+            .into_iter()
+            .filter(|(kind, _)| kind.starts_with(prefix))
+            .collect()
+    };
+    assert_eq!(
+        counts(&c.events, "replication."),
+        [
+            ("replication.eligible", 4),
+            ("replication.establish", 34),
+            ("replication.ineligible", 6),
+            ("replication.lane_resynced", 21),
+            ("replication.lane_unsynced", 6),
+            ("replication.promote", 4),
+            ("replication.repair", 2),
+            ("replication.shadow_close", 5),
+            ("replication.shadow_open", 17),
+            ("replication.split_intent", 5),
+            ("replication.sync", 39),
+        ]
+    );
+    assert_eq!(counts(&c.trace, "repl."), [("repl.ship", 716)]);
+    // When each of those events happened, as an FNV-1a digest over one
+    // `<nanos> <kind>` line per event in journal order (details are left
+    // out: they carry sequence numbers, which are not part of the pin).
+    assert_eq!(c.events.dropped(), 0);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for e in c.events.entries() {
+        if e.kind.starts_with("replication.") {
+            for byte in format!("{} {}\n", e.time.nanos(), e.kind).bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(
+        digest, 8_543_706_951_581_144_989,
+        "replication event instants"
+    );
+    let stats: Vec<[u64; 11]> = c
+        .servers
+        .iter()
+        .map(|s| {
+            let r = s.replication_stats();
+            [
+                r.ships.get(),
+                r.ship_bytes.get(),
+                r.acks.get(),
+                r.nacks.get(),
+                r.syncs.get(),
+                r.applied.get(),
+                r.fences.get(),
+                r.fenced.get(),
+                r.lane_drops.get(),
+                r.backlog_bytes.get(),
+                r.lag.get(),
+            ]
+        })
+        .collect();
+    // ships, ship_bytes, acks, nacks, syncs, applied, fences, fenced,
+    // lane_drops, backlog_bytes, lag — rs0, rs1, rs2.
+    assert_eq!(
+        stats,
+        [
+            [266, 63630, 178, 0, 15, 169, 0, 0, 2, 0, 0],
+            [301, 79209, 136, 7, 16, 178, 0, 0, 4, 0, 0],
+            [154, 37619, 162, 0, 8, 129, 0, 0, 0, 0, 0],
+        ]
+    );
+    assert_eq!((c.master.promotions(), c.master.fallback_replays()), (2, 0));
+    let map = c.master.snapshot_map();
+    // Region, start key, primary, backups — in key order.
+    let shape: Vec<(u32, &str, Option<u32>, Vec<u32>)> = map
+        .regions()
+        .iter()
+        .map(|d| {
+            (
+                d.id.0,
+                std::str::from_utf8(&d.start).expect("ascii keys"),
+                map.server_for(d.id).map(|s| s.0),
+                map.replicas_of(d.id).iter().map(|s| s.0).collect(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        shape,
+        [
+            (7, "", Some(0), vec![1]),
+            (11, "user000000000165", Some(0), vec![1]),
+            (12, "user000000000250", Some(0), vec![1]),
+            (3, "user000000000333", Some(1), vec![0]),
+            (9, "user000000000500", Some(1), vec![0]),
+            (10, "user000000000585", Some(1), vec![0]),
+            (5, "user000000000666", Some(0), vec![1]),
+            (6, "user000000000835", Some(0), vec![1]),
+        ]
+    );
+
+    // Every row reads back its newest write.
+    let rows: Vec<u64> = (0..1000u64)
+        .filter(|i| writes.iter().any(|(step, _)| i % step == 0))
+        .collect();
+    let got: Rc<RefCell<Vec<Option<Bytes>>>> = Rc::default();
+    // Batches small enough to be served inside the client's request
+    // timeout.
+    for batch in rows.chunks(32) {
+        let cells = batch.iter().map(|i| (key(*i), Bytes::from_static(b"f0")));
+        let sink = Rc::clone(&got);
+        c.client
+            .multi_get(cells.collect(), Timestamp(100_000), move |cells| {
+                let values = cells.into_iter().map(|v| v.and_then(|vv| vv.value));
+                sink.borrow_mut().extend(values);
+            });
+        c.sim.run_for(SimDuration::from_secs(1));
+    }
+    assert_eq!(got.borrow().len(), rows.len());
+    for (i, got) in rows.iter().zip(got.borrow().iter()) {
+        let newest = writes
+            .iter()
+            .rev()
+            .find(|(step, _)| i % step == 0)
+            .map(|(_, value)| format!("{value}{i:0>90}"));
+        assert_eq!(
+            got.as_deref(),
+            newest.as_deref().map(str::as_bytes),
+            "row {i}"
+        );
+    }
 }
