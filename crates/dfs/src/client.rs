@@ -142,6 +142,24 @@ impl DfsClient {
             });
     }
 
+    /// Writes a whole file: creates `path` and appends `bytes` as its one
+    /// record; `done` receives the outcome once the record is durable or
+    /// either step failed. The same two exchanges as a
+    /// [`DfsClient::create`] followed by one [`DfsFile::append`]. After a
+    /// failed append the empty file is left behind — a caller that
+    /// retries does so under a new name, or deletes it first.
+    pub fn write_file(
+        &self,
+        path: &str,
+        bytes: Bytes,
+        done: impl FnOnce(crate::Result<()>) + 'static,
+    ) {
+        self.create(path, move |file| match file {
+            Ok(file) => file.append(bytes, done),
+            Err(e) => done(Err(e)),
+        });
+    }
+
     /// Opens an existing file for appending; `done` receives the handle.
     pub fn open_append(&self, path: &str, done: impl FnOnce(crate::Result<DfsFile>) + 'static) {
         let inner = Rc::clone(&self.inner);

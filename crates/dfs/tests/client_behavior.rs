@@ -417,3 +417,62 @@ fn delete_with_callback_confirms_and_is_idempotent() {
         assert!(!fx.nn.datanode(i).has_replica("/doomed"));
     }
 }
+
+/// Runs one `write_file` to its outcome.
+fn write_file(fx: &Fixture, path: &str, bytes: &'static [u8]) -> Result<(), DfsError> {
+    let slot: Rc<RefCell<Option<Result<(), DfsError>>>> = Rc::new(RefCell::new(None));
+    let s = slot.clone();
+    fx.dfs
+        .write_file(path, Bytes::from_static(bytes), move |r| {
+            *s.borrow_mut() = Some(r)
+        });
+    fx.sim.run_for(SimDuration::from_secs(2));
+    let r = slot.borrow_mut().take().expect("write_file completed");
+    r
+}
+
+#[test]
+fn write_file_creates_and_appends_one_record() {
+    let fx = fixture(3, 2);
+    assert_eq!(write_file(&fx, "/store/r0/f", b"image"), Ok(()));
+    let data = read_all(&fx, "/store/r0/f").expect("read");
+    assert_eq!(data, vec![Bytes::from_static(b"image")]);
+}
+
+#[test]
+fn write_file_reports_a_failed_create() {
+    let fx = fixture(3, 2);
+    assert_eq!(write_file(&fx, "/f", b"first"), Ok(()));
+    assert_eq!(
+        write_file(&fx, "/f", b"second"),
+        Err(DfsError::AlreadyExists("/f".into()))
+    );
+    // The existing file was not appended to.
+    let data = read_all(&fx, "/f").expect("read");
+    assert_eq!(data, vec![Bytes::from_static(b"first")]);
+}
+
+#[test]
+fn write_file_reports_a_failed_append() {
+    let fx = fixture(2, 2);
+    // Both datanodes die while the create reply is on its way back: the
+    // namenode placed the file, the append finds no live replica.
+    let slot: Rc<RefCell<Option<Result<(), DfsError>>>> = Rc::new(RefCell::new(None));
+    let s = slot.clone();
+    fx.dfs.write_file("/g", Bytes::from_static(b"x"), move |r| {
+        *s.borrow_mut() = Some(r)
+    });
+    while fx.nn.replicas("/g").is_err() {
+        fx.sim.run_for(SimDuration::from_micros(10));
+    }
+    for &idx in &fx.nn.replicas("/g").unwrap() {
+        fx.net.crash(fx.nn.datanode(idx).node());
+    }
+    fx.sim.run_for(SimDuration::from_secs(2));
+    assert_eq!(
+        slot.borrow_mut().take(),
+        Some(Err(DfsError::ReplicationFailed("/g".into())))
+    );
+    // The created-but-unwritten file is left behind (documented).
+    assert!(fx.nn.replicas("/g").is_ok());
+}

@@ -44,7 +44,7 @@ pub mod rules;
 pub mod walker;
 
 use report::LintReport;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Lints every file reachable from the workspace's crate roots.
@@ -72,9 +72,23 @@ pub fn lint_workspace(root: &Path) -> LintReport {
         files_scanned: sources.len(),
         ..LintReport::default()
     };
+    // The files beside a `mod.rs` are its child modules, and child modules
+    // see the private fields of the types their parent declares: a
+    // `HashMap` field named in `server/mod.rs` is iterated by that name
+    // in `server/storage.rs`, so CD001 has to know the name there too.
+    let parent_maps: BTreeMap<&str, BTreeSet<String>> = sources
+        .iter()
+        .filter_map(|(rel, _, lexed)| {
+            let dir = rel.strip_suffix("/mod.rs")?;
+            Some((dir, rules::map_typed_names(&lexed.tokens)))
+        })
+        .collect();
+    let no_maps = BTreeSet::new();
     for (rel, src, lexed) in &sources {
         let lines: Vec<&str> = src.lines().collect();
-        let raw = rules::lint_tokens(rel, &lines, lexed, &hash_types);
+        let dir = rel.rsplit_once('/').map_or("", |(dir, _)| dir);
+        let inherited = parent_maps.get(dir).unwrap_or(&no_maps);
+        let raw = rules::lint_tokens(rel, &lines, lexed, &hash_types, inherited);
         let (kept, used) = rules::apply_allows(rel, &lines, lexed, raw);
         report.findings.extend(kept);
         report.allows_total += lexed.allows.len();

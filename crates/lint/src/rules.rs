@@ -136,7 +136,7 @@ pub fn lint_str(rel: &str, src: &str) -> Vec<Finding> {
     let lexed = lex(src);
     let lines: Vec<&str> = src.lines().collect();
     let hash_types = hash_derived_types(&lexed.tokens);
-    let raw = lint_tokens(rel, &lines, &lexed, &hash_types);
+    let raw = lint_tokens(rel, &lines, &lexed, &hash_types, &BTreeSet::new());
     let (mut findings, _used) = apply_allows(rel, &lines, &lexed, raw);
     findings.sort();
     findings
@@ -236,7 +236,7 @@ fn excerpt(lines: &[&str], line: u32) -> String {
 /// Names whose declarations in this file mention `HashMap`/`HashSet`:
 /// `name: ... HashMap<...>` ascriptions (locals, params, struct fields,
 /// struct-literal inits) and `let name = HashMap::new()`-style bindings.
-fn map_typed_names(toks: &[Token]) -> BTreeSet<String> {
+pub fn map_typed_names(toks: &[Token]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for i in 0..toks.len() {
         // `name : <type containing HashMap/HashSet>`
@@ -388,15 +388,19 @@ fn next_stmt_sorts(toks: &[Token], end: usize) -> bool {
 }
 
 /// Runs every rule over one lexed file, without suppression handling.
+/// `inherited_maps` are hash-typed names declared outside this file that
+/// its code can still reach by name (see [`map_typed_names`]).
 pub fn lint_tokens(
     rel: &str,
     lines: &[&str],
     lexed: &Lexed,
     hash_types: &BTreeSet<String>,
+    inherited_maps: &BTreeSet<String>,
 ) -> Vec<Finding> {
     let rel_slash = rel.replace('\\', "/");
     let toks = &lexed.tokens;
-    let map_names = map_typed_names(toks);
+    let mut map_names = map_typed_names(toks);
+    map_names.extend(inherited_maps.iter().cloned());
     let in_sim = rel_slash.starts_with("crates/sim");
     let core_surface = CORE_PUBLIC_SURFACE.contains(&rel_slash.as_str());
     let sched_out = is_sched_or_output_path(&rel_slash);
@@ -805,6 +809,24 @@ mod tests {
         let src = "struct S { v: Rc<RefCell<HashMap<u64, u64>>> }\n\
                    impl S { fn f(&self) { for k in self.v.borrow().keys() { emit(k); } } }";
         assert_eq!(rules_fired(src), vec!["CD001"]);
+    }
+
+    #[test]
+    fn cd001_sees_a_map_field_its_parent_module_declares() {
+        // `server/storage.rs` iterating a field `server/mod.rs` declares.
+        let src = "impl S { fn f(&self) { for k in self.v.borrow().keys() { emit(k); } } }";
+        let lexed = lex(src);
+        let lines: Vec<&str> = src.lines().collect();
+        let fired = |inherited: &[&str]| {
+            let inherited = inherited.iter().map(|n| n.to_string()).collect();
+            lint_tokens("a/b.rs", &lines, &lexed, &BTreeSet::new(), &inherited)
+        };
+        assert!(
+            fired(&[]).is_empty(),
+            "nothing in this file says `v` is a map"
+        );
+        assert_eq!(fired(&["v"]).len(), 1);
+        assert_eq!(fired(&["v"])[0].rule, "CD001");
     }
 
     #[test]

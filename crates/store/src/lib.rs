@@ -125,8 +125,8 @@ pub use master::{Master, MasterConfig, MoveConfig, ServerDirectory};
 pub use memstore::{MemStore, VersionedValue};
 pub use region::{ChangeKind, RegionDescriptor, RegionMap, StructureChange};
 pub use server::{
-    FilterStats, MemstoreSnapshot, RegionServer, RegionServerConfig, ReplAck, ReplicationConfig,
-    ReplicationStats, ScanPage, SplitConfig, StructureStats,
+    FilterStats, RegionServer, RegionServerConfig, ReplicationConfig, ReplicationStats, ScanPage,
+    SplitConfig, StructureStats,
 };
 pub use sstable::{StoreFileBuilder, StoreFileData, StoreFileEntry, StoreFileRegistry};
 pub use types::{ClientId, Mutation, MutationKind, RegionId, ServerId, Timestamp, WriteSet};

@@ -653,25 +653,15 @@ impl Master {
         // Not created, or created and not written: no datanodes. Retry
         // from the queue (under a new name; an unwritten file is in no
         // registry, so nothing ever opens it).
-        let requeue = move |master: &Master, records: Vec<WalRecord>| {
-            master.unplaced.borrow_mut().push((region, records, failed));
-        };
         let weak = self.self_weak.borrow().clone();
-        self.dfs.create(&path, move |created| {
+        self.dfs.write_file(&path, file.encode(), move |result| {
             let Some(master) = weak.upgrade() else { return };
-            let Ok(created) = created else {
-                requeue(&master, records);
+            if result.is_err() {
+                master.unplaced.borrow_mut().push((region, records, failed));
                 return;
-            };
-            created.append(file.encode(), move |result| {
-                let Some(master) = weak.upgrade() else { return };
-                if result.is_err() {
-                    requeue(&master, records);
-                    return;
-                }
-                master.registry.insert(file);
-                master.assign_region(region, failed);
-            });
+            }
+            master.registry.insert(file);
+            master.assign_region(region, failed);
         });
     }
 
@@ -864,45 +854,38 @@ impl Master {
         self.intents.borrow_mut().insert(first, change.clone());
         let encoded = change.encode();
         let weak = Rc::downgrade(self);
-        self.dfs.create(&change.intent_path(), move |file| {
+        let path = change.intent_path();
+        self.dfs.write_file(&path, encoded, move |result| {
             let Some(master) = weak.upgrade() else { return };
-            let Ok(file) = file else {
+            if result.is_err() {
                 master.refuse_intent(&change);
                 return;
+            }
+            let kind = change.kind();
+            master.counters(kind).persisted.inc();
+            let journal_change = change.clone();
+            master.events.borrow().record(
+                master.sim.now(),
+                kind.pick("split.persisted", "merge.persisted"),
+                move || {
+                    format!(
+                        "{} server={server} {}",
+                        kind.inputs_label(&journal_change.inputs),
+                        journal_change.outputs_label()
+                    )
+                },
+            );
+            // The server may have died while the intent was being
+            // written; its failover already rolled the intent back.
+            if !master.intents.borrow().contains_key(&first) {
+                return;
+            }
+            let Some(target) = master.dir.get(server) else {
+                return;
             };
-            let weak = weak.clone();
-            file.append(encoded, move |result| {
-                let Some(master) = weak.upgrade() else { return };
-                if result.is_err() {
-                    master.refuse_intent(&change);
-                    return;
-                }
-                let kind = change.kind();
-                master.counters(kind).persisted.inc();
-                let journal_change = change.clone();
-                master.events.borrow().record(
-                    master.sim.now(),
-                    kind.pick("split.persisted", "merge.persisted"),
-                    move || {
-                        format!(
-                            "{} server={server} {}",
-                            kind.inputs_label(&journal_change.inputs),
-                            journal_change.outputs_label()
-                        )
-                    },
-                );
-                // The server may have died while the intent was being
-                // written; its failover already rolled the intent back.
-                if !master.intents.borrow().contains_key(&first) {
-                    return;
-                }
-                let Some(target) = master.dir.get(server) else {
-                    return;
-                };
-                let node = target.node();
-                master.net.send(master.node, node, 96, move || {
-                    target.execute_change(change);
-                });
+            let node = target.node();
+            master.net.send(master.node, node, 96, move || {
+                target.execute_change(change);
             });
         });
     }

@@ -1,0 +1,694 @@
+//! The data path: gets, batched gets, write-set portions and scan legs.
+//!
+//! Every request takes the same three steps, each written once: it is
+//! routed to a hosted region ([`RegionServer::route`] — by a row, or by
+//! the region id a batch was grouped under), its handler occupancy is
+//! decided up front (per cell read: [`RegionServer::read_plan`]), and it
+//! enters the handler pool through [`RegionServer::serve`], which charges
+//! the region's load, queues for a slot and hands the handler the
+//! [`Span`] its `rpc.*` trace record is made from.
+
+use super::replication::StreamElement;
+use super::{RegionServer, RegionState};
+use crate::bloom::CellKey;
+use crate::codec::WalRecord;
+use crate::error::StoreError;
+use crate::memstore::VersionedValue;
+use crate::merge_iter;
+use crate::sstable::StoreFileData;
+use crate::types::{Mutation, RegionId, Timestamp};
+use crate::wal::WalSyncMode;
+use bytes::Bytes;
+use cumulo_sim::metrics::{Counter, Gauge};
+use cumulo_sim::{SimDuration, SimTime};
+use std::rc::Rc;
+
+/// Shared observability for the bloom-filtered point-get read path (all
+/// handles clone cheaply and share state, like [`crate::CompactionStats`]).
+///
+/// Probes, skips and consultations are recorded where the read actually
+/// executes, so the counters describe real behavior, not the up-front
+/// cost estimate. Scans are not metered here (they use range pruning
+/// only).
+#[derive(Clone, Default, Debug)]
+pub struct FilterStats {
+    /// Bloom-filter probes performed (one per range-covering file per
+    /// point get, while filters are enabled).
+    pub probes: Counter,
+    /// Files excluded from a point get by key-range pruning.
+    pub range_skips: Counter,
+    /// Files excluded from a point get by a negative bloom probe.
+    pub filter_skips: Counter,
+    /// Consulted files that turned out not to hold the key at all — the
+    /// filter's false positives (measurable because the registry holds
+    /// real bytes, so the exact membership check is cheap).
+    pub false_positives: Counter,
+    /// Filter exclusions that were wrong (requires
+    /// `RegionServerConfig::verify_filters`). Must stay zero: a false
+    /// negative would silently lose a committed version from reads.
+    pub false_negatives: Counter,
+    /// Store files actually consulted by point gets.
+    pub files_consulted: Counter,
+    /// Current bytes of bloom-filter metadata across the server's hosted
+    /// store files (including flushing snapshots).
+    pub filter_bytes: Gauge,
+}
+
+/// What [`RegionServer::files_to_consult`] decided on the way to the
+/// files it yielded, in [`FilterStats`] terms.
+#[derive(Default)]
+struct Pruned {
+    range_skips: u64,
+    probes: u64,
+    filter_skips: u64,
+    false_negatives: u64,
+}
+
+/// One region's worth of a range scan: the cells served plus the serving
+/// region's exclusive end bound. The client's cross-region continuation
+/// ([`crate::StoreClient::scan`]) uses `region_end` as the next leg's
+/// cursor, so the resume key is always *server truth* — whatever region
+/// actually served the page, even if the client routed here through a
+/// stale map while a split or merge was in flight.
+#[derive(Clone, Debug)]
+pub struct ScanPage {
+    /// Newest visible version per `(row, column)` at the scan snapshot,
+    /// sorted, tombstones elided, truncated to the requested limit.
+    pub cells: Vec<(Bytes, Bytes, VersionedValue)>,
+    /// Exclusive end key of the region that served this page (`None` =
+    /// the region extends to the end of the table).
+    pub region_end: Option<Bytes>,
+}
+
+/// How a request names the region that should serve it.
+enum Route<'a> {
+    /// By a row the region covers: gets, and scan legs by their start.
+    Row(&'a [u8]),
+    /// By the id a batch was grouped under. Region ids are never reused,
+    /// so every row grouped under `region` by any map epoch lies inside
+    /// its descriptor; `first_row` tells a split-away id from one this
+    /// server never hosted, and `offline_ok` lets a recovery replay into
+    /// a region that is still recovering.
+    Id {
+        region: RegionId,
+        first_row: Option<&'a [u8]>,
+        offline_ok: bool,
+    },
+}
+
+/// What admission decided for one point read. It fixes the read's
+/// handler occupancy, and the `rpc.get` span reports it.
+struct ReadPlan {
+    in_memstore: bool,
+    probes: u64,
+    consulted: usize,
+}
+
+/// One admitted request's `rpc.*` trace span, handed to its handler to
+/// record once the request is served.
+struct Span {
+    kind: &'static str,
+    region: RegionId,
+    service: SimDuration,
+    submitted: SimTime,
+}
+
+impl Span {
+    /// Records the span. `fields` renders what follows `server=` and
+    /// `region=`, given the queue wait and the service time in
+    /// nanoseconds: queue wait is everything between submission and
+    /// completion that was not this request's own service.
+    fn record(self, server: &RegionServer, fields: impl Fn(u64, u64) -> String + 'static) {
+        let now = server.sim.now();
+        let service_ns = self.service.nanos();
+        let queue_ns = (now.nanos() - self.submitted.nanos()).saturating_sub(service_ns);
+        let (me, region) = (server.id, self.region);
+        server.trace.borrow().record(now, self.kind, move || {
+            format!(
+                "server={me} region={region} {}",
+                fields(queue_ns, service_ns)
+            )
+        });
+    }
+}
+
+impl RegionServer {
+    /// Point-get filter observability: probes, skips, false positives
+    /// and the current filter-metadata footprint (shared handles; clone
+    /// freely).
+    pub fn filter_stats(&self) -> &FilterStats {
+        &self.filter_stats
+    }
+
+    /// Enables or disables bloom probing on point gets at runtime (the
+    /// benchmarks' A/B switch — the store-file stack stays identical
+    /// across the toggle, unlike rebuilding a cluster with a different
+    /// config).
+    pub fn set_bloom_filters(&self, enabled: bool) {
+        self.bloom_enabled.set(enabled);
+    }
+
+    /// Whether bloom probing on point gets is currently enabled.
+    pub fn bloom_filters_enabled(&self) -> bool {
+        self.bloom_enabled.get()
+    }
+
+    /// Block-cache hit rate so far (Fig. 3's warm-up indicator).
+    pub fn cache_hit_rate(&self) -> f64 {
+        self.cache.borrow().hit_rate()
+    }
+
+    /// Number of gets served (batched reads count one per cell, so the
+    /// per-get filter statistics stay comparable across both paths).
+    pub fn gets_served(&self) -> u64 {
+        self.gets.get()
+    }
+
+    /// Number of batched-read requests ([`RegionServer::handle_multi_get`]
+    /// messages) served.
+    pub fn multi_gets_served(&self) -> u64 {
+        self.multi_gets.get()
+    }
+
+    /// Number of write batches applied.
+    pub fn puts_applied(&self) -> u64 {
+        self.puts.get()
+    }
+
+    /// Number of scan legs served ([`RegionServer::handle_scan`] pages;
+    /// a cross-region scan counts once per region walked).
+    pub fn scans_served(&self) -> u64 {
+        self.scans.get()
+    }
+
+    /// Number of requests rejected with `NotServing`.
+    pub fn not_serving_count(&self) -> u64 {
+        self.not_serving.get()
+    }
+
+    /// Current handler queue length (for overload diagnostics).
+    pub fn handler_queue_len(&self) -> usize {
+        self.handlers.queue_len()
+    }
+
+    /// Pre-warms the block cache with the given rows (the paper warms the
+    /// cache before measuring, §4.1).
+    pub fn warm_cache(&self, region: RegionId, rows: impl IntoIterator<Item = Bytes>) {
+        let mut cache = self.cache.borrow_mut();
+        for row in rows {
+            cache.insert(region, row);
+        }
+    }
+
+    /// The hosted region a get of `row` (or a scan starting there) is
+    /// served by, and whether it is online. More than one can transiently
+    /// cover a row (e.g. an offline parent beside an online daughter
+    /// mid-split): the online one is preferred, the lowest id breaks
+    /// ties. A minimum is the same whatever order the map yields its
+    /// regions in — `HashMap` iteration order must never pick the reply —
+    /// and allocates nothing on the path of every read.
+    fn covering_region(&self, row: &[u8]) -> Option<(RegionId, bool)> {
+        self.regions
+            .borrow()
+            .values()
+            .filter(|st| st.desc.contains(row))
+            .map(|st| (!st.online, st.desc.id))
+            .min()
+            .map(|(offline, id)| (id, !offline))
+    }
+
+    /// The first step of every request: the hosted region that serves
+    /// it, or the rejection to reply with — counted in `not_serving`
+    /// here, for all four request kinds.
+    fn route(&self, by: Route<'_>) -> Result<RegionId, StoreError> {
+        let routed = match by {
+            Route::Row(row) => match self.covering_region(row) {
+                Some((id, true)) => Ok(id),
+                Some((id, false)) => Err(StoreError::NotServing(id)),
+                None => Err(StoreError::RegionUnknown),
+            },
+            Route::Id {
+                region,
+                first_row,
+                offline_ok,
+            } => {
+                let regions = self.regions.borrow();
+                let covered = |row| regions.values().any(|st| st.desc.contains(row));
+                match regions.get(&region) {
+                    Some(st) if st.online || offline_ok => Ok(region),
+                    // A fenced ex-primary can never serve this region
+                    // again under its old epoch — send the client to the
+                    // map, not into a retry loop.
+                    Some(_) if self.region_fenced(region) => Err(StoreError::WrongRegion(region)),
+                    Some(_) => Err(StoreError::NotServing(region)),
+                    // The region id is unknown here — if a *different*
+                    // hosted region covers the batch's rows, the map
+                    // changed under the client (an online split replaced
+                    // the id); retrying the same id can never succeed, so
+                    // tell the client to refresh and re-group.
+                    None if first_row.is_some_and(covered) => Err(StoreError::WrongRegion(region)),
+                    None => Err(StoreError::NotServing(region)),
+                }
+            }
+        };
+        if routed.is_err() {
+            self.not_serving.inc();
+        }
+        routed
+    }
+
+    /// The plan of one point read, decided up front because it
+    /// determines handler occupancy: whether the memstore answers, and
+    /// which files would be consulted. Key-range pruning is free, each
+    /// bloom probe on a range-covering file costs `filter_probe_service`,
+    /// and only files the filter cannot exclude charge the
+    /// `storefile_read_service` amplification term.
+    fn read_plan(&self, st: &RegionState, key: &CellKey, snapshot: Timestamp) -> ReadPlan {
+        let mut pruned = Pruned::default();
+        let consulted = self.files_to_consult(st, key, &mut pruned).count();
+        ReadPlan {
+            in_memstore: st.memstore.get(key.row(), key.column(), snapshot).is_some(),
+            probes: pruned.probes,
+            consulted,
+        }
+    }
+
+    /// Handler occupancy of one planned cell read, short of a block
+    /// fetch. Read amplification: every *consulted* store file beyond
+    /// the first costs extra handler time. Compaction bounds the file
+    /// count; range pruning and bloom filters bound how many of those
+    /// files a point get actually consults.
+    fn read_service(&self, plan: &ReadPlan) -> SimDuration {
+        self.cfg.read_service
+            + self.cfg.storefile_read_service * plan.consulted.saturating_sub(1) as u64
+            + self.cfg.filter_probe_service * plan.probes
+    }
+
+    /// The one way a request enters the handler pool: its service time
+    /// is attributed to the region that pays it, it queues for a handler
+    /// slot, and once the slot has held it for `service` — if the process
+    /// is still alive — `work` serves it, with the span to record.
+    fn serve(
+        self: &Rc<Self>,
+        region: RegionId,
+        service: SimDuration,
+        kind: &'static str,
+        work: impl FnOnce(&Rc<RegionServer>, Span) + 'static,
+    ) {
+        self.region_load.add(region.0 as u64, service.nanos());
+        let span = Span {
+            kind,
+            region,
+            service,
+            submitted: self.sim.now(),
+        };
+        let this = Rc::clone(self);
+        self.handlers.submit(service, move || {
+            if this.alive.get() {
+                work(&this, span);
+            }
+        });
+    }
+
+    /// Serves a versioned read at `snapshot`.
+    pub fn handle_get(
+        self: &Rc<Self>,
+        row: Bytes,
+        column: Bytes,
+        snapshot: Timestamp,
+        reply: impl FnOnce(Result<Option<VersionedValue>, StoreError>) + 'static,
+    ) {
+        if !self.alive.get() {
+            return;
+        }
+        let region = match self.route(Route::Row(&row)) {
+            Ok(region) => region,
+            Err(e) => return reply(Err(e)),
+        };
+        // The cell is hashed here, once, for every filter probe and file
+        // lookup of this get.
+        let key = CellKey::new(row, column);
+        let plan = self.read_plan(&self.regions.borrow()[&region], &key, snapshot);
+        let hit = plan.in_memstore || self.cache.borrow_mut().access(region, key.row());
+        let mut service = self.cfg.base_service + self.read_service(&plan);
+        if !hit {
+            service += self.cfg.block_fetch_penalty;
+        }
+        self.serve(region, service, "rpc.get", move |this, span| {
+            let result = this.lookup(region, &key, snapshot);
+            if !hit {
+                this.cache.borrow_mut().insert(region, key.row().clone());
+            }
+            this.gets.inc();
+            let (files, probes) = (plan.consulted, plan.probes);
+            span.record(this, move |queue_ns, service_ns| {
+                format!(
+                    "queue_ns={queue_ns} service_ns={service_ns} files={files} probes={probes} hit={hit}"
+                )
+            });
+            reply(result);
+        });
+    }
+
+    /// The files of `st` a point read of `key` has to consult, newest
+    /// first, each with whether it is durable (a store file) or the
+    /// flushing snapshot: those that neither the row range (free) nor,
+    /// while filters are on, the bloom probe (`filter_probe_service`
+    /// each) excludes. This is the one place both the admission plan and
+    /// [`RegionServer::lookup`] prune; `pruned` counts what was decided
+    /// for the files pulled so far.
+    fn files_to_consult<'a>(
+        &self,
+        st: &'a RegionState,
+        key: &'a CellKey,
+        pruned: &'a mut Pruned,
+    ) -> impl Iterator<Item = (&'a StoreFileData, bool)> + 'a {
+        let bloom = self.bloom_enabled.get();
+        let verify = self.cfg.verify_filters;
+        let flushing = st.flushing.iter().map(|sf| (&**sf, false));
+        let durable = st.storefiles.iter().map(|sf| (&**sf, true));
+        flushing.chain(durable).filter(move |(sf, _)| {
+            if !sf.row_in_range(key.row()) {
+                pruned.range_skips += 1;
+                return false;
+            }
+            if bloom {
+                pruned.probes += 1;
+                if !sf.filter_may_contain_cell(key) {
+                    pruned.filter_skips += 1;
+                    if verify && sf.contains_cell(key) {
+                        pruned.false_negatives += 1;
+                    }
+                    return false;
+                }
+            }
+            true
+        })
+    }
+
+    fn lookup(
+        &self,
+        region_id: RegionId,
+        key: &CellKey,
+        snapshot: Timestamp,
+    ) -> Result<Option<VersionedValue>, StoreError> {
+        let regions = self.regions.borrow();
+        let Some(st) = regions.get(&region_id) else {
+            return Err(StoreError::NotServing(region_id));
+        };
+        if !st.online {
+            return Err(StoreError::NotServing(region_id));
+        }
+        let mut best = st.memstore.get(key.row(), key.column(), snapshot);
+        let bloom = self.bloom_enabled.get();
+        let stats = &self.filter_stats;
+        let mut pruned = Pruned::default();
+        let mut unreadable = None;
+        for (sf, durable) in self.files_to_consult(st, key, &mut pruned) {
+            // Honesty check: a consulted store file is only readable
+            // while at least one filesystem replica survives (pruned
+            // files are not touched, so their replicas need not be).
+            // Reference half-files check the *backing* parent file —
+            // that is where the bytes physically live. The flushing
+            // snapshot is served from memory while its DFS write is in
+            // flight, so it gets no replica-liveness check.
+            if durable && !self.dfs.namenode().has_live_replica(sf.backing_path()) {
+                unreadable = Some(sf.path().to_owned());
+                break;
+            }
+            stats.files_consulted.inc();
+            match sf.get_cell(key, snapshot) {
+                Some(found) if best.as_ref().is_none_or(|b| found.ts > b.ts) => {
+                    best = Some(found);
+                }
+                Some(_) => {}
+                // A version at the snapshot proves the key is in the
+                // file; only a miss needs the exact check (a second probe
+                // of the hash index) to tell a filter false positive from
+                // versions above the snapshot.
+                None if bloom && !sf.contains_cell(key) => stats.false_positives.inc(),
+                None => {}
+            }
+        }
+        stats.range_skips.add(pruned.range_skips);
+        stats.probes.add(pruned.probes);
+        stats.filter_skips.add(pruned.filter_skips);
+        stats.false_negatives.add(pruned.false_negatives);
+        match unreadable {
+            Some(path) => Err(StoreError::Unavailable(path)),
+            None => Ok(best),
+        }
+    }
+
+    /// Serves a batch of point reads for one region in a single message
+    /// round trip (the batched half of the client's `multi_get`).
+    ///
+    /// The whole batch occupies one handler slot for the *sum* of its
+    /// per-cell service: each cell charges the same read service, range
+    /// pruning (free), bloom probes (`filter_probe_service` each) and
+    /// per-consulted-file `storefile_read_service` amplification it
+    /// would have paid as a lone [`RegionServer::handle_get`] — the
+    /// saving is round trips and per-request base cost, not a discount
+    /// on the read work itself. Per-cell [`FilterStats`] accounting is
+    /// identical to the single-get path.
+    ///
+    /// Addressing is by region id (like [`RegionServer::handle_multi_put`]):
+    /// a batch for a split-away id gets [`StoreError::WrongRegion`] when
+    /// another hosted region covers its rows, so the client re-groups by
+    /// its refreshed map and retries.
+    pub fn handle_multi_get(
+        self: &Rc<Self>,
+        region: RegionId,
+        cells: Vec<(Bytes, Bytes)>,
+        snapshot: Timestamp,
+        reply: impl FnOnce(Result<Vec<Option<VersionedValue>>, StoreError>) + 'static,
+    ) {
+        if !self.alive.get() {
+            return;
+        }
+        let first_row = cells.first().map(|(row, _)| &row[..]);
+        if let Err(e) = self.route(Route::Id {
+            region,
+            first_row,
+            offline_ok: false,
+        }) {
+            return reply(Err(e));
+        }
+        // Per-cell plan and cache hit/miss, decided up front exactly like
+        // `handle_get`; the batch's handler occupancy is the sum of its
+        // cells'.
+        let cells: Vec<CellKey> = cells
+            .into_iter()
+            .map(|(row, column)| CellKey::new(row, column))
+            .collect();
+        let mut service = self.cfg.base_service;
+        let mut misses: Vec<Bytes> = Vec::new();
+        {
+            let regions = self.regions.borrow();
+            let st = &regions[&region];
+            let mut cache = self.cache.borrow_mut();
+            for key in &cells {
+                let row = key.row();
+                let plan = self.read_plan(st, key, snapshot);
+                // A row already planned as a miss earlier in this batch
+                // is fetched once for the whole batch: later cells on it
+                // ride the same block, like sequential gets would hit
+                // the cache the first miss populated.
+                let hit = plan.in_memstore || misses.contains(row) || cache.access(region, row);
+                service += self.read_service(&plan);
+                if !hit {
+                    service += self.cfg.block_fetch_penalty;
+                    misses.push(row.clone());
+                }
+            }
+        }
+        self.serve(region, service, "rpc.multi_get", move |this, span| {
+            let mut out: Vec<Option<VersionedValue>> = Vec::with_capacity(cells.len());
+            for key in &cells {
+                match this.lookup(region, key, snapshot) {
+                    Ok(v) => out.push(v),
+                    // A partially readable stack fails the whole batch
+                    // (same retry the lone get would take).
+                    Err(e) => return reply(Err(e)),
+                }
+            }
+            let (cell_count, miss_count) = (cells.len(), misses.len());
+            for row in misses {
+                this.cache.borrow_mut().insert(region, row);
+            }
+            this.gets.add(cell_count as u64);
+            this.multi_gets.inc();
+            span.record(this, move |queue_ns, service_ns| {
+                format!(
+                    "cells={cell_count} queue_ns={queue_ns} service_ns={service_ns} misses={miss_count}"
+                )
+            });
+            reply(Ok(out));
+        });
+    }
+
+    /// Applies one transaction's mutations for one region (the flush of a
+    /// committed write-set portion, or a recovery replay when `replay`).
+    ///
+    /// Matches Algorithm 3 "On receive": WAL-buffer append, memstore
+    /// apply, PQ tracking via the hook, then the ack — immediately in
+    /// Async mode, after the filesystem sync in Sync mode.
+    #[allow(clippy::too_many_arguments)]
+    pub fn handle_multi_put(
+        self: &Rc<Self>,
+        region: RegionId,
+        ts: Timestamp,
+        mutations: Vec<Mutation>,
+        floor: Option<Timestamp>,
+        replay: bool,
+        reply: impl FnOnce(Result<(), StoreError>) + 'static,
+    ) {
+        if !self.alive.get() {
+            return;
+        }
+        let first_row = mutations.first().map(|m| &m.row[..]);
+        if let Err(e) = self.route(Route::Id {
+            region,
+            first_row,
+            offline_ok: replay,
+        }) {
+            return reply(Err(e));
+        }
+        let mut service = self.cfg.base_service
+            + self.cfg.write_service_per_mutation * mutations.len().max(1) as u64;
+        if self.cfg.wal_mode == WalSyncMode::Sync {
+            service += self.cfg.sync_mode_handler_hold;
+        }
+        self.serve(region, service, "rpc.put", move |this, span| {
+            let applied = {
+                let mut regions = this.regions.borrow_mut();
+                match regions.get_mut(&region) {
+                    Some(st) => {
+                        for m in &mutations {
+                            st.memstore.apply_mutation(
+                                m.row.clone(),
+                                m.column.clone(),
+                                ts,
+                                &m.kind,
+                            );
+                        }
+                        true
+                    }
+                    None => false,
+                }
+            };
+            if !applied {
+                return reply(Err(StoreError::NotServing(region)));
+            }
+            let n_mutations = mutations.len();
+            // Ship to backup lanes *before* the WAL append consumes the
+            // batch. Returns the gate when at least one in-sync lane took
+            // it; the client ack (and the T_P bookkeeping hook) then
+            // waits for every such lane's ack — this is what makes
+            // `T_P(failed)` a sound promotion floor: nothing at or below
+            // it can be missing from an eligible backup.
+            let gate = this.replicates(region).then(|| {
+                let mutations = mutations.clone();
+                this.ship(region, StreamElement::WriteSet { ts, mutations })
+            });
+            let seq = this.wal.append(WalRecord {
+                region,
+                ts,
+                mutations,
+            });
+            this.puts.inc();
+            span.record(this, move |queue_ns, service_ns| {
+                format!(
+                    "mutations={n_mutations} queue_ns={queue_ns} service_ns={service_ns} replay={replay}"
+                )
+            });
+            let complete: Box<dyn FnOnce(Result<(), StoreError>)> = {
+                let this = Rc::clone(this);
+                Box::new(move |result| match result {
+                    Ok(()) => {
+                        this.hooks
+                            .borrow()
+                            .on_write_set_applied(this.id, region, ts, seq, floor);
+                        match this.cfg.wal_mode {
+                            WalSyncMode::Sync => this.wal.sync_upto(seq, move || reply(Ok(()))),
+                            WalSyncMode::Async => reply(Ok(())),
+                        }
+                    }
+                    Err(e) => reply(Err(e)),
+                })
+            };
+            match gate.flatten() {
+                Some(gate) => this.arm_gate(region, gate, complete),
+                None => complete(Ok(())),
+            }
+        });
+    }
+
+    /// Serves one page of a snapshot range scan: the newest visible
+    /// version per cell in `[start, end)` (end-exclusive, tombstones
+    /// elided) *within the hosted region containing `start`*, plus that
+    /// region's exclusive end bound as the continuation resume key. The
+    /// client stitches pages from consecutive regions into one merged
+    /// cross-region result (see [`crate::StoreClient::scan`]).
+    pub fn handle_scan(
+        self: &Rc<Self>,
+        start: Bytes,
+        end: Option<Bytes>,
+        snapshot: Timestamp,
+        limit: usize,
+        reply: impl FnOnce(Result<ScanPage, StoreError>) + 'static,
+    ) {
+        if !self.alive.get() {
+            return;
+        }
+        let region = match self.route(Route::Row(&start)) {
+            Ok(region) => region,
+            Err(e) => return reply(Err(e)),
+        };
+        // Scans touch many rows, so per-(row, column) bloom filters
+        // cannot exclude a file for them — key-range pruning only: a
+        // file is consulted iff its row range overlaps [start, end).
+        let files = {
+            let regions = self.regions.borrow();
+            let st = &regions[&region];
+            let stack = st.flushing.iter().chain(st.storefiles.iter());
+            stack
+                .filter(|sf| sf.range_overlaps(&start, end.as_deref()))
+                .count()
+        };
+        let service = self.cfg.base_service
+            + self.cfg.read_service * 3
+            + self.cfg.storefile_read_service * files.saturating_sub(1) as u64;
+        self.serve(region, service, "rpc.scan", move |this, span| {
+            let regions = this.regions.borrow();
+            let Some(st) = regions.get(&region) else {
+                return reply(Err(StoreError::NotServing(region)));
+            };
+            // One streaming merge over memstore, flushing snapshot and
+            // store files, newest source first; it seeks to `start` and
+            // stops at `limit` live cells.
+            let sources = st.flushing.iter().chain(st.storefiles.iter().rev());
+            let (out, examined) = merge_iter::scan_page(
+                &st.memstore,
+                sources.map(Rc::as_ref),
+                &start,
+                end.as_deref(),
+                snapshot,
+                limit,
+            );
+            this.scan_cells_examined.add(examined);
+            let region_end = st.desc.end.clone();
+            this.scans.inc();
+            let returned = out.len();
+            span.record(this, move |queue_ns, service_ns| {
+                format!(
+                    "files={files} queue_ns={queue_ns} service_ns={service_ns} returned={returned} examined={examined}"
+                )
+            });
+            reply(Ok(ScanPage {
+                cells: out,
+                region_end,
+            }));
+        });
+    }
+}

@@ -1,0 +1,1120 @@
+//! Primary/backup region replication on the server (see
+//! ARCHITECTURE.md, "Region replication": the ship protocol, epoch
+//! fencing, promotion vs replay).
+//!
+//! A primary keeps one *lane* per backup and sends it one stream of
+//! [`StreamElement`]s. [`RegionServer::ship`] is the only function that
+//! sends an element and [`RegionServer::apply`] the only one that applies
+//! one to a shadow; everything else here reacts to what comes back —
+//! acks, nacks, timeouts — or is the master telling this server which
+//! groups it leads and which shadows it keeps.
+
+use super::{RegionServer, RegionState};
+use crate::error::StoreError;
+use crate::hooks::ReplicationCoordinator;
+use crate::memstore::MemStore;
+use crate::region::RegionDescriptor;
+use crate::types::{Mutation, RegionId, ServerId, Timestamp};
+use bytes::Bytes;
+use cumulo_sim::metrics::{Counter, Gauge};
+use cumulo_sim::{NodeId, SimDuration};
+use std::collections::{BTreeMap, HashMap};
+use std::rc::{Rc, Weak};
+
+/// Shared observability for primary/backup replication (all handles
+/// clone cheaply and share state, like [`crate::CompactionStats`]).
+#[derive(Clone, Default, Debug)]
+pub struct ReplicationStats {
+    /// Mutation records shipped to backup lanes (primary side).
+    pub ships: Counter,
+    /// Payload bytes shipped to backup lanes (primary side).
+    pub ship_bytes: Counter,
+    /// Acks received from backups (primary side).
+    pub acks: Counter,
+    /// Gap/stale rejections received from backups (primary side).
+    pub nacks: Counter,
+    /// Full-state syncs shipped (primary side).
+    pub syncs: Counter,
+    /// Shipped records applied to a shadow (backup side).
+    pub applied: Counter,
+    /// Ships rejected because the sender's epoch was stale (backup side).
+    pub fences: Counter,
+    /// Regions this server fenced itself out of after learning a newer
+    /// epoch exists (stale-primary self-fencing).
+    pub fenced: Counter,
+    /// Backup lanes declared out of sync (ack timeout, gap or backlog).
+    pub lane_drops: Counter,
+    /// Current unacknowledged shipped bytes across all lanes (primary).
+    pub backlog_bytes: Gauge,
+    /// Worst `shipped - acked` sequence distance across lanes (primary).
+    pub lag: Gauge,
+}
+
+/// One element of the stream a primary sends down a backup lane.
+pub(super) enum StreamElement {
+    /// One committed write-set portion: extends the shadow's memstore,
+    /// and the client's ack waits behind a gate for every lane it went
+    /// to.
+    WriteSet {
+        ts: Timestamp,
+        mutations: Vec<Mutation>,
+    },
+    /// The region's full state: re-baselines the shadow, and is what
+    /// brings an out-of-sync lane back in.
+    Sync {
+        desc: RegionDescriptor,
+        /// The durable file set.
+        paths: Vec<String>,
+        /// The memstore image: `(row, column, version,
+        /// value-or-tombstone)` per cell version.
+        memstore: Vec<(Bytes, Bytes, Timestamp, Option<Bytes>)>,
+        /// Primary-side routing, not on the wire: only the out-of-sync
+        /// lanes (the re-sync timer) instead of every lane (the file set
+        /// changed under all of them: flush, compaction, split).
+        resync_only: bool,
+    },
+    /// The primary is executing a split of the region.
+    SplitIntent { bottom: RegionId, top: RegionId },
+}
+
+impl StreamElement {
+    /// The element's modelled size on the wire.
+    fn wire_bytes(&self) -> usize {
+        match self {
+            // A ship header, then each mutation without the per-mutation
+            // framing a client request gives it.
+            StreamElement::WriteSet { mutations, .. } => {
+                40 + mutations.iter().map(|m| m.wire_size() - 16).sum::<usize>()
+            }
+            StreamElement::Sync {
+                paths, memstore, ..
+            } => {
+                let cell = |(r, c, _, v): &(Bytes, Bytes, Timestamp, Option<Bytes>)| {
+                    r.len() + c.len() + v.as_ref().map_or(0, Bytes::len)
+                };
+                96 + paths.iter().map(String::len).sum::<usize>()
+                    + memstore.iter().map(cell).sum::<usize>()
+            }
+            StreamElement::SplitIntent { .. } => 48,
+        }
+    }
+}
+
+/// A backup's reply to a stream element.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ReplAck {
+    /// Applied; the lane is caught up through this sequence number.
+    Applied(u64),
+    /// The element did not extend the shadow contiguously (ships were
+    /// lost); the lane needs a full re-sync.
+    Gap(u64),
+    /// The sender's epoch is older than the backup's: a newer replica
+    /// group exists, the sender must fence itself. Carries the epoch the
+    /// backup holds.
+    Stale(u64),
+}
+
+/// How a gated client ack is completed: `Ok` once every lane acked,
+/// `Err(WrongRegion)` when the write must be retried elsewhere.
+type Finish = Box<dyn FnOnce(Result<(), StoreError>)>;
+
+/// Primary-side state of one backup lane.
+struct ReplLane {
+    backup: ServerId,
+    handle: Weak<RegionServer>,
+    node: NodeId,
+    /// `seq -> payload bytes` of shipped-but-unacked elements.
+    pending: BTreeMap<u64, usize>,
+    backlog_bytes: usize,
+    /// In sync: data ships flow and client acks gate on this lane. A
+    /// lane starts out of sync and is brought in by a full-state sync.
+    synced: bool,
+    /// An unsync report to the master is in flight; gates still hold
+    /// until the master acks (the report is the fencing point — a
+    /// primary partitioned from the master can never un-gate).
+    drop_pending: bool,
+    /// Sequence number of the in-flight full-state sync, if any. Its
+    /// `Applied` ack is what flips an out-of-sync lane back in (a late
+    /// ack for an ordinary data ship must not).
+    sync_seq: Option<u64>,
+}
+
+impl ReplLane {
+    /// A lane to `backup` with nothing in flight, out of sync until its
+    /// first full-state sync is acked.
+    fn new(backup: ServerId, node: NodeId, handle: Weak<RegionServer>) -> Self {
+        ReplLane {
+            backup,
+            handle,
+            node,
+            pending: BTreeMap::new(),
+            backlog_bytes: 0,
+            synced: false,
+            drop_pending: false,
+            sync_seq: None,
+        }
+    }
+}
+
+/// One client ack (plus its T_P bookkeeping) gated on backup acks.
+struct ReplGate {
+    /// Lanes whose ack is still outstanding.
+    waiting: Vec<ServerId>,
+    /// Attached by [`RegionServer::arm_gate`] in the event that shipped
+    /// the write-set.
+    finish: Option<Finish>,
+}
+
+/// Primary-side replication state of one hosted region.
+struct ReplGroup {
+    epoch: u64,
+    next_seq: u64,
+    lanes: Vec<ReplLane>,
+    gates: BTreeMap<u64, ReplGate>,
+    /// A backup holds a newer epoch: this server is no longer the
+    /// rightful primary. The region was marked offline; all pending
+    /// gates failed with `WrongRegion`.
+    fenced: bool,
+}
+
+impl ReplGroup {
+    /// An unfenced group under `epoch` with nothing shipped yet.
+    fn new(epoch: u64, lanes: Vec<ReplLane>) -> Self {
+        ReplGroup {
+            epoch,
+            next_seq: 0,
+            lanes,
+            gates: BTreeMap::new(),
+            fenced: false,
+        }
+    }
+
+    fn lane_mut(&mut self, backup: ServerId) -> Option<&mut ReplLane> {
+        self.lanes.iter_mut().find(|l| l.backup == backup)
+    }
+
+    /// Fires every gate at the front of the queue whose acks are all in,
+    /// strictly in sequence order (the client-visible commit order must
+    /// match the ship order). Returns the finish closures for the caller
+    /// to invoke *after* releasing the `repl` borrow.
+    fn drain_ready_gates(&mut self) -> Vec<Finish> {
+        let mut finishes = Vec::new();
+        while let Some(front) = self.gates.first_entry() {
+            if !front.get().waiting.is_empty() || front.get().finish.is_none() {
+                break;
+            }
+            finishes.extend(front.remove().finish);
+        }
+        finishes
+    }
+
+    /// Empties the gate queue whatever acks are outstanding — the group
+    /// was re-established, fenced or split away under the gated writes —
+    /// and returns the finish closures in sequence order, for the caller
+    /// to resolve *after* releasing the `repl` borrow.
+    fn take_all_gates(&mut self) -> Vec<Finish> {
+        let gates = std::mem::take(&mut self.gates);
+        gates.into_values().filter_map(|g| g.finish).collect()
+    }
+}
+
+/// Backup-side shadow of a region hosted elsewhere.
+struct ShadowRegion {
+    desc: RegionDescriptor,
+    epoch: u64,
+    /// Next sequence number expected from the primary.
+    next_seq: u64,
+    memstore: MemStore,
+    /// Durable store-file paths of the primary's file set, refreshed by
+    /// each full-state sync (resolved through the shared registry at
+    /// promotion).
+    storefile_paths: Vec<String>,
+    /// In sync with the primary: contiguous ship stream since the last
+    /// full-state sync. Only a synced shadow is eligible for promotion.
+    synced: bool,
+}
+
+impl ShadowRegion {
+    /// An empty shadow, out of sync until the primary's first full-state
+    /// sync re-baselines it.
+    fn new(desc: RegionDescriptor, epoch: u64) -> Self {
+        ShadowRegion {
+            desc,
+            epoch,
+            next_seq: 0,
+            memstore: MemStore::new(),
+            storefile_paths: Vec::new(),
+            synced: false,
+        }
+    }
+}
+
+#[derive(Default)]
+pub(super) struct ReplState {
+    /// Primary-side groups, keyed by hosted region.
+    groups: HashMap<RegionId, ReplGroup>,
+    /// Backup-side shadows, keyed by region.
+    shadows: HashMap<RegionId, ShadowRegion>,
+}
+
+impl ReplState {
+    /// `region`'s group, if it is still the one established under
+    /// `epoch` — a reply, report or timer that names another epoch was
+    /// delayed across a re-establish and is itself stale.
+    fn group_at(&mut self, region: RegionId, epoch: u64) -> Option<&mut ReplGroup> {
+        self.groups.get_mut(&region).filter(|g| g.epoch == epoch)
+    }
+}
+
+impl RegionServer {
+    /// Installs the master's replication coordination surface (cluster
+    /// wiring; lane-drop reports are inert without it).
+    pub fn set_replication_coordinator(&self, coord: Rc<dyn ReplicationCoordinator>) {
+        *self.repl_coord.borrow_mut() = Some(coord);
+    }
+
+    /// Replication observability: ship/ack/fence counters and the
+    /// backlog/lag gauges (shared handles; clone freely).
+    pub fn replication_stats(&self) -> &ReplicationStats {
+        &self.repl_stats
+    }
+
+    /// Whether this server fenced itself out of `region` (a backup holds
+    /// a newer replica-group epoch).
+    pub fn region_fenced(&self, region: RegionId) -> bool {
+        let repl = self.repl.borrow();
+        repl.groups.get(&region).is_some_and(|g| g.fenced)
+    }
+
+    /// Whether `backup`'s lane in `region`'s group exists under `epoch`
+    /// and `is` holds of it.
+    fn lane_is(
+        &self,
+        region: RegionId,
+        epoch: u64,
+        backup: ServerId,
+        is: impl FnOnce(&ReplLane) -> bool,
+    ) -> bool {
+        let mut repl = self.repl.borrow_mut();
+        let lane = repl
+            .group_at(region, epoch)
+            .and_then(|g| g.lane_mut(backup));
+        lane.is_some_and(|l| is(l))
+    }
+
+    /// Whether this server leads a replica group for `region`.
+    pub(super) fn replicates(&self, region: RegionId) -> bool {
+        self.repl.borrow().groups.contains_key(&region)
+    }
+
+    /// Master RPC: (re)establishes the replica group this server leads
+    /// for `region`. Every lane starts (or resets to) out of sync — the
+    /// next full-state sync brings it in, and only from then on do
+    /// client acks gate on it. Pending gates are released: no lane is in
+    /// sync anymore, and the syncs that follow carry the full state the
+    /// gated writes are part of.
+    pub fn establish_replica_group(
+        self: &Rc<Self>,
+        region: RegionId,
+        epoch: u64,
+        backups: Vec<(ServerId, NodeId, Weak<RegionServer>)>,
+    ) {
+        if !self.alive.get() {
+            return;
+        }
+        let finishes = {
+            let mut repl = self.repl.borrow_mut();
+            let group = repl
+                .groups
+                .entry(region)
+                .or_insert_with(|| ReplGroup::new(epoch, Vec::new()));
+            group.epoch = epoch;
+            group.fenced = false;
+            group.lanes = backups
+                .into_iter()
+                .map(|(backup, node, handle)| ReplLane::new(backup, node, handle))
+                .collect();
+            group.lanes.sort_unstable_by_key(|l| l.backup);
+            group.take_all_gates()
+        };
+        self.event("replication.establish", move || {
+            format!("region={region} epoch={epoch}")
+        });
+        for f in finishes {
+            f(Ok(()));
+        }
+        self.update_repl_gauges();
+    }
+
+    /// Master RPC: this server is (or stays) a backup for `region` under
+    /// `epoch`. The shadow is created if missing and always marked out
+    /// of sync — the primary's next full-state sync re-baselines it
+    /// (sequence numbers from different primaries must never be mixed).
+    pub fn open_shadow(&self, region: RegionId, desc: RegionDescriptor, epoch: u64) {
+        if !self.alive.get() {
+            return;
+        }
+        {
+            let mut repl = self.repl.borrow_mut();
+            let shadow = repl
+                .shadows
+                .entry(region)
+                .or_insert_with(|| ShadowRegion::new(desc.clone(), epoch));
+            shadow.desc = desc;
+            shadow.epoch = shadow.epoch.max(epoch);
+            shadow.synced = false;
+        }
+        self.event("replication.shadow_open", move || {
+            format!("region={region} epoch={epoch}")
+        });
+    }
+
+    /// Master RPC: `region`'s shadow is obsolete (parent of an applied
+    /// split, or this backup left the group).
+    pub fn close_shadow(&self, region: RegionId, epoch: u64) {
+        if !self.alive.get() {
+            return;
+        }
+        let removed = {
+            let mut repl = self.repl.borrow_mut();
+            match repl.shadows.get(&region) {
+                Some(s) if s.epoch <= epoch => repl.shadows.remove(&region).is_some(),
+                _ => false,
+            }
+        };
+        if removed {
+            self.event("replication.shadow_close", move || {
+                format!("region={region}")
+            });
+        }
+    }
+
+    /// Master RPC (promotion probe): reports this backup's view of
+    /// `region` — shadow epoch, applied-through sequence and sync state.
+    pub fn query_replica(&self, region: RegionId, reply: Box<dyn FnOnce(u64, u64, bool)>) {
+        if !self.alive.get() {
+            return;
+        }
+        let (epoch, seq, synced) = self
+            .repl
+            .borrow()
+            .shadows
+            .get(&region)
+            .map(|s| (s.epoch, s.next_seq, s.synced))
+            .unwrap_or((0, 0, false));
+        reply(epoch, seq, synced);
+    }
+
+    /// Master RPC: this backup won the promotion for `region` after
+    /// `failed`'s crash. The shadow converts into a hosted (offline)
+    /// region; its inherited memstore is flushed (the shadow's data is
+    /// durable only in the dead primary's WAL until then) and the
+    /// regular recovery gating runs with `promoted = true` — the
+    /// recovery manager replays only the transaction-log suffix above
+    /// the persisted floor instead of waiting for a full WAL split.
+    pub fn promote_replica(self: &Rc<Self>, region: RegionId, epoch: u64, failed: ServerId) {
+        if !self.alive.get() {
+            return;
+        }
+        let shadow = self.repl.borrow_mut().shadows.remove(&region);
+        let Some(shadow) = shadow else {
+            return;
+        };
+        let storefiles = self.adoptable_files(&shadow.storefile_paths);
+        self.regions.borrow_mut().insert(
+            region,
+            RegionState::new(shadow.desc, shadow.memstore, storefiles),
+        );
+        self.event("replication.promote", move || {
+            format!("region={region} epoch={epoch} failed={failed}")
+        });
+        self.update_file_metrics();
+        self.flush_region(region);
+        self.finish_region_open(region, Some(failed), true);
+    }
+
+    /// Sends `element` down `region`'s backup lanes — the one place that
+    /// picks the lanes, takes the sequence numbers, books `pending` and
+    /// the backlog, sends, and arranges the ack and its timeout. A sync
+    /// re-baselines a shadow, so it also goes to out-of-sync lanes; a
+    /// write-set or split intent extends the stream, so it goes to the
+    /// in-sync lanes only and counts against their backlog. Returns the
+    /// gate the client ack of a write-set must be armed on
+    /// ([`RegionServer::arm_gate`]) when at least one lane took it;
+    /// `None` when the region is unreplicated, fenced, or no lane did.
+    pub(super) fn ship(self: &Rc<Self>, region: RegionId, element: StreamElement) -> Option<u64> {
+        let bytes = element.wire_bytes();
+        let sync = match element {
+            StreamElement::Sync { resync_only, .. } => Some(resync_only),
+            _ => None,
+        };
+        let mut laggards: Vec<ServerId> = Vec::new();
+        let (epoch, gate, targets) = {
+            let mut repl = self.repl.borrow_mut();
+            let group = repl.groups.get_mut(&region)?;
+            if group.fenced {
+                return None;
+            }
+            // A write-set takes one number for all its lanes (and takes
+            // it even when no lane is in sync); it is also the gate's.
+            let shared_seq = matches!(element, StreamElement::WriteSet { .. }).then(|| {
+                group.next_seq += 1;
+                group.next_seq - 1
+            });
+            let max_backlog = self.cfg.replication.max_backlog_bytes;
+            let mut targets: Vec<(u64, ServerId, NodeId, Rc<RegionServer>)> = Vec::new();
+            for lane in group.lanes.iter_mut() {
+                let wanted = match sync {
+                    // One un-acked sync at a time per out-of-sync lane;
+                    // the next timer tick retries.
+                    Some(resync_only) if lane.synced => !resync_only,
+                    Some(_) => lane.sync_seq.is_none(),
+                    None => lane.synced,
+                };
+                if lane.drop_pending || !wanted {
+                    continue;
+                }
+                if sync.is_none() && lane.backlog_bytes + bytes > max_backlog {
+                    laggards.push(lane.backup);
+                    continue;
+                }
+                let Some(handle) = lane.handle.upgrade() else {
+                    laggards.push(lane.backup);
+                    continue;
+                };
+                let seq = shared_seq.unwrap_or_else(|| {
+                    group.next_seq += 1;
+                    group.next_seq - 1
+                });
+                if sync.is_some() {
+                    lane.sync_seq = Some(seq);
+                }
+                // Nothing gates on an out-of-sync lane, and its backlog
+                // was written off when it was dropped.
+                if lane.synced {
+                    lane.pending.insert(seq, bytes);
+                    lane.backlog_bytes += bytes;
+                }
+                targets.push((seq, lane.backup, lane.node, handle));
+            }
+            let gate = shared_seq.filter(|_| !targets.is_empty());
+            if let Some(seq) = gate {
+                let waiting = targets.iter().map(|(_, backup, ..)| *backup).collect();
+                let finish = None;
+                group.gates.insert(seq, ReplGate { waiting, finish });
+            }
+            (group.epoch, gate, targets)
+        };
+        for backup in laggards {
+            self.begin_lane_drop(region, backup);
+        }
+        if targets.is_empty() {
+            return None;
+        }
+        let element = Rc::new(element);
+        for (seq, backup, node, handle) in targets {
+            let stats = &self.repl_stats;
+            match &*element {
+                StreamElement::WriteSet { .. } => {
+                    stats.ships.inc();
+                    stats.ship_bytes.add(bytes as u64);
+                    let me = self.id;
+                    self.trace
+                        .borrow()
+                        .record(self.sim.now(), "repl.ship", move || {
+                            format!(
+                            "server={me} region={region} seq={seq} backup={backup} bytes={bytes}"
+                        )
+                        });
+                }
+                StreamElement::Sync { .. } => {
+                    stats.syncs.inc();
+                    stats.ship_bytes.add(bytes as u64);
+                    self.event("replication.sync", move || {
+                        format!("region={region} seq={seq} backup={backup} bytes={bytes}")
+                    });
+                }
+                // All header: it counts as a ship, with no payload.
+                StreamElement::SplitIntent { .. } => stats.ships.inc(),
+            }
+            let element = Rc::clone(&element);
+            let reply = self.ack_reply(region, epoch, backup, node);
+            self.net.send(self.node, node, bytes, move || {
+                handle.apply(region, epoch, seq, &element, reply);
+            });
+            self.schedule_ack_timeout(region, epoch, backup, seq);
+        }
+        self.update_repl_gauges();
+        gate
+    }
+
+    /// Builds the reply closure a backup invokes to ack a ship: one
+    /// network hop back to this primary.
+    fn ack_reply(
+        self: &Rc<Self>,
+        region: RegionId,
+        epoch: u64,
+        backup: ServerId,
+        backup_node: NodeId,
+    ) -> Box<dyn FnOnce(ReplAck)> {
+        let this = Rc::clone(self);
+        let net = Rc::clone(&self.net);
+        Box::new(move |ack| {
+            let node = this.node;
+            net.send(backup_node, node, 40, move || {
+                this.handle_repl_ack(region, epoch, backup, ack);
+            });
+        })
+    }
+
+    /// Declares the lane out of sync if `seq` is still unacked when the
+    /// fixed timeout fires (a dead or partitioned backup must not hold
+    /// client acks forever — but un-gating waits for the master's ack,
+    /// see [`RegionServer::begin_lane_drop`]).
+    fn schedule_ack_timeout(
+        self: &Rc<Self>,
+        region: RegionId,
+        epoch: u64,
+        backup: ServerId,
+        seq: u64,
+    ) {
+        let weak = Rc::downgrade(self);
+        self.sim
+            .schedule_in(self.cfg.replication.ack_timeout, move || {
+                let Some(this) = weak.upgrade() else { return };
+                if !this.alive.get() {
+                    return;
+                }
+                let unacked =
+                    |l: &ReplLane| l.synced && !l.drop_pending && l.pending.contains_key(&seq);
+                if this.lane_is(region, epoch, backup, unacked) {
+                    this.begin_lane_drop(region, backup);
+                }
+            });
+    }
+
+    /// Starts taking a lane out of sync: report it to the master and
+    /// only release the lane's gates once the master acked. The report
+    /// is the fencing point — the master now considers the backup
+    /// ineligible for promotion, so acking clients without its coverage
+    /// is sound. A primary partitioned from the master never receives
+    /// the ack, never un-gates, and therefore never acks a write an
+    /// eligible backup is missing.
+    fn begin_lane_drop(self: &Rc<Self>, region: RegionId, backup: ServerId) {
+        let epoch = {
+            let mut repl = self.repl.borrow_mut();
+            let Some(group) = repl.groups.get_mut(&region) else {
+                return;
+            };
+            let epoch = group.epoch;
+            let Some(lane) = group.lane_mut(backup) else {
+                return;
+            };
+            if !lane.synced || lane.drop_pending {
+                return;
+            }
+            lane.drop_pending = true;
+            epoch
+        };
+        self.repl_stats.lane_drops.inc();
+        self.event("replication.lane_unsynced", move || {
+            format!("region={region} backup={backup}")
+        });
+        self.report_lane_unsynced(region, epoch, backup);
+    }
+
+    /// Sends (and re-sends on a fixed period until the master's ack
+    /// lands) the ineligibility report for an out-of-sync lane.
+    fn report_lane_unsynced(self: &Rc<Self>, region: RegionId, epoch: u64, backup: ServerId) {
+        const REPORT_RETRY: SimDuration = SimDuration::from_millis(400);
+        let Some(coord) = self.repl_coord.borrow().clone() else {
+            // No master wiring (unit tests): release locally.
+            self.finish_lane_drop(region, epoch, backup, false);
+            return;
+        };
+        if !self.lane_is(region, epoch, backup, |l| l.drop_pending) {
+            return;
+        }
+        let master_node = coord.node();
+        let done: Box<dyn FnOnce(bool)> = {
+            let this = Rc::clone(self);
+            let net = Rc::clone(&self.net);
+            Box::new(move |stale| {
+                let node = this.node;
+                net.send(master_node, node, 32, move || {
+                    this.finish_lane_drop(region, epoch, backup, stale);
+                });
+            })
+        };
+        self.net.send(self.node, master_node, 64, move || {
+            coord.replica_unsynced(region, epoch, backup, done);
+        });
+        let weak = Rc::downgrade(self);
+        self.sim.schedule_in(REPORT_RETRY, move || {
+            if let Some(this) = weak.upgrade() {
+                if this.alive.get() {
+                    this.report_lane_unsynced(region, epoch, backup);
+                }
+            }
+        });
+    }
+
+    /// The master answered the ineligibility report. Normally the lane
+    /// leaves the gating set and its held gates release; a `stale`
+    /// answer means this server is a fenced-out ex-primary — fence the
+    /// whole group instead of un-gating (its held acks must fail, never
+    /// succeed).
+    fn finish_lane_drop(
+        self: &Rc<Self>,
+        region: RegionId,
+        epoch: u64,
+        backup: ServerId,
+        stale: bool,
+    ) {
+        if !self.alive.get() {
+            return;
+        }
+        if stale {
+            if self.repl.borrow_mut().group_at(region, epoch).is_some() {
+                self.fence_group(region, epoch + 1);
+            }
+            return;
+        }
+        let finishes = {
+            let mut repl = self.repl.borrow_mut();
+            let Some(group) = repl.group_at(region, epoch) else {
+                return;
+            };
+            let Some(lane) = group.lane_mut(backup).filter(|l| l.drop_pending) else {
+                return;
+            };
+            lane.drop_pending = false;
+            lane.synced = false;
+            lane.sync_seq = None;
+            lane.pending.clear();
+            lane.backlog_bytes = 0;
+            for gate in group.gates.values_mut() {
+                gate.waiting.retain(|b| *b != backup);
+            }
+            group.drain_ready_gates()
+        };
+        for f in finishes {
+            f(Ok(()));
+        }
+        self.update_repl_gauges();
+    }
+
+    /// Attaches the completion of a gated client ack to its gate (the
+    /// gate was registered by [`RegionServer::ship`] in the same event,
+    /// so it still exists unless the group was fenced or re-established
+    /// in between).
+    pub(super) fn arm_gate(self: &Rc<Self>, region: RegionId, seq: u64, finish: Finish) {
+        let finishes = {
+            let mut repl = self.repl.borrow_mut();
+            let Some(group) = repl.groups.get_mut(&region) else {
+                finish(Ok(()));
+                return;
+            };
+            if group.fenced {
+                finish(Err(StoreError::WrongRegion(region)));
+                return;
+            }
+            match group.gates.get_mut(&seq) {
+                Some(gate) => gate.finish = Some(finish),
+                None => {
+                    finish(Ok(()));
+                    return;
+                }
+            }
+            group.drain_ready_gates()
+        };
+        for f in finishes {
+            f(Ok(()));
+        }
+    }
+
+    /// Primary side: a backup's reply to a stream element.
+    fn handle_repl_ack(
+        self: &Rc<Self>,
+        region: RegionId,
+        epoch: u64,
+        backup: ServerId,
+        ack: ReplAck,
+    ) {
+        if !self.alive.get() {
+            return;
+        }
+        match ack {
+            ReplAck::Applied(seq) => {
+                self.repl_stats.acks.inc();
+                let (finishes, resynced) = {
+                    let mut repl = self.repl.borrow_mut();
+                    let Some(group) = repl.group_at(region, epoch) else {
+                        return;
+                    };
+                    let Some(lane) = group.lane_mut(backup) else {
+                        return;
+                    };
+                    let mut resynced = false;
+                    if lane.sync_seq == Some(seq) {
+                        lane.sync_seq = None;
+                        if !lane.synced && !lane.drop_pending {
+                            lane.synced = true;
+                            resynced = true;
+                        }
+                    }
+                    let unacked = lane.pending.split_off(&(seq + 1));
+                    let acked = std::mem::replace(&mut lane.pending, unacked);
+                    let acked_bytes: usize = acked.values().sum();
+                    lane.backlog_bytes = lane.backlog_bytes.saturating_sub(acked_bytes);
+                    for (_, gate) in group.gates.range_mut(..=seq) {
+                        gate.waiting.retain(|b| *b != backup);
+                    }
+                    (group.drain_ready_gates(), resynced)
+                };
+                for f in finishes {
+                    f(Ok(()));
+                }
+                if resynced {
+                    self.event("replication.lane_resynced", move || {
+                        format!("region={region} backup={backup}")
+                    });
+                    if let Some(coord) = self.repl_coord.borrow().clone() {
+                        let node = self.node;
+                        self.net.send(node, coord.node(), 48, move || {
+                            coord.replica_synced(region, epoch, backup);
+                        });
+                    }
+                }
+                self.update_repl_gauges();
+            }
+            ReplAck::Gap(_) => {
+                self.repl_stats.nacks.inc();
+                self.begin_lane_drop(region, backup);
+            }
+            ReplAck::Stale(newer) => {
+                self.repl_stats.nacks.inc();
+                self.fence_group(region, newer);
+            }
+        }
+    }
+
+    /// A backup holds a newer epoch than this server's group: a
+    /// promotion happened behind a partition and this server is a stale
+    /// primary. Fence: the region goes offline (clients get
+    /// `WrongRegion` and refresh their maps toward the new primary) and
+    /// every gated-but-unacked write fails — it was never acknowledged,
+    /// so failing it loses nothing the client could rely on.
+    fn fence_group(self: &Rc<Self>, region: RegionId, newer_epoch: u64) {
+        let finishes = {
+            let mut repl = self.repl.borrow_mut();
+            let Some(group) = repl.groups.get_mut(&region) else {
+                return;
+            };
+            // A fence directive names the epoch that supersedes this
+            // group; one that does not (a reply delayed across a
+            // re-establish) is itself stale and must be ignored.
+            if group.fenced || group.epoch >= newer_epoch {
+                return;
+            }
+            group.fenced = true;
+            for lane in group.lanes.iter_mut() {
+                lane.pending.clear();
+                lane.backlog_bytes = 0;
+                lane.synced = false;
+            }
+            group.take_all_gates()
+        };
+        if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
+            st.online = false;
+        }
+        self.repl_stats.fenced.inc();
+        self.event("replication.fenced", move || {
+            format!("region={region} newer_epoch={newer_epoch}")
+        });
+        for f in finishes {
+            f(Err(StoreError::WrongRegion(region)));
+        }
+        self.update_repl_gauges();
+    }
+
+    /// Backup side: applies one stream element to `region`'s shadow and
+    /// acks it — the one ladder every element climbs: alive, not fenced
+    /// out by this server's own primacy, not from a stale epoch,
+    /// contiguous. A sync re-baselines, so it needs no contiguity and
+    /// creates a missing shadow; anything else must carry exactly the
+    /// next sequence number of a shadow that is in sync.
+    fn apply(
+        self: &Rc<Self>,
+        region: RegionId,
+        epoch: u64,
+        seq: u64,
+        element: &StreamElement,
+        reply: Box<dyn FnOnce(ReplAck)>,
+    ) {
+        if !self.alive.get() {
+            return;
+        }
+        if let Some(stale) = self.fence_check(region, epoch) {
+            reply(stale);
+            return;
+        }
+        let ack = {
+            let mut repl = self.repl.borrow_mut();
+            let sync = matches!(element, StreamElement::Sync { .. });
+            if let StreamElement::Sync { desc, .. } = element {
+                repl.shadows
+                    .entry(region)
+                    .or_insert_with(|| ShadowRegion::new(desc.clone(), epoch));
+            }
+            match repl.shadows.get_mut(&region) {
+                None => ReplAck::Gap(seq),
+                Some(shadow) if epoch < shadow.epoch => ReplAck::Stale(shadow.epoch),
+                Some(shadow) if !sync && (!shadow.synced || seq != shadow.next_seq) => {
+                    shadow.synced = false;
+                    ReplAck::Gap(seq)
+                }
+                Some(shadow) => {
+                    match element {
+                        StreamElement::WriteSet { ts, mutations } => {
+                            for m in mutations {
+                                let (row, column) = (m.row.clone(), m.column.clone());
+                                shadow.memstore.apply_mutation(row, column, *ts, &m.kind);
+                            }
+                        }
+                        StreamElement::Sync {
+                            desc,
+                            paths,
+                            memstore,
+                            ..
+                        } => {
+                            shadow.desc = desc.clone();
+                            shadow.epoch = epoch;
+                            shadow.memstore = MemStore::new();
+                            for (row, col, ts, value) in memstore {
+                                let (row, col) = (row.clone(), col.clone());
+                                shadow.memstore.apply(row, col, *ts, value.clone());
+                            }
+                            shadow.storefile_paths = paths.clone();
+                            shadow.synced = true;
+                        }
+                        // Nothing on a backup reads a split intent: a
+                        // promotion racing the flip finds the intent
+                        // already rolled back by the master. It only
+                        // takes its place in the stream.
+                        StreamElement::SplitIntent { .. } => {}
+                    }
+                    shadow.next_seq = seq + 1;
+                    ReplAck::Applied(seq)
+                }
+            }
+        };
+        if let (ReplAck::Applied(_), StreamElement::SplitIntent { bottom, top }) = (ack, element) {
+            let (bottom, top) = (*bottom, *top);
+            self.event("replication.split_intent", move || {
+                format!("region={region} bottom={bottom} top={top}")
+            });
+        }
+        self.note_backup_ack(region, &ack);
+        reply(ack);
+    }
+
+    /// Peer side of the idle-lane epoch probe: replies `Stale` only when
+    /// the probing server's epoch is superseded here — this server hosts
+    /// `region` as primary, or holds a shadow under a newer epoch.
+    /// Silence is the healthy answer; the probe repeats on the next
+    /// re-sync tick. This is how a quiesced stale primary (nothing in
+    /// flight when a partition cut it off, so no ack timeout ever fired)
+    /// discovers a promotion it slept through and fences itself.
+    fn probe_epoch(&self, region: RegionId, epoch: u64, reply: Box<dyn FnOnce(ReplAck)>) {
+        if !self.alive.get() {
+            return;
+        }
+        if let Some(stale) = self.fence_check(region, epoch) {
+            reply(stale);
+            return;
+        }
+        let newer = self
+            .repl
+            .borrow()
+            .shadows
+            .get(&region)
+            .map(|s| s.epoch)
+            .filter(|e| *e > epoch);
+        if let Some(newer) = newer {
+            let ack = ReplAck::Stale(newer);
+            self.note_backup_ack(region, &ack);
+            reply(ack);
+        }
+    }
+
+    /// A ship addressed to a region this server now hosts as *primary*
+    /// can only come from a stale ex-primary: fence it with this group's
+    /// epoch (or one past the sender's, if the group is not established
+    /// yet).
+    fn fence_check(&self, region: RegionId, epoch: u64) -> Option<ReplAck> {
+        if !self.regions.borrow().contains_key(&region) {
+            return None;
+        }
+        let newer = self
+            .repl
+            .borrow()
+            .groups
+            .get(&region)
+            .map(|g| g.epoch)
+            .unwrap_or(epoch + 1)
+            .max(epoch + 1);
+        self.repl_stats.fences.inc();
+        self.event("replication.fence", move || {
+            format!("region={region} stale_epoch={epoch} newer={newer}")
+        });
+        Some(ReplAck::Stale(newer))
+    }
+
+    /// Counts backup-side outcomes (fence events are recorded at the
+    /// rejection site).
+    fn note_backup_ack(&self, region: RegionId, ack: &ReplAck) {
+        match ack {
+            ReplAck::Applied(_) => self.repl_stats.applied.inc(),
+            ReplAck::Gap(_) => {}
+            ReplAck::Stale(_) => {
+                self.repl_stats.fences.inc();
+                self.event("replication.fence", move || format!("region={region}"));
+            }
+        }
+    }
+
+    /// Ships `region`'s full state to its backup lanes: every lane when
+    /// the file set changed under them (flush, compaction, split), the
+    /// out-of-sync ones only (`resync_only`) on the re-sync timer. A
+    /// no-op when the region is unreplicated, and skipped while a flush
+    /// snapshot is in flight — its data is in neither the memstore nor
+    /// the durable file set yet; the flush completion re-ships.
+    pub(super) fn sync_lanes(self: &Rc<Self>, region: RegionId, resync_only: bool) {
+        if !self.alive.get() || !self.replicates(region) {
+            return;
+        }
+        let element = {
+            let regions = self.regions.borrow();
+            let Some(st) = regions.get(&region).filter(|st| !st.flush_busy()) else {
+                return;
+            };
+            let cell = |(r, c, ts, v): (&Bytes, &Bytes, Timestamp, &Option<Bytes>)| {
+                (r.clone(), c.clone(), ts, v.clone())
+            };
+            StreamElement::Sync {
+                desc: st.desc.clone(),
+                paths: st
+                    .storefiles
+                    .iter()
+                    .map(|sf| sf.path().to_owned())
+                    .collect(),
+                memstore: st.memstore.iter().map(cell).collect(),
+                resync_only,
+            }
+        };
+        self.ship(region, element);
+    }
+
+    /// The re-sync timer tick: bring out-of-sync lanes back via
+    /// full-state syncs (regions in sorted order for determinism), and
+    /// epoch-probe idle in-sync lanes — a primary with nothing in flight
+    /// would otherwise never learn it was superseded behind a partition.
+    pub(super) fn check_resyncs(self: &Rc<Self>) {
+        if !self.alive.get() {
+            return;
+        }
+        let mut due: Vec<RegionId> = Vec::new();
+        let mut probes: Vec<(RegionId, u64, ServerId, NodeId, Rc<RegionServer>)> = Vec::new();
+        {
+            let repl = self.repl.borrow();
+            // lint:allow(CD001, reason = "regions and probes are only collected here; both are sorted below before any send, so hash order never reaches the network")
+            for (&region, group) in repl.groups.iter().filter(|(_, g)| !g.fenced) {
+                // Lanes with neither a report nor a sync outstanding.
+                let lanes = group.lanes.iter();
+                for lane in lanes.filter(|l| !l.drop_pending && l.sync_seq.is_none()) {
+                    if !lane.synced {
+                        due.push(region);
+                    } else if lane.pending.is_empty() {
+                        if let Some(handle) = lane.handle.upgrade() {
+                            probes.push((region, group.epoch, lane.backup, lane.node, handle));
+                        }
+                    }
+                }
+            }
+        }
+        due.sort_unstable();
+        due.dedup();
+        for region in due {
+            self.sync_lanes(region, true);
+        }
+        probes.sort_unstable_by_key(|(region, _, backup, ..)| (*region, *backup));
+        for (region, epoch, backup, node, handle) in probes {
+            let reply = self.ack_reply(region, epoch, backup, node);
+            self.net.send(self.node, node, 24, move || {
+                handle.probe_epoch(region, epoch, reply);
+            });
+        }
+    }
+
+    /// Moves the parent's replica group to the split daughters at the
+    /// flip: daughters inherit the lanes (out of sync until the
+    /// immediate full-state syncs ack), the parent's shadows close, and
+    /// any write still gated on the parent fails with `WrongRegion` —
+    /// the retry is idempotent by `(row, version)` and re-routes to a
+    /// daughter after a map refresh.
+    pub(super) fn split_replica_groups(
+        self: &Rc<Self>,
+        parent: RegionId,
+        bottom: RegionId,
+        top: RegionId,
+    ) {
+        let (finishes, epoch, lanes) = {
+            let mut repl = self.repl.borrow_mut();
+            let Some(mut group) = repl.groups.remove(&parent) else {
+                return;
+            };
+            for daughter in [bottom, top] {
+                let inherited = group.lanes.iter();
+                let lanes = inherited.map(|l| ReplLane::new(l.backup, l.node, l.handle.clone()));
+                repl.groups
+                    .insert(daughter, ReplGroup::new(group.epoch, lanes.collect()));
+            }
+            (group.take_all_gates(), group.epoch, group.lanes)
+        };
+        for f in finishes {
+            f(Err(StoreError::WrongRegion(parent)));
+        }
+        for lane in &lanes {
+            let Some(handle) = lane.handle.upgrade() else {
+                continue;
+            };
+            self.net.send(self.node, lane.node, 48, move || {
+                handle.close_shadow(parent, epoch);
+            });
+        }
+        self.sync_lanes(bottom, false);
+        self.sync_lanes(top, false);
+        self.update_repl_gauges();
+    }
+
+    /// Refreshes the replication gauges: total unacked backlog bytes and
+    /// the worst shipped-minus-acked distance across in-sync lanes.
+    fn update_repl_gauges(&self) {
+        let repl = self.repl.borrow();
+        let mut backlog = 0u64;
+        let mut lag = 0u64;
+        // lint:allow(CD001, reason = "order-independent reduction: a sum and a max over all lanes, both commutative")
+        for group in repl.groups.values() {
+            for lane in &group.lanes {
+                backlog += lane.backlog_bytes as u64;
+                if lane.synced {
+                    let lane_lag = lane.pending.len() as u64;
+                    lag = lag.max(lane_lag);
+                }
+            }
+        }
+        self.repl_stats.backlog_bytes.set(backlog);
+        self.repl_stats.lag.set(lag);
+    }
+}

@@ -10,7 +10,9 @@
 //! the strings [`ChangeKind`] supplies. Everything from
 //! [`RegionServer::begin_change`] on is written once.
 
+use super::replication::StreamElement;
 use super::{RegionServer, RegionState};
+use crate::hooks::StructureCoordinator;
 use crate::memstore::MemStore;
 use crate::region::{ChangeKind, RegionDescriptor, StructureChange};
 use crate::sstable::StoreFileData;
@@ -95,6 +97,25 @@ fn encode_ref_marker(r: &StoreFileData) -> Bytes {
 }
 
 impl RegionServer {
+    /// Observability of one kind of structure change — splits or merges:
+    /// candidacies, intents, completions (shared handles; clone freely).
+    pub fn structure_stats(&self, kind: ChangeKind) -> &StructureStats {
+        kind.pick(&self.split_stats, &self.merge_stats)
+    }
+
+    /// The kind of the split or merge this server has pending or
+    /// executing, if any.
+    pub fn pending_change(&self) -> Option<ChangeKind> {
+        self.pending_change.borrow().as_ref().map(|p| p.kind())
+    }
+
+    /// Installs the master's structure-change coordination surface
+    /// (cluster wiring; without one, candidacy checks never fire an
+    /// intent).
+    pub fn set_structure_coordinator(&self, coord: Rc<dyn StructureCoordinator>) {
+        *self.structure_coord.borrow_mut() = Some(coord);
+    }
+
     /// The head of both candidacy timers: whether a tick of `kind` may
     /// pick a new candidate. One structure change runs at a time per
     /// server; a pending change of this kind is advanced instead, and a
@@ -260,12 +281,9 @@ impl RegionServer {
         };
         let kind = pending.kind();
         self.structure_stats(kind).considered.inc();
-        let me = self.id;
-        self.events.borrow().record(
-            self.sim.now(),
-            kind.pick("split.consider", "merge.consider"),
-            move || format!("server={me} {}", kind.inputs_label(&inputs)),
-        );
+        self.event(kind.pick("split.consider", "merge.consider"), move || {
+            kind.inputs_label(&inputs)
+        });
         *self.pending_change.borrow_mut() = Some(pending);
         self.advance_pending_change();
     }
@@ -327,11 +345,9 @@ impl RegionServer {
         };
         self.structure_stats(kind).intents_requested.inc();
         let (me, journal_inputs) = (self.id, inputs.clone());
-        self.events.borrow().record(
-            self.sim.now(),
-            kind.pick("split.intent", "merge.intent"),
-            move || format!("server={me} {}", kind.inputs_label(&journal_inputs)),
-        );
+        self.event(kind.pick("split.intent", "merge.intent"), move || {
+            kind.inputs_label(&journal_inputs)
+        });
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
         let net = Rc::clone(&self.net);
         net.send(self.node, coord.node(), bytes, move || {
@@ -369,12 +385,9 @@ impl RegionServer {
             .map(|p| (p.kind(), p.inputs.clone()));
         if let Some((kind, inputs)) = pending {
             self.structure_stats(kind).aborted.inc();
-            let me = self.id;
-            self.events.borrow().record(
-                self.sim.now(),
-                kind.pick("split.denied", "merge.denied"),
-                move || format!("server={me} {}", kind.inputs_label(&inputs)),
-            );
+            self.event(kind.pick("split.denied", "merge.denied"), move || {
+                kind.inputs_label(&inputs)
+            });
             self.clear_pending_change();
         }
     }
@@ -421,18 +434,17 @@ impl RegionServer {
         }
         let kind = change.kind();
         self.structure_stats(kind).executing.inc();
-        let (me, journal_change) = (self.id, change.clone());
-        self.events.borrow().record(
-            self.sim.now(),
-            kind.pick("split.execute", "merge.execute"),
-            move || format!("server={me} {}", journal_change.label()),
-        );
+        let journal_change = change.clone();
+        self.event(kind.pick("split.execute", "merge.execute"), move || {
+            journal_change.label()
+        });
         // Tell the backups a split intent is executing, so a promotion
         // racing the flip knows the shadow may be mid-split (the master
         // rolls the intent back before promoting, so the promoted
         // replica discards it). Merged regions are never replicated.
         if let ([parent], [bottom, top]) = (&change.inputs[..], &change.outputs[..]) {
-            self.ship_split_intent(*parent, bottom.id, top.id);
+            let (bottom, top) = (bottom.id, top.id);
+            self.ship(*parent, StreamElement::SplitIntent { bottom, top });
         }
         let sources: Option<Vec<(RegionDescriptor, Vec<(Rc<StoreFileData>, u32)>)>> = {
             let regions = self.regions.borrow();
@@ -515,24 +527,16 @@ impl RegionServer {
         }
         let (path, content) = work.markers[idx].clone();
         let weak = Rc::downgrade(self);
-        self.dfs.create(&path, move |file| {
+        self.dfs.write_file(&path, content, move |result| {
             let Some(server) = weak.upgrade() else { return };
-            let Ok(file) = file else {
+            if !server.alive.get() {
+                return;
+            }
+            if result.is_err() {
                 server.abort_granted_change(&work);
                 return;
-            };
-            let weak = weak.clone();
-            file.append(content, move |result| {
-                let Some(server) = weak.upgrade() else { return };
-                if !server.alive.get() {
-                    return;
-                }
-                if result.is_err() {
-                    server.abort_granted_change(&work);
-                    return;
-                }
-                server.write_change_markers(work, idx + 1);
-            });
+            }
+            server.write_change_markers(work, idx + 1);
         });
     }
 
@@ -550,12 +554,10 @@ impl RegionServer {
         }
         let kind = work.change.kind();
         self.structure_stats(kind).aborted.inc();
-        let (me, inputs) = (self.id, work.change.inputs.clone());
-        self.events.borrow().record(
-            self.sim.now(),
-            kind.pick("split.abort", "merge.abort"),
-            move || format!("server={me} {}", kind.inputs_label(&inputs)),
-        );
+        let inputs = work.change.inputs.clone();
+        self.event(kind.pick("split.abort", "merge.abort"), move || {
+            kind.inputs_label(&inputs)
+        });
         self.clear_pending_change();
         self.notify_change_aborted(work.change.inputs[0]);
     }
@@ -665,12 +667,10 @@ impl RegionServer {
         self.pending_change.borrow_mut().take();
         let kind = change.kind();
         self.structure_stats(kind).completed.inc();
-        let (me, journal_change) = (self.id, change.clone());
-        self.events.borrow().record(
-            self.sim.now(),
-            kind.pick("split.flip", "merge.flip"),
-            move || format!("server={me} {}", journal_change.label()),
-        );
+        let journal_change = change.clone();
+        self.event(kind.pick("split.flip", "merge.flip"), move || {
+            journal_change.label()
+        });
         self.update_file_metrics();
         // A split parent's replica group follows the flip: daughters
         // inherit the parent's lanes (brought in sync by immediate
@@ -692,13 +692,12 @@ impl RegionServer {
 
     /// Destroys intermediate reference files superseded by a later
     /// structure change, releasing (and possibly destroying) their
-    /// backing holds — behind the same liveness fence as
-    /// [`RegionServer::retire_compacted_inputs`]: a server partitioned
-    /// from the coordination service may already have been failed over,
-    /// and its successor reads exactly these files. A wrongly held fence
-    /// merely leaks them (reads stay correct).
+    /// backing holds — behind the same liveness fence as compaction's
+    /// input retirement ([`RegionServer::behind_liveness_fence`]): this
+    /// server's successor, if it has one, reads exactly these files. A
+    /// wrongly held fence merely leaks them (reads stay correct).
     fn retire_superseded_references(self: &Rc<Self>, refs: Vec<Rc<StoreFileData>>) {
-        let retire = |server: &RegionServer, refs: Vec<Rc<StoreFileData>>| {
+        self.behind_liveness_fence(move |server| {
             for sf in refs {
                 server.registry.remove(sf.path());
                 server.dfs.delete(sf.path());
@@ -708,21 +707,103 @@ impl RegionServer {
                     server.dfs.delete(&backing);
                 }
             }
-        };
-        let coord = self.coord.borrow().clone();
-        match coord {
-            Some(coord) => {
-                let weak = Rc::downgrade(self);
-                coord.get_data(&format!("/live/servers/{}", self.id), move |znode| {
-                    let Some(server) = weak.upgrade() else { return };
-                    if znode.is_some() && server.alive.get() {
-                        retire(&server, refs);
-                    }
-                });
-            }
-            // No coordination service (standalone server, unit tests):
-            // there is no failover to fence against.
-            None => retire(self, refs),
+        });
+    }
+
+    /// Master RPC: close `region` so it can reopen on another server.
+    /// The region goes offline immediately (requests get NotServing, as
+    /// during a failover), its memstore is flushed, and once the file
+    /// set is quiescent the state is dropped and `done(true)` reports
+    /// back. Refuses (`done(false)`) when the region is mid-flight in
+    /// any other operation; a crash mid-close simply never reports, and
+    /// the master's failover of this server recovers the region — still
+    /// assigned here — through the normal WAL path.
+    pub fn prepare_move(self: &Rc<Self>, region: RegionId, done: Box<dyn FnOnce(bool)>) {
+        if !self.alive.get() {
+            return;
         }
+        let ok = self.pending_move.borrow().is_none() && !self.cfg.replication.enabled && {
+            let regions = self.regions.borrow();
+            regions
+                .get(&region)
+                .map(|st| st.restructurable() && !st.compaction_in_progress)
+                .unwrap_or(false)
+        };
+        if !ok {
+            done(false);
+            return;
+        }
+        {
+            let mut regions = self.regions.borrow_mut();
+            let st = regions.get_mut(&region).expect("checked above");
+            st.online = false;
+            // The structural-op flag keeps flush checks and compaction
+            // candidacy away while this close drives the flush itself.
+            st.restructuring = true;
+        }
+        *self.pending_move.borrow_mut() = Some(region);
+        self.event("move.close", move || format!("region={region}"));
+        self.advance_pending_move(region, done, 0);
+    }
+
+    /// Polls the moving region toward quiescence (fixed 200ms steps, no
+    /// RNG): flush anything dirty, wait out in-flight flushes, then drop
+    /// the state and acknowledge. Gives up (reopening the region in
+    /// place) if the filesystem stays unavailable past the attempt cap.
+    fn advance_pending_move(
+        self: &Rc<Self>,
+        region: RegionId,
+        done: Box<dyn FnOnce(bool)>,
+        attempts: u32,
+    ) {
+        const MAX_ATTEMPTS: u32 = 50;
+        if !self.alive.get() {
+            return;
+        }
+        let (gone, busy, dirty) = {
+            let regions = self.regions.borrow();
+            match regions.get(&region) {
+                Some(st) => (false, !st.quiescent(), !st.memstore.is_empty()),
+                None => (true, false, false),
+            }
+        };
+        if gone {
+            self.pending_move.borrow_mut().take();
+            done(false);
+            return;
+        }
+        if busy || dirty {
+            if attempts >= MAX_ATTEMPTS {
+                // Filesystem unavailable: abandon the move and resume
+                // serving in place — the region lost availability for
+                // the poll window, not its data.
+                {
+                    let mut regions = self.regions.borrow_mut();
+                    if let Some(st) = regions.get_mut(&region) {
+                        st.online = true;
+                        st.restructuring = false;
+                    }
+                }
+                self.pending_move.borrow_mut().take();
+                done(false);
+                return;
+            }
+            if dirty && !busy {
+                self.flush_region(region);
+            }
+            let this = Rc::clone(self);
+            self.sim
+                .schedule_in(SimDuration::from_millis(200), move || {
+                    this.advance_pending_move(region, done, attempts + 1)
+                });
+            return;
+        }
+        self.regions.borrow_mut().remove(&region);
+        self.cache.borrow_mut().evict_region(region);
+        self.region_load.remove(region.0 as u64);
+        self.pending_move.borrow_mut().take();
+        self.update_file_metrics();
+        self.event("move.closed", move || format!("region={region}"));
+        done(true);
     }
 }
