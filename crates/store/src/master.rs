@@ -149,9 +149,8 @@ struct PendingRecovery {
     records: Option<Vec<WalRecord>>,
     probe_done: bool,
     promoted: bool,
-    /// Probe replies collected so far: (backup, shadow epoch,
-    /// applied-through seq, synced).
-    replies: Vec<(ServerId, u64, u64, bool)>,
+    /// Probe replies collected so far: (backup, shadow epoch, synced).
+    replies: Vec<(ServerId, u64, bool)>,
     expected: usize,
 }
 
@@ -1229,14 +1228,14 @@ impl Master {
         for backup in backups {
             let bid = backup.id();
             let bnode = backup.node();
-            let reply: Box<dyn FnOnce(u64, u64, bool)> = {
+            let reply: Box<dyn FnOnce(u64, bool)> = {
                 let weak = Rc::downgrade(self);
                 let net = Rc::clone(&self.net);
                 let mnode = self.node;
-                Box::new(move |epoch, seq, synced| {
+                Box::new(move |epoch, synced| {
                     net.send(bnode, mnode, 48, move || {
                         if let Some(master) = weak.upgrade() {
-                            master.probe_reply(region, bid, epoch, seq, synced);
+                            master.probe_reply(region, bid, epoch, synced);
                         }
                     });
                 })
@@ -1253,14 +1252,7 @@ impl Master {
         });
     }
 
-    fn probe_reply(
-        self: &Rc<Self>,
-        region: RegionId,
-        backup: ServerId,
-        epoch: u64,
-        seq: u64,
-        synced: bool,
-    ) {
+    fn probe_reply(self: &Rc<Self>, region: RegionId, backup: ServerId, epoch: u64, synced: bool) {
         let ready = {
             let mut pending = self.pending_recoveries.borrow_mut();
             let Some(p) = pending.get_mut(&region) else {
@@ -1269,7 +1261,7 @@ impl Master {
             if p.probe_done {
                 return;
             }
-            p.replies.push((backup, epoch, seq, synced));
+            p.replies.push((backup, epoch, synced));
             p.replies.len() >= p.expected
         };
         if ready {
@@ -1279,8 +1271,11 @@ impl Master {
 
     /// Decides promotion vs replay fallback. Eligible replicas must be
     /// alive, in sync *at the currently established epoch*, and not in
-    /// the ineligibility set; the most caught-up wins (ties to the lower
-    /// server id).
+    /// the ineligibility set; the lowest server id wins. Any eligible
+    /// replica will do: a client ack waits for every in-sync lane, so
+    /// each of them holds every acknowledged write — and how far each has
+    /// applied beyond that is not comparable, because sequence numbers
+    /// are per lane.
     fn conclude_probe(self: &Rc<Self>, region: RegionId) {
         let (failed, winner) = {
             let mut pending = self.pending_recoveries.borrow_mut();
@@ -1293,19 +1288,13 @@ impl Master {
             p.probe_done = true;
             let current_epoch = self.repl_epochs.borrow().get(&region).copied().unwrap_or(0);
             let ineligible = self.repl_ineligible.borrow();
-            let mut eligible: Vec<(u64, ServerId)> = p
-                .replies
-                .iter()
-                .filter(|(b, e, _, synced)| {
-                    *synced
-                        && *e == current_epoch
-                        && !ineligible.contains(&(region, *e, *b))
-                        && self.dir.get(*b).map(|s| s.is_alive()).unwrap_or(false)
-                })
-                .map(|(b, _, seq, _)| (*seq, *b))
-                .collect();
-            eligible.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let winner = eligible.first().map(|(_, b)| *b);
+            let eligible = p.replies.iter().filter(|(b, e, synced)| {
+                *synced
+                    && *e == current_epoch
+                    && !ineligible.contains(&(region, *e, *b))
+                    && self.dir.get(*b).map(|s| s.is_alive()).unwrap_or(false)
+            });
+            let winner = eligible.map(|(b, ..)| *b).min();
             p.promoted = winner.is_some();
             (p.failed, winner)
         };

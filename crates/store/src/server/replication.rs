@@ -118,13 +118,18 @@ enum ReplAck {
 /// `Err(WrongRegion)` when the write must be retried elsewhere.
 type Finish = Box<dyn FnOnce(Result<(), StoreError>)>;
 
-/// Primary-side state of one backup lane.
+/// Primary-side state of one backup lane: one stream to one shadow.
 struct ReplLane {
     backup: ServerId,
     handle: Weak<RegionServer>,
     node: NodeId,
-    /// `seq -> payload bytes` of shipped-but-unacked elements.
-    pending: BTreeMap<u64, usize>,
+    /// The sequence number the next element down this lane takes. The
+    /// numbers are the lane's own — its shadow checks them for
+    /// contiguity — and are not comparable across lanes.
+    next_seq: u64,
+    /// `seq -> (payload bytes, gate held)` of shipped-but-unacked
+    /// elements.
+    pending: BTreeMap<u64, (usize, Option<u64>)>,
     backlog_bytes: usize,
     /// In sync: data ships flow and client acks gate on this lane. A
     /// lane starts out of sync and is brought in by a full-state sync.
@@ -147,6 +152,7 @@ impl ReplLane {
             backup,
             handle,
             node,
+            next_seq: 0,
             pending: BTreeMap::new(),
             backlog_bytes: 0,
             synced: false,
@@ -168,9 +174,10 @@ struct ReplGate {
 /// Primary-side replication state of one hosted region.
 struct ReplGroup {
     epoch: u64,
-    next_seq: u64,
     lanes: Vec<ReplLane>,
+    /// Gated client acks in ship order, which is the order they fire in.
     gates: BTreeMap<u64, ReplGate>,
+    next_gate: u64,
     /// A backup holds a newer epoch: this server is no longer the
     /// rightful primary. The region was marked offline; all pending
     /// gates failed with `WrongRegion`.
@@ -182,9 +189,9 @@ impl ReplGroup {
     fn new(epoch: u64, lanes: Vec<ReplLane>) -> Self {
         ReplGroup {
             epoch,
-            next_seq: 0,
             lanes,
             gates: BTreeMap::new(),
+            next_gate: 0,
             fenced: false,
         }
     }
@@ -390,19 +397,20 @@ impl RegionServer {
     }
 
     /// Master RPC (promotion probe): reports this backup's view of
-    /// `region` — shadow epoch, applied-through sequence and sync state.
-    pub fn query_replica(&self, region: RegionId, reply: Box<dyn FnOnce(u64, u64, bool)>) {
+    /// `region` — shadow epoch and sync state. (How far the shadow has
+    /// applied is no part of it: sequence numbers are per lane, and every
+    /// in-sync shadow holds every acknowledged write.)
+    pub fn query_replica(&self, region: RegionId, reply: Box<dyn FnOnce(u64, bool)>) {
         if !self.alive.get() {
             return;
         }
-        let (epoch, seq, synced) = self
-            .repl
-            .borrow()
+        let repl = self.repl.borrow();
+        let (epoch, synced) = repl
             .shadows
             .get(&region)
-            .map(|s| (s.epoch, s.next_seq, s.synced))
-            .unwrap_or((0, 0, false));
-        reply(epoch, seq, synced);
+            .map_or((0, false), |s| (s.epoch, s.synced));
+        drop(repl);
+        reply(epoch, synced);
     }
 
     /// Master RPC: this backup won the promotion for `region` after
@@ -455,12 +463,9 @@ impl RegionServer {
             if group.fenced {
                 return None;
             }
-            // A write-set takes one number for all its lanes (and takes
-            // it even when no lane is in sync); it is also the gate's.
-            let shared_seq = matches!(element, StreamElement::WriteSet { .. }).then(|| {
-                group.next_seq += 1;
-                group.next_seq - 1
-            });
+            // The gate a write-set's lanes hold, opened below if any lane
+            // takes it.
+            let gate = matches!(element, StreamElement::WriteSet { .. }).then_some(group.next_gate);
             let max_backlog = self.cfg.replication.max_backlog_bytes;
             let mut targets: Vec<(u64, ServerId, NodeId, Rc<RegionServer>)> = Vec::new();
             for lane in group.lanes.iter_mut() {
@@ -482,26 +487,25 @@ impl RegionServer {
                     laggards.push(lane.backup);
                     continue;
                 };
-                let seq = shared_seq.unwrap_or_else(|| {
-                    group.next_seq += 1;
-                    group.next_seq - 1
-                });
+                let seq = lane.next_seq;
+                lane.next_seq += 1;
                 if sync.is_some() {
                     lane.sync_seq = Some(seq);
                 }
                 // Nothing gates on an out-of-sync lane, and its backlog
                 // was written off when it was dropped.
                 if lane.synced {
-                    lane.pending.insert(seq, bytes);
+                    lane.pending.insert(seq, (bytes, gate));
                     lane.backlog_bytes += bytes;
                 }
                 targets.push((seq, lane.backup, lane.node, handle));
             }
-            let gate = shared_seq.filter(|_| !targets.is_empty());
-            if let Some(seq) = gate {
+            let gate = gate.filter(|_| !targets.is_empty());
+            if let Some(gate) = gate {
                 let waiting = targets.iter().map(|(_, backup, ..)| *backup).collect();
                 let finish = None;
-                group.gates.insert(seq, ReplGate { waiting, finish });
+                group.gates.insert(gate, ReplGate { waiting, finish });
+                group.next_gate += 1;
             }
             (group.epoch, gate, targets)
         };
@@ -708,7 +712,7 @@ impl RegionServer {
     /// gate was registered by [`RegionServer::ship`] in the same event,
     /// so it still exists unless the group was fenced or re-established
     /// in between).
-    pub(super) fn arm_gate(self: &Rc<Self>, region: RegionId, seq: u64, finish: Finish) {
+    pub(super) fn arm_gate(self: &Rc<Self>, region: RegionId, gate: u64, finish: Finish) {
         let finishes = {
             let mut repl = self.repl.borrow_mut();
             let Some(group) = repl.groups.get_mut(&region) else {
@@ -719,7 +723,7 @@ impl RegionServer {
                 finish(Err(StoreError::WrongRegion(region)));
                 return;
             }
-            match group.gates.get_mut(&seq) {
+            match group.gates.get_mut(&gate) {
                 Some(gate) => gate.finish = Some(finish),
                 None => {
                     finish(Ok(()));
@@ -765,10 +769,12 @@ impl RegionServer {
                     }
                     let unacked = lane.pending.split_off(&(seq + 1));
                     let acked = std::mem::replace(&mut lane.pending, unacked);
-                    let acked_bytes: usize = acked.values().sum();
+                    let acked_bytes: usize = acked.values().map(|(bytes, _)| bytes).sum();
                     lane.backlog_bytes = lane.backlog_bytes.saturating_sub(acked_bytes);
-                    for (_, gate) in group.gates.range_mut(..=seq) {
-                        gate.waiting.retain(|b| *b != backup);
+                    for gate in acked.values().filter_map(|(_, gate)| *gate) {
+                        if let Some(gate) = group.gates.get_mut(&gate) {
+                            gate.waiting.retain(|b| *b != backup);
+                        }
                     }
                     (group.drain_ready_gates(), resynced)
                 };

@@ -84,6 +84,64 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
     }
 }
 
+/// Three copies of every region, so every primary ships down two lanes.
+/// A lane is one stream to one shadow and numbers its elements itself:
+/// when syncs and split intents drew one number *per lane* out of a
+/// per-region counter that write-sets drew one number from for *all*
+/// lanes, every sync left each lane a gap, and the lanes spent the run
+/// nacked, dropped and re-synced. A healthy run must end without a nack
+/// or a dropped lane; a primary crash must still promote a backup and
+/// lose no acknowledged transfer.
+#[test]
+fn two_backup_lanes_stay_in_sync_and_promote() {
+    let three_copies = |seed| ClusterConfig {
+        servers: 4,
+        region_replication: 3,
+        ..replicated_config(seed)
+    };
+    for shift in [0u32, 1] {
+        let cluster = Cluster::build(three_copies(8101));
+        shift_rng(&cluster, shift);
+        let committed = Rc::new(Cell::new(0u32));
+        ChaosSchedule::new().run_rounds(&cluster, 40, TICK, |cluster, _| {
+            BANK.transfer_round(cluster, &committed)
+        });
+        cluster.run_for(SimDuration::from_secs(5));
+        assert!(committed.get() > 50, "shift {shift}: too few transfers");
+        for server in &cluster.servers {
+            let stats = server.replication_stats();
+            assert_eq!(
+                (stats.nacks.get(), stats.lane_drops.get()),
+                (0, 0),
+                "shift {shift}: {} nacked or dropped a lane in a healthy run",
+                server.id()
+            );
+            assert!(stats.ships.get() > 0, "shift {shift}: nothing shipped");
+        }
+        audit_balances(&cluster, &format!("healthy, shift {shift}"));
+
+        let cluster = Cluster::build(three_copies(8101));
+        shift_rng(&cluster, shift);
+        let committed = Rc::new(Cell::new(0u32));
+        ChaosSchedule::new()
+            .at(TICK * 21, ChaosAction::CrashServer(0))
+            .run_rounds(&cluster, 40, TICK, |cluster, _| {
+                BANK.transfer_round(cluster, &committed)
+            });
+        cluster.run_for(SimDuration::from_secs(25));
+        assert!(
+            cluster.all_regions_online(),
+            "shift {shift}: regions failed to converge"
+        );
+        assert!(
+            cluster.master.promotions() > 0,
+            "shift {shift}: the crash should promote a replica (fallbacks={})",
+            cluster.master.fallback_replays()
+        );
+        audit_balances(&cluster, &format!("crash, shift {shift}"));
+    }
+}
+
 /// Partition (do not crash) a primary mid-commit: its session expires
 /// and a backup is promoted behind the partition. The stale primary must
 /// fence itself once the partition heals — its in-flight commit acks
