@@ -365,7 +365,7 @@ impl RegionServer {
     ) -> impl Iterator<Item = (&'a StoreFileData, bool)> + 'a {
         let bloom = self.bloom_enabled.get();
         let verify = self.cfg.verify_filters;
-        let flushing = st.flushing.iter().map(|sf| (&**sf, false));
+        let flushing = st.flushing_file().into_iter().map(|sf| (&**sf, false));
         let durable = st.storefiles.iter().map(|sf| (&**sf, true));
         flushing.chain(durable).filter(move |(sf, _)| {
             if !sf.row_in_range(key.row()) {
@@ -651,7 +651,7 @@ impl RegionServer {
         let files = {
             let regions = self.regions.borrow();
             let st = &regions[&region];
-            let stack = st.flushing.iter().chain(st.storefiles.iter());
+            let stack = st.flushing_file().into_iter().chain(st.storefiles.iter());
             stack
                 .filter(|sf| sf.range_overlaps(&start, end.as_deref()))
                 .count()
@@ -667,7 +667,10 @@ impl RegionServer {
             // One streaming merge over memstore, flushing snapshot and
             // store files, newest source first; it seeks to `start` and
             // stops at `limit` live cells.
-            let sources = st.flushing.iter().chain(st.storefiles.iter().rev());
+            let sources = st
+                .flushing_file()
+                .into_iter()
+                .chain(st.storefiles.iter().rev());
             let (out, examined) = merge_iter::scan_page(
                 &st.memstore,
                 sources.map(Rc::as_ref),

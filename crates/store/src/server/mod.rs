@@ -33,7 +33,9 @@ use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, GaugeMap, MetricsRegistry};
 use cumulo_sim::trace::Journal;
-use cumulo_sim::{every_from, Network, NodeId, ServiceQueue, Sim, SimDuration, TimerHandle};
+use cumulo_sim::{
+    every_from, Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime, TimerHandle,
+};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
@@ -229,15 +231,15 @@ impl Default for RegionServerConfig {
 struct RegionState {
     desc: RegionDescriptor,
     memstore: MemStore,
-    /// Snapshot currently being flushed (still readable).
-    flushing: Option<Rc<StoreFileData>>,
+    /// Snapshot currently being flushed (still readable), and the
+    /// instant its filesystem write was last issued.
+    flushing: Option<(Rc<StoreFileData>, SimTime)>,
     storefiles: Vec<Rc<StoreFileData>>,
     /// LSM level per store-file path; paths absent from the map are
     /// level 0 (flush outputs, bulk loads, files adopted at open — only
     /// compaction outputs placed below L0 need an entry).
     file_levels: HashMap<String, u32>,
     online: bool,
-    flush_in_progress: bool,
     compaction_in_progress: bool,
     /// A structural operation (split, merge or move) on this region is
     /// pending or executing: flush checks and new compactions skip it so
@@ -257,16 +259,21 @@ impl RegionState {
             storefiles,
             file_levels: HashMap::new(),
             online: false,
-            flush_in_progress: false,
             compaction_in_progress: false,
             restructuring: false,
         }
     }
 
-    /// Whether a flush is running or its snapshot is not yet a durable
+    /// Whether a flush is running: its snapshot is not yet a durable
     /// store file.
     fn flush_busy(&self) -> bool {
-        self.flush_in_progress || self.flushing.is_some()
+        self.flushing.is_some()
+    }
+
+    /// The snapshot being flushed, as the newest file of the readable
+    /// stack.
+    fn flushing_file(&self) -> Option<&Rc<StoreFileData>> {
+        self.flushing.as_ref().map(|(file, _)| file)
     }
 
     /// Whether the file set is stable: no flush and no compaction in

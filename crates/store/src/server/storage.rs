@@ -6,7 +6,14 @@ use super::{RegionServer, RegionState};
 use crate::compaction::{self, CompactionJob, CompactionPolicyKind, CompactionStats, GcWatermark};
 use crate::sstable::StoreFileData;
 use crate::types::{RegionId, Timestamp};
+use cumulo_sim::SimDuration;
 use std::rc::Rc;
+
+/// How long the filesystem write of a flush may stay unanswered before
+/// the flush tick issues it again. Several times what the largest
+/// healthy flush takes — a default-sized memstore crosses the modelled
+/// LAN in about five seconds — so a healthy run never re-issues one.
+const FLUSH_REISSUE_AFTER: SimDuration = SimDuration::from_secs(30);
 
 /// A compaction the policy planned, resolved to paths so it survives the
 /// gap between the candidacy check and the handler slot becoming free.
@@ -99,13 +106,28 @@ impl RegionServer {
         let ccfg = self.cfg.compaction;
         let policy = Rc::clone(&*self.policy.borrow());
         let mut candidates: Vec<RegionId> = Vec::new();
-        {
+        let overdue = {
             let regions = self.regions.borrow();
+            // A filesystem write that was never answered (the request or
+            // its reply was lost, or it failed) would otherwise hold the
+            // region's flush slot — and with it every split, merge, move
+            // and replica sync — for good.
+            let now = self.sim.now();
+            let unanswered = |st: &&RegionState| {
+                let issued = st.flushing.as_ref().map(|(_, issued)| *issued);
+                issued.is_some_and(|issued| now - issued > FLUSH_REISSUE_AFTER)
+            };
+            let mut overdue: Vec<RegionId> = regions
+                .values()
+                .filter(unanswered)
+                .map(|st| st.desc.id)
+                .collect();
+            overdue.sort_unstable();
             let mut due: Vec<(&RegionId, &RegionState)> = regions
                 .iter()
                 .filter(|(_, st)| {
                     st.online
-                        && !st.flush_in_progress
+                        && !st.flush_busy()
                         // A restructuring region's file set must stay
                         // stable between reference creation and the
                         // flip; its memstore leftovers move to the
@@ -140,59 +162,95 @@ impl RegionServer {
                 }
                 candidates.push(*id);
             }
+            overdue
+        };
+        for region in overdue {
+            self.reissue_flush(region);
         }
         for region in candidates {
             self.flush_region(region);
         }
     }
 
+    /// The name of this server's next flush output for `region`.
+    fn next_flush_path(&self, region: RegionId) -> String {
+        let n = self.storefile_counter.get();
+        self.storefile_counter.set(n + 1);
+        format!("/store/{region}/{:06}-{}", n, self.id)
+    }
+
     /// Flushes `region`'s memstore to a new store file in the filesystem.
     /// Reads keep seeing the data throughout (flushing snapshot).
     pub fn flush_region(self: &Rc<Self>, region: RegionId) {
-        let path = {
+        let data = {
             let mut regions = self.regions.borrow_mut();
             let Some(st) = regions.get_mut(&region) else {
                 return;
             };
-            if st.flush_in_progress || st.memstore.is_empty() {
+            if st.flush_busy() || st.memstore.is_empty() {
                 return;
             }
-            st.flush_in_progress = true;
-            let n = self.storefile_counter.get();
-            self.storefile_counter.set(n + 1);
-            format!("/store/{region}/{:06}-{}", n, self.id)
-        };
-        let data = {
-            let mut regions = self.regions.borrow_mut();
-            let st = regions.get_mut(&region).expect("checked above");
+            let path = self.next_flush_path(region);
             let snapshot = st.memstore.take();
-            let data = Rc::new(StoreFileData::from_memstore(
-                region,
-                path.clone(),
-                &snapshot,
-            ));
-            st.flushing = Some(Rc::clone(&data));
+            let data = Rc::new(StoreFileData::from_memstore(region, path, &snapshot));
+            st.flushing = Some((Rc::clone(&data), self.sim.now()));
             data
         };
         // The flushing snapshot is immediately part of the readable file
         // stack; refresh the gauges now, not only when the DFS write acks.
         self.update_file_metrics();
+        self.write_flush_snapshot(region, data);
+    }
+
+    /// Gives up on the unanswered filesystem write of `region`'s flushing
+    /// snapshot and issues it again. Under a fresh name: the old one may
+    /// exist by now — empty, or even written — and creating it again
+    /// would fail (an unregistered file is never opened, so whatever the
+    /// first attempt left is garbage at worst).
+    fn reissue_flush(self: &Rc<Self>, region: RegionId) {
+        let data = {
+            let mut regions = self.regions.borrow_mut();
+            let Some((stale, _)) = regions.get_mut(&region).and_then(|st| st.flushing.take())
+            else {
+                return;
+            };
+            let renamed = StoreFileData::decode(self.next_flush_path(region), &stale.encode());
+            let data = Rc::new(renamed.expect("a store file decodes its own image"));
+            let st = regions.get_mut(&region).expect("found above");
+            st.flushing = Some((Rc::clone(&data), self.sim.now()));
+            data
+        };
+        let path = data.path().to_owned();
+        self.event("flush.reissue", move || {
+            format!("region={region} file={path}")
+        });
+        self.write_flush_snapshot(region, data);
+    }
+
+    /// Writes `region`'s flushing snapshot `data` to the filesystem and,
+    /// once it is durable, swaps it into the store-file stack.
+    fn write_flush_snapshot(self: &Rc<Self>, region: RegionId, data: Rc<StoreFileData>) {
         let weak = Rc::downgrade(self);
-        self.dfs.write_file(&path, data.encode(), move |result| {
+        let (path, image) = (data.path().to_owned(), data.encode());
+        self.dfs.write_file(&path, image, move |result| {
             let Some(server) = weak.upgrade() else { return };
             if result.is_err() {
-                // Filesystem unavailable: leave the snapshot readable
-                // in `flushing`; the next flush-check retries nothing
-                // (flush_in_progress stays set) but data is not lost —
-                // the WAL still covers it.
+                // Filesystem unavailable: leave the snapshot readable in
+                // `flushing` — data is not lost, the WAL still covers it —
+                // for the flush tick to issue again.
                 return;
             }
-            server.registry.insert(Rc::clone(&data));
             if let Some(st) = server.regions.borrow_mut().get_mut(&region) {
-                st.storefiles.push(data);
+                // An answer the flush tick stopped waiting for: the
+                // snapshot was issued again under another name.
+                if !st.flushing_file().is_some_and(|f| Rc::ptr_eq(f, &data)) {
+                    server.dfs.delete(data.path());
+                    return;
+                }
+                st.storefiles.push(Rc::clone(&data));
                 st.flushing = None;
-                st.flush_in_progress = false;
             }
+            server.registry.insert(data);
             server.update_file_metrics();
             // The file set changed and the memstore was truncated:
             // re-baseline every backup lane with a full-state sync
@@ -341,7 +399,7 @@ impl RegionServer {
             // file of the region (nothing left for them to shadow) — and
             // even then, a recovery's log-suffix replay can park *older*
             // versions in the memstore, so a guard checks for those.
-            let major = inputs.len() == st.storefiles.len() && st.flushing.is_none();
+            let major = inputs.len() == st.storefiles.len() && !st.flush_busy();
             let watermark = self
                 .gc_watermark
                 .borrow()
@@ -355,8 +413,7 @@ impl RegionServer {
                 let below = Timestamp(ts.0 - 1);
                 st.memstore.get(row, col, below).is_some()
                     || st
-                        .flushing
-                        .as_ref()
+                        .flushing_file()
                         .and_then(|f| f.get(row, col, below))
                         .is_some()
             };
@@ -632,7 +689,7 @@ impl RegionServer {
         let regions = self.regions.borrow();
         let max_files = regions
             .values()
-            .map(|st| st.storefiles.len() + usize::from(st.flushing.is_some()))
+            .map(|st| st.storefiles.len() + usize::from(st.flush_busy()))
             .max()
             .unwrap_or(0);
         self.compaction_stats
@@ -640,7 +697,7 @@ impl RegionServer {
             .set(max_files as u64);
         let filter_bytes: usize = regions
             .values()
-            .flat_map(|st| st.flushing.iter().chain(st.storefiles.iter()))
+            .flat_map(|st| st.flushing_file().into_iter().chain(st.storefiles.iter()))
             .map(|sf| sf.filter_bytes())
             .sum();
         self.filter_stats.filter_bytes.set(filter_bytes as u64);
@@ -656,7 +713,7 @@ impl RegionServer {
         };
         // lint:allow(CD001, reason = "order-independent reduction: bump() only adds into per-level counters, so the final gauge values do not depend on region visit order")
         for st in regions.values() {
-            if let Some(fl) = &st.flushing {
+            if let Some(fl) = st.flushing_file() {
                 bump(0, fl.total_bytes() as u64);
             }
             for sf in &st.storefiles {

@@ -9,6 +9,7 @@ use common::{ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, TxnError};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 #[test]
@@ -149,5 +150,89 @@ fn partitioned_server_is_failed_over_like_a_crash() {
             SimDuration::from_secs(10),
         );
         assert_eq!(v.as_deref(), Some(format!("p{i}").as_bytes()), "row {i}");
+    }
+}
+
+/// A flush whose filesystem write is never answered — the create request
+/// is dropped by a partition between the server and the namenode that
+/// heals long before any session expires — must not hold the region's
+/// flush slot for good: the flush tick gives up on the write and issues
+/// it again, the region flushes on, and every acknowledged write reads
+/// back.
+#[test]
+fn flush_write_lost_to_a_healed_partition_is_reissued() {
+    let mut cfg = ClusterConfig {
+        seed: 74,
+        clients: 2,
+        servers: 2,
+        regions: 2,
+        key_count: 1_000,
+        ..ClusterConfig::default()
+    };
+    cfg.server_cfg.memstore_flush_bytes = 2 << 10;
+    let cluster = Cluster::build(cfg);
+    let server = Rc::clone(&cluster.servers[0]);
+    let region = server.hosted_regions()[0];
+    let namenode = cluster.namenode.node();
+
+    // One acknowledged single-row write per call, spread over both
+    // regions; `acked` keeps the newest acknowledged value per row.
+    let acked: Rc<RefCell<BTreeMap<String, String>>> = Rc::default();
+    let write = |n: u64| {
+        let row = format!("user{:012}", (n * 37) % 1_000);
+        let value = format!("v{n}{:x>200}", "");
+        let acked = Rc::clone(&acked);
+        cluster.client((n % 2) as usize).begin(move |txn| {
+            let txn = txn.expect("begin");
+            txn.put(row.clone(), "f0", value.clone()).unwrap();
+            txn.commit(move |r| {
+                if r.is_ok() {
+                    acked.borrow_mut().insert(row, value);
+                }
+            });
+        });
+    };
+    let mut n = 0;
+    let mut load = |until: &dyn Fn() -> bool, max_steps: u32| {
+        for _ in 0..max_steps {
+            if until() {
+                return true;
+            }
+            write(n);
+            n += 1;
+            cluster.run_for(SimDuration::from_millis(20));
+        }
+        until()
+    };
+
+    // Cut rs0 off from the namenode once its region is due for a flush,
+    // and heal as soon as the flush tick has snapshot the memstore: the
+    // write it issued went into the partition.
+    let threshold = 2 << 10;
+    assert!(load(&|| server.memstore_bytes(region) >= threshold, 500));
+    cluster.net.partition(server.node(), namenode);
+    assert!(
+        load(&|| server.memstore_bytes(region) < threshold, 100),
+        "the flush tick never came"
+    );
+    cluster.net.heal(server.node(), namenode);
+    assert_eq!(server.storefile_count(region), 0, "the write was not lost");
+
+    // More than the re-issue delay later the region has flushed again.
+    load(&|| false, 2_000);
+    cluster.run_for(SimDuration::from_secs(2));
+    assert_eq!(cluster.master.failover_count(), 0, "nothing expired");
+    assert!(
+        server.storefile_count(region) >= 1 && server.memstore_bytes(region) < 8 * threshold,
+        "the region never flushed again ({} files, {} memstore bytes)",
+        server.storefile_count(region),
+        server.memstore_bytes(region)
+    );
+    assert!(cluster.events.count("flush.reissue") >= 1);
+    let acked = acked.borrow();
+    assert!(acked.len() > 500, "only {} rows acknowledged", acked.len());
+    for (row, value) in acked.iter() {
+        let got = cluster.read_cell(row.clone(), "f0", SimDuration::from_secs(10));
+        assert_eq!(got.as_deref(), Some(value.as_bytes()), "row {row}");
     }
 }
