@@ -117,7 +117,7 @@ pub struct VersionedValue {
 /// assert_eq!(seen.ts, Timestamp(10));
 /// assert_eq!(seen.value.as_deref(), Some(&b"v1"[..]));
 /// ```
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct MemStore {
     cells: BTreeMap<VersionKey, Option<Bytes>>,
     approx_bytes: usize,

@@ -1,12 +1,13 @@
 //! The data path: gets, batched gets, write-set portions and scan legs.
 //!
-//! Every request takes the same three steps, each written once: it is
-//! routed to a hosted region ([`RegionServer::route`] — by a row, or by
-//! the region id a batch was grouped under), its handler occupancy is
-//! decided up front (per cell read: [`RegionServer::read_plan`]), and it
-//! enters the handler pool through [`RegionServer::serve`], which charges
-//! the region's load, queues for a slot and hands the handler the
-//! [`Span`] its `rpc.*` trace record is made from.
+//! Every request takes the same three steps, each written once. It is
+//! routed to a hosted region — by a row, or by the region id a batch was
+//! grouped under; [`RegionServer::count_rejection`] ends both. Its
+//! handler occupancy is decided up front (per cell read:
+//! [`RegionServer::read_plan`]). And it enters the handler pool through
+//! [`RegionServer::serve`], which charges the region's load, queues for
+//! a slot and hands the handler the [`Span`] its `rpc.*` trace record is
+//! made from.
 
 use super::replication::StreamElement;
 use super::{RegionServer, RegionState};
@@ -78,22 +79,6 @@ pub struct ScanPage {
     /// Exclusive end key of the region that served this page (`None` =
     /// the region extends to the end of the table).
     pub region_end: Option<Bytes>,
-}
-
-/// How a request names the region that should serve it.
-enum Route<'a> {
-    /// By a row the region covers: gets, and scan legs by their start.
-    Row(&'a [u8]),
-    /// By the id a batch was grouped under. Region ids are never reused,
-    /// so every row grouped under `region` by any map epoch lies inside
-    /// its descriptor; `first_row` tells a split-away id from one this
-    /// server never hosted, and `offline_ok` lets a recovery replay into
-    /// a region that is still recovering.
-    Id {
-        region: RegionId,
-        first_row: Option<&'a [u8]>,
-        offline_ok: bool,
-    },
 }
 
 /// What admission decided for one point read. It fixes the read's
@@ -217,40 +202,51 @@ impl RegionServer {
             .map(|(offline, id)| (id, !offline))
     }
 
-    /// The first step of every request: the hosted region that serves
-    /// it, or the rejection to reply with — counted in `not_serving`
-    /// here, for all four request kinds.
-    fn route(&self, by: Route<'_>) -> Result<RegionId, StoreError> {
-        let routed = match by {
-            Route::Row(row) => match self.covering_region(row) {
-                Some((id, true)) => Ok(id),
-                Some((id, false)) => Err(StoreError::NotServing(id)),
-                None => Err(StoreError::RegionUnknown),
-            },
-            Route::Id {
-                region,
-                first_row,
-                offline_ok,
-            } => {
-                let regions = self.regions.borrow();
-                let covered = |row| regions.values().any(|st| st.desc.contains(row));
-                match regions.get(&region) {
-                    Some(st) if st.online || offline_ok => Ok(region),
-                    // A fenced ex-primary can never serve this region
-                    // again under its old epoch — send the client to the
-                    // map, not into a retry loop.
-                    Some(_) if self.region_fenced(region) => Err(StoreError::WrongRegion(region)),
-                    Some(_) => Err(StoreError::NotServing(region)),
-                    // The region id is unknown here — if a *different*
-                    // hosted region covers the batch's rows, the map
-                    // changed under the client (an online split replaced
-                    // the id); retrying the same id can never succeed, so
-                    // tell the client to refresh and re-group.
-                    None if first_row.is_some_and(covered) => Err(StoreError::WrongRegion(region)),
-                    None => Err(StoreError::NotServing(region)),
-                }
-            }
-        };
+    /// The first step of every request, for one that names a row its
+    /// region covers (a get; a scan leg, by its start): the hosted region
+    /// that serves it, or the rejection to reply with.
+    fn route_by_row(&self, row: &[u8]) -> Result<RegionId, StoreError> {
+        self.count_rejection(match self.covering_region(row) {
+            Some((id, true)) => Ok(id),
+            Some((id, false)) => Err(StoreError::NotServing(id)),
+            None => Err(StoreError::RegionUnknown),
+        })
+    }
+
+    /// The first step of every request, for a batch addressed to the id
+    /// the client's map grouped it under. Region ids are never reused, so
+    /// every row grouped under `region` by any map epoch lies inside its
+    /// descriptor; `first_row` tells a split-away id from one this server
+    /// never hosted, and `offline_ok` lets a recovery replay into a
+    /// region that is still recovering.
+    fn route_by_id(
+        &self,
+        region: RegionId,
+        first_row: Option<&[u8]>,
+        offline_ok: bool,
+    ) -> Result<(), StoreError> {
+        let regions = self.regions.borrow();
+        let covered = |row| regions.values().any(|st| st.desc.contains(row));
+        self.count_rejection(match regions.get(&region) {
+            Some(st) if st.online || offline_ok => Ok(()),
+            // A fenced ex-primary can never serve this region again
+            // under its old epoch — send the client to the map, not into
+            // a retry loop.
+            Some(_) if self.region_fenced(region) => Err(StoreError::WrongRegion(region)),
+            Some(_) => Err(StoreError::NotServing(region)),
+            // The region id is unknown here — if a *different* hosted
+            // region covers the batch's rows, the map changed under the
+            // client (an online split replaced the id); retrying the same
+            // id can never succeed, so tell the client to refresh and
+            // re-group.
+            None if first_row.is_some_and(covered) => Err(StoreError::WrongRegion(region)),
+            None => Err(StoreError::NotServing(region)),
+        })
+    }
+
+    /// Where both route steps end: `not_serving` counts every rejection,
+    /// of all four request kinds.
+    fn count_rejection<T>(&self, routed: Result<T, StoreError>) -> Result<T, StoreError> {
         if routed.is_err() {
             self.not_serving.inc();
         }
@@ -321,7 +317,7 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        let region = match self.route(Route::Row(&row)) {
+        let region = match self.route_by_row(&row) {
             Ok(region) => region,
             Err(e) => return reply(Err(e)),
         };
@@ -467,11 +463,7 @@ impl RegionServer {
             return;
         }
         let first_row = cells.first().map(|(row, _)| &row[..]);
-        if let Err(e) = self.route(Route::Id {
-            region,
-            first_row,
-            offline_ok: false,
-        }) {
+        if let Err(e) = self.route_by_id(region, first_row, false) {
             return reply(Err(e));
         }
         // Per-cell plan and cache hit/miss, decided up front exactly like
@@ -547,11 +539,7 @@ impl RegionServer {
             return;
         }
         let first_row = mutations.first().map(|m| &m.row[..]);
-        if let Err(e) = self.route(Route::Id {
-            region,
-            first_row,
-            offline_ok: replay,
-        }) {
+        if let Err(e) = self.route_by_id(region, first_row, replay) {
             return reply(Err(e));
         }
         let mut service = self.cfg.base_service
@@ -560,26 +548,16 @@ impl RegionServer {
             service += self.cfg.sync_mode_handler_hold;
         }
         self.serve(region, service, "rpc.put", move |this, span| {
-            let applied = {
-                let mut regions = this.regions.borrow_mut();
-                match regions.get_mut(&region) {
-                    Some(st) => {
-                        for m in &mutations {
-                            st.memstore.apply_mutation(
-                                m.row.clone(),
-                                m.column.clone(),
-                                ts,
-                                &m.kind,
-                            );
-                        }
-                        true
-                    }
-                    None => false,
-                }
-            };
-            if !applied {
+            let mut regions = this.regions.borrow_mut();
+            let Some(st) = regions.get_mut(&region) else {
+                drop(regions);
                 return reply(Err(StoreError::NotServing(region)));
+            };
+            for m in &mutations {
+                let (row, column) = (m.row.clone(), m.column.clone());
+                st.memstore.apply_mutation(row, column, ts, &m.kind);
             }
+            drop(regions);
             let n_mutations = mutations.len();
             // Ship to backup lanes *before* the WAL append consumes the
             // batch. Returns the gate when at least one in-sync lane took
@@ -641,7 +619,7 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        let region = match self.route(Route::Row(&start)) {
+        let region = match self.route_by_row(&start) {
             Ok(region) => region,
             Err(e) => return reply(Err(e)),
         };

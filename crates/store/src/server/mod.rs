@@ -504,79 +504,55 @@ impl RegionServer {
         coord.create_session(self.cfg.coord_session_timeout, move |sid| {
             let Some(server) = weak.upgrade() else { return };
             coord2.create(&format!("/live/servers/{id}"), Bytes::new(), Some(sid));
-            let coord3 = coord2.clone();
-            let weak2 = Rc::downgrade(&server);
-            let timer = every_from(
-                &server.sim,
-                server.cfg.coord_heartbeat_interval.mul_f64(0.5),
-                server.cfg.coord_heartbeat_interval,
-                move || {
-                    if weak2.upgrade().is_some() {
-                        coord3.touch(sid);
-                    }
-                },
-            );
-            server.timers.borrow_mut().push(timer);
+            let beat = server.cfg.coord_heartbeat_interval;
+            server.every(beat.mul_f64(0.5), beat, move |_| coord2.touch(sid));
         });
 
         // Async WAL sync.
         if self.cfg.wal_mode == WalSyncMode::Async {
-            let wal = self.wal.clone();
-            let weak = Rc::downgrade(self);
-            let timer = every_from(
-                &self.sim,
-                // lint:allow(CD004, reason = "WAL sync phase stagger draws from the seeded sim RNG; per-server desync is intended and pinned baselines include this draw")
-                self.sim.jitter(self.cfg.wal_sync_interval, 0.5),
-                self.cfg.wal_sync_interval,
-                move || {
-                    if weak.upgrade().is_some() {
-                        wal.sync(|| {});
-                    }
-                },
-            );
-            self.timers.borrow_mut().push(timer);
+            // lint:allow(CD004, reason = "WAL sync phase stagger draws from the seeded sim RNG; per-server desync is intended and pinned baselines include this draw")
+            let first = self.sim.jitter(self.cfg.wal_sync_interval, 0.5);
+            self.every(first, self.cfg.wal_sync_interval, |s| s.wal.sync(|| {}));
         }
 
         // Memstore flush checks.
-        let weak = Rc::downgrade(self);
-        let timer = every_from(
-            &self.sim,
-            // lint:allow(CD004, reason = "flush check phase stagger draws from the seeded sim RNG; per-server desync is intended and pinned baselines include this draw")
-            self.sim.jitter(self.cfg.flush_check_interval, 0.5),
-            self.cfg.flush_check_interval,
-            move || {
-                if let Some(server) = weak.upgrade() {
-                    server.check_flushes();
-                }
-            },
-        );
-        self.timers.borrow_mut().push(timer);
+        // lint:allow(CD004, reason = "flush check phase stagger draws from the seeded sim RNG; per-server desync is intended and pinned baselines include this draw")
+        let first = self.sim.jitter(self.cfg.flush_check_interval, 0.5);
+        self.every(first, self.cfg.flush_check_interval, Self::check_flushes);
 
         // The background checks run at a fixed phase (no RNG jitter):
         // drawing from the shared simulation RNG here would shift the
         // random stream of every run that merely *enables* one of them,
         // perturbing previously calibrated schedules.
         let cfg = &self.cfg;
+        let fixed_phase = |interval: SimDuration, tick: fn(&Rc<RegionServer>)| {
+            self.every(interval, interval, tick)
+        };
         if cfg.compaction.enabled {
-            self.every_fixed_phase(cfg.compaction.check_interval, Self::check_compactions);
+            fixed_phase(cfg.compaction.check_interval, Self::check_compactions);
         }
         if cfg.split.enabled {
-            self.every_fixed_phase(cfg.split.check_interval, Self::check_splits);
+            fixed_phase(cfg.split.check_interval, Self::check_splits);
         }
         if cfg.merge.enabled {
-            self.every_fixed_phase(cfg.merge.check_interval, Self::check_merges);
+            fixed_phase(cfg.merge.check_interval, Self::check_merges);
         }
         // Ships full region state to out-of-sync backup lanes.
         if cfg.replication.enabled {
-            self.every_fixed_phase(cfg.replication.resync_interval, Self::check_resyncs);
+            fixed_phase(cfg.replication.resync_interval, Self::check_resyncs);
         }
     }
 
-    /// Runs `tick` every `interval`, first after one `interval`, for as
-    /// long as the server lives.
-    fn every_fixed_phase(self: &Rc<Self>, interval: SimDuration, tick: fn(&Rc<RegionServer>)) {
+    /// Runs `tick` every `interval`, first after `first`, for as long as
+    /// the server lives.
+    fn every(
+        self: &Rc<Self>,
+        first: SimDuration,
+        interval: SimDuration,
+        tick: impl Fn(&Rc<RegionServer>) + 'static,
+    ) {
         let weak = Rc::downgrade(self);
-        let timer = every_from(&self.sim, interval, interval, move || {
+        let timer = every_from(&self.sim, first, interval, move || {
             if let Some(server) = weak.upgrade() {
                 tick(&server);
             }

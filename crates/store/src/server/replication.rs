@@ -3,11 +3,10 @@
 //! fencing, promotion vs replay).
 //!
 //! A primary keeps one *lane* per backup and sends it one stream of
-//! [`StreamElement`]s. [`RegionServer::ship`] is the only function that
-//! sends an element and [`RegionServer::apply`] the only one that applies
-//! one to a shadow; everything else here reacts to what comes back —
-//! acks, nacks, timeouts — or is the master telling this server which
-//! groups it leads and which shadows it keeps.
+//! [`StreamElement`]s: [`RegionServer::ship`] is the only function that
+//! sends one, [`RegionServer::apply`] the only one that applies one to a
+//! shadow. The rest reacts to what comes back (acks, nacks, timeouts) or
+//! is the master saying which groups and shadows this server keeps.
 
 use super::{RegionServer, RegionState};
 use crate::error::StoreError;
@@ -52,9 +51,8 @@ pub struct ReplicationStats {
 
 /// One element of the stream a primary sends down a backup lane.
 pub(super) enum StreamElement {
-    /// One committed write-set portion: extends the shadow's memstore,
-    /// and the client's ack waits behind a gate for every lane it went
-    /// to.
+    /// One committed write-set portion: extends the shadow's memstore;
+    /// the client's ack waits behind a gate for every lane it went to.
     WriteSet {
         ts: Timestamp,
         mutations: Vec<Mutation>,
@@ -65,9 +63,7 @@ pub(super) enum StreamElement {
         desc: RegionDescriptor,
         /// The durable file set.
         paths: Vec<String>,
-        /// The memstore image: `(row, column, version,
-        /// value-or-tombstone)` per cell version.
-        memstore: Vec<(Bytes, Bytes, Timestamp, Option<Bytes>)>,
+        memstore: MemStore,
         /// Primary-side routing, not on the wire: only the out-of-sync
         /// lanes (the re-sync timer) instead of every lane (the file set
         /// changed under all of them: flush, compaction, split).
@@ -89,7 +85,7 @@ impl StreamElement {
             StreamElement::Sync {
                 paths, memstore, ..
             } => {
-                let cell = |(r, c, _, v): &(Bytes, Bytes, Timestamp, Option<Bytes>)| {
+                let cell = |(r, c, _, v): (&Bytes, &Bytes, Timestamp, &Option<Bytes>)| {
                     r.len() + c.len() + v.as_ref().map_or(0, Bytes::len)
                 };
                 96 + paths.iter().map(String::len).sum::<usize>()
@@ -114,9 +110,27 @@ enum ReplAck {
     Stale(u64),
 }
 
+/// A lane as messages and timers name it: the region, the epoch its
+/// group was established under — whatever names another epoch was
+/// delayed across a re-establish and is itself stale — and the backup.
+#[derive(Clone, Copy)]
+struct LaneId {
+    region: RegionId,
+    epoch: u64,
+    backup: ServerId,
+}
+
 /// How a gated client ack is completed: `Ok` once every lane acked,
 /// `Err(WrongRegion)` when the write must be retried elsewhere.
 type Finish = Box<dyn FnOnce(Result<(), StoreError>)>;
+
+/// Completes gated client acks — for callers to do *after* releasing the
+/// `repl` borrow the closures were collected under.
+fn resolve(finishes: Vec<Finish>, result: Result<(), StoreError>) {
+    for finish in finishes {
+        finish(result.clone());
+    }
+}
 
 /// Primary-side state of one backup lane: one stream to one shadow.
 struct ReplLane {
@@ -203,7 +217,7 @@ impl ReplGroup {
     /// Fires every gate at the front of the queue whose acks are all in,
     /// strictly in sequence order (the client-visible commit order must
     /// match the ship order). Returns the finish closures for the caller
-    /// to invoke *after* releasing the `repl` borrow.
+    /// to [`resolve`].
     fn drain_ready_gates(&mut self) -> Vec<Finish> {
         let mut finishes = Vec::new();
         while let Some(front) = self.gates.first_entry() {
@@ -218,7 +232,7 @@ impl ReplGroup {
     /// Empties the gate queue whatever acks are outstanding — the group
     /// was re-established, fenced or split away under the gated writes —
     /// and returns the finish closures in sequence order, for the caller
-    /// to resolve *after* releasing the `repl` borrow.
+    /// to [`resolve`].
     fn take_all_gates(&mut self) -> Vec<Finish> {
         let gates = std::mem::take(&mut self.gates);
         gates.into_values().filter_map(|g| g.finish).collect()
@@ -265,11 +279,10 @@ pub(super) struct ReplState {
 }
 
 impl ReplState {
-    /// `region`'s group, if it is still the one established under
-    /// `epoch` — a reply, report or timer that names another epoch was
-    /// delayed across a re-establish and is itself stale.
-    fn group_at(&mut self, region: RegionId, epoch: u64) -> Option<&mut ReplGroup> {
-        self.groups.get_mut(&region).filter(|g| g.epoch == epoch)
+    /// The group `id` names, if it is still established under that epoch.
+    fn group_of(&mut self, id: LaneId) -> Option<&mut ReplGroup> {
+        let group = self.groups.get_mut(&id.region);
+        group.filter(|g| g.epoch == id.epoch)
     }
 }
 
@@ -293,19 +306,10 @@ impl RegionServer {
         repl.groups.get(&region).is_some_and(|g| g.fenced)
     }
 
-    /// Whether `backup`'s lane in `region`'s group exists under `epoch`
-    /// and `is` holds of it.
-    fn lane_is(
-        &self,
-        region: RegionId,
-        epoch: u64,
-        backup: ServerId,
-        is: impl FnOnce(&ReplLane) -> bool,
-    ) -> bool {
+    /// Whether the lane `id` names still exists and `is` holds of it.
+    fn lane_is(&self, id: LaneId, is: impl FnOnce(&ReplLane) -> bool) -> bool {
         let mut repl = self.repl.borrow_mut();
-        let lane = repl
-            .group_at(region, epoch)
-            .and_then(|g| g.lane_mut(backup));
+        let lane = repl.group_of(id).and_then(|g| g.lane_mut(id.backup));
         lane.is_some_and(|l| is(l))
     }
 
@@ -347,9 +351,7 @@ impl RegionServer {
         self.event("replication.establish", move || {
             format!("region={region} epoch={epoch}")
         });
-        for f in finishes {
-            f(Ok(()));
-        }
+        resolve(finishes, Ok(()));
         self.update_repl_gauges();
     }
 
@@ -447,17 +449,16 @@ impl RegionServer {
     /// re-baselines a shadow, so it also goes to out-of-sync lanes; a
     /// write-set or split intent extends the stream, so it goes to the
     /// in-sync lanes only and counts against their backlog. Returns the
-    /// gate the client ack of a write-set must be armed on
-    /// ([`RegionServer::arm_gate`]) when at least one lane took it;
-    /// `None` when the region is unreplicated, fenced, or no lane did.
+    /// gate to arm with a write-set's client ack
+    /// ([`RegionServer::arm_gate`]) if at least one lane took it.
     pub(super) fn ship(self: &Rc<Self>, region: RegionId, element: StreamElement) -> Option<u64> {
         let bytes = element.wire_bytes();
         let sync = match element {
             StreamElement::Sync { resync_only, .. } => Some(resync_only),
             _ => None,
         };
-        let mut laggards: Vec<ServerId> = Vec::new();
-        let (epoch, gate, targets) = {
+        let mut laggards: Vec<LaneId> = Vec::new();
+        let (gate, targets) = {
             let mut repl = self.repl.borrow_mut();
             let group = repl.groups.get_mut(&region)?;
             if group.fenced {
@@ -467,7 +468,8 @@ impl RegionServer {
             // takes it.
             let gate = matches!(element, StreamElement::WriteSet { .. }).then_some(group.next_gate);
             let max_backlog = self.cfg.replication.max_backlog_bytes;
-            let mut targets: Vec<(u64, ServerId, NodeId, Rc<RegionServer>)> = Vec::new();
+            let epoch = group.epoch;
+            let mut targets: Vec<(u64, LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
             for lane in group.lanes.iter_mut() {
                 let wanted = match sync {
                     // One un-acked sync at a time per out-of-sync lane;
@@ -479,12 +481,18 @@ impl RegionServer {
                 if lane.drop_pending || !wanted {
                     continue;
                 }
+                let backup = lane.backup;
+                let id = LaneId {
+                    region,
+                    epoch,
+                    backup,
+                };
                 if sync.is_none() && lane.backlog_bytes + bytes > max_backlog {
-                    laggards.push(lane.backup);
+                    laggards.push(id);
                     continue;
                 }
                 let Some(handle) = lane.handle.upgrade() else {
-                    laggards.push(lane.backup);
+                    laggards.push(id);
                     continue;
                 };
                 let seq = lane.next_seq;
@@ -498,25 +506,26 @@ impl RegionServer {
                     lane.pending.insert(seq, (bytes, gate));
                     lane.backlog_bytes += bytes;
                 }
-                targets.push((seq, lane.backup, lane.node, handle));
+                targets.push((seq, id, lane.node, handle));
             }
             let gate = gate.filter(|_| !targets.is_empty());
             if let Some(gate) = gate {
-                let waiting = targets.iter().map(|(_, backup, ..)| *backup).collect();
+                let waiting = targets.iter().map(|(_, id, ..)| id.backup).collect();
                 let finish = None;
                 group.gates.insert(gate, ReplGate { waiting, finish });
                 group.next_gate += 1;
             }
-            (group.epoch, gate, targets)
+            (gate, targets)
         };
-        for backup in laggards {
-            self.begin_lane_drop(region, backup);
+        for lane in laggards {
+            self.begin_lane_drop(lane);
         }
         if targets.is_empty() {
             return None;
         }
         let element = Rc::new(element);
-        for (seq, backup, node, handle) in targets {
+        for (seq, lane, node, handle) in targets {
+            let LaneId { epoch, backup, .. } = lane;
             let stats = &self.repl_stats;
             match &*element {
                 StreamElement::WriteSet { .. } => {
@@ -542,11 +551,11 @@ impl RegionServer {
                 StreamElement::SplitIntent { .. } => stats.ships.inc(),
             }
             let element = Rc::clone(&element);
-            let reply = self.ack_reply(region, epoch, backup, node);
+            let reply = self.ack_reply(lane, node);
             self.net.send(self.node, node, bytes, move || {
                 handle.apply(region, epoch, seq, &element, reply);
             });
-            self.schedule_ack_timeout(region, epoch, backup, seq);
+            self.schedule_ack_timeout(lane, seq);
         }
         self.update_repl_gauges();
         gate
@@ -554,19 +563,13 @@ impl RegionServer {
 
     /// Builds the reply closure a backup invokes to ack a ship: one
     /// network hop back to this primary.
-    fn ack_reply(
-        self: &Rc<Self>,
-        region: RegionId,
-        epoch: u64,
-        backup: ServerId,
-        backup_node: NodeId,
-    ) -> Box<dyn FnOnce(ReplAck)> {
+    fn ack_reply(self: &Rc<Self>, lane: LaneId, backup_node: NodeId) -> Box<dyn FnOnce(ReplAck)> {
         let this = Rc::clone(self);
         let net = Rc::clone(&self.net);
         Box::new(move |ack| {
             let node = this.node;
             net.send(backup_node, node, 40, move || {
-                this.handle_repl_ack(region, epoch, backup, ack);
+                this.handle_repl_ack(lane, ack);
             });
         })
     }
@@ -575,13 +578,7 @@ impl RegionServer {
     /// fixed timeout fires (a dead or partitioned backup must not hold
     /// client acks forever — but un-gating waits for the master's ack,
     /// see [`RegionServer::begin_lane_drop`]).
-    fn schedule_ack_timeout(
-        self: &Rc<Self>,
-        region: RegionId,
-        epoch: u64,
-        backup: ServerId,
-        seq: u64,
-    ) {
+    fn schedule_ack_timeout(self: &Rc<Self>, lane: LaneId, seq: u64) {
         let weak = Rc::downgrade(self);
         self.sim
             .schedule_in(self.cfg.replication.ack_timeout, move || {
@@ -591,8 +588,8 @@ impl RegionServer {
                 }
                 let unacked =
                     |l: &ReplLane| l.synced && !l.drop_pending && l.pending.contains_key(&seq);
-                if this.lane_is(region, epoch, backup, unacked) {
-                    this.begin_lane_drop(region, backup);
+                if this.lane_is(lane, unacked) {
+                    this.begin_lane_drop(lane);
                 }
             });
     }
@@ -604,39 +601,33 @@ impl RegionServer {
     /// is sound. A primary partitioned from the master never receives
     /// the ack, never un-gates, and therefore never acks a write an
     /// eligible backup is missing.
-    fn begin_lane_drop(self: &Rc<Self>, region: RegionId, backup: ServerId) {
-        let epoch = {
+    fn begin_lane_drop(self: &Rc<Self>, id: LaneId) {
+        {
             let mut repl = self.repl.borrow_mut();
-            let Some(group) = repl.groups.get_mut(&region) else {
+            let lane = repl.group_of(id).and_then(|g| g.lane_mut(id.backup));
+            let Some(lane) = lane.filter(|l| l.synced && !l.drop_pending) else {
                 return;
             };
-            let epoch = group.epoch;
-            let Some(lane) = group.lane_mut(backup) else {
-                return;
-            };
-            if !lane.synced || lane.drop_pending {
-                return;
-            }
             lane.drop_pending = true;
-            epoch
-        };
+        }
         self.repl_stats.lane_drops.inc();
+        let (region, backup) = (id.region, id.backup);
         self.event("replication.lane_unsynced", move || {
             format!("region={region} backup={backup}")
         });
-        self.report_lane_unsynced(region, epoch, backup);
+        self.report_lane_unsynced(id);
     }
 
     /// Sends (and re-sends on a fixed period until the master's ack
     /// lands) the ineligibility report for an out-of-sync lane.
-    fn report_lane_unsynced(self: &Rc<Self>, region: RegionId, epoch: u64, backup: ServerId) {
+    fn report_lane_unsynced(self: &Rc<Self>, lane: LaneId) {
         const REPORT_RETRY: SimDuration = SimDuration::from_millis(400);
         let Some(coord) = self.repl_coord.borrow().clone() else {
             // No master wiring (unit tests): release locally.
-            self.finish_lane_drop(region, epoch, backup, false);
+            self.finish_lane_drop(lane, false);
             return;
         };
-        if !self.lane_is(region, epoch, backup, |l| l.drop_pending) {
+        if !self.lane_is(lane, |l| l.drop_pending) {
             return;
         }
         let master_node = coord.node();
@@ -646,18 +637,18 @@ impl RegionServer {
             Box::new(move |stale| {
                 let node = this.node;
                 net.send(master_node, node, 32, move || {
-                    this.finish_lane_drop(region, epoch, backup, stale);
+                    this.finish_lane_drop(lane, stale);
                 });
             })
         };
         self.net.send(self.node, master_node, 64, move || {
-            coord.replica_unsynced(region, epoch, backup, done);
+            coord.replica_unsynced(lane.region, lane.epoch, lane.backup, done);
         });
         let weak = Rc::downgrade(self);
         self.sim.schedule_in(REPORT_RETRY, move || {
             if let Some(this) = weak.upgrade() {
                 if this.alive.get() {
-                    this.report_lane_unsynced(region, epoch, backup);
+                    this.report_lane_unsynced(lane);
                 }
             }
         });
@@ -668,25 +659,20 @@ impl RegionServer {
     /// answer means this server is a fenced-out ex-primary — fence the
     /// whole group instead of un-gating (its held acks must fail, never
     /// succeed).
-    fn finish_lane_drop(
-        self: &Rc<Self>,
-        region: RegionId,
-        epoch: u64,
-        backup: ServerId,
-        stale: bool,
-    ) {
+    fn finish_lane_drop(self: &Rc<Self>, id: LaneId, stale: bool) {
         if !self.alive.get() {
             return;
         }
         if stale {
-            if self.repl.borrow_mut().group_at(region, epoch).is_some() {
-                self.fence_group(region, epoch + 1);
+            if self.repl.borrow_mut().group_of(id).is_some() {
+                self.fence_group(id.region, id.epoch + 1);
             }
             return;
         }
+        let backup = id.backup;
         let finishes = {
             let mut repl = self.repl.borrow_mut();
-            let Some(group) = repl.group_at(region, epoch) else {
+            let Some(group) = repl.group_of(id) else {
                 return;
             };
             let Some(lane) = group.lane_mut(backup).filter(|l| l.drop_pending) else {
@@ -702,9 +688,7 @@ impl RegionServer {
             }
             group.drain_ready_gates()
         };
-        for f in finishes {
-            f(Ok(()));
-        }
+        resolve(finishes, Ok(()));
         self.update_repl_gauges();
     }
 
@@ -732,28 +716,25 @@ impl RegionServer {
             }
             group.drain_ready_gates()
         };
-        for f in finishes {
-            f(Ok(()));
-        }
+        resolve(finishes, Ok(()));
     }
 
     /// Primary side: a backup's reply to a stream element.
-    fn handle_repl_ack(
-        self: &Rc<Self>,
-        region: RegionId,
-        epoch: u64,
-        backup: ServerId,
-        ack: ReplAck,
-    ) {
+    fn handle_repl_ack(self: &Rc<Self>, id: LaneId, ack: ReplAck) {
         if !self.alive.get() {
             return;
         }
+        let LaneId {
+            region,
+            epoch,
+            backup,
+        } = id;
         match ack {
             ReplAck::Applied(seq) => {
                 self.repl_stats.acks.inc();
                 let (finishes, resynced) = {
                     let mut repl = self.repl.borrow_mut();
-                    let Some(group) = repl.group_at(region, epoch) else {
+                    let Some(group) = repl.group_of(id) else {
                         return;
                     };
                     let Some(lane) = group.lane_mut(backup) else {
@@ -778,9 +759,7 @@ impl RegionServer {
                     }
                     (group.drain_ready_gates(), resynced)
                 };
-                for f in finishes {
-                    f(Ok(()));
-                }
+                resolve(finishes, Ok(()));
                 if resynced {
                     self.event("replication.lane_resynced", move || {
                         format!("region={region} backup={backup}")
@@ -796,7 +775,7 @@ impl RegionServer {
             }
             ReplAck::Gap(_) => {
                 self.repl_stats.nacks.inc();
-                self.begin_lane_drop(region, backup);
+                self.begin_lane_drop(id);
             }
             ReplAck::Stale(newer) => {
                 self.repl_stats.nacks.inc();
@@ -838,9 +817,7 @@ impl RegionServer {
         self.event("replication.fenced", move || {
             format!("region={region} newer_epoch={newer_epoch}")
         });
-        for f in finishes {
-            f(Err(StoreError::WrongRegion(region)));
-        }
+        resolve(finishes, Err(StoreError::WrongRegion(region)));
         self.update_repl_gauges();
     }
 
@@ -896,11 +873,7 @@ impl RegionServer {
                         } => {
                             shadow.desc = desc.clone();
                             shadow.epoch = epoch;
-                            shadow.memstore = MemStore::new();
-                            for (row, col, ts, value) in memstore {
-                                let (row, col) = (row.clone(), col.clone());
-                                shadow.memstore.apply(row, col, *ts, value.clone());
-                            }
+                            shadow.memstore = memstore.clone();
                             shadow.storefile_paths = paths.clone();
                             shadow.synced = true;
                         }
@@ -1005,9 +978,6 @@ impl RegionServer {
             let Some(st) = regions.get(&region).filter(|st| !st.flush_busy()) else {
                 return;
             };
-            let cell = |(r, c, ts, v): (&Bytes, &Bytes, Timestamp, &Option<Bytes>)| {
-                (r.clone(), c.clone(), ts, v.clone())
-            };
             StreamElement::Sync {
                 desc: st.desc.clone(),
                 paths: st
@@ -1015,7 +985,7 @@ impl RegionServer {
                     .iter()
                     .map(|sf| sf.path().to_owned())
                     .collect(),
-                memstore: st.memstore.iter().map(cell).collect(),
+                memstore: st.memstore.clone(),
                 resync_only,
             }
         };
@@ -1031,7 +1001,7 @@ impl RegionServer {
             return;
         }
         let mut due: Vec<RegionId> = Vec::new();
-        let mut probes: Vec<(RegionId, u64, ServerId, NodeId, Rc<RegionServer>)> = Vec::new();
+        let mut probes: Vec<(LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
         {
             let repl = self.repl.borrow();
             // lint:allow(CD001, reason = "regions and probes are only collected here; both are sorted below before any send, so hash order never reaches the network")
@@ -1043,7 +1013,13 @@ impl RegionServer {
                         due.push(region);
                     } else if lane.pending.is_empty() {
                         if let Some(handle) = lane.handle.upgrade() {
-                            probes.push((region, group.epoch, lane.backup, lane.node, handle));
+                            let (epoch, backup) = (group.epoch, lane.backup);
+                            let id = LaneId {
+                                region,
+                                epoch,
+                                backup,
+                            };
+                            probes.push((id, lane.node, handle));
                         }
                     }
                 }
@@ -1054,11 +1030,11 @@ impl RegionServer {
         for region in due {
             self.sync_lanes(region, true);
         }
-        probes.sort_unstable_by_key(|(region, _, backup, ..)| (*region, *backup));
-        for (region, epoch, backup, node, handle) in probes {
-            let reply = self.ack_reply(region, epoch, backup, node);
+        probes.sort_unstable_by_key(|(id, ..)| (id.region, id.backup));
+        for (id, node, handle) in probes {
+            let reply = self.ack_reply(id, node);
             self.net.send(self.node, node, 24, move || {
-                handle.probe_epoch(region, epoch, reply);
+                handle.probe_epoch(id.region, id.epoch, reply);
             });
         }
     }
@@ -1088,9 +1064,7 @@ impl RegionServer {
             }
             (group.take_all_gates(), group.epoch, group.lanes)
         };
-        for f in finishes {
-            f(Err(StoreError::WrongRegion(parent)));
-        }
+        resolve(finishes, Err(StoreError::WrongRegion(parent)));
         for lane in &lanes {
             let Some(handle) = lane.handle.upgrade() else {
                 continue;

@@ -643,6 +643,15 @@ impl RegionServer {
     }
 
     fn retire_compacted_inputs(&self, input_paths: Vec<String>) {
+        // Deletes a physical file and counts the confirmation.
+        let delete_confirmed = |path: &str| {
+            let stats = self.compaction_stats.clone();
+            self.dfs.delete_with_callback(path, move |existed| {
+                if existed {
+                    stats.deletes_confirmed.inc();
+                }
+            });
+        };
         for path in input_paths {
             let data = self.registry.get(&path);
             self.registry.remove(&path);
@@ -661,22 +670,10 @@ impl RegionServer {
                     self.dfs.delete(&path);
                     if self.registry.release_backing_ref(&backing) {
                         self.registry.remove(&backing);
-                        let stats = self.compaction_stats.clone();
-                        self.dfs.delete_with_callback(&backing, move |existed| {
-                            if existed {
-                                stats.deletes_confirmed.inc();
-                            }
-                        });
+                        delete_confirmed(&backing);
                     }
                 }
-                None => {
-                    let stats = self.compaction_stats.clone();
-                    self.dfs.delete_with_callback(&path, move |existed| {
-                        if existed {
-                            stats.deletes_confirmed.inc();
-                        }
-                    });
-                }
+                None => delete_confirmed(&path),
             }
         }
     }
