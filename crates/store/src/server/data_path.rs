@@ -22,6 +22,7 @@ use crate::wal::WalSyncMode;
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge};
 use cumulo_sim::{SimDuration, SimTime};
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 /// Shared observability for the bloom-filtered point-get read path (all
@@ -99,20 +100,27 @@ struct Span {
 }
 
 impl Span {
-    /// Records the span. `fields` renders what follows `server=` and
+    /// Records the span. `fields` writes what follows `server=` and
     /// `region=`, given the queue wait and the service time in
     /// nanoseconds: queue wait is everything between submission and
     /// completion that was not this request's own service.
-    fn record(self, server: &RegionServer, fields: impl Fn(u64, u64) -> String + 'static) {
+    fn record(
+        self,
+        server: &RegionServer,
+        fields: impl Fn(&mut String, u64, u64) -> fmt::Result + 'static,
+    ) {
         let now = server.sim.now();
         let service_ns = self.service.nanos();
         let queue_ns = (now.nanos() - self.submitted.nanos()).saturating_sub(service_ns);
         let (me, region) = (server.id, self.region);
         server.trace.borrow().record(now, self.kind, move || {
-            format!(
-                "server={me} region={region} {}",
-                fields(queue_ns, service_ns)
-            )
+            // A traced run renders every span it records: one buffer,
+            // one allocation per line.
+            let mut line = String::with_capacity(128);
+            let written = write!(line, "server={me} region={region} ")
+                .and_then(|()| fields(&mut line, queue_ns, service_ns));
+            written.expect("a String accepts every write");
+            line
         });
     }
 }
@@ -337,8 +345,9 @@ impl RegionServer {
             }
             this.gets.inc();
             let (files, probes) = (plan.consulted, plan.probes);
-            span.record(this, move |queue_ns, service_ns| {
-                format!(
+            span.record(this, move |line, queue_ns, service_ns| {
+                write!(
+                    line,
                     "queue_ns={queue_ns} service_ns={service_ns} files={files} probes={probes} hit={hit}"
                 )
             });
@@ -510,8 +519,9 @@ impl RegionServer {
             }
             this.gets.add(cell_count as u64);
             this.multi_gets.inc();
-            span.record(this, move |queue_ns, service_ns| {
-                format!(
+            span.record(this, move |line, queue_ns, service_ns| {
+                write!(
+                    line,
                     "cells={cell_count} queue_ns={queue_ns} service_ns={service_ns} misses={miss_count}"
                 )
             });
@@ -575,8 +585,9 @@ impl RegionServer {
                 mutations,
             });
             this.puts.inc();
-            span.record(this, move |queue_ns, service_ns| {
-                format!(
+            span.record(this, move |line, queue_ns, service_ns| {
+                write!(
+                    line,
                     "mutations={n_mutations} queue_ns={queue_ns} service_ns={service_ns} replay={replay}"
                 )
             });
@@ -661,8 +672,9 @@ impl RegionServer {
             let region_end = st.desc.end.clone();
             this.scans.inc();
             let returned = out.len();
-            span.record(this, move |queue_ns, service_ns| {
-                format!(
+            span.record(this, move |line, queue_ns, service_ns| {
+                write!(
+                    line,
                     "files={files} queue_ns={queue_ns} service_ns={service_ns} returned={returned} examined={examined}"
                 )
             });

@@ -438,10 +438,10 @@ impl RegionServer {
         self.event(kind.pick("split.execute", "merge.execute"), move || {
             journal_change.label()
         });
-        // Tell the backups a split intent is executing, so a promotion
-        // racing the flip knows the shadow may be mid-split (the master
-        // rolls the intent back before promoting, so the promoted
-        // replica discards it). Merged regions are never replicated.
+        // Tell the backups a split intent is executing. Nothing there
+        // reads it yet — the master rolls the intent back before it
+        // promotes a shadow, so a promotion racing the flip never sees a
+        // half-split region. Merged regions are never replicated.
         if let ([parent], [bottom, top]) = (&change.inputs[..], &change.outputs[..]) {
             let (bottom, top) = (bottom.id, top.id);
             self.ship(*parent, StreamElement::SplitIntent { bottom, top });
