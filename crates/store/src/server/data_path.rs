@@ -116,7 +116,7 @@ impl Span {
         server.trace.borrow().record(now, self.kind, move || {
             // A traced run renders every span it records: one buffer,
             // one allocation per line.
-            let mut line = String::with_capacity(128);
+            let mut line = String::with_capacity(112);
             let written = write!(line, "server={me} region={region} ")
                 .and_then(|()| fields(&mut line, queue_ns, service_ns));
             written.expect("a String accepts every write");

@@ -103,7 +103,7 @@ enum ReplAck {
     Applied(u64),
     /// The element did not extend the shadow contiguously (ships were
     /// lost); the lane needs a full re-sync.
-    Gap(u64),
+    Gap,
     /// The sender's epoch is older than the backup's: a newer replica
     /// group exists, the sender must fence itself. Carries the epoch the
     /// backup holds.
@@ -531,14 +531,13 @@ impl RegionServer {
                 StreamElement::WriteSet { .. } => {
                     stats.ships.inc();
                     stats.ship_bytes.add(bytes as u64);
-                    let me = self.id;
-                    self.trace
-                        .borrow()
-                        .record(self.sim.now(), "repl.ship", move || {
-                            format!(
-                            "server={me} region={region} seq={seq} backup={backup} bytes={bytes}"
+                    let (me, now) = (self.id, self.sim.now());
+                    self.trace.borrow().record(now, "repl.ship", move || {
+                        format!(
+                            "server={me} region={region} seq={seq} \
+                             backup={backup} bytes={bytes}"
                         )
-                        });
+                    });
                 }
                 StreamElement::Sync { .. } => {
                     stats.syncs.inc();
@@ -773,7 +772,7 @@ impl RegionServer {
                 }
                 self.update_repl_gauges();
             }
-            ReplAck::Gap(_) => {
+            ReplAck::Gap => {
                 self.repl_stats.nacks.inc();
                 self.begin_lane_drop(id);
             }
@@ -851,11 +850,11 @@ impl RegionServer {
                     .or_insert_with(|| ShadowRegion::new(desc.clone(), epoch));
             }
             match repl.shadows.get_mut(&region) {
-                None => ReplAck::Gap(seq),
+                None => ReplAck::Gap,
                 Some(shadow) if epoch < shadow.epoch => ReplAck::Stale(shadow.epoch),
                 Some(shadow) if !sync && (!shadow.synced || seq != shadow.next_seq) => {
                     shadow.synced = false;
-                    ReplAck::Gap(seq)
+                    ReplAck::Gap
                 }
                 Some(shadow) => {
                     match element {
@@ -955,7 +954,7 @@ impl RegionServer {
     fn note_backup_ack(&self, region: RegionId, ack: &ReplAck) {
         match ack {
             ReplAck::Applied(_) => self.repl_stats.applied.inc(),
-            ReplAck::Gap(_) => {}
+            ReplAck::Gap => {}
             ReplAck::Stale(_) => {
                 self.repl_stats.fences.inc();
                 self.event("replication.fence", move || format!("region={region}"));

@@ -210,13 +210,14 @@ impl RegionServer {
     fn reissue_flush(self: &Rc<Self>, region: RegionId) {
         let data = {
             let mut regions = self.regions.borrow_mut();
-            let Some((stale, _)) = regions.get_mut(&region).and_then(|st| st.flushing.take())
-            else {
+            let Some(st) = regions.get_mut(&region) else {
+                return;
+            };
+            let Some((stale, _)) = st.flushing.take() else {
                 return;
             };
             let renamed = StoreFileData::decode(self.next_flush_path(region), &stale.encode());
             let data = Rc::new(renamed.expect("a store file decodes its own image"));
-            let st = regions.get_mut(&region).expect("found above");
             st.flushing = Some((Rc::clone(&data), self.sim.now()));
             data
         };

@@ -724,10 +724,8 @@ impl RegionServer {
         }
         let ok = self.pending_move.borrow().is_none() && !self.cfg.replication.enabled && {
             let regions = self.regions.borrow();
-            regions
-                .get(&region)
-                .map(|st| st.restructurable() && !st.compaction_in_progress)
-                .unwrap_or(false)
+            let st = regions.get(&region);
+            st.is_some_and(|st| st.restructurable() && !st.compaction_in_progress)
         };
         if !ok {
             done(false);
@@ -760,18 +758,15 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        let (gone, busy, dirty) = {
-            let regions = self.regions.borrow();
-            match regions.get(&region) {
-                Some(st) => (false, !st.quiescent(), !st.memstore.is_empty()),
-                None => (true, false, false),
-            }
-        };
-        if gone {
+        let regions = self.regions.borrow();
+        let state = regions.get(&region);
+        let state = state.map(|st| (!st.quiescent(), !st.memstore.is_empty()));
+        drop(regions);
+        let Some((busy, dirty)) = state else {
             self.pending_move.borrow_mut().take();
             done(false);
             return;
-        }
+        };
         if busy || dirty {
             if attempts >= MAX_ATTEMPTS {
                 // Filesystem unavailable: abandon the move and resume
