@@ -119,8 +119,11 @@ pub trait ReplicationCoordinator {
         done: Box<dyn FnOnce(bool)>,
     );
 
-    /// `backup`'s lane for `region` completed a full-state sync and is
-    /// eligible for promotion again.
+    /// `backup`'s lane for `region` completed a full-state sync that
+    /// nothing outran: its shadow holds everything the primary served,
+    /// and every client ack gates on it from here on. This — not the
+    /// shadow's own account — is what makes the backup eligible for
+    /// promotion, first after an establish and again after a report.
     fn replica_synced(&self, region: RegionId, epoch: u64, backup: ServerId);
 }
 

@@ -217,11 +217,14 @@ pub struct Master {
     /// Replica-group epoch last established per region (a probe reply
     /// claiming sync under any other epoch is not trusted).
     repl_epochs: RefCell<HashMap<RegionId, u64>>,
-    /// Lanes reported out of sync by their primary, keyed
-    /// `(region, epoch, backup)`: ineligible for promotion. Recording
-    /// this *before* acking the report is what lets the primary release
-    /// its write gates soundly.
-    repl_ineligible: RefCell<HashSet<(RegionId, u64, ServerId)>>,
+    /// Lanes that may not win a promotion, keyed `(region, epoch,
+    /// backup)`. The value is how the lane got here. `false`: established
+    /// and not yet confirmed in sync by its primary — a shadow's own word
+    /// is not enough, it cannot know what the primary served while the
+    /// sync that re-baselined it was in flight. `true`: reported out of
+    /// sync by its primary; recording this *before* acking the report is
+    /// what lets the primary release its write gates soundly.
+    repl_ineligible: RefCell<HashMap<(RegionId, u64, ServerId), bool>>,
     /// Failovers of replicated regions resolved in flight.
     pending_recoveries: RefCell<HashMap<RegionId, PendingRecovery>>,
     repl_promotions: Counter,
@@ -279,7 +282,7 @@ impl Master {
             self_weak: RefCell::new(Weak::new()),
             replication_factor: Cell::new(1),
             repl_epochs: RefCell::new(HashMap::new()),
-            repl_ineligible: RefCell::new(HashSet::new()),
+            repl_ineligible: RefCell::new(HashMap::new()),
             pending_recoveries: RefCell::new(HashMap::new()),
             repl_promotions: Counter::new(),
             repl_fallback_replays: Counter::new(),
@@ -1103,9 +1106,11 @@ impl Master {
             return;
         }
         self.repl_epochs.borrow_mut().insert(region, epoch);
-        self.repl_ineligible
-            .borrow_mut()
-            .retain(|(r, e, _)| *r != region || *e >= epoch);
+        {
+            let mut ineligible = self.repl_ineligible.borrow_mut();
+            ineligible.retain(|(r, e, _), _| *r != region || *e >= epoch);
+            ineligible.extend(replicas.iter().map(|b| ((region, epoch, *b), false)));
+        }
         let backups: Vec<(ServerId, NodeId, Weak<RegionServer>)> = replicas
             .iter()
             .filter_map(|id| {
@@ -1270,12 +1275,15 @@ impl Master {
     }
 
     /// Decides promotion vs replay fallback. Eligible replicas must be
-    /// alive, in sync *at the currently established epoch*, and not in
-    /// the ineligibility set; the lowest server id wins. Any eligible
-    /// replica will do: a client ack waits for every in-sync lane, so
-    /// each of them holds every acknowledged write — and how far each has
-    /// applied beyond that is not comparable, because sequence numbers
-    /// are per lane.
+    /// alive, in sync *at the currently established epoch* by their own
+    /// account, and confirmed in sync by their primary since (absent from
+    /// the ineligibility map); the lowest server id wins. Any eligible
+    /// replica will do: the primary confirms a lane only when its shadow
+    /// holds everything served so far, gates every client ack on it from
+    /// then on, and un-gates only after the master recorded its report —
+    /// so each of them holds every acknowledged write. How far each has
+    /// applied beyond that is not comparable: sequence numbers are per
+    /// lane.
     fn conclude_probe(self: &Rc<Self>, region: RegionId) {
         let (failed, winner) = {
             let mut pending = self.pending_recoveries.borrow_mut();
@@ -1291,7 +1299,7 @@ impl Master {
             let eligible = p.replies.iter().filter(|(b, e, synced)| {
                 *synced
                     && *e == current_epoch
-                    && !ineligible.contains(&(region, *e, *b))
+                    && !ineligible.contains_key(&(region, *e, *b))
                     && self.dir.get(*b).map(|s| s.is_alive()).unwrap_or(false)
             });
             let winner = eligible.map(|(b, ..)| *b).min();
@@ -1486,7 +1494,7 @@ impl ReplicationCoordinator for Master {
         }
         self.repl_ineligible
             .borrow_mut()
-            .insert((region, epoch, backup));
+            .insert((region, epoch, backup), true);
         self.events
             .borrow()
             .record(self.sim.now(), "replication.ineligible", move || {
@@ -1499,11 +1507,13 @@ impl ReplicationCoordinator for Master {
     }
 
     fn replica_synced(&self, region: RegionId, epoch: u64, backup: ServerId) {
-        if self
+        let was = self
             .repl_ineligible
             .borrow_mut()
-            .remove(&(region, epoch, backup))
-        {
+            .remove(&(region, epoch, backup));
+        // The journal follows reports: a lane's first sync after an
+        // establish makes it eligible without an event.
+        if was == Some(true) {
             self.events
                 .borrow()
                 .record(self.sim.now(), "replication.eligible", move || {

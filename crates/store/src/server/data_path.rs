@@ -577,7 +577,7 @@ impl RegionServer {
             // it can be missing from an eligible backup.
             let gate = this.replicates(region).then(|| {
                 let mutations = mutations.clone();
-                this.ship(region, StreamElement::WriteSet { ts, mutations })
+                this.ship(region, StreamElement::WriteSet { ts, mutations }, false)
             });
             let seq = this.wal.append(WalRecord {
                 region,

@@ -38,7 +38,7 @@ use cumulo_sim::{
 };
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::rc::{Rc, Weak};
 
 /// Region-server tuning knobs.
@@ -690,13 +690,17 @@ impl RegionServer {
         self.regions.borrow().get(&region).map(|st| st.desc.clone())
     }
 
-    /// Records `kind` in the failure-event journal; `detail` renders what
+    /// Records `kind` in the failure-event journal; `detail` writes what
     /// follows the `server=` field every server event starts with (and
-    /// obeys the journal's capture-values rule).
-    fn event(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
+    /// obeys the journal's capture-values rule) into the line's one
+    /// buffer.
+    fn event(&self, kind: &'static str, detail: impl Fn(&mut String) -> fmt::Result + 'static) {
         let me = self.id;
         self.events.borrow().record(self.sim.now(), kind, move || {
-            format!("server={me} {}", detail())
+            let mut line = String::with_capacity(96);
+            let written = write!(line, "server={me} ").and_then(|()| detail(&mut line));
+            written.expect("a String accepts every write");
+            line
         });
     }
 
@@ -829,7 +833,7 @@ impl RegionServer {
     pub fn mark_region_online(&self, region: RegionId) {
         if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
             st.online = true;
-            self.event("region.online", move || format!("region={region}"));
+            self.event("region.online", move |line| write!(line, "region={region}"));
         }
     }
 }

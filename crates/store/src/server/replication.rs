@@ -18,6 +18,7 @@ use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge};
 use cumulo_sim::{NodeId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::rc::{Rc, Weak};
 
 /// Shared observability for primary/backup replication (all handles
@@ -64,10 +65,6 @@ pub(super) enum StreamElement {
         /// The durable file set.
         paths: Vec<String>,
         memstore: MemStore,
-        /// Primary-side routing, not on the wire: only the out-of-sync
-        /// lanes (the re-sync timer) instead of every lane (the file set
-        /// changed under all of them: flush, compaction, split).
-        resync_only: bool,
     },
     /// The primary is executing a split of the region.
     SplitIntent { bottom: RegionId, top: RegionId },
@@ -80,7 +77,7 @@ impl StreamElement {
             // A ship header, then each mutation without the per-mutation
             // framing a client request gives it.
             StreamElement::WriteSet { mutations, .. } => {
-                40 + mutations.iter().map(|m| m.wire_size() - 16).sum::<usize>()
+                40 + mutations.iter().map(Mutation::payload_len).sum::<usize>()
             }
             StreamElement::Sync {
                 paths, memstore, ..
@@ -156,6 +153,11 @@ struct ReplLane {
     /// `Applied` ack is what flips an out-of-sync lane back in (a late
     /// ack for an ordinary data ship must not).
     sync_seq: Option<u64>,
+    /// A write-set or split intent passed this lane by since that sync
+    /// was cut: the shadow it re-baselines lacks it, and nothing sent
+    /// later carries it, so the ack must not flip the lane in — the next
+    /// re-sync tick tries again.
+    sync_outrun: bool,
 }
 
 impl ReplLane {
@@ -172,6 +174,7 @@ impl ReplLane {
             synced: false,
             drop_pending: false,
             sync_seq: None,
+            sync_outrun: false,
         }
     }
 }
@@ -348,8 +351,8 @@ impl RegionServer {
             group.lanes.sort_unstable_by_key(|l| l.backup);
             group.take_all_gates()
         };
-        self.event("replication.establish", move || {
-            format!("region={region} epoch={epoch}")
+        self.event("replication.establish", move |line| {
+            write!(line, "region={region} epoch={epoch}")
         });
         resolve(finishes, Ok(()));
         self.update_repl_gauges();
@@ -373,8 +376,8 @@ impl RegionServer {
             shadow.epoch = shadow.epoch.max(epoch);
             shadow.synced = false;
         }
-        self.event("replication.shadow_open", move || {
-            format!("region={region} epoch={epoch}")
+        self.event("replication.shadow_open", move |line| {
+            write!(line, "region={region} epoch={epoch}")
         });
     }
 
@@ -392,8 +395,8 @@ impl RegionServer {
             }
         };
         if removed {
-            self.event("replication.shadow_close", move || {
-                format!("region={region}")
+            self.event("replication.shadow_close", move |line| {
+                write!(line, "region={region}")
             });
         }
     }
@@ -435,8 +438,8 @@ impl RegionServer {
             region,
             RegionState::new(shadow.desc, shadow.memstore, storefiles),
         );
-        self.event("replication.promote", move || {
-            format!("region={region} epoch={epoch} failed={failed}")
+        self.event("replication.promote", move |line| {
+            write!(line, "region={region} epoch={epoch} failed={failed}")
         });
         self.update_file_metrics();
         self.flush_region(region);
@@ -448,15 +451,20 @@ impl RegionServer {
     /// the backlog, sends, and arranges the ack and its timeout. A sync
     /// re-baselines a shadow, so it also goes to out-of-sync lanes; a
     /// write-set or split intent extends the stream, so it goes to the
-    /// in-sync lanes only and counts against their backlog. Returns the
-    /// gate to arm with a write-set's client ack
+    /// in-sync lanes only and counts against their backlog.
+    /// `resync_only` narrows a sync to the out-of-sync lanes (the re-sync
+    /// timer) from every lane (the file set changed under all of them:
+    /// flush, compaction, split); it says nothing about other elements.
+    /// Returns the gate to arm with a write-set's client ack
     /// ([`RegionServer::arm_gate`]) if at least one lane took it.
-    pub(super) fn ship(self: &Rc<Self>, region: RegionId, element: StreamElement) -> Option<u64> {
+    pub(super) fn ship(
+        self: &Rc<Self>,
+        region: RegionId,
+        element: StreamElement,
+        resync_only: bool,
+    ) -> Option<u64> {
         let bytes = element.wire_bytes();
-        let sync = match element {
-            StreamElement::Sync { resync_only, .. } => Some(resync_only),
-            _ => None,
-        };
+        let sync = matches!(element, StreamElement::Sync { .. });
         let mut laggards: Vec<LaneId> = Vec::new();
         let (gate, targets) = {
             let mut repl = self.repl.borrow_mut();
@@ -472,13 +480,15 @@ impl RegionServer {
             let mut targets: Vec<(u64, LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
             for lane in group.lanes.iter_mut() {
                 let wanted = match sync {
+                    true if lane.synced => !resync_only,
                     // One un-acked sync at a time per out-of-sync lane;
                     // the next timer tick retries.
-                    Some(resync_only) if lane.synced => !resync_only,
-                    Some(_) => lane.sync_seq.is_none(),
-                    None => lane.synced,
+                    true => lane.sync_seq.is_none(),
+                    false => lane.synced,
                 };
                 if lane.drop_pending || !wanted {
+                    // A sync on its way to this lane was cut without it.
+                    lane.sync_outrun |= !sync;
                     continue;
                 }
                 let backup = lane.backup;
@@ -487,7 +497,7 @@ impl RegionServer {
                     epoch,
                     backup,
                 };
-                if sync.is_none() && lane.backlog_bytes + bytes > max_backlog {
+                if !sync && lane.backlog_bytes + bytes > max_backlog {
                     laggards.push(id);
                     continue;
                 }
@@ -497,8 +507,9 @@ impl RegionServer {
                 };
                 let seq = lane.next_seq;
                 lane.next_seq += 1;
-                if sync.is_some() {
+                if sync {
                     lane.sync_seq = Some(seq);
+                    lane.sync_outrun = false;
                 }
                 // Nothing gates on an out-of-sync lane, and its backlog
                 // was written off when it was dropped.
@@ -542,8 +553,11 @@ impl RegionServer {
                 StreamElement::Sync { .. } => {
                     stats.syncs.inc();
                     stats.ship_bytes.add(bytes as u64);
-                    self.event("replication.sync", move || {
-                        format!("region={region} seq={seq} backup={backup} bytes={bytes}")
+                    self.event("replication.sync", move |line| {
+                        write!(
+                            line,
+                            "region={region} seq={seq} backup={backup} bytes={bytes}"
+                        )
                     });
                 }
                 // All header: it counts as a ship, with no payload.
@@ -611,8 +625,8 @@ impl RegionServer {
         }
         self.repl_stats.lane_drops.inc();
         let (region, backup) = (id.region, id.backup);
-        self.event("replication.lane_unsynced", move || {
-            format!("region={region} backup={backup}")
+        self.event("replication.lane_unsynced", move |line| {
+            write!(line, "region={region} backup={backup}")
         });
         self.report_lane_unsynced(id);
     }
@@ -723,11 +737,6 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        let LaneId {
-            region,
-            epoch,
-            backup,
-        } = id;
         match ack {
             ReplAck::Applied(seq) => {
                 self.repl_stats.acks.inc();
@@ -736,13 +745,13 @@ impl RegionServer {
                     let Some(group) = repl.group_of(id) else {
                         return;
                     };
-                    let Some(lane) = group.lane_mut(backup) else {
+                    let Some(lane) = group.lane_mut(id.backup) else {
                         return;
                     };
                     let mut resynced = false;
                     if lane.sync_seq == Some(seq) {
                         lane.sync_seq = None;
-                        if !lane.synced && !lane.drop_pending {
+                        if !lane.synced && !lane.drop_pending && !lane.sync_outrun {
                             lane.synced = true;
                             resynced = true;
                         }
@@ -753,20 +762,20 @@ impl RegionServer {
                     lane.backlog_bytes = lane.backlog_bytes.saturating_sub(acked_bytes);
                     for gate in acked.values().filter_map(|(_, gate)| *gate) {
                         if let Some(gate) = group.gates.get_mut(&gate) {
-                            gate.waiting.retain(|b| *b != backup);
+                            gate.waiting.retain(|b| *b != id.backup);
                         }
                     }
                     (group.drain_ready_gates(), resynced)
                 };
                 resolve(finishes, Ok(()));
                 if resynced {
-                    self.event("replication.lane_resynced", move || {
-                        format!("region={region} backup={backup}")
+                    self.event("replication.lane_resynced", move |line| {
+                        write!(line, "region={} backup={}", id.region, id.backup)
                     });
                     if let Some(coord) = self.repl_coord.borrow().clone() {
                         let node = self.node;
                         self.net.send(node, coord.node(), 48, move || {
-                            coord.replica_synced(region, epoch, backup);
+                            coord.replica_synced(id.region, id.epoch, id.backup);
                         });
                     }
                 }
@@ -778,7 +787,7 @@ impl RegionServer {
             }
             ReplAck::Stale(newer) => {
                 self.repl_stats.nacks.inc();
-                self.fence_group(region, newer);
+                self.fence_group(id.region, newer);
             }
         }
     }
@@ -813,8 +822,8 @@ impl RegionServer {
             st.online = false;
         }
         self.repl_stats.fenced.inc();
-        self.event("replication.fenced", move || {
-            format!("region={region} newer_epoch={newer_epoch}")
+        self.event("replication.fenced", move |line| {
+            write!(line, "region={region} newer_epoch={newer_epoch}")
         });
         resolve(finishes, Err(StoreError::WrongRegion(region)));
         self.update_repl_gauges();
@@ -868,7 +877,6 @@ impl RegionServer {
                             desc,
                             paths,
                             memstore,
-                            ..
                         } => {
                             shadow.desc = desc.clone();
                             shadow.epoch = epoch;
@@ -889,8 +897,8 @@ impl RegionServer {
         };
         if let (ReplAck::Applied(_), StreamElement::SplitIntent { bottom, top }) = (ack, element) {
             let (bottom, top) = (*bottom, *top);
-            self.event("replication.split_intent", move || {
-                format!("region={region} bottom={bottom} top={top}")
+            self.event("replication.split_intent", move |line| {
+                write!(line, "region={region} bottom={bottom} top={top}")
             });
         }
         self.note_backup_ack(region, &ack);
@@ -943,8 +951,8 @@ impl RegionServer {
             .unwrap_or(epoch + 1)
             .max(epoch + 1);
         self.repl_stats.fences.inc();
-        self.event("replication.fence", move || {
-            format!("region={region} stale_epoch={epoch} newer={newer}")
+        self.event("replication.fence", move |line| {
+            write!(line, "region={region} stale_epoch={epoch} newer={newer}")
         });
         Some(ReplAck::Stale(newer))
     }
@@ -957,7 +965,9 @@ impl RegionServer {
             ReplAck::Gap => {}
             ReplAck::Stale(_) => {
                 self.repl_stats.fences.inc();
-                self.event("replication.fence", move || format!("region={region}"));
+                self.event("replication.fence", move |line| {
+                    write!(line, "region={region}")
+                });
             }
         }
     }
@@ -985,10 +995,9 @@ impl RegionServer {
                     .map(|sf| sf.path().to_owned())
                     .collect(),
                 memstore: st.memstore.clone(),
-                resync_only,
             }
         };
-        self.ship(region, element);
+        self.ship(region, element, resync_only);
     }
 
     /// The re-sync timer tick: bring out-of-sync lanes back via
@@ -1088,8 +1097,7 @@ impl RegionServer {
             for lane in &group.lanes {
                 backlog += lane.backlog_bytes as u64;
                 if lane.synced {
-                    let lane_lag = lane.pending.len() as u64;
-                    lag = lag.max(lane_lag);
+                    lag = lag.max(lane.pending.len() as u64);
                 }
             }
         }

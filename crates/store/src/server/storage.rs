@@ -7,12 +7,14 @@ use crate::compaction::{self, CompactionJob, CompactionPolicyKind, CompactionSta
 use crate::sstable::StoreFileData;
 use crate::types::{RegionId, Timestamp};
 use cumulo_sim::SimDuration;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// How long the filesystem write of a flush may stay unanswered before
-/// the flush tick issues it again. Several times what the largest
-/// healthy flush takes — a default-sized memstore crosses the modelled
-/// LAN in about five seconds — so a healthy run never re-issues one.
+/// the flush tick issues another beside it. Several times what a
+/// default-sized memstore takes to cross the modelled LAN (about five
+/// seconds), so a healthy run never re-issues one; a slower write that
+/// answers after all still counts, so this bounds duplicate work only.
 const FLUSH_REISSUE_AFTER: SimDuration = SimDuration::from_secs(30);
 
 /// A compaction the policy planned, resolved to paths so it survives the
@@ -155,8 +157,8 @@ impl RegionServer {
                         .stall_ns
                         .add(self.cfg.flush_check_interval.nanos());
                     let (region, files) = (*id, st.stall_signal().total_files);
-                    self.event("flush.stall", move || {
-                        format!("region={region} files={files}")
+                    self.event("flush.stall", move |line| {
+                        write!(line, "region={region} files={files}")
                     });
                     continue;
                 }
@@ -199,41 +201,48 @@ impl RegionServer {
         // The flushing snapshot is immediately part of the readable file
         // stack; refresh the gauges now, not only when the DFS write acks.
         self.update_file_metrics();
-        self.write_flush_snapshot(region, data);
+        self.write_flush_snapshot(region, Rc::clone(&data), data);
     }
 
-    /// Gives up on the unanswered filesystem write of `region`'s flushing
-    /// snapshot and issues it again. Under a fresh name: the old one may
-    /// exist by now — empty, or even written — and creating it again
-    /// would fail (an unregistered file is never opened, so whatever the
-    /// first attempt left is garbage at worst).
+    /// Issues the filesystem write of `region`'s flushing snapshot once
+    /// more, beside the unanswered one. Under a fresh name: the old one
+    /// may exist by now — empty, or even written — and creating it again
+    /// would fail. The snapshot, not the attempt, is the unit: whichever
+    /// write answers first becomes the store file, under its own name,
+    /// and the other's copy is deleted when it answers (one that never
+    /// does leaves garbage at worst: an unregistered file is not opened).
     fn reissue_flush(self: &Rc<Self>, region: RegionId) {
-        let data = {
+        let (snapshot, copy) = {
             let mut regions = self.regions.borrow_mut();
-            let Some(st) = regions.get_mut(&region) else {
+            let Some((snapshot, issued)) =
+                regions.get_mut(&region).and_then(|st| st.flushing.as_mut())
+            else {
                 return;
             };
-            let Some((stale, _)) = st.flushing.take() else {
-                return;
-            };
-            let renamed = StoreFileData::decode(self.next_flush_path(region), &stale.encode());
-            let data = Rc::new(renamed.expect("a store file decodes its own image"));
-            st.flushing = Some((Rc::clone(&data), self.sim.now()));
-            data
+            *issued = self.sim.now();
+            let copy = snapshot.with_path(self.next_flush_path(region));
+            (Rc::clone(snapshot), Rc::new(copy))
         };
-        let path = data.path().to_owned();
-        self.event("flush.reissue", move || {
-            format!("region={region} file={path}")
+        let path = copy.path().to_owned();
+        self.event("flush.reissue", move |line| {
+            write!(line, "region={region} file={path}")
         });
-        self.write_flush_snapshot(region, data);
+        self.write_flush_snapshot(region, snapshot, copy);
     }
 
-    /// Writes `region`'s flushing snapshot `data` to the filesystem and,
-    /// once it is durable, swaps it into the store-file stack.
-    fn write_flush_snapshot(self: &Rc<Self>, region: RegionId, data: Rc<StoreFileData>) {
+    /// Writes `file` — `region`'s flushing snapshot `snapshot`, or a
+    /// renamed copy of it — to the filesystem and, if it is the first
+    /// durable copy, swaps it into the store-file stack.
+    fn write_flush_snapshot(
+        self: &Rc<Self>,
+        region: RegionId,
+        snapshot: Rc<StoreFileData>,
+        file: Rc<StoreFileData>,
+    ) {
         let weak = Rc::downgrade(self);
-        let (path, image) = (data.path().to_owned(), data.encode());
-        self.dfs.write_file(&path, image, move |result| {
+        let written = Rc::clone(&file);
+        let image = file.encode();
+        self.dfs.write_file(written.path(), image, move |result| {
             let Some(server) = weak.upgrade() else { return };
             if result.is_err() {
                 // Filesystem unavailable: leave the snapshot readable in
@@ -242,16 +251,16 @@ impl RegionServer {
                 return;
             }
             if let Some(st) = server.regions.borrow_mut().get_mut(&region) {
-                // An answer the flush tick stopped waiting for: the
-                // snapshot was issued again under another name.
-                if !st.flushing_file().is_some_and(|f| Rc::ptr_eq(f, &data)) {
-                    server.dfs.delete(data.path());
+                // Another write of the same snapshot answered first (or
+                // the region was reopened since): this copy is surplus.
+                if !st.flushing_file().is_some_and(|f| Rc::ptr_eq(f, &snapshot)) {
+                    server.dfs.delete(file.path());
                     return;
                 }
-                st.storefiles.push(Rc::clone(&data));
+                st.storefiles.push(Rc::clone(&file));
                 st.flushing = None;
             }
-            server.registry.insert(data);
+            server.registry.insert(file);
             server.update_file_metrics();
             // The file set changed and the memstore was truncated:
             // re-baseline every backup lane with a full-state sync
@@ -339,13 +348,15 @@ impl RegionServer {
                 let deficit = self.compaction_deficit.get() + 1;
                 self.compaction_deficit.set(deficit);
                 self.compaction_stats.deferred.inc();
-                self.event("compaction.defer", move || {
-                    format!("region={region} deficit={deficit}")
+                self.event("compaction.defer", move |line| {
+                    write!(line, "region={region} deficit={deficit}")
                 });
                 return;
             }
             self.compaction_stats.forced.inc();
-            self.event("compaction.force", move || format!("region={region}"));
+            self.event("compaction.force", move |line| {
+                write!(line, "region={region}")
+            });
         }
         self.compaction_deficit.set(0);
         {
@@ -357,8 +368,8 @@ impl RegionServer {
         }
         self.compaction_stats.started.inc();
         let (inputs, level) = (plan.input_paths.len(), plan.output_level);
-        self.event("compaction.start", move || {
-            format!("region={region} inputs={inputs} level={level}")
+        self.event("compaction.start", move |line| {
+            write!(line, "region={region} inputs={inputs} level={level}")
         });
         let service = self.cfg.base_service + cfg.merge_service_per_entry * total_entries.max(1);
         let this = Rc::clone(self);
@@ -602,8 +613,8 @@ impl RegionServer {
             .filter_bytes_created
             .add(filter_created);
         let retired = input_paths.len();
-        self.event("compaction.finish", move || {
-            format!("region={region} retired={retired} bytes={bytes}")
+        self.event("compaction.finish", move |line| {
+            write!(line, "region={region} retired={retired} bytes={bytes}")
         });
         self.update_file_metrics();
         // Compaction rewrote the file set; re-baseline backup lanes so a

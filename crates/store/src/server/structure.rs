@@ -20,6 +20,7 @@ use crate::types::RegionId;
 use bytes::Bytes;
 use cumulo_sim::metrics::Counter;
 use cumulo_sim::SimDuration;
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Shared observability for one kind of online structure change — a
@@ -281,8 +282,8 @@ impl RegionServer {
         };
         let kind = pending.kind();
         self.structure_stats(kind).considered.inc();
-        self.event(kind.pick("split.consider", "merge.consider"), move || {
-            kind.inputs_label(&inputs)
+        self.event(kind.pick("split.consider", "merge.consider"), move |line| {
+            line.write_str(&kind.inputs_label(&inputs))
         });
         *self.pending_change.borrow_mut() = Some(pending);
         self.advance_pending_change();
@@ -345,8 +346,8 @@ impl RegionServer {
         };
         self.structure_stats(kind).intents_requested.inc();
         let (me, journal_inputs) = (self.id, inputs.clone());
-        self.event(kind.pick("split.intent", "merge.intent"), move || {
-            kind.inputs_label(&journal_inputs)
+        self.event(kind.pick("split.intent", "merge.intent"), move |line| {
+            line.write_str(&kind.inputs_label(&journal_inputs))
         });
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
         let net = Rc::clone(&self.net);
@@ -385,8 +386,8 @@ impl RegionServer {
             .map(|p| (p.kind(), p.inputs.clone()));
         if let Some((kind, inputs)) = pending {
             self.structure_stats(kind).aborted.inc();
-            self.event(kind.pick("split.denied", "merge.denied"), move || {
-                kind.inputs_label(&inputs)
+            self.event(kind.pick("split.denied", "merge.denied"), move |line| {
+                line.write_str(&kind.inputs_label(&inputs))
             });
             self.clear_pending_change();
         }
@@ -435,8 +436,8 @@ impl RegionServer {
         let kind = change.kind();
         self.structure_stats(kind).executing.inc();
         let journal_change = change.clone();
-        self.event(kind.pick("split.execute", "merge.execute"), move || {
-            journal_change.label()
+        self.event(kind.pick("split.execute", "merge.execute"), move |line| {
+            line.write_str(&journal_change.label())
         });
         // Tell the backups a split intent is executing. Nothing there
         // reads it yet — the master rolls the intent back before it
@@ -444,7 +445,7 @@ impl RegionServer {
         // half-split region. Merged regions are never replicated.
         if let ([parent], [bottom, top]) = (&change.inputs[..], &change.outputs[..]) {
             let (bottom, top) = (bottom.id, top.id);
-            self.ship(*parent, StreamElement::SplitIntent { bottom, top });
+            self.ship(*parent, StreamElement::SplitIntent { bottom, top }, false);
         }
         let sources: Option<Vec<(RegionDescriptor, Vec<(Rc<StoreFileData>, u32)>)>> = {
             let regions = self.regions.borrow();
@@ -555,8 +556,8 @@ impl RegionServer {
         let kind = work.change.kind();
         self.structure_stats(kind).aborted.inc();
         let inputs = work.change.inputs.clone();
-        self.event(kind.pick("split.abort", "merge.abort"), move || {
-            kind.inputs_label(&inputs)
+        self.event(kind.pick("split.abort", "merge.abort"), move |line| {
+            line.write_str(&kind.inputs_label(&inputs))
         });
         self.clear_pending_change();
         self.notify_change_aborted(work.change.inputs[0]);
@@ -668,8 +669,8 @@ impl RegionServer {
         let kind = change.kind();
         self.structure_stats(kind).completed.inc();
         let journal_change = change.clone();
-        self.event(kind.pick("split.flip", "merge.flip"), move || {
-            journal_change.label()
+        self.event(kind.pick("split.flip", "merge.flip"), move |line| {
+            line.write_str(&journal_change.label())
         });
         self.update_file_metrics();
         // A split parent's replica group follows the flip: daughters
@@ -740,7 +741,7 @@ impl RegionServer {
             st.restructuring = true;
         }
         *self.pending_move.borrow_mut() = Some(region);
-        self.event("move.close", move || format!("region={region}"));
+        self.event("move.close", move |line| write!(line, "region={region}"));
         self.advance_pending_move(region, done, 0);
     }
 
@@ -798,7 +799,7 @@ impl RegionServer {
         self.region_load.remove(region.0 as u64);
         self.pending_move.borrow_mut().take();
         self.update_file_metrics();
-        self.event("move.closed", move || format!("region={region}"));
+        self.event("move.closed", move |line| write!(line, "region={region}"));
         done(true);
     }
 }

@@ -567,6 +567,24 @@ impl StoreFileData {
         Some(file)
     }
 
+    /// The same file under another name: image, index and filter are
+    /// shared, nothing is copied or parsed again.
+    pub fn with_path(&self, path: impl Into<String>) -> StoreFileData {
+        StoreFileData {
+            region: self.region,
+            path: path.into(),
+            image: self.image.clone(),
+            index: Rc::clone(&self.index),
+            slots: Rc::clone(&self.slots),
+            lo: self.lo,
+            hi: self.hi,
+            total_bytes: self.total_bytes,
+            key_range: self.key_range.clone(),
+            bloom: Rc::clone(&self.bloom),
+            backing: self.backing.clone(),
+        }
+    }
+
     /// Min/max row key of the visible window, copied out of the image
     /// (`None` when empty).
     fn key_range_of_window(&self) -> Option<(Bytes, Bytes)> {
@@ -1123,6 +1141,20 @@ mod tests {
             sf.get(b"b", b"c", Timestamp(20))
         );
         assert!(StoreFileData::decode("/x", &encoded[..3]).is_err());
+    }
+
+    #[test]
+    fn with_path_renames_and_shares_the_image() {
+        let sf = sample();
+        let renamed = sf.with_path("/store/r1/1");
+        assert_eq!(renamed.path(), "/store/r1/1");
+        assert_eq!(renamed.encode(), sf.encode());
+        assert_eq!(renamed.encode().as_ptr(), sf.encode().as_ptr());
+        assert_eq!(renamed.key_range(), sf.key_range());
+        assert_eq!(
+            renamed.get(b"a", b"c", Timestamp(20)),
+            sf.get(b"a", b"c", Timestamp(20))
+        );
     }
 
     #[test]

@@ -132,13 +132,19 @@ impl Mutation {
         }
     }
 
-    /// Approximate wire size in bytes.
-    pub fn wire_size(&self) -> usize {
+    /// Bytes of row key, column and value, without any framing.
+    pub fn payload_len(&self) -> usize {
         let v = match &self.kind {
             MutationKind::Put(v) => v.len(),
             MutationKind::Delete => 0,
         };
-        16 + self.row.len() + self.column.len() + v
+        self.row.len() + self.column.len() + v
+    }
+
+    /// Approximate wire size in bytes: the payload framed for a client
+    /// request.
+    pub fn wire_size(&self) -> usize {
+        16 + self.payload_len()
     }
 }
 

@@ -27,6 +27,8 @@ struct Cluster {
     trace: Journal,
     /// A filesystem client on the client's node, for listing the namespace.
     dfs: DfsClient,
+    /// The nodes the filesystem's datanodes run on.
+    datanodes: Vec<cumulo_sim::NodeId>,
 }
 
 fn build(seed: u64, n_servers: usize, n_regions: usize, wal_mode: WalSyncMode) -> Cluster {
@@ -74,6 +76,7 @@ fn build_replicated(
         net.add_node("dn-spare"),
         DiskConfig::server_hdd(),
     ));
+    let datanodes = dns.iter().map(|dn| dn.node()).collect();
     let nn_node = net.add_node("namenode");
     let nn = NameNode::new(&sim, &net, nn_node, dns, NameNodeConfig::default());
 
@@ -143,6 +146,7 @@ fn build_replicated(
         events,
         trace,
         dfs,
+        datanodes,
     }
 }
 
@@ -1037,5 +1041,159 @@ fn replication_of_a_fixed_schedule_is_pinned() {
             newest.as_deref().map(str::as_bytes),
             "row {i}"
         );
+    }
+}
+
+/// One region on rs0 with one backup lane, stopped at the instant the
+/// primary ships the lane's first full-state sync (the 2 s re-sync tick;
+/// the lane is out of sync since the establish). The memstore is large
+/// enough that the sync spends milliseconds on the wire. Writes are
+/// acknowledged once their WAL record is durable.
+fn at_first_sync_ship() -> (Cluster, RegionId, Rc<RegionServer>) {
+    let mut cfg = RegionServerConfig {
+        wal_mode: WalSyncMode::Sync,
+        ..RegionServerConfig::default()
+    };
+    cfg.replication.enabled = true;
+    let c = build_replicated(47, 3, 1, cfg, 2);
+    let map = c.master.snapshot_map();
+    let region = map.regions()[0].id;
+    let primary = c.dir.get(map.server_for(region).expect("assigned"));
+    let primary = primary.expect("the primary is registered");
+    for i in 100..164 {
+        let m = Mutation::put(key(i), "f0", vec![b'a'; 2048]);
+        c.client
+            .multi_put(region, Timestamp(1_000 + i), vec![m], None, false, || {});
+    }
+    run_to(&c, 1_900);
+    while primary.replication_stats().syncs.get() == 0 {
+        c.sim.run_for(SimDuration::from_micros(50));
+    }
+    (c, region, primary)
+}
+
+/// Puts row 7 and returns the flag its acknowledgement sets.
+fn put_row_7(c: &Cluster, region: RegionId) -> Rc<std::cell::Cell<bool>> {
+    let acked = Rc::new(std::cell::Cell::new(false));
+    let on_ack = Rc::clone(&acked);
+    let m = Mutation::put(key(7), "f0", "acknowledged");
+    c.client
+        .multi_put(region, Timestamp(5_000), vec![m], None, false, move || {
+            on_ack.set(true)
+        });
+    acked
+}
+
+/// Crashes `primary`, waits out the failover, and checks which way the
+/// master recovered the region and that row 7 reads back.
+fn crash_and_read_row_7(c: &Cluster, primary: &RegionServer, promotions: u64, replays: u64) {
+    primary.crash();
+    c.sim.run_for(SimDuration::from_secs(10));
+    let recovered = (c.master.promotions(), c.master.fallback_replays());
+    assert_eq!(recovered, (promotions, replays), "promotions, replays");
+    let got = read_row(c, 7, 100_000).expect("row 7 exists");
+    assert_eq!(got.1.as_deref(), Some(&b"acknowledged"[..]));
+}
+
+/// A write the primary serves while a full-state sync is on its way to an
+/// out-of-sync lane is in neither the sync (cut before it) nor the lane's
+/// stream (write-sets skip an out-of-sync lane), and it is acknowledged
+/// ungated. That sync's ack must not bring the lane in, and the master
+/// must not take the shadow's word for being in sync: a primary crash
+/// right after falls back to the WAL, one after the next re-sync tick
+/// promotes — and either way the write reads back.
+#[test]
+fn a_write_inside_a_sync_window_is_not_lost_to_a_promotion() {
+    for crash_after_the_next_resync in [false, true] {
+        let (c, region, primary) = at_first_sync_ship();
+        let repl = primary.replication_stats().clone();
+        let before = primary.memstore_bytes(region);
+        let acked = put_row_7(&c, region);
+        while primary.memstore_bytes(region) == before {
+            c.sim.run_for(SimDuration::from_micros(50));
+        }
+        assert_eq!(repl.acks.get(), 0, "the write landed after the sync's ack");
+        c.sim.run_for(SimDuration::from_millis(200));
+        assert!(acked.get(), "the write was acknowledged");
+        assert_eq!(repl.acks.get(), 1, "the sync was acked");
+        assert_eq!(c.events.count("replication.lane_resynced"), 0);
+        if crash_after_the_next_resync {
+            run_to(&c, 4_500);
+            assert_eq!(c.events.count("replication.lane_resynced"), 1);
+            crash_and_read_row_7(&c, &primary, 1, 0);
+        } else {
+            crash_and_read_row_7(&c, &primary, 0, 1);
+        }
+    }
+}
+
+/// The sync reaches the shadow and its ack is lost: the shadow believes
+/// it is in sync, the primary never learns so and keeps acknowledging
+/// writes without it. The master holds a backup ineligible until its
+/// *primary* confirms the lane, so the crash replays the WAL instead of
+/// promoting a shadow that lacks the later write.
+#[test]
+fn a_shadow_whose_sync_ack_was_lost_is_not_promoted() {
+    let (c, region, primary) = at_first_sync_ship();
+    let backup = c.master.snapshot_map().replicas_of(region)[0];
+    let backup = c.dir.get(backup).expect("the backup is registered");
+    while backup.replication_stats().applied.get() == 0 {
+        c.sim.run_for(SimDuration::from_micros(50));
+    }
+    c.net.partition(primary.node(), backup.node());
+    c.sim.run_for(SimDuration::from_millis(50));
+    c.net.heal(primary.node(), backup.node());
+    assert_eq!(primary.replication_stats().acks.get(), 0, "the ack arrived");
+    let acked = put_row_7(&c, region);
+    c.sim.run_for(SimDuration::from_millis(200));
+    assert!(acked.get(), "the write was acknowledged");
+    crash_and_read_row_7(&c, &primary, 0, 1);
+}
+
+/// A flush write that is held up, not lost: the server cannot reach the
+/// datanodes, so the append keeps retrying, and the flush tick issues a
+/// second write of the same snapshot beside it. After the heal both
+/// answer. The snapshot is the unit, not the attempt: the first durable
+/// copy becomes the store file under its own name and frees the flush
+/// slot, the other copy is deleted when it answers.
+#[test]
+fn the_first_answered_write_of_a_reissued_flush_wins_and_the_other_is_deleted() {
+    let mut cfg = RegionServerConfig::default();
+    cfg.compaction.enabled = false;
+    let c = build_with(53, 1, 1, cfg);
+    let server = Rc::clone(&c.servers[0]);
+    let region = server.hosted_regions()[0];
+    put_rows(&c, 1_000, 0..100, "a");
+    run_to(&c, 5_000);
+    for dn in &c.datanodes {
+        c.net.partition(server.node(), *dn);
+    }
+    server.flush_region(region);
+    let store_files = || {
+        let files: Rc<RefCell<Vec<String>>> = Rc::default();
+        let sink = Rc::clone(&files);
+        c.dfs
+            .list("/store/", move |paths| *sink.borrow_mut() = paths);
+        c.sim.run_for(SimDuration::from_millis(100));
+        files.take()
+    };
+    run_to(&c, 37_030);
+    assert_eq!(c.events.count("flush.reissue"), 1);
+    assert_eq!(server.storefile_count(region), 0, "nothing answered yet");
+    assert_eq!(store_files().len(), 2, "both copies were created");
+    c.net.heal_all();
+    run_to(&c, 39_000);
+    assert_eq!(server.storefile_count(region), 1);
+    assert_eq!(server.memstore_bytes(region), 0);
+    // With the heal at this instant it is the first write that answers
+    // first, the one the flush tick had stopped waiting for.
+    let first = format!("/store/{region}/000000-{}", server.id());
+    assert_eq!(store_files(), [first], "the surplus copy is gone");
+    run_to(&c, 100_000);
+    assert_eq!(c.events.count("flush.reissue"), 1, "the slot was freed");
+    assert_eq!(c.master.failover_count(), 0);
+    for i in [0, 57, 99] {
+        let got = read_row(&c, i, 10_000).and_then(|(_, v)| v);
+        assert_eq!(got, Some(Bytes::from(format!("a{i:0>90}"))), "row {i}");
     }
 }
