@@ -122,38 +122,20 @@ impl RecoveryClient {
             return;
         };
         let ts = record.ts;
-        let groups = self.store.group_write_set(&record.write_set);
-        if groups.is_empty() {
-            self.client_txns_replayed.inc();
-            self.replay_client_next(records, idx + 1, done);
-            return;
-        }
-        let pending = Rc::new(Cell::new(groups.len()));
-        let done_cell: Rc<RefCell<Option<Box<dyn FnOnce()>>>> = Rc::new(RefCell::new(Some(done)));
-        for (region, mutations) in groups {
-            let this = Rc::clone(self);
-            let records2 = Rc::clone(&records);
-            let pending2 = Rc::clone(&pending);
-            let done2 = Rc::clone(&done_cell);
-            // Replays use the original commit timestamp; no fresh one is
-            // requested. Not flagged as a region replay: client-recovery
-            // targets normally-online regions and retries through outages.
-            self.store
-                .multi_put(region, ts, mutations, None, false, move || {
-                    pending2.set(pending2.get() - 1);
-                    if pending2.get() > 0 {
-                        return;
-                    }
-                    this.client_txns_replayed.inc();
-                    // The dead client cannot report the flush; c_R does it.
-                    let tm = Rc::clone(&this.tm);
-                    this.net.send(this.node, tm.node(), 48, move || {
-                        tm.handle_flush_complete(ts);
-                    });
-                    let done = done2.borrow_mut().take().expect("single completion");
-                    this.replay_client_next(records2, idx + 1, done);
-                });
-        }
+        let this = Rc::clone(self);
+        let records2 = Rc::clone(&records);
+        // Replays use the original commit timestamp; no fresh one is
+        // requested. Not flagged as a region replay: client-recovery
+        // targets normally-online regions and retries through outages.
+        self.store.flush(ts, &record.write_set, move || {
+            this.client_txns_replayed.inc();
+            // The dead client cannot report the flush; c_R does it.
+            let tm = Rc::clone(&this.tm);
+            this.net.send(this.node, tm.node(), 48, move || {
+                tm.handle_flush_complete(ts);
+            });
+            this.replay_client_next(records2, idx + 1, done);
+        });
     }
 
     /// Server recovery (Algorithm 4's replay): applies the given

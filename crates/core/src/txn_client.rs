@@ -1115,33 +1115,20 @@ fn flush_write_set(
     ws: WriteSet,
     then: Option<Box<dyn FnOnce()>>,
 ) {
-    let groups = inner.store.group_write_set(&ws);
-    debug_assert!(!groups.is_empty());
-    let pending = Rc::new(Cell::new(groups.len()));
-    let then = Rc::new(RefCell::new(then));
-    for (region, mutations) in groups {
-        let inner2 = Rc::clone(&inner);
-        let pending2 = Rc::clone(&pending);
-        let then2 = Rc::clone(&then);
-        inner
-            .store
-            .multi_put(region, ts, mutations, None, false, move || {
-                pending2.set(pending2.get() - 1);
-                if pending2.get() > 0 {
-                    return;
-                }
-                if !inner2.alive.get() {
-                    return;
-                }
-                inner2.tracker.borrow_mut().on_flushed(ts);
-                inner2.flushed.inc();
-                let tm = Rc::clone(&inner2.tm);
-                inner2.net.send(inner2.node, tm.node(), 48, move || {
-                    tm.handle_flush_complete(ts);
-                });
-                if let Some(cb) = then2.borrow_mut().take() {
-                    cb();
-                }
-            });
-    }
+    debug_assert!(!ws.is_empty());
+    let inner2 = Rc::clone(&inner);
+    inner.store.flush(ts, &ws, move || {
+        if !inner2.alive.get() {
+            return;
+        }
+        inner2.tracker.borrow_mut().on_flushed(ts);
+        inner2.flushed.inc();
+        let tm = Rc::clone(&inner2.tm);
+        inner2.net.send(inner2.node, tm.node(), 48, move || {
+            tm.handle_flush_complete(ts);
+        });
+        if let Some(cb) = then {
+            cb();
+        }
+    });
 }

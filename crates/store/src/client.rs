@@ -5,14 +5,21 @@
 //! interrupted flush keeps retrying until the affected region comes back
 //! online (§3.2): "we work around this by removing the retry and timeout
 //! limits so that the client keeps retrying until it succeeds."
-//! [`StoreClient::get`], [`StoreClient::multi_get`], [`StoreClient::scan`]
-//! and [`StoreClient::multi_put`] therefore retry forever; their callbacks
-//! fire exactly once, on success. Scans additionally continue across
-//! region boundaries, walking regions in key order one leg at a time.
+//! [`StoreClient::get`], [`StoreClient::multi_get`], [`StoreClient::scan`],
+//! [`StoreClient::multi_put`] and [`StoreClient::flush`] therefore retry
+//! forever; their callbacks fire exactly once, on success. Scans
+//! additionally continue across region boundaries, walking regions in key
+//! order one leg at a time.
+//!
+//! All five leave the client through one loop, [`call`], and come back
+//! into it through one [`retry`]; a request kind ([`Request`]) supplies
+//! only what differs between a get, a batched get, a put and a scan leg.
 
+use crate::error::StoreError;
 use crate::master::{Master, ServerDirectory};
 use crate::memstore::VersionedValue;
 use crate::region::RegionMap;
+use crate::server::{RegionServer, ScanPage};
 use crate::types::{Mutation, RegionId, Timestamp, WriteSet};
 use bytes::Bytes;
 use cumulo_sim::metrics::Counter;
@@ -26,7 +33,11 @@ use std::rc::Rc;
 #[derive(Copy, Clone, Debug)]
 pub struct StoreClientConfig {
     /// How long to wait for a response before treating the request as
-    /// lost (dead or partitioned server).
+    /// lost (dead or partitioned server). A request that arrives after
+    /// its attempt timed out is still served and its late reply ignored.
+    /// There is no floor: set below a request's unloaded round trip (a
+    /// two-cell batched get needs more than 1.5 ms), every attempt times
+    /// out and the request never completes — §3.2's "no limits".
     pub request_timeout: SimDuration,
     /// Delay before retrying a failed/timed-out request.
     pub retry_backoff: SimDuration,
@@ -148,14 +159,12 @@ impl StoreClient {
         snapshot: Timestamp,
         done: impl FnOnce(Option<VersionedValue>) + 'static,
     ) {
-        get_attempt(
-            Rc::clone(&self.inner),
+        let get = Get {
             row,
             column,
             snapshot,
-            0,
-            Box::new(done),
-        );
+        };
+        call(Rc::clone(&self.inner), get, Box::new(done), 0);
     }
 
     /// Flushes one transaction's mutations for one region to its hosting
@@ -171,22 +180,32 @@ impl StoreClient {
         replay: bool,
         done: impl FnOnce() + 'static,
     ) {
-        put_attempt(
-            Rc::clone(&self.inner),
+        let put = Put {
             region,
             ts,
             mutations,
             floor,
             replay,
-            0,
-            Box::new(done),
-        );
+        };
+        call(Rc::clone(&self.inner), put, Box::new(done), 0);
+    }
+
+    /// Flushes a whole write-set at commit timestamp `ts`: one
+    /// [`StoreClient::multi_put`] per region the cached map says it
+    /// touches, all in flight together; `done` fires once, when every
+    /// region has acknowledged its part. Boundaries can change under us
+    /// (online splits), but a stale grouping self-heals: the server
+    /// answers `WrongRegion` for a split-away region id and the put
+    /// re-groups by the refreshed map before retrying.
+    pub fn flush(&self, ts: Timestamp, ws: &WriteSet, done: impl FnOnce() + 'static) {
+        let mutations = ws.mutations.iter().cloned();
+        put_by_region(&self.inner, ts, mutations, None, false, 0, done);
     }
 
     /// Batched point read: fetches the newest version of every
     /// `(row, column)` in `cells` visible at `snapshot`, issuing **one
-    /// RPC per region** (cells are grouped by the cached region map,
-    /// mirroring [`StoreClient::group_write_set`] on the write path).
+    /// RPC per region** (cells are grouped by the cached region map, as
+    /// [`StoreClient::flush`] groups a write-set on the write path).
     /// Results are returned in input order; each entry is exactly what
     /// [`StoreClient::get`] would have returned for that cell. Groups
     /// retry independently (with location refresh and re-grouping after
@@ -200,35 +219,16 @@ impl StoreClient {
     ) {
         let n = cells.len();
         if n == 0 {
-            let sim = self.inner.sim.clone();
-            sim.schedule_in(SimDuration::ZERO, move || done(Vec::new()));
-            return;
+            let sim = &self.inner.sim;
+            return sim.schedule_in(SimDuration::ZERO, move || done(Vec::new()));
         }
         let ctx = Rc::new(MultiGetCtx {
             results: RefCell::new(vec![None; n]),
             remaining: Cell::new(n),
             done: RefCell::new(Some(Box::new(done))),
         });
-        let groups: BTreeMap<RegionId, Vec<(usize, Bytes, Bytes)>> = {
-            let map = self.inner.map.borrow();
-            let mut g: BTreeMap<RegionId, Vec<(usize, Bytes, Bytes)>> = BTreeMap::new();
-            for (i, (row, column)) in cells.into_iter().enumerate() {
-                g.entry(map.region_for(&row))
-                    .or_default()
-                    .push((i, row, column));
-            }
-            g
-        };
-        for (region, group) in groups {
-            multi_get_attempt(
-                Rc::clone(&self.inner),
-                region,
-                group,
-                snapshot,
-                0,
-                Rc::clone(&ctx),
-            );
-        }
+        let cells = cells.into_iter().enumerate();
+        multi_get_by_region(&self.inner, cells, snapshot, 0, ctx);
     }
 
     /// Scans `[start, end)` at `snapshot` (end-exclusive; `None` = to
@@ -256,32 +256,17 @@ impl StoreClient {
         limit: usize,
         done: impl FnOnce(Vec<(Bytes, Bytes, VersionedValue)>) + 'static,
     ) {
-        scan_leg(
-            Rc::clone(&self.inner),
-            start,
+        let leg = ScanLeg {
+            cursor: start,
             end,
             snapshot,
-            limit,
-            Vec::new(),
-            0,
-            Box::new(done),
-        );
-    }
-
-    /// Splits a write-set by destination region using the cached map.
-    /// Boundaries can change under us (online splits), but a stale
-    /// grouping self-heals: the server answers `WrongRegion` for a
-    /// split-away region id and [`StoreClient::multi_put`] re-groups by
-    /// the refreshed map before retrying.
-    pub fn group_write_set(&self, ws: &WriteSet) -> BTreeMap<RegionId, Vec<Mutation>> {
-        let map = self.inner.map.borrow();
-        let mut out: BTreeMap<RegionId, Vec<Mutation>> = BTreeMap::new();
-        for m in &ws.mutations {
-            out.entry(map.region_for(&m.row))
-                .or_default()
-                .push(m.clone());
-        }
-        out
+            remaining: limit,
+        };
+        let state = ScanState {
+            acc: Vec::new(),
+            done: Box::new(done),
+        };
+        call(Rc::clone(&self.inner), leg, state, 0);
     }
 
     /// The region containing `row` (static boundary lookup).
@@ -394,256 +379,263 @@ fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
     });
 }
 
-fn get_attempt(
-    inner: Rc<Inner>,
-    row: Bytes,
-    column: Bytes,
-    snapshot: Timestamp,
-    attempt: u32,
-    done: Box<dyn FnOnce(Option<VersionedValue>)>,
-) {
+/// Where a request is addressed.
+enum Route<'a> {
+    /// To whichever region hosts this row under the cached map.
+    Row(&'a [u8]),
+    /// To a region id fixed when its batch was grouped, which a split
+    /// may have retired since.
+    Region(RegionId),
+}
+
+/// The reply callback a server handler takes.
+trait ReplyTo<T>: FnOnce(Result<T, StoreError>) + 'static {}
+impl<T, F: FnOnce(Result<T, StoreError>) + 'static> ReplyTo<T> for F {}
+
+/// What one kind of request — get, batched get, put, scan leg — supplies
+/// to [`call`]; everything else about issuing it is written there, once.
+trait Request: Clone + 'static {
+    /// What the server answers when it serves the request.
+    type Reply: 'static;
+    /// The caller's completion state. It travels intact through retries;
+    /// only a served reply consumes it.
+    type Then: 'static;
+
+    fn route(&self) -> Route<'_>;
+    fn wire_size(&self) -> usize;
+    fn reply_size(result: &Result<Self::Reply, StoreError>) -> usize;
+
+    /// Re-issues a region-addressed request whose region id is gone from
+    /// the map, split by the current boundaries.
+    fn regroup(self, _inner: Rc<Inner>, _then: Self::Then, _attempt: u32) {
+        unreachable!("a row-routed request names no region id to lose")
+    }
+
+    /// The counter of RPCs of this kind put on the wire, if it has one.
+    fn rpcs(_inner: &Inner) -> Option<&Counter> {
+        None
+    }
+
+    /// Hands the request to the server's handler for its kind.
+    fn serve(self, server: &Rc<RegionServer>, reply: impl ReplyTo<Self::Reply>);
+
+    /// The request was served: count it and complete `then`, or carry on
+    /// from the reply.
+    fn served(self, inner: Rc<Inner>, reply: Self::Reply, then: Self::Then);
+}
+
+/// One attempt of one request — the only way a request leaves the client.
+fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
     if !inner.net.is_alive(inner.from) {
         return; // the client process is dead; drop the retry chain
     }
-    let (routed_epoch, server) = {
+    let routed = {
         let map = inner.map.borrow();
-        (map.epoch(), map.locate(&row).1)
+        // The addressed region id was split away since the batch was
+        // grouped (the server answered `WrongRegion` and a map refresh
+        // landed). An empty map just means the client pre-dates
+        // bootstrap; refresh-and-retry handles that.
+        let split_away = |r| !map.regions().is_empty() && map.descriptor(r).is_none();
+        match request.route() {
+            Route::Row(row) => Some((map.epoch(), map.locate(row).1)),
+            Route::Region(region) if split_away(region) => None,
+            Route::Region(region) => Some((map.epoch(), map.server_for(region))),
+        }
     };
-    let server = server.and_then(|s| inner.dir.get(s));
-    let Some(server) = server else {
-        refresh_map(&inner, routed_epoch);
-        let wait = backoff(&inner, attempt);
-        let inner2 = Rc::clone(&inner);
-        inner.retries.inc();
-        inner.sim.schedule_in(wait, move || {
-            get_attempt(inner2, row, column, snapshot, attempt + 1, done)
-        });
-        return;
+    let Some((routed_epoch, server)) = routed else {
+        return request.regroup(inner, then, attempt);
     };
-    let settled = Rc::new(Cell::new(false));
-    let done_cell: Rc<RefCell<Option<Box<dyn FnOnce(Option<VersionedValue>)>>>> =
-        Rc::new(RefCell::new(Some(done)));
-    let server_node = server.node();
-    let from = inner.from;
-    let net_back = Rc::clone(&inner.net);
-    {
-        let inner = Rc::clone(&inner);
-        let settled = Rc::clone(&settled);
-        let done_cell = Rc::clone(&done_cell);
-        let (row2, col2) = (row.clone(), column.clone());
-        inner.net.clone().send(
-            from,
-            server_node,
-            64 + row.len() + column.len(),
-            move || {
-                let server2 = Rc::clone(&server);
-                let net_back = Rc::clone(&net_back);
-                server2.handle_get(row2.clone(), col2.clone(), snapshot, move |result| {
-                    net_back.send(server_node, from, 96, move || {
-                        if settled.get() {
-                            return;
-                        }
-                        settled.set(true);
-                        let done = done_cell.borrow_mut().take().expect("settled guards");
-                        match result {
-                            Ok(v) => {
-                                inner.gets_ok.inc();
-                                done(v);
-                            }
-                            Err(_) => {
-                                // NotServing / unavailable: refresh and retry.
-                                inner.retries.inc();
-                                refresh_map(&inner, routed_epoch);
-                                let wait = backoff(&inner, attempt);
-                                let inner2 = Rc::clone(&inner);
-                                inner.sim.schedule_in(wait, move || {
-                                    get_attempt(inner2, row2, col2, snapshot, attempt + 1, done)
-                                });
-                            }
-                        }
-                    });
-                });
-            },
-        );
+    let Some(server) = server.and_then(|s| inner.dir.get(s)) else {
+        return retry(inner, request, then, attempt, routed_epoch);
+    };
+    if let Some(rpcs) = R::rpcs(&inner) {
+        rpcs.inc();
     }
+    let (from, to) = (inner.from, server.node());
+    let size = request.wire_size();
+    // The wire gets its own copy: a request that arrives after this
+    // attempt timed out is still served, and its late reply ignored. The
+    // original waits in the slot the reply and the timeout race for —
+    // whoever takes it out settles the attempt.
+    let wire = request.clone();
+    let slot = Rc::new(RefCell::new(Some((request, then))));
+    let (inner2, slot2) = (Rc::clone(&inner), Rc::clone(&slot));
+    let net = Rc::clone(&inner.net);
+    inner.net.send(from, to, size, move || {
+        wire.serve(&server, move |result| {
+            let size = R::reply_size(&result);
+            net.send(to, from, size, move || {
+                let Some((request, then)) = slot2.borrow_mut().take() else {
+                    return;
+                };
+                match result {
+                    Ok(reply) => request.served(inner2, reply, then),
+                    // NotServing / unavailable: refresh and retry.
+                    Err(_) => retry(inner2, request, then, attempt, routed_epoch),
+                }
+            });
+        });
+    });
     let inner2 = Rc::clone(&inner);
     inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if settled.get() {
-            return;
+        if let Some((request, then)) = slot.borrow_mut().take() {
+            retry(inner2, request, then, attempt, routed_epoch);
         }
-        settled.set(true);
-        let done = done_cell.borrow_mut().take().expect("settled guards");
-        inner2.retries.inc();
-        refresh_map(&inner2, routed_epoch);
-        let wait = backoff(&inner2, attempt);
-        let inner3 = Rc::clone(&inner2);
-        inner2.sim.schedule_in(wait, move || {
-            get_attempt(inner3, row, column, snapshot, attempt + 1, done)
-        });
     });
 }
 
-#[allow(clippy::too_many_arguments)]
-fn put_attempt(
-    inner: Rc<Inner>,
+/// The one retry: count it, refresh the map (debounced) as of the epoch
+/// the failed attempt was routed under, back off, re-issue.
+fn retry<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32, epoch: u64) {
+    inner.retries.inc();
+    refresh_map(&inner, epoch);
+    let wait = backoff(&inner, attempt);
+    let sim = inner.sim.clone();
+    sim.schedule_in(wait, move || call(inner, request, then, attempt + 1));
+}
+
+/// Splits `items` by the region hosting each one's row under `map`, in
+/// region order; input order is kept within a region.
+fn by_region<T>(
+    map: &RegionMap,
+    items: impl IntoIterator<Item = T>,
+    row: impl Fn(&T) -> &[u8],
+) -> BTreeMap<RegionId, Vec<T>> {
+    let mut groups: BTreeMap<RegionId, Vec<T>> = BTreeMap::new();
+    for item in items {
+        let region = map.region_for(row(&item));
+        groups.entry(region).or_default().push(item);
+    }
+    groups
+}
+
+#[derive(Clone)]
+struct Get {
+    row: Bytes,
+    column: Bytes,
+    snapshot: Timestamp,
+}
+
+impl Request for Get {
+    type Reply = Option<VersionedValue>;
+    type Then = Box<dyn FnOnce(Option<VersionedValue>)>;
+
+    fn route(&self) -> Route<'_> {
+        Route::Row(&self.row)
+    }
+
+    fn wire_size(&self) -> usize {
+        64 + self.row.len() + self.column.len()
+    }
+
+    fn reply_size(_: &Result<Self::Reply, StoreError>) -> usize {
+        96
+    }
+
+    fn serve(self, server: &Rc<RegionServer>, reply: impl ReplyTo<Self::Reply>) {
+        server.handle_get(self.row, self.column, self.snapshot, reply);
+    }
+
+    fn served(self, inner: Rc<Inner>, value: Self::Reply, done: Self::Then) {
+        inner.gets_ok.inc();
+        done(value);
+    }
+}
+
+#[derive(Clone)]
+struct Put {
     region: RegionId,
     ts: Timestamp,
     mutations: Vec<Mutation>,
     floor: Option<Timestamp>,
     replay: bool,
+}
+
+impl Request for Put {
+    type Reply = ();
+    type Then = Box<dyn FnOnce()>;
+
+    fn route(&self) -> Route<'_> {
+        Route::Region(self.region)
+    }
+
+    /// Fans the batch out to the daughters. Mutation replay stays
+    /// idempotent (same commit timestamp), so a partial earlier delivery
+    /// is harmless.
+    fn regroup(self, inner: Rc<Inner>, done: Self::Then, attempt: u32) {
+        put_by_region(
+            &inner,
+            self.ts,
+            self.mutations,
+            self.floor,
+            self.replay,
+            attempt,
+            done,
+        );
+    }
+
+    fn wire_size(&self) -> usize {
+        let mutations = self.mutations.iter();
+        64 + mutations.map(Mutation::wire_size).sum::<usize>()
+    }
+
+    fn reply_size(_: &Result<(), StoreError>) -> usize {
+        48
+    }
+
+    fn serve(self, server: &Rc<RegionServer>, reply: impl ReplyTo<()>) {
+        server.handle_multi_put(
+            self.region,
+            self.ts,
+            self.mutations,
+            self.floor,
+            self.replay,
+            reply,
+        );
+    }
+
+    fn served(self, inner: Rc<Inner>, (): (), done: Self::Then) {
+        inner.puts_ok.inc();
+        done();
+    }
+}
+
+/// The one group → fan-out → join of the write path: one put per region
+/// hosting any of `mutations` under the cached map, all issued at
+/// `attempt`; `done` runs once, when the last of them is acknowledged —
+/// at once if there is nothing to send.
+fn put_by_region(
+    inner: &Rc<Inner>,
+    ts: Timestamp,
+    mutations: impl IntoIterator<Item = Mutation>,
+    floor: Option<Timestamp>,
+    replay: bool,
     attempt: u32,
-    done: Box<dyn FnOnce()>,
+    done: impl FnOnce() + 'static,
 ) {
-    if !inner.net.is_alive(inner.from) {
-        return; // the client process is dead; drop the retry chain
+    let groups = by_region(&inner.map.borrow(), mutations, |m| &m.row);
+    if groups.is_empty() {
+        return done();
     }
-    // The addressed region id may have been split away since the batch
-    // was grouped (the server answers `WrongRegion` and a map refresh
-    // landed): re-group the mutations by the current boundaries and fan
-    // the batch out to the daughters, completing `done` once all parts
-    // are acknowledged. Mutation replay stays idempotent (same commit
-    // timestamp), so a partial earlier delivery is harmless.
-    let must_regroup = {
-        let map = inner.map.borrow();
-        // An empty map just means the client pre-dates bootstrap; the
-        // ordinary refresh-and-retry path below handles that.
-        !map.regions().is_empty() && map.descriptor(region).is_none()
-    };
-    if must_regroup {
-        let groups: BTreeMap<RegionId, Vec<Mutation>> = {
-            let map = inner.map.borrow();
-            let mut g: BTreeMap<RegionId, Vec<Mutation>> = BTreeMap::new();
-            for m in mutations {
-                g.entry(map.region_for(&m.row)).or_default().push(m);
-            }
-            g
+    let join = Rc::new((Cell::new(groups.len()), Cell::new(Some(done))));
+    for (region, mutations) in groups {
+        let put = Put {
+            region,
+            ts,
+            mutations,
+            floor,
+            replay,
         };
-        if groups.is_empty() {
-            done();
-            return;
-        }
-        let pending = Rc::new(Cell::new(groups.len()));
-        let done_cell: Rc<RefCell<Option<Box<dyn FnOnce()>>>> = Rc::new(RefCell::new(Some(done)));
-        for (sub_region, muts) in groups {
-            let pending2 = Rc::clone(&pending);
-            let done_cell2 = Rc::clone(&done_cell);
-            put_attempt(
-                Rc::clone(&inner),
-                sub_region,
-                ts,
-                muts,
-                floor,
-                replay,
-                attempt,
-                Box::new(move || {
-                    pending2.set(pending2.get() - 1);
-                    if pending2.get() == 0 {
-                        let done = done_cell2.borrow_mut().take().expect("single completion");
-                        done();
-                    }
-                }),
-            );
-        }
-        return;
+        let join = Rc::clone(&join);
+        let acked = move || {
+            join.0.set(join.0.get() - 1);
+            if join.0.get() == 0 {
+                let done = join.1.take().expect("the last acknowledgement comes once");
+                done();
+            }
+        };
+        call(Rc::clone(inner), put, Box::new(acked), attempt);
     }
-    let (routed_epoch, server) = {
-        let map = inner.map.borrow();
-        (map.epoch(), map.server_for(region))
-    };
-    let server = server.and_then(|s| inner.dir.get(s));
-    let Some(server) = server else {
-        refresh_map(&inner, routed_epoch);
-        let wait = backoff(&inner, attempt);
-        let inner2 = Rc::clone(&inner);
-        inner.retries.inc();
-        inner.sim.schedule_in(wait, move || {
-            put_attempt(
-                inner2,
-                region,
-                ts,
-                mutations,
-                floor,
-                replay,
-                attempt + 1,
-                done,
-            )
-        });
-        return;
-    };
-    let settled = Rc::new(Cell::new(false));
-    let done_cell: Rc<RefCell<Option<Box<dyn FnOnce()>>>> = Rc::new(RefCell::new(Some(done)));
-    let server_node = server.node();
-    let from = inner.from;
-    let net_back = Rc::clone(&inner.net);
-    let size = 64 + mutations.iter().map(Mutation::wire_size).sum::<usize>();
-    {
-        let inner = Rc::clone(&inner);
-        let settled = Rc::clone(&settled);
-        let done_cell = Rc::clone(&done_cell);
-        let mutations2 = mutations.clone();
-        inner.net.clone().send(from, server_node, size, move || {
-            let net_back = Rc::clone(&net_back);
-            let server2 = Rc::clone(&server);
-            let mutations3 = mutations2.clone();
-            server2.handle_multi_put(region, ts, mutations2, floor, replay, move |result| {
-                net_back.send(server_node, from, 48, move || {
-                    if settled.get() {
-                        return;
-                    }
-                    settled.set(true);
-                    let done = done_cell.borrow_mut().take().expect("settled guards");
-                    match result {
-                        Ok(()) => {
-                            inner.puts_ok.inc();
-                            done();
-                        }
-                        Err(_) => {
-                            inner.retries.inc();
-                            refresh_map(&inner, routed_epoch);
-                            let wait = backoff(&inner, attempt);
-                            let inner2 = Rc::clone(&inner);
-                            inner.sim.schedule_in(wait, move || {
-                                put_attempt(
-                                    inner2,
-                                    region,
-                                    ts,
-                                    mutations3,
-                                    floor,
-                                    replay,
-                                    attempt + 1,
-                                    done,
-                                )
-                            });
-                        }
-                    }
-                });
-            });
-        });
-    }
-    let inner2 = Rc::clone(&inner);
-    inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if settled.get() {
-            return;
-        }
-        settled.set(true);
-        let done = done_cell.borrow_mut().take().expect("settled guards");
-        inner2.retries.inc();
-        refresh_map(&inner2, routed_epoch);
-        let wait = backoff(&inner2, attempt);
-        let inner3 = Rc::clone(&inner2);
-        inner2.sim.schedule_in(wait, move || {
-            put_attempt(
-                inner3,
-                region,
-                ts,
-                mutations,
-                floor,
-                replay,
-                attempt + 1,
-                done,
-            )
-        });
-    });
 }
 
 /// Shared completion state of one [`StoreClient::multi_get`]: per-region
@@ -655,152 +647,82 @@ struct MultiGetCtx {
     done: RefCell<Option<Box<dyn FnOnce(Vec<Option<VersionedValue>>)>>>,
 }
 
-fn multi_get_attempt(
-    inner: Rc<Inner>,
+/// One region's share of a batched get: `(input index, (row, column))`.
+#[derive(Clone)]
+struct MultiGet {
     region: RegionId,
-    group: Vec<(usize, Bytes, Bytes)>,
+    group: Vec<(usize, (Bytes, Bytes))>,
+    snapshot: Timestamp,
+}
+
+impl Request for MultiGet {
+    type Reply = Vec<Option<VersionedValue>>;
+    type Then = Rc<MultiGetCtx>;
+
+    fn route(&self) -> Route<'_> {
+        Route::Region(self.region)
+    }
+
+    fn regroup(self, inner: Rc<Inner>, ctx: Self::Then, attempt: u32) {
+        multi_get_by_region(&inner, self.group, self.snapshot, attempt, ctx);
+    }
+
+    fn wire_size(&self) -> usize {
+        let cells = self.group.iter();
+        64 + cells
+            .map(|(_, (r, c))| 8 + r.len() + c.len())
+            .sum::<usize>()
+    }
+
+    fn reply_size(result: &Result<Self::Reply, StoreError>) -> usize {
+        48 + result.as_ref().map(|v| v.len() * 64).unwrap_or(0)
+    }
+
+    fn rpcs(inner: &Inner) -> Option<&Counter> {
+        Some(&inner.multi_get_rpcs)
+    }
+
+    fn serve(self, server: &Rc<RegionServer>, reply: impl ReplyTo<Self::Reply>) {
+        let cells = self.group.into_iter().map(|(_, cell)| cell).collect();
+        server.handle_multi_get(self.region, cells, self.snapshot, reply);
+    }
+
+    /// Writes the group's values into the batch result (input order) and
+    /// fires the batch completion when the last cell lands.
+    fn served(self, inner: Rc<Inner>, values: Self::Reply, ctx: Self::Then) {
+        inner.multi_gets_ok.inc();
+        debug_assert_eq!(self.group.len(), values.len());
+        {
+            let mut results = ctx.results.borrow_mut();
+            for ((i, _), vv) in self.group.iter().zip(values) {
+                results[*i] = vv;
+            }
+        }
+        ctx.remaining.set(ctx.remaining.get() - self.group.len());
+        if ctx.remaining.get() == 0 {
+            let done = ctx.done.borrow_mut().take().expect("single completion");
+            done(std::mem::take(&mut *ctx.results.borrow_mut()));
+        }
+    }
+}
+
+/// One batched get per region hosting any of `cells` under the cached
+/// map, all issued at `attempt` and completing into `ctx`.
+fn multi_get_by_region(
+    inner: &Rc<Inner>,
+    cells: impl IntoIterator<Item = (usize, (Bytes, Bytes))>,
     snapshot: Timestamp,
     attempt: u32,
     ctx: Rc<MultiGetCtx>,
 ) {
-    if !inner.net.is_alive(inner.from) {
-        return; // the client process is dead; drop the retry chain
-    }
-    // The addressed region id may have been split away since the batch
-    // was grouped: re-group this group's cells by the current boundaries
-    // and fan out to the daughters (same self-healing as `put_attempt`).
-    let must_regroup = {
-        let map = inner.map.borrow();
-        !map.regions().is_empty() && map.descriptor(region).is_none()
-    };
-    if must_regroup {
-        let groups: BTreeMap<RegionId, Vec<(usize, Bytes, Bytes)>> = {
-            let map = inner.map.borrow();
-            let mut g: BTreeMap<RegionId, Vec<(usize, Bytes, Bytes)>> = BTreeMap::new();
-            for (i, row, column) in group {
-                g.entry(map.region_for(&row))
-                    .or_default()
-                    .push((i, row, column));
-            }
-            g
+    let groups = by_region(&inner.map.borrow(), cells, |(_, (row, _))| row);
+    for (region, group) in groups {
+        let multi_get = MultiGet {
+            region,
+            group,
+            snapshot,
         };
-        for (sub_region, sub) in groups {
-            multi_get_attempt(
-                Rc::clone(&inner),
-                sub_region,
-                sub,
-                snapshot,
-                attempt,
-                Rc::clone(&ctx),
-            );
-        }
-        return;
-    }
-    let (routed_epoch, server) = {
-        let map = inner.map.borrow();
-        (map.epoch(), map.server_for(region))
-    };
-    let server = server.and_then(|s| inner.dir.get(s));
-    let Some(server) = server else {
-        refresh_map(&inner, routed_epoch);
-        let wait = backoff(&inner, attempt);
-        let inner2 = Rc::clone(&inner);
-        inner.retries.inc();
-        inner.sim.schedule_in(wait, move || {
-            multi_get_attempt(inner2, region, group, snapshot, attempt + 1, ctx)
-        });
-        return;
-    };
-    let settled = Rc::new(Cell::new(false));
-    let server_node = server.node();
-    let from = inner.from;
-    let net_back = Rc::clone(&inner.net);
-    let size = 64
-        + group
-            .iter()
-            .map(|(_, r, c)| 8 + r.len() + c.len())
-            .sum::<usize>();
-    inner.multi_get_rpcs.inc();
-    {
-        let inner = Rc::clone(&inner);
-        let settled = Rc::clone(&settled);
-        let ctx = Rc::clone(&ctx);
-        let group2 = group.clone();
-        inner.net.clone().send(from, server_node, size, move || {
-            let net_back = Rc::clone(&net_back);
-            let server2 = Rc::clone(&server);
-            let cells: Vec<(Bytes, Bytes)> = group2
-                .iter()
-                .map(|(_, r, c)| (r.clone(), c.clone()))
-                .collect();
-            let group3 = group2.clone();
-            server2.handle_multi_get(region, cells, snapshot, move |result| {
-                let size = 48 + result.as_ref().map(|v| v.len() * 64).unwrap_or(0);
-                net_back.send(server_node, from, size, move || {
-                    if settled.get() {
-                        return;
-                    }
-                    settled.set(true);
-                    match result {
-                        Ok(values) => {
-                            inner.multi_gets_ok.inc();
-                            complete_multi_get_group(&ctx, &group3, values);
-                        }
-                        Err(_) => {
-                            inner.retries.inc();
-                            refresh_map(&inner, routed_epoch);
-                            let wait = backoff(&inner, attempt);
-                            let inner2 = Rc::clone(&inner);
-                            inner.sim.schedule_in(wait, move || {
-                                multi_get_attempt(
-                                    inner2,
-                                    region,
-                                    group3,
-                                    snapshot,
-                                    attempt + 1,
-                                    ctx,
-                                )
-                            });
-                        }
-                    }
-                });
-            });
-        });
-    }
-    let inner2 = Rc::clone(&inner);
-    inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if settled.get() {
-            return;
-        }
-        settled.set(true);
-        inner2.retries.inc();
-        refresh_map(&inner2, routed_epoch);
-        let wait = backoff(&inner2, attempt);
-        let inner3 = Rc::clone(&inner2);
-        inner2.sim.schedule_in(wait, move || {
-            multi_get_attempt(inner3, region, group, snapshot, attempt + 1, ctx)
-        });
-    });
-}
-
-/// Writes one served group's values into the batch result (input order)
-/// and fires the batch completion when the last cell lands.
-fn complete_multi_get_group(
-    ctx: &Rc<MultiGetCtx>,
-    group: &[(usize, Bytes, Bytes)],
-    values: Vec<Option<VersionedValue>>,
-) {
-    debug_assert_eq!(group.len(), values.len());
-    {
-        let mut results = ctx.results.borrow_mut();
-        for ((i, _, _), vv) in group.iter().zip(values) {
-            results[*i] = vv;
-        }
-    }
-    ctx.remaining.set(ctx.remaining.get() - group.len());
-    if ctx.remaining.get() == 0 {
-        let done = ctx.done.borrow_mut().take().expect("single completion");
-        done(std::mem::take(&mut *ctx.results.borrow_mut()));
+        call(Rc::clone(inner), multi_get, Rc::clone(&ctx), attempt);
     }
 }
 
@@ -813,156 +735,66 @@ struct ScanState {
 }
 
 /// One continuation leg of a cross-region scan: asks the region hosting
-/// `cursor` for up to `remaining` cells of `[cursor, end)`, then either
-/// completes the scan or recurses at the served region's end bound (see
-/// [`crate::ScanPage`]). Errors and timeouts retry the *same* leg —
-/// same cursor, same remaining budget, accumulated cells untouched —
-/// after a map refresh, so a split, merge, move or failover landing
-/// mid-scan cannot drop or duplicate cells: the cursor only ever
-/// advances to a bound some server actually served through.
-#[allow(clippy::too_many_arguments)]
-fn scan_leg(
-    inner: Rc<Inner>,
+/// `cursor` for up to `remaining` cells of `[cursor, end)` (see
+/// [`crate::ScanPage`]). Errors and timeouts retry the *same* leg — same
+/// cursor, same remaining budget, accumulated cells untouched — after a
+/// map refresh, so a split, merge, move or failover landing mid-scan
+/// cannot drop or duplicate cells: the cursor only ever advances to a
+/// bound some server actually served through.
+#[derive(Clone)]
+struct ScanLeg {
     cursor: Bytes,
     end: Option<Bytes>,
     snapshot: Timestamp,
     remaining: usize,
-    acc: Vec<(Bytes, Bytes, VersionedValue)>,
-    attempt: u32,
-    done: Box<dyn FnOnce(Vec<(Bytes, Bytes, VersionedValue)>)>,
-) {
-    if !inner.net.is_alive(inner.from) {
-        return; // the client process is dead; drop the retry chain
-    }
-    let (routed_epoch, server) = {
-        let map = inner.map.borrow();
-        (map.epoch(), map.locate(&cursor).1)
-    };
-    let server = server.and_then(|s| inner.dir.get(s));
-    let Some(server) = server else {
-        refresh_map(&inner, routed_epoch);
-        let wait = backoff(&inner, attempt);
-        let inner2 = Rc::clone(&inner);
-        inner.retries.inc();
-        inner.sim.schedule_in(wait, move || {
-            scan_leg(
-                inner2,
-                cursor,
-                end,
-                snapshot,
-                remaining,
-                acc,
-                attempt + 1,
-                done,
-            )
-        });
-        return;
-    };
-    let settled = Rc::new(Cell::new(false));
-    let state_cell: Rc<RefCell<Option<ScanState>>> =
-        Rc::new(RefCell::new(Some(ScanState { acc, done })));
-    let server_node = server.node();
-    let from = inner.from;
-    let net_back = Rc::clone(&inner.net);
-    inner.scan_leg_rpcs.inc();
-    {
-        let inner = Rc::clone(&inner);
-        let settled = Rc::clone(&settled);
-        let state_cell = Rc::clone(&state_cell);
-        let (cursor2, end2) = (cursor.clone(), end.clone());
-        inner.net.clone().send(from, server_node, 96, move || {
-            let net_back = Rc::clone(&net_back);
-            let server2 = Rc::clone(&server);
-            server2.handle_scan(
-                cursor2.clone(),
-                end2.clone(),
-                snapshot,
-                remaining,
-                move |result| {
-                    let size = 64 + result.as_ref().map(|p| p.cells.len() * 64).unwrap_or(0);
-                    net_back.send(server_node, from, size, move || {
-                        if settled.get() {
-                            return;
-                        }
-                        settled.set(true);
-                        let state = state_cell.borrow_mut().take().expect("settled guards");
-                        match result {
-                            Ok(page) => advance_scan(inner, end2, snapshot, remaining, state, page),
-                            Err(_) => {
-                                inner.retries.inc();
-                                refresh_map(&inner, routed_epoch);
-                                let wait = backoff(&inner, attempt);
-                                let inner2 = Rc::clone(&inner);
-                                inner.sim.schedule_in(wait, move || {
-                                    scan_leg(
-                                        inner2,
-                                        cursor2,
-                                        end2,
-                                        snapshot,
-                                        remaining,
-                                        state.acc,
-                                        attempt + 1,
-                                        state.done,
-                                    )
-                                });
-                            }
-                        }
-                    });
-                },
-            );
-        });
-    }
-    let inner2 = Rc::clone(&inner);
-    inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if settled.get() {
-            return;
-        }
-        settled.set(true);
-        let state = state_cell.borrow_mut().take().expect("settled guards");
-        inner2.retries.inc();
-        refresh_map(&inner2, routed_epoch);
-        let wait = backoff(&inner2, attempt);
-        let inner3 = Rc::clone(&inner2);
-        inner2.sim.schedule_in(wait, move || {
-            scan_leg(
-                inner3,
-                cursor,
-                end,
-                snapshot,
-                remaining,
-                state.acc,
-                attempt + 1,
-                state.done,
-            )
-        });
-    });
 }
 
-/// Completion step of one served scan leg: absorb the page, then finish
-/// — limit filled, table end reached, requested end covered by the
-/// region just served, or continuation disabled (legacy single-region
-/// truncation) — or issue the next leg at the region's end bound.
-fn advance_scan(
-    inner: Rc<Inner>,
-    end: Option<Bytes>,
-    snapshot: Timestamp,
-    remaining: usize,
-    mut state: ScanState,
-    page: crate::server::ScanPage,
-) {
-    let got = page.cells.len();
-    state.acc.extend(page.cells);
-    let left = remaining.saturating_sub(got);
-    let covered = match (&page.region_end, &end) {
-        (None, _) => true,              // the region extends to the table end
-        (Some(re), Some(e)) => re >= e, // the requested end is inside the region
-        (Some(_), None) => false,       // more table to the right
-    };
-    if left == 0 || covered || !inner.cfg.cross_region_scans {
-        inner.scans_ok.inc();
-        (state.done)(state.acc);
-        return;
+impl Request for ScanLeg {
+    type Reply = ScanPage;
+    type Then = ScanState;
+
+    fn route(&self) -> Route<'_> {
+        Route::Row(&self.cursor)
     }
-    let next = page.region_end.expect("covered handles None");
-    scan_leg(inner, next, end, snapshot, left, state.acc, 0, state.done);
+
+    fn wire_size(&self) -> usize {
+        96
+    }
+
+    fn reply_size(result: &Result<ScanPage, StoreError>) -> usize {
+        64 + result.as_ref().map(|p| p.cells.len() * 64).unwrap_or(0)
+    }
+
+    fn rpcs(inner: &Inner) -> Option<&Counter> {
+        Some(&inner.scan_leg_rpcs)
+    }
+
+    fn serve(self, server: &Rc<RegionServer>, reply: impl ReplyTo<ScanPage>) {
+        server.handle_scan(self.cursor, self.end, self.snapshot, self.remaining, reply);
+    }
+
+    /// Absorbs the page, then finishes — limit filled, table end reached,
+    /// requested end covered by the region just served, or continuation
+    /// disabled (legacy single-region truncation) — or issues the next
+    /// leg at the region's end bound.
+    fn served(self, inner: Rc<Inner>, page: ScanPage, mut state: ScanState) {
+        let left = self.remaining.saturating_sub(page.cells.len());
+        state.acc.extend(page.cells);
+        let covered = match (&page.region_end, &self.end) {
+            (None, _) => true,              // the region extends to the table end
+            (Some(re), Some(e)) => re >= e, // the requested end is inside the region
+            (Some(_), None) => false,       // more table to the right
+        };
+        if left == 0 || covered || !inner.cfg.cross_region_scans {
+            inner.scans_ok.inc();
+            (state.done)(state.acc);
+            return;
+        }
+        let next = ScanLeg {
+            cursor: page.region_end.expect("covered handles None"),
+            remaining: left,
+            ..self
+        };
+        call(inner, next, state, 0);
+    }
 }

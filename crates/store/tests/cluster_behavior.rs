@@ -165,9 +165,7 @@ fn write_rows(c: &Cluster, base_ts: u64, n: u64) {
         )]
         .into_iter()
         .collect();
-        for (region, muts) in c.client.group_write_set(&ws) {
-            c.client.multi_put(region, ts, muts, None, false, || {});
-        }
+        c.client.flush(ts, &ws, || {});
     }
     c.sim.run_for(SimDuration::from_secs(2));
 }
@@ -339,13 +337,10 @@ fn unsynced_wal_tail_is_lost_without_transactional_recovery() {
         .into_iter()
         .collect();
     let acked = Rc::new(RefCell::new(false));
-    for (region, muts) in c.client.group_write_set(&ws) {
-        let a = acked.clone();
-        c.client
-            .multi_put(region, Timestamp(7), muts, None, false, move || {
-                *a.borrow_mut() = true;
-            });
-    }
+    let a = acked.clone();
+    c.client.flush(Timestamp(7), &ws, move || {
+        *a.borrow_mut() = true;
+    });
     // Run just long enough for the ack but not the WAL sync.
     c.sim.run_for(SimDuration::from_millis(8));
     let victim_id = {
@@ -372,13 +367,10 @@ fn sync_mode_survives_immediate_crash() {
         .into_iter()
         .collect();
     let acked = Rc::new(RefCell::new(false));
-    for (region, muts) in c.client.group_write_set(&ws) {
-        let a = acked.clone();
-        c.client
-            .multi_put(region, Timestamp(7), muts, None, false, move || {
-                *a.borrow_mut() = true;
-            });
-    }
+    let a = acked.clone();
+    c.client.flush(Timestamp(7), &ws, move || {
+        *a.borrow_mut() = true;
+    });
     c.sim.run_for(SimDuration::from_millis(100));
     assert!(*acked.borrow());
     let victim_id = {
@@ -1195,5 +1187,87 @@ fn the_first_answered_write_of_a_reissued_flush_wins_and_the_other_is_deleted() 
     for i in [0, 57, 99] {
         let got = read_row(&c, i, 10_000).and_then(|(_, v)| v);
         assert_eq!(got, Some(Bytes::from(format!("a{i:0>90}"))), "row {i}");
+    }
+}
+
+/// A client whose request timeout is shorter than a loaded server's
+/// answer: attempts time out while their requests are still queued, the
+/// requests are served anyway, and their replies come back to attempts
+/// long since re-issued. Every operation still completes exactly once,
+/// with the right contents — a late reply settles nothing.
+#[test]
+fn a_late_reply_completes_nothing_twice() {
+    let c = build(61, 2, 4, WalSyncMode::Async);
+    put_rows(&c, 1, (0..100).chain(900..1_000), "v");
+    c.sim.run_for(SimDuration::from_secs(2));
+    let impatient = StoreClient::new(
+        &c.sim,
+        &c.net,
+        c.net.add_node("impatient"),
+        &c.master,
+        &c.dir,
+        StoreClientConfig {
+            request_timeout: SimDuration::from_millis(4),
+            ..StoreClientConfig::default()
+        },
+    );
+    let loaded = |i: u64| Some(Bytes::from(format!("v{i:0>90}")));
+    let f0 = Bytes::from_static(b"f0");
+    let snapshot = Timestamp(5_000);
+    // Completions per kind: get, multi_get, scan, flush.
+    let completed: Rc<RefCell<[u32; 4]>> = Rc::default();
+    let count = |kind: usize| {
+        let completed = Rc::clone(&completed);
+        move || completed.borrow_mut()[kind] += 1
+    };
+    for k in 0..40u64 {
+        let far = 999 - k;
+        let counted = count(0);
+        impatient.get(key(k), f0.clone(), snapshot, move |v| {
+            assert_eq!(v.and_then(|v| v.value), loaded(k));
+            counted();
+        });
+        let counted = count(1);
+        let cells = vec![(key(k), f0.clone()), (key(far), f0.clone())];
+        impatient.multi_get(cells, snapshot, move |values| {
+            let values: Vec<_> = values
+                .into_iter()
+                .map(|v| v.and_then(|v| v.value))
+                .collect();
+            assert_eq!(values, [loaded(k), loaded(far)]);
+            counted();
+        });
+        let counted = count(2);
+        impatient.scan(key(0), None, snapshot, 100, move |cells| {
+            assert_eq!(cells.len(), 100);
+            for (i, (row, _, v)) in cells.into_iter().enumerate() {
+                assert_eq!((row, v.value), (key(i as u64), loaded(i as u64)));
+            }
+            counted();
+        });
+        let ws: WriteSet = [k, far]
+            .into_iter()
+            .map(|row| Mutation::put(key(row), "f1", format!("late-{k}")))
+            .collect();
+        impatient.flush(Timestamp(10_000 + k), &ws, count(3));
+    }
+    c.sim.run_for(SimDuration::from_secs(10));
+    assert!(impatient.retry_count() > 0, "no attempt ever timed out");
+    assert_eq!(*completed.borrow(), [40; 4]);
+    for k in 0..40u64 {
+        for row in [k, 999 - k] {
+            let got: Rc<RefCell<Option<Bytes>>> = Rc::default();
+            let sink = Rc::clone(&got);
+            let f1 = Bytes::from_static(b"f1");
+            c.client.get(key(row), f1, Timestamp::MAX, move |v| {
+                *sink.borrow_mut() = v.and_then(|v| v.value);
+            });
+            c.sim.run_for(SimDuration::from_millis(100));
+            assert_eq!(
+                got.take(),
+                Some(Bytes::from(format!("late-{k}"))),
+                "row {row}"
+            );
+        }
     }
 }
