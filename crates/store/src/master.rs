@@ -679,29 +679,16 @@ impl Master {
     fn assign_region(self: &Rc<Self>, region: RegionId, failed: Option<ServerId>) {
         let target = {
             let map = self.region_map.borrow();
-            let live_ids = self.dir.live_ids();
+            let live = self.ranked_live(&map);
             // Before the indexed counts, each server's assigned-region
             // count was a full scan of the assignments map — O(servers ×
             // regions) per placement, the cliff a mass-split failover
             // storm runs into. The counter pair records the work actually
             // done vs what the scan would have cost, so the scale bench
             // can emit the before/after evidence.
-            self.placement_cost.add(live_ids.len() as u64);
+            self.placement_cost.add(live.len() as u64);
             self.placement_cost_naive
-                .add((live_ids.len() * map.regions().len()) as u64);
-            let mut live: Vec<(u64, ServerId)> = live_ids
-                .into_iter()
-                .map(|id| {
-                    let load = self
-                        .dir
-                        .get(id)
-                        .map(|s| s.service_load_ns())
-                        .unwrap_or(u64::MAX);
-                    let assigned = map.assigned_count(id) as u64;
-                    (load.saturating_add(assigned * ASSIGNED_REGION_COST_NS), id)
-                })
-                .collect();
-            live.sort_unstable();
+                .add((live.len() * map.regions().len()) as u64);
             live.first().map(|(_, id)| *id)
         };
         let Some(target) = target else {
@@ -710,30 +697,13 @@ impl Master {
                 .push((region, Vec::new(), failed));
             return;
         };
-        let desc = self
-            .region_map
-            .borrow()
-            .descriptor(region)
-            .expect("region exists in the map")
-            .clone();
         self.region_map.borrow_mut().assign(region, target);
         self.events
             .borrow()
             .record(self.sim.now(), "region.assign", move || {
                 format!("region={region} server={target}")
             });
-        let server = self.dir.get(target).expect("registered");
-        let node = server.node();
-        let dfs = self.dfs.clone();
-        let net = Rc::clone(&self.net);
-        let master_node = self.node;
-        // Resolve the region's store files from the filesystem namespace
-        // (the equivalent of listing the region's HDFS directory).
-        dfs.list(&format!("/store/{region}/"), move |paths| {
-            net.send(master_node, node, 512, move || {
-                server.open_region(desc, paths, failed);
-            });
-        });
+        self.open_on(region, target, failed);
         // A replicated region placed via the replay fallback gets its
         // group rebuilt around the new primary.
         if self.replication_factor.get() > 1
@@ -751,6 +721,49 @@ impl Master {
             self.region_map.borrow_mut().set_replicas(region, replicas);
             self.establish_group(region);
         }
+    }
+
+    /// Live servers by placement load, lightest first: the cumulative
+    /// foreground service time a server's regions have charged plus a
+    /// fixed cost per assigned region, ties broken by server id.
+    fn ranked_live(&self, map: &RegionMap) -> Vec<(u64, ServerId)> {
+        let mut live: Vec<(u64, ServerId)> = self
+            .dir
+            .live_ids()
+            .into_iter()
+            .map(|id| {
+                let load = self
+                    .dir
+                    .get(id)
+                    .map(|s| s.service_load_ns())
+                    .unwrap_or(u64::MAX);
+                let assigned = map.assigned_count(id) as u64;
+                (load.saturating_add(assigned * ASSIGNED_REGION_COST_NS), id)
+            })
+            .collect();
+        live.sort_unstable();
+        live
+    }
+
+    /// Tells `target` to open `region` over the store files listed under
+    /// its directory in the filesystem namespace (the equivalent of
+    /// listing the region's HDFS directory).
+    fn open_on(&self, region: RegionId, target: ServerId, failed: Option<ServerId>) {
+        let desc = self
+            .region_map
+            .borrow()
+            .descriptor(region)
+            .expect("region exists in the map")
+            .clone();
+        let server = self.dir.get(target).expect("registered");
+        let node = server.node();
+        let net = Rc::clone(&self.net);
+        let master_node = self.node;
+        self.dfs.list(&format!("/store/{region}/"), move |paths| {
+            net.send(master_node, node, 512, move || {
+                server.open_region(desc, paths, failed);
+            });
+        });
     }
 
     fn retry_unplaced(self: &Rc<Self>) {
@@ -935,21 +948,7 @@ impl Master {
         }
         let picked = {
             let map = self.region_map.borrow();
-            let mut live: Vec<(u64, ServerId)> = self
-                .dir
-                .live_ids()
-                .into_iter()
-                .map(|id| {
-                    let load = self
-                        .dir
-                        .get(id)
-                        .map(|s| s.service_load_ns())
-                        .unwrap_or(u64::MAX);
-                    let assigned = map.assigned_count(id) as u64;
-                    (load.saturating_add(assigned * ASSIGNED_REGION_COST_NS), id)
-                })
-                .collect();
-            live.sort_unstable();
+            let live = self.ranked_live(&map);
             if live.len() < 2 {
                 return;
             }
@@ -1040,23 +1039,7 @@ impl Master {
             .record(self.sim.now(), "move.open", move || {
                 format!("region={region} donor={donor} target={target}")
             });
-        let desc = self
-            .region_map
-            .borrow()
-            .descriptor(region)
-            .expect("region exists in the map")
-            .clone();
-        let server = self.dir.get(target).expect("alive implies registered");
-        let node = server.node();
-        let dfs = self.dfs.clone();
-        let net = Rc::clone(&self.net);
-        let master_node = self.node;
-        dfs.clone()
-            .list(&format!("/store/{region}/"), move |paths| {
-                net.send(master_node, node, 512, move || {
-                    server.open_region(desc, paths, None);
-                });
-            });
+        self.open_on(region, target, None);
     }
 
     // ------------------------------------------------------------------
