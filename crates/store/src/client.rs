@@ -81,7 +81,8 @@ struct Inner {
     dir: Rc<ServerDirectory>,
     map: RefCell<RegionMap>,
     cfg: StoreClientConfig,
-    refresh_inflight: Cell<bool>,
+    /// Send instant of the map fetch in flight, if any.
+    refresh_inflight: Cell<Option<u64>>,
     /// Completion instant of the last map refresh, for the
     /// `min_refresh_interval` debounce (`None` = never refreshed).
     last_refresh: Cell<Option<u64>>,
@@ -130,7 +131,7 @@ impl StoreClient {
                 dir: Rc::clone(dir),
                 map: RefCell::new(master.snapshot_map()),
                 cfg,
-                refresh_inflight: Cell::new(false),
+                refresh_inflight: Cell::new(None),
                 last_refresh: Cell::new(None),
                 retries: Counter::new(),
                 gets_ok: Counter::new(),
@@ -335,7 +336,7 @@ fn backoff(inner: &Inner, attempt: u32) -> SimDuration {
 }
 
 /// Refreshes the cached region map from the master, debounced by the
-/// inflight flag and — when [`StoreClientConfig::min_refresh_interval`]
+/// inflight stamp and — when [`StoreClientConfig::min_refresh_interval`]
 /// is non-zero — by an epoch check and a minimum fetch spacing.
 ///
 /// `observed_epoch` is the cached map's epoch at the moment the failed
@@ -347,8 +348,18 @@ fn backoff(inner: &Inner, attempt: u32) -> SimDuration {
 /// checks are skipped and the legacy fetch-per-failure behavior (and its
 /// exact message schedule) is preserved.
 fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
-    if inner.refresh_inflight.get() {
-        return;
+    // A fetch in flight answers for this failure too — unless it is older
+    // than a request timeout. A healthy fetch round-trips in about a
+    // millisecond, so that one went into a partition (the network drops,
+    // it does not queue), and waiting for it would leave the flag set and
+    // this client's map stale for good. Should its reply turn up after
+    // all, FIFO delivery per node pair installs it before the newer
+    // fetch's, so the install needs no epoch guard.
+    let now = inner.sim.now().nanos();
+    if let Some(sent) = inner.refresh_inflight.get() {
+        if now.saturating_sub(sent) < inner.cfg.request_timeout.nanos() {
+            return;
+        }
     }
     if !inner.cfg.min_refresh_interval.is_zero() {
         if inner.map.borrow().epoch() > observed_epoch {
@@ -356,14 +367,13 @@ fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
             return;
         }
         if let Some(last) = inner.last_refresh.get() {
-            let now = inner.sim.now().nanos();
             if now.saturating_sub(last) < inner.cfg.min_refresh_interval.nanos() {
                 inner.refresh_skips.inc();
                 return;
             }
         }
     }
-    inner.refresh_inflight.set(true);
+    inner.refresh_inflight.set(Some(now));
     let master = Rc::clone(&inner.master);
     let net = Rc::clone(&inner.net);
     let from = inner.from;
@@ -374,7 +384,7 @@ fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
         net.send(master.node(), from, size, move || {
             *inner2.map.borrow_mut() = snapshot;
             inner2.last_refresh.set(Some(inner2.sim.now().nanos()));
-            inner2.refresh_inflight.set(false);
+            inner2.refresh_inflight.set(None);
         });
     });
 }

@@ -5,6 +5,7 @@
 
 mod common;
 
+use bytes::Bytes;
 use common::{ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, TxnError};
 use cumulo_sim::SimDuration;
@@ -235,4 +236,51 @@ fn flush_write_lost_to_a_healed_partition_is_reissued() {
         let got = cluster.read_cell(row.clone(), "f0", SimDuration::from_secs(10));
         assert_eq!(got.as_deref(), Some(value.as_bytes()), "row {row}");
     }
+}
+
+/// A region-map fetch dropped by a partition between a client and the
+/// master — one that heals long before anything expires — must not be
+/// that client's last: the fetch is given up as lost and sent again, so
+/// reads routed to a server that crashed meanwhile find the regions'
+/// new host instead of retrying the dead one for good.
+#[test]
+fn map_refresh_lost_to_a_healed_partition_is_retried() {
+    let cluster = Cluster::build(ClusterConfig {
+        seed: 75,
+        clients: 1,
+        servers: 2,
+        regions: 4,
+        key_count: 1_000,
+        ..ClusterConfig::default()
+    });
+    cluster.load_rows(1_000, &["f0"], 8, false);
+    let store = cluster.client(0).store_client().clone();
+    let (client_node, master_node) = (cluster.client(0).node(), cluster.master.node());
+
+    // The reads to the crashed server time out and ask for a fresh map;
+    // the request goes into the partition.
+    cluster.net.partition(client_node, master_node);
+    cluster.crash_server(1);
+    let served: Rc<RefCell<Vec<Option<Bytes>>>> = Rc::default();
+    for i in 0..10u64 {
+        let served = Rc::clone(&served);
+        let row = format!("user{:012}", i * 100);
+        store.get(row.into(), "f0".into(), Timestamp::MAX, move |vv| {
+            served.borrow_mut().push(vv.and_then(|v| v.value));
+        });
+    }
+    cluster.run_for(SimDuration::from_millis(500));
+    cluster.net.heal(client_node, master_node);
+    cluster.run_for(SimDuration::from_secs(30));
+
+    assert_eq!(cluster.master.failover_count(), 1);
+    assert!(
+        cluster.client(0).is_alive(),
+        "nothing of the client expired"
+    );
+    let served = served.borrow();
+    assert_eq!(served.len(), 10, "reads still outstanding");
+    assert!(served
+        .iter()
+        .all(|v| v.as_deref() == Some(&b"aaaaaaaa"[..])));
 }
