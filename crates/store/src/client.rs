@@ -468,14 +468,14 @@ fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
     // original waits in the slot the reply and the timeout race for —
     // whoever takes it out settles the attempt.
     let wire = request.clone();
-    let slot = Rc::new(RefCell::new(Some((request, then))));
+    let slot = Rc::new(Cell::new(Some((request, then))));
     let (inner2, slot2) = (Rc::clone(&inner), Rc::clone(&slot));
     let net = Rc::clone(&inner.net);
     inner.net.send(from, to, size, move || {
         wire.serve(&server, move |result| {
             let size = R::reply_size(&result);
             net.send(to, from, size, move || {
-                let Some((request, then)) = slot2.borrow_mut().take() else {
+                let Some((request, then)) = slot2.take() else {
                     return;
                 };
                 match result {
@@ -488,7 +488,7 @@ fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
     });
     let inner2 = Rc::clone(&inner);
     inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if let Some((request, then)) = slot.borrow_mut().take() {
+        if let Some((request, then)) = slot.take() {
             retry(inner2, request, then, attempt, routed_epoch);
         }
     });
