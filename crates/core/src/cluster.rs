@@ -260,6 +260,7 @@ impl Cluster {
         // Transaction manager on its own node.
         let tm_node = net.add_node("txn-manager");
         let tm = TransactionManager::new(&sim, tm_node, cfg.tm_cfg);
+        tm.log().register_metrics(&metrics);
 
         // Region servers.
         let mut server_cfg = cfg.server_cfg;

@@ -1,4 +1,4 @@
-//! The transaction manager's recovery log with group commit.
+//! The transaction manager's recovery log with self-clocking group commit.
 //!
 //! "If the transaction manager decides that the transaction can commit,
 //! the transaction receives a commit timestamp and its write-set, together
@@ -6,11 +6,26 @@
 //! recovery log to make it persistent. At this point, the transaction is
 //! considered committed." (§2.2)
 //!
-//! Appends are batched: a periodic group-commit tick forces all pending
-//! records with a single device sync, then acknowledges them together —
-//! "the logging sub-component supports group commit" (§4.1).
+//! "The logging sub-component supports group commit" (§4.1), and the
+//! device is its clock — there is no timer:
+//!
+//! * **What starts a flush.** An append to an idle log starts one device
+//!   `write + sync` at once, and the completion of a flush starts the
+//!   next one if anything is waiting. Nothing else does.
+//! * **When a batch forms.** Records that arrive while a flush is in
+//!   flight wait for it and then ride the next flush together. Batches
+//!   therefore form exactly when appends arrive faster than the device
+//!   syncs, and an idle log never delays a record to wait for company.
+//! * **The bound.** At most one flush is in flight, so an append waits
+//!   for at most one flush other than its own: it is acknowledged within
+//!   two device rounds of its arrival.
+//!
+//! A record is acknowledged only after its `write + sync` completed and it
+//! is readable through [`RecoveryLog::fetch_after`]; acknowledgements run
+//! in append order.
 
-use cumulo_sim::{every, Disk, DiskConfig, Sim, SimDuration, TimerHandle};
+use cumulo_sim::metrics::{Counter, Histogram};
+use cumulo_sim::{Disk, DiskConfig, MetricsRegistry, Sim, SimTime};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -35,13 +50,13 @@ impl LogRecord {
     }
 }
 
-/// Recovery-log tuning knobs.
+/// Recovery-log configuration: the device, and nothing to tune. Group
+/// commit is self-clocking (see the module docs) — a flush starts when
+/// the log is idle or the previous flush completes, a batch is whatever
+/// arrived during one sync, and an append waits for at most one flush
+/// other than its own — so there is no period and no batch cap to set.
 #[derive(Copy, Clone, Debug)]
 pub struct RecoveryLogConfig {
-    /// Group-commit period: pending appends are forced at this cadence.
-    pub group_commit_interval: SimDuration,
-    /// Force early when this many records are pending.
-    pub max_batch: usize,
     /// Latency profile of the log device.
     pub disk: DiskConfig,
 }
@@ -49,8 +64,6 @@ pub struct RecoveryLogConfig {
 impl Default for RecoveryLogConfig {
     fn default() -> Self {
         RecoveryLogConfig {
-            group_commit_interval: SimDuration::from_millis(1),
-            max_batch: 64,
             disk: DiskConfig::fast_log_device(),
         }
     }
@@ -58,24 +71,27 @@ impl Default for RecoveryLogConfig {
 
 struct Pending {
     record: LogRecord,
+    appended_at: SimTime,
     done: Box<dyn FnOnce()>,
 }
 
 /// The append-only recovery log. Shared via `Rc`.
 pub struct RecoveryLog {
-    _sim: Sim,
+    sim: Sim,
     disk: Rc<Disk>,
-    cfg: RecoveryLogConfig,
     /// Durable records, ordered by commit timestamp.
     records: RefCell<BTreeMap<Timestamp, LogRecord>>,
+    /// Appends waiting for the flush in flight to complete.
     pending: RefCell<Vec<Pending>>,
+    /// Set from the start of a flush until its last acknowledgement ran.
     flush_inflight: Cell<bool>,
     truncated_below: Cell<Timestamp>,
-    appends: Cell<u64>,
-    forced_batches: Cell<u64>,
+    appends: Counter,
+    batches: Counter,
+    /// Append → durable acknowledgement, per record.
+    ack_ns: Histogram,
     truncated_records: Cell<u64>,
-    timer: RefCell<Option<TimerHandle>>,
-    self_weak: RefCell<Weak<RecoveryLog>>,
+    self_weak: Weak<RecoveryLog>,
 }
 
 impl fmt::Debug for RecoveryLog {
@@ -89,45 +105,43 @@ impl fmt::Debug for RecoveryLog {
 }
 
 impl RecoveryLog {
-    /// Creates the log and starts its group-commit timer.
+    /// Creates an empty, idle log on its own device.
     pub fn new(sim: &Sim, cfg: RecoveryLogConfig) -> Rc<RecoveryLog> {
-        let log = Rc::new(RecoveryLog {
-            _sim: sim.clone(),
+        Rc::new_cyclic(|self_weak| RecoveryLog {
+            sim: sim.clone(),
             disk: Disk::new(sim, cfg.disk),
-            cfg,
             records: RefCell::new(BTreeMap::new()),
             pending: RefCell::new(Vec::new()),
             flush_inflight: Cell::new(false),
             truncated_below: Cell::new(Timestamp::ZERO),
-            appends: Cell::new(0),
-            forced_batches: Cell::new(0),
+            appends: Counter::new(),
+            batches: Counter::new(),
+            ack_ns: Histogram::new(),
             truncated_records: Cell::new(0),
-            timer: RefCell::new(None),
-            self_weak: RefCell::new(Weak::new()),
-        });
-        *log.self_weak.borrow_mut() = Rc::downgrade(&log);
-        let weak = Rc::downgrade(&log);
-        let timer = every(sim, cfg.group_commit_interval, move || {
-            if let Some(log) = weak.upgrade() {
-                log.maybe_flush();
-            }
-        });
-        *log.timer.borrow_mut() = Some(timer);
-        log
+            self_weak: self_weak.clone(),
+        })
+    }
+
+    /// Registers the log's counters and its acknowledgement-latency
+    /// histogram under `tm.log.*`. Pure recording: no event, no RNG draw.
+    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+        registry.register_counter("tm.log.appends", &[], &self.appends);
+        registry.register_counter("tm.log.batches", &[], &self.batches);
+        registry.register_histogram("tm.log.ack_ns", &[], &self.ack_ns);
     }
 
     /// Appends a committed transaction; `done` runs at the durability
-    /// point (group-commit sync complete). Only then may the transaction
-    /// be reported committed to the client.
+    /// point (the record's `write + sync` complete). Only then may the
+    /// transaction be reported committed to the client. The flush starts
+    /// now if the log is idle, else when the flush in flight completes.
     pub fn append(&self, record: LogRecord, done: impl FnOnce() + 'static) {
-        self.appends.set(self.appends.get() + 1);
+        self.appends.inc();
         self.pending.borrow_mut().push(Pending {
             record,
+            appended_at: self.sim.now(),
             done: Box::new(done),
         });
-        if self.pending.borrow().len() >= self.cfg.max_batch {
-            self.maybe_flush();
-        }
+        self.maybe_flush();
     }
 
     fn maybe_flush(&self) {
@@ -135,24 +149,32 @@ impl RecoveryLog {
             return;
         }
         self.flush_inflight.set(true);
-        let batch: Vec<Pending> = self.pending.borrow_mut().drain(..).collect();
+        let batch = std::mem::take(&mut *self.pending.borrow_mut());
         let bytes: usize = batch.iter().map(|p| p.record.wire_size()).sum();
-        self.forced_batches.set(self.forced_batches.get() + 1);
-        let weak = self.self_weak.borrow().clone();
+        self.batches.inc();
+        let weak = self.self_weak.clone();
         let disk = Rc::clone(&self.disk);
         self.disk.write(bytes, move || {
             disk.sync(bytes, move || {
                 let Some(log) = weak.upgrade() else { return };
+                let mut acks = Vec::with_capacity(batch.len());
                 {
                     let mut records = log.records.borrow_mut();
-                    for p in &batch {
-                        records.insert(p.record.ts, p.record.clone());
+                    for p in batch {
+                        records.insert(p.record.ts, p.record);
+                        acks.push((p.appended_at, p.done));
                     }
                 }
-                log.flush_inflight.set(false);
-                for p in batch {
-                    (p.done)();
+                // The whole batch is durable and fetchable before the
+                // first acknowledgement runs. The log stays busy until
+                // the last one has: what a `done` appends rides the next
+                // flush together with whatever else is waiting.
+                let now = log.sim.now();
+                for (appended_at, done) in acks {
+                    log.ack_ns.record_duration(now - appended_at);
+                    done();
                 }
+                log.flush_inflight.set(false);
                 log.maybe_flush();
             });
         });
@@ -219,9 +241,14 @@ impl RecoveryLog {
         self.appends.get()
     }
 
-    /// Group-commit batches written.
+    /// Group-commit batches written (one device `write + sync` each).
     pub fn batch_count(&self) -> u64 {
-        self.forced_batches.get()
+        self.batches.get()
+    }
+
+    /// Append → durable acknowledgement latency, one sample per record.
+    pub fn ack_latency(&self) -> &Histogram {
+        &self.ack_ns
     }
 
     /// Records removed by truncation.
@@ -233,6 +260,7 @@ impl RecoveryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cumulo_sim::SimDuration;
     use cumulo_store::Mutation;
     use std::rc::Rc;
 
@@ -244,6 +272,24 @@ mod tests {
                 .into_iter()
                 .collect(),
         }
+    }
+
+    /// One device round for a batch of `bytes`: the `write` plus the
+    /// `sync` of [`Disk`] on the default log device.
+    fn device_round(bytes: usize) -> SimDuration {
+        let d = RecoveryLogConfig::default().disk;
+        let kb = (bytes as u64).div_ceil(1024);
+        d.op_latency + d.sync_latency + d.write_per_kb * (2 * kb)
+    }
+
+    /// A log whose acknowledgements are recorded as `(ts, instant)`.
+    type Acks = Rc<RefCell<Vec<(u64, SimTime)>>>;
+
+    fn append_recording(sim: &Sim, log: &RecoveryLog, acks: &Acks, ts: u64) {
+        let (sim, acks) = (sim.clone(), Rc::clone(acks));
+        log.append(record(ts, 0), move || {
+            acks.borrow_mut().push((ts, sim.now()))
+        });
     }
 
     #[test]
@@ -261,12 +307,16 @@ mod tests {
         assert_eq!(log.len(), 10);
     }
 
+    /// N appends in one instant: the first finds the log idle and goes
+    /// alone, the other N − 1 arrive during its sync and ride the second
+    /// flush together.
     #[test]
     fn group_commit_batches() {
         let sim = Sim::new(1);
         let log = RecoveryLog::new(&sim, RecoveryLogConfig::default());
+        let acks: Acks = Rc::default();
         for i in 1..=50 {
-            log.append(record(i, 0), || {});
+            append_recording(&sim, &log, &acks, i);
         }
         sim.run_for(SimDuration::from_millis(100));
         assert!(
@@ -274,7 +324,15 @@ mod tests {
             "50 appends should ride few batches: {}",
             log.batch_count()
         );
+        assert_eq!(log.batch_count(), 2, "1 then N - 1");
         assert_eq!(log.append_count(), 50);
+        let rest: usize = (2..=50).map(|i| record(i, 0).wire_size()).sum();
+        let first = SimTime::ZERO + device_round(record(1, 0).wire_size());
+        let second = first + device_round(rest);
+        let acks = acks.borrow();
+        assert_eq!(acks[0], (1, first));
+        assert_eq!(acks.len(), 50);
+        assert!(acks[1..].iter().all(|(_, at)| *at == second), "{acks:?}");
     }
 
     #[test]
@@ -323,39 +381,96 @@ mod tests {
         assert_eq!(log.truncated_below(), Timestamp(5));
     }
 
+    /// No tick to wait for: an append to an idle log is acknowledged
+    /// after exactly one `write + sync` of its size, whenever it arrives.
     #[test]
-    fn max_batch_forces_early_flush() {
-        let sim = Sim::new(1);
-        let cfg = RecoveryLogConfig {
-            group_commit_interval: SimDuration::from_secs(3600), // effectively never
-            ..RecoveryLogConfig::default()
-        };
-        let log = RecoveryLog::new(&sim, cfg);
-        let acked = Rc::new(Cell::new(0u32));
-        for i in 1..=64 {
-            let a = acked.clone();
-            log.append(record(i, 0), move || a.set(a.get() + 1));
-        }
-        sim.run_for(SimDuration::from_millis(100));
-        assert_eq!(
-            acked.get(),
-            64,
-            "max_batch must trigger the flush without the timer"
-        );
-    }
-
-    #[test]
-    fn commit_latency_reflects_group_commit_interval() {
+    fn idle_append_is_acknowledged_after_one_write_and_sync() {
         let sim = Sim::new(1);
         let log = RecoveryLog::new(&sim, RecoveryLogConfig::default());
-        let done_at = Rc::new(Cell::new(0u64));
-        let d = done_at.clone();
-        let s = sim.clone();
-        log.append(record(1, 0), move || d.set(s.now().nanos()));
+        let acks: Acks = Rc::default();
+        let round = device_round(record(1, 0).wire_size());
+        assert_eq!(round, SimDuration::from_micros(409));
+        // Arrival offsets that share no phase with any period.
+        let mut arrivals = Vec::new();
+        for (i, gap_us) in [0u64, 1_337, 2_718, 10_001].into_iter().enumerate() {
+            sim.run_for(SimDuration::from_micros(gap_us));
+            arrivals.push(sim.now());
+            append_recording(&sim, &log, &acks, i as u64 + 1);
+            assert_eq!(log.batch_count(), i as u64 + 1, "the flush starts at once");
+        }
         sim.run_for(SimDuration::from_millis(50));
-        let latency = done_at.get();
-        // One group-commit tick (1ms) + sync (~0.4ms) plus slack.
-        assert!(latency >= 1_000_000, "latency {latency}ns too low");
-        assert!(latency <= 5_000_000, "latency {latency}ns too high");
+        let acked_at: Vec<SimTime> = acks.borrow().iter().map(|(_, at)| *at).collect();
+        let expect: Vec<SimTime> = arrivals.iter().map(|at| *at + round).collect();
+        assert_eq!(acked_at, expect);
+        assert_eq!(log.ack_latency().min(), round.nanos());
+        assert_eq!(log.ack_latency().max(), round.nanos());
+    }
+
+    /// Acknowledgements run in append order — across batches and within
+    /// one — and the whole batch is in `fetch_after` before the first of
+    /// its `done`s runs.
+    #[test]
+    fn acks_run_in_append_order_after_the_batch_is_fetchable() {
+        let sim = Sim::new(1);
+        let log = RecoveryLog::new(&sim, RecoveryLogConfig::default());
+        let order: Rc<RefCell<Vec<u64>>> = Rc::default();
+        // Timestamps out of order on purpose: the order is the appends'.
+        let tss = [4u64, 2, 9, 1, 7, 3];
+        for (i, ts) in tss.into_iter().enumerate() {
+            let (order, log2) = (Rc::clone(&order), Rc::clone(&log));
+            let batch: Vec<u64> = if i == 0 { vec![4] } else { tss[1..].to_vec() };
+            log.append(record(ts, 0), move || {
+                let durable: Vec<u64> = log2
+                    .fetch_after(Timestamp::ZERO)
+                    .iter()
+                    .map(|r| r.ts.0)
+                    .collect();
+                for member in &batch {
+                    assert!(
+                        durable.contains(member),
+                        "ack of {ts} before {member} of its batch was fetchable: {durable:?}"
+                    );
+                }
+                order.borrow_mut().push(ts);
+            });
+        }
+        sim.run_for(SimDuration::from_millis(50));
+        assert_eq!(*order.borrow(), tss);
+    }
+
+    /// An append made by a `done` callback is not lost, and the log is
+    /// still busy while it acknowledges: what two callbacks of one batch
+    /// append rides one further flush together, started only when the
+    /// acknowledging flush is finished.
+    #[test]
+    fn append_from_a_done_callback_rides_the_next_flush() {
+        let sim = Sim::new(1);
+        let log = RecoveryLog::new(&sim, RecoveryLogConfig::default());
+        let acks: Acks = Rc::default();
+        append_recording(&sim, &log, &acks, 1);
+        for ts in [2u64, 3] {
+            let (sim2, log2, acks2) = (sim.clone(), Rc::clone(&log), Rc::clone(&acks));
+            log.append(record(ts, 0), move || {
+                acks2.borrow_mut().push((ts, sim2.now()));
+                append_recording(&sim2, &log2, &acks2, ts + 10);
+            });
+        }
+        sim.run_for(SimDuration::from_millis(50));
+        let size = record(1, 0).wire_size();
+        let first = SimTime::ZERO + device_round(size);
+        let second = first + device_round(2 * size);
+        let third = second + device_round(2 * size);
+        assert_eq!(
+            *acks.borrow(),
+            vec![
+                (1, first),
+                (2, second),
+                (3, second),
+                (12, third),
+                (13, third)
+            ]
+        );
+        assert_eq!(log.batch_count(), 3, "{{1}}, {{2, 3}}, {{12, 13}}");
+        assert_eq!(log.len(), 5);
     }
 }

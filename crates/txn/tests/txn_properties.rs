@@ -1,6 +1,6 @@
 //! Property-based tests of the transaction manager's invariants.
 
-use cumulo_sim::{NodeId, Sim, SimDuration};
+use cumulo_sim::{NodeId, Sim, SimDuration, SimTime};
 use cumulo_store::{ClientId, Mutation, Timestamp, WriteSet};
 use cumulo_txn::{
     CommitOutcome, ConflictChecker, LogRecord, RecoveryLog, RecoveryLogConfig, TransactionManager,
@@ -106,6 +106,100 @@ proptest! {
         let remaining: Vec<u64> = log.fetch_after(Timestamp::ZERO).iter().map(|r| r.ts.0).collect();
         let expect: Vec<u64> = model.iter().map(|(t, _)| *t).filter(|t| *t >= truncate_at).collect();
         prop_assert_eq!(remaining, expect);
+    }
+
+    /// Self-clocking group commit over random arrival schedules: the
+    /// flushes are reconstructed from outside (acknowledgements of one
+    /// batch share an instant; a flush of `n` equal records took
+    /// `device_round(n)` up to that instant) and checked against the
+    /// contract — a flush starts the moment the log is idle and has
+    /// something to write, never earlier, so flushes never overlap and an
+    /// append waits for at most one flush other than its own.
+    #[test]
+    fn group_commit_is_self_clocking_over_random_arrivals(
+        max_gap_us in 0u64..2_001,
+        gap_permille in prop::collection::vec(0u64..1_001, 1..401),
+    ) {
+        let sim = Sim::new(7);
+        let log = RecoveryLog::new(&sim, RecoveryLogConfig::default());
+        let acks: Rc<RefCell<Vec<(usize, SimTime)>>> = Rc::default();
+        let mut arrivals: Vec<SimTime> = Vec::new();
+        for (i, permille) in gap_permille.iter().enumerate() {
+            sim.run_for(SimDuration::from_nanos(max_gap_us * permille));
+            arrivals.push(sim.now());
+            let (sim2, acks2) = (sim.clone(), Rc::clone(&acks));
+            log.append(
+                LogRecord {
+                    ts: Timestamp(i as u64 + 1),
+                    client: ClientId(0),
+                    write_set: ws(&[1_000 + i as u16]), // equal sizes
+                },
+                move || acks2.borrow_mut().push((i, sim2.now())),
+            );
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        let n = arrivals.len();
+        let acks = acks.borrow();
+        prop_assert_eq!(
+            acks.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+            (0..n).collect::<Vec<_>>(),
+            "every append acknowledged once, in append order"
+        );
+
+        // One device round for a flush of `count` of these records.
+        let record_size = LogRecord {
+            ts: Timestamp(1),
+            client: ClientId(0),
+            write_set: ws(&[1_000]),
+        }
+        .wire_size();
+        let disk = RecoveryLogConfig::default().disk;
+        let device_round = |count: usize| {
+            let kb = ((count * record_size) as u64).div_ceil(1024);
+            disk.op_latency + disk.sync_latency + disk.write_per_kb * (2 * kb)
+        };
+
+        // (first member, size, start, end) of every flush, in order.
+        let mut flushes: Vec<(usize, usize, SimTime, SimTime)> = Vec::new();
+        for (i, at) in acks.iter() {
+            match flushes.last_mut() {
+                Some((_, size, _, end)) if *end == *at => *size += 1,
+                _ => flushes.push((*i, 1, *at, *at)),
+            }
+        }
+        for (_, size, start, end) in flushes.iter_mut() {
+            *start = SimTime::from_nanos(end.nanos() - device_round(*size).nanos());
+        }
+        prop_assert_eq!(flushes.len() as u64, log.batch_count());
+        prop_assert_eq!(
+            flushes.iter().map(|f| f.1 as u64).sum::<u64>(),
+            log.append_count()
+        );
+        let mut previous: Option<(usize, SimTime)> = None; // (size, end)
+        for (first, size, start, end) in flushes.iter().copied() {
+            let prev_end = previous.map_or(SimTime::ZERO, |(_, e)| e);
+            prop_assert!(start >= prev_end, "flushes overlap: {flushes:?}");
+            prop_assert_eq!(
+                start,
+                prev_end.max(arrivals[first]),
+                "a flush starts as soon as the log is idle and a record waits"
+            );
+            let wait = previous.map_or(SimDuration::ZERO, |(s, _)| device_round(s));
+            for arrived in &arrivals[first..first + size] {
+                prop_assert!(*arrived <= start, "a record rode a flush begun before it arrived");
+                prop_assert!(
+                    end - *arrived <= wait + device_round(size),
+                    "acknowledged later than two device rounds after arrival"
+                );
+            }
+            previous = Some((size, end));
+        }
+        // Arrivals faster than the device syncs must batch: n flushes of
+        // one record each cannot start less than n - 1 rounds apart, and
+        // the last of them starts no earlier than the last arrival but one.
+        if n >= 3 && arrivals[n - 1] - arrivals[0] < device_round(1) * (n as u64 - 2) {
+            prop_assert!(log.batch_count() < log.append_count());
+        }
     }
 }
 

@@ -395,6 +395,43 @@ fn read_only_transactions_commit_without_flushing() {
     assert_eq!(c.tm.log().len(), 0, "read-only commits are not logged");
 }
 
+/// The commit path has no timer on it: on an idle cluster `commit` costs
+/// one round trip to the transaction manager plus one round of the log
+/// device (0.41 ms), whatever instant it is called at. Behind a 1 ms
+/// group-commit tick most of these would wait 1.03–2.03 ms.
+#[test]
+fn commit_on_an_idle_cluster_waits_for_no_tick() {
+    let c = cluster(67);
+    let took: Rc<RefCell<Vec<SimDuration>>> = Rc::default();
+    for i in 0..20u64 {
+        // Twenty begins 10.053 ms apart: twenty different offsets within
+        // a millisecond, each on a system idle again.
+        c.run_for(SimDuration::from_micros(10_053));
+        let (sim, took) = (c.sim.clone(), Rc::clone(&took));
+        c.client(0).begin(move |txn| {
+            let txn = txn.expect("begin");
+            txn.put(format!("user{i:012}"), "f0", "v").unwrap();
+            let called = sim.now();
+            txn.commit(move |r| {
+                r.expect("commit");
+                took.borrow_mut().push(sim.now() - called);
+            });
+        });
+    }
+    settle(&c);
+    let took = took.borrow();
+    assert_eq!(took.len(), 20);
+    let disk = ClusterConfig::default().tm_cfg.log.disk;
+    let device_round = disk.op_latency + disk.sync_latency + disk.write_per_kb * 2;
+    for t in took.iter() {
+        assert!(
+            *t > device_round && *t < SimDuration::from_micros(1_200),
+            "a commit took {t:?}: {took:?}"
+        );
+    }
+    assert_eq!(c.tm.log().batch_count(), 20, "an idle log never batches");
+}
+
 #[test]
 fn queue_size_alert_fires_when_flushes_stall() {
     // Crash every server so flushes can never complete; commit more

@@ -234,9 +234,28 @@ fn registry_views_agree_with_component_accessors() {
     }
     assert_eq!(cluster.level_profile(), levels);
 
+    // The recovery log's rows. The schedule ran one transaction at a
+    // time, so every record found the log idle: one batch per append,
+    // each acknowledged after exactly one device round (a write and a
+    // sync of under a kilobyte) — the histogram's floor and its ceiling.
+    let log = cluster.tm.log();
+    assert_eq!(log.append_count(), 20);
+    assert_eq!(cluster.metrics.sum("tm.log.appends"), log.append_count());
+    assert_eq!(cluster.metrics.sum("tm.log.batches"), log.batch_count());
+    assert_eq!(log.batch_count(), log.append_count());
+    let disk = ClusterConfig::default().tm_cfg.log.disk;
+    let device_round = disk.op_latency + disk.sync_latency + disk.write_per_kb * 2;
+    assert_eq!(log.ack_latency().min(), device_round.nanos());
+    assert_eq!(log.ack_latency().max(), device_round.nanos());
+
     // The snapshot must render per-component label sets for the core
     // metric families.
     let snapshot = cluster.metrics.snapshot();
+    assert_eq!(snapshot.get("tm.log.ack_ns.count"), Some(20));
+    assert_eq!(
+        snapshot.get("tm.log.ack_ns.max"),
+        Some(device_round.nanos())
+    );
     let keys: Vec<String> = snapshot.entries().map(|(k, _)| k.to_owned()).collect();
     for expected in [
         "txn.committed{client=c0}",
@@ -245,6 +264,9 @@ fn registry_views_agree_with_component_accessors() {
         "store.read_amplification{server=rs0}",
         "rm.client_recoveries",
         "master.failovers",
+        "tm.log.appends",
+        "tm.log.batches",
+        "tm.log.ack_ns.p99",
     ] {
         assert!(
             keys.iter().any(|k| k == expected),
