@@ -14,6 +14,9 @@
 //!    transient state, e.g. mid-compaction or mid-split
 //!    ([`crash_first_observed`]).
 //!
+//! The merge suites' setup crash, which has a precondition of its own, is
+//! [`crash_for_adjacency`].
+//!
 //! Every helper draws randomness only through `cluster.sim`, so a
 //! schedule is a pure function of the seed and a failing run replays
 //! byte-identically.
@@ -28,7 +31,7 @@ pub mod bank;
 
 use cumulo_core::Cluster;
 use cumulo_sim::{NodeId, SimDuration};
-use cumulo_store::{ChangeKind, RegionId, RegionServer};
+use cumulo_store::{ChangeKind, RegionId, RegionServer, ServerId};
 
 /// One fault-injection step in a [`ChaosSchedule`].
 pub enum ChaosAction {
@@ -244,4 +247,44 @@ pub fn changing_server(cluster: &Cluster, kind: ChangeKind) -> Option<usize> {
         .servers
         .iter()
         .position(|s| s.is_alive() && s.pending_change() == Some(kind))
+}
+
+/// The merge suites' setup crash. Merge candidates are *adjacent
+/// co-hosted* regions, which the bootstrap striping never produces, so
+/// each merge schedule first runs ten rounds of `load` (300 ms apart),
+/// crashes the last server and waits for the failover to put its regions
+/// on survivors. Where they land is the load-aware placement's choice and
+/// so the seed's: once every region is online this asserts that some
+/// adjacent pair shares a host, and otherwise fails at once — `schedule`
+/// (the test's seed, and its RNG shift if it has one) and the placement
+/// are in the message — instead of letting the test wait for a merge no
+/// server can propose. A seed that fails here is re-seeded, not waited
+/// out.
+pub fn crash_for_adjacency(cluster: &Cluster, schedule: &str, mut load: impl FnMut()) {
+    for _ in 0..10 {
+        load();
+        cluster.run_for(SimDuration::from_millis(300));
+    }
+    let failovers = cluster.master.failover_count();
+    cluster.crash_server(cluster.servers.len() - 1);
+    // Until the master notices the crash the map still names the dead
+    // server, and `all_regions_online` holds of the stale map too.
+    let recovered = bank::run_until(
+        cluster,
+        SimDuration::from_millis(200),
+        SimDuration::from_secs(60),
+        || cluster.master.failover_count() > failovers && cluster.all_regions_online(),
+    );
+    assert!(recovered, "{schedule}: setup failover did not finish");
+    let map = cluster.master.snapshot_map();
+    let placement: Vec<(RegionId, Option<ServerId>)> = map
+        .regions()
+        .iter()
+        .map(|d| (d.id, map.server_for(d.id)))
+        .collect();
+    assert!(
+        placement.windows(2).any(|pair| pair[0].1 == pair[1].1),
+        "{schedule}: the setup failover left no adjacent co-hosted pair of regions, so no \
+         merge can ever be proposed; placement in key order: {placement:?}. Pick another seed."
+    );
 }

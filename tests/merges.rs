@@ -20,14 +20,15 @@
 //!
 //! Merge candidates need *adjacent co-hosted* regions, which the
 //! bootstrap striping never produces. Each schedule therefore starts
-//! with a setup crash: the failover's load-aware placement packs the
-//! victim's regions onto survivors, deterministically creating adjacent
-//! co-hosted pairs the merge-candidacy timer then finds.
+//! with a setup crash (`common::crash_for_adjacency`): the failover's
+//! load-aware placement puts the victim's regions onto survivors, and the
+//! helper asserts that this left an adjacent co-hosted pair for the
+//! merge-candidacy timer to find — whether it does depends on the seed.
 
 mod common;
 
 use common::bank::{run_until, Bank};
-use common::changing_server;
+use common::{changing_server, crash_for_adjacency};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
@@ -59,21 +60,15 @@ fn merge_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// The setup crash: kill one server so the failover packs its regions
-/// onto survivors, creating the adjacent co-hosted pairs merges need.
-fn create_adjacency(cluster: &Cluster, committed: &Rc<Cell<u32>>) {
-    for _ in 0..10 {
-        BANK.transfer_round(cluster, committed);
-        cluster.run_for(SimDuration::from_millis(300));
-    }
-    cluster.crash_server(cluster.servers.len() - 1);
-    let recovered = run_until(
-        cluster,
-        SimDuration::from_millis(200),
-        SimDuration::from_secs(60),
-        || cluster.all_regions_online(),
-    );
-    assert!(recovered, "setup failover did not finish");
+/// A merge cluster after its setup crash under bank-transfer load, and
+/// the count of transfers committed so far.
+fn merge_cluster_with_adjacency(seed: u64) -> (Cluster, Rc<Cell<u32>>) {
+    let cluster = merge_cluster(seed);
+    let committed = Rc::new(Cell::new(0u32));
+    crash_for_adjacency(&cluster, &format!("seed {seed}"), || {
+        BANK.transfer_round(&cluster, &committed)
+    });
+    (cluster, committed)
 }
 
 /// The post-crash audit shared by all three schedules.
@@ -97,9 +92,7 @@ fn audit(cluster: &Cluster, committed: u32) {
 /// the merge had never been considered.
 #[test]
 fn crash_before_intent_persisted_recovers_daughters() {
-    let cluster = merge_cluster(8101);
-    let committed = Rc::new(Cell::new(0u32));
-    create_adjacency(&cluster, &committed);
+    let (cluster, committed) = merge_cluster_with_adjacency(8101);
     // Drive load until a merge candidacy is accepted somewhere and no
     // intent has been persisted yet, then crash that server mid-window
     // (the window spans the pre-merge flush of both daughters, so
@@ -142,9 +135,7 @@ fn crash_before_intent_persisted_recovers_daughters() {
 /// saw the merged id — and recover the daughters on survivors.
 #[test]
 fn crash_after_intent_before_merged_online_rolls_back() {
-    let cluster = merge_cluster(8202);
-    let committed = Rc::new(Cell::new(0u32));
-    create_adjacency(&cluster, &committed);
+    let (cluster, committed) = merge_cluster_with_adjacency(8202);
     let mut caught = false;
     for _ in 0..600 {
         BANK.transfer_round(&cluster, &committed);
@@ -192,9 +183,7 @@ fn crash_after_intent_before_merged_online_rolls_back() {
 /// merged region by row).
 #[test]
 fn crash_after_merged_online_fails_over_merged_region() {
-    let cluster = merge_cluster(8303);
-    let committed = Rc::new(Cell::new(0u32));
-    create_adjacency(&cluster, &committed);
+    let (cluster, committed) = merge_cluster_with_adjacency(8303);
     let mut applied = false;
     for _ in 0..600 {
         BANK.transfer_round(&cluster, &committed);

@@ -21,7 +21,7 @@
 mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
-use common::{ChaosAction, ChaosSchedule};
+use common::{crash_for_adjacency, ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Transaction, TransactionalClient};
 use cumulo_sim::{Sim, SimDuration};
 use std::cell::{Cell, RefCell};
@@ -318,9 +318,10 @@ fn scan_under_split_matches_oracle() {
 /// merge flip and must recover via refresh-and-retry.
 #[test]
 fn scan_under_merge_matches_oracle() {
+    const SEED: u64 = 9202;
     for shift in [0u32, 3, 7] {
         let mut cfg = ClusterConfig {
-            seed: 9202,
+            seed: SEED,
             servers: 4,
             clients: 6,
             regions: 8,
@@ -336,14 +337,12 @@ fn scan_under_merge_matches_oracle() {
         let committed = Rc::new(Cell::new(0u32));
         let audit = new_audit(&cluster, &["bal"]);
         start_audit(cluster.client(0).clone(), Rc::clone(&audit));
-        // Setup crash: failover packs the victim's regions onto
-        // survivors, creating the adjacent co-hosted pairs merge
+        // Setup crash: the failover puts the victim's regions onto
+        // survivors, which must create the adjacent co-hosted pair merge
         // candidacy needs — and it already lands under a live scan.
-        for _ in 0..10 {
-            round(&cluster, &committed);
-            cluster.run_for(SimDuration::from_millis(300));
-        }
-        cluster.crash_server(cluster.servers.len() - 1);
+        crash_for_adjacency(&cluster, &format!("seed {SEED} shift {shift}"), || {
+            round(&cluster, &committed)
+        });
         let merged = run_until(
             &cluster,
             SimDuration::from_millis(300),
