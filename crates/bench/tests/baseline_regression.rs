@@ -2,27 +2,39 @@
 //! with `region_replication` at its default of 1, the replication
 //! subsystem must be completely inert — no extra messages, no extra RNG
 //! draws, no timer phase shifts. The strongest cheap probe of that is
-//! byte-identity of the calibrated bench CSVs against baselines captured
-//! before the replication subsystem existed: a single stray `net.send`
+//! byte-identity of the calibrated bench CSVs: a single stray `net.send`
 //! or reordered HashMap iteration anywhere near the scheduling path
 //! shifts the jitter stream and diverges every number downstream.
 //!
 //! The third pins the other half of the structure-change protocol:
 //! `split_bench` only splits, while `scale_bench --quick` also merges,
-//! moves and fails over (87 splits, 16 merges, 3 moves and a failover by
-//! its second phase). Its baseline was captured at c0717f2, the last
-//! commit with separate split and merge pipelines, and re-pinned once
-//! since: when a failed server's split WAL started to reach the next
-//! host as a store file and its replay to be staged once and windowed,
-//! the two failovers got shorter and every later step moved with them
-//! (CHANGES.md, PR 16, has the before and after rows).
+//! moves and fails over (106 splits, 29 merges, 4 moves and two
+//! failovers by its last phase).
 //!
 //! The fourth is the only pinned output that runs with replication *on*:
 //! `failover_bench`'s promotion mode ships every write to a backup lane,
 //! syncs after flushes and promotes two shadows, so its journal instants
-//! move if the ship/ack/gate stream takes a different step. Captured on
-//! c2c9aa2 (the last commit with three ship and three apply paths), once
-//! the bench read its instants from the event journal.
+//! move if the ship/ack/gate stream takes a different step.
+//!
+//! What each pin was captured on. `policy_compare` and `split_bench`:
+//! before the replication subsystem existed, byte-identical through
+//! every PR up to 18. `scale_bench`: c0717f2, the last commit with
+//! separate split and merge pipelines, re-pinned once by PR 16 when the
+//! two failovers got shorter (the failed server's split WAL reaches the
+//! next host as a store file, its replay is staged once and windowed).
+//! `failover_bench`: c2c9aa2, the last commit with three ship and three
+//! apply paths, once the bench read its instants from the event journal.
+//! **PR 19 re-pinned all four together, in one commit made after the
+//! change, because commit latency fell**: the recovery log's group commit
+//! lost its 1 ms tick (≈ 0.5 ms off every writing commit), and a faster
+//! commit shifts every transaction-driven schedule — when the next
+//! transaction of a closed loop starts, which flush a write lands in,
+//! what the load-aware placement sees. Each bin ran to completion on the
+//! new tree with its own assertions green before its output was taken
+//! (promotion still strictly shrinks the failover window; `scale_bench`
+//! still merges and moves); CHANGES.md, PR 19, has the before and after
+//! rows. `crates/store/tests/cluster_behavior.rs`'s three pins run no
+//! transaction manager and did not move.
 
 use std::process::Command;
 
