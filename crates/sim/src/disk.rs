@@ -60,6 +60,16 @@ impl DiskConfig {
             sync_latency: SimDuration::from_nanos(1),
         }
     }
+
+    /// How long a buffered write of `bytes` occupies the device.
+    pub fn write_time(&self, bytes: usize) -> SimDuration {
+        self.op_latency + self.write_per_kb * (bytes as u64).div_ceil(1024)
+    }
+
+    /// How long a sync of `pending_bytes` occupies the device.
+    pub fn sync_time(&self, pending_bytes: usize) -> SimDuration {
+        self.sync_latency + self.write_per_kb * (pending_bytes as u64).div_ceil(1024)
+    }
 }
 
 /// A simulated disk device. Operations queue behind each other (single
@@ -112,8 +122,7 @@ impl Disk {
         self.writes.set(self.writes.get() + 1);
         self.bytes_written
             .set(self.bytes_written.get() + bytes as u64);
-        let kb = (bytes as u64).div_ceil(1024);
-        let end = self.occupy(self.cfg.op_latency + self.cfg.write_per_kb * kb);
+        let end = self.occupy(self.cfg.write_time(bytes));
         self.sim.schedule_at(end, done);
     }
 
@@ -121,8 +130,7 @@ impl Disk {
     /// `done` runs at the durability point.
     pub fn sync(self: &Rc<Self>, pending_bytes: usize, done: impl FnOnce() + 'static) {
         self.syncs.set(self.syncs.get() + 1);
-        let kb = (pending_bytes as u64).div_ceil(1024);
-        let end = self.occupy(self.cfg.sync_latency + self.cfg.write_per_kb * kb);
+        let end = self.occupy(self.cfg.sync_time(pending_bytes));
         self.sim.schedule_at(end, done);
     }
 

@@ -274,15 +274,13 @@ mod tests {
         }
     }
 
-    /// One device round for a batch of `bytes`: the `write` plus the
-    /// `sync` of [`Disk`] on the default log device.
+    /// One device round for a batch of `bytes` on the default log device.
     fn device_round(bytes: usize) -> SimDuration {
-        let d = RecoveryLogConfig::default().disk;
-        let kb = (bytes as u64).div_ceil(1024);
-        d.op_latency + d.sync_latency + d.write_per_kb * (2 * kb)
+        let disk = RecoveryLogConfig::default().disk;
+        disk.write_time(bytes) + disk.sync_time(bytes)
     }
 
-    /// A log whose acknowledgements are recorded as `(ts, instant)`.
+    /// Acknowledgements as they ran: `(ts, instant)`.
     type Acks = Rc<RefCell<Vec<(u64, SimTime)>>>;
 
     fn append_recording(sim: &Sim, log: &RecoveryLog, acks: &Acks, ts: u64) {

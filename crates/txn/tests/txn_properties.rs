@@ -155,20 +155,16 @@ proptest! {
         .wire_size();
         let disk = RecoveryLogConfig::default().disk;
         let device_round = |count: usize| {
-            let kb = ((count * record_size) as u64).div_ceil(1024);
-            disk.op_latency + disk.sync_latency + disk.write_per_kb * (2 * kb)
+            disk.write_time(count * record_size) + disk.sync_time(count * record_size)
         };
 
-        // (first member, size, start, end) of every flush, in order.
-        let mut flushes: Vec<(usize, usize, SimTime, SimTime)> = Vec::new();
+        // (first member, size, end) of every flush, in order.
+        let mut flushes: Vec<(usize, usize, SimTime)> = Vec::new();
         for (i, at) in acks.iter() {
             match flushes.last_mut() {
-                Some((_, size, _, end)) if *end == *at => *size += 1,
-                _ => flushes.push((*i, 1, *at, *at)),
+                Some((_, size, end)) if *end == *at => *size += 1,
+                _ => flushes.push((*i, 1, *at)),
             }
-        }
-        for (_, size, start, end) in flushes.iter_mut() {
-            *start = SimTime::from_nanos(end.nanos() - device_round(*size).nanos());
         }
         prop_assert_eq!(flushes.len() as u64, log.batch_count());
         prop_assert_eq!(
@@ -176,19 +172,21 @@ proptest! {
             log.append_count()
         );
         let mut previous: Option<(usize, SimTime)> = None; // (size, end)
-        for (first, size, start, end) in flushes.iter().copied() {
+        for (first, size, end) in flushes.iter().copied() {
+            let round = device_round(size);
             let prev_end = previous.map_or(SimTime::ZERO, |(_, e)| e);
-            prop_assert!(start >= prev_end, "flushes overlap: {flushes:?}");
+            prop_assert!(end >= prev_end + round, "flushes overlap: {flushes:?}");
+            let start = prev_end.max(arrivals[first]);
             prop_assert_eq!(
-                start,
-                prev_end.max(arrivals[first]),
+                start + round,
+                end,
                 "a flush starts as soon as the log is idle and a record waits"
             );
             let wait = previous.map_or(SimDuration::ZERO, |(s, _)| device_round(s));
             for arrived in &arrivals[first..first + size] {
                 prop_assert!(*arrived <= start, "a record rode a flush begun before it arrived");
                 prop_assert!(
-                    end - *arrived <= wait + device_round(size),
+                    end - *arrived <= wait + round,
                     "acknowledged later than two device rounds after arrival"
                 );
             }

@@ -421,8 +421,9 @@ fn commit_on_an_idle_cluster_waits_for_no_tick() {
     settle(&c);
     let took = took.borrow();
     assert_eq!(took.len(), 20);
+    // A one-put record is under a kilobyte.
     let disk = ClusterConfig::default().tm_cfg.log.disk;
-    let device_round = disk.op_latency + disk.sync_latency + disk.write_per_kb * 2;
+    let device_round = disk.write_time(1) + disk.sync_time(1);
     for t in took.iter() {
         assert!(
             *t > device_round && *t < SimDuration::from_micros(1_200),
