@@ -101,3 +101,46 @@ fn failover_bench_csv_matches_pinned_baseline() {
          stream, a promotion or the replay path took a different step"
     );
 }
+
+/// The paper's three figures and the ablations, pinned at quick scale on
+/// 3ed20b1 — the commit before ISSUE 20 deleted anything — so that
+/// retiring bins, switches and counters is proved to move none of them.
+fn assert_figure_pinned(bin: &str, want: &str) {
+    assert_eq!(
+        run_quick(bin),
+        want,
+        "{bin} CSV diverged from the pinned baseline: a paper figure moved"
+    );
+}
+
+#[test]
+fn fig2a_csv_matches_pinned_baseline() {
+    assert_figure_pinned(
+        env!("CARGO_BIN_EXE_fig2a"),
+        include_str!("baselines/fig2a_quick.csv"),
+    );
+}
+
+#[test]
+fn fig2b_csv_matches_pinned_baseline() {
+    assert_figure_pinned(
+        env!("CARGO_BIN_EXE_fig2b"),
+        include_str!("baselines/fig2b_quick.csv"),
+    );
+}
+
+#[test]
+fn fig3_csv_matches_pinned_baseline() {
+    assert_figure_pinned(
+        env!("CARGO_BIN_EXE_fig3"),
+        include_str!("baselines/fig3_quick.csv"),
+    );
+}
+
+#[test]
+fn ablations_csv_matches_pinned_baseline() {
+    assert_figure_pinned(
+        env!("CARGO_BIN_EXE_ablations"),
+        include_str!("baselines/ablations_quick.csv"),
+    );
+}

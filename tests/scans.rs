@@ -400,3 +400,67 @@ fn scan_with_server_crash_mid_continuation_matches_oracle() {
         final_audit(&cluster, &audit, &format!("shift {shift}"), 10, 6.0);
     }
 }
+
+/// The quiescent counterpart of the chaos schedules above, exact where
+/// they can only bound: on a fault-free 8-region cluster a
+/// boundary-aligned scan spanning `span` regions costs exactly `span`
+/// leg RPCs (one per region, no retry, no extra leg at a boundary) and
+/// returns exactly the rows of those regions, each once and in order.
+/// Every start region that fits the span is scanned, so legs land on
+/// all four servers, and a range ending at the table end runs the
+/// unbounded-end continuation.
+#[test]
+fn quiescent_scan_costs_one_leg_per_region_spanned_and_returns_exact_rows() {
+    const REGIONS: u64 = 8;
+    const ROWS: u64 = 800;
+    let cluster = Cluster::build(ClusterConfig {
+        seed: 9404,
+        servers: 4,
+        clients: 1,
+        regions: REGIONS as usize,
+        key_count: ROWS,
+        ..ClusterConfig::default()
+    });
+    cluster.load_rows(ROWS, &["f0"], 100, true);
+    let key = |i: u64| format!("user{i:012}");
+    for span in [1u64, 2, 4, 8] {
+        for first in 0..=REGIONS - span {
+            let (lo, hi) = (ROWS * first / REGIONS, ROWS * (first + span) / REGIONS);
+            let end = (first + span < REGIONS).then(|| bytes::Bytes::from(key(hi)));
+            let legs_before = cluster.client(0).store_client().scan_leg_rpcs();
+            let hits = Rc::new(RefCell::new(None));
+            let hits2 = Rc::clone(&hits);
+            cluster.client(0).begin(move |txn| {
+                let txn = txn.expect("fault-free cluster: begin succeeds");
+                let txn2 = txn.clone();
+                txn.scan(key(lo), end, (hi - lo) as usize + 16, move |r| {
+                    *hits2.borrow_mut() = Some(r.expect("fault-free cluster: scan succeeds"));
+                    txn2.abort();
+                });
+            });
+            let done = run_until(
+                &cluster,
+                SimDuration::from_millis(10),
+                SimDuration::from_secs(10),
+                || hits.borrow().is_some(),
+            );
+            assert!(done, "span {span} from region {first}: scan did not finish");
+            let rows: Vec<String> = hits
+                .take()
+                .expect("scan finished")
+                .iter()
+                .map(|(row, _, _)| String::from_utf8_lossy(row).into_owned())
+                .collect();
+            let want: Vec<String> = (lo..hi).map(key).collect();
+            assert_eq!(
+                rows, want,
+                "span {span} from region {first}: rows dropped, duplicated or out of order"
+            );
+            assert_eq!(
+                cluster.client(0).store_client().scan_leg_rpcs() - legs_before,
+                span,
+                "span {span} from region {first}: one leg RPC per region spanned"
+            );
+        }
+    }
+}
