@@ -44,6 +44,7 @@ fn main() {
     // (a) Tracking on/off: normal-processing overhead + replay volume.
     println!("# ablation_a: tracking overhead and replay volume");
     println!("tracking,throughput_tps,mean_ms,log_len_after,replayed_portions");
+    let mut kept_and_replayed = Vec::new();
     for tracking in [true, false] {
         let cluster = build(4001 + tracking as u64, scale.rows, tracking, 2, 1_000);
         let workload = paper_workload(scale.rows, 50, None);
@@ -71,7 +72,18 @@ fn main() {
             kv("replayed_portions", replayed),
         ]);
         rep.phase(fields);
+        kept_and_replayed.push((cluster.tm.log().len() as u64, replayed));
     }
+    // What the thresholds are for: with tracking the log is truncated and
+    // a failure replays its tail; without, the log keeps everything and a
+    // failure replays all of it.
+    let ((kept_on, replayed_on), (kept_off, replayed_off)) =
+        (kept_and_replayed[0], kept_and_replayed[1]);
+    assert!(
+        kept_on < kept_off && replayed_on < replayed_off,
+        "tracking bought nothing: log kept {kept_on} vs {kept_off} records, \
+         replayed {replayed_on} vs {replayed_off} portions"
+    );
 
     // (b) Replication factor.
     println!("# ablation_b: filesystem replication factor");
@@ -96,6 +108,7 @@ fn main() {
     // (c) Heartbeat interval vs recovery replay volume.
     println!("# ablation_c: heartbeat interval vs replay volume on failure");
     println!("heartbeat_ms,replayed_portions,recovery_complete");
+    let mut replayed_by_interval = Vec::new();
     for hb in [250u64, 1_000, 5_000] {
         let cluster = build(4200 + hb, scale.rows, true, 2, hb);
         let workload = paper_workload(scale.rows, 50, Some(250.0));
@@ -114,7 +127,14 @@ fn main() {
             kv("replayed_portions", replayed),
             kv("recovery_complete", ok),
         ]);
+        replayed_by_interval.push(replayed);
     }
+    // §3.1's conservative threshold: up to one heartbeat interval of
+    // transactions is replayed needlessly, so replay grows with it.
+    assert!(
+        replayed_by_interval.windows(2).all(|w| w[0] < w[1]),
+        "replay volume does not grow with the heartbeat interval: {replayed_by_interval:?}"
+    );
 
     // (d) Client-failure recovery timeline.
     println!("# ablation_d: client failure timeline");

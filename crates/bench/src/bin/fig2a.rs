@@ -12,6 +12,7 @@ use cumulo_bench::report::{kv, print_timeline, report_fields, BenchArgs, BenchRe
 use cumulo_bench::{paper_workload, run_measurement, standard_cluster, Scale};
 use cumulo_core::PersistenceMode;
 use cumulo_sim::SimDuration;
+use cumulo_ycsb::DriverReport;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -20,6 +21,7 @@ fn main() {
     let mut rep = BenchReport::new("fig2a");
     rep.config("rows", scale.rows);
     println!("mode,threads,throughput_tps,mean_ms,p95_ms,p99_ms,committed,aborted");
+    let mut curves = Vec::new();
     for (mode, name) in [
         (PersistenceMode::Synchronous, "sync"),
         (PersistenceMode::Asynchronous, "async"),
@@ -48,7 +50,27 @@ fn main() {
             let mut fields = vec![kv("mode", name), kv("threads", t)];
             fields.extend(report_fields(&r));
             rep.phase(fields);
+            curves.push(r);
         }
     }
     rep.write(&args);
+
+    // The figure's claim: the asynchronous curve lies below the
+    // synchronous one at every thread count, and reaches further right.
+    let (sync, asynchronous) = curves.split_at(threads.len());
+    for ((s, a), t) in sync.iter().zip(asynchronous).zip(threads) {
+        assert!(
+            a.mean_ms < s.mean_ms,
+            "threads={t}: async mean {:.2} ms is not below sync {:.2} ms",
+            a.mean_ms,
+            s.mean_ms
+        );
+    }
+    let peak = |curve: &[DriverReport]| curve.iter().map(|r| r.throughput_tps).fold(0.0, f64::max);
+    assert!(
+        peak(asynchronous) > peak(sync),
+        "async peak {:.1} tps is not above sync peak {:.1} tps",
+        peak(asynchronous),
+        peak(sync)
+    );
 }
