@@ -159,9 +159,7 @@ fn run_mode(replication: usize, rows: u64, warmup_rounds: u64, seed: u64) -> (Mo
 
 fn main() {
     let args = BenchArgs::parse();
-    let quick = std::env::var("CUMULO_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let quick = cumulo_bench::quick();
     let rows: u64 = if quick { 2_000 } else { 6_000 };
     let warmup_rounds: u64 = if quick { 60 } else { 120 };
     let mut rep = BenchReport::new("failover");

@@ -30,9 +30,7 @@ use cumulo_ycsb::Workload;
 
 fn main() {
     let args = BenchArgs::parse();
-    let quick = std::env::var("CUMULO_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let quick = cumulo_bench::quick();
     let rows: u64 = if quick { 5_000 } else { 20_000 };
     let phase_secs = if quick { 25 } else { 60 };
     let mut rep = BenchReport::new("policy_compare");

@@ -276,10 +276,7 @@ fn settle(cluster: &Cluster, max: SimDuration, label: &str) {
 
 fn main() {
     let args = BenchArgs::parse();
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("CUMULO_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let quick = std::env::args().any(|a| a == "--quick") || cumulo_bench::quick();
     let d = Dims::new(quick);
     let mut rep = BenchReport::new("scale");
     rep.config("quick", quick);

@@ -54,9 +54,7 @@ fn split_cluster(seed: u64, splits: bool, rows: u64) -> Cluster {
 
 fn main() {
     let args = BenchArgs::parse();
-    let quick = std::env::var("CUMULO_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let quick = cumulo_bench::quick();
     let rows: u64 = if quick { 4_000 } else { 20_000 };
     let phase_secs = if quick { 25 } else { 90 };
     let audit_txns: u64 = if quick { 900 } else { 6_000 };

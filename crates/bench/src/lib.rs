@@ -14,6 +14,11 @@ use cumulo_core::{Cluster, ClusterConfig, PersistenceMode};
 use cumulo_sim::SimDuration;
 use cumulo_ycsb::{Driver, Workload};
 
+/// Whether `CUMULO_QUICK=1` asks for the scaled-down run.
+pub fn quick() -> bool {
+    std::env::var("CUMULO_QUICK").is_ok_and(|v| v == "1")
+}
+
 /// Scale factors for a bench run.
 #[derive(Copy, Clone, Debug)]
 pub struct Scale {
@@ -29,10 +34,7 @@ impl Scale {
     /// Full paper-scale settings, or a quick variant when
     /// `CUMULO_QUICK=1`.
     pub fn from_env() -> Scale {
-        if std::env::var("CUMULO_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
+        if quick() {
             Scale {
                 rows: 50_000,
                 warmup: SimDuration::from_secs(3),

@@ -65,8 +65,7 @@ pub struct ClusterConfig {
     /// knob — set `server_cfg.compaction.l0_trigger_files` for that.
     pub compaction_threshold: usize,
     /// Which compaction policy the servers run (overrides
-    /// `server_cfg.compaction.policy`; switchable at runtime via
-    /// [`Cluster::set_compaction_policy`]).
+    /// `server_cfg.compaction.policy`).
     pub compaction_policy: CompactionPolicyKind,
     /// Whether online region splits run (overrides
     /// `server_cfg.split.enabled`). Off by default so calibrated
@@ -662,17 +661,6 @@ impl Cluster {
     pub fn set_bloom_filters(&self, enabled: bool) {
         for s in &self.servers {
             s.set_bloom_filters(enabled);
-        }
-    }
-
-    /// Switches the compaction policy on every region server at runtime
-    /// (the benches' A/B switch, like [`Cluster::set_bloom_filters`]).
-    /// Safe mid-flight: in-progress merges finish under their planned
-    /// placement, and the next candidacy check decides under the new
-    /// policy over the current file stacks.
-    pub fn set_compaction_policy(&self, kind: CompactionPolicyKind) {
-        for s in &self.servers {
-            s.set_compaction_policy(kind);
         }
     }
 

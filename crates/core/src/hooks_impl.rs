@@ -108,13 +108,13 @@ impl RecoveryHooks for MiddlewareHooks {
     fn on_write_set_applied(
         &self,
         server: ServerId,
-        region: RegionId,
+        _region: RegionId,
         ts: Timestamp,
         wal_seq: u64,
         floor: Option<Timestamp>,
     ) {
         if let Some(tracker) = self.trackers.borrow().get(&server) {
-            tracker.on_applied(region, ts, wal_seq, floor);
+            tracker.on_applied(ts, wal_seq, floor);
         }
     }
 }

@@ -214,9 +214,4 @@ impl RecoveryClient {
     pub fn region_txns_replayed(&self) -> u64 {
         self.region_txns_replayed.get()
     }
-
-    /// The simulation handle (used by the recovery manager for timers).
-    pub fn sim(&self) -> &Sim {
-        &self.sim
-    }
 }

@@ -279,6 +279,11 @@ impl RecoveryManager {
             |_| {},
         );
 
+        self.arm_checkpoint_timer();
+    }
+
+    /// Checkpoints every `checkpoint_interval` while the process lives.
+    fn arm_checkpoint_timer(self: &Rc<Self>) {
         let weak = Rc::downgrade(self);
         let timer = every(&self.sim, self.cfg.checkpoint_interval, move || {
             if let Some(rm) = weak.upgrade() {
@@ -947,15 +952,7 @@ impl RecoveryManager {
     pub fn restart(self: &Rc<Self>) {
         self.alive.set(true);
         self.net.restart(self.node);
-        let weak = Rc::downgrade(self);
-        let timer = every(&self.sim, self.cfg.checkpoint_interval, move || {
-            if let Some(rm) = weak.upgrade() {
-                if rm.alive.get() {
-                    rm.checkpoint();
-                }
-            }
-        });
-        self.timers.borrow_mut().push(timer);
+        self.arm_checkpoint_timer();
 
         // Rebuild the client registry; clients with a threshold but no
         // liveness node died while we were down — recover them.

@@ -13,9 +13,8 @@ use crate::paths;
 use crate::persist_tracker::PersistTracker;
 use bytes::Bytes;
 use cumulo_coord::CoordClient;
-use cumulo_sim::metrics::Counter;
 use cumulo_sim::{every_from, Sim, SimDuration, TimerHandle};
-use cumulo_store::{RegionId, RegionServer, ServerId, Timestamp};
+use cumulo_store::{RegionServer, ServerId, Timestamp};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -59,8 +58,6 @@ pub struct ServerTracker {
     cfg: ServerTrackerConfig,
     tracker: Rc<RefCell<PersistTracker>>,
     timers: RefCell<Vec<TimerHandle>>,
-    heartbeats: Counter,
-    alerts: Counter,
 }
 
 impl fmt::Debug for ServerTracker {
@@ -88,8 +85,6 @@ impl ServerTracker {
             cfg,
             tracker: Rc::new(RefCell::new(PersistTracker::new())),
             timers: RefCell::new(Vec::new()),
-            heartbeats: Counter::new(),
-            alerts: Counter::new(),
         })
     }
 
@@ -121,28 +116,12 @@ impl ServerTracker {
         self.tracker.borrow().t_p()
     }
 
-    /// Heartbeats performed.
-    pub fn heartbeat_count(&self) -> u64 {
-        self.heartbeats.get()
-    }
-
-    /// Queue-size alerts raised.
-    pub fn alert_count(&self) -> u64 {
-        self.alerts.get()
-    }
-
     /// Records an applied write-set portion (wired into the store's
     /// `on_write_set_applied` hook). A replay's `floor` lowers `T_P`
     /// immediately and, per Algorithm 3, triggers an immediate threshold
     /// publication so the recovery manager learns of the inheritance as
     /// fast as possible ("heartbeat()" on line 21).
-    pub fn on_applied(
-        &self,
-        _region: RegionId,
-        ts: Timestamp,
-        wal_seq: u64,
-        floor: Option<Timestamp>,
-    ) {
+    pub fn on_applied(&self, ts: Timestamp, wal_seq: u64, floor: Option<Timestamp>) {
         self.tracker.borrow_mut().on_applied(ts, wal_seq, floor);
         if floor.is_some() && self.cfg.tracking {
             let t_p = self.tracker.borrow().t_p();
@@ -158,10 +137,8 @@ impl ServerTracker {
         if !self.server.is_alive() {
             return;
         }
-        self.heartbeats.inc();
         let entries = self.tracker.borrow().pending() as u64;
         if entries as usize > self.cfg.alert_pending_threshold {
-            self.alerts.inc();
             self.coord.set_data(
                 &paths::alert("servers", self.server.id().0),
                 paths::encode_ts(Timestamp(entries)),

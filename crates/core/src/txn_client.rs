@@ -297,11 +297,6 @@ impl Transaction {
         self.id
     }
 
-    /// The owning client's id.
-    pub fn client_id(&self) -> ClientId {
-        self.inner.id
-    }
-
     /// The lifecycle error an operation on this handle must report right
     /// now, if any (`None` = the transaction is active and usable).
     fn state_err(&self) -> Option<TxnError> {
@@ -895,11 +890,6 @@ impl TransactionalClient {
     /// Fully flushed write-sets.
     pub fn flushed_count(&self) -> u64 {
         self.inner.flushed.get()
-    }
-
-    /// Queue-size alerts raised.
-    pub fn alert_count(&self) -> u64 {
-        self.inner.alerts.get()
     }
 
     /// Conflicted attempts re-executed by [`TransactionalClient::run`].

@@ -301,11 +301,6 @@ impl DfsFile {
         }
         pump(Rc::clone(&self.client), Rc::clone(&self.state));
     }
-
-    /// Number of appends waiting behind the in-flight one.
-    pub fn queued_appends(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
 }
 
 fn pump(client: Rc<ClientInner>, state: Rc<RefCell<FileState>>) {

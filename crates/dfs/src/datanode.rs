@@ -15,7 +15,6 @@ use std::rc::Rc;
 /// dropping traffic to the node; the replica map is *kept* so a restarted
 /// datanode (same machine, surviving disk) serves its old data.
 pub struct DataNode {
-    sim: Sim,
     node: NodeId,
     disk: Rc<Disk>,
     files: RefCell<HashMap<String, Vec<Bytes>>>,
@@ -38,7 +37,6 @@ impl DataNode {
     /// Creates a datanode on `node` with the given disk profile.
     pub fn new(sim: &Sim, node: NodeId, disk_cfg: DiskConfig) -> Rc<DataNode> {
         Rc::new(DataNode {
-            sim: sim.clone(),
             node,
             disk: Disk::new(sim, disk_cfg),
             files: RefCell::new(HashMap::new()),
@@ -117,11 +115,6 @@ impl DataNode {
     /// Total bytes ever stored (appends + installed replicas).
     pub fn bytes_stored(&self) -> u64 {
         self.bytes_stored.get()
-    }
-
-    /// The simulation handle (for tests).
-    pub fn sim(&self) -> &Sim {
-        &self.sim
     }
 }
 

@@ -113,7 +113,10 @@ pub struct Network {
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
-            .field("nodes", &self.state.borrow().nodes.len())
+            .field(
+                "nodes",
+                &Vec::from_iter(self.state.borrow().nodes.iter().map(|n| n.name.as_str())),
+            )
             .field("sent", &self.sent.get())
             .field("delivered", &self.delivered.get())
             .field("dropped", &self.dropped.get())
@@ -155,15 +158,6 @@ impl Network {
             alive: true,
         });
         id
-    }
-
-    /// Human-readable name given at registration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` was not created by this network.
-    pub fn node_name(&self, node: NodeId) -> String {
-        self.state.borrow().nodes[node.0 as usize].name.clone()
     }
 
     /// Whether the node is currently alive.

@@ -121,11 +121,6 @@ impl ServiceQueue {
         self.queue.borrow().len()
     }
 
-    /// Jobs currently in service.
-    pub fn in_service(&self) -> usize {
-        self.busy.get()
-    }
-
     /// Jobs completed since creation.
     pub fn completed(&self) -> u64 {
         self.completed.get()

@@ -22,10 +22,8 @@
 //!   file per level (plus L0) — the files-consulted bound is ≈ the level
 //!   count — at the cost of rewriting overlap into the next level.
 //!
-//! The policy is selected per cluster via [`CompactionConfig::policy`]
-//! and switchable at runtime (`RegionServer::set_compaction_policy`);
-//! policies are stateless over [`FileMeta`], so a switch simply changes
-//! what the next candidacy check decides.
+//! The policy is selected per cluster via [`CompactionConfig::policy`];
+//! policies are stateless over [`FileMeta`].
 //!
 //! ## Backpressure
 //!
@@ -170,10 +168,8 @@ impl GcWatermark {
     }
 }
 
-/// Which built-in [`CompactionPolicy`] a server runs. Selectable per
-/// cluster via config and at runtime via
-/// [`crate::RegionServer::set_compaction_policy`] (an A/B switch like
-/// `set_bloom_filters`).
+/// Which built-in [`CompactionPolicy`] a server runs, chosen per cluster
+/// via config.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CompactionPolicyKind {
     /// Merge similarly-sized files wherever they are: amortized O(log n)
@@ -369,16 +365,8 @@ pub struct StallSignal {
 /// what it should cover ([`CompactionPolicy::pick`]) and (b) whether the
 /// file backlog is deep enough that memstore flushes must stall
 /// ([`CompactionPolicy::flush_should_stall`]). Policies are stateless:
-/// everything they need arrives in the [`FileMeta`] slice, so a runtime
-/// policy switch is safe mid-flight — the next pick simply sees the
-/// current file stack.
+/// everything they need arrives in the [`FileMeta`] slice.
 pub trait CompactionPolicy {
-    /// Stable machine-readable name (bench CSV column values).
-    fn name(&self) -> &'static str;
-
-    /// The corresponding config enum value.
-    fn kind(&self) -> CompactionPolicyKind;
-
     /// Picks the next merge for one region's file set, or `None` when no
     /// merge is due. `files` arrives in the region's (deterministic)
     /// store-file order; returned indices refer into it.
@@ -405,14 +393,6 @@ pub fn policy_for(kind: CompactionPolicyKind) -> Rc<dyn CompactionPolicy> {
 pub struct SizeTieredPolicy;
 
 impl CompactionPolicy for SizeTieredPolicy {
-    fn name(&self) -> &'static str {
-        "size_tiered"
-    }
-
-    fn kind(&self) -> CompactionPolicyKind {
-        CompactionPolicyKind::SizeTiered
-    }
-
     fn pick(&self, files: &[FileMeta], cfg: &CompactionConfig) -> Option<CompactionJob> {
         let sizes: Vec<usize> = files.iter().map(|f| f.bytes).collect();
         pick_candidates(&sizes, cfg).map(|inputs| CompactionJob {
@@ -503,14 +483,6 @@ impl LeveledPolicy {
 }
 
 impl CompactionPolicy for LeveledPolicy {
-    fn name(&self) -> &'static str {
-        "leveled"
-    }
-
-    fn kind(&self) -> CompactionPolicyKind {
-        CompactionPolicyKind::Leveled
-    }
-
     fn pick(&self, files: &[FileMeta], cfg: &CompactionConfig) -> Option<CompactionJob> {
         let l0: Vec<usize> = (0..files.len()).filter(|&i| files[i].level == 0).collect();
         // L0 → L1: all of L0 (the files overlap each other, so a subset

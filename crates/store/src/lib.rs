@@ -66,8 +66,7 @@
 //! # Compaction tuning
 //!
 //! All knobs live on [`CompactionConfig`] (per cluster via
-//! `cumulo-core`'s `ClusterConfig`, switchable at runtime through
-//! `RegionServer::set_compaction_policy` / `Cluster`'s mirror):
+//! `cumulo-core`'s `ClusterConfig`):
 //!
 //! * **Policy choice** ([`CompactionPolicyKind`]): pick *size-tiered*
 //!   for write-heavy workloads where rewrite cost dominates and point

@@ -773,12 +773,6 @@ impl Master {
         }
     }
 
-    /// Client RPC: current assignments (used to refresh location caches).
-    pub fn get_assignments(&self) -> (u64, HashMap<RegionId, ServerId>) {
-        let map = self.region_map.borrow();
-        (map.epoch(), map.assignments().clone())
-    }
-
     // ------------------------------------------------------------------
     // Online structure changes — splits and merges (master side; see
     // `StructureCoordinator`)

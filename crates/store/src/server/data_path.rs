@@ -133,17 +133,13 @@ impl RegionServer {
         &self.filter_stats
     }
 
-    /// Enables or disables bloom probing on point gets at runtime (the
-    /// benchmarks' A/B switch — the store-file stack stays identical
-    /// across the toggle, unlike rebuilding a cluster with a different
-    /// config).
+    /// Enables or disables bloom probing on point gets at runtime, over
+    /// an unchanged store-file stack (key-range pruning is always on — it
+    /// is a free metadata comparison). Probing is on by default; off is
+    /// the reference path `tests/filters.rs` compares against and how
+    /// `policy_compare` measures the bound the file layout alone gives.
     pub fn set_bloom_filters(&self, enabled: bool) {
         self.bloom_enabled.set(enabled);
-    }
-
-    /// Whether bloom probing on point gets is currently enabled.
-    pub fn bloom_filters_enabled(&self) -> bool {
-        self.bloom_enabled.get()
     }
 
     /// Block-cache hit rate so far (Fig. 3's warm-up indicator).
@@ -155,28 +151,6 @@ impl RegionServer {
     /// per-get filter statistics stay comparable across both paths).
     pub fn gets_served(&self) -> u64 {
         self.gets.get()
-    }
-
-    /// Number of batched-read requests ([`RegionServer::handle_multi_get`]
-    /// messages) served.
-    pub fn multi_gets_served(&self) -> u64 {
-        self.multi_gets.get()
-    }
-
-    /// Number of write batches applied.
-    pub fn puts_applied(&self) -> u64 {
-        self.puts.get()
-    }
-
-    /// Number of scan legs served ([`RegionServer::handle_scan`] pages;
-    /// a cross-region scan counts once per region walked).
-    pub fn scans_served(&self) -> u64 {
-        self.scans.get()
-    }
-
-    /// Number of requests rejected with `NotServing`.
-    pub fn not_serving_count(&self) -> u64 {
-        self.not_serving.get()
     }
 
     /// Current handler queue length (for overload diagnostics).

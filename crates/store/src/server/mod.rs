@@ -92,10 +92,6 @@ pub struct RegionServerConfig {
     /// file for the much larger `storefile_read_service` of consulting
     /// files that cannot contain the key.
     pub filter_probe_service: SimDuration,
-    /// Whether point gets use the per-file bloom filters (key-range
-    /// pruning is always on — it is a free metadata comparison). Mostly
-    /// an A/B switch for benchmarks; see [`RegionServer::set_bloom_filters`].
-    pub bloom_filters: bool,
     /// Measurement-only cross-check: when a filter excludes a file, also
     /// run the exact membership check and count a false negative if the
     /// filter was wrong (it never should be). Costs host time, not
@@ -218,7 +214,6 @@ impl Default for RegionServerConfig {
             coord_session_timeout: SimDuration::from_millis(1800),
             storefile_read_service: SimDuration::from_micros(120),
             filter_probe_service: SimDuration::from_micros(2),
-            bloom_filters: true,
             verify_filters: false,
             compaction: CompactionConfig::default(),
             split: SplitConfig::default(),
@@ -361,12 +356,11 @@ pub struct RegionServer {
     events: RefCell<Journal>,
     compaction_stats: CompactionStats,
     filter_stats: FilterStats,
-    /// Runtime master switch for bloom probes (initialized from
-    /// [`RegionServerConfig::bloom_filters`]).
+    /// Runtime master switch for bloom probes (on until
+    /// [`RegionServer::set_bloom_filters`] says otherwise).
     bloom_enabled: Cell<bool>,
-    /// The active compaction policy (initialized from
-    /// [`CompactionConfig::policy`]; swappable at runtime).
-    policy: RefCell<Rc<dyn CompactionPolicy>>,
+    /// The compaction policy, built from [`CompactionConfig::policy`].
+    policy: Rc<dyn CompactionPolicy>,
     /// Backpressure deficit bank: one token accrues per check tick that
     /// defers a due merge; at `max_deferrals` the merge runs regardless.
     compaction_deficit: Cell<u32>,
@@ -469,8 +463,8 @@ impl RegionServer {
             events: RefCell::new(Journal::disabled()),
             compaction_stats: CompactionStats::default(),
             filter_stats: FilterStats::default(),
-            bloom_enabled: Cell::new(cfg.bloom_filters),
-            policy: RefCell::new(compaction::policy_for(cfg.compaction.policy)),
+            bloom_enabled: Cell::new(true),
+            policy: compaction::policy_for(cfg.compaction.policy),
             compaction_deficit: Cell::new(0),
             sched_busy_ns: Cell::new(0),
             sched_checked_ns: Cell::new(sim.now().nanos()),

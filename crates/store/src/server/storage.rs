@@ -3,7 +3,7 @@
 //! argument) and the gauges derived from the file sets.
 
 use super::{RegionServer, RegionState};
-use crate::compaction::{self, CompactionJob, CompactionPolicyKind, CompactionStats, GcWatermark};
+use crate::compaction::{self, CompactionJob, CompactionStats, GcWatermark};
 use crate::sstable::StoreFileData;
 use crate::types::{RegionId, Timestamp};
 use cumulo_sim::SimDuration;
@@ -37,23 +37,6 @@ impl RegionServer {
     /// gauge (shared handles; clone freely).
     pub fn compaction_stats(&self) -> &CompactionStats {
         &self.compaction_stats
-    }
-
-    /// Switches the compaction policy at runtime (the benches' A/B
-    /// switch, like [`RegionServer::set_bloom_filters`]). Policies are
-    /// stateless over the current file stack, so the switch simply
-    /// changes what the next candidacy check decides; in-flight merges
-    /// finish under their already-planned placement. Files a previous
-    /// policy placed on deeper levels keep their level — the size-tiered
-    /// policy ignores levels, and a switch back to leveled resumes from
-    /// the recorded ones.
-    pub fn set_compaction_policy(&self, kind: CompactionPolicyKind) {
-        *self.policy.borrow_mut() = compaction::policy_for(kind);
-    }
-
-    /// The compaction policy currently deciding candidacy.
-    pub fn compaction_policy(&self) -> CompactionPolicyKind {
-        self.policy.borrow().kind()
     }
 
     /// Per-level `(file count, bytes)` across this server's hosted
@@ -106,7 +89,7 @@ impl RegionServer {
             return;
         }
         let ccfg = self.cfg.compaction;
-        let policy = Rc::clone(&*self.policy.borrow());
+        let policy = &self.policy;
         let mut candidates: Vec<RegionId> = Vec::new();
         let overdue = {
             let regions = self.regions.borrow();
@@ -297,7 +280,7 @@ impl RegionServer {
         }
         let cfg = self.cfg.compaction;
         let utilization = self.sample_utilization();
-        let policy = Rc::clone(&*self.policy.borrow());
+        let policy = &self.policy;
         // One candidate region per tick: compaction competes with
         // foreground traffic for handler slots, so pace it. The policy
         // decides per region whether a merge is due; the deepest file

@@ -38,10 +38,6 @@ pub enum CommitOutcome {
 pub struct TxnManagerConfig {
     /// Recovery-log (group commit) configuration.
     pub log: RecoveryLogConfig,
-    /// Whether write-write conflict detection runs (the paper treats
-    /// concurrency control as out of scope; disabling isolates recovery
-    /// behaviour in experiments).
-    pub conflict_detection: bool,
     /// Period of the conflict-table prune.
     pub prune_interval: SimDuration,
 }
@@ -50,7 +46,6 @@ impl Default for TxnManagerConfig {
     fn default() -> Self {
         TxnManagerConfig {
             log: RecoveryLogConfig::default(),
-            conflict_detection: true,
             prune_interval: SimDuration::from_secs(10),
         }
     }
@@ -65,7 +60,6 @@ struct ActiveTxn {
 /// transactional client wraps every call in network messages.
 pub struct TransactionManager {
     node: NodeId,
-    cfg: TxnManagerConfig,
     oracle: TimestampOracle,
     conflicts: ConflictChecker,
     log: Rc<RecoveryLog>,
@@ -98,7 +92,6 @@ impl TransactionManager {
     pub fn new(sim: &Sim, node: NodeId, cfg: TxnManagerConfig) -> Rc<TransactionManager> {
         let tm = Rc::new(TransactionManager {
             node,
-            cfg,
             oracle: TimestampOracle::new(),
             conflicts: ConflictChecker::new(),
             log: RecoveryLog::new(sim, cfg.log),
@@ -178,10 +171,9 @@ impl TransactionManager {
             return;
         }
         let commit_ts = self.oracle.next_ts();
-        if self.cfg.conflict_detection
-            && !self
-                .conflicts
-                .check_and_record(&write_set, info.start_ts, commit_ts)
+        if !self
+            .conflicts
+            .check_and_record(&write_set, info.start_ts, commit_ts)
         {
             self.aborts.set(self.aborts.get() + 1);
             self.conflict_aborts.set(self.conflict_aborts.get() + 1);
@@ -548,29 +540,5 @@ mod tests {
         assert_eq!(tm.oldest_active_snapshot(), snap_a);
         tm.handle_abort(a);
         assert_eq!(tm.oldest_active_snapshot(), tm.watermark());
-    }
-
-    #[test]
-    fn conflict_detection_can_be_disabled() {
-        let sim = Sim::new(3);
-        let cfg = TxnManagerConfig {
-            conflict_detection: false,
-            ..TxnManagerConfig::default()
-        };
-        let tm = TransactionManager::new(&sim, NodeId(0), cfg);
-        let (a, _) = tm.handle_begin(ClientId(0));
-        let (b, _) = tm.handle_begin(ClientId(1));
-        let ok = Rc::new(Cell::new(0u32));
-        let (o1, o2) = (ok.clone(), ok.clone());
-        tm.handle_commit(a, ws("same"), move |o| {
-            assert!(matches!(o, CommitOutcome::Committed(_)));
-            o1.set(o1.get() + 1);
-        });
-        tm.handle_commit(b, ws("same"), move |o| {
-            assert!(matches!(o, CommitOutcome::Committed(_)));
-            o2.set(o2.get() + 1);
-        });
-        sim.run_for(SimDuration::from_millis(100));
-        assert_eq!(ok.get(), 2);
     }
 }

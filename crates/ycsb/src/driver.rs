@@ -251,15 +251,8 @@ fn run_op(
         });
         return;
     }
-    // The batched and scan draws only happen when those ops are
-    // configured, so workloads without them replay byte-identically
-    // against pre-existing seeds.
-    let is_mget = inner.workload.multi_get_ratio > 0.0
-        && inner.sim.gen_f64() < inner.workload.multi_get_ratio;
-    if is_mget {
-        run_multi_get_op(inner, txn, op, started, thread, arrival, interval_ns);
-        return;
-    }
+    // The scan draw only happens when scans are configured, so workloads
+    // without them replay byte-identically against pre-existing seeds.
     let is_scan =
         inner.workload.scan_ratio > 0.0 && inner.sim.gen_f64() < inner.workload.scan_ratio;
     if is_scan {
@@ -319,102 +312,6 @@ fn run_op(
         }
         run_op(inner, txn, op + 1, started, thread, arrival, interval_ns);
     }
-}
-
-/// The batched read-modify-write op: `multi_get_batch` cells are drawn
-/// up front, read in one `multi_get` (or as sequential `get`s when
-/// `multi_get_batched` is off — same draws, so the A/B comparison runs
-/// identical logical transactions), and each is rewritten with a value
-/// derived from what was read.
-#[allow(clippy::too_many_arguments)]
-fn run_multi_get_op(
-    inner: Rc<DriverInner>,
-    txn: Transaction,
-    op: usize,
-    started: SimTime,
-    thread: usize,
-    arrival: SimTime,
-    interval_ns: Option<u64>,
-) {
-    let batch = inner.workload.multi_get_batch.max(1);
-    let mut cells: Vec<(Bytes, Bytes)> = Vec::with_capacity(batch);
-    for _ in 0..batch {
-        let key = inner.workload.key(pick_key(&inner));
-        let field_idx = inner.sim.gen_range(0, inner.workload.fields.len() as u64) as usize;
-        let field = inner.workload.fields[field_idx].clone();
-        cells.push((Bytes::from(key), Bytes::from(field)));
-    }
-    if inner.workload.multi_get_batched {
-        let inner2 = Rc::clone(&inner);
-        let txn2 = txn.clone();
-        let cells2 = cells.clone();
-        txn.multi_get(cells, move |values| {
-            let Ok(values) = values else { return };
-            for ((row, column), old) in cells2.into_iter().zip(values) {
-                let value = derived_value(inner2.workload.field_len, old.as_deref());
-                if txn2.put(row, column, value).is_err() {
-                    return;
-                }
-            }
-            run_op(inner2, txn2, op + 1, started, thread, arrival, interval_ns);
-        });
-    } else {
-        collect_sequential(
-            inner,
-            txn,
-            cells,
-            Vec::new(),
-            op,
-            started,
-            thread,
-            arrival,
-            interval_ns,
-        );
-    }
-}
-
-/// The unbatched control: reads the batch's cells one `get` (one store
-/// round trip) at a time, then applies the same derived writes.
-#[allow(clippy::too_many_arguments)]
-fn collect_sequential(
-    inner: Rc<DriverInner>,
-    txn: Transaction,
-    mut cells: Vec<(Bytes, Bytes)>,
-    mut read: Vec<(Bytes, Bytes, Option<Bytes>)>,
-    op: usize,
-    started: SimTime,
-    thread: usize,
-    arrival: SimTime,
-    interval_ns: Option<u64>,
-) {
-    if read.len() == cells.len() {
-        for (row, column, old) in read {
-            let value = derived_value(inner.workload.field_len, old.as_deref());
-            if txn.put(row, column, value).is_err() {
-                return;
-            }
-        }
-        run_op(inner, txn, op + 1, started, thread, arrival, interval_ns);
-        return;
-    }
-    let (row, column) = cells[read.len()].clone();
-    let txn2 = txn.clone();
-    let (row2, column2) = (row.clone(), column.clone());
-    txn.get(row, column, move |old| {
-        let Ok(old) = old else { return };
-        read.push((row2, column2, old));
-        collect_sequential(
-            inner,
-            txn2,
-            std::mem::take(&mut cells),
-            read,
-            op,
-            started,
-            thread,
-            arrival,
-            interval_ns,
-        );
-    });
 }
 
 /// The read-modify-write derived value: the old bytes (if any) with the

@@ -40,20 +40,6 @@ pub struct Workload {
     pub scan_ratio: f64,
     /// Rows per scan operation.
     pub scan_len: usize,
-    /// Fraction of operations performed as a *batched* read-modify-write:
-    /// `multi_get_batch` cells are read in one `multi_get` (one store RPC
-    /// per region touched) and each is rewritten with a derived value.
-    /// Decided before the scan and read/update splits. While zero (the
-    /// default) the driver draws nothing extra from the simulation RNG,
-    /// so existing seeds replay identically.
-    pub multi_get_ratio: f64,
-    /// Cells per batched read-modify-write operation.
-    pub multi_get_batch: usize,
-    /// The batching A/B switch: `true` issues the batch as one
-    /// `multi_get`; `false` reads the *same* keys (identical RNG draws)
-    /// as sequential `get`s — the unbatched control of
-    /// `multi_get_bench`.
-    pub multi_get_batched: bool,
     /// Key distribution.
     pub distribution: KeyDistribution,
     /// [`KeyDistribution::HotSpot`] only: the fraction of the key space
@@ -94,9 +80,6 @@ impl Default for Workload {
             rmw_ratio: 0.0,
             scan_ratio: 0.0,
             scan_len: 20,
-            multi_get_ratio: 0.0,
-            multi_get_batch: 8,
-            multi_get_batched: true,
             distribution: KeyDistribution::Uniform,
             hotspot_keys_fraction: 0.01,
             hotspot_ops_fraction: 0.9,
@@ -139,14 +122,6 @@ impl Workload {
         assert!(
             self.scan_ratio == 0.0 || self.scan_len > 0,
             "scans need a positive length"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.multi_get_ratio),
-            "multi_get ratio out of range"
-        );
-        assert!(
-            self.multi_get_ratio == 0.0 || self.multi_get_batch > 0,
-            "batched reads need a positive batch size"
         );
         assert!(
             self.hotspot_keys_fraction > 0.0 && self.hotspot_keys_fraction <= 1.0,
