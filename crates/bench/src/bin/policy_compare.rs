@@ -57,11 +57,6 @@ fn main() {
             compaction_policy: policy,
             ..ClusterConfig::default()
         };
-        // The pinned baseline CSV predates cross-region scan
-        // continuation; the scan-heavy phase crosses region boundaries,
-        // so keep the legacy single-region truncation to preserve the
-        // calibrated message schedule byte-for-byte.
-        cfg.store_client_cfg.cross_region_scans = false;
         // Flush every ~64 KiB so writes outrun merging and a standing
         // multi-file backlog exists while we measure; partition leveled
         // runs into ~96 KiB files so levels hold several disjoint files.
@@ -156,9 +151,6 @@ fn main() {
             compaction_threshold: 3,
             ..ClusterConfig::default()
         };
-        // Legacy single-region scans: see the baseline note on the
-        // policy phase above.
-        cfg.store_client_cfg.cross_region_scans = false;
         cfg.server_cfg.memstore_flush_bytes = 48 << 10;
         cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
         cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(700);

@@ -43,13 +43,6 @@ pub struct StoreClientConfig {
     pub retry_backoff: SimDuration,
     /// Cap on the exponential retry backoff.
     pub max_backoff: SimDuration,
-    /// Continue scans across region boundaries (on by default). When
-    /// off, [`StoreClient::scan`] reverts to the legacy behavior of
-    /// serving only the region containing `start` — kept for calibrated
-    /// experiments whose pinned baselines predate the continuation (the
-    /// extra per-leg messages draw network-jitter RNG and would shift
-    /// their event schedules).
-    pub cross_region_scans: bool,
     /// Minimum spacing between region-map refresh fetches, plus an
     /// epoch check: a routing failure whose observed map epoch is
     /// already stale (the cache advanced since the op was routed) skips
@@ -67,7 +60,6 @@ impl Default for StoreClientConfig {
             request_timeout: SimDuration::from_millis(60),
             retry_backoff: SimDuration::from_millis(15),
             max_backoff: SimDuration::from_millis(500),
-            cross_region_scans: true,
             min_refresh_interval: SimDuration::ZERO,
         }
     }
@@ -246,9 +238,7 @@ impl StoreClient {
     /// boundary: a failed leg retries *at the same cursor* with a
     /// refreshed map (the `WrongRegion`-style self-healing the write
     /// path uses), and snapshot reads are independent of region
-    /// structure. Legacy single-region truncation is available via
-    /// [`StoreClientConfig::cross_region_scans`]. Retries until served;
-    /// `done` fires exactly once.
+    /// structure. Retries until served; `done` fires exactly once.
     pub fn scan(
         &self,
         start: Bytes,
@@ -783,10 +773,9 @@ impl Request for ScanLeg {
         server.handle_scan(self.cursor, self.end, self.snapshot, self.remaining, reply);
     }
 
-    /// Absorbs the page, then finishes — limit filled, table end reached,
-    /// requested end covered by the region just served, or continuation
-    /// disabled (legacy single-region truncation) — or issues the next
-    /// leg at the region's end bound.
+    /// Absorbs the page, then finishes — limit filled, table end reached
+    /// or requested end covered by the region just served — or issues the
+    /// next leg at the region's end bound.
     fn served(self, inner: Rc<Inner>, page: ScanPage, mut state: ScanState) {
         let left = self.remaining.saturating_sub(page.cells.len());
         state.acc.extend(page.cells);
@@ -795,7 +784,7 @@ impl Request for ScanLeg {
             (Some(re), Some(e)) => re >= e, // the requested end is inside the region
             (Some(_), None) => false,       // more table to the right
         };
-        if left == 0 || covered || !inner.cfg.cross_region_scans {
+        if left == 0 || covered {
             inner.scans_ok.inc();
             (state.done)(state.acc);
             return;

@@ -197,12 +197,10 @@ pub struct Master {
     moves_started: Counter,
     moves_completed: Counter,
     moves_refused: Counter,
-    /// Placement target-selection work actually performed (one unit per
-    /// live server examined) vs what the pre-fix O(servers × regions)
-    /// assignment scan would have cost — the before/after evidence pair
-    /// for the placement scaling cliff, emitted in `BENCH_scale.json`.
+    /// Placement target-selection work performed: one unit per live
+    /// server examined (the assigned-region counts are indexed, so no
+    /// placement scans the assignments map). Emitted in `BENCH_scale.json`.
     placement_cost: Counter,
-    placement_cost_naive: Counter,
     /// The shared store-file registry: a WAL split's output enters it
     /// once durable, and intent rollback purges a crashed split's
     /// orphaned reference registrations through it so backing-ref
@@ -276,7 +274,6 @@ impl Master {
             moves_completed: Counter::new(),
             moves_refused: Counter::new(),
             placement_cost: Counter::new(),
-            placement_cost_naive: Counter::new(),
             registry,
             timers: RefCell::new(Vec::new()),
             self_weak: RefCell::new(Weak::new()),
@@ -447,11 +444,6 @@ impl Master {
         registry.register_counter("master.move.completed", &[], &self.moves_completed);
         registry.register_counter("master.move.refused", &[], &self.moves_refused);
         registry.register_counter("master.placement.cost", &[], &self.placement_cost);
-        registry.register_counter(
-            "master.placement.cost_naive",
-            &[],
-            &self.placement_cost_naive,
-        );
         registry.register_counter("master.repl.promotions", &[], &self.repl_promotions);
         registry.register_counter(
             "master.repl.fallback_replays",
@@ -680,15 +672,7 @@ impl Master {
         let target = {
             let map = self.region_map.borrow();
             let live = self.ranked_live(&map);
-            // Before the indexed counts, each server's assigned-region
-            // count was a full scan of the assignments map — O(servers ×
-            // regions) per placement, the cliff a mass-split failover
-            // storm runs into. The counter pair records the work actually
-            // done vs what the scan would have cost, so the scale bench
-            // can emit the before/after evidence.
             self.placement_cost.add(live.len() as u64);
-            self.placement_cost_naive
-                .add((live.len() * map.regions().len()) as u64);
             live.first().map(|(_, id)| *id)
         };
         let Some(target) = target else {
