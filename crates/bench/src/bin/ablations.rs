@@ -72,7 +72,7 @@ fn main() {
             kv("replayed_portions", replayed),
         ]);
         rep.phase(fields);
-        kept_and_replayed.push((cluster.tm.log().len() as u64, replayed));
+        kept_and_replayed.push((cluster.tm.log().len(), replayed));
     }
     // What the thresholds are for: with tracking the log is truncated and
     // a failure replays its tail; without, the log keeps everything and a

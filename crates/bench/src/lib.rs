@@ -1,9 +1,26 @@
-//! Shared harness for the figure-reproduction binaries and the Criterion
-//! micro-benchmarks.
+//! The reproduction, and the harness its eight binaries share.
+//!
+//! Four binaries are the paper's evaluation: `fig2a` (asynchronous below
+//! synchronous persistence), `fig2b` (the heartbeat-interval trade-off),
+//! `fig3` (the failure timeline) and `ablations` (tracking on/off,
+//! filesystem replication, heartbeat vs replay volume, client failure).
+//! Four are probes of behaviour the paper does not have: `policy_compare`
+//! (compaction layouts and backpressure), `split_bench` (online splits
+//! under a hotspot), `scale_bench` (the split/merge/move/failover soak)
+//! and `failover_bench` (replay vs promotion). Every one but
+//! `policy_compare`, which only reports, asserts the claim it plots, and
+//! `tests/baseline_regression.rs` pins the quick CSV of all eight
+//! byte-for-byte.
+//!
+//! A *performance* question — what does a transaction, a get, a scan or a
+//! failover cost on either clock — is not asked here: `benchmark/`, the
+//! package outside the workspace, owns those, with frozen workloads, a
+//! per-layer ledger and a contract (`BENCHMARK.json`). `benches/micro.rs`
+//! is the lab tool for host-time work on single data structures.
 //!
 //! Every binary prints CSV to stdout and a human-readable commentary to
 //! stderr. Set `CUMULO_QUICK=1` to run a scaled-down version (fewer rows,
-//! shorter measurement) for smoke-testing the harness.
+//! shorter measurement).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

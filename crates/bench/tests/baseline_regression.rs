@@ -37,17 +37,17 @@
 //! transaction manager and did not move.
 //! **PR 20 re-pinned two rows of `policy_compare` and dropped one column
 //! of `scale_bench`, in one commit with their two causes.**
-//! `StoreClientConfig::cross_region_scans` is gone, and with it the two
-//! lines that turned it off here, so the `scan_heavy` phase times the scan
-//! the system ships instead of one truncated at the first region boundary.
+//! The store client's switch for scan continuation is gone, and with it
+//! the two lines that turned it off here, so the `scan_heavy` phase times the
+//! scan the system ships instead of one truncated at the first region boundary.
 //! A full scan costs more than a truncated one: `size_tiered` 560.2 tps /
 //! 42.62 ms mean / 88.08 ms p99 → 542.4 / 44.01 / 90.18, `leveled` 548.4 /
 //! 43.56 / 90.18 → 529.8 / 45.04 / 94.37. The other six rows are
 //! byte-identical — `write_heavy` and `mixed` run before any scan and the
 //! two `storm` rows never scan, so the flag was inert there.
-//! `master.placement.cost_naive` is gone with its column: `cut -d, -f1-15`
-//! of the old `scale_bench` file is the new one. `split_bench` and
-//! `failover_bench` did not move.
+//! The master's shadow counter of placement work nobody does is gone with
+//! its column: `cut -d, -f1-15` of the old `scale_bench` file is the new
+//! one. `split_bench` and `failover_bench` did not move.
 //!
 //! The last four pin the paper's figures (`fig2a`, `fig2b`, `fig3`) and
 //! the `ablations`; see `assert_figure_pinned`.

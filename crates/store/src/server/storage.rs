@@ -89,7 +89,6 @@ impl RegionServer {
             return;
         }
         let ccfg = self.cfg.compaction;
-        let policy = &self.policy;
         let mut candidates: Vec<RegionId> = Vec::new();
         let overdue = {
             let regions = self.regions.borrow();
@@ -133,7 +132,7 @@ impl RegionServer {
                 // drain and the stall would hold forever.
                 if ccfg.enabled
                     && ccfg.backpressure
-                    && policy.flush_should_stall(st.stall_signal(), &ccfg)
+                    && self.policy.flush_should_stall(st.stall_signal(), &ccfg)
                 {
                     self.compaction_stats.flush_stalls.inc();
                     self.compaction_stats
@@ -280,7 +279,6 @@ impl RegionServer {
         }
         let cfg = self.cfg.compaction;
         let utilization = self.sample_utilization();
-        let policy = &self.policy;
         // One candidate region per tick: compaction competes with
         // foreground traffic for handler slots, so pace it. The policy
         // decides per region whether a merge is due; the deepest file
@@ -299,7 +297,7 @@ impl RegionServer {
                     inputs,
                     output_level,
                     max_output_bytes,
-                }) = policy.pick(&metas, &cfg)
+                }) = self.policy.pick(&metas, &cfg)
                 else {
                     continue;
                 };
