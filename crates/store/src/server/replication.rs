@@ -811,10 +811,14 @@ impl RegionServer {
                 return;
             }
             group.fenced = true;
+            // Nothing is in flight on a fenced group's lanes: a report
+            // or sync left pending here would be retried for good.
             for lane in group.lanes.iter_mut() {
                 lane.pending.clear();
                 lane.backlog_bytes = 0;
                 lane.synced = false;
+                lane.drop_pending = false;
+                lane.sync_seq = None;
             }
             group.take_all_gates()
         };

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::bank::{account, shift_rng, Bank};
+use common::bank::{account, run_until, shift_rng, Bank};
 use common::{crash_first_observed, ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
@@ -184,6 +184,49 @@ fn partitioned_primary_is_fenced_after_promotion() {
         );
         audit_balances(&cluster, &format!("shift {shift}"));
     }
+}
+
+/// The same partition, landed while the primary has a write-set on its
+/// way to a backup, and watched past the fence. The lost ack times out
+/// behind the partition, so a lane report is pending — re-sent every
+/// 400 ms into the void — when the heal lets one through; the master
+/// answers "stale" and the group fences. That must end the reporting: a
+/// fenced group has nothing left to un-gate, and the master said so.
+/// Every report the master receives under a superseded epoch is
+/// journalled as `replication.stale_report`, so once the fence has
+/// settled the count must stand still.
+#[test]
+fn fenced_primary_stops_reporting_its_lanes() {
+    let cluster = Cluster::build(replicated_config(8202));
+    let committed = Rc::new(Cell::new(0u32));
+    let load = |cluster: &Cluster, _| BANK.transfer_round(cluster, &committed);
+    ChaosSchedule::new().run_rounds(&cluster, 20, TICK, load);
+    // Isolate server 0 the moment it has shipped something unacked.
+    BANK.transfer_round(&cluster, &committed);
+    let backlog = cluster.servers[0].replication_stats().backlog_bytes.clone();
+    let step = SimDuration::from_micros(100);
+    assert!(
+        run_until(&cluster, step, TICK, || backlog.get() > 0),
+        "server 0 shipped nothing this round; pick another seed"
+    );
+    ChaosSchedule::new()
+        .at(SimDuration::ZERO, ChaosAction::IsolateServer(0))
+        .at(TICK * 16, ChaosAction::HealAll)
+        .run_rounds(&cluster, 30, TICK, load);
+    cluster.run_for(SimDuration::from_secs(5));
+    assert!(
+        cluster.servers[0].replication_stats().fenced.get() > 0,
+        "the stale primary never fenced itself"
+    );
+    let reports = cluster.events.count("replication.stale_report");
+    assert!(reports > 0, "no lane report was pending across the fence");
+    cluster.run_for(SimDuration::from_secs(10));
+    assert_eq!(
+        cluster.events.count("replication.stale_report"),
+        reports,
+        "a fenced group kept re-sending its lane reports to the master"
+    );
+    audit_balances(&cluster, "fenced, quiet");
 }
 
 /// Crash the primary *and* every backup of its regions: no eligible
