@@ -53,10 +53,10 @@ fn main() {
             clients: 24,
             regions: 4,
             key_count: rows,
-            compaction_threshold: 4,
-            compaction_policy: policy,
             ..ClusterConfig::default()
         };
+        cfg.server_cfg.compaction.min_files = 4;
+        cfg.server_cfg.compaction.policy = policy;
         // Flush every ~64 KiB so writes outrun merging and a standing
         // multi-file backlog exists while we measure; partition leveled
         // runs into ~96 KiB files so levels hold several disjoint files.
@@ -148,9 +148,9 @@ fn main() {
             clients: 24,
             regions: 4,
             key_count: rows,
-            compaction_threshold: 3,
             ..ClusterConfig::default()
         };
+        cfg.server_cfg.compaction.min_files = 3;
         cfg.server_cfg.memstore_flush_bytes = 48 << 10;
         cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
         cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(700);

@@ -170,16 +170,16 @@ fn build_cluster(d: &Dims) -> Cluster {
         clients: d.clients,
         regions: d.regions,
         key_count: d.rows,
-        splits: true,
-        split_threshold_bytes: d.split_threshold,
-        merges: true,
-        // Low candidacy threshold: the timer only collapses genuinely
-        // shrunken pairs; phase-boundary consolidation sweeps drive the
-        // bulk of the merges via the admin path.
-        merge_threshold_bytes: 64 << 10,
-        moves: true,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.split.enabled = true;
+    cfg.server_cfg.split.threshold_bytes = d.split_threshold;
+    cfg.server_cfg.merge.enabled = true;
+    // Low candidacy threshold: the timer only collapses genuinely
+    // shrunken pairs; phase-boundary consolidation sweeps drive the
+    // bulk of the merges via the admin path.
+    cfg.server_cfg.merge.threshold_bytes = 64 << 10;
+    cfg.master_cfg.moves.enabled = true;
     cfg.server_cfg.memstore_flush_bytes = 256 << 10;
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(500);
     cfg.server_cfg.split.check_interval = SimDuration::from_secs(1);

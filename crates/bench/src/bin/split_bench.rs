@@ -39,12 +39,12 @@ fn split_cluster(seed: u64, splits: bool, rows: u64) -> Cluster {
         clients: 8,
         regions: 2,
         key_count: rows,
-        compaction_threshold: 4,
-        splits,
-        // Low enough that the hot region's file stack crosses it quickly.
-        split_threshold_bytes: 192 << 10,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.compaction.min_files = 4;
+    cfg.server_cfg.split.enabled = splits;
+    // Low enough that the hot region's file stack crosses it quickly.
+    cfg.server_cfg.split.threshold_bytes = 192 << 10;
     cfg.server_cfg.memstore_flush_bytes = 32 << 10;
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
     cfg.server_cfg.split.check_interval = SimDuration::from_millis(500);

@@ -19,99 +19,68 @@ use cumulo_sim::{
     DiskConfig, Journal, LatencyConfig, MetricsRegistry, Network, Sim, SimDuration, SimTime,
 };
 use cumulo_store::{
-    ChangeKind, ClientId, CompactionPolicyKind, Master, MasterConfig, MemStore, RegionId,
-    RegionMap, RegionServer, RegionServerConfig, ServerDirectory, ServerId, StoreClient,
-    StoreClientConfig, StoreFileData, StoreFileRegistry, Timestamp, WalSyncMode,
+    ChangeKind, ClientId, Master, MasterConfig, MemStore, RegionId, RegionMap, RegionServer,
+    RegionServerConfig, ServerDirectory, ServerId, StoreClient, StoreClientConfig, StoreFileData,
+    StoreFileRegistry, Timestamp, WalSyncMode,
 };
-use cumulo_txn::{TransactionManager, TxnManagerConfig};
+use cumulo_txn::TransactionManager;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// Cluster-wide configuration.
+/// Row-key prefix of the loaded table.
+const KEY_PREFIX: &str = "user";
+
+/// Cluster-wide configuration: the deployment's shape, the paper's four
+/// dials (`persistence`, `heartbeat_interval`, `tracking`, `truncation`)
+/// and `region_replication` — each one value that [`Cluster::build`]
+/// fans out to several components — plus the per-component knobs, each
+/// of which lives in its component's config and nowhere else.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Simulation seed (same seed ⇒ identical run).
     pub seed: u64,
-    /// Number of region servers (paper: 2).
+    /// Number of region servers (paper: 2). The filesystem runs one
+    /// datanode per server plus a spare.
     pub servers: usize,
     /// Number of transactional client processes (paper: 50 threads).
     pub clients: usize,
     /// Number of regions the table is split into.
     pub regions: usize,
-    /// Number of datanodes (0 ⇒ one per server plus a spare).
-    pub datanodes: usize,
     /// Filesystem replication factor (paper: 2).
     pub replication: usize,
-    /// Row-key prefix of the loaded table.
-    pub key_prefix: String,
     /// Number of rows the key space is sized for (paper: 500 000).
     pub key_count: u64,
-    /// Asynchronous (paper) vs synchronous (baseline) persistence.
+    /// Asynchronous (paper) vs synchronous (baseline) persistence: the
+    /// clients' commit path and the servers' `server_cfg.wal_mode`.
     pub persistence: PersistenceMode,
     /// Tracker heartbeat period for clients and servers (Fig. 2b sweeps
-    /// 50 ms – 10 s; the failure experiment uses 1 s).
+    /// 50 ms – 10 s; the failure experiment uses 1 s). Also sizes the
+    /// clients' coordination session timeout.
     pub heartbeat_interval: SimDuration,
-    /// Whether threshold tracking runs (ablation).
+    /// Whether threshold tracking runs (ablation): clients, server
+    /// trackers and the recovery manager.
     pub tracking: bool,
     /// Whether log truncation runs (ablation).
     pub truncation: bool,
-    /// Whether background store-file compaction runs (overrides
-    /// `server_cfg.compaction.enabled`).
-    pub compaction: bool,
-    /// Store-file count that makes a region a size-tiered compaction
-    /// candidate (overrides `server_cfg.compaction.min_files`). The
-    /// leveled policy's L0 trigger is deliberately *not* driven by this
-    /// knob — set `server_cfg.compaction.l0_trigger_files` for that.
-    pub compaction_threshold: usize,
-    /// Which compaction policy the servers run (overrides
-    /// `server_cfg.compaction.policy`).
-    pub compaction_policy: CompactionPolicyKind,
-    /// Whether online region splits run (overrides
-    /// `server_cfg.split.enabled`). Off by default so calibrated
-    /// experiments that predate splits keep their schedules.
-    pub splits: bool,
     /// Copies of each *region* (primary + backups): 2 means one backup
     /// shadow per region with promotion-based failover. 1 (the default)
     /// disables region replication entirely — zero extra messages, so
-    /// calibrated experiments keep byte-identical schedules. Distinct
-    /// from [`ClusterConfig::replication`], the *filesystem* block
-    /// replication factor.
+    /// calibrated experiments keep byte-identical schedules. Sets the
+    /// master's replication factor and `server_cfg.replication`.
+    /// Distinct from [`ClusterConfig::replication`], the *filesystem*
+    /// block replication factor.
     pub region_replication: usize,
-    /// Durable store-file bytes at which a region splits (overrides
-    /// `server_cfg.split.threshold_bytes`).
-    pub split_threshold_bytes: usize,
-    /// Whether online region merges run (overrides
-    /// `server_cfg.merge.enabled`). Off by default — merges add a timer,
-    /// so calibrated experiments keep byte-identical schedules. Merges
-    /// and region replication are mutually exclusive in this version.
-    pub merges: bool,
-    /// Combined durable bytes *under* which an adjacent co-hosted pair
-    /// of regions is a merge candidate (overrides
-    /// `server_cfg.merge.threshold_bytes`). Keep this well below the
-    /// split threshold or the cluster oscillates split↔merge.
-    pub merge_threshold_bytes: usize,
-    /// Whether the master's proactive hot-region move checker runs
-    /// (overrides `master_cfg.moves.enabled`). Off by default for the
-    /// same schedule-stability reason as `merges`.
-    pub moves: bool,
-    /// Master knobs (`moves.enabled` is overridden by the top-level
-    /// `moves` field).
+    /// Master knobs (proactive moves: `master_cfg.moves`).
     pub master_cfg: MasterConfig,
-    /// Network latency model.
-    pub latency: LatencyConfig,
-    /// Region-server knobs (`wal_mode` is overridden by `persistence`;
-    /// `compaction.enabled`/`compaction.min_files` are overridden by the
-    /// top-level `compaction`/`compaction_threshold` fields).
+    /// Region-server knobs: flushes, block cache, and compaction, splits
+    /// and merges under `server_cfg.{compaction, split, merge}`. Splits,
+    /// merges and moves are off by default so calibrated experiments
+    /// that predate them keep their schedules. `wal_mode` and
+    /// `replication` are set from `persistence` and `region_replication`.
     pub server_cfg: RegionServerConfig,
     /// Store-client knobs.
     pub store_client_cfg: StoreClientConfig,
-    /// Transaction-manager knobs.
-    pub tm_cfg: TxnManagerConfig,
-    /// Recovery-manager knobs (`tracking`/`truncation` are overridden).
-    pub rm_cfg: RecoveryManagerConfig,
-    /// Server-tracker knobs (`heartbeat_interval`/`tracking` overridden).
-    pub tracker_cfg: ServerTrackerConfig,
 }
 
 impl Default for ClusterConfig {
@@ -121,30 +90,16 @@ impl Default for ClusterConfig {
             servers: 2,
             clients: 4,
             regions: 4,
-            datanodes: 0,
             replication: 2,
-            key_prefix: "user".to_owned(),
             key_count: 500_000,
             persistence: PersistenceMode::Asynchronous,
             heartbeat_interval: SimDuration::from_secs(1),
             tracking: true,
             truncation: true,
-            compaction: true,
-            compaction_threshold: 4,
-            compaction_policy: CompactionPolicyKind::SizeTiered,
-            splits: false,
             region_replication: 1,
-            split_threshold_bytes: 256 << 20,
-            merges: false,
-            merge_threshold_bytes: 32 << 20,
-            moves: false,
             master_cfg: MasterConfig::default(),
-            latency: LatencyConfig::lan_100mbps(),
             server_cfg: RegionServerConfig::default(),
             store_client_cfg: StoreClientConfig::default(),
-            tm_cfg: TxnManagerConfig::default(),
-            rm_cfg: RecoveryManagerConfig::default(),
-            tracker_cfg: ServerTrackerConfig::default(),
         }
     }
 }
@@ -218,7 +173,7 @@ impl Cluster {
     /// (a configuration error).
     pub fn build(cfg: ClusterConfig) -> Cluster {
         let sim = Sim::new(cfg.seed);
-        let net = Network::new(&sim, cfg.latency);
+        let net = Network::new(&sim, LatencyConfig::lan_100mbps());
 
         // Observability: one registry + two journals shared by every
         // component. Pure recording — nothing here draws from the RNG or
@@ -231,13 +186,8 @@ impl Cluster {
         let coord_node = net.add_node("coord");
         let coord = CoordService::new(&sim, &net, coord_node, SimDuration::from_millis(100));
 
-        // Filesystem: one datanode per server plus a spare by default.
-        let n_dn = if cfg.datanodes == 0 {
-            cfg.servers + 1
-        } else {
-            cfg.datanodes
-        };
-        let dns: Vec<Rc<DataNode>> = (0..n_dn)
+        // Filesystem: one datanode per server plus a spare.
+        let dns: Vec<Rc<DataNode>> = (0..cfg.servers + 1)
             .map(|i| {
                 DataNode::new(
                     &sim,
@@ -258,7 +208,7 @@ impl Cluster {
 
         // Transaction manager on its own node.
         let tm_node = net.add_node("txn-manager");
-        let tm = TransactionManager::new(&sim, tm_node, cfg.tm_cfg);
+        let tm = TransactionManager::new(&sim, tm_node);
         tm.log().register_metrics(&metrics);
 
         // Region servers.
@@ -267,14 +217,7 @@ impl Cluster {
             PersistenceMode::Asynchronous => WalSyncMode::Async,
             PersistenceMode::Synchronous => WalSyncMode::Sync,
         };
-        server_cfg.compaction.enabled = cfg.compaction;
-        server_cfg.compaction.min_files = cfg.compaction_threshold;
-        server_cfg.compaction.policy = cfg.compaction_policy;
-        server_cfg.split.enabled = cfg.splits;
-        server_cfg.split.threshold_bytes = cfg.split_threshold_bytes;
-        server_cfg.merge.enabled = cfg.merges;
-        server_cfg.merge.threshold_bytes = cfg.merge_threshold_bytes;
-        server_cfg.replication.enabled = cfg.region_replication > 1;
+        server_cfg.replication = cfg.region_replication > 1;
         if cfg.tracking && cfg.persistence == PersistenceMode::Asynchronous {
             // Paper-faithful: with the middleware installed, the WAL is
             // synced by the tracker heartbeat (Algorithm 3), not by a
@@ -319,13 +262,11 @@ impl Cluster {
         // Master.
         let master_node = net.add_node("master");
         let master_dfs = DfsClient::new(&sim, &net, &namenode, master_node);
-        let mut master_cfg = cfg.master_cfg;
-        master_cfg.moves.enabled = cfg.moves;
         let master = Master::new(
             &sim,
             &net,
             master_node,
-            master_cfg,
+            cfg.master_cfg,
             master_dfs,
             Rc::clone(&dir),
             Rc::clone(&registry),
@@ -344,7 +285,6 @@ impl Cluster {
         let rm_cfg = RecoveryManagerConfig {
             tracking: cfg.tracking,
             truncation: cfg.truncation,
-            ..cfg.rm_cfg
         };
         let rm = RecoveryManager::new(&sim, &net, rm_node, rm_coord, &tm, rc, rm_cfg);
         rm.set_events_journal(events.clone());
@@ -356,7 +296,6 @@ impl Cluster {
         let tracker_cfg = ServerTrackerConfig {
             heartbeat_interval: cfg.heartbeat_interval,
             tracking: cfg.tracking,
-            ..cfg.tracker_cfg
         };
         let mut server_trackers = Vec::new();
         for server in &servers {
@@ -371,21 +310,14 @@ impl Cluster {
         // Table bootstrap.
         master.set_replication_factor(cfg.region_replication);
         master.bootstrap(RegionMap::split_decimal_keyspace(
-            &cfg.key_prefix,
+            KEY_PREFIX,
             cfg.key_count,
             cfg.regions,
         ));
         let deadline = sim.now() + SimDuration::from_secs(30);
         loop {
             sim.run_for(SimDuration::from_millis(200));
-            let map = master.snapshot_map();
-            let online = map.regions().iter().all(|r| {
-                map.server_for(r.id)
-                    .and_then(|s| dir.get(s))
-                    .map(|srv| srv.region_online(r.id))
-                    .unwrap_or(false)
-            });
-            if online {
+            if every_region_online(&master, &dir) {
                 break;
             }
             assert!(sim.now() < deadline, "cluster failed to bootstrap");
@@ -405,7 +337,6 @@ impl Cluster {
             session_timeout,
             persistence: cfg.persistence,
             tracking: cfg.tracking,
-            ..TxnClientConfig::default()
         };
         let mut clients = Vec::new();
         for i in 0..cfg.clients {
@@ -527,7 +458,7 @@ impl Cluster {
             let mut ms = MemStore::new();
             let mut region_rows: Vec<Bytes> = Vec::new();
             for i in 0..rows {
-                let key = Bytes::from(format!("{}{:012}", self.cfg.key_prefix, i));
+                let key = Bytes::from(format!("{KEY_PREFIX}{i:012}"));
                 if !desc.contains(&key) {
                     continue;
                 }
@@ -606,13 +537,7 @@ impl Cluster {
 
     /// Whether every region of the table is online on its assigned server.
     pub fn all_regions_online(&self) -> bool {
-        let map = self.master.snapshot_map();
-        map.regions().iter().all(|r| {
-            map.server_for(r.id)
-                .and_then(|s| self.dir.get(s))
-                .map(|srv| srv.region_online(r.id))
-                .unwrap_or(false)
-        })
+        every_region_online(&self.master, &self.dir)
     }
 
     /// Total transactions committed across all clients (a registry view
@@ -836,6 +761,18 @@ impl Cluster {
             })
             .collect()
     }
+}
+
+/// Whether every region in the master's map is online on the server the
+/// map assigns it to.
+fn every_region_online(master: &Master, dir: &ServerDirectory) -> bool {
+    let map = master.snapshot_map();
+    map.regions().iter().all(|r| {
+        map.server_for(r.id)
+            .and_then(|s| dir.get(s))
+            .map(|srv| srv.region_online(r.id))
+            .unwrap_or(false)
+    })
 }
 
 /// Cluster-wide sums of the statistics of one kind of online structure

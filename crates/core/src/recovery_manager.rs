@@ -52,27 +52,18 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-/// Recovery-manager tuning knobs.
+/// Checkpoint period: recompute `T_P`, truncate the log, republish
+/// thresholds.
+const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_secs(2);
+
+/// Recovery-manager settings (both fanned out from `ClusterConfig`).
 #[derive(Copy, Clone, Debug)]
 pub struct RecoveryManagerConfig {
-    /// Checkpoint period: recompute `T_P`, truncate the log, republish
-    /// thresholds.
-    pub checkpoint_interval: SimDuration,
     /// Whether log truncation below `T_P` runs (§3.2).
     pub truncation: bool,
     /// Whether threshold tracking is honoured. When disabled (ablation),
     /// every recovery replays from the beginning of the log.
     pub tracking: bool,
-}
-
-impl Default for RecoveryManagerConfig {
-    fn default() -> Self {
-        RecoveryManagerConfig {
-            checkpoint_interval: SimDuration::from_secs(2),
-            truncation: true,
-            tracking: true,
-        }
-    }
 }
 
 struct RegionTask {
@@ -282,10 +273,10 @@ impl RecoveryManager {
         self.arm_checkpoint_timer();
     }
 
-    /// Checkpoints every `checkpoint_interval` while the process lives.
+    /// Checkpoints every [`CHECKPOINT_INTERVAL`] while the process lives.
     fn arm_checkpoint_timer(self: &Rc<Self>) {
         let weak = Rc::downgrade(self);
-        let timer = every(&self.sim, self.cfg.checkpoint_interval, move || {
+        let timer = every(&self.sim, CHECKPOINT_INTERVAL, move || {
             if let Some(rm) = weak.upgrade() {
                 if rm.alive.get() {
                     rm.checkpoint();

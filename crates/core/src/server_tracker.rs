@@ -19,35 +19,24 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-/// Server-tracker tuning knobs.
+/// Fixed CPU cost per heartbeat. Calibrated to model the paper's
+/// observed contention: "our tracking data structures need to be
+/// synchronized … updating the tracking information too frequently
+/// can potentially reduce performance due to added contention"
+/// (§4.3). Request handlers stall behind this work.
+const CPU_FIXED: SimDuration = SimDuration::from_micros(3500);
+/// CPU cost per tracked PQ entry drained.
+const CPU_PER_ENTRY: SimDuration = SimDuration::from_micros(20);
+/// PQ length above which an alert znode is raised (§3.2).
+const ALERT_PENDING_THRESHOLD: usize = 10_000;
+
+/// Server-tracker settings (both fanned out from `ClusterConfig`).
 #[derive(Copy, Clone, Debug)]
 pub struct ServerTrackerConfig {
     /// Heartbeat period (the paper sweeps 50 ms – 10 s in Fig. 2b).
     pub heartbeat_interval: SimDuration,
-    /// Fixed CPU cost per heartbeat. Calibrated to model the paper's
-    /// observed contention: "our tracking data structures need to be
-    /// synchronized … updating the tracking information too frequently
-    /// can potentially reduce performance due to added contention"
-    /// (§4.3). Request handlers stall behind this work.
-    pub cpu_fixed: SimDuration,
-    /// CPU cost per tracked PQ entry drained.
-    pub cpu_per_entry: SimDuration,
     /// Whether tracking runs at all (ablation).
     pub tracking: bool,
-    /// PQ length above which an alert znode is raised (§3.2).
-    pub alert_pending_threshold: usize,
-}
-
-impl Default for ServerTrackerConfig {
-    fn default() -> Self {
-        ServerTrackerConfig {
-            heartbeat_interval: SimDuration::from_secs(1),
-            cpu_fixed: SimDuration::from_micros(3500),
-            cpu_per_entry: SimDuration::from_micros(20),
-            tracking: true,
-            alert_pending_threshold: 10_000,
-        }
-    }
 }
 
 /// The per-server tracking runtime. Shared via `Rc`.
@@ -138,13 +127,13 @@ impl ServerTracker {
             return;
         }
         let entries = self.tracker.borrow().pending() as u64;
-        if entries as usize > self.cfg.alert_pending_threshold {
+        if entries as usize > ALERT_PENDING_THRESHOLD {
             self.coord.set_data(
                 &paths::alert("servers", self.server.id().0),
                 paths::encode_ts(Timestamp(entries)),
             );
         }
-        let cost = self.cfg.cpu_fixed + self.cfg.cpu_per_entry * entries;
+        let cost = CPU_FIXED + CPU_PER_ENTRY * entries;
         let this = Rc::clone(self);
         self.server.submit_background(cost, move || {
             let wal = this.server.wal().clone();

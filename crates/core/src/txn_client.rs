@@ -222,7 +222,11 @@ struct TcInner {
     conflict_retries: Counter,
 }
 
-/// Transactional-client tuning knobs.
+/// Pending-commit count above which the client raises an alert
+/// (§3.2's stuck-region detector).
+const ALERT_PENDING_THRESHOLD: usize = 1_000;
+
+/// Transactional-client settings (all fanned out from `ClusterConfig`).
 #[derive(Copy, Clone, Debug)]
 pub struct TxnClientConfig {
     /// Heartbeat period (threshold publication + liveness touch). The
@@ -235,21 +239,6 @@ pub struct TxnClientConfig {
     /// Whether threshold tracking runs at all (ablation: without it, the
     /// recovery manager must replay from the beginning of the log).
     pub tracking: bool,
-    /// Pending-commit count above which the client raises an alert
-    /// (§3.2's stuck-region detector).
-    pub alert_pending_threshold: usize,
-}
-
-impl Default for TxnClientConfig {
-    fn default() -> Self {
-        TxnClientConfig {
-            heartbeat_interval: SimDuration::from_secs(1),
-            session_timeout: SimDuration::from_secs(3),
-            persistence: PersistenceMode::Asynchronous,
-            tracking: true,
-            alert_pending_threshold: 1_000,
-        }
-    }
 }
 
 /// A transactional client process. Cheap to clone (shared identity).
@@ -1049,7 +1038,7 @@ fn heartbeat(inner: &Rc<TcInner>) {
     }
     let t_f = inner.tracker.borrow_mut().advance();
     let pending = inner.tracker.borrow().pending();
-    if pending > inner.cfg.alert_pending_threshold {
+    if pending > ALERT_PENDING_THRESHOLD {
         inner.alerts.inc();
         inner.coord.set_data(
             &paths::alert("clients", inner.id.0),

@@ -16,8 +16,6 @@ pub struct NameNodeConfig {
     pub replication: usize,
     /// How often the sweep looks for under-replicated files.
     pub rereplicate_interval: SimDuration,
-    /// Whether the re-replication sweep runs at all.
-    pub rereplication_enabled: bool,
 }
 
 impl Default for NameNodeConfig {
@@ -25,7 +23,6 @@ impl Default for NameNodeConfig {
         NameNodeConfig {
             replication: 2,
             rereplicate_interval: SimDuration::from_secs(3),
-            rereplication_enabled: true,
         }
     }
 }
@@ -59,7 +56,7 @@ impl fmt::Debug for NameNode {
 
 impl NameNode {
     /// Creates the namenode on `node` managing the given datanodes, and
-    /// starts the re-replication sweep if enabled.
+    /// starts the re-replication sweep.
     ///
     /// # Panics
     ///
@@ -93,15 +90,13 @@ impl NameNode {
             self_weak: RefCell::new(Weak::new()),
         });
         *nn.self_weak.borrow_mut() = Rc::downgrade(&nn);
-        if cfg.rereplication_enabled {
-            let weak: Weak<NameNode> = Rc::downgrade(&nn);
-            let timer = every(sim, cfg.rereplicate_interval, move || {
-                if let Some(nn) = weak.upgrade() {
-                    nn.rereplication_sweep();
-                }
-            });
-            *nn.sweep_timer.borrow_mut() = Some(timer);
-        }
+        let weak: Weak<NameNode> = Rc::downgrade(&nn);
+        let timer = every(sim, cfg.rereplicate_interval, move || {
+            if let Some(nn) = weak.upgrade() {
+                nn.rereplication_sweep();
+            }
+        });
+        *nn.sweep_timer.borrow_mut() = Some(timer);
         nn
     }
 
@@ -381,7 +376,6 @@ mod tests {
         let cfg = NameNodeConfig {
             replication: repl,
             rereplicate_interval: SimDuration::from_millis(500),
-            rereplication_enabled: true,
         };
         let nn = NameNode::new(&sim, &net, nn_node, dns, cfg);
         (sim, net, nn)

@@ -31,7 +31,6 @@ fn fixture(n_dn: usize, repl: usize) -> Fixture {
     let cfg = NameNodeConfig {
         replication: repl,
         rereplicate_interval: SimDuration::from_millis(500),
-        rereplication_enabled: true,
     };
     let nn = NameNode::new(&sim, &net, nn_node, dns, cfg);
     let writer_node = net.add_node("writer");

@@ -39,10 +39,6 @@ pub struct StoreClientConfig {
     /// two-cell batched get needs more than 1.5 ms), every attempt times
     /// out and the request never completes — §3.2's "no limits".
     pub request_timeout: SimDuration,
-    /// Delay before retrying a failed/timed-out request.
-    pub retry_backoff: SimDuration,
-    /// Cap on the exponential retry backoff.
-    pub max_backoff: SimDuration,
     /// Minimum spacing between region-map refresh fetches, plus an
     /// epoch check: a routing failure whose observed map epoch is
     /// already stale (the cache advanced since the op was routed) skips
@@ -58,8 +54,6 @@ impl Default for StoreClientConfig {
     fn default() -> Self {
         StoreClientConfig {
             request_timeout: SimDuration::from_millis(60),
-            retry_backoff: SimDuration::from_millis(15),
-            max_backoff: SimDuration::from_millis(500),
             min_refresh_interval: SimDuration::ZERO,
         }
     }
@@ -318,10 +312,14 @@ impl StoreClient {
     }
 }
 
+/// Delay before retrying a failed/timed-out request.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(15);
+/// Cap on the exponential retry backoff.
+const MAX_BACKOFF: SimDuration = SimDuration::from_millis(500);
+
 fn backoff(inner: &Inner, attempt: u32) -> SimDuration {
     let factor = 1u64 << attempt.min(5);
-    let d = inner.cfg.retry_backoff * factor;
-    let d = d.min(inner.cfg.max_backoff);
+    let d = (RETRY_BACKOFF * factor).min(MAX_BACKOFF);
     inner.sim.jitter(d, 0.3)
 }
 

@@ -83,12 +83,12 @@
 //!
 //! ## Compaction and the read-path service model
 //!
-//! A point get pays, per region, one `storefile_read_service` term for
+//! A point get pays, per region, one `STOREFILE_READ_SERVICE` term for
 //! every store file it *consults* beyond the first. Which files those are
 //! is decided by per-file metadata (see `sstable.rs`): key-range pruning
 //! excludes files whose min/max row range misses the key for free, and a
 //! per-file bloom filter over `(row, column)` pairs excludes most of the
-//! rest at a small `filter_probe_service` cost each. Compaction interacts
+//! rest at a small `FILTER_PROBE_SERVICE` cost each. Compaction interacts
 //! with that model in two ways: it bounds the *file count* (and with it
 //! the number of probes a get pays), and its merge output is rebuilt with
 //! fresh range and filter metadata by the output's

@@ -119,13 +119,13 @@ pub use compaction::{
     SizeTieredPolicy,
 };
 pub use error::StoreError;
-pub use hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, StructureCoordinator};
+pub use hooks::{NoopHooks, RecoveryHooks};
 pub use master::{Master, MasterConfig, MoveConfig, ServerDirectory};
 pub use memstore::{MemStore, VersionedValue};
 pub use region::{ChangeKind, RegionDescriptor, RegionMap, StructureChange};
 pub use server::{
-    FilterStats, RegionServer, RegionServerConfig, ReplicationConfig, ReplicationStats, ScanPage,
-    SplitConfig, StructureStats,
+    FilterStats, RegionServer, RegionServerConfig, ReplicationStats, ScanPage, SplitConfig,
+    StructureStats,
 };
 pub use sstable::{StoreFileBuilder, StoreFileData, StoreFileEntry, StoreFileRegistry};
 pub use types::{ClientId, Mutation, MutationKind, RegionId, ServerId, Timestamp, WriteSet};

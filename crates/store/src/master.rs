@@ -2,7 +2,7 @@
 //! coordination service, WAL splitting and region reassignment.
 
 use crate::codec::WalRecord;
-use crate::hooks::{NoopHooks, RecoveryHooks, ReplicationCoordinator, StructureCoordinator};
+use crate::hooks::{NoopHooks, RecoveryHooks};
 use crate::region::{ChangeKind, RegionDescriptor, RegionMap, StructureChange};
 use crate::server::RegionServer;
 use crate::sstable::{StoreFileData, StoreFileRegistry};
@@ -76,22 +76,14 @@ impl ServerDirectory {
     }
 }
 
+/// Retry period for regions that could not be placed (no live server).
+const ASSIGN_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// Master tuning knobs.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct MasterConfig {
-    /// Retry period for regions that could not be placed (no live server).
-    pub assign_retry_interval: SimDuration,
     /// Proactive hot-region move knobs.
     pub moves: MoveConfig,
-}
-
-impl Default for MasterConfig {
-    fn default() -> Self {
-        MasterConfig {
-            assign_retry_interval: SimDuration::from_secs(1),
-            moves: MoveConfig::default(),
-        }
-    }
 }
 
 /// Proactive hot-region move tuning knobs. Moves reuse the load-aware
@@ -322,7 +314,7 @@ impl Master {
             |_| {},
         );
         let weak = Rc::downgrade(self);
-        let timer = every(&self.sim, self.cfg.assign_retry_interval, move || {
+        let timer = every(&self.sim, ASSIGN_RETRY_INTERVAL, move || {
             if let Some(master) = weak.upgrade() {
                 master.retry_unplaced();
             }
@@ -342,17 +334,17 @@ impl Master {
     }
 
     /// Assigns every region of `map` round-robin across the registered
-    /// servers and opens them (cluster bootstrap). Also wires every
-    /// registered server's structure-change coordination back to this
-    /// master and seeds the region-id allocator above the map's largest
-    /// id.
+    /// servers and opens them (cluster bootstrap). Also hands every
+    /// registered server this master (its structure-change and
+    /// lane-report calls are inert without one) and seeds the region-id
+    /// allocator above the map's largest id.
     pub fn bootstrap(self: &Rc<Self>, map: RegionMap) {
         self.next_region_id
             .set(map.max_region_id().map(|r| r.0 + 1).unwrap_or(0));
         *self.region_map.borrow_mut() = map;
         for id in self.dir.ids() {
             if let Some(server) = self.dir.get(id) {
-                server.set_structure_coordinator(Rc::clone(self) as Rc<dyn StructureCoordinator>);
+                server.set_master(Rc::clone(self));
             }
         }
         let descs: Vec<RegionDescriptor> = self.region_map.borrow().regions().to_vec();
@@ -362,15 +354,6 @@ impl Master {
             "bootstrap requires at least one registered server"
         );
         let rf = self.replication_factor.get();
-        if rf > 1 {
-            for id in &servers {
-                if let Some(server) = self.dir.get(*id) {
-                    server.set_replication_coordinator(
-                        Rc::clone(self) as Rc<dyn ReplicationCoordinator>
-                    );
-                }
-            }
-        }
         let mut assigned: Vec<(RegionId, ServerId)> = Vec::new();
         for (i, desc) in descs.into_iter().enumerate() {
             let target = servers[i % servers.len()];
@@ -758,8 +741,13 @@ impl Master {
     }
 
     // ------------------------------------------------------------------
-    // Online structure changes — splits and merges (master side; see
-    // `StructureCoordinator`)
+    // Online structure changes — splits and merges (master side). A
+    // region server proposes a change (`request_change`), the master
+    // validates it, allocates the output ids and persists the
+    // `StructureChange` intent, and the server reports completion
+    // (`change_completed`) or abandonment (`change_aborted`). Servers
+    // call all three *at the master's node*: they send themselves there
+    // through the simulated network first.
     // ------------------------------------------------------------------
 
     /// Splits applied to the region map.
@@ -826,9 +814,13 @@ impl Master {
         Some(StructureChange::new(&descs, cuts, &ids, server))
     }
 
-    /// Validates a server's request; on success persists the intent and,
-    /// once durable, tells the server to execute.
-    fn handle_change_request(
+    /// A server asks to replace `inputs` (which it hosts; adjacent, in
+    /// key order) by `cuts.len() + 1` new regions with `cuts` as the
+    /// boundaries between them: one input and one cut is a split, two
+    /// inputs and no cut a merge. The master validates, persists the
+    /// intent, and — once it is durable — tells the server to execute;
+    /// anything else is denied.
+    pub(crate) fn request_change(
         self: &Rc<Self>,
         server: ServerId,
         inputs: Vec<RegionId>,
@@ -903,6 +895,65 @@ impl Master {
         self.net.send(self.node, node, 48, move || {
             target.change_request_denied(first);
         });
+    }
+
+    /// The server finished the local flip of the change whose first
+    /// input is `first`: the outputs are online in its memory, the
+    /// inputs are gone. The master applies the change to the region map
+    /// and retires the intent.
+    pub(crate) fn change_completed(self: &Rc<Self>, server: ServerId, first: RegionId) {
+        // A failover that raced ahead has already rolled the intent back
+        // (and this message came from a now-dead server): ignore.
+        let change = self
+            .intents
+            .borrow()
+            .get(&first)
+            .filter(|change| change.server == server)
+            .cloned();
+        let Some(change) = change else { return };
+        if self.handled_failures.borrow().contains(&server) {
+            return;
+        }
+        if !self.region_map.borrow_mut().apply_change(&change) {
+            return;
+        }
+        self.intents.borrow_mut().remove(&first);
+        let kind = change.kind();
+        self.counters(kind).applied.inc();
+        let journal_change = change.clone();
+        self.events.borrow().record(
+            self.sim.now(),
+            kind.pick("split.applied", "merge.applied"),
+            move || journal_change.label(),
+        );
+        self.dfs.delete(&change.intent_path());
+        // Split daughters inherited the parent's replicas in the map;
+        // rebuild their groups under the bumped epoch (the server already
+        // moved its lanes and closed the parent shadows at the flip).
+        // Merges only ever touch unreplicated regions.
+        if self.replication_factor.get() > 1 && kind == ChangeKind::Split {
+            self.repl_epochs.borrow_mut().remove(&first);
+            for daughter in &change.outputs {
+                if !self.region_map.borrow().replicas_of(daughter.id).is_empty() {
+                    self.establish_group(daughter.id);
+                }
+            }
+        }
+    }
+
+    /// The server abandoned an intent it was granted (e.g. the reference
+    /// marker writes failed); the master rolls the intent back.
+    pub(crate) fn change_aborted(&self, server: ServerId, first: RegionId) {
+        let change = {
+            let mut intents = self.intents.borrow_mut();
+            match intents.get(&first) {
+                Some(change) if change.server == server => intents.remove(&first),
+                _ => None,
+            }
+        };
+        if let Some(change) = change {
+            self.rollback_intent(change);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1021,7 +1072,13 @@ impl Master {
     }
 
     // ------------------------------------------------------------------
-    // Region replication (master side; see `ReplicationCoordinator`)
+    // Region replication (master side). Beyond the structure-change
+    // calls, primaries report lane sync state (`replica_unsynced`,
+    // `replica_synced`) — at the master's node, like those. A primary
+    // must not release write gates for an out-of-sync lane until the
+    // master has acknowledged the report: the master is the promotion
+    // arbiter, so its ack is what makes un-gating sound (the backup is
+    // now ineligible).
     // ------------------------------------------------------------------
 
     /// Sets the number of copies each region is hosted on (1 = primary
@@ -1351,86 +1408,16 @@ impl Master {
             self.place_region(region, records, failed);
         }
     }
-}
 
-impl StructureCoordinator for Master {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn request_change(&self, server: ServerId, inputs: Vec<RegionId>, cuts: Vec<Bytes>) {
-        if let Some(master) = self.self_weak.borrow().upgrade() {
-            master.handle_change_request(server, inputs, cuts);
-        }
-    }
-
-    fn change_completed(&self, server: ServerId, first: RegionId) {
-        // A failover that raced ahead has already rolled the intent back
-        // (and this message came from a now-dead server): ignore.
-        let change = self
-            .intents
-            .borrow()
-            .get(&first)
-            .filter(|change| change.server == server)
-            .cloned();
-        let Some(change) = change else { return };
-        if self.handled_failures.borrow().contains(&server) {
-            return;
-        }
-        if !self.region_map.borrow_mut().apply_change(&change) {
-            return;
-        }
-        self.intents.borrow_mut().remove(&first);
-        let kind = change.kind();
-        self.counters(kind).applied.inc();
-        let journal_change = change.clone();
-        self.events.borrow().record(
-            self.sim.now(),
-            kind.pick("split.applied", "merge.applied"),
-            move || journal_change.label(),
-        );
-        self.dfs.delete(&change.intent_path());
-        // Split daughters inherited the parent's replicas in the map;
-        // rebuild their groups under the bumped epoch (the server already
-        // moved its lanes and closed the parent shadows at the flip).
-        // Merges only ever touch unreplicated regions.
-        if self.replication_factor.get() > 1 && kind == ChangeKind::Split {
-            if let Some(master) = self.self_weak.borrow().upgrade() {
-                master.repl_epochs.borrow_mut().remove(&first);
-                for daughter in &change.outputs {
-                    if !master
-                        .region_map
-                        .borrow()
-                        .replicas_of(daughter.id)
-                        .is_empty()
-                    {
-                        master.establish_group(daughter.id);
-                    }
-                }
-            }
-        }
-    }
-
-    fn change_aborted(&self, server: ServerId, first: RegionId) {
-        let change = {
-            let mut intents = self.intents.borrow_mut();
-            match intents.get(&first) {
-                Some(change) if change.server == server => intents.remove(&first),
-                _ => None,
-            }
-        };
-        if let Some(change) = change {
-            self.rollback_intent(change);
-        }
-    }
-}
-
-impl ReplicationCoordinator for Master {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn replica_unsynced(
+    /// `backup`'s lane for `region` (replica-group `epoch`) fell out of
+    /// sync (gap, backlog overflow, or ack timeout). The master records
+    /// the ineligibility and invokes `done(false)`; only then may the
+    /// primary release gates held for that lane. When the report's epoch
+    /// is older than the currently established group (the reporter is a
+    /// stale ex-primary, e.g. resurfacing from a healed partition after a
+    /// promotion), the master answers `done(true)` instead: the reporter
+    /// must fence itself rather than un-gate.
+    pub(crate) fn replica_unsynced(
         &self,
         region: RegionId,
         epoch: u64,
@@ -1467,7 +1454,12 @@ impl ReplicationCoordinator for Master {
         done(false);
     }
 
-    fn replica_synced(&self, region: RegionId, epoch: u64, backup: ServerId) {
+    /// `backup`'s lane for `region` completed a full-state sync that
+    /// nothing outran: its shadow holds everything the primary served,
+    /// and every client ack gates on it from here on. This — not the
+    /// shadow's own account — is what makes the backup eligible for
+    /// promotion, first after an establish and again after a report.
+    pub(crate) fn replica_synced(&self, region: RegionId, epoch: u64, backup: ServerId) {
         let was = self
             .repl_ineligible
             .borrow_mut()

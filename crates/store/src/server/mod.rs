@@ -22,7 +22,8 @@ use crate::blockcache::BlockCache;
 use crate::compaction::{
     self, CompactionConfig, CompactionPolicy, CompactionStats, FileMeta, GcWatermark, StallSignal,
 };
-use crate::hooks::{NoopHooks, RecoveryHooks, StructureCoordinator};
+use crate::hooks::{NoopHooks, RecoveryHooks};
+use crate::master::Master;
 use crate::memstore::MemStore;
 use crate::region::{ChangeKind, RegionDescriptor};
 use crate::sstable::{StoreFileData, StoreFileRegistry};
@@ -41,26 +42,19 @@ use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::rc::{Rc, Weak};
 
-/// Region-server tuning knobs.
-///
-/// The defaults are calibrated so that one server with 50 closed-loop
-/// clients saturates near ~250–300 transactions/s (10 ops each, 50/50
-/// read/update), matching the paper's observation that 250 tps is "near
-/// the peak capacity for a single region server serving 50 client
-/// threads" (§4.4).
+/// Concurrent request handler slots (the paper's VMs had 2 cores).
+const HANDLERS: usize = 2;
+/// Liveness heartbeat period to the coordination service.
+const COORD_HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// Coordination session timeout (failure-detection latency).
+const COORD_SESSION_TIMEOUT: SimDuration = SimDuration::from_millis(1800);
+
+/// Region-server tuning knobs: what an experiment or a test varies. The
+/// calibrated service model (what a request costs a handler) is
+/// constants in [`data_path`]; the replication timers are constants in
+/// [`replication`].
 #[derive(Copy, Clone, Debug)]
 pub struct RegionServerConfig {
-    /// Concurrent request handler slots (the paper's VMs had 2 cores).
-    pub handlers: usize,
-    /// Base CPU cost of any request.
-    pub base_service: SimDuration,
-    /// CPU cost of a get served from memstore/block cache.
-    pub read_service: SimDuration,
-    /// Extra handler occupancy when a get misses the block cache and must
-    /// fetch a block from the filesystem.
-    pub block_fetch_penalty: SimDuration,
-    /// CPU cost per mutation in a write batch.
-    pub write_service_per_mutation: SimDuration,
     /// Whether updates are acknowledged before (Async) or after (Sync)
     /// the WAL reaches the filesystem.
     pub wal_mode: WalSyncMode,
@@ -72,26 +66,6 @@ pub struct RegionServerConfig {
     pub flush_check_interval: SimDuration,
     /// Block-cache capacity, in row-blocks.
     pub block_cache_capacity: usize,
-    /// Extra handler occupancy per write batch in [`WalSyncMode::Sync`]:
-    /// the handler thread blocks while the WAL pipeline syncs (this is
-    /// why synchronous persistence also costs peak throughput, not just
-    /// latency).
-    pub sync_mode_handler_hold: SimDuration,
-    /// Liveness heartbeat period to the coordination service.
-    pub coord_heartbeat_interval: SimDuration,
-    /// Coordination session timeout (failure-detection latency).
-    pub coord_session_timeout: SimDuration,
-    /// Extra handler occupancy per store file consulted *beyond the
-    /// first* on gets and scans — the read-amplification cost that
-    /// background compaction exists to bound. Point gets consult only
-    /// files that survive key-range pruning and a bloom-filter probe;
-    /// scans consult every file whose row range overlaps theirs.
-    pub storefile_read_service: SimDuration,
-    /// Handler occupancy per bloom-filter probe on a point get: filters
-    /// are not free, they trade a small fixed cost per range-covering
-    /// file for the much larger `storefile_read_service` of consulting
-    /// files that cannot contain the key.
-    pub filter_probe_service: SimDuration,
     /// Measurement-only cross-check: when a filter excludes a file, also
     /// run the exact membership check and count a false negative if the
     /// filter was wrong (it never should be). Costs host time, not
@@ -103,41 +77,12 @@ pub struct RegionServerConfig {
     pub split: SplitConfig,
     /// Online region-merge knobs.
     pub merge: MergeConfig,
-    /// Primary/backup region-replication knobs.
-    pub replication: ReplicationConfig,
-}
-
-/// Primary/backup region-replication tuning knobs.
-#[derive(Copy, Clone, Debug)]
-pub struct ReplicationConfig {
-    /// Master switch. Off by default: shipping mutations to backups adds
-    /// network messages (each draws latency jitter from the shared RNG),
-    /// so calibrated experiments that predate replication must not
-    /// shift. The replication suites and `failover_bench` enable it.
-    pub enabled: bool,
-    /// Unacknowledged shipped bytes per backup lane at which the lane is
-    /// declared lagging: the primary stops shipping (and stops gating
-    /// client acks on it) and reports the backup ineligible for
-    /// promotion until a full re-sync completes.
-    pub max_backlog_bytes: usize,
-    /// How long the primary waits for a backup's ack before declaring
-    /// the lane out of sync (fixed delay, no RNG).
-    pub ack_timeout: SimDuration,
-    /// Period of the re-sync timer that ships full region state to
-    /// out-of-sync lanes. Fixed phase — no RNG jitter (see the
-    /// compaction timer note).
-    pub resync_interval: SimDuration,
-}
-
-impl Default for ReplicationConfig {
-    fn default() -> Self {
-        ReplicationConfig {
-            enabled: false,
-            max_backlog_bytes: 8 << 20,
-            ack_timeout: SimDuration::from_millis(1500),
-            resync_interval: SimDuration::from_secs(2),
-        }
-    }
+    /// Whether primary/backup region replication runs. Off by default:
+    /// shipping mutations to backups adds network messages (each draws
+    /// latency jitter from the shared RNG), so calibrated experiments
+    /// that predate replication must not shift. The replication suites
+    /// and `failover_bench` enable it.
+    pub replication: bool,
 }
 
 /// Online region-split tuning knobs.
@@ -196,29 +141,16 @@ impl Default for MergeConfig {
 impl Default for RegionServerConfig {
     fn default() -> Self {
         RegionServerConfig {
-            handlers: 2,
-            base_service: SimDuration::from_micros(40),
-            read_service: SimDuration::from_micros(700),
-            // Calibrated for a datanode co-located with the server (the
-            // paper's layout): a cache miss reads a block that is likely
-            // in the local datanode's page cache, not cold disk.
-            block_fetch_penalty: SimDuration::from_micros(900),
-            write_service_per_mutation: SimDuration::from_micros(500),
             wal_mode: WalSyncMode::Async,
             wal_sync_interval: SimDuration::from_millis(50),
             memstore_flush_bytes: 48 << 20,
             flush_check_interval: SimDuration::from_secs(1),
-            sync_mode_handler_hold: SimDuration::from_millis(2),
             block_cache_capacity: 700_000,
-            coord_heartbeat_interval: SimDuration::from_millis(500),
-            coord_session_timeout: SimDuration::from_millis(1800),
-            storefile_read_service: SimDuration::from_micros(120),
-            filter_probe_service: SimDuration::from_micros(2),
             verify_filters: false,
             compaction: CompactionConfig::default(),
             split: SplitConfig::default(),
             merge: MergeConfig::default(),
-            replication: ReplicationConfig::default(),
+            replication: false,
         }
     }
 }
@@ -380,9 +312,10 @@ pub struct RegionServer {
     /// Coordination handle (set by [`RegionServer::start`]); compaction
     /// uses it as a fencing check before destroying retired files.
     coord: RefCell<Option<CoordClient>>,
-    /// The master-side structure-change coordination surface (installed
-    /// by the cluster wiring; splits and merges are inert without it).
-    structure_coord: RefCell<Option<Rc<dyn StructureCoordinator>>>,
+    /// The master this server proposes structure changes and reports
+    /// lane sync state to (installed by [`Master::bootstrap`]; splits,
+    /// merges and lane reports are inert without one — unit tests).
+    master: RefCell<Option<Rc<Master>>>,
     /// The in-flight split or merge, if any (one structure change at a
     /// time per server, so their flush/quiescence phases never
     /// interleave).
@@ -405,9 +338,6 @@ pub struct RegionServer {
     /// for, shadows it keeps as a backup).
     repl: RefCell<replication::ReplState>,
     repl_stats: ReplicationStats,
-    /// The master-side replication coordination surface (installed by
-    /// the cluster wiring; lane-drop reports are inert without it).
-    repl_coord: RefCell<Option<Rc<dyn crate::hooks::ReplicationCoordinator>>>,
     self_weak: RefCell<Weak<RegionServer>>,
 }
 
@@ -443,7 +373,7 @@ impl RegionServer {
             node,
             id,
             cfg,
-            handlers: ServiceQueue::new(sim, cfg.handlers),
+            handlers: ServiceQueue::new(sim, HANDLERS),
             wal,
             cache: RefCell::new(BlockCache::new(cfg.block_cache_capacity)),
             registry,
@@ -471,7 +401,7 @@ impl RegionServer {
             background_ns: Cell::new(0),
             sched_background_ns: Cell::new(0),
             coord: RefCell::new(None),
-            structure_coord: RefCell::new(None),
+            master: RefCell::new(None),
             pending_change: RefCell::new(None),
             split_stats: StructureStats::default(),
             merge_stats: StructureStats::default(),
@@ -480,7 +410,6 @@ impl RegionServer {
             gc_watermark: RefCell::new(None),
             repl: RefCell::default(),
             repl_stats: ReplicationStats::default(),
-            repl_coord: RefCell::new(None),
             self_weak: RefCell::new(Weak::new()),
         });
         *server.self_weak.borrow_mut() = Rc::downgrade(&server);
@@ -495,10 +424,10 @@ impl RegionServer {
         let id = self.id;
         let coord2 = coord.clone();
         let weak = Rc::downgrade(self);
-        coord.create_session(self.cfg.coord_session_timeout, move |sid| {
+        coord.create_session(COORD_SESSION_TIMEOUT, move |sid| {
             let Some(server) = weak.upgrade() else { return };
             coord2.create(&format!("/live/servers/{id}"), Bytes::new(), Some(sid));
-            let beat = server.cfg.coord_heartbeat_interval;
+            let beat = COORD_HEARTBEAT_INTERVAL;
             server.every(beat.mul_f64(0.5), beat, move |_| coord2.touch(sid));
         });
 
@@ -532,8 +461,8 @@ impl RegionServer {
             fixed_phase(cfg.merge.check_interval, Self::check_merges);
         }
         // Ships full region state to out-of-sync backup lanes.
-        if cfg.replication.enabled {
-            fixed_phase(cfg.replication.resync_interval, Self::check_resyncs);
+        if cfg.replication {
+            fixed_phase(replication::RESYNC_INTERVAL, Self::check_resyncs);
         }
     }
 

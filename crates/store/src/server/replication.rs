@@ -10,7 +10,6 @@
 
 use super::{RegionServer, RegionState};
 use crate::error::StoreError;
-use crate::hooks::ReplicationCoordinator;
 use crate::memstore::MemStore;
 use crate::region::RegionDescriptor;
 use crate::types::{Mutation, RegionId, ServerId, Timestamp};
@@ -20,6 +19,19 @@ use cumulo_sim::{NodeId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::rc::{Rc, Weak};
+
+/// Unacknowledged shipped bytes per backup lane at which the lane is
+/// declared lagging: the primary stops shipping (and stops gating
+/// client acks on it) and reports the backup ineligible for
+/// promotion until a full re-sync completes.
+const MAX_BACKLOG_BYTES: usize = 8 << 20;
+/// How long the primary waits for a backup's ack before declaring
+/// the lane out of sync (fixed delay, no RNG).
+const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(1500);
+/// Period of the re-sync timer that ships full region state to
+/// out-of-sync lanes. Fixed phase — no RNG jitter (see the
+/// compaction timer note).
+pub(super) const RESYNC_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
 /// Shared observability for primary/backup replication (all handles
 /// clone cheaply and share state, like [`crate::CompactionStats`]).
@@ -290,12 +302,6 @@ impl ReplState {
 }
 
 impl RegionServer {
-    /// Installs the master's replication coordination surface (cluster
-    /// wiring; lane-drop reports are inert without it).
-    pub fn set_replication_coordinator(&self, coord: Rc<dyn ReplicationCoordinator>) {
-        *self.repl_coord.borrow_mut() = Some(coord);
-    }
-
     /// Replication observability: ship/ack/fence counters and the
     /// backlog/lag gauges (shared handles; clone freely).
     pub fn replication_stats(&self) -> &ReplicationStats {
@@ -475,7 +481,6 @@ impl RegionServer {
             // The gate a write-set's lanes hold, opened below if any lane
             // takes it.
             let gate = matches!(element, StreamElement::WriteSet { .. }).then_some(group.next_gate);
-            let max_backlog = self.cfg.replication.max_backlog_bytes;
             let epoch = group.epoch;
             let mut targets: Vec<(u64, LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
             for lane in group.lanes.iter_mut() {
@@ -497,7 +502,7 @@ impl RegionServer {
                     epoch,
                     backup,
                 };
-                if !sync && lane.backlog_bytes + bytes > max_backlog {
+                if !sync && lane.backlog_bytes + bytes > MAX_BACKLOG_BYTES {
                     laggards.push(id);
                     continue;
                 }
@@ -593,18 +598,17 @@ impl RegionServer {
     /// see [`RegionServer::begin_lane_drop`]).
     fn schedule_ack_timeout(self: &Rc<Self>, lane: LaneId, seq: u64) {
         let weak = Rc::downgrade(self);
-        self.sim
-            .schedule_in(self.cfg.replication.ack_timeout, move || {
-                let Some(this) = weak.upgrade() else { return };
-                if !this.alive.get() {
-                    return;
-                }
-                let unacked =
-                    |l: &ReplLane| l.synced && !l.drop_pending && l.pending.contains_key(&seq);
-                if this.lane_is(lane, unacked) {
-                    this.begin_lane_drop(lane);
-                }
-            });
+        self.sim.schedule_in(ACK_TIMEOUT, move || {
+            let Some(this) = weak.upgrade() else { return };
+            if !this.alive.get() {
+                return;
+            }
+            let unacked =
+                |l: &ReplLane| l.synced && !l.drop_pending && l.pending.contains_key(&seq);
+            if this.lane_is(lane, unacked) {
+                this.begin_lane_drop(lane);
+            }
+        });
     }
 
     /// Starts taking a lane out of sync: report it to the master and
@@ -635,7 +639,7 @@ impl RegionServer {
     /// lands) the ineligibility report for an out-of-sync lane.
     fn report_lane_unsynced(self: &Rc<Self>, lane: LaneId) {
         const REPORT_RETRY: SimDuration = SimDuration::from_millis(400);
-        let Some(coord) = self.repl_coord.borrow().clone() else {
+        let Some(master) = self.master.borrow().clone() else {
             // No master wiring (unit tests): release locally.
             self.finish_lane_drop(lane, false);
             return;
@@ -643,7 +647,7 @@ impl RegionServer {
         if !self.lane_is(lane, |l| l.drop_pending) {
             return;
         }
-        let master_node = coord.node();
+        let master_node = master.node();
         let done: Box<dyn FnOnce(bool)> = {
             let this = Rc::clone(self);
             let net = Rc::clone(&self.net);
@@ -655,7 +659,7 @@ impl RegionServer {
             })
         };
         self.net.send(self.node, master_node, 64, move || {
-            coord.replica_unsynced(lane.region, lane.epoch, lane.backup, done);
+            master.replica_unsynced(lane.region, lane.epoch, lane.backup, done);
         });
         let weak = Rc::downgrade(self);
         self.sim.schedule_in(REPORT_RETRY, move || {
@@ -772,10 +776,10 @@ impl RegionServer {
                     self.event("replication.lane_resynced", move |line| {
                         write!(line, "region={} backup={}", id.region, id.backup)
                     });
-                    if let Some(coord) = self.repl_coord.borrow().clone() {
+                    if let Some(master) = self.master.borrow().clone() {
                         let node = self.node;
-                        self.net.send(node, coord.node(), 48, move || {
-                            coord.replica_synced(id.region, id.epoch, id.backup);
+                        self.net.send(node, master.node(), 48, move || {
+                            master.replica_synced(id.region, id.epoch, id.backup);
                         });
                     }
                 }

@@ -2,7 +2,8 @@
 //! `crate::compaction` for the policy, the merge and the crash-safety
 //! argument) and the gauges derived from the file sets.
 
-use super::{RegionServer, RegionState};
+use super::data_path::BASE_SERVICE;
+use super::{RegionServer, RegionState, HANDLERS};
 use crate::compaction::{self, CompactionJob, CompactionStats, GcWatermark};
 use crate::sstable::StoreFileData;
 use crate::types::{RegionId, Timestamp};
@@ -270,7 +271,7 @@ impl RegionServer {
             return 0.0;
         }
         let foreground = busy_delta.saturating_sub(background_delta);
-        foreground as f64 / (elapsed as f64 * self.cfg.handlers as f64)
+        foreground as f64 / (elapsed as f64 * HANDLERS as f64)
     }
 
     pub(super) fn check_compactions(self: &Rc<Self>) {
@@ -352,7 +353,7 @@ impl RegionServer {
         self.event("compaction.start", move |line| {
             write!(line, "region={region} inputs={inputs} level={level}")
         });
-        let service = self.cfg.base_service + cfg.merge_service_per_entry * total_entries.max(1);
+        let service = BASE_SERVICE + cfg.merge_service_per_entry * total_entries.max(1);
         let this = Rc::clone(self);
         self.submit_background(service, move || this.run_compaction(region, plan));
     }

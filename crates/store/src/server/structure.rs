@@ -12,7 +12,7 @@
 
 use super::replication::StreamElement;
 use super::{RegionServer, RegionState};
-use crate::hooks::StructureCoordinator;
+use crate::master::Master;
 use crate::memstore::MemStore;
 use crate::region::{ChangeKind, RegionDescriptor, StructureChange};
 use crate::sstable::StoreFileData;
@@ -110,11 +110,11 @@ impl RegionServer {
         self.pending_change.borrow().as_ref().map(|p| p.kind())
     }
 
-    /// Installs the master's structure-change coordination surface
-    /// (cluster wiring; without one, candidacy checks never fire an
-    /// intent).
-    pub fn set_structure_coordinator(&self, coord: Rc<dyn StructureCoordinator>) {
-        *self.structure_coord.borrow_mut() = Some(coord);
+    /// Installs the master (cluster wiring; without one, candidacy
+    /// checks never fire an intent and lane-drop reports release
+    /// locally).
+    pub fn set_master(&self, master: Rc<Master>) {
+        *self.master.borrow_mut() = Some(master);
     }
 
     /// The head of both candidacy timers: whether a tick of `kind` may
@@ -133,7 +133,7 @@ impl RegionServer {
             }
             Some(_) => false,
             // No master wiring — structure changes are inert.
-            None => self.structure_coord.borrow().is_some(),
+            None => self.master.borrow().is_some(),
         }
     }
 
@@ -241,7 +241,7 @@ impl RegionServer {
     pub fn request_region_merge(self: &Rc<Self>, left: RegionId, right: RegionId) -> bool {
         if !self.alive.get()
             || self.pending_change.borrow().is_some()
-            || self.structure_coord.borrow().is_none()
+            || self.master.borrow().is_none()
         {
             return false;
         }
@@ -340,7 +340,7 @@ impl RegionServer {
         if let Some(p) = self.pending_change.borrow_mut().as_mut() {
             p.intent_sent = true;
         }
-        let Some(coord) = self.structure_coord.borrow().clone() else {
+        let Some(master) = self.master.borrow().clone() else {
             self.clear_pending_change();
             return;
         };
@@ -351,8 +351,8 @@ impl RegionServer {
         });
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
         let net = Rc::clone(&self.net);
-        net.send(self.node, coord.node(), bytes, move || {
-            coord.request_change(me, inputs, cuts)
+        net.send(self.node, master.node(), bytes, move || {
+            master.request_change(me, inputs, cuts)
         });
     }
 
@@ -564,12 +564,12 @@ impl RegionServer {
     }
 
     fn notify_change_aborted(&self, first: RegionId) {
-        let Some(coord) = self.structure_coord.borrow().clone() else {
+        let Some(master) = self.master.borrow().clone() else {
             return;
         };
         let id = self.id;
-        self.net.send(self.node, coord.node(), 48, move || {
-            coord.change_aborted(id, first)
+        self.net.send(self.node, master.node(), 48, move || {
+            master.change_aborted(id, first)
         });
     }
 
@@ -683,10 +683,10 @@ impl RegionServer {
         if !superseded.is_empty() {
             self.retire_superseded_references(superseded);
         }
-        if let Some(coord) = self.structure_coord.borrow().clone() {
+        if let Some(master) = self.master.borrow().clone() {
             let (id, first) = (self.id, change.inputs[0]);
-            self.net.send(self.node, coord.node(), 64, move || {
-                coord.change_completed(id, first)
+            self.net.send(self.node, master.node(), 64, move || {
+                master.change_completed(id, first)
             });
         }
     }
@@ -723,7 +723,7 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        let ok = self.pending_move.borrow().is_none() && !self.cfg.replication.enabled && {
+        let ok = self.pending_move.borrow().is_none() && !self.cfg.replication && {
             let regions = self.regions.borrow();
             let st = regions.get(&region);
             st.is_some_and(|st| st.restructurable() && !st.compaction_in_progress)

@@ -21,10 +21,10 @@
 //!   metadata comparison.
 //! * **Bloom-filter probe** — files whose range covers the row are probed
 //!   against a per-file [`BloomFilter`] over `(row, column)` pairs. Each
-//!   probe costs a small `filter_probe_service` term (filters are not
+//!   probe costs a small `FILTER_PROBE_SERVICE` term (filters are not
 //!   free), and a negative probe definitively excludes the file.
 //! * **Consultation** — only files the filter cannot exclude are
-//!   consulted, each charging the `storefile_read_service`
+//!   consulted, each charging the `STOREFILE_READ_SERVICE`
 //!   read-amplification term (beyond the first consulted file). A
 //!   consulted file that turns out not to hold the key at all is a
 //!   *false positive*, surfaced through the server's `FilterStats`.

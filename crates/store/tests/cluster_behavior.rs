@@ -841,7 +841,7 @@ fn a_pending_change_defers_the_other_kinds_candidacy() {
 fn replication_of_a_fixed_schedule_is_pinned() {
     let mut cfg = RegionServerConfig::default();
     cfg.compaction.enabled = false;
-    cfg.replication.enabled = true;
+    cfg.replication = true;
     cfg.split.enabled = true;
     cfg.split.threshold_bytes = 6 << 10;
     cfg.split.check_interval = SimDuration::from_secs(10);
@@ -1046,7 +1046,7 @@ fn at_first_sync_ship() -> (Cluster, RegionId, Rc<RegionServer>) {
         wal_mode: WalSyncMode::Sync,
         ..RegionServerConfig::default()
     };
-    cfg.replication.enabled = true;
+    cfg.replication = true;
     let c = build_replicated(47, 3, 1, cfg, 2);
     let map = c.master.snapshot_map();
     let region = map.regions()[0].id;

@@ -39,5 +39,5 @@ mod oracle;
 
 pub use conflict::ConflictChecker;
 pub use log::{LogRecord, RecoveryLog, RecoveryLogConfig};
-pub use manager::{CommitOutcome, TransactionManager, TxnId, TxnManagerConfig};
+pub use manager::{CommitOutcome, TransactionManager, TxnId};
 pub use oracle::TimestampOracle;

@@ -33,23 +33,8 @@ pub enum CommitOutcome {
     UnknownTxn,
 }
 
-/// Transaction-manager tuning knobs.
-#[derive(Copy, Clone, Debug)]
-pub struct TxnManagerConfig {
-    /// Recovery-log (group commit) configuration.
-    pub log: RecoveryLogConfig,
-    /// Period of the conflict-table prune.
-    pub prune_interval: SimDuration,
-}
-
-impl Default for TxnManagerConfig {
-    fn default() -> Self {
-        TxnManagerConfig {
-            log: RecoveryLogConfig::default(),
-            prune_interval: SimDuration::from_secs(10),
-        }
-    }
-}
+/// Period of the conflict-table prune.
+const PRUNE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 struct ActiveTxn {
     client: ClientId,
@@ -89,12 +74,12 @@ impl fmt::Debug for TransactionManager {
 
 impl TransactionManager {
     /// Creates the manager on `node` and starts its background timers.
-    pub fn new(sim: &Sim, node: NodeId, cfg: TxnManagerConfig) -> Rc<TransactionManager> {
+    pub fn new(sim: &Sim, node: NodeId) -> Rc<TransactionManager> {
         let tm = Rc::new(TransactionManager {
             node,
             oracle: TimestampOracle::new(),
             conflicts: ConflictChecker::new(),
-            log: RecoveryLog::new(sim, cfg.log),
+            log: RecoveryLog::new(sim, RecoveryLogConfig::default()),
             active: RefCell::new(HashMap::new()),
             next_txn: Cell::new(1),
             pending_flush: RefCell::new(BTreeSet::new()),
@@ -105,7 +90,7 @@ impl TransactionManager {
             timers: RefCell::new(Vec::new()),
         });
         let weak: Weak<TransactionManager> = Rc::downgrade(&tm);
-        let timer = every(sim, cfg.prune_interval, move || {
+        let timer = every(sim, PRUNE_INTERVAL, move || {
             if let Some(tm) = weak.upgrade() {
                 // Prune at the oldest *pinned* snapshot, not the flush
                 // watermark: the watermark advances past still-running
@@ -295,7 +280,7 @@ mod tests {
     fn tm() -> (Sim, Rc<TransactionManager>) {
         let sim = Sim::new(2);
         let node = NodeId(0);
-        let tm = TransactionManager::new(&sim, node, TxnManagerConfig::default());
+        let tm = TransactionManager::new(&sim, node);
         (sim, tm)
     }
 
@@ -369,7 +354,7 @@ mod tests {
             "the watermark moved past the rival's conflict record"
         );
         assert!(start < rival_ts, "the straggler's snapshot is older");
-        // Let the prune timer fire (well past prune_interval).
+        // Let the prune timer fire (well past `PRUNE_INTERVAL`).
         sim.run_for(SimDuration::from_secs(25));
         // The straggler now writes the contested cell: must conflict.
         let out: Rc<RefCell<Option<CommitOutcome>>> = Rc::new(RefCell::new(None));

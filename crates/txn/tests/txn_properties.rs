@@ -4,7 +4,6 @@ use cumulo_sim::{NodeId, Sim, SimDuration, SimTime};
 use cumulo_store::{ClientId, Mutation, Timestamp, WriteSet};
 use cumulo_txn::{
     CommitOutcome, ConflictChecker, LogRecord, RecoveryLog, RecoveryLogConfig, TransactionManager,
-    TxnManagerConfig,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -206,7 +205,7 @@ proptest! {
 #[test]
 fn commit_acks_are_ordered_and_durable() {
     let sim = Sim::new(11);
-    let tm = TransactionManager::new(&sim, NodeId(0), TxnManagerConfig::default());
+    let tm = TransactionManager::new(&sim, NodeId(0));
     let acks: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
     for i in 0..50usize {
         let (txn, _) = tm.handle_begin(ClientId((i % 3) as u32));

@@ -128,9 +128,9 @@ fn compaction_crash_run(seed: u64) {
         regions: 6,
         key_count: ROWS,
         heartbeat_interval: SimDuration::from_millis(500),
-        compaction_threshold: 3,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.compaction.min_files = 3;
     // Aggressive flush + compaction cadence so compactions are frequent
     // enough to crash into one.
     cfg.server_cfg.memstore_flush_bytes = 16 << 10;

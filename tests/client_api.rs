@@ -422,7 +422,7 @@ fn commit_on_an_idle_cluster_waits_for_no_tick() {
     let took = took.borrow();
     assert_eq!(took.len(), 20);
     // A one-put record is under a kilobyte.
-    let disk = ClusterConfig::default().tm_cfg.log.disk;
+    let disk = cumulo_txn::RecoveryLogConfig::default().disk;
     let device_round = disk.write_time(1) + disk.sync_time(1);
     for t in took.iter() {
         assert!(

@@ -25,10 +25,10 @@ fn compaction_cluster(seed: u64, compaction: bool) -> Cluster {
         servers: 2,
         regions: 4,
         key_count: ROWS,
-        compaction,
-        compaction_threshold: 3,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.compaction.enabled = compaction;
+    cfg.server_cfg.compaction.min_files = 3;
     cfg.server_cfg.memstore_flush_bytes = 24 << 10; // 24 KiB
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(500);
     cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(900);
@@ -183,10 +183,10 @@ fn policy_cluster(seed: u64, policy: CompactionPolicyKind) -> Cluster {
         servers: 2,
         regions: 4,
         key_count: ROWS,
-        compaction_threshold: 3,
-        compaction_policy: policy,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.compaction.min_files = 3;
+    cfg.server_cfg.compaction.policy = policy;
     cfg.server_cfg.memstore_flush_bytes = 24 << 10;
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(500);
     cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(900);

@@ -51,16 +51,16 @@ fn identical_seeds_reproduce_identical_failure_runs() {
 
 #[test]
 fn wal_split_output_is_adopted_at_open_and_compacted_away() {
-    let cluster = Cluster::build(ClusterConfig {
+    let mut cfg = ClusterConfig {
         seed: 93,
         clients: 2,
         servers: 2,
         regions: 2,
         key_count: 1_000,
-        compaction: true,
-        compaction_threshold: 2,
         ..ClusterConfig::default()
-    });
+    };
+    cfg.server_cfg.compaction.min_files = 2;
+    let cluster = Cluster::build(cfg);
     let read_all = |cluster: &Cluster| -> Vec<Option<Vec<u8>>> {
         (0..20u64)
             .map(|i| {

@@ -26,10 +26,10 @@ fn filter_cluster(seed: u64, compaction: bool) -> Cluster {
         servers: 2,
         regions: 4,
         key_count: ROWS,
-        compaction,
-        compaction_threshold: 4,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.compaction.enabled = compaction;
+    cfg.server_cfg.compaction.min_files = 4;
     cfg.server_cfg.memstore_flush_bytes = 24 << 10; // 24 KiB
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(500);
     cfg.server_cfg.verify_filters = true;

@@ -51,9 +51,9 @@ fn merge_cluster(seed: u64) -> Cluster {
         clients: 6,
         regions: 8,
         key_count: ACCOUNTS,
-        merges: true,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.merge.enabled = true;
     cfg.server_cfg.memstore_flush_bytes = 12 << 10;
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
     cfg.server_cfg.merge.check_interval = SimDuration::from_millis(300);

@@ -243,7 +243,7 @@ fn registry_views_agree_with_component_accessors() {
     assert_eq!(cluster.metrics.sum("tm.log.appends"), log.append_count());
     assert_eq!(cluster.metrics.sum("tm.log.batches"), log.batch_count());
     assert_eq!(log.batch_count(), log.append_count());
-    let disk = ClusterConfig::default().tm_cfg.log.disk;
+    let disk = cumulo_txn::RecoveryLogConfig::default().disk;
     let device_round = disk.write_time(1) + disk.sync_time(1);
     assert_eq!(log.ack_latency().min(), device_round.nanos());
     assert_eq!(log.ack_latency().max(), device_round.nanos());

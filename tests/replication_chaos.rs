@@ -290,10 +290,10 @@ fn fire_pads(cluster: &Cluster, round: u32) {
 fn primary_crash_mid_split_converges() {
     for shift in [0u32, 1] {
         let mut cfg = replicated_config(8404);
-        cfg.splits = true;
+        cfg.server_cfg.split.enabled = true;
         // Split threshold low enough that the padded transfer traffic
         // splits hot regions during the run.
-        cfg.split_threshold_bytes = 16 << 10;
+        cfg.server_cfg.split.threshold_bytes = 16 << 10;
         cfg.server_cfg.memstore_flush_bytes = 6 << 10;
         cfg.server_cfg.flush_check_interval = SimDuration::from_millis(400);
         cfg.server_cfg.split.check_interval = SimDuration::from_millis(300);

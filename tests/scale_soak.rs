@@ -48,13 +48,13 @@ fn soak_cluster(seed: u64) -> Cluster {
         clients: 6,
         regions: 8,
         key_count: ACCOUNTS,
-        splits: true,
-        split_threshold_bytes: 48 << 10,
-        merges: true,
-        merge_threshold_bytes: 12 << 10,
-        moves: true,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.split.enabled = true;
+    cfg.server_cfg.split.threshold_bytes = 48 << 10;
+    cfg.server_cfg.merge.enabled = true;
+    cfg.server_cfg.merge.threshold_bytes = 12 << 10;
+    cfg.master_cfg.moves.enabled = true;
     cfg.server_cfg.memstore_flush_bytes = 12 << 10;
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
     cfg.server_cfg.split.check_interval = SimDuration::from_millis(400);

@@ -271,10 +271,10 @@ fn scan_under_split_matches_oracle() {
             clients: 6,
             regions: 2,
             key_count: ACCOUNTS,
-            splits: true,
-            split_threshold_bytes: 48 << 10,
             ..ClusterConfig::default()
         };
+        cfg.server_cfg.split.enabled = true;
+        cfg.server_cfg.split.threshold_bytes = 48 << 10;
         cfg.server_cfg.memstore_flush_bytes = 12 << 10;
         cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
         cfg.server_cfg.split.check_interval = SimDuration::from_millis(300);
@@ -326,9 +326,9 @@ fn scan_under_merge_matches_oracle() {
             clients: 6,
             regions: 8,
             key_count: ACCOUNTS,
-            merges: true,
             ..ClusterConfig::default()
         };
+        cfg.server_cfg.merge.enabled = true;
         cfg.server_cfg.memstore_flush_bytes = 12 << 10;
         cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
         cfg.server_cfg.merge.check_interval = SimDuration::from_millis(300);

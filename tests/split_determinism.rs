@@ -23,10 +23,10 @@ fn run_schedule(shift: u32) -> String {
         clients: 6,
         regions: 2,
         key_count: ROWS,
-        splits: true,
-        split_threshold_bytes: 96 << 10,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.split.enabled = true;
+    cfg.server_cfg.split.threshold_bytes = 96 << 10;
     cfg.server_cfg.memstore_flush_bytes = 24 << 10;
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
     cfg.server_cfg.split.check_interval = SimDuration::from_millis(400);

@@ -46,10 +46,10 @@ fn split_cluster(seed: u64) -> Cluster {
         clients: 6,
         regions: 2,
         key_count: ACCOUNTS,
-        splits: true,
-        split_threshold_bytes: 48 << 10,
         ..ClusterConfig::default()
     };
+    cfg.server_cfg.split.enabled = true;
+    cfg.server_cfg.split.threshold_bytes = 48 << 10;
     cfg.server_cfg.memstore_flush_bytes = 12 << 10;
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
     cfg.server_cfg.split.check_interval = SimDuration::from_millis(300);
@@ -233,4 +233,26 @@ fn crash_after_daughters_online_fails_over_daughters() {
         cluster.master.failover_count() >= 1,
         "no failover was processed"
     );
+}
+
+/// The split switch has one home. A `ClusterConfig` that turns on
+/// nothing but `server_cfg.split.enabled` (with a threshold the bulk
+/// load crosses) must split: when a top-level alias was copied over the
+/// nested field, this setting was silently ignored.
+#[test]
+fn the_nested_split_flag_alone_turns_splits_on() {
+    let mut cfg = ClusterConfig::default();
+    cfg.server_cfg.split.enabled = true;
+    cfg.server_cfg.split.threshold_bytes = 16 << 10;
+    let cluster = Cluster::build(cfg);
+    // 2 000 rows of a 500 000-row key space all land in the first region.
+    cluster.load_rows(2_000, &["f0"], 100, false);
+    let split = run_until(
+        &cluster,
+        SimDuration::from_millis(500),
+        SimDuration::from_secs(20),
+        || cluster.total_splits() > 0,
+    );
+    assert!(split, "server_cfg.split.enabled = true never split a region");
+    cluster.assert_region_partition();
 }
