@@ -253,6 +253,9 @@ fn the_nested_split_flag_alone_turns_splits_on() {
         SimDuration::from_secs(20),
         || cluster.total_splits() > 0,
     );
-    assert!(split, "server_cfg.split.enabled = true never split a region");
+    assert!(
+        split,
+        "server_cfg.split.enabled = true never split a region"
+    );
     cluster.assert_region_partition();
 }
