@@ -51,8 +51,8 @@ const COORD_SESSION_TIMEOUT: SimDuration = SimDuration::from_millis(1800);
 
 /// Region-server tuning knobs: what an experiment or a test varies. The
 /// calibrated service model (what a request costs a handler) is
-/// constants in [`data_path`]; the replication timers are constants in
-/// [`replication`].
+/// constants in `server/data_path.rs`; the replication timers are
+/// constants in `server/replication.rs`.
 #[derive(Copy, Clone, Debug)]
 pub struct RegionServerConfig {
     /// Whether updates are acknowledged before (Async) or after (Sync)
@@ -496,6 +496,13 @@ impl RegionServer {
     /// Whether the process is alive.
     pub fn is_alive(&self) -> bool {
         self.alive.get()
+    }
+
+    /// Installs the master (cluster wiring; without one, candidacy
+    /// checks never fire an intent and lane-drop reports release
+    /// locally).
+    pub fn set_master(&self, master: Rc<Master>) {
+        *self.master.borrow_mut() = Some(master);
     }
 
     /// Installs the recovery middleware's hooks.

@@ -12,7 +12,6 @@
 
 use super::replication::StreamElement;
 use super::{RegionServer, RegionState};
-use crate::master::Master;
 use crate::memstore::MemStore;
 use crate::region::{ChangeKind, RegionDescriptor, StructureChange};
 use crate::sstable::StoreFileData;
@@ -108,13 +107,6 @@ impl RegionServer {
     /// executing, if any.
     pub fn pending_change(&self) -> Option<ChangeKind> {
         self.pending_change.borrow().as_ref().map(|p| p.kind())
-    }
-
-    /// Installs the master (cluster wiring; without one, candidacy
-    /// checks never fire an intent and lane-drop reports release
-    /// locally).
-    pub fn set_master(&self, master: Rc<Master>) {
-        *self.master.borrow_mut() = Some(master);
     }
 
     /// The head of both candidacy timers: whether a tick of `kind` may
