@@ -6,7 +6,7 @@
 
 use crate::service::{CoordService, SessionId, WatchEvent, WatchId};
 use bytes::Bytes;
-use cumulo_sim::{Network, NodeId, Sim, SimDuration};
+use cumulo_sim::{Network, NodeId, SimDuration};
 use std::fmt;
 use std::rc::Rc;
 
@@ -15,7 +15,6 @@ use std::rc::Rc;
 /// Cheap to clone; all clones share the same identity (`from` node).
 #[derive(Clone)]
 pub struct CoordClient {
-    _sim: Sim,
     net: Rc<Network>,
     svc: Rc<CoordService>,
     from: NodeId,
@@ -31,9 +30,8 @@ impl fmt::Debug for CoordClient {
 
 impl CoordClient {
     /// Creates a client for the component running on node `from`.
-    pub fn new(sim: &Sim, net: &Rc<Network>, svc: &Rc<CoordService>, from: NodeId) -> CoordClient {
+    pub fn new(net: &Rc<Network>, svc: &Rc<CoordService>, from: NodeId) -> CoordClient {
         CoordClient {
-            _sim: sim.clone(),
             net: Rc::clone(net),
             svc: Rc::clone(svc),
             from,
@@ -49,13 +47,14 @@ impl CoordClient {
     /// with the new session id.
     pub fn create_session(&self, timeout: SimDuration, done: impl FnOnce(SessionId) + 'static) {
         let svc = Rc::clone(&self.svc);
-        let net = Rc::clone(&self.net);
         let from = self.from;
-        let to = svc.node();
-        self.net.send(from, to, 64, move || {
-            let sid = svc.create_session(from, timeout);
-            net.send(to, from, 64, move || done(sid));
-        });
+        self.net.request(
+            from,
+            svc.node(),
+            64,
+            move |reply| reply.send(64, svc.create_session(from, timeout)),
+            done,
+        );
     }
 
     /// Sends a liveness touch for `session` (fire and forget).
@@ -106,29 +105,35 @@ impl CoordClient {
     /// Reads znode data; `done` runs at the caller with the result.
     pub fn get_data(&self, path: &str, done: impl FnOnce(Option<Bytes>) + 'static) {
         let svc = Rc::clone(&self.svc);
-        let net = Rc::clone(&self.net);
-        let from = self.from;
-        let to = svc.node();
         let path = path.to_owned();
-        self.net.send(from, to, 64 + path.len(), move || {
-            let data = svc.get_data(&path);
-            let size = 64 + data.as_ref().map(|d| d.len()).unwrap_or(0);
-            net.send(to, from, size, move || done(data));
-        });
+        self.net.request(
+            self.from,
+            svc.node(),
+            64 + path.len(),
+            move |reply| {
+                let data = svc.get_data(&path);
+                let size = 64 + data.as_ref().map(|d| d.len()).unwrap_or(0);
+                reply.send(size, data);
+            },
+            done,
+        );
     }
 
     /// Lists paths under `prefix`; `done` runs at the caller.
     pub fn children(&self, prefix: &str, done: impl FnOnce(Vec<String>) + 'static) {
         let svc = Rc::clone(&self.svc);
-        let net = Rc::clone(&self.net);
-        let from = self.from;
-        let to = svc.node();
         let prefix = prefix.to_owned();
-        self.net.send(from, to, 64 + prefix.len(), move || {
-            let kids = svc.children(&prefix);
-            let size = 64 + kids.iter().map(|k| k.len()).sum::<usize>();
-            net.send(to, from, size, move || done(kids));
-        });
+        self.net.request(
+            self.from,
+            svc.node(),
+            64 + prefix.len(),
+            move |reply| {
+                let kids = svc.children(&prefix);
+                let size = 64 + kids.iter().map(|k| k.len()).sum::<usize>();
+                reply.send(size, kids);
+            },
+            done,
+        );
     }
 
     /// Registers a prefix watch whose callback runs at this client's node;
@@ -140,14 +145,15 @@ impl CoordClient {
         registered: impl FnOnce(WatchId) + 'static,
     ) {
         let svc = Rc::clone(&self.svc);
-        let net = Rc::clone(&self.net);
         let from = self.from;
-        let to = svc.node();
         let prefix = prefix.to_owned();
-        self.net.send(from, to, 64 + prefix.len(), move || {
-            let wid = svc.watch_prefix(&prefix, from, cb);
-            net.send(to, from, 32, move || registered(wid));
-        });
+        self.net.request(
+            from,
+            svc.node(),
+            64 + prefix.len(),
+            move |reply| reply.send(32, svc.watch_prefix(&prefix, from, cb)),
+            registered,
+        );
     }
 
     /// Removes a previously registered watch (fire and forget).
@@ -167,7 +173,7 @@ impl CoordClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumulo_sim::{LatencyConfig, SimTime};
+    use cumulo_sim::{LatencyConfig, Sim, SimTime};
     use std::cell::{Cell, RefCell};
 
     fn setup() -> (Sim, Rc<Network>, CoordClient) {
@@ -176,7 +182,7 @@ mod tests {
         let zk = net.add_node("coord");
         let me = net.add_node("component");
         let svc = CoordService::new(&sim, &net, zk, SimDuration::from_millis(100));
-        let client = CoordClient::new(&sim, &net, &svc, me);
+        let client = CoordClient::new(&net, &svc, me);
         (sim, net, client)
     }
 

@@ -22,7 +22,7 @@ fn fifty_sessions_with_mixed_lifecycles() {
     let mut clients = Vec::new();
     for i in 0..50 {
         let node = net.add_node(&format!("c{i}"));
-        let client = CoordClient::new(&sim, &net, &svc, node);
+        let client = CoordClient::new(&net, &svc, node);
         let sid: Rc<Cell<Option<SessionId>>> = Rc::new(Cell::new(None));
         let s2 = sid.clone();
         client.create_session(SimDuration::from_secs(2), move |s| s2.set(Some(s)));
@@ -73,7 +73,7 @@ fn watch_storm_delivers_every_event_in_order() {
         }
     });
     let writer_node = net.add_node("writer");
-    let writer = CoordClient::new(&sim, &net, &svc, writer_node);
+    let writer = CoordClient::new(&net, &svc, writer_node);
     for i in 0..500 {
         writer.set_data(&format!("/data/key{}", i % 10), Bytes::from(vec![i as u8]));
     }
@@ -125,7 +125,7 @@ proptest! {
     ) {
         let (sim, net, svc) = setup(10);
         let node = net.add_node("c");
-        let client = CoordClient::new(&sim, &net, &svc, node);
+        let client = CoordClient::new(&net, &svc, node);
         let mut model: std::collections::BTreeMap<String, u8> = Default::default();
         for (op, key, val) in ops {
             let path = format!("/m/{key}");

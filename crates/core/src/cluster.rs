@@ -23,7 +23,7 @@ use cumulo_store::{
     RegionServerConfig, ServerDirectory, ServerId, StoreClient, StoreClientConfig, StoreFileData,
     StoreFileRegistry, Timestamp, WalSyncMode,
 };
-use cumulo_txn::TransactionManager;
+use cumulo_txn::{TmClient, TransactionManager};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -237,7 +237,7 @@ impl Cluster {
                 dfs,
                 Rc::clone(&registry),
             );
-            let server_coord = CoordClient::new(&sim, &net, &coord, node);
+            let server_coord = CoordClient::new(&net, &coord, node);
             // Compaction garbage-collects versions shadowed below the
             // transaction manager's oldest active snapshot.
             let tm_for_gc = Rc::clone(&tm);
@@ -271,7 +271,7 @@ impl Cluster {
             Rc::clone(&dir),
             Rc::clone(&registry),
         );
-        let master_coord = CoordClient::new(&sim, &net, &coord, master_node);
+        let master_coord = CoordClient::new(&net, &coord, master_node);
         master.set_events_journal(events.clone());
         master.register_metrics(&metrics);
         master.start(&master_coord);
@@ -279,14 +279,15 @@ impl Cluster {
         // Recovery manager + recovery client on their own node.
         let rm_node = net.add_node("recovery-manager");
         let rc_store = StoreClient::new(&sim, &net, rm_node, &master, &dir, cfg.store_client_cfg);
-        let rc = RecoveryClient::new(&sim, &net, rm_node, rc_store, &tm);
+        let rm_tm = TmClient::new(&net, &tm, rm_node);
+        let rc = RecoveryClient::new(&sim, rc_store, rm_tm.clone());
         rc.set_events_journal(events.clone());
-        let rm_coord = CoordClient::new(&sim, &net, &coord, rm_node);
+        let rm_coord = CoordClient::new(&net, &coord, rm_node);
         let rm_cfg = RecoveryManagerConfig {
             tracking: cfg.tracking,
             truncation: cfg.truncation,
         };
-        let rm = RecoveryManager::new(&sim, &net, rm_node, rm_coord, &tm, rc, rm_cfg);
+        let rm = RecoveryManager::new(&sim, &net, rm_node, rm_coord, rm_tm, rc, rm_cfg);
         rm.set_events_journal(events.clone());
         rm.register_metrics(&metrics);
         rm.start();
@@ -299,7 +300,7 @@ impl Cluster {
         };
         let mut server_trackers = Vec::new();
         for server in &servers {
-            let coord_client = CoordClient::new(&sim, &net, &coord, server.node());
+            let coord_client = CoordClient::new(&net, &coord, server.node());
             let tracker = ServerTracker::new(&sim, server, coord_client, tracker_cfg);
             tracker.start();
             hooks.register_tracker(Rc::clone(&tracker));
@@ -342,13 +343,13 @@ impl Cluster {
         for i in 0..cfg.clients {
             let node = net.add_node(&format!("client{i}"));
             let store = StoreClient::new(&sim, &net, node, &master, &dir, cfg.store_client_cfg);
-            let coord_client = CoordClient::new(&sim, &net, &coord, node);
+            let coord_client = CoordClient::new(&net, &coord, node);
             let client = TransactionalClient::new(
                 &sim,
                 &net,
                 ClientId(i as u32),
                 node,
-                &tm,
+                TmClient::new(&net, &tm, node),
                 store,
                 coord_client,
                 client_cfg,

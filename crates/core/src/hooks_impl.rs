@@ -119,7 +119,6 @@ impl RecoveryHooks for MiddlewareHooks {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn notify_server_failed(
     sim: Sim,
     net: Rc<Network>,
@@ -134,16 +133,21 @@ fn notify_server_failed(
     }
     {
         let rm2 = Rc::clone(&rm);
-        let net2 = Rc::clone(&net);
         let regions2 = regions.clone();
         let acked2 = Rc::clone(&acked);
-        net.send(src, rm.node(), 64 + regions.len() * 4, move || {
-            if !rm2.is_alive() {
-                return;
-            }
-            rm2.note_server_failed(failed, regions2);
-            net2.send(rm2.node(), src, 32, move || acked2.set(true));
-        });
+        net.request(
+            src,
+            rm.node(),
+            64 + regions.len() * 4,
+            move |reply| {
+                if !rm2.is_alive() {
+                    return;
+                }
+                rm2.note_server_failed(failed, regions2);
+                reply.send(32, ());
+            },
+            move |()| acked2.set(true),
+        );
     }
     let sim2 = sim.clone();
     sim.schedule_in(NOTIFY_RETRY, move || {

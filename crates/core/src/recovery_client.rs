@@ -10,9 +10,9 @@
 
 use cumulo_sim::metrics::Counter;
 use cumulo_sim::trace::Journal;
-use cumulo_sim::{Network, NodeId, Sim};
+use cumulo_sim::Sim;
 use cumulo_store::{Mutation, RegionId, StoreClient, Timestamp};
-use cumulo_txn::{LogRecord, TransactionManager};
+use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
@@ -41,10 +41,8 @@ struct RegionReplay {
 /// node.
 pub struct RecoveryClient {
     sim: Sim,
-    net: Rc<Network>,
-    node: NodeId,
     store: StoreClient,
-    tm: Rc<TransactionManager>,
+    tm: TmClient,
     client_txns_replayed: Counter,
     region_txns_replayed: Counter,
     /// Failure-event journal (shared cluster journal; disabled until the
@@ -55,7 +53,6 @@ pub struct RecoveryClient {
 impl fmt::Debug for RecoveryClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RecoveryClient")
-            .field("node", &self.node)
             .field("client_txns_replayed", &self.client_txns_replayed.get())
             .field("region_txns_replayed", &self.region_txns_replayed.get())
             .finish()
@@ -63,21 +60,13 @@ impl fmt::Debug for RecoveryClient {
 }
 
 impl RecoveryClient {
-    /// Creates the recovery client on `node` (the recovery manager's
-    /// node); `store` must be a store client bound to the same node.
-    pub fn new(
-        sim: &Sim,
-        net: &Rc<Network>,
-        node: NodeId,
-        store: StoreClient,
-        tm: &Rc<TransactionManager>,
-    ) -> Rc<RecoveryClient> {
+    /// Creates the recovery client; `store` and `tm` must both be bound
+    /// to the recovery manager's node.
+    pub fn new(sim: &Sim, store: StoreClient, tm: TmClient) -> Rc<RecoveryClient> {
         Rc::new(RecoveryClient {
             sim: sim.clone(),
-            net: Rc::clone(net),
-            node,
             store,
-            tm: Rc::clone(tm),
+            tm,
             client_txns_replayed: Counter::new(),
             region_txns_replayed: Counter::new(),
             events: RefCell::new(Journal::disabled()),
@@ -130,10 +119,7 @@ impl RecoveryClient {
         self.store.flush(ts, &record.write_set, move || {
             this.client_txns_replayed.inc();
             // The dead client cannot report the flush; c_R does it.
-            let tm = Rc::clone(&this.tm);
-            this.net.send(this.node, tm.node(), 48, move || {
-                tm.handle_flush_complete(ts);
-            });
+            this.tm.flush_complete(ts);
             this.replay_client_next(records2, idx + 1, done);
         });
     }

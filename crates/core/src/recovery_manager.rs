@@ -46,7 +46,7 @@ use cumulo_sim::metrics::{Counter, MetricsRegistry};
 use cumulo_sim::trace::Journal;
 use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, TimerHandle};
 use cumulo_store::{ClientId, Mutation, RegionId, RegionServer, ServerId, Timestamp};
-use cumulo_txn::{LogRecord, TransactionManager};
+use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -109,7 +109,7 @@ pub struct RecoveryManager {
     net: Rc<Network>,
     node: NodeId,
     coord: CoordClient,
-    tm: Rc<TransactionManager>,
+    tm: TmClient,
     rc: Rc<RecoveryClient>,
     cfg: RecoveryManagerConfig,
     /// `T_F_r(c)` per registered client.
@@ -164,7 +164,7 @@ impl RecoveryManager {
         net: &Rc<Network>,
         node: NodeId,
         coord: CoordClient,
-        tm: &Rc<TransactionManager>,
+        tm: TmClient,
         rc: Rc<RecoveryClient>,
         cfg: RecoveryManagerConfig,
     ) -> Rc<RecoveryManager> {
@@ -173,7 +173,7 @@ impl RecoveryManager {
             net: Rc::clone(net),
             node,
             coord,
-            tm: Rc::clone(tm),
+            tm,
             rc,
             cfg,
             clients: RefCell::new(BTreeMap::new()),
@@ -484,10 +484,7 @@ impl RecoveryManager {
                 .record(self.sim.now(), "log.truncate", move || {
                     format!("below={}", t_p.0)
                 });
-            let tm = Rc::clone(&self.tm);
-            self.net.send(self.node, tm.node(), 48, move || {
-                tm.log().truncate_below(t_p);
-            });
+            self.tm.truncate_below(t_p);
         }
     }
 
@@ -510,34 +507,24 @@ impl RecoveryManager {
         self.clients.borrow_mut().remove(&c);
         self.recompute_t_f();
 
-        // Fetch the client's committed-but-possibly-unflushed suffix.
-        let tm = Rc::clone(&self.tm);
-        let net = Rc::clone(&self.net);
-        let node = self.node;
+        // Reap the client's open transactions and fetch its
+        // committed-but-possibly-unflushed suffix.
         let this = Rc::clone(self);
-        self.net.send(node, tm.node(), 64, move || {
-            // The dead client's open transactions can never commit; reap
-            // them so their pinned snapshots stop holding back the MVCC
-            // garbage-collection watermark.
-            tm.handle_client_failed(c);
-            let records = tm.log().fetch_client_after(c, t_f_r);
-            let size = 64 + records.iter().map(|r| r.wire_size()).sum::<usize>();
-            net.send(tm.node(), node, size, move || {
-                if !this.alive.get() {
-                    return;
-                }
-                let this2 = Rc::clone(&this);
-                let rc = Rc::clone(&this.rc);
-                rc.replay_client_log(
-                    records,
-                    Box::new(move || {
-                        this2.pins.borrow_mut().remove(&pin);
-                        this2.recompute_t_f();
-                        // Unregister the dead client permanently.
-                        this2.coord.delete(&paths::client_threshold(c));
-                    }),
-                );
-            });
+        self.tm.reap_and_fetch_client(c, t_f_r, move |records| {
+            if !this.alive.get() {
+                return;
+            }
+            let this2 = Rc::clone(&this);
+            let rc = Rc::clone(&this.rc);
+            rc.replay_client_log(
+                records,
+                Box::new(move || {
+                    this2.pins.borrow_mut().remove(&pin);
+                    this2.recompute_t_f();
+                    // Unregister the dead client permanently.
+                    this2.coord.delete(&paths::client_threshold(c));
+                }),
+            );
         });
     }
 
@@ -657,15 +644,9 @@ impl RecoveryManager {
         let this = Rc::clone(self);
         self.coord
             .get_data(&paths::region_floor(last_region), move |_| {
-                let tm = Rc::clone(&this.tm);
-                let net = Rc::clone(&this.net);
-                let node = this.node;
-                this.net.clone().send(node, tm.node(), 64, move || {
-                    let records = tm.log().fetch_after(lowest);
-                    let size = 64 + records.iter().map(|r| r.wire_size()).sum::<usize>();
-                    net.send(tm.node(), node, size, move || {
-                        this.suffix_staged(failed, generation, lowest, records);
-                    });
+                let tm = this.tm.clone();
+                tm.fetch_after(lowest, move |records| {
+                    this.suffix_staged(failed, generation, lowest, records);
                 });
             });
     }

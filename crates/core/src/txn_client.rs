@@ -55,7 +55,7 @@ use cumulo_sim::metrics::{Counter, MetricsRegistry};
 use cumulo_sim::trace::Journal;
 use cumulo_sim::{every_from, Network, NodeId, Sim, SimDuration, TimerHandle};
 use cumulo_store::{ClientId, Mutation, MutationKind, StoreClient, Timestamp, WriteSet};
-use cumulo_txn::{CommitOutcome, TransactionManager, TxnId};
+use cumulo_txn::{CommitOutcome, TmClient, TxnId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::error::Error;
@@ -187,7 +187,7 @@ struct TcInner {
     net: Rc<Network>,
     id: ClientId,
     node: NodeId,
-    tm: Rc<TransactionManager>,
+    tm: TmClient,
     store: StoreClient,
     coord: CoordClient,
     cfg: TxnClientConfig,
@@ -530,82 +530,70 @@ impl Transaction {
             .expect("checked by state_err");
         let txn = self.id;
         let ws = at.write_set;
+        // The manager keeps the request's copy in its log; this one is
+        // flushed to the store once the commit is acknowledged.
+        let ws2 = ws.clone();
         let inner = Rc::clone(&self.inner);
-        let tm = Rc::clone(&self.inner.tm);
-        let net = Rc::clone(&self.inner.net);
-        let node = self.inner.node;
-        let size = 64 + ws.wire_size();
         self.inner
             .commits_in_flight
             .set(self.inner.commits_in_flight.get() + 1);
-        self.inner.net.send(node, tm.node(), size, move || {
-            let ws2 = ws.clone();
-            let tm2 = Rc::clone(&tm);
-            tm.handle_commit(txn, ws, move |outcome| {
-                net.send(tm2.node(), node, 48, move || {
+        self.inner.tm.commit(txn, ws, move |outcome| {
+            inner
+                .commits_in_flight
+                .set(inner.commits_in_flight.get() - 1);
+            if !inner.alive.get() {
+                // Client died while the commit was in flight: if it
+                // committed, the recovery manager replays it.
+                return;
+            }
+            match outcome {
+                CommitOutcome::Committed(ts) => {
+                    inner.committed.inc();
+                    let (client, writes) = (inner.id, ws2.mutations.len());
                     inner
-                        .commits_in_flight
-                        .set(inner.commits_in_flight.get() - 1);
-                    if !inner.alive.get() {
-                        // Client died while the commit was in flight: if it
-                        // committed, the recovery manager replays it.
+                        .trace
+                        .borrow()
+                        .record(inner.sim.now(), "txn.commit", move || {
+                            format!("client={client} txn={} ts={ts} writes={writes}", txn.0)
+                        });
+                    if ws2.is_empty() {
+                        done(Ok(ts));
                         return;
                     }
-                    match outcome {
-                        CommitOutcome::Committed(ts) => {
-                            inner.committed.inc();
-                            let (client, writes) = (inner.id, ws2.mutations.len());
-                            inner
-                                .trace
-                                .borrow()
-                                .record(inner.sim.now(), "txn.commit", move || {
-                                    format!("client={client} txn={} ts={ts} writes={writes}", txn.0)
-                                });
-                            if ws2.is_empty() {
-                                done(Ok(ts));
-                                return;
-                            }
-                            inner.tracker.borrow_mut().on_committed(ts);
-                            match inner.cfg.persistence {
-                                PersistenceMode::Asynchronous => {
-                                    done(Ok(ts));
-                                    flush_write_set(inner, ts, ws2, None);
-                                }
-                                PersistenceMode::Synchronous => {
-                                    flush_write_set(
-                                        inner,
-                                        ts,
-                                        ws2,
-                                        Some(Box::new(move || done(Ok(ts)))),
-                                    );
-                                }
-                            }
+                    inner.tracker.borrow_mut().on_committed(ts);
+                    match inner.cfg.persistence {
+                        PersistenceMode::Asynchronous => {
+                            done(Ok(ts));
+                            flush_write_set(inner, ts, ws2, None);
                         }
-                        CommitOutcome::Conflict => {
-                            inner.aborted.inc();
-                            let client = inner.id;
-                            inner
-                                .trace
-                                .borrow()
-                                .record(inner.sim.now(), "txn.abort", move || {
-                                    format!("client={client} txn={} cause=conflict", txn.0)
-                                });
-                            done(Err(TxnError::Conflict));
-                        }
-                        CommitOutcome::UnknownTxn => {
-                            inner.aborted.inc();
-                            let client = inner.id;
-                            inner
-                                .trace
-                                .borrow()
-                                .record(inner.sim.now(), "txn.abort", move || {
-                                    format!("client={client} txn={} cause=unknown", txn.0)
-                                });
-                            done(Err(TxnError::UnknownTxn));
+                        PersistenceMode::Synchronous => {
+                            flush_write_set(inner, ts, ws2, Some(Box::new(move || done(Ok(ts)))));
                         }
                     }
-                });
-            });
+                }
+                CommitOutcome::Conflict => {
+                    inner.aborted.inc();
+                    let client = inner.id;
+                    inner
+                        .trace
+                        .borrow()
+                        .record(inner.sim.now(), "txn.abort", move || {
+                            format!("client={client} txn={} cause=conflict", txn.0)
+                        });
+                    done(Err(TxnError::Conflict));
+                }
+                CommitOutcome::UnknownTxn => {
+                    inner.aborted.inc();
+                    let client = inner.id;
+                    inner
+                        .trace
+                        .borrow()
+                        .record(inner.sim.now(), "txn.abort", move || {
+                            format!("client={client} txn={} cause=unknown", txn.0)
+                        });
+                    done(Err(TxnError::UnknownTxn));
+                }
+            }
         });
     }
 
@@ -627,12 +615,7 @@ impl Transaction {
             .record(self.inner.sim.now(), "txn.abort", move || {
                 format!("client={client} txn={} cause=user", txn.0)
             });
-        let tm = Rc::clone(&self.inner.tm);
-        self.inner
-            .net
-            .send(self.inner.node, tm.node(), 48, move || {
-                tm.handle_abort(txn);
-            });
+        self.inner.tm.abort(txn);
     }
 }
 
@@ -645,7 +628,7 @@ impl TransactionalClient {
         net: &Rc<Network>,
         id: ClientId,
         node: NodeId,
-        tm: &Rc<TransactionManager>,
+        tm: TmClient,
         store: StoreClient,
         coord: CoordClient,
         cfg: TxnClientConfig,
@@ -656,7 +639,7 @@ impl TransactionalClient {
                 net: Rc::clone(net),
                 id,
                 node,
-                tm: Rc::clone(tm),
+                tm,
                 store,
                 coord,
                 cfg,
@@ -776,31 +759,25 @@ impl TransactionalClient {
             return;
         }
         let inner = Rc::clone(&self.inner);
-        let tm = Rc::clone(&self.inner.tm);
-        let net = Rc::clone(&self.inner.net);
-        let node = self.inner.node;
-        self.inner.net.send(node, tm.node(), 48, move || {
-            let (txn, start_ts) = tm.handle_begin(inner.id);
-            net.send(tm.node(), node, 48, move || {
-                if !inner.alive.get() {
-                    return;
-                }
-                inner.active.borrow_mut().insert(
-                    txn,
-                    ActiveTxn {
-                        start_ts,
-                        write_set: WriteSet::new(),
-                    },
-                );
-                let client = inner.id;
-                inner
-                    .trace
-                    .borrow()
-                    .record(inner.sim.now(), "txn.begin", move || {
-                        format!("client={client} txn={} snapshot={start_ts}", txn.0)
-                    });
-                done(Ok(Transaction { inner, id: txn }));
-            });
+        self.inner.tm.begin(self.inner.id, move |txn, start_ts| {
+            if !inner.alive.get() {
+                return;
+            }
+            inner.active.borrow_mut().insert(
+                txn,
+                ActiveTxn {
+                    start_ts,
+                    write_set: WriteSet::new(),
+                },
+            );
+            let client = inner.id;
+            inner
+                .trace
+                .borrow()
+                .record(inner.sim.now(), "txn.begin", move || {
+                    format!("client={client} txn={} snapshot={start_ts}", txn.0)
+                });
+            done(Ok(Transaction { inner, id: txn }));
         });
     }
 
@@ -1017,23 +994,17 @@ fn heartbeat(inner: &Rc<TcInner>) {
         && inner.tracker.borrow_mut().is_idle()
     {
         let inner2 = Rc::clone(inner);
-        let tm = Rc::clone(&inner.tm);
-        inner.net.send(inner.node, tm.node(), 48, move || {
-            let latest = tm.last_commit_ts();
-            let net = Rc::clone(&inner2.net);
-            let node = inner2.node;
-            net.send(tm.node(), node, 48, move || {
-                if !inner2.alive.get() {
-                    return;
-                }
-                if inner2.commits_in_flight.get() > 0 {
-                    return;
-                }
-                let mut tracker = inner2.tracker.borrow_mut();
-                if tracker.is_idle() && latest > tracker.t_f() {
-                    *tracker = FlushTracker::with_threshold(latest);
-                }
-            });
+        inner.tm.last_commit_ts(move |latest| {
+            if !inner2.alive.get() {
+                return;
+            }
+            if inner2.commits_in_flight.get() > 0 {
+                return;
+            }
+            let mut tracker = inner2.tracker.borrow_mut();
+            if tracker.is_idle() && latest > tracker.t_f() {
+                *tracker = FlushTracker::with_threshold(latest);
+            }
         });
     }
     let t_f = inner.tracker.borrow_mut().advance();
@@ -1102,10 +1073,7 @@ fn flush_write_set(
         }
         inner2.tracker.borrow_mut().on_flushed(ts);
         inner2.flushed.inc();
-        let tm = Rc::clone(&inner2.tm);
-        inner2.net.send(inner2.node, tm.node(), 48, move || {
-            tm.handle_flush_complete(ts);
-        });
+        inner2.tm.flush_complete(ts);
         if let Some(cb) = then {
             cb();
         }

@@ -126,20 +126,7 @@ impl DfsClient {
 
     /// Creates a new file; `done` receives an appendable handle.
     pub fn create(&self, path: &str, done: impl FnOnce(crate::Result<DfsFile>) + 'static) {
-        let inner = Rc::clone(&self.inner);
-        let nn = Rc::clone(&inner.nn);
-        let net = Rc::clone(&inner.net);
-        let from = inner.from;
-        let path = path.to_owned();
-        self.inner
-            .net
-            .send(from, nn.node(), 64 + path.len(), move || {
-                let result = nn.create_file(&path);
-                net.send(nn.node(), from, 64, move || match result {
-                    Ok(replicas) => done(Ok(DfsFile::new(inner, path, replicas))),
-                    Err(e) => done(Err(e)),
-                });
-            });
+        self.open_with(path, NameNode::create_file, done);
     }
 
     /// Writes a whole file: creates `path` and appends `bytes` as its one
@@ -162,20 +149,30 @@ impl DfsClient {
 
     /// Opens an existing file for appending; `done` receives the handle.
     pub fn open_append(&self, path: &str, done: impl FnOnce(crate::Result<DfsFile>) + 'static) {
+        self.open_with(path, NameNode::replicas, done);
+    }
+
+    /// One namenode round trip that yields `path`'s replica set, wrapped
+    /// into an appendable handle at the caller.
+    fn open_with(
+        &self,
+        path: &str,
+        replicas_of: impl FnOnce(&NameNode, &str) -> crate::Result<Vec<usize>> + 'static,
+        done: impl FnOnce(crate::Result<DfsFile>) + 'static,
+    ) {
         let inner = Rc::clone(&self.inner);
         let nn = Rc::clone(&inner.nn);
-        let net = Rc::clone(&inner.net);
-        let from = inner.from;
         let path = path.to_owned();
-        self.inner
-            .net
-            .send(from, nn.node(), 64 + path.len(), move || {
-                let result = nn.replicas(&path);
-                net.send(nn.node(), from, 64, move || match result {
-                    Ok(replicas) => done(Ok(DfsFile::new(inner, path, replicas))),
-                    Err(e) => done(Err(e)),
-                });
-            });
+        self.inner.net.request(
+            inner.from,
+            nn.node(),
+            64 + path.len(),
+            move |reply| {
+                let replicas = replicas_of(&nn, &path);
+                reply.send(64, (path, replicas));
+            },
+            move |(path, replicas)| done(replicas.map(|r| DfsFile::new(inner, path, r))),
+        );
     }
 
     /// Reads the whole file (all records, in append order) from the
@@ -191,16 +188,19 @@ impl DfsClient {
 
     /// Lists paths with the given prefix; `done` receives them in order.
     pub fn list(&self, prefix: &str, done: impl FnOnce(Vec<String>) + 'static) {
-        let inner = Rc::clone(&self.inner);
-        let nn = Rc::clone(&inner.nn);
-        let net = Rc::clone(&inner.net);
-        let from = inner.from;
+        let nn = Rc::clone(&self.inner.nn);
         let prefix = prefix.to_owned();
-        self.inner.net.send(from, nn.node(), 64, move || {
-            let names = nn.list(&prefix);
-            let size = 64 + names.iter().map(String::len).sum::<usize>();
-            net.send(nn.node(), from, size, move || done(names));
-        });
+        self.inner.net.request(
+            self.inner.from,
+            nn.node(),
+            64,
+            move |reply| {
+                let names = nn.list(&prefix);
+                let size = 64 + names.iter().map(String::len).sum::<usize>();
+                reply.send(size, names);
+            },
+            done,
+        );
     }
 
     /// Deletes a file (fire and forget); missing files are a no-op.
@@ -220,15 +220,14 @@ impl DfsClient {
     /// store files are really gone rather than firing and forgetting.
     pub fn delete_with_callback(&self, path: &str, done: impl FnOnce(bool) + 'static) {
         let nn = Rc::clone(&self.inner.nn);
-        let net = Rc::clone(&self.inner.net);
-        let from = self.inner.from;
         let path = path.to_owned();
-        self.inner
-            .net
-            .send(from, nn.node(), 64 + path.len(), move || {
-                let existed = nn.delete_file(&path);
-                net.send(nn.node(), from, 32, move || done(existed));
-            });
+        self.inner.net.request(
+            self.inner.from,
+            nn.node(),
+            64 + path.len(),
+            move |reply| reply.send(32, nn.delete_file(&path)),
+            done,
+        );
     }
 
     /// Atomically renames `from_path` to `to_path` at the namenode;
@@ -241,15 +240,15 @@ impl DfsClient {
         done: impl FnOnce(crate::Result<()>) + 'static,
     ) {
         let nn = Rc::clone(&self.inner.nn);
-        let net = Rc::clone(&self.inner.net);
-        let from = self.inner.from;
         let from_path = from_path.to_owned();
         let to_path = to_path.to_owned();
-        let size = 64 + from_path.len() + to_path.len();
-        self.inner.net.send(from, nn.node(), size, move || {
-            let result = nn.rename_file(&from_path, &to_path);
-            net.send(nn.node(), from, 32, move || done(result));
-        });
+        self.inner.net.request(
+            self.inner.from,
+            nn.node(),
+            64 + from_path.len() + to_path.len(),
+            move |reply| reply.send(32, nn.rename_file(&from_path, &to_path)),
+            done,
+        );
     }
 
     /// The node this client issues requests from.
@@ -370,9 +369,6 @@ fn attempt_append(
 
     for idx in targets {
         let dn: Rc<DataNode> = client.nn.datanode(idx);
-        let dn_node = dn.node();
-        let net = Rc::clone(&client.net);
-        let from = client.from;
         let path2 = path.clone();
         let rec = record.clone();
         let acks2 = Rc::clone(&acks);
@@ -380,30 +376,30 @@ fn attempt_append(
         let state2 = Rc::clone(&state);
         let client2 = Rc::clone(&client);
         let done2 = Rc::clone(&done_cell);
-        let size = 64 + record.len();
-        client.net.send(from, dn_node, size, move || {
-            let net2 = Rc::clone(&net);
-            dn.append(&path2, rec, move || {
-                net2.send(dn_node, from, 32, move || {
-                    // Record the ack even if this attempt already timed
-                    // out: the shared ack set keeps a retry from
-                    // re-sending to a replica that did store the record.
-                    acks2.borrow_mut().insert(idx);
-                    if settled2.get() {
-                        return;
-                    }
-                    let covered = {
-                        let st = state2.borrow();
-                        st.replicas.iter().all(|r| acks2.borrow().contains(r))
-                    };
-                    if covered {
-                        settled2.set(true);
-                        let done = done2.borrow_mut().take().expect("done consumed once");
-                        finish_append(client2, state2, done, Ok(()));
-                    }
-                });
-            });
-        });
+        client.net.request(
+            client.from,
+            dn.node(),
+            64 + record.len(),
+            move |reply| dn.append(&path2, rec, move || reply.send(32, ())),
+            move |()| {
+                // Record the ack even if this attempt already timed
+                // out: the shared ack set keeps a retry from
+                // re-sending to a replica that did store the record.
+                acks2.borrow_mut().insert(idx);
+                if settled2.get() {
+                    return;
+                }
+                let covered = {
+                    let st = state2.borrow();
+                    st.replicas.iter().all(|r| acks2.borrow().contains(r))
+                };
+                if covered {
+                    settled2.set(true);
+                    let done = done2.borrow_mut().take().expect("done consumed once");
+                    finish_append(client2, state2, done, Ok(()));
+                }
+            },
+        );
     }
 
     // Timeout path: prune replicas through the namenode, then either finish
@@ -416,12 +412,15 @@ fn attempt_append(
         }
         let nn = Rc::clone(&client3.nn);
         let net = Rc::clone(&client3.net);
-        let net_req = Rc::clone(&client3.net);
-        let from = client3.from;
-        let path3 = path.clone();
-        net_req.send(from, nn.node(), 64, move || {
-            let live = nn.live_replicas(&path3).unwrap_or_default();
-            net.send(nn.node(), from, 64, move || {
+        net.request(
+            client3.from,
+            nn.node(),
+            64,
+            move |reply| {
+                let live = nn.live_replicas(&path).unwrap_or_default();
+                reply.send(64, (path, live));
+            },
+            move |(path, live)| {
                 if settled.get() {
                     return;
                 }
@@ -429,19 +428,14 @@ fn attempt_append(
                 state.borrow_mut().replicas = live.clone();
                 let done = done_cell.borrow_mut().take().expect("done consumed once");
                 if live.is_empty() {
-                    finish_append(
-                        client3,
-                        state,
-                        done,
-                        Err(DfsError::ReplicationFailed(path3)),
-                    );
+                    finish_append(client3, state, done, Err(DfsError::ReplicationFailed(path)));
                 } else if live.iter().all(|r| acks.borrow().contains(r)) {
                     finish_append(client3, state, done, Ok(()));
                 } else {
                     attempt_append(client3, state, record, acks, done);
                 }
-            });
-        });
+            },
+        );
     });
 }
 
@@ -454,18 +448,21 @@ fn read_attempt(
     done: Box<dyn FnOnce(crate::Result<Vec<Bytes>>)>,
 ) {
     let nn = Rc::clone(&client.nn);
-    let net = Rc::clone(&client.net);
-    let from = client.from;
     let client2 = Rc::clone(&client);
-    let path2 = path.clone();
-    client.net.send(from, nn.node(), 64 + path.len(), move || {
-        let live = nn.live_replicas(&path2);
-        net.send(nn.node(), from, 64, move || match live {
+    client.net.request(
+        client.from,
+        nn.node(),
+        64 + path.len(),
+        move |reply| {
+            let live = nn.live_replicas(&path);
+            reply.send(64, (path, live));
+        },
+        move |(path, live)| match live {
             Err(e) => done(Err(e)),
-            Ok(live) if live.is_empty() => retry_or_fail(client2, path2, retries_left, done),
-            Ok(live) => fetch_longest(client2, path2, live, retries_left, done),
-        });
-    });
+            Ok(live) if live.is_empty() => retry_or_fail(client2, path, retries_left, done),
+            Ok(live) => fetch_longest(client2, path, live, retries_left, done),
+        },
+    );
 }
 
 fn retry_or_fail(
@@ -521,9 +518,6 @@ fn fetch_longest(
                 None => retry_or_fail(Rc::clone(&client), path.clone(), retries_left, done),
                 Some(idx) => {
                     let dn = client.nn.datanode(idx);
-                    let dn_node = dn.node();
-                    let net = Rc::clone(&client.net);
-                    let from = client.from;
                     let path2 = path.clone();
                     let client2 = Rc::clone(&client);
                     let path_for_retry = path.clone();
@@ -535,29 +529,33 @@ fn fetch_longest(
                         RefCell<Option<Box<dyn FnOnce(crate::Result<Vec<Bytes>>)>>>,
                     > = Rc::new(RefCell::new(Some(done)));
                     let done_cell3 = Rc::clone(&done_cell2);
-                    client.net.send(from, dn_node, 64, move || {
-                        let net2 = Rc::clone(&net);
-                        let path3 = path2.clone();
-                        dn.read(&path2, move |data| {
-                            let size = 64
-                                + data
-                                    .as_ref()
-                                    .map(|d| d.iter().map(Bytes::len).sum::<usize>())
-                                    .unwrap_or(0);
-                            net2.send(dn_node, from, size, move || {
-                                if got2.get() {
-                                    return;
-                                }
-                                got2.set(true);
-                                let done =
-                                    done_cell2.borrow_mut().take().expect("done consumed once");
-                                match data {
-                                    Some(records) => done(Ok(records)),
-                                    None => done(Err(DfsError::NotFound(path3))),
-                                }
+                    client.net.request(
+                        client.from,
+                        dn.node(),
+                        64,
+                        move |reply| {
+                            let path3 = path2.clone();
+                            dn.read(&path2, move |data| {
+                                let size = 64
+                                    + data
+                                        .as_ref()
+                                        .map(|d| d.iter().map(Bytes::len).sum::<usize>())
+                                        .unwrap_or(0);
+                                reply.send(size, (path3, data));
                             });
-                        });
-                    });
+                        },
+                        move |(path3, data)| {
+                            if got2.get() {
+                                return;
+                            }
+                            got2.set(true);
+                            let done = done_cell2.borrow_mut().take().expect("done consumed once");
+                            match data {
+                                Some(records) => done(Ok(records)),
+                                None => done(Err(DfsError::NotFound(path3))),
+                            }
+                        },
+                    );
                     let sim = client2.sim.clone();
                     sim.schedule_in(SimDuration::from_millis(100), move || {
                         if got.get() {
@@ -574,21 +572,21 @@ fn fetch_longest(
 
     for idx in live {
         let dn = client.nn.datanode(idx);
-        let dn_node = dn.node();
-        let net = Rc::clone(&client.net);
-        let from = client.from;
         let path2 = path.clone();
         let counts2 = Rc::clone(&counts);
         let decide2 = Rc::clone(&decide);
-        client.net.send(from, dn_node, 32, move || {
-            let count = dn.record_count(&path2);
-            net.send(dn_node, from, 32, move || {
+        client.net.request(
+            client.from,
+            dn.node(),
+            32,
+            move |reply| reply.send(32, dn.record_count(&path2)),
+            move |count| {
                 counts2.borrow_mut().push((idx, count));
                 if counts2.borrow().len() == expected {
                     decide2();
                 }
-            });
-        });
+            },
+        );
     }
     // If some replicas die before answering, decide with what arrived.
     let decide3 = Rc::clone(&decide);

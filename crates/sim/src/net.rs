@@ -12,6 +12,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::fmt;
+use std::marker::PhantomData;
 use std::rc::Rc;
 
 /// Identifier of a simulated machine on the network.
@@ -267,6 +268,38 @@ impl Network {
         });
     }
 
+    /// One round trip: `serve` runs at `to` when the `request_bytes`
+    /// message from `from` arrives, and answers through the [`Reply`] it is
+    /// given — at once, or later from a callback of its own (a handler
+    /// that forces a log first); the reply message then runs `done` at
+    /// `from`.
+    ///
+    /// These are exactly two [`Network::send`]s, the second issued where
+    /// `serve` answers, so either hop is dropped under `send`'s rules and
+    /// `done` then never runs: there is no timeout here. Every service
+    /// stub's request/reply exchange goes through this.
+    pub fn request<T, S, D>(
+        self: &Rc<Self>,
+        from: NodeId,
+        to: NodeId,
+        request_bytes: usize,
+        serve: S,
+        done: D,
+    ) where
+        T: 'static,
+        S: FnOnce(Reply<T, D>) + 'static,
+        D: FnOnce(T) + 'static,
+    {
+        let reply = Reply {
+            net: Rc::clone(self),
+            server: to,
+            caller: from,
+            done,
+            value: PhantomData,
+        };
+        self.send(from, to, request_bytes, move || serve(reply));
+    }
+
     /// Total messages submitted to the network.
     pub fn messages_sent(&self) -> u64 {
         self.sent.get()
@@ -280,6 +313,31 @@ impl Network {
     /// Total messages dropped (dead endpoint or partition).
     pub fn messages_dropped(&self) -> u64 {
         self.dropped.get()
+    }
+}
+
+/// The server's end of a [`Network::request`]: consumed by the one answer.
+pub struct Reply<T, D> {
+    net: Rc<Network>,
+    server: NodeId,
+    caller: NodeId,
+    done: D,
+    value: PhantomData<fn(T)>,
+}
+
+impl<T: 'static, D: FnOnce(T) + 'static> Reply<T, D> {
+    /// Answers with `value` in a message of `reply_bytes`. Dropping the
+    /// `Reply` instead answers nothing (a dead handler).
+    pub fn send(self, reply_bytes: usize, value: T) {
+        let done = self.done;
+        self.net
+            .send(self.server, self.caller, reply_bytes, move || done(value));
+    }
+}
+
+impl<T, D> fmt::Debug for Reply<T, D> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Reply({} -> {})", self.server, self.caller)
     }
 }
 
@@ -421,6 +479,95 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert!(got.get());
         let _ = a;
+    }
+
+    /// `request` is the hand-written pair, event for event: under one
+    /// seed both draw the same jitter and deliver at the same instants.
+    #[test]
+    fn request_delivers_when_the_pair_it_replaces_does() {
+        fn trace(by_request: bool) -> (Vec<(&'static str, SimTime)>, u64) {
+            let (sim, net, a, b) = setup();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            // Background traffic on both directions, so FIFO horizons matter.
+            net.send(a, b, 64 * 1024, || {});
+            net.send(b, a, 64 * 1024, || {});
+            for _ in 0..3 {
+                let (l1, l2) = (log.clone(), log.clone());
+                let (s1, s2) = (sim.clone(), sim.clone());
+                if by_request {
+                    net.request(
+                        a,
+                        b,
+                        100,
+                        move |reply| {
+                            l1.borrow_mut().push(("served", s1.now()));
+                            reply.send(2000, 7u32);
+                        },
+                        move |v| {
+                            assert_eq!(v, 7);
+                            l2.borrow_mut().push(("done", s2.now()));
+                        },
+                    );
+                } else {
+                    let net2 = Rc::clone(&net);
+                    net.send(a, b, 100, move || {
+                        l1.borrow_mut().push(("served", s1.now()));
+                        net2.send(b, a, 2000, move || l2.borrow_mut().push(("done", s2.now())));
+                    });
+                }
+            }
+            sim.run_until(SimTime::from_secs(1));
+            let out = log.borrow().clone();
+            (out, net.messages_sent())
+        }
+        let (by_request, sent) = trace(true);
+        assert_eq!(by_request.len(), 6);
+        assert_eq!(sent, 8);
+        assert_eq!((by_request, sent), trace(false));
+    }
+
+    #[test]
+    fn request_cut_on_either_hop_never_completes() {
+        let (sim, net, a, b) = setup();
+        let served = Rc::new(Cell::new(0u32));
+        let done = Rc::new(Cell::new(0u32));
+        // Request hop cut.
+        net.partition(a, b);
+        let (s, d) = (served.clone(), done.clone());
+        net.request(
+            a,
+            b,
+            10,
+            move |reply| {
+                s.set(s.get() + 1);
+                reply.send(10, ());
+            },
+            move |()| d.set(d.get() + 1),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(
+            (served.get(), done.get(), net.messages_dropped()),
+            (0, 0, 1)
+        );
+        // Reply hop cut: the server partitions the pair as it answers.
+        net.heal(a, b);
+        let (s, d, net2) = (served.clone(), done.clone(), Rc::clone(&net));
+        net.request(
+            a,
+            b,
+            10,
+            move |reply| {
+                s.set(s.get() + 1);
+                net2.partition(a, b);
+                reply.send(10, ());
+            },
+            move |()| d.set(d.get() + 1),
+        );
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(
+            (served.get(), done.get(), net.messages_dropped()),
+            (1, 0, 2)
+        );
     }
 
     #[test]

@@ -363,18 +363,21 @@ fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
     }
     inner.refresh_inflight.set(Some(now));
     let master = Rc::clone(&inner.master);
-    let net = Rc::clone(&inner.net);
-    let from = inner.from;
     let inner2 = Rc::clone(inner);
-    inner.net.send(from, master.node(), 64, move || {
-        let snapshot = master.snapshot_map();
-        let size = 64 + snapshot.assignments().len() * 16;
-        net.send(master.node(), from, size, move || {
+    inner.net.request(
+        inner.from,
+        master.node(),
+        64,
+        move |reply| {
+            let snapshot = master.snapshot_map();
+            reply.send(64 + snapshot.assignments().len() * 16, snapshot);
+        },
+        move |snapshot| {
             *inner2.map.borrow_mut() = snapshot;
             inner2.last_refresh.set(Some(inner2.sim.now().nanos()));
             inner2.refresh_inflight.set(None);
-        });
-    });
+        },
+    );
 }
 
 /// Where a request is addressed.
@@ -449,7 +452,6 @@ fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
     if let Some(rpcs) = R::rpcs(&inner) {
         rpcs.inc();
     }
-    let (from, to) = (inner.from, server.node());
     let size = request.wire_size();
     // The wire gets its own copy: a request that arrives after this
     // attempt timed out is still served, and its late reply ignored. The
@@ -458,22 +460,26 @@ fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
     let wire = request.clone();
     let slot = Rc::new(Cell::new(Some((request, then))));
     let (inner2, slot2) = (Rc::clone(&inner), Rc::clone(&slot));
-    let net = Rc::clone(&inner.net);
-    inner.net.send(from, to, size, move || {
-        wire.serve(&server, move |result| {
-            let size = R::reply_size(&result);
-            net.send(to, from, size, move || {
-                let Some((request, then)) = slot2.take() else {
-                    return;
-                };
-                match result {
-                    Ok(reply) => request.served(inner2, reply, then),
-                    // NotServing / unavailable: refresh and retry.
-                    Err(_) => retry(inner2, request, then, attempt, routed_epoch),
-                }
-            });
-        });
-    });
+    inner.net.request(
+        inner.from,
+        server.node(),
+        size,
+        move |reply| {
+            wire.serve(&server, move |result| {
+                reply.send(R::reply_size(&result), result)
+            })
+        },
+        move |result| {
+            let Some((request, then)) = slot2.take() else {
+                return;
+            };
+            match result {
+                Ok(reply) => request.served(inner2, reply, then),
+                // NotServing / unavailable: refresh and retry.
+                Err(_) => retry(inner2, request, then, attempt, routed_epoch),
+            }
+        },
+    );
     let inner2 = Rc::clone(&inner);
     inner.sim.schedule_in(inner.cfg.request_timeout, move || {
         if let Some((request, then)) = slot.take() {

@@ -99,7 +99,7 @@ fn build_replicated(
             Rc::clone(&registry),
         );
         server.set_journals(trace.clone(), events.clone());
-        let coord = CoordClient::new(&sim, &net, &coord_svc, *node);
+        let coord = CoordClient::new(&net, &coord_svc, *node);
         server.start(&coord);
         dir.register(Rc::clone(&server));
         servers.push(server);
@@ -118,7 +118,7 @@ fn build_replicated(
         Rc::clone(&registry),
     );
     master.set_events_journal(events.clone());
-    let master_coord = CoordClient::new(&sim, &net, &coord_svc, master_node);
+    let master_coord = CoordClient::new(&net, &coord_svc, master_node);
     master.start(&master_coord);
     master.set_replication_factor(copies);
     master.bootstrap(RegionMap::split_decimal_keyspace("user", 1000, n_regions));

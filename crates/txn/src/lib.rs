@@ -32,11 +32,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod client;
 mod conflict;
 mod log;
 mod manager;
 mod oracle;
 
+pub use client::TmClient;
 pub use conflict::ConflictChecker;
 pub use log::{LogRecord, RecoveryLog, RecoveryLogConfig};
 pub use manager::{CommitOutcome, TransactionManager, TxnId};

@@ -41,8 +41,9 @@ struct ActiveTxn {
     start_ts: Timestamp,
 }
 
-/// The transaction manager. Runs on its own node; `cumulo-core`'s
-/// transactional client wraps every call in network messages.
+/// The transaction manager. Runs on its own node; other components reach
+/// it through a [`crate::TmClient`], which wraps every call in network
+/// messages.
 pub struct TransactionManager {
     node: NodeId,
     oracle: TimestampOracle,
