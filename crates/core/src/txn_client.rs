@@ -763,6 +763,13 @@ impl TransactionalClient {
             if !inner.alive.get() {
                 return;
             }
+            if inner.closed.get() {
+                // Shut down while the request was out: a transaction
+                // opened now would hold the shutdown up for good.
+                inner.tm.abort(txn);
+                done(Err(TxnError::ClientClosed));
+                return;
+            }
             inner.active.borrow_mut().insert(
                 txn,
                 ActiveTxn {
@@ -815,8 +822,9 @@ impl TransactionalClient {
         );
     }
 
-    /// Clean shutdown (Algorithm 1 "On shutdown"): waits until every
-    /// tracked commit has flushed, sends a final pre-shutdown heartbeat,
+    /// Clean shutdown (Algorithm 1 "On shutdown"): waits until every open
+    /// transaction has finished and every commit — acknowledged yet or
+    /// not — has flushed, sends a final pre-shutdown heartbeat,
     /// removes the threshold znode and closes the session — so the
     /// recovery manager unregisters this client without running recovery.
     /// Transactions already begun may still finish; new
@@ -1030,7 +1038,14 @@ fn try_finish_shutdown(inner: Rc<TcInner>) {
     if !inner.alive.get() {
         return;
     }
-    if !inner.tracker.borrow_mut().is_idle() {
+    // A commit whose ack is still on the wire is not in `FQ` yet (the
+    // window the heartbeat's `commits_in_flight` guard exists for), and an
+    // open transaction may still commit: neither may find the threshold
+    // znode gone and the session closed.
+    let busy = inner.commits_in_flight.get() > 0
+        || !inner.active.borrow().is_empty()
+        || !inner.tracker.borrow_mut().is_idle();
+    if busy {
         let inner2 = Rc::clone(&inner);
         inner
             .sim

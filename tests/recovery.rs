@@ -132,6 +132,66 @@ fn clean_client_shutdown_triggers_no_recovery() {
     assert_eq!(cluster.rm.client_recovery_count(), 0);
 }
 
+/// A shutdown requested while a commit's ack is still on the wire must
+/// not unregister the client under it: the commit is not in `FQ` yet, so
+/// "every tracked commit has flushed" is vacuously true. If the client
+/// then dies before flushing, that has to look like the crash it is.
+#[test]
+fn shutdown_with_a_commit_in_flight_does_not_unregister_under_it() {
+    let cluster = small_cluster(2);
+    let client = cluster.client(0).clone();
+    let committed: Rc<RefCell<Option<Timestamp>>> = Rc::new(RefCell::new(None));
+    let (co, c2, c3) = (committed.clone(), client.clone(), client.clone());
+    client.begin(move |txn| {
+        let txn = txn.expect("begin on live client");
+        txn.put(key(1), "f0", "v1").unwrap();
+        txn.put(key(7000), "f0", "v2").unwrap(); // second region
+        txn.commit(move |r| {
+            *co.borrow_mut() = Some(r.expect("commit acknowledged"));
+            c3.crash();
+        });
+        c2.shutdown();
+    });
+    cluster.run_for(SimDuration::from_secs(30));
+    let ts = committed.borrow().expect("the commit was acknowledged");
+    for (k, v) in [(1, &b"v1"[..]), (7000, &b"v2"[..])] {
+        let got = cluster.read_cell(key(k), "f0", SimDuration::from_secs(10));
+        assert_eq!(got.as_deref(), Some(v), "acknowledged row {k} lost");
+    }
+    assert_eq!(
+        cluster.rm.client_recovery_count(),
+        1,
+        "the crash must not pass for a clean shutdown"
+    );
+    assert!(
+        cluster.tm.watermark() >= ts,
+        "the manager's watermark is stuck below {ts}: {}",
+        cluster.tm.watermark()
+    );
+}
+
+/// A `begin` whose reply lands after `shutdown()` reports `ClientClosed`
+/// and leaves nothing open at the manager, so the shutdown completes.
+#[test]
+fn begin_that_lands_on_a_closed_client_is_aborted_at_the_manager() {
+    let cluster = small_cluster(3);
+    let client = cluster.client(0).clone();
+    let got: Rc<RefCell<Option<TxnError>>> = Rc::new(RefCell::new(None));
+    let g = got.clone();
+    client.begin(move |txn| *g.borrow_mut() = txn.err());
+    client.shutdown();
+    cluster.run_for(SimDuration::from_secs(15));
+    assert_eq!(*got.borrow(), Some(TxnError::ClientClosed));
+    assert_eq!(cluster.tm.active_count(), 0);
+    assert_eq!(cluster.rm.client_recovery_count(), 0);
+    assert!(
+        !cluster
+            .coord
+            .exists(&cumulo_core::paths::client_live(client.id())),
+        "the shutdown completed"
+    );
+}
+
 #[test]
 fn server_crash_with_unsynced_wal_loses_nothing() {
     let cluster = small_cluster(4);
