@@ -284,3 +284,167 @@ fn map_refresh_lost_to_a_healed_partition_is_retried() {
         .iter()
         .all(|v| v.as_deref() == Some(&b"aaaaaaaa"[..])));
 }
+
+// ----------------------------------------------------------------------
+// Client ↔ transaction manager (ROADMAP item 2)
+// ----------------------------------------------------------------------
+
+fn tm_cluster(seed: u64) -> Cluster {
+    Cluster::build(ClusterConfig {
+        seed,
+        clients: 2,
+        servers: 2,
+        regions: 4,
+        key_count: 1_000,
+        ..ClusterConfig::default()
+    })
+}
+
+type Outcome = Rc<RefCell<Option<Result<Timestamp, TxnError>>>>;
+
+/// Starts a one-put transaction on `client`; the commit outcome lands in
+/// the returned cell.
+fn start_put(cluster: &Cluster, client: usize, row: u64) -> Outcome {
+    let outcome: Outcome = Rc::default();
+    let o = Rc::clone(&outcome);
+    cluster.client(client).begin(move |txn| {
+        let txn = txn.expect("begin");
+        txn.put(format!("user{row:012}"), "f0", "v").unwrap();
+        txn.commit(move |r| *o.borrow_mut() = Some(r));
+    });
+    outcome
+}
+
+/// What must hold once the cluster has gone quiet again after a healed
+/// client↔manager partition: every commit callback fired, the watermark
+/// (the snapshot of every new transaction) caught up with the newest
+/// commit, the recovery log was truncated past the commit the partition
+/// hit (row 7), and that commit is applied.
+fn assert_nothing_is_stuck(cluster: &Cluster, hit: &Outcome, rest: &[Outcome]) {
+    let hit_ts = match *hit.borrow() {
+        Some(Ok(ts)) => ts,
+        ref other => panic!("the commit the partition hit never settled: {other:?}"),
+    };
+    for o in rest {
+        assert!(matches!(*o.borrow(), Some(Ok(_))), "a later commit hangs");
+    }
+    assert_eq!(
+        cluster.tm.watermark(),
+        cluster.tm.last_commit_ts(),
+        "the watermark is stuck"
+    );
+    assert!(
+        cluster.tm.log().truncated_below() > hit_ts,
+        "the log is pinned: truncated below {} with {} records, the hit commit is {hit_ts}",
+        cluster.tm.log().truncated_below(),
+        cluster.tm.log().len()
+    );
+    assert_eq!(cluster.rm.client_recovery_count(), 0);
+    let row = cluster.read_cell("user000000000007", "f0", SimDuration::from_secs(10));
+    assert_eq!(
+        row.as_deref(),
+        Some(&b"v"[..]),
+        "the hit commit is not applied"
+    );
+}
+
+/// Drives the cluster until the manager assigns its next commit
+/// timestamp — the commit request has just been served, its ack not yet
+/// sent (the log force comes first) — and returns at that instant.
+fn run_until_next_commit_ts(cluster: &Cluster) {
+    let before = cluster.tm.last_commit_ts();
+    while cluster.tm.last_commit_ts() == before {
+        assert!(cluster.sim.step(), "no commit request ever arrived");
+    }
+}
+
+/// The later traffic of the lost-message tests: both clients commit a few
+/// more transactions, then everything gets time to flush, heartbeat and
+/// checkpoint.
+fn carry_on(cluster: &Cluster) -> Vec<Outcome> {
+    let mut rest = Vec::new();
+    for i in 0..4 {
+        rest.push(start_put(cluster, i % 2, 100 + i as u64 * 211));
+        cluster.run_for(SimDuration::from_millis(200));
+    }
+    cluster.run_for(SimDuration::from_secs(20));
+    rest
+}
+
+/// A client cut off from the transaction manager while it has nothing in
+/// flight loses nothing but idle-threshold queries: after the heal it
+/// commits as before and nothing was recovered.
+#[test]
+fn client_cut_from_the_tm_while_idle_carries_on_after_the_heal() {
+    let cluster = tm_cluster(76);
+    let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
+    let first = start_put(&cluster, 0, 3);
+    cluster.run_for(SimDuration::from_secs(2));
+    assert!(matches!(*first.borrow(), Some(Ok(_))));
+
+    // 2 s: several heartbeats' idle queries go into the cut; the 3 s
+    // coordination session is not involved.
+    let dropped = cluster.net.messages_dropped();
+    cluster.net.partition(client_node, tm_node);
+    cluster.run_for(SimDuration::from_secs(2));
+    cluster.net.heal(client_node, tm_node);
+    assert!(cluster.net.messages_dropped() > dropped);
+
+    let done: Outcome = Rc::default();
+    let d = Rc::clone(&done);
+    cluster.client(0).run(
+        cumulo_core::RetryPolicy::no_retry(),
+        |txn, finish| finish(txn.put("user000000000007", "f0", "v")),
+        move |r| *d.borrow_mut() = Some(r),
+    );
+    let rest = carry_on(&cluster);
+    assert!(cluster.client(0).is_alive());
+    assert_nothing_is_stuck(&cluster, &done, &rest);
+}
+
+/// The commit *ack* is lost: the manager logged the commit, the client
+/// never hears. Today the callback never fires, `commits_in_flight` stays
+/// at 1 (so the client's `T_F(c)` stays pinned and the log is never
+/// truncated) and the manager's `pending_flush` keeps the timestamp, so
+/// the watermark every client reads at stops for good.
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn lost_commit_ack_hangs_nothing_once_healed() {
+    let cluster = tm_cluster(77);
+    let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
+    cluster.run_for(SimDuration::from_secs(1));
+    let hit = start_put(&cluster, 0, 7);
+    run_until_next_commit_ts(&cluster);
+    cluster.net.partition(client_node, tm_node);
+    cluster.run_for(SimDuration::from_millis(100));
+    cluster.net.heal(client_node, tm_node);
+    let rest = carry_on(&cluster);
+    assert_nothing_is_stuck(&cluster, &hit, &rest);
+}
+
+/// The flush-complete notification is lost: the commit is acknowledged
+/// and applied everywhere, but the manager never learns, so its
+/// `pending_flush` keeps the timestamp and the watermark stops below it.
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn lost_flush_complete_hangs_nothing_once_healed() {
+    let cluster = tm_cluster(78);
+    let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
+    cluster.run_for(SimDuration::from_secs(1));
+    let hit = start_put(&cluster, 0, 7);
+    // Cut the pair the instant the commit is acknowledged: the flush goes
+    // to the region server unhindered, its completion report is dropped.
+    while hit.borrow().is_none() {
+        assert!(cluster.sim.step(), "the commit never settled");
+    }
+    cluster.net.partition(client_node, tm_node);
+    cluster.run_for(SimDuration::from_millis(100));
+    cluster.net.heal(client_node, tm_node);
+    assert_eq!(
+        cluster.client(0).flushed_count(),
+        1,
+        "flushed inside the cut"
+    );
+    let rest = carry_on(&cluster);
+    assert_nothing_is_stuck(&cluster, &hit, &rest);
+}
