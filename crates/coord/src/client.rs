@@ -6,7 +6,7 @@
 
 use crate::service::{CoordService, SessionId, WatchEvent, WatchId};
 use bytes::Bytes;
-use cumulo_sim::{Network, NodeId, SimDuration};
+use cumulo_sim::{Network, NodeId, Reply, SimDuration};
 use std::fmt;
 use std::rc::Rc;
 
@@ -46,15 +46,9 @@ impl CoordClient {
     /// Opens a session with the given timeout; `done` runs at the caller
     /// with the new session id.
     pub fn create_session(&self, timeout: SimDuration, done: impl FnOnce(SessionId) + 'static) {
-        let svc = Rc::clone(&self.svc);
-        let from = self.from;
-        self.net.request(
-            from,
-            svc.node(),
-            64,
-            move |reply| reply.send(64, svc.create_session(from, timeout)),
-            done,
-        );
+        let (svc, from) = (Rc::clone(&self.svc), self.from);
+        let serve = move |reply: Reply<_, _>| reply.send(64, svc.create_session(from, timeout));
+        self.net.request(from, self.svc.node(), 64, serve, done);
     }
 
     /// Sends a liveness touch for `session` (fire and forget).
@@ -106,34 +100,26 @@ impl CoordClient {
     pub fn get_data(&self, path: &str, done: impl FnOnce(Option<Bytes>) + 'static) {
         let svc = Rc::clone(&self.svc);
         let path = path.to_owned();
-        self.net.request(
-            self.from,
-            svc.node(),
-            64 + path.len(),
-            move |reply| {
-                let data = svc.get_data(&path);
-                let size = 64 + data.as_ref().map(|d| d.len()).unwrap_or(0);
-                reply.send(size, data);
-            },
-            done,
-        );
+        let request_bytes = 64 + path.len();
+        let serve = move |reply: Reply<_, _>| {
+            let data = svc.get_data(&path);
+            reply.send(64 + data.as_ref().map(|d| d.len()).unwrap_or(0), data);
+        };
+        self.net
+            .request(self.from, self.svc.node(), request_bytes, serve, done);
     }
 
     /// Lists paths under `prefix`; `done` runs at the caller.
     pub fn children(&self, prefix: &str, done: impl FnOnce(Vec<String>) + 'static) {
         let svc = Rc::clone(&self.svc);
         let prefix = prefix.to_owned();
-        self.net.request(
-            self.from,
-            svc.node(),
-            64 + prefix.len(),
-            move |reply| {
-                let kids = svc.children(&prefix);
-                let size = 64 + kids.iter().map(|k| k.len()).sum::<usize>();
-                reply.send(size, kids);
-            },
-            done,
-        );
+        let request_bytes = 64 + prefix.len();
+        let serve = move |reply: Reply<_, _>| {
+            let kids = svc.children(&prefix);
+            reply.send(64 + kids.iter().map(|k| k.len()).sum::<usize>(), kids);
+        };
+        self.net
+            .request(self.from, self.svc.node(), request_bytes, serve, done);
     }
 
     /// Registers a prefix watch whose callback runs at this client's node;
@@ -144,16 +130,12 @@ impl CoordClient {
         cb: impl Fn(WatchEvent) + 'static,
         registered: impl FnOnce(WatchId) + 'static,
     ) {
-        let svc = Rc::clone(&self.svc);
-        let from = self.from;
+        let (svc, from) = (Rc::clone(&self.svc), self.from);
         let prefix = prefix.to_owned();
-        self.net.request(
-            from,
-            svc.node(),
-            64 + prefix.len(),
-            move |reply| reply.send(32, svc.watch_prefix(&prefix, from, cb)),
-            registered,
-        );
+        let request_bytes = 64 + prefix.len();
+        let serve = move |reply: Reply<_, _>| reply.send(32, svc.watch_prefix(&prefix, from, cb));
+        self.net
+            .request(from, self.svc.node(), request_bytes, serve, registered);
     }
 
     /// Removes a previously registered watch (fire and forget).

@@ -10,7 +10,7 @@
 
 use crate::recovery_manager::RecoveryManager;
 use crate::server_tracker::ServerTracker;
-use cumulo_sim::{Network, NodeId, Sim, SimDuration};
+use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
 use cumulo_store::{RecoveryHooks, RegionId, RegionServer, ServerId, Timestamp};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -20,11 +20,16 @@ use std::rc::Rc;
 /// How often undelivered recovery-manager notifications are retried.
 const NOTIFY_RETRY: SimDuration = SimDuration::from_millis(400);
 
-/// The middleware's implementation of the store's recovery hooks.
-pub struct MiddlewareHooks {
+/// What a notification's retry loop holds on to.
+struct Link {
     sim: Sim,
     net: Rc<Network>,
     rm: Rc<RecoveryManager>,
+}
+
+/// The middleware's implementation of the store's recovery hooks.
+pub struct MiddlewareHooks {
+    link: Rc<Link>,
     master_node: NodeId,
     trackers: RefCell<HashMap<ServerId, Rc<ServerTracker>>>,
 }
@@ -47,9 +52,11 @@ impl MiddlewareHooks {
         master_node: NodeId,
     ) -> Rc<MiddlewareHooks> {
         Rc::new(MiddlewareHooks {
-            sim: sim.clone(),
-            net: Rc::clone(net),
-            rm: Rc::clone(rm),
+            link: Rc::new(Link {
+                sim: sim.clone(),
+                net: Rc::clone(net),
+                rm: Rc::clone(rm),
+            }),
             master_node,
             trackers: RefCell::new(HashMap::new()),
         })
@@ -66,13 +73,9 @@ impl MiddlewareHooks {
 
 impl RecoveryHooks for MiddlewareHooks {
     fn on_server_failed(&self, failed: ServerId, regions: &[RegionId]) {
-        let regions = regions.to_vec();
         let acked = Rc::new(Cell::new(false));
-        let sim = self.sim.clone();
-        let net = Rc::clone(&self.net);
-        let rm = Rc::clone(&self.rm);
-        let src = self.master_node;
-        notify_server_failed(sim, net, rm, src, failed, regions, acked);
+        let link = Rc::clone(&self.link);
+        notify_server_failed(link, self.master_node, failed, regions.to_vec(), acked);
     }
 
     fn on_region_recovered(
@@ -92,17 +95,8 @@ impl RecoveryHooks for MiddlewareHooks {
             online();
         });
         let shared = Rc::new(RefCell::new(Some(wrapped)));
-        notify_region_recovered(
-            self.sim.clone(),
-            Rc::clone(&self.net),
-            Rc::clone(&self.rm),
-            server,
-            region,
-            failed,
-            promoted,
-            shared,
-            acked,
-        );
+        let link = Rc::clone(&self.link);
+        notify_region_recovered(link, server, region, failed, promoted, shared, acked);
     }
 
     fn on_write_set_applied(
@@ -120,9 +114,7 @@ impl RecoveryHooks for MiddlewareHooks {
 }
 
 fn notify_server_failed(
-    sim: Sim,
-    net: Rc<Network>,
-    rm: Rc<RecoveryManager>,
+    link: Rc<Link>,
     src: NodeId,
     failed: ServerId,
     regions: Vec<RegionId>,
@@ -131,35 +123,26 @@ fn notify_server_failed(
     if acked.get() {
         return;
     }
-    {
-        let rm2 = Rc::clone(&rm);
-        let regions2 = regions.clone();
-        let acked2 = Rc::clone(&acked);
-        net.request(
-            src,
-            rm.node(),
-            64 + regions.len() * 4,
-            move |reply| {
-                if !rm2.is_alive() {
-                    return;
-                }
-                rm2.note_server_failed(failed, regions2);
-                reply.send(32, ());
-            },
-            move |()| acked2.set(true),
-        );
-    }
-    let sim2 = sim.clone();
+    let (rm, regions2, acked2) = (Rc::clone(&link.rm), regions.clone(), Rc::clone(&acked));
+    let serve = move |reply: Reply<_, _>| {
+        if rm.is_alive() {
+            rm.note_server_failed(failed, regions2);
+            reply.send(32, ());
+        }
+    };
+    let request_bytes = 64 + regions.len() * 4;
+    link.net
+        .request(src, link.rm.node(), request_bytes, serve, move |()| {
+            acked2.set(true)
+        });
+    let sim = link.sim.clone();
     sim.schedule_in(NOTIFY_RETRY, move || {
-        notify_server_failed(sim2, net, rm, src, failed, regions, acked);
+        notify_server_failed(link, src, failed, regions, acked);
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn notify_region_recovered(
-    sim: Sim,
-    net: Rc<Network>,
-    rm: Rc<RecoveryManager>,
+    link: Rc<Link>,
     server: Rc<RegionServer>,
     region: RegionId,
     failed: ServerId,
@@ -170,21 +153,14 @@ fn notify_region_recovered(
     if acked.get() || !server.is_alive() {
         return;
     }
-    {
-        let rm2 = Rc::clone(&rm);
-        let server2 = Rc::clone(&server);
-        let online2 = Rc::clone(&online);
-        net.send(server.node(), rm.node(), 128, move || {
-            if !rm2.is_alive() {
-                return;
-            }
-            rm2.handle_region_recovered(server2, region, failed, promoted, online2);
-        });
-    }
-    let sim2 = sim.clone();
+    let (rm, server2, online2) = (Rc::clone(&link.rm), Rc::clone(&server), Rc::clone(&online));
+    link.net.send(server.node(), rm.node(), 128, move || {
+        if rm.is_alive() {
+            rm.handle_region_recovered(server2, region, failed, promoted, online2);
+        }
+    });
+    let sim = link.sim.clone();
     sim.schedule_in(NOTIFY_RETRY, move || {
-        notify_region_recovered(
-            sim2, net, rm, server, region, failed, promoted, online, acked,
-        );
+        notify_region_recovered(link, server, region, failed, promoted, online, acked);
     });
 }

@@ -572,25 +572,11 @@ impl Transaction {
                     }
                 }
                 CommitOutcome::Conflict => {
-                    inner.aborted.inc();
-                    let client = inner.id;
-                    inner
-                        .trace
-                        .borrow()
-                        .record(inner.sim.now(), "txn.abort", move || {
-                            format!("client={client} txn={} cause=conflict", txn.0)
-                        });
+                    note_abort(&inner, txn, "conflict");
                     done(Err(TxnError::Conflict));
                 }
                 CommitOutcome::UnknownTxn => {
-                    inner.aborted.inc();
-                    let client = inner.id;
-                    inner
-                        .trace
-                        .borrow()
-                        .record(inner.sim.now(), "txn.abort", move || {
-                            format!("client={client} txn={} cause=unknown", txn.0)
-                        });
+                    note_abort(&inner, txn, "unknown");
                     done(Err(TxnError::UnknownTxn));
                 }
             }
@@ -607,16 +593,21 @@ impl Transaction {
         if self.inner.active.borrow_mut().remove(&self.id).is_none() {
             return;
         }
-        self.inner.aborted.inc();
-        let (client, txn) = (self.inner.id, self.id);
-        self.inner
-            .trace
-            .borrow()
-            .record(self.inner.sim.now(), "txn.abort", move || {
-                format!("client={client} txn={} cause=user", txn.0)
-            });
-        self.inner.tm.abort(txn);
+        note_abort(&self.inner, self.id, "user");
+        self.inner.tm.abort(self.id);
     }
+}
+
+/// Counts an abort of `txn` and journals its cause.
+fn note_abort(inner: &TcInner, txn: TxnId, cause: &'static str) {
+    inner.aborted.inc();
+    let client = inner.id;
+    inner
+        .trace
+        .borrow()
+        .record(inner.sim.now(), "txn.abort", move || {
+            format!("client={client} txn={} cause={cause}", txn.0)
+        });
 }
 
 impl TransactionalClient {
@@ -759,7 +750,7 @@ impl TransactionalClient {
             return;
         }
         let inner = Rc::clone(&self.inner);
-        self.inner.tm.begin(self.inner.id, move |txn, start_ts| {
+        self.inner.tm.begin(self.inner.id, move |(txn, start_ts)| {
             if !inner.alive.get() {
                 return;
             }
@@ -838,12 +829,7 @@ impl TransactionalClient {
     /// manager will detect the missed heartbeats and replay any committed
     /// write-sets that were not fully flushed.
     pub fn crash(&self) {
-        self.inner.alive.set(false);
-        for t in self.inner.timers.borrow().iter() {
-            t.cancel();
-        }
-        self.inner.timers.borrow_mut().clear();
-        self.inner.net.crash(self.inner.node);
+        die(&self.inner);
     }
 
     /// The client's current flushed threshold `T_F(c)`.
@@ -953,6 +939,20 @@ fn settle_attempt(
     }
 }
 
+fn stop_timers(inner: &TcInner) {
+    for t in inner.timers.borrow_mut().drain(..) {
+        t.cancel();
+    }
+}
+
+/// The process stops, by crash or by its own hand: nothing of it runs
+/// again and its node is dead to the network.
+fn die(inner: &TcInner) {
+    inner.alive.set(false);
+    stop_timers(inner);
+    inner.net.crash(inner.node);
+}
+
 fn heartbeat(inner: &Rc<TcInner>) {
     if !inner.alive.get() {
         return;
@@ -963,12 +963,7 @@ fn heartbeat(inner: &Rc<TcInner>) {
     // rather than risk acting as a zombie (§3.1).
     let silence = inner.sim.now().saturating_since(inner.last_coord_ack.get());
     if silence > inner.cfg.session_timeout {
-        inner.alive.set(false);
-        for t in inner.timers.borrow().iter() {
-            t.cancel();
-        }
-        inner.timers.borrow_mut().clear();
-        inner.net.crash(inner.node);
+        die(inner);
         return;
     }
     // Round trip to the coordination service doubling as reachability
@@ -1064,10 +1059,7 @@ fn try_finish_shutdown(inner: Rc<TcInner>) {
     if let Some(sid) = inner.session.get() {
         inner.coord.close_session(sid);
     }
-    for t in inner.timers.borrow().iter() {
-        t.cancel();
-    }
-    inner.timers.borrow_mut().clear();
+    stop_timers(&inner);
 }
 
 /// Post-commit flush (§2.2): the write-set, stamped with the commit

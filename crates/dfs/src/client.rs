@@ -5,8 +5,8 @@ use crate::datanode::DataNode;
 use crate::error::DfsError;
 use crate::namenode::NameNode;
 use bytes::Bytes;
-use cumulo_sim::{Network, NodeId, Sim, SimDuration};
-use std::cell::{Cell, RefCell};
+use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
+use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
@@ -163,16 +163,16 @@ impl DfsClient {
         let inner = Rc::clone(&self.inner);
         let nn = Rc::clone(&inner.nn);
         let path = path.to_owned();
-        self.inner.net.request(
-            inner.from,
-            nn.node(),
-            64 + path.len(),
-            move |reply| {
-                let replicas = replicas_of(&nn, &path);
-                reply.send(64, (path, replicas));
-            },
-            move |(path, replicas)| done(replicas.map(|r| DfsFile::new(inner, path, r))),
-        );
+        let request_bytes = 64 + path.len();
+        let serve = move |reply: Reply<_, _>| {
+            let replicas = replicas_of(&nn, &path);
+            reply.send(64, (path, replicas));
+        };
+        let (from, to) = (inner.from, inner.nn.node());
+        let wrap = move |(path, replicas): (String, crate::Result<Vec<usize>>)| {
+            done(replicas.map(|r| DfsFile::new(inner, path, r)))
+        };
+        self.inner.net.request(from, to, request_bytes, serve, wrap);
     }
 
     /// Reads the whole file (all records, in append order) from the
@@ -188,19 +188,16 @@ impl DfsClient {
 
     /// Lists paths with the given prefix; `done` receives them in order.
     pub fn list(&self, prefix: &str, done: impl FnOnce(Vec<String>) + 'static) {
-        let nn = Rc::clone(&self.inner.nn);
+        let inner = &self.inner;
+        let nn = Rc::clone(&inner.nn);
         let prefix = prefix.to_owned();
-        self.inner.net.request(
-            self.inner.from,
-            nn.node(),
-            64,
-            move |reply| {
-                let names = nn.list(&prefix);
-                let size = 64 + names.iter().map(String::len).sum::<usize>();
-                reply.send(size, names);
-            },
-            done,
-        );
+        let serve = move |reply: Reply<_, _>| {
+            let names = nn.list(&prefix);
+            reply.send(64 + names.iter().map(String::len).sum::<usize>(), names);
+        };
+        inner
+            .net
+            .request(inner.from, inner.nn.node(), 64, serve, done);
     }
 
     /// Deletes a file (fire and forget); missing files are a no-op.
@@ -219,15 +216,14 @@ impl DfsClient {
     /// the file existed. Compaction uses this to verify that obsolete
     /// store files are really gone rather than firing and forgetting.
     pub fn delete_with_callback(&self, path: &str, done: impl FnOnce(bool) + 'static) {
-        let nn = Rc::clone(&self.inner.nn);
+        let inner = &self.inner;
+        let nn = Rc::clone(&inner.nn);
         let path = path.to_owned();
-        self.inner.net.request(
-            self.inner.from,
-            nn.node(),
-            64 + path.len(),
-            move |reply| reply.send(32, nn.delete_file(&path)),
-            done,
-        );
+        let request_bytes = 64 + path.len();
+        let serve = move |reply: Reply<_, _>| reply.send(32, nn.delete_file(&path));
+        inner
+            .net
+            .request(inner.from, inner.nn.node(), request_bytes, serve, done);
     }
 
     /// Atomically renames `from_path` to `to_path` at the namenode;
@@ -239,16 +235,15 @@ impl DfsClient {
         to_path: &str,
         done: impl FnOnce(crate::Result<()>) + 'static,
     ) {
-        let nn = Rc::clone(&self.inner.nn);
+        let inner = &self.inner;
+        let nn = Rc::clone(&inner.nn);
         let from_path = from_path.to_owned();
         let to_path = to_path.to_owned();
-        self.inner.net.request(
-            self.inner.from,
-            nn.node(),
-            64 + from_path.len() + to_path.len(),
-            move |reply| reply.send(32, nn.rename_file(&from_path, &to_path)),
-            done,
-        );
+        let request_bytes = 64 + from_path.len() + to_path.len();
+        let serve = move |reply: Reply<_, _>| reply.send(32, nn.rename_file(&from_path, &to_path));
+        inner
+            .net
+            .request(inner.from, inner.nn.node(), request_bytes, serve, done);
     }
 
     /// The node this client issues requests from.
@@ -363,43 +358,42 @@ fn attempt_append(
         finish_append(client, state, done, Ok(()));
         return;
     }
-    let settled = Rc::new(Cell::new(false));
-    let done_cell: Rc<RefCell<Option<Box<dyn FnOnce(crate::Result<()>)>>>> =
-        Rc::new(RefCell::new(Some(done)));
+    // Whoever takes `done` out — the covering ack or the timeout —
+    // settles the attempt.
+    let slot = Rc::new(RefCell::new(Some(done)));
 
     for idx in targets {
         let dn: Rc<DataNode> = client.nn.datanode(idx);
+        let to = dn.node();
         let path2 = path.clone();
         let rec = record.clone();
         let acks2 = Rc::clone(&acks);
-        let settled2 = Rc::clone(&settled);
         let state2 = Rc::clone(&state);
         let client2 = Rc::clone(&client);
-        let done2 = Rc::clone(&done_cell);
-        client.net.request(
-            client.from,
-            dn.node(),
-            64 + record.len(),
-            move |reply| dn.append(&path2, rec, move || reply.send(32, ())),
-            move |()| {
-                // Record the ack even if this attempt already timed
-                // out: the shared ack set keeps a retry from
-                // re-sending to a replica that did store the record.
-                acks2.borrow_mut().insert(idx);
-                if settled2.get() {
-                    return;
-                }
-                let covered = {
-                    let st = state2.borrow();
-                    st.replicas.iter().all(|r| acks2.borrow().contains(r))
-                };
-                if covered {
-                    settled2.set(true);
-                    let done = done2.borrow_mut().take().expect("done consumed once");
-                    finish_append(client2, state2, done, Ok(()));
-                }
-            },
-        );
+        let slot2 = Rc::clone(&slot);
+        let serve = move |reply: Reply<_, _>| dn.append(&path2, rec, move || reply.send(32, ()));
+        let acked = move |()| {
+            // Record the ack even if this attempt already timed
+            // out: the shared ack set keeps a retry from
+            // re-sending to a replica that did store the record.
+            acks2.borrow_mut().insert(idx);
+            let covered = {
+                let st = state2.borrow();
+                st.replicas.iter().all(|r| acks2.borrow().contains(r))
+            };
+            let done = if covered {
+                slot2.borrow_mut().take()
+            } else {
+                None
+            };
+            if let Some(done) = done {
+                finish_append(client2, state2, done, Ok(()));
+            }
+        };
+        let request_bytes = 64 + record.len();
+        client
+            .net
+            .request(client.from, to, request_bytes, serve, acked);
     }
 
     // Timeout path: prune replicas through the namenode, then either finish
@@ -407,35 +401,28 @@ fn attempt_append(
     let client3 = Rc::clone(&client);
     let timeout = append_timeout(record.len());
     client.sim.schedule_in(timeout, move || {
-        if settled.get() {
+        if slot.borrow().is_none() {
             return;
         }
         let nn = Rc::clone(&client3.nn);
-        let net = Rc::clone(&client3.net);
-        net.request(
-            client3.from,
-            nn.node(),
-            64,
-            move |reply| {
-                let live = nn.live_replicas(&path).unwrap_or_default();
-                reply.send(64, (path, live));
-            },
-            move |(path, live)| {
-                if settled.get() {
-                    return;
-                }
-                settled.set(true);
-                state.borrow_mut().replicas = live.clone();
-                let done = done_cell.borrow_mut().take().expect("done consumed once");
-                if live.is_empty() {
-                    finish_append(client3, state, done, Err(DfsError::ReplicationFailed(path)));
-                } else if live.iter().all(|r| acks.borrow().contains(r)) {
-                    finish_append(client3, state, done, Ok(()));
-                } else {
-                    attempt_append(client3, state, record, acks, done);
-                }
-            },
-        );
+        let (net, from, to) = (Rc::clone(&client3.net), client3.from, nn.node());
+        let serve = move |reply: Reply<_, _>| {
+            let live = nn.live_replicas(&path).unwrap_or_default();
+            reply.send(64, (path, live));
+        };
+        net.request(from, to, 64, serve, move |(path, live): (_, Vec<usize>)| {
+            let Some(done) = slot.borrow_mut().take() else {
+                return;
+            };
+            state.borrow_mut().replicas = live.clone();
+            if live.is_empty() {
+                finish_append(client3, state, done, Err(DfsError::ReplicationFailed(path)));
+            } else if live.iter().all(|r| acks.borrow().contains(r)) {
+                finish_append(client3, state, done, Ok(()));
+            } else {
+                attempt_append(client3, state, record, acks, done);
+            }
+        });
     });
 }
 
@@ -448,19 +435,21 @@ fn read_attempt(
     done: Box<dyn FnOnce(crate::Result<Vec<Bytes>>)>,
 ) {
     let nn = Rc::clone(&client.nn);
-    let client2 = Rc::clone(&client);
-    client.net.request(
-        client.from,
-        nn.node(),
-        64 + path.len(),
-        move |reply| {
-            let live = nn.live_replicas(&path);
-            reply.send(64, (path, live));
-        },
+    let (from, to, request_bytes) = (client.from, nn.node(), 64 + path.len());
+    let serve = move |reply: Reply<_, _>| {
+        let live = nn.live_replicas(&path);
+        reply.send(64, (path, live));
+    };
+    let net = Rc::clone(&client.net);
+    net.request(
+        from,
+        to,
+        request_bytes,
+        serve,
         move |(path, live)| match live {
             Err(e) => done(Err(e)),
-            Ok(live) if live.is_empty() => retry_or_fail(client2, path, retries_left, done),
-            Ok(live) => fetch_longest(client2, path, live, retries_left, done),
+            Ok(live) if live.is_empty() => retry_or_fail(client, path, retries_left, done),
+            Ok(live) => fetch_longest(client, path, live, retries_left, done),
         },
     );
 }
@@ -493,22 +482,17 @@ fn fetch_longest(
     // Phase 1: collect record counts from every live replica.
     let counts: Rc<RefCell<Vec<(usize, usize)>>> = Rc::new(RefCell::new(Vec::new()));
     let expected = live.len();
-    let decided = Rc::new(Cell::new(false));
-    let done_cell: Rc<RefCell<Option<Box<dyn FnOnce(crate::Result<Vec<Bytes>>)>>>> =
-        Rc::new(RefCell::new(Some(done)));
+    // Taken by the first decision: the last count in, or the timer.
+    let slot = RefCell::new(Some(done));
 
     let decide = {
         let client = Rc::clone(&client);
         let path = path.clone();
         let counts = Rc::clone(&counts);
-        let decided = Rc::clone(&decided);
-        let done_cell = Rc::clone(&done_cell);
         Rc::new(move || {
-            if decided.get() {
+            let Some(done) = slot.borrow_mut().take() else {
                 return;
-            }
-            decided.set(true);
-            let done = done_cell.borrow_mut().take().expect("done consumed once");
+            };
             let best = counts
                 .borrow()
                 .iter()
@@ -518,52 +502,37 @@ fn fetch_longest(
                 None => retry_or_fail(Rc::clone(&client), path.clone(), retries_left, done),
                 Some(idx) => {
                     let dn = client.nn.datanode(idx);
+                    let to = dn.node();
                     let path2 = path.clone();
                     let client2 = Rc::clone(&client);
                     let path_for_retry = path.clone();
                     // Guard the data fetch with its own timeout in case the
-                    // chosen replica dies mid-read.
-                    let got = Rc::new(Cell::new(false));
-                    let got2 = Rc::clone(&got);
-                    let done_cell2: Rc<
-                        RefCell<Option<Box<dyn FnOnce(crate::Result<Vec<Bytes>>)>>>,
-                    > = Rc::new(RefCell::new(Some(done)));
-                    let done_cell3 = Rc::clone(&done_cell2);
-                    client.net.request(
-                        client.from,
-                        dn.node(),
-                        64,
-                        move |reply| {
-                            let path3 = path2.clone();
-                            dn.read(&path2, move |data| {
-                                let size = 64
-                                    + data
-                                        .as_ref()
-                                        .map(|d| d.iter().map(Bytes::len).sum::<usize>())
-                                        .unwrap_or(0);
-                                reply.send(size, (path3, data));
-                            });
-                        },
-                        move |(path3, data)| {
-                            if got2.get() {
-                                return;
-                            }
-                            got2.set(true);
-                            let done = done_cell2.borrow_mut().take().expect("done consumed once");
-                            match data {
-                                Some(records) => done(Ok(records)),
-                                None => done(Err(DfsError::NotFound(path3))),
-                            }
-                        },
-                    );
+                    // chosen replica dies mid-read: the data and the timer
+                    // race for `done`.
+                    let fetched = Rc::new(RefCell::new(Some(done)));
+                    let timed_out = Rc::clone(&fetched);
+                    let serve = move |reply: Reply<_, _>| {
+                        let path3 = path2.clone();
+                        dn.read(&path2, move |data| {
+                            let size = 64
+                                + data
+                                    .as_ref()
+                                    .map(|d| d.iter().map(Bytes::len).sum::<usize>())
+                                    .unwrap_or(0);
+                            reply.send(size, (path3, data));
+                        });
+                    };
+                    let arrived = move |(path3, data): (String, Option<Vec<Bytes>>)| {
+                        if let Some(done) = fetched.take() {
+                            done(data.ok_or(DfsError::NotFound(path3)));
+                        }
+                    };
+                    client.net.request(client.from, to, 64, serve, arrived);
                     let sim = client2.sim.clone();
                     sim.schedule_in(SimDuration::from_millis(100), move || {
-                        if got.get() {
-                            return;
+                        if let Some(done) = timed_out.take() {
+                            retry_or_fail(client2, path_for_retry, retries_left, done);
                         }
-                        got.set(true);
-                        let done = done_cell3.borrow_mut().take().expect("done consumed once");
-                        retry_or_fail(client2, path_for_retry, retries_left, done);
                     });
                 }
             }
@@ -572,21 +541,19 @@ fn fetch_longest(
 
     for idx in live {
         let dn = client.nn.datanode(idx);
+        let to = dn.node();
         let path2 = path.clone();
         let counts2 = Rc::clone(&counts);
         let decide2 = Rc::clone(&decide);
-        client.net.request(
-            client.from,
-            dn.node(),
-            32,
-            move |reply| reply.send(32, dn.record_count(&path2)),
-            move |count| {
+        let serve = move |reply: Reply<_, _>| reply.send(32, dn.record_count(&path2));
+        client
+            .net
+            .request(client.from, to, 32, serve, move |count| {
                 counts2.borrow_mut().push((idx, count));
                 if counts2.borrow().len() == expected {
                     decide2();
                 }
-            },
-        );
+            });
     }
     // If some replicas die before answering, decide with what arrived.
     let decide3 = Rc::clone(&decide);

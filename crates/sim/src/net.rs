@@ -278,18 +278,14 @@ impl Network {
     /// `serve` answers, so either hop is dropped under `send`'s rules and
     /// `done` then never runs: there is no timeout here. Every service
     /// stub's request/reply exchange goes through this.
-    pub fn request<T, S, D>(
+    pub fn request<T: 'static, D: FnOnce(T) + 'static>(
         self: &Rc<Self>,
         from: NodeId,
         to: NodeId,
         request_bytes: usize,
-        serve: S,
+        serve: impl FnOnce(Reply<T, D>) + 'static,
         done: D,
-    ) where
-        T: 'static,
-        S: FnOnce(Reply<T, D>) + 'static,
-        D: FnOnce(T) + 'static,
-    {
+    ) {
         let reply = Reply {
             net: Rc::clone(self),
             server: to,
@@ -332,12 +328,6 @@ impl<T: 'static, D: FnOnce(T) + 'static> Reply<T, D> {
         let done = self.done;
         self.net
             .send(self.server, self.caller, reply_bytes, move || done(value));
-    }
-}
-
-impl<T, D> fmt::Debug for Reply<T, D> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Reply({} -> {})", self.server, self.caller)
     }
 }
 

@@ -23,7 +23,7 @@ use crate::server::{RegionServer, ScanPage};
 use crate::types::{Mutation, RegionId, Timestamp, WriteSet};
 use bytes::Bytes;
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::{Network, NodeId, Sim, SimDuration};
+use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -364,20 +364,16 @@ fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
     inner.refresh_inflight.set(Some(now));
     let master = Rc::clone(&inner.master);
     let inner2 = Rc::clone(inner);
-    inner.net.request(
-        inner.from,
-        master.node(),
-        64,
-        move |reply| {
-            let snapshot = master.snapshot_map();
-            reply.send(64 + snapshot.assignments().len() * 16, snapshot);
-        },
-        move |snapshot| {
-            *inner2.map.borrow_mut() = snapshot;
-            inner2.last_refresh.set(Some(inner2.sim.now().nanos()));
-            inner2.refresh_inflight.set(None);
-        },
-    );
+    let serve = move |reply: Reply<_, _>| {
+        let snapshot = master.snapshot_map();
+        reply.send(64 + snapshot.assignments().len() * 16, snapshot);
+    };
+    let (from, to) = (inner.from, inner.master.node());
+    inner.net.request(from, to, 64, serve, move |snapshot| {
+        *inner2.map.borrow_mut() = snapshot;
+        inner2.last_refresh.set(Some(inner2.sim.now().nanos()));
+        inner2.refresh_inflight.set(None);
+    });
 }
 
 /// Where a request is addressed.
@@ -460,26 +456,22 @@ fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
     let wire = request.clone();
     let slot = Rc::new(Cell::new(Some((request, then))));
     let (inner2, slot2) = (Rc::clone(&inner), Rc::clone(&slot));
-    inner.net.request(
-        inner.from,
-        server.node(),
-        size,
-        move |reply| {
-            wire.serve(&server, move |result| {
-                reply.send(R::reply_size(&result), result)
-            })
-        },
-        move |result| {
-            let Some((request, then)) = slot2.take() else {
-                return;
-            };
-            match result {
-                Ok(reply) => request.served(inner2, reply, then),
-                // NotServing / unavailable: refresh and retry.
-                Err(_) => retry(inner2, request, then, attempt, routed_epoch),
-            }
-        },
-    );
+    let (from, to) = (inner.from, server.node());
+    let serve = move |reply: Reply<_, _>| {
+        wire.serve(&server, move |result| {
+            reply.send(R::reply_size(&result), result)
+        })
+    };
+    inner.net.request(from, to, size, serve, move |result| {
+        let Some((request, then)) = slot2.take() else {
+            return;
+        };
+        match result {
+            Ok(reply) => request.served(inner2, reply, then),
+            // NotServing / unavailable: refresh and retry.
+            Err(_) => retry(inner2, request, then, attempt, routed_epoch),
+        }
+    });
     let inner2 = Rc::clone(&inner);
     inner.sim.schedule_in(inner.cfg.request_timeout, move || {
         if let Some((request, then)) = slot.take() {

@@ -9,9 +9,8 @@
 
 use crate::log::LogRecord;
 use crate::manager::{CommitOutcome, TransactionManager, TxnId};
-use cumulo_sim::{Network, NodeId};
+use cumulo_sim::{Network, NodeId, Reply};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
-use std::fmt;
 use std::rc::Rc;
 
 /// A message of ids and timestamps only: every request and reply that
@@ -21,26 +20,23 @@ const SMALL: usize = 48;
 /// log-fetch reply) or asks for them (a log-fetch request).
 const BULK_HEADER: usize = 64;
 
-fn records_size(records: &[LogRecord]) -> usize {
-    BULK_HEADER + records.iter().map(LogRecord::wire_size).sum::<usize>()
+/// Answers a log fetch: the records, sized by what they carry.
+fn send_records<D: FnOnce(Vec<LogRecord>) + 'static>(
+    reply: Reply<Vec<LogRecord>, D>,
+    records: Vec<LogRecord>,
+) {
+    let bytes = BULK_HEADER + records.iter().map(LogRecord::wire_size).sum::<usize>();
+    reply.send(bytes, records);
 }
 
 /// A component's connection to the transaction manager.
 ///
 /// Cheap to clone; all clones share the same identity (`from` node).
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct TmClient {
     net: Rc<Network>,
     tm: Rc<TransactionManager>,
     from: NodeId,
-}
-
-impl fmt::Debug for TmClient {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TmClient")
-            .field("from", &self.from)
-            .finish()
-    }
 }
 
 impl TmClient {
@@ -53,42 +49,21 @@ impl TmClient {
         }
     }
 
-    /// One round trip whose handler answers at once with a `SMALL` reply.
-    fn ask<T: 'static>(
+    /// One round trip: `serve` runs at the manager and answers through
+    /// the `Reply`. Every request/reply exchange goes through here.
+    fn call<T: 'static, D: FnOnce(T) + 'static>(
         &self,
-        serve: impl FnOnce(&TransactionManager) -> T + 'static,
-        done: impl FnOnce(T) + 'static,
+        request_bytes: usize,
+        serve: impl FnOnce(&Rc<TransactionManager>, Reply<T, D>) + 'static,
+        done: D,
     ) {
         let tm = Rc::clone(&self.tm);
-        self.net.request(
-            self.from,
-            tm.node(),
-            SMALL,
-            move |reply| reply.send(SMALL, serve(&tm)),
-            done,
-        );
+        let serve = move |reply| serve(&tm, reply);
+        self.net
+            .request(self.from, self.tm.node(), request_bytes, serve, done);
     }
 
-    /// One round trip that brings back log records.
-    fn fetch(
-        &self,
-        serve: impl FnOnce(&TransactionManager) -> Vec<LogRecord> + 'static,
-        done: impl FnOnce(Vec<LogRecord>) + 'static,
-    ) {
-        let tm = Rc::clone(&self.tm);
-        self.net.request(
-            self.from,
-            tm.node(),
-            BULK_HEADER,
-            move |reply| {
-                let records = serve(&tm);
-                reply.send(records_size(&records), records);
-            },
-            done,
-        );
-    }
-
-    /// One message, no reply.
+    /// One `SMALL` message, no reply. Every notification goes through here.
     fn tell(&self, serve: impl FnOnce(&TransactionManager) + 'static) {
         let tm = Rc::clone(&self.tm);
         self.net
@@ -97,10 +72,11 @@ impl TmClient {
 
     /// Begins a transaction for `client`; `done` runs at the caller with
     /// its id and read snapshot.
-    pub fn begin(&self, client: ClientId, done: impl FnOnce(TxnId, Timestamp) + 'static) {
-        self.ask(
-            move |tm| tm.handle_begin(client),
-            move |(txn, snapshot)| done(txn, snapshot),
+    pub fn begin(&self, client: ClientId, done: impl FnOnce((TxnId, Timestamp)) + 'static) {
+        self.call(
+            SMALL,
+            move |tm, reply| reply.send(SMALL, tm.handle_begin(client)),
+            done,
         );
     }
 
@@ -112,12 +88,9 @@ impl TmClient {
         write_set: WriteSet,
         done: impl FnOnce(CommitOutcome) + 'static,
     ) {
-        let tm = Rc::clone(&self.tm);
-        self.net.request(
-            self.from,
-            tm.node(),
+        self.call(
             BULK_HEADER + write_set.wire_size(),
-            move |reply| {
+            move |tm, reply| {
                 tm.handle_commit(txn, write_set, move |outcome| reply.send(SMALL, outcome))
             },
             done,
@@ -138,24 +111,28 @@ impl TmClient {
 
     /// Reads the newest commit timestamp the manager has assigned.
     pub fn last_commit_ts(&self, done: impl FnOnce(Timestamp) + 'static) {
-        self.ask(TransactionManager::last_commit_ts, done);
+        self.call(
+            SMALL,
+            |tm, reply| reply.send(SMALL, tm.last_commit_ts()),
+            done,
+        );
     }
 
     /// Client-failure recovery's one request: reaps the open transactions
-    /// of dead client `c`, then fetches its log records above `after`.
+    /// of dead client `c` — they can never commit, and their pinned
+    /// snapshots hold back the MVCC garbage-collection watermark — then
+    /// fetches its log records above `after`.
     pub fn reap_and_fetch_client(
         &self,
         c: ClientId,
         after: Timestamp,
         done: impl FnOnce(Vec<LogRecord>) + 'static,
     ) {
-        self.fetch(
-            move |tm| {
-                // The dead client's open transactions can never commit; reap
-                // them so their pinned snapshots stop holding back the MVCC
-                // garbage-collection watermark.
+        self.call(
+            BULK_HEADER,
+            move |tm, reply| {
                 tm.handle_client_failed(c);
-                tm.log().fetch_client_after(c, after)
+                send_records(reply, tm.log().fetch_client_after(c, after));
             },
             done,
         );
@@ -163,7 +140,11 @@ impl TmClient {
 
     /// Fetches every log record above `ts` (server recovery).
     pub fn fetch_after(&self, ts: Timestamp, done: impl FnOnce(Vec<LogRecord>) + 'static) {
-        self.fetch(move |tm| tm.log().fetch_after(ts), done);
+        self.call(
+            BULK_HEADER,
+            move |tm, reply| send_records(reply, tm.log().fetch_after(ts)),
+            done,
+        );
     }
 
     /// Truncates the log below `ts` (fire and forget).
@@ -276,7 +257,7 @@ mod tests {
     fn begin_is_a_round_trip() {
         let s = setup();
         check(&s, 2, |c, done| {
-            c.begin(ClientId(0), move |_, _| done.set(true))
+            c.begin(ClientId(0), move |_| done.set(true))
         });
         // Begun twice at the manager: the first run and the lost reply.
         assert_eq!(s.tm.active_count(), 2);
