@@ -22,6 +22,8 @@
 //! byte-identically.
 //!
 //! The bank-transfer workload those suites audit with is in [`bank`].
+//! [`replication_digest`] turns what a run's replication did into one
+//! number a suite can pin.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a subset of it.
@@ -287,4 +289,44 @@ pub fn crash_for_adjacency(cluster: &Cluster, schedule: &str, mut load: impl FnM
         "{schedule}: the setup failover left no adjacent co-hosted pair of regions, so no \
          merge can ever be proposed; placement in key order: {placement:?}. Pick another seed."
     );
+}
+
+/// What a run's replication did, as one number: an FNV-1a digest over one
+/// `<nanos> <kind>` line per `replication.*` event in journal order
+/// (details are left out: they carry sequence numbers), then one line of
+/// the servers' summed `ReplicationStats`. A suite that asserts outcomes
+/// pins this beside them, so a change to *when* a lane ships, drops or
+/// re-syncs shows up even where the outcome survives it.
+pub fn replication_digest(cluster: &Cluster) -> u64 {
+    assert_eq!(cluster.events.dropped(), 0, "the event journal overflowed");
+    let mut text = String::new();
+    for e in cluster.events.entries() {
+        if e.kind.starts_with("replication.") {
+            text += &format!("{} {}\n", e.time.nanos(), e.kind);
+        }
+    }
+    let mut sums = [0u64; 11];
+    for server in &cluster.servers {
+        let r = server.replication_stats();
+        let stats = [
+            r.ships.get(),
+            r.ship_bytes.get(),
+            r.acks.get(),
+            r.nacks.get(),
+            r.syncs.get(),
+            r.applied.get(),
+            r.fences.get(),
+            r.fenced.get(),
+            r.lane_drops.get(),
+            r.backlog_bytes.get(),
+            r.lag.get(),
+        ];
+        for (sum, stat) in sums.iter_mut().zip(stats) {
+            *sum += stat;
+        }
+    }
+    text += &format!("{sums:?}\n");
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, byte| {
+        (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }

@@ -6,12 +6,14 @@
 //!
 //! Every schedule is deterministic in the seed; the RNG-shift variants
 //! draw a few extra values up front so the same logical schedule runs
-//! under perturbed event timings.
+//! under perturbed event timings. Beside its outcomes each test pins
+//! [`replication_digest`] of every run it makes: when each lane shipped,
+//! dropped, re-synced and fenced, and how often.
 
 mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
-use common::{crash_first_observed, ChaosAction, ChaosSchedule};
+use common::{crash_first_observed, replication_digest, ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
@@ -54,6 +56,7 @@ fn audit_balances(cluster: &Cluster, label: &str) {
 /// and no acknowledged transfer may be lost. Run under three RNG shifts.
 #[test]
 fn primary_crash_promotes_backup_and_conserves_balances() {
+    let mut digests = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8101));
         shift_rng(&cluster, shift);
@@ -81,7 +84,17 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
             cluster.master.fallback_replays()
         );
         audit_balances(&cluster, &format!("shift {shift}"));
+        digests.push(replication_digest(&cluster));
     }
+    assert_eq!(
+        digests,
+        [
+            10_600_815_373_260_093_831,
+            17_761_706_867_330_210_869,
+            17_266_071_314_461_873_275
+        ],
+        "replication digest per run"
+    );
 }
 
 /// Three copies of every region, so every primary ships down two lanes.
@@ -99,6 +112,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
         region_replication: 3,
         ..replicated_config(seed)
     };
+    let mut digests = Vec::new();
     for shift in [0u32, 1] {
         let cluster = Cluster::build(three_copies(8101));
         shift_rng(&cluster, shift);
@@ -119,6 +133,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
             assert!(stats.ships.get() > 0, "shift {shift}: nothing shipped");
         }
         audit_balances(&cluster, &format!("healthy, shift {shift}"));
+        digests.push(replication_digest(&cluster));
 
         let cluster = Cluster::build(three_copies(8101));
         shift_rng(&cluster, shift);
@@ -139,7 +154,18 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
             cluster.master.fallback_replays()
         );
         audit_balances(&cluster, &format!("crash, shift {shift}"));
+        digests.push(replication_digest(&cluster));
     }
+    assert_eq!(
+        digests,
+        [
+            281_612_163_055_868_446,
+            5_321_163_304_921_376_670,
+            14_353_321_876_536_749_347,
+            1_218_873_349_469_030_602
+        ],
+        "replication digest per run"
+    );
 }
 
 /// Partition (do not crash) a primary mid-commit: its session expires
@@ -149,6 +175,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
 /// no acknowledged transfer may be lost.
 #[test]
 fn partitioned_primary_is_fenced_after_promotion() {
+    let mut digests = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8202));
         shift_rng(&cluster, shift);
@@ -183,7 +210,17 @@ fn partitioned_primary_is_fenced_after_promotion() {
             "shift {shift}: stale primary never fenced itself"
         );
         audit_balances(&cluster, &format!("shift {shift}"));
+        digests.push(replication_digest(&cluster));
     }
+    assert_eq!(
+        digests,
+        [
+            15_195_232_549_954_324_824,
+            14_141_992_100_199_907_470,
+            11_135_433_272_678_236_333
+        ],
+        "replication digest per run"
+    );
 }
 
 /// The same partition, landed while the primary has a write-set on its
@@ -227,6 +264,11 @@ fn fenced_primary_stops_reporting_its_lanes() {
         "a fenced group kept re-sending its lane reports to the master"
     );
     audit_balances(&cluster, "fenced, quiet");
+    assert_eq!(
+        replication_digest(&cluster),
+        2_378_430_010_599_063_061,
+        "replication digest"
+    );
 }
 
 /// Crash the primary *and* every backup of its regions: no eligible
@@ -234,6 +276,7 @@ fn fenced_primary_stops_reporting_its_lanes() {
 /// path — and even then conserve every acknowledged transfer.
 #[test]
 fn all_replicas_dead_falls_back_to_replay() {
+    let mut digests = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8303));
         shift_rng(&cluster, shift);
@@ -259,7 +302,17 @@ fn all_replicas_dead_falls_back_to_replay() {
             cluster.master.promotions()
         );
         audit_balances(&cluster, &format!("shift {shift}"));
+        digests.push(replication_digest(&cluster));
     }
+    assert_eq!(
+        digests,
+        [
+            11_242_788_122_495_132_027,
+            12_810_325_559_740_153_338,
+            12_118_133_013_862_366_725
+        ],
+        "replication digest per run"
+    );
 }
 
 /// Bulky writes into a separate `pad` column (the splits suite's idiom):
@@ -288,6 +341,7 @@ fn fire_pads(cluster: &Cluster, round: u32) {
 /// either way promotion/recovery converges without losing a transfer.
 #[test]
 fn primary_crash_mid_split_converges() {
+    let mut digests = Vec::new();
     for shift in [0u32, 1] {
         let mut cfg = replicated_config(8404);
         cfg.server_cfg.split.enabled = true;
@@ -329,5 +383,11 @@ fn primary_crash_mid_split_converges() {
             "shift {shift}: the crash recovered no region at all"
         );
         audit_balances(&cluster, &format!("shift {shift}"));
+        digests.push(replication_digest(&cluster));
     }
+    assert_eq!(
+        digests,
+        [9_925_573_869_527_340_928, 3_802_588_730_456_569_505],
+        "replication digest per run"
+    );
 }
