@@ -5,8 +5,10 @@
 //! A primary keeps one *lane* per backup and sends it one stream of
 //! [`StreamElement`]s: [`RegionServer::ship`] is the only function that
 //! sends one, [`RegionServer::apply`] the only one that applies one to a
-//! shadow. The rest reacts to what comes back (acks, nacks, timeouts) or
-//! is the master saying which groups and shadows this server keeps.
+//! shadow. What comes back (acks, nacks, timeouts, the master's answers)
+//! is put to the lane as a `LaneEvent`: `ReplLane::on` is the only
+//! function that changes what state a lane is in. The rest is the master
+//! saying which groups and shadows this server keeps.
 
 use super::{RegionServer, RegionState};
 use crate::error::StoreError;
@@ -141,6 +143,90 @@ fn resolve(finishes: Vec<Finish>, result: Result<(), StoreError>) {
     }
 }
 
+/// What a lane that client acks gate on has in flight.
+#[derive(Debug, Default, PartialEq)]
+struct InFlight {
+    /// `seq -> (payload bytes, gate held)` of shipped-but-unacked
+    /// elements.
+    pending: BTreeMap<u64, (usize, Option<u64>)>,
+    /// The payload bytes of `pending`, summed.
+    bytes: usize,
+    /// The newest re-baselining sync still unacked. It only holds back
+    /// the idle epoch probe.
+    refresh: Option<u64>,
+}
+
+impl InFlight {
+    /// Forgets what `Applied(seq)` acknowledges — the lane is caught up
+    /// through `seq` — and returns the gates those elements held.
+    fn ack(&mut self, seq: u64) -> Vec<u64> {
+        let unacked = self.pending.split_off(&seq.saturating_add(1));
+        let acked = std::mem::replace(&mut self.pending, unacked);
+        self.bytes -= acked.values().map(|(bytes, _)| bytes).sum::<usize>();
+        self.refresh = self.refresh.filter(|sync| *sync != seq);
+        acked.into_values().filter_map(|(_, gate)| gate).collect()
+    }
+}
+
+/// What a lane is to its primary (ARCHITECTURE.md, "Lane states"). Only
+/// the two states client acks gate on have anything in flight to hold.
+#[derive(Debug, PartialEq)]
+enum LaneState {
+    /// Only a full-state sync ships, nothing gates. Where a lane starts.
+    OutOfSync,
+    /// Sync `seq` is on its way and nothing else ships; its `Applied` is
+    /// what brings the lane in (a late ack for an ordinary data ship must
+    /// not). `outrun`: a write-set passed this lane by since the sync was
+    /// cut — the shadow it re-baselines lacks it, and nothing sent later
+    /// carries it, so the ack must leave the lane out and the next
+    /// re-sync tick tries again.
+    Syncing { seq: u64, outrun: bool },
+    /// Every element ships and client acks gate on the lane.
+    InSync(InFlight),
+    /// An unsync report to the master is in flight and nothing ships;
+    /// gates still hold until the master acks (the report is the fencing
+    /// point — a primary partitioned from the master can never un-gate).
+    Unsyncing(InFlight),
+}
+
+/// Everything that happens to a lane.
+#[derive(Clone, Copy, Debug)]
+enum LaneEvent {
+    /// [`RegionServer::ship`] sent the lane element `seq`, having asked
+    /// [`ReplLane::takes`]; `held` is the element's `pending` entry.
+    Took {
+        seq: u64,
+        sync: bool,
+        held: (usize, Option<u64>),
+    },
+    /// A write-set went down the group's in-sync lanes without this one.
+    PassedBy,
+    /// The backup applied the stream through this sequence number.
+    Applied(u64),
+    /// The backup found a gap in the stream.
+    Gap,
+    /// This element left [`ACK_TIMEOUT`] ago.
+    AckTimeout(u64),
+    /// An element found the backlog full or the backup's handle gone.
+    Lagging,
+    /// The master answered the unsync report.
+    ReportAcked,
+    /// The lane's group was fenced.
+    Fenced,
+}
+
+/// What whoever put an event to a lane owes the rest of the server.
+#[derive(Debug, PartialEq)]
+enum LaneAction {
+    Nothing,
+    /// Report the lane to the master as no longer in sync.
+    Report,
+    /// The lane let go of these gates.
+    Release(Vec<u64>),
+    /// The lane came in: tell the master its backup is eligible.
+    Resynced,
+}
+
 /// Primary-side state of one backup lane: one stream to one shadow.
 struct ReplLane {
     backup: ServerId,
@@ -150,44 +236,110 @@ struct ReplLane {
     /// numbers are the lane's own — its shadow checks them for
     /// contiguity — and are not comparable across lanes.
     next_seq: u64,
-    /// `seq -> (payload bytes, gate held)` of shipped-but-unacked
-    /// elements.
-    pending: BTreeMap<u64, (usize, Option<u64>)>,
-    backlog_bytes: usize,
-    /// In sync: data ships flow and client acks gate on this lane. A
-    /// lane starts out of sync and is brought in by a full-state sync.
-    synced: bool,
-    /// An unsync report to the master is in flight; gates still hold
-    /// until the master acks (the report is the fencing point — a
-    /// primary partitioned from the master can never un-gate).
-    drop_pending: bool,
-    /// Sequence number of the in-flight full-state sync, if any. Its
-    /// `Applied` ack is what flips an out-of-sync lane back in (a late
-    /// ack for an ordinary data ship must not).
-    sync_seq: Option<u64>,
-    /// A write-set or split intent passed this lane by since that sync
-    /// was cut: the shadow it re-baselines lacks it, and nothing sent
-    /// later carries it, so the ack must not flip the lane in — the next
-    /// re-sync tick tries again.
-    sync_outrun: bool,
+    state: LaneState,
 }
 
 impl ReplLane {
-    /// A lane to `backup` with nothing in flight, out of sync until its
-    /// first full-state sync is acked.
+    /// A lane to `backup` as establishing its group leaves it: nothing in
+    /// flight, out of sync until its first full-state sync is acked.
     fn new(backup: ServerId, node: NodeId, handle: Weak<RegionServer>) -> Self {
         ReplLane {
             backup,
             handle,
             node,
             next_seq: 0,
-            pending: BTreeMap::new(),
-            backlog_bytes: 0,
-            synced: false,
-            drop_pending: false,
-            sync_seq: None,
-            sync_outrun: false,
+            state: LaneState::OutOfSync,
         }
+    }
+
+    /// The one place a lane changes state: what `event` makes of it and
+    /// what the caller must do about it. Every pair has a named arm
+    /// (`every_pair_of_state_and_event_is_in_the_table` spells them out).
+    fn on(&mut self, event: LaneEvent) -> LaneAction {
+        use {LaneAction as A, LaneEvent as E, LaneState as S};
+        let (next, action) = match (std::mem::replace(&mut self.state, S::OutOfSync), event) {
+            (S::OutOfSync, E::Took { seq, sync, .. }) if sync => {
+                (S::Syncing { seq, outrun: false }, A::Nothing)
+            }
+            (S::InSync(mut b), E::Took { seq, sync, held }) => {
+                b.pending.insert(seq, held);
+                b.bytes += held.0;
+                b.refresh = if sync { Some(seq) } else { b.refresh };
+                (S::InSync(b), A::Nothing)
+            }
+            (S::Syncing { seq, .. }, E::PassedBy) => (S::Syncing { seq, outrun: true }, A::Nothing),
+            (S::Syncing { seq, outrun }, E::Applied(acked)) if acked == seq => match outrun {
+                false => (S::InSync(InFlight::default()), A::Resynced),
+                true => (S::OutOfSync, A::Nothing),
+            },
+            (S::InSync(mut b), E::Applied(seq)) => {
+                let gates = b.ack(seq);
+                (S::InSync(b), A::Release(gates))
+            }
+            (S::Unsyncing(mut b), E::Applied(seq)) => {
+                let gates = b.ack(seq);
+                (S::Unsyncing(b), A::Release(gates))
+            }
+            (S::InSync(b), E::Gap | E::Lagging) => (S::Unsyncing(b), A::Report),
+            (S::InSync(b), E::AckTimeout(seq)) if b.pending.contains_key(&seq) => {
+                (S::Unsyncing(b), A::Report)
+            }
+            // Written off: every gate the lane still held lets go.
+            (S::Unsyncing(mut b), E::ReportAcked) => (S::OutOfSync, A::Release(b.ack(u64::MAX))),
+            // Nothing is in flight on a fenced group's lanes: a report
+            // or sync left pending here would be retried for good.
+            (_, E::Fenced) => (S::OutOfSync, A::Nothing),
+            // Ignored. No sync is on its way for the write-set to outrun;
+            // a late ack for a stream the lane has since dropped out of;
+            // acked in time, or nothing to take out (not in sync, or
+            // reported already); the answer to a re-sent report.
+            (s @ (S::OutOfSync | S::InSync(_) | S::Unsyncing(_)), E::PassedBy)
+            | (s @ (S::OutOfSync | S::Syncing { .. }), E::Applied(_))
+            | (s, E::Gap | E::Lagging | E::AckTimeout(_))
+            | (s @ (S::OutOfSync | S::Syncing { .. } | S::InSync(_)), E::ReportAcked) => {
+                (s, A::Nothing)
+            }
+            // One un-acked sync at a time per out-of-sync lane (the next
+            // timer tick retries), and nothing to a reported one.
+            (S::OutOfSync | S::Syncing { .. } | S::Unsyncing(_), E::Took { .. }) => {
+                unreachable!("ship() sent an element to a lane that does not take it")
+            }
+        };
+        self.state = next;
+        debug_assert!(self.is_consistent(), "{:?} after {event:?}", self.state);
+        action
+    }
+
+    /// What holds of a lane between transitions: the byte count is its
+    /// unacked elements' sum.
+    fn is_consistent(&self) -> bool {
+        let sum = |b: &InFlight| b.pending.values().map(|(bytes, _)| bytes).sum::<usize>();
+        self.in_flight().is_none_or(|b| b.bytes == sum(b))
+    }
+
+    /// Whether `ship()` sends this lane an element. A sync re-baselines a
+    /// shadow, so it also goes to an out-of-sync lane, and to an in-sync
+    /// one unless it is for the out-of-sync lanes only; a write-set
+    /// extends the stream, so only an in-sync lane takes it.
+    fn takes(&self, sync: bool, resync_only: bool) -> bool {
+        match self.state {
+            LaneState::OutOfSync => sync,
+            LaneState::InSync(_) => !(sync && resync_only),
+            LaneState::Syncing { .. } | LaneState::Unsyncing(_) => false,
+        }
+    }
+
+    /// What client acks wait for on this lane, if it gates any.
+    fn in_flight(&self) -> Option<&InFlight> {
+        match &self.state {
+            LaneState::InSync(b) | LaneState::Unsyncing(b) => Some(b),
+            LaneState::OutOfSync | LaneState::Syncing { .. } => None,
+        }
+    }
+
+    /// In sync with nothing unacked: the lane the idle epoch probe is for.
+    fn is_idle_in_sync(&self) -> bool {
+        matches!(&self.state, LaneState::InSync(b) if b.pending.is_empty() && b.refresh.is_none())
     }
 }
 
@@ -242,6 +394,17 @@ impl ReplGroup {
             finishes.extend(front.remove().finish);
         }
         finishes
+    }
+
+    /// `backup`'s lane lets go of `gates`; returns the finish closures of
+    /// whatever that completes, for the caller to [`resolve`].
+    fn release(&mut self, backup: ServerId, gates: Vec<u64>) -> Vec<Finish> {
+        for gate in gates {
+            if let Some(gate) = self.gates.get_mut(&gate) {
+                gate.waiting.retain(|b| *b != backup);
+            }
+        }
+        self.drain_ready_gates()
     }
 
     /// Empties the gate queue whatever acks are outstanding — the group
@@ -453,14 +616,12 @@ impl RegionServer {
     }
 
     /// Sends `element` down `region`'s backup lanes — the one place that
-    /// picks the lanes, takes the sequence numbers, books `pending` and
-    /// the backlog, sends, and arranges the ack and its timeout. A sync
-    /// re-baselines a shadow, so it also goes to out-of-sync lanes; a
-    /// write-set or split intent extends the stream, so it goes to the
-    /// in-sync lanes only and counts against their backlog.
-    /// `resync_only` narrows a sync to the out-of-sync lanes (the re-sync
-    /// timer) from every lane (the file set changed under all of them:
-    /// flush, compaction, split); it says nothing about other elements.
+    /// picks the lanes ([`ReplLane::takes`]), takes the sequence numbers,
+    /// books what is in flight, sends, and arranges the ack and its
+    /// timeout. `resync_only` narrows a sync to the out-of-sync lanes (the
+    /// re-sync timer) from every lane (the file set changed under all of
+    /// them: flush, compaction, split); it says nothing about other
+    /// elements, and only those count against a lane's backlog.
     /// Returns the gate to arm with a write-set's client ack
     /// ([`RegionServer::arm_gate`]) if at least one lane took it.
     pub(super) fn ship(
@@ -484,16 +645,10 @@ impl RegionServer {
             let epoch = group.epoch;
             let mut targets: Vec<(u64, LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
             for lane in group.lanes.iter_mut() {
-                let wanted = match sync {
-                    true if lane.synced => !resync_only,
-                    // One un-acked sync at a time per out-of-sync lane;
-                    // the next timer tick retries.
-                    true => lane.sync_seq.is_none(),
-                    false => lane.synced,
-                };
-                if lane.drop_pending || !wanted {
-                    // A sync on its way to this lane was cut without it.
-                    lane.sync_outrun |= !sync;
+                if !lane.takes(sync, resync_only) {
+                    if !sync {
+                        lane.on(LaneEvent::PassedBy);
+                    }
                     continue;
                 }
                 let backup = lane.backup;
@@ -502,26 +657,16 @@ impl RegionServer {
                     epoch,
                     backup,
                 };
-                if !sync && lane.backlog_bytes + bytes > MAX_BACKLOG_BYTES {
-                    laggards.push(id);
-                    continue;
-                }
-                let Some(handle) = lane.handle.upgrade() else {
+                let unacked = lane.in_flight().map_or(0, |b| b.bytes);
+                let full = !sync && unacked + bytes > MAX_BACKLOG_BYTES;
+                let Some(handle) = lane.handle.upgrade().filter(|_| !full) else {
                     laggards.push(id);
                     continue;
                 };
                 let seq = lane.next_seq;
                 lane.next_seq += 1;
-                if sync {
-                    lane.sync_seq = Some(seq);
-                    lane.sync_outrun = false;
-                }
-                // Nothing gates on an out-of-sync lane, and its backlog
-                // was written off when it was dropped.
-                if lane.synced {
-                    lane.pending.insert(seq, (bytes, gate));
-                    lane.backlog_bytes += bytes;
-                }
+                let held = (bytes, gate);
+                lane.on(LaneEvent::Took { seq, sync, held });
                 targets.push((seq, id, lane.node, handle));
             }
             let gate = gate.filter(|_| !targets.is_empty());
@@ -534,7 +679,7 @@ impl RegionServer {
             (gate, targets)
         };
         for lane in laggards {
-            self.begin_lane_drop(lane);
+            self.lane_event(lane, LaneEvent::Lagging);
         }
         if targets.is_empty() {
             return None;
@@ -595,44 +740,59 @@ impl RegionServer {
     /// Declares the lane out of sync if `seq` is still unacked when the
     /// fixed timeout fires (a dead or partitioned backup must not hold
     /// client acks forever — but un-gating waits for the master's ack,
-    /// see [`RegionServer::begin_lane_drop`]).
+    /// see [`RegionServer::lane_event`]).
     fn schedule_ack_timeout(self: &Rc<Self>, lane: LaneId, seq: u64) {
         let weak = Rc::downgrade(self);
         self.sim.schedule_in(ACK_TIMEOUT, move || {
-            let Some(this) = weak.upgrade() else { return };
-            if !this.alive.get() {
-                return;
-            }
-            let unacked =
-                |l: &ReplLane| l.synced && !l.drop_pending && l.pending.contains_key(&seq);
-            if this.lane_is(lane, unacked) {
-                this.begin_lane_drop(lane);
+            if let Some(this) = weak.upgrade().filter(|this| this.alive.get()) {
+                this.lane_event(lane, LaneEvent::AckTimeout(seq));
             }
         });
     }
 
-    /// Starts taking a lane out of sync: report it to the master and
-    /// only release the lane's gates once the master acked. The report
-    /// is the fencing point — the master now considers the backup
-    /// ineligible for promotion, so acking clients without its coverage
-    /// is sound. A primary partitioned from the master never receives
-    /// the ack, never un-gates, and therefore never acks a write an
-    /// eligible backup is missing.
-    fn begin_lane_drop(self: &Rc<Self>, id: LaneId) {
-        {
+    /// Puts `event` to the lane `id` names, if its group still stands
+    /// under that epoch, and does what the lane asks for. Taking a lane
+    /// out of sync starts with a report to the master, and the lane's
+    /// gates only release once the master acked it: the report is the
+    /// fencing point — the master now considers the backup ineligible
+    /// for promotion, so acking clients without its coverage is sound. A
+    /// primary partitioned from the master never receives the ack, never
+    /// un-gates, and therefore never acks a write an eligible backup is
+    /// missing.
+    fn lane_event(self: &Rc<Self>, id: LaneId, event: LaneEvent) {
+        let LaneId { region, backup, .. } = id;
+        let (action, finishes) = {
             let mut repl = self.repl.borrow_mut();
-            let lane = repl.group_of(id).and_then(|g| g.lane_mut(id.backup));
-            let Some(lane) = lane.filter(|l| l.synced && !l.drop_pending) else {
+            let Some(group) = repl.group_of(id) else {
                 return;
             };
-            lane.drop_pending = true;
+            match group.lane_mut(backup).map(|l| l.on(event)) {
+                Some(LaneAction::Release(gates)) => (None, group.release(backup, gates)),
+                action => (action, Vec::new()),
+            }
+        };
+        resolve(finishes, Ok(()));
+        match action {
+            Some(LaneAction::Report) => {
+                self.repl_stats.lane_drops.inc();
+                self.event("replication.lane_unsynced", move |line| {
+                    write!(line, "region={region} backup={backup}")
+                });
+                self.report_lane_unsynced(id);
+            }
+            Some(LaneAction::Resynced) => {
+                self.event("replication.lane_resynced", move |line| {
+                    write!(line, "region={region} backup={backup}")
+                });
+                if let Some(master) = self.master.borrow().clone() {
+                    self.net.send(self.node, master.node(), 48, move || {
+                        master.replica_synced(region, id.epoch, backup);
+                    });
+                }
+            }
+            _ => {}
         }
-        self.repl_stats.lane_drops.inc();
-        let (region, backup) = (id.region, id.backup);
-        self.event("replication.lane_unsynced", move |line| {
-            write!(line, "region={region} backup={backup}")
-        });
-        self.report_lane_unsynced(id);
+        self.update_repl_gauges();
     }
 
     /// Sends (and re-sends on a fixed period until the master's ack
@@ -644,7 +804,7 @@ impl RegionServer {
             self.finish_lane_drop(lane, false);
             return;
         };
-        if !self.lane_is(lane, |l| l.drop_pending) {
+        if !self.lane_is(lane, |l| matches!(l.state, LaneState::Unsyncing(_))) {
             return;
         }
         let master_node = master.node();
@@ -663,10 +823,8 @@ impl RegionServer {
         });
         let weak = Rc::downgrade(self);
         self.sim.schedule_in(REPORT_RETRY, move || {
-            if let Some(this) = weak.upgrade() {
-                if this.alive.get() {
-                    this.report_lane_unsynced(lane);
-                }
+            if let Some(this) = weak.upgrade().filter(|this| this.alive.get()) {
+                this.report_lane_unsynced(lane);
             }
         });
     }
@@ -680,33 +838,11 @@ impl RegionServer {
         if !self.alive.get() {
             return;
         }
-        if stale {
-            if self.repl.borrow_mut().group_of(id).is_some() {
-                self.fence_group(id.region, id.epoch + 1);
-            }
-            return;
+        if !stale {
+            self.lane_event(id, LaneEvent::ReportAcked);
+        } else if self.repl.borrow_mut().group_of(id).is_some() {
+            self.fence_group(id.region, id.epoch + 1);
         }
-        let backup = id.backup;
-        let finishes = {
-            let mut repl = self.repl.borrow_mut();
-            let Some(group) = repl.group_of(id) else {
-                return;
-            };
-            let Some(lane) = group.lane_mut(backup).filter(|l| l.drop_pending) else {
-                return;
-            };
-            lane.drop_pending = false;
-            lane.synced = false;
-            lane.sync_seq = None;
-            lane.pending.clear();
-            lane.backlog_bytes = 0;
-            for gate in group.gates.values_mut() {
-                gate.waiting.retain(|b| *b != backup);
-            }
-            group.drain_ready_gates()
-        };
-        resolve(finishes, Ok(()));
-        self.update_repl_gauges();
     }
 
     /// Attaches the completion of a gated client ack to its gate (the
@@ -744,50 +880,11 @@ impl RegionServer {
         match ack {
             ReplAck::Applied(seq) => {
                 self.repl_stats.acks.inc();
-                let (finishes, resynced) = {
-                    let mut repl = self.repl.borrow_mut();
-                    let Some(group) = repl.group_of(id) else {
-                        return;
-                    };
-                    let Some(lane) = group.lane_mut(id.backup) else {
-                        return;
-                    };
-                    let mut resynced = false;
-                    if lane.sync_seq == Some(seq) {
-                        lane.sync_seq = None;
-                        if !lane.synced && !lane.drop_pending && !lane.sync_outrun {
-                            lane.synced = true;
-                            resynced = true;
-                        }
-                    }
-                    let unacked = lane.pending.split_off(&(seq + 1));
-                    let acked = std::mem::replace(&mut lane.pending, unacked);
-                    let acked_bytes: usize = acked.values().map(|(bytes, _)| bytes).sum();
-                    lane.backlog_bytes = lane.backlog_bytes.saturating_sub(acked_bytes);
-                    for gate in acked.values().filter_map(|(_, gate)| *gate) {
-                        if let Some(gate) = group.gates.get_mut(&gate) {
-                            gate.waiting.retain(|b| *b != id.backup);
-                        }
-                    }
-                    (group.drain_ready_gates(), resynced)
-                };
-                resolve(finishes, Ok(()));
-                if resynced {
-                    self.event("replication.lane_resynced", move |line| {
-                        write!(line, "region={} backup={}", id.region, id.backup)
-                    });
-                    if let Some(master) = self.master.borrow().clone() {
-                        let node = self.node;
-                        self.net.send(node, master.node(), 48, move || {
-                            master.replica_synced(id.region, id.epoch, id.backup);
-                        });
-                    }
-                }
-                self.update_repl_gauges();
+                self.lane_event(id, LaneEvent::Applied(seq));
             }
             ReplAck::Gap => {
                 self.repl_stats.nacks.inc();
-                self.begin_lane_drop(id);
+                self.lane_event(id, LaneEvent::Gap);
             }
             ReplAck::Stale(newer) => {
                 self.repl_stats.nacks.inc();
@@ -815,14 +912,8 @@ impl RegionServer {
                 return;
             }
             group.fenced = true;
-            // Nothing is in flight on a fenced group's lanes: a report
-            // or sync left pending here would be retried for good.
             for lane in group.lanes.iter_mut() {
-                lane.pending.clear();
-                lane.backlog_bytes = 0;
-                lane.synced = false;
-                lane.drop_pending = false;
-                lane.sync_seq = None;
+                lane.on(LaneEvent::Fenced);
             }
             group.take_all_gates()
         };
@@ -1023,11 +1114,10 @@ impl RegionServer {
             // lint:allow(CD001, reason = "regions and probes are only collected here; both are sorted below before any send, so hash order never reaches the network")
             for (&region, group) in repl.groups.iter().filter(|(_, g)| !g.fenced) {
                 // Lanes with neither a report nor a sync outstanding.
-                let lanes = group.lanes.iter();
-                for lane in lanes.filter(|l| !l.drop_pending && l.sync_seq.is_none()) {
-                    if !lane.synced {
+                for lane in &group.lanes {
+                    if lane.state == LaneState::OutOfSync {
                         due.push(region);
-                    } else if lane.pending.is_empty() {
+                    } else if lane.is_idle_in_sync() {
                         if let Some(handle) = lane.handle.upgrade() {
                             let (epoch, backup) = (group.epoch, lane.backup);
                             let id = LaneId {
@@ -1102,14 +1192,293 @@ impl RegionServer {
         let mut lag = 0u64;
         // lint:allow(CD001, reason = "order-independent reduction: a sum and a max over all lanes, both commutative")
         for group in repl.groups.values() {
-            for lane in &group.lanes {
-                backlog += lane.backlog_bytes as u64;
-                if lane.synced {
-                    lag = lag.max(lane.pending.len() as u64);
-                }
+            for b in group.lanes.iter().filter_map(ReplLane::in_flight) {
+                backlog += b.bytes as u64;
+                lag = lag.max(b.pending.len() as u64);
             }
         }
         self.repl_stats.backlog_bytes.set(backlog);
         self.repl_stats.lag.set(lag);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::LaneAction::{Nothing, Release, Report, Resynced};
+    use super::LaneEvent::{
+        AckTimeout, Applied, Fenced, Gap, Lagging, PassedBy, ReportAcked, Took,
+    };
+    use super::LaneState::{InSync, OutOfSync, Syncing, Unsyncing};
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A lane in `state` that has handed out sequence numbers 0..=8.
+    fn lane(state: LaneState) -> ReplLane {
+        ReplLane {
+            next_seq: 9,
+            state,
+            ..ReplLane::new(ServerId(1), NodeId(1), Weak::new())
+        }
+    }
+
+    fn in_flight(pending: &[(u64, usize, Option<u64>)], refresh: Option<u64>) -> InFlight {
+        InFlight {
+            pending: pending.iter().map(|(s, b, g)| (*s, (*b, *g))).collect(),
+            bytes: pending.iter().map(|(_, b, _)| b).sum(),
+            refresh,
+        }
+    }
+
+    /// Every (state, event) pair, what it leaves the lane in and what it
+    /// asks of the caller — `None` where the pair cannot happen and `on`
+    /// panics. A pair missing from the table fails the count at the end.
+    #[test]
+    fn every_pair_of_state_and_event_is_in_the_table() {
+        // Write-set 5 under gate 0, refresh sync 6, write-set 8 under
+        // gate 1; then what `Applied(6)` leaves of it; then nothing.
+        let full = || {
+            in_flight(
+                &[(5, 100, Some(0)), (6, 40, None), (8, 60, Some(1))],
+                Some(6),
+            )
+        };
+        let tail = || in_flight(&[(8, 60, Some(1))], None);
+        let idle = || in_flight(&[], None);
+        let syncing = |outrun| Syncing { seq: 7, outrun };
+        let took = |sync, gate| Took {
+            seq: 9,
+            sync,
+            held: (30, gate),
+        };
+        let with_9 = |gate, refresh| {
+            let mut pending = vec![(5, 100, Some(0)), (6, 40, None), (8, 60, Some(1))];
+            pending.push((9, 30, gate));
+            in_flight(&pending, refresh)
+        };
+        type Row = (LaneState, LaneEvent, Option<(LaneState, LaneAction)>);
+        let table: Vec<Row> = vec![
+            // Out of sync: a sync starts the way in, all else is ignored.
+            (
+                OutOfSync,
+                took(true, None),
+                Some((
+                    Syncing {
+                        seq: 9,
+                        outrun: false,
+                    },
+                    Nothing,
+                )),
+            ),
+            (OutOfSync, took(false, Some(2)), None),
+            (OutOfSync, PassedBy, Some((OutOfSync, Nothing))),
+            (OutOfSync, Applied(7), Some((OutOfSync, Nothing))),
+            (OutOfSync, Gap, Some((OutOfSync, Nothing))),
+            (OutOfSync, AckTimeout(7), Some((OutOfSync, Nothing))),
+            (OutOfSync, Lagging, Some((OutOfSync, Nothing))),
+            (OutOfSync, ReportAcked, Some((OutOfSync, Nothing))),
+            (OutOfSync, Fenced, Some((OutOfSync, Nothing))),
+            // Syncing: only the ack of that sync ends it, and only a sync
+            // nothing outran brings the lane in.
+            (syncing(false), took(true, None), None),
+            (syncing(false), took(false, Some(2)), None),
+            (syncing(false), PassedBy, Some((syncing(true), Nothing))),
+            (syncing(true), PassedBy, Some((syncing(true), Nothing))),
+            (syncing(false), Applied(7), Some((InSync(idle()), Resynced))),
+            (syncing(true), Applied(7), Some((OutOfSync, Nothing))),
+            (syncing(false), Applied(6), Some((syncing(false), Nothing))),
+            (syncing(false), Applied(8), Some((syncing(false), Nothing))),
+            (syncing(false), Gap, Some((syncing(false), Nothing))),
+            (
+                syncing(false),
+                AckTimeout(7),
+                Some((syncing(false), Nothing)),
+            ),
+            (
+                syncing(false),
+                AckTimeout(6),
+                Some((syncing(false), Nothing)),
+            ),
+            (syncing(false), Lagging, Some((syncing(false), Nothing))),
+            (syncing(false), ReportAcked, Some((syncing(false), Nothing))),
+            (syncing(true), Fenced, Some((OutOfSync, Nothing))),
+            // In sync: everything is booked, acks release gates, and
+            // whatever says the backup is behind starts the report.
+            (
+                InSync(full()),
+                took(false, Some(2)),
+                Some((InSync(with_9(Some(2), Some(6))), Nothing)),
+            ),
+            (
+                InSync(full()),
+                took(true, None),
+                Some((InSync(with_9(None, Some(9))), Nothing)),
+            ),
+            (InSync(full()), PassedBy, Some((InSync(full()), Nothing))),
+            (
+                InSync(full()),
+                Applied(6),
+                Some((InSync(tail()), Release(vec![0]))),
+            ),
+            (
+                InSync(full()),
+                Applied(4),
+                Some((InSync(full()), Release(vec![]))),
+            ),
+            (
+                InSync(full()),
+                Applied(8),
+                Some((InSync(in_flight(&[], Some(6))), Release(vec![0, 1]))),
+            ),
+            (InSync(full()), Gap, Some((Unsyncing(full()), Report))),
+            (
+                InSync(full()),
+                AckTimeout(5),
+                Some((Unsyncing(full()), Report)),
+            ),
+            (
+                InSync(tail()),
+                AckTimeout(5),
+                Some((InSync(tail()), Nothing)),
+            ),
+            (InSync(full()), Lagging, Some((Unsyncing(full()), Report))),
+            (InSync(full()), ReportAcked, Some((InSync(full()), Nothing))),
+            (InSync(full()), Fenced, Some((OutOfSync, Nothing))),
+            // Unsyncing: nothing ships, late acks still release, and the
+            // master's answer writes the rest off.
+            (Unsyncing(full()), took(true, None), None),
+            (Unsyncing(full()), took(false, Some(2)), None),
+            (
+                Unsyncing(full()),
+                PassedBy,
+                Some((Unsyncing(full()), Nothing)),
+            ),
+            (
+                Unsyncing(full()),
+                Applied(6),
+                Some((Unsyncing(tail()), Release(vec![0]))),
+            ),
+            (Unsyncing(full()), Gap, Some((Unsyncing(full()), Nothing))),
+            (
+                Unsyncing(full()),
+                AckTimeout(5),
+                Some((Unsyncing(full()), Nothing)),
+            ),
+            (
+                Unsyncing(full()),
+                Lagging,
+                Some((Unsyncing(full()), Nothing)),
+            ),
+            (
+                Unsyncing(full()),
+                ReportAcked,
+                Some((OutOfSync, Release(vec![0, 1]))),
+            ),
+            (
+                Unsyncing(idle()),
+                ReportAcked,
+                Some((OutOfSync, Release(vec![]))),
+            ),
+            (Unsyncing(full()), Fenced, Some((OutOfSync, Nothing))),
+        ];
+        let state_kind = |s: &LaneState| match s {
+            OutOfSync => 0,
+            Syncing { .. } => 1,
+            InSync(_) => 2,
+            Unsyncing(_) => 3,
+        };
+        let event_kind = |e: &LaneEvent| match e {
+            Took { .. } => 0,
+            PassedBy => 1,
+            Applied(_) => 2,
+            Gap => 3,
+            AckTimeout(_) => 4,
+            Lagging => 5,
+            ReportAcked => 6,
+            Fenced => 7,
+        };
+        let mut pairs = BTreeSet::new();
+        for (state, event, expected) in table {
+            pairs.insert((state_kind(&state), event_kind(&event)));
+            let pair = format!("{state:?} on {event:?}");
+            let mut lane = lane(state);
+            match expected {
+                Some((next, action)) => {
+                    assert_eq!(lane.on(event), action, "{pair}: action");
+                    assert_eq!(lane.state, next, "{pair}: next state");
+                }
+                None => {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| lane.on(event)));
+                    assert!(outcome.is_err(), "{pair}: should be unreachable");
+                }
+            }
+        }
+        assert_eq!(pairs.len(), 4 * 8, "a (state, event) pair has no row");
+    }
+
+    proptest! {
+        /// Any sequence of events `ship()` and the network can put to a
+        /// lane keeps it consistent, keeps the gates waiting on it exactly
+        /// those an in-sync or reported lane holds, and brings it in only
+        /// by the ack of a sync that nothing outran.
+        #[test]
+        fn random_events_keep_a_lane_consistent(
+            steps in prop::collection::vec((0u8..10, any::<u8>(), 1usize..5000), 1..200),
+        ) {
+            let mut lane = ReplLane::new(ServerId(1), NodeId(1), Weak::new());
+            // The gates of the lane's group that wait on this lane.
+            let mut waiting = BTreeSet::new();
+            let mut next_gate = 0u64;
+            for (kind, arg, bytes) in steps {
+                let some_seq = u64::from(arg) % (lane.next_seq + 1);
+                let sync = kind == 2;
+                let event = match kind {
+                    // `ship()`: ask, then tell.
+                    0..=2 if lane.takes(sync, arg % 2 == 1) => {
+                        let gate = (!sync).then_some(next_gate);
+                        waiting.extend(gate);
+                        next_gate += 1;
+                        lane.next_seq += 1;
+                        Took { seq: lane.next_seq - 1, sync, held: (bytes, gate) }
+                    }
+                    0 | 1 => PassedBy,
+                    2 => continue,
+                    3 | 4 => Applied(some_seq),
+                    5 => Gap,
+                    6 => AckTimeout(some_seq),
+                    7 => Lagging,
+                    8 => ReportAcked,
+                    _ => Fenced,
+                };
+                let syncing = match lane.state {
+                    Syncing { seq, outrun } => Some((seq, outrun)),
+                    _ => None,
+                };
+                let was_in = matches!(lane.state, InSync(_));
+                match lane.on(event) {
+                    Release(gates) => {
+                        for gate in gates {
+                            prop_assert!(waiting.remove(&gate), "gate {gate} released twice");
+                        }
+                    }
+                    // The group takes every gate when it is fenced.
+                    _ if matches!(event, Fenced) => waiting.clear(),
+                    _ => {}
+                }
+                prop_assert!(lane.is_consistent(), "{:?} after {event:?}", lane.state);
+                let held: BTreeSet<u64> = lane
+                    .in_flight()
+                    .map(|b| b.pending.values().filter_map(|(_, gate)| *gate).collect())
+                    .unwrap_or_default();
+                prop_assert_eq!(&held, &waiting, "{:?} after {:?}", lane.state, event);
+                if !was_in && matches!(lane.state, InSync(_)) {
+                    let Applied(acked) = event else {
+                        return Err(TestCaseError::fail(format!("{event:?} brought a lane in")));
+                    };
+                    prop_assert_eq!(syncing, Some((acked, false)));
+                }
+            }
+        }
     }
 }
