@@ -284,6 +284,13 @@ impl ReplLane {
             (S::InSync(b), E::AckTimeout(seq)) if b.pending.contains_key(&seq) => {
                 (S::Unsyncing(b), A::Report)
             }
+            // The sync was lost. Nothing gates on the lane and the master
+            // holds its backup ineligible until it is told otherwise, so
+            // there is nothing to report: the next re-sync tick cuts a
+            // fresh sync, and a late ack for this one flips nothing.
+            (S::Syncing { seq, .. }, E::AckTimeout(lost)) if lost == seq => {
+                (S::OutOfSync, A::Nothing)
+            }
             // Written off: every gate the lane still held lets go.
             (S::Unsyncing(mut b), E::ReportAcked) => (S::OutOfSync, A::Release(b.ack(u64::MAX))),
             // Nothing is in flight on a fenced group's lanes: a report
@@ -1011,7 +1018,7 @@ impl RegionServer {
     /// re-sync tick. This is how a quiesced stale primary (nothing in
     /// flight when a partition cut it off, so no ack timeout ever fired)
     /// discovers a promotion it slept through and fences itself.
-    fn probe_epoch(&self, region: RegionId, epoch: u64, reply: Box<dyn FnOnce(ReplAck)>) {
+    fn probe_epoch(self: &Rc<Self>, region: RegionId, epoch: u64, reply: Box<dyn FnOnce(ReplAck)>) {
         if !self.alive.get() {
             return;
         }
@@ -1033,22 +1040,23 @@ impl RegionServer {
         }
     }
 
-    /// A ship addressed to a region this server now hosts as *primary*
-    /// can only come from a stale ex-primary: fence it with this group's
-    /// epoch (or one past the sender's, if the group is not established
-    /// yet).
-    fn fence_check(&self, region: RegionId, epoch: u64) -> Option<ReplAck> {
+    /// A ship addressed to a region this server hosts as *primary* comes
+    /// from a stale ex-primary — unless its group is the younger one: then
+    /// the stale ex-primary is this server (it was promoted away from
+    /// behind a partition, and the master has since made it a backup), so
+    /// it fences itself and takes the element as any backup would. The
+    /// sender is fenced with this group's epoch (or one past its own, if
+    /// the group is not established yet).
+    fn fence_check(self: &Rc<Self>, region: RegionId, epoch: u64) -> Option<ReplAck> {
         if !self.regions.borrow().contains_key(&region) {
             return None;
         }
-        let newer = self
-            .repl
-            .borrow()
-            .groups
-            .get(&region)
-            .map(|g| g.epoch)
-            .unwrap_or(epoch + 1)
-            .max(epoch + 1);
+        let own = self.repl.borrow().groups.get(&region).map(|g| g.epoch);
+        if own.is_some_and(|own| own < epoch) {
+            self.fence_group(region, epoch);
+            return None;
+        }
+        let newer = own.unwrap_or(epoch + 1).max(epoch + 1);
         self.repl_stats.fences.inc();
         self.event("replication.fence", move |line| {
             write!(line, "region={region} stale_epoch={epoch} newer={newer}")
@@ -1258,19 +1266,10 @@ mod tests {
             in_flight(&pending, refresh)
         };
         type Row = (LaneState, LaneEvent, Option<(LaneState, LaneAction)>);
+        #[rustfmt::skip]
         let table: Vec<Row> = vec![
             // Out of sync: a sync starts the way in, all else is ignored.
-            (
-                OutOfSync,
-                took(true, None),
-                Some((
-                    Syncing {
-                        seq: 9,
-                        outrun: false,
-                    },
-                    Nothing,
-                )),
-            ),
+            (OutOfSync, took(true, None), Some((Syncing { seq: 9, outrun: false }, Nothing))),
             (OutOfSync, took(false, Some(2)), None),
             (OutOfSync, PassedBy, Some((OutOfSync, Nothing))),
             (OutOfSync, Applied(7), Some((OutOfSync, Nothing))),
@@ -1279,8 +1278,8 @@ mod tests {
             (OutOfSync, Lagging, Some((OutOfSync, Nothing))),
             (OutOfSync, ReportAcked, Some((OutOfSync, Nothing))),
             (OutOfSync, Fenced, Some((OutOfSync, Nothing))),
-            // Syncing: only the ack of that sync ends it, and only a sync
-            // nothing outran brings the lane in.
+            // Syncing: only the ack of that sync or its timeout ends it,
+            // and only a sync nothing outran brings the lane in.
             (syncing(false), took(true, None), None),
             (syncing(false), took(false, Some(2)), None),
             (syncing(false), PassedBy, Some((syncing(true), Nothing))),
@@ -1290,58 +1289,23 @@ mod tests {
             (syncing(false), Applied(6), Some((syncing(false), Nothing))),
             (syncing(false), Applied(8), Some((syncing(false), Nothing))),
             (syncing(false), Gap, Some((syncing(false), Nothing))),
-            (
-                syncing(false),
-                AckTimeout(7),
-                Some((syncing(false), Nothing)),
-            ),
-            (
-                syncing(false),
-                AckTimeout(6),
-                Some((syncing(false), Nothing)),
-            ),
+            (syncing(false), AckTimeout(7), Some((OutOfSync, Nothing))),
+            (syncing(true), AckTimeout(7), Some((OutOfSync, Nothing))),
+            (syncing(false), AckTimeout(6), Some((syncing(false), Nothing))),
             (syncing(false), Lagging, Some((syncing(false), Nothing))),
             (syncing(false), ReportAcked, Some((syncing(false), Nothing))),
             (syncing(true), Fenced, Some((OutOfSync, Nothing))),
             // In sync: everything is booked, acks release gates, and
             // whatever says the backup is behind starts the report.
-            (
-                InSync(full()),
-                took(false, Some(2)),
-                Some((InSync(with_9(Some(2), Some(6))), Nothing)),
-            ),
-            (
-                InSync(full()),
-                took(true, None),
-                Some((InSync(with_9(None, Some(9))), Nothing)),
-            ),
+            (InSync(full()), took(false, Some(2)), Some((InSync(with_9(Some(2), Some(6))), Nothing))),
+            (InSync(full()), took(true, None), Some((InSync(with_9(None, Some(9))), Nothing))),
             (InSync(full()), PassedBy, Some((InSync(full()), Nothing))),
-            (
-                InSync(full()),
-                Applied(6),
-                Some((InSync(tail()), Release(vec![0]))),
-            ),
-            (
-                InSync(full()),
-                Applied(4),
-                Some((InSync(full()), Release(vec![]))),
-            ),
-            (
-                InSync(full()),
-                Applied(8),
-                Some((InSync(in_flight(&[], Some(6))), Release(vec![0, 1]))),
-            ),
+            (InSync(full()), Applied(6), Some((InSync(tail()), Release(vec![0])))),
+            (InSync(full()), Applied(4), Some((InSync(full()), Release(vec![])))),
+            (InSync(full()), Applied(8), Some((InSync(in_flight(&[], Some(6))), Release(vec![0, 1])))),
             (InSync(full()), Gap, Some((Unsyncing(full()), Report))),
-            (
-                InSync(full()),
-                AckTimeout(5),
-                Some((Unsyncing(full()), Report)),
-            ),
-            (
-                InSync(tail()),
-                AckTimeout(5),
-                Some((InSync(tail()), Nothing)),
-            ),
+            (InSync(full()), AckTimeout(5), Some((Unsyncing(full()), Report))),
+            (InSync(tail()), AckTimeout(5), Some((InSync(tail()), Nothing))),
             (InSync(full()), Lagging, Some((Unsyncing(full()), Report))),
             (InSync(full()), ReportAcked, Some((InSync(full()), Nothing))),
             (InSync(full()), Fenced, Some((OutOfSync, Nothing))),
@@ -1349,37 +1313,13 @@ mod tests {
             // master's answer writes the rest off.
             (Unsyncing(full()), took(true, None), None),
             (Unsyncing(full()), took(false, Some(2)), None),
-            (
-                Unsyncing(full()),
-                PassedBy,
-                Some((Unsyncing(full()), Nothing)),
-            ),
-            (
-                Unsyncing(full()),
-                Applied(6),
-                Some((Unsyncing(tail()), Release(vec![0]))),
-            ),
+            (Unsyncing(full()), PassedBy, Some((Unsyncing(full()), Nothing))),
+            (Unsyncing(full()), Applied(6), Some((Unsyncing(tail()), Release(vec![0])))),
             (Unsyncing(full()), Gap, Some((Unsyncing(full()), Nothing))),
-            (
-                Unsyncing(full()),
-                AckTimeout(5),
-                Some((Unsyncing(full()), Nothing)),
-            ),
-            (
-                Unsyncing(full()),
-                Lagging,
-                Some((Unsyncing(full()), Nothing)),
-            ),
-            (
-                Unsyncing(full()),
-                ReportAcked,
-                Some((OutOfSync, Release(vec![0, 1]))),
-            ),
-            (
-                Unsyncing(idle()),
-                ReportAcked,
-                Some((OutOfSync, Release(vec![]))),
-            ),
+            (Unsyncing(full()), AckTimeout(5), Some((Unsyncing(full()), Nothing))),
+            (Unsyncing(full()), Lagging, Some((Unsyncing(full()), Nothing))),
+            (Unsyncing(full()), ReportAcked, Some((OutOfSync, Release(vec![0, 1])))),
+            (Unsyncing(idle()), ReportAcked, Some((OutOfSync, Release(vec![])))),
             (Unsyncing(full()), Fenced, Some((OutOfSync, Nothing))),
         ];
         let state_kind = |s: &LaneState| match s {

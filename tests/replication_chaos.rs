@@ -171,8 +171,9 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
 /// Partition (do not crash) a primary mid-commit: its session expires
 /// and a backup is promoted behind the partition. The stale primary must
 /// fence itself once the partition heals — its in-flight commit acks
-/// fail with the `WrongRegion` refresh path rather than succeeding — and
-/// no acknowledged transfer may be lost.
+/// fail with the `WrongRegion` refresh path rather than succeeding — it
+/// must then serve as the backup the master made it, and no acknowledged
+/// transfer may be lost.
 #[test]
 fn partitioned_primary_is_fenced_after_promotion() {
     let mut digests = Vec::new();
@@ -209,15 +210,26 @@ fn partitioned_primary_is_fenced_after_promotion() {
             cluster.servers[0].replication_stats().fenced.get() > 0,
             "shift {shift}: stale primary never fenced itself"
         );
+        // The master has since made it a backup of those regions, and it
+        // still holds their state as a fenced ex-primary: the syncs the
+        // rightful primaries send it must not fence *them*.
+        for rightful in &cluster.servers[1..] {
+            assert_eq!(
+                rightful.replication_stats().fenced.get(),
+                0,
+                "shift {shift}: {} was fenced by the ex-primary it replicates to",
+                rightful.id()
+            );
+        }
         audit_balances(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
     }
     assert_eq!(
         digests,
         [
-            15_195_232_549_954_324_824,
-            14_141_992_100_199_907_470,
-            11_135_433_272_678_236_333
+            15_814_752_995_506_055_332,
+            1_244_631_672_439_703_849,
+            7_843_418_059_929_619_064
         ],
         "replication digest per run"
     );
@@ -266,7 +278,73 @@ fn fenced_primary_stops_reporting_its_lanes() {
     audit_balances(&cluster, "fenced, quiet");
     assert_eq!(
         replication_digest(&cluster),
-        2_378_430_010_599_063_061,
+        763_765_515_386_028_823,
+        "replication digest"
+    );
+}
+
+/// A full-state sync lost on an *out-of-sync* lane must be retried. The
+/// first re-sync tick ships every lane its first sync; a short cut
+/// between servers 0 and 1 swallows the ones between them. Nothing gates
+/// on such a lane and the master holds its backup ineligible anyway, so
+/// losing the sync is safe — but a primary that went on waiting for the
+/// lost sync's ack and shipped no other left the lane out until the next
+/// re-establish: no replica, and a crash of either server a replay. The
+/// ack timeout must give the lane back to the re-sync tick: every lane is
+/// in within two re-sync intervals of the heal, and the crash of server 0
+/// is then a promotion.
+#[test]
+fn a_sync_lost_on_an_out_of_sync_lane_is_retried() {
+    // The server's re-sync period (`RESYNC_INTERVAL`).
+    let resync_interval = SimDuration::from_secs(2);
+    let cluster = Cluster::build(replicated_config(8505));
+    let node = |i: usize| cluster.servers[i].node();
+    let resynced = || cluster.events.count("replication.lane_resynced");
+    let lanes = 6; // one backup for each of six regions
+    let shipped = run_until(
+        &cluster,
+        SimDuration::from_micros(10),
+        resync_interval * 2,
+        || cluster.events.count("replication.sync") > 0,
+    );
+    assert!(shipped, "no lane was shipped a first sync");
+    cluster.net.partition(node(0), node(1));
+    cluster.run_for(SimDuration::from_millis(100));
+    cluster.net.heal(node(0), node(1));
+    assert!(
+        (1..lanes).contains(&resynced()),
+        "the cut should lose the syncs between servers 0 and 1 and no others \
+         ({} of {lanes} lanes came in)",
+        resynced()
+    );
+    cluster.run_for(resync_interval * 2);
+    assert_eq!(
+        resynced(),
+        lanes,
+        "a lane whose first sync was lost is still out two re-sync intervals after the heal"
+    );
+
+    let committed = Rc::new(Cell::new(0u32));
+    ChaosSchedule::new()
+        .at(TICK * 5, ChaosAction::CrashServer(0))
+        .run_rounds(&cluster, 20, TICK, |cluster, _| {
+            BANK.transfer_round(cluster, &committed)
+        });
+    cluster.run_for(SimDuration::from_secs(25));
+    assert!(cluster.all_regions_online(), "regions failed to converge");
+    assert!(committed.get() > 50, "too few transfers committed");
+    assert_eq!(
+        (
+            cluster.master.promotions() > 0,
+            cluster.master.fallback_replays()
+        ),
+        (true, 0),
+        "every region of server 0 had a replica to promote"
+    );
+    audit_balances(&cluster, "lost first sync");
+    assert_eq!(
+        replication_digest(&cluster),
+        8_219_882_369_730_080_884,
         "replication digest"
     );
 }
@@ -307,9 +385,9 @@ fn all_replicas_dead_falls_back_to_replay() {
     assert_eq!(
         digests,
         [
-            11_242_788_122_495_132_027,
-            12_810_325_559_740_153_338,
-            12_118_133_013_862_366_725
+            9_209_561_919_522_818_501,
+            320_023_914_112_106_167,
+            9_727_521_975_369_079_263
         ],
         "replication digest per run"
     );
