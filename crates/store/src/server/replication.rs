@@ -80,8 +80,6 @@ pub(super) enum StreamElement {
         paths: Vec<String>,
         memstore: MemStore,
     },
-    /// The primary is executing a split of the region.
-    SplitIntent { bottom: RegionId, top: RegionId },
 }
 
 impl StreamElement {
@@ -102,7 +100,6 @@ impl StreamElement {
                 96 + paths.iter().map(String::len).sum::<usize>()
                     + memstore.iter().map(cell).sum::<usize>()
             }
-            StreamElement::SplitIntent { .. } => 48,
         }
     }
 }
@@ -648,7 +645,7 @@ impl RegionServer {
             }
             // The gate a write-set's lanes hold, opened below if any lane
             // takes it.
-            let gate = matches!(element, StreamElement::WriteSet { .. }).then_some(group.next_gate);
+            let gate = (!sync).then_some(group.next_gate);
             let epoch = group.epoch;
             let mut targets: Vec<(u64, LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
             for lane in group.lanes.iter_mut() {
@@ -717,8 +714,6 @@ impl RegionServer {
                         )
                     });
                 }
-                // All header: it counts as a ship, with no payload.
-                StreamElement::SplitIntent { .. } => stats.ships.inc(),
             }
             let element = Rc::clone(&element);
             let reply = self.ack_reply(lane, node);
@@ -990,23 +985,12 @@ impl RegionServer {
                             shadow.storefile_paths = paths.clone();
                             shadow.synced = true;
                         }
-                        // Nothing on a backup reads a split intent: a
-                        // promotion racing the flip finds the intent
-                        // already rolled back by the master. It only
-                        // takes its place in the stream.
-                        StreamElement::SplitIntent { .. } => {}
                     }
                     shadow.next_seq = seq + 1;
                     ReplAck::Applied(seq)
                 }
             }
         };
-        if let (ReplAck::Applied(_), StreamElement::SplitIntent { bottom, top }) = (ack, element) {
-            let (bottom, top) = (*bottom, *top);
-            self.event("replication.split_intent", move |line| {
-                write!(line, "region={region} bottom={bottom} top={top}")
-            });
-        }
         self.note_backup_ack(region, &ack);
         reply(ack);
     }

@@ -10,7 +10,6 @@
 //! the strings [`ChangeKind`] supplies. Everything from
 //! [`RegionServer::begin_change`] on is written once.
 
-use super::replication::StreamElement;
 use super::{RegionServer, RegionState};
 use crate::memstore::MemStore;
 use crate::region::{ChangeKind, RegionDescriptor, StructureChange};
@@ -431,14 +430,6 @@ impl RegionServer {
         self.event(kind.pick("split.execute", "merge.execute"), move |line| {
             line.write_str(&journal_change.label())
         });
-        // Tell the backups a split intent is executing. Nothing there
-        // reads it yet — the master rolls the intent back before it
-        // promotes a shadow, so a promotion racing the flip never sees a
-        // half-split region. Merged regions are never replicated.
-        if let ([parent], [bottom, top]) = (&change.inputs[..], &change.outputs[..]) {
-            let (bottom, top) = (bottom.id, top.id);
-            self.ship(*parent, StreamElement::SplitIntent { bottom, top }, false);
-        }
         let sources: Option<Vec<(RegionDescriptor, Vec<(Rc<StoreFileData>, u32)>)>> = {
             let regions = self.regions.borrow();
             change
