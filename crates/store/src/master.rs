@@ -78,6 +78,11 @@ impl ServerDirectory {
 
 /// Retry period for regions that could not be placed (no live server).
 const ASSIGN_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// How long a promotion probe waits for the backups' answers before it
+/// concludes on those it has: long against a LAN round trip, short
+/// against the WAL split it runs beside, so a dead or partitioned backup
+/// costs the failover nothing (fixed delay, no RNG).
+const PROBE_DEADLINE: SimDuration = SimDuration::from_millis(500);
 
 /// Master tuning knobs.
 #[derive(Copy, Clone, Debug, Default)]
@@ -1223,7 +1228,6 @@ impl Master {
     /// just died: ask every live backup for its shadow state, conclude on
     /// the last reply or a fixed deadline, whichever first.
     fn begin_promotion_probe(self: &Rc<Self>, region: RegionId, failed: ServerId) {
-        const PROBE_DEADLINE: SimDuration = SimDuration::from_millis(500);
         let backups: Vec<Rc<RegionServer>> = self
             .region_map
             .borrow()

@@ -30,6 +30,11 @@ const MAX_BACKLOG_BYTES: usize = 8 << 20;
 /// How long the primary waits for a backup's ack before declaring
 /// the lane out of sync (fixed delay, no RNG).
 const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(1500);
+/// Period on which an unsync report is re-sent until the master's answer
+/// lands: the lane's gates hold client acks for as long, so it is short
+/// against [`ACK_TIMEOUT`], yet long against a LAN round trip — a
+/// healthy master answers the first send (fixed delay, no RNG).
+const REPORT_RETRY: SimDuration = SimDuration::from_millis(400);
 /// Period of the re-sync timer that ships full region state to
 /// out-of-sync lanes. Fixed phase — no RNG jitter (see the
 /// compaction timer note).
@@ -800,7 +805,6 @@ impl RegionServer {
     /// Sends (and re-sends on a fixed period until the master's ack
     /// lands) the ineligibility report for an out-of-sync lane.
     fn report_lane_unsynced(self: &Rc<Self>, lane: LaneId) {
-        const REPORT_RETRY: SimDuration = SimDuration::from_millis(400);
         let Some(master) = self.master.borrow().clone() else {
             // No master wiring (unit tests): release locally.
             self.finish_lane_drop(lane, false);
