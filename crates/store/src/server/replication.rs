@@ -153,9 +153,6 @@ struct InFlight {
     pending: BTreeMap<u64, (usize, Option<u64>)>,
     /// The payload bytes of `pending`, summed.
     bytes: usize,
-    /// The newest re-baselining sync still unacked. It only holds back
-    /// the idle epoch probe.
-    refresh: Option<u64>,
 }
 
 impl InFlight {
@@ -165,7 +162,6 @@ impl InFlight {
         let unacked = self.pending.split_off(&seq.saturating_add(1));
         let acked = std::mem::replace(&mut self.pending, unacked);
         self.bytes -= acked.values().map(|(bytes, _)| bytes).sum::<usize>();
-        self.refresh = self.refresh.filter(|sync| *sync != seq);
         acked.into_values().filter_map(|(_, gate)| gate).collect()
     }
 }
@@ -183,7 +179,9 @@ enum LaneState {
     /// carries it, so the ack must leave the lane out and the next
     /// re-sync tick tries again.
     Syncing { seq: u64, outrun: bool },
-    /// Every element ships and client acks gate on the lane.
+    /// Every element ships and client acks gate on the lane. A sync it
+    /// takes is booked like a write-set, so the idle epoch probe waits
+    /// for a refresh's ack with everything else unacked.
     InSync(InFlight),
     /// An unsync report to the master is in flight and nothing ships;
     /// gates still hold until the master acks (the report is the fencing
@@ -263,10 +261,9 @@ impl ReplLane {
             (S::OutOfSync, E::Took { seq, sync, .. }) if sync => {
                 (S::Syncing { seq, outrun: false }, A::Nothing)
             }
-            (S::InSync(mut b), E::Took { seq, sync, held }) => {
+            (S::InSync(mut b), E::Took { seq, held, .. }) => {
                 b.pending.insert(seq, held);
                 b.bytes += held.0;
-                b.refresh = if sync { Some(seq) } else { b.refresh };
                 (S::InSync(b), A::Nothing)
             }
             (S::Syncing { seq, .. }, E::PassedBy) => (S::Syncing { seq, outrun: true }, A::Nothing),
@@ -348,7 +345,7 @@ impl ReplLane {
 
     /// In sync with nothing unacked: the lane the idle epoch probe is for.
     fn is_idle_in_sync(&self) -> bool {
-        matches!(&self.state, LaneState::InSync(b) if b.pending.is_empty() && b.refresh.is_none())
+        matches!(&self.state, LaneState::InSync(b) if b.pending.is_empty())
     }
 }
 
@@ -1219,11 +1216,10 @@ mod tests {
         }
     }
 
-    fn in_flight(pending: &[(u64, usize, Option<u64>)], refresh: Option<u64>) -> InFlight {
+    fn in_flight(pending: &[(u64, usize, Option<u64>)]) -> InFlight {
         InFlight {
             pending: pending.iter().map(|(s, b, g)| (*s, (*b, *g))).collect(),
             bytes: pending.iter().map(|(_, b, _)| b).sum(),
-            refresh,
         }
     }
 
@@ -1232,26 +1228,24 @@ mod tests {
     /// panics. A pair missing from the table fails the count at the end.
     #[test]
     fn every_pair_of_state_and_event_is_in_the_table() {
-        // Write-set 5 under gate 0, refresh sync 6, write-set 8 under
+        // Write-set 5 under gate 0, a sync as 6, write-set 8 under
         // gate 1; then what `Applied(6)` leaves of it; then nothing.
-        let full = || {
-            in_flight(
-                &[(5, 100, Some(0)), (6, 40, None), (8, 60, Some(1))],
-                Some(6),
-            )
-        };
-        let tail = || in_flight(&[(8, 60, Some(1))], None);
-        let idle = || in_flight(&[], None);
+        let full = || in_flight(&[(5, 100, Some(0)), (6, 40, None), (8, 60, Some(1))]);
+        let tail = || in_flight(&[(8, 60, Some(1))]);
+        let idle = || in_flight(&[]);
         let syncing = |outrun| Syncing { seq: 7, outrun };
         let took = |sync, gate| Took {
             seq: 9,
             sync,
             held: (30, gate),
         };
-        let with_9 = |gate, refresh| {
-            let mut pending = vec![(5, 100, Some(0)), (6, 40, None), (8, 60, Some(1))];
-            pending.push((9, 30, gate));
-            in_flight(&pending, refresh)
+        let with_9 = |gate| {
+            in_flight(&[
+                (5, 100, Some(0)),
+                (6, 40, None),
+                (8, 60, Some(1)),
+                (9, 30, gate),
+            ])
         };
         type Row = (LaneState, LaneEvent, Option<(LaneState, LaneAction)>);
         #[rustfmt::skip]
@@ -1285,12 +1279,12 @@ mod tests {
             (syncing(true), Fenced, Some((OutOfSync, Nothing))),
             // In sync: everything is booked, acks release gates, and
             // whatever says the backup is behind starts the report.
-            (InSync(full()), took(false, Some(2)), Some((InSync(with_9(Some(2), Some(6))), Nothing))),
-            (InSync(full()), took(true, None), Some((InSync(with_9(None, Some(9))), Nothing))),
+            (InSync(full()), took(false, Some(2)), Some((InSync(with_9(Some(2))), Nothing))),
+            (InSync(full()), took(true, None), Some((InSync(with_9(None)), Nothing))),
             (InSync(full()), PassedBy, Some((InSync(full()), Nothing))),
             (InSync(full()), Applied(6), Some((InSync(tail()), Release(vec![0])))),
             (InSync(full()), Applied(4), Some((InSync(full()), Release(vec![])))),
-            (InSync(full()), Applied(8), Some((InSync(in_flight(&[], Some(6))), Release(vec![0, 1])))),
+            (InSync(full()), Applied(8), Some((InSync(idle()), Release(vec![0, 1])))),
             (InSync(full()), Gap, Some((Unsyncing(full()), Report))),
             (InSync(full()), AckTimeout(5), Some((Unsyncing(full()), Report))),
             (InSync(tail()), AckTimeout(5), Some((InSync(tail()), Nothing))),
