@@ -404,9 +404,9 @@ impl ReplGroup {
 
     /// `backup`'s lane lets go of `gates`; returns the finish closures of
     /// whatever that completes, for the caller to [`resolve`].
-    fn release(&mut self, backup: ServerId, gates: Vec<u64>) -> Vec<Finish> {
+    fn release(&mut self, backup: ServerId, gates: &[u64]) -> Vec<Finish> {
         for gate in gates {
-            if let Some(gate) = self.gates.get_mut(&gate) {
+            if let Some(gate) = self.gates.get_mut(gate) {
                 gate.waiting.retain(|b| *b != backup);
             }
         }
@@ -770,21 +770,28 @@ impl RegionServer {
             let Some(group) = repl.group_of(id) else {
                 return;
             };
-            match group.lane_mut(backup).map(|l| l.on(event)) {
-                Some(LaneAction::Release(gates)) => (None, group.release(backup, gates)),
-                action => (action, Vec::new()),
-            }
+            let lane = group.lane_mut(backup);
+            let action = lane.map_or(LaneAction::Nothing, |l| l.on(event));
+            let finishes = match &action {
+                LaneAction::Release(gates) => group.release(backup, gates),
+                _ => Vec::new(),
+            };
+            (action, finishes)
         };
-        resolve(finishes, Ok(()));
         match action {
-            Some(LaneAction::Report) => {
+            LaneAction::Nothing => {}
+            LaneAction::Release(_) => {
+                resolve(finishes, Ok(()));
+                self.update_repl_gauges();
+            }
+            LaneAction::Report => {
                 self.repl_stats.lane_drops.inc();
                 self.event("replication.lane_unsynced", move |line| {
                     write!(line, "region={region} backup={backup}")
                 });
                 self.report_lane_unsynced(id);
             }
-            Some(LaneAction::Resynced) => {
+            LaneAction::Resynced => {
                 self.event("replication.lane_resynced", move |line| {
                     write!(line, "region={region} backup={backup}")
                 });
@@ -794,9 +801,7 @@ impl RegionServer {
                     });
                 }
             }
-            _ => {}
         }
-        self.update_repl_gauges();
     }
 
     /// Sends (and re-sends on a fixed period until the master's ack
