@@ -147,6 +147,37 @@ fn same_seed_chaos_journals_are_byte_identical() {
     assert_journal_consistent(&a);
 }
 
+/// What the fixed schedule records, kind by kind, in both journals — a
+/// record lost or gained anywhere between a component and its journal
+/// changes a row here.
+#[test]
+fn chaos_run_journal_counts_are_pinned() {
+    let cluster = chaos_run(31);
+    assert_eq!(
+        cluster.events.counts(),
+        [
+            ("log.truncate", 2),
+            ("recovery.staged", 1),
+            ("region.assign", 2),
+            ("region.online", 6),
+            ("region.recovered", 2),
+            ("region.replay_start", 2),
+            ("server.failover", 1),
+            ("threshold.tf", 5),
+            ("threshold.tp", 3),
+        ]
+    );
+    assert_eq!(
+        cluster.trace.counts(),
+        [
+            ("rpc.get", 18),
+            ("rpc.put", 25),
+            ("txn.begin", 18),
+            ("txn.commit", 18),
+        ]
+    );
+}
+
 /// Shifting the seed must change the recorded history (different
 /// timings) while every structural invariant still holds.
 #[test]
