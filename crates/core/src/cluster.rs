@@ -135,19 +135,22 @@ pub struct Cluster {
     pub server_trackers: Vec<Rc<ServerTracker>>,
     /// Transactional clients, by index.
     pub clients: Vec<TransactionalClient>,
-    /// The cluster-wide metrics registry: every component's counters and
-    /// gauges are registered here under stable names and labels, so one
-    /// [`MetricsRegistry::snapshot`] captures the whole deployment. The
-    /// aggregate views ([`Cluster::filter_totals`],
-    /// [`Cluster::compaction_totals`], …) are thin queries over it.
+    /// The run's metrics registry ([`Sim::metrics`]): every component
+    /// registered its counters and gauges there under stable names and
+    /// labels as it was built, so one [`MetricsRegistry::snapshot`]
+    /// captures the whole deployment. The aggregate views
+    /// ([`Cluster::filter_totals`], [`Cluster::compaction_totals`], …)
+    /// are thin queries over it.
     pub metrics: MetricsRegistry,
-    /// Trace journal: per-RPC service spans (`rpc.*`) and
-    /// per-transaction lifecycle spans (`txn.*`), in deterministic
-    /// simulation order. Ring-buffered; evicted records stay counted.
+    /// The run's trace journal ([`Sim::trace`]): per-RPC service spans
+    /// (`rpc.*`) and per-transaction lifecycle spans (`txn.*`), in
+    /// deterministic simulation order. Ring-buffered; evicted records
+    /// stay counted.
     pub trace: Journal,
-    /// Failure-event journal: recovery-protocol transitions (failover,
-    /// threshold advancement, split intent/flip/rollback, compaction and
-    /// flush backpressure) that chaos tests assert sequences over.
+    /// The run's failure-event journal ([`Sim::events`]):
+    /// recovery-protocol transitions (failover, threshold advancement,
+    /// split intent/flip/rollback, compaction and flush backpressure)
+    /// that chaos tests assert sequences over.
     pub events: Journal,
     probe: StoreClient,
     cfg: ClusterConfig,
@@ -174,13 +177,6 @@ impl Cluster {
     pub fn build(cfg: ClusterConfig) -> Cluster {
         let sim = Sim::new(cfg.seed);
         let net = Network::new(&sim, LatencyConfig::lan_100mbps());
-
-        // Observability: one registry + two journals shared by every
-        // component. Pure recording — nothing here draws from the RNG or
-        // schedules events, so enabling it cannot perturb a run.
-        let metrics = MetricsRegistry::new();
-        let trace = Journal::new(65_536);
-        let events = Journal::new(16_384);
 
         // Coordination service.
         let coord_node = net.add_node("coord");
@@ -209,7 +205,6 @@ impl Cluster {
         // Transaction manager on its own node.
         let tm_node = net.add_node("txn-manager");
         let tm = TransactionManager::new(&sim, tm_node);
-        tm.log().register_metrics(&metrics);
 
         // Region servers.
         let mut server_cfg = cfg.server_cfg;
@@ -252,8 +247,6 @@ impl Cluster {
                     purge_floor: horizon.min(tm_for_gc.log().truncated_below()),
                 }
             }));
-            server.set_journals(trace.clone(), events.clone());
-            server.register_metrics(&metrics);
             server.start(&server_coord);
             dir.register(Rc::clone(&server));
             servers.push(server);
@@ -272,8 +265,6 @@ impl Cluster {
             Rc::clone(&registry),
         );
         let master_coord = CoordClient::new(&net, &coord, master_node);
-        master.set_events_journal(events.clone());
-        master.register_metrics(&metrics);
         master.start(&master_coord);
 
         // Recovery manager + recovery client on their own node.
@@ -281,15 +272,12 @@ impl Cluster {
         let rc_store = StoreClient::new(&sim, &net, rm_node, &master, &dir, cfg.store_client_cfg);
         let rm_tm = TmClient::new(&net, &tm, rm_node);
         let rc = RecoveryClient::new(&sim, rc_store, rm_tm.clone());
-        rc.set_events_journal(events.clone());
         let rm_coord = CoordClient::new(&net, &coord, rm_node);
         let rm_cfg = RecoveryManagerConfig {
             tracking: cfg.tracking,
             truncation: cfg.truncation,
         };
         let rm = RecoveryManager::new(&sim, &net, rm_node, rm_coord, rm_tm, rc, rm_cfg);
-        rm.set_events_journal(events.clone());
-        rm.register_metrics(&metrics);
         rm.start();
 
         // Hook bridge + per-server trackers.
@@ -354,8 +342,6 @@ impl Cluster {
                 coord_client,
                 client_cfg,
             );
-            client.set_trace_journal(trace.clone());
-            client.register_metrics(&metrics);
             client.start();
             clients.push(client);
         }
@@ -367,6 +353,9 @@ impl Cluster {
         sim.run_for(SimDuration::from_millis(500)); // registrations settle
 
         Cluster {
+            metrics: sim.metrics().clone(),
+            trace: sim.trace().clone(),
+            events: sim.events().clone(),
             sim,
             net,
             coord,
@@ -381,9 +370,6 @@ impl Cluster {
             servers,
             server_trackers,
             clients,
-            metrics,
-            trace,
-            events,
             probe,
             cfg,
         }

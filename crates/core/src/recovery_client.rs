@@ -9,7 +9,6 @@
 //! responsibility for the replayed data.
 
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::trace::Journal;
 use cumulo_sim::Sim;
 use cumulo_store::{Mutation, RegionId, StoreClient, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
@@ -45,9 +44,6 @@ pub struct RecoveryClient {
     tm: TmClient,
     client_txns_replayed: Counter,
     region_txns_replayed: Counter,
-    /// Failure-event journal (shared cluster journal; disabled until the
-    /// cluster wiring installs one).
-    events: RefCell<Journal>,
 }
 
 impl fmt::Debug for RecoveryClient {
@@ -69,14 +65,7 @@ impl RecoveryClient {
             tm,
             client_txns_replayed: Counter::new(),
             region_txns_replayed: Counter::new(),
-            events: RefCell::new(Journal::disabled()),
         })
-    }
-
-    /// Installs the cluster-shared failure-event journal (disabled until
-    /// then).
-    pub fn set_events_journal(&self, events: Journal) {
-        *self.events.borrow_mut() = events;
     }
 
     /// The region containing `row` (static boundary lookup, used by the
@@ -138,8 +127,8 @@ impl RecoveryClient {
         done: Box<dyn FnOnce()>,
     ) {
         let txns = items.len();
-        self.events
-            .borrow()
+        self.sim
+            .events()
             .record(self.sim.now(), "region.replay_start", move || {
                 format!("region={region} txns={txns}")
             });

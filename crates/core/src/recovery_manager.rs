@@ -42,8 +42,7 @@
 use crate::paths;
 use crate::recovery_client::RecoveryClient;
 use cumulo_coord::{CoordClient, WatchEvent};
-use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::trace::Journal;
+use cumulo_sim::metrics::Counter;
 use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, TimerHandle};
 use cumulo_store::{ClientId, Mutation, RegionId, RegionServer, ServerId, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
@@ -137,9 +136,6 @@ pub struct RecoveryManager {
     region_recoveries: Counter,
     promotion_recoveries: Counter,
     truncations: Counter,
-    /// Failure-event journal (shared cluster journal; disabled until the
-    /// cluster wiring installs one).
-    events: RefCell<Journal>,
     self_weak: RefCell<Weak<RecoveryManager>>,
 }
 
@@ -158,7 +154,8 @@ impl fmt::Debug for RecoveryManager {
 
 impl RecoveryManager {
     /// Creates the recovery manager on `node`; `rc` is its recovery
-    /// client (bound to the same node).
+    /// client (bound to the same node). Its counters are the run's
+    /// `rm.*` metrics, so a [`Sim`] takes one manager.
     pub fn new(
         sim: &Sim,
         net: &Rc<Network>,
@@ -168,6 +165,7 @@ impl RecoveryManager {
         rc: Rc<RecoveryClient>,
         cfg: RecoveryManagerConfig,
     ) -> Rc<RecoveryManager> {
+        let metrics = sim.metrics();
         let rm = Rc::new(RecoveryManager {
             sim: sim.clone(),
             net: Rc::clone(net),
@@ -189,11 +187,10 @@ impl RecoveryManager {
             last_truncated: Cell::new(Timestamp::ZERO),
             alive: Cell::new(true),
             timers: RefCell::new(Vec::new()),
-            client_recoveries: Counter::new(),
-            region_recoveries: Counter::new(),
-            promotion_recoveries: Counter::new(),
-            truncations: Counter::new(),
-            events: RefCell::new(Journal::disabled()),
+            client_recoveries: metrics.counter("rm.client_recoveries", &[]),
+            region_recoveries: metrics.counter("rm.region_recoveries", &[]),
+            promotion_recoveries: metrics.counter("rm.promotion_recoveries", &[]),
+            truncations: metrics.counter("rm.truncations", &[]),
             self_weak: RefCell::new(Weak::new()),
         });
         *rm.self_weak.borrow_mut() = Rc::downgrade(&rm);
@@ -327,19 +324,11 @@ impl RecoveryManager {
         &self.rc
     }
 
-    /// Installs the cluster-shared failure-event journal (disabled until
-    /// then).
-    pub fn set_events_journal(&self, events: Journal) {
-        *self.events.borrow_mut() = events;
-    }
-
-    /// Adopts the manager's counters into `registry` under `rm.*` keys.
-    /// Cluster wiring; call once.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.register_counter("rm.client_recoveries", &[], &self.client_recoveries);
-        registry.register_counter("rm.region_recoveries", &[], &self.region_recoveries);
-        registry.register_counter("rm.promotion_recoveries", &[], &self.promotion_recoveries);
-        registry.register_counter("rm.truncations", &[], &self.truncations);
+    /// Records `kind` in the failure-event journal: the one door the
+    /// manager's events leave through. `detail` obeys the journal's
+    /// capture-values rule.
+    fn event(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
+        self.sim.events().record(self.sim.now(), kind, detail);
     }
 
     // ------------------------------------------------------------------
@@ -442,11 +431,7 @@ impl RecoveryManager {
         let Some(min) = min else { return };
         if min > self.t_f.get() {
             self.t_f.set(min);
-            self.events
-                .borrow()
-                .record(self.sim.now(), "threshold.tf", move || {
-                    format!("t_f={}", min.0)
-                });
+            self.event("threshold.tf", move || format!("t_f={}", min.0));
             self.coord.set_data(paths::TF_PATH, paths::encode_ts(min));
         }
     }
@@ -463,11 +448,7 @@ impl RecoveryManager {
         let Some(min) = min else { return };
         if min > self.t_p.get() {
             self.t_p.set(min);
-            self.events
-                .borrow()
-                .record(self.sim.now(), "threshold.tp", move || {
-                    format!("t_p={}", min.0)
-                });
+            self.event("threshold.tp", move || format!("t_p={}", min.0));
             self.coord.set_data(paths::TP_PATH, paths::encode_ts(min));
         }
     }
@@ -479,11 +460,7 @@ impl RecoveryManager {
         if self.cfg.truncation && t_p > self.last_truncated.get() {
             self.last_truncated.set(t_p);
             self.truncations.inc();
-            self.events
-                .borrow()
-                .record(self.sim.now(), "log.truncate", move || {
-                    format!("below={}", t_p.0)
-                });
+            self.event("log.truncate", move || format!("below={}", t_p.0));
             self.tm.truncate_below(t_p);
         }
     }
@@ -494,11 +471,9 @@ impl RecoveryManager {
 
     fn recover_client(self: &Rc<Self>, c: ClientId, t_f_r: Timestamp) {
         self.client_recoveries.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "client.recover", move || {
-                format!("client={c} t_f_r={}", t_f_r.0)
-            });
+        self.event("client.recover", move || {
+            format!("client={c} t_f_r={}", t_f_r.0)
+        });
         // Pin the global T_F at the dead client's threshold: the recovery
         // client now vouches for the interrupted flushes.
         let pin = self.next_pin.get();
@@ -667,14 +642,12 @@ impl RecoveryManager {
             };
             let (regions, count) = (st.floors.len(), records.len());
             st.suffix = Some(Rc::new(records));
-            self.events
-                .borrow()
-                .record(self.sim.now(), "recovery.staged", move || {
-                    format!(
-                        "server={failed} regions={regions} records={count} floor={}",
-                        lowest.0
-                    )
-                });
+            self.event("recovery.staged", move || {
+                format!(
+                    "server={failed} regions={regions} records={count} floor={}",
+                    lowest.0
+                )
+            });
         }
         // Sorted: `HashMap` order must not pick which replay goes first.
         let mut waiting: Vec<RegionId> = self
@@ -845,15 +818,13 @@ impl RecoveryManager {
         // The `promoted` marker only appears on promotion epochs so the
         // replay-path event text stays byte-identical to earlier releases.
         let host = server.id();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "region.recovered", move || {
-                if promoted {
-                    format!("region={region} server={host} failed={failed} promoted=true")
-                } else {
-                    format!("region={region} server={host} failed={failed}")
-                }
-            });
+        self.event("region.recovered", move || {
+            if promoted {
+                format!("region={region} server={host} failed={failed} promoted=true")
+            } else {
+                format!("region={region} server={host} failed={failed}")
+            }
+        });
         self.coord.delete(&paths::region_floor(region));
         // Let the region declare itself online (runs at the server).
         if let Some(cb) = online.borrow_mut().take() {

@@ -51,8 +51,7 @@ use crate::flush_tracker::FlushTracker;
 use crate::paths;
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, SessionId};
-use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::trace::Journal;
+use cumulo_sim::metrics::Counter;
 use cumulo_sim::{every_from, Network, NodeId, Sim, SimDuration, TimerHandle};
 use cumulo_store::{ClientId, Mutation, MutationKind, StoreClient, Timestamp, WriteSet};
 use cumulo_txn::{CommitOutcome, TmClient, TxnId};
@@ -211,10 +210,6 @@ struct TcInner {
     /// commit — and a crash mid-flush would then escape recovery replay,
     /// leaving a half-applied write-set.
     commits_in_flight: Cell<usize>,
-    /// Transaction-lifecycle trace spans (begin / commit / abort /
-    /// retry), recorded at event-execution time so the journal order is
-    /// deterministic. Disabled until the cluster wires a real journal.
-    trace: RefCell<Journal>,
     committed: Counter,
     aborted: Counter,
     flushed: Counter,
@@ -550,12 +545,9 @@ impl Transaction {
                 CommitOutcome::Committed(ts) => {
                     inner.committed.inc();
                     let (client, writes) = (inner.id, ws2.mutations.len());
-                    inner
-                        .trace
-                        .borrow()
-                        .record(inner.sim.now(), "txn.commit", move || {
-                            format!("client={client} txn={} ts={ts} writes={writes}", txn.0)
-                        });
+                    inner.span("txn.commit", move || {
+                        format!("client={client} txn={} ts={ts} writes={writes}", txn.0)
+                    });
                     if ws2.is_empty() {
                         done(Ok(ts));
                         return;
@@ -598,21 +590,31 @@ impl Transaction {
     }
 }
 
+impl TcInner {
+    /// Records a transaction-lifecycle span (`txn.begin` / `txn.commit` /
+    /// `txn.abort` / `txn.retry`) in the trace journal: the one door this
+    /// client's spans leave through, at event-execution time so the
+    /// journal order is deterministic. `detail` obeys the journal's
+    /// capture-values rule.
+    fn span(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
+        self.sim.trace().record(self.sim.now(), kind, detail);
+    }
+}
+
 /// Counts an abort of `txn` and journals its cause.
 fn note_abort(inner: &TcInner, txn: TxnId, cause: &'static str) {
     inner.aborted.inc();
     let client = inner.id;
-    inner
-        .trace
-        .borrow()
-        .record(inner.sim.now(), "txn.abort", move || {
-            format!("client={client} txn={} cause={cause}", txn.0)
-        });
+    inner.span("txn.abort", move || {
+        format!("client={client} txn={} cause={cause}", txn.0)
+    });
 }
 
 impl TransactionalClient {
-    /// Creates a client on `node`. Call [`TransactionalClient::start`]
-    /// before using it so it registers with the recovery manager.
+    /// Creates a client on `node`; its transaction counters are the
+    /// run's `txn.*{client=<id>}` metrics. Call
+    /// [`TransactionalClient::start`] before using it so it registers
+    /// with the recovery manager.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         sim: &Sim,
@@ -624,6 +626,8 @@ impl TransactionalClient {
         coord: CoordClient,
         cfg: TxnClientConfig,
     ) -> TransactionalClient {
+        let cid = id.to_string();
+        let counter = |name: &str| sim.metrics().counter(name, &[("client", cid.as_str())]);
         TransactionalClient {
             inner: Rc::new(TcInner {
                 sim: sim.clone(),
@@ -642,12 +646,11 @@ impl TransactionalClient {
                 closed: Cell::new(false),
                 timers: RefCell::new(Vec::new()),
                 commits_in_flight: Cell::new(0),
-                trace: RefCell::new(Journal::disabled()),
-                committed: Counter::new(),
-                aborted: Counter::new(),
-                flushed: Counter::new(),
-                alerts: Counter::new(),
-                conflict_retries: Counter::new(),
+                committed: counter("txn.committed"),
+                aborted: counter("txn.aborted"),
+                flushed: counter("txn.flushed"),
+                alerts: counter("txn.alerts"),
+                conflict_retries: counter("txn.conflict_retries"),
             }),
         }
     }
@@ -704,25 +707,6 @@ impl TransactionalClient {
         self.inner.id
     }
 
-    /// Installs the trace journal that transaction-lifecycle spans
-    /// (`txn.begin` / `txn.commit` / `txn.abort` / `txn.retry`) are
-    /// recorded into. Until called, spans go to a disabled journal.
-    pub fn set_trace_journal(&self, trace: Journal) {
-        *self.inner.trace.borrow_mut() = trace;
-    }
-
-    /// Registers this client's transaction counters with `registry`
-    /// under `txn.*{client=<id>}`.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        let cid = self.inner.id.to_string();
-        let labels: &[(&str, &str)] = &[("client", cid.as_str())];
-        registry.register_counter("txn.committed", labels, &self.inner.committed);
-        registry.register_counter("txn.aborted", labels, &self.inner.aborted);
-        registry.register_counter("txn.flushed", labels, &self.inner.flushed);
-        registry.register_counter("txn.alerts", labels, &self.inner.alerts);
-        registry.register_counter("txn.conflict_retries", labels, &self.inner.conflict_retries);
-    }
-
     /// The node the client runs on.
     pub fn node(&self) -> NodeId {
         self.inner.node
@@ -769,12 +753,9 @@ impl TransactionalClient {
                 },
             );
             let client = inner.id;
-            inner
-                .trace
-                .borrow()
-                .record(inner.sim.now(), "txn.begin", move || {
-                    format!("client={client} txn={} snapshot={start_ts}", txn.0)
-                });
+            inner.span("txn.begin", move || {
+                format!("client={client} txn={} snapshot={start_ts}", txn.0)
+            });
             done(Ok(Transaction { inner, id: txn }));
         });
     }
@@ -923,12 +904,9 @@ fn settle_attempt(
         Err(TxnError::Conflict) if attempt + 1 < policy.max_attempts => {
             inner.conflict_retries.inc();
             let client = inner.id;
-            inner
-                .trace
-                .borrow()
-                .record(inner.sim.now(), "txn.retry", move || {
-                    format!("client={client} attempt={}", attempt + 1)
-                });
+            inner.span("txn.retry", move || {
+                format!("client={client} attempt={}", attempt + 1)
+            });
             let wait = policy.backoff_for(attempt);
             let sim = inner.sim.clone();
             sim.schedule_in(wait, move || {

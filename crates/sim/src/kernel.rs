@@ -1,7 +1,9 @@
 //! The event loop: a priority queue of `(time, sequence, closure)` entries
 //! plus the seeded RNG that is the sole source of randomness.
 
+use crate::metrics::MetricsRegistry;
 use crate::time::{SimDuration, SimTime};
+use crate::trace::Journal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::{Cell, RefCell};
@@ -44,13 +46,27 @@ struct Inner {
     queue: RefCell<BinaryHeap<Slot>>,
     rng: RefCell<StdRng>,
     executed: Cell<u64>,
+    metrics: MetricsRegistry,
+    trace: Journal,
+    events: Journal,
 }
+
+/// Records the trace journal retains before evicting the oldest.
+const TRACE_CAP: usize = 65_536;
+/// Records the failure-event journal retains.
+const EVENTS_CAP: usize = 16_384;
 
 /// Handle to the simulation kernel.
 ///
 /// `Sim` is a cheap clone (`Rc` internally); every component keeps one.
 /// Events are plain `FnOnce()` closures capturing whatever `Rc` handles they
 /// need, so no global component registry is required.
+///
+/// The kernel is also the run's one recorder: the metrics registry and
+/// the two journals exist from [`Sim::new`] on, so a component registers
+/// its metrics in its constructor and records from its first event — no
+/// component has a state in which it records nothing. Recording is pure:
+/// it never draws from the RNG and never schedules an event.
 ///
 /// # Example
 ///
@@ -91,8 +107,30 @@ impl Sim {
                 queue: RefCell::new(BinaryHeap::new()),
                 rng: RefCell::new(StdRng::seed_from_u64(seed)),
                 executed: Cell::new(0),
+                metrics: MetricsRegistry::new(),
+                trace: Journal::new(TRACE_CAP),
+                events: Journal::new(EVENTS_CAP),
             }),
         }
+    }
+
+    /// The run's metrics registry: every component's counters, gauges
+    /// and histograms under stable `name{labels}` keys.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.inner.metrics
+    }
+
+    /// The run's trace journal: per-RPC service spans (`rpc.*`) and
+    /// per-transaction lifecycle spans (`txn.*`).
+    pub fn trace(&self) -> &Journal {
+        &self.inner.trace
+    }
+
+    /// The run's failure-event journal: recovery-protocol transitions
+    /// (failover, replay, threshold advancement, structure changes,
+    /// replication, compaction and flush backpressure).
+    pub fn events(&self) -> &Journal {
+        &self.inner.events
     }
 
     /// The current virtual instant.
@@ -309,6 +347,23 @@ mod tests {
         let xs: Vec<u64> = (0..32).map(|_| a.gen_range(0, 1 << 40)).collect();
         let ys: Vec<u64> = (0..32).map(|_| b.gen_range(0, 1 << 40)).collect();
         assert_eq!(xs, ys);
+    }
+
+    #[test]
+    fn the_recorder_is_on_from_the_start_and_pure() {
+        let sim = Sim::new(99);
+        let twin = Sim::new(99);
+        sim.events().record(sim.now(), "k", || "a=1".into());
+        sim.trace().record(sim.now(), "s", || "b=2".into());
+        sim.metrics().counter("c", &[]).inc();
+        assert_eq!(sim.events().dump(), "0 k a=1\n");
+        assert_eq!(sim.trace().count("s"), 1);
+        assert_eq!(sim.metrics().sum("c"), 1);
+        // Clones are handles on the same recorder.
+        assert_eq!(sim.clone().events().count("k"), 1);
+        // Recording scheduled nothing and drew nothing.
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.gen_range(0, 1 << 40), twin.gen_range(0, 1 << 40));
     }
 
     #[test]

@@ -2,17 +2,19 @@
 //! failure events.
 //!
 //! A [`Journal`] is an append-only ring buffer of timestamped records.
-//! Two instances back the cluster's observability layer: a *trace
-//! journal* holding per-transaction lifecycle spans and per-RPC
-//! service-time breakdowns, and a *failure-event journal* holding
-//! recovery-protocol transitions (crash, failover, WAL replay,
-//! threshold advancement, split and compaction state changes).
+//! Every [`Sim`](crate::Sim) owns two from its creation on, and they are
+//! the only ones there are: a *trace journal* ([`Sim::trace`](crate::Sim::trace))
+//! holding per-transaction lifecycle spans and per-RPC service-time
+//! breakdowns, and a *failure-event journal*
+//! ([`Sim::events`](crate::Sim::events)) holding recovery-protocol
+//! transitions (crash, failover, WAL replay, threshold advancement,
+//! split and compaction state changes).
 //!
 //! Determinism rules (see ARCHITECTURE.md, "Observability"):
 //!
 //! * entries are timestamped in **sim-time only** — no wall clock;
 //! * recording never draws from the simulation RNG and never schedules
-//!   events, so an enabled journal cannot perturb an execution;
+//!   events, so it cannot perturb an execution;
 //! * every accessor returns entries in `(time, seq)` order, where `seq`
 //!   is the global record order — two runs of the same seed produce
 //!   byte-identical [`Journal::dump`] output;
@@ -22,8 +24,8 @@
 //!
 //! ## Details render on read
 //!
-//! The cluster ships with its journals on, and a run nobody inspects
-//! evicts almost every record unread. So [`Journal::record`] keeps the
+//! The journals are always on, and a run nobody inspects evicts almost
+//! every record unread. So [`Journal::record`] keeps the
 //! closure that renders a record's detail line and runs it the first
 //! time the record is read ([`Journal::entries`],
 //! [`Journal::drain_sorted`], [`Journal::dump`]) — or never, if the ring
@@ -116,7 +118,6 @@ struct JournalInner {
     next_seq: u64,
     dropped: u64,
     cap: usize,
-    enabled: bool,
 }
 
 /// A bounded, deterministic event journal (see the module docs).
@@ -126,9 +127,10 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates an enabled journal retaining at most `cap` entries
-    /// (oldest evicted first; per-kind counts keep counting).
-    pub fn new(cap: usize) -> Journal {
+    /// Creates a journal retaining at most `cap` entries (oldest evicted
+    /// first; per-kind counts keep counting). Only the kernel does: a
+    /// run's journals are its [`Sim`](crate::Sim)'s.
+    pub(crate) fn new(cap: usize) -> Journal {
         Journal {
             inner: Rc::new(RefCell::new(JournalInner {
                 entries: VecDeque::new(),
@@ -136,37 +138,17 @@ impl Journal {
                 next_seq: 0,
                 dropped: 0,
                 cap,
-                enabled: true,
             })),
         }
     }
 
-    /// Creates a disabled journal: [`Journal::record`] is a no-op.
-    /// Components default to one of these until the cluster harness
-    /// installs its shared enabled instances.
-    pub fn disabled() -> Journal {
-        let j = Journal::new(0);
-        j.inner.borrow_mut().enabled = false;
-        j
-    }
-
-    /// Whether records are being kept. Callers may use this to skip
-    /// expensive preparation of what a detail closure captures, though
-    /// [`Journal::record`] already renders the detail lazily.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.borrow().enabled
-    }
-
     /// Appends one record. `detail` renders the record's detail line; it
-    /// runs when the record is first read, and never if the journal is
-    /// disabled or the ring evicts the record unread. It must therefore
+    /// runs when the record is first read, and never if the ring evicts
+    /// the record unread. It must therefore
     /// own what it formats — see the capture-values rule in the module
     /// docs, which debug builds enforce by also rendering here.
     pub fn record(&self, now: SimTime, kind: &'static str, detail: impl Fn() -> String + 'static) {
         let mut inner = self.inner.borrow_mut();
-        if !inner.enabled {
-            return;
-        }
         *inner.counts.entry(kind).or_insert(0) += 1;
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -278,7 +260,6 @@ impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.borrow();
         f.debug_struct("Journal")
-            .field("enabled", &inner.enabled)
             .field("len", &inner.entries.len())
             .field("total", &inner.next_seq)
             .field("dropped", &inner.dropped)
@@ -320,15 +301,6 @@ mod tests {
         let e = j.entries();
         assert_eq!(e[0].detail, "i=3");
         assert_eq!(e[1].detail, "i=4");
-    }
-
-    #[test]
-    fn disabled_journal_is_inert_and_lazy() {
-        let j = Journal::disabled();
-        j.record(t(1), "k", || panic!("detail must not be built"));
-        assert_eq!(j.len(), 0);
-        assert_eq!(j.count("k"), 0);
-        assert!(!j.is_enabled());
     }
 
     /// How often a detail closure runs at record time: debug builds
@@ -380,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn evicted_and_disabled_records_never_render() {
+    fn evicted_records_never_render() {
         let calls = Rc::new(Cell::new(0));
         let j = Journal::new(1);
         j.record(t(1), "k", counted(&calls, "evicted"));
@@ -390,11 +362,6 @@ mod tests {
         assert_eq!(j.dump(), "2 k kept\n");
         assert_eq!(calls.get(), 2 * EAGER + 1, "only the retained record");
         assert_eq!((j.dropped(), counts_only.dropped()), (1, 1));
-
-        let off = Journal::disabled();
-        off.record(t(1), "k", counted(&calls, "off"));
-        assert!(off.entries().is_empty() && off.drain_sorted().is_empty());
-        assert_eq!(calls.get(), 2 * EAGER + 1, "not even eagerly");
     }
 
     /// The capture-values rule, enforced: a closure that reads shared

@@ -11,8 +11,7 @@ use crate::wal::split_wal;
 use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
-use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::trace::Journal;
+use cumulo_sim::metrics::Counter;
 use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, TimerHandle};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -172,9 +171,6 @@ pub struct Master {
     /// WAL batches a split could not decode although later batches
     /// follow them — acknowledged writes the log no longer holds.
     wal_split_corrupt_batches: Counter,
-    /// Failure-event journal (shared cluster journal; disabled until the
-    /// cluster wiring installs one via [`Master::set_events_journal`]).
-    events: RefCell<Journal>,
     /// The next region id to hand out to a split daughter (ids are never
     /// reused, so a cached id always means the same key range).
     next_region_id: Cell<u32>,
@@ -261,7 +257,6 @@ impl Master {
             split_files: Cell::new(0),
             failovers: Counter::new(),
             wal_split_corrupt_batches: Counter::new(),
-            events: RefCell::new(Journal::disabled()),
             next_region_id: Cell::new(0),
             intents: RefCell::new(BTreeMap::new()),
             split_counters: IntentCounters::default(),
@@ -282,6 +277,7 @@ impl Master {
             repl_fallback_replays: Counter::new(),
         });
         *master.self_weak.borrow_mut() = Rc::downgrade(&master);
+        master.register_metrics();
         master
     }
 
@@ -403,15 +399,17 @@ impl Master {
         self.failovers.get()
     }
 
-    /// Installs the cluster-shared failure-event journal (disabled until
-    /// then; standalone masters and unit tests record nothing).
-    pub fn set_events_journal(&self, events: Journal) {
-        *self.events.borrow_mut() = events;
+    /// Records `kind` in the failure-event journal: the one door the
+    /// master's events leave through. `detail` obeys the journal's
+    /// capture-values rule.
+    fn event(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
+        self.sim.events().record(self.sim.now(), kind, detail);
     }
 
-    /// Adopts the master's counters into `registry` under `master.*`
-    /// keys. Cluster wiring; call once.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+    /// Adopts the master's counters into the run's registry under
+    /// `master.*` keys. [`Master::new`] calls it, once.
+    fn register_metrics(&self) {
+        let registry = self.sim.metrics();
         registry.register_counter("master.failovers", &[], &self.failovers);
         registry.register_counter(
             "master.wal_split.corrupt_batches",
@@ -452,11 +450,9 @@ impl Master {
         self.failovers.inc();
         let regions = self.region_map.borrow().regions_of(failed);
         let count = regions.len();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "server.failover", move || {
-                format!("server={failed} regions={count}")
-            });
+        self.event("server.failover", move || {
+            format!("server={failed} regions={count}")
+        });
         // Roll back every intent granted to the failed server. This is
         // always safe before the map flip: clients can only address
         // region ids the map has shown them, so no write was ever
@@ -515,12 +511,9 @@ impl Master {
             let Some(master) = weak.upgrade() else { return };
             for batch in split.corrupt_batches {
                 master.wal_split_corrupt_batches.inc();
-                master
-                    .events
-                    .borrow()
-                    .record(master.sim.now(), "wal.split.corrupt", move || {
-                        format!("server={failed} batch={batch}")
-                    });
+                master.event("wal.split.corrupt", move || {
+                    format!("server={failed} batch={batch}")
+                });
             }
             // WAL records written before an online split are tagged with
             // the parent region id, which may no longer exist — re-route
@@ -545,11 +538,9 @@ impl Master {
         let kind = change.kind();
         self.counters(kind).rolled_back.inc();
         let (inputs, server) = (change.inputs.clone(), change.server);
-        self.events.borrow().record(
-            self.sim.now(),
-            kind.pick("split.rollback", "merge.rollback"),
-            move || format!("{} server={server}", kind.inputs_label(&inputs)),
-        );
+        self.event(kind.pick("split.rollback", "merge.rollback"), move || {
+            format!("{} server={server}", kind.inputs_label(&inputs))
+        });
         self.dfs.delete(&change.intent_path());
         for output in change.outputs {
             let dir = format!("/store/{}/", output.id);
@@ -670,11 +661,9 @@ impl Master {
             return;
         };
         self.region_map.borrow_mut().assign(region, target);
-        self.events
-            .borrow()
-            .record(self.sim.now(), "region.assign", move || {
-                format!("region={region} server={target}")
-            });
+        self.event("region.assign", move || {
+            format!("region={region} server={target}")
+        });
         self.open_on(region, target, failed);
         // A replicated region placed via the replay fallback gets its
         // group rebuilt around the new primary.
@@ -854,17 +843,13 @@ impl Master {
             let kind = change.kind();
             master.counters(kind).persisted.inc();
             let journal_change = change.clone();
-            master.events.borrow().record(
-                master.sim.now(),
-                kind.pick("split.persisted", "merge.persisted"),
-                move || {
-                    format!(
-                        "{} server={server} {}",
-                        kind.inputs_label(&journal_change.inputs),
-                        journal_change.outputs_label()
-                    )
-                },
-            );
+            master.event(kind.pick("split.persisted", "merge.persisted"), move || {
+                format!(
+                    "{} server={server} {}",
+                    kind.inputs_label(&journal_change.inputs),
+                    journal_change.outputs_label()
+                )
+            });
             // The server may have died while the intent was being
             // written; its failover already rolled the intent back.
             if !master.intents.borrow().contains_key(&first) {
@@ -926,11 +911,9 @@ impl Master {
         let kind = change.kind();
         self.counters(kind).applied.inc();
         let journal_change = change.clone();
-        self.events.borrow().record(
-            self.sim.now(),
-            kind.pick("split.applied", "merge.applied"),
-            move || journal_change.label(),
-        );
+        self.event(kind.pick("split.applied", "merge.applied"), move || {
+            journal_change.label()
+        });
         self.dfs.delete(&change.intent_path());
         // Split daughters inherited the parent's replicas in the map;
         // rebuild their groups under the bumped epoch (the server already
@@ -1013,11 +996,9 @@ impl Master {
         };
         *self.pending_move.borrow_mut() = Some((region, donor, target));
         self.moves_started.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "move.start", move || {
-                format!("region={region} donor={donor} target={target}")
-            });
+        self.event("move.start", move || {
+            format!("region={region} donor={donor} target={target}")
+        });
         let Some(server) = self.dir.get(donor) else {
             self.pending_move.borrow_mut().take();
             return;
@@ -1068,11 +1049,9 @@ impl Master {
         }
         self.region_map.borrow_mut().assign(region, target);
         self.moves_completed.inc();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "move.open", move || {
-                format!("region={region} donor={donor} target={target}")
-            });
+        self.event("move.open", move || {
+            format!("region={region} donor={donor} target={target}")
+        });
         self.open_on(region, target, None);
     }
 
@@ -1156,11 +1135,9 @@ impl Master {
             });
         }
         let backup_count = replicas.len();
-        self.events
-            .borrow()
-            .record(self.sim.now(), "replication.establish", move || {
-                format!("region={region} primary={primary} epoch={epoch} backups={backup_count}")
-            });
+        self.event("replication.establish", move || {
+            format!("region={region} primary={primary} epoch={epoch} backups={backup_count}")
+        });
         let pnode = pserver.node();
         self.net.send(self.node, pnode, 128, move || {
             pserver.establish_replica_group(region, epoch, backups);
@@ -1213,11 +1190,9 @@ impl Master {
                 self.fill_replicas(region, p, &mut replicas);
             }
             self.region_map.borrow_mut().set_replicas(region, replicas);
-            self.events
-                .borrow()
-                .record(self.sim.now(), "replication.repair", move || {
-                    format!("region={region} lost_backup={failed}")
-                });
+            self.event("replication.repair", move || {
+                format!("region={region} lost_backup={failed}")
+            });
             if primary.is_some() {
                 self.establish_group(region);
             }
@@ -1331,11 +1306,9 @@ impl Master {
         match winner {
             Some(winner) => {
                 self.repl_promotions.inc();
-                self.events
-                    .borrow()
-                    .record(self.sim.now(), "replication.promote", move || {
-                        format!("region={region} winner={winner} failed={failed}")
-                    });
+                self.event("replication.promote", move || {
+                    format!("region={region} winner={winner} failed={failed}")
+                });
                 self.region_map.borrow_mut().assign(region, winner);
                 let mut replicas: Vec<ServerId> = self
                     .region_map
@@ -1362,11 +1335,9 @@ impl Master {
             }
             None => {
                 self.repl_fallback_replays.inc();
-                self.events
-                    .borrow()
-                    .record(self.sim.now(), "replication.fallback", move || {
-                        format!("region={region} failed={failed}")
-                    });
+                self.event("replication.fallback", move || {
+                    format!("region={region} failed={failed}")
+                });
                 let records = {
                     let mut pending = self.pending_recoveries.borrow_mut();
                     match pending.get_mut(&region).and_then(|p| p.records.take()) {
@@ -1436,22 +1407,18 @@ impl Master {
         let current = self.repl_epochs.borrow().get(&region).copied();
         let stale = current.map(|c| epoch < c).unwrap_or(true);
         if stale {
-            self.events
-                .borrow()
-                .record(self.sim.now(), "replication.stale_report", move || {
-                    format!("region={region} epoch={epoch} backup={backup}")
-                });
+            self.event("replication.stale_report", move || {
+                format!("region={region} epoch={epoch} backup={backup}")
+            });
             done(true);
             return;
         }
         self.repl_ineligible
             .borrow_mut()
             .insert((region, epoch, backup), true);
-        self.events
-            .borrow()
-            .record(self.sim.now(), "replication.ineligible", move || {
-                format!("region={region} epoch={epoch} backup={backup}")
-            });
+        self.event("replication.ineligible", move || {
+            format!("region={region} epoch={epoch} backup={backup}")
+        });
         // Acking *after* recording is the soundness point: the primary
         // releases gates only once this backup can no longer win a
         // promotion at this epoch.
@@ -1471,11 +1438,9 @@ impl Master {
         // The journal follows reports: a lane's first sync after an
         // establish makes it eligible without an event.
         if was == Some(true) {
-            self.events
-                .borrow()
-                .record(self.sim.now(), "replication.eligible", move || {
-                    format!("region={region} epoch={epoch} backup={backup}")
-                });
+            self.event("replication.eligible", move || {
+                format!("region={region} epoch={epoch} backup={backup}")
+            });
         }
     }
 }

@@ -149,7 +149,7 @@ impl Span {
         let service_ns = self.service.nanos();
         let queue_ns = (now.nanos() - self.submitted.nanos()).saturating_sub(service_ns);
         let (me, region) = (server.id, self.region);
-        server.trace.borrow().record(now, self.kind, move || {
+        server.span(self.kind, move || {
             // A traced run renders every span it records: one buffer,
             // one allocation per line.
             let mut line = String::with_capacity(112);

@@ -32,8 +32,7 @@ use crate::wal::{Wal, WalSyncMode};
 use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
-use cumulo_sim::metrics::{Counter, GaugeMap, MetricsRegistry};
-use cumulo_sim::trace::Journal;
+use cumulo_sim::metrics::{Counter, GaugeMap};
 use cumulo_sim::{
     every_from, Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime, TimerHandle,
 };
@@ -279,13 +278,6 @@ pub struct RegionServer {
     /// the cells returned, the "keys examined per result" ratio.
     scan_cells_examined: Counter,
     not_serving: Counter,
-    /// Per-RPC trace journal (queue wait + service breakdown per request;
-    /// [`Journal::disabled`] until the cluster wiring installs a shared
-    /// one via [`RegionServer::set_journals`]).
-    trace: RefCell<Journal>,
-    /// Failure-event journal: flush stalls, compaction lifecycle, split
-    /// protocol transitions (shared with the cluster like `trace`).
-    events: RefCell<Journal>,
     compaction_stats: CompactionStats,
     filter_stats: FilterStats,
     /// Runtime master switch for bloom probes (on until
@@ -389,8 +381,6 @@ impl RegionServer {
             scans: Counter::new(),
             scan_cells_examined: Counter::new(),
             not_serving: Counter::new(),
-            trace: RefCell::new(Journal::disabled()),
-            events: RefCell::new(Journal::disabled()),
             compaction_stats: CompactionStats::default(),
             filter_stats: FilterStats::default(),
             bloom_enabled: Cell::new(true),
@@ -413,6 +403,7 @@ impl RegionServer {
             self_weak: RefCell::new(Weak::new()),
         });
         *server.self_weak.borrow_mut() = Rc::downgrade(&server);
+        server.register_metrics();
         server
     }
 
@@ -516,20 +507,13 @@ impl RegionServer {
         &self.wal
     }
 
-    /// Installs the cluster-shared trace and failure-event journals.
-    /// Until called, both are [`Journal::disabled`] and recording is a
-    /// no-op (standalone servers, unit tests).
-    pub fn set_journals(&self, trace: Journal, events: Journal) {
-        *self.trace.borrow_mut() = trace;
-        *self.events.borrow_mut() = events;
-    }
-
-    /// Adopts this server's metric handles into `registry` under
+    /// Adopts this server's metric handles into the run's registry under
     /// `store.*{server=<id>}` keys: request counters, the filter and
     /// compaction statistics (per-level profiles under a `level=` slot
     /// label) and the split statistics (per-region load under a
-    /// `region=` key label). Cluster wiring; call once per server.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
+    /// `region=` key label). [`RegionServer::new`] calls it, once.
+    fn register_metrics(&self) {
+        let registry = self.sim.metrics();
         let sid = self.id.to_string();
         let labels: &[(&str, &str)] = &[("server", sid.as_str())];
         let c = |name: &str, counter: &Counter| registry.register_counter(name, labels, counter);
@@ -626,12 +610,19 @@ impl RegionServer {
     /// buffer.
     fn event(&self, kind: &'static str, detail: impl Fn(&mut String) -> fmt::Result + 'static) {
         let me = self.id;
-        self.events.borrow().record(self.sim.now(), kind, move || {
+        self.sim.events().record(self.sim.now(), kind, move || {
             let mut line = String::with_capacity(96);
             let written = write!(line, "server={me} ").and_then(|()| detail(&mut line));
             written.expect("a String accepts every write");
             line
         });
+    }
+
+    /// Records `kind` in the trace journal: the one door this server's
+    /// spans (`rpc.*`, `repl.ship`) leave through. `detail` obeys the
+    /// journal's capture-values rule.
+    fn span(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
+        self.sim.trace().record(self.sim.now(), kind, detail);
     }
 
     /// Crash-stop failure: the process dies, the network drops its

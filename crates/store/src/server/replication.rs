@@ -698,8 +698,8 @@ impl RegionServer {
                 StreamElement::WriteSet { .. } => {
                     stats.ships.inc();
                     stats.ship_bytes.add(bytes as u64);
-                    let (me, now) = (self.id, self.sim.now());
-                    self.trace.borrow().record(now, "repl.ship", move || {
+                    let me = self.id;
+                    self.span("repl.ship", move || {
                         format!(
                             "server={me} region={region} seq={seq} \
                              backup={backup} bytes={bytes}"

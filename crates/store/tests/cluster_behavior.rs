@@ -21,9 +21,9 @@ struct Cluster {
     dir: Rc<ServerDirectory>,
     servers: Vec<Rc<RegionServer>>,
     client: StoreClient,
-    /// The failure-event journal every server and the master record into.
+    /// The run's failure-event journal (`sim.events()`).
     events: Journal,
-    /// The trace journal every server records its spans into.
+    /// The run's trace journal (`sim.trace()`).
     trace: Journal,
     /// A filesystem client on the client's node, for listing the namespace.
     dfs: DfsClient,
@@ -82,8 +82,6 @@ fn build_replicated(
 
     let registry = StoreFileRegistry::new();
     let dir = ServerDirectory::new();
-    let events = Journal::new(4096);
-    let trace = Journal::new(4096);
 
     // Region servers.
     let mut servers = Vec::new();
@@ -98,7 +96,6 @@ fn build_replicated(
             dfs,
             Rc::clone(&registry),
         );
-        server.set_journals(trace.clone(), events.clone());
         let coord = CoordClient::new(&net, &coord_svc, *node);
         server.start(&coord);
         dir.register(Rc::clone(&server));
@@ -117,7 +114,6 @@ fn build_replicated(
         Rc::clone(&dir),
         Rc::clone(&registry),
     );
-    master.set_events_journal(events.clone());
     let master_coord = CoordClient::new(&net, &coord_svc, master_node);
     master.start(&master_coord);
     master.set_replication_factor(copies);
@@ -137,14 +133,14 @@ fn build_replicated(
     let dfs = DfsClient::new(&sim, &net, &nn, client_node);
 
     Cluster {
+        events: sim.events().clone(),
+        trace: sim.trace().clone(),
         sim,
         net,
         master,
         dir,
         servers,
         client,
-        events,
-        trace,
         dfs,
         datanodes,
     }
@@ -199,6 +195,21 @@ fn write_then_read_roundtrip() {
         );
     }
     assert!(c.client.gets_ok() >= 20);
+}
+
+/// The harness does no observability wiring, and needs none: a component
+/// records into its `Sim`'s journals and registry from its constructor
+/// on, so a cluster built by hand shows what it did.
+#[test]
+fn a_cluster_built_without_wiring_records() {
+    let c = build(1, 2, 4, WalSyncMode::Async);
+    write_rows(&c, 1, 20);
+    assert_eq!(c.sim.events().count("region.online"), 4);
+    assert_eq!(c.sim.trace().count("rpc.put"), 20);
+    let metrics = c.sim.metrics().snapshot();
+    let puts = |server| metrics.get(&format!("store.puts{{server={server}}}"));
+    assert_eq!(puts("rs0").zip(puts("rs1")).map(|(a, b)| a + b), Some(20));
+    assert_eq!(metrics.get("master.failovers"), Some(0));
 }
 
 /// Regression (CD001): `handle_get` used to pick the serving region with

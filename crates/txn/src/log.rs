@@ -25,7 +25,7 @@
 //! in append order.
 
 use cumulo_sim::metrics::{Counter, Histogram};
-use cumulo_sim::{Disk, DiskConfig, MetricsRegistry, Sim, SimTime};
+use cumulo_sim::{Disk, DiskConfig, Sim, SimTime};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -105,8 +105,11 @@ impl fmt::Debug for RecoveryLog {
 }
 
 impl RecoveryLog {
-    /// Creates an empty, idle log on its own device.
+    /// Creates an empty, idle log on its own device; its counters and
+    /// its acknowledgement-latency histogram are the run's `tm.log.*`
+    /// metrics, so a [`Sim`] takes one log.
     pub fn new(sim: &Sim, cfg: RecoveryLogConfig) -> Rc<RecoveryLog> {
+        let metrics = sim.metrics();
         Rc::new_cyclic(|self_weak| RecoveryLog {
             sim: sim.clone(),
             disk: Disk::new(sim, cfg.disk),
@@ -114,20 +117,12 @@ impl RecoveryLog {
             pending: RefCell::new(Vec::new()),
             flush_inflight: Cell::new(false),
             truncated_below: Cell::new(Timestamp::ZERO),
-            appends: Counter::new(),
-            batches: Counter::new(),
-            ack_ns: Histogram::new(),
+            appends: metrics.counter("tm.log.appends", &[]),
+            batches: metrics.counter("tm.log.batches", &[]),
+            ack_ns: metrics.histogram("tm.log.ack_ns", &[]),
             truncated_records: Cell::new(0),
             self_weak: self_weak.clone(),
         })
-    }
-
-    /// Registers the log's counters and its acknowledgement-latency
-    /// histogram under `tm.log.*`. Pure recording: no event, no RNG draw.
-    pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        registry.register_counter("tm.log.appends", &[], &self.appends);
-        registry.register_counter("tm.log.batches", &[], &self.batches);
-        registry.register_histogram("tm.log.ack_ns", &[], &self.ack_ns);
     }
 
     /// Appends a committed transaction; `done` runs at the durability
