@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{crash_first_observed, DiceFaults};
+use common::{crash_first_observed, key, DiceFaults};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
@@ -16,10 +16,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 const ROWS: u64 = 4_000;
-
-fn key(i: u64) -> String {
-    format!("user{i:012}")
-}
 
 /// One chaos run: 5 servers' worth of regions on 3 servers, 6 clients,
 /// ~45 simulated seconds of load with `faults` injected along the way.

@@ -3,6 +3,9 @@
 //! typed-error misuse contract (commit-twice, op-after-commit,
 //! op-after-crash must return `TxnError`s, never panic).
 
+mod common;
+
+use common::begin_txn;
 use cumulo_core::{Cluster, ClusterConfig, Transaction, TxnError};
 use cumulo_sim::SimDuration;
 use std::cell::{Cell, RefCell};
@@ -473,18 +476,6 @@ fn queue_size_alert_fires_when_flushes_stall() {
 // ---------------------------------------------------------------------
 // Misuse: typed errors instead of panics
 // ---------------------------------------------------------------------
-
-/// Captures the transaction handle and drives the cluster until it
-/// arrives.
-fn begin_txn(c: &Cluster, client_idx: usize) -> Transaction {
-    let slot: Rc<RefCell<Option<Transaction>>> = Rc::new(RefCell::new(None));
-    let s2 = slot.clone();
-    c.client(client_idx)
-        .begin(move |txn| *s2.borrow_mut() = Some(txn.expect("begin on live client")));
-    settle(c);
-    let txn = slot.borrow_mut().take().expect("begin completed");
-    txn
-}
 
 #[test]
 fn commit_twice_reports_unknown_txn() {

@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 /// The row key of account `i`.
 pub fn account(i: u64) -> String {
-    format!("user{i:012}")
+    super::key(i)
 }
 
 /// A bank of `accounts` accounts that each open at `initial` (an account

@@ -24,6 +24,10 @@
 //! The bank-transfer workload those suites audit with is in [`bank`].
 //! [`replication_digest`] turns what a run's replication did into one
 //! number a suite can pin.
+//!
+//! The setup every suite repeats is here once: the row [`key`], the
+//! three-client [`small_cluster`], [`run_txn`] / [`begin_txn`] to drive
+//! one transaction, and the flush-forcing [`write_load`].
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a subset of it.
@@ -31,9 +35,120 @@
 
 pub mod bank;
 
-use cumulo_core::Cluster;
+use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
 use cumulo_sim::{NodeId, SimDuration};
 use cumulo_store::{ChangeKind, RegionId, RegionServer, ServerId};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::rc::Rc;
+
+/// The row key of row `i` of the loaded table.
+pub fn key(i: u64) -> String {
+    format!("user{i:012}")
+}
+
+/// Two servers, four regions, three clients over 10 000 keys.
+pub fn small_cluster(seed: u64) -> Cluster {
+    Cluster::build(ClusterConfig {
+        seed,
+        clients: 3,
+        servers: 2,
+        regions: 4,
+        key_count: 10_000,
+        ..ClusterConfig::default()
+    })
+}
+
+/// Runs one update transaction to completion, driving the simulation;
+/// returns the commit timestamp (panics on abort).
+pub fn run_txn(cluster: &Cluster, client_idx: usize, writes: &[(u64, &str, &str)]) -> u64 {
+    let client = cluster.client(client_idx).clone();
+    let outcome: Rc<RefCell<Option<Result<Timestamp, TxnError>>>> = Rc::new(RefCell::new(None));
+    let o = outcome.clone();
+    let writes: Vec<(String, String, String)> = writes
+        .iter()
+        .map(|(k, c, v)| (key(*k), c.to_string(), v.to_string()))
+        .collect();
+    client.begin(move |txn| {
+        let txn = txn.expect("begin on live client");
+        for (row, col, val) in &writes {
+            txn.put(row.clone(), col.clone(), val.clone()).unwrap();
+        }
+        txn.commit(move |r| *o.borrow_mut() = Some(r));
+    });
+    let deadline = cluster.now() + SimDuration::from_secs(30);
+    while outcome.borrow().is_none() {
+        cluster.run_for(SimDuration::from_millis(20));
+        assert!(cluster.now() < deadline, "transaction stalled");
+    }
+    let r = outcome.borrow_mut().take().unwrap();
+    match r {
+        Ok(ts) => ts.0,
+        Err(e) => panic!("unexpected abort: {e}"),
+    }
+}
+
+/// Begins a transaction on client `client_idx`, drives the cluster for
+/// a second and hands back the handle.
+pub fn begin_txn(c: &Cluster, client_idx: usize) -> Transaction {
+    let slot: Rc<RefCell<Option<Transaction>>> = Rc::new(RefCell::new(None));
+    let s2 = slot.clone();
+    c.client(client_idx)
+        .begin(move |txn| *s2.borrow_mut() = Some(txn.expect("begin on live client")));
+    c.run_for(SimDuration::from_secs(1));
+    let txn = slot.borrow_mut().take().expect("begin completed");
+    txn
+}
+
+/// Drives `rounds` of write-heavy load — every live client writes four
+/// random rows of the key space a round, values padded with `pad` bytes
+/// so memstores hit the flush threshold quickly — tracking the newest
+/// acked value per row, and returns the tracking map.
+pub fn write_load(
+    cluster: &Cluster,
+    rounds: u64,
+    pad: usize,
+) -> Rc<RefCell<HashMap<u64, (u64, String)>>> {
+    let row_count = cluster.config().key_count;
+    let acked: Rc<RefCell<HashMap<u64, (u64, String)>>> = Rc::new(RefCell::new(HashMap::new()));
+    for round in 0..rounds {
+        for ci in 0..cluster.clients.len() {
+            let client = cluster.client(ci).clone();
+            if !client.is_alive() {
+                continue;
+            }
+            let rows: Vec<u64> = (0..4)
+                .map(|_| cluster.sim.gen_range(0, row_count))
+                .collect();
+            let val = format!("r{round}c{ci}{:=>pad$}", "");
+            let acked2 = acked.clone();
+            let rows2 = rows.clone();
+            client.begin(move |txn| {
+                let Ok(txn) = txn else { return };
+                for r in &rows2 {
+                    let _ = txn.put(key(*r), "f0", format!("{val}-{r:04}"));
+                }
+                let rows3 = rows2.clone();
+                let val2 = val.clone();
+                txn.commit(move |result| {
+                    if let Ok(ts) = result {
+                        let mut map = acked2.borrow_mut();
+                        for r in &rows3 {
+                            match map.get(r) {
+                                Some((old_ts, _)) if *old_ts > ts.0 => {}
+                                _ => {
+                                    map.insert(*r, (ts.0, format!("{val2}-{r:04}")));
+                                }
+                            }
+                        }
+                    }
+                });
+            });
+        }
+        cluster.run_for(SimDuration::from_millis(250));
+    }
+    acked
+}
 
 /// One fault-injection step in a [`ChaosSchedule`].
 pub enum ChaosAction {

@@ -3,6 +3,9 @@
 //! files, the background compactor merges them down with MVCC garbage
 //! collection, and reads stay correct throughout.
 
+mod common;
+
+use common::{key, write_load};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::CompactionPolicyKind;
@@ -11,10 +14,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 const ROWS: u64 = 2_000;
-
-fn key(i: u64) -> String {
-    format!("user{i:012}")
-}
+/// Padding of each written value, so memstores hit the flush threshold
+/// quickly.
+const VALUE_PAD: usize = 150;
 
 /// A cluster tuned so flushes (and therefore compactions) happen within
 /// seconds instead of after gigabytes.
@@ -35,48 +37,6 @@ fn compaction_cluster(seed: u64, compaction: bool) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// Drives `rounds` of write-heavy load, tracking the newest acked value
-/// per row, and returns the tracking map.
-fn write_load(cluster: &Cluster, rounds: u64) -> Rc<RefCell<HashMap<u64, (u64, String)>>> {
-    let acked: Rc<RefCell<HashMap<u64, (u64, String)>>> = Rc::new(RefCell::new(HashMap::new()));
-    for round in 0..rounds {
-        for ci in 0..cluster.clients.len() {
-            let client = cluster.client(ci).clone();
-            if !client.is_alive() {
-                continue;
-            }
-            let rows: Vec<u64> = (0..4).map(|_| cluster.sim.gen_range(0, ROWS)).collect();
-            // Padded values so memstores hit the flush threshold quickly.
-            let val = format!("r{round}c{ci}{:=>150}", "");
-            let acked2 = acked.clone();
-            let rows2 = rows.clone();
-            client.begin(move |txn| {
-                let Ok(txn) = txn else { return };
-                for r in &rows2 {
-                    let _ = txn.put(key(*r), "f0", format!("{val}-{r:04}"));
-                }
-                let rows3 = rows2.clone();
-                let val2 = val.clone();
-                txn.commit(move |result| {
-                    if let Ok(ts) = result {
-                        let mut map = acked2.borrow_mut();
-                        for r in &rows3 {
-                            match map.get(r) {
-                                Some((old_ts, _)) if *old_ts > ts.0 => {}
-                                _ => {
-                                    map.insert(*r, (ts.0, format!("{val2}-{r:04}")));
-                                }
-                            }
-                        }
-                    }
-                });
-            });
-        }
-        cluster.run_for(SimDuration::from_millis(250));
-    }
-    acked
-}
-
 fn verify_acked(cluster: &Cluster, acked: &HashMap<u64, (u64, String)>) {
     // lint:allow(CD001, reason = "per-row verification: each iteration independently asserts one row's value; visit order affects nothing but which assertion fires first on failure")
     for (row, (_, val)) in acked.iter() {
@@ -95,7 +55,7 @@ fn verify_acked(cluster: &Cluster, acked: &HashMap<u64, (u64, String)>) {
 fn write_heavy_load_is_compacted_in_the_background() {
     let cluster = compaction_cluster(71, true);
     cluster.load_rows(ROWS, &["f0"], 64, true);
-    let acked = write_load(&cluster, 120);
+    let acked = write_load(&cluster, 120, VALUE_PAD);
     // Let in-flight flushes and compactions drain.
     cluster.run_for(SimDuration::from_secs(15));
 
@@ -151,7 +111,7 @@ fn compaction_is_read_invisible_and_reduces_files() {
     let run = |compaction: bool| {
         let cluster = compaction_cluster(72, compaction);
         cluster.load_rows(ROWS, &["f0"], 64, true);
-        let acked = write_load(&cluster, 90);
+        let acked = write_load(&cluster, 90, VALUE_PAD);
         cluster.run_for(SimDuration::from_secs(15));
         verify_acked(&cluster, &acked.borrow());
         cluster.max_read_amplification()
@@ -204,7 +164,7 @@ fn policy_cluster(seed: u64, policy: CompactionPolicyKind) -> Cluster {
 fn leveled_policy_compacts_into_disjoint_levels() {
     let cluster = policy_cluster(73, CompactionPolicyKind::Leveled);
     cluster.load_rows(ROWS, &["f0"], 64, true);
-    let acked = write_load(&cluster, 120);
+    let acked = write_load(&cluster, 120, VALUE_PAD);
     cluster.run_for(SimDuration::from_secs(15));
 
     assert!(
@@ -235,14 +195,14 @@ fn leveled_policy_under_crash_recovery_loses_no_data() {
     cluster.load_rows(ROWS, &["f0"], 64, true);
 
     // Phase 1: build a leveled stack.
-    let acked1 = write_load(&cluster, 40);
+    let acked1 = write_load(&cluster, 40, VALUE_PAD);
     // Phase 2: crash a server while it merges, keep writing.
     cluster.crash_server(0);
-    let acked2 = write_load(&cluster, 40);
+    let acked2 = write_load(&cluster, 40, VALUE_PAD);
     cluster.run_for(SimDuration::from_secs(10));
     // Phase 3: crash a client, keep writing.
     cluster.crash_client(2);
-    let acked3 = write_load(&cluster, 40);
+    let acked3 = write_load(&cluster, 40, VALUE_PAD);
     cluster.run_for(SimDuration::from_secs(20));
 
     assert!(

@@ -4,17 +4,17 @@
 //! at runtime over the identical store-file stack), and the verifying
 //! read path must observe zero filter false negatives.
 
+mod common;
+
+use common::{key, write_load};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 const ROWS: u64 = 1_500;
-
-fn key(i: u64) -> String {
-    format!("user{i:012}")
-}
+/// Padding of each written value, so memstores hit the flush threshold
+/// quickly.
+const VALUE_PAD: usize = 120;
 
 /// A cluster tuned so flushes pile up store files within seconds, with
 /// filter verification on (every filter skip is cross-checked against
@@ -34,48 +34,6 @@ fn filter_cluster(seed: u64, compaction: bool) -> Cluster {
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(500);
     cfg.server_cfg.verify_filters = true;
     Cluster::build(cfg)
-}
-
-/// Drives `rounds` of write-heavy load, tracking the newest acked value
-/// per row.
-fn write_load(cluster: &Cluster, rounds: u64) -> Rc<RefCell<HashMap<u64, (u64, String)>>> {
-    let acked: Rc<RefCell<HashMap<u64, (u64, String)>>> = Rc::new(RefCell::new(HashMap::new()));
-    for round in 0..rounds {
-        for ci in 0..cluster.clients.len() {
-            let client = cluster.client(ci).clone();
-            if !client.is_alive() {
-                continue;
-            }
-            let rows: Vec<u64> = (0..4).map(|_| cluster.sim.gen_range(0, ROWS)).collect();
-            // Padded values so memstores hit the flush threshold quickly.
-            let val = format!("r{round}c{ci}{:=>120}", "");
-            let acked2 = acked.clone();
-            let rows2 = rows.clone();
-            client.begin(move |txn| {
-                let Ok(txn) = txn else { return };
-                for r in &rows2 {
-                    let _ = txn.put(key(*r), "f0", format!("{val}-{r:04}"));
-                }
-                let rows3 = rows2.clone();
-                let val2 = val.clone();
-                txn.commit(move |result| {
-                    if let Ok(ts) = result {
-                        let mut map = acked2.borrow_mut();
-                        for r in &rows3 {
-                            match map.get(r) {
-                                Some((old_ts, _)) if *old_ts > ts.0 => {}
-                                _ => {
-                                    map.insert(*r, (ts.0, format!("{val2}-{r:04}")));
-                                }
-                            }
-                        }
-                    }
-                });
-            });
-        }
-        cluster.run_for(SimDuration::from_millis(250));
-    }
-    acked
 }
 
 /// Reads every row once through the probe client.
@@ -101,10 +59,10 @@ fn gets_identical_with_filters_on_and_off_through_failures() {
     cluster.load_rows(ROWS, &["f0"], 64, true);
 
     // Write load, a server crash in the middle, recovery, more load.
-    write_load(&cluster, 40);
+    write_load(&cluster, 40, VALUE_PAD);
     cluster.crash_server(0);
     cluster.run_for(SimDuration::from_secs(8)); // failover + region recovery
-    let acked = write_load(&cluster, 40);
+    let acked = write_load(&cluster, 40, VALUE_PAD);
     cluster.run_for(SimDuration::from_secs(15)); // drain flushes
 
     assert!(
@@ -153,10 +111,10 @@ fn filters_compose_with_compaction_and_recovery() {
     let cluster = filter_cluster(914, true);
     cluster.load_rows(ROWS, &["f0"], 64, true);
 
-    write_load(&cluster, 40);
+    write_load(&cluster, 40, VALUE_PAD);
     cluster.crash_server(1);
     cluster.run_for(SimDuration::from_secs(8));
-    let acked = write_load(&cluster, 40);
+    let acked = write_load(&cluster, 40, VALUE_PAD);
     cluster.run_for(SimDuration::from_secs(15));
 
     assert!(cluster.all_regions_online());

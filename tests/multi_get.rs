@@ -4,15 +4,14 @@
 //! a server-crash/recovery schedule), and answer cells the transaction
 //! itself wrote locally without any RPC.
 
+mod common;
+
 use bytes::Bytes;
+use common::{begin_txn, key};
 use cumulo_core::{Cluster, ClusterConfig, Transaction};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-fn key(i: u64) -> String {
-    format!("user{i:012}")
-}
 
 fn build(seed: u64) -> Cluster {
     Cluster::build(ClusterConfig {
@@ -23,17 +22,6 @@ fn build(seed: u64) -> Cluster {
         key_count: 1_000,
         ..ClusterConfig::default()
     })
-}
-
-/// Begins a transaction on client `idx` and hands back the handle.
-fn begin_txn(c: &Cluster, idx: usize) -> Transaction {
-    let slot: Rc<RefCell<Option<Transaction>>> = Rc::new(RefCell::new(None));
-    let s = slot.clone();
-    c.client(idx)
-        .begin(move |txn| *s.borrow_mut() = Some(txn.expect("begin")));
-    c.run_for(SimDuration::from_secs(1));
-    let txn = slot.borrow_mut().take().expect("begin completed");
-    txn
 }
 
 /// Commits `puts` through a fresh transaction and waits for the ack.

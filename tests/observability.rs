@@ -4,53 +4,13 @@
 //! cluster aggregates replaced, and trace-span coverage of the
 //! transaction lifecycle.
 
-use cumulo_core::{Cluster, ClusterConfig, Timestamp, TxnError};
+mod common;
+
+use common::{key, run_txn, small_cluster};
+use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-fn key(i: u64) -> String {
-    format!("user{i:012}")
-}
-
-fn small_cluster(seed: u64) -> Cluster {
-    Cluster::build(ClusterConfig {
-        seed,
-        clients: 3,
-        servers: 2,
-        regions: 4,
-        key_count: 10_000,
-        ..ClusterConfig::default()
-    })
-}
-
-/// Runs one update transaction to completion, driving the simulation.
-fn run_txn(cluster: &Cluster, client_idx: usize, writes: &[(u64, &str, &str)]) {
-    let client = cluster.client(client_idx).clone();
-    let outcome: Rc<RefCell<Option<Result<Timestamp, TxnError>>>> = Rc::new(RefCell::new(None));
-    let o = outcome.clone();
-    let writes: Vec<(String, String, String)> = writes
-        .iter()
-        .map(|(k, c, v)| (key(*k), c.to_string(), v.to_string()))
-        .collect();
-    client.begin(move |txn| {
-        let txn = txn.expect("begin on live client");
-        for (row, col, val) in &writes {
-            txn.put(row.clone(), col.clone(), val.clone()).unwrap();
-        }
-        txn.commit(move |r| *o.borrow_mut() = Some(r));
-    });
-    let deadline = cluster.now() + SimDuration::from_secs(30);
-    while outcome.borrow().is_none() {
-        cluster.run_for(SimDuration::from_millis(20));
-        assert!(cluster.now() < deadline, "transaction stalled");
-    }
-    outcome
-        .borrow_mut()
-        .take()
-        .unwrap()
-        .expect("unexpected abort");
-}
 
 /// The fixed chaos schedule both determinism tests replay: a batch of
 /// transactions, a server crash mid-stream, recovery, then more

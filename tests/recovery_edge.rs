@@ -1,14 +1,13 @@
 //! Edge-case recovery scenarios: overlapping failures, no-op recoveries,
 //! a flapping recovery manager, and the no-tracking ablation path.
 
+mod common;
+
+use common::key;
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, TxnError};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-fn key(i: u64) -> String {
-    format!("user{i:012}")
-}
 
 fn commit_row(cluster: &Cluster, client_idx: usize, row: u64, val: &str) -> u64 {
     let client = cluster.client(client_idx).clone();
