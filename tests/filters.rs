@@ -80,7 +80,9 @@ fn gets_identical_with_filters_on_and_off_through_failures() {
         with_filters, without_filters,
         "filters changed read results"
     );
-    // lint:allow(CD001, reason = "per-row verification: each iteration independently asserts one row's value; visit order affects nothing but which assertion fires first on failure")
+    // `acked` is a `HashMap`: each iteration independently asserts one
+    // row's value, so visit order affects nothing but which assertion
+    // fires first on failure.
     for (row, (_, val)) in acked.borrow().iter() {
         let got = with_filters[row]
             .as_ref()
@@ -133,7 +135,9 @@ fn filters_compose_with_compaction_and_recovery() {
     );
 
     let reads = read_all(&cluster);
-    // lint:allow(CD001, reason = "per-row verification: each iteration independently asserts one row's value; visit order affects nothing but which assertion fires first on failure")
+    // `acked` is a `HashMap`: each iteration independently asserts one
+    // row's value, so visit order affects nothing but which assertion
+    // fires first on failure.
     for (row, (_, val)) in acked.borrow().iter() {
         let got = reads[row]
             .as_ref()
