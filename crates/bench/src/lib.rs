@@ -15,8 +15,8 @@
 //! A *performance* question — what does a transaction, a get, a scan or a
 //! failover cost on either clock — is not asked here: `benchmark/`, the
 //! package outside the workspace, owns those, with frozen workloads, a
-//! per-layer ledger and a contract (`BENCHMARK.json`). `benches/micro.rs`
-//! is the lab tool for host-time work on single data structures.
+//! per-layer ledger and a contract (`BENCHMARK.json`), micro-loops over
+//! single data structures included (`benchmark/src/micro.rs`).
 //!
 //! Every binary prints CSV to stdout and a human-readable commentary to
 //! stderr. Set `CUMULO_QUICK=1` to run a scaled-down version (fewer rows,

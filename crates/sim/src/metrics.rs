@@ -555,7 +555,10 @@ impl MetricsSnapshot {
     }
 }
 
-/// A cluster-wide registry of named, labeled metrics.
+/// A run-wide registry of named, labeled metrics. Every
+/// [`Sim`](crate::Sim) owns one from its creation on
+/// ([`Sim::metrics`](crate::Sim::metrics)), and that is the only one
+/// there is.
 ///
 /// Handles ([`Counter`], [`Gauge`], [`GaugeVec`], [`GaugeMap`],
 /// [`Histogram`]) either register at construction (`registry.counter(...)`)
@@ -570,9 +573,10 @@ impl MetricsSnapshot {
 /// # Example
 ///
 /// ```
-/// use cumulo_sim::metrics::MetricsRegistry;
+/// use cumulo_sim::Sim;
 ///
-/// let reg = MetricsRegistry::new();
+/// let sim = Sim::new(1);
+/// let reg = sim.metrics();
 /// let gets0 = reg.counter("store.gets", &[("server", "0")]);
 /// let gets1 = reg.counter("store.gets", &[("server", "1")]);
 /// gets0.add(3);
@@ -581,7 +585,7 @@ impl MetricsSnapshot {
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.get("store.gets{server=0}"), Some(3));
 /// ```
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct MetricsRegistry {
     inner: Rc<RefCell<Vec<Registered>>>,
 }
@@ -593,9 +597,12 @@ impl fmt::Debug for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
+    /// Creates an empty registry. Only the kernel does: a run's
+    /// registry is its [`Sim`](crate::Sim)'s.
+    pub(crate) fn new() -> MetricsRegistry {
+        MetricsRegistry {
+            inner: Rc::default(),
+        }
     }
 
     fn push(&self, name: &str, labels: &[(&str, &str)], metric: Metric) {
