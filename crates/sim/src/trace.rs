@@ -244,16 +244,6 @@ impl Journal {
         }
         out
     }
-
-    /// Drops all retained entries and resets the per-kind counts, the
-    /// drop counter and the sequence numbering.
-    pub fn clear(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.entries.clear();
-        inner.counts.clear();
-        inner.next_seq = 0;
-        inner.dropped = 0;
-    }
 }
 
 impl std::fmt::Debug for Journal {
