@@ -29,6 +29,8 @@ struct Cluster {
     dfs: DfsClient,
     /// The nodes the filesystem's datanodes run on.
     datanodes: Vec<cumulo_sim::NodeId>,
+    /// The node the coordination service runs on.
+    coord: cumulo_sim::NodeId,
 }
 
 fn build(seed: u64, n_servers: usize, n_regions: usize, wal_mode: WalSyncMode) -> Cluster {
@@ -51,6 +53,25 @@ fn build_replicated(
     n_regions: usize,
     cfg: RegionServerConfig,
     copies: usize,
+) -> Cluster {
+    build_full(
+        seed,
+        n_servers,
+        n_regions,
+        cfg,
+        copies,
+        MasterConfig::default(),
+    )
+}
+
+/// As [`build_replicated`], with the master run by `master_cfg`.
+fn build_full(
+    seed: u64,
+    n_servers: usize,
+    n_regions: usize,
+    cfg: RegionServerConfig,
+    copies: usize,
+    master_cfg: MasterConfig,
 ) -> Cluster {
     let sim = Sim::new(seed);
     let net = Network::new(&sim, LatencyConfig::lan_100mbps());
@@ -109,7 +130,7 @@ fn build_replicated(
         &sim,
         &net,
         master_node,
-        MasterConfig::default(),
+        master_cfg,
         master_dfs,
         Rc::clone(&dir),
         Rc::clone(&registry),
@@ -143,6 +164,7 @@ fn build_replicated(
         client,
         dfs,
         datanodes,
+        coord: zk_node,
     }
 }
 
@@ -837,6 +859,104 @@ fn a_pending_change_defers_the_other_kinds_candidacy() {
     assert_eq!(splits.intents_requested.get(), 1);
     assert_eq!(splits.completed.get(), 1);
     assert!(server.request_region_merge(regions[1], regions[2]));
+}
+
+/// One fixed schedule that draws every answer the master and a region
+/// server give each other across a move or a structure change: a move
+/// the donor refuses (5 s: its hottest region is mid-split), a split the
+/// master grants (6 s), a move the donor grants (10 s), and a split the
+/// master denies (12 s: rs2, cut off from the coordination service at
+/// 9.2 s, was failed over while it kept running, and its request comes
+/// from a server the master has declared dead). When each event happened
+/// and how many messages it took are pinned as they were before the
+/// exchanges became `Network::request`s.
+#[test]
+fn master_answers_of_a_fixed_schedule_are_pinned() {
+    let mut cfg = RegionServerConfig::default();
+    cfg.compaction.enabled = false;
+    cfg.split.enabled = true;
+    cfg.split.threshold_bytes = 14 << 10;
+    cfg.split.check_interval = SimDuration::from_secs(3);
+    let mut master_cfg = MasterConfig::default();
+    master_cfg.moves.enabled = true;
+    master_cfg.moves.load_ratio = 1.5;
+    master_cfg.moves.check_interval = SimDuration::from_secs(5);
+    // rs0 hosts r0 and r3, rs1 r1 and r4, rs2 r2 and r5.
+    let c = build_full(41, 3, 6, cfg, 1, master_cfg);
+    let (rs0, rs2) = (Rc::clone(&c.servers[0]), Rc::clone(&c.servers[2]));
+    // r0 is rs0's hottest region and over the split threshold, dirty at
+    // the 3 s split tick; r3 is hot enough to be the next move.
+    put_rows(&c, 1_000, 0..150, "a");
+    run_to(&c, 1_500);
+    put_rows(&c, 1_000, 500..620, "a");
+    run_to(&c, 2_500);
+    rs0.flush_region(RegionId(0));
+    run_to(&c, 2_800);
+    put_rows(&c, 2_000, (0..150).step_by(3), "b");
+    // r2 likewise on rs2, for the 9 s tick.
+    run_to(&c, 6_500);
+    put_rows(&c, 3_000, 333..483, "c");
+    run_to(&c, 7_500);
+    rs2.flush_region(RegionId(2));
+    run_to(&c, 8_500);
+    put_rows(&c, 4_000, (333..483).step_by(3), "d");
+    run_to(&c, 9_200);
+    c.net.partition(rs2.node(), c.coord);
+    run_to(&c, 14_000);
+
+    let metrics = c.sim.metrics().snapshot();
+    let moves =
+        ["started", "refused", "completed"].map(|m| metrics.get(&format!("master.move.{m}")));
+    assert_eq!(
+        moves,
+        [Some(2), Some(1), Some(1)],
+        "moves started, refused, completed"
+    );
+    assert_eq!(c.master.splits_applied(), 2);
+    assert_eq!(
+        rs2.structure_stats(ChangeKind::Split).aborted.get(),
+        1,
+        "the denial"
+    );
+    let counts: Vec<(&str, u64)> = c
+        .events
+        .counts()
+        .into_iter()
+        .filter(|(kind, _)| kind.starts_with("move.") || kind.starts_with("split."))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("move.close", 1),
+            ("move.closed", 1),
+            ("move.open", 1),
+            ("move.start", 2),
+            ("split.applied", 2),
+            ("split.consider", 3),
+            ("split.denied", 1),
+            ("split.execute", 2),
+            ("split.flip", 2),
+            ("split.intent", 3),
+            ("split.persisted", 2),
+        ]
+    );
+    assert_eq!(c.events.dropped(), 0);
+    let digest = c
+        .events
+        .entries()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |digest, e| {
+            format!("{} {}\n", e.time.nanos(), e.kind)
+                .bytes()
+                .fold(digest, |d, byte| {
+                    (d ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+                })
+        });
+    assert_eq!(digest, 4_640_770_150_240_183_908, "event instants");
+    assert_eq!(
+        (c.net.messages_sent(), c.net.messages_dropped()),
+        (1478, 10)
+    );
 }
 
 /// One fixed schedule through the replication stream with two copies of
