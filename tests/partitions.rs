@@ -9,6 +9,7 @@ use bytes::Bytes;
 use common::{ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, TxnError};
 use cumulo_sim::SimDuration;
+use cumulo_store::RegionId;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -447,4 +448,132 @@ fn lost_flush_complete_hangs_nothing_once_healed() {
     );
     let rest = carry_on(&cluster);
     assert_nothing_is_stuck(&cluster, &hit, &rest);
+}
+
+// ----------------------------------------------------------------------
+// Region server ↔ master (ROADMAP item 2, store side)
+// ----------------------------------------------------------------------
+
+/// The server that recorded the newest `kind` event (its detail starts
+/// with `server=rsN`), and the region it names.
+fn newest_event_site(cluster: &Cluster, kind: &str) -> (usize, RegionId) {
+    let entry = cluster
+        .events
+        .entries()
+        .into_iter()
+        .rev()
+        .find(|e| e.kind == kind);
+    let detail = entry.expect("the event was recorded").detail;
+    let field = |name: &str| -> u32 {
+        let value = detail.split(' ').find_map(|f| f.strip_prefix(name));
+        value
+            .and_then(|v| v.parse().ok())
+            .expect("the field is in the detail")
+    };
+    (field("server=rs") as usize, RegionId(field("region=r")))
+}
+
+/// Steps the simulation until `kind` has been recorded once more.
+fn step_until_event(cluster: &Cluster, kind: &str) {
+    let before = cluster.events.count(kind);
+    while cluster.events.count(kind) == before {
+        assert!(cluster.sim.step(), "no {kind} event ever came");
+    }
+}
+
+/// Runs the cluster in 100 ms steps for up to 10 s, until `healthy`.
+fn healthy_within_10s(cluster: &Cluster, healthy: impl Fn() -> bool) -> bool {
+    for _ in 0..100 {
+        if healthy() {
+            return true;
+        }
+        cluster.run_for(SimDuration::from_millis(100));
+    }
+    healthy()
+}
+
+/// The donor's answer to a move is lost: it closed the region and
+/// dropped it, the master never hears. Today the map keeps naming the
+/// donor and `pending_move` never clears, so the region is unreadable
+/// until the donor dies, and no move ever runs again.
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn lost_move_close_answer_hangs_nothing_once_healed() {
+    let mut cfg = ClusterConfig {
+        seed: 79,
+        clients: 2,
+        servers: 2,
+        regions: 4,
+        key_count: 1_000,
+        ..ClusterConfig::default()
+    };
+    cfg.master_cfg.moves.enabled = true;
+    cfg.master_cfg.moves.load_ratio = 1.5;
+    let cluster = Cluster::build(cfg);
+    cluster.load_rows(1_000, &["f0"], 100, false);
+    // rs0 hosts r0 (rows 0..250) and r2: heat r0 for the 5 s move tick.
+    for row in 0..150 {
+        start_put(&cluster, (row % 2) as usize, row);
+        cluster.run_for(SimDuration::from_millis(20));
+    }
+    step_until_event(&cluster, "move.close");
+    let (donor, region) = newest_event_site(&cluster, "move.close");
+    let (donor_node, master_node) = (cluster.servers[donor].node(), cluster.master.node());
+    cluster.net.partition(donor_node, master_node);
+    step_until_event(&cluster, "move.closed");
+    cluster.run_for(SimDuration::from_millis(100));
+    cluster.net.heal(donor_node, master_node);
+
+    let online = healthy_within_10s(&cluster, || cluster.all_regions_online());
+    let map = cluster.master.snapshot_map();
+    assert!(
+        online,
+        "{region} is still assigned to {:?}, which dropped it",
+        map.server_for(region)
+    );
+    let start = &map.descriptor(region).expect("the region exists").start;
+    let row = if start.is_empty() {
+        common::key(0).into()
+    } else {
+        start.clone()
+    };
+    assert!(cluster
+        .read_cell(row, "f0", SimDuration::from_secs(10))
+        .is_some());
+}
+
+/// A split's intent request is lost on its way to the master. Today the
+/// server waits for an answer that never comes: `pending_change` stays
+/// `Some(Split)` and the parent stays `restructuring`, so it never
+/// flushes again and the server never starts another change.
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn lost_split_intent_request_hangs_nothing_once_healed() {
+    let mut cfg = ClusterConfig {
+        seed: 80,
+        clients: 2,
+        servers: 2,
+        regions: 4,
+        key_count: 1_000,
+        ..ClusterConfig::default()
+    };
+    cfg.server_cfg.split.enabled = true;
+    cfg.server_cfg.split.threshold_bytes = 20 << 10;
+    let cluster = Cluster::build(cfg);
+    cluster.load_rows(1_000, &["f0"], 100, false);
+    step_until_event(&cluster, "split.intent");
+    let (server, _) = newest_event_site(&cluster, "split.intent");
+    let server = Rc::clone(&cluster.servers[server]);
+    let master_node = cluster.master.node();
+    cluster.net.partition(server.node(), master_node);
+    cluster.run_for(SimDuration::from_millis(100));
+    cluster.net.heal(server.node(), master_node);
+
+    let settled = healthy_within_10s(&cluster, || server.pending_change().is_none());
+    assert!(
+        settled,
+        "{} still waits on its split intent ({:?} pending)",
+        server.id(),
+        server.pending_change()
+    );
 }
