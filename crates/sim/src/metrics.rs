@@ -50,8 +50,9 @@ impl Counter {
 }
 
 /// A shared last-value gauge (e.g. a current queue depth or the current
-/// read-amplification factor). Unlike [`Counter`] it can move down.
-#[derive(Clone, Default)]
+/// read-amplification factor). Unlike [`Counter`] it can move down. Born
+/// registered: [`MetricsRegistry::gauge`] makes one.
+#[derive(Clone)]
 pub struct Gauge {
     v: Rc<Cell<u64>>,
 }
@@ -63,11 +64,6 @@ impl fmt::Debug for Gauge {
 }
 
 impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
     /// Sets the current value.
     pub fn set(&self, v: u64) {
         self.v.set(v);
@@ -81,8 +77,9 @@ impl Gauge {
 
 /// A shared vector of gauges indexed by a small integer (e.g. LSM level):
 /// each slot is a last-value gauge, and the whole vector is replaced
-/// atomically by the producer. Like [`Gauge`], clones share state.
-#[derive(Clone, Default)]
+/// atomically by the producer. Like [`Gauge`], clones share state, and
+/// [`MetricsRegistry::gauge_vec`] makes one.
+#[derive(Clone)]
 pub struct GaugeVec {
     v: Rc<RefCell<Vec<u64>>>,
 }
@@ -94,11 +91,6 @@ impl fmt::Debug for GaugeVec {
 }
 
 impl GaugeVec {
-    /// Creates an empty gauge vector.
-    pub fn new() -> GaugeVec {
-        GaugeVec::default()
-    }
-
     /// Replaces the whole vector with `values`.
     pub fn set_all(&self, values: Vec<u64>) {
         *self.v.borrow_mut() = values;
@@ -128,8 +120,8 @@ impl GaugeVec {
 /// A shared map of last-value gauges keyed by a sparse integer id (e.g. a
 /// region id): each key holds an independent gauge, and snapshots come
 /// back sorted by key so consumers stay deterministic. Like [`Gauge`],
-/// clones share state.
-#[derive(Clone, Default)]
+/// clones share state, and [`MetricsRegistry::gauge_map`] makes one.
+#[derive(Clone)]
 pub struct GaugeMap {
     v: Rc<RefCell<std::collections::HashMap<u64, u64>>>,
 }
@@ -141,11 +133,6 @@ impl fmt::Debug for GaugeMap {
 }
 
 impl GaugeMap {
-    /// Creates an empty gauge map.
-    pub fn new() -> GaugeMap {
-        GaugeMap::default()
-    }
-
     /// Sets the gauge for `key`.
     pub fn set(&self, key: u64, value: u64) {
         self.v.borrow_mut().insert(key, value);
@@ -561,10 +548,10 @@ impl MetricsSnapshot {
 /// there is.
 ///
 /// Handles ([`Counter`], [`Gauge`], [`GaugeVec`], [`GaugeMap`],
-/// [`Histogram`]) either register at construction (`registry.counter(...)`)
-/// or are adopted after the fact (`registry.register_counter(...)`) —
-/// adoption lets subsystem stats structs keep their `Default`
-/// constructors. Registering the same `name{labels}` twice panics.
+/// [`Histogram`]) are born registered: the registry creates them
+/// (`registry.counter(...)`, `registry.gauge_map(...)`, …) and a
+/// component keeps the handle. Registering the same `name{labels}`
+/// twice panics.
 ///
 /// The registry is an `Rc`-shared handle like the metrics themselves;
 /// registration and snapshotting never draw from the simulation RNG and
@@ -626,71 +613,56 @@ impl MetricsRegistry {
     /// Creates and registers a [`Counter`].
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let c = Counter::new();
-        self.register_counter(name, labels, &c);
+        self.push(name, labels, Metric::Counter(c.clone()));
         c
     }
 
     /// Creates and registers a [`Gauge`].
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let g = Gauge::new();
-        self.register_gauge(name, labels, &g);
+        let g = Gauge { v: Rc::default() };
+        self.push(name, labels, Metric::Gauge(g.clone()));
         g
     }
 
-    /// Creates and registers a [`Histogram`].
+    /// Creates and registers a [`Histogram`]. The snapshot renders
+    /// `.count` (monotonic), `.mean`, `.p50`, `.p95`, `.p99` and `.max`
+    /// sub-entries.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let h = Histogram::new();
-        self.register_histogram(name, labels, &h);
+        self.push(name, labels, Metric::Histogram(h.clone()));
         h
     }
 
-    /// Adopts an existing [`Counter`] under `name{labels}`.
-    pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], c: &Counter) {
-        self.push(name, labels, Metric::Counter(c.clone()));
-    }
-
-    /// Adopts an existing [`Gauge`] under `name{labels}`.
-    pub fn register_gauge(&self, name: &str, labels: &[(&str, &str)], g: &Gauge) {
-        self.push(name, labels, Metric::Gauge(g.clone()));
-    }
-
-    /// Adopts an existing [`Histogram`] under `name{labels}`. The
-    /// snapshot renders `.count` (monotonic), `.mean`, `.p50`, `.p95`,
-    /// `.p99` and `.max` sub-entries.
-    pub fn register_histogram(&self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
-        self.push(name, labels, Metric::Histogram(h.clone()));
-    }
-
-    /// Adopts an existing [`GaugeVec`]; each slot `i` renders with an
-    /// extra `slot_label=i` label (e.g. `level=2`).
-    pub fn register_vec(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        slot_label: &str,
-        v: &GaugeVec,
-    ) {
+    /// Creates and registers a [`GaugeVec`]; each slot `i` renders with
+    /// an extra `slot_label=i` label (e.g. `level=2`).
+    pub fn gauge_vec(&self, name: &str, labels: &[(&str, &str)], slot_label: &str) -> GaugeVec {
+        let v = GaugeVec { v: Rc::default() };
+        let slot_label = slot_label.to_owned();
         self.push(
             name,
             labels,
             Metric::Vec {
                 v: v.clone(),
-                slot_label: slot_label.to_owned(),
+                slot_label,
             },
         );
+        v
     }
 
-    /// Adopts an existing [`GaugeMap`]; each key `k` renders with an
+    /// Creates and registers a [`GaugeMap`]; each key `k` renders with an
     /// extra `key_label=k` label (e.g. `region=7`).
-    pub fn register_map(&self, name: &str, labels: &[(&str, &str)], key_label: &str, m: &GaugeMap) {
+    pub fn gauge_map(&self, name: &str, labels: &[(&str, &str)], key_label: &str) -> GaugeMap {
+        let m = GaugeMap { v: Rc::default() };
+        let key_label = key_label.to_owned();
         self.push(
             name,
             labels,
             Metric::Map {
                 m: m.clone(),
-                key_label: key_label.to_owned(),
+                key_label,
             },
         );
+        m
     }
 
     /// Number of registered metrics (label sets count individually).
@@ -886,7 +858,7 @@ mod tests {
 
     #[test]
     fn gauge_vec_shares_state_and_defaults_to_zero() {
-        let g = GaugeVec::new();
+        let g = MetricsRegistry::new().gauge_vec("v", &[], "slot");
         assert!(g.is_empty());
         assert_eq!(g.get(3), 0);
         let g2 = g.clone();
@@ -900,7 +872,7 @@ mod tests {
 
     #[test]
     fn gauge_moves_both_ways_and_shares_state() {
-        let g = Gauge::new();
+        let g = MetricsRegistry::new().gauge("g", &[]);
         assert_eq!(g.get(), 0);
         let g2 = g.clone();
         g.set(10);
@@ -960,16 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_adopts_existing_handles() {
-        let reg = MetricsRegistry::new();
-        let c = Counter::new();
-        c.add(3);
-        reg.register_counter("x", &[], &c);
-        c.inc();
-        assert_eq!(reg.sum("x"), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "registered twice")]
     fn registry_rejects_duplicate_keys() {
         let reg = MetricsRegistry::new();
@@ -980,13 +942,11 @@ mod tests {
     #[test]
     fn registry_vec_and_map_render_with_extra_label() {
         let reg = MetricsRegistry::new();
-        let v = GaugeVec::new();
+        let v = reg.gauge_vec("store.level.files", &[("server", "0")], "level");
         v.set_all(vec![4, 0, 2]);
-        reg.register_vec("store.level.files", &[("server", "0")], "level", &v);
-        let m = GaugeMap::new();
+        let m = reg.gauge_map("store.region.load", &[("server", "0")], "region");
         m.set(12, 100);
         m.set(3, 50);
-        reg.register_map("store.region.load", &[("server", "0")], "region", &m);
         let snap = reg.snapshot();
         assert_eq!(snap.get("store.level.files{level=2,server=0}"), Some(2));
         assert_eq!(snap.get("store.region.load{region=3,server=0}"), Some(50));

@@ -103,7 +103,7 @@ use crate::merge_iter::MergeIter;
 use crate::sstable::{StoreFileBuilder, StoreFileData};
 use crate::types::{RegionId, Timestamp};
 use bytes::Bytes;
-use cumulo_sim::metrics::{Counter, Gauge, GaugeVec};
+use cumulo_sim::metrics::{Counter, Gauge, GaugeVec, MetricsRegistry};
 use cumulo_sim::SimDuration;
 use std::cmp::Reverse;
 use std::rc::Rc;
@@ -261,7 +261,7 @@ impl Default for CompactionConfig {
 
 /// Shared observability for a server's compactions (all handles clone
 /// cheaply and share state, like the other `cumulo_sim::metrics` types).
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Debug)]
 pub struct CompactionStats {
     /// Compactions started (a crash can leave this ahead of `completed`).
     pub started: Counter,
@@ -301,6 +301,32 @@ pub struct CompactionStats {
     pub level_files: GaugeVec,
     /// Store-file bytes per LSM level across hosted regions.
     pub level_bytes: GaugeVec,
+}
+
+impl CompactionStats {
+    /// The server's compaction statistics, each registered in `metrics`
+    /// under its `store.*` key with the server's `labels`.
+    pub(crate) fn new(metrics: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
+        let c = |name: &str| metrics.counter(name, labels);
+        let levels = |name: &str| metrics.gauge_vec(name, labels, "level");
+        CompactionStats {
+            started: c("store.compaction.started"),
+            completed: c("store.compaction.completed"),
+            bytes_rewritten: c("store.compaction.bytes_rewritten"),
+            versions_dropped: c("store.compaction.versions_dropped"),
+            files_retired: c("store.compaction.files_retired"),
+            deletes_confirmed: c("store.compaction.deletes_confirmed"),
+            filter_bytes_dropped: c("store.compaction.filter_bytes_dropped"),
+            filter_bytes_created: c("store.compaction.filter_bytes_created"),
+            read_amplification: metrics.gauge("store.read_amplification", labels),
+            deferred: c("store.compaction.deferred"),
+            forced: c("store.compaction.forced"),
+            flush_stalls: c("store.compaction.flush_stalls"),
+            stall_ns: c("store.compaction.stall_ns"),
+            level_files: levels("store.level.files"),
+            level_bytes: levels("store.level.bytes"),
+        }
+    }
 }
 
 /// Per-file metadata a [`CompactionPolicy`] sees when picking candidates:

@@ -11,8 +11,8 @@ use crate::wal::split_wal;
 use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
-use cumulo_sim::metrics::Counter;
-use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, TimerHandle};
+use cumulo_sim::metrics::{Counter, MetricsRegistry};
+use cumulo_sim::{every, Network, NodeId, Reply, Sim, SimDuration, TimerHandle};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -121,7 +121,6 @@ impl Default for MoveConfig {
 
 /// The master's bookkeeping for one kind of structure change (kept once
 /// for splits and once for merges, like the servers' `StructureStats`).
-#[derive(Default)]
 struct IntentCounters {
     /// Intents made durable in the filesystem.
     persisted: Counter,
@@ -130,6 +129,18 @@ struct IntentCounters {
     /// Intents rolled back (server failed mid-change, marker writes
     /// failed, or the server no longer recognized the intent).
     rolled_back: Counter,
+}
+
+impl IntentCounters {
+    /// The counters for `kind`, registered under `master.{split,merge}.*`.
+    fn new(metrics: &MetricsRegistry, kind: ChangeKind) -> Self {
+        let c = |field: &str| metrics.counter(&format!("master.{}.{field}", kind.name()), &[]);
+        IntentCounters {
+            persisted: c("intents_persisted"),
+            applied: c("applied"),
+            rolled_back: c("rolled_back"),
+        }
+    }
 }
 
 /// Per-region state of an in-flight failover of a *replicated* region:
@@ -243,6 +254,8 @@ impl Master {
         dir: Rc<ServerDirectory>,
         registry: Rc<StoreFileRegistry>,
     ) -> Rc<Master> {
+        let metrics = sim.metrics();
+        let counter = |name: &str| metrics.counter(name, &[]);
         let master = Rc::new(Master {
             sim: sim.clone(),
             net: Rc::clone(net),
@@ -255,17 +268,17 @@ impl Master {
             handled_failures: RefCell::new(HashSet::new()),
             unplaced: RefCell::new(Vec::new()),
             split_files: Cell::new(0),
-            failovers: Counter::new(),
-            wal_split_corrupt_batches: Counter::new(),
+            failovers: counter("master.failovers"),
+            wal_split_corrupt_batches: counter("master.wal_split.corrupt_batches"),
             next_region_id: Cell::new(0),
             intents: RefCell::new(BTreeMap::new()),
-            split_counters: IntentCounters::default(),
-            merge_counters: IntentCounters::default(),
+            split_counters: IntentCounters::new(metrics, ChangeKind::Split),
+            merge_counters: IntentCounters::new(metrics, ChangeKind::Merge),
             pending_move: RefCell::new(None),
-            moves_started: Counter::new(),
-            moves_completed: Counter::new(),
-            moves_refused: Counter::new(),
-            placement_cost: Counter::new(),
+            moves_started: counter("master.move.started"),
+            moves_completed: counter("master.move.completed"),
+            moves_refused: counter("master.move.refused"),
+            placement_cost: counter("master.placement.cost"),
             registry,
             timers: RefCell::new(Vec::new()),
             self_weak: RefCell::new(Weak::new()),
@@ -273,11 +286,10 @@ impl Master {
             repl_epochs: RefCell::new(HashMap::new()),
             repl_ineligible: RefCell::new(HashMap::new()),
             pending_recoveries: RefCell::new(HashMap::new()),
-            repl_promotions: Counter::new(),
-            repl_fallback_replays: Counter::new(),
+            repl_promotions: counter("master.repl.promotions"),
+            repl_fallback_replays: counter("master.repl.fallback_replays"),
         });
         *master.self_weak.borrow_mut() = Rc::downgrade(&master);
-        master.register_metrics();
         master
     }
 
@@ -406,44 +418,12 @@ impl Master {
         self.sim.events().record(self.sim.now(), kind, detail);
     }
 
-    /// Adopts the master's counters into the run's registry under
-    /// `master.*` keys. [`Master::new`] calls it, once.
-    fn register_metrics(&self) {
-        let registry = self.sim.metrics();
-        registry.register_counter("master.failovers", &[], &self.failovers);
-        registry.register_counter(
-            "master.wal_split.corrupt_batches",
-            &[],
-            &self.wal_split_corrupt_batches,
-        );
-        for kind in [ChangeKind::Split, ChangeKind::Merge] {
-            let (c, name) = (self.counters(kind), kind.name());
-            registry.register_counter(
-                &format!("master.{name}.intents_persisted"),
-                &[],
-                &c.persisted,
-            );
-            registry.register_counter(&format!("master.{name}.applied"), &[], &c.applied);
-            registry.register_counter(&format!("master.{name}.rolled_back"), &[], &c.rolled_back);
-        }
-        registry.register_counter("master.move.started", &[], &self.moves_started);
-        registry.register_counter("master.move.completed", &[], &self.moves_completed);
-        registry.register_counter("master.move.refused", &[], &self.moves_refused);
-        registry.register_counter("master.placement.cost", &[], &self.placement_cost);
-        registry.register_counter("master.repl.promotions", &[], &self.repl_promotions);
-        registry.register_counter(
-            "master.repl.fallback_replays",
-            &[],
-            &self.repl_fallback_replays,
-        );
-    }
-
     /// Handles a detected server failure: marks its regions offline,
     /// notifies the recovery hooks, splits the failed server's WAL into
     /// one store file per region and reassigns each region (§2.1 + §3.2).
     ///
     /// Idempotent per server id.
-    pub fn handle_server_failure(self: &Rc<Self>, failed: ServerId) {
+    fn handle_server_failure(self: &Rc<Self>, failed: ServerId) {
         if !self.handled_failures.borrow_mut().insert(failed) {
             return;
         }
@@ -812,19 +792,20 @@ impl Master {
     /// key order) by `cuts.len() + 1` new regions with `cuts` as the
     /// boundaries between them: one input and one cut is a split, two
     /// inputs and no cut a merge. The master validates, persists the
-    /// intent, and — once it is durable — tells the server to execute;
-    /// anything else is denied.
-    pub(crate) fn request_change(
+    /// intent, and — once it is durable — answers with the change to
+    /// execute; anything else is answered `None`, a denial.
+    pub(crate) fn request_change<D: FnOnce(Option<StructureChange>) + 'static>(
         self: &Rc<Self>,
         server: ServerId,
         inputs: Vec<RegionId>,
         cuts: Vec<Bytes>,
+        reply: Reply<Option<StructureChange>, D>,
     ) {
         let Some(&first) = inputs.first() else {
             return;
         };
         let Some(change) = self.admit_change(server, &inputs, &cuts) else {
-            self.deny(server, first);
+            reply.send(48, None);
             return;
         };
         // Record in memory first so a racing second request is denied;
@@ -838,6 +819,7 @@ impl Master {
             let Some(master) = weak.upgrade() else { return };
             if result.is_err() {
                 master.refuse_intent(&change);
+                reply.send(48, None);
                 return;
             }
             let kind = change.kind();
@@ -855,13 +837,7 @@ impl Master {
             if !master.intents.borrow().contains_key(&first) {
                 return;
             }
-            let Some(target) = master.dir.get(server) else {
-                return;
-            };
-            let node = target.node();
-            master.net.send(master.node, node, 96, move || {
-                target.execute_change(change);
-            });
+            reply.send(96, Some(change));
         });
     }
 
@@ -869,22 +845,11 @@ impl Master {
     /// AlreadyExists when an earlier attempt's append died half-way and
     /// left the file behind, and a created-but-unwritten record would do
     /// the same to every later attempt: delete it so the inputs are not
-    /// permanently blocked, then deny (the server re-requests).
+    /// permanently blocked; the request is then denied (the server
+    /// re-requests).
     fn refuse_intent(&self, change: &StructureChange) {
-        let first = change.inputs[0];
         self.dfs.delete(&change.intent_path());
-        self.intents.borrow_mut().remove(&first);
-        self.deny(change.server, first);
-    }
-
-    fn deny(&self, server: ServerId, first: RegionId) {
-        let Some(target) = self.dir.get(server) else {
-            return;
-        };
-        let node = target.node();
-        self.net.send(self.node, node, 48, move || {
-            target.change_request_denied(first);
-        });
+        self.intents.borrow_mut().remove(&change.inputs[0]);
     }
 
     /// The server finished the local flip of the change whose first
@@ -1003,22 +968,18 @@ impl Master {
             self.pending_move.borrow_mut().take();
             return;
         };
-        let node = server.node();
-        let done: Box<dyn FnOnce(bool)> = {
-            let weak = Rc::downgrade(self);
-            let net = Rc::clone(&self.net);
-            let mnode = self.node;
-            Box::new(move |ok| {
-                net.send(node, mnode, 48, move || {
-                    if let Some(master) = weak.upgrade() {
-                        master.move_closed(region, donor, ok);
-                    }
-                });
-            })
-        };
-        self.net.send(self.node, node, 64, move || {
-            server.prepare_move(region, done);
-        });
+        let weak = Rc::downgrade(self);
+        self.net.request(
+            self.node,
+            server.node(),
+            64,
+            move |reply| server.prepare_move(region, reply),
+            move |closed| {
+                if let Some(master) = weak.upgrade() {
+                    master.move_closed(region, donor, closed);
+                }
+            },
+        );
     }
 
     /// The donor closed (or refused to close) the moving region. On
@@ -1228,23 +1189,22 @@ impl Master {
             return;
         }
         for backup in backups {
-            let bid = backup.id();
-            let bnode = backup.node();
-            let reply: Box<dyn FnOnce(u64, bool)> = {
-                let weak = Rc::downgrade(self);
-                let net = Rc::clone(&self.net);
-                let mnode = self.node;
-                Box::new(move |epoch, synced| {
-                    net.send(bnode, mnode, 48, move || {
-                        if let Some(master) = weak.upgrade() {
-                            master.probe_reply(region, bid, epoch, synced);
-                        }
-                    });
-                })
-            };
-            self.net.send(self.node, bnode, 48, move || {
-                backup.query_replica(region, reply);
-            });
+            let (bid, weak) = (backup.id(), Rc::downgrade(self));
+            self.net.request(
+                self.node,
+                backup.node(),
+                48,
+                move |reply| {
+                    if let Some(shadow) = backup.query_replica(region) {
+                        reply.send(48, shadow);
+                    }
+                },
+                move |(epoch, synced)| {
+                    if let Some(master) = weak.upgrade() {
+                        master.probe_reply(region, bid, epoch, synced);
+                    }
+                },
+            );
         }
         let weak = Rc::downgrade(self);
         self.sim.schedule_in(PROBE_DEADLINE, move || {
@@ -1386,19 +1346,13 @@ impl Master {
 
     /// `backup`'s lane for `region` (replica-group `epoch`) fell out of
     /// sync (gap, backlog overflow, or ack timeout). The master records
-    /// the ineligibility and invokes `done(false)`; only then may the
-    /// primary release gates held for that lane. When the report's epoch
-    /// is older than the currently established group (the reporter is a
-    /// stale ex-primary, e.g. resurfacing from a healed partition after a
-    /// promotion), the master answers `done(true)` instead: the reporter
-    /// must fence itself rather than un-gate.
-    pub(crate) fn replica_unsynced(
-        &self,
-        region: RegionId,
-        epoch: u64,
-        backup: ServerId,
-        done: Box<dyn FnOnce(bool)>,
-    ) {
+    /// the ineligibility and answers `false`; only then may the primary
+    /// release gates held for that lane. When the report's epoch is older
+    /// than the currently established group (the reporter is a stale
+    /// ex-primary, e.g. resurfacing from a healed partition after a
+    /// promotion), the master answers `true` instead: the reporter must
+    /// fence itself rather than un-gate.
+    pub(crate) fn replica_unsynced(&self, region: RegionId, epoch: u64, backup: ServerId) -> bool {
         // A report under an older epoch than the currently established
         // group comes from a stale ex-primary (it resurfaced after a
         // promotion it never saw). Acking would let it un-gate and hand
@@ -1410,8 +1364,7 @@ impl Master {
             self.event("replication.stale_report", move || {
                 format!("region={region} epoch={epoch} backup={backup}")
             });
-            done(true);
-            return;
+            return true;
         }
         self.repl_ineligible
             .borrow_mut()
@@ -1422,7 +1375,7 @@ impl Master {
         // Acking *after* recording is the soundness point: the primary
         // releases gates only once this backup can no longer win a
         // promotion at this epoch.
-        done(false);
+        false
     }
 
     /// `backup`'s lane for `region` completed a full-state sync that

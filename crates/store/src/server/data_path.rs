@@ -20,7 +20,7 @@ use crate::sstable::StoreFileData;
 use crate::types::{Mutation, RegionId, Timestamp};
 use crate::wal::WalSyncMode;
 use bytes::Bytes;
-use cumulo_sim::metrics::{Counter, Gauge};
+use cumulo_sim::metrics::{Counter, Gauge, MetricsRegistry};
 use cumulo_sim::{SimDuration, SimTime};
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
@@ -68,7 +68,7 @@ const FILTER_PROBE_SERVICE: SimDuration = SimDuration::from_micros(2);
 /// executes, so the counters describe real behavior, not the up-front
 /// cost estimate. Scans are not metered here (they use range pruning
 /// only).
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Debug)]
 pub struct FilterStats {
     /// Bloom-filter probes performed (one per range-covering file per
     /// point get, while filters are enabled).
@@ -90,6 +90,23 @@ pub struct FilterStats {
     /// Current bytes of bloom-filter metadata across the server's hosted
     /// store files (including flushing snapshots).
     pub filter_bytes: Gauge,
+}
+
+impl FilterStats {
+    /// The server's filter statistics, each registered in `metrics`
+    /// under its `store.filter.*` key with the server's `labels`.
+    pub(crate) fn new(metrics: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
+        let c = |name: &str| metrics.counter(name, labels);
+        FilterStats {
+            probes: c("store.filter.probes"),
+            range_skips: c("store.filter.range_skips"),
+            filter_skips: c("store.filter.filter_skips"),
+            false_positives: c("store.filter.false_positives"),
+            false_negatives: c("store.filter.false_negatives"),
+            files_consulted: c("store.filter.files_consulted"),
+            filter_bytes: metrics.gauge("store.filter.bytes", labels),
+        }
+    }
 }
 
 /// What [`RegionServer::files_to_consult`] decided on the way to the

@@ -359,6 +359,11 @@ impl RegionServer {
         registry: Rc<StoreFileRegistry>,
     ) -> Rc<RegionServer> {
         let wal = Wal::new(sim, &dfs, format!("/wal/{id}"));
+        // Every metric is registered under a `store.*{server=<id>}` key.
+        let metrics = sim.metrics();
+        let sid = id.to_string();
+        let labels: &[(&str, &str)] = &[("server", sid.as_str())];
+        let counter = |name: &str| metrics.counter(name, labels);
         let server = Rc::new(RegionServer {
             sim: sim.clone(),
             net: Rc::clone(net),
@@ -375,14 +380,14 @@ impl RegionServer {
             alive: Cell::new(true),
             timers: RefCell::new(Vec::new()),
             storefile_counter: Cell::new(0),
-            gets: Counter::new(),
-            multi_gets: Counter::new(),
-            puts: Counter::new(),
-            scans: Counter::new(),
-            scan_cells_examined: Counter::new(),
-            not_serving: Counter::new(),
-            compaction_stats: CompactionStats::default(),
-            filter_stats: FilterStats::default(),
+            gets: counter("store.gets"),
+            multi_gets: counter("store.multi_gets"),
+            puts: counter("store.puts"),
+            scans: counter("store.scans"),
+            scan_cells_examined: counter("store.scan.cells_examined"),
+            not_serving: counter("store.not_serving"),
+            compaction_stats: CompactionStats::new(metrics, labels),
+            filter_stats: FilterStats::new(metrics, labels),
             bloom_enabled: Cell::new(true),
             policy: compaction::policy_for(cfg.compaction.policy),
             compaction_deficit: Cell::new(0),
@@ -393,17 +398,16 @@ impl RegionServer {
             coord: RefCell::new(None),
             master: RefCell::new(None),
             pending_change: RefCell::new(None),
-            split_stats: StructureStats::default(),
-            merge_stats: StructureStats::default(),
-            region_load: GaugeMap::default(),
+            split_stats: StructureStats::new(metrics, labels, ChangeKind::Split),
+            merge_stats: StructureStats::new(metrics, labels, ChangeKind::Merge),
+            region_load: metrics.gauge_map("store.region.load_ns", labels, "region"),
             pending_move: RefCell::new(None),
             gc_watermark: RefCell::new(None),
             repl: RefCell::default(),
-            repl_stats: ReplicationStats::default(),
+            repl_stats: ReplicationStats::new(metrics, labels),
             self_weak: RefCell::new(Weak::new()),
         });
         *server.self_weak.borrow_mut() = Rc::downgrade(&server);
-        server.register_metrics();
         server
     }
 
@@ -492,7 +496,7 @@ impl RegionServer {
     /// Installs the master (cluster wiring; without one, candidacy
     /// checks never fire an intent and lane-drop reports release
     /// locally).
-    pub fn set_master(&self, master: Rc<Master>) {
+    pub(crate) fn set_master(&self, master: Rc<Master>) {
         *self.master.borrow_mut() = Some(master);
     }
 
@@ -505,78 +509,6 @@ impl RegionServer {
     /// its heartbeat, per Algorithm 3).
     pub fn wal(&self) -> &Wal {
         &self.wal
-    }
-
-    /// Adopts this server's metric handles into the run's registry under
-    /// `store.*{server=<id>}` keys: request counters, the filter and
-    /// compaction statistics (per-level profiles under a `level=` slot
-    /// label) and the split statistics (per-region load under a
-    /// `region=` key label). [`RegionServer::new`] calls it, once.
-    fn register_metrics(&self) {
-        let registry = self.sim.metrics();
-        let sid = self.id.to_string();
-        let labels: &[(&str, &str)] = &[("server", sid.as_str())];
-        let c = |name: &str, counter: &Counter| registry.register_counter(name, labels, counter);
-        c("store.gets", &self.gets);
-        c("store.multi_gets", &self.multi_gets);
-        c("store.puts", &self.puts);
-        c("store.scans", &self.scans);
-        c("store.scan.cells_examined", &self.scan_cells_examined);
-        c("store.not_serving", &self.not_serving);
-        let f = &self.filter_stats;
-        c("store.filter.probes", &f.probes);
-        c("store.filter.range_skips", &f.range_skips);
-        c("store.filter.filter_skips", &f.filter_skips);
-        c("store.filter.false_positives", &f.false_positives);
-        c("store.filter.false_negatives", &f.false_negatives);
-        c("store.filter.files_consulted", &f.files_consulted);
-        registry.register_gauge("store.filter.bytes", labels, &f.filter_bytes);
-        let k = &self.compaction_stats;
-        c("store.compaction.started", &k.started);
-        c("store.compaction.completed", &k.completed);
-        c("store.compaction.bytes_rewritten", &k.bytes_rewritten);
-        c("store.compaction.versions_dropped", &k.versions_dropped);
-        c("store.compaction.files_retired", &k.files_retired);
-        c("store.compaction.deletes_confirmed", &k.deletes_confirmed);
-        c(
-            "store.compaction.filter_bytes_dropped",
-            &k.filter_bytes_dropped,
-        );
-        c(
-            "store.compaction.filter_bytes_created",
-            &k.filter_bytes_created,
-        );
-        c("store.compaction.deferred", &k.deferred);
-        c("store.compaction.forced", &k.forced);
-        c("store.compaction.flush_stalls", &k.flush_stalls);
-        c("store.compaction.stall_ns", &k.stall_ns);
-        registry.register_gauge("store.read_amplification", labels, &k.read_amplification);
-        registry.register_vec("store.level.files", labels, "level", &k.level_files);
-        registry.register_vec("store.level.bytes", labels, "level", &k.level_bytes);
-        for kind in [ChangeKind::Split, ChangeKind::Merge] {
-            let (s, name) = (self.structure_stats(kind), kind.name());
-            c(&format!("store.{name}.considered"), &s.considered);
-            c(
-                &format!("store.{name}.intents_requested"),
-                &s.intents_requested,
-            );
-            c(&format!("store.{name}.executing"), &s.executing);
-            c(&format!("store.{name}.completed"), &s.completed);
-            c(&format!("store.{name}.aborted"), &s.aborted);
-        }
-        registry.register_map("store.region.load_ns", labels, "region", &self.region_load);
-        let r = &self.repl_stats;
-        c("store.repl.ships", &r.ships);
-        c("store.repl.ship_bytes", &r.ship_bytes);
-        c("store.repl.acks", &r.acks);
-        c("store.repl.nacks", &r.nacks);
-        c("store.repl.syncs", &r.syncs);
-        c("store.repl.applied", &r.applied);
-        c("store.repl.fences", &r.fences);
-        c("store.repl.fenced", &r.fenced);
-        c("store.repl.lane_drops", &r.lane_drops);
-        registry.register_gauge("store.repl.backlog_bytes", labels, &r.backlog_bytes);
-        registry.register_gauge("store.repl.lag", labels, &r.lag);
     }
 
     /// Cumulative foreground service nanoseconds across this server's
@@ -751,7 +683,7 @@ impl RegionServer {
     }
 
     /// Declares a hosted region online (ends its recovery gating).
-    pub fn mark_region_online(&self, region: RegionId) {
+    fn mark_region_online(&self, region: RegionId) {
         if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
             st.online = true;
             self.event("region.online", move |line| write!(line, "region={region}"));

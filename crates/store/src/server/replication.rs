@@ -16,7 +16,7 @@ use crate::memstore::MemStore;
 use crate::region::RegionDescriptor;
 use crate::types::{Mutation, RegionId, ServerId, Timestamp};
 use bytes::Bytes;
-use cumulo_sim::metrics::{Counter, Gauge};
+use cumulo_sim::metrics::{Counter, Gauge, MetricsRegistry};
 use cumulo_sim::{NodeId, SimDuration};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -42,7 +42,7 @@ pub(super) const RESYNC_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
 /// Shared observability for primary/backup replication (all handles
 /// clone cheaply and share state, like [`crate::CompactionStats`]).
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Debug)]
 pub struct ReplicationStats {
     /// Mutation records shipped to backup lanes (primary side).
     pub ships: Counter,
@@ -67,6 +67,27 @@ pub struct ReplicationStats {
     pub backlog_bytes: Gauge,
     /// Worst `shipped - acked` sequence distance across lanes (primary).
     pub lag: Gauge,
+}
+
+impl ReplicationStats {
+    /// The server's replication statistics, each registered in
+    /// `metrics` under its `store.repl.*` key with the server's `labels`.
+    pub(crate) fn new(metrics: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
+        let c = |name: &str| metrics.counter(name, labels);
+        ReplicationStats {
+            ships: c("store.repl.ships"),
+            ship_bytes: c("store.repl.ship_bytes"),
+            acks: c("store.repl.acks"),
+            nacks: c("store.repl.nacks"),
+            syncs: c("store.repl.syncs"),
+            applied: c("store.repl.applied"),
+            fences: c("store.repl.fences"),
+            fenced: c("store.repl.fenced"),
+            lane_drops: c("store.repl.lane_drops"),
+            backlog_bytes: metrics.gauge("store.repl.backlog_bytes", labels),
+            lag: metrics.gauge("store.repl.lag", labels),
+        }
+    }
 }
 
 /// One element of the stream a primary sends down a backup lane.
@@ -502,7 +523,7 @@ impl RegionServer {
     /// client acks gate on it. Pending gates are released: no lane is in
     /// sync anymore, and the syncs that follow carry the full state the
     /// gated writes are part of.
-    pub fn establish_replica_group(
+    pub(crate) fn establish_replica_group(
         self: &Rc<Self>,
         region: RegionId,
         epoch: u64,
@@ -537,7 +558,7 @@ impl RegionServer {
     /// `epoch`. The shadow is created if missing and always marked out
     /// of sync — the primary's next full-state sync re-baselines it
     /// (sequence numbers from different primaries must never be mixed).
-    pub fn open_shadow(&self, region: RegionId, desc: RegionDescriptor, epoch: u64) {
+    pub(crate) fn open_shadow(&self, region: RegionId, desc: RegionDescriptor, epoch: u64) {
         if !self.alive.get() {
             return;
         }
@@ -558,7 +579,7 @@ impl RegionServer {
 
     /// Master RPC: `region`'s shadow is obsolete (parent of an applied
     /// split, or this backup left the group).
-    pub fn close_shadow(&self, region: RegionId, epoch: u64) {
+    pub(crate) fn close_shadow(&self, region: RegionId, epoch: u64) {
         if !self.alive.get() {
             return;
         }
@@ -576,21 +597,17 @@ impl RegionServer {
         }
     }
 
-    /// Master RPC (promotion probe): reports this backup's view of
-    /// `region` — shadow epoch and sync state. (How far the shadow has
-    /// applied is no part of it: sequence numbers are per lane, and every
-    /// in-sync shadow holds every acknowledged write.)
-    pub fn query_replica(&self, region: RegionId, reply: Box<dyn FnOnce(u64, bool)>) {
+    /// Master RPC (promotion probe): this backup's view of `region` —
+    /// shadow epoch and sync state; `None` from a dead process. (How far
+    /// the shadow has applied is no part of it: sequence numbers are per
+    /// lane, and every in-sync shadow holds every acknowledged write.)
+    pub(crate) fn query_replica(&self, region: RegionId) -> Option<(u64, bool)> {
         if !self.alive.get() {
-            return;
+            return None;
         }
         let repl = self.repl.borrow();
-        let (epoch, synced) = repl
-            .shadows
-            .get(&region)
-            .map_or((0, false), |s| (s.epoch, s.synced));
-        drop(repl);
-        reply(epoch, synced);
+        let shadow = repl.shadows.get(&region);
+        Some(shadow.map_or((0, false), |s| (s.epoch, s.synced)))
     }
 
     /// Master RPC: this backup won the promotion for `region` after
@@ -600,7 +617,7 @@ impl RegionServer {
     /// regular recovery gating runs with `promoted = true` — the
     /// recovery manager replays only the transaction-log suffix above
     /// the persisted floor instead of waiting for a full WAL split.
-    pub fn promote_replica(self: &Rc<Self>, region: RegionId, epoch: u64, failed: ServerId) {
+    pub(crate) fn promote_replica(self: &Rc<Self>, region: RegionId, epoch: u64, failed: ServerId) {
         if !self.alive.get() {
             return;
         }
@@ -717,28 +734,22 @@ impl RegionServer {
                     });
                 }
             }
-            let element = Rc::clone(&element);
-            let reply = self.ack_reply(lane, node);
-            self.net.send(self.node, node, bytes, move || {
-                handle.apply(region, epoch, seq, &element, reply);
-            });
+            let (element, this) = (Rc::clone(&element), Rc::clone(self));
+            self.net.request(
+                self.node,
+                node,
+                bytes,
+                move |reply| {
+                    if let Some(ack) = handle.apply(region, epoch, seq, &element) {
+                        reply.send(40, ack);
+                    }
+                },
+                move |ack| this.handle_repl_ack(lane, ack),
+            );
             self.schedule_ack_timeout(lane, seq);
         }
         self.update_repl_gauges();
         gate
-    }
-
-    /// Builds the reply closure a backup invokes to ack a ship: one
-    /// network hop back to this primary.
-    fn ack_reply(self: &Rc<Self>, lane: LaneId, backup_node: NodeId) -> Box<dyn FnOnce(ReplAck)> {
-        let this = Rc::clone(self);
-        let net = Rc::clone(&self.net);
-        Box::new(move |ack| {
-            let node = this.node;
-            net.send(backup_node, node, 40, move || {
-                this.handle_repl_ack(lane, ack);
-            });
-        })
     }
 
     /// Declares the lane out of sync if `seq` is still unacked when the
@@ -815,20 +826,17 @@ impl RegionServer {
         if !self.lane_is(lane, |l| matches!(l.state, LaneState::Unsyncing(_))) {
             return;
         }
-        let master_node = master.node();
-        let done: Box<dyn FnOnce(bool)> = {
-            let this = Rc::clone(self);
-            let net = Rc::clone(&self.net);
-            Box::new(move |stale| {
-                let node = this.node;
-                net.send(master_node, node, 32, move || {
-                    this.finish_lane_drop(lane, stale);
-                });
-            })
-        };
-        self.net.send(self.node, master_node, 64, move || {
-            master.replica_unsynced(lane.region, lane.epoch, lane.backup, done);
-        });
+        let this = Rc::clone(self);
+        self.net.request(
+            self.node,
+            master.node(),
+            64,
+            move |reply| {
+                let stale = master.replica_unsynced(lane.region, lane.epoch, lane.backup);
+                reply.send(32, stale);
+            },
+            move |stale| this.finish_lane_drop(lane, stale),
+        );
         let weak = Rc::downgrade(self);
         self.sim.schedule_in(REPORT_RETRY, move || {
             if let Some(this) = weak.upgrade().filter(|this| this.alive.get()) {
@@ -937,8 +945,8 @@ impl RegionServer {
     }
 
     /// Backup side: applies one stream element to `region`'s shadow and
-    /// acks it — the one ladder every element climbs: alive, not fenced
-    /// out by this server's own primacy, not from a stale epoch,
+    /// returns its ack — the one ladder every element climbs: alive, not
+    /// fenced out by this server's own primacy, not from a stale epoch,
     /// contiguous. A sync re-baselines, so it needs no contiguity and
     /// creates a missing shadow; anything else must carry exactly the
     /// next sequence number of a shadow that is in sync.
@@ -948,14 +956,12 @@ impl RegionServer {
         epoch: u64,
         seq: u64,
         element: &StreamElement,
-        reply: Box<dyn FnOnce(ReplAck)>,
-    ) {
+    ) -> Option<ReplAck> {
         if !self.alive.get() {
-            return;
+            return None;
         }
         if let Some(stale) = self.fence_check(region, epoch) {
-            reply(stale);
-            return;
+            return Some(stale);
         }
         let ack = {
             let mut repl = self.repl.borrow_mut();
@@ -998,23 +1004,22 @@ impl RegionServer {
             }
         };
         self.note_backup_ack(region, &ack);
-        reply(ack);
+        Some(ack)
     }
 
-    /// Peer side of the idle-lane epoch probe: replies `Stale` only when
+    /// Peer side of the idle-lane epoch probe: answers `Stale` only when
     /// the probing server's epoch is superseded here — this server hosts
     /// `region` as primary, or holds a shadow under a newer epoch.
-    /// Silence is the healthy answer; the probe repeats on the next
-    /// re-sync tick. This is how a quiesced stale primary (nothing in
-    /// flight when a partition cut it off, so no ack timeout ever fired)
-    /// discovers a promotion it slept through and fences itself.
-    fn probe_epoch(self: &Rc<Self>, region: RegionId, epoch: u64, reply: Box<dyn FnOnce(ReplAck)>) {
+    /// Silence (`None`) is the healthy answer; the probe repeats on the
+    /// next re-sync tick. This is how a quiesced stale primary (nothing
+    /// in flight when a partition cut it off, so no ack timeout ever
+    /// fired) discovers a promotion it slept through and fences itself.
+    fn probe_epoch(self: &Rc<Self>, region: RegionId, epoch: u64) -> Option<ReplAck> {
         if !self.alive.get() {
-            return;
+            return None;
         }
         if let Some(stale) = self.fence_check(region, epoch) {
-            reply(stale);
-            return;
+            return Some(stale);
         }
         let newer = self
             .repl
@@ -1022,12 +1027,10 @@ impl RegionServer {
             .shadows
             .get(&region)
             .map(|s| s.epoch)
-            .filter(|e| *e > epoch);
-        if let Some(newer) = newer {
-            let ack = ReplAck::Stale(newer);
-            self.note_backup_ack(region, &ack);
-            reply(ack);
-        }
+            .filter(|e| *e > epoch)?;
+        let ack = ReplAck::Stale(newer);
+        self.note_backup_ack(region, &ack);
+        Some(ack)
     }
 
     /// A ship addressed to a region this server hosts as *primary* comes
@@ -1136,10 +1139,18 @@ impl RegionServer {
         }
         probes.sort_unstable_by_key(|(id, ..)| (id.region, id.backup));
         for (id, node, handle) in probes {
-            let reply = self.ack_reply(id, node);
-            self.net.send(self.node, node, 24, move || {
-                handle.probe_epoch(id.region, id.epoch, reply);
-            });
+            let this = Rc::clone(self);
+            self.net.request(
+                self.node,
+                node,
+                24,
+                move |reply| {
+                    if let Some(ack) = handle.probe_epoch(id.region, id.epoch) {
+                        reply.send(40, ack);
+                    }
+                },
+                move |ack| this.handle_repl_ack(id, ack),
+            );
         }
     }
 

@@ -16,15 +16,15 @@ use crate::region::{ChangeKind, RegionDescriptor, StructureChange};
 use crate::sstable::StoreFileData;
 use crate::types::RegionId;
 use bytes::Bytes;
-use cumulo_sim::metrics::Counter;
-use cumulo_sim::SimDuration;
+use cumulo_sim::metrics::{Counter, MetricsRegistry};
+use cumulo_sim::{Reply, SimDuration};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 /// Shared observability for one kind of online structure change — a
 /// server keeps one for splits and one for merges (all handles clone
 /// cheaply and share state, like [`crate::CompactionStats`]).
-#[derive(Clone, Default, Debug)]
+#[derive(Clone, Debug)]
 pub struct StructureStats {
     /// Candidacies accepted (a pending change was set up), by the timer
     /// or the admin trigger.
@@ -40,6 +40,25 @@ pub struct StructureStats {
     /// server-side (reference marker writes failed); master-side
     /// rollbacks are counted at the master.
     pub aborted: Counter,
+}
+
+impl StructureStats {
+    /// The server's statistics for `kind`, each registered in `metrics`
+    /// under its `store.{split,merge}.*` key with the server's `labels`.
+    pub(crate) fn new(
+        metrics: &MetricsRegistry,
+        labels: &[(&str, &str)],
+        kind: ChangeKind,
+    ) -> Self {
+        let c = |field: &str| metrics.counter(&format!("store.{}.{field}", kind.name()), labels);
+        StructureStats {
+            considered: c("considered"),
+            intents_requested: c("intents_requested"),
+            executing: c("executing"),
+            completed: c("completed"),
+            aborted: c("aborted"),
+        }
+    }
 }
 
 /// The server-local state machine of the one in-flight structure change
@@ -341,10 +360,17 @@ impl RegionServer {
             line.write_str(&kind.inputs_label(&journal_inputs))
         });
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
-        let net = Rc::clone(&self.net);
-        net.send(self.node, master.node(), bytes, move || {
-            master.request_change(me, inputs, cuts)
-        });
+        let (this, first) = (Rc::clone(self), inputs[0]);
+        self.net.request(
+            self.node,
+            master.node(),
+            bytes,
+            move |reply| master.request_change(me, inputs, cuts, reply),
+            move |answer| match answer {
+                Some(change) => this.execute_change(change),
+                None => this.change_request_denied(first),
+            },
+        );
     }
 
     /// Drops the pending change and clears its inputs' structural-op
@@ -361,11 +387,11 @@ impl RegionServer {
         }
     }
 
-    /// Master RPC: the request for the change whose first input is
-    /// `first` was rejected (stale assignment, an intent already in
-    /// flight, or an invalid shape, key or pair). The inputs resume
-    /// normal flush/compaction scheduling.
-    pub fn change_request_denied(&self, first: RegionId) {
+    /// The master denied the request for the change whose first input is
+    /// `first` (stale assignment, an intent already in flight, or an
+    /// invalid shape, key or pair). The inputs resume normal
+    /// flush/compaction scheduling.
+    fn change_request_denied(&self, first: RegionId) {
         if !self.alive.get() {
             return;
         }
@@ -384,12 +410,12 @@ impl RegionServer {
         }
     }
 
-    /// Master RPC: the intent is durable — execute. Cuts a reference
-    /// from every input store file into every output whose range it
-    /// intersects, makes the references' marker files durable in the
-    /// filesystem (so a failover can resolve the outputs' file sets),
-    /// then flips atomically.
-    pub fn execute_change(self: &Rc<Self>, change: StructureChange) {
+    /// The master granted the request: the intent is durable — execute.
+    /// Cuts a reference from every input store file into every output
+    /// whose range it intersects, makes the references' marker files
+    /// durable in the filesystem (so a failover can resolve the outputs'
+    /// file sets), then flips atomically.
+    fn execute_change(self: &Rc<Self>, change: StructureChange) {
         if !self.alive.get() {
             return;
         }
@@ -697,12 +723,16 @@ impl RegionServer {
     /// Master RPC: close `region` so it can reopen on another server.
     /// The region goes offline immediately (requests get NotServing, as
     /// during a failover), its memstore is flushed, and once the file
-    /// set is quiescent the state is dropped and `done(true)` reports
-    /// back. Refuses (`done(false)`) when the region is mid-flight in
-    /// any other operation; a crash mid-close simply never reports, and
-    /// the master's failover of this server recovers the region — still
+    /// set is quiescent the state is dropped and the answer is `true`.
+    /// Refuses (`false`) when the region is mid-flight in any other
+    /// operation; a crash mid-close simply never answers, and the
+    /// master's failover of this server recovers the region — still
     /// assigned here — through the normal WAL path.
-    pub fn prepare_move(self: &Rc<Self>, region: RegionId, done: Box<dyn FnOnce(bool)>) {
+    pub(crate) fn prepare_move<D: FnOnce(bool) + 'static>(
+        self: &Rc<Self>,
+        region: RegionId,
+        reply: Reply<bool, D>,
+    ) {
         if !self.alive.get() {
             return;
         }
@@ -712,7 +742,7 @@ impl RegionServer {
             st.is_some_and(|st| st.restructurable() && !st.compaction_in_progress)
         };
         if !ok {
-            done(false);
+            reply.send(48, false);
             return;
         }
         {
@@ -725,17 +755,17 @@ impl RegionServer {
         }
         *self.pending_move.borrow_mut() = Some(region);
         self.event("move.close", move |line| write!(line, "region={region}"));
-        self.advance_pending_move(region, done, 0);
+        self.advance_pending_move(region, reply, 0);
     }
 
     /// Polls the moving region toward quiescence (fixed 200ms steps, no
     /// RNG): flush anything dirty, wait out in-flight flushes, then drop
-    /// the state and acknowledge. Gives up (reopening the region in
-    /// place) if the filesystem stays unavailable past the attempt cap.
-    fn advance_pending_move(
+    /// the state and answer. Gives up (reopening the region in place) if
+    /// the filesystem stays unavailable past the attempt cap.
+    fn advance_pending_move<D: FnOnce(bool) + 'static>(
         self: &Rc<Self>,
         region: RegionId,
-        done: Box<dyn FnOnce(bool)>,
+        reply: Reply<bool, D>,
         attempts: u32,
     ) {
         const MAX_ATTEMPTS: u32 = 50;
@@ -746,43 +776,39 @@ impl RegionServer {
         let state = regions.get(&region);
         let state = state.map(|st| (!st.quiescent(), !st.memstore.is_empty()));
         drop(regions);
-        let Some((busy, dirty)) = state else {
-            self.pending_move.borrow_mut().take();
-            done(false);
-            return;
-        };
-        if busy || dirty {
-            if attempts >= MAX_ATTEMPTS {
-                // Filesystem unavailable: abandon the move and resume
-                // serving in place — the region lost availability for
-                // the poll window, not its data.
-                {
-                    let mut regions = self.regions.borrow_mut();
-                    if let Some(st) = regions.get_mut(&region) {
-                        st.online = true;
-                        st.restructuring = false;
-                    }
+        let closed = match state {
+            None => false,
+            Some((busy, dirty)) if (busy || dirty) && attempts < MAX_ATTEMPTS => {
+                if dirty && !busy {
+                    self.flush_region(region);
                 }
-                self.pending_move.borrow_mut().take();
-                done(false);
+                let this = Rc::clone(self);
+                self.sim
+                    .schedule_in(SimDuration::from_millis(200), move || {
+                        this.advance_pending_move(region, reply, attempts + 1)
+                    });
                 return;
             }
-            if dirty && !busy {
-                self.flush_region(region);
+            // Filesystem unavailable: abandon the move and resume serving
+            // in place — the region lost availability for the poll
+            // window, not its data.
+            Some((busy, dirty)) if busy || dirty => {
+                if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
+                    st.online = true;
+                    st.restructuring = false;
+                }
+                false
             }
-            let this = Rc::clone(self);
-            self.sim
-                .schedule_in(SimDuration::from_millis(200), move || {
-                    this.advance_pending_move(region, done, attempts + 1)
-                });
-            return;
-        }
-        self.regions.borrow_mut().remove(&region);
-        self.cache.borrow_mut().evict_region(region);
-        self.region_load.remove(region.0 as u64);
+            Some(_) => {
+                self.regions.borrow_mut().remove(&region);
+                self.cache.borrow_mut().evict_region(region);
+                self.region_load.remove(region.0 as u64);
+                self.update_file_metrics();
+                self.event("move.closed", move |line| write!(line, "region={region}"));
+                true
+            }
+        };
         self.pending_move.borrow_mut().take();
-        self.update_file_metrics();
-        self.event("move.closed", move |line| write!(line, "region={region}"));
-        done(true);
+        reply.send(48, closed);
     }
 }
