@@ -637,13 +637,12 @@ impl MetricsRegistry {
     /// an extra `slot_label=i` label (e.g. `level=2`).
     pub fn gauge_vec(&self, name: &str, labels: &[(&str, &str)], slot_label: &str) -> GaugeVec {
         let v = GaugeVec { v: Rc::default() };
-        let slot_label = slot_label.to_owned();
         self.push(
             name,
             labels,
             Metric::Vec {
                 v: v.clone(),
-                slot_label,
+                slot_label: slot_label.to_owned(),
             },
         );
         v
@@ -653,13 +652,12 @@ impl MetricsRegistry {
     /// extra `key_label=k` label (e.g. `region=7`).
     pub fn gauge_map(&self, name: &str, labels: &[(&str, &str)], key_label: &str) -> GaugeMap {
         let m = GaugeMap { v: Rc::default() };
-        let key_label = key_label.to_owned();
         self.push(
             name,
             labels,
             Metric::Map {
                 m: m.clone(),
-                key_label,
+                key_label: key_label.to_owned(),
             },
         );
         m
