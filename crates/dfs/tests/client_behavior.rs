@@ -174,6 +174,40 @@ fn read_survives_replica_crash_after_write() {
     assert_eq!(data.len(), n);
 }
 
+/// The replica a read chose dies after answering its record count and
+/// before the data fetch reaches it: the fetch's 100 ms deadline passes,
+/// the read starts over 20 ms later and completes from the survivor.
+/// When it completes and what it took on the wire are pinned.
+#[test]
+fn read_whose_chosen_replica_dies_before_the_fetch_retries_it_is_pinned() {
+    let fx = fixture(2, 2);
+    let file = create_file(&fx, "/f");
+    for i in 0..5 {
+        file.append(Bytes::from(format!("r{i}")), |r| {
+            r.expect("append");
+        });
+    }
+    fx.sim.run_for(SimDuration::from_secs(1));
+    let chosen = fx.nn.datanode(fx.nn.replicas("/f").unwrap()[0]).node();
+    let start = fx.sim.now();
+    let sent = fx.net.messages_sent();
+    let out: Rc<RefCell<Option<(SimTime, Result<Vec<Bytes>, DfsError>)>>> = Rc::default();
+    let (sink, sim) = (out.clone(), fx.sim.clone());
+    fx.dfs
+        .read("/f", move |r| *sink.borrow_mut() = Some((sim.now(), r)));
+    // The namenode lookup and two record counts are six messages; the
+    // seventh is the data fetch, sent as the last count arrives.
+    while fx.net.messages_sent() < sent + 7 {
+        fx.sim.run_for(SimDuration::from_micros(10));
+    }
+    fx.net.crash(chosen);
+    fx.sim.run_for(SimDuration::from_secs(2));
+    let (at, data) = out.borrow_mut().take().expect("read completed");
+    assert_eq!(data.expect("read").len(), 5);
+    assert_eq!((at - start).nanos(), 124_540_804, "read completed");
+    assert_eq!((fx.net.messages_sent(), fx.net.messages_dropped()), (35, 1));
+}
+
 #[test]
 fn read_unavailable_when_all_replicas_dead() {
     let fx = fixture(3, 2);

@@ -1166,6 +1166,60 @@ fn replication_of_a_fixed_schedule_is_pinned() {
     }
 }
 
+/// A primary cut off from its backup and from the master at once: the
+/// ack timeout takes the lane out of sync, and the ineligibility report
+/// that starts is lost and re-sent every 400 ms until the master cut
+/// heals. The re-sync tick after the second heal brings the lane back
+/// in. When each of those happened and how many messages it took are
+/// pinned.
+#[test]
+fn a_lane_report_lost_to_a_master_cut_is_resent_until_answered() {
+    let mut cfg = RegionServerConfig::default();
+    cfg.compaction.enabled = false;
+    cfg.replication = true;
+    let c = build_replicated(71, 3, 3, cfg, 2);
+    run_to(&c, 3_000);
+    assert_eq!(c.events.count("replication.lane_resynced"), 3);
+    let map = c.master.snapshot_map();
+    let region = map.regions()[0].id;
+    let primary = map.server_for(region).and_then(|s| c.dir.get(s));
+    let primary = primary.expect("the primary is registered").node();
+    let backup = c.dir.get(map.replicas_of(region)[0]);
+    let backup = backup.expect("the backup is registered").node();
+    c.net.partition(primary, backup);
+    c.net.partition(primary, c.master.node());
+    put_row_7(&c, region);
+    run_to(&c, 6_000);
+    assert_eq!(c.events.count("replication.lane_unsynced"), 1);
+    assert_eq!(c.events.count("replication.ineligible"), 0);
+    c.net.heal(primary, c.master.node());
+    run_to(&c, 7_000);
+    assert_eq!(c.events.count("replication.ineligible"), 1);
+    c.net.heal(primary, backup);
+    run_to(&c, 10_000);
+    assert_eq!(c.events.count("replication.lane_resynced"), 4);
+    assert_eq!(c.events.dropped(), 0);
+    let after_the_cut: Vec<(u64, &str)> = c
+        .events
+        .entries()
+        .iter()
+        .filter(|e| e.kind.starts_with("replication.") && e.time.nanos() > 3_000_000_000)
+        .map(|e| (e.time.nanos(), e.kind))
+        .collect();
+    assert_eq!(
+        after_the_cut,
+        [
+            (4_500_859_285, "replication.lane_unsynced"),
+            (6_101_171_095, "replication.ineligible"),
+            (8_000_000_000, "replication.sync"),
+            (8_000_607_063, "replication.lane_resynced"),
+            (8_000_936_496, "replication.eligible"),
+        ],
+        "replication event instants"
+    );
+    assert_eq!((c.net.messages_sent(), c.net.messages_dropped()), (185, 11));
+}
+
 /// One region on rs0 with one backup lane, stopped at the instant the
 /// primary ships the lane's first full-state sync (the 2 s re-sync tick;
 /// the lane is out of sync since the establish). The memstore is large

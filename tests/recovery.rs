@@ -498,6 +498,55 @@ fn recovery_manager_crash_delays_but_does_not_lose_recovery() {
     }
 }
 
+/// The recovery manager is down across a server failover, so the
+/// master's failure notification is lost and re-sent every 400 ms; the
+/// first copy to reach the restarted manager stages the replay. When the
+/// manager noted the failure, when the regions came back, and what it
+/// all took on the wire are pinned.
+#[test]
+fn failure_noted_by_a_restarted_recovery_manager_is_pinned() {
+    let cluster = small_cluster(7);
+    for i in 0..20u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 400, "f0", "v")]);
+    }
+    cluster.crash_recovery_manager();
+    cluster.crash_server(0);
+    cluster.run_for(SimDuration::from_millis(6_150));
+    assert_eq!(cluster.events.count("recovery.staged"), 0);
+    cluster.restart_recovery_manager();
+    cluster.run_for(SimDuration::from_secs(10));
+    assert!(
+        cluster.all_regions_online(),
+        "recovery resumes after restart"
+    );
+    let instants = |kind: &str| -> Vec<u64> {
+        let entries = cluster.events.entries();
+        let of_kind = entries.iter().filter(|e| e.kind == kind);
+        of_kind.map(|e| e.time.nanos()).collect()
+    };
+    assert_eq!(instants("server.failover"), [2_600_311_657], "failed over");
+    assert_eq!(
+        instants("recovery.staged"),
+        [7_402_610_849],
+        "noted and staged"
+    );
+    let online = [
+        287_487,
+        288_763,
+        289_599,
+        316_475,
+        7_484_576_003,
+        7_485_495_859,
+    ];
+    assert_eq!(
+        instants("region.online"),
+        online,
+        "opened, then back online"
+    );
+    let net = &cluster.net;
+    assert_eq!((net.messages_sent(), net.messages_dropped()), (930, 74));
+}
+
 #[test]
 fn client_crash_while_recovery_manager_down_is_recovered_on_restart() {
     let cluster = small_cluster(8);
