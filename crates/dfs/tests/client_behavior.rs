@@ -208,6 +208,30 @@ fn read_whose_chosen_replica_dies_before_the_fetch_retries_it_is_pinned() {
     assert_eq!((fx.net.messages_sent(), fx.net.messages_dropped()), (35, 1));
 }
 
+/// A read's namenode lookup lost to a short cut between the reader and
+/// the namenode: the lookup has no deadline, so nothing notices the loss
+/// and the read never completes, however long after the heal.
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn lost_namenode_lookup_hangs_nothing_once_healed() {
+    let fx = fixture(2, 2);
+    let file = create_file(&fx, "/f");
+    file.append(Bytes::from_static(b"x"), |r| {
+        r.expect("append");
+    });
+    fx.sim.run_for(SimDuration::from_secs(1));
+    let namenode = fx.nn.node();
+    fx.net.partition(fx.writer_node, namenode);
+    let out: Rc<RefCell<Option<Result<Vec<Bytes>, DfsError>>>> = Rc::default();
+    let sink = out.clone();
+    fx.dfs.read("/f", move |r| *sink.borrow_mut() = Some(r));
+    fx.sim.run_for(SimDuration::from_millis(100));
+    fx.net.heal(fx.writer_node, namenode);
+    fx.sim.run_for(SimDuration::from_secs(10));
+    let data = out.borrow_mut().take().expect("the read completed");
+    assert_eq!(data, Ok(vec![Bytes::from_static(b"x")]));
+}
+
 #[test]
 fn read_unavailable_when_all_replicas_dead() {
     let fx = fixture(3, 2);
