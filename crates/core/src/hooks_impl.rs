@@ -73,9 +73,8 @@ impl MiddlewareHooks {
 
 impl RecoveryHooks for MiddlewareHooks {
     fn on_server_failed(&self, failed: ServerId, regions: &[RegionId]) {
-        let acked = Rc::new(Cell::new(false));
         let link = Rc::clone(&self.link);
-        notify_server_failed(link, self.master_node, failed, regions.to_vec(), acked);
+        notify_server_failed(link, self.master_node, failed, regions.to_vec());
     }
 
     fn on_region_recovered(
@@ -113,31 +112,19 @@ impl RecoveryHooks for MiddlewareHooks {
     }
 }
 
-fn notify_server_failed(
-    link: Rc<Link>,
-    src: NodeId,
-    failed: ServerId,
-    regions: Vec<RegionId>,
-    acked: Rc<Cell<bool>>,
-) {
-    if acked.get() {
-        return;
-    }
-    let (rm, regions2, acked2) = (Rc::clone(&link.rm), regions.clone(), Rc::clone(&acked));
+fn notify_server_failed(link: Rc<Link>, src: NodeId, failed: ServerId, regions: Vec<RegionId>) {
+    let (rm, regions2) = (Rc::clone(&link.rm), regions.clone());
     let serve = move |reply: Reply<_, _>| {
         if rm.is_alive() {
             rm.note_server_failed(failed, regions2);
             reply.send(32, ());
         }
     };
-    let request_bytes = 64 + regions.len() * 4;
-    link.net
-        .request(src, link.rm.node(), request_bytes, serve, move |()| {
-            acked2.set(true)
-        });
-    let sim = link.sim.clone();
-    sim.schedule_in(NOTIFY_RETRY, move || {
-        notify_server_failed(link, src, failed, regions, acked);
+    let (net, to, request_bytes) = (Rc::clone(&link.net), link.rm.node(), 64 + regions.len() * 4);
+    net.request_within(NOTIFY_RETRY, src, to, request_bytes, serve, move |acked| {
+        if acked.is_none() {
+            notify_server_failed(link, src, failed, regions);
+        }
     });
 }
 

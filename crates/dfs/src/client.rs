@@ -506,11 +506,6 @@ fn fetch_longest(
                     let path2 = path.clone();
                     let client2 = Rc::clone(&client);
                     let path_for_retry = path.clone();
-                    // Guard the data fetch with its own timeout in case the
-                    // chosen replica dies mid-read: the data and the timer
-                    // race for `done`.
-                    let fetched = Rc::new(RefCell::new(Some(done)));
-                    let timed_out = Rc::clone(&fetched);
                     let serve = move |reply: Reply<_, _>| {
                         let path3 = path2.clone();
                         dn.read(&path2, move |data| {
@@ -522,18 +517,15 @@ fn fetch_longest(
                             reply.send(size, (path3, data));
                         });
                     };
-                    let arrived = move |(path3, data): (String, Option<Vec<Bytes>>)| {
-                        if let Some(done) = fetched.take() {
-                            done(data.ok_or(DfsError::NotFound(path3)));
-                        }
+                    // `None`: the chosen replica died mid-read.
+                    let arrived = move |got: Option<(String, Option<Vec<Bytes>>)>| match got {
+                        Some((path3, data)) => done(data.ok_or(DfsError::NotFound(path3))),
+                        None => retry_or_fail(client2, path_for_retry, retries_left, done),
                     };
-                    client.net.request(client.from, to, 64, serve, arrived);
-                    let sim = client2.sim.clone();
-                    sim.schedule_in(SimDuration::from_millis(100), move || {
-                        if let Some(done) = timed_out.take() {
-                            retry_or_fail(client2, path_for_retry, retries_left, done);
-                        }
-                    });
+                    let (from, deadline) = (client.from, SimDuration::from_millis(100));
+                    client
+                        .net
+                        .request_within(deadline, from, to, 64, serve, arrived);
                 }
             }
         })

@@ -46,7 +46,7 @@ pub mod trace;
 pub use disk::{Disk, DiskConfig};
 pub use kernel::Sim;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use net::{LatencyConfig, Network, NodeId, Reply};
+pub use net::{LatencyConfig, Network, NodeId, Reply, Settle, Within};
 pub use service::ServiceQueue;
 pub use time::{SimDuration, SimTime};
 pub use timer::{every, every_from, TimerHandle};

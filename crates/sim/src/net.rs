@@ -276,9 +276,47 @@ impl Network {
     ///
     /// These are exactly two [`Network::send`]s, the second issued where
     /// `serve` answers, so either hop is dropped under `send`'s rules and
-    /// `done` then never runs: there is no timeout here. Every service
-    /// stub's request/reply exchange goes through this.
+    /// `done` then never runs: there is no timeout here — a caller that
+    /// wants one uses [`Network::request_within`]. Every service stub's
+    /// request/reply exchange goes through one of the two.
     pub fn request<T: 'static, D: FnOnce(T) + 'static>(
+        self: &Rc<Self>,
+        from: NodeId,
+        to: NodeId,
+        request_bytes: usize,
+        serve: impl FnOnce(Reply<T, D>) + 'static,
+        done: D,
+    ) {
+        self.exchange(from, to, request_bytes, serve, done);
+    }
+
+    /// [`Network::request`] with a deadline: `done` runs once, with the
+    /// answer if it arrives within `deadline`, else with `None` at
+    /// `now + deadline` — whether or not `from` is still alive. The timer
+    /// is scheduled right after the request leaves, in the same event. A
+    /// late request is still served; only its answer is dropped, so a
+    /// fan-out whose late answers must still count is not this shape.
+    pub fn request_within<T: 'static, D: FnOnce(Option<T>) + 'static>(
+        self: &Rc<Self>,
+        deadline: SimDuration,
+        from: NodeId,
+        to: NodeId,
+        request_bytes: usize,
+        serve: impl FnOnce(Reply<T, Within<D>>) + 'static,
+        done: D,
+    ) {
+        let slot = Rc::new(Cell::new(Some(done)));
+        self.exchange(from, to, request_bytes, serve, Within(Rc::clone(&slot)));
+        self.sim.schedule_in(deadline, move || {
+            if let Some(done) = slot.take() {
+                done(None);
+            }
+        });
+    }
+
+    /// Both round trips, over any [`Settle`]; `request` keeps its own
+    /// `FnOnce(T)` bound so that callers' closures infer their argument.
+    fn exchange<T: 'static, D: Settle<T>>(
         self: &Rc<Self>,
         from: NodeId,
         to: NodeId,
@@ -321,13 +359,37 @@ pub struct Reply<T, D> {
     value: PhantomData<fn(T)>,
 }
 
-impl<T: 'static, D: FnOnce(T) + 'static> Reply<T, D> {
+impl<T: 'static, D: Settle<T>> Reply<T, D> {
     /// Answers with `value` in a message of `reply_bytes`. Dropping the
     /// `Reply` instead answers nothing (a dead handler).
     pub fn send(self, reply_bytes: usize, value: T) {
-        let done = self.done;
-        self.net
-            .send(self.server, self.caller, reply_bytes, move || done(value));
+        let (net, server, caller, done) = (self.net, self.server, self.caller, self.done);
+        net.send(server, caller, reply_bytes, move || done.settle(value));
+    }
+}
+
+/// What an answer completes at the caller: a [`Network::request`]'s
+/// `done`, or a [`Network::request_within`]'s [`Within`].
+pub trait Settle<T>: 'static {
+    /// Hands the answer over.
+    fn settle(self, value: T);
+}
+
+impl<T, F: FnOnce(T) + 'static> Settle<T> for F {
+    fn settle(self, value: T) {
+        self(value)
+    }
+}
+
+/// The caller's end of a [`Network::request_within`]: the `done` that
+/// the reply and the deadline race for. Whichever comes first takes it.
+pub struct Within<D>(Rc<Cell<Option<D>>>);
+
+impl<T, D: FnOnce(Option<T>) + 'static> Settle<T> for Within<D> {
+    fn settle(self, value: T) {
+        if let Some(done) = self.0.take() {
+            done(Some(value));
+        }
     }
 }
 
@@ -514,6 +576,129 @@ mod tests {
         assert_eq!(by_request.len(), 6);
         assert_eq!(sent, 8);
         assert_eq!((by_request, sent), trace(false));
+    }
+
+    /// `request_within` is a `request` raced by a hand-written slot and
+    /// timer, event for event: the same jitter draws, the same instants,
+    /// the same messages and the same number of events.
+    #[test]
+    fn request_within_delivers_when_the_race_it_replaces_does() {
+        type Log = Rc<RefCell<Vec<(&'static str, SimTime)>>>;
+        fn serve<D: Settle<u32>>(log: Log, sim: Sim, delay: SimDuration, reply: Reply<u32, D>) {
+            log.borrow_mut().push(("served", sim.now()));
+            sim.schedule_in(delay, move || reply.send(2000, 7));
+        }
+        fn trace(by_request_within: bool) -> (Vec<(&'static str, SimTime)>, u64, u64) {
+            let (sim, net, a, b) = setup();
+            let log: Log = Rc::default();
+            // Background traffic on both directions, so FIFO horizons matter.
+            net.send(a, b, 64 * 1024, || {});
+            net.send(b, a, 64 * 1024, || {});
+            let deadline = SimDuration::from_millis(20);
+            for late in [false, true, false] {
+                // The second request is answered after its deadline.
+                let delay = SimDuration::from_millis(if late { 30 } else { 1 });
+                let (l1, l2, s1, s2) = (log.clone(), log.clone(), sim.clone(), sim.clone());
+                let done = move |v: Option<u32>| {
+                    let what = if v == Some(7) { "done" } else { "timed out" };
+                    l2.borrow_mut().push((what, s2.now()));
+                };
+                if by_request_within {
+                    let serve = move |reply| serve(l1, s1, delay, reply);
+                    net.request_within(deadline, a, b, 100, serve, done);
+                } else {
+                    let slot = Rc::new(Cell::new(Some(done)));
+                    let slot2 = Rc::clone(&slot);
+                    let serve = move |reply| serve(l1, s1, delay, reply);
+                    net.request(a, b, 100, serve, move |v| {
+                        if let Some(done) = slot2.take() {
+                            done(Some(v));
+                        }
+                    });
+                    sim.schedule_in(deadline, move || {
+                        if let Some(done) = slot.take() {
+                            done(None);
+                        }
+                    });
+                }
+            }
+            sim.run_until(SimTime::from_secs(1));
+            let out = log.borrow().clone();
+            (out, net.messages_sent(), sim.events_executed())
+        }
+        let (by_request_within, sent, events) = trace(true);
+        let timed_out = by_request_within
+            .iter()
+            .filter(|(what, _)| *what == "timed out");
+        assert_eq!((by_request_within.len(), timed_out.count()), (6, 1));
+        assert_eq!(sent, 8);
+        assert_eq!((by_request_within, sent, events), trace(false));
+    }
+
+    /// Runs one `request_within` from `a` to `b` whose server answers
+    /// `delay` after the request arrives (never, if `None`); returns how
+    /// often the server served it and every `(answer, instant)` that
+    /// reached `done`.
+    fn run_within(
+        sim: &Sim,
+        net: &Rc<Network>,
+        (a, b): (NodeId, NodeId),
+        delay: Option<SimDuration>,
+    ) -> (u32, Vec<(Option<u32>, SimTime)>) {
+        let served = Rc::new(Cell::new(0));
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let (s, g, sim1, sim2) = (served.clone(), got.clone(), sim.clone(), sim.clone());
+        let serve = move |reply: Reply<u32, _>| {
+            s.set(s.get() + 1);
+            if let Some(delay) = delay {
+                sim1.schedule_in(delay, move || reply.send(10, 7));
+            }
+        };
+        let deadline = SimDuration::from_millis(10);
+        net.request_within(deadline, a, b, 10, serve, move |v| {
+            g.borrow_mut().push((v, sim2.now()));
+        });
+        sim.run_for(SimDuration::from_secs(1));
+        let got = got.borrow().clone();
+        (served.get(), got)
+    }
+
+    #[test]
+    fn request_within_answered_in_time_settles_once() {
+        let (sim, net, a, b) = setup();
+        let (served, got) = run_within(&sim, &net, (a, b), Some(SimDuration::ZERO));
+        assert_eq!(served, 1);
+        assert!(matches!(got[..], [(Some(7), at)] if at < SimTime::from_millis(10)));
+        assert_eq!(net.messages_delivered(), 2);
+    }
+
+    #[test]
+    fn request_within_cut_on_either_hop_settles_none_at_the_deadline() {
+        let (sim, net, a, b) = setup();
+        // Request hop cut.
+        net.partition(a, b);
+        let start = sim.now();
+        let (served, got) = run_within(&sim, &net, (a, b), Some(SimDuration::ZERO));
+        let deadline = start + SimDuration::from_millis(10);
+        assert_eq!((served, got), (0, vec![(None, deadline)]));
+        // Reply hop cut: the pair is partitioned while the server answers.
+        net.heal(a, b);
+        let (net2, start) = (Rc::clone(&net), sim.now());
+        sim.schedule_in(SimDuration::from_millis(2), move || net2.partition(a, b));
+        let (served, got) = run_within(&sim, &net, (a, b), Some(SimDuration::from_millis(5)));
+        let deadline = start + SimDuration::from_millis(10);
+        assert_eq!((served, got), (1, vec![(None, deadline)]));
+        assert_eq!(net.messages_dropped(), 2);
+    }
+
+    #[test]
+    fn request_within_late_reply_is_served_and_dropped() {
+        let (sim, net, a, b) = setup();
+        let late = Some(SimDuration::from_millis(20));
+        let (served, got) = run_within(&sim, &net, (a, b), late);
+        assert_eq!((served, got), (1, vec![(None, SimTime::from_millis(10))]));
+        // The late answer crossed the network; only `done` ignored it.
+        assert_eq!((net.messages_delivered(), net.messages_dropped()), (2, 0));
     }
 
     #[test]

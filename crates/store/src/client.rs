@@ -450,33 +450,19 @@ fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
     }
     let size = request.wire_size();
     // The wire gets its own copy: a request that arrives after this
-    // attempt timed out is still served, and its late reply ignored. The
-    // original waits in the slot the reply and the timeout race for —
-    // whoever takes it out settles the attempt.
+    // attempt timed out is still served, and its late reply ignored.
     let wire = request.clone();
-    let slot = Rc::new(Cell::new(Some((request, then))));
-    let (inner2, slot2) = (Rc::clone(&inner), Rc::clone(&slot));
     let (from, to) = (inner.from, server.node());
     let serve = move |reply: Reply<_, _>| {
         wire.serve(&server, move |result| {
             reply.send(R::reply_size(&result), result)
         })
     };
-    inner.net.request(from, to, size, serve, move |result| {
-        let Some((request, then)) = slot2.take() else {
-            return;
-        };
-        match result {
-            Ok(reply) => request.served(inner2, reply, then),
-            // NotServing / unavailable: refresh and retry.
-            Err(_) => retry(inner2, request, then, attempt, routed_epoch),
-        }
-    });
-    let inner2 = Rc::clone(&inner);
-    inner.sim.schedule_in(inner.cfg.request_timeout, move || {
-        if let Some((request, then)) = slot.take() {
-            retry(inner2, request, then, attempt, routed_epoch);
-        }
+    let (net, timeout) = (Rc::clone(&inner.net), inner.cfg.request_timeout);
+    net.request_within(timeout, from, to, size, serve, move |result| match result {
+        Some(Ok(reply)) => request.served(inner, reply, then),
+        // Timed out, NotServing, unavailable: refresh and retry.
+        None | Some(Err(_)) => retry(inner, request, then, attempt, routed_epoch),
     });
 }
 

@@ -827,7 +827,8 @@ impl RegionServer {
             return;
         }
         let this = Rc::clone(self);
-        self.net.request(
+        self.net.request_within(
+            REPORT_RETRY,
             self.node,
             master.node(),
             64,
@@ -835,14 +836,12 @@ impl RegionServer {
                 let stale = master.replica_unsynced(lane.region, lane.epoch, lane.backup);
                 reply.send(32, stale);
             },
-            move |stale| this.finish_lane_drop(lane, stale),
+            move |stale| match stale {
+                Some(stale) => this.finish_lane_drop(lane, stale),
+                None if this.alive.get() => this.report_lane_unsynced(lane),
+                None => {}
+            },
         );
-        let weak = Rc::downgrade(self);
-        self.sim.schedule_in(REPORT_RETRY, move || {
-            if let Some(this) = weak.upgrade().filter(|this| this.alive.get()) {
-                this.report_lane_unsynced(lane);
-            }
-        });
     }
 
     /// The master answered the ineligibility report. Normally the lane
