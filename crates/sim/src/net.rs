@@ -636,23 +636,20 @@ mod tests {
     }
 
     /// Runs one `request_within` from `a` to `b` whose server answers
-    /// `delay` after the request arrives (never, if `None`); returns how
-    /// often the server served it and every `(answer, instant)` that
-    /// reached `done`.
+    /// `delay` after the request arrives; returns how often the server
+    /// served it and every `(answer, instant)` that reached `done`.
     fn run_within(
         sim: &Sim,
         net: &Rc<Network>,
         (a, b): (NodeId, NodeId),
-        delay: Option<SimDuration>,
+        delay: SimDuration,
     ) -> (u32, Vec<(Option<u32>, SimTime)>) {
         let served = Rc::new(Cell::new(0));
         let got = Rc::new(RefCell::new(Vec::new()));
         let (s, g, sim1, sim2) = (served.clone(), got.clone(), sim.clone(), sim.clone());
         let serve = move |reply: Reply<u32, _>| {
             s.set(s.get() + 1);
-            if let Some(delay) = delay {
-                sim1.schedule_in(delay, move || reply.send(10, 7));
-            }
+            sim1.schedule_in(delay, move || reply.send(10, 7));
         };
         let deadline = SimDuration::from_millis(10);
         net.request_within(deadline, a, b, 10, serve, move |v| {
@@ -666,7 +663,7 @@ mod tests {
     #[test]
     fn request_within_answered_in_time_settles_once() {
         let (sim, net, a, b) = setup();
-        let (served, got) = run_within(&sim, &net, (a, b), Some(SimDuration::ZERO));
+        let (served, got) = run_within(&sim, &net, (a, b), SimDuration::ZERO);
         assert_eq!(served, 1);
         assert!(matches!(got[..], [(Some(7), at)] if at < SimTime::from_millis(10)));
         assert_eq!(net.messages_delivered(), 2);
@@ -678,14 +675,14 @@ mod tests {
         // Request hop cut.
         net.partition(a, b);
         let start = sim.now();
-        let (served, got) = run_within(&sim, &net, (a, b), Some(SimDuration::ZERO));
+        let (served, got) = run_within(&sim, &net, (a, b), SimDuration::ZERO);
         let deadline = start + SimDuration::from_millis(10);
         assert_eq!((served, got), (0, vec![(None, deadline)]));
         // Reply hop cut: the pair is partitioned while the server answers.
         net.heal(a, b);
         let (net2, start) = (Rc::clone(&net), sim.now());
         sim.schedule_in(SimDuration::from_millis(2), move || net2.partition(a, b));
-        let (served, got) = run_within(&sim, &net, (a, b), Some(SimDuration::from_millis(5)));
+        let (served, got) = run_within(&sim, &net, (a, b), SimDuration::from_millis(5));
         let deadline = start + SimDuration::from_millis(10);
         assert_eq!((served, got), (1, vec![(None, deadline)]));
         assert_eq!(net.messages_dropped(), 2);
@@ -694,8 +691,7 @@ mod tests {
     #[test]
     fn request_within_late_reply_is_served_and_dropped() {
         let (sim, net, a, b) = setup();
-        let late = Some(SimDuration::from_millis(20));
-        let (served, got) = run_within(&sim, &net, (a, b), late);
+        let (served, got) = run_within(&sim, &net, (a, b), SimDuration::from_millis(20));
         assert_eq!((served, got), (1, vec![(None, SimTime::from_millis(10))]));
         // The late answer crossed the network; only `done` ignored it.
         assert_eq!((net.messages_delivered(), net.messages_dropped()), (2, 0));
