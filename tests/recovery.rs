@@ -573,6 +573,52 @@ fn client_crash_while_recovery_manager_down_is_recovered_on_restart() {
     );
 }
 
+/// The client half of a restart: a client dies while the manager is
+/// down, so only the restarted manager's listing of the coordination
+/// service can find it. When it was recovered, from which threshold,
+/// what that replayed and what it all took on the wire are pinned.
+#[test]
+fn client_lost_while_the_recovery_manager_is_down_is_pinned() {
+    let cluster = small_cluster(8);
+    for i in 0..9u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 300, "f0", "v")]);
+    }
+    cluster.crash_recovery_manager();
+    let client = cluster.client(0).clone();
+    let c0 = client.clone();
+    client.begin(move |txn| {
+        let txn = txn.expect("begin on live client");
+        txn.put(key(77), "f0", "orphan").unwrap();
+        txn.commit(move |r| {
+            assert!(r.is_ok());
+            c0.crash();
+        });
+    });
+    cluster.run_for(SimDuration::from_secs(10));
+    cluster.restart_recovery_manager();
+    cluster.run_for(SimDuration::from_secs(15));
+    let recovered: Vec<(u64, String)> = cluster
+        .events
+        .entries()
+        .iter()
+        .filter(|e| e.kind == "client.recover")
+        .map(|e| (e.time.nanos(), e.detail.clone()))
+        .collect();
+    assert_eq!(
+        recovered,
+        [(10_881_817_319, "client=c0 t_f_r=0".to_owned())],
+        "recovered once, after the restart"
+    );
+    assert_eq!(cluster.rm.client_recovery_count(), 1);
+    assert_eq!(cluster.rm.recovery_client().client_txns_replayed(), 4);
+    assert_eq!(
+        (cluster.rm.t_f(), cluster.rm.t_p()),
+        (Timestamp(10), Timestamp(10))
+    );
+    let net = &cluster.net;
+    assert_eq!((net.messages_sent(), net.messages_dropped()), (966, 41));
+}
+
 #[test]
 fn thresholds_advance_and_log_truncates() {
     let cluster = small_cluster(9);
