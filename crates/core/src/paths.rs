@@ -7,7 +7,8 @@
 //! node (vanishes when its session expires — crash detection) and a
 //! *persistent* threshold node updated by its heartbeats (survives the
 //! crash, so the recovery manager can read the dead entity's last
-//! reported threshold).
+//! reported threshold). A region server's liveness node belongs to the
+//! store, which creates and watches it: [`ServerId::live_path`].
 
 use bytes::Bytes;
 use cumulo_store::codec::{Decoder, Encoder};
@@ -26,12 +27,6 @@ pub fn client_live(c: ClientId) -> String {
 /// Persistent threshold node of a key-value client (holds `T_F(c)`).
 pub fn client_threshold(c: ClientId) -> String {
     format!("/thresholds/clients/{c}")
-}
-
-/// Ephemeral liveness node of a region server (also watched by the
-/// store's master for its own failure detection).
-pub fn server_live(s: ServerId) -> String {
-    format!("/live/servers/{s}")
 }
 
 /// Persistent threshold node of a region server (holds `T_P(s)`).
@@ -98,13 +93,6 @@ pub fn parse_client_path(path: &str) -> Option<ClientId> {
     name.strip_prefix('c')?.parse().ok().map(ClientId)
 }
 
-/// Extracts the server id from a `/live/servers/rsN` or
-/// `/thresholds/servers/rsN` path.
-pub fn parse_server_path(path: &str) -> Option<ServerId> {
-    let name = path.rsplit('/').next()?;
-    name.strip_prefix("rs")?.parse().ok().map(ServerId)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,21 +125,9 @@ mod tests {
             Some(ClientId(12))
         );
         assert_eq!(
-            parse_server_path(&server_live(ServerId(4))),
+            ServerId::from_path(&server_threshold(ServerId(4))),
             Some(ServerId(4))
         );
-        assert_eq!(
-            parse_server_path(&server_threshold(ServerId(0))),
-            Some(ServerId(0))
-        );
         assert_eq!(parse_client_path("/live/clients/garbage"), None);
-        assert_eq!(parse_server_path("/live/servers/c3"), None);
-    }
-
-    #[test]
-    fn store_master_watches_same_server_live_prefix() {
-        // The store's master parses "/live/servers/rsN"; our convention
-        // must stay in sync with it.
-        assert!(server_live(ServerId(9)).starts_with("/live/servers/rs"));
     }
 }

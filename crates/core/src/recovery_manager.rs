@@ -41,6 +41,7 @@
 
 use crate::paths;
 use crate::recovery_client::RecoveryClient;
+use bytes::Bytes;
 use cumulo_coord::{CoordClient, WatchEvent};
 use cumulo_sim::metrics::Counter;
 use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, TimerHandle};
@@ -205,69 +206,52 @@ impl RecoveryManager {
         self.coord
             .set_data(paths::TP_PATH, paths::encode_ts(self.t_p.get()));
 
-        let weak = Rc::downgrade(self);
-        self.coord.watch_prefix(
-            "/live/clients/",
-            move |event| {
-                let Some(rm) = weak.upgrade() else { return };
-                if !rm.alive.get() {
-                    return;
+        self.watch("/live/clients/", |rm, event| match event {
+            WatchEvent::Created(path) => {
+                if let Some(c) = paths::parse_client_path(path) {
+                    rm.on_client_up(c);
                 }
-                match &event {
-                    WatchEvent::Created(path) => {
-                        if let Some(c) = paths::parse_client_path(path) {
-                            rm.on_client_up(c);
-                        }
-                    }
-                    WatchEvent::Deleted(path) => {
-                        if let Some(c) = paths::parse_client_path(path) {
-                            rm.on_client_down(c);
-                        }
-                    }
-                    WatchEvent::DataChanged(_) => {}
+            }
+            WatchEvent::Deleted(path) => {
+                if let Some(c) = paths::parse_client_path(path) {
+                    rm.on_client_down(c);
                 }
-            },
-            |_| {},
-        );
-
-        let weak = Rc::downgrade(self);
-        self.coord.watch_prefix(
-            "/live/servers/",
-            move |event| {
-                let Some(rm) = weak.upgrade() else { return };
-                if !rm.alive.get() {
-                    return;
+            }
+            WatchEvent::DataChanged(_) => {}
+        });
+        // Server deletions are driven by the master's hook (it must split
+        // the WAL and reassign regions first).
+        self.watch(ServerId::LIVE_PREFIX, |rm, event| {
+            if let WatchEvent::Created(path) = event {
+                if let Some(s) = ServerId::from_path(path) {
+                    rm.on_server_up(s, |_| {});
                 }
-                if let WatchEvent::Created(path) = &event {
-                    if let Some(s) = paths::parse_server_path(path) {
-                        rm.on_server_up(s);
-                    }
-                }
-                // Server deletions are driven by the master's hook (it
-                // must split the WAL and reassign regions first).
-            },
-            |_| {},
-        );
-
-        let weak = Rc::downgrade(self);
-        self.coord.watch_prefix(
-            "/thresholds/",
-            move |event| {
-                let Some(rm) = weak.upgrade() else { return };
-                if !rm.alive.get() {
-                    return;
-                }
-                match &event {
-                    WatchEvent::Created(path) | WatchEvent::DataChanged(path) => {
-                        rm.refresh_threshold(path.clone());
-                    }
-                    WatchEvent::Deleted(_) => {}
-                }
-            },
-            |_| {},
-        );
-
+            }
+        });
+        self.watch("/thresholds/", |rm, event| match event {
+            WatchEvent::Created(path) | WatchEvent::DataChanged(path) => {
+                rm.refresh_threshold(path.clone());
+            }
+            WatchEvent::Deleted(_) => {}
+        });
         self.arm_checkpoint_timer();
+    }
+
+    /// Passes every event under `prefix` to `on_event` while the process
+    /// lives. The registration outlives a crash — the coordination service
+    /// keeps it, and only the events sent while the node is down are lost —
+    /// so a restart does not register again.
+    fn watch(self: &Rc<Self>, prefix: &str, on_event: impl Fn(&Rc<Self>, &WatchEvent) + 'static) {
+        let weak = Rc::downgrade(self);
+        self.coord.watch_prefix(
+            prefix,
+            move |event| {
+                if let Some(rm) = weak.upgrade().filter(|rm| rm.alive.get()) {
+                    on_event(&rm, &event);
+                }
+            },
+            |_| {},
+        );
     }
 
     /// Checkpoints every [`CHECKPOINT_INTERVAL`] while the process lives.
@@ -354,21 +338,13 @@ impl RecoveryManager {
         let this = Rc::clone(self);
         self.coord
             .get_data(&paths::client_threshold(c), move |data| {
-                match data {
-                    Some(d) => {
-                        let t = if this.cfg.tracking {
-                            paths::decode_ts(&d)
-                        } else {
-                            Timestamp::ZERO
-                        };
-                        this.recover_client(c, t);
-                    }
-                    None if !this.cfg.tracking => {
-                        // Without tracking we cannot distinguish clean from
-                        // crashed: conservatively replay from the beginning.
-                        this.recover_client(c, Timestamp::ZERO);
-                    }
-                    None => {
+                match (data, this.cfg.tracking) {
+                    (Some(d), true) => this.recover_client(c, paths::decode_ts(&d)),
+                    // Without tracking there is no threshold to go by and no
+                    // telling a clean shutdown from a crash: replay from the
+                    // beginning.
+                    (_, false) => this.recover_client(c, Timestamp::ZERO),
+                    (None, true) => {
                         // Clean unregister.
                         this.clients.borrow_mut().remove(&c);
                         this.recompute_t_f();
@@ -377,7 +353,9 @@ impl RecoveryManager {
             });
     }
 
-    fn on_server_up(self: &Rc<Self>, s: ServerId) {
+    /// Registers `s` at the threshold it reported, then runs `then` in the
+    /// same reply.
+    fn on_server_up(self: &Rc<Self>, s: ServerId, then: impl FnOnce(&Rc<Self>) + 'static) {
         let this = Rc::clone(self);
         self.coord
             .get_data(&paths::server_threshold(s), move |data| {
@@ -386,6 +364,7 @@ impl RecoveryManager {
                     .unwrap_or(Timestamp::ZERO);
                 this.servers.borrow_mut().insert(s, ts);
                 this.recompute_t_p();
+                then(&this);
             });
     }
 
@@ -405,7 +384,7 @@ impl RecoveryManager {
                     this.recompute_t_f();
                 }
             } else if path.starts_with("/thresholds/servers/") {
-                if let Some(s) = paths::parse_server_path(&path) {
+                if let Some(s) = ServerId::from_path(&path) {
                     let mut servers = this.servers.borrow_mut();
                     match servers.get_mut(&s) {
                         // Floors may legitimately *lower* a server's
@@ -888,106 +867,76 @@ impl RecoveryManager {
         self.servers.borrow_mut().clear();
     }
 
-    /// Restart after a crash: re-reads every threshold from the
-    /// coordination service ("contacts ZooKeeper to catch up with the
-    /// system's progress"), resumes pending recoveries, and recovers any
-    /// entity that died while the manager was down.
+    /// Restart after a crash: catches up from the coordination service
+    /// ("contacts ZooKeeper to catch up with the system's progress"). The
+    /// watches registered by [`RecoveryManager::start`] outlive the crash,
+    /// so only the checkpoint timer is re-armed. Then, in order: the client
+    /// thresholds and liveness nodes are listed, and each client goes to
+    /// the handler its liveness watch would have called — up if it has a
+    /// liveness node, down (recovered) if it died while the manager was
+    /// down; each server threshold goes to the server-up handler, whose
+    /// reply reads the server's pending-recovery set; `T_F` and `T_P` are
+    /// read back.
     pub fn restart(self: &Rc<Self>) {
         self.alive.set(true);
         self.net.restart(self.node);
         self.arm_checkpoint_timer();
 
-        // Rebuild the client registry; clients with a threshold but no
-        // liveness node died while we were down — recover them.
+        // A client with a threshold but no liveness node died while the
+        // manager was down: the down handler recovers it.
         let this = Rc::clone(self);
         self.coord.children("/thresholds/clients/", move |tpaths| {
             let this2 = Rc::clone(&this);
             this.coord.children("/live/clients/", move |live| {
-                let live: Rc<BTreeSet<ClientId>> = Rc::new(
-                    live.iter()
-                        .filter_map(|p| paths::parse_client_path(p))
-                        .collect(),
-                );
-                for path in tpaths {
-                    let live = Rc::clone(&live);
-                    let Some(c) = paths::parse_client_path(&path) else {
-                        continue;
-                    };
-                    let this3 = Rc::clone(&this2);
-                    this2.coord.get_data(&path, move |data| {
-                        let ts = data
-                            .map(|d| paths::decode_ts(&d))
-                            .unwrap_or(Timestamp::ZERO);
-                        if live.contains(&c) {
-                            this3.clients.borrow_mut().insert(c, ts);
-                            this3.recompute_t_f();
-                        } else {
-                            let t = if this3.cfg.tracking {
-                                ts
-                            } else {
-                                Timestamp::ZERO
-                            };
-                            this3.recover_client(c, t);
-                        }
-                    });
-                }
-            });
-        });
-
-        // Rebuild the server registry and the pending-recovery sets.
-        let this = Rc::clone(self);
-        self.coord.children("/thresholds/servers/", move |tpaths| {
-            for path in tpaths {
-                let Some(s) = paths::parse_server_path(&path) else {
-                    continue;
-                };
-                let this2 = Rc::clone(&this);
-                this.coord.get_data(&path, move |data| {
-                    let ts = data
-                        .map(|d| paths::decode_ts(&d))
-                        .unwrap_or(Timestamp::ZERO);
-                    this2.servers.borrow_mut().insert(s, ts);
-                    this2.recompute_t_p();
-                    // Was this server under recovery when we crashed?
-                    let this3 = Rc::clone(&this2);
-                    this2
-                        .coord
-                        .get_data(&paths::pending_recovery(s), move |pending| {
-                            if let Some(d) = pending {
-                                let regions = paths::decode_regions(&d);
-                                let set: BTreeSet<RegionId> = regions.into_iter().collect();
-                                if set.is_empty() {
-                                    this3.finish_failed_server(s);
-                                } else {
-                                    this3.pending_regions.borrow_mut().insert(s, set);
-                                    // The per-region hooks keep retrying their
-                                    // notifications; the first to arrive
-                                    // re-stages the replay.
-                                }
-                            }
-                        });
-                });
-            }
-        });
-
-        // Republish the recovered thresholds.
-        let this = Rc::clone(self);
-        self.coord.get_data(paths::TF_PATH, move |data| {
-            if let Some(d) = data {
-                let ts = paths::decode_ts(&d);
-                if ts > this.t_f.get() {
-                    this.t_f.set(ts);
-                }
-            }
-            let this2 = Rc::clone(&this);
-            this.coord.get_data(paths::TP_PATH, move |data| {
-                if let Some(d) = data {
-                    let ts = paths::decode_ts(&d);
-                    if ts > this2.t_p.get() {
-                        this2.t_p.set(ts);
+                let client = |p: &String| paths::parse_client_path(p);
+                let live: BTreeSet<ClientId> = live.iter().filter_map(client).collect();
+                for c in tpaths.iter().filter_map(client) {
+                    if live.contains(&c) {
+                        this2.on_client_up(c);
+                    } else {
+                        this2.on_client_down(c);
                     }
                 }
             });
         });
+
+        let this = Rc::clone(self);
+        self.coord.children("/thresholds/servers/", move |tpaths| {
+            for s in tpaths.iter().filter_map(|p| ServerId::from_path(p)) {
+                this.on_server_up(s, move |this| this.resume_pending_recovery(s));
+            }
+        });
+
+        let this = Rc::clone(self);
+        self.coord.get_data(paths::TF_PATH, move |data| {
+            raise(&this.t_f, data);
+            let this2 = Rc::clone(&this);
+            this.coord
+                .get_data(paths::TP_PATH, move |data| raise(&this2.t_p, data));
+        });
+    }
+
+    /// Reads back whether `s` was under recovery when the manager crashed.
+    fn resume_pending_recovery(self: &Rc<Self>, s: ServerId) {
+        let this = Rc::clone(self);
+        self.coord
+            .get_data(&paths::pending_recovery(s), move |pending| {
+                let Some(d) = pending else { return };
+                let set: BTreeSet<RegionId> = paths::decode_regions(&d).into_iter().collect();
+                if set.is_empty() {
+                    this.finish_failed_server(s);
+                } else {
+                    // The per-region hooks keep retrying their notifications;
+                    // the first to arrive re-stages the replay.
+                    this.pending_regions.borrow_mut().insert(s, set);
+                }
+            });
+    }
+}
+
+/// Raises `cell` to the timestamp `data` holds, if that is higher.
+fn raise(cell: &Cell<Timestamp>, data: Option<Bytes>) {
+    if let Some(d) = data {
+        cell.set(cell.get().max(paths::decode_ts(&d)));
     }
 }

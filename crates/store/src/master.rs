@@ -314,11 +314,11 @@ impl Master {
     pub fn start(self: &Rc<Self>, coord: &CoordClient) {
         let weak = Rc::downgrade(self);
         coord.watch_prefix(
-            "/live/servers/",
+            ServerId::LIVE_PREFIX,
             move |event| {
                 if let cumulo_coord::WatchEvent::Deleted(path) = event {
                     if let Some(master) = weak.upgrade() {
-                        if let Some(id) = parse_server_path(&path) {
+                        if let Some(id) = ServerId::from_path(&path) {
                             master.handle_server_failure(id);
                         }
                     }
@@ -1395,24 +1395,5 @@ impl Master {
                 format!("region={region} epoch={epoch} backup={backup}")
             });
         }
-    }
-}
-
-fn parse_server_path(path: &str) -> Option<ServerId> {
-    let name = path.rsplit('/').next()?;
-    let digits = name.strip_prefix("rs")?;
-    digits.parse().ok().map(ServerId)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_server_paths() {
-        assert_eq!(parse_server_path("/live/servers/rs3"), Some(ServerId(3)));
-        assert_eq!(parse_server_path("/live/servers/rs12"), Some(ServerId(12)));
-        assert_eq!(parse_server_path("/live/servers/garbage"), None);
-        assert_eq!(parse_server_path("/live/servers/rsX"), None);
     }
 }

@@ -421,7 +421,7 @@ impl RegionServer {
         let weak = Rc::downgrade(self);
         coord.create_session(COORD_SESSION_TIMEOUT, move |sid| {
             let Some(server) = weak.upgrade() else { return };
-            coord2.create(&format!("/live/servers/{id}"), Bytes::new(), Some(sid));
+            coord2.create(&id.live_path(), Bytes::new(), Some(sid));
             let beat = COORD_HEARTBEAT_INTERVAL;
             server.every(beat.mul_f64(0.5), beat, move |_| coord2.touch(sid));
         });

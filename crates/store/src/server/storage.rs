@@ -623,7 +623,7 @@ impl RegionServer {
         match coord {
             Some(coord) => {
                 let weak = Rc::downgrade(self);
-                coord.get_data(&format!("/live/servers/{}", self.id), move |znode| {
+                coord.get_data(&self.id.live_path(), move |znode| {
                     let Some(server) = weak.upgrade() else { return };
                     if znode.is_some() && server.alive.get() {
                         destroy(&server);

@@ -19,6 +19,28 @@ impl fmt::Display for ServerId {
     }
 }
 
+impl ServerId {
+    /// Where the servers' ephemeral liveness nodes live in the
+    /// coordination service; the master and the recovery manager watch it.
+    pub const LIVE_PREFIX: &'static str = "/live/servers/";
+
+    /// The server's liveness node, [`ServerId::LIVE_PREFIX`] then `rsN`:
+    /// created with its coordination session, read back before it deletes
+    /// files. The prefix is spelled out, not formatted in: a format string
+    /// that opens with a literal sizes the buffer in one allocation.
+    pub fn live_path(self) -> String {
+        format!("/live/servers/{self}")
+    }
+
+    /// The server a coordination path names in its last segment, in the
+    /// `rsN` form `Display` writes (`/live/servers/rs3`,
+    /// `/thresholds/servers/rs3`).
+    pub fn from_path(path: &str) -> Option<ServerId> {
+        let name = path.rsplit('/').next()?;
+        name.strip_prefix("rs")?.parse().ok().map(ServerId)
+    }
+}
+
 /// Identifier of a key-value client process (the paper's "HBase client").
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
@@ -243,6 +265,28 @@ mod tests {
         assert_eq!(ServerId(3).to_string(), "rs3");
         assert_eq!(ClientId(3).to_string(), "c3");
         assert_eq!(RegionId(3).to_string(), "r3");
+    }
+
+    #[test]
+    fn server_paths_round_trip() {
+        assert_eq!(ServerId(9).live_path(), "/live/servers/rs9");
+        assert!(ServerId(9).live_path().starts_with(ServerId::LIVE_PREFIX));
+        assert_eq!(
+            ServerId::from_path(&ServerId(9).live_path()),
+            Some(ServerId(9))
+        );
+        assert_eq!(ServerId::from_path("/live/servers/rs3"), Some(ServerId(3)));
+        assert_eq!(
+            ServerId::from_path("/live/servers/rs12"),
+            Some(ServerId(12))
+        );
+        assert_eq!(
+            ServerId::from_path("/thresholds/servers/rs0"),
+            Some(ServerId(0))
+        );
+        assert_eq!(ServerId::from_path("/live/servers/garbage"), None);
+        assert_eq!(ServerId::from_path("/live/servers/rsX"), None);
+        assert_eq!(ServerId::from_path("/live/servers/c3"), None);
     }
 
     #[test]

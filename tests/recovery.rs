@@ -619,6 +619,37 @@ fn client_lost_while_the_recovery_manager_is_down_is_pinned() {
     assert_eq!((net.messages_sent(), net.messages_dropped()), (966, 41));
 }
 
+/// A client shuts down cleanly just as the manager restarts: the
+/// restart lists its threshold, the shutdown deletes it, and the read
+/// that follows finds nothing. That is a clean unregister, as it is for
+/// the live watch — not a crash to recover from threshold zero.
+#[test]
+fn clean_shutdown_racing_a_manager_restart_is_not_recovered() {
+    let cluster = small_cluster(11);
+    for i in 0..6u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 300, "f0", "v")]);
+    }
+    cluster.crash_recovery_manager();
+    cluster.run_for(SimDuration::from_secs(2));
+    assert_eq!(cluster.now().nanos(), 2_820_000_000);
+    cluster.restart_recovery_manager();
+    cluster.run_for(SimDuration::from_micros(200));
+    cluster.client(0).shutdown();
+    cluster.run_for(SimDuration::from_secs(15));
+    let recovered: Vec<String> = cluster
+        .events
+        .entries()
+        .iter()
+        .filter(|e| e.kind == "client.recover")
+        .map(|e| format!("{} {}", e.time.nanos(), e.detail))
+        .collect();
+    assert!(
+        recovered.is_empty(),
+        "recovered a clean shutdown: {recovered:?}"
+    );
+    assert_eq!(cluster.rm.client_recovery_count(), 0);
+}
+
 #[test]
 fn thresholds_advance_and_log_truncates() {
     let cluster = small_cluster(9);
