@@ -246,6 +246,48 @@ fn no_tracking_ablation_still_recovers_by_full_replay() {
     assert_eq!(cluster.rm.truncation_count(), 0);
 }
 
+/// Without tracking, clients write no threshold node, so a restarted
+/// manager's listing has nothing to find a client by that died while it
+/// was down: the client is never recovered and its acknowledged commit
+/// is gone. With the manager up throughout, the same schedule recovers
+/// the client and the row reads back.
+#[test]
+#[ignore = "ROADMAP item 11"]
+fn no_tracking_client_lost_while_the_manager_is_down_is_recovered() {
+    let cluster = Cluster::build(ClusterConfig {
+        seed: 8,
+        clients: 3,
+        servers: 2,
+        regions: 4,
+        key_count: 10_000,
+        tracking: false,
+        truncation: false,
+        ..ClusterConfig::default()
+    });
+    cluster.crash_recovery_manager();
+    let client = cluster.client(0).clone();
+    let c0 = client.clone();
+    client.begin(move |txn| {
+        let txn = txn.expect("begin on live client");
+        txn.put(key(77), "f0", "orphan").unwrap();
+        txn.commit(move |r| {
+            assert!(r.is_ok());
+            c0.crash();
+        });
+    });
+    cluster.run_for(SimDuration::from_secs(10));
+    cluster.restart_recovery_manager();
+    cluster.run_for(SimDuration::from_secs(15));
+    assert_eq!(cluster.rm.client_recovery_count(), 1, "the client was lost");
+    assert_eq!(
+        cluster
+            .read_cell(key(77), "f0", SimDuration::from_secs(10))
+            .as_deref(),
+        Some(&b"orphan"[..]),
+        "the acknowledged commit is gone"
+    );
+}
+
 #[test]
 fn failures_with_memstore_flushes_in_between() {
     // Exercise the interaction of store-file flushes, WAL accumulation
