@@ -234,6 +234,20 @@ fn a_cluster_built_without_wiring_records() {
     assert_eq!(metrics.get("master.failovers"), Some(0));
 }
 
+/// What building the harness leaves on the network: the node names in
+/// id order, and the messages construction, bootstrap and the first
+/// half second sent, delivered and dropped. A reordered `add_node` or a
+/// construction-time send moved, added or lost shows here directly.
+#[test]
+fn harness_construction_is_pinned() {
+    let c = build(1, 2, 4, WalSyncMode::Async);
+    assert_eq!(
+        format!("{:?}", c.net),
+        "Network { nodes: [\"coord\", \"rs0-machine\", \"dn0\", \"rs1-machine\", \"dn1\", \
+         \"dn-spare\", \"namenode\", \"master\", \"client\"], sent: 20, delivered: 20, dropped: 0 }"
+    );
+}
+
 /// Regression (CD001): `handle_get` used to pick the serving region with
 /// `regions.values().find(...)` — HashMap iteration order. When an offline
 /// region also covers the row (a failover or split window), whether a get

@@ -26,6 +26,21 @@ fn default_cluster_config_matches_the_pinned_surface() {
     );
 }
 
+/// What building the default cluster leaves on the network: the node
+/// names in id order, and the messages construction and bootstrap sent,
+/// delivered and dropped. A reordered `add_node` or a construction-time
+/// send moved, added or lost shows here directly.
+#[test]
+fn default_cluster_construction_is_pinned() {
+    let cluster = Cluster::build(ClusterConfig::default());
+    assert_eq!(
+        format!("{:?}", cluster.net),
+        "Network { nodes: [\"coord\", \"dn0\", \"dn1\", \"dn2\", \"namenode\", \
+         \"txn-manager\", \"rs0\", \"rs1\", \"master\", \"recovery-manager\", \"client0\", \
+         \"client1\", \"client2\", \"client3\", \"probe\"], sent: 84, delivered: 84, dropped: 0 }"
+    );
+}
+
 #[test]
 fn default_cluster_metric_keys_match_the_pinned_surface() {
     let snapshot = Cluster::build(ClusterConfig::default()).metrics.snapshot();
