@@ -46,9 +46,10 @@ impl CoordClient {
     /// Opens a session with the given timeout; `done` runs at the caller
     /// with the new session id.
     pub fn create_session(&self, timeout: SimDuration, done: impl FnOnce(SessionId) + 'static) {
-        let (svc, from) = (Rc::clone(&self.svc), self.from);
-        let serve = move |reply: Reply<_, _>| reply.send(64, svc.create_session(from, timeout));
-        self.net.request(from, self.svc.node(), 64, serve, done);
+        let svc = Rc::clone(&self.svc);
+        let serve = move |reply: Reply<_, _>| reply.send(64, svc.create_session(timeout));
+        self.net
+            .request(self.from, self.svc.node(), 64, serve, done);
     }
 
     /// Sends a liveness touch for `session` (fire and forget).

@@ -1,7 +1,7 @@
 //! The coordination service state machine: znodes, sessions, watches.
 
 use bytes::Bytes;
-use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, SimTime, TimerHandle};
+use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -49,7 +49,6 @@ struct Znode {
 }
 
 struct Session {
-    _owner: NodeId,
     timeout: SimDuration,
     last_touch: SimTime,
 }
@@ -76,7 +75,6 @@ pub struct CoordService {
     next_session: Cell<u64>,
     next_watch: Cell<u64>,
     expired_sessions: Cell<u64>,
-    sweep_timer: RefCell<Option<TimerHandle>>,
 }
 
 impl fmt::Debug for CoordService {
@@ -109,15 +107,13 @@ impl CoordService {
             next_session: Cell::new(1),
             next_watch: Cell::new(1),
             expired_sessions: Cell::new(0),
-            sweep_timer: RefCell::new(None),
         });
         let weak: Weak<CoordService> = Rc::downgrade(&svc);
-        let timer = every(sim, sweep_interval, move || {
+        every(sim, sweep_interval, move || {
             if let Some(svc) = weak.upgrade() {
                 svc.expire_dead_sessions();
             }
         });
-        *svc.sweep_timer.borrow_mut() = Some(timer);
         svc
     }
 
@@ -126,15 +122,14 @@ impl CoordService {
         self.node
     }
 
-    /// Opens a session owned by `owner` that expires `timeout` after its
-    /// most recent touch.
-    pub fn create_session(&self, owner: NodeId, timeout: SimDuration) -> SessionId {
+    /// Opens a session that expires `timeout` after its most recent
+    /// touch.
+    pub fn create_session(&self, timeout: SimDuration) -> SessionId {
         let id = SessionId(self.next_session.get());
         self.next_session.set(id.0 + 1);
         self.sessions.borrow_mut().insert(
             id,
             Session {
-                _owner: owner,
                 timeout,
                 last_touch: self.sim.now(),
             },
@@ -419,7 +414,7 @@ mod tests {
     #[test]
     fn session_expiry_removes_ephemerals_and_notifies() {
         let (sim, _net, svc, watcher) = setup();
-        let sid = svc.create_session(watcher, SimDuration::from_secs(1));
+        let sid = svc.create_session(SimDuration::from_secs(1));
         svc.create("/live/w", Bytes::new(), Some(sid));
         svc.create("/thresholds/w", Bytes::new(), None);
         let events = Rc::new(RefCell::new(Vec::new()));
@@ -459,7 +454,7 @@ mod tests {
         let (sim, _net, svc, watcher) = setup();
         let mut paths = Vec::new();
         for _ in 0..12 {
-            let sid = svc.create_session(watcher, SimDuration::from_secs(1));
+            let sid = svc.create_session(SimDuration::from_secs(1));
             let path = format!("/live/{:04}", sid.0);
             svc.create(&path, Bytes::new(), Some(sid));
             paths.push(path);
@@ -481,8 +476,8 @@ mod tests {
 
     #[test]
     fn clean_close_also_removes_ephemerals() {
-        let (_sim, _net, svc, watcher) = setup();
-        let sid = svc.create_session(watcher, SimDuration::from_secs(1));
+        let (_sim, _net, svc, _) = setup();
+        let sid = svc.create_session(SimDuration::from_secs(1));
         svc.create("/live/w", Bytes::new(), Some(sid));
         svc.close_session(sid);
         assert!(!svc.exists("/live/w"));
@@ -491,8 +486,8 @@ mod tests {
 
     #[test]
     fn touch_on_expired_session_is_ignored() {
-        let (sim, _net, svc, watcher) = setup();
-        let sid = svc.create_session(watcher, SimDuration::from_millis(200));
+        let (sim, _net, svc, _) = setup();
+        let sid = svc.create_session(SimDuration::from_millis(200));
         sim.run_until(SimTime::from_secs(2));
         assert!(!svc.session_alive(sid));
         svc.touch(sid); // must not resurrect

@@ -97,8 +97,7 @@ proptest! {
         timeout_ms in 300u64..3_000,
     ) {
         let (sim, _net, svc) = setup(9);
-        let owner = cumulo_sim::NodeId(0);
-        let sid = svc.create_session(owner, SimDuration::from_millis(timeout_ms));
+        let sid = svc.create_session(SimDuration::from_millis(timeout_ms));
         // Touch for 10 periods.
         for i in 1..=10u64 {
             let svc2 = Rc::clone(&svc);

@@ -16,8 +16,9 @@ use bytes::Bytes;
 use cumulo_coord::{CoordClient, CoordService};
 use cumulo_dfs::{DataNode, DfsClient, NameNode, NameNodeConfig};
 use cumulo_sim::{
-    DiskConfig, Journal, LatencyConfig, MetricsRegistry, Network, Sim, SimDuration, SimTime,
+    DiskConfig, Journal, LatencyConfig, MetricsRegistry, Network, NodeId, Sim, SimDuration, SimTime,
 };
+use cumulo_store::compaction::GcWatermark;
 use cumulo_store::{
     ChangeKind, ClientId, Master, MasterConfig, MemStore, RegionId, RegionMap, RegionServer,
     RegionServerConfig, ServerDirectory, ServerId, StoreClient, StoreClientConfig, StoreFileData,
@@ -127,12 +128,8 @@ pub struct Cluster {
     pub tm: Rc<TransactionManager>,
     /// The recovery manager (the paper's contribution).
     pub rm: Rc<RecoveryManager>,
-    /// The hook bridge between store and middleware.
-    pub hooks: Rc<MiddlewareHooks>,
     /// Region servers, by index.
     pub servers: Vec<Rc<RegionServer>>,
-    /// Per-server tracking runtimes.
-    pub server_trackers: Vec<Rc<ServerTracker>>,
     /// Transactional clients, by index.
     pub clients: Vec<TransactionalClient>,
     /// The run's metrics registry ([`Sim::metrics`]): every component
@@ -206,7 +203,22 @@ impl Cluster {
         let tm_node = net.add_node("txn-manager");
         let tm = TransactionManager::new(&sim, tm_node);
 
-        // Region servers.
+        // The master, then the region servers it runs (node ids in the
+        // order servers first, then the master).
+        let server_nodes: Vec<NodeId> = (0..cfg.servers)
+            .map(|i| net.add_node(&format!("rs{i}")))
+            .collect();
+        let master_node = net.add_node("master");
+        let master_dfs = DfsClient::new(&sim, &net, &namenode, master_node);
+        let master = Master::new(
+            &sim,
+            &net,
+            master_node,
+            cfg.master_cfg,
+            master_dfs,
+            Rc::clone(&dir),
+            Rc::clone(&registry),
+        );
         let mut server_cfg = cfg.server_cfg;
         server_cfg.wal_mode = match cfg.persistence {
             PersistenceMode::Asynchronous => WalSyncMode::Async,
@@ -220,50 +232,33 @@ impl Cluster {
             server_cfg.wal_sync_interval = SimDuration::from_secs(3600);
         }
         let mut servers = Vec::new();
-        for i in 0..cfg.servers {
-            let node = net.add_node(&format!("rs{i}"));
-            let dfs = DfsClient::new(&sim, &net, &namenode, node);
-            let server = RegionServer::new(
-                &sim,
-                &net,
-                node,
-                ServerId(i as u32),
-                server_cfg,
-                dfs,
-                Rc::clone(&registry),
-            );
-            let server_coord = CoordClient::new(&net, &coord, node);
+        for (i, &node) in server_nodes.iter().enumerate() {
             // Compaction garbage-collects versions shadowed below the
             // transaction manager's oldest active snapshot.
             let tm_for_gc = Rc::clone(&tm);
-            server.set_gc_watermark_source(Rc::new(move || {
-                let horizon = tm_for_gc.oldest_active_snapshot();
-                // Tombstone purge must not outrun the recovery log:
-                // write-sets still in the log can be replayed after a
-                // client or server failure, and a purged tombstone would
-                // let a replayed older version resurrect.
-                cumulo_store::compaction::GcWatermark {
-                    horizon,
-                    purge_floor: horizon.min(tm_for_gc.log().truncated_below()),
-                }
-            }));
-            server.start(&server_coord);
+            let server = RegionServer::new(
+                &master,
+                node,
+                ServerId(i as u32),
+                server_cfg,
+                DfsClient::new(&sim, &net, &namenode, node),
+                CoordClient::new(&net, &coord, node),
+                move || {
+                    let horizon = tm_for_gc.oldest_active_snapshot();
+                    // Tombstone purge must not outrun the recovery log:
+                    // write-sets still in the log can be replayed after a
+                    // client or server failure, and a purged tombstone
+                    // would let a replayed older version resurrect.
+                    GcWatermark {
+                        horizon,
+                        purge_floor: horizon.min(tm_for_gc.log().truncated_below()),
+                    }
+                },
+            );
+            server.start();
             dir.register(Rc::clone(&server));
             servers.push(server);
         }
-
-        // Master.
-        let master_node = net.add_node("master");
-        let master_dfs = DfsClient::new(&sim, &net, &namenode, master_node);
-        let master = Master::new(
-            &sim,
-            &net,
-            master_node,
-            cfg.master_cfg,
-            master_dfs,
-            Rc::clone(&dir),
-            Rc::clone(&registry),
-        );
         let master_coord = CoordClient::new(&net, &coord, master_node);
         master.start(&master_coord);
 
@@ -286,23 +281,19 @@ impl Cluster {
             heartbeat_interval: cfg.heartbeat_interval,
             tracking: cfg.tracking,
         };
-        let mut server_trackers = Vec::new();
         for server in &servers {
             let coord_client = CoordClient::new(&net, &coord, server.node());
             let tracker = ServerTracker::new(&sim, server, coord_client, tracker_cfg);
             tracker.start();
-            hooks.register_tracker(Rc::clone(&tracker));
-            server_trackers.push(tracker);
+            hooks.register_tracker(tracker);
         }
-        master.set_hooks(hooks.clone() as Rc<dyn cumulo_store::RecoveryHooks>);
+        master.set_hooks(hooks);
 
         // Table bootstrap.
-        master.set_replication_factor(cfg.region_replication);
-        master.bootstrap(RegionMap::split_decimal_keyspace(
-            KEY_PREFIX,
-            cfg.key_count,
-            cfg.regions,
-        ));
+        master.bootstrap(
+            RegionMap::split_decimal_keyspace(KEY_PREFIX, cfg.key_count, cfg.regions),
+            cfg.region_replication,
+        );
         let deadline = sim.now() + SimDuration::from_secs(30);
         loop {
             sim.run_for(SimDuration::from_millis(200));
@@ -366,9 +357,7 @@ impl Cluster {
             master,
             tm,
             rm,
-            hooks,
             servers,
-            server_trackers,
             clients,
             probe,
             cfg,

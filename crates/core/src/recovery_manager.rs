@@ -50,7 +50,7 @@ use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 /// Checkpoint period: recompute `T_P`, truncate the log, republish
 /// thresholds.
@@ -137,7 +137,6 @@ pub struct RecoveryManager {
     region_recoveries: Counter,
     promotion_recoveries: Counter,
     truncations: Counter,
-    self_weak: RefCell<Weak<RecoveryManager>>,
 }
 
 impl fmt::Debug for RecoveryManager {
@@ -167,7 +166,7 @@ impl RecoveryManager {
         cfg: RecoveryManagerConfig,
     ) -> Rc<RecoveryManager> {
         let metrics = sim.metrics();
-        let rm = Rc::new(RecoveryManager {
+        Rc::new(RecoveryManager {
             sim: sim.clone(),
             net: Rc::clone(net),
             node,
@@ -192,10 +191,7 @@ impl RecoveryManager {
             region_recoveries: metrics.counter("rm.region_recoveries", &[]),
             promotion_recoveries: metrics.counter("rm.promotion_recoveries", &[]),
             truncations: metrics.counter("rm.truncations", &[]),
-            self_weak: RefCell::new(Weak::new()),
-        });
-        *rm.self_weak.borrow_mut() = Rc::downgrade(&rm);
-        rm
+        })
     }
 
     /// Registers the coordination watches, publishes the initial

@@ -13,7 +13,7 @@ use crate::paths;
 use crate::persist_tracker::PersistTracker;
 use bytes::Bytes;
 use cumulo_coord::CoordClient;
-use cumulo_sim::{every_from, Sim, SimDuration, TimerHandle};
+use cumulo_sim::{every_from, Sim, SimDuration};
 use cumulo_store::{RegionServer, ServerId, Timestamp};
 use std::cell::RefCell;
 use std::fmt;
@@ -46,7 +46,6 @@ pub struct ServerTracker {
     coord: CoordClient,
     cfg: ServerTrackerConfig,
     tracker: Rc<RefCell<PersistTracker>>,
-    timers: RefCell<Vec<TimerHandle>>,
 }
 
 impl fmt::Debug for ServerTracker {
@@ -73,7 +72,6 @@ impl ServerTracker {
             coord,
             cfg,
             tracker: Rc::new(RefCell::new(PersistTracker::new())),
-            timers: RefCell::new(Vec::new()),
         })
     }
 
@@ -89,10 +87,9 @@ impl ServerTracker {
         let this = Rc::clone(self);
         // lint:allow(CD004, reason = "heartbeat first-fire stagger draws from the seeded sim RNG; the desync avoids lockstep heartbeats and all pinned baselines include this draw")
         let first = self.sim.jitter(self.cfg.heartbeat_interval, 0.9);
-        let timer = every_from(&self.sim, first, self.cfg.heartbeat_interval, move || {
+        every_from(&self.sim, first, self.cfg.heartbeat_interval, move || {
             this.heartbeat();
         });
-        self.timers.borrow_mut().push(timer);
     }
 
     /// The server this tracker belongs to.

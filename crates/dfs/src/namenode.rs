@@ -2,7 +2,7 @@
 
 use crate::datanode::DataNode;
 use crate::error::DfsError;
-use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, TimerHandle};
+use cumulo_sim::{every, Network, NodeId, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::HashSet;
@@ -34,14 +34,12 @@ struct FileMeta {
 
 /// The metadata server of the filesystem. Shared via `Rc`.
 pub struct NameNode {
-    _sim: Sim,
     net: Rc<Network>,
     node: NodeId,
     cfg: NameNodeConfig,
     datanodes: Vec<Rc<DataNode>>,
     files: RefCell<BTreeMap<String, FileMeta>>,
-    sweep_timer: RefCell<Option<TimerHandle>>,
-    self_weak: RefCell<Weak<NameNode>>,
+    self_weak: Weak<NameNode>,
 }
 
 impl fmt::Debug for NameNode {
@@ -79,24 +77,20 @@ impl NameNode {
             cfg.replication,
             datanodes.len()
         );
-        let nn = Rc::new(NameNode {
-            _sim: sim.clone(),
+        let nn = Rc::new_cyclic(|self_weak| NameNode {
             net: Rc::clone(net),
             node,
             cfg,
             datanodes,
             files: RefCell::new(BTreeMap::new()),
-            sweep_timer: RefCell::new(None),
-            self_weak: RefCell::new(Weak::new()),
+            self_weak: self_weak.clone(),
         });
-        *nn.self_weak.borrow_mut() = Rc::downgrade(&nn);
-        let weak: Weak<NameNode> = Rc::downgrade(&nn);
-        let timer = every(sim, cfg.rereplicate_interval, move || {
+        let weak = Rc::downgrade(&nn);
+        every(sim, cfg.rereplicate_interval, move || {
             if let Some(nn) = weak.upgrade() {
                 nn.rereplication_sweep();
             }
         });
-        *nn.sweep_timer.borrow_mut() = Some(timer);
         nn
     }
 
@@ -308,7 +302,7 @@ impl NameNode {
         let dst_dn = Rc::clone(&self.datanodes[dst]);
         let net = Rc::clone(&self.net);
         let nn_node = self.node;
-        let weak_nn = self.self_weak.borrow().clone();
+        let weak_nn = self.self_weak.clone();
         // Read at the source, stream to the destination, then update
         // metadata back at the namenode.
         self.net.send(self.node, src_dn.node(), 64, move || {

@@ -12,7 +12,7 @@ use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::{every, Network, NodeId, Reply, Sim, SimDuration, TimerHandle};
+use cumulo_sim::{every, Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -163,8 +163,10 @@ struct PendingRecovery {
 
 /// The cluster master. Shared via `Rc`.
 pub struct Master {
-    sim: Sim,
-    net: Rc<Network>,
+    /// The simulation, network and store-file registry every region
+    /// server the master runs shares with it.
+    pub(crate) sim: Sim,
+    pub(crate) net: Rc<Network>,
     node: NodeId,
     cfg: MasterConfig,
     dfs: DfsClient,
@@ -209,12 +211,11 @@ pub struct Master {
     /// once durable, and intent rollback purges a crashed split's
     /// orphaned reference registrations through it so backing-ref
     /// counts cannot leak.
-    registry: Rc<StoreFileRegistry>,
-    timers: RefCell<Vec<TimerHandle>>,
-    self_weak: RefCell<Weak<Master>>,
+    pub(crate) registry: Rc<StoreFileRegistry>,
     /// Copies of each region hosted on `replication_factor - 1` backup
-    /// servers; 1 (the default) disables replication entirely — no
-    /// replica bookkeeping, no extra messages, byte-identical schedules.
+    /// servers, set by [`Master::bootstrap`]; 1 disables replication
+    /// entirely — no replica bookkeeping, no extra messages,
+    /// byte-identical schedules.
     replication_factor: Cell<usize>,
     /// Replica-group epoch last established per region (a probe reply
     /// claiming sync under any other epoch is not trusted).
@@ -256,7 +257,7 @@ impl Master {
     ) -> Rc<Master> {
         let metrics = sim.metrics();
         let counter = |name: &str| metrics.counter(name, &[]);
-        let master = Rc::new(Master {
+        Rc::new(Master {
             sim: sim.clone(),
             net: Rc::clone(net),
             node,
@@ -280,17 +281,13 @@ impl Master {
             moves_refused: counter("master.move.refused"),
             placement_cost: counter("master.placement.cost"),
             registry,
-            timers: RefCell::new(Vec::new()),
-            self_weak: RefCell::new(Weak::new()),
             replication_factor: Cell::new(1),
             repl_epochs: RefCell::new(HashMap::new()),
             repl_ineligible: RefCell::new(HashMap::new()),
             pending_recoveries: RefCell::new(HashMap::new()),
             repl_promotions: counter("master.repl.promotions"),
             repl_fallback_replays: counter("master.repl.fallback_replays"),
-        });
-        *master.self_weak.borrow_mut() = Rc::downgrade(&master);
-        master
+        })
     }
 
     /// The machine the master runs on (RPC destination for clients).
@@ -327,39 +324,32 @@ impl Master {
             |_| {},
         );
         let weak = Rc::downgrade(self);
-        let timer = every(&self.sim, ASSIGN_RETRY_INTERVAL, move || {
+        every(&self.sim, ASSIGN_RETRY_INTERVAL, move || {
             if let Some(master) = weak.upgrade() {
                 master.retry_unplaced();
             }
         });
-        self.timers.borrow_mut().push(timer);
         // Proactive hot-region moves. Fixed phase, no RNG jitter, and off
         // by default (see the split timer note in `server.rs`).
         if self.cfg.moves.enabled {
             let weak = Rc::downgrade(self);
-            let timer = every(&self.sim, self.cfg.moves.check_interval, move || {
+            every(&self.sim, self.cfg.moves.check_interval, move || {
                 if let Some(master) = weak.upgrade() {
                     master.check_moves();
                 }
             });
-            self.timers.borrow_mut().push(timer);
         }
     }
 
     /// Assigns every region of `map` round-robin across the registered
-    /// servers and opens them (cluster bootstrap). Also hands every
-    /// registered server this master (its structure-change and
-    /// lane-report calls are inert without one) and seeds the region-id
-    /// allocator above the map's largest id.
-    pub fn bootstrap(self: &Rc<Self>, map: RegionMap) {
+    /// servers, each on `copies` of them (1 = primary only, replication
+    /// disabled), and opens them (cluster bootstrap). Also seeds the
+    /// region-id allocator above the map's largest id.
+    pub fn bootstrap(self: &Rc<Self>, map: RegionMap, copies: usize) {
+        self.replication_factor.set(copies.max(1));
         self.next_region_id
             .set(map.max_region_id().map(|r| r.0 + 1).unwrap_or(0));
         *self.region_map.borrow_mut() = map;
-        for id in self.dir.ids() {
-            if let Some(server) = self.dir.get(id) {
-                server.set_master(Rc::clone(self));
-            }
-        }
         let descs: Vec<RegionDescriptor> = self.region_map.borrow().regions().to_vec();
         let servers = self.dir.ids();
         assert!(
@@ -606,7 +596,7 @@ impl Master {
         // Not created, or created and not written: no datanodes. Retry
         // from the queue (under a new name; an unwritten file is in no
         // registry, so nothing ever opens it).
-        let weak = self.self_weak.borrow().clone();
+        let weak = Rc::downgrade(self);
         self.dfs.write_file(&path, file.encode(), move |result| {
             let Some(master) = weak.upgrade() else { return };
             if result.is_err() {
@@ -1025,12 +1015,6 @@ impl Master {
     // arbiter, so its ack is what makes un-gating sound (the backup is
     // now ineligible).
     // ------------------------------------------------------------------
-
-    /// Sets the number of copies each region is hosted on (1 = primary
-    /// only, replication disabled). Call before [`Master::bootstrap`].
-    pub fn set_replication_factor(&self, factor: usize) {
-        self.replication_factor.set(factor.max(1));
-    }
 
     /// Promotions of a caught-up replica in place of a WAL replay.
     pub fn promotions(&self) -> u64 {

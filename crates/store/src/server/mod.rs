@@ -39,7 +39,7 @@ use cumulo_sim::{
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
 /// Concurrent request handler slots (the paper's VMs had 2 cores).
 const HANDLERS: usize = 2;
@@ -301,13 +301,12 @@ pub struct RegionServer {
     background_ns: Cell<u64>,
     /// `background_ns` at the last compaction check.
     sched_background_ns: Cell<u64>,
-    /// Coordination handle (set by [`RegionServer::start`]); compaction
-    /// uses it as a fencing check before destroying retired files.
-    coord: RefCell<Option<CoordClient>>,
+    /// The coordination service: the liveness session, and the fencing
+    /// check before retired files are destroyed.
+    coord: CoordClient,
     /// The master this server proposes structure changes and reports
-    /// lane sync state to (installed by [`Master::bootstrap`]; splits,
-    /// merges and lane reports are inert without one — unit tests).
-    master: RefCell<Option<Rc<Master>>>,
+    /// lane sync state to.
+    master: Rc<Master>,
     /// The in-flight split or merge, if any (one structure change at a
     /// time per server, so their flush/quiescence phases never
     /// interleave).
@@ -322,15 +321,14 @@ pub struct RegionServer {
     /// any (one at a time per server, like splits and merges).
     pending_move: RefCell<Option<RegionId>>,
     /// Supplies the MVCC garbage-collection watermark (the transaction
-    /// manager's oldest active snapshot). `None` — e.g. a vanilla cluster
-    /// without the transactional tier — degrades to watermark zero:
-    /// compaction still merges files but garbage-collects nothing.
-    gc_watermark: RefCell<Option<Rc<dyn Fn() -> GcWatermark>>>,
+    /// manager's oldest active snapshot). A store without the
+    /// transactional tier supplies [`GcWatermark::ZERO`]: compaction
+    /// still merges files but garbage-collects nothing.
+    gc_watermark: Box<dyn Fn() -> GcWatermark>,
     /// Primary/backup replication state (groups this server is primary
     /// for, shadows it keeps as a backup).
     repl: RefCell<replication::ReplState>,
     repl_stats: ReplicationStats,
-    self_weak: RefCell<Weak<RegionServer>>,
 }
 
 impl fmt::Debug for RegionServer {
@@ -347,33 +345,37 @@ impl fmt::Debug for RegionServer {
 }
 
 impl RegionServer {
-    /// Creates a region server on `node`. `dfs` must be a client bound to
-    /// the same node. The WAL file is created at `/wal/rs{id}`.
+    /// Creates a region server on `node`, run by `master`: it shares the
+    /// master's simulation, network and store-file registry. `dfs` and
+    /// `coord` must be clients bound to the same node; `gc_watermark`
+    /// supplies compaction's MVCC garbage-collection watermark. The WAL
+    /// file is created at `/wal/rs{id}`.
     pub fn new(
-        sim: &Sim,
-        net: &Rc<Network>,
+        master: &Rc<Master>,
         node: NodeId,
         id: ServerId,
         cfg: RegionServerConfig,
         dfs: DfsClient,
-        registry: Rc<StoreFileRegistry>,
+        coord: CoordClient,
+        gc_watermark: impl Fn() -> GcWatermark + 'static,
     ) -> Rc<RegionServer> {
+        let sim = &master.sim;
         let wal = Wal::new(sim, &dfs, format!("/wal/{id}"));
         // Every metric is registered under a `store.*{server=<id>}` key.
         let metrics = sim.metrics();
         let sid = id.to_string();
         let labels: &[(&str, &str)] = &[("server", sid.as_str())];
         let counter = |name: &str| metrics.counter(name, labels);
-        let server = Rc::new(RegionServer {
+        Rc::new(RegionServer {
             sim: sim.clone(),
-            net: Rc::clone(net),
+            net: Rc::clone(&master.net),
             node,
             id,
             cfg,
             handlers: ServiceQueue::new(sim, HANDLERS),
             wal,
             cache: RefCell::new(BlockCache::new(cfg.block_cache_capacity)),
-            registry,
+            registry: Rc::clone(&master.registry),
             dfs,
             regions: RefCell::new(HashMap::new()),
             hooks: RefCell::new(Rc::new(NoopHooks)),
@@ -395,36 +397,33 @@ impl RegionServer {
             sched_checked_ns: Cell::new(sim.now().nanos()),
             background_ns: Cell::new(0),
             sched_background_ns: Cell::new(0),
-            coord: RefCell::new(None),
-            master: RefCell::new(None),
+            coord,
+            master: Rc::clone(master),
             pending_change: RefCell::new(None),
             split_stats: StructureStats::new(metrics, labels, ChangeKind::Split),
             merge_stats: StructureStats::new(metrics, labels, ChangeKind::Merge),
             region_load: metrics.gauge_map("store.region.load_ns", labels, "region"),
             pending_move: RefCell::new(None),
-            gc_watermark: RefCell::new(None),
+            gc_watermark: Box::new(gc_watermark),
             repl: RefCell::default(),
             repl_stats: ReplicationStats::new(metrics, labels),
-            self_weak: RefCell::new(Weak::new()),
-        });
-        *server.self_weak.borrow_mut() = Rc::downgrade(&server);
-        server
+        })
     }
 
     /// Starts background tasks: the liveness session with the coordination
     /// service, the async WAL sync timer and the memstore flush checker.
-    pub fn start(self: &Rc<Self>, coord: &CoordClient) {
-        *self.coord.borrow_mut() = Some(coord.clone());
+    pub fn start(self: &Rc<Self>) {
         // Liveness: ephemeral znode kept alive by heartbeat touches.
         let id = self.id;
-        let coord2 = coord.clone();
+        let coord2 = self.coord.clone();
         let weak = Rc::downgrade(self);
-        coord.create_session(COORD_SESSION_TIMEOUT, move |sid| {
-            let Some(server) = weak.upgrade() else { return };
-            coord2.create(&id.live_path(), Bytes::new(), Some(sid));
-            let beat = COORD_HEARTBEAT_INTERVAL;
-            server.every(beat.mul_f64(0.5), beat, move |_| coord2.touch(sid));
-        });
+        self.coord
+            .create_session(COORD_SESSION_TIMEOUT, move |sid| {
+                let Some(server) = weak.upgrade() else { return };
+                coord2.create(&id.live_path(), Bytes::new(), Some(sid));
+                let beat = COORD_HEARTBEAT_INTERVAL;
+                server.every(beat.mul_f64(0.5), beat, move |_| coord2.touch(sid));
+            });
 
         // Async WAL sync.
         if self.cfg.wal_mode == WalSyncMode::Async {
@@ -491,13 +490,6 @@ impl RegionServer {
     /// Whether the process is alive.
     pub fn is_alive(&self) -> bool {
         self.alive.get()
-    }
-
-    /// Installs the master (cluster wiring; without one, candidacy
-    /// checks never fire an intent and lane-drop reports release
-    /// locally).
-    pub(crate) fn set_master(&self, master: Rc<Master>) {
-        *self.master.borrow_mut() = Some(master);
     }
 
     /// Installs the recovery middleware's hooks.

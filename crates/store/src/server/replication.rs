@@ -806,11 +806,10 @@ impl RegionServer {
                 self.event("replication.lane_resynced", move |line| {
                     write!(line, "region={region} backup={backup}")
                 });
-                if let Some(master) = self.master.borrow().clone() {
-                    self.net.send(self.node, master.node(), 48, move || {
-                        master.replica_synced(region, id.epoch, backup);
-                    });
-                }
+                let master = Rc::clone(&self.master);
+                self.net.send(self.node, master.node(), 48, move || {
+                    master.replica_synced(region, id.epoch, backup);
+                });
             }
         }
     }
@@ -818,15 +817,10 @@ impl RegionServer {
     /// Sends (and re-sends on a fixed period until the master's ack
     /// lands) the ineligibility report for an out-of-sync lane.
     fn report_lane_unsynced(self: &Rc<Self>, lane: LaneId) {
-        let Some(master) = self.master.borrow().clone() else {
-            // No master wiring (unit tests): release locally.
-            self.finish_lane_drop(lane, false);
-            return;
-        };
         if !self.lane_is(lane, |l| matches!(l.state, LaneState::Unsyncing(_))) {
             return;
         }
-        let this = Rc::clone(self);
+        let (this, master) = (Rc::clone(self), Rc::clone(&self.master));
         self.net.request_within(
             REPORT_RETRY,
             self.node,

@@ -4,7 +4,7 @@
 
 use super::data_path::BASE_SERVICE;
 use super::{RegionServer, RegionState, HANDLERS};
-use crate::compaction::{self, CompactionJob, CompactionStats, GcWatermark};
+use crate::compaction::{self, CompactionJob, CompactionStats};
 use crate::sstable::StoreFileData;
 use crate::types::{RegionId, Timestamp};
 use cumulo_sim::SimDuration;
@@ -27,13 +27,6 @@ struct PlannedCompaction {
 }
 
 impl RegionServer {
-    /// Installs the source of the MVCC garbage-collection watermark
-    /// (typically the transaction manager's oldest active snapshot).
-    /// Without one, compaction merges files but drops no versions.
-    pub fn set_gc_watermark_source(&self, source: Rc<dyn Fn() -> GcWatermark>) {
-        *self.gc_watermark.borrow_mut() = Some(source);
-    }
-
     /// Compaction observability: counters and the read-amplification
     /// gauge (shared handles; clone freely).
     pub fn compaction_stats(&self) -> &CompactionStats {
@@ -394,12 +387,7 @@ impl RegionServer {
             // even then, a recovery's log-suffix replay can park *older*
             // versions in the memstore, so a guard checks for those.
             let major = inputs.len() == st.storefiles.len() && !st.flush_busy();
-            let watermark = self
-                .gc_watermark
-                .borrow()
-                .as_ref()
-                .map(|source| source())
-                .unwrap_or(GcWatermark::ZERO);
+            let watermark = (self.gc_watermark)();
             let guard = |row: &[u8], col: &[u8], ts: Timestamp| -> bool {
                 if ts == Timestamp::ZERO {
                     return false;
@@ -619,21 +607,13 @@ impl RegionServer {
         self: &Rc<Self>,
         destroy: impl FnOnce(&RegionServer) + 'static,
     ) {
-        let coord = self.coord.borrow().clone();
-        match coord {
-            Some(coord) => {
-                let weak = Rc::downgrade(self);
-                coord.get_data(&self.id.live_path(), move |znode| {
-                    let Some(server) = weak.upgrade() else { return };
-                    if znode.is_some() && server.alive.get() {
-                        destroy(&server);
-                    }
-                });
+        let weak = Rc::downgrade(self);
+        self.coord.get_data(&self.id.live_path(), move |znode| {
+            let Some(server) = weak.upgrade() else { return };
+            if znode.is_some() && server.alive.get() {
+                destroy(&server);
             }
-            // No coordination service (standalone server, unit tests):
-            // there is no failover to fence against.
-            None => destroy(self),
-        }
+        });
     }
 
     fn retire_compacted_inputs(&self, input_paths: Vec<String>) {

@@ -142,8 +142,7 @@ impl RegionServer {
                 false
             }
             Some(_) => false,
-            // No master wiring — structure changes are inert.
-            None => self.master.borrow().is_some(),
+            None => true,
         }
     }
 
@@ -249,10 +248,7 @@ impl RegionServer {
     /// `merge_region` admin surface; tests and benches use it to
     /// exercise the protocol deterministically.
     pub fn request_region_merge(self: &Rc<Self>, left: RegionId, right: RegionId) -> bool {
-        if !self.alive.get()
-            || self.pending_change.borrow().is_some()
-            || self.master.borrow().is_none()
-        {
+        if !self.alive.get() || self.pending_change.borrow().is_some() {
             return false;
         }
         let ok = {
@@ -350,17 +346,13 @@ impl RegionServer {
         if let Some(p) = self.pending_change.borrow_mut().as_mut() {
             p.intent_sent = true;
         }
-        let Some(master) = self.master.borrow().clone() else {
-            self.clear_pending_change();
-            return;
-        };
         self.structure_stats(kind).intents_requested.inc();
         let (me, journal_inputs) = (self.id, inputs.clone());
         self.event(kind.pick("split.intent", "merge.intent"), move |line| {
             line.write_str(&kind.inputs_label(&journal_inputs))
         });
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
-        let (this, first) = (Rc::clone(self), inputs[0]);
+        let (this, master, first) = (Rc::clone(self), Rc::clone(&self.master), inputs[0]);
         self.net.request(
             self.node,
             master.node(),
@@ -573,10 +565,7 @@ impl RegionServer {
     }
 
     fn notify_change_aborted(&self, first: RegionId) {
-        let Some(master) = self.master.borrow().clone() else {
-            return;
-        };
-        let id = self.id;
+        let (master, id) = (Rc::clone(&self.master), self.id);
         self.net.send(self.node, master.node(), 48, move || {
             master.change_aborted(id, first)
         });
@@ -692,12 +681,10 @@ impl RegionServer {
         if !superseded.is_empty() {
             self.retire_superseded_references(superseded);
         }
-        if let Some(master) = self.master.borrow().clone() {
-            let (id, first) = (self.id, change.inputs[0]);
-            self.net.send(self.node, master.node(), 64, move || {
-                master.change_completed(id, first)
-            });
-        }
+        let (master, id, first) = (Rc::clone(&self.master), self.id, change.inputs[0]);
+        self.net.send(self.node, master.node(), 64, move || {
+            master.change_completed(id, first)
+        });
     }
 
     /// Destroys intermediate reference files superseded by a later

@@ -6,6 +6,7 @@ use cumulo_coord::{CoordClient, CoordService};
 use cumulo_dfs::{DataNode, DfsClient, NameNode, NameNodeConfig};
 use cumulo_sim::trace::Journal;
 use cumulo_sim::{DiskConfig, LatencyConfig, Network, Sim, SimDuration};
+use cumulo_store::compaction::GcWatermark;
 use cumulo_store::{
     ChangeKind, Master, MasterConfig, Mutation, RecoveryHooks, RegionId, RegionMap, RegionServer,
     RegionServerConfig, ServerDirectory, ServerId, StoreClient, StoreClientConfig,
@@ -101,29 +102,8 @@ fn build_full(
     let nn_node = net.add_node("namenode");
     let nn = NameNode::new(&sim, &net, nn_node, dns, NameNodeConfig::default());
 
-    let registry = StoreFileRegistry::new();
+    // Master, then the region servers it runs.
     let dir = ServerDirectory::new();
-
-    // Region servers.
-    let mut servers = Vec::new();
-    for (i, node) in server_nodes.iter().enumerate() {
-        let dfs = DfsClient::new(&sim, &net, &nn, *node);
-        let server = RegionServer::new(
-            &sim,
-            &net,
-            *node,
-            ServerId(i as u32),
-            cfg,
-            dfs,
-            Rc::clone(&registry),
-        );
-        let coord = CoordClient::new(&net, &coord_svc, *node);
-        server.start(&coord);
-        dir.register(Rc::clone(&server));
-        servers.push(server);
-    }
-
-    // Master.
     let master_node = net.add_node("master");
     let master_dfs = DfsClient::new(&sim, &net, &nn, master_node);
     let master = Master::new(
@@ -133,12 +113,29 @@ fn build_full(
         master_cfg,
         master_dfs,
         Rc::clone(&dir),
-        Rc::clone(&registry),
+        StoreFileRegistry::new(),
     );
+    let mut servers = Vec::new();
+    for (i, node) in server_nodes.iter().enumerate() {
+        let server = RegionServer::new(
+            &master,
+            *node,
+            ServerId(i as u32),
+            cfg,
+            DfsClient::new(&sim, &net, &nn, *node),
+            CoordClient::new(&net, &coord_svc, *node),
+            || GcWatermark::ZERO,
+        );
+        server.start();
+        dir.register(Rc::clone(&server));
+        servers.push(server);
+    }
     let master_coord = CoordClient::new(&net, &coord_svc, master_node);
     master.start(&master_coord);
-    master.set_replication_factor(copies);
-    master.bootstrap(RegionMap::split_decimal_keyspace("user", 1000, n_regions));
+    master.bootstrap(
+        RegionMap::split_decimal_keyspace("user", 1000, n_regions),
+        copies,
+    );
     sim.run_for(SimDuration::from_millis(500)); // let regions open
 
     // Client.

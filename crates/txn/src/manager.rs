@@ -4,7 +4,7 @@
 use crate::conflict::ConflictChecker;
 use crate::log::{LogRecord, RecoveryLog, RecoveryLogConfig};
 use crate::oracle::TimestampOracle;
-use cumulo_sim::{every, NodeId, Sim, SimDuration, TimerHandle};
+use cumulo_sim::{every, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap};
@@ -59,7 +59,6 @@ pub struct TransactionManager {
     commits: Cell<u64>,
     aborts: Cell<u64>,
     conflict_aborts: Cell<u64>,
-    timers: RefCell<Vec<TimerHandle>>,
 }
 
 impl fmt::Debug for TransactionManager {
@@ -88,10 +87,9 @@ impl TransactionManager {
             commits: Cell::new(0),
             aborts: Cell::new(0),
             conflict_aborts: Cell::new(0),
-            timers: RefCell::new(Vec::new()),
         });
         let weak: Weak<TransactionManager> = Rc::downgrade(&tm);
-        let timer = every(sim, PRUNE_INTERVAL, move || {
+        every(sim, PRUNE_INTERVAL, move || {
             if let Some(tm) = weak.upgrade() {
                 // Prune at the oldest *pinned* snapshot, not the flush
                 // watermark: the watermark advances past still-running
@@ -105,7 +103,6 @@ impl TransactionManager {
                 tm.conflicts.prune_below(tm.oldest_active_snapshot());
             }
         });
-        tm.timers.borrow_mut().push(timer);
         tm
     }
 
