@@ -866,27 +866,34 @@ impl RecoveryManager {
     /// Restart after a crash: catches up from the coordination service
     /// ("contacts ZooKeeper to catch up with the system's progress"). The
     /// watches registered by [`RecoveryManager::start`] outlive the crash,
-    /// so only the checkpoint timer is re-armed. Then, in order: the client
-    /// thresholds and liveness nodes are listed, and each client goes to
-    /// the handler its liveness watch would have called — up if it has a
-    /// liveness node, down (recovered) if it died while the manager was
-    /// down; each server threshold goes to the server-up handler, whose
-    /// reply reads the server's pending-recovery set; `T_F` and `T_P` are
-    /// read back.
+    /// so only the checkpoint timer is re-armed. Then, in order: the
+    /// candidate clients and the liveness nodes are listed, and each
+    /// candidate goes to the handler its liveness watch would have called
+    /// — up if it has a liveness node, down (recovered) if it died while
+    /// the manager was down; each server threshold goes to the server-up
+    /// handler, whose reply reads the server's pending-recovery set; `T_F`
+    /// and `T_P` are read back.
+    ///
+    /// With tracking, the candidates are the clients with a threshold
+    /// node. Without it clients write none, so the candidates are the
+    /// clients the recovery log has records of. Nothing truncates that
+    /// log without tracking, so every restart replays each such dead
+    /// client from the start again — idempotent, as every version is
+    /// keyed by its commit timestamp.
     pub fn restart(self: &Rc<Self>) {
         self.alive.set(true);
         self.net.restart(self.node);
         self.arm_checkpoint_timer();
 
-        // A client with a threshold but no liveness node died while the
-        // manager was down: the down handler recovers it.
         let this = Rc::clone(self);
-        self.coord.children("/thresholds/clients/", move |tpaths| {
+        let sort_by_liveness = move |candidates: Vec<ClientId>| {
             let this2 = Rc::clone(&this);
             this.coord.children("/live/clients/", move |live| {
-                let client = |p: &String| paths::parse_client_path(p);
-                let live: BTreeSet<ClientId> = live.iter().filter_map(client).collect();
-                for c in tpaths.iter().filter_map(client) {
+                let live: BTreeSet<ClientId> = live
+                    .iter()
+                    .filter_map(|p| paths::parse_client_path(p))
+                    .collect();
+                for c in candidates {
                     if live.contains(&c) {
                         this2.on_client_up(c);
                     } else {
@@ -894,7 +901,22 @@ impl RecoveryManager {
                     }
                 }
             });
-        });
+        };
+        if self.cfg.tracking {
+            self.coord.children("/thresholds/clients/", move |tpaths| {
+                sort_by_liveness(
+                    tpaths
+                        .iter()
+                        .filter_map(|p| paths::parse_client_path(p))
+                        .collect(),
+                );
+            });
+        } else {
+            self.tm.fetch_after(Timestamp::ZERO, move |records| {
+                let logged: BTreeSet<ClientId> = records.iter().map(|r| r.client).collect();
+                sort_by_liveness(logged.into_iter().collect());
+            });
+        }
 
         let this = Rc::clone(self);
         self.coord.children("/thresholds/servers/", move |tpaths| {

@@ -247,12 +247,10 @@ fn no_tracking_ablation_still_recovers_by_full_replay() {
 }
 
 /// Without tracking, clients write no threshold node, so a restarted
-/// manager's listing has nothing to find a client by that died while it
-/// was down: the client is never recovered and its acknowledged commit
-/// is gone. With the manager up throughout, the same schedule recovers
-/// the client and the row reads back.
+/// manager finds a client that died while it was down by the recovery
+/// log's records instead: the client is recovered and its acknowledged
+/// commit reads back, as with the manager up throughout.
 #[test]
-#[ignore = "ROADMAP item 11"]
 fn no_tracking_client_lost_while_the_manager_is_down_is_recovered() {
     let cluster = Cluster::build(ClusterConfig {
         seed: 8,
