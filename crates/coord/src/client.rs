@@ -46,10 +46,9 @@ impl CoordClient {
     /// Opens a session with the given timeout; `done` runs at the caller
     /// with the new session id.
     pub fn create_session(&self, timeout: SimDuration, done: impl FnOnce(SessionId) + 'static) {
-        let svc = Rc::clone(&self.svc);
+        let (svc, from) = (Rc::clone(&self.svc), self.from);
         let serve = move |reply: Reply<_, _>| reply.send(64, svc.create_session(timeout));
-        self.net
-            .request(self.from, self.svc.node(), 64, serve, done);
+        self.net.request(from, self.svc.node(), 64, serve, done);
     }
 
     /// Sends a liveness touch for `session` (fire and forget).

@@ -885,14 +885,14 @@ impl RecoveryManager {
         self.net.restart(self.node);
         self.arm_checkpoint_timer();
 
+        // A candidate with no liveness node died while the manager was
+        // down: the down handler recovers it.
+        let client = |p: &String| paths::parse_client_path(p);
         let this = Rc::clone(self);
-        let sort_by_liveness = move |candidates: Vec<ClientId>| {
+        let up_or_down = move |candidates: Vec<ClientId>| {
             let this2 = Rc::clone(&this);
             this.coord.children("/live/clients/", move |live| {
-                let live: BTreeSet<ClientId> = live
-                    .iter()
-                    .filter_map(|p| paths::parse_client_path(p))
-                    .collect();
+                let live: BTreeSet<ClientId> = live.iter().filter_map(client).collect();
                 for c in candidates {
                     if live.contains(&c) {
                         this2.on_client_up(c);
@@ -904,17 +904,12 @@ impl RecoveryManager {
         };
         if self.cfg.tracking {
             self.coord.children("/thresholds/clients/", move |tpaths| {
-                sort_by_liveness(
-                    tpaths
-                        .iter()
-                        .filter_map(|p| paths::parse_client_path(p))
-                        .collect(),
-                );
+                up_or_down(tpaths.iter().filter_map(client).collect());
             });
         } else {
             self.tm.fetch_after(Timestamp::ZERO, move |records| {
                 let logged: BTreeSet<ClientId> = records.iter().map(|r| r.client).collect();
-                sort_by_liveness(logged.into_iter().collect());
+                up_or_down(logged.into_iter().collect());
             });
         }
 

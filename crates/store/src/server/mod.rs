@@ -414,16 +414,15 @@ impl RegionServer {
     /// service, the async WAL sync timer and the memstore flush checker.
     pub fn start(self: &Rc<Self>) {
         // Liveness: ephemeral znode kept alive by heartbeat touches.
-        let id = self.id;
-        let coord2 = self.coord.clone();
+        let (id, coord) = (self.id, &self.coord);
+        let coord2 = coord.clone();
         let weak = Rc::downgrade(self);
-        self.coord
-            .create_session(COORD_SESSION_TIMEOUT, move |sid| {
-                let Some(server) = weak.upgrade() else { return };
-                coord2.create(&id.live_path(), Bytes::new(), Some(sid));
-                let beat = COORD_HEARTBEAT_INTERVAL;
-                server.every(beat.mul_f64(0.5), beat, move |_| coord2.touch(sid));
-            });
+        coord.create_session(COORD_SESSION_TIMEOUT, move |sid| {
+            let Some(server) = weak.upgrade() else { return };
+            coord2.create(&id.live_path(), Bytes::new(), Some(sid));
+            let beat = COORD_HEARTBEAT_INTERVAL;
+            server.every(beat.mul_f64(0.5), beat, move |_| coord2.touch(sid));
+        });
 
         // Async WAL sync.
         if self.cfg.wal_mode == WalSyncMode::Async {
