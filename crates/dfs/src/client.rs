@@ -22,6 +22,9 @@ fn append_timeout(bytes: usize) -> SimDuration {
 }
 /// How many times a read retries end-to-end before reporting unavailable.
 const READ_RETRIES: u32 = 3;
+/// How long a read waits for its namenode lookup or its data fetch
+/// before retrying the whole read.
+const READ_DEADLINE: SimDuration = SimDuration::from_millis(100);
 
 struct ClientInner {
     sim: Sim,
@@ -436,22 +439,19 @@ fn read_attempt(
 ) {
     let nn = Rc::clone(&client.nn);
     let (from, to, request_bytes) = (client.from, nn.node(), 64 + path.len());
+    let asked = path.clone();
     let serve = move |reply: Reply<_, _>| {
-        let live = nn.live_replicas(&path);
-        reply.send(64, (path, live));
+        let live = nn.live_replicas(&asked);
+        reply.send(64, live);
     };
     let net = Rc::clone(&client.net);
-    net.request(
-        from,
-        to,
-        request_bytes,
-        serve,
-        move |(path, live)| match live {
-            Err(e) => done(Err(e)),
-            Ok(live) if live.is_empty() => retry_or_fail(client, path, retries_left, done),
-            Ok(live) => fetch_longest(client, path, live, retries_left, done),
-        },
-    );
+    // `None`: the lookup or its answer was lost.
+    let arrived = move |live: Option<crate::Result<Vec<usize>>>| match live {
+        Some(Err(e)) => done(Err(e)),
+        Some(Ok(live)) if !live.is_empty() => fetch_longest(client, path, live, retries_left, done),
+        Some(Ok(_)) | None => retry_or_fail(client, path, retries_left, done),
+    };
+    net.request_within(READ_DEADLINE, from, to, request_bytes, serve, arrived);
 }
 
 fn retry_or_fail(
@@ -522,10 +522,9 @@ fn fetch_longest(
                         Some((path3, data)) => done(data.ok_or(DfsError::NotFound(path3))),
                         None => retry_or_fail(client2, path_for_retry, retries_left, done),
                     };
-                    let (from, deadline) = (client.from, SimDuration::from_millis(100));
                     client
                         .net
-                        .request_within(deadline, from, to, 64, serve, arrived);
+                        .request_within(READ_DEADLINE, client.from, to, 64, serve, arrived);
                 }
             }
         })

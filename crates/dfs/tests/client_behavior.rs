@@ -209,10 +209,9 @@ fn read_whose_chosen_replica_dies_before_the_fetch_retries_it_is_pinned() {
 }
 
 /// A read's namenode lookup lost to a short cut between the reader and
-/// the namenode: the lookup has no deadline, so nothing notices the loss
-/// and the read never completes, however long after the heal.
+/// the namenode: the lookup's deadline notices the loss and the read
+/// retries, so it completes once the pair is healed.
 #[test]
-#[ignore = "ROADMAP item 2"]
 fn lost_namenode_lookup_hangs_nothing_once_healed() {
     let fx = fixture(2, 2);
     let file = create_file(&fx, "/f");
