@@ -70,14 +70,35 @@ fn run(command: &mut Command, bin: &str) -> String {
     String::from_utf8(out.stdout).expect("CSV output is UTF-8")
 }
 
+/// Asserts that `got` is the pinned `want`, byte for byte. A mismatch is
+/// reported as rows, not as the two outputs whole: the number of the
+/// first line that differs, and its pinned and actual row.
+fn assert_pinned(got: &str, want: &str, why: &str) {
+    if got == want {
+        return;
+    }
+    let (mut pinned, mut actual) = (want.lines(), got.lines());
+    for line in 1.. {
+        let (p, a) = (pinned.next(), actual.next());
+        if p != a || p.is_none() {
+            panic!(
+                "{why}\nfirst difference at line {line}\n  pinned: {}\n  actual: {}",
+                p.unwrap_or("(end of file)"),
+                a.unwrap_or("(end of output)"),
+            );
+        }
+    }
+}
+
 #[test]
 fn policy_compare_csv_matches_pre_replication_baseline() {
     let got = run_quick(env!("CARGO_BIN_EXE_policy_compare"));
     let want = include_str!("baselines/policy_compare_quick.csv");
-    assert_eq!(
-        got, want,
+    assert_pinned(
+        &got,
+        want,
         "policy_compare CSV diverged from the replication-off baseline: \
-         something perturbed the default-path event or RNG stream"
+         something perturbed the default-path event or RNG stream",
     );
 }
 
@@ -85,10 +106,11 @@ fn policy_compare_csv_matches_pre_replication_baseline() {
 fn split_bench_csv_matches_pre_replication_baseline() {
     let got = run_quick(env!("CARGO_BIN_EXE_split_bench"));
     let want = include_str!("baselines/split_bench_quick.csv");
-    assert_eq!(
-        got, want,
+    assert_pinned(
+        &got,
+        want,
         "split_bench CSV diverged from the replication-off baseline: \
-         something perturbed the default-path event or RNG stream"
+         something perturbed the default-path event or RNG stream",
     );
 }
 
@@ -99,11 +121,12 @@ fn scale_bench_csv_matches_pinned_baseline() {
     // environment.
     let got = run(Command::new(bin).arg("--quick"), bin);
     let want = include_str!("baselines/scale_bench_quick.csv");
-    assert_eq!(
-        got, want,
+    assert_pinned(
+        &got,
+        want,
         "scale_bench CSV diverged from the pinned baseline: a split, merge, \
          move or failover took a different step, or something perturbed the \
-         event or RNG stream"
+         event or RNG stream",
     );
 }
 
@@ -111,10 +134,11 @@ fn scale_bench_csv_matches_pinned_baseline() {
 fn failover_bench_csv_matches_pinned_baseline() {
     let got = run_quick(env!("CARGO_BIN_EXE_failover_bench"));
     let want = include_str!("baselines/failover_bench_quick.csv");
-    assert_eq!(
-        got, want,
+    assert_pinned(
+        &got,
+        want,
         "failover_bench CSV diverged from the pinned baseline: the replication \
-         stream, a promotion or the replay path took a different step"
+         stream, a promotion or the replay path took a different step",
     );
 }
 
@@ -122,10 +146,10 @@ fn failover_bench_csv_matches_pinned_baseline() {
 /// 3ed20b1 — the commit before ISSUE 20 deleted anything — so that
 /// retiring bins, switches and counters is proved to move none of them.
 fn assert_figure_pinned(bin: &str, want: &str) {
-    assert_eq!(
-        run_quick(bin),
+    assert_pinned(
+        &run_quick(bin),
         want,
-        "{bin} CSV diverged from the pinned baseline: a paper figure moved"
+        &format!("{bin} CSV diverged from the pinned baseline: a paper figure moved"),
     );
 }
 
