@@ -176,9 +176,16 @@ impl RetryPolicy {
 /// [`TxnError::Conflict`]).
 pub type RunFinish = Box<dyn FnOnce(Result<(), TxnError>)>;
 
-struct ActiveTxn {
-    start_ts: Timestamp,
-    write_set: WriteSet,
+/// A transaction's read snapshot, which the begin reply fills in. The
+/// reply's closure and the transaction's handles share it, so a read
+/// waiting here completes when the reply lands even if the transaction
+/// was committed or aborted in the meantime.
+enum Snapshot {
+    /// The begin reply is still out: the store reads waiting for it,
+    /// chained in issue order.
+    Awaited(Option<Box<dyn FnOnce(Timestamp)>>),
+    /// The snapshot the manager handed out.
+    Known(Timestamp),
 }
 
 struct TcInner {
@@ -191,7 +198,10 @@ struct TcInner {
     coord: CoordClient,
     cfg: TxnClientConfig,
     tracker: RefCell<FlushTracker>,
-    active: RefCell<HashMap<TxnId, ActiveTxn>>,
+    /// The write-set of every transaction handed out and not finished.
+    active: RefCell<HashMap<TxnId, WriteSet>>,
+    /// The sequence number the next transaction's id carries.
+    next_seq: Cell<u32>,
     session: Cell<Option<SessionId>>,
     /// Instant of the last acknowledged round trip to the coordination
     /// service; when it lags by more than the session timeout the client
@@ -264,6 +274,7 @@ impl fmt::Debug for TransactionalClient {
 pub struct Transaction {
     inner: Rc<TcInner>,
     id: TxnId,
+    snapshot: Rc<RefCell<Snapshot>>,
 }
 
 impl fmt::Debug for Transaction {
@@ -276,9 +287,33 @@ impl fmt::Debug for Transaction {
 }
 
 impl Transaction {
-    /// The transaction manager's id for this transaction.
+    /// This transaction's id. The client chooses it ([`TxnId::new`]: its
+    /// [`ClientId`] and a per-client sequence), so the id is known before
+    /// the transaction manager has answered the begin.
     pub fn id(&self) -> TxnId {
         self.id
+    }
+
+    /// Runs `read` at the transaction's snapshot: now if the begin reply
+    /// has landed, else when it lands, after the reads issued before it.
+    fn at_snapshot(&self, read: impl FnOnce(Timestamp) + 'static) {
+        let mut slot = self.snapshot.borrow_mut();
+        match &mut *slot {
+            Snapshot::Known(ts) => {
+                let ts = *ts;
+                drop(slot);
+                read(ts);
+            }
+            Snapshot::Awaited(waiting) => {
+                *waiting = Some(match waiting.take() {
+                    None => Box::new(read),
+                    Some(earlier) => Box::new(move |ts| {
+                        earlier(ts);
+                        read(ts);
+                    }),
+                });
+            }
+        }
     }
 
     /// The lifecycle error an operation on this handle must report right
@@ -317,22 +352,20 @@ impl Transaction {
         }
         let row = row.into();
         let column = column.into();
-        let start_ts = {
-            let active = self.inner.active.borrow();
-            let at = &active[&self.id];
-            if let Some(kind) = at.write_set.get(&row, &column) {
-                let value = match kind {
-                    MutationKind::Put(v) => Some(v.clone()),
-                    MutationKind::Delete => None,
-                };
-                let sim = self.inner.sim.clone();
-                sim.schedule_in(SimDuration::ZERO, move || done(Ok(value)));
-                return;
-            }
-            at.start_ts
-        };
-        self.inner.store.get(row, column, start_ts, move |vv| {
-            done(Ok(vv.and_then(|v| v.value)));
+        if let Some(kind) = self.inner.active.borrow()[&self.id].get(&row, &column) {
+            let value = match kind {
+                MutationKind::Put(v) => Some(v.clone()),
+                MutationKind::Delete => None,
+            };
+            let sim = self.inner.sim.clone();
+            sim.schedule_in(SimDuration::ZERO, move || done(Ok(value)));
+            return;
+        }
+        let inner = Rc::clone(&self.inner);
+        self.at_snapshot(move |start_ts| {
+            inner.store.get(row, column, start_ts, move |vv| {
+                done(Ok(vv.and_then(|v| v.value)));
+            });
         });
     }
 
@@ -353,13 +386,13 @@ impl Transaction {
             self.fail(e, done);
             return;
         }
-        let (start_ts, local, misses) = {
+        let (local, misses) = {
             let active = self.inner.active.borrow();
-            let at = &active[&self.id];
+            let write_set = &active[&self.id];
             let mut local: Vec<Option<Option<Bytes>>> = Vec::with_capacity(cells.len());
             let mut misses: Vec<(usize, Bytes, Bytes)> = Vec::new();
             for (i, (row, column)) in cells.iter().enumerate() {
-                match at.write_set.get(row, column) {
+                match write_set.get(row, column) {
                     Some(MutationKind::Put(v)) => local.push(Some(Some(v.clone()))),
                     Some(MutationKind::Delete) => local.push(Some(None)),
                     None => {
@@ -368,7 +401,7 @@ impl Transaction {
                     }
                 }
             }
-            (at.start_ts, local, misses)
+            (local, misses)
         };
         if misses.is_empty() {
             #[allow(clippy::expect_used)]
@@ -384,19 +417,22 @@ impl Transaction {
             .iter()
             .map(|(_, r, c)| (r.clone(), c.clone()))
             .collect();
-        self.inner.store.multi_get(fetch, start_ts, move |values| {
-            debug_assert_eq!(values.len(), misses.len());
-            let mut out = local;
-            for ((i, _, _), vv) in misses.into_iter().zip(values) {
-                out[i] = Some(vv.and_then(|v| v.value));
-            }
-            #[allow(clippy::expect_used)]
-            let filled: Vec<Option<Bytes>> = out
-                .into_iter()
-                // lint:allow(CD005, reason = "internal invariant, not client input: every miss slot was just filled from the store batch reply above")
-                .map(|v| v.expect("filled by store batch"))
-                .collect();
-            done(Ok(filled));
+        let inner = Rc::clone(&self.inner);
+        self.at_snapshot(move |start_ts| {
+            inner.store.multi_get(fetch, start_ts, move |values| {
+                debug_assert_eq!(values.len(), misses.len());
+                let mut out = local;
+                for ((i, _, _), vv) in misses.into_iter().zip(values) {
+                    out[i] = Some(vv.and_then(|v| v.value));
+                }
+                #[allow(clippy::expect_used)]
+                let filled: Vec<Option<Bytes>> = out
+                    .into_iter()
+                    // lint:allow(CD005, reason = "internal invariant, not client input: every miss slot was just filled from the store batch reply above")
+                    .map(|v| v.expect("filled by store batch"))
+                    .collect();
+                done(Ok(filled));
+            });
         });
     }
 
@@ -429,42 +465,38 @@ impl Transaction {
             return;
         }
         let start = start.into();
-        let (start_ts, own): (Timestamp, Vec<Mutation>) = {
-            let active = self.inner.active.borrow();
-            let at = &active[&self.id];
-            let end_ref = end.clone();
-            let own = at
-                .write_set
-                .mutations
-                .iter()
-                .filter(|m| m.row >= start && end_ref.as_ref().map(|e| m.row < *e).unwrap_or(true))
-                .cloned()
-                .collect();
-            (at.start_ts, own)
-        };
+        let own: Vec<Mutation> = self.inner.active.borrow()[&self.id]
+            .mutations
+            .iter()
+            .filter(|m| m.row >= start && end.as_ref().map(|e| m.row < *e).unwrap_or(true))
+            .cloned()
+            .collect();
         let buffered_deletes = own
             .iter()
             .filter(|m| matches!(m.kind, MutationKind::Delete))
             .count();
         let fetch_limit = limit.saturating_add(buffered_deletes);
-        self.inner
-            .store
-            .scan(start, end, start_ts, fetch_limit, move |hits| {
-                // Merge: buffered writes overwrite store results per cell.
-                let mut merged: Vec<(Bytes, Bytes, Bytes)> = hits
-                    .into_iter()
-                    .filter_map(|(r, c, vv)| vv.value.map(|v| (r, c, v)))
-                    .collect();
-                for m in own {
-                    merged.retain(|(r, c, _)| !(r == &m.row && c == &m.column));
-                    if let MutationKind::Put(v) = &m.kind {
-                        merged.push((m.row.clone(), m.column.clone(), v.clone()));
+        let inner = Rc::clone(&self.inner);
+        self.at_snapshot(move |start_ts| {
+            inner
+                .store
+                .scan(start, end, start_ts, fetch_limit, move |hits| {
+                    // Merge: buffered writes overwrite store results per cell.
+                    let mut merged: Vec<(Bytes, Bytes, Bytes)> = hits
+                        .into_iter()
+                        .filter_map(|(r, c, vv)| vv.value.map(|v| (r, c, v)))
+                        .collect();
+                    for m in own {
+                        merged.retain(|(r, c, _)| !(r == &m.row && c == &m.column));
+                        if let MutationKind::Put(v) = &m.kind {
+                            merged.push((m.row.clone(), m.column.clone(), v.clone()));
+                        }
                     }
-                }
-                merged.sort();
-                merged.truncate(limit);
-                done(Ok(merged));
-            });
+                    merged.sort();
+                    merged.truncate(limit);
+                    done(Ok(merged));
+                });
+        });
     }
 
     /// Buffers a put in the transaction's write-set (deferred updates:
@@ -481,9 +513,8 @@ impl Transaction {
         let mut active = self.inner.active.borrow_mut();
         #[allow(clippy::expect_used)]
         // lint:allow(CD005, reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`")
-        let at = active.get_mut(&self.id).expect("checked by state_err");
-        at.write_set
-            .push(Mutation::put(row.into(), column.into(), value.into()));
+        let write_set = active.get_mut(&self.id).expect("checked by state_err");
+        write_set.push(Mutation::put(row.into(), column.into(), value.into()));
         Ok(())
     }
 
@@ -495,9 +526,8 @@ impl Transaction {
         let mut active = self.inner.active.borrow_mut();
         #[allow(clippy::expect_used)]
         // lint:allow(CD005, reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`")
-        let at = active.get_mut(&self.id).expect("checked by state_err");
-        at.write_set
-            .push(Mutation::delete(row.into(), column.into()));
+        let write_set = active.get_mut(&self.id).expect("checked by state_err");
+        write_set.push(Mutation::delete(row.into(), column.into()));
         Ok(())
     }
 
@@ -507,16 +537,20 @@ impl Transaction {
     /// the store — before the ack in [`PersistenceMode::Synchronous`],
     /// after it in [`PersistenceMode::Asynchronous`].
     ///
-    /// A second commit (or a commit after abort) reports
-    /// [`TxnError::UnknownTxn`]; a conflict-aborted commit reports
-    /// [`TxnError::Conflict`].
+    /// The request leaves at once, whether or not the begin has been
+    /// answered: it travels behind the begin on the FIFO link to the
+    /// manager, which checks conflicts against the snapshot it handed out.
+    ///
+    /// A second commit, a commit after abort and a commit whose begin
+    /// never reached the manager report [`TxnError::UnknownTxn`]; a
+    /// conflict-aborted commit reports [`TxnError::Conflict`].
     pub fn commit(&self, done: impl FnOnce(Result<Timestamp, TxnError>) + 'static) {
         if let Some(e) = self.state_err() {
             self.fail(e, done);
             return;
         }
         #[allow(clippy::expect_used)]
-        let at = self
+        let ws = self
             .inner
             .active
             .borrow_mut()
@@ -524,7 +558,6 @@ impl Transaction {
             // lint:allow(CD005, reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`")
             .expect("checked by state_err");
         let txn = self.id;
-        let ws = at.write_set;
         // The manager keeps the request's copy in its log; this one is
         // flushed to the store once the commit is acknowledged.
         let ws2 = ws.clone();
@@ -640,6 +673,7 @@ impl TransactionalClient {
                 cfg,
                 tracker: RefCell::new(FlushTracker::new()),
                 active: RefCell::new(HashMap::new()),
+                next_seq: Cell::new(0),
                 session: Cell::new(None),
                 last_coord_ack: Cell::new(sim.now()),
                 alive: Cell::new(true),
@@ -718,45 +752,67 @@ impl TransactionalClient {
     }
 
     /// Begins a transaction; `done` receives its [`Transaction`] handle
-    /// (reads are served at the transaction's snapshot, the flush
-    /// watermark) — or [`TxnError::ClientClosed`] /
+    /// on the next simulation step — or [`TxnError::ClientClosed`] /
     /// [`TxnError::ClientDead`] when the client can no longer begin one.
     /// Never panics.
+    ///
+    /// The begin request leaves at once, but the handle does not wait for
+    /// its reply: reads are served at the transaction's snapshot (the flush
+    /// watermark), so a read issued before the reply lands waits for it,
+    /// while writes buffer and `commit` / `abort` leave at once, behind the
+    /// begin on the FIFO link to the manager. A transaction that never
+    /// reads the store waits for one manager round trip, not two.
     pub fn begin(&self, done: impl FnOnce(Result<Transaction, TxnError>) + 'static) {
-        if self.inner.closed.get() {
-            let sim = self.inner.sim.clone();
-            sim.schedule_in(SimDuration::ZERO, move || done(Err(TxnError::ClientClosed)));
+        let inner = &self.inner;
+        if inner.closed.get() {
+            inner
+                .sim
+                .schedule_in(SimDuration::ZERO, move || done(Err(TxnError::ClientClosed)));
             return;
         }
-        if !self.inner.alive.get() {
-            let sim = self.inner.sim.clone();
-            sim.schedule_in(SimDuration::ZERO, move || done(Err(TxnError::ClientDead)));
+        if !inner.alive.get() {
+            inner
+                .sim
+                .schedule_in(SimDuration::ZERO, move || done(Err(TxnError::ClientDead)));
             return;
         }
-        let inner = Rc::clone(&self.inner);
-        self.inner.tm.begin(self.inner.id, move |(txn, start_ts)| {
+        let txn = TxnId::new(inner.id, inner.next_seq.get());
+        inner.next_seq.set(inner.next_seq.get() + 1);
+        let snapshot = Rc::new(RefCell::new(Snapshot::Awaited(None)));
+        let (on_reply, slot) = (Rc::clone(inner), Rc::clone(&snapshot));
+        inner.tm.begin(inner.id, txn, move |start_ts| {
+            if !on_reply.alive.get() {
+                return;
+            }
+            let client = on_reply.id;
+            on_reply.span("txn.begin", move || {
+                format!("client={client} txn={} snapshot={start_ts}", txn.0)
+            });
+            if let Snapshot::Awaited(Some(reads)) = slot.replace(Snapshot::Known(start_ts)) {
+                reads(start_ts);
+            }
+        });
+        let inner = Rc::clone(inner);
+        self.inner.sim.schedule_in(SimDuration::ZERO, move || {
             if !inner.alive.get() {
                 return;
             }
             if inner.closed.get() {
-                // Shut down while the request was out: a transaction
-                // opened now would hold the shutdown up for good.
+                // Shut down since `begin`: a transaction opened now would
+                // hold the shutdown up for good. The abort follows the
+                // begin to the manager, and the begin's span when it lands
+                // is matched by this abort's.
+                note_abort(&inner, txn, "closed");
                 inner.tm.abort(txn);
                 done(Err(TxnError::ClientClosed));
                 return;
             }
-            inner.active.borrow_mut().insert(
-                txn,
-                ActiveTxn {
-                    start_ts,
-                    write_set: WriteSet::new(),
-                },
-            );
-            let client = inner.id;
-            inner.span("txn.begin", move || {
-                format!("client={client} txn={} snapshot={start_ts}", txn.0)
-            });
-            done(Ok(Transaction { inner, id: txn }));
+            inner.active.borrow_mut().insert(txn, WriteSet::new());
+            done(Ok(Transaction {
+                inner,
+                id: txn,
+                snapshot,
+            }));
         });
     }
 

@@ -70,12 +70,14 @@ impl TmClient {
             .send(self.from, tm.node(), SMALL, move || serve(&tm));
     }
 
-    /// Begins a transaction for `client`; `done` runs at the caller with
-    /// its id and read snapshot.
-    pub fn begin(&self, client: ClientId, done: impl FnOnce((TxnId, Timestamp)) + 'static) {
+    /// Begins transaction `txn` (named by `client`, see [`TxnId::new`]);
+    /// `done` runs at the caller with its read snapshot. A commit or abort
+    /// of `txn` may follow at once: the link to the manager is FIFO, so it
+    /// arrives behind the begin.
+    pub fn begin(&self, client: ClientId, txn: TxnId, done: impl FnOnce(Timestamp) + 'static) {
         self.call(
             SMALL,
-            move |tm, reply| reply.send(SMALL, tm.handle_begin(client)),
+            move |tm, reply| reply.send(SMALL, tm.handle_begin(client, txn)),
             done,
         );
     }
@@ -156,6 +158,7 @@ impl TmClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecoveryLogConfig;
     use cumulo_sim::{LatencyConfig, Sim, SimDuration};
     use cumulo_store::Mutation;
     use std::cell::{Cell, RefCell};
@@ -165,6 +168,15 @@ mod tests {
         net: Rc<Network>,
         tm: Rc<TransactionManager>,
         client: TmClient,
+        seq: Cell<u32>,
+    }
+
+    impl Setup {
+        /// An id `client` has not used yet, as the client would name it.
+        fn txn_of(&self, client: ClientId) -> TxnId {
+            self.seq.set(self.seq.get() + 1);
+            TxnId::new(client, self.seq.get())
+        }
     }
 
     fn setup() -> Setup {
@@ -177,6 +189,7 @@ mod tests {
             net,
             tm,
             client,
+            seq: Cell::new(0),
         }
     }
 
@@ -189,7 +202,8 @@ mod tests {
     /// A commit made at the manager directly (no messages), so a test has
     /// a log record and a pending flush to work on.
     fn commit_directly(s: &Setup, client: ClientId, row: &str) -> Timestamp {
-        let (txn, _) = s.tm.handle_begin(client);
+        let txn = s.txn_of(client);
+        s.tm.handle_begin(client, txn);
         let got = Rc::new(Cell::new(None));
         let g = got.clone();
         s.tm.handle_commit(txn, ws(row), move |o| match o {
@@ -257,7 +271,7 @@ mod tests {
     fn begin_is_a_round_trip() {
         let s = setup();
         check(&s, 2, |c, done| {
-            c.begin(ClientId(0), move |_| done.set(true))
+            c.begin(ClientId(0), s.txn_of(ClientId(0)), move |_| done.set(true))
         });
         // Begun twice at the manager: the first run and the lost reply.
         assert_eq!(s.tm.active_count(), 2);
@@ -269,7 +283,8 @@ mod tests {
         let row = Cell::new(0);
         check(&s, 2, |c, done| {
             row.set(row.get() + 1);
-            let (txn, _) = s.tm.handle_begin(ClientId(0));
+            let txn = s.txn_of(ClientId(0));
+            s.tm.handle_begin(ClientId(0), txn);
             let tm = Rc::clone(&s.tm);
             c.commit(txn, ws(&format!("row{}", row.get())), move |outcome| {
                 assert!(matches!(outcome, CommitOutcome::Committed(_)));
@@ -281,10 +296,45 @@ mod tests {
         assert_eq!(s.tm.log().len(), 2);
     }
 
+    /// A transactional client sends its commit right behind the begin,
+    /// before the begin is answered: the link is FIFO, so the manager
+    /// knows the transaction when the commit lands, and the commit is
+    /// still one round trip, acked once its record is durable.
+    #[test]
+    fn commit_right_behind_its_begin_is_one_round_trip_acked_after_the_log_force() {
+        let s = setup();
+        let txn = s.txn_of(ClientId(0));
+        let begun = Rc::new(Cell::new(false));
+        let b = begun.clone();
+        s.client.begin(ClientId(0), txn, move |_| b.set(true));
+        let (sent, acked) = (s.sim.now(), Rc::new(Cell::new(None)));
+        let (a, sim, tm) = (acked.clone(), s.sim.clone(), Rc::clone(&s.tm));
+        s.client.commit(txn, ws("r"), move |outcome| {
+            assert!(matches!(outcome, CommitOutcome::Committed(_)));
+            assert!(begun.get(), "the begin is answered first");
+            assert_eq!(tm.log().len(), 1, "acked before the record was durable");
+            a.set(Some(sim.now() - sent));
+        });
+        assert_eq!(s.net.messages_sent(), 2, "both requests are out at once");
+        s.sim.run_for(SimDuration::from_millis(50));
+        let took = acked.get().expect("the commit was acked");
+        // Both hops are small messages: one kilobyte of transfer each,
+        // stretched by at most the jitter.
+        let lan = LatencyConfig::lan_100mbps();
+        let hop = lan.base + lan.per_kb;
+        let hop_max =
+            SimDuration::from_nanos((hop.nanos() as f64 * (1.0 + lan.jitter_frac)) as u64);
+        let disk = RecoveryLogConfig::default().disk;
+        let device_round = disk.write_time(1) + disk.sync_time(1);
+        assert!(took >= hop * 2 + device_round, "took {took:?}");
+        assert!(took < hop_max * 2 + device_round, "took {took:?}");
+    }
+
     #[test]
     fn abort_is_one_way() {
         let s = setup();
-        let (txn, _) = s.tm.handle_begin(ClientId(0));
+        let txn = s.txn_of(ClientId(0));
+        s.tm.handle_begin(ClientId(0), txn);
         check(&s, 1, |c, _| c.abort(txn));
         assert_eq!(s.tm.abort_count(), 1);
     }
@@ -315,7 +365,7 @@ mod tests {
         let s = setup();
         let ts = commit_directly(&s, ClientId(7), "mine");
         commit_directly(&s, ClientId(8), "theirs");
-        s.tm.handle_begin(ClientId(7));
+        s.tm.handle_begin(ClientId(7), s.txn_of(ClientId(7)));
         let got = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
         check(&s, 2, move |c, done| {

@@ -11,9 +11,20 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-/// Identifier of an in-flight transaction.
+/// Identifier of an in-flight transaction, chosen by the client that
+/// runs it (see [`TxnId::new`]).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
+
+impl TxnId {
+    /// The id of `client`'s `seq`-th transaction: the client in the high
+    /// 32 bits, its sequence in the low 32. Clients never share an id, so
+    /// a client names a transaction itself and can send its commit before
+    /// the manager has answered its begin.
+    pub fn new(client: ClientId, seq: u32) -> TxnId {
+        TxnId((u64::from(client.0) << 32) | u64::from(seq))
+    }
+}
 
 impl fmt::Debug for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -50,7 +61,6 @@ pub struct TransactionManager {
     conflicts: ConflictChecker,
     log: Rc<RecoveryLog>,
     active: RefCell<HashMap<TxnId, ActiveTxn>>,
-    next_txn: Cell<u64>,
     /// Commit timestamps whose write-sets are not yet fully flushed.
     pending_flush: RefCell<BTreeSet<Timestamp>>,
     /// All transactions with ts ≤ watermark are committed *and* flushed;
@@ -81,7 +91,6 @@ impl TransactionManager {
             conflicts: ConflictChecker::new(),
             log: RecoveryLog::new(sim, RecoveryLogConfig::default()),
             active: RefCell::new(HashMap::new()),
-            next_txn: Cell::new(1),
             pending_flush: RefCell::new(BTreeSet::new()),
             watermark: Cell::new(Timestamp::ZERO),
             commits: Cell::new(0),
@@ -116,19 +125,20 @@ impl TransactionManager {
         &self.log
     }
 
-    /// Starts a transaction for `client`: returns its id and its read
-    /// snapshot (the current flush watermark).
-    pub fn handle_begin(&self, client: ClientId) -> (TxnId, Timestamp) {
-        let id = TxnId(self.next_txn.get());
-        self.next_txn.set(id.0 + 1);
+    /// Starts transaction `txn` for `client`: returns its read snapshot
+    /// (the current flush watermark).
+    pub fn handle_begin(&self, client: ClientId, txn: TxnId) -> Timestamp {
         let start_ts = self.watermark.get();
         // Pin the read snapshot so MVCC garbage collection (store-file
         // compaction) never drops a version this transaction can observe.
         self.oracle.pin_snapshot(start_ts);
-        self.active
+        let fresh = self
+            .active
             .borrow_mut()
-            .insert(id, ActiveTxn { client, start_ts });
-        (id, start_ts)
+            .insert(txn, ActiveTxn { client, start_ts })
+            .is_none();
+        debug_assert!(fresh, "{txn:?} begun twice");
+        start_ts
     }
 
     /// Commit request. On success the outcome (with the assigned commit
@@ -288,12 +298,21 @@ mod tests {
             .collect()
     }
 
+    /// Begins a transaction of `client` under an id no earlier call on
+    /// this test's thread used, as the client would name it.
+    fn begin(tm: &TransactionManager, client: ClientId) -> (TxnId, Timestamp) {
+        thread_local!(static SEQ: Cell<u32> = const { Cell::new(0) });
+        let seq = SEQ.with(|seq| seq.replace(seq.get() + 1));
+        let txn = TxnId::new(client, seq);
+        (txn, tm.handle_begin(client, txn))
+    }
+
     #[test]
     fn commit_assigns_monotonic_timestamps_after_log_durability() {
         let (sim, tm) = tm();
         let out: Rc<RefCell<Vec<Timestamp>>> = Rc::new(RefCell::new(Vec::new()));
         for i in 0..5 {
-            let (txn, _) = tm.handle_begin(ClientId(0));
+            let (txn, _) = begin(&tm, ClientId(0));
             let out = out.clone();
             tm.handle_commit(txn, ws(&format!("row{i}")), move |o| match o {
                 CommitOutcome::Committed(ts) => out.borrow_mut().push(ts),
@@ -323,9 +342,9 @@ mod tests {
     fn prune_spares_conflicts_of_open_stragglers() {
         let (sim, tm) = tm();
         // The straggler begins first: its snapshot pins the epoch.
-        let (straggler, start) = tm.handle_begin(ClientId(0));
+        let (straggler, start) = begin(&tm, ClientId(0));
         // A rival commits and fully flushes a write to the same cell.
-        let (rival, _) = tm.handle_begin(ClientId(1));
+        let (rival, _) = begin(&tm, ClientId(1));
         let committed: Rc<RefCell<Option<Timestamp>>> = Rc::new(RefCell::new(None));
         let c2 = committed.clone();
         tm.handle_commit(rival, ws("contested"), move |o| match o {
@@ -337,7 +356,7 @@ mod tests {
         tm.handle_flush_complete(rival_ts);
         // A later commit on an unrelated cell flushes too, pushing the
         // watermark strictly past the rival's record.
-        let (later, _) = tm.handle_begin(ClientId(2));
+        let (later, _) = begin(&tm, ClientId(2));
         let committed_later: Rc<RefCell<Option<Timestamp>>> = Rc::new(RefCell::new(None));
         let c3 = committed_later.clone();
         tm.handle_commit(later, ws("unrelated"), move |o| match o {
@@ -371,8 +390,8 @@ mod tests {
     #[test]
     fn conflicting_commit_aborts() {
         let (sim, tm) = tm();
-        let (a, _) = tm.handle_begin(ClientId(0));
-        let (b, _) = tm.handle_begin(ClientId(1));
+        let (a, _) = begin(&tm, ClientId(0));
+        let (b, _) = begin(&tm, ClientId(1));
         let outcome: Rc<RefCell<Option<CommitOutcome>>> = Rc::new(RefCell::new(None));
         tm.handle_commit(a, ws("same-row"), |_| {});
         let o = outcome.clone();
@@ -386,7 +405,7 @@ mod tests {
     #[test]
     fn abort_discards_without_logging() {
         let (sim, tm) = tm();
-        let (a, _) = tm.handle_begin(ClientId(0));
+        let (a, _) = begin(&tm, ClientId(0));
         tm.handle_abort(a);
         sim.run_for(SimDuration::from_millis(50));
         assert_eq!(tm.abort_count(), 1);
@@ -402,7 +421,7 @@ mod tests {
     #[test]
     fn watermark_advances_only_after_flush_completion() {
         let (sim, tm) = tm();
-        let (a, _) = tm.handle_begin(ClientId(0));
+        let (a, _) = begin(&tm, ClientId(0));
         let ts_cell: Rc<RefCell<Option<Timestamp>>> = Rc::new(RefCell::new(None));
         let t = ts_cell.clone();
         tm.handle_commit(a, ws("r"), move |o| {
@@ -414,11 +433,11 @@ mod tests {
         let ts = ts_cell.borrow().expect("committed");
         assert!(tm.watermark() < ts, "not flushed yet");
         // A new transaction still reads below the unflushed commit.
-        let (_, snap) = tm.handle_begin(ClientId(1));
+        let (_, snap) = begin(&tm, ClientId(1));
         assert!(snap < ts);
         tm.handle_flush_complete(ts);
         assert_eq!(tm.watermark(), ts);
-        let (_, snap2) = tm.handle_begin(ClientId(1));
+        let (_, snap2) = begin(&tm, ClientId(1));
         assert_eq!(snap2, ts);
     }
 
@@ -428,7 +447,7 @@ mod tests {
         let mut tss = Vec::new();
         let out: Rc<RefCell<Vec<Timestamp>>> = Rc::new(RefCell::new(Vec::new()));
         for i in 0..3 {
-            let (t, _) = tm.handle_begin(ClientId(0));
+            let (t, _) = begin(&tm, ClientId(0));
             let out = out.clone();
             tm.handle_commit(t, ws(&format!("r{i}")), move |o| {
                 if let CommitOutcome::Committed(ts) = o {
@@ -450,7 +469,7 @@ mod tests {
     #[test]
     fn read_only_commit_is_immediate_and_unlogged() {
         let (sim, tm) = tm();
-        let (a, _) = tm.handle_begin(ClientId(0));
+        let (a, _) = begin(&tm, ClientId(0));
         let got: Rc<RefCell<Option<CommitOutcome>>> = Rc::new(RefCell::new(None));
         let g = got.clone();
         tm.handle_commit(a, WriteSet::new(), move |o| *g.borrow_mut() = Some(o));
@@ -464,9 +483,9 @@ mod tests {
     #[test]
     fn client_failure_reaps_open_txns_and_their_pins() {
         let (_sim, tm) = tm();
-        let (_a, snap) = tm.handle_begin(ClientId(7));
-        let (_b, _) = tm.handle_begin(ClientId(7));
-        let (_c, _) = tm.handle_begin(ClientId(8));
+        let (_a, snap) = begin(&tm, ClientId(7));
+        let (_b, _) = begin(&tm, ClientId(7));
+        let (_c, _) = begin(&tm, ClientId(8));
         assert_eq!(tm.active_count(), 3);
         assert_eq!(tm.oldest_active_snapshot(), snap);
         assert_eq!(tm.handle_client_failed(ClientId(7)).len(), 2);
@@ -482,12 +501,14 @@ mod tests {
     #[test]
     fn client_failure_reaps_in_txn_id_order() {
         let (_sim, tm) = tm();
-        // Interleave the doomed client's begins with a survivor's so the
-        // doomed TxnIds are non-contiguous.
+        // Interleave the doomed client's begins with a survivor's and
+        // number them out of order, so neither arrival order nor
+        // contiguity hands the reap its order.
         let mut doomed_ids = Vec::new();
         for i in 0..24u32 {
             let client = ClientId(1 + (i % 2));
-            let (txn, _) = tm.handle_begin(client);
+            let txn = TxnId::new(client, i * 7 % 24);
+            tm.handle_begin(client, txn);
             if client == ClientId(1) {
                 doomed_ids.push(txn);
             }
@@ -504,10 +525,10 @@ mod tests {
         let (sim, tm) = tm();
         // No active transactions: GC watermark follows the flush watermark.
         assert_eq!(tm.oldest_active_snapshot(), tm.watermark());
-        let (a, snap_a) = tm.handle_begin(ClientId(0));
+        let (a, snap_a) = begin(&tm, ClientId(0));
         assert_eq!(tm.oldest_active_snapshot(), snap_a);
         // Commit a write so the flush watermark can move past snap_a.
-        let (b, _) = tm.handle_begin(ClientId(1));
+        let (b, _) = begin(&tm, ClientId(1));
         let ts_cell: Rc<RefCell<Option<Timestamp>>> = Rc::new(RefCell::new(None));
         let t = ts_cell.clone();
         tm.handle_commit(b, ws("r"), move |o| {

@@ -4,6 +4,7 @@ use cumulo_sim::{NodeId, Sim, SimDuration, SimTime};
 use cumulo_store::{ClientId, Mutation, Timestamp, WriteSet};
 use cumulo_txn::{
     CommitOutcome, ConflictChecker, LogRecord, RecoveryLog, RecoveryLogConfig, TransactionManager,
+    TxnId,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -208,7 +209,9 @@ fn commit_acks_are_ordered_and_durable() {
     let tm = TransactionManager::new(&sim, NodeId(0));
     let acks: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
     for i in 0..50usize {
-        let (txn, _) = tm.handle_begin(ClientId((i % 3) as u32));
+        let client = ClientId((i % 3) as u32);
+        let txn = TxnId::new(client, i as u32);
+        tm.handle_begin(client, txn);
         let acks2 = acks.clone();
         let tm2 = Rc::clone(&tm);
         tm.handle_commit(txn, ws(&[i as u16]), move |o| {

@@ -228,7 +228,7 @@ fn start_txn(inner: Rc<DriverInner>, thread: usize, arrival: SimTime, interval_n
     inner.in_flight.inc();
     client.begin(move |txn| {
         // A client that closed or died between the liveness check and
-        // the begin ack simply retires this thread (as a crash does).
+        // the handle simply retires this thread (as a crash does).
         let Ok(txn) = txn else { return };
         run_op(inner2, txn, 0, started, thread, arrival, interval_ns);
     });

@@ -5,9 +5,10 @@
 
 mod common;
 
+use bytes::Bytes;
 use common::begin_txn;
 use cumulo_core::{Cluster, ClusterConfig, Transaction, TxnError};
-use cumulo_sim::SimDuration;
+use cumulo_sim::{LatencyConfig, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -434,6 +435,138 @@ fn commit_on_an_idle_cluster_waits_for_no_tick() {
         );
     }
     assert_eq!(c.tm.log().batch_count(), 20, "an idle log never batches");
+}
+
+/// A transaction that never reads the store does not wait for its
+/// begin's reply: the handle comes on the next step and the commit leaves
+/// right behind the begin, so the outcome arrives one manager round trip
+/// and one log force after `begin` — before two round trips could have
+/// passed, which is what waiting for the begin's reply costs.
+#[test]
+fn write_only_transaction_waits_for_one_manager_round_trip() {
+    let c = cluster(75);
+    let took: Rc<RefCell<Vec<SimDuration>>> = Rc::default();
+    for i in 0..20u64 {
+        c.run_for(SimDuration::from_micros(10_053));
+        let (sim, took) = (c.sim.clone(), Rc::clone(&took));
+        let begun = sim.now();
+        c.client(0).begin(move |txn| {
+            let txn = txn.expect("begin");
+            txn.put(format!("user{i:012}"), "f0", "v").unwrap();
+            txn.commit(move |r| {
+                r.expect("commit");
+                took.borrow_mut().push(sim.now() - begun);
+            });
+        });
+    }
+    settle(&c);
+    // Every hop to or from the manager carries under a kilobyte.
+    let lan = LatencyConfig::lan_100mbps();
+    let two_round_trips = (lan.base + lan.per_kb) * 4;
+    let disk = cumulo_txn::RecoveryLogConfig::default().disk;
+    let device_round = disk.write_time(1) + disk.sync_time(1);
+    let took = took.borrow();
+    assert_eq!(took.len(), 20);
+    for t in took.iter() {
+        assert!(
+            *t < two_round_trips + device_round,
+            "a write-only transaction took {t:?}: {took:?}"
+        );
+    }
+}
+
+/// Commits `value` to rows 40, 41 and 42 from `client`.
+fn commit_rows(c: &Cluster, client: usize, value: &'static str) {
+    c.client(client).begin(move |txn| {
+        let txn = txn.expect("begin");
+        for i in 40u64..43 {
+            txn.put(format!("user{i:012}"), "f0", value).unwrap();
+        }
+        txn.commit(|r| {
+            r.expect("commit");
+        });
+    });
+}
+
+type Seen = Rc<RefCell<Vec<(&'static str, Vec<Option<Bytes>>)>>>;
+
+/// A `get`, a `multi_get` and a `scan` issued on a fresh handle — before
+/// the manager has even received the begin — wait for the snapshot and
+/// each complete exactly once with its values: also when the transaction
+/// is committed or aborted before the begin's reply lands, and although
+/// another client overwrites the rows meanwhile.
+#[test]
+fn reads_issued_before_the_snapshot_complete_once_at_it() {
+    for finish in ["nothing", "commit", "abort"] {
+        let c = cluster(76);
+        commit_rows(&c, 1, "old");
+        settle(&c);
+        let seen: Seen = Rc::default();
+        let (s, tm) = (Rc::clone(&seen), Rc::clone(&c.tm));
+        let overwrite = {
+            let c1 = c.client(1).clone();
+            move || {
+                c1.begin(|txn| {
+                    let txn = txn.expect("begin");
+                    for i in 40u64..43 {
+                        txn.put(format!("user{i:012}"), "f0", "new").unwrap();
+                    }
+                    txn.commit(|r| {
+                        r.expect("commit");
+                    });
+                })
+            }
+        };
+        c.client(0).begin(move |txn| {
+            let txn = txn.expect("begin");
+            assert_eq!(tm.active_count(), 0, "the manager has the begin already");
+            let seen = Rc::clone(&s);
+            txn.get("user000000000040", "f0", move |v| {
+                seen.borrow_mut().push(("get", vec![v.unwrap()]))
+            });
+            let seen = Rc::clone(&s);
+            let cells = vec![
+                ("user000000000040".into(), "f0".into()),
+                ("user000000000041".into(), "f0".into()),
+            ];
+            txn.multi_get(cells, move |v| {
+                seen.borrow_mut().push(("multi_get", v.unwrap()))
+            });
+            let seen = Rc::clone(&s);
+            let end = Some("user000000000043".into());
+            txn.scan("user000000000040", end, 10, move |hits| {
+                let values = hits.unwrap().into_iter().map(|(_, _, v)| Some(v));
+                seen.borrow_mut().push(("scan", values.collect()))
+            });
+            match finish {
+                "commit" => txn.commit(|r| {
+                    r.expect("commit");
+                }),
+                "abort" => txn.abort(),
+                _ => {}
+            }
+            overwrite();
+        });
+        c.run_for(SimDuration::from_secs(3));
+        let mut seen = seen.borrow().clone();
+        seen.sort();
+        let old = || Some(Bytes::from_static(b"old"));
+        assert_eq!(
+            seen,
+            [
+                ("get", vec![old()]),
+                ("multi_get", vec![old(), old()]),
+                ("scan", vec![old(), old(), old()]),
+            ],
+            "finishing with {finish}"
+        );
+        assert_eq!(
+            c.read_cell("user000000000042", "f0", SimDuration::from_secs(5))
+                .as_deref(),
+            Some(&b"new"[..]),
+            "the overwrite committed"
+        );
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@ mod common;
 
 use bytes::Bytes;
 use common::{ChaosAction, ChaosSchedule};
-use cumulo_core::{Cluster, ClusterConfig, Timestamp, TxnError};
+use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
 use cumulo_sim::SimDuration;
 use cumulo_store::RegionId;
 use std::cell::RefCell;
@@ -401,6 +401,39 @@ fn client_cut_from_the_tm_while_idle_carries_on_after_the_heal() {
     let rest = carry_on(&cluster);
     assert!(cluster.client(0).is_alive());
     assert_nothing_is_stuck(&cluster, &done, &rest);
+}
+
+/// A write-only transaction whose begin request is lost to a cut between
+/// the client and the manager: the handle does not wait for the begin's
+/// reply, so the application holds it through the cut and commits after
+/// the heal, and the manager, which never registered the transaction,
+/// answers that it does not know it.
+#[test]
+fn commit_whose_begin_was_lost_reports_unknown_txn() {
+    let cluster = tm_cluster(79);
+    let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
+    cluster.run_for(SimDuration::from_secs(1));
+    cluster.net.partition(client_node, tm_node);
+    let handle: Rc<RefCell<Option<Transaction>>> = Rc::default();
+    let h = Rc::clone(&handle);
+    cluster.client(0).begin(move |txn| {
+        let txn = txn.expect("begin");
+        txn.put("user000000000007", "f0", "v").unwrap();
+        *h.borrow_mut() = Some(txn);
+    });
+    cluster.run_for(SimDuration::from_millis(100));
+    cluster.net.heal(client_node, tm_node);
+    let txn = handle
+        .borrow_mut()
+        .take()
+        .expect("the handle came inside the cut");
+    let outcome: Outcome = Rc::default();
+    let o = Rc::clone(&outcome);
+    txn.commit(move |r| *o.borrow_mut() = Some(r));
+    cluster.run_for(SimDuration::from_secs(1));
+    assert_eq!(*outcome.borrow(), Some(Err(TxnError::UnknownTxn)));
+    assert_eq!(cluster.tm.active_count(), 0);
+    assert_eq!(cluster.client(0).aborted_count(), 1);
 }
 
 /// The commit *ack* is lost: the manager logged the commit, the client
