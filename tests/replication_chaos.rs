@@ -465,7 +465,7 @@ fn primary_crash_mid_split_converges() {
     }
     assert_eq!(
         digests,
-        [15_367_487_994_854_862_878, 13_438_246_764_638_354_729],
+        [10_323_741_243_516_590_385, 1_618_642_043_071_030_188],
         "replication digest per run"
     );
 }
