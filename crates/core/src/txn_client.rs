@@ -297,13 +297,8 @@ impl Transaction {
     /// Runs `read` at the transaction's snapshot: now if the begin reply
     /// has landed, else when it lands, after the reads issued before it.
     fn at_snapshot(&self, read: impl FnOnce(Timestamp) + 'static) {
-        let mut slot = self.snapshot.borrow_mut();
-        match &mut *slot {
-            Snapshot::Known(ts) => {
-                let ts = *ts;
-                drop(slot);
-                read(ts);
-            }
+        let ts = match &mut *self.snapshot.borrow_mut() {
+            Snapshot::Known(ts) => *ts,
             Snapshot::Awaited(waiting) => {
                 *waiting = Some(match waiting.take() {
                     None => Box::new(read),
@@ -312,8 +307,10 @@ impl Transaction {
                         read(ts);
                     }),
                 });
+                return;
             }
-        }
+        };
+        read(ts);
     }
 
     /// The lifecycle error an operation on this handle must report right
