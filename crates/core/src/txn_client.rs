@@ -212,7 +212,8 @@ struct TcInner {
     closed: Cell<bool>,
     timers: RefCell<Vec<TimerHandle>>,
     /// Commit requests sent to the transaction manager whose outcome has
-    /// not come back yet. While non-zero, the idle-threshold advancement
+    /// not come back yet (a read-only commit sends none, so it is never in
+    /// flight: the manager assigns it no timestamp). While non-zero, the idle-threshold advancement
     /// must not run: the manager may already have *assigned* a commit
     /// timestamp to one of these (it advances its oracle on request
     /// receipt, but acks only after the log force), so adopting its
@@ -538,8 +539,16 @@ impl Transaction {
     /// answered: it travels behind the begin on the FIFO link to the
     /// manager, which checks conflicts against the snapshot it handed out.
     ///
-    /// A second commit, a commit after abort and a commit whose begin
-    /// never reached the manager report [`TxnError::UnknownTxn`]; a
+    /// A read-only transaction (empty write-set) serialises at its
+    /// snapshot, so its commit timestamp *is* its snapshot: it has nothing
+    /// to log, flush or conflict-check and cannot abort. It asks the
+    /// manager nothing: a one-way release, behind the begin, unpins the
+    /// snapshot, and `Ok(snapshot)` is delivered like a read — at once if
+    /// the begin reply has landed (always, once a read has returned), else
+    /// when it lands. It never enters `FQ` and draws no timestamp.
+    ///
+    /// A second commit, a commit after abort and a write commit whose
+    /// begin never reached the manager report [`TxnError::UnknownTxn`]; a
     /// conflict-aborted commit reports [`TxnError::Conflict`].
     pub fn commit(&self, done: impl FnOnce(Result<Timestamp, TxnError>) + 'static) {
         if let Some(e) = self.state_err() {
@@ -555,6 +564,15 @@ impl Transaction {
             // lint:allow(CD005, reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`")
             .expect("checked by state_err");
         let txn = self.id;
+        if ws.is_empty() {
+            self.inner.tm.release(txn);
+            let inner = Rc::clone(&self.inner);
+            self.at_snapshot(move |ts| {
+                note_commit(&inner, txn, ts, 0);
+                done(Ok(ts));
+            });
+            return;
+        }
         // The manager keeps the request's copy in its log; this one is
         // flushed to the store once the commit is acknowledged.
         let ws2 = ws.clone();
@@ -573,15 +591,7 @@ impl Transaction {
             }
             match outcome {
                 CommitOutcome::Committed(ts) => {
-                    inner.committed.inc();
-                    let (client, writes) = (inner.id, ws2.mutations.len());
-                    inner.span("txn.commit", move || {
-                        format!("client={client} txn={} ts={ts} writes={writes}", txn.0)
-                    });
-                    if ws2.is_empty() {
-                        done(Ok(ts));
-                        return;
-                    }
+                    note_commit(&inner, txn, ts, ws2.mutations.len());
                     inner.tracker.borrow_mut().on_committed(ts);
                     match inner.cfg.persistence {
                         PersistenceMode::Asynchronous => {
@@ -629,6 +639,15 @@ impl TcInner {
     fn span(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
         self.sim.trace().record(self.sim.now(), kind, detail);
     }
+}
+
+/// Counts the commit of `txn` at `ts` and journals it.
+fn note_commit(inner: &TcInner, txn: TxnId, ts: Timestamp, writes: usize) {
+    inner.committed.inc();
+    let client = inner.id;
+    inner.span("txn.commit", move || {
+        format!("client={client} txn={} ts={ts} writes={writes}", txn.0)
+    });
 }
 
 /// Counts an abort of `txn` and journals its cause.
@@ -871,7 +890,8 @@ impl TransactionalClient {
         self.inner.tracker.borrow().t_f()
     }
 
-    /// Committed transactions (including read-only).
+    /// Committed transactions: write commits once acknowledged, read-only
+    /// ones once delivered at their snapshot.
     pub fn committed_count(&self) -> u64 {
         self.inner.committed.get()
     }

@@ -3,7 +3,8 @@
 //! Every exchange with the manager is one method here, and this file is
 //! the one place its wire sizes are written down. A request/reply
 //! exchange is one [`Network::request`] round trip; the notifications
-//! (abort, flush-complete, truncate) are one message, fire and forget.
+//! (abort, release, flush-complete, truncate) are one message, fire and
+//! forget.
 //! Nothing is retried and nothing times out: a message the network drops
 //! means the callback never runs (ROADMAP item 2).
 
@@ -82,8 +83,10 @@ impl TmClient {
         );
     }
 
-    /// Commit request carrying the write-set; `done` runs at the caller
-    /// with the outcome, which the manager sends only after the log force.
+    /// Commit request carrying the write-set, which is never empty (a
+    /// read-only transaction is released instead); `done` runs at the
+    /// caller with the outcome, which the manager sends only after the log
+    /// force.
     pub fn commit(
         &self,
         txn: TxnId,
@@ -102,6 +105,12 @@ impl TmClient {
     /// Abort notification (fire and forget).
     pub fn abort(&self, txn: TxnId) {
         self.tell(move |tm| tm.handle_abort(txn));
+    }
+
+    /// Release of read-only transaction `txn`, which committed at its
+    /// snapshot (fire and forget): the manager unpins the snapshot.
+    pub fn release(&self, txn: TxnId) {
+        self.tell(move |tm| tm.handle_release(txn));
     }
 
     /// Reports commit `ts` applied at every participant (fire and
@@ -337,6 +346,15 @@ mod tests {
         s.tm.handle_begin(ClientId(0), txn);
         check(&s, 1, |c, _| c.abort(txn));
         assert_eq!(s.tm.abort_count(), 1);
+    }
+
+    #[test]
+    fn release_is_one_way() {
+        let s = setup();
+        let txn = s.txn_of(ClientId(0));
+        s.tm.handle_begin(ClientId(0), txn);
+        check(&s, 1, |c, _| c.release(txn));
+        assert_eq!((s.tm.commit_count(), s.tm.active_count()), (1, 0));
     }
 
     #[test]

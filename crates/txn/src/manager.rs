@@ -141,28 +141,29 @@ impl TransactionManager {
         start_ts
     }
 
-    /// Commit request. On success the outcome (with the assigned commit
-    /// timestamp) is delivered through `reply` *after* the write-set is
-    /// durable in the recovery log; conflict aborts reply immediately.
+    /// Ends `txn` if it is active: forgets it and unpins its snapshot.
+    fn end(&self, txn: TxnId) -> Option<ActiveTxn> {
+        let info = self.active.borrow_mut().remove(&txn)?;
+        self.oracle.unpin_snapshot(info.start_ts);
+        Some(info)
+    }
+
+    /// Commit request of a transaction that wrote something (a read-only
+    /// one is released instead, see [`TransactionManager::handle_release`]).
+    /// On success the outcome (with the assigned commit timestamp) is
+    /// delivered through `reply` *after* the write-set is durable in the
+    /// recovery log; conflict aborts reply immediately.
     pub fn handle_commit(
         self: &Rc<Self>,
         txn: TxnId,
         write_set: WriteSet,
         reply: impl FnOnce(CommitOutcome) + 'static,
     ) {
-        let Some(info) = self.active.borrow_mut().remove(&txn) else {
+        debug_assert!(!write_set.is_empty(), "{txn:?}: read-only, so released");
+        let Some(info) = self.end(txn) else {
             reply(CommitOutcome::UnknownTxn);
             return;
         };
-        self.oracle.unpin_snapshot(info.start_ts);
-        // Read-only transactions commit without logging or flushing.
-        if write_set.is_empty() {
-            self.commits.set(self.commits.get() + 1);
-            let ts = self.oracle.next_ts();
-            self.advance_watermark();
-            reply(CommitOutcome::Committed(ts));
-            return;
-        }
         let commit_ts = self.oracle.next_ts();
         if !self
             .conflicts
@@ -211,9 +212,17 @@ impl TransactionManager {
     /// Abort request: the buffered write-set is simply discarded (§2.2:
     /// "it is not stored in the recovery log nor flushed").
     pub fn handle_abort(&self, txn: TxnId) {
-        if let Some(info) = self.active.borrow_mut().remove(&txn) {
-            self.oracle.unpin_snapshot(info.start_ts);
+        if self.end(txn).is_some() {
             self.aborts.set(self.aborts.get() + 1);
+        }
+    }
+
+    /// Release of a read-only transaction, which its client has already
+    /// committed at its snapshot: nothing to log, flush or conflict-check,
+    /// so no timestamp is drawn. Unpins the snapshot and counts the commit.
+    pub fn handle_release(&self, txn: TxnId) {
+        if self.end(txn).is_some() {
+            self.commits.set(self.commits.get() + 1);
         }
     }
 
@@ -264,7 +273,8 @@ impl TransactionManager {
         self.active.borrow().len()
     }
 
-    /// Commits so far (including read-only).
+    /// Commits so far: logged ones once durable, read-only ones once
+    /// released.
     pub fn commit_count(&self) -> u64 {
         self.commits.get()
     }
@@ -466,18 +476,33 @@ mod tests {
         assert_eq!(tm.watermark(), tss[2]);
     }
 
+    /// A read-only transaction commits at its snapshot: its release is
+    /// not logged, draws no timestamp, counts as a commit and frees the
+    /// snapshot's pin. A second release, or one after an abort, is a no-op.
     #[test]
-    fn read_only_commit_is_immediate_and_unlogged() {
+    fn release_is_unlogged_draws_no_timestamp_and_unpins() {
         let (sim, tm) = tm();
-        let (a, _) = begin(&tm, ClientId(0));
-        let got: Rc<RefCell<Option<CommitOutcome>>> = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        tm.handle_commit(a, WriteSet::new(), move |o| *g.borrow_mut() = Some(o));
-        // No sim time needed: read-only commits do not wait for the log.
-        assert!(matches!(*got.borrow(), Some(CommitOutcome::Committed(_))));
-        assert_eq!(tm.log().len(), 0);
-        sim.run_for(SimDuration::from_millis(10));
-        assert_eq!(tm.commit_count(), 1);
+        let (reader, snap) = begin(&tm, ClientId(0));
+        let (writer, _) = begin(&tm, ClientId(1));
+        tm.handle_commit(writer, ws("r"), |_| {});
+        sim.run_for(SimDuration::from_millis(50));
+        tm.handle_flush_complete(tm.last_commit_ts());
+        assert!(tm.watermark() > snap);
+        assert_eq!(tm.oldest_active_snapshot(), snap, "the reader pins it");
+        let (last_ts, logged) = (tm.last_commit_ts(), tm.log().len());
+
+        tm.handle_release(reader);
+        assert_eq!(tm.log().len(), logged, "nothing logged");
+        assert_eq!(tm.last_commit_ts(), last_ts, "no timestamp drawn");
+        assert_eq!(tm.commit_count(), 2);
+        assert_eq!(tm.active_count(), 0);
+        assert_eq!(tm.oldest_active_snapshot(), tm.watermark(), "pin freed");
+
+        tm.handle_release(reader);
+        let (aborted, _) = begin(&tm, ClientId(0));
+        tm.handle_abort(aborted);
+        tm.handle_release(aborted);
+        assert_eq!((tm.commit_count(), tm.abort_count()), (2, 1));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use bytes::Bytes;
 use common::begin_txn;
 use cumulo_core::{Cluster, ClusterConfig, Transaction, TxnError};
 use cumulo_sim::{LatencyConfig, SimDuration};
+use cumulo_store::Timestamp;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -566,6 +567,127 @@ fn reads_issued_before_the_snapshot_complete_once_at_it() {
             Some(&b"new"[..]),
             "the overwrite committed"
         );
+    }
+}
+
+/// A read-only transaction asks the manager nothing at commit: its outcome
+/// comes in the same simulation step as its last read's result, and the
+/// commit timestamp is the snapshot its reads saw.
+#[test]
+fn read_only_commit_arrives_with_its_last_read_at_the_snapshot() {
+    let c = cluster(77);
+    commit_rows(&c, 1, "old");
+    settle(&c);
+    let snapshot = c.tm.watermark();
+    // Steps of the simulation, counted as the test drives them one by one.
+    let steps = Rc::new(Cell::new(0u64));
+    let read: Rc<RefCell<Option<(Option<Bytes>, u64)>>> = Rc::default();
+    let committed: Rc<RefCell<Option<(Result<Timestamp, TxnError>, u64)>>> = Rc::default();
+    let (r, o, step) = (Rc::clone(&read), Rc::clone(&committed), Rc::clone(&steps));
+    c.client(0).begin(move |txn| {
+        let txn = txn.expect("begin");
+        let txn2 = txn.clone();
+        txn.get("user000000000040", "f0", move |v| {
+            *r.borrow_mut() = Some((v.unwrap(), step.get()));
+            txn2.commit(move |res| *o.borrow_mut() = Some((res, step.get())));
+        });
+    });
+    let deadline = c.sim.now() + SimDuration::from_secs(1);
+    while committed.borrow().is_none() {
+        steps.set(steps.get() + 1);
+        assert!(c.sim.step() && c.sim.now() < deadline, "never committed");
+    }
+    let (value, read_step) = read.borrow_mut().take().expect("the read returned");
+    let (outcome, commit_step) = committed.borrow_mut().take().expect("committed");
+    assert_eq!(value.as_deref(), Some(&b"old"[..]));
+    assert_eq!(commit_step, read_step, "a manager round trip later");
+    assert_eq!(outcome, Ok(snapshot), "committed at the snapshot it read");
+    assert_eq!(c.client(0).committed_count(), 1);
+}
+
+/// The release that follows a read-only commit frees the transaction's
+/// snapshot at the manager once it lands, so garbage collection and the
+/// conflict-table prune can pass it.
+#[test]
+fn read_only_commit_releases_its_snapshot_once_the_release_lands() {
+    let c = cluster(78);
+    commit_rows(&c, 1, "old");
+    settle(&c);
+    let snapshot = c.tm.watermark();
+    let txn = begin_txn(&c, 0);
+    let read: Rc<RefCell<Option<Bytes>>> = Rc::default();
+    let r = Rc::clone(&read);
+    txn.get("user000000000040", "f0", move |v| {
+        *r.borrow_mut() = v.unwrap()
+    });
+    settle(&c);
+    assert_eq!(read.borrow().as_deref(), Some(&b"old"[..]));
+    // A later commit moves the watermark past the reader's pinned snapshot.
+    commit_rows(&c, 1, "new");
+    settle(&c);
+    assert!(c.tm.watermark() > snapshot);
+    assert_eq!(c.tm.oldest_active_snapshot(), snapshot);
+    assert_eq!(c.tm.active_count(), 1);
+
+    let outcome: Rc<RefCell<Option<Result<Timestamp, TxnError>>>> = Rc::default();
+    let o = Rc::clone(&outcome);
+    txn.commit(move |res| *o.borrow_mut() = Some(res));
+    assert_eq!(*outcome.borrow(), Some(Ok(snapshot)), "answered at once");
+    assert_eq!(c.client(0).committed_count(), 1);
+    assert_eq!(c.tm.active_count(), 1, "the release is on the wire");
+    settle(&c);
+    assert_eq!(c.tm.active_count(), 0);
+    assert!(c.tm.oldest_active_snapshot() > snapshot, "still pinned");
+    assert_eq!(c.tm.commit_count(), 3, "two writers and the reader");
+}
+
+/// A read-only commit issued before the begin's reply lands — with no
+/// operation at all, or behind a read still waiting for the snapshot —
+/// completes exactly once, at the snapshot, and so does the read. A second
+/// commit reports `UnknownTxn`, and an abort after it is a no-op.
+#[test]
+fn read_only_commit_before_the_snapshot_completes_once_at_it() {
+    for read_first in [false, true] {
+        let c = cluster(79);
+        commit_rows(&c, 1, "old");
+        settle(&c);
+        let snapshot = c.tm.watermark();
+        let seen: Rc<RefCell<Vec<String>>> = Rc::default();
+        let handle: Rc<RefCell<Option<Transaction>>> = Rc::default();
+        let (s, h) = (Rc::clone(&seen), Rc::clone(&handle));
+        c.client(0).begin(move |txn| {
+            let txn = txn.expect("begin");
+            if read_first {
+                let s = Rc::clone(&s);
+                txn.get("user000000000040", "f0", move |v| {
+                    s.borrow_mut().push(format!("get {:?}", v.unwrap()))
+                });
+            }
+            txn.commit(move |res| s.borrow_mut().push(format!("commit {res:?}")));
+            *h.borrow_mut() = Some(txn);
+        });
+        settle(&c);
+        let mut expected = Vec::new();
+        if read_first {
+            expected.push(format!("get {:?}", Some(Bytes::from_static(b"old"))));
+        }
+        expected.push(format!("commit {:?}", Ok::<_, TxnError>(snapshot)));
+        let mut got = seen.borrow().clone();
+        got.sort();
+        expected.sort();
+        assert_eq!(got, expected, "read first: {read_first}");
+
+        let txn = handle.borrow_mut().take().expect("the handle came");
+        let again: Rc<RefCell<Option<Result<Timestamp, TxnError>>>> = Rc::default();
+        let a = Rc::clone(&again);
+        txn.commit(move |res| *a.borrow_mut() = Some(res));
+        txn.abort();
+        settle(&c);
+        assert_eq!(*again.borrow(), Some(Err(TxnError::UnknownTxn)));
+        assert_eq!(seen.borrow().len(), expected.len(), "completed twice");
+        assert_eq!(c.client(0).committed_count(), 1);
+        assert_eq!(c.client(0).aborted_count(), 0);
+        assert_eq!((c.tm.active_count(), c.tm.abort_count()), (0, 0));
     }
 }
 

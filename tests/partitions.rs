@@ -483,6 +483,50 @@ fn lost_flush_complete_hangs_nothing_once_healed() {
     assert_nothing_is_stuck(&cluster, &hit, &rest);
 }
 
+/// A read-only commit's release is lost: the client has its outcome (the
+/// snapshot), the manager never hears. Today the transaction stays in the
+/// manager's `active` set and pins its snapshot for as long as the client
+/// lives, so the oldest active snapshot — compaction's garbage-collection
+/// watermark and the conflict-table prune's bound — never moves again.
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn lost_release_pins_nothing_once_healed() {
+    let cluster = tm_cluster(81);
+    let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
+    cluster.run_for(SimDuration::from_secs(1));
+    let handle: Rc<RefCell<Option<Transaction>>> = Rc::default();
+    let h = Rc::clone(&handle);
+    cluster.client(0).begin(move |txn| {
+        let txn = txn.expect("begin");
+        let txn2 = txn.clone();
+        txn.get("user000000000007", "f0", move |r| {
+            r.expect("read");
+            *h.borrow_mut() = Some(txn2);
+        });
+    });
+    cluster.run_for(SimDuration::from_millis(100));
+    let txn = handle.borrow_mut().take().expect("the read returned");
+    cluster.net.partition(client_node, tm_node);
+    let outcome: Outcome = Rc::default();
+    let o = Rc::clone(&outcome);
+    txn.commit(move |r| *o.borrow_mut() = Some(r));
+    cluster.run_for(SimDuration::from_millis(100));
+    cluster.net.heal(client_node, tm_node);
+    let snapshot = match *outcome.borrow() {
+        Some(Ok(ts)) => ts,
+        ref other => panic!("the read-only commit did not settle: {other:?}"),
+    };
+
+    let rest = carry_on(&cluster);
+    assert!(rest.iter().all(|o| matches!(*o.borrow(), Some(Ok(_)))));
+    assert!(cluster.tm.watermark() > snapshot, "no write was flushed");
+    assert!(
+        cluster.tm.oldest_active_snapshot() > snapshot,
+        "the lost release still pins snapshot {snapshot}: {} transactions active",
+        cluster.tm.active_count()
+    );
+}
+
 // ----------------------------------------------------------------------
 // Region server ↔ master (ROADMAP item 2, store side)
 // ----------------------------------------------------------------------
