@@ -78,6 +78,25 @@
 //! run through the stream faster than commits flush, and fewer commit
 //! (control 167 → 94, split 138 → 76; conflict aborts at the manager
 //! 733 → 806 and 762 → 824). No cell diverges either way.
+//! **Six were re-pinned next, in one commit made after the change,
+//! because a read-only commit asks the manager nothing**: it sends a
+//! one-way release and answers at its snapshot, so each read-only
+//! transaction puts one message on the network instead of two. Every
+//! message draws its latency jitter from the simulation RNG, and the YCSB
+//! driver draws its operations from the same RNG, so every later draw
+//! moves. `split_bench` and `failover_bench` run write-only transactions
+//! and did not move; neither did `policy_compare`'s two `write_heavy`
+//! rows. Each bin ran to completion on the new tree with its own
+//! assertions green (`scale_bench` still merges and moves: 28 merges and
+//! 3 moves, from 29 and 4). The first differing row of each, pinned →
+//! actual: `fig2a` line 2 `sync,4,201.9,19.81,24.64,27.26,1615,0` →
+//! `sync,4,201.1,19.86,25.17,26.74,1609,1`; `fig2b` line 2
+//! `50,593.9,81.77,138.41,159.38,4751` → `50,595.1,81.71,134.22,159.38,4761`;
+//! `fig3` line 2 `0,164.4,8.83,15.42` → `0,164.2,8.84,15.13`; `ablations`
+//! line 3 `true,611.6,79.69,1,620` → `true,612.2,79.35,1,603`;
+//! `policy_compare` line 3 `mixed,size_tiered,2,6,380.5,60.24,…` →
+//! `…,3,8,372.1,61.81,…`; `scale_bench` line 2
+//! `zipfian,zipfian,8428,484,56.2,9.63,…` → `…,8487,447,56.6,8.58,…`.
 //!
 //! The last four pin the paper's figures (`fig2a`, `fig2b`, `fig3`) and
 //! the `ablations`; see `assert_figure_pinned`.
