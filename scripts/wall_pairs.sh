@@ -1,0 +1,108 @@
+#!/usr/bin/env bash
+# Host-time check of a change against its parent: alternating pairs of
+# the benchmark's contract command on one workload.
+#
+# Usage: scripts/wall_pairs.sh PARENT_REV CHANGE_REV WORKLOAD [N]
+#
+# Each revision's committed files are unpacked (git archive, so nothing
+# uncommitted leaks in and the repository's worktree list is untouched)
+# into a directory of its own under a temporary directory, and the
+# benchmark is built there with its own CARGO_TARGET_DIR. Then N pairs
+# (default 10) of
+#
+#   cumulo-benchmark --workload WORKLOAD --seed 1 --seconds 10 --trace 0
+#
+# run one after the other, the parent first in odd pairs and the change
+# first in even ones, so drift of the machine's speed falls on both
+# sides alike. For wall_us_per_txn and setup_s it prints every pair, then
+# each side's median and quartiles, the change's median delta and how
+# many pairs the change won (lower is better for both). The sim-clock
+# metrics are exact for a seed, so one run of each side says all there
+# is about them; this script is for the two host-time ones.
+#
+# Run from anywhere inside the repository, on an otherwise idle machine.
+# The temporary directory is removed on exit; set KEEP=1 to keep it.
+set -euo pipefail
+
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+    echo "usage: $0 PARENT_REV CHANGE_REV WORKLOAD [N=10]" >&2
+    exit 2
+fi
+parent_rev=$1
+change_rev=$2
+workload=$3
+pairs=${4:-10}
+metrics="wall_us_per_txn setup_s"
+
+repo=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/wall_pairs.XXXXXX")
+if [ "${KEEP:-0}" = 1 ]; then
+    echo "keeping $tmp" >&2
+else
+    trap 'rm -rf "$tmp"' EXIT
+fi
+
+# Unpacks and builds one side; its binary is $tmp/<side>/target/release/cumulo-benchmark.
+build() {
+    local side=$1 rev=$2
+    mkdir -p "$tmp/$side"
+    git -C "$repo" archive --format=tar "$rev" | tar -x -C "$tmp/$side"
+    echo "building $side ($(git -C "$repo" rev-parse --short "$rev"))" >&2
+    CARGO_TARGET_DIR="$tmp/$side/target" cargo build --release --offline --quiet \
+        --manifest-path "$tmp/$side/benchmark/Cargo.toml"
+}
+
+# Runs one side once and appends "<pair> <metric> <value>" lines to its results.
+run() {
+    local side=$1 pair=$2 out
+    out=$(env -u CARGO_MANIFEST_DIR "$tmp/$side/target/release/cumulo-benchmark" \
+        --workload "$workload" --seed 1 --seconds 10 --trace 0 2>"$tmp/$side.log")
+    for metric in $metrics; do
+        value=$(echo "$out" | awk -v key="$workload.$metric" '$1 == key { print $2 }')
+        if [ -z "$value" ]; then
+            echo "$side printed no $workload.$metric (see $tmp/$side.log)" >&2
+            exit 1
+        fi
+        echo "$pair $metric $value" >>"$tmp/$side.results"
+    done
+}
+
+build parent "$parent_rev"
+build change "$change_rev"
+: >"$tmp/parent.results"
+: >"$tmp/change.results"
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) = 1 ]; then
+        run parent "$pair"
+        run change "$pair"
+    else
+        run change "$pair"
+        run parent "$pair"
+    fi
+    echo "pair $pair of $pairs done" >&2
+done
+
+# Median and quartiles by linear interpolation between order statistics.
+quartiles() {
+    sort -g | awk '{ x[NR] = $1 }
+        function q(p,  h, i) { h = (NR - 1) * p + 1; i = int(h)
+            return i >= NR ? x[NR] : x[i] + (h - i) * (x[i + 1] - x[i]) }
+        END { printf "%.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75) }'
+}
+
+echo "workload $workload, $pairs alternating pairs, parent $(git -C "$repo" rev-parse --short "$parent_rev"), change $(git -C "$repo" rev-parse --short "$change_rev")"
+for metric in $metrics; do
+    echo "$metric (pair: parent change)"
+    join <(awk -v m="$metric" '$2 == m { print $1, $3 }' "$tmp/parent.results" | sort -k1,1) \
+        <(awk -v m="$metric" '$2 == m { print $1, $3 }' "$tmp/change.results" | sort -k1,1) |
+        sort -n >"$tmp/$metric.pairs"
+    awk '{ printf "  %s: %s %s\n", $1, $2, $3 }' "$tmp/$metric.pairs"
+    read -r p_med p_q1 p_q3 < <(awk '{ print $2 }' "$tmp/$metric.pairs" | quartiles)
+    read -r c_med c_q1 c_q3 < <(awk '{ print $3 }' "$tmp/$metric.pairs" | quartiles)
+    wins=$(awk '$3 < $2 { n++ } END { print n + 0 }' "$tmp/$metric.pairs")
+    awk -v m="$metric" -v pm="$p_med" -v p1="$p_q1" -v p3="$p_q3" \
+        -v cm="$c_med" -v c1="$c_q1" -v c3="$c_q3" -v wins="$wins" -v n="$pairs" 'BEGIN {
+        printf "  %s parent median %s [q1 %s, q3 %s], change median %s [q1 %s, q3 %s]\n", m, pm, p1, p3, cm, c1, c3
+        printf "  %s change %+.2f %% of the parent median, parent IQR %s, change lower in %d of %d pairs\n", m, (cm - pm) / pm * 100, p3 - p1, wins, n
+    }'
+done
