@@ -213,13 +213,13 @@ struct TcInner {
     timers: RefCell<Vec<TimerHandle>>,
     /// Commit requests sent to the transaction manager whose outcome has
     /// not come back yet (a read-only commit sends none, so it is never in
-    /// flight: the manager assigns it no timestamp). While non-zero, the idle-threshold advancement
-    /// must not run: the manager may already have *assigned* a commit
-    /// timestamp to one of these (it advances its oracle on request
-    /// receipt, but acks only after the log force), so adopting its
-    /// "latest assigned" timestamp would overclaim an unflushed local
-    /// commit — and a crash mid-flush would then escape recovery replay,
-    /// leaving a half-applied write-set.
+    /// flight: the manager assigns it no timestamp). While non-zero, the
+    /// idle-threshold advancement must not run: the manager may already
+    /// have *assigned* a commit timestamp to one of these (it advances its
+    /// oracle on request receipt, but acks only after the log force), so
+    /// adopting its "latest assigned" timestamp would overclaim an
+    /// unflushed local commit — and a crash mid-flush would then escape
+    /// recovery replay, leaving a half-applied write-set.
     commits_in_flight: Cell<usize>,
     committed: Counter,
     aborted: Counter,
@@ -326,8 +326,8 @@ impl Transaction {
         None
     }
 
-    /// Delivers `err` through `done` on the next simulation step (all
-    /// callback-taking methods complete asynchronously, success or not).
+    /// Delivers `err` through `done` on the next simulation step: an error
+    /// never completes inside the call that caused it.
     fn fail<T: 'static>(&self, err: TxnError, done: impl FnOnce(Result<T, TxnError>) + 'static) {
         self.inner
             .sim
@@ -543,9 +543,10 @@ impl Transaction {
     /// snapshot, so its commit timestamp *is* its snapshot: it has nothing
     /// to log, flush or conflict-check and cannot abort. It asks the
     /// manager nothing: a one-way release, behind the begin, unpins the
-    /// snapshot, and `Ok(snapshot)` is delivered like a read — at once if
-    /// the begin reply has landed (always, once a read has returned), else
-    /// when it lands. It never enters `FQ` and draws no timestamp.
+    /// snapshot, and `Ok(snapshot)` is delivered like a read — at once,
+    /// inside this call, if the begin reply has landed (always, once a
+    /// read has returned), else when it lands. It never enters `FQ` and
+    /// draws no timestamp.
     ///
     /// A second commit, a commit after abort and a write commit whose
     /// begin never reached the manager report [`TxnError::UnknownTxn`]; a
