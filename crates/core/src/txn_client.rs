@@ -215,8 +215,8 @@ struct TcInner {
     /// not come back yet (a read-only commit sends none, so it is never in
     /// flight: the manager assigns it no timestamp). While non-zero, the
     /// idle-threshold advancement must not run: the manager may already
-    /// have *assigned* a commit timestamp to one of these (it advances its
-    /// oracle on request receipt, but acks only after the log force), so
+    /// have *assigned* a commit timestamp to one of these (it draws the
+    /// timestamp on request receipt, but acks only after the log force), so
     /// adopting its "latest assigned" timestamp would overclaim an
     /// unflushed local commit — and a crash mid-flush would then escape
     /// recovery replay, leaving a half-applied write-set.
@@ -797,7 +797,7 @@ impl TransactionalClient {
         inner.next_seq.set(inner.next_seq.get() + 1);
         let snapshot = Rc::new(RefCell::new(Snapshot::Awaited(None)));
         let (on_reply, slot) = (Rc::clone(inner), Rc::clone(&snapshot));
-        inner.tm.begin(inner.id, txn, move |start_ts| {
+        inner.tm.begin(txn, move |start_ts| {
             if !on_reply.alive.get() {
                 return;
             }

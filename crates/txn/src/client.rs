@@ -71,14 +71,14 @@ impl TmClient {
             .send(self.from, tm.node(), SMALL, move || serve(&tm));
     }
 
-    /// Begins transaction `txn` (named by `client`, see [`TxnId::new`]);
+    /// Begins transaction `txn` (named by its client, see [`TxnId::new`]);
     /// `done` runs at the caller with its read snapshot. A commit or abort
     /// of `txn` may follow at once: the link to the manager is FIFO, so it
     /// arrives behind the begin.
-    pub fn begin(&self, client: ClientId, txn: TxnId, done: impl FnOnce(Timestamp) + 'static) {
+    pub fn begin(&self, txn: TxnId, done: impl FnOnce(Timestamp) + 'static) {
         self.call(
             SMALL,
-            move |tm, reply| reply.send(SMALL, tm.handle_begin(client, txn)),
+            move |tm, reply| reply.send(SMALL, tm.handle_begin(txn)),
             done,
         );
     }
@@ -212,7 +212,7 @@ mod tests {
     /// a log record and a pending flush to work on.
     fn commit_directly(s: &Setup, client: ClientId, row: &str) -> Timestamp {
         let txn = s.txn_of(client);
-        s.tm.handle_begin(client, txn);
+        s.tm.handle_begin(txn);
         let got = Rc::new(Cell::new(None));
         let g = got.clone();
         s.tm.handle_commit(txn, ws(row), move |o| match o {
@@ -280,7 +280,7 @@ mod tests {
     fn begin_is_a_round_trip() {
         let s = setup();
         check(&s, 2, |c, done| {
-            c.begin(ClientId(0), s.txn_of(ClientId(0)), move |_| done.set(true))
+            c.begin(s.txn_of(ClientId(0)), move |_| done.set(true))
         });
         // Begun twice at the manager: the first run and the lost reply.
         assert_eq!(s.tm.active_count(), 2);
@@ -293,7 +293,7 @@ mod tests {
         check(&s, 2, |c, done| {
             row.set(row.get() + 1);
             let txn = s.txn_of(ClientId(0));
-            s.tm.handle_begin(ClientId(0), txn);
+            s.tm.handle_begin(txn);
             let tm = Rc::clone(&s.tm);
             c.commit(txn, ws(&format!("row{}", row.get())), move |outcome| {
                 assert!(matches!(outcome, CommitOutcome::Committed(_)));
@@ -315,7 +315,7 @@ mod tests {
         let txn = s.txn_of(ClientId(0));
         let begun = Rc::new(Cell::new(false));
         let b = begun.clone();
-        s.client.begin(ClientId(0), txn, move |_| b.set(true));
+        s.client.begin(txn, move |_| b.set(true));
         let (sent, acked) = (s.sim.now(), Rc::new(Cell::new(None)));
         let (a, sim, tm) = (acked.clone(), s.sim.clone(), Rc::clone(&s.tm));
         s.client.commit(txn, ws("r"), move |outcome| {
@@ -343,7 +343,7 @@ mod tests {
     fn abort_is_one_way() {
         let s = setup();
         let txn = s.txn_of(ClientId(0));
-        s.tm.handle_begin(ClientId(0), txn);
+        s.tm.handle_begin(txn);
         check(&s, 1, |c, _| c.abort(txn));
         assert_eq!(s.tm.abort_count(), 1);
     }
@@ -352,7 +352,7 @@ mod tests {
     fn release_is_one_way() {
         let s = setup();
         let txn = s.txn_of(ClientId(0));
-        s.tm.handle_begin(ClientId(0), txn);
+        s.tm.handle_begin(txn);
         check(&s, 1, |c, _| c.release(txn));
         assert_eq!((s.tm.commit_count(), s.tm.active_count()), (1, 0));
     }
@@ -383,7 +383,7 @@ mod tests {
         let s = setup();
         let ts = commit_directly(&s, ClientId(7), "mine");
         commit_directly(&s, ClientId(8), "theirs");
-        s.tm.handle_begin(ClientId(7), s.txn_of(ClientId(7)));
+        s.tm.handle_begin(s.txn_of(ClientId(7)));
         let got = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
         check(&s, 2, move |c, done| {

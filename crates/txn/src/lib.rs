@@ -8,7 +8,13 @@
 //! on:
 //!
 //! * **monotonically increasing commit timestamps** that define the
-//!   serialization order (§2.2);
+//!   serialization order (§2.2: "we assume that commit timestamps are
+//!   monotonically increasing and that the commit timestamp determines
+//!   the serialization order"), drawn from one counter at the manager
+//!   starting at 1, since 0 is the "before everything" threshold;
+//! * a **read snapshot per transaction**, pinned while the transaction
+//!   is open so MVCC garbage collection never drops a version it can
+//!   observe;
 //! * a **recovery log** to which a committed transaction's write-set,
 //!   commit timestamp and client id are forced *at commit time* with
 //!   group commit — the single durability point of the whole system;
@@ -36,10 +42,8 @@ mod client;
 mod conflict;
 mod log;
 mod manager;
-mod oracle;
 
 pub use client::TmClient;
 pub use conflict::ConflictChecker;
 pub use log::{LogRecord, RecoveryLog, RecoveryLogConfig};
 pub use manager::{CommitOutcome, TransactionManager, TxnId};
-pub use oracle::TimestampOracle;

@@ -3,12 +3,12 @@
 
 use crate::conflict::ConflictChecker;
 use crate::log::{LogRecord, RecoveryLog, RecoveryLogConfig};
-use crate::oracle::TimestampOracle;
 use cumulo_sim::{every, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::rc::{Rc, Weak};
 
 /// Identifier of an in-flight transaction, chosen by the client that
@@ -23,6 +23,17 @@ impl TxnId {
     /// the manager has answered its begin.
     pub fn new(client: ClientId, seq: u32) -> TxnId {
         TxnId((u64::from(client.0) << 32) | u64::from(seq))
+    }
+
+    /// The client that named this transaction.
+    pub fn client(self) -> ClientId {
+        ClientId((self.0 >> 32) as u32)
+    }
+
+    /// Every id `client` can name: ids order client first, so one
+    /// client's transactions are one contiguous range.
+    fn of_client(client: ClientId) -> RangeInclusive<TxnId> {
+        TxnId::new(client, 0)..=TxnId::new(client, u32::MAX)
     }
 }
 
@@ -47,22 +58,23 @@ pub enum CommitOutcome {
 /// Period of the conflict-table prune.
 const PRUNE_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
-struct ActiveTxn {
-    client: ClientId,
-    start_ts: Timestamp,
-}
-
 /// The transaction manager. Runs on its own node; other components reach
 /// it through a [`crate::TmClient`], which wraps every call in network
 /// messages.
 pub struct TransactionManager {
     node: NodeId,
-    oracle: TimestampOracle,
     conflicts: ConflictChecker,
     log: Rc<RecoveryLog>,
-    active: RefCell<HashMap<TxnId, ActiveTxn>>,
+    /// Every open transaction (begun, not yet ended) with its read
+    /// snapshot, which it pins against MVCC garbage collection for as
+    /// long as it is here. Ordered client by client (see
+    /// [`TxnId::new`]).
+    open: RefCell<BTreeMap<TxnId, Timestamp>>,
     /// Commit timestamps whose write-sets are not yet fully flushed.
     pending_flush: RefCell<BTreeSet<Timestamp>>,
+    /// The newest commit timestamp handed out ([`Timestamp::ZERO`], the
+    /// "before everything" threshold, until the first commit).
+    last_ts: Cell<Timestamp>,
     /// All transactions with ts ≤ watermark are committed *and* flushed;
     /// new transactions read at this snapshot.
     watermark: Cell<Timestamp>,
@@ -75,7 +87,7 @@ impl fmt::Debug for TransactionManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TransactionManager")
             .field("node", &self.node)
-            .field("active", &self.active.borrow().len())
+            .field("open", &self.open.borrow().len())
             .field("commits", &self.commits.get())
             .field("watermark", &self.watermark.get())
             .finish()
@@ -87,11 +99,11 @@ impl TransactionManager {
     pub fn new(sim: &Sim, node: NodeId) -> Rc<TransactionManager> {
         let tm = Rc::new(TransactionManager {
             node,
-            oracle: TimestampOracle::new(),
             conflicts: ConflictChecker::new(),
             log: RecoveryLog::new(sim, RecoveryLogConfig::default()),
-            active: RefCell::new(HashMap::new()),
+            open: RefCell::new(BTreeMap::new()),
             pending_flush: RefCell::new(BTreeSet::new()),
+            last_ts: Cell::new(Timestamp::ZERO),
             watermark: Cell::new(Timestamp::ZERO),
             commits: Cell::new(0),
             aborts: Cell::new(0),
@@ -125,27 +137,23 @@ impl TransactionManager {
         &self.log
     }
 
-    /// Starts transaction `txn` for `client`: returns its read snapshot
-    /// (the current flush watermark).
-    pub fn handle_begin(&self, client: ClientId, txn: TxnId) -> Timestamp {
-        let start_ts = self.watermark.get();
-        // Pin the read snapshot so MVCC garbage collection (store-file
-        // compaction) never drops a version this transaction can observe.
-        self.oracle.pin_snapshot(start_ts);
-        let fresh = self
-            .active
+    /// Starts transaction `txn`: returns its read snapshot (the current
+    /// flush watermark), which stays pinned while `txn` is open, so MVCC
+    /// garbage collection (store-file compaction) never drops a version
+    /// it can observe. A re-sent begin of a still-open `txn` gets the
+    /// snapshot it was first given and pins nothing more.
+    pub fn handle_begin(&self, txn: TxnId) -> Timestamp {
+        *self
+            .open
             .borrow_mut()
-            .insert(txn, ActiveTxn { client, start_ts })
-            .is_none();
-        debug_assert!(fresh, "{txn:?} begun twice");
-        start_ts
+            .entry(txn)
+            .or_insert(self.watermark.get())
     }
 
-    /// Ends `txn` if it is active: forgets it and unpins its snapshot.
-    fn end(&self, txn: TxnId) -> Option<ActiveTxn> {
-        let info = self.active.borrow_mut().remove(&txn)?;
-        self.oracle.unpin_snapshot(info.start_ts);
-        Some(info)
+    /// Ends `txn` if it is open: forgets it, which unpins its snapshot,
+    /// and returns that snapshot.
+    fn end(&self, txn: TxnId) -> Option<Timestamp> {
+        self.open.borrow_mut().remove(&txn)
     }
 
     /// Commit request of a transaction that wrote something (a read-only
@@ -160,14 +168,15 @@ impl TransactionManager {
         reply: impl FnOnce(CommitOutcome) + 'static,
     ) {
         debug_assert!(!write_set.is_empty(), "{txn:?}: read-only, so released");
-        let Some(info) = self.end(txn) else {
+        let Some(start_ts) = self.end(txn) else {
             reply(CommitOutcome::UnknownTxn);
             return;
         };
-        let commit_ts = self.oracle.next_ts();
+        let commit_ts = Timestamp(self.last_ts.get().0 + 1);
+        self.last_ts.set(commit_ts);
         if !self
             .conflicts
-            .check_and_record(&write_set, info.start_ts, commit_ts)
+            .check_and_record(&write_set, start_ts, commit_ts)
         {
             self.aborts.set(self.aborts.get() + 1);
             self.conflict_aborts.set(self.conflict_aborts.get() + 1);
@@ -177,7 +186,7 @@ impl TransactionManager {
         self.pending_flush.borrow_mut().insert(commit_ts);
         let record = LogRecord {
             ts: commit_ts,
-            client: info.client,
+            client: txn.client(),
             write_set,
         };
         let this = Rc::clone(self);
@@ -192,21 +201,14 @@ impl TransactionManager {
     /// pinned snapshots so the MVCC garbage-collection watermark can keep
     /// advancing. Returns the reaped transactions in `TxnId` order.
     pub fn handle_client_failed(&self, client: ClientId) -> Vec<TxnId> {
-        let mut doomed: Vec<TxnId> = self
-            .active
-            .borrow()
-            .iter()
-            .filter(|(_, info)| info.client == client)
-            .map(|(id, _)| *id)
+        let reaped: Vec<TxnId> = self
+            .open
+            .borrow_mut()
+            .extract_if(TxnId::of_client(client), |_, _| true)
+            .map(|(txn, _)| txn)
             .collect();
-        // `active` is a HashMap; aborting in its iteration order would
-        // release locks and emit trace events in a per-process order.
-        // Reap in TxnId order so recovery runs stay byte-identical.
-        doomed.sort_unstable();
-        for txn in &doomed {
-            self.handle_abort(*txn);
-        }
-        doomed
+        self.aborts.set(self.aborts.get() + reaped.len() as u64);
+        reaped
     }
 
     /// Abort request: the buffered write-set is simply discarded (§2.2:
@@ -236,7 +238,7 @@ impl TransactionManager {
     fn advance_watermark(&self) {
         let candidate = match self.pending_flush.borrow().iter().next() {
             Some(min) => Timestamp(min.0 - 1),
-            None => self.oracle.last_assigned(),
+            None => self.last_ts.get(),
         };
         if candidate > self.watermark.get() {
             self.watermark.set(candidate);
@@ -251,26 +253,25 @@ impl TransactionManager {
     /// The oldest snapshot any reader can currently observe — the safe
     /// watermark for MVCC garbage collection.
     ///
-    /// Every running transaction pins its read snapshot in the oracle;
-    /// the oldest pin bounds what current readers see, and the flush
-    /// watermark bounds what *future* transactions will read at (new
-    /// snapshots are handed out at the watermark, which only advances).
-    /// Store-file compaction may therefore drop any version shadowed at
-    /// or below this timestamp.
+    /// Every open transaction pins its read snapshot; the oldest pin
+    /// bounds what current readers see, and the flush watermark bounds
+    /// what *future* transactions will read at (new snapshots are handed
+    /// out at the watermark, which only advances). Store-file compaction
+    /// may therefore drop any version shadowed at or below this
+    /// timestamp.
     pub fn oldest_active_snapshot(&self) -> Timestamp {
-        self.oracle
-            .oldest_pinned()
-            .unwrap_or_else(|| self.watermark.get())
+        let oldest = self.open.borrow().values().min().copied();
+        oldest.unwrap_or_else(|| self.watermark.get())
     }
 
     /// The most recently assigned commit timestamp.
     pub fn last_commit_ts(&self) -> Timestamp {
-        self.oracle.last_assigned()
+        self.last_ts.get()
     }
 
     /// Transactions currently executing (begun, not terminated).
     pub fn active_count(&self) -> usize {
-        self.active.borrow().len()
+        self.open.borrow().len()
     }
 
     /// Commits so far: logged ones once durable, read-only ones once
@@ -314,7 +315,7 @@ mod tests {
         thread_local!(static SEQ: Cell<u32> = const { Cell::new(0) });
         let seq = SEQ.with(|seq| seq.replace(seq.get() + 1));
         let txn = TxnId::new(client, seq);
-        (txn, tm.handle_begin(client, txn))
+        (txn, tm.handle_begin(txn))
     }
 
     #[test]
@@ -505,6 +506,35 @@ mod tests {
         assert_eq!((tm.commit_count(), tm.abort_count()), (2, 1));
     }
 
+    /// A begin the client sends again (its first reply was lost) is
+    /// recognised by its id: it gets the snapshot the first one got, even
+    /// after the watermark moved, and pins it once, so one release frees it.
+    #[test]
+    fn resent_begin_returns_its_first_snapshot_and_pins_it_once() {
+        let (sim, tm) = tm();
+        let (reader, snap) = begin(&tm, ClientId(0));
+        let (writer, _) = begin(&tm, ClientId(1));
+        tm.handle_commit(writer, ws("r"), |_| {});
+        sim.run_for(SimDuration::from_millis(50));
+        tm.handle_flush_complete(tm.last_commit_ts());
+        assert!(tm.watermark() > snap);
+
+        assert_eq!(tm.handle_begin(reader), snap, "the first snapshot");
+        assert_eq!(tm.active_count(), 1);
+        assert_eq!(tm.oldest_active_snapshot(), snap);
+        tm.handle_release(reader);
+        assert_eq!(tm.active_count(), 0);
+        assert_eq!(tm.oldest_active_snapshot(), tm.watermark(), "pin freed");
+    }
+
+    #[test]
+    fn txn_id_names_its_client() {
+        let txn = TxnId::new(ClientId(u32::MAX), 7);
+        assert_eq!(txn.client(), ClientId(u32::MAX));
+        assert!(TxnId::of_client(ClientId(3)).contains(&TxnId::new(ClientId(3), u32::MAX)));
+        assert!(!TxnId::of_client(ClientId(3)).contains(&TxnId::new(ClientId(4), 0)));
+    }
+
     #[test]
     fn client_failure_reaps_open_txns_and_their_pins() {
         let (_sim, tm) = tm();
@@ -520,9 +550,9 @@ mod tests {
         assert!(tm.handle_client_failed(ClientId(7)).is_empty());
     }
 
-    /// Regression (CD001): reaping a failed client's transactions used to
-    /// walk the `active` HashMap in hash order, aborting (and unpinning
-    /// snapshots) in a per-process order. The reap must be in TxnId order.
+    /// Regression (CD001): reaping a failed client's transactions once
+    /// walked a HashMap in hash order, aborting (and unpinning snapshots)
+    /// in a per-process order. The reap must be in TxnId order.
     #[test]
     fn client_failure_reaps_in_txn_id_order() {
         let (_sim, tm) = tm();
@@ -533,7 +563,7 @@ mod tests {
         for i in 0..24u32 {
             let client = ClientId(1 + (i % 2));
             let txn = TxnId::new(client, i * 7 % 24);
-            tm.handle_begin(client, txn);
+            tm.handle_begin(txn);
             if client == ClientId(1) {
                 doomed_ids.push(txn);
             }

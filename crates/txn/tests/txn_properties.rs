@@ -211,7 +211,7 @@ fn commit_acks_are_ordered_and_durable() {
     for i in 0..50usize {
         let client = ClientId((i % 3) as u32);
         let txn = TxnId::new(client, i as u32);
-        tm.handle_begin(client, txn);
+        tm.handle_begin(txn);
         let acks2 = acks.clone();
         let tm2 = Rc::clone(&tm);
         tm.handle_commit(txn, ws(&[i as u16]), move |o| {
