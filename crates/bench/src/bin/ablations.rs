@@ -28,7 +28,6 @@ fn build(seed: u64, rows: u64, tracking: bool, replication: usize, hb_ms: u64) -
         persistence: PersistenceMode::Asynchronous,
         heartbeat_interval: SimDuration::from_millis(hb_ms),
         tracking,
-        truncation: tracking,
         ..ClusterConfig::default()
     });
     cluster.load_rows(rows, &["f0"], 100, true);

@@ -32,9 +32,9 @@ use std::rc::Rc;
 /// Row-key prefix of the loaded table.
 const KEY_PREFIX: &str = "user";
 
-/// Cluster-wide configuration: the deployment's shape, the paper's four
-/// dials (`persistence`, `heartbeat_interval`, `tracking`, `truncation`)
-/// and `region_replication` — each one value that [`Cluster::build`]
+/// Cluster-wide configuration: the deployment's shape, the paper's three
+/// dials (`persistence`, `heartbeat_interval`, `tracking`) and
+/// `region_replication` — each one value that [`Cluster::build`]
 /// fans out to several components — plus the per-component knobs, each
 /// of which lives in its component's config and nowhere else.
 #[derive(Clone, Debug)]
@@ -60,10 +60,9 @@ pub struct ClusterConfig {
     /// clients' coordination session timeout.
     pub heartbeat_interval: SimDuration,
     /// Whether threshold tracking runs (ablation): clients, server
-    /// trackers and the recovery manager.
+    /// trackers and the recovery manager. Without it no `T_P` is ever
+    /// published, so the recovery log is never truncated either.
     pub tracking: bool,
-    /// Whether log truncation runs (ablation).
-    pub truncation: bool,
     /// Copies of each *region* (primary + backups): 2 means one backup
     /// shadow per region with promotion-based failover. 1 (the default)
     /// disables region replication entirely — zero extra messages, so
@@ -96,7 +95,6 @@ impl Default for ClusterConfig {
             persistence: PersistenceMode::Asynchronous,
             heartbeat_interval: SimDuration::from_secs(1),
             tracking: true,
-            truncation: true,
             region_replication: 1,
             master_cfg: MasterConfig::default(),
             server_cfg: RegionServerConfig::default(),
@@ -270,7 +268,6 @@ impl Cluster {
         let rm_coord = CoordClient::new(&net, &coord, rm_node);
         let rm_cfg = RecoveryManagerConfig {
             tracking: cfg.tracking,
-            truncation: cfg.truncation,
         };
         let rm = RecoveryManager::new(&sim, &net, rm_node, rm_coord, rm_tm, rc, rm_cfg);
         rm.start();
@@ -833,7 +830,7 @@ pub struct FilterTotals {
     pub filter_skips: u64,
     /// Consulted files that did not hold the key (filter false positives).
     pub false_positives: u64,
-    /// Wrong filter exclusions (requires `verify_filters`; must be zero).
+    /// Wrong filter exclusions (counted in debug builds; must be zero).
     pub false_negatives: u64,
     /// Store files consulted by point gets.
     pub files_consulted: u64,

@@ -56,13 +56,13 @@ use std::rc::Rc;
 /// thresholds.
 const CHECKPOINT_INTERVAL: SimDuration = SimDuration::from_secs(2);
 
-/// Recovery-manager settings (both fanned out from `ClusterConfig`).
+/// Recovery-manager settings (fanned out from `ClusterConfig`).
 #[derive(Copy, Clone, Debug)]
 pub struct RecoveryManagerConfig {
-    /// Whether log truncation below `T_P` runs (§3.2).
-    pub truncation: bool,
     /// Whether threshold tracking is honoured. When disabled (ablation),
-    /// every recovery replays from the beginning of the log.
+    /// every recovery replays from the beginning of the log, and the log
+    /// is never truncated: no server publishes a threshold, so `T_P`
+    /// stays 0.
     pub tracking: bool,
 }
 
@@ -432,7 +432,7 @@ impl RecoveryManager {
     fn checkpoint(self: &Rc<Self>) {
         self.recompute_t_p();
         let t_p = self.t_p.get();
-        if self.cfg.truncation && t_p > self.last_truncated.get() {
+        if t_p > self.last_truncated.get() {
             self.last_truncated.set(t_p);
             self.truncations.inc();
             self.event("log.truncate", move || format!("below={}", t_p.0));

@@ -81,8 +81,9 @@ pub struct FilterStats {
     /// filter's false positives (measurable because the registry holds
     /// real bytes, so the exact membership check is cheap).
     pub false_positives: Counter,
-    /// Filter exclusions that were wrong (requires
-    /// `RegionServerConfig::verify_filters`). Must stay zero: a false
+    /// Filter exclusions that were wrong, by the exact membership check
+    /// that debug builds (every `cargo test` run) make on each exclusion;
+    /// release builds skip it for its host time. Must stay zero: a false
     /// negative would silently lose a committed version from reads.
     pub false_negatives: Counter,
     /// Store files actually consulted by point gets.
@@ -396,7 +397,6 @@ impl RegionServer {
         pruned: &'a mut Pruned,
     ) -> impl Iterator<Item = (&'a StoreFileData, bool)> + 'a {
         let bloom = self.bloom_enabled.get();
-        let verify = self.cfg.verify_filters;
         let flushing = st.flushing_file().into_iter().map(|sf| (&**sf, false));
         let durable = st.storefiles.iter().map(|sf| (&**sf, true));
         flushing.chain(durable).filter(move |(sf, _)| {
@@ -408,7 +408,7 @@ impl RegionServer {
                 pruned.probes += 1;
                 if !sf.filter_may_contain_cell(key) {
                     pruned.filter_skips += 1;
-                    if verify && sf.contains_cell(key) {
+                    if cfg!(debug_assertions) && sf.contains_cell(key) {
                         pruned.false_negatives += 1;
                     }
                     return false;

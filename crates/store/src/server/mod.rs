@@ -65,11 +65,6 @@ pub struct RegionServerConfig {
     pub flush_check_interval: SimDuration,
     /// Block-cache capacity, in row-blocks.
     pub block_cache_capacity: usize,
-    /// Measurement-only cross-check: when a filter excludes a file, also
-    /// run the exact membership check and count a false negative if the
-    /// filter was wrong (it never should be). Costs host time, not
-    /// simulated service time; enable in tests and benches.
-    pub verify_filters: bool,
     /// Background compaction knobs.
     pub compaction: CompactionConfig,
     /// Online region-split knobs.
@@ -145,7 +140,6 @@ impl Default for RegionServerConfig {
             memstore_flush_bytes: 48 << 20,
             flush_check_interval: SimDuration::from_secs(1),
             block_cache_capacity: 700_000,
-            verify_filters: false,
             compaction: CompactionConfig::default(),
             split: SplitConfig::default(),
             merge: MergeConfig::default(),

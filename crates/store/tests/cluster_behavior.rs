@@ -525,10 +525,7 @@ fn cache_warms_with_reads() {
 /// counts for this sequence. They feed the simulated service time.
 #[test]
 fn filter_stats_of_a_fixed_read_sequence_are_pinned() {
-    let mut cfg = RegionServerConfig {
-        verify_filters: true,
-        ..RegionServerConfig::default()
-    };
+    let mut cfg = RegionServerConfig::default();
     cfg.compaction.enabled = false;
     let c = build_with(12, 1, 1, cfg);
     let server = Rc::clone(&c.servers[0]);

@@ -16,9 +16,9 @@ const ROWS: u64 = 1_500;
 /// quickly.
 const VALUE_PAD: usize = 120;
 
-/// A cluster tuned so flushes pile up store files within seconds, with
-/// filter verification on (every filter skip is cross-checked against
-/// the exact membership test).
+/// A cluster tuned so flushes pile up store files within seconds. In a
+/// debug build every filter skip is cross-checked against the exact
+/// membership test.
 fn filter_cluster(seed: u64, compaction: bool) -> Cluster {
     let mut cfg = ClusterConfig {
         seed,
@@ -32,7 +32,6 @@ fn filter_cluster(seed: u64, compaction: bool) -> Cluster {
     cfg.server_cfg.compaction.min_files = 4;
     cfg.server_cfg.memstore_flush_bytes = 24 << 10; // 24 KiB
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(500);
-    cfg.server_cfg.verify_filters = true;
     Cluster::build(cfg)
 }
 

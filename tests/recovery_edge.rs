@@ -224,7 +224,6 @@ fn no_tracking_ablation_still_recovers_by_full_replay() {
         regions: 4,
         key_count: 5_000,
         tracking: false,
-        truncation: false,
         ..ClusterConfig::default()
     });
     let mut expected = Vec::new();
@@ -259,7 +258,6 @@ fn no_tracking_client_lost_while_the_manager_is_down_is_recovered() {
         regions: 4,
         key_count: 10_000,
         tracking: false,
-        truncation: false,
         ..ClusterConfig::default()
     });
     cluster.crash_recovery_manager();
