@@ -10,7 +10,7 @@ use common::{ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
 use cumulo_sim::SimDuration;
 use cumulo_store::RegionId;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -485,9 +485,10 @@ fn lost_flush_complete_hangs_nothing_once_healed() {
 
 /// A read-only commit's release is lost: the client has its outcome (the
 /// snapshot), the manager never hears. Today the transaction stays in the
-/// manager's `active` set and pins its snapshot for as long as the client
-/// lives, so the oldest active snapshot — compaction's garbage-collection
-/// watermark and the conflict-table prune's bound — never moves again.
+/// manager's table of open transactions and pins its snapshot for as long
+/// as the client lives, so the oldest active snapshot — compaction's
+/// garbage-collection watermark and the conflict-table prune's bound —
+/// never moves again.
 #[test]
 #[ignore = "ROADMAP item 2"]
 fn lost_release_pins_nothing_once_healed() {
@@ -524,6 +525,32 @@ fn lost_release_pins_nothing_once_healed() {
         cluster.tm.oldest_active_snapshot() > snapshot,
         "the lost release still pins snapshot {snapshot}: {} transactions active",
         cluster.tm.active_count()
+    );
+}
+
+/// A read on a handle whose begin request was lost to a cut between the
+/// client and the manager: the read waits for the snapshot, and the
+/// manager, which never heard of the transaction, never sends one. Today
+/// the read waits for good; it must settle, with a value or a typed
+/// error, within 10 s of the heal.
+#[test]
+#[ignore = "ROADMAP item 2"]
+fn read_whose_begin_was_lost_settles_once_healed() {
+    let cluster = tm_cluster(82);
+    let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
+    cluster.run_for(SimDuration::from_secs(1));
+    cluster.net.partition(client_node, tm_node);
+    let settled = Rc::new(Cell::new(false));
+    let s = Rc::clone(&settled);
+    cluster.client(0).begin(move |txn| {
+        let txn = txn.expect("begin");
+        txn.get("user000000000007", "f0", move |_| s.set(true));
+    });
+    cluster.run_for(SimDuration::from_millis(100));
+    cluster.net.heal(client_node, tm_node);
+    assert!(
+        healthy_within_10s(&cluster, || settled.get()),
+        "the read still waits for the lost begin's snapshot"
     );
 }
 
