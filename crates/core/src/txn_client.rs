@@ -54,9 +54,9 @@ use cumulo_coord::{CoordClient, SessionId};
 use cumulo_sim::metrics::Counter;
 use cumulo_sim::{every_from, Network, NodeId, Sim, SimDuration, TimerHandle};
 use cumulo_store::{ClientId, Mutation, MutationKind, StoreClient, Timestamp, WriteSet};
-use cumulo_txn::{CommitOutcome, TmClient, TxnId};
+use cumulo_txn::{CommitOutcome, Session, TmClient, TxnId};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
@@ -198,8 +198,10 @@ struct TcInner {
     coord: CoordClient,
     cfg: TxnClientConfig,
     tracker: RefCell<FlushTracker>,
-    /// The write-set of every transaction handed out and not finished.
-    active: RefCell<HashMap<TxnId, WriteSet>>,
+    /// The write-set of every transaction begun and not yet ended: from
+    /// the begin request to the commit request or the abort. Its least id
+    /// is the floor of the client's [`Session`].
+    active: RefCell<BTreeMap<TxnId, WriteSet>>,
     /// The sequence number the next transaction's id carries.
     next_seq: Cell<u32>,
     session: Cell<Option<SessionId>>,
@@ -541,9 +543,10 @@ impl Transaction {
     ///
     /// A read-only transaction (empty write-set) serialises at its
     /// snapshot, so its commit timestamp *is* its snapshot: it has nothing
-    /// to log, flush or conflict-check and cannot abort. It asks the
-    /// manager nothing: a one-way release, behind the begin, unpins the
-    /// snapshot, and `Ok(snapshot)` is delivered like a read — at once,
+    /// to log, flush or conflict-check and cannot abort. It sends the
+    /// manager nothing: the client's next begin or idle query ends it
+    /// there, which unpins the snapshot, and `Ok(snapshot)` is delivered
+    /// like a read — at once,
     /// inside this call, if the begin reply has landed (always, once a
     /// read has returned), else when it lands. It never enters `FQ` and
     /// draws no timestamp.
@@ -566,7 +569,6 @@ impl Transaction {
             .expect("checked by state_err");
         let txn = self.id;
         if ws.is_empty() {
-            self.inner.tm.release(txn);
             let inner = Rc::clone(&self.inner);
             self.at_snapshot(move |ts| {
                 note_commit(&inner, txn, ts, 0);
@@ -617,8 +619,9 @@ impl Transaction {
     }
 
     /// Aborts the transaction: the buffered write-set is discarded
-    /// locally and the transaction manager is informed. Idempotent — an
-    /// abort after commit/abort (or on a dead client) is a no-op.
+    /// locally, and the client's next begin or idle query ends it at the
+    /// transaction manager. Idempotent — an abort after commit/abort (or
+    /// on a dead client) is a no-op.
     pub fn abort(&self) {
         if !self.inner.alive.get() {
             return;
@@ -627,7 +630,6 @@ impl Transaction {
             return;
         }
         note_abort(&self.inner, self.id, "user");
-        self.inner.tm.abort(self.id);
     }
 }
 
@@ -639,6 +641,16 @@ impl TcInner {
     /// capture-values rule.
     fn span(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
         self.sim.trace().record(self.sim.now(), kind, detail);
+    }
+
+    /// What this client's next begin or idle query tells the manager: its
+    /// least open transaction (or the next id it will name) and `T_F(c)`.
+    fn session(&self) -> Session {
+        let next = TxnId::new(self.id, self.next_seq.get());
+        Session {
+            floor: self.active.borrow().keys().next().copied().unwrap_or(next),
+            t_f: self.tracker.borrow().t_f(),
+        }
     }
 }
 
@@ -689,7 +701,7 @@ impl TransactionalClient {
                 coord,
                 cfg,
                 tracker: RefCell::new(FlushTracker::new()),
-                active: RefCell::new(HashMap::new()),
+                active: RefCell::new(BTreeMap::new()),
                 next_seq: Cell::new(0),
                 session: Cell::new(None),
                 last_coord_ack: Cell::new(sim.now()),
@@ -776,9 +788,9 @@ impl TransactionalClient {
     /// The begin request leaves at once, but the handle does not wait for
     /// its reply: reads are served at the transaction's snapshot (the flush
     /// watermark), so a read issued before the reply lands waits for it,
-    /// while writes buffer and `commit` / `abort` leave at once, behind the
-    /// begin on the FIFO link to the manager. A transaction that never
-    /// reads the store waits for one manager round trip, not two.
+    /// while writes buffer and `commit` leaves at once, behind the begin on
+    /// the FIFO link to the manager. A transaction that never reads the
+    /// store waits for one manager round trip, not two.
     pub fn begin(&self, done: impl FnOnce(Result<Transaction, TxnError>) + 'static) {
         let inner = &self.inner;
         if inner.closed.get() {
@@ -795,9 +807,10 @@ impl TransactionalClient {
         }
         let txn = TxnId::new(inner.id, inner.next_seq.get());
         inner.next_seq.set(inner.next_seq.get() + 1);
+        inner.active.borrow_mut().insert(txn, WriteSet::new());
         let snapshot = Rc::new(RefCell::new(Snapshot::Awaited(None)));
         let (on_reply, slot) = (Rc::clone(inner), Rc::clone(&snapshot));
-        inner.tm.begin(txn, move |start_ts| {
+        inner.tm.begin(txn, inner.session(), move |start_ts| {
             if !on_reply.alive.get() {
                 return;
             }
@@ -816,15 +829,14 @@ impl TransactionalClient {
             }
             if inner.closed.get() {
                 // Shut down since `begin`: a transaction opened now would
-                // hold the shutdown up for good. The abort follows the
-                // begin to the manager, and the begin's span when it lands
-                // is matched by this abort's.
+                // hold the shutdown up for good. The shutdown's last idle
+                // query ends it at the manager, and the begin's span when
+                // it lands is matched by this abort's.
+                inner.active.borrow_mut().remove(&txn);
                 note_abort(&inner, txn, "closed");
-                inner.tm.abort(txn);
                 done(Err(TxnError::ClientClosed));
                 return;
             }
-            inner.active.borrow_mut().insert(txn, WriteSet::new());
             done(Ok(Transaction {
                 inner,
                 id: txn,
@@ -1049,7 +1061,7 @@ fn heartbeat(inner: &Rc<TcInner>) {
         && inner.tracker.borrow_mut().is_idle()
     {
         let inner2 = Rc::clone(inner);
-        inner.tm.last_commit_ts(move |latest| {
+        inner.tm.last_commit_ts(inner.session(), move |latest| {
             if !inner2.alive.get() {
                 return;
             }

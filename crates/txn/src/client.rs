@@ -3,13 +3,15 @@
 //! Every exchange with the manager is one method here, and this file is
 //! the one place its wire sizes are written down. A request/reply
 //! exchange is one [`Network::request`] round trip; the notifications
-//! (abort, release, flush-complete, truncate) are one message, fire and
-//! forget.
-//! Nothing is retried and nothing times out: a message the network drops
-//! means the callback never runs (ROADMAP item 2).
+//! (flush-complete, truncate) are one message, fire and forget. A
+//! read-only commit and an abort send nothing: the client's next begin or
+//! idle query carries its [`Session`], which ends them at the manager and
+//! makes good a lost flush-complete.
+//! Nothing is retried and nothing times out: a dropped begin, commit or
+//! commit ack means the callback never runs (ROADMAP item 2).
 
 use crate::log::LogRecord;
-use crate::manager::{CommitOutcome, TransactionManager, TxnId};
+use crate::manager::{CommitOutcome, Session, TransactionManager, TxnId};
 use cumulo_sim::{Network, NodeId, Reply};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::rc::Rc;
@@ -71,20 +73,21 @@ impl TmClient {
             .send(self.from, tm.node(), SMALL, move || serve(&tm));
     }
 
-    /// Begins transaction `txn` (named by its client, see [`TxnId::new`]);
-    /// `done` runs at the caller with its read snapshot. A commit or abort
-    /// of `txn` may follow at once: the link to the manager is FIFO, so it
-    /// arrives behind the begin.
-    pub fn begin(&self, txn: TxnId, done: impl FnOnce(Timestamp) + 'static) {
+    /// Begins transaction `txn` (named by its client, see [`TxnId::new`])
+    /// and catches the manager up with the client's `session`; `done`
+    /// runs at the caller with its read snapshot. A commit of `txn` may
+    /// follow at once: the link to the manager is FIFO, so it arrives
+    /// behind the begin.
+    pub fn begin(&self, txn: TxnId, session: Session, done: impl FnOnce(Timestamp) + 'static) {
         self.call(
             SMALL,
-            move |tm, reply| reply.send(SMALL, tm.handle_begin(txn)),
+            move |tm, reply| reply.send(SMALL, tm.handle_begin(txn, session)),
             done,
         );
     }
 
     /// Commit request carrying the write-set, which is never empty (a
-    /// read-only transaction is released instead); `done` runs at the
+    /// read-only transaction sends nothing); `done` runs at the
     /// caller with the outcome, which the manager sends only after the log
     /// force.
     pub fn commit(
@@ -102,17 +105,6 @@ impl TmClient {
         );
     }
 
-    /// Abort notification (fire and forget).
-    pub fn abort(&self, txn: TxnId) {
-        self.tell(move |tm| tm.handle_abort(txn));
-    }
-
-    /// Release of read-only transaction `txn`, which committed at its
-    /// snapshot (fire and forget): the manager unpins the snapshot.
-    pub fn release(&self, txn: TxnId) {
-        self.tell(move |tm| tm.handle_release(txn));
-    }
-
     /// Reports commit `ts` applied at every participant (fire and
     /// forget). The manager's watermark — the snapshot of every new
     /// transaction — stays below `ts` until this arrives.
@@ -120,11 +112,15 @@ impl TmClient {
         self.tell(move |tm| tm.handle_flush_complete(ts));
     }
 
-    /// Reads the newest commit timestamp the manager has assigned.
-    pub fn last_commit_ts(&self, done: impl FnOnce(Timestamp) + 'static) {
+    /// Catches the manager up with an idle client's `session` and reads
+    /// the newest commit timestamp it has assigned.
+    pub fn last_commit_ts(&self, session: Session, done: impl FnOnce(Timestamp) + 'static) {
         self.call(
             SMALL,
-            |tm, reply| reply.send(SMALL, tm.last_commit_ts()),
+            move |tm, reply| {
+                tm.catch_up(session);
+                reply.send(SMALL, tm.last_commit_ts())
+            },
             done,
         );
     }
@@ -188,6 +184,14 @@ mod tests {
         }
     }
 
+    /// The session of a client that has ended nothing and flushed nothing.
+    fn fresh(client: ClientId) -> Session {
+        Session {
+            floor: TxnId::new(client, 0),
+            t_f: Timestamp::ZERO,
+        }
+    }
+
     fn setup() -> Setup {
         let sim = Sim::new(3);
         let net = Network::new(&sim, LatencyConfig::lan_100mbps());
@@ -212,7 +216,7 @@ mod tests {
     /// a log record and a pending flush to work on.
     fn commit_directly(s: &Setup, client: ClientId, row: &str) -> Timestamp {
         let txn = s.txn_of(client);
-        s.tm.handle_begin(txn);
+        s.tm.handle_begin(txn, fresh(client));
         let got = Rc::new(Cell::new(None));
         let g = got.clone();
         s.tm.handle_commit(txn, ws(row), move |o| match o {
@@ -280,7 +284,9 @@ mod tests {
     fn begin_is_a_round_trip() {
         let s = setup();
         check(&s, 2, |c, done| {
-            c.begin(s.txn_of(ClientId(0)), move |_| done.set(true))
+            c.begin(s.txn_of(ClientId(0)), fresh(ClientId(0)), move |_| {
+                done.set(true)
+            })
         });
         // Begun twice at the manager: the first run and the lost reply.
         assert_eq!(s.tm.active_count(), 2);
@@ -293,7 +299,7 @@ mod tests {
         check(&s, 2, |c, done| {
             row.set(row.get() + 1);
             let txn = s.txn_of(ClientId(0));
-            s.tm.handle_begin(txn);
+            s.tm.handle_begin(txn, fresh(ClientId(0)));
             let tm = Rc::clone(&s.tm);
             c.commit(txn, ws(&format!("row{}", row.get())), move |outcome| {
                 assert!(matches!(outcome, CommitOutcome::Committed(_)));
@@ -315,7 +321,8 @@ mod tests {
         let txn = s.txn_of(ClientId(0));
         let begun = Rc::new(Cell::new(false));
         let b = begun.clone();
-        s.client.begin(txn, move |_| b.set(true));
+        s.client
+            .begin(txn, fresh(ClientId(0)), move |_| b.set(true));
         let (sent, acked) = (s.sim.now(), Rc::new(Cell::new(None)));
         let (a, sim, tm) = (acked.clone(), s.sim.clone(), Rc::clone(&s.tm));
         s.client.commit(txn, ws("r"), move |outcome| {
@@ -340,24 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_is_one_way() {
-        let s = setup();
-        let txn = s.txn_of(ClientId(0));
-        s.tm.handle_begin(txn);
-        check(&s, 1, |c, _| c.abort(txn));
-        assert_eq!(s.tm.abort_count(), 1);
-    }
-
-    #[test]
-    fn release_is_one_way() {
-        let s = setup();
-        let txn = s.txn_of(ClientId(0));
-        s.tm.handle_begin(txn);
-        check(&s, 1, |c, _| c.release(txn));
-        assert_eq!((s.tm.commit_count(), s.tm.active_count()), (1, 0));
-    }
-
-    #[test]
     fn flush_complete_is_one_way_and_moves_the_watermark() {
         let s = setup();
         let ts = commit_directly(&s, ClientId(0), "r");
@@ -367,15 +356,23 @@ mod tests {
     }
 
     #[test]
-    fn last_commit_ts_is_a_round_trip() {
+    fn last_commit_ts_is_a_round_trip_that_catches_up() {
         let s = setup();
         let ts = commit_directly(&s, ClientId(0), "r");
+        let open = s.txn_of(ClientId(0));
+        s.tm.handle_begin(open, fresh(ClientId(0)));
         check(&s, 2, |c, done| {
-            c.last_commit_ts(move |latest| {
+            let session = Session {
+                floor: s.txn_of(ClientId(0)),
+                t_f: ts,
+            };
+            c.last_commit_ts(session, move |latest| {
                 assert_eq!(latest, ts);
                 done.set(true);
             })
         });
+        assert_eq!(s.tm.active_count(), 0, "the floor ended the open txn");
+        assert_eq!(s.tm.watermark(), ts, "T_F(c) forgot the pending flush");
     }
 
     #[test]
@@ -383,7 +380,7 @@ mod tests {
         let s = setup();
         let ts = commit_directly(&s, ClientId(7), "mine");
         commit_directly(&s, ClientId(8), "theirs");
-        s.tm.handle_begin(s.txn_of(ClientId(7)));
+        s.tm.handle_begin(s.txn_of(ClientId(7)), fresh(ClientId(7)));
         let got = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
         check(&s, 2, move |c, done| {

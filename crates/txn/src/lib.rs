@@ -46,4 +46,4 @@ mod manager;
 pub use client::TmClient;
 pub use conflict::ConflictChecker;
 pub use log::{LogRecord, RecoveryLog, RecoveryLogConfig};
-pub use manager::{CommitOutcome, TransactionManager, TxnId};
+pub use manager::{CommitOutcome, Session, TransactionManager, TxnId};

@@ -1,14 +1,15 @@
-//! The transaction manager component: begin / commit / abort, commit-time
-//! logging, and the flush watermark for read snapshots.
+//! The transaction manager component: begin / commit, commit-time
+//! logging, the flush watermark for read snapshots, and what a client's
+//! session tells it about the client's ended transactions and flushes.
 
 use crate::conflict::ConflictChecker;
 use crate::log::{LogRecord, RecoveryLog, RecoveryLogConfig};
 use cumulo_sim::{every, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::RangeInclusive;
+use std::ops::{RangeBounds, RangeInclusive};
 use std::rc::{Rc, Weak};
 
 /// Identifier of an in-flight transaction, chosen by the client that
@@ -43,6 +44,20 @@ impl fmt::Debug for TxnId {
     }
 }
 
+/// What every begin and idle query of a client carries: the two facts
+/// the manager needs from the client, as the client knows them when it
+/// sends (see [`TransactionManager::catch_up`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Session {
+    /// The client's lowest transaction that is begun and not yet ended at
+    /// the client (the next id it will name, if none is). Every
+    /// transaction of the client below it is over.
+    pub floor: TxnId,
+    /// The client's `T_F(c)`: every commit of the client at or below it
+    /// is fully flushed.
+    pub t_f: Timestamp,
+}
+
 /// The transaction manager's commit decision.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommitOutcome {
@@ -70,8 +85,9 @@ pub struct TransactionManager {
     /// long as it is here. Ordered client by client (see
     /// [`TxnId::new`]).
     open: RefCell<BTreeMap<TxnId, Timestamp>>,
-    /// Commit timestamps whose write-sets are not yet fully flushed.
-    pending_flush: RefCell<BTreeSet<Timestamp>>,
+    /// Commit timestamps whose write-sets are not yet fully flushed, with
+    /// the client that committed each.
+    pending_flush: RefCell<BTreeMap<Timestamp, ClientId>>,
     /// The newest commit timestamp handed out ([`Timestamp::ZERO`], the
     /// "before everything" threshold, until the first commit).
     last_ts: Cell<Timestamp>,
@@ -79,7 +95,6 @@ pub struct TransactionManager {
     /// new transactions read at this snapshot.
     watermark: Cell<Timestamp>,
     commits: Cell<u64>,
-    aborts: Cell<u64>,
     conflict_aborts: Cell<u64>,
 }
 
@@ -102,11 +117,10 @@ impl TransactionManager {
             conflicts: ConflictChecker::new(),
             log: RecoveryLog::new(sim, RecoveryLogConfig::default()),
             open: RefCell::new(BTreeMap::new()),
-            pending_flush: RefCell::new(BTreeSet::new()),
+            pending_flush: RefCell::new(BTreeMap::new()),
             last_ts: Cell::new(Timestamp::ZERO),
             watermark: Cell::new(Timestamp::ZERO),
             commits: Cell::new(0),
-            aborts: Cell::new(0),
             conflict_aborts: Cell::new(0),
         });
         let weak: Weak<TransactionManager> = Rc::downgrade(&tm);
@@ -141,13 +155,37 @@ impl TransactionManager {
     /// flush watermark), which stays pinned while `txn` is open, so MVCC
     /// garbage collection (store-file compaction) never drops a version
     /// it can observe. A re-sent begin of a still-open `txn` gets the
-    /// snapshot it was first given and pins nothing more.
-    pub fn handle_begin(&self, txn: TxnId) -> Timestamp {
+    /// snapshot it was first given and pins nothing more. The client's
+    /// `session` is caught up with first; its floor is at most `txn`.
+    pub fn handle_begin(&self, txn: TxnId, session: Session) -> Timestamp {
+        debug_assert!(session.floor <= txn && session.floor.client() == txn.client());
+        self.catch_up(session);
         *self
             .open
             .borrow_mut()
             .entry(txn)
             .or_insert(self.watermark.get())
+    }
+
+    /// Makes good what a client's session says is over. Ends the client's
+    /// open transactions below its floor: read-only commits and aborts,
+    /// which send the manager nothing, and any whose commit was lost. And
+    /// forgets the client's pending flushes at or below its `T_F(c)`, so
+    /// a lost flush-complete holds the watermark back no longer. The
+    /// watermark is re-run only if one was forgotten: a conflict-aborted
+    /// commit drew a timestamp and is not pending, and the watermark
+    /// reaches that timestamp at the next flush-complete, not before.
+    pub fn catch_up(&self, session: Session) {
+        let client = session.floor.client();
+        self.end_all(TxnId::new(client, 0)..session.floor);
+        let forgot = self
+            .pending_flush
+            .borrow_mut()
+            .extract_if(..=session.t_f, |_, committer| *committer == client)
+            .count();
+        if forgot > 0 {
+            self.advance_watermark();
+        }
     }
 
     /// Ends `txn` if it is open: forgets it, which unpins its snapshot,
@@ -156,8 +194,18 @@ impl TransactionManager {
         self.open.borrow_mut().remove(&txn)
     }
 
+    /// Ends every open transaction in `range` and returns them in `TxnId`
+    /// order.
+    fn end_all(&self, range: impl RangeBounds<TxnId>) -> Vec<TxnId> {
+        self.open
+            .borrow_mut()
+            .extract_if(range, |_, _| true)
+            .map(|(txn, _)| txn)
+            .collect()
+    }
+
     /// Commit request of a transaction that wrote something (a read-only
-    /// one is released instead, see [`TransactionManager::handle_release`]).
+    /// one sends nothing: the client's next session ends it).
     /// On success the outcome (with the assigned commit timestamp) is
     /// delivered through `reply` *after* the write-set is durable in the
     /// recovery log; conflict aborts reply immediately.
@@ -167,7 +215,7 @@ impl TransactionManager {
         write_set: WriteSet,
         reply: impl FnOnce(CommitOutcome) + 'static,
     ) {
-        debug_assert!(!write_set.is_empty(), "{txn:?}: read-only, so released");
+        debug_assert!(!write_set.is_empty(), "{txn:?}: read-only, so never sent");
         let Some(start_ts) = self.end(txn) else {
             reply(CommitOutcome::UnknownTxn);
             return;
@@ -178,12 +226,13 @@ impl TransactionManager {
             .conflicts
             .check_and_record(&write_set, start_ts, commit_ts)
         {
-            self.aborts.set(self.aborts.get() + 1);
             self.conflict_aborts.set(self.conflict_aborts.get() + 1);
             reply(CommitOutcome::Conflict);
             return;
         }
-        self.pending_flush.borrow_mut().insert(commit_ts);
+        self.pending_flush
+            .borrow_mut()
+            .insert(commit_ts, txn.client());
         let record = LogRecord {
             ts: commit_ts,
             client: txn.client(),
@@ -196,36 +245,12 @@ impl TransactionManager {
         });
     }
 
-    /// Client-failure notification (from the recovery manager): aborts
+    /// Client-failure notification (from the recovery manager): ends
     /// every transaction the dead client still had open, releasing their
     /// pinned snapshots so the MVCC garbage-collection watermark can keep
     /// advancing. Returns the reaped transactions in `TxnId` order.
     pub fn handle_client_failed(&self, client: ClientId) -> Vec<TxnId> {
-        let reaped: Vec<TxnId> = self
-            .open
-            .borrow_mut()
-            .extract_if(TxnId::of_client(client), |_, _| true)
-            .map(|(txn, _)| txn)
-            .collect();
-        self.aborts.set(self.aborts.get() + reaped.len() as u64);
-        reaped
-    }
-
-    /// Abort request: the buffered write-set is simply discarded (§2.2:
-    /// "it is not stored in the recovery log nor flushed").
-    pub fn handle_abort(&self, txn: TxnId) {
-        if self.end(txn).is_some() {
-            self.aborts.set(self.aborts.get() + 1);
-        }
-    }
-
-    /// Release of a read-only transaction, which its client has already
-    /// committed at its snapshot: nothing to log, flush or conflict-check,
-    /// so no timestamp is drawn. Unpins the snapshot and counts the commit.
-    pub fn handle_release(&self, txn: TxnId) {
-        if self.end(txn).is_some() {
-            self.commits.set(self.commits.get() + 1);
-        }
+        self.end_all(TxnId::of_client(client))
     }
 
     /// Flush-completion notification: transaction `ts`'s write-set has
@@ -236,8 +261,8 @@ impl TransactionManager {
     }
 
     fn advance_watermark(&self) {
-        let candidate = match self.pending_flush.borrow().iter().next() {
-            Some(min) => Timestamp(min.0 - 1),
+        let candidate = match self.pending_flush.borrow().first_key_value() {
+            Some((min, _)) => Timestamp(min.0 - 1),
             None => self.last_ts.get(),
         };
         if candidate > self.watermark.get() {
@@ -274,15 +299,10 @@ impl TransactionManager {
         self.open.borrow().len()
     }
 
-    /// Commits so far: logged ones once durable, read-only ones once
-    /// released.
+    /// Logged commits so far, counted once durable (a read-only commit
+    /// never reaches the manager).
     pub fn commit_count(&self) -> u64 {
         self.commits.get()
-    }
-
-    /// Aborts so far (explicit + conflict).
-    pub fn abort_count(&self) -> u64 {
-        self.aborts.get()
     }
 
     /// Aborts due to write-write conflicts.
@@ -309,13 +329,43 @@ mod tests {
             .collect()
     }
 
+    /// The session of a client that has ended nothing and flushed nothing.
+    fn fresh(client: ClientId) -> Session {
+        Session {
+            floor: TxnId::new(client, 0),
+            t_f: Timestamp::ZERO,
+        }
+    }
+
+    /// The session of `txn`'s client once `txn` and all before it ended.
+    fn past(txn: TxnId, t_f: Timestamp) -> Session {
+        Session {
+            floor: TxnId(txn.0 + 1),
+            t_f,
+        }
+    }
+
     /// Begins a transaction of `client` under an id no earlier call on
     /// this test's thread used, as the client would name it.
     fn begin(tm: &TransactionManager, client: ClientId) -> (TxnId, Timestamp) {
         thread_local!(static SEQ: Cell<u32> = const { Cell::new(0) });
         let seq = SEQ.with(|seq| seq.replace(seq.get() + 1));
         let txn = TxnId::new(client, seq);
-        (txn, tm.handle_begin(txn))
+        (txn, tm.handle_begin(txn, fresh(client)))
+    }
+
+    /// Commits a one-put transaction of `client` and returns its
+    /// timestamp once the log has it.
+    fn commit(sim: &Sim, tm: &Rc<TransactionManager>, client: ClientId, row: &str) -> Timestamp {
+        let (txn, _) = begin(tm, client);
+        let got = Rc::new(Cell::new(None));
+        let g = got.clone();
+        tm.handle_commit(txn, ws(row), move |o| match o {
+            CommitOutcome::Committed(ts) => g.set(Some(ts)),
+            other => panic!("unexpected outcome {other:?}"),
+        });
+        sim.run_for(SimDuration::from_millis(50));
+        got.get().expect("committed")
     }
 
     #[test]
@@ -413,20 +463,87 @@ mod tests {
         assert_eq!(tm.log().len(), 1, "aborted write-set is not logged");
     }
 
+    /// The floor ends exactly the floor client's transactions below it:
+    /// not another client's (whose ids may be lower), not its own at or
+    /// above it. An ended transaction's commit is unknown, and catching up
+    /// twice is catching up once.
     #[test]
-    fn abort_discards_without_logging() {
+    fn catch_up_ends_only_the_floor_clients_transactions_below_the_floor() {
         let (sim, tm) = tm();
-        let (a, _) = begin(&tm, ClientId(0));
-        tm.handle_abort(a);
-        sim.run_for(SimDuration::from_millis(50));
-        assert_eq!(tm.abort_count(), 1);
-        assert_eq!(tm.log().len(), 0);
-        // Committing the aborted txn is rejected.
+        let (other, _) = begin(&tm, ClientId(6));
+        let (ended, _) = begin(&tm, ClientId(7));
+        let (floor, _) = begin(&tm, ClientId(7));
+        let (above, _) = begin(&tm, ClientId(7));
+        let (later_client, _) = begin(&tm, ClientId(8));
+        let session = Session {
+            floor,
+            t_f: Timestamp::ZERO,
+        };
+        tm.catch_up(session);
+        tm.catch_up(session);
+        let open: Vec<TxnId> = tm.open.borrow().keys().copied().collect();
+        assert_eq!(open, [other, floor, above, later_client]);
         let got: Rc<RefCell<Option<CommitOutcome>>> = Rc::new(RefCell::new(None));
         let g = got.clone();
-        tm.handle_commit(a, ws("x"), move |o| *g.borrow_mut() = Some(o));
+        tm.handle_commit(ended, ws("x"), move |o| *g.borrow_mut() = Some(o));
         sim.run_for(SimDuration::from_millis(50));
         assert_eq!(*got.borrow(), Some(CommitOutcome::UnknownTxn));
+        assert_eq!(tm.log().len(), 0, "an ended transaction is never logged");
+    }
+
+    /// `T_F(c)` forgets the client's own pending flushes at or below it,
+    /// and only then moves the watermark: a conflict-aborted commit drew a
+    /// timestamp that no flush will report, and a catch-up that forgets
+    /// nothing must not carry the watermark up to it.
+    #[test]
+    fn catch_up_forgets_only_the_clients_flushes_at_or_below_t_f() {
+        let (sim, tm) = tm();
+        let (a, b) = (ClientId(0), ClientId(1));
+        let a1 = commit(&sim, &tm, a, "a1");
+        let b1 = commit(&sim, &tm, b, "b1");
+        let a2 = commit(&sim, &tm, a, "a2");
+        assert_eq!(tm.watermark(), Timestamp::ZERO);
+        tm.catch_up(Session {
+            t_f: a1,
+            ..fresh(a)
+        });
+        assert_eq!(tm.watermark(), a1, "a1 forgotten, b1 holds the rest");
+        tm.catch_up(Session {
+            t_f: a2,
+            ..fresh(a)
+        });
+        tm.catch_up(Session {
+            t_f: a2,
+            ..fresh(a)
+        });
+        assert_eq!(tm.watermark(), a1, "b1 is not client a's to forget");
+        tm.catch_up(Session {
+            t_f: a1,
+            ..fresh(b)
+        });
+        assert_eq!(tm.watermark(), a1, "b1 is above b's T_F(c)");
+        tm.catch_up(Session {
+            t_f: b1,
+            ..fresh(b)
+        });
+        assert_eq!(tm.watermark(), a2);
+
+        // A conflict abort draws a timestamp and pends nothing.
+        let (loser, _) = begin(&tm, b);
+        commit(&sim, &tm, a, "contested");
+        let watermark = tm.watermark();
+        tm.handle_flush_complete(tm.last_commit_ts());
+        let watermark_after_flush = tm.watermark();
+        assert!(watermark_after_flush > watermark);
+        tm.handle_commit(loser, ws("contested"), |o| {
+            assert_eq!(o, CommitOutcome::Conflict)
+        });
+        assert!(tm.last_commit_ts() > watermark_after_flush);
+        tm.catch_up(Session {
+            t_f: tm.last_commit_ts(),
+            ..past(loser, Timestamp::ZERO)
+        });
+        assert_eq!(tm.watermark(), watermark_after_flush, "nothing forgotten");
     }
 
     #[test]
@@ -477,11 +594,10 @@ mod tests {
         assert_eq!(tm.watermark(), tss[2]);
     }
 
-    /// A read-only transaction commits at its snapshot: its release is
-    /// not logged, draws no timestamp, counts as a commit and frees the
-    /// snapshot's pin. A second release, or one after an abort, is a no-op.
+    /// A read-only transaction the floor ends is not logged, draws no
+    /// timestamp, counts no commit and frees the snapshot's pin.
     #[test]
-    fn release_is_unlogged_draws_no_timestamp_and_unpins() {
+    fn floor_ends_a_read_only_transaction_unlogged_and_unpins() {
         let (sim, tm) = tm();
         let (reader, snap) = begin(&tm, ClientId(0));
         let (writer, _) = begin(&tm, ClientId(1));
@@ -492,23 +608,18 @@ mod tests {
         assert_eq!(tm.oldest_active_snapshot(), snap, "the reader pins it");
         let (last_ts, logged) = (tm.last_commit_ts(), tm.log().len());
 
-        tm.handle_release(reader);
+        tm.catch_up(past(reader, Timestamp::ZERO));
         assert_eq!(tm.log().len(), logged, "nothing logged");
         assert_eq!(tm.last_commit_ts(), last_ts, "no timestamp drawn");
-        assert_eq!(tm.commit_count(), 2);
+        assert_eq!(tm.commit_count(), 1);
         assert_eq!(tm.active_count(), 0);
         assert_eq!(tm.oldest_active_snapshot(), tm.watermark(), "pin freed");
-
-        tm.handle_release(reader);
-        let (aborted, _) = begin(&tm, ClientId(0));
-        tm.handle_abort(aborted);
-        tm.handle_release(aborted);
-        assert_eq!((tm.commit_count(), tm.abort_count()), (2, 1));
     }
 
     /// A begin the client sends again (its first reply was lost) is
     /// recognised by its id: it gets the snapshot the first one got, even
-    /// after the watermark moved, and pins it once, so one release frees it.
+    /// after the watermark moved, and pins it once, so one floor past it
+    /// frees it. Its session's floor is the transaction itself.
     #[test]
     fn resent_begin_returns_its_first_snapshot_and_pins_it_once() {
         let (sim, tm) = tm();
@@ -519,10 +630,14 @@ mod tests {
         tm.handle_flush_complete(tm.last_commit_ts());
         assert!(tm.watermark() > snap);
 
-        assert_eq!(tm.handle_begin(reader), snap, "the first snapshot");
+        let session = Session {
+            floor: reader,
+            t_f: Timestamp::ZERO,
+        };
+        assert_eq!(tm.handle_begin(reader, session), snap, "the first snapshot");
         assert_eq!(tm.active_count(), 1);
         assert_eq!(tm.oldest_active_snapshot(), snap);
-        tm.handle_release(reader);
+        tm.catch_up(past(reader, Timestamp::ZERO));
         assert_eq!(tm.active_count(), 0);
         assert_eq!(tm.oldest_active_snapshot(), tm.watermark(), "pin freed");
     }
@@ -545,7 +660,6 @@ mod tests {
         assert_eq!(tm.oldest_active_snapshot(), snap);
         assert_eq!(tm.handle_client_failed(ClientId(7)).len(), 2);
         assert_eq!(tm.active_count(), 1, "only the live client's txn remains");
-        assert_eq!(tm.abort_count(), 2);
         // Reaping twice is a no-op.
         assert!(tm.handle_client_failed(ClientId(7)).is_empty());
     }
@@ -563,7 +677,7 @@ mod tests {
         for i in 0..24u32 {
             let client = ClientId(1 + (i % 2));
             let txn = TxnId::new(client, i * 7 % 24);
-            tm.handle_begin(txn);
+            tm.handle_begin(txn, fresh(client));
             if client == ClientId(1) {
                 doomed_ids.push(txn);
             }
@@ -571,7 +685,6 @@ mod tests {
         let reaped = tm.handle_client_failed(ClientId(1));
         doomed_ids.sort_unstable();
         assert_eq!(reaped, doomed_ids, "reap must be exactly in TxnId order");
-        assert_eq!(tm.abort_count(), 12);
         assert_eq!(tm.active_count(), 12, "the survivor's txns stay open");
     }
 
@@ -597,7 +710,7 @@ mod tests {
         assert!(tm.watermark() > snap_a);
         // `a` still pins the old snapshot.
         assert_eq!(tm.oldest_active_snapshot(), snap_a);
-        tm.handle_abort(a);
+        tm.catch_up(past(a, Timestamp::ZERO));
         assert_eq!(tm.oldest_active_snapshot(), tm.watermark());
     }
 }

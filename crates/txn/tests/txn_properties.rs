@@ -3,8 +3,8 @@
 use cumulo_sim::{NodeId, Sim, SimDuration, SimTime};
 use cumulo_store::{ClientId, Mutation, Timestamp, WriteSet};
 use cumulo_txn::{
-    CommitOutcome, ConflictChecker, LogRecord, RecoveryLog, RecoveryLogConfig, TransactionManager,
-    TxnId,
+    CommitOutcome, ConflictChecker, LogRecord, RecoveryLog, RecoveryLogConfig, Session,
+    TransactionManager, TxnId,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -211,7 +211,11 @@ fn commit_acks_are_ordered_and_durable() {
     for i in 0..50usize {
         let client = ClientId((i % 3) as u32);
         let txn = TxnId::new(client, i as u32);
-        tm.handle_begin(txn);
+        let session = Session {
+            floor: txn,
+            t_f: Timestamp::ZERO,
+        };
+        tm.handle_begin(txn, session);
         let acks2 = acks.clone();
         let tm2 = Rc::clone(&tm);
         tm.handle_commit(txn, ws(&[i as u16]), move |o| {

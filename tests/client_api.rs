@@ -24,6 +24,20 @@ fn cluster(seed: u64) -> Cluster {
     })
 }
 
+/// Like [`cluster`], but with threshold tracking off: no heartbeat asks
+/// the manager anything, so only a begin carries the client's session.
+fn untracked(seed: u64) -> Cluster {
+    Cluster::build(ClusterConfig {
+        seed,
+        clients: 2,
+        servers: 2,
+        regions: 4,
+        key_count: 1_000,
+        tracking: false,
+        ..ClusterConfig::default()
+    })
+}
+
 fn settle(c: &Cluster) {
     c.run_for(SimDuration::from_secs(1));
 }
@@ -61,10 +75,13 @@ fn read_your_own_writes_and_deletes() {
 fn aborted_transaction_leaves_no_trace() {
     let c = cluster(62);
     let client = c.client(0).clone();
+    let net = Rc::clone(&c.net);
     client.begin(move |txn| {
         let txn = txn.expect("begin");
         txn.put("user000000000007", "f0", "ghost").unwrap();
+        let sent = net.messages_sent();
         txn.abort();
+        assert_eq!(net.messages_sent(), sent, "an abort sends nothing");
     });
     settle(&c);
     assert_eq!(
@@ -605,12 +622,13 @@ fn read_only_commit_arrives_with_its_last_read_at_the_snapshot() {
     assert_eq!(c.client(0).committed_count(), 1);
 }
 
-/// The release that follows a read-only commit frees the transaction's
-/// snapshot at the manager once it lands, so garbage collection and the
-/// conflict-table prune can pass it.
+/// A read-only commit sends the manager nothing. Its snapshot stays
+/// pinned there until the client's next begin lands, whose session's
+/// floor has passed it; then garbage collection and the conflict-table
+/// prune can pass it. (Tracking is off, so no idle query ends it first.)
 #[test]
-fn read_only_commit_releases_its_snapshot_once_the_release_lands() {
-    let c = cluster(78);
+fn read_only_commit_is_ended_by_the_clients_next_begin() {
+    let c = untracked(78);
     commit_rows(&c, 1, "old");
     settle(&c);
     let snapshot = c.tm.watermark();
@@ -631,14 +649,106 @@ fn read_only_commit_releases_its_snapshot_once_the_release_lands() {
 
     let outcome: Rc<RefCell<Option<Result<Timestamp, TxnError>>>> = Rc::default();
     let o = Rc::clone(&outcome);
+    let sent = c.net.messages_sent();
     txn.commit(move |res| *o.borrow_mut() = Some(res));
     assert_eq!(*outcome.borrow(), Some(Ok(snapshot)), "answered at once");
+    assert_eq!(
+        c.net.messages_sent(),
+        sent,
+        "a read-only commit sends nothing"
+    );
     assert_eq!(c.client(0).committed_count(), 1);
-    assert_eq!(c.tm.active_count(), 1, "the release is on the wire");
     settle(&c);
-    assert_eq!(c.tm.active_count(), 0);
+    assert_eq!(
+        c.tm.oldest_active_snapshot(),
+        snapshot,
+        "pinned until a begin"
+    );
+
+    let next = begin_txn(&c, 0);
+    assert_eq!(c.tm.active_count(), 1, "only the next transaction is open");
     assert!(c.tm.oldest_active_snapshot() > snapshot, "still pinned");
-    assert_eq!(c.tm.commit_count(), 3, "two writers and the reader");
+    assert_eq!(c.tm.commit_count(), 2, "the two writers");
+    next.abort();
+}
+
+/// The floor is the client's *least* open transaction, so it never passes
+/// one: an older transaction holding a read open keeps a newer read-only
+/// commit's pin, and still commits. The newer pin ends only once the
+/// older transaction has ended and another begin lands.
+#[test]
+fn floor_never_passes_an_open_transaction() {
+    let c = untracked(80);
+    commit_rows(&c, 1, "old");
+    settle(&c);
+    let read_at = |txn: &Transaction| {
+        txn.get("user000000000040", "f0", |v| {
+            v.unwrap();
+        })
+    };
+    let older = begin_txn(&c, 0);
+    read_at(&older);
+    commit_rows(&c, 1, "mid");
+    settle(&c);
+    let newer = begin_txn(&c, 0);
+    read_at(&newer);
+    settle(&c);
+    let newer_snapshot = c.tm.watermark();
+    newer.commit(move |res| assert_eq!(res, Ok(newer_snapshot)));
+    commit_rows(&c, 1, "new");
+    settle(&c);
+    let third = begin_txn(&c, 0);
+    assert_eq!(
+        c.tm.active_count(),
+        3,
+        "the third begin's floor is the older"
+    );
+
+    let outcome: Rc<RefCell<Option<Result<Timestamp, TxnError>>>> = Rc::default();
+    let o = Rc::clone(&outcome);
+    older.put("user000000000050", "f0", "older").unwrap();
+    older.commit(move |res| *o.borrow_mut() = Some(res));
+    settle(&c);
+    assert!(matches!(*outcome.borrow(), Some(Ok(_))), "{outcome:?}");
+    assert_eq!(c.tm.active_count(), 2, "the newer and the third");
+    assert_eq!(
+        c.tm.oldest_active_snapshot(),
+        newer_snapshot,
+        "still pinned"
+    );
+
+    let fourth = begin_txn(&c, 0);
+    assert_eq!(c.tm.active_count(), 2, "the third and the fourth");
+    assert!(c.tm.oldest_active_snapshot() > newer_snapshot);
+    third.abort();
+    fourth.abort();
+}
+
+/// Two begins sent in one event, each followed in one event by its write
+/// commit and a further begin: no begin's floor ends a transaction whose
+/// commit is still to come, so every commit succeeds.
+#[test]
+fn begins_sent_beside_write_commits_end_none_of_them() {
+    let c = cluster(81);
+    let outcomes: Rc<RefCell<Vec<Result<Timestamp, TxnError>>>> = Rc::default();
+    for row in [60u64, 61] {
+        let (o, client) = (Rc::clone(&outcomes), c.client(0).clone());
+        c.client(0).begin(move |txn| {
+            let txn = txn.expect("begin");
+            txn.put(format!("user{row:012}"), "f0", "v").unwrap();
+            let first = Rc::clone(&o);
+            txn.commit(move |r| first.borrow_mut().push(r));
+            client.begin(move |txn| {
+                let txn = txn.expect("begin");
+                txn.put(format!("user{:012}", row + 10), "f0", "v").unwrap();
+                txn.commit(move |r| o.borrow_mut().push(r));
+            });
+        });
+    }
+    settle(&c);
+    let outcomes = outcomes.borrow();
+    assert_eq!(outcomes.len(), 4);
+    assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
 }
 
 /// A read-only commit issued before the begin's reply lands — with no
@@ -686,7 +796,7 @@ fn read_only_commit_before_the_snapshot_completes_once_at_it() {
         assert_eq!(seen.borrow().len(), expected.len(), "completed twice");
         assert_eq!(c.client(0).committed_count(), 1);
         assert_eq!(c.client(0).aborted_count(), 0);
-        assert_eq!((c.tm.active_count(), c.tm.abort_count()), (0, 0));
+        assert_eq!(c.tm.active_count(), 0, "an idle query ended it");
     }
 }
 

@@ -457,10 +457,11 @@ fn lost_commit_ack_hangs_nothing_once_healed() {
 }
 
 /// The flush-complete notification is lost: the commit is acknowledged
-/// and applied everywhere, but the manager never learns, so its
-/// `pending_flush` keeps the timestamp and the watermark stops below it.
+/// and applied everywhere, but the manager does not hear it. The client's
+/// next begin or idle query carries its `T_F(c)`, which has passed the
+/// commit, so the manager forgets the pending flush and the watermark
+/// moves on.
 #[test]
-#[ignore = "ROADMAP item 2"]
 fn lost_flush_complete_hangs_nothing_once_healed() {
     let cluster = tm_cluster(78);
     let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
@@ -483,14 +484,13 @@ fn lost_flush_complete_hangs_nothing_once_healed() {
     assert_nothing_is_stuck(&cluster, &hit, &rest);
 }
 
-/// A read-only commit's release is lost: the client has its outcome (the
-/// snapshot), the manager never hears. Today the transaction stays in the
-/// manager's table of open transactions and pins its snapshot for as long
-/// as the client lives, so the oldest active snapshot — compaction's
-/// garbage-collection watermark and the conflict-table prune's bound —
-/// never moves again.
+/// A read-only commit inside a cut between the client and the manager:
+/// the client has its outcome (the snapshot) and sends nothing. The
+/// client's first begin or idle query after the heal carries a floor past
+/// the transaction, which ends it at the manager, so the oldest active
+/// snapshot — compaction's garbage-collection watermark and the
+/// conflict-table prune's bound — moves on.
 #[test]
-#[ignore = "ROADMAP item 2"]
 fn lost_release_pins_nothing_once_healed() {
     let cluster = tm_cluster(81);
     let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
@@ -523,7 +523,7 @@ fn lost_release_pins_nothing_once_healed() {
     assert!(cluster.tm.watermark() > snapshot, "no write was flushed");
     assert!(
         cluster.tm.oldest_active_snapshot() > snapshot,
-        "the lost release still pins snapshot {snapshot}: {} transactions active",
+        "the read-only commit still pins snapshot {snapshot}: {} transactions active",
         cluster.tm.active_count()
     );
 }
