@@ -97,6 +97,25 @@
 //! `policy_compare` line 3 `mixed,size_tiered,2,6,380.5,60.24,…` →
 //! `…,3,8,372.1,61.81,…`; `scale_bench` line 2
 //! `zipfian,zipfian,8428,484,56.2,9.63,…` → `…,8487,447,56.6,8.58,…`.
+//! **The same six were re-pinned once more, in one commit made after the
+//! change, because a read-only commit and an abort send nothing**: the
+//! manager learns that they are over from the floor of the client's
+//! session, which its next begin or idle query carries in the same
+//! message as before. Each deleted one-way message took its latency
+//! jitter draw with it, so every later draw moves. `split_bench` and
+//! `failover_bench` run write-only transactions and did not move; neither
+//! did `policy_compare`'s two `write_heavy` rows. Each bin ran to
+//! completion on the new tree with its own assertions green
+//! (`scale_bench` still merges and moves: 30 merges and 3 moves). The
+//! first differing row of each, pinned → actual: `fig2a` line 2
+//! `sync,4,201.1,19.86,25.17,26.74,1609,1` →
+//! `sync,4,200.5,19.93,24.64,26.74,1604,2`; `fig2b` line 2
+//! `50,595.1,81.71,134.22,159.38,4761` → `50,593.2,81.89,134.22,159.38,4746`;
+//! `fig3` line 2 `0,164.2,8.84,15.13` → `0,164.6,8.79,14.81`; `ablations`
+//! line 3 `true,612.2,79.35,1,603` → `true,611.0,79.53,1,525`;
+//! `policy_compare` line 3 `mixed,size_tiered,3,8,372.1,61.81,…` →
+//! `…,3,7,375.0,61.49,…`; `scale_bench` line 2
+//! `zipfian,zipfian,8487,447,56.6,8.58,…` → `…,8628,299,57.5,8.99,…`.
 //!
 //! The last four pin the paper's figures (`fig2a`, `fig2b`, `fig3`) and
 //! the `ablations`; see `assert_figure_pinned`.
