@@ -198,9 +198,8 @@ struct TcInner {
     coord: CoordClient,
     cfg: TxnClientConfig,
     tracker: RefCell<FlushTracker>,
-    /// The write-set of every transaction begun and not yet ended: from
-    /// the begin request to the commit request or the abort. Its least id
-    /// is the floor of the client's [`Session`].
+    /// The write-set of each transaction from its begin request to its
+    /// commit request or abort; the least id is the [`Session`]'s floor.
     active: RefCell<BTreeMap<TxnId, WriteSet>>,
     /// The sequence number the next transaction's id carries.
     next_seq: Cell<u32>,
@@ -543,13 +542,11 @@ impl Transaction {
     ///
     /// A read-only transaction (empty write-set) serialises at its
     /// snapshot, so its commit timestamp *is* its snapshot: it has nothing
-    /// to log, flush or conflict-check and cannot abort. It sends the
-    /// manager nothing: the client's next begin or idle query ends it
-    /// there, which unpins the snapshot, and `Ok(snapshot)` is delivered
-    /// like a read — at once,
-    /// inside this call, if the begin reply has landed (always, once a
-    /// read has returned), else when it lands. It never enters `FQ` and
-    /// draws no timestamp.
+    /// to log, flush or conflict-check and cannot abort. It sends nothing
+    /// (the next begin or idle query ends it at the manager) and delivers
+    /// `Ok(snapshot)` like a read: inside this call if the begin reply has
+    /// landed (always, once a read has returned), else when it lands. It
+    /// never enters `FQ` and draws no timestamp.
     ///
     /// A second commit, a commit after abort and a write commit whose
     /// begin never reached the manager report [`TxnError::UnknownTxn`]; a
@@ -618,10 +615,9 @@ impl Transaction {
         });
     }
 
-    /// Aborts the transaction: the buffered write-set is discarded
-    /// locally, and the client's next begin or idle query ends it at the
-    /// transaction manager. Idempotent — an abort after commit/abort (or
-    /// on a dead client) is a no-op.
+    /// Aborts the transaction: the write-set is discarded and nothing sent
+    /// (the next begin or idle query ends it at the manager). Idempotent —
+    /// an abort after commit/abort (or on a dead client) is a no-op.
     pub fn abort(&self) {
         if !self.inner.alive.get() {
             return;
@@ -643,8 +639,7 @@ impl TcInner {
         self.sim.trace().record(self.sim.now(), kind, detail);
     }
 
-    /// What this client's next begin or idle query tells the manager: its
-    /// least open transaction (or the next id it will name) and `T_F(c)`.
+    /// What this client's next begin or idle query tells the manager.
     fn session(&self) -> Session {
         let next = TxnId::new(self.id, self.next_seq.get());
         Session {
@@ -828,10 +823,9 @@ impl TransactionalClient {
                 return;
             }
             if inner.closed.get() {
-                // Shut down since `begin`: a transaction opened now would
-                // hold the shutdown up for good. The shutdown's last idle
-                // query ends it at the manager, and the begin's span when
-                // it lands is matched by this abort's.
+                // Shut down since `begin`: an open transaction would hold
+                // the shutdown up. Its last idle query (tracking on) ends
+                // it at the manager; this abort matches the begin's span.
                 inner.active.borrow_mut().remove(&txn);
                 note_abort(&inner, txn, "closed");
                 done(Err(TxnError::ClientClosed));

@@ -2,13 +2,10 @@
 //!
 //! Every exchange with the manager is one method here, and this file is
 //! the one place its wire sizes are written down. A request/reply
-//! exchange is one [`Network::request`] round trip; the notifications
-//! (flush-complete, truncate) are one message, fire and forget. A
-//! read-only commit and an abort send nothing: the client's next begin or
-//! idle query carries its [`Session`], which ends them at the manager and
-//! makes good a lost flush-complete.
-//! Nothing is retried and nothing times out: a dropped begin, commit or
-//! commit ack means the callback never runs (ROADMAP item 2).
+//! exchange is one [`Network::request`] round trip; the two notifications
+//! (flush-complete, truncate) are one message, fire and forget. Nothing is
+//! retried: a lost begin, commit or commit ack never runs its callback
+//! (ROADMAP item 2).
 
 use crate::log::LogRecord;
 use crate::manager::{CommitOutcome, Session, TransactionManager, TxnId};
@@ -73,11 +70,9 @@ impl TmClient {
             .send(self.from, tm.node(), SMALL, move || serve(&tm));
     }
 
-    /// Begins transaction `txn` (named by its client, see [`TxnId::new`])
-    /// and catches the manager up with the client's `session`; `done`
-    /// runs at the caller with its read snapshot. A commit of `txn` may
-    /// follow at once: the link to the manager is FIFO, so it arrives
-    /// behind the begin.
+    /// Begins `txn` (named by its client, see [`TxnId::new`]) after
+    /// catching the manager up with `session`; `done` gets the snapshot. A
+    /// commit of `txn` may follow at once: the FIFO link delivers it behind.
     pub fn begin(&self, txn: TxnId, session: Session, done: impl FnOnce(Timestamp) + 'static) {
         self.call(
             SMALL,

@@ -1,6 +1,5 @@
 //! The transaction manager component: begin / commit, commit-time
-//! logging, the flush watermark for read snapshots, and what a client's
-//! session tells it about the client's ended transactions and flushes.
+//! logging, client sessions, and the flush watermark for read snapshots.
 
 use crate::conflict::ConflictChecker;
 use crate::log::{LogRecord, RecoveryLog, RecoveryLogConfig};
@@ -9,7 +8,7 @@ use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{RangeBounds, RangeInclusive};
+use std::ops::RangeInclusive;
 use std::rc::{Rc, Weak};
 
 /// Identifier of an in-flight transaction, chosen by the client that
@@ -44,17 +43,14 @@ impl fmt::Debug for TxnId {
     }
 }
 
-/// What every begin and idle query of a client carries: the two facts
-/// the manager needs from the client, as the client knows them when it
-/// sends (see [`TransactionManager::catch_up`]).
+/// What a client's every begin and idle query carries, as the client
+/// knows it when it sends (see [`TransactionManager::catch_up`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Session {
-    /// The client's lowest transaction that is begun and not yet ended at
-    /// the client (the next id it will name, if none is). Every
-    /// transaction of the client below it is over.
+    /// The client's lowest transaction begun and not yet ended at the
+    /// client, or the next id it will name if none is.
     pub floor: TxnId,
-    /// The client's `T_F(c)`: every commit of the client at or below it
-    /// is fully flushed.
+    /// The client's `T_F(c)`: each of its commits at or below it is flushed.
     pub t_f: Timestamp,
 }
 
@@ -85,8 +81,7 @@ pub struct TransactionManager {
     /// long as it is here. Ordered client by client (see
     /// [`TxnId::new`]).
     open: RefCell<BTreeMap<TxnId, Timestamp>>,
-    /// Commit timestamps whose write-sets are not yet fully flushed, with
-    /// the client that committed each.
+    /// Unflushed commit timestamps, each with the client that committed it.
     pending_flush: RefCell<BTreeMap<Timestamp, ClientId>>,
     /// The newest commit timestamp handed out ([`Timestamp::ZERO`], the
     /// "before everything" threshold, until the first commit).
@@ -151,12 +146,11 @@ impl TransactionManager {
         &self.log
     }
 
-    /// Starts transaction `txn`: returns its read snapshot (the current
-    /// flush watermark), which stays pinned while `txn` is open, so MVCC
-    /// garbage collection (store-file compaction) never drops a version
-    /// it can observe. A re-sent begin of a still-open `txn` gets the
-    /// snapshot it was first given and pins nothing more. The client's
-    /// `session` is caught up with first; its floor is at most `txn`.
+    /// Starts `txn` once its client's `session` is caught up with: returns
+    /// its read snapshot (the flush watermark), pinned while `txn` is open
+    /// so MVCC garbage collection (store-file compaction) never drops a
+    /// version it can observe. A re-sent begin of a still-open `txn` gets
+    /// its first snapshot back and pins nothing more.
     pub fn handle_begin(&self, txn: TxnId, session: Session) -> Timestamp {
         debug_assert!(session.floor <= txn && session.floor.client() == txn.client());
         self.catch_up(session);
@@ -167,17 +161,17 @@ impl TransactionManager {
             .or_insert(self.watermark.get())
     }
 
-    /// Makes good what a client's session says is over. Ends the client's
-    /// open transactions below its floor: read-only commits and aborts,
-    /// which send the manager nothing, and any whose commit was lost. And
-    /// forgets the client's pending flushes at or below its `T_F(c)`, so
-    /// a lost flush-complete holds the watermark back no longer. The
-    /// watermark is re-run only if one was forgotten: a conflict-aborted
-    /// commit drew a timestamp and is not pending, and the watermark
-    /// reaches that timestamp at the next flush-complete, not before.
+    /// Ends the session's client's open transactions below the floor (a
+    /// read-only commit or an abort sends nothing) and forgets its pending
+    /// flushes at or below `T_F(c)` (a flush-complete may be lost). Only a
+    /// forgotten flush re-runs the watermark: a conflict abort's timestamp
+    /// is never pending, and waits for the next flush-complete.
     pub fn catch_up(&self, session: Session) {
         let client = session.floor.client();
-        self.end_all(TxnId::new(client, 0)..session.floor);
+        self.open
+            .borrow_mut()
+            .extract_if(TxnId::new(client, 0)..session.floor, |_, _| true)
+            .for_each(drop);
         let forgot = self
             .pending_flush
             .borrow_mut()
@@ -186,22 +180,6 @@ impl TransactionManager {
         if forgot > 0 {
             self.advance_watermark();
         }
-    }
-
-    /// Ends `txn` if it is open: forgets it, which unpins its snapshot,
-    /// and returns that snapshot.
-    fn end(&self, txn: TxnId) -> Option<Timestamp> {
-        self.open.borrow_mut().remove(&txn)
-    }
-
-    /// Ends every open transaction in `range` and returns them in `TxnId`
-    /// order.
-    fn end_all(&self, range: impl RangeBounds<TxnId>) -> Vec<TxnId> {
-        self.open
-            .borrow_mut()
-            .extract_if(range, |_, _| true)
-            .map(|(txn, _)| txn)
-            .collect()
     }
 
     /// Commit request of a transaction that wrote something (a read-only
@@ -216,7 +194,7 @@ impl TransactionManager {
         reply: impl FnOnce(CommitOutcome) + 'static,
     ) {
         debug_assert!(!write_set.is_empty(), "{txn:?}: read-only, so never sent");
-        let Some(start_ts) = self.end(txn) else {
+        let Some(start_ts) = self.open.borrow_mut().remove(&txn) else {
             reply(CommitOutcome::UnknownTxn);
             return;
         };
@@ -250,7 +228,11 @@ impl TransactionManager {
     /// pinned snapshots so the MVCC garbage-collection watermark can keep
     /// advancing. Returns the reaped transactions in `TxnId` order.
     pub fn handle_client_failed(&self, client: ClientId) -> Vec<TxnId> {
-        self.end_all(TxnId::of_client(client))
+        self.open
+            .borrow_mut()
+            .extract_if(TxnId::of_client(client), |_, _| true)
+            .map(|(txn, _)| txn)
+            .collect()
     }
 
     /// Flush-completion notification: transaction `ts`'s write-set has
@@ -299,8 +281,7 @@ impl TransactionManager {
         self.open.borrow().len()
     }
 
-    /// Logged commits so far, counted once durable (a read-only commit
-    /// never reaches the manager).
+    /// Logged commits so far, counted once durable.
     pub fn commit_count(&self) -> u64 {
         self.commits.get()
     }
