@@ -18,7 +18,9 @@
 # each side's median and quartiles, the change's median delta and how
 # many pairs the change won (lower is better for both). The sim-clock
 # metrics are exact for a seed, so one run of each side says all there
-# is about them; this script is for the two host-time ones.
+# is about them: last, it prints every WORKLOAD.metric line of pair 1
+# whose value differs between the sides, the two host-time ones left
+# out. That list is empty for a change that moves no simulated number.
 #
 # Run from anywhere inside the repository, on an otherwise idle machine.
 # The temporary directory is removed on exit; set KEEP=1 to keep it.
@@ -57,6 +59,9 @@ run() {
     local side=$1 pair=$2 out
     out=$(env -u CARGO_MANIFEST_DIR "$tmp/$side/target/release/cumulo-benchmark" \
         --workload "$workload" --seed 1 --seconds 10 --trace 0 2>"$tmp/$side.log")
+    if [ "$pair" = 1 ]; then
+        echo "$out" >"$tmp/$side.pair1"
+    fi
     for metric in $metrics; do
         value=$(echo "$out" | awk -v key="$workload.$metric" '$1 == key { print $2 }')
         if [ -z "$value" ]; then
@@ -106,3 +111,15 @@ for metric in $metrics; do
         printf "  %s change %+.2f %% of the parent median, parent IQR %s, change lower in %d of %d pairs\n", m, (cm - pm) / pm * 100, p3 - p1, wins, n
     }'
 done
+
+# "<metric> <value>" for every WORKLOAD.metric line of a side's pair 1
+# but the host-time ones, sorted for join.
+sim_metrics() {
+    awk -v prefix="$workload." -v host="$metrics" '
+        BEGIN { n = split(host, h, " "); for (i = 1; i <= n; i++) skip[prefix h[i]] = 1 }
+        index($1, prefix) == 1 && !($1 in skip) { print $1, $2 }' "$tmp/$1.pair1" | sort -k1,1
+}
+
+echo "sim-clock metrics that differ in pair 1 (parent change)"
+join -a 1 -a 2 -e - -o 0,1.2,2.2 <(sim_metrics parent) <(sim_metrics change) |
+    awk '$2 != $3 { printf "  %s: %s %s\n", $1, $2, $3 }'
