@@ -310,11 +310,11 @@ mod tests {
             .collect()
     }
 
-    /// The session of a client that has ended nothing and flushed nothing.
-    fn fresh(client: ClientId) -> Session {
+    /// The session of a client that has ended nothing, at `T_F(c)` = `t_f`.
+    fn session(client: ClientId, t_f: Timestamp) -> Session {
         Session {
             floor: TxnId::new(client, 0),
-            t_f: Timestamp::ZERO,
+            t_f,
         }
     }
 
@@ -332,7 +332,7 @@ mod tests {
         thread_local!(static SEQ: Cell<u32> = const { Cell::new(0) });
         let seq = SEQ.with(|seq| seq.replace(seq.get() + 1));
         let txn = TxnId::new(client, seq);
-        (txn, tm.handle_begin(txn, fresh(client)))
+        (txn, tm.handle_begin(txn, session(client, Timestamp::ZERO)))
     }
 
     /// Commits a one-put transaction of `client` and returns its
@@ -456,12 +456,12 @@ mod tests {
         let (floor, _) = begin(&tm, ClientId(7));
         let (above, _) = begin(&tm, ClientId(7));
         let (later_client, _) = begin(&tm, ClientId(8));
-        let session = Session {
+        let at_floor = Session {
             floor,
             t_f: Timestamp::ZERO,
         };
-        tm.catch_up(session);
-        tm.catch_up(session);
+        tm.catch_up(at_floor);
+        tm.catch_up(at_floor);
         let open: Vec<TxnId> = tm.open.borrow().keys().copied().collect();
         assert_eq!(open, [other, floor, above, later_client]);
         let got: Rc<RefCell<Option<CommitOutcome>>> = Rc::new(RefCell::new(None));
@@ -484,29 +484,14 @@ mod tests {
         let b1 = commit(&sim, &tm, b, "b1");
         let a2 = commit(&sim, &tm, a, "a2");
         assert_eq!(tm.watermark(), Timestamp::ZERO);
-        tm.catch_up(Session {
-            t_f: a1,
-            ..fresh(a)
-        });
+        tm.catch_up(session(a, a1));
         assert_eq!(tm.watermark(), a1, "a1 forgotten, b1 holds the rest");
-        tm.catch_up(Session {
-            t_f: a2,
-            ..fresh(a)
-        });
-        tm.catch_up(Session {
-            t_f: a2,
-            ..fresh(a)
-        });
+        tm.catch_up(session(a, a2));
+        tm.catch_up(session(a, a2));
         assert_eq!(tm.watermark(), a1, "b1 is not client a's to forget");
-        tm.catch_up(Session {
-            t_f: a1,
-            ..fresh(b)
-        });
+        tm.catch_up(session(b, a1));
         assert_eq!(tm.watermark(), a1, "b1 is above b's T_F(c)");
-        tm.catch_up(Session {
-            t_f: b1,
-            ..fresh(b)
-        });
+        tm.catch_up(session(b, b1));
         assert_eq!(tm.watermark(), a2);
 
         // A conflict abort draws a timestamp and pends nothing.
@@ -520,10 +505,7 @@ mod tests {
             assert_eq!(o, CommitOutcome::Conflict)
         });
         assert!(tm.last_commit_ts() > watermark_after_flush);
-        tm.catch_up(Session {
-            t_f: tm.last_commit_ts(),
-            ..past(loser, Timestamp::ZERO)
-        });
+        tm.catch_up(past(loser, tm.last_commit_ts()));
         assert_eq!(tm.watermark(), watermark_after_flush, "nothing forgotten");
     }
 
@@ -611,11 +593,15 @@ mod tests {
         tm.handle_flush_complete(tm.last_commit_ts());
         assert!(tm.watermark() > snap);
 
-        let session = Session {
+        let at_itself = Session {
             floor: reader,
             t_f: Timestamp::ZERO,
         };
-        assert_eq!(tm.handle_begin(reader, session), snap, "the first snapshot");
+        assert_eq!(
+            tm.handle_begin(reader, at_itself),
+            snap,
+            "the first snapshot"
+        );
         assert_eq!(tm.active_count(), 1);
         assert_eq!(tm.oldest_active_snapshot(), snap);
         tm.catch_up(past(reader, Timestamp::ZERO));
@@ -658,7 +644,7 @@ mod tests {
         for i in 0..24u32 {
             let client = ClientId(1 + (i % 2));
             let txn = TxnId::new(client, i * 7 % 24);
-            tm.handle_begin(txn, fresh(client));
+            tm.handle_begin(txn, session(client, Timestamp::ZERO));
             if client == ClientId(1) {
                 doomed_ids.push(txn);
             }

@@ -13,28 +13,27 @@ use cumulo_store::Timestamp;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-fn cluster(seed: u64) -> Cluster {
-    Cluster::build(ClusterConfig {
+fn config(seed: u64) -> ClusterConfig {
+    ClusterConfig {
         seed,
         clients: 2,
         servers: 2,
         regions: 4,
         key_count: 1_000,
         ..ClusterConfig::default()
-    })
+    }
+}
+
+fn cluster(seed: u64) -> Cluster {
+    Cluster::build(config(seed))
 }
 
 /// Like [`cluster`], but with threshold tracking off: no heartbeat asks
 /// the manager anything, so only a begin carries the client's session.
 fn untracked(seed: u64) -> Cluster {
     Cluster::build(ClusterConfig {
-        seed,
-        clients: 2,
-        servers: 2,
-        regions: 4,
-        key_count: 1_000,
         tracking: false,
-        ..ClusterConfig::default()
+        ..config(seed)
     })
 }
 
