@@ -64,6 +64,51 @@ fn partitioned_client_is_recovered_and_self_terminates() {
     );
 }
 
+/// One client of a small cluster is cut from everyone: its session
+/// expires, the recovery manager recovers it, and its heartbeat, finding
+/// the coordination service silent for a whole session timeout, kills
+/// its own process. When the node died, the recovery line, the
+/// failure-event journal (an FNV-1a over one `<nanos> <kind>` line per
+/// entry) and what it all took on the wire are pinned.
+#[test]
+fn a_client_cut_from_coordination_terminates_itself_is_pinned() {
+    let cluster = common::small_cluster(73);
+    for i in 0..6u64 {
+        common::run_txn(&cluster, (i % 3) as usize, &[(i * 300, "f0", "v")]);
+    }
+    let node = cluster.client(0).node();
+    cluster.net.isolate(node);
+    let deadline = cluster.now() + SimDuration::from_secs(30);
+    while cluster.net.is_alive(node) {
+        assert!(cluster.now() < deadline, "the cut client never died");
+        cluster.run_for(SimDuration::from_millis(1));
+    }
+    assert_eq!(cluster.now().nanos(), 3_287_000_000, "died");
+    cluster.run_for(SimDuration::from_secs(5));
+    assert_eq!(cluster.events.dropped(), 0, "the event journal overflowed");
+    let entries = cluster.events.entries();
+    let recovered: Vec<(u64, &str)> = entries
+        .iter()
+        .filter(|e| e.kind == "client.recover")
+        .map(|e| (e.time.nanos(), e.detail.as_str()))
+        .collect();
+    assert_eq!(
+        recovered,
+        [(3_300_949_875, "client=c0 t_f_r=0")],
+        "recovered once"
+    );
+    let journal: String = entries
+        .iter()
+        .map(|e| format!("{} {}\n", e.time.nanos(), e.kind))
+        .collect();
+    let digest = journal.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, byte| {
+        (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(digest, 11_297_342_578_732_041_919, "failure-event journal");
+    let net = &cluster.net;
+    assert_eq!((net.messages_sent(), net.messages_dropped()), (400, 8));
+}
+
 #[test]
 fn healed_partition_before_timeout_causes_no_recovery() {
     let cluster = Cluster::build(ClusterConfig {
