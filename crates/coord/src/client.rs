@@ -207,9 +207,8 @@ mod tests {
 
         // Heartbeat every 100ms via timer; crash the component at 1s.
         let c2 = client.clone();
-        cumulo_sim::every(&sim, SimDuration::from_millis(100), move || {
-            c2.touch(session)
-        });
+        let beat = SimDuration::from_millis(100);
+        net.every(client.from_node(), beat, beat, move || c2.touch(session));
         sim.run_until(SimTime::from_millis(900));
         assert!(client.service().session_alive(session));
         net.crash(client.from_node());

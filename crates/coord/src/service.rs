@@ -1,7 +1,7 @@
 //! The coordination service state machine: znodes, sessions, watches.
 
 use bytes::Bytes;
-use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, SimTime};
+use cumulo_sim::{Network, NodeId, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -109,7 +109,7 @@ impl CoordService {
             expired_sessions: Cell::new(0),
         });
         let weak: Weak<CoordService> = Rc::downgrade(&svc);
-        every(sim, sweep_interval, move || {
+        net.every(node, sweep_interval, sweep_interval, move || {
             if let Some(svc) = weak.upgrade() {
                 svc.expire_dead_sessions();
             }

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, CoordService, SessionId, WatchEvent};
-use cumulo_sim::{every, LatencyConfig, Network, Sim, SimDuration, SimTime};
+use cumulo_sim::{LatencyConfig, Network, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -30,14 +30,12 @@ fn fifty_sessions_with_mixed_lifecycles() {
     }
     sim.run_for(SimDuration::from_millis(200));
     // Everyone registers a liveness znode and starts heartbeating.
-    let mut timers = Vec::new();
-    for (i, (client, sid, _)) in clients.iter().enumerate() {
+    let beat = SimDuration::from_millis(500);
+    for (i, (client, sid, node)) in clients.iter().enumerate() {
         let s = sid.get().expect("session");
         client.create(&format!("/live/{i}"), Bytes::new(), Some(s));
         let c2 = client.clone();
-        timers.push(every(&sim, SimDuration::from_millis(500), move || {
-            c2.touch(s)
-        }));
+        net.every(*node, beat, beat, move || c2.touch(s));
     }
     sim.run_for(SimDuration::from_secs(5));
     assert_eq!(svc.children("/live/").len(), 50);
@@ -51,11 +49,9 @@ fn fifty_sessions_with_mixed_lifecycles() {
     assert_eq!(svc.expired_session_count(), 17);
 
     // The rest shut down cleanly.
-    for (client, sid, _) in clients.iter().skip(17) {
+    for (client, sid, node) in clients.iter().skip(17) {
         client.close_session(sid.get().unwrap());
-    }
-    for t in &timers {
-        t.cancel();
+        net.stop_timers(*node);
     }
     sim.run_for(SimDuration::from_secs(2));
     assert_eq!(svc.children("/live/").len(), 0);

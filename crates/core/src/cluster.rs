@@ -217,14 +217,14 @@ impl Cluster {
             replication: cfg.replication,
             ..NameNodeConfig::default()
         };
-        let namenode = NameNode::new(&sim, &net, nn_node, dns.clone(), nn_cfg);
+        let namenode = NameNode::new(&net, nn_node, dns.clone(), nn_cfg);
 
         let registry = StoreFileRegistry::new();
         let dir = ServerDirectory::new();
 
         // Transaction manager on its own node.
         let tm_node = net.add_node("txn-manager");
-        let tm = TransactionManager::new(&sim, tm_node);
+        let tm = TransactionManager::new(&sim, &net, tm_node);
 
         // The master, then the region servers it runs (node ids in the
         // order servers first, then the master).
@@ -298,14 +298,14 @@ impl Cluster {
         rm.start();
 
         // Hook bridge + per-server trackers.
-        let hooks = MiddlewareHooks::new(&sim, &net, &rm, master_node);
+        let hooks = MiddlewareHooks::new(&net, &rm, master_node);
         let tracker_cfg = ServerTrackerConfig {
             heartbeat_interval: cfg.heartbeat_interval,
             tracking: cfg.tracking,
         };
         for server in &servers {
             let coord_client = CoordClient::new(&net, &coord, server.node());
-            let tracker = ServerTracker::new(&sim, server, coord_client, tracker_cfg);
+            let tracker = ServerTracker::new(&sim, &net, server, coord_client, tracker_cfg);
             tracker.start();
             hooks.register_tracker(tracker);
         }

@@ -10,7 +10,7 @@
 
 use crate::recovery_manager::RecoveryManager;
 use crate::server_tracker::ServerTracker;
-use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
+use cumulo_sim::{Network, NodeId, Reply, SimDuration};
 use cumulo_store::{RecoveryHooks, RegionId, RegionServer, ServerId, Timestamp};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -22,7 +22,6 @@ const NOTIFY_RETRY: SimDuration = SimDuration::from_millis(400);
 
 /// What a notification's retry loop holds on to.
 struct Link {
-    sim: Sim,
     net: Rc<Network>,
     rm: Rc<RecoveryManager>,
 }
@@ -46,14 +45,12 @@ impl MiddlewareHooks {
     /// Creates the hook bridge. `master_node` is where master-side
     /// notifications originate.
     pub fn new(
-        sim: &Sim,
         net: &Rc<Network>,
         rm: &Rc<RecoveryManager>,
         master_node: NodeId,
     ) -> Rc<MiddlewareHooks> {
         Rc::new(MiddlewareHooks {
             link: Rc::new(Link {
-                sim: sim.clone(),
                 net: Rc::clone(net),
                 rm: Rc::clone(rm),
             }),
@@ -115,10 +112,8 @@ impl RecoveryHooks for MiddlewareHooks {
 fn notify_server_failed(link: Rc<Link>, src: NodeId, failed: ServerId, regions: Vec<RegionId>) {
     let (rm, regions2) = (Rc::clone(&link.rm), regions.clone());
     let serve = move |reply: Reply<_, _>| {
-        if rm.is_alive() {
-            rm.note_server_failed(failed, regions2);
-            reply.send(32, ());
-        }
+        rm.note_server_failed(failed, regions2);
+        reply.send(32, ());
     };
     let (net, to, request_bytes) = (Rc::clone(&link.net), link.rm.node(), 64 + regions.len() * 4);
     net.request_within(NOTIFY_RETRY, src, to, request_bytes, serve, move |acked| {
@@ -137,17 +132,15 @@ fn notify_region_recovered(
     online: Rc<RefCell<Option<Box<dyn FnOnce()>>>>,
     acked: Rc<Cell<bool>>,
 ) {
-    if acked.get() || !server.is_alive() {
+    if acked.get() {
         return;
     }
     let (rm, server2, online2) = (Rc::clone(&link.rm), Rc::clone(&server), Rc::clone(&online));
     link.net.send(server.node(), rm.node(), 128, move || {
-        if rm.is_alive() {
-            rm.handle_region_recovered(server2, region, failed, promoted, online2);
-        }
+        rm.handle_region_recovered(server2, region, failed, promoted, online2);
     });
-    let sim = link.sim.clone();
-    sim.schedule_in(NOTIFY_RETRY, move || {
+    let (net, node) = (Rc::clone(&link.net), server.node());
+    net.after(node, NOTIFY_RETRY, move || {
         notify_region_recovered(link, server, region, failed, promoted, online, acked);
     });
 }

@@ -44,7 +44,7 @@ use crate::recovery_client::RecoveryClient;
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, WatchEvent};
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::{every, Network, NodeId, Sim, SimDuration, TimerHandle};
+use cumulo_sim::{Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Mutation, RegionId, RegionServer, ServerId, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
@@ -131,8 +131,6 @@ pub struct RecoveryManager {
     t_f: Cell<Timestamp>,
     t_p: Cell<Timestamp>,
     last_truncated: Cell<Timestamp>,
-    alive: Cell<bool>,
-    timers: RefCell<Vec<TimerHandle>>,
     client_recoveries: Counter,
     region_recoveries: Counter,
     promotion_recoveries: Counter,
@@ -143,7 +141,7 @@ impl fmt::Debug for RecoveryManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RecoveryManager")
             .field("node", &self.node)
-            .field("alive", &self.alive.get())
+            .field("alive", &self.is_alive())
             .field("t_f", &self.t_f.get())
             .field("t_p", &self.t_p.get())
             .field("clients", &self.clients.borrow().len())
@@ -185,8 +183,6 @@ impl RecoveryManager {
             t_f: Cell::new(Timestamp::ZERO),
             t_p: Cell::new(Timestamp::ZERO),
             last_truncated: Cell::new(Timestamp::ZERO),
-            alive: Cell::new(true),
-            timers: RefCell::new(Vec::new()),
             client_recoveries: metrics.counter("rm.client_recoveries", &[]),
             region_recoveries: metrics.counter("rm.region_recoveries", &[]),
             promotion_recoveries: metrics.counter("rm.promotion_recoveries", &[]),
@@ -242,7 +238,7 @@ impl RecoveryManager {
         self.coord.watch_prefix(
             prefix,
             move |event| {
-                if let Some(rm) = weak.upgrade().filter(|rm| rm.alive.get()) {
+                if let Some(rm) = weak.upgrade() {
                     on_event(&rm, &event);
                 }
             },
@@ -253,14 +249,12 @@ impl RecoveryManager {
     /// Checkpoints every [`CHECKPOINT_INTERVAL`] while the process lives.
     fn arm_checkpoint_timer(self: &Rc<Self>) {
         let weak = Rc::downgrade(self);
-        let timer = every(&self.sim, CHECKPOINT_INTERVAL, move || {
+        let interval = CHECKPOINT_INTERVAL;
+        self.net.every(self.node, interval, interval, move || {
             if let Some(rm) = weak.upgrade() {
-                if rm.alive.get() {
-                    rm.checkpoint();
-                }
+                rm.checkpoint();
             }
         });
-        self.timers.borrow_mut().push(timer);
     }
 
     /// The node the recovery manager runs on.
@@ -268,9 +262,9 @@ impl RecoveryManager {
         self.node
     }
 
-    /// Whether the process is alive.
+    /// Whether the process is alive: whether its node is.
     pub fn is_alive(&self) -> bool {
-        self.alive.get()
+        self.net.is_alive(self.node)
     }
 
     /// The global flushed threshold `T_F`.
@@ -461,9 +455,6 @@ impl RecoveryManager {
         // committed-but-possibly-unflushed suffix.
         let this = Rc::clone(self);
         self.tm.reap_and_fetch_client(c, t_f_r, move |records| {
-            if !this.alive.get() {
-                return;
-            }
             let this2 = Rc::clone(&this);
             let rc = Rc::clone(&this.rc);
             rc.replay_client_log(
@@ -650,7 +641,8 @@ impl RecoveryManager {
         promoted: bool,
         online: Rc<RefCell<Option<Box<dyn FnOnce()>>>>,
     ) {
-        if !self.alive.get() || !server.is_alive() {
+        // The new host may have died since it sent this.
+        if !server.is_alive() {
             return;
         }
         // Duplicate notification for an in-progress task on the same
@@ -773,9 +765,6 @@ impl RecoveryManager {
         region: RegionId,
         failed: ServerId,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         let (online, promoted) = {
             let mut tasks = self.region_tasks.borrow_mut();
             match tasks.get(&region) {
@@ -848,12 +837,7 @@ impl RecoveryManager {
     /// processing continues; heartbeats keep updating the coordination
     /// service; failure notifications are retried by their hooks.
     pub fn crash(&self) {
-        self.alive.set(false);
         self.net.crash(self.node);
-        for t in self.timers.borrow().iter() {
-            t.cancel();
-        }
-        self.timers.borrow_mut().clear();
         // Volatile recovery state is lost with the process.
         self.region_tasks.borrow_mut().clear();
         self.staged.borrow_mut().clear();
@@ -881,7 +865,6 @@ impl RecoveryManager {
     /// client from the start again — idempotent, as every version is
     /// keyed by its commit timestamp.
     pub fn restart(self: &Rc<Self>) {
-        self.alive.set(true);
         self.net.restart(self.node);
         self.arm_checkpoint_timer();
 

@@ -13,7 +13,7 @@ use crate::paths;
 use crate::persist_tracker::PersistTracker;
 use bytes::Bytes;
 use cumulo_coord::CoordClient;
-use cumulo_sim::{every_from, Sim, SimDuration};
+use cumulo_sim::{Network, Sim, SimDuration};
 use cumulo_store::{RegionServer, ServerId, Timestamp};
 use std::cell::RefCell;
 use std::fmt;
@@ -42,6 +42,7 @@ pub struct ServerTrackerConfig {
 /// The per-server tracking runtime. Shared via `Rc`.
 pub struct ServerTracker {
     sim: Sim,
+    net: Rc<Network>,
     server: Rc<RegionServer>,
     coord: CoordClient,
     cfg: ServerTrackerConfig,
@@ -59,15 +60,18 @@ impl fmt::Debug for ServerTracker {
 }
 
 impl ServerTracker {
-    /// Creates the tracker for `server`.
+    /// Creates the tracker for `server`; its heartbeat runs at the
+    /// server's node, so it stops when the server crashes.
     pub fn new(
         sim: &Sim,
+        net: &Rc<Network>,
         server: &Rc<RegionServer>,
         coord: CoordClient,
         cfg: ServerTrackerConfig,
     ) -> Rc<ServerTracker> {
         Rc::new(ServerTracker {
             sim: sim.clone(),
+            net: Rc::clone(net),
             server: Rc::clone(server),
             coord,
             cfg,
@@ -85,11 +89,11 @@ impl ServerTracker {
             );
         }
         let this = Rc::clone(self);
+        let beat = self.cfg.heartbeat_interval;
         // lint:allow(CD004, reason = "heartbeat first-fire stagger draws from the seeded sim RNG; the desync avoids lockstep heartbeats and all pinned baselines include this draw")
-        let first = self.sim.jitter(self.cfg.heartbeat_interval, 0.9);
-        every_from(&self.sim, first, self.cfg.heartbeat_interval, move || {
-            this.heartbeat();
-        });
+        let first = self.sim.jitter(beat, 0.9);
+        let node = self.server.node();
+        self.net.every(node, first, beat, move || this.heartbeat());
     }
 
     /// The server this tracker belongs to.
@@ -120,9 +124,6 @@ impl ServerTracker {
 
     /// One heartbeat: tracking CPU cost → WAL sync → advance → publish.
     fn heartbeat(self: &Rc<Self>) {
-        if !self.server.is_alive() {
-            return;
-        }
         let entries = self.tracker.borrow().pending() as u64;
         if entries as usize > ALERT_PENDING_THRESHOLD {
             self.coord.set_data(
@@ -137,6 +138,9 @@ impl ServerTracker {
             let seq = wal.last_seq();
             let this2 = Rc::clone(&this);
             wal.sync_upto(seq, move || {
+                // A log already synced past `seq` answers a zero-delay
+                // step later, not by a delivery: the server may have
+                // crashed in between.
                 if !this2.server.is_alive() {
                     return;
                 }

@@ -52,7 +52,7 @@ use crate::paths;
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, SessionId};
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::{every_from, Network, NodeId, Sim, SimDuration, TimerHandle};
+use cumulo_sim::{Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Mutation, MutationKind, StoreClient, Timestamp, WriteSet};
 use cumulo_txn::{CommitOutcome, Session, TmClient, TxnId};
 use std::cell::{Cell, RefCell};
@@ -209,9 +209,7 @@ struct TcInner {
     /// terminates itself (§3.1: a partitioned client "will result in it
     /// terminating itself").
     last_coord_ack: Cell<cumulo_sim::SimTime>,
-    alive: Cell<bool>,
     closed: Cell<bool>,
-    timers: RefCell<Vec<TimerHandle>>,
     /// Commit requests sent to the transaction manager whose outcome has
     /// not come back yet (a read-only commit sends none, so it is never in
     /// flight: the manager assigns it no timestamp). While non-zero, the
@@ -258,7 +256,7 @@ impl fmt::Debug for TransactionalClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TransactionalClient")
             .field("id", &self.inner.id)
-            .field("alive", &self.inner.alive.get())
+            .field("alive", &self.is_alive())
             .field("committed", &self.inner.committed.get())
             .field("t_f", &self.inner.tracker.borrow().t_f())
             .finish()
@@ -318,7 +316,7 @@ impl Transaction {
     /// The lifecycle error an operation on this handle must report right
     /// now, if any (`None` = the transaction is active and usable).
     fn state_err(&self) -> Option<TxnError> {
-        if !self.inner.alive.get() {
+        if !self.inner.is_alive() {
             return Some(TxnError::ClientDead);
         }
         if !self.inner.active.borrow().contains_key(&self.id) {
@@ -584,11 +582,6 @@ impl Transaction {
             inner
                 .commits_in_flight
                 .set(inner.commits_in_flight.get() - 1);
-            if !inner.alive.get() {
-                // Client died while the commit was in flight: if it
-                // committed, the recovery manager replays it.
-                return;
-            }
             match outcome {
                 CommitOutcome::Committed(ts) => {
                     note_commit(&inner, txn, ts, ws2.mutations.len());
@@ -619,7 +612,7 @@ impl Transaction {
     /// (the next begin or idle query ends it at the manager). Idempotent —
     /// an abort after commit/abort (or on a dead client) is a no-op.
     pub fn abort(&self) {
-        if !self.inner.alive.get() {
+        if !self.inner.is_alive() {
             return;
         }
         if self.inner.active.borrow_mut().remove(&self.id).is_none() {
@@ -630,6 +623,11 @@ impl Transaction {
 }
 
 impl TcInner {
+    /// Whether the process is alive: whether its node is.
+    fn is_alive(&self) -> bool {
+        self.net.is_alive(self.node)
+    }
+
     /// Records a transaction-lifecycle span (`txn.begin` / `txn.commit` /
     /// `txn.abort` / `txn.retry`) in the trace journal: the one door this
     /// client's spans leave through, at event-execution time so the
@@ -700,9 +698,7 @@ impl TransactionalClient {
                 next_seq: Cell::new(0),
                 session: Cell::new(None),
                 last_coord_ack: Cell::new(sim.now()),
-                alive: Cell::new(true),
                 closed: Cell::new(false),
-                timers: RefCell::new(Vec::new()),
                 commits_in_flight: Cell::new(0),
                 committed: counter("txn.committed"),
                 aborted: counter("txn.aborted"),
@@ -729,9 +725,6 @@ impl TransactionalClient {
             inner
                 .coord
                 .create_session(inner.cfg.session_timeout, move |sid| {
-                    if !inner2.alive.get() {
-                        return;
-                    }
                     inner2.session.set(Some(sid));
                     // Threshold (persistent) strictly before liveness
                     // (ephemeral): the recovery manager reads the threshold
@@ -747,15 +740,13 @@ impl TransactionalClient {
                         .coord
                         .create(&paths::client_live(inner2.id), Bytes::new(), Some(sid));
                     let inner3 = Rc::clone(&inner2);
+                    let beat = inner2.cfg.heartbeat_interval;
                     // lint:allow(CD004, reason = "client heartbeat stagger draws from the seeded sim RNG; the desync avoids lockstep heartbeats and all pinned baselines include this draw")
-                    let first = inner2.sim.jitter(inner2.cfg.heartbeat_interval, 0.9);
-                    let timer = every_from(
-                        &inner2.sim,
-                        first,
-                        inner2.cfg.heartbeat_interval,
-                        move || heartbeat(&inner3),
-                    );
-                    inner2.timers.borrow_mut().push(timer);
+                    let first = inner2.sim.jitter(beat, 0.9);
+                    let node = inner2.node;
+                    inner2
+                        .net
+                        .every(node, first, beat, move || heartbeat(&inner3));
                 });
         });
     }
@@ -770,9 +761,9 @@ impl TransactionalClient {
         self.inner.node
     }
 
-    /// Whether the process is alive.
+    /// Whether the process is alive: whether its node is.
     pub fn is_alive(&self) -> bool {
-        self.inner.alive.get()
+        self.inner.is_alive()
     }
 
     /// Begins a transaction; `done` receives its [`Transaction`] handle
@@ -794,7 +785,7 @@ impl TransactionalClient {
                 .schedule_in(SimDuration::ZERO, move || done(Err(TxnError::ClientClosed)));
             return;
         }
-        if !inner.alive.get() {
+        if !inner.is_alive() {
             inner
                 .sim
                 .schedule_in(SimDuration::ZERO, move || done(Err(TxnError::ClientDead)));
@@ -806,9 +797,6 @@ impl TransactionalClient {
         let snapshot = Rc::new(RefCell::new(Snapshot::Awaited(None)));
         let (on_reply, slot) = (Rc::clone(inner), Rc::clone(&snapshot));
         inner.tm.begin(txn, inner.session(), move |start_ts| {
-            if !on_reply.alive.get() {
-                return;
-            }
             let client = on_reply.id;
             on_reply.span("txn.begin", move || {
                 format!("client={client} txn={} snapshot={start_ts}", txn.0)
@@ -817,11 +805,9 @@ impl TransactionalClient {
                 reads(start_ts);
             }
         });
+        let node = inner.node;
         let inner = Rc::clone(inner);
-        self.inner.sim.schedule_in(SimDuration::ZERO, move || {
-            if !inner.alive.get() {
-                return;
-            }
+        self.inner.net.after(node, SimDuration::ZERO, move || {
             if inner.closed.get() {
                 // Shut down since `begin`: an open transaction would hold
                 // the shutdown up. Its last idle query (tracking on) ends
@@ -882,7 +868,9 @@ impl TransactionalClient {
     /// [`TransactionalClient::begin`]s report [`TxnError::ClientClosed`].
     pub fn shutdown(&self) {
         self.inner.closed.set(true);
-        try_finish_shutdown(Rc::clone(&self.inner));
+        if self.is_alive() {
+            try_finish_shutdown(Rc::clone(&self.inner));
+        }
     }
 
     /// Crash-stop failure: the process dies mid-flight. The recovery
@@ -997,24 +985,13 @@ fn settle_attempt(
     }
 }
 
-fn stop_timers(inner: &TcInner) {
-    for t in inner.timers.borrow_mut().drain(..) {
-        t.cancel();
-    }
-}
-
-/// The process stops, by crash or by its own hand: nothing of it runs
-/// again and its node is dead to the network.
+/// The process stops, by crash or by its own hand: its node dies, so
+/// nothing of it runs again.
 fn die(inner: &TcInner) {
-    inner.alive.set(false);
-    stop_timers(inner);
     inner.net.crash(inner.node);
 }
 
 fn heartbeat(inner: &Rc<TcInner>) {
-    if !inner.alive.get() {
-        return;
-    }
     // Partition self-check: if the coordination service has been
     // unreachable for a whole session timeout, our session has (or will
     // have) expired and the recovery manager is recovering us — terminate
@@ -1056,9 +1033,6 @@ fn heartbeat(inner: &Rc<TcInner>) {
     {
         let inner2 = Rc::clone(inner);
         inner.tm.last_commit_ts(inner.session(), move |latest| {
-            if !inner2.alive.get() {
-                return;
-            }
             if inner2.commits_in_flight.get() > 0 {
                 return;
             }
@@ -1088,9 +1062,6 @@ fn heartbeat(inner: &Rc<TcInner>) {
 }
 
 fn try_finish_shutdown(inner: Rc<TcInner>) {
-    if !inner.alive.get() {
-        return;
-    }
     // A commit whose ack is still on the wire is not in `FQ` yet (the
     // window the heartbeat's `commits_in_flight` guard exists for), and an
     // open transaction may still commit: neither may find the threshold
@@ -1100,11 +1071,10 @@ fn try_finish_shutdown(inner: Rc<TcInner>) {
         || !inner.tracker.borrow_mut().is_idle();
     if busy {
         let inner2 = Rc::clone(&inner);
+        let poll = SimDuration::from_millis(20);
         inner
-            .sim
-            .schedule_in(SimDuration::from_millis(20), move || {
-                try_finish_shutdown(inner2)
-            });
+            .net
+            .after(inner.node, poll, move || try_finish_shutdown(inner2));
         return;
     }
     // Final heartbeat, then unregister cleanly: delete the threshold
@@ -1117,7 +1087,7 @@ fn try_finish_shutdown(inner: Rc<TcInner>) {
     if let Some(sid) = inner.session.get() {
         inner.coord.close_session(sid);
     }
-    stop_timers(&inner);
+    inner.net.stop_timers(inner.node);
 }
 
 /// Post-commit flush (§2.2): the write-set, stamped with the commit
@@ -1133,9 +1103,6 @@ fn flush_write_set(
     debug_assert!(!ws.is_empty());
     let inner2 = Rc::clone(&inner);
     inner.store.flush(ts, &ws, move || {
-        if !inner2.alive.get() {
-            return;
-        }
         inner2.tracker.borrow_mut().on_flushed(ts);
         inner2.flushed.inc();
         inner2.tm.flush_complete(ts);

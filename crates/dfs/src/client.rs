@@ -50,7 +50,7 @@ struct ClientInner {
 /// let dns = (0..2)
 ///     .map(|i| DataNode::new(&sim, net.add_node(&format!("dn{i}")), DiskConfig::server_hdd()))
 ///     .collect();
-/// let nn = NameNode::new(&sim, &net, net.add_node("nn"), dns, NameNodeConfig::default());
+/// let nn = NameNode::new(&net, net.add_node("nn"), dns, NameNodeConfig::default());
 /// let me = net.add_node("app");
 /// let dfs = DfsClient::new(&sim, &net, &nn, me);
 ///

@@ -2,7 +2,7 @@
 
 use crate::datanode::DataNode;
 use crate::error::DfsError;
-use cumulo_sim::{every, Network, NodeId, Sim, SimDuration};
+use cumulo_sim::{Network, NodeId, SimDuration};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::HashSet;
@@ -61,7 +61,6 @@ impl NameNode {
     /// Panics if `datanodes` is empty or smaller than the replication
     /// factor.
     pub fn new(
-        sim: &Sim,
         net: &Rc<Network>,
         node: NodeId,
         datanodes: Vec<Rc<DataNode>>,
@@ -86,7 +85,8 @@ impl NameNode {
             self_weak: self_weak.clone(),
         });
         let weak = Rc::downgrade(&nn);
-        every(sim, cfg.rereplicate_interval, move || {
+        let interval = cfg.rereplicate_interval;
+        net.every(node, interval, interval, move || {
             if let Some(nn) = weak.upgrade() {
                 nn.rereplication_sweep();
             }
@@ -355,7 +355,7 @@ impl NameNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumulo_sim::{DiskConfig, LatencyConfig, SimTime};
+    use cumulo_sim::{DiskConfig, LatencyConfig, Sim, SimTime};
 
     fn cluster(n_dn: usize, repl: usize) -> (Sim, Rc<Network>, Rc<NameNode>) {
         let sim = Sim::new(11);
@@ -371,7 +371,7 @@ mod tests {
             replication: repl,
             rereplicate_interval: SimDuration::from_millis(500),
         };
-        let nn = NameNode::new(&sim, &net, nn_node, dns, cfg);
+        let nn = NameNode::new(&net, nn_node, dns, cfg);
         (sim, net, nn)
     }
 

@@ -32,7 +32,7 @@ fn fixture(n_dn: usize, repl: usize) -> Fixture {
         replication: repl,
         rereplicate_interval: SimDuration::from_millis(500),
     };
-    let nn = NameNode::new(&sim, &net, nn_node, dns, cfg);
+    let nn = NameNode::new(&net, nn_node, dns, cfg);
     let writer_node = net.add_node("writer");
     let dfs = DfsClient::new(&sim, &net, &nn, writer_node);
     Fixture {
@@ -361,13 +361,7 @@ fn deterministic_across_seeds() {
                 )
             })
             .collect();
-        let nn = NameNode::new(
-            &sim,
-            &net,
-            net.add_node("nn"),
-            dns,
-            NameNodeConfig::default(),
-        );
+        let nn = NameNode::new(&net, net.add_node("nn"), dns, NameNodeConfig::default());
         let dfs = DfsClient::new(&sim, &net, &nn, net.add_node("w"));
         let file: Rc<RefCell<Option<DfsFile>>> = Rc::new(RefCell::new(None));
         let f2 = file.clone();

@@ -9,8 +9,9 @@
 //! * a single seeded random-number generator, so *identical seeds produce
 //!   identical executions*, which the test suite relies on;
 //! * a [`Network`] that delivers messages FIFO per (source, destination)
-//!   pair, models latency and jitter, and drops traffic to/from crashed
-//!   nodes or across partitions;
+//!   pair, models latency and jitter, drops traffic to/from crashed
+//!   nodes or across partitions, and runs each node's timers until it
+//!   crashes;
 //! * a [`Disk`] model with serialized writes and fsync latency;
 //! * a [`ServiceQueue`] modelling a `k`-core CPU, which produces the
 //!   saturation knees that the paper's throughput/latency figures depend on;
@@ -40,7 +41,6 @@ pub mod metrics;
 mod net;
 mod service;
 mod time;
-mod timer;
 pub mod trace;
 
 pub use disk::{Disk, DiskConfig};
@@ -49,5 +49,4 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use net::{LatencyConfig, Network, NodeId, Reply, Settle, Within};
 pub use service::ServiceQueue;
 pub use time::{SimDuration, SimTime};
-pub use timer::{every, every_from, TimerHandle};
 pub use trace::{Journal, JournalEntry};

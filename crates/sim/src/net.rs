@@ -1,6 +1,11 @@
 //! Network model: named nodes, latency with jitter, FIFO delivery per
 //! (source, destination) pair, crash-stop node failures and partitions.
 //!
+//! A node's state is the process's liveness: code at a node runs only
+//! from a delivery to it, one of its timers ([`Network::every`]) or a
+//! callback it scheduled on itself ([`Network::after`]), and each of the
+//! three is dropped while the node is dead.
+//!
 //! FIFO per-pair ordering models TCP connections. The recovery protocol in
 //! `cumulo-core` relies on it: a client must observe its own commit
 //! timestamps in monotonic order or its flushed-threshold `T_F(c)` could
@@ -74,6 +79,9 @@ impl LatencyConfig {
 struct NodeMeta {
     name: String,
     alive: bool,
+    /// Bumped by [`Network::crash`] and [`Network::stop_timers`]: a timer
+    /// fires only while the generation it was armed in is current.
+    timers: u64,
 }
 
 struct NetState {
@@ -157,6 +165,7 @@ impl Network {
         st.nodes.push(NodeMeta {
             name: name.to_owned(),
             alive: true,
+            timers: 0,
         });
         id
     }
@@ -166,15 +175,98 @@ impl Network {
         self.state.borrow().nodes[node.0 as usize].alive
     }
 
-    /// Marks a node dead. In-flight messages to or from it are dropped at
-    /// their delivery instant; future sends from it are dropped immediately.
+    /// Marks a node dead and stops its timers. In-flight messages to or
+    /// from it are dropped at their delivery instant; future sends from it
+    /// are dropped immediately.
     pub fn crash(&self, node: NodeId) {
-        self.state.borrow_mut().nodes[node.0 as usize].alive = false;
+        let mut st = self.state.borrow_mut();
+        let meta = &mut st.nodes[node.0 as usize];
+        meta.alive = false;
+        meta.timers += 1;
     }
 
     /// Marks a node alive again (a restarted process on the same machine).
+    /// Its timers stay stopped: the restarted process arms its own.
     pub fn restart(&self, node: NodeId) {
         self.state.borrow_mut().nodes[node.0 as usize].alive = true;
+    }
+
+    /// Stops every timer armed on `node`; the node stays alive (a process
+    /// that shut down cleanly).
+    pub fn stop_timers(&self, node: NodeId) {
+        self.state.borrow_mut().nodes[node.0 as usize].timers += 1;
+    }
+
+    /// Runs `tick` at `node` every `interval`, first after `first`, until
+    /// the node crashes or its timers are stopped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero (the timer would livelock the event loop).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use cumulo_sim::{LatencyConfig, Network, Sim, SimDuration, SimTime};
+    /// use std::{cell::Cell, rc::Rc};
+    ///
+    /// let sim = Sim::new(1);
+    /// let net = Network::new(&sim, LatencyConfig::instant());
+    /// let node = net.add_node("n");
+    /// let n = Rc::new(Cell::new(0));
+    /// let n2 = n.clone();
+    /// let second = SimDuration::from_secs(1);
+    /// net.every(node, second, second, move || n2.set(n2.get() + 1));
+    /// sim.run_until(SimTime::from_secs(5));
+    /// net.crash(node);
+    /// sim.run_until(SimTime::from_secs(10));
+    /// assert_eq!(n.get(), 5);
+    /// ```
+    pub fn every(
+        self: &Rc<Self>,
+        node: NodeId,
+        first: SimDuration,
+        interval: SimDuration,
+        tick: impl FnMut() + 'static,
+    ) {
+        assert!(!interval.is_zero(), "timer interval must be non-zero");
+        let armed = self.state.borrow().nodes[node.0 as usize].timers;
+        self.tick_after(node, armed, first, interval, Box::new(tick));
+    }
+
+    fn tick_after(
+        self: &Rc<Self>,
+        node: NodeId,
+        armed: u64,
+        delay: SimDuration,
+        interval: SimDuration,
+        mut tick: Box<dyn FnMut()>,
+    ) {
+        let this = Rc::clone(self);
+        self.sim.schedule_in(delay, move || {
+            let running = || {
+                let meta = &this.state.borrow().nodes[node.0 as usize];
+                meta.alive && meta.timers == armed
+            };
+            if !running() {
+                return;
+            }
+            tick();
+            if running() {
+                this.tick_after(node, armed, interval, interval, tick);
+            }
+        });
+    }
+
+    /// Runs `f` at `node` after `delay` — a retry or poll a process
+    /// schedules on itself — unless the node is dead by then.
+    pub fn after(self: &Rc<Self>, node: NodeId, delay: SimDuration, f: impl FnOnce() + 'static) {
+        let this = Rc::clone(self);
+        self.sim.schedule_in(delay, move || {
+            if this.is_alive(node) {
+                f();
+            }
+        });
     }
 
     /// Installs a bidirectional partition between `a` and `b`.
@@ -738,6 +830,110 @@ mod tests {
         assert_eq!(
             (served.get(), done.get(), net.messages_dropped()),
             (1, 0, 2)
+        );
+    }
+
+    /// Arms a timer on `node` that logs the instant of every tick.
+    fn log_ticks(
+        net: &Rc<Network>,
+        sim: &Sim,
+        node: NodeId,
+        first_ms: u64,
+    ) -> Rc<RefCell<Vec<u64>>> {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let (l, s) = (log.clone(), sim.clone());
+        let (first, interval) = (
+            SimDuration::from_millis(first_ms),
+            SimDuration::from_millis(100),
+        );
+        net.every(node, first, interval, move || {
+            l.borrow_mut().push(s.now().nanos() / 1_000_000)
+        });
+        log
+    }
+
+    #[test]
+    fn a_node_timer_fires_on_its_phase_and_stops_at_crash_for_good() {
+        let (sim, net, a, b) = setup();
+        let ticks = log_ticks(&net, &sim, a, 7);
+        let other = log_ticks(&net, &sim, b, 100);
+        sim.run_until(SimTime::from_millis(350));
+        assert_eq!(*ticks.borrow(), [7, 107, 207, 307]);
+        net.crash(a);
+        sim.run_until(SimTime::from_millis(600));
+        // A restarted process re-arms its own timers; the old ones stay
+        // stopped.
+        net.restart(a);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*ticks.borrow(), [7, 107, 207, 307]);
+        assert_eq!(other.borrow().len(), 10, "another node's timer runs on");
+        let rearmed = log_ticks(&net, &sim, a, 50);
+        sim.run_until(SimTime::from_millis(1_200));
+        assert_eq!(*rearmed.borrow(), [1_050, 1_150]);
+    }
+
+    #[test]
+    fn stop_timers_stops_a_node_timer_and_leaves_the_node_alive() {
+        let (sim, net, a, b) = setup();
+        let ticks = log_ticks(&net, &sim, a, 100);
+        sim.run_until(SimTime::from_millis(250));
+        net.stop_timers(a);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*ticks.borrow(), [100, 200]);
+        assert!(net.is_alive(a));
+        let got = Rc::new(Cell::new(false));
+        let g = got.clone();
+        net.send(b, a, 10, move || g.set(true));
+        sim.run_until(SimTime::from_secs(2));
+        assert!(got.get(), "the node still takes deliveries");
+    }
+
+    #[test]
+    fn a_tick_that_stops_its_node_timers_is_the_last() {
+        let (sim, net, a, _) = setup();
+        let n = Rc::new(Cell::new(0u32));
+        let (n2, net2) = (n.clone(), Rc::clone(&net));
+        let ms = SimDuration::from_millis(10);
+        net.every(a, ms, ms, move || {
+            n2.set(n2.get() + 1);
+            if n2.get() == 2 {
+                net2.stop_timers(a);
+            }
+        });
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(n.get(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn a_zero_interval_panics() {
+        let (_, net, a, _) = setup();
+        net.every(a, SimDuration::ZERO, SimDuration::ZERO, || {});
+    }
+
+    #[test]
+    fn after_runs_only_if_the_node_is_alive_when_it_fires() {
+        let (sim, net, a, _) = setup();
+        let ran = Rc::new(RefCell::new(Vec::new()));
+        let at = |ms: u64, what: &'static str| {
+            let r = ran.clone();
+            net.after(a, SimDuration::from_millis(ms), move || {
+                r.borrow_mut().push(what)
+            });
+        };
+        at(100, "before the crash");
+        at(300, "while dead");
+        at(600, "after a crash and restart");
+        // Unlike a timer, `after` asks only whether the node is alive when
+        // it fires: a crash and a restart in between do not drop it.
+        let net2 = Rc::clone(&net);
+        sim.schedule_at(SimTime::from_millis(200), move || net2.crash(a));
+        let net3 = Rc::clone(&net);
+        sim.schedule_at(SimTime::from_millis(500), move || net3.restart(a));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(
+            *ran.borrow(),
+            ["before the crash", "after a crash and restart"]
         );
     }
 

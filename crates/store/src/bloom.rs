@@ -3,7 +3,7 @@
 //! Every store file carries a bloom filter built at flush (or compaction)
 //! time; the point-get read path probes it before charging the file's
 //! read-amplification service term, so a get only pays for files that can
-//! plausibly contain the key (see `server.rs` for the service model).
+//! plausibly contain the key (see `server/data_path.rs` for the service model).
 //!
 //! ## Determinism
 //!

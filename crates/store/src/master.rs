@@ -12,7 +12,7 @@ use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::{every, Network, NodeId, Reply, Sim, SimDuration};
+use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -102,7 +102,7 @@ pub struct MoveConfig {
     /// shift. The scale campaign enables them.
     pub enabled: bool,
     /// How often server loads are compared. The timer runs at a fixed
-    /// phase — no RNG jitter (see the split timer note in `server.rs`).
+    /// phase — no RNG jitter (see the fixed-phase note in `server/mod.rs`).
     pub check_interval: SimDuration,
     /// A move is considered only when the most loaded server's placement
     /// load exceeds the least loaded server's by this factor.
@@ -324,16 +324,18 @@ impl Master {
             |_| {},
         );
         let weak = Rc::downgrade(self);
-        every(&self.sim, ASSIGN_RETRY_INTERVAL, move || {
+        let retry = ASSIGN_RETRY_INTERVAL;
+        self.net.every(self.node, retry, retry, move || {
             if let Some(master) = weak.upgrade() {
                 master.retry_unplaced();
             }
         });
         // Proactive hot-region moves. Fixed phase, no RNG jitter, and off
-        // by default (see the split timer note in `server.rs`).
+        // by default (see the fixed-phase note in `server/mod.rs`).
         if self.cfg.moves.enabled {
             let weak = Rc::downgrade(self);
-            every(&self.sim, self.cfg.moves.check_interval, move || {
+            let interval = self.cfg.moves.check_interval;
+            self.net.every(self.node, interval, interval, move || {
                 if let Some(master) = weak.upgrade() {
                     master.check_moves();
                 }
@@ -1178,11 +1180,7 @@ impl Master {
                 self.node,
                 backup.node(),
                 48,
-                move |reply| {
-                    if let Some(shadow) = backup.query_replica(region) {
-                        reply.send(48, shadow);
-                    }
-                },
+                move |reply| reply.send(48, backup.query_replica(region)),
                 move |(epoch, synced)| {
                     if let Some(master) = weak.upgrade() {
                         master.probe_reply(region, bid, epoch, synced);

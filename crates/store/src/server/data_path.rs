@@ -338,7 +338,7 @@ impl RegionServer {
         };
         let this = Rc::clone(self);
         self.handlers.submit(service, move || {
-            if this.alive.get() {
+            if this.is_alive() {
                 work(&this, span);
             }
         });
@@ -352,9 +352,6 @@ impl RegionServer {
         snapshot: Timestamp,
         reply: impl FnOnce(Result<Option<VersionedValue>, StoreError>) + 'static,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         let region = match self.route_by_row(&row) {
             Ok(region) => region,
             Err(e) => return reply(Err(e)),
@@ -497,9 +494,6 @@ impl RegionServer {
         snapshot: Timestamp,
         reply: impl FnOnce(Result<Vec<Option<VersionedValue>>, StoreError>) + 'static,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         let first_row = cells.first().map(|(row, _)| &row[..]);
         if let Err(e) = self.route_by_id(region, first_row, false) {
             return reply(Err(e));
@@ -574,9 +568,6 @@ impl RegionServer {
         replay: bool,
         reply: impl FnOnce(Result<(), StoreError>) + 'static,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         let first_row = mutations.first().map(|m| &m.row[..]);
         if let Err(e) = self.route_by_id(region, first_row, replay) {
             return reply(Err(e));
@@ -655,9 +646,6 @@ impl RegionServer {
         limit: usize,
         reply: impl FnOnce(Result<ScanPage, StoreError>) + 'static,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         let region = match self.route_by_row(&start) {
             Ok(region) => region,
             Err(e) => return reply(Err(e)),

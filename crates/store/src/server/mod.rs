@@ -33,9 +33,7 @@ use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, GaugeMap};
-use cumulo_sim::{
-    every_from, Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime, TimerHandle,
-};
+use cumulo_sim::{Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -261,8 +259,6 @@ pub struct RegionServer {
     dfs: DfsClient,
     regions: RefCell<HashMap<RegionId, RegionState>>,
     hooks: RefCell<Rc<dyn RecoveryHooks>>,
-    alive: Cell<bool>,
-    timers: RefCell<Vec<TimerHandle>>,
     storefile_counter: Cell<u64>,
     gets: Counter,
     multi_gets: Counter,
@@ -331,7 +327,7 @@ impl fmt::Debug for RegionServer {
             .field("id", &self.id)
             .field("node", &self.node)
             .field("regions", &self.regions.borrow().len())
-            .field("alive", &self.alive.get())
+            .field("alive", &self.is_alive())
             .field("gets", &self.gets.get())
             .field("puts", &self.puts.get())
             .finish()
@@ -373,8 +369,6 @@ impl RegionServer {
             dfs,
             regions: RefCell::new(HashMap::new()),
             hooks: RefCell::new(Rc::new(NoopHooks)),
-            alive: Cell::new(true),
-            timers: RefCell::new(Vec::new()),
             storefile_counter: Cell::new(0),
             gets: counter("store.gets"),
             multi_gets: counter("store.multi_gets"),
@@ -454,7 +448,7 @@ impl RegionServer {
     }
 
     /// Runs `tick` every `interval`, first after `first`, for as long as
-    /// the server lives.
+    /// the server's node lives.
     fn every(
         self: &Rc<Self>,
         first: SimDuration,
@@ -462,12 +456,17 @@ impl RegionServer {
         tick: impl Fn(&Rc<RegionServer>) + 'static,
     ) {
         let weak = Rc::downgrade(self);
-        let timer = every_from(&self.sim, first, interval, move || {
+        self.net.every(self.node, first, interval, move || {
             if let Some(server) = weak.upgrade() {
                 tick(&server);
             }
         });
-        self.timers.borrow_mut().push(timer);
+    }
+
+    /// Runs `f` on this server after `delay`, unless it is dead by then.
+    fn after(self: &Rc<Self>, delay: SimDuration, f: impl FnOnce(&Rc<RegionServer>) + 'static) {
+        let this = Rc::clone(self);
+        self.net.after(self.node, delay, move || f(&this));
     }
 
     /// This server's id.
@@ -480,9 +479,9 @@ impl RegionServer {
         self.node
     }
 
-    /// Whether the process is alive.
+    /// Whether the process is alive: whether its node is.
     pub fn is_alive(&self) -> bool {
-        self.alive.get()
+        self.net.is_alive(self.node)
     }
 
     /// Installs the recovery middleware's hooks.
@@ -542,16 +541,11 @@ impl RegionServer {
         self.sim.trace().record(self.sim.now(), kind, detail);
     }
 
-    /// Crash-stop failure: the process dies, the network drops its
-    /// traffic, timers stop, the coordination session expires on its own.
-    /// In-memory state (memstores, WAL buffer) is lost.
+    /// Crash-stop failure: the node dies, so the network drops its
+    /// traffic and its timers stop; the coordination session expires on
+    /// its own. In-memory state (memstores, WAL buffer) is lost.
     pub fn crash(&self) {
-        self.alive.set(false);
         self.net.crash(self.node);
-        for t in self.timers.borrow().iter() {
-            t.cancel();
-        }
-        self.timers.borrow_mut().clear();
         // Shadow memstores and primary-side lane state are in-memory
         // state: gone with the process.
         self.repl.take();
@@ -578,7 +572,7 @@ impl RegionServer {
     /// same resource that serves requests — the contention the paper
     /// measures in Fig. 2b).
     pub fn submit_background(self: &Rc<Self>, service: SimDuration, run: impl FnOnce() + 'static) {
-        if !self.alive.get() {
+        if !self.is_alive() {
             return;
         }
         // Attributed as background for the utilization sample (charged
@@ -588,7 +582,7 @@ impl RegionServer {
             .set(self.background_ns.get() + service.nanos());
         let this = Rc::clone(self);
         self.handlers.submit(service, move || {
-            if this.alive.get() {
+            if this.is_alive() {
                 run();
             }
         });
@@ -614,9 +608,6 @@ impl RegionServer {
         storefile_paths: Vec<String>,
         failed: Option<ServerId>,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         let region = desc.id;
         let storefiles = self.adoptable_files(&storefile_paths);
         self.regions.borrow_mut().insert(

@@ -529,9 +529,6 @@ impl RegionServer {
         epoch: u64,
         backups: Vec<(ServerId, NodeId, Weak<RegionServer>)>,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         let finishes = {
             let mut repl = self.repl.borrow_mut();
             let group = repl
@@ -559,9 +556,6 @@ impl RegionServer {
     /// of sync — the primary's next full-state sync re-baselines it
     /// (sequence numbers from different primaries must never be mixed).
     pub(crate) fn open_shadow(&self, region: RegionId, desc: RegionDescriptor, epoch: u64) {
-        if !self.alive.get() {
-            return;
-        }
         {
             let mut repl = self.repl.borrow_mut();
             let shadow = repl
@@ -580,9 +574,6 @@ impl RegionServer {
     /// Master RPC: `region`'s shadow is obsolete (parent of an applied
     /// split, or this backup left the group).
     pub(crate) fn close_shadow(&self, region: RegionId, epoch: u64) {
-        if !self.alive.get() {
-            return;
-        }
         let removed = {
             let mut repl = self.repl.borrow_mut();
             match repl.shadows.get(&region) {
@@ -598,16 +589,13 @@ impl RegionServer {
     }
 
     /// Master RPC (promotion probe): this backup's view of `region` —
-    /// shadow epoch and sync state; `None` from a dead process. (How far
-    /// the shadow has applied is no part of it: sequence numbers are per
-    /// lane, and every in-sync shadow holds every acknowledged write.)
-    pub(crate) fn query_replica(&self, region: RegionId) -> Option<(u64, bool)> {
-        if !self.alive.get() {
-            return None;
-        }
+    /// shadow epoch and sync state. (How far the shadow has applied is no
+    /// part of it: sequence numbers are per lane, and every in-sync shadow
+    /// holds every acknowledged write.)
+    pub(crate) fn query_replica(&self, region: RegionId) -> (u64, bool) {
         let repl = self.repl.borrow();
         let shadow = repl.shadows.get(&region);
-        Some(shadow.map_or((0, false), |s| (s.epoch, s.synced)))
+        shadow.map_or((0, false), |s| (s.epoch, s.synced))
     }
 
     /// Master RPC: this backup won the promotion for `region` after
@@ -618,9 +606,6 @@ impl RegionServer {
     /// recovery manager replays only the transaction-log suffix above
     /// the persisted floor instead of waiting for a full WAL split.
     pub(crate) fn promote_replica(self: &Rc<Self>, region: RegionId, epoch: u64, failed: ServerId) {
-        if !self.alive.get() {
-            return;
-        }
         let shadow = self.repl.borrow_mut().shadows.remove(&region);
         let Some(shadow) = shadow else {
             return;
@@ -739,11 +724,7 @@ impl RegionServer {
                 self.node,
                 node,
                 bytes,
-                move |reply| {
-                    if let Some(ack) = handle.apply(region, epoch, seq, &element) {
-                        reply.send(40, ack);
-                    }
-                },
+                move |reply| reply.send(40, handle.apply(region, epoch, seq, &element)),
                 move |ack| this.handle_repl_ack(lane, ack),
             );
             self.schedule_ack_timeout(lane, seq);
@@ -757,11 +738,8 @@ impl RegionServer {
     /// client acks forever — but un-gating waits for the master's ack,
     /// see [`RegionServer::lane_event`]).
     fn schedule_ack_timeout(self: &Rc<Self>, lane: LaneId, seq: u64) {
-        let weak = Rc::downgrade(self);
-        self.sim.schedule_in(ACK_TIMEOUT, move || {
-            if let Some(this) = weak.upgrade().filter(|this| this.alive.get()) {
-                this.lane_event(lane, LaneEvent::AckTimeout(seq));
-            }
+        self.after(ACK_TIMEOUT, move |this| {
+            this.lane_event(lane, LaneEvent::AckTimeout(seq))
         });
     }
 
@@ -832,7 +810,7 @@ impl RegionServer {
             },
             move |stale| match stale {
                 Some(stale) => this.finish_lane_drop(lane, stale),
-                None if this.alive.get() => this.report_lane_unsynced(lane),
+                None if this.is_alive() => this.report_lane_unsynced(lane),
                 None => {}
             },
         );
@@ -844,9 +822,6 @@ impl RegionServer {
     /// whole group instead of un-gating (its held acks must fail, never
     /// succeed).
     fn finish_lane_drop(self: &Rc<Self>, id: LaneId, stale: bool) {
-        if !self.alive.get() {
-            return;
-        }
         if !stale {
             self.lane_event(id, LaneEvent::ReportAcked);
         } else if self.repl.borrow_mut().group_of(id).is_some() {
@@ -883,9 +858,6 @@ impl RegionServer {
 
     /// Primary side: a backup's reply to a stream element.
     fn handle_repl_ack(self: &Rc<Self>, id: LaneId, ack: ReplAck) {
-        if !self.alive.get() {
-            return;
-        }
         match ack {
             ReplAck::Applied(seq) => {
                 self.repl_stats.acks.inc();
@@ -938,23 +910,20 @@ impl RegionServer {
     }
 
     /// Backup side: applies one stream element to `region`'s shadow and
-    /// returns its ack — the one ladder every element climbs: alive, not
-    /// fenced out by this server's own primacy, not from a stale epoch,
+    /// returns its ack — the one ladder every element climbs: not fenced
+    /// out by this server's own primacy, not from a stale epoch,
     /// contiguous. A sync re-baselines, so it needs no contiguity and
-    /// creates a missing shadow; anything else must carry exactly the
-    /// next sequence number of a shadow that is in sync.
+    /// creates a missing shadow; anything else must carry exactly the next
+    /// sequence number of a shadow that is in sync.
     fn apply(
         self: &Rc<Self>,
         region: RegionId,
         epoch: u64,
         seq: u64,
         element: &StreamElement,
-    ) -> Option<ReplAck> {
-        if !self.alive.get() {
-            return None;
-        }
+    ) -> ReplAck {
         if let Some(stale) = self.fence_check(region, epoch) {
-            return Some(stale);
+            return stale;
         }
         let ack = {
             let mut repl = self.repl.borrow_mut();
@@ -997,7 +966,7 @@ impl RegionServer {
             }
         };
         self.note_backup_ack(region, &ack);
-        Some(ack)
+        ack
     }
 
     /// Peer side of the idle-lane epoch probe: answers `Stale` only when
@@ -1008,9 +977,6 @@ impl RegionServer {
     /// in flight when a partition cut it off, so no ack timeout ever
     /// fired) discovers a promotion it slept through and fences itself.
     fn probe_epoch(self: &Rc<Self>, region: RegionId, epoch: u64) -> Option<ReplAck> {
-        if !self.alive.get() {
-            return None;
-        }
         if let Some(stale) = self.fence_check(region, epoch) {
             return Some(stale);
         }
@@ -1072,7 +1038,7 @@ impl RegionServer {
     /// snapshot is in flight — its data is in neither the memstore nor
     /// the durable file set yet; the flush completion re-ships.
     pub(super) fn sync_lanes(self: &Rc<Self>, region: RegionId, resync_only: bool) {
-        if !self.alive.get() || !self.replicates(region) {
+        if !self.replicates(region) {
             return;
         }
         let element = {
@@ -1098,9 +1064,6 @@ impl RegionServer {
     /// epoch-probe idle in-sync lanes — a primary with nothing in flight
     /// would otherwise never learn it was superseded behind a partition.
     pub(super) fn check_resyncs(self: &Rc<Self>) {
-        if !self.alive.get() {
-            return;
-        }
         let mut due: Vec<RegionId> = Vec::new();
         let mut probes: Vec<(LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
         {

@@ -79,9 +79,6 @@ impl RegionServer {
     }
 
     pub(super) fn check_flushes(self: &Rc<Self>) {
-        if !self.alive.get() {
-            return;
-        }
         let ccfg = self.cfg.compaction;
         let mut candidates: Vec<RegionId> = Vec::new();
         let overdue = {
@@ -268,9 +265,6 @@ impl RegionServer {
     }
 
     pub(super) fn check_compactions(self: &Rc<Self>) {
-        if !self.alive.get() {
-            return;
-        }
         let cfg = self.cfg.compaction;
         let utilization = self.sample_utilization();
         // One candidate region per tick: compaction competes with
@@ -363,9 +357,6 @@ impl RegionServer {
     /// chosen when the work was queued; it is re-validated here because
     /// flushes (or a region reopen) may have run in between.
     fn run_compaction(self: &Rc<Self>, region: RegionId, plan: PlannedCompaction) {
-        if !self.alive.get() {
-            return;
-        }
         let merged = {
             let regions = self.regions.borrow();
             let Some(st) = regions.get(&region) else {
@@ -446,9 +437,6 @@ impl RegionServer {
         level: u32,
         idx: usize,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         if idx == outputs.len() {
             self.rename_compaction_outputs(region, input_paths, outputs, level, 0);
             return;
@@ -458,9 +446,6 @@ impl RegionServer {
         self.dfs
             .write_file(&tmp, outputs[idx].encode(), move |result| {
                 let Some(server) = weak.upgrade() else { return };
-                if !server.alive.get() {
-                    return;
-                }
                 if result.is_err() {
                     // Filesystem unavailable: give up this attempt; the
                     // temp files are ignorable garbage by construction.
@@ -485,9 +470,6 @@ impl RegionServer {
         level: u32,
         idx: usize,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         if idx == outputs.len() {
             let outputs = (*outputs).clone();
             self.finish_compaction(region, input_paths, outputs, level);
@@ -500,9 +482,6 @@ impl RegionServer {
         let outputs2 = Rc::clone(&outputs);
         self.dfs.clone().rename(&tmp, &final_path, move |renamed| {
             let Some(server) = weak.upgrade() else { return };
-            if !server.alive.get() {
-                return;
-            }
             if renamed.is_err() {
                 server.abort_compaction_cleanup(region, &outputs2, idx, outputs2.len());
                 return;
@@ -610,7 +589,7 @@ impl RegionServer {
         let weak = Rc::downgrade(self);
         self.coord.get_data(&self.id.live_path(), move |znode| {
             let Some(server) = weak.upgrade() else { return };
-            if znode.is_some() && server.alive.get() {
+            if znode.is_some() {
                 destroy(&server);
             }
         });

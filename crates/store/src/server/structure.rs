@@ -133,9 +133,6 @@ impl RegionServer {
     /// pending change of the other kind defers this tick untouched (its
     /// own timer drives it).
     fn candidacy_open(self: &Rc<Self>, kind: ChangeKind) -> bool {
-        if !self.alive.get() {
-            return false;
-        }
         match self.pending_change() {
             Some(pending) if pending == kind => {
                 self.advance_pending_change();
@@ -248,7 +245,7 @@ impl RegionServer {
     /// `merge_region` admin surface; tests and benches use it to
     /// exercise the protocol deterministically.
     pub fn request_region_merge(self: &Rc<Self>, left: RegionId, right: RegionId) -> bool {
-        if !self.alive.get() || self.pending_change.borrow().is_some() {
+        if !self.is_alive() || self.pending_change.borrow().is_some() {
             return false;
         }
         let ok = {
@@ -384,9 +381,6 @@ impl RegionServer {
     /// invalid shape, key or pair). The inputs resume normal
     /// flush/compaction scheduling.
     fn change_request_denied(&self, first: RegionId) {
-        if !self.alive.get() {
-            return;
-        }
         let pending = self
             .pending_change
             .borrow()
@@ -408,9 +402,6 @@ impl RegionServer {
     /// durable in the filesystem (so a failover can resolve the outputs'
     /// file sets), then flips atomically.
     fn execute_change(self: &Rc<Self>, change: StructureChange) {
-        if !self.alive.get() {
-            return;
-        }
         let matches = self
             .pending_change
             .borrow()
@@ -435,11 +426,8 @@ impl RegionServer {
                 .any(|id| regions.get(id).map(|st| !st.quiescent()).unwrap_or(false))
         };
         if busy {
-            let this = Rc::clone(self);
-            self.sim
-                .schedule_in(SimDuration::from_millis(200), move || {
-                    this.execute_change(change)
-                });
+            let retry = SimDuration::from_millis(200);
+            self.after(retry, move |this| this.execute_change(change));
             return;
         }
         let kind = change.kind();
@@ -520,9 +508,6 @@ impl RegionServer {
     /// map never learns about — the master's failover rolls the intent
     /// back and recovers the inputs from their untouched files.
     fn write_change_markers(self: &Rc<Self>, work: Rc<ChangeWork>, idx: usize) {
-        if !self.alive.get() {
-            return;
-        }
         if idx == work.markers.len() {
             self.finish_change(&work);
             return;
@@ -531,9 +516,6 @@ impl RegionServer {
         let weak = Rc::downgrade(self);
         self.dfs.write_file(&path, content, move |result| {
             let Some(server) = weak.upgrade() else { return };
-            if !server.alive.get() {
-                return;
-            }
             if result.is_err() {
                 server.abort_granted_change(&work);
                 return;
@@ -577,9 +559,6 @@ impl RegionServer {
     /// that covers their row. At no instant are an input and an output
     /// both servable. The master is then told to apply the map change.
     fn finish_change(self: &Rc<Self>, work: &ChangeWork) {
-        if !self.alive.get() {
-            return;
-        }
         let change = &work.change;
         let superseded = {
             let mut regions = self.regions.borrow_mut();
@@ -720,9 +699,6 @@ impl RegionServer {
         region: RegionId,
         reply: Reply<bool, D>,
     ) {
-        if !self.alive.get() {
-            return;
-        }
         let ok = self.pending_move.borrow().is_none() && !self.cfg.replication && {
             let regions = self.regions.borrow();
             let st = regions.get(&region);
@@ -756,9 +732,6 @@ impl RegionServer {
         attempts: u32,
     ) {
         const MAX_ATTEMPTS: u32 = 50;
-        if !self.alive.get() {
-            return;
-        }
         let regions = self.regions.borrow();
         let state = regions.get(&region);
         let state = state.map(|st| (!st.quiescent(), !st.memstore.is_empty()));
@@ -769,11 +742,10 @@ impl RegionServer {
                 if dirty && !busy {
                     self.flush_region(region);
                 }
-                let this = Rc::clone(self);
-                self.sim
-                    .schedule_in(SimDuration::from_millis(200), move || {
-                        this.advance_pending_move(region, reply, attempts + 1)
-                    });
+                let poll = SimDuration::from_millis(200);
+                self.after(poll, move |this| {
+                    this.advance_pending_move(region, reply, attempts + 1)
+                });
                 return;
             }
             // Filesystem unavailable: abandon the move and resume serving

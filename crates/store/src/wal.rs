@@ -315,13 +315,7 @@ mod tests {
                 )
             })
             .collect();
-        let nn = NameNode::new(
-            &sim,
-            &net,
-            net.add_node("nn"),
-            dns,
-            NameNodeConfig::default(),
-        );
+        let nn = NameNode::new(&net, net.add_node("nn"), dns, NameNodeConfig::default());
         let server = net.add_node("rs");
         let dfs = DfsClient::new(&sim, &net, &nn, server);
         (sim, net, dfs, server)

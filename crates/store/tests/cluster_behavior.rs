@@ -100,7 +100,7 @@ fn build_full(
     ));
     let datanodes = dns.iter().map(|dn| dn.node()).collect();
     let nn_node = net.add_node("namenode");
-    let nn = NameNode::new(&sim, &net, nn_node, dns, NameNodeConfig::default());
+    let nn = NameNode::new(&net, nn_node, dns, NameNodeConfig::default());
 
     // Master, then the region servers it runs.
     let dir = ServerDirectory::new();

@@ -190,7 +190,7 @@ mod tests {
     fn setup() -> Setup {
         let sim = Sim::new(3);
         let net = Network::new(&sim, LatencyConfig::lan_100mbps());
-        let tm = TransactionManager::new(&sim, net.add_node("txn-manager"));
+        let tm = TransactionManager::new(&sim, &net, net.add_node("txn-manager"));
         let client = TmClient::new(&net, &tm, net.add_node("component"));
         Setup {
             sim,

@@ -3,7 +3,7 @@
 
 use crate::conflict::ConflictChecker;
 use crate::log::{LogRecord, RecoveryLog, RecoveryLogConfig};
-use cumulo_sim::{every, NodeId, Sim, SimDuration};
+use cumulo_sim::{Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -106,7 +106,7 @@ impl fmt::Debug for TransactionManager {
 
 impl TransactionManager {
     /// Creates the manager on `node` and starts its background timers.
-    pub fn new(sim: &Sim, node: NodeId) -> Rc<TransactionManager> {
+    pub fn new(sim: &Sim, net: &Rc<Network>, node: NodeId) -> Rc<TransactionManager> {
         let tm = Rc::new(TransactionManager {
             node,
             conflicts: ConflictChecker::new(),
@@ -119,7 +119,7 @@ impl TransactionManager {
             conflict_aborts: Cell::new(0),
         });
         let weak: Weak<TransactionManager> = Rc::downgrade(&tm);
-        every(sim, PRUNE_INTERVAL, move || {
+        net.every(node, PRUNE_INTERVAL, PRUNE_INTERVAL, move || {
             if let Some(tm) = weak.upgrade() {
                 // Prune at the oldest *pinned* snapshot, not the flush
                 // watermark: the watermark advances past still-running
@@ -295,12 +295,13 @@ impl TransactionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cumulo_sim::LatencyConfig;
     use cumulo_store::Mutation;
 
     fn tm() -> (Sim, Rc<TransactionManager>) {
         let sim = Sim::new(2);
-        let node = NodeId(0);
-        let tm = TransactionManager::new(&sim, node);
+        let net = Network::new(&sim, LatencyConfig::instant());
+        let tm = TransactionManager::new(&sim, &net, net.add_node("txn-manager"));
         (sim, tm)
     }
 

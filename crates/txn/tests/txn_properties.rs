@@ -1,6 +1,6 @@
 //! Property-based tests of the transaction manager's invariants.
 
-use cumulo_sim::{NodeId, Sim, SimDuration, SimTime};
+use cumulo_sim::{LatencyConfig, Network, Sim, SimDuration, SimTime};
 use cumulo_store::{ClientId, Mutation, Timestamp, WriteSet};
 use cumulo_txn::{
     CommitOutcome, ConflictChecker, LogRecord, RecoveryLog, RecoveryLogConfig, Session,
@@ -206,7 +206,8 @@ proptest! {
 #[test]
 fn commit_acks_are_ordered_and_durable() {
     let sim = Sim::new(11);
-    let tm = TransactionManager::new(&sim, NodeId(0));
+    let net = Network::new(&sim, LatencyConfig::instant());
+    let tm = TransactionManager::new(&sim, &net, net.add_node("txn-manager"));
     let acks: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
     for i in 0..50usize {
         let client = ClientId((i % 3) as u32);

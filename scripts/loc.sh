@@ -7,17 +7,51 @@
 # Prints one line per crate and then the total, which is the number
 # ROADMAP's line counts quote.
 #
-# Run from the repository root: sh scripts/loc.sh
+# With a revision argument it prints that revision's count beside the
+# working tree's, per crate and in total, so a change's "parent ->
+# change" count is one command (sh scripts/loc.sh HEAD~1). The
+# revision's committed files are unpacked with git archive into a
+# temporary directory, as scripts/wall_pairs.sh does.
+#
+# Run from the repository root: sh scripts/loc.sh [REV]
 set -eu
-total=0
-for dir in crates/*/src; do
-    crate=$(basename "$(dirname "$dir")")
-    lines=$(find "$dir" -name '*.rs' -print0 | sort -z |
-        xargs -0 awk 'FNR == 1 { counting = 1 }
-            /^#\[cfg\(test\)\]/ { counting = 0 }
-            counting { n++ }
-            END { print n + 0 }' | awk '{ s += $1 } END { print s + 0 }')
-    printf '%-6s %6d\n' "$crate" "$lines"
-    total=$((total + lines))
+
+# Prints "<crate> <lines>" for every crate under $1, then "total <lines>".
+count() {
+    total=0
+    for dir in "$1"/crates/*/src; do
+        crate=$(basename "$(dirname "$dir")")
+        lines=$(find "$dir" -name '*.rs' -print0 | sort -z |
+            xargs -0 awk 'FNR == 1 { counting = 1 }
+                /^#\[cfg\(test\)\]/ { counting = 0 }
+                counting { n++ }
+                END { print n + 0 }' | awk '{ s += $1 } END { print s + 0 }')
+        echo "$crate $lines"
+        total=$((total + lines))
+    done
+    echo "total $total"
+}
+
+if [ $# -eq 0 ]; then
+    count . | while read -r crate lines; do
+        printf '%-6s %6d\n' "$crate" "$lines"
+    done
+    exit 0
+fi
+
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/loc.XXXXXX")
+trap 'rm -rf "$tmp"' EXIT
+git archive --format=tar "$1" | tar -x -C "$tmp"
+count "$tmp" >"$tmp/rev.counts"
+count . >"$tmp/tree.counts"
+printf '%-6s %8s %8s\n' "" "$(git rev-parse --short "$1")" tree
+# The working tree's crates, then any only REV has (0 on the side that
+# lacks it), then the total.
+{
+    cut -d ' ' -f 1 "$tmp/tree.counts" "$tmp/rev.counts" | awk '$1 != "total" && !seen[$1]++'
+    echo total
+} | while read -r crate; do
+    rev=$(awk -v c="$crate" '$1 == c { print $2 }' "$tmp/rev.counts")
+    tree=$(awk -v c="$crate" '$1 == c { print $2 }' "$tmp/tree.counts")
+    printf '%-6s %8d %8d\n' "$crate" "${rev:-0}" "${tree:-0}"
 done
-printf '%-6s %6d\n' total "$total"

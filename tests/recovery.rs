@@ -498,6 +498,41 @@ fn recovery_manager_crash_delays_but_does_not_lose_recovery() {
     }
 }
 
+/// A server crashed at its node ([`cumulo_sim::Network::crash`]) is as
+/// dead as one crashed through [`Cluster::crash_server`]: its timers stop
+/// with the node, so both runs journal the same failover and put the same
+/// messages on the wire.
+#[test]
+fn a_server_crashed_at_its_node_is_as_dead_as_crash_server_makes_it() {
+    let run = |at_node: bool| {
+        let cluster = small_cluster(19);
+        for i in 0..6u64 {
+            run_txn(&cluster, (i % 3) as usize, &[(i * 300, "f0", "v")]);
+        }
+        if at_node {
+            cluster.net.crash(cluster.servers[0].node());
+        } else {
+            cluster.crash_server(0);
+        }
+        cluster.run_for(SimDuration::from_secs(15));
+        assert!(
+            !cluster.servers[0].is_alive(),
+            "crashed at its node: {at_node}"
+        );
+        assert!(cluster.all_regions_online(), "failed over: {at_node}");
+        assert_eq!(cluster.events.dropped(), 0, "the event journal overflowed");
+        let journal: Vec<String> = cluster
+            .events
+            .entries()
+            .iter()
+            .map(|e| format!("{} {} {}", e.time.nanos(), e.kind, e.detail))
+            .collect();
+        let net = &cluster.net;
+        (journal, (net.messages_sent(), net.messages_dropped()))
+    };
+    assert_eq!(run(true), run(false));
+}
+
 /// The recovery manager is down across a server failover, so the
 /// master's failure notification is lost and re-sent every 400 ms; the
 /// first copy to reach the restarted manager stages the replay. When the
