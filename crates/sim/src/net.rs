@@ -859,10 +859,9 @@ mod tests {
         let other = log_ticks(&net, &sim, b, 100);
         sim.run_until(SimTime::from_millis(350));
         assert_eq!(*ticks.borrow(), [7, 107, 207, 307]);
+        // Crashed and restarted between two ticks: a restarted process
+        // re-arms its own timers, and the old ones stay stopped.
         net.crash(a);
-        sim.run_until(SimTime::from_millis(600));
-        // A restarted process re-arms its own timers; the old ones stay
-        // stopped.
         net.restart(a);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(*ticks.borrow(), [7, 107, 207, 307]);

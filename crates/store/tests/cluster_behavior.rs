@@ -275,6 +275,31 @@ impl RecoveryHooks for NeverOnline {
     }
 }
 
+/// Work queued on a server's handlers when it crashes never runs: the
+/// handler pool completes on the kernel, not by a delivery to the
+/// server's node, so its completion asks whether the process lives.
+#[test]
+fn work_queued_on_a_crashed_servers_handlers_never_runs() {
+    let c = build(13, 1, 1, WalSyncMode::Async);
+    let server = &c.servers[0];
+    let ran: Rc<RefCell<Vec<&str>>> = Rc::default();
+    let r = ran.clone();
+    let column = Bytes::from_static(b"f0");
+    server.handle_get(key(0), column, Timestamp(1), move |_| {
+        r.borrow_mut().push("get")
+    });
+    let r = ran.clone();
+    let service = SimDuration::from_millis(1);
+    server.submit_background(service, move || r.borrow_mut().push("background"));
+    server.crash();
+    c.sim.run_for(SimDuration::from_secs(1));
+    assert!(
+        ran.borrow().is_empty(),
+        "ran on a dead server: {:?}",
+        ran.borrow()
+    );
+}
+
 #[test]
 fn get_prefers_online_region_over_offline_coverers() {
     let c = build(11, 1, 1, WalSyncMode::Async);
