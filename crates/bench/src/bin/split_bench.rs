@@ -29,7 +29,7 @@ use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::{Sim, SimDuration};
 use cumulo_ycsb::{KeyDistribution, Workload};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 fn split_cluster(seed: u64, splits: bool, rows: u64) -> Cluster {
@@ -196,7 +196,7 @@ struct Audit {
     clients: Vec<TransactionalClient>,
     stream: Vec<Vec<(u64, u64)>>,
     /// Per key: `(commit ts, value tag)` of the winning write.
-    mirror: RefCell<HashMap<u64, (u64, u64)>>,
+    mirror: RefCell<BTreeMap<u64, (u64, u64)>>,
     committed: Cell<u64>,
     finished: Cell<u64>,
 }
@@ -246,7 +246,7 @@ fn run_audit(splits: bool, rows: u64, txns: u64) -> (u64, u64, u64, u64) {
         sim: cluster.sim.clone(),
         clients: cluster.clients.clone(),
         stream: gen_stream(rows, txns),
-        mirror: RefCell::new(HashMap::new()),
+        mirror: RefCell::new(BTreeMap::new()),
         committed: Cell::new(0),
         finished: Cell::new(0),
     });
@@ -266,9 +266,7 @@ fn run_audit(splits: bool, rows: u64, txns: u64) -> (u64, u64, u64, u64) {
     let mut audited = 0u64;
     let snapshot: Vec<(u64, u64)> = {
         let m = audit.mirror.borrow();
-        let mut v: Vec<(u64, u64)> = m.iter().map(|(k, (_, val))| (*k, *val)).collect();
-        v.sort_unstable();
-        v
+        m.iter().map(|(k, (_, val))| (*k, *val)).collect()
     };
     for (key, val) in snapshot {
         audited += 1;

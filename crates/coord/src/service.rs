@@ -4,7 +4,6 @@ use bytes::Bytes;
 use cumulo_sim::{Network, NodeId, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::{Rc, Weak};
 
@@ -70,7 +69,7 @@ pub struct CoordService {
     /// The node this service runs on.
     node: NodeId,
     znodes: RefCell<BTreeMap<String, Znode>>,
-    sessions: RefCell<HashMap<SessionId, Session>>,
+    sessions: RefCell<BTreeMap<SessionId, Session>>,
     watches: RefCell<Vec<(WatchId, Watch)>>,
     next_session: Cell<u64>,
     next_watch: Cell<u64>,
@@ -102,7 +101,7 @@ impl CoordService {
             net: Rc::clone(net),
             node,
             znodes: RefCell::new(BTreeMap::new()),
-            sessions: RefCell::new(HashMap::new()),
+            sessions: RefCell::new(BTreeMap::new()),
             watches: RefCell::new(Vec::new()),
             next_session: Cell::new(1),
             next_watch: Cell::new(1),
@@ -306,18 +305,13 @@ impl CoordService {
 
     fn expire_dead_sessions(&self) {
         let now = self.sim.now();
-        let mut dead: Vec<SessionId> = self
+        let dead: Vec<SessionId> = self
             .sessions
             .borrow()
             .iter()
             .filter(|(_, s)| now.saturating_since(s.last_touch) > s.timeout)
             .map(|(id, _)| *id)
             .collect();
-        // `sessions` is a HashMap, so the collect above is in hash order,
-        // which varies per process. Expiry deletes ephemerals, and those
-        // deletes fire watches — an observable order. Sort so runs with
-        // the same seed deliver watch events identically.
-        dead.sort_unstable();
         for id in dead {
             self.sessions.borrow_mut().remove(&id);
             self.expired_sessions.set(self.expired_sessions.get() + 1);

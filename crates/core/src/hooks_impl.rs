@@ -13,7 +13,7 @@ use crate::server_tracker::ServerTracker;
 use cumulo_sim::{Network, NodeId, Reply, SimDuration};
 use cumulo_store::{RecoveryHooks, RegionId, RegionServer, ServerId, Timestamp};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -30,7 +30,7 @@ struct Link {
 pub struct MiddlewareHooks {
     link: Rc<Link>,
     master_node: NodeId,
-    trackers: RefCell<HashMap<ServerId, Rc<ServerTracker>>>,
+    trackers: RefCell<BTreeMap<ServerId, Rc<ServerTracker>>>,
 }
 
 impl fmt::Debug for MiddlewareHooks {
@@ -55,7 +55,7 @@ impl MiddlewareHooks {
                 rm: Rc::clone(rm),
             }),
             master_node,
-            trackers: RefCell::new(HashMap::new()),
+            trackers: RefCell::new(BTreeMap::new()),
         })
     }
 

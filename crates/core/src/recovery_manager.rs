@@ -48,7 +48,7 @@ use cumulo_sim::{Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Mutation, RegionId, RegionServer, ServerId, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -122,7 +122,7 @@ pub struct RecoveryManager {
     pins: RefCell<BTreeMap<u64, Timestamp>>,
     next_pin: Cell<u64>,
     /// In-progress region recoveries (also pin `T_P` via their floors).
-    region_tasks: RefCell<HashMap<RegionId, RegionTask>>,
+    region_tasks: RefCell<BTreeMap<RegionId, RegionTask>>,
     next_generation: Cell<u64>,
     /// Regions of each failed server still awaiting recovery.
     pending_regions: RefCell<BTreeMap<ServerId, BTreeSet<RegionId>>>,
@@ -176,7 +176,7 @@ impl RecoveryManager {
             servers: RefCell::new(BTreeMap::new()),
             pins: RefCell::new(BTreeMap::new()),
             next_pin: Cell::new(0),
-            region_tasks: RefCell::new(HashMap::new()),
+            region_tasks: RefCell::new(BTreeMap::new()),
             next_generation: Cell::new(0),
             pending_regions: RefCell::new(BTreeMap::new()),
             staged: RefCell::new(BTreeMap::new()),
@@ -615,15 +615,13 @@ impl RecoveryManager {
                 )
             });
         }
-        // Sorted: `HashMap` order must not pick which replay goes first.
-        let mut waiting: Vec<RegionId> = self
+        let waiting: Vec<RegionId> = self
             .region_tasks
             .borrow()
             .iter()
             .filter(|(_, task)| task.failed == failed && !task.replaying)
             .map(|(region, _)| *region)
             .collect();
-        waiting.sort_unstable();
         for region in waiting {
             self.start_region_replay(region);
         }

@@ -7,7 +7,7 @@ use crate::namenode::NameNode;
 use bytes::Bytes;
 use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::RefCell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -320,7 +320,7 @@ fn pump(client: Rc<ClientInner>, state: Rc<RefCell<FileState>>) {
             client,
             state,
             p.record,
-            Rc::new(RefCell::new(HashSet::new())),
+            Rc::new(RefCell::new(BTreeSet::new())),
             p.done,
         );
     }
@@ -344,7 +344,7 @@ fn attempt_append(
     client: Rc<ClientInner>,
     state: Rc<RefCell<FileState>>,
     record: Bytes,
-    acks: Rc<RefCell<HashSet<usize>>>,
+    acks: Rc<RefCell<BTreeSet<usize>>>,
     done: Box<dyn FnOnce(crate::Result<()>)>,
 ) {
     let (path, targets) = {

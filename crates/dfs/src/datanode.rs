@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use cumulo_sim::{Disk, DiskConfig, NodeId, Sim};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -17,7 +17,7 @@ use std::rc::Rc;
 pub struct DataNode {
     node: NodeId,
     disk: Rc<Disk>,
-    files: RefCell<HashMap<String, Vec<Bytes>>>,
+    files: RefCell<BTreeMap<String, Vec<Bytes>>>,
     appends: Cell<u64>,
     bytes_stored: Cell<u64>,
 }
@@ -39,7 +39,7 @@ impl DataNode {
         Rc::new(DataNode {
             node,
             disk: Disk::new(sim, disk_cfg),
-            files: RefCell::new(HashMap::new()),
+            files: RefCell::new(BTreeMap::new()),
             appends: Cell::new(0),
             bytes_stored: Cell::new(0),
         })

@@ -4,8 +4,7 @@ use crate::datanode::DataNode;
 use crate::error::DfsError;
 use cumulo_sim::{Network, NodeId, SimDuration};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
@@ -279,7 +278,7 @@ impl NameNode {
                 if live.is_empty() || live.len() >= self.cfg.replication {
                     continue;
                 }
-                let current: HashSet<usize> = meta.replicas.iter().copied().collect();
+                let current: BTreeSet<usize> = meta.replicas.iter().copied().collect();
                 let target = (0..self.datanodes.len())
                     .filter(|&i| {
                         !current.contains(&i) && self.net.is_alive(self.datanodes[i].node())

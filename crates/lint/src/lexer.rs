@@ -591,7 +591,7 @@ let ok = 1;
 
     #[test]
     fn allow_directive_multi_rule_and_malformed() {
-        let l = lex("// lint:allow(CD001, CD006, reason = \"both fine\")");
+        let l = lex("// lint:allow(CD001, CD003, reason = \"both fine\")");
         assert_eq!(l.allows[0].rules.len(), 2);
         let bad = lex("// lint:allow(CD001)");
         assert!(bad.allows[0].reason.is_none());

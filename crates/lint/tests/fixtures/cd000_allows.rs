@@ -1,22 +1,17 @@
 // Fixture: directive hygiene. Linted as crates/store/src/fixture.rs.
-use std::collections::HashMap;
 
-// lint:allow(CD001) //~ CD000
-fn reasonless(m: &HashMap<u64, u64>) {
-    for k in m.keys() { //~ CD001
-        emit(*k);
-    }
+struct Reasonless {
+    // lint:allow(CD001) //~ CD000
+    m: std::collections::HashMap<u64, u64>, //~ CD001
 }
 
 // lint:allow(BOGUS, reason = "not a rule id") //~ CD000
 fn malformed() {}
 
-// lint:allow(CD002, reason = "suppresses nothing on this line or the next") //~ CD000
+// lint:allow(CD003, reason = "suppresses nothing on this line or the next") //~ CD000
 fn unused_directive() {}
 
-fn proper(m: &HashMap<u64, u64>) {
+struct Proper {
     // lint:allow(CD001, reason = "fixture: a used directive is not reported")
-    for k in m.keys() {
-        emit(*k);
-    }
+    m: std::collections::HashMap<u64, u64>,
 }

@@ -1,12 +1,12 @@
 // Fixture: randomly seeded hashers and wall-clock time sources.
 // Linted as crates/store/src/fixture.rs (i.e. outside crates/sim).
 
-fn fresh_hasher() -> std::collections::hash_map::RandomState { //~ CD002
-    std::collections::hash_map::RandomState::new() //~ CD002
+fn fresh_hasher() -> std::collections::hash_map::RandomState { //~ CD001
+    std::collections::hash_map::RandomState::new() //~ CD001
 }
 
 fn digest() -> u64 {
-    let h = std::collections::hash_map::DefaultHasher::new(); //~ CD002
+    let h = std::collections::hash_map::DefaultHasher::new(); //~ CD001
     finish(h)
 }
 

@@ -8,23 +8,32 @@ use cumulo_lint::rules::lint_str;
 
 /// (fixture name, virtual workspace path it is linted under, source).
 /// The virtual path drives the path-scoped rules: CD003 is exempt under
-/// `crates/sim`, CD005 only fires on the core client surface, CD006 only
-/// in scheduling/output paths.
+/// `crates/sim`, and CD005 only fires on the core client surface.
 const FIXTURES: &[(&str, &str, &str)] = &[
     (
-        "cd001_bad.rs",
+        "cd001_salted.rs",
         "crates/store/src/fixture.rs",
-        include_str!("fixtures/cd001_bad.rs"),
+        include_str!("fixtures/cd001_salted.rs"),
     ),
     (
-        "cd001_good.rs",
-        "crates/store/src/fixture.rs",
-        include_str!("fixtures/cd001_good.rs"),
+        "cd001_ordered.rs",
+        "crates/sim/src/metrics.rs",
+        include_str!("fixtures/cd001_ordered.rs"),
     ),
     (
-        "cd002_cd003.rs",
+        "cd001_field_decl.rs",
+        "crates/store/src/table.rs",
+        include_str!("fixtures/cd001_field_decl.rs"),
+    ),
+    (
+        "cd001_field_use.rs",
+        "crates/store/src/reader.rs",
+        include_str!("fixtures/cd001_field_use.rs"),
+    ),
+    (
+        "cd001_cd003.rs",
         "crates/store/src/fixture.rs",
-        include_str!("fixtures/cd002_cd003.rs"),
+        include_str!("fixtures/cd001_cd003.rs"),
     ),
     (
         "cd003_sim_ok.rs",
@@ -40,11 +49,6 @@ const FIXTURES: &[(&str, &str, &str)] = &[
         "cd005_surface.rs",
         "crates/core/src/txn_client.rs",
         include_str!("fixtures/cd005_surface.rs"),
-    ),
-    (
-        "cd006_sched.rs",
-        "crates/bench/src/fixture.rs",
-        include_str!("fixtures/cd006_sched.rs"),
     ),
     (
         "cd000_allows.rs",

@@ -1,10 +1,10 @@
 //! Seeded mutation test: builds a scratch workspace on disk, injects a
-//! CD001 violation at a seeded-random position in an otherwise clean
-//! module, and asserts the full pipeline (walker → lexer → rules →
-//! suppressions) detects exactly that violation. This is the linter's
-//! own "does the alarm actually ring" check — a lexer or walker
-//! regression that silently drops files/violations fails here, not in a
-//! future baseline-divergence hunt.
+//! salted `HashMap` or `HashSet` at a seeded-random position in an
+//! otherwise clean module, and asserts the full pipeline (walker →
+//! lexer → rules → suppressions) reports exactly that file and line.
+//! This is the linter's own "does the alarm actually ring" check — a
+//! lexer or walker regression that silently drops files or findings
+//! fails here, not in a future baseline-divergence hunt.
 
 use cumulo_lint::lint_workspace;
 use rand::rngs::StdRng;
@@ -17,17 +17,17 @@ use std::path::{Path, PathBuf};
 const CLEAN_STMTS: &[&str] = &[
     "    let a = keyed.len();",
     "    let b: u64 = keyed.values().sum();",
-    "    let c = keyed.values().copied().max();",
+    "    for (k, v) in keyed.iter() { sink(*k + *v); }",
     "    sink(a as u64);",
     "    sink(b);",
-    "    sink(c.unwrap_or(0));",
+    "    // a HashMap named in a comment is not code",
 ];
 
-/// CD001 violations to inject, one at a time.
+/// Salted collections to inject, one at a time.
 const VIOLATIONS: &[&str] = &[
-    "    for (k, v) in keyed.iter() { sink(*k + *v); }",
-    "    let leak: Vec<u64> = keyed.keys().copied().collect();",
-    "    for k in keyed.keys() { sink(*k); }",
+    "    let m: std::collections::HashMap<u64, u64> = Default::default();",
+    "    let s = std::collections::HashSet::<u64>::new();",
+    "    let copy: HashMap<u64, u64> = keyed.iter().map(|(k, v)| (*k, *v)).collect();",
 ];
 
 fn scratch_root(tag: &str) -> PathBuf {
@@ -53,8 +53,8 @@ fn write_scratch_workspace(root: &Path, module_body: &str) {
 
 fn module_with(stmts: &[&str]) -> String {
     let mut out = String::from(
-        "use std::collections::HashMap;\n\n\
-         fn exercise(keyed: &HashMap<u64, u64>) {\n",
+        "use std::collections::BTreeMap;\n\n\
+         fn exercise(keyed: &BTreeMap<u64, u64>) {\n",
     );
     for s in stmts {
         out.push_str(s);
@@ -65,7 +65,7 @@ fn module_with(stmts: &[&str]) -> String {
 }
 
 #[test]
-fn injected_cd001_is_detected_clean_module_is_not() {
+fn injected_hash_map_is_detected_clean_module_is_not() {
     let mut rng = StdRng::seed_from_u64(0x00C0_D001);
     for round in 0..8u32 {
         let root = scratch_root(&round.to_string());

@@ -119,11 +119,11 @@ impl GaugeVec {
 
 /// A shared map of last-value gauges keyed by a sparse integer id (e.g. a
 /// region id): each key holds an independent gauge, and snapshots come
-/// back sorted by key so consumers stay deterministic. Like [`Gauge`],
+/// back in key order. Like [`Gauge`],
 /// clones share state, and [`MetricsRegistry::gauge_map`] makes one.
 #[derive(Clone)]
 pub struct GaugeMap {
-    v: Rc<RefCell<std::collections::HashMap<u64, u64>>>,
+    v: Rc<RefCell<BTreeMap<u64, u64>>>,
 }
 
 impl fmt::Debug for GaugeMap {
@@ -153,17 +153,14 @@ impl GaugeMap {
         self.v.borrow().get(&key).copied().unwrap_or(0)
     }
 
-    /// Sum over all keys (an order-independent reduction, so the
-    /// underlying map's iteration order is harmless).
+    /// Sum over all keys.
     pub fn total(&self) -> u64 {
         self.v.borrow().values().sum()
     }
 
-    /// All `(key, value)` pairs, sorted by key for determinism.
+    /// All `(key, value)` pairs, in key order.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = self.v.borrow().iter().map(|(k, v)| (*k, *v)).collect();
-        out.sort_unstable();
-        out
+        self.v.borrow().iter().map(|(k, v)| (*k, *v)).collect()
     }
 }
 
@@ -752,7 +749,6 @@ impl MetricsRegistry {
                 Metric::Counter(c) => put(render_key(&r.name, &r.labels), c.get(), true),
                 Metric::Gauge(g) => put(render_key(&r.name, &r.labels), g.get(), false),
                 Metric::Vec { v, slot_label } => {
-                    // lint:allow(CD001, reason = "false positive: this `v` is the GaugeVec inside the Metric::Vec arm, whose snapshot() is an index-ordered Vec, not the map field `v` the name tracker matched")
                     for (i, val) in v.snapshot().into_iter().enumerate() {
                         let mut labels = r.labels.clone();
                         labels.push((slot_label.clone(), i.to_string()));

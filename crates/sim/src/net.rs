@@ -14,8 +14,7 @@
 use crate::kernel::Sim;
 use crate::time::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::marker::PhantomData;
 use std::rc::Rc;
@@ -86,9 +85,9 @@ struct NodeMeta {
 
 struct NetState {
     nodes: Vec<NodeMeta>,
-    partitions: HashSet<(u32, u32)>,
+    partitions: BTreeSet<(u32, u32)>,
     /// Per-(src,dst) earliest next delivery instant, enforcing FIFO order.
-    fifo_horizon: HashMap<(u32, u32), u64>,
+    fifo_horizon: BTreeMap<(u32, u32), u64>,
 }
 
 /// The simulated network. Shared via `Rc`.
@@ -149,8 +148,8 @@ impl Network {
             latency,
             state: RefCell::new(NetState {
                 nodes: Vec::new(),
-                partitions: HashSet::new(),
-                fifo_horizon: HashMap::new(),
+                partitions: BTreeSet::new(),
+                fifo_horizon: BTreeMap::new(),
             }),
             sent: Cell::new(0),
             delivered: Cell::new(0),

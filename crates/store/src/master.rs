@@ -14,7 +14,7 @@ use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
 use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
@@ -173,7 +173,7 @@ pub struct Master {
     dir: Rc<ServerDirectory>,
     region_map: RefCell<RegionMap>,
     hooks: RefCell<Rc<dyn RecoveryHooks>>,
-    handled_failures: RefCell<HashSet<ServerId>>,
+    handled_failures: RefCell<BTreeSet<ServerId>>,
     /// Regions awaiting placement (no live server was available, or
     /// their split WAL records could not be written), with those records
     /// and their failed-server attribution.
@@ -219,7 +219,7 @@ pub struct Master {
     replication_factor: Cell<usize>,
     /// Replica-group epoch last established per region (a probe reply
     /// claiming sync under any other epoch is not trusted).
-    repl_epochs: RefCell<HashMap<RegionId, u64>>,
+    repl_epochs: RefCell<BTreeMap<RegionId, u64>>,
     /// Lanes that may not win a promotion, keyed `(region, epoch,
     /// backup)`. The value is how the lane got here. `false`: established
     /// and not yet confirmed in sync by its primary — a shadow's own word
@@ -227,9 +227,9 @@ pub struct Master {
     /// sync that re-baselined it was in flight. `true`: reported out of
     /// sync by its primary; recording this *before* acking the report is
     /// what lets the primary release its write gates soundly.
-    repl_ineligible: RefCell<HashMap<(RegionId, u64, ServerId), bool>>,
+    repl_ineligible: RefCell<BTreeMap<(RegionId, u64, ServerId), bool>>,
     /// Failovers of replicated regions resolved in flight.
-    pending_recoveries: RefCell<HashMap<RegionId, PendingRecovery>>,
+    pending_recoveries: RefCell<BTreeMap<RegionId, PendingRecovery>>,
     repl_promotions: Counter,
     repl_fallback_replays: Counter,
 }
@@ -266,7 +266,7 @@ impl Master {
             dir,
             region_map: RefCell::new(RegionMap::default()),
             hooks: RefCell::new(Rc::new(NoopHooks)),
-            handled_failures: RefCell::new(HashSet::new()),
+            handled_failures: RefCell::new(BTreeSet::new()),
             unplaced: RefCell::new(Vec::new()),
             split_files: Cell::new(0),
             failovers: counter("master.failovers"),
@@ -282,9 +282,9 @@ impl Master {
             placement_cost: counter("master.placement.cost"),
             registry,
             replication_factor: Cell::new(1),
-            repl_epochs: RefCell::new(HashMap::new()),
-            repl_ineligible: RefCell::new(HashMap::new()),
-            pending_recoveries: RefCell::new(HashMap::new()),
+            repl_epochs: RefCell::new(BTreeMap::new()),
+            repl_ineligible: RefCell::new(BTreeMap::new()),
+            pending_recoveries: RefCell::new(BTreeMap::new()),
             repl_promotions: counter("master.repl.promotions"),
             repl_fallback_replays: counter("master.repl.fallback_replays"),
         })
@@ -533,18 +533,16 @@ impl Master {
     /// Re-groups a failed server's WAL records by the *current* region
     /// map: records tagged with a since-split parent id are partitioned
     /// at the daughter boundary (a record whose region still exists
-    /// passes through untouched). Source groups are visited in sorted
-    /// region order so every region's records — and the store file built
-    /// from them — are the same in every process.
+    /// passes through untouched). Source groups are visited in region
+    /// order, so every region's records — and the store file built from
+    /// them — are the same in every process.
     fn remap_wal_groups(
         &self,
-        grouped: HashMap<RegionId, Vec<WalRecord>>,
+        grouped: BTreeMap<RegionId, Vec<WalRecord>>,
     ) -> BTreeMap<RegionId, Vec<WalRecord>> {
         let map = self.region_map.borrow();
-        let mut source: Vec<(RegionId, Vec<WalRecord>)> = grouped.into_iter().collect();
-        source.sort_by_key(|(id, _)| *id);
         let mut out: BTreeMap<RegionId, Vec<WalRecord>> = BTreeMap::new();
-        for (_, records) in source {
+        for records in grouped.into_values() {
             for rec in records {
                 if map.descriptor(rec.region).is_some() {
                     // Region ids are never reused, so a live id still

@@ -21,7 +21,7 @@
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::types::{RegionId, ServerId};
 use bytes::Bytes;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which structure change a [`StructureChange`] is. Derived from the
@@ -252,17 +252,17 @@ impl RegionDescriptor {
 #[derive(Clone, Debug, Default)]
 pub struct RegionMap {
     regions: Vec<RegionDescriptor>,
-    assignments: HashMap<RegionId, ServerId>,
+    assignments: BTreeMap<RegionId, ServerId>,
     /// Per-server assigned-region counts, maintained incrementally so the
-    /// master's load-aware placement reads a server's load in O(1) instead
-    /// of scanning every assignment (O(regions) per server per placement —
-    /// the scaling cliff the million-key soak exposed).
-    assigned_counts: HashMap<ServerId, usize>,
+    /// master's load-aware placement reads a server's load in one lookup
+    /// instead of scanning every assignment (O(regions) per server per
+    /// placement — the scaling cliff the million-key soak exposed).
+    assigned_counts: BTreeMap<ServerId, usize>,
     /// Backup servers per region (the primary is in `assignments`). Only
     /// populated when region replication is enabled; replica changes bump
     /// the epoch like assignment changes, because the epoch doubles as the
     /// fencing token of the primary→backup ship stream.
-    replicas: HashMap<RegionId, Vec<ServerId>>,
+    replicas: BTreeMap<RegionId, Vec<ServerId>>,
     /// Bumped on every assignment change so caches can detect staleness.
     epoch: u64,
 }
@@ -307,9 +307,9 @@ impl RegionMap {
         });
         RegionMap {
             regions,
-            assignments: HashMap::new(),
-            assigned_counts: HashMap::new(),
-            replicas: HashMap::new(),
+            assignments: BTreeMap::new(),
+            assigned_counts: BTreeMap::new(),
+            replicas: BTreeMap::new(),
             epoch: 0,
         }
     }
@@ -400,22 +400,19 @@ impl RegionMap {
         }
     }
 
-    /// How many regions are currently assigned to `server` — O(1), fed by
-    /// the incrementally-maintained per-server counts.
+    /// How many regions are currently assigned to `server` — one lookup,
+    /// fed by the incrementally-maintained per-server counts.
     pub fn assigned_count(&self, server: ServerId) -> usize {
         self.assigned_counts.get(&server).copied().unwrap_or(0)
     }
 
     /// All regions currently assigned to `server`.
     pub fn regions_of(&self, server: ServerId) -> Vec<RegionId> {
-        let mut out: Vec<RegionId> = self
-            .assignments
+        self.assignments
             .iter()
             .filter(|(_, s)| **s == server)
             .map(|(r, _)| *r)
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
 
     /// Records `region`'s backup set, bumping the epoch (the new epoch is
@@ -439,14 +436,11 @@ impl RegionMap {
 
     /// All regions that keep a backup on `server`, sorted.
     pub fn replica_hosts(&self, server: ServerId) -> Vec<RegionId> {
-        let mut out: Vec<RegionId> = self
-            .replicas
+        self.replicas
             .iter()
             .filter(|(_, backups)| backups.contains(&server))
             .map(|(r, _)| *r)
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
 
     /// Applies an online structure change: the `inputs`' descriptors are
@@ -531,7 +525,7 @@ impl RegionMap {
     }
 
     /// Current assignments, for snapshotting into client caches.
-    pub fn assignments(&self) -> &HashMap<RegionId, ServerId> {
+    pub fn assignments(&self) -> &BTreeMap<RegionId, ServerId> {
         &self.assignments
     }
 }

@@ -227,9 +227,7 @@ impl RegionServer {
     /// served by, and whether it is online. More than one can transiently
     /// cover a row (e.g. an offline parent beside an online daughter
     /// mid-split): the online one is preferred, the lowest id breaks
-    /// ties. A minimum is the same whatever order the map yields its
-    /// regions in — `HashMap` iteration order must never pick the reply —
-    /// and allocates nothing on the path of every read.
+    /// ties. A minimum allocates nothing on the path of every read.
     fn covering_region(&self, row: &[u8]) -> Option<(RegionId, bool)> {
         self.regions
             .borrow()

@@ -35,7 +35,7 @@ use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, GaugeMap};
 use cumulo_sim::{Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
@@ -156,7 +156,7 @@ struct RegionState {
     /// LSM level per store-file path; paths absent from the map are
     /// level 0 (flush outputs, bulk loads, files adopted at open — only
     /// compaction outputs placed below L0 need an entry).
-    file_levels: HashMap<String, u32>,
+    file_levels: BTreeMap<String, u32>,
     online: bool,
     compaction_in_progress: bool,
     /// A structural operation (split, merge or move) on this region is
@@ -175,7 +175,7 @@ impl RegionState {
             memstore,
             flushing: None,
             storefiles,
-            file_levels: HashMap::new(),
+            file_levels: BTreeMap::new(),
             online: false,
             compaction_in_progress: false,
             restructuring: false,
@@ -257,7 +257,7 @@ pub struct RegionServer {
     cache: RefCell<BlockCache>,
     registry: Rc<StoreFileRegistry>,
     dfs: DfsClient,
-    regions: RefCell<HashMap<RegionId, RegionState>>,
+    regions: RefCell<BTreeMap<RegionId, RegionState>>,
     hooks: RefCell<Rc<dyn RecoveryHooks>>,
     storefile_counter: Cell<u64>,
     gets: Counter,
@@ -367,7 +367,7 @@ impl RegionServer {
             cache: RefCell::new(BlockCache::new(cfg.block_cache_capacity)),
             registry: Rc::clone(&master.registry),
             dfs,
-            regions: RefCell::new(HashMap::new()),
+            regions: RefCell::new(BTreeMap::new()),
             hooks: RefCell::new(Rc::new(NoopHooks)),
             storefile_counter: Cell::new(0),
             gets: counter("store.gets"),
@@ -553,9 +553,7 @@ impl RegionServer {
 
     /// Ids of regions currently hosted (online or recovering).
     pub fn hosted_regions(&self) -> Vec<RegionId> {
-        let mut v: Vec<RegionId> = self.regions.borrow().keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.regions.borrow().keys().copied().collect()
     }
 
     /// Whether `region` is hosted here and online.

@@ -18,7 +18,7 @@ use crate::types::{Mutation, RegionId, ServerId, Timestamp};
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge, MetricsRegistry};
 use cumulo_sim::{NodeId, SimDuration};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::{Rc, Weak};
 
@@ -478,9 +478,9 @@ impl ShadowRegion {
 #[derive(Default)]
 pub(super) struct ReplState {
     /// Primary-side groups, keyed by hosted region.
-    groups: HashMap<RegionId, ReplGroup>,
+    groups: BTreeMap<RegionId, ReplGroup>,
     /// Backup-side shadows, keyed by region.
-    shadows: HashMap<RegionId, ShadowRegion>,
+    shadows: BTreeMap<RegionId, ShadowRegion>,
 }
 
 impl ReplState {
@@ -1068,7 +1068,6 @@ impl RegionServer {
         let mut probes: Vec<(LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
         {
             let repl = self.repl.borrow();
-            // lint:allow(CD001, reason = "regions and probes are only collected here; both are sorted below before any send, so hash order never reaches the network")
             for (&region, group) in repl.groups.iter().filter(|(_, g)| !g.fenced) {
                 // Lanes with neither a report nor a sync outstanding.
                 for lane in &group.lanes {
@@ -1088,7 +1087,6 @@ impl RegionServer {
                 }
             }
         }
-        due.sort_unstable();
         due.dedup();
         for region in due {
             self.sync_lanes(region, true);
@@ -1155,7 +1153,6 @@ impl RegionServer {
         let repl = self.repl.borrow();
         let mut backlog = 0u64;
         let mut lag = 0u64;
-        // lint:allow(CD001, reason = "order-independent reduction: a sum and a max over all lanes, both commutative")
         for group in repl.groups.values() {
             for b in group.lanes.iter().filter_map(ReplLane::in_flight) {
                 backlog += b.bytes as u64;

@@ -92,28 +92,20 @@ impl RegionServer {
                 let issued = st.flushing.as_ref().map(|(_, issued)| *issued);
                 issued.is_some_and(|issued| now - issued > FLUSH_REISSUE_AFTER)
             };
-            let mut overdue: Vec<RegionId> = regions
+            let overdue: Vec<RegionId> = regions
                 .values()
                 .filter(unanswered)
                 .map(|st| st.desc.id)
                 .collect();
-            overdue.sort_unstable();
-            let mut due: Vec<(&RegionId, &RegionState)> = regions
-                .iter()
-                .filter(|(_, st)| {
-                    st.online
-                        && !st.flush_busy()
-                        // A restructuring region's file set must stay
-                        // stable between reference creation and the
-                        // flip; its memstore leftovers move to the
-                        // outputs.
-                        && !st.restructuring
-                        && st.memstore.approx_bytes() >= self.cfg.memstore_flush_bytes
-                })
-                .collect();
-            // HashMap iteration order varies per process; flush in region
-            // order so runs with the same seed stay byte-identical.
-            due.sort_unstable_by_key(|(id, _)| **id);
+            let due = regions.iter().filter(|(_, st)| {
+                st.online
+                    && !st.flush_busy()
+                    // A restructuring region's file set must stay stable
+                    // between reference creation and the flip; its
+                    // memstore leftovers move to the outputs.
+                    && !st.restructuring
+                    && st.memstore.approx_bytes() >= self.cfg.memstore_flush_bytes
+            });
             for (id, st) in due {
                 // Flush stall (hard backpressure): past the file-count
                 // limit a flush would only deepen the unmerged backlog,
@@ -270,13 +262,11 @@ impl RegionServer {
         // One candidate region per tick: compaction competes with
         // foreground traffic for handler slots, so pace it. The policy
         // decides per region whether a merge is due; the deepest file
-        // backlog wins (regions in sorted order for determinism).
+        // backlog wins (regions in id order, so ties go to the lowest id).
         let picked = {
             let regions = self.regions.borrow();
-            let mut ordered: Vec<(&RegionId, &RegionState)> = regions.iter().collect();
-            ordered.sort_unstable_by_key(|(id, _)| **id);
             let mut best: Option<(usize, RegionId, PlannedCompaction, u64)> = None;
-            for (id, st) in ordered {
+            for (id, st) in regions.iter() {
                 if !st.online || st.compaction_in_progress || st.restructuring {
                     continue;
                 }
@@ -633,8 +623,7 @@ impl RegionServer {
 
     /// Refreshes the gauges derived from the current file sets: the
     /// worst-case read amplification, the filter-metadata footprint and
-    /// the per-level file/byte profile. (Order-independent reductions
-    /// over the region map, so HashMap iteration order is harmless.)
+    /// the per-level file/byte profile.
     pub(super) fn update_file_metrics(&self) {
         let regions = self.regions.borrow();
         let max_files = regions
@@ -661,7 +650,6 @@ impl RegionServer {
             level_files[level] += 1;
             level_bytes[level] += bytes;
         };
-        // lint:allow(CD001, reason = "order-independent reduction: bump() only adds into per-level counters, so the final gauge values do not depend on region visit order")
         for st in regions.values() {
             if let Some(fl) = st.flushing_file() {
                 bump(0, fl.total_bytes() as u64);

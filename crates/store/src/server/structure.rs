@@ -154,10 +154,8 @@ impl RegionServer {
         // tie-break (same discipline as the compaction scheduler).
         let picked = {
             let regions = self.regions.borrow();
-            let mut ordered: Vec<(&RegionId, &RegionState)> = regions.iter().collect();
-            ordered.sort_unstable_by_key(|(id, _)| **id);
             let mut best: Option<(usize, RegionId, Bytes)> = None;
-            for (id, st) in ordered {
+            for (id, st) in regions.iter() {
                 if !st.restructurable() {
                     continue;
                 }
@@ -203,9 +201,7 @@ impl RegionServer {
                 .iter()
                 .filter(|(_, st)| st.restructurable())
                 .collect();
-            // Adjacency is a key-order property: sort by start key (the
-            // sort also fixes HashMap iteration order, keeping runs with
-            // the same seed byte-identical).
+            // Adjacency is a key-order property: sort by start key.
             hosted.sort_unstable_by(|a, b| a.1.desc.start.cmp(&b.1.desc.start));
             let mut best: Option<(usize, RegionId, RegionId)> = None;
             for w in hosted.windows(2) {

@@ -109,7 +109,7 @@ use crate::types::{MutationKind, RegionId, Timestamp};
 use bytes::Bytes;
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -984,9 +984,9 @@ impl StoreFileData {
 /// daughters may have failed over to different servers by then).
 #[derive(Default)]
 pub struct StoreFileRegistry {
-    files: RefCell<HashMap<String, Rc<StoreFileData>>>,
+    files: RefCell<BTreeMap<String, Rc<StoreFileData>>>,
     /// Outstanding reference half-files per backing (parent) file path.
-    backing_refs: RefCell<HashMap<String, u32>>,
+    backing_refs: RefCell<BTreeMap<String, u32>>,
 }
 
 impl fmt::Debug for StoreFileRegistry {
@@ -1065,14 +1065,13 @@ impl StoreFileRegistry {
     /// and the parent's files could never be deleted after a later
     /// successful split.
     pub fn purge_references_under(&self, prefix: &str) -> usize {
-        let mut victims: Vec<(String, String)> = self
+        let victims: Vec<(String, String)> = self
             .files
             .borrow()
             .iter()
             .filter(|(p, d)| p.starts_with(prefix) && d.is_reference())
             .map(|(p, d)| (p.clone(), d.backing_path().to_owned()))
             .collect();
-        victims.sort();
         for (path, backing) in &victims {
             self.files.borrow_mut().remove(path);
             let _ = self.release_backing_ref(backing);

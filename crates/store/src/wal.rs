@@ -15,7 +15,7 @@ use crate::types::RegionId;
 use cumulo_dfs::{DfsClient, DfsFile};
 use cumulo_sim::{Sim, SimDuration};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -260,7 +260,7 @@ impl Wal {
 pub struct WalSplit {
     /// The log's records grouped by the region they were written for, in
     /// log order within each group.
-    pub groups: HashMap<RegionId, Vec<WalRecord>>,
+    pub groups: BTreeMap<RegionId, Vec<WalRecord>>,
     /// Numbers of the batches that did not decode although a later batch
     /// follows them. A crash can tear only the append it interrupts, so
     /// these were acknowledged as durable and are gone: the caller must

@@ -11,7 +11,7 @@ use cumulo_store::compaction::{
 };
 use cumulo_store::{MemStore, RegionId, StoreFileData, StoreFileEntry, Timestamp};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 const MAX_TS: u64 = 60;
@@ -31,7 +31,7 @@ fn col(c: u8) -> Bytes {
 /// Builds `n_files` store files from the writes (dropping duplicate
 /// versions of the same cell, which cannot occur in a real history).
 fn build_files(writes: &[ArbWrite], n_files: usize) -> Vec<Rc<StoreFileData>> {
-    let mut seen: HashMap<(Bytes, Bytes, u64), usize> = HashMap::new();
+    let mut seen: BTreeMap<(Bytes, Bytes, u64), usize> = BTreeMap::new();
     let mut stores: Vec<MemStore> = (0..n_files).map(|_| MemStore::new()).collect();
     for ((r, c, ts, v), file) in writes {
         let ts = ts % MAX_TS + 1;
@@ -70,8 +70,8 @@ fn folded_get(files: &[Rc<StoreFileData>], r: u8, c: u8, snap: u64) -> Option<By
 
 /// The visible (row, col) -> value map a scan at `snap` produces across a
 /// file set.
-fn folded_scan(files: &[Rc<StoreFileData>], snap: u64) -> HashMap<(Bytes, Bytes), Bytes> {
-    let mut merged: HashMap<(Bytes, Bytes), (Timestamp, Option<Bytes>)> = HashMap::new();
+fn folded_scan(files: &[Rc<StoreFileData>], snap: u64) -> BTreeMap<(Bytes, Bytes), Bytes> {
+    let mut merged: BTreeMap<(Bytes, Bytes), (Timestamp, Option<Bytes>)> = BTreeMap::new();
     for sf in files {
         for (r, c, vv) in sf.scan(b"", None, Timestamp(snap)) {
             match merged.get(&(r.clone(), c.clone())) {
@@ -83,7 +83,6 @@ fn folded_scan(files: &[Rc<StoreFileData>], snap: u64) -> HashMap<(Bytes, Bytes)
         }
     }
     merged
-        // lint:allow(CD001, reason = "map-to-map transform: the collect target is itself a HashMap keyed per cell, so iteration order cannot be observed")
         .into_iter()
         .filter_map(|(k, (_, v))| v.map(|v| (k, v)))
         .collect()
@@ -425,7 +424,6 @@ proptest! {
                 }
             }
             keep.extend(
-                // lint:allow(CD001, reason = "false positive: this `merged` is a MultiMergeResult whose outputs is a key-ordered Vec — the name collides with folded_scan's fold map")
                 merged.outputs.into_iter().map(|sf| (Rc::new(sf), job.output_level)),
             );
             files = keep;

@@ -12,7 +12,7 @@ use cumulo_store::{
     StoreFileEntry, Timestamp, VersionedValue,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 fn arb_mutation() -> impl Strategy<Value = Mutation> {
@@ -703,7 +703,7 @@ proptest! {
         reads in prop::collection::vec((0usize..200, 0u64..120), 1..50),
     ) {
         let mut ms = MemStore::new();
-        let mut model: HashMap<(Bytes, Bytes), Vec<(u64, Option<Bytes>)>> = HashMap::new();
+        let mut model: BTreeMap<(Bytes, Bytes), Vec<(u64, Option<Bytes>)>> = BTreeMap::new();
         for (m, ts) in &writes {
             let value = match &m.kind {
                 MutationKind::Put(v) => Some(v.clone()),

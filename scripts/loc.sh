@@ -2,8 +2,10 @@
 # Non-test lines of the workspace's library and binary sources.
 #
 # Counts the lines of every .rs file under crates/*/src that come before
-# the file's first `#[cfg(test)]` at column 0 (all of them if it has
-# none), so a unit-test module at the end of a file is not counted.
+# the `#[cfg(test)]` at column 0 that opens the file's test module (the
+# next line starts with `mod `; all lines if there is none), so a
+# unit-test module at the end of a file is not counted but a test-only
+# item above production code is.
 # Prints one line per crate and then the total, which is the number
 # ROADMAP's line counts quote.
 #
@@ -22,10 +24,11 @@ count() {
     for dir in "$1"/crates/*/src; do
         crate=$(basename "$(dirname "$dir")")
         lines=$(find "$dir" -name '*.rs' -print0 | sort -z |
-            xargs -0 awk 'FNR == 1 { counting = 1 }
-                /^#\[cfg\(test\)\]/ { counting = 0 }
+            xargs -0 awk 'FNR == 1 { n += held; held = 0; counting = 1 }
+                held { held = 0; if (/^mod /) counting = 0; else n++ }
+                counting && /^#\[cfg\(test\)\]/ { held = 1; next }
                 counting { n++ }
-                END { print n + 0 }' | awk '{ s += $1 } END { print s + 0 }')
+                END { print n + held }' | awk '{ s += $1 } END { print s + 0 }')
         echo "$crate $lines"
         total=$((total + lines))
     done

@@ -12,7 +12,7 @@ use common::{crash_first_observed, key, DiceFaults};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 const ROWS: u64 = 4_000;
@@ -30,7 +30,7 @@ fn chaos_run(seed: u64) {
         ..ClusterConfig::default()
     });
     // acked[row] = latest acked value writer order is by commit timestamp.
-    let acked: Rc<RefCell<HashMap<u64, (u64, String)>>> = Rc::new(RefCell::new(HashMap::new()));
+    let acked: Rc<RefCell<BTreeMap<u64, (u64, String)>>> = Rc::new(RefCell::new(BTreeMap::new()));
     let mut faults = DiceFaults::new();
 
     for round in 0..90u64 {
@@ -98,7 +98,6 @@ fn chaos_run(seed: u64) {
         "seed {seed}: too few acked rows ({})",
         acked.len()
     );
-    // lint:allow(CD001, reason = "per-row verification: each iteration independently asserts one row's value; visit order affects nothing but which assertion fires first on failure")
     for (row, (_, val)) in acked.iter() {
         let got = cluster.read_cell(key(*row), "f0", SimDuration::from_secs(10));
         let got = got.unwrap_or_else(|| panic!("seed {seed}: acked row {row} missing"));
@@ -134,7 +133,7 @@ fn compaction_crash_run(seed: u64) {
     cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(700);
     let cluster = Cluster::build(cfg);
 
-    let acked: Rc<RefCell<HashMap<u64, (u64, String)>>> = Rc::new(RefCell::new(HashMap::new()));
+    let acked: Rc<RefCell<BTreeMap<u64, (u64, String)>>> = Rc::new(RefCell::new(BTreeMap::new()));
     let mut crashed = false;
     for round in 0..110u64 {
         for ci in 0..cluster.clients.len() {
@@ -198,7 +197,6 @@ fn compaction_crash_run(seed: u64) {
         "seed {seed}: too few acked rows ({})",
         acked.len()
     );
-    // lint:allow(CD001, reason = "per-row verification: each iteration independently asserts one row's value; visit order affects nothing but which assertion fires first on failure")
     for (row, (_, val)) in acked.iter() {
         let got = cluster.read_cell(key(*row), "f0", SimDuration::from_secs(10));
         let got = got.unwrap_or_else(|| panic!("seed {seed}: acked row {row} missing"));

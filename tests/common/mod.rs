@@ -39,7 +39,7 @@ use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
 use cumulo_sim::{NodeId, SimDuration};
 use cumulo_store::{ChangeKind, RegionId, RegionServer, ServerId};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// The row key of row `i` of the loaded table.
@@ -108,9 +108,9 @@ pub fn write_load(
     cluster: &Cluster,
     rounds: u64,
     pad: usize,
-) -> Rc<RefCell<HashMap<u64, (u64, String)>>> {
+) -> Rc<RefCell<BTreeMap<u64, (u64, String)>>> {
     let row_count = cluster.config().key_count;
-    let acked: Rc<RefCell<HashMap<u64, (u64, String)>>> = Rc::new(RefCell::new(HashMap::new()));
+    let acked: Rc<RefCell<BTreeMap<u64, (u64, String)>>> = Rc::new(RefCell::new(BTreeMap::new()));
     for round in 0..rounds {
         for ci in 0..cluster.clients.len() {
             let client = cluster.client(ci).clone();

@@ -10,7 +10,7 @@ use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::CompactionPolicyKind;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 const ROWS: u64 = 2_000;
@@ -37,8 +37,7 @@ fn compaction_cluster(seed: u64, compaction: bool) -> Cluster {
     Cluster::build(cfg)
 }
 
-fn verify_acked(cluster: &Cluster, acked: &HashMap<u64, (u64, String)>) {
-    // lint:allow(CD001, reason = "per-row verification: each iteration independently asserts one row's value; visit order affects nothing but which assertion fires first on failure")
+fn verify_acked(cluster: &Cluster, acked: &BTreeMap<u64, (u64, String)>) {
     for (row, (_, val)) in acked.iter() {
         let got = cluster.read_cell(key(*row), "f0", SimDuration::from_secs(10));
         let got = got.unwrap_or_else(|| panic!("acked row {row} missing"));
@@ -210,9 +209,8 @@ fn leveled_policy_under_crash_recovery_loses_no_data() {
         "the schedule never compacted; test is too weak"
     );
     // Newest acked value per row across all three phases must survive.
-    let mut newest: HashMap<u64, (u64, String)> = HashMap::new();
+    let mut newest: BTreeMap<u64, (u64, String)> = BTreeMap::new();
     for acked in [&acked1, &acked2, &acked3] {
-        // lint:allow(CD001, reason = "order-independent merge: newest-timestamp-wins fold into a map, commutative because commit timestamps are unique per row")
         for (row, (ts, val)) in acked.borrow().iter() {
             match newest.get(row) {
                 Some((old_ts, _)) if *old_ts > *ts => {}

@@ -9,7 +9,7 @@ mod common;
 use common::{key, write_load};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const ROWS: u64 = 1_500;
 /// Padding of each written value, so memstores hit the flush threshold
@@ -36,7 +36,7 @@ fn filter_cluster(seed: u64, compaction: bool) -> Cluster {
 }
 
 /// Reads every row once through the probe client.
-fn read_all(cluster: &Cluster) -> HashMap<u64, Option<String>> {
+fn read_all(cluster: &Cluster) -> BTreeMap<u64, Option<String>> {
     (0..ROWS)
         .map(|r| {
             let got = cluster
@@ -79,9 +79,6 @@ fn gets_identical_with_filters_on_and_off_through_failures() {
         with_filters, without_filters,
         "filters changed read results"
     );
-    // `acked` is a `HashMap`: each iteration independently asserts one
-    // row's value, so visit order affects nothing but which assertion
-    // fires first on failure.
     for (row, (_, val)) in acked.borrow().iter() {
         let got = with_filters[row]
             .as_ref()
@@ -134,9 +131,6 @@ fn filters_compose_with_compaction_and_recovery() {
     );
 
     let reads = read_all(&cluster);
-    // `acked` is a `HashMap`: each iteration independently asserts one
-    // row's value, so visit order affects nothing but which assertion
-    // fires first on failure.
     for (row, (_, val)) in acked.borrow().iter() {
         let got = reads[row]
             .as_ref()
