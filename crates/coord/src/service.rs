@@ -303,6 +303,8 @@ impl CoordService {
         }
     }
 
+    /// Sessions expire in id order: expiry deletes ephemerals and those
+    /// deletes fire watches, so the order is observable.
     fn expire_dead_sessions(&self) {
         let now = self.sim.now();
         let dead: Vec<SessionId> = self

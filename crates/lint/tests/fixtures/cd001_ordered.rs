@@ -11,9 +11,9 @@ fn snapshot(m: &GaugeMap) -> Vec<(u64, u64)> {
     m.v.borrow().iter().map(|(k, v)| (*k, *v)).collect()
 }
 
-// The name collision the old name tracker reported: a map field `v`
-// above, and here an unrelated `v` (a `GaugeVec`) iterated by index.
-// Nothing is flagged, so no suppression is needed.
+// A map field named `v` above, and here an unrelated `v` (a `GaugeVec`)
+// iterated by index: a local name shared with a map field is never a
+// finding, so it needs no suppression.
 fn render(metric: &Metric) {
     if let Metric::Vec { v, slot_label } = metric {
         for (i, val) in v.snapshot().into_iter().enumerate() {
