@@ -11,6 +11,7 @@
 
 use super::replication::StreamElement;
 use super::{RegionServer, RegionState};
+use crate::blockcache::BlockCache;
 use crate::bloom::CellKey;
 use crate::codec::WalRecord;
 use crate::error::StoreError;
@@ -199,6 +200,13 @@ impl RegionServer {
     /// Block-cache hit rate so far (Fig. 3's warm-up indicator).
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.borrow().hit_rate()
+    }
+
+    /// The block cache, for inspecting residency and its counters. Drop
+    /// the borrow before driving the simulation: the read path takes it
+    /// mutably.
+    pub fn block_cache(&self) -> std::cell::Ref<'_, BlockCache> {
+        self.cache.borrow()
     }
 
     /// Number of gets served (batched reads count one per cell, so the

@@ -134,3 +134,65 @@ fn an_unwarmed_load_leaves_the_caches_cold() {
         assert_eq!(server.cache_hit_rate(), 0.0, "{}", server.id());
     }
 }
+
+#[test]
+fn a_warm_up_that_overflows_the_cache_is_pinned() {
+    // 700 rows of cache per server, fewer than either server loads
+    // (1,000 and 1,500 rows), so the warm-up evicts.
+    let mut cfg = ClusterConfig {
+        seed: 29,
+        clients: 2,
+        servers: 2,
+        regions: 4,
+        key_count: 2_000,
+        ..ClusterConfig::default()
+    };
+    cfg.server_cfg.block_cache_capacity = 700;
+    let cluster = Cluster::build(cfg);
+    cluster.load_rows(2_500, &["f0"], 8, true);
+    let map = cluster.master.snapshot_map();
+
+    // Per server: cached rows and evictions after the warm-up.
+    let counts: Vec<(usize, u64)> = cluster
+        .servers
+        .iter()
+        .map(|s| (s.block_cache().len(), s.block_cache().evictions()))
+        .collect();
+    assert_eq!(counts, [(700, 300), (700, 800)]);
+
+    // Per region: whether its first and last loaded row stayed cached.
+    let bounds = [(0, 499), (500, 999), (1_000, 1_499), (1_500, 2_499)];
+    let resident: Vec<(bool, bool)> = map
+        .regions()
+        .iter()
+        .zip(bounds)
+        .map(|(desc, (first, last))| {
+            let server = map.server_for(desc.id).expect("assigned");
+            let cache = cluster.servers[server.0 as usize].block_cache();
+            (
+                cache.contains(desc.id, key(first).as_bytes()),
+                cache.contains(desc.id, key(last).as_bytes()),
+            )
+        })
+        .collect();
+    assert_eq!(
+        resident,
+        [(false, true), (false, false), (true, true), (false, true)]
+    );
+
+    // A fixed read sequence, then each server's hits and misses: a read
+    // of an evicted row misses and caches it, so its second read hits.
+    for row in [0, 499, 0, 500, 999, 1_000, 1_499, 1_500, 2_499, 1_500] {
+        let got = cluster.read_cell(key(row), "f0", SimDuration::from_secs(5));
+        assert_eq!(got.as_deref(), Some(&[0x61; 8][..]), "row {row}");
+    }
+    let reads: Vec<(u64, u64, usize, u64)> = cluster
+        .servers
+        .iter()
+        .map(|s| {
+            let cache = s.block_cache();
+            (cache.hits(), cache.misses(), cache.len(), cache.evictions())
+        })
+        .collect();
+    assert_eq!(reads, [(4, 1, 700, 301), (2, 3, 700, 803)]);
+}
