@@ -27,28 +27,46 @@ use cumulo_store::{
 use cumulo_txn::{TmClient, TransactionManager};
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::fmt::Write as _;
+use std::io::Write as _;
 use std::rc::Rc;
 
 /// Row-key prefix of the loaded table.
 const KEY_PREFIX: &str = "user";
 
 /// Writes the key of row `i` of the loaded table over `key`.
-fn write_row_key(key: &mut String, i: u64) {
+fn write_row_key(key: &mut Vec<u8>, i: u64) {
     key.clear();
-    write!(key, "{KEY_PREFIX}{i:012}").expect("a String takes every write");
+    write!(key, "{KEY_PREFIX}{i:012}").expect("a Vec takes every write");
+}
+
+/// Turns `key`, the key of row `i`, into the key of row `i + 1` by
+/// incrementing its decimal digits in place: the loader's rows ascend,
+/// so it steps through them rather than formatting each.
+///
+/// # Panics
+///
+/// If `i + 1` needs more digits than `key` has (13 from row 10^12 on).
+fn next_row_key(key: &mut [u8]) {
+    for digit in key[KEY_PREFIX.len()..].iter_mut().rev() {
+        if *digit < b'9' {
+            *digit += 1;
+            return;
+        }
+        *digit = b'0';
+    }
+    panic!("a row key widens past row 10^12");
 }
 
 /// The first of rows `0..rows` whose key is at or above `bound` (`rows`
 /// if none is): keys ascend with the row number, so a binary search over
 /// numbers finds it.
 fn first_row_at_or_above(bound: &[u8], rows: u64) -> u64 {
-    let mut probe = String::new();
+    let mut probe = Vec::new();
     let (mut lo, mut hi) = (0, rows);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         write_row_key(&mut probe, mid);
-        if probe.as_bytes() < bound {
+        if probe.as_slice() < bound {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -461,11 +479,11 @@ impl Cluster {
         columns.sort_unstable();
         columns.dedup();
         // No key is wider than this one, so sizing by it regrows no file.
-        let mut key = String::new();
+        let mut key = Vec::new();
         write_row_key(&mut key, rows);
         let row_bytes: usize = columns
             .iter()
-            .map(|c| StoreFileBuilder::entry_bytes(key.as_bytes(), c, Some(&value)))
+            .map(|c| StoreFileBuilder::entry_bytes(&key, c, Some(&value)))
             .sum();
         for desc in map.regions() {
             let region = desc.id;
@@ -477,15 +495,20 @@ impl Cluster {
             let count = (end - first) as usize;
             let mut builder =
                 StoreFileBuilder::with_capacity(count * columns.len(), count * row_bytes);
-            let mut region_rows: Vec<Bytes> =
-                Vec::with_capacity(if warm_cache { count } else { 0 });
+            // The region's warm keys, back to back: one allocation that
+            // every cached key is a slice of.
+            write_row_key(&mut key, first);
+            let width = key.len();
+            let mut warm_keys = Vec::with_capacity(if warm_cache { count * width } else { 0 });
             for i in first..end {
-                write_row_key(&mut key, i);
+                if i > first {
+                    next_row_key(&mut key);
+                }
                 for column in &columns {
-                    builder.push(key.as_bytes(), column, Timestamp::ZERO, Some(&value));
+                    builder.push(&key, column, Timestamp::ZERO, Some(&value));
                 }
                 if warm_cache {
-                    region_rows.push(Bytes::copy_from_slice(key.as_bytes()));
+                    warm_keys.extend_from_slice(&key);
                 }
             }
             if builder.is_empty() {
@@ -513,7 +536,11 @@ impl Cluster {
                 .expect("region assigned during load");
             server.attach_storefile(region, data);
             if warm_cache {
-                server.warm_cache(region, region_rows);
+                let warm_keys = Bytes::from(warm_keys);
+                server.warm_cache(
+                    region,
+                    (0..count).map(|j| warm_keys.slice(j * width..(j + 1) * width)),
+                );
             }
         }
     }
@@ -914,5 +941,29 @@ impl FilterTotals {
         } else {
             self.false_positives as f64 / denominator as f64
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stepping_a_row_key_equals_formatting_the_next_one() {
+        let (mut stepped, mut formatted) = (Vec::new(), Vec::new());
+        for i in [0, 8, 9, 99, 1_099, 999_999, 123_456_789, 999_999_999_998] {
+            write_row_key(&mut stepped, i);
+            next_row_key(&mut stepped);
+            write_row_key(&mut formatted, i + 1);
+            assert_eq!(stepped, formatted, "row {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "widens")]
+    fn a_row_key_does_not_step_past_twelve_digits() {
+        let mut key = Vec::new();
+        write_row_key(&mut key, 999_999_999_999);
+        next_row_key(&mut key);
     }
 }

@@ -15,7 +15,8 @@
 //! * a [`Disk`] model with serialized writes and fsync latency;
 //! * a [`ServiceQueue`] modelling a `k`-core CPU, which produces the
 //!   saturation knees that the paper's throughput/latency figures depend on;
-//! * [`metrics`] (histograms, time series) used by the benchmark harness.
+//! * [`metrics`] (histograms, time series) used by the benchmark harness;
+//! * [`FixedState`], the unsalted hasher of the few hash indexes.
 //!
 //! # Example
 //!
@@ -36,6 +37,7 @@
 #![warn(rust_2018_idioms)]
 
 mod disk;
+mod hash;
 mod kernel;
 pub mod metrics;
 mod net;
@@ -44,6 +46,7 @@ mod time;
 pub mod trace;
 
 pub use disk::{Disk, DiskConfig};
+pub use hash::{FixedHasher, FixedState};
 pub use kernel::Sim;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use net::{LatencyConfig, Network, NodeId, Reply, Settle, Within};

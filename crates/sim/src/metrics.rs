@@ -571,7 +571,8 @@ impl MetricsSnapshot {
 /// ```
 #[derive(Clone)]
 pub struct MetricsRegistry {
-    inner: Rc<RefCell<Vec<Registered>>>,
+    /// Keyed by the rendered key, which also rejects a duplicate.
+    inner: Rc<RefCell<BTreeMap<String, Registered>>>,
 }
 
 impl fmt::Debug for MetricsRegistry {
@@ -596,15 +597,15 @@ impl MetricsRegistry {
             .collect();
         let key = render_key(name, &labels);
         let mut inner = self.inner.borrow_mut();
-        assert!(
-            !inner.iter().any(|r| render_key(&r.name, &r.labels) == key),
-            "metric {key} registered twice"
+        assert!(!inner.contains_key(&key), "metric {key} registered twice");
+        inner.insert(
+            key,
+            Registered {
+                name: name.to_owned(),
+                labels,
+                metric,
+            },
         );
-        inner.push(Registered {
-            name: name.to_owned(),
-            labels,
-            metric,
-        });
     }
 
     /// Creates and registers a [`Counter`].
@@ -675,7 +676,7 @@ impl MetricsRegistry {
     pub fn sum(&self, name: &str) -> u64 {
         self.inner
             .borrow()
-            .iter()
+            .values()
             .filter(|r| r.name == name)
             .map(|r| match &r.metric {
                 Metric::Counter(c) => c.get(),
@@ -692,7 +693,7 @@ impl MetricsRegistry {
     pub fn max(&self, name: &str) -> u64 {
         self.inner
             .borrow()
-            .iter()
+            .values()
             .filter(|r| r.name == name)
             .map(|r| match &r.metric {
                 Metric::Counter(c) => c.get(),
@@ -709,7 +710,7 @@ impl MetricsRegistry {
     /// sized to the longest vector.
     pub fn sum_vec(&self, name: &str) -> Vec<u64> {
         let mut out: Vec<u64> = Vec::new();
-        for r in self.inner.borrow().iter().filter(|r| r.name == name) {
+        for r in self.inner.borrow().values().filter(|r| r.name == name) {
             if let Metric::Vec { v, .. } = &r.metric {
                 let snap = v.snapshot();
                 if out.len() < snap.len() {
@@ -727,7 +728,7 @@ impl MetricsRegistry {
     /// sorted by key.
     pub fn sum_map(&self, name: &str) -> Vec<(u64, u64)> {
         let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-        for r in self.inner.borrow().iter().filter(|r| r.name == name) {
+        for r in self.inner.borrow().values().filter(|r| r.name == name) {
             if let Metric::Map { m, .. } = &r.metric {
                 for (k, v) in m.snapshot() {
                     *merged.entry(k).or_insert(0) += v;
@@ -744,10 +745,10 @@ impl MetricsRegistry {
         let mut put = |key: String, value: u64, monotonic: bool| {
             entries.insert(key, SnapEntry { value, monotonic });
         };
-        for r in self.inner.borrow().iter() {
+        for (key, r) in self.inner.borrow().iter() {
             match &r.metric {
-                Metric::Counter(c) => put(render_key(&r.name, &r.labels), c.get(), true),
-                Metric::Gauge(g) => put(render_key(&r.name, &r.labels), g.get(), false),
+                Metric::Counter(c) => put(key.clone(), c.get(), true),
+                Metric::Gauge(g) => put(key.clone(), g.get(), false),
                 Metric::Vec { v, slot_label } => {
                     for (i, val) in v.snapshot().into_iter().enumerate() {
                         let mut labels = r.labels.clone();

@@ -11,14 +11,17 @@
 //! granularity, which is what decides hit-or-miss service time.
 //!
 //! The hot read path hits [`BlockCache::access`] once per get, so the
-//! index is a two-level `HashMap<RegionId, HashMap<Bytes, usize>>` into
-//! the intrusive LRU list: hit-path lookups are O(1) *and*
-//! allocation-free (the inner map is queried by `&[u8]`, no owned key is
+//! index is two levels into the intrusive LRU list: a `BTreeMap` over
+//! the few regions a server hosts, and per region a hash index of rows
+//! under the unsalted [`FixedState`]. Hit-path lookups are O(1) *and*
+//! allocation-free (the row index is queried by `&[u8]`, no owned key is
 //! built for a probe), and evicting a region on a move or compaction
 //! walks only that region's entries instead of the whole cache.
 
 use crate::types::RegionId;
 use bytes::Bytes;
+use cumulo_sim::FixedState;
+use std::collections::BTreeMap;
 use std::fmt;
 
 type Key = (RegionId, Bytes);
@@ -50,10 +53,10 @@ struct Entry {
 /// ```
 pub struct BlockCache {
     capacity: usize,
-    /// Per-region index into `entries`; the inner map is queried by
+    /// Per-region index into `entries`; the row index is queried by
     /// borrowed `&[u8]` rows so the hit path never allocates.
-    // lint:allow(CD001, reason = "hit on every get and priced by the benchmark's cache micro-loop; only membership and lookup reach an output, and evict_region sorts the one iteration it does")
-    map: std::collections::HashMap<RegionId, std::collections::HashMap<Bytes, usize>>,
+    // lint:allow(CD001, reason = "the row index is hit on every get; unsalted (FixedState), so its layout is the same in every process, and only membership and lookup reach an output: evict_region sorts the one iteration it does")
+    map: BTreeMap<RegionId, std::collections::HashMap<Bytes, usize, FixedState>>,
     len: usize,
     entries: Vec<Entry>,
     free: Vec<usize>,
@@ -167,57 +170,70 @@ impl BlockCache {
     }
 
     /// Inserts a block (after a miss fetched it), evicting the least
-    /// recently used block if full.
+    /// recently used block if full. A row already cached is refreshed.
     pub fn insert(&mut self, region: RegionId, row: Bytes) {
-        if let Some(&idx) = self.map.get(&region).and_then(|rows| rows.get(&row)) {
+        let (entries, free) = (&mut self.entries, &mut self.free);
+        let mut fresh = false;
+        let idx = *self
+            .map
+            .entry(region)
+            .or_default()
+            .entry(row)
+            .or_insert_with_key(|row| {
+                fresh = true;
+                let entry = Entry {
+                    key: (region, row.clone()),
+                    prev: NIL,
+                    next: NIL,
+                };
+                match free.pop() {
+                    Some(i) => {
+                        entries[i] = entry;
+                        i
+                    }
+                    None => {
+                        entries.push(entry);
+                        entries.len() - 1
+                    }
+                }
+            });
+        if fresh {
+            self.len += 1;
+        } else {
             self.detach(idx);
-            self.attach_front(idx);
-            return;
         }
-        if self.len >= self.capacity {
+        self.attach_front(idx);
+        if self.len > self.capacity {
             let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
             self.detach(victim);
             let vkey = self.entries[victim].key.clone();
             self.unindex(&vkey);
             self.free.push(victim);
             self.evictions += 1;
         }
-        let key = (region, row);
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.entries[i] = Entry {
-                    key: key.clone(),
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.entries.push(Entry {
-                    key: key.clone(),
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.entries.len() - 1
-            }
-        };
-        self.map.entry(region).or_default().insert(key.1, idx);
-        self.len += 1;
-        self.attach_front(idx);
     }
 
-    /// Makes room in the index for `additional` more blocks of `region`
-    /// (no more than the cache can still take), so a run of inserts —
-    /// a warm-up — hashes each row once instead of again on every
-    /// doubling of the table.
-    pub fn reserve(&mut self, region: RegionId, additional: usize) {
-        let room = additional.min(self.capacity - self.len);
-        if room == 0 {
-            return;
+    /// Inserts `rows` of `region` in order, leaving the cache as that run
+    /// of [`BlockCache::insert`]s would (the paper's pre-measurement
+    /// warm-up). The region's index and the slots are sized up front for
+    /// the rows that can stay, so the run hashes each row once instead of
+    /// again on every doubling of the table.
+    pub fn warm(&mut self, region: RegionId, rows: impl ExactSizeIterator<Item = Bytes>) {
+        let n = rows.len();
+        if n > 0 {
+            self.map
+                .entry(region)
+                .or_default()
+                .reserve(n.min(self.capacity));
+            // An insert links before it evicts, so a cache that evicts
+            // uses one slot more than its capacity.
+            let slots = (self.len + n).min(self.capacity + 1);
+            self.entries
+                .reserve(slots.saturating_sub(self.entries.len()));
         }
-        self.entries.reserve(room.saturating_sub(self.free.len()));
-        self.map.entry(region).or_default().reserve(room);
+        for row in rows {
+            self.insert(region, row);
+        }
     }
 
     /// Drops every cached block of `region` (used when a region moves away
@@ -279,6 +295,9 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use std::hash::BuildHasher;
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -350,32 +369,80 @@ mod tests {
         assert_eq!(c.len(), 3);
     }
 
-    #[test]
-    fn reserving_changes_nothing_but_capacity() {
-        let fill = |reserve: bool| {
-            let mut c = BlockCache::new(50);
-            c.insert(RegionId(1), b("k0"));
-            if reserve {
-                c.reserve(RegionId(0), 80);
-                c.reserve(RegionId(2), 0);
+    /// Whether each of `regions` × `rows` is cached, as `(region, row)`.
+    fn resident(c: &BlockCache, regions: u32, rows: u32) -> Vec<(u32, u32)> {
+        (0..regions)
+            .flat_map(|r| (0..rows).map(move |k| (r, k)))
+            .filter(|&(r, k)| c.contains(RegionId(r), format!("k{k}").as_bytes()))
+            .collect()
+    }
+
+    proptest! {
+        /// `warm` leaves the cache as a run of `insert`s would: the same
+        /// rows, counters, and LRU order, which a probe sequence and then
+        /// a stream of fresh rows (each evicting the current tail) reveal.
+        #[test]
+        fn warming_equals_inserting_in_order(
+            existing in prop::collection::vec((0u32..3, 0u32..40), 0..30),
+            rows in prop::collection::vec(0u32..40, 0..50),
+            probes in prop::collection::vec((0u32..3, 0u32..40), 0..20),
+        ) {
+            let n = rows.len();
+            for capacity in [1, n / 2, n.saturating_sub(1), n, n + 1, n + 35] {
+                let capacity = capacity.max(1);
+                for existing in [&existing[..], &[]] {
+                    let mut caches = [BlockCache::new(capacity), BlockCache::new(capacity)];
+                    for c in &mut caches {
+                        for &(r, k) in existing {
+                            c.insert(RegionId(r), b(&format!("k{k}")));
+                        }
+                    }
+                    let [warmed, inserted] = &mut caches;
+                    warmed.warm(RegionId(0), rows.iter().map(|k| b(&format!("k{k}"))));
+                    for k in &rows {
+                        inserted.insert(RegionId(0), b(&format!("k{k}")));
+                    }
+                    for &(r, k) in &probes {
+                        let row = format!("k{k}");
+                        prop_assert_eq!(
+                            warmed.access(RegionId(r), row.as_bytes()),
+                            inserted.access(RegionId(r), row.as_bytes())
+                        );
+                    }
+                    for i in 0..=capacity {
+                        prop_assert_eq!(warmed.len(), inserted.len());
+                        prop_assert_eq!(warmed.hits(), inserted.hits());
+                        prop_assert_eq!(warmed.misses(), inserted.misses());
+                        prop_assert_eq!(warmed.evictions(), inserted.evictions());
+                        prop_assert_eq!(resident(warmed, 3, 40), resident(inserted, 3, 40));
+                        warmed.insert(RegionId(7), b(&format!("fresh{i}")));
+                        inserted.insert(RegionId(7), b(&format!("fresh{i}")));
+                    }
+                }
             }
-            for i in 0..80 {
-                c.insert(RegionId(0), b(&format!("k{i}")));
-            }
-            c
-        };
-        let (plain, reserved) = (fill(false), fill(true));
-        assert_eq!(reserved.len(), plain.len());
-        assert_eq!(reserved.evictions(), plain.evictions());
-        for i in 0..80 {
-            let row = format!("k{i}");
-            assert_eq!(
-                reserved.contains(RegionId(0), row.as_bytes()),
-                plain.contains(RegionId(0), row.as_bytes()),
-                "{row}"
-            );
         }
-        assert!(!reserved.map.contains_key(&RegionId(2)));
+    }
+
+    #[test]
+    fn warming_nothing_indexes_no_region() {
+        let mut c = BlockCache::new(4);
+        c.warm(RegionId(2), std::iter::empty());
+        assert!(c.map.is_empty());
+    }
+
+    #[test]
+    fn sequential_rows_spread_over_the_index() {
+        // The loader's keys differ only in their last digits. The index
+        // takes its bucket from a hash's low bits and its probe tags from
+        // the top 7, so both must spread.
+        let hashes: Vec<u64> = (0..65_536u64)
+            .map(|i| FixedState.hash_one(format!("user{i:012}").as_bytes()))
+            .collect();
+        let low: BTreeSet<u64> = hashes.iter().map(|h| h & 0xffff).collect();
+        let top: BTreeSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        // About 41,400 expected of a random function.
+        assert!(low.len() > 40_000, "{} distinct low 16 bits", low.len());
+        assert_eq!(top.len(), 128);
     }
 
     #[test]

@@ -39,32 +39,36 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 const SEED_H1: u64 = 0x9e37_79b9_7f4a_7c15;
 const SEED_H2: u64 = 0xc2b2_ae3d_27d4_eb4f;
 
-/// Seeded FNV-1a over the length-prefixed `(row, column)` pair. The
-/// length prefix keeps `("ab", "c")` and `("a", "bc")` distinct.
-fn fnv1a(seed: u64, row: &[u8], column: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET ^ seed;
-    for b in (row.len() as u32).to_be_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    for &b in row {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    for &b in column {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Seeded FNV-1a over the length-prefixed `(row, column)` pair, one
+/// stream per seed, all in one pass over the bytes. The length prefix
+/// keeps `("ab", "c")` and `("a", "bc")` distinct.
+fn fnv1a<const N: usize>(seeds: [u64; N], row: &[u8], column: &[u8]) -> [u64; N] {
+    let mut hashes = seeds.map(|seed| FNV_OFFSET ^ seed);
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            for h in &mut hashes {
+                *h = (*h ^ b as u64).wrapping_mul(FNV_PRIME);
+            }
+        }
+    };
+    eat(&(row.len() as u32).to_be_bytes());
+    eat(row);
+    eat(column);
+    hashes
 }
 
 /// The double-hashing pair `(h1, h2)` of a `(row, column)` key. The
 /// stride `h2` is forced odd so it never degenerates to probing one bit.
 pub fn hash_pair(row: &[u8], column: &[u8]) -> (u64, u64) {
-    (cell_hash(row, column), fnv1a(SEED_H2, row, column) | 1)
+    let [h1, h2] = fnv1a([SEED_H1, SEED_H2], row, column);
+    (h1, h2 | 1)
 }
 
 /// The first half of [`hash_pair`] alone: what addresses a store file's
 /// hash index, for callers that probe no filter.
 pub fn cell_hash(row: &[u8], column: &[u8]) -> u64 {
-    fnv1a(SEED_H1, row, column)
+    let [h1] = fnv1a([SEED_H1], row, column);
+    h1
 }
 
 /// A requested `(row, column)` with its [`hash_pair`] taken once. A point
@@ -272,6 +276,20 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn hash_pair_values_are_pinned() {
+        // Persisted in every filter and deciding every store file's hash
+        // index layout: these two values must never change.
+        assert_eq!(
+            hash_pair(b"user000000000001", b"f0"),
+            (11_276_055_705_951_501_446, 7_981_344_869_512_685_005)
+        );
+        assert_eq!(
+            cell_hash(b"user000000000001", b"f0"),
+            11_276_055_705_951_501_446
+        );
     }
 
     #[test]

@@ -222,13 +222,8 @@ impl RegionServer {
 
     /// Pre-warms the block cache with the given rows (the paper warms the
     /// cache before measuring, §4.1).
-    pub fn warm_cache(&self, region: RegionId, rows: impl IntoIterator<Item = Bytes>) {
-        let mut cache = self.cache.borrow_mut();
-        let rows = rows.into_iter();
-        cache.reserve(region, rows.size_hint().0);
-        for row in rows {
-            cache.insert(region, row);
-        }
+    pub fn warm_cache(&self, region: RegionId, rows: impl ExactSizeIterator<Item = Bytes>) {
+        self.cache.borrow_mut().warm(region, rows);
     }
 
     /// The hosted region a get of `row` (or a scan starting there) is
