@@ -71,14 +71,6 @@ impl Hasher for FixedHasher {
         }
     }
 
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
     fn write_u64(&mut self, i: u64) {
         self.add(i);
     }
