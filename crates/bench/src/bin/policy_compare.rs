@@ -215,7 +215,6 @@ fn measure(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit(
     phase: &str,
     policy: &str,

@@ -67,13 +67,18 @@ mod persist_tracker;
 mod recovery_client;
 mod recovery_manager;
 mod server_tracker;
-// Clippy backstop for the CD005 no-panic contract on the public client
-// surface: `determinism_lint` catches unwrap/expect/panic! lexically,
-// clippy catches what a token heuristic can miss (macro-expanded or
-// reformatted calls). CI runs clippy with `-D warnings`, so these are
-// effectively denied; the five vetted internal-invariant sites carry
-// explicit `#[allow]`s with lint:allow reasons alongside.
-#[warn(clippy::unwrap_used, clippy::expect_used)]
+// CD005, the no-panic contract of the public client surface: misuse
+// surfaces as a `TxnError`, never a panic. Tests may still unwrap
+// (clippy.toml's `allow-*-in-tests`); each vetted internal-invariant
+// site carries an `#[expect(clippy::expect_used, reason = "...")]`.
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 mod txn_client;
 
 pub use cluster::{Cluster, ClusterConfig, CompactionTotals, FilterTotals, StructureTotals};

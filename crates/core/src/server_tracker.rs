@@ -90,7 +90,10 @@ impl ServerTracker {
         }
         let this = Rc::clone(self);
         let beat = self.cfg.heartbeat_interval;
-        // lint:allow(CD004, reason = "heartbeat first-fire stagger draws from the seeded sim RNG; the desync avoids lockstep heartbeats and all pinned baselines include this draw")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "heartbeat first-fire stagger draws from the seeded sim RNG; the desync avoids lockstep heartbeats and all pinned baselines include this draw"
+        )]
         let first = self.sim.jitter(beat, 0.9);
         let node = self.server.node();
         self.net.every(node, first, beat, move || this.heartbeat());

@@ -401,9 +401,11 @@ impl Transaction {
             (local, misses)
         };
         if misses.is_empty() {
-            #[allow(clippy::expect_used)]
+            #[expect(
+                clippy::expect_used,
+                reason = "internal invariant, not client input: the misses.is_empty() branch guarantees every slot was filled from the write-set"
+            )]
             let out: Vec<Option<Bytes>> =
-                // lint:allow(CD005, reason = "internal invariant, not client input: the misses.is_empty() branch guarantees every slot was filled from the write-set")
                 local.into_iter().map(|v| v.expect("all local")).collect();
             self.inner
                 .sim
@@ -422,10 +424,12 @@ impl Transaction {
                 for ((i, _, _), vv) in misses.into_iter().zip(values) {
                     out[i] = Some(vv.and_then(|v| v.value));
                 }
-                #[allow(clippy::expect_used)]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "internal invariant, not client input: every miss slot was just filled from the store batch reply above"
+                )]
                 let filled: Vec<Option<Bytes>> = out
                     .into_iter()
-                    // lint:allow(CD005, reason = "internal invariant, not client input: every miss slot was just filled from the store batch reply above")
                     .map(|v| v.expect("filled by store batch"))
                     .collect();
                 done(Ok(filled));
@@ -508,8 +512,10 @@ impl Transaction {
             return Err(e);
         }
         let mut active = self.inner.active.borrow_mut();
-        #[allow(clippy::expect_used)]
-        // lint:allow(CD005, reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`")
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`"
+        )]
         let write_set = active.get_mut(&self.id).expect("checked by state_err");
         write_set.push(Mutation::put(row.into(), column.into(), value.into()));
         Ok(())
@@ -521,8 +527,10 @@ impl Transaction {
             return Err(e);
         }
         let mut active = self.inner.active.borrow_mut();
-        #[allow(clippy::expect_used)]
-        // lint:allow(CD005, reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`")
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`"
+        )]
         let write_set = active.get_mut(&self.id).expect("checked by state_err");
         write_set.push(Mutation::delete(row.into(), column.into()));
         Ok(())
@@ -554,13 +562,15 @@ impl Transaction {
             self.fail(e, done);
             return;
         }
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`"
+        )]
         let ws = self
             .inner
             .active
             .borrow_mut()
             .remove(&self.id)
-            // lint:allow(CD005, reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`")
             .expect("checked by state_err");
         let txn = self.id;
         if ws.is_empty() {
@@ -670,7 +680,10 @@ impl TransactionalClient {
     /// run's `txn.*{client=<id>}` metrics. Call
     /// [`TransactionalClient::start`] before using it so it registers
     /// with the recovery manager.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a client is born wired: it takes every component it runs with, and a struct of them would only be unpacked here"
+    )]
     pub fn new(
         sim: &Sim,
         net: &Rc<Network>,
@@ -741,7 +754,10 @@ impl TransactionalClient {
                         .create(&paths::client_live(inner2.id), Bytes::new(), Some(sid));
                     let inner3 = Rc::clone(&inner2);
                     let beat = inner2.cfg.heartbeat_interval;
-                    // lint:allow(CD004, reason = "client heartbeat stagger draws from the seeded sim RNG; the desync avoids lockstep heartbeats and all pinned baselines include this draw")
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "client heartbeat stagger draws from the seeded sim RNG; the desync avoids lockstep heartbeats and all pinned baselines include this draw"
+                    )]
                     let first = inner2.sim.jitter(beat, 0.9);
                     let node = inner2.node;
                     inner2

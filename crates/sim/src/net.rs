@@ -328,6 +328,10 @@ impl Network {
                 return;
             }
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "message latency jitter: every send between two nodes draws it from the seeded sim RNG; the latency model and all pinned baselines include this draw"
+        )]
         let lat = if from == to {
             self.latency.loopback
         } else {

@@ -55,7 +55,10 @@ pub struct BlockCache {
     capacity: usize,
     /// Per-region index into `entries`; the row index is queried by
     /// borrowed `&[u8]` rows so the hit path never allocates.
-    // lint:allow(CD001, reason = "the row index is hit on every get; unsalted (FixedState), so its layout is the same in every process, and only membership and lookup reach an output: evict_region sorts the one iteration it does")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the row index is hit on every get; unsalted (FixedState), so its layout is the same in every process, and only membership and lookup reach an output: evict_region sorts the one iteration it does"
+    )]
     map: BTreeMap<RegionId, std::collections::HashMap<Bytes, usize, FixedState>>,
     len: usize,
     entries: Vec<Entry>,

@@ -317,6 +317,10 @@ const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(15);
 /// Cap on the exponential retry backoff.
 const MAX_BACKOFF: SimDuration = SimDuration::from_millis(500);
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "retry backoff jitter draws from the seeded sim RNG; the desync keeps retrying clients apart and all pinned baselines include this draw"
+)]
 fn backoff(inner: &Inner, attempt: u32) -> SimDuration {
     let factor = 1u64 << attempt.min(5);
     let d = (RETRY_BACKOFF * factor).min(MAX_BACKOFF);

@@ -559,7 +559,6 @@ impl RegionServer {
     /// Matches Algorithm 3 "On receive": WAL-buffer append, memstore
     /// apply, PQ tracking via the hook, then the ack — immediately in
     /// Async mode, after the filesystem sync in Sync mode.
-    #[allow(clippy::too_many_arguments)]
     pub fn handle_multi_put(
         self: &Rc<Self>,
         region: RegionId,

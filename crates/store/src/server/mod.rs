@@ -414,13 +414,19 @@ impl RegionServer {
 
         // Async WAL sync.
         if self.cfg.wal_mode == WalSyncMode::Async {
-            // lint:allow(CD004, reason = "WAL sync phase stagger draws from the seeded sim RNG; per-server desync is intended and pinned baselines include this draw")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "WAL sync phase stagger draws from the seeded sim RNG; per-server desync is intended and pinned baselines include this draw"
+            )]
             let first = self.sim.jitter(self.cfg.wal_sync_interval, 0.5);
             self.every(first, self.cfg.wal_sync_interval, |s| s.wal.sync(|| {}));
         }
 
         // Memstore flush checks.
-        // lint:allow(CD004, reason = "flush check phase stagger draws from the seeded sim RNG; per-server desync is intended and pinned baselines include this draw")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "flush check phase stagger draws from the seeded sim RNG; per-server desync is intended and pinned baselines include this draw"
+        )]
         let first = self.sim.jitter(self.cfg.flush_check_interval, 0.5);
         self.every(first, self.cfg.flush_check_interval, Self::check_flushes);
 

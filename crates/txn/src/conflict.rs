@@ -32,7 +32,10 @@ use std::fmt;
 /// ```
 #[derive(Default)]
 pub struct ConflictChecker {
-    // lint:allow(CD001, reason = "hit on every commit; unsalted (FixedState), so its layout is the same in every process, and it is only probed, written and pruned by retain, so its order never reaches an output")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "hit on every commit; unsalted (FixedState), so its layout is the same in every process, and it is only probed, written and pruned by retain, so its order never reaches an output"
+    )]
     last_writer: RefCell<std::collections::HashMap<(Bytes, Bytes), Timestamp, FixedState>>,
 }
 

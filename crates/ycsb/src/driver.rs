@@ -234,7 +234,6 @@ fn start_txn(inner: Rc<DriverInner>, thread: usize, arrival: SimTime, interval_n
     });
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_op(
     inner: Rc<DriverInner>,
     txn: Transaction,

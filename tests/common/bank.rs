@@ -125,7 +125,11 @@ pub fn run_until(
 
 /// Shifts the RNG stream by `shift` extra draws so the same logical
 /// schedule runs under perturbed timings (the repo's standard seed-race
-/// probe).
+/// probe). This is the only deliberate stream shift in the repo.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the probe's purpose: extra draws from the seeded sim RNG shift every later draw"
+)]
 pub fn shift_rng(cluster: &Cluster, shift: u32) {
     for _ in 0..shift {
         let _ = cluster.sim.jitter(SimDuration::from_secs(1), 0.5);

@@ -29,9 +29,10 @@
 //! three-client [`small_cluster`], [`run_txn`] / [`begin_txn`] to drive
 //! one transaction, and the flush-forcing [`write_load`].
 
-// Each integration-test binary compiles its own copy of this module and
-// uses a subset of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each integration-test binary compiles its own copy of this module and uses a subset of it"
+)]
 
 pub mod bank;
 

@@ -10,6 +10,9 @@
 //! CSV exactly. (The cross-process variant of this probe is CI's double
 //! run of `split_bench` with a `diff`.)
 
+mod common;
+
+use common::bank::shift_rng;
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_ycsb::{Driver, KeyDistribution, Workload};
@@ -31,9 +34,7 @@ fn run_schedule(shift: u32) -> String {
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
     cfg.server_cfg.split.check_interval = SimDuration::from_millis(400);
     let cluster = Cluster::build(cfg);
-    for _ in 0..shift {
-        let _ = cluster.sim.jitter(SimDuration::from_secs(1), 0.5);
-    }
+    shift_rng(&cluster, shift);
     cluster.load_rows(ROWS, &["f0"], 100, true);
     let workload = Workload {
         record_count: ROWS,
