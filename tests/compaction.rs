@@ -102,6 +102,75 @@ fn write_heavy_load_is_compacted_in_the_background() {
     verify_acked(&cluster, &acked.borrow());
 }
 
+/// The headline scenario run to the end, pinned: how often compaction
+/// and flush backpressure acted, an FNV-1a over every retained
+/// `compaction.*` record (`<nanos> <kind> <detail>` per line), and each
+/// region's final store-file paths. Any change to which files a merge
+/// picks, what it names its output or when it finishes moves one of
+/// these.
+#[test]
+fn the_headline_compaction_run_is_pinned() {
+    let cluster = compaction_cluster(71, true);
+    cluster.load_rows(ROWS, &["f0"], 64, true);
+    write_load(&cluster, 120, VALUE_PAD);
+    cluster.run_for(SimDuration::from_secs(15));
+
+    let kinds = [
+        "compaction.defer",
+        "compaction.finish",
+        "compaction.force",
+        "compaction.start",
+        "flush.stall",
+    ];
+    let counts: Vec<(&str, u64)> = kinds
+        .iter()
+        .map(|kind| (*kind, cluster.events.count(kind)))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("compaction.defer", 0),
+            ("compaction.finish", 8),
+            ("compaction.force", 0),
+            ("compaction.start", 8),
+            ("flush.stall", 0),
+        ],
+        "compaction and stall counts"
+    );
+
+    assert_eq!(cluster.events.dropped(), 0, "the event journal overflowed");
+    let journal: String = cluster
+        .events
+        .entries()
+        .iter()
+        .filter(|e| e.kind.starts_with("compaction."))
+        .map(|e| format!("{} {} {}\n", e.time.nanos(), e.kind, e.detail))
+        .collect();
+    let digest = journal.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, byte| {
+        (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(journal.lines().count(), 16, "compaction records");
+    assert_eq!(digest, 8_996_916_255_505_560_599, "compaction journal");
+
+    let files: Vec<Vec<String>> = cluster
+        .master
+        .snapshot_map()
+        .regions()
+        .iter()
+        .map(|desc| cluster.namenode.list(&format!("/store/{}/", desc.id)))
+        .collect();
+    assert_eq!(
+        files,
+        [
+            ["/store/r0/000009c-rs0", "/store/r0/000012-rs0"],
+            ["/store/r1/000011c-rs1", "/store/r1/000013-rs1"],
+            ["/store/r2/000011c-rs0", "/store/r2/000013-rs0"],
+            ["/store/r3/000009c-rs1", "/store/r3/000012-rs1"],
+        ],
+        "final store files per region"
+    );
+}
+
 /// Same load and seed, compaction on vs off: every acked write reads
 /// back correctly either way (compaction is invisible to correctness),
 /// and the compacted cluster ends with measurably fewer store files.
