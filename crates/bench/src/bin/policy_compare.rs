@@ -1,16 +1,15 @@
-//! Compaction-policy comparison: size-tiered versus leveled under
-//! write-heavy, mixed and scan-heavy workloads, plus a backpressure A/B
-//! under a compaction storm.
+//! Compaction under load: the size-tiered file layout under write-heavy,
+//! mixed and scan-heavy workloads, plus a backpressure A/B under a
+//! compaction storm.
 //!
-//! The policy phases answer the layout question: while flushes keep
-//! feeding the file stack, how many store files does a point get
-//! consult under each policy? Bloom filters are switched OFF for these
-//! phases so only key-range pruning hides files — what remains is the
-//! *layout* bound. Size-tiered files overlap freely, so consulted files
-//! per get tracks the standing file backlog; leveled files below L0 are
-//! range-disjoint, so it tracks the level count (L0 + one file per
-//! deeper level). Scans cannot use per-key filters even when they are
-//! on, which makes the disjoint layout matter for them unconditionally.
+//! The layout phases answer the read-amplification question: while
+//! flushes keep feeding the file stack, how many store files does a
+//! point get consult? Bloom filters are switched OFF for these phases so
+//! only key-range pruning hides files — what remains is the *layout*
+//! bound. Size-tiered files overlap freely, so consulted files per get
+//! tracks the standing file backlog. Scans cannot use per-key filters
+//! even when they are on, so for them the backlog is the bound
+//! unconditionally.
 //!
 //! The storm phase answers the scheduling question: with merges made
 //! deliberately expensive (high per-entry CPU) and a foreground offered
@@ -25,7 +24,6 @@
 use cumulo_bench::report::{kv, print_timeline, report_fields, BenchArgs, BenchReport};
 use cumulo_core::{Cluster, ClusterConfig, CompactionTotals, FilterTotals};
 use cumulo_sim::SimDuration;
-use cumulo_store::CompactionPolicyKind;
 use cumulo_ycsb::Workload;
 
 fn main() {
@@ -39,101 +37,91 @@ fn main() {
     rep.config("quick", quick);
 
     println!(
-        "phase,policy,store_files_max,levels,throughput_tps,mean_ms,p95_ms,p99_ms,\
+        "phase,policy,store_files_max,throughput_tps,mean_ms,p95_ms,p99_ms,\
          consulted_per_get,compactions,deferred,forced,flush_stalls,stall_ms"
     );
 
-    for (label, policy) in [
-        ("size_tiered", CompactionPolicyKind::SizeTiered),
-        ("leveled", CompactionPolicyKind::Leveled),
-    ] {
-        let mut cfg = ClusterConfig {
-            seed: 5151,
-            servers: 2,
-            clients: 24,
-            regions: 4,
-            key_count: rows,
-            ..ClusterConfig::default()
-        };
-        cfg.server_cfg.compaction.min_files = 4;
-        cfg.server_cfg.compaction.policy = policy;
-        // Flush every ~64 KiB so writes outrun merging and a standing
-        // multi-file backlog exists while we measure; partition leveled
-        // runs into ~96 KiB files so levels hold several disjoint files.
-        cfg.server_cfg.memstore_flush_bytes = 64 << 10;
-        cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
-        cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(700);
-        cfg.server_cfg.compaction.level_base_bytes = 384 << 10;
-        cfg.server_cfg.compaction.level_file_bytes = 96 << 10;
-        cfg.server_cfg.compaction.level_ratio = 6.0;
-        // The workload holds the servers saturated, so an untouched
-        // deficit bank would gate every merge; a small bank keeps the
-        // backlog draining while still yielding to the foreground.
-        cfg.server_cfg.compaction.max_deferrals = 2;
-        let cluster = Cluster::build(cfg);
-        cluster.load_rows(rows, &["f0"], 100, true);
-        // Layout phases: only range pruning hides files (see module docs).
-        cluster.set_bloom_filters(false);
+    let label = "size_tiered";
+    let mut cfg = ClusterConfig {
+        seed: 5151,
+        servers: 2,
+        clients: 24,
+        regions: 4,
+        key_count: rows,
+        ..ClusterConfig::default()
+    };
+    cfg.server_cfg.compaction.min_files = 4;
+    // Flush every ~64 KiB so writes outrun merging and a standing
+    // multi-file backlog exists while we measure.
+    cfg.server_cfg.memstore_flush_bytes = 64 << 10;
+    cfg.server_cfg.flush_check_interval = SimDuration::from_millis(250);
+    cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(700);
+    // The workload holds the servers saturated, so an untouched
+    // deficit bank would gate every merge; a small bank keeps the
+    // backlog draining while still yielding to the foreground.
+    cfg.server_cfg.compaction.max_deferrals = 2;
+    let cluster = Cluster::build(cfg);
+    cluster.load_rows(rows, &["f0"], 100, true);
+    // Layout phases: only range pruning hides files (see module docs).
+    cluster.set_bloom_filters(false);
 
-        // Phase 1: write-heavy — the stack churns while its reads probe it.
-        let write = Workload {
-            record_count: rows,
-            threads: 24,
-            ops_per_txn: 10,
-            read_ratio: 0.3,
-            window: SimDuration::from_secs(5),
-            ..Workload::default()
-        };
-        let (report, totals, filters) = measure(&cluster, write, phase_secs, "write_heavy", &args);
-        emit(
-            "write_heavy",
-            label,
-            &cluster,
-            &report,
-            &totals,
-            &filters,
-            &mut rep,
-        );
+    // Phase 1: write-heavy — the stack churns while its reads probe it.
+    let write = Workload {
+        record_count: rows,
+        threads: 24,
+        ops_per_txn: 10,
+        read_ratio: 0.3,
+        window: SimDuration::from_secs(5),
+        ..Workload::default()
+    };
+    let (report, totals, filters) = measure(&cluster, write, phase_secs, "write_heavy", &args);
+    emit(
+        "write_heavy",
+        label,
+        &cluster,
+        &report,
+        &totals,
+        &filters,
+        &mut rep,
+    );
 
-        // Phase 2: balanced mix over the standing backlog.
-        let mixed = Workload {
-            record_count: rows,
-            threads: 24,
-            ops_per_txn: 10,
-            read_ratio: 0.7,
-            window: SimDuration::from_secs(5),
-            ..Workload::default()
-        };
-        let (report, totals, filters) = measure(&cluster, mixed, phase_secs / 2, "mixed", &args);
-        emit(
-            "mixed", label, &cluster, &report, &totals, &filters, &mut rep,
-        );
+    // Phase 2: balanced mix over the standing backlog.
+    let mixed = Workload {
+        record_count: rows,
+        threads: 24,
+        ops_per_txn: 10,
+        read_ratio: 0.7,
+        window: SimDuration::from_secs(5),
+        ..Workload::default()
+    };
+    let (report, totals, filters) = measure(&cluster, mixed, phase_secs / 2, "mixed", &args);
+    emit(
+        "mixed", label, &cluster, &report, &totals, &filters, &mut rep,
+    );
 
-        // Phase 3: scan-heavy with continued writes — filters could not
-        // help scans anyway; the disjoint layout is the only bound.
-        let scans = Workload {
-            record_count: rows,
-            threads: 24,
-            ops_per_txn: 4,
-            read_ratio: 0.3,
-            scan_ratio: 0.6,
-            scan_len: 50,
-            window: SimDuration::from_secs(5),
-            ..Workload::default()
-        };
-        let (report, totals, filters) =
-            measure(&cluster, scans, phase_secs / 2, "scan_heavy", &args);
-        emit(
-            "scan_heavy",
-            label,
-            &cluster,
-            &report,
-            &totals,
-            &filters,
-            &mut rep,
-        );
-        rep.cluster(label, &cluster);
-    }
+    // Phase 3: scan-heavy with continued writes — filters could not
+    // help scans anyway; the file backlog is the only bound.
+    let scans = Workload {
+        record_count: rows,
+        threads: 24,
+        ops_per_txn: 4,
+        read_ratio: 0.3,
+        scan_ratio: 0.6,
+        scan_len: 50,
+        window: SimDuration::from_secs(5),
+        ..Workload::default()
+    };
+    let (report, totals, filters) = measure(&cluster, scans, phase_secs / 2, "scan_heavy", &args);
+    emit(
+        "scan_heavy",
+        label,
+        &cluster,
+        &report,
+        &totals,
+        &filters,
+        &mut rep,
+    );
+    rep.cluster(label, &cluster);
 
     // Backpressure A/B: expensive merges + a bursty foreground (2 s of
     // closed-loop saturation, 2 s idle). Without the deficit scheduler a
@@ -236,14 +224,8 @@ fn emit(
         kv("stall_ms", c.stall_ns as f64 / 1e6),
     ]);
     rep.phase(fields);
-    let levels: Vec<String> = cluster
-        .level_profile()
-        .iter()
-        .map(|(files, _)| files.to_string())
-        .collect();
-    let levels = levels.join(":");
     println!(
-        "{phase},{policy},{},{levels},{:.1},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{:.1}",
+        "{phase},{policy},{},{:.1},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{:.1}",
         cluster.max_read_amplification(),
         r.throughput_tps,
         r.mean_ms,
@@ -257,7 +239,7 @@ fn emit(
         c.stall_ns as f64 / 1e6,
     );
     eprintln!(
-        "[policy_compare] {phase:>11} {policy:>11}: files={:2} levels={levels:<8} {:7.1} tps \
+        "[policy_compare] {phase:>11} {policy:>11}: files={:2} {:7.1} tps \
          p99 {:7.2} ms consulted/get {:5.2} ({} compactions, {} deferred, {} stalls)",
         cluster.max_read_amplification(),
         r.throughput_tps,

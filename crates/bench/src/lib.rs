@@ -5,7 +5,7 @@
 //! `fig3` (the failure timeline) and `ablations` (tracking on/off,
 //! filesystem replication, heartbeat vs replay volume, client failure).
 //! Four are probes of behaviour the paper does not have: `policy_compare`
-//! (compaction layouts and backpressure), `split_bench` (online splits
+//! (the compaction file layout and backpressure), `split_bench` (online splits
 //! under a hotspot), `scale_bench` (the split/merge/move/failover soak)
 //! and `failover_bench` (replay vs promotion). Every one but
 //! `policy_compare`, which only reports, asserts the claim it plots, and

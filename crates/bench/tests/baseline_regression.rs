@@ -116,6 +116,15 @@
 //! `policy_compare` line 3 `mixed,size_tiered,3,8,372.1,61.81,…` →
 //! `…,3,7,375.0,61.49,…`; `scale_bench` line 2
 //! `zipfian,zipfian,8487,447,56.6,8.58,…` → `…,8628,299,57.5,8.99,…`.
+//! **`policy_compare` was then re-pinned by deletion alone, because
+//! leveled compaction is gone**: size-tiered is the store's one policy,
+//! so the bin lost its three `leveled` rows and its `levels` column (the
+//! per-level file counts, from gauges deleted with the levels). The new
+//! file is `grep -v ',leveled,' OLD | cut -d, -f1-3,5-` of the old one,
+//! byte for byte: the `size_tiered` layout phases and the two `storm`
+//! rows run in clusters of their own, which never read the leveled
+//! cluster, and every figure in them stayed where it was. The other
+//! seven pins did not move.
 //!
 //! The last four pin the paper's figures (`fig2a`, `fig2b`, `fig3`) and
 //! the `ablations`; see `assert_figure_pinned`.

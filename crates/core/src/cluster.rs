@@ -781,24 +781,6 @@ impl Cluster {
             }
         }
     }
-
-    /// Per-level `(file count, bytes)` summed across all region servers,
-    /// indexed by LSM level (slot 0 holds everything under size-tiered) —
-    /// a view over the registry's `store.level.files`/`store.level.bytes`
-    /// gauge vectors.
-    pub fn level_profile(&self) -> Vec<(u64, u64)> {
-        let files = self.metrics.sum_vec("store.level.files");
-        let bytes = self.metrics.sum_vec("store.level.bytes");
-        let levels = files.len().max(bytes.len());
-        (0..levels)
-            .map(|i| {
-                (
-                    files.get(i).copied().unwrap_or(0),
-                    bytes.get(i).copied().unwrap_or(0),
-                )
-            })
-            .collect()
-    }
 }
 
 /// Whether every region in the master's map is online on the server the

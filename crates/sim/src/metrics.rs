@@ -75,48 +75,6 @@ impl Gauge {
     }
 }
 
-/// A shared vector of gauges indexed by a small integer (e.g. LSM level):
-/// each slot is a last-value gauge, and the whole vector is replaced
-/// atomically by the producer. Like [`Gauge`], clones share state, and
-/// [`MetricsRegistry::gauge_vec`] makes one.
-#[derive(Clone)]
-pub struct GaugeVec {
-    v: Rc<RefCell<Vec<u64>>>,
-}
-
-impl fmt::Debug for GaugeVec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "GaugeVec({:?})", self.v.borrow())
-    }
-}
-
-impl GaugeVec {
-    /// Replaces the whole vector with `values`.
-    pub fn set_all(&self, values: Vec<u64>) {
-        *self.v.borrow_mut() = values;
-    }
-
-    /// Value at slot `i` (0 when the slot does not exist).
-    pub fn get(&self, i: usize) -> u64 {
-        self.v.borrow().get(i).copied().unwrap_or(0)
-    }
-
-    /// Number of populated slots.
-    pub fn len(&self) -> usize {
-        self.v.borrow().len()
-    }
-
-    /// Whether no slot is populated.
-    pub fn is_empty(&self) -> bool {
-        self.v.borrow().is_empty()
-    }
-
-    /// A copy of all slots.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.v.borrow().clone()
-    }
-}
-
 /// A shared map of last-value gauges keyed by a sparse integer id (e.g. a
 /// region id): each key holds an independent gauge, and snapshots come
 /// back in key order. Like [`Gauge`],
@@ -431,11 +389,6 @@ impl TimeSeries {
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
-    Vec {
-        v: GaugeVec,
-        /// Label name attached to each slot index (e.g. `level`).
-        slot_label: String,
-    },
     Map {
         m: GaugeMap,
         /// Label name attached to each map key (e.g. `region`).
@@ -544,8 +497,8 @@ impl MetricsSnapshot {
 /// ([`Sim::metrics`](crate::Sim::metrics)), and that is the only one
 /// there is.
 ///
-/// Handles ([`Counter`], [`Gauge`], [`GaugeVec`], [`GaugeMap`],
-/// [`Histogram`]) are born registered: the registry creates them
+/// Handles ([`Counter`], [`Gauge`], [`GaugeMap`], [`Histogram`]) are
+/// born registered: the registry creates them
 /// (`registry.counter(...)`, `registry.gauge_map(...)`, …) and a
 /// component keeps the handle. Registering the same `name{labels}`
 /// twice panics.
@@ -631,21 +584,6 @@ impl MetricsRegistry {
         h
     }
 
-    /// Creates and registers a [`GaugeVec`]; each slot `i` renders with
-    /// an extra `slot_label=i` label (e.g. `level=2`).
-    pub fn gauge_vec(&self, name: &str, labels: &[(&str, &str)], slot_label: &str) -> GaugeVec {
-        let v = GaugeVec { v: Rc::default() };
-        self.push(
-            name,
-            labels,
-            Metric::Vec {
-                v: v.clone(),
-                slot_label: slot_label.to_owned(),
-            },
-        );
-        v
-    }
-
     /// Creates and registers a [`GaugeMap`]; each key `k` renders with an
     /// extra `key_label=k` label (e.g. `region=7`).
     pub fn gauge_map(&self, name: &str, labels: &[(&str, &str)], key_label: &str) -> GaugeMap {
@@ -682,7 +620,6 @@ impl MetricsRegistry {
                 Metric::Counter(c) => c.get(),
                 Metric::Gauge(g) => g.get(),
                 Metric::Map { m, .. } => m.total(),
-                Metric::Vec { v, .. } => v.snapshot().iter().sum(),
                 Metric::Histogram(h) => h.count(),
             })
             .sum()
@@ -699,29 +636,10 @@ impl MetricsRegistry {
                 Metric::Counter(c) => c.get(),
                 Metric::Gauge(g) => g.get(),
                 Metric::Map { m, .. } => m.snapshot().iter().map(|(_, v)| *v).max().unwrap_or(0),
-                Metric::Vec { v, .. } => v.snapshot().into_iter().max().unwrap_or(0),
                 Metric::Histogram(h) => h.max(),
             })
             .max()
             .unwrap_or(0)
-    }
-
-    /// Element-wise sum of every [`GaugeVec`] registered under `name`,
-    /// sized to the longest vector.
-    pub fn sum_vec(&self, name: &str) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for r in self.inner.borrow().values().filter(|r| r.name == name) {
-            if let Metric::Vec { v, .. } = &r.metric {
-                let snap = v.snapshot();
-                if out.len() < snap.len() {
-                    out.resize(snap.len(), 0);
-                }
-                for (i, val) in snap.into_iter().enumerate() {
-                    out[i] += val;
-                }
-            }
-        }
-        out
     }
 
     /// Key-wise sum of every [`GaugeMap`] registered under `name`,
@@ -749,13 +667,6 @@ impl MetricsRegistry {
             match &r.metric {
                 Metric::Counter(c) => put(key.clone(), c.get(), true),
                 Metric::Gauge(g) => put(key.clone(), g.get(), false),
-                Metric::Vec { v, slot_label } => {
-                    for (i, val) in v.snapshot().into_iter().enumerate() {
-                        let mut labels = r.labels.clone();
-                        labels.push((slot_label.clone(), i.to_string()));
-                        put(render_key(&r.name, &labels), val, false);
-                    }
-                }
                 Metric::Map { m, key_label } => {
                     for (k, val) in m.snapshot() {
                         let mut labels = r.labels.clone();
@@ -852,20 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_vec_shares_state_and_defaults_to_zero() {
-        let g = MetricsRegistry::new().gauge_vec("v", &[], "slot");
-        assert!(g.is_empty());
-        assert_eq!(g.get(3), 0);
-        let g2 = g.clone();
-        g.set_all(vec![5, 0, 7]);
-        assert_eq!(g2.len(), 3);
-        assert_eq!(g2.get(0), 5);
-        assert_eq!(g2.get(2), 7);
-        assert_eq!(g2.get(9), 0);
-        assert_eq!(g2.snapshot(), vec![5, 0, 7]);
-    }
-
-    #[test]
     fn gauge_moves_both_ways_and_shares_state() {
         let g = MetricsRegistry::new().gauge("g", &[]);
         assert_eq!(g.get(), 0);
@@ -935,17 +832,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_vec_and_map_render_with_extra_label() {
+    fn registry_map_renders_with_extra_label() {
         let reg = MetricsRegistry::new();
-        let v = reg.gauge_vec("store.level.files", &[("server", "0")], "level");
-        v.set_all(vec![4, 0, 2]);
         let m = reg.gauge_map("store.region.load", &[("server", "0")], "region");
         m.set(12, 100);
         m.set(3, 50);
         let snap = reg.snapshot();
-        assert_eq!(snap.get("store.level.files{level=2,server=0}"), Some(2));
         assert_eq!(snap.get("store.region.load{region=3,server=0}"), Some(50));
-        assert_eq!(reg.sum_vec("store.level.files"), vec![4, 0, 2]);
         assert_eq!(reg.sum_map("store.region.load"), vec![(3, 50), (12, 100)]);
     }
 

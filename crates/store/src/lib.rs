@@ -52,11 +52,10 @@
 //!    false positives); scans prune by range only.
 //! 4. **Compaction** — flushes accumulate store files, and every read
 //!    must consult all of them (*read amplification*). The background
-//!    [`compaction`] stage merges a policy-chosen candidate set back
-//!    down, crash-safely (temp-name writes, atomic renames, then input
-//!    retirement). Two [`CompactionPolicy`] implementations ship:
-//!    size-tiered (merge similar sizes, overlapping files) and leveled
-//!    (L0 flush tier + key-range-disjoint deeper levels).
+//!    [`compaction`] stage merges the widest window of similarly-sized
+//!    files back down into one (size-tiered: file ranges overlap
+//!    freely), crash-safely (temp-name writes, atomic renames, then input
+//!    retirement).
 //! 5. **MVCC garbage collection** — during the merge, versions shadowed
 //!    at or below the transaction manager's *oldest active snapshot* are
 //!    dropped, and a major compaction also purges tombstones that no
@@ -68,22 +67,14 @@
 //! All knobs live on [`CompactionConfig`] (per cluster via
 //! `cumulo-core`'s `ClusterConfig`):
 //!
-//! * **Policy choice** ([`CompactionPolicyKind`]): pick *size-tiered*
-//!   for write-heavy workloads where rewrite cost dominates and point
-//!   reads are covered by bloom filters; pick *leveled* when scans
-//!   matter (filters cannot prune for them — only the disjoint layout
-//!   bounds overlap) or when a hard files-consulted-per-get bound
-//!   (≈ level count) is worth extra write amplification. The
-//!   `policy_compare` bench measures the trade on this very codebase.
-//! * **Thresholds**: `min_files` is the size-tiered candidacy floor and
-//!   the leveled L0→L1 trigger; `level_base_bytes` × `level_ratio^(L-1)`
-//!   budgets level `L`; `level_file_bytes` sizes the disjoint run files
-//!   (smaller files → finer-grained future merges, more of them).
+//! * **Thresholds**: `min_files` is the candidacy floor, `max_files`
+//!   caps one merge, and `tier_ratio` is how far apart two file sizes
+//!   may be and still count as one tier.
 //! * **Backpressure** (`backpressure`, on by default): the deficit
 //!   scheduler defers due merges while windowed handler utilization
 //!   exceeds `utilization_threshold`, forcing them after
-//!   `max_deferrals` ticks; past `stall_file_limit` (total files for
-//!   size-tiered, L0 files for leveled) memstore flushes stall. Lower
+//!   `max_deferrals` ticks; past `stall_file_limit` store files a
+//!   region's memstore flushes stall. Lower
 //!   the threshold to favor foreground p99 in bursty workloads; raise
 //!   `max_deferrals` only with filters on, since deferral grows the
 //!   consulted-file count for overwritten keys.
@@ -114,10 +105,7 @@ pub use blockcache::BlockCache;
 pub use bloom::CellKey;
 pub use client::{StoreClient, StoreClientConfig};
 pub use codec::WalRecord;
-pub use compaction::{
-    CompactionConfig, CompactionPolicy, CompactionPolicyKind, CompactionStats, LeveledPolicy,
-    SizeTieredPolicy,
-};
+pub use compaction::{CompactionConfig, CompactionStats};
 pub use error::StoreError;
 pub use hooks::{NoopHooks, RecoveryHooks};
 pub use master::{Master, MasterConfig, MoveConfig, ServerDirectory};

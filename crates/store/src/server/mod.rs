@@ -19,9 +19,7 @@ pub use replication::ReplicationStats;
 pub use structure::StructureStats;
 
 use crate::blockcache::BlockCache;
-use crate::compaction::{
-    self, CompactionConfig, CompactionPolicy, CompactionStats, FileMeta, GcWatermark, StallSignal,
-};
+use crate::compaction::{self, CompactionConfig, CompactionStats, GcWatermark};
 use crate::hooks::{NoopHooks, RecoveryHooks};
 use crate::master::Master;
 use crate::memstore::MemStore;
@@ -153,10 +151,6 @@ struct RegionState {
     /// instant its filesystem write was last issued.
     flushing: Option<(Rc<StoreFileData>, SimTime)>,
     storefiles: Vec<Rc<StoreFileData>>,
-    /// LSM level per store-file path; paths absent from the map are
-    /// level 0 (flush outputs, bulk loads, files adopted at open — only
-    /// compaction outputs placed below L0 need an entry).
-    file_levels: BTreeMap<String, u32>,
     online: bool,
     compaction_in_progress: bool,
     /// A structural operation (split, merge or move) on this region is
@@ -167,15 +161,14 @@ struct RegionState {
 }
 
 impl RegionState {
-    /// A region over `storefiles`, all at level 0, that is not online
-    /// yet and has nothing in flight.
+    /// A region over `storefiles` that is not online yet and has
+    /// nothing in flight.
     fn new(desc: RegionDescriptor, memstore: MemStore, storefiles: Vec<Rc<StoreFileData>>) -> Self {
         RegionState {
             desc,
             memstore,
             flushing: None,
             storefiles,
-            file_levels: BTreeMap::new(),
             online: false,
             compaction_in_progress: false,
             restructuring: false,
@@ -205,42 +198,6 @@ impl RegionState {
     /// and not already in one.
     fn restructurable(&self) -> bool {
         self.online && !self.restructuring
-    }
-
-    /// The LSM level of the file at `path` (level 0 unless a compaction
-    /// placed it deeper).
-    fn level_of(&self, path: &str) -> u32 {
-        self.file_levels.get(path).copied().unwrap_or(0)
-    }
-
-    /// The flush-stall check's cheap file-count summary (runs every
-    /// flush tick, so no per-file metadata is materialized).
-    fn stall_signal(&self) -> StallSignal {
-        StallSignal {
-            total_files: self.storefiles.len(),
-            l0_files: self
-                .storefiles
-                .iter()
-                .filter(|sf| self.level_of(sf.path()) == 0)
-                .count(),
-        }
-    }
-
-    /// The policy's view of this region's durable file stack (the
-    /// flushing snapshot is excluded — it is not compactable yet).
-    fn file_metas(&self) -> Vec<FileMeta> {
-        self.storefiles
-            .iter()
-            .map(|sf| FileMeta {
-                path: sf.path().to_owned(),
-                bytes: sf.total_bytes(),
-                entries: sf.len(),
-                level: self.level_of(sf.path()),
-                key_range: sf
-                    .key_range()
-                    .map(|(a, z)| (Bytes::copy_from_slice(a), Bytes::copy_from_slice(z))),
-            })
-            .collect()
     }
 }
 
@@ -273,8 +230,6 @@ pub struct RegionServer {
     /// Runtime master switch for bloom probes (on until
     /// [`RegionServer::set_bloom_filters`] says otherwise).
     bloom_enabled: Cell<bool>,
-    /// The compaction policy, built from [`CompactionConfig::policy`].
-    policy: Rc<dyn CompactionPolicy>,
     /// Backpressure deficit bank: one token accrues per check tick that
     /// defers a due merge; at `max_deferrals` the merge runs regardless.
     compaction_deficit: Cell<u32>,
@@ -379,7 +334,6 @@ impl RegionServer {
             compaction_stats: CompactionStats::new(metrics, labels),
             filter_stats: FilterStats::new(metrics, labels),
             bloom_enabled: Cell::new(true),
-            policy: compaction::policy_for(cfg.compaction.policy),
             compaction_deficit: Cell::new(0),
             sched_busy_ns: Cell::new(0),
             sched_checked_ns: Cell::new(sim.now().nanos()),
@@ -614,14 +568,9 @@ impl RegionServer {
     ) {
         let region = desc.id;
         let storefiles = self.adoptable_files(&storefile_paths);
-        self.regions.borrow_mut().insert(
-            region,
-            // Adopted files all start at level 0: a failed-over server
-            // does not know its predecessor's level layout, and L0 is
-            // the only level that tolerates overlapping ranges. The
-            // leveled policy re-sorts them down.
-            RegionState::new(desc, MemStore::new(), storefiles),
-        );
+        self.regions
+            .borrow_mut()
+            .insert(region, RegionState::new(desc, MemStore::new(), storefiles));
         self.update_file_metrics();
         self.finish_region_open(region, failed, false);
     }

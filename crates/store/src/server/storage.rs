@@ -1,10 +1,10 @@
 //! A region's files: memstore flushes, background compaction (see
-//! `crate::compaction` for the policy, the merge and the crash-safety
+//! `crate::compaction` for the pick, the merge and the crash-safety
 //! argument) and the gauges derived from the file sets.
 
 use super::data_path::BASE_SERVICE;
 use super::{RegionServer, RegionState, HANDLERS};
-use crate::compaction::{self, CompactionJob, CompactionStats};
+use crate::compaction::{self, CompactionStats};
 use crate::sstable::StoreFileData;
 use crate::types::{RegionId, Timestamp};
 use cumulo_sim::SimDuration;
@@ -18,28 +18,11 @@ use std::rc::Rc;
 /// answers after all still counts, so this bounds duplicate work only.
 const FLUSH_REISSUE_AFTER: SimDuration = SimDuration::from_secs(30);
 
-/// A compaction the policy planned, resolved to paths so it survives the
-/// gap between the candidacy check and the handler slot becoming free.
-struct PlannedCompaction {
-    input_paths: Vec<String>,
-    output_level: u32,
-    max_output_bytes: Option<usize>,
-}
-
 impl RegionServer {
     /// Compaction observability: counters and the read-amplification
     /// gauge (shared handles; clone freely).
     pub fn compaction_stats(&self) -> &CompactionStats {
         &self.compaction_stats
-    }
-
-    /// Per-level `(file count, bytes)` across this server's hosted
-    /// regions, indexed by LSM level (slot 0 includes flushing
-    /// snapshots). Size-tiered keeps everything in slot 0.
-    pub fn level_profile(&self) -> Vec<(u64, u64)> {
-        let files = self.compaction_stats.level_files.snapshot();
-        let bytes = self.compaction_stats.level_bytes.snapshot();
-        files.into_iter().zip(bytes).collect()
     }
 
     /// Whether `region` currently has a compaction in flight.
@@ -113,15 +96,14 @@ impl RegionServer {
                 // compaction catches up. Only meaningful while
                 // compaction runs — without it the backlog would never
                 // drain and the stall would hold forever.
-                if ccfg.enabled
-                    && ccfg.backpressure
-                    && self.policy.flush_should_stall(st.stall_signal(), &ccfg)
+                let files = st.storefiles.len();
+                if ccfg.enabled && ccfg.backpressure && compaction::flush_should_stall(files, &ccfg)
                 {
                     self.compaction_stats.flush_stalls.inc();
                     self.compaction_stats
                         .stall_ns
                         .add(self.cfg.flush_check_interval.nanos());
-                    let (region, files) = (*id, st.stall_signal().total_files);
+                    let region = *id;
                     self.event("flush.stall", move |line| {
                         write!(line, "region={region} files={files}")
                     });
@@ -260,39 +242,33 @@ impl RegionServer {
         let cfg = self.cfg.compaction;
         let utilization = self.sample_utilization();
         // One candidate region per tick: compaction competes with
-        // foreground traffic for handler slots, so pace it. The policy
+        // foreground traffic for handler slots, so pace it. The picker
         // decides per region whether a merge is due; the deepest file
         // backlog wins (regions in id order, so ties go to the lowest id).
+        // The inputs are resolved to paths, so the plan survives the gap
+        // until a handler slot is free.
         let picked = {
             let regions = self.regions.borrow();
-            let mut best: Option<(usize, RegionId, PlannedCompaction, u64)> = None;
+            let mut best: Option<(usize, RegionId, Vec<String>, u64)> = None;
             for (id, st) in regions.iter() {
                 if !st.online || st.compaction_in_progress || st.restructuring {
                     continue;
                 }
-                let metas = st.file_metas();
-                let Some(CompactionJob {
-                    inputs,
-                    output_level,
-                    max_output_bytes,
-                }) = self.policy.pick(&metas, &cfg)
-                else {
+                let files = &st.storefiles;
+                let sizes: Vec<usize> = files.iter().map(|sf| sf.total_bytes()).collect();
+                let Some(inputs) = compaction::pick_candidates(&sizes, &cfg) else {
                     continue;
                 };
-                let entries: u64 = inputs.iter().map(|&i| metas[i].entries as u64).sum();
-                let plan = PlannedCompaction {
-                    input_paths: inputs.iter().map(|&i| metas[i].path.clone()).collect(),
-                    output_level,
-                    max_output_bytes,
-                };
-                let depth = st.storefiles.len();
+                let entries: u64 = inputs.iter().map(|&i| files[i].len() as u64).sum();
+                let input_paths = inputs.iter().map(|&i| files[i].path().to_owned()).collect();
+                let depth = files.len();
                 if best.as_ref().map(|(d, ..)| depth > *d).unwrap_or(true) {
-                    best = Some((depth, *id, plan, entries));
+                    best = Some((depth, *id, input_paths, entries));
                 }
             }
             best
         };
-        let Some((_, region, plan, total_entries)) = picked else {
+        let Some((_, region, input_paths, total_entries)) = picked else {
             // Nothing due: the deficit bank only accrues against real
             // deferred work.
             self.compaction_deficit.set(0);
@@ -326,13 +302,13 @@ impl RegionServer {
             st.compaction_in_progress = true;
         }
         self.compaction_stats.started.inc();
-        let (inputs, level) = (plan.input_paths.len(), plan.output_level);
+        let inputs = input_paths.len();
         self.event("compaction.start", move |line| {
-            write!(line, "region={region} inputs={inputs} level={level}")
+            write!(line, "region={region} inputs={inputs} level=0")
         });
         let service = BASE_SERVICE + cfg.merge_service_per_entry * total_entries.max(1);
         let this = Rc::clone(self);
-        self.submit_background(service, move || this.run_compaction(region, plan));
+        self.submit_background(service, move || this.run_compaction(region, input_paths));
     }
 
     /// Clears the in-flight flag so a failed attempt can be retried by a
@@ -346,8 +322,8 @@ impl RegionServer {
     /// The merge phase, running on a handler slot. The input set was
     /// chosen when the work was queued; it is re-validated here because
     /// flushes (or a region reopen) may have run in between.
-    fn run_compaction(self: &Rc<Self>, region: RegionId, plan: PlannedCompaction) {
-        let merged = {
+    fn run_compaction(self: &Rc<Self>, region: RegionId, input_paths: Vec<String>) {
+        let (output, versions_dropped) = {
             let regions = self.regions.borrow();
             let Some(st) = regions.get(&region) else {
                 return; // region moved away; nothing to clean up
@@ -355,10 +331,10 @@ impl RegionServer {
             let inputs: Vec<Rc<StoreFileData>> = st
                 .storefiles
                 .iter()
-                .filter(|sf| plan.input_paths.iter().any(|p| p == sf.path()))
+                .filter(|sf| input_paths.iter().any(|p| p == sf.path()))
                 .cloned()
                 .collect();
-            if inputs.len() != plan.input_paths.len() {
+            if inputs.len() != input_paths.len() {
                 drop(regions);
                 self.abort_compaction(region);
                 return;
@@ -380,142 +356,97 @@ impl RegionServer {
                         .and_then(|f| f.get(row, col, below))
                         .is_some()
             };
-            // Output names draw from the same counter flushes use, one
-            // per partition, in partition order — deterministic.
-            let counter = &self.storefile_counter;
-            let server_id = self.id;
-            let path_for = |_: usize| {
-                let n = counter.get();
-                counter.set(n + 1);
-                format!("/store/{region}/{:06}c-{}", n, server_id)
+            // The output's name draws from the same counter flushes use
+            // — deterministic.
+            let name = || {
+                let n = self.storefile_counter.get();
+                self.storefile_counter.set(n + 1);
+                format!("/store/{region}/{:06}c-{}", n, self.id)
             };
-            compaction::merge_store_files_partitioned(
-                region,
-                &path_for,
-                &inputs,
-                watermark,
-                major,
-                &guard,
-                plan.max_output_bytes,
-            )
+            compaction::merge_survivors(region, name, &inputs, watermark, major, &guard)
         };
-        self.compaction_stats
-            .versions_dropped
-            .add(merged.versions_dropped);
+        self.compaction_stats.versions_dropped.add(versions_dropped);
 
-        // Everything was garbage (e.g. a fully deleted key range): no
-        // output file to write, just retire the inputs.
-        if merged.outputs.is_empty() {
-            self.finish_compaction(region, plan.input_paths, Vec::new(), plan.output_level);
-            return;
+        match output {
+            Some(output) => self.write_compaction_output(region, input_paths, Rc::new(output)),
+            // Everything was garbage (e.g. a fully deleted key range): no
+            // output file to write, just retire the inputs.
+            None => self.finish_compaction(region, input_paths, None),
         }
-
-        let outputs: Rc<Vec<Rc<StoreFileData>>> =
-            Rc::new(merged.outputs.into_iter().map(Rc::new).collect());
-        self.write_compaction_outputs(region, plan.input_paths, outputs, plan.output_level, 0);
     }
 
-    /// Writes output partition `idx` to the filesystem under its temp
-    /// name, then recurses to the next; once all are durable, the rename
-    /// phase promotes them. A crash mid-way leaves only ignorable `.tmp-`
-    /// files — the inputs still cover all data.
-    fn write_compaction_outputs(
+    /// Writes the merged file to the filesystem under its temp name; once
+    /// it is durable, the rename phase promotes it. A crash before the
+    /// rename leaves only an ignorable `.tmp-` file — the inputs still
+    /// cover all data.
+    fn write_compaction_output(
         self: &Rc<Self>,
         region: RegionId,
         input_paths: Vec<String>,
-        outputs: Rc<Vec<Rc<StoreFileData>>>,
-        level: u32,
-        idx: usize,
+        output: Rc<StoreFileData>,
     ) {
-        if idx == outputs.len() {
-            self.rename_compaction_outputs(region, input_paths, outputs, level, 0);
-            return;
-        }
-        let tmp = compaction::tmp_name(outputs[idx].path());
+        let tmp = compaction::tmp_name(output.path());
         let weak = Rc::downgrade(self);
-        self.dfs
-            .write_file(&tmp, outputs[idx].encode(), move |result| {
-                let Some(server) = weak.upgrade() else { return };
-                if result.is_err() {
-                    // Filesystem unavailable: give up this attempt; the
-                    // temp files are ignorable garbage by construction.
-                    server.abort_compaction_cleanup(region, &outputs, 0, idx + 1);
-                    return;
-                }
-                server.write_compaction_outputs(region, input_paths, outputs, level, idx + 1);
-            });
-    }
-
-    /// Promotes durable temp files into their final names one by one,
-    /// registering each, then swaps the full output run in. If a rename
-    /// fails, the already-promoted prefix stays behind as registered but
-    /// unreferenced files — read-equivalent duplicates of the inputs
-    /// (which are *not* retired on this path), exactly the crash window
-    /// the recovery path already tolerates.
-    fn rename_compaction_outputs(
-        self: &Rc<Self>,
-        region: RegionId,
-        input_paths: Vec<String>,
-        outputs: Rc<Vec<Rc<StoreFileData>>>,
-        level: u32,
-        idx: usize,
-    ) {
-        if idx == outputs.len() {
-            let outputs = (*outputs).clone();
-            self.finish_compaction(region, input_paths, outputs, level);
-            return;
-        }
-        let data = Rc::clone(&outputs[idx]);
-        let tmp = compaction::tmp_name(data.path());
-        let final_path = data.path().to_owned();
-        let weak = Rc::downgrade(self);
-        let outputs2 = Rc::clone(&outputs);
-        self.dfs.clone().rename(&tmp, &final_path, move |renamed| {
+        self.dfs.write_file(&tmp, output.encode(), move |result| {
             let Some(server) = weak.upgrade() else { return };
-            if renamed.is_err() {
-                server.abort_compaction_cleanup(region, &outputs2, idx, outputs2.len());
+            if result.is_err() {
+                // Filesystem unavailable: give up this attempt; the temp
+                // file is ignorable garbage by construction.
+                server.abort_compaction_cleanup(region, &output);
                 return;
             }
-            server.registry.insert(Rc::clone(&data));
-            server.rename_compaction_outputs(region, input_paths, outputs2, level, idx + 1);
+            server.rename_compaction_output(region, input_paths, output);
         });
     }
 
-    /// Deletes the temp files of output partitions `[lo, hi)` (best
-    /// effort) and clears the in-flight flag so a later check retries.
-    fn abort_compaction_cleanup(
-        &self,
+    /// Promotes the durable temp file into its final name, registers it
+    /// and swaps it in. If the rename fails the inputs are not retired,
+    /// so they still cover all data.
+    fn rename_compaction_output(
+        self: &Rc<Self>,
         region: RegionId,
-        outputs: &Rc<Vec<Rc<StoreFileData>>>,
-        lo: usize,
-        hi: usize,
+        input_paths: Vec<String>,
+        output: Rc<StoreFileData>,
     ) {
-        for data in &outputs[lo..hi.min(outputs.len())] {
-            self.dfs.delete(&compaction::tmp_name(data.path()));
-        }
+        let tmp = compaction::tmp_name(output.path());
+        let final_path = output.path().to_owned();
+        let weak = Rc::downgrade(self);
+        self.dfs.rename(&tmp, &final_path, move |renamed| {
+            let Some(server) = weak.upgrade() else { return };
+            if renamed.is_err() {
+                server.abort_compaction_cleanup(region, &output);
+                return;
+            }
+            server.registry.insert(Rc::clone(&output));
+            server.finish_compaction(region, input_paths, Some(output));
+        });
+    }
+
+    /// Deletes the temp file of `output` (best effort) and clears the
+    /// in-flight flag so a later check retries.
+    fn abort_compaction_cleanup(&self, region: RegionId, output: &StoreFileData) {
+        self.dfs.delete(&compaction::tmp_name(output.path()));
         self.abort_compaction(region);
     }
 
-    /// Atomically swaps the merged output run in for its inputs,
-    /// invalidates the region's cached blocks (compaction rewrote them),
-    /// records the outputs' level, updates the metrics and retires the
-    /// obsolete files from registry + filesystem.
+    /// Atomically swaps the merged file in for its inputs, invalidates
+    /// the region's cached blocks (compaction rewrote them), updates the
+    /// metrics and retires the obsolete files from registry + filesystem.
     fn finish_compaction(
         self: &Rc<Self>,
         region: RegionId,
         input_paths: Vec<String>,
-        outputs: Vec<Rc<StoreFileData>>,
-        level: u32,
+        output: Option<Rc<StoreFileData>>,
     ) {
-        let bytes: u64 = outputs.iter().map(|o| o.total_bytes() as u64).sum();
-        let filter_created: u64 = outputs.iter().map(|o| o.filter_bytes() as u64).sum();
+        let bytes: u64 = output.iter().map(|o| o.total_bytes() as u64).sum();
+        let filter_created: u64 = output.iter().map(|o| o.filter_bytes() as u64).sum();
         let mut filter_dropped = 0u64;
         {
             let mut regions = self.regions.borrow_mut();
             let Some(st) = regions.get_mut(&region) else {
                 // The region moved away mid-compaction. Leave the inputs
-                // alone — the new host is reading them; the merged files
-                // are harmless (read-equivalent) duplicates that a later
+                // alone — the new host is reading them; the merged file
+                // is a harmless (read-equivalent) duplicate that a later
                 // compaction there will fold in.
                 return;
             };
@@ -526,15 +457,7 @@ impl RegionServer {
                 }
                 !retired
             });
-            for p in &input_paths {
-                st.file_levels.remove(p);
-            }
-            for output in outputs {
-                if level > 0 {
-                    st.file_levels.insert(output.path().to_owned(), level);
-                }
-                st.storefiles.push(output);
-            }
+            st.storefiles.extend(output);
             st.compaction_in_progress = false;
         }
         // The inputs' blocks died with them; drop the region's cached
@@ -622,8 +545,7 @@ impl RegionServer {
     }
 
     /// Refreshes the gauges derived from the current file sets: the
-    /// worst-case read amplification, the filter-metadata footprint and
-    /// the per-level file/byte profile.
+    /// worst-case read amplification and the filter-metadata footprint.
     pub(super) fn update_file_metrics(&self) {
         let regions = self.regions.borrow();
         let max_files = regions
@@ -640,25 +562,5 @@ impl RegionServer {
             .map(|sf| sf.filter_bytes())
             .sum();
         self.filter_stats.filter_bytes.set(filter_bytes as u64);
-        let mut level_files: Vec<u64> = Vec::new();
-        let mut level_bytes: Vec<u64> = Vec::new();
-        let mut bump = |level: usize, bytes: u64| {
-            if level_files.len() <= level {
-                level_files.resize(level + 1, 0);
-                level_bytes.resize(level + 1, 0);
-            }
-            level_files[level] += 1;
-            level_bytes[level] += bytes;
-        };
-        for st in regions.values() {
-            if let Some(fl) = st.flushing_file() {
-                bump(0, fl.total_bytes() as u64);
-            }
-            for sf in &st.storefiles {
-                bump(st.level_of(sf.path()) as usize, sf.total_bytes() as u64);
-            }
-        }
-        self.compaction_stats.level_files.set_all(level_files);
-        self.compaction_stats.level_bytes.set_all(level_bytes);
     }
 }

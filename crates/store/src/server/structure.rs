@@ -85,10 +85,8 @@ impl PendingChange {
 /// phase, the marker writes and the flip.
 struct ChangeWork {
     change: StructureChange,
-    /// Per output, its reference files with the level inherited from
-    /// the file each was cut from (outputs clip or concatenate disjoint
-    /// ranges, so levels ≥ 1 stay pairwise disjoint).
-    files: Vec<Vec<(Rc<StoreFileData>, u32)>>,
+    /// Per output, its reference files.
+    files: Vec<Vec<Rc<StoreFileData>>>,
     /// `(marker path, marker content)` per reference, written to the
     /// filesystem before the flip so a failover can list the outputs'
     /// file sets.
@@ -432,21 +430,15 @@ impl RegionServer {
         self.event(kind.pick("split.execute", "merge.execute"), move |line| {
             line.write_str(&journal_change.label())
         });
-        let sources: Option<Vec<(RegionDescriptor, Vec<(Rc<StoreFileData>, u32)>)>> = {
+        let sources: Option<Vec<(RegionDescriptor, Vec<Rc<StoreFileData>>)>> = {
             let regions = self.regions.borrow();
             change
                 .inputs
                 .iter()
                 .map(|id| {
-                    regions.get(id).map(|st| {
-                        (
-                            st.desc.clone(),
-                            st.storefiles
-                                .iter()
-                                .map(|sf| (Rc::clone(sf), st.level_of(sf.path())))
-                                .collect(),
-                        )
-                    })
+                    regions
+                        .get(id)
+                        .map(|st| (st.desc.clone(), st.storefiles.clone()))
                 })
                 .collect()
         };
@@ -455,10 +447,10 @@ impl RegionServer {
             self.clear_pending_change();
             return;
         };
-        let mut files: Vec<Vec<(Rc<StoreFileData>, u32)>> = vec![Vec::new(); change.outputs.len()];
+        let mut files: Vec<Vec<Rc<StoreFileData>>> = vec![Vec::new(); change.outputs.len()];
         let mut markers: Vec<(String, Bytes)> = Vec::new();
         for (src, src_files) in &sources {
-            for (sf, level) in src_files {
+            for sf in src_files {
                 let base = sf.path().rsplit('/').next().unwrap_or("file");
                 for (out, out_files) in change.outputs.iter().zip(files.iter_mut()) {
                     // Merged inputs may both hold references with the
@@ -486,7 +478,7 @@ impl RegionServer {
                     self.registry.add_backing_ref(r.backing_path());
                     self.registry.insert(Rc::clone(&r));
                     markers.push((r.path().to_owned(), encode_ref_marker(&r)));
-                    out_files.push((r, *level));
+                    out_files.push(r);
                 }
             }
         }
@@ -525,7 +517,7 @@ impl RegionServer {
     /// still own their physical files, so nothing is deleted),
     /// best-effort delete the markers, and tell the master.
     fn abort_granted_change(self: &Rc<Self>, work: &ChangeWork) {
-        for (sf, _) in work.files.iter().flatten() {
+        for sf in work.files.iter().flatten() {
             self.registry.remove(sf.path());
             let _ = self.registry.release_backing_ref(sf.backing_path());
         }
@@ -596,17 +588,8 @@ impl RegionServer {
                 regions.insert(
                     desc.id,
                     RegionState {
-                        file_levels: files
-                            .iter()
-                            .filter(|(_, l)| *l > 0)
-                            .map(|(f, l)| (f.path().to_owned(), *l))
-                            .collect(),
                         online: true,
-                        ..RegionState::new(
-                            desc.clone(),
-                            memstore,
-                            files.iter().map(|(f, _)| Rc::clone(f)).collect(),
-                        )
+                        ..RegionState::new(desc.clone(), memstore, files.clone())
                     },
                 );
             }

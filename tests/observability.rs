@@ -211,20 +211,6 @@ fn registry_views_agree_with_component_accessors() {
         .unwrap_or(0);
     assert_eq!(cluster.max_read_amplification(), amp);
 
-    // Element-wise level profile: registry gauge vectors vs per-server
-    // walks.
-    let mut levels: Vec<(u64, u64)> = Vec::new();
-    for s in &cluster.servers {
-        for (i, (files, bytes)) in s.level_profile().into_iter().enumerate() {
-            if levels.len() <= i {
-                levels.resize(i + 1, (0, 0));
-            }
-            levels[i].0 += files;
-            levels[i].1 += bytes;
-        }
-    }
-    assert_eq!(cluster.level_profile(), levels);
-
     // The recovery log's rows. The schedule ran one transaction at a
     // time, so every record found the log idle: one batch per append,
     // each acknowledged after exactly one device round (a write and a
