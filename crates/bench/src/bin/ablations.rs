@@ -11,7 +11,6 @@
 //!
 //! Run: `cargo run --release -p cumulo-bench --bin ablations`
 
-use cumulo_bench::report::{kv, report_fields, timeline_json, BenchArgs, BenchReport};
 use cumulo_bench::{paper_workload, run_measurement, Scale};
 use cumulo_core::{Cluster, ClusterConfig, PersistenceMode};
 use cumulo_sim::SimDuration;
@@ -35,10 +34,7 @@ fn build(seed: u64, rows: u64, tracking: bool, replication: usize, hb_ms: u64) -
 }
 
 fn main() {
-    let args = BenchArgs::parse();
     let scale = Scale::from_env();
-    let mut rep = BenchReport::new("ablations");
-    rep.config("rows", scale.rows);
 
     // (a) Tracking on/off: normal-processing overhead + replay volume.
     println!("# ablation_a: tracking overhead and replay volume");
@@ -47,7 +43,7 @@ fn main() {
     for tracking in [true, false] {
         let cluster = build(4001 + tracking as u64, scale.rows, tracking, 2, 1_000);
         let workload = paper_workload(scale.rows, 50, None);
-        let (_d, r) = run_measurement(&cluster, workload, scale.warmup, scale.measure);
+        let r = run_measurement(&cluster, workload, scale.warmup, scale.measure);
         // Now crash a server and measure how much had to be replayed.
         cluster.crash_server(0);
         cluster.run_for(SimDuration::from_secs(30));
@@ -64,13 +60,6 @@ fn main() {
             cluster.tm.log().len(),
             replayed
         );
-        let mut fields = vec![kv("ablation", "a"), kv("tracking", tracking)];
-        fields.extend(report_fields(&r));
-        fields.extend([
-            kv("log_len_after", cluster.tm.log().len()),
-            kv("replayed_portions", replayed),
-        ]);
-        rep.phase(fields);
         kept_and_replayed.push((cluster.tm.log().len(), replayed));
     }
     // What the thresholds are for: with tracking the log is truncated and
@@ -90,7 +79,7 @@ fn main() {
     for repl in [1usize, 2, 3] {
         let cluster = build(4100 + repl as u64, scale.rows, true, repl, 1_000);
         let workload = paper_workload(scale.rows, 50, None);
-        let (_d, r) = run_measurement(&cluster, workload, scale.warmup, scale.measure);
+        let r = run_measurement(&cluster, workload, scale.warmup, scale.measure);
         println!(
             "{repl},{:.1},{:.2},{:.2}",
             r.throughput_tps, r.mean_ms, r.p95_ms
@@ -99,9 +88,6 @@ fn main() {
             "[ablation b] repl={repl}: {:.1} tps, mean {:.2} ms",
             r.throughput_tps, r.mean_ms
         );
-        let mut fields = vec![kv("ablation", "b"), kv("replication", repl)];
-        fields.extend(report_fields(&r));
-        rep.phase(fields);
     }
 
     // (c) Heartbeat interval vs recovery replay volume.
@@ -120,12 +106,6 @@ fn main() {
         let ok = cluster.all_regions_online();
         println!("{hb},{replayed},{ok}");
         eprintln!("[ablation c] hb={hb} ms: replayed {replayed} portions, recovered={ok}");
-        rep.phase(vec![
-            kv("ablation", "c"),
-            kv("heartbeat_ms", hb),
-            kv("replayed_portions", replayed),
-            kv("recovery_complete", ok),
-        ]);
         replayed_by_interval.push(replayed);
     }
     // §3.1's conservative threshold: up to one heartbeat interval of
@@ -164,19 +144,5 @@ fn main() {
                 w.mean() as f64 / 1e6
             );
         }
-        rep.phase(vec![
-            kv("ablation", "d"),
-            kv("client_recoveries", cluster.rm.client_recovery_count()),
-            kv(
-                "client_txns_replayed",
-                cluster.rm.recovery_client().client_txns_replayed(),
-            ),
-            (
-                "timeline".to_owned(),
-                timeline_json(&driver.windows(), SimDuration::from_secs(5)),
-            ),
-        ]);
-        rep.cluster("ablation_d", &cluster);
     }
-    rep.write(&args);
 }

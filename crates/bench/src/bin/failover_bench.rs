@@ -18,10 +18,8 @@
 //! Run: `cargo run --release -p cumulo-bench --bin failover_bench`
 //! (`CUMULO_QUICK=1` for the CI smoke run). CSV on stdout is
 //! byte-identical across runs of the same build (determinism probe — CI
-//! runs it twice and diffs); `--emit-json PATH` writes the
-//! `BENCH_failover.json` snapshot.
+//! runs it twice and diffs).
 
-use cumulo_bench::report::{kv, BenchArgs, BenchReport};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
@@ -81,9 +79,8 @@ struct ModeResult {
     committed: u64,
 }
 
-/// Runs one mode end to end and returns its measurements, leaving the
-/// cluster alive for a metrics snapshot.
-fn run_mode(replication: usize, rows: u64, warmup_rounds: u64, seed: u64) -> (ModeResult, Cluster) {
+/// Runs one mode end to end and returns its measurements.
+fn run_mode(replication: usize, rows: u64, warmup_rounds: u64, seed: u64) -> ModeResult {
     let cluster = Cluster::build(ClusterConfig {
         seed,
         clients: 6,
@@ -141,31 +138,23 @@ fn run_mode(replication: usize, rows: u64, warmup_rounds: u64, seed: u64) -> (Mo
     let online_at = since_crash("region.online").next_back();
     let detection = detected_at.expect("master never detected the crash") - crash_at;
     let unavailability = online_at.expect("no region came back after the crash") - crash_at;
-    // Drain in-flight retries before snapshotting.
+    // Drain in-flight retries before reading the counts.
     cluster.run_for(SimDuration::from_secs(5));
 
-    (
-        ModeResult {
-            unavailability,
-            detection,
-            recovery: unavailability.saturating_sub(detection),
-            promotions: cluster.master.promotions(),
-            fallback_replays: cluster.master.fallback_replays(),
-            committed: committed.get(),
-        },
-        cluster,
-    )
+    ModeResult {
+        unavailability,
+        detection,
+        recovery: unavailability.saturating_sub(detection),
+        promotions: cluster.master.promotions(),
+        fallback_replays: cluster.master.fallback_replays(),
+        committed: committed.get(),
+    }
 }
 
 fn main() {
-    let args = BenchArgs::parse();
     let quick = cumulo_bench::quick();
     let rows: u64 = if quick { 2_000 } else { 6_000 };
     let warmup_rounds: u64 = if quick { 60 } else { 120 };
-    let mut rep = BenchReport::new("failover");
-    rep.config("rows", rows);
-    rep.config("warmup_rounds", warmup_rounds);
-    rep.config("seed", 9191u64);
 
     println!(
         "mode,region_replication,unavailability_ms,detection_ms,recovery_ms,promotions,\
@@ -174,7 +163,7 @@ fn main() {
 
     let mut results = Vec::new();
     for (mode, replication) in [("replay", 1usize), ("promotion", 2usize)] {
-        let (result, cluster) = run_mode(replication, rows, warmup_rounds, 9191);
+        let result = run_mode(replication, rows, warmup_rounds, 9191);
         let total_ms = result.unavailability.as_secs_f64() * 1e3;
         let detect_ms = result.detection.as_secs_f64() * 1e3;
         let recover_ms = result.recovery.as_secs_f64() * 1e3;
@@ -188,17 +177,6 @@ fn main() {
              {} replay fallbacks, {} committed",
             result.promotions, result.fallback_replays, result.committed
         );
-        rep.phase(vec![
-            kv("mode", mode),
-            kv("region_replication", replication),
-            kv("unavailability_ms", total_ms),
-            kv("detection_ms", detect_ms),
-            kv("recovery_ms", recover_ms),
-            kv("promotions", result.promotions),
-            kv("fallback_replays", result.fallback_replays),
-            kv("committed", result.committed),
-        ]);
-        rep.cluster(mode, &cluster);
 
         // The replay run must actually replay and the promotion run must
         // actually promote, or the comparison is meaningless.
@@ -237,5 +215,4 @@ fn main() {
         promotion.unavailability,
         replay.unavailability
     );
-    rep.write(&args);
 }

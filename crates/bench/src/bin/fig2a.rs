@@ -8,18 +8,14 @@
 //!
 //! Run: `cargo run --release -p cumulo-bench --bin fig2a`
 
-use cumulo_bench::report::{kv, print_timeline, report_fields, BenchArgs, BenchReport};
 use cumulo_bench::{paper_workload, run_measurement, standard_cluster, Scale};
 use cumulo_core::PersistenceMode;
 use cumulo_sim::SimDuration;
 use cumulo_ycsb::DriverReport;
 
 fn main() {
-    let args = BenchArgs::parse();
     let scale = Scale::from_env();
     let threads = [4usize, 8, 16, 24, 32, 48, 64, 96];
-    let mut rep = BenchReport::new("fig2a");
-    rep.config("rows", scale.rows);
     println!("mode,threads,throughput_tps,mean_ms,p95_ms,p99_ms,committed,aborted");
     let mut curves = Vec::new();
     for (mode, name) in [
@@ -35,7 +31,7 @@ fn main() {
                 scale.rows,
             );
             let workload = paper_workload(scale.rows, t, None);
-            let (driver, r) = run_measurement(&cluster, workload, scale.warmup, scale.measure);
+            let r = run_measurement(&cluster, workload, scale.warmup, scale.measure);
             println!(
                 "{name},{t},{:.1},{:.2},{:.2},{:.2},{},{}",
                 r.throughput_tps, r.mean_ms, r.p95_ms, r.p99_ms, r.committed, r.aborted
@@ -44,16 +40,9 @@ fn main() {
                 "[fig2a] {name:5} threads={t:3} -> {:7.1} tps, mean {:6.2} ms, p95 {:6.2} ms",
                 r.throughput_tps, r.mean_ms, r.p95_ms
             );
-            if args.timeline {
-                print_timeline(&format!("{name}/t{t}"), &driver.windows(), driver.window());
-            }
-            let mut fields = vec![kv("mode", name), kv("threads", t)];
-            fields.extend(report_fields(&r));
-            rep.phase(fields);
             curves.push(r);
         }
     }
-    rep.write(&args);
 
     // The figure's claim: the asynchronous curve lies below the
     // synchronous one at every thread count, and reaches further right.

@@ -12,17 +12,13 @@
 //!
 //! Run: `cargo run --release -p cumulo-bench --bin fig2b`
 
-use cumulo_bench::report::{kv, print_timeline, report_fields, BenchArgs, BenchReport};
 use cumulo_bench::{paper_workload, run_measurement, standard_cluster, Scale};
 use cumulo_core::PersistenceMode;
 use cumulo_sim::SimDuration;
 
 fn main() {
-    let args = BenchArgs::parse();
     let scale = Scale::from_env();
     let intervals_ms = [50u64, 100, 250, 500, 1_000, 2_000, 5_000, 10_000];
-    let mut rep = BenchReport::new("fig2b");
-    rep.config("rows", scale.rows);
     println!("heartbeat_ms,throughput_tps,mean_ms,p95_ms,p99_ms,committed");
     let mut committed = Vec::new();
     for &hb in &intervals_ms {
@@ -34,7 +30,7 @@ fn main() {
             scale.rows,
         );
         let workload = paper_workload(scale.rows, 50, None);
-        let (driver, r) = run_measurement(&cluster, workload, scale.warmup, scale.measure);
+        let r = run_measurement(&cluster, workload, scale.warmup, scale.measure);
         println!(
             "{hb},{:.1},{:.2},{:.2},{:.2},{}",
             r.throughput_tps, r.mean_ms, r.p95_ms, r.p99_ms, r.committed
@@ -43,15 +39,8 @@ fn main() {
             "[fig2b] hb={hb:6} ms -> {:7.1} tps, mean {:6.2} ms, p95 {:6.2} ms, p99 {:6.2} ms",
             r.throughput_tps, r.mean_ms, r.p95_ms, r.p99_ms
         );
-        if args.timeline {
-            print_timeline(&format!("hb{hb}"), &driver.windows(), driver.window());
-        }
-        let mut fields = vec![kv("heartbeat_ms", hb)];
-        fields.extend(report_fields(&r));
-        rep.phase(fields);
         committed.push((hb, r.committed));
     }
-    rep.write(&args);
 
     // The paper's §4.3 contention claim: heartbeating every 50 ms pays
     // the tracking structures' fixed cost twenty times as often as the

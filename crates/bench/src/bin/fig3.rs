@@ -11,26 +11,17 @@
 //!
 //! Run: `cargo run --release -p cumulo-bench --bin fig3`
 
-use cumulo_bench::report::{
-    kv, print_timeline, report_fields, timeline_json, BenchArgs, BenchReport,
-};
 use cumulo_bench::{paper_workload, standard_cluster, Scale};
 use cumulo_core::PersistenceMode;
 use cumulo_sim::SimDuration;
 use cumulo_ycsb::Driver;
 
 fn main() {
-    let args = BenchArgs::parse();
     let scale = Scale::from_env();
     let total = SimDuration::from_secs(300);
     let crash_at = SimDuration::from_secs(120);
     let window = SimDuration::from_secs(5);
     let offered = 250.0;
-    let mut rep = BenchReport::new("fig3");
-    rep.config("rows", scale.rows);
-    rep.config("total_s", total.as_secs_f64());
-    rep.config("crash_at_s", crash_at.as_secs_f64());
-    rep.config("offered_tps", offered);
 
     let cluster = standard_cluster(
         3003,
@@ -81,30 +72,6 @@ fn main() {
             w.max as f64 / 1e6,
         );
     }
-
-    if args.timeline {
-        print_timeline("fig3", &driver.windows(), window);
-    }
-    let mut fields = report_fields(&r);
-    fields.extend([
-        kv("committed_before_crash", committed_before),
-        kv("region_recoveries", cluster.rm.region_recovery_count()),
-        kv(
-            "replayed_portions",
-            cluster.rm.recovery_client().region_txns_replayed(),
-        ),
-        kv(
-            "survivor_cache_hit_rate",
-            cluster.servers[1].cache_hit_rate(),
-        ),
-        (
-            "timeline".to_owned(),
-            timeline_json(&driver.windows(), window),
-        ),
-    ]);
-    rep.phase(fields);
-    rep.cluster("fig3", &cluster);
-    rep.write(&args);
 
     // The figure's claims, read off the windows printed above. A sharp
     // drop and a response-time spike: of the window the crash fell in and

@@ -21,20 +21,14 @@
 //! (`CUMULO_QUICK=1` for a scaled-down smoke run). CSV on stdout is
 //! byte-identical across runs of the same build (determinism probe).
 
-use cumulo_bench::report::{kv, print_timeline, report_fields, BenchArgs, BenchReport};
-use cumulo_core::{Cluster, ClusterConfig, CompactionTotals, FilterTotals};
+use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
-use cumulo_ycsb::Workload;
+use cumulo_ycsb::{Driver, Workload};
 
 fn main() {
-    let args = BenchArgs::parse();
     let quick = cumulo_bench::quick();
     let rows: u64 = if quick { 5_000 } else { 20_000 };
     let phase_secs = if quick { 25 } else { 60 };
-    let mut rep = BenchReport::new("policy_compare");
-    rep.config("rows", rows);
-    rep.config("phase_secs", phase_secs as u64);
-    rep.config("quick", quick);
 
     println!(
         "phase,policy,store_files_max,throughput_tps,mean_ms,p95_ms,p99_ms,\
@@ -74,16 +68,7 @@ fn main() {
         window: SimDuration::from_secs(5),
         ..Workload::default()
     };
-    let (report, totals, filters) = measure(&cluster, write, phase_secs, "write_heavy", &args);
-    emit(
-        "write_heavy",
-        label,
-        &cluster,
-        &report,
-        &totals,
-        &filters,
-        &mut rep,
-    );
+    measure(&cluster, write, phase_secs, "write_heavy", label);
 
     // Phase 2: balanced mix over the standing backlog.
     let mixed = Workload {
@@ -94,10 +79,7 @@ fn main() {
         window: SimDuration::from_secs(5),
         ..Workload::default()
     };
-    let (report, totals, filters) = measure(&cluster, mixed, phase_secs / 2, "mixed", &args);
-    emit(
-        "mixed", label, &cluster, &report, &totals, &filters, &mut rep,
-    );
+    measure(&cluster, mixed, phase_secs / 2, "mixed", label);
 
     // Phase 3: scan-heavy with continued writes — filters could not
     // help scans anyway; the file backlog is the only bound.
@@ -111,17 +93,7 @@ fn main() {
         window: SimDuration::from_secs(5),
         ..Workload::default()
     };
-    let (report, totals, filters) = measure(&cluster, scans, phase_secs / 2, "scan_heavy", &args);
-    emit(
-        "scan_heavy",
-        label,
-        &cluster,
-        &report,
-        &totals,
-        &filters,
-        &mut rep,
-    );
-    rep.cluster(label, &cluster);
+    measure(&cluster, scans, phase_secs / 2, "scan_heavy", label);
 
     // Backpressure A/B: expensive merges + a bursty foreground (2 s of
     // closed-loop saturation, 2 s idle). Without the deficit scheduler a
@@ -166,87 +138,41 @@ fn main() {
             window: SimDuration::from_secs(5),
             ..Workload::default()
         };
-        let (report, totals, filters) = measure(&cluster, storm, phase_secs, label, &args);
-        emit(
-            "storm", label, &cluster, &report, &totals, &filters, &mut rep,
-        );
-        rep.cluster(&format!("storm_{label}"), &cluster);
+        measure(&cluster, storm, phase_secs, "storm", label);
     }
-
-    rep.write(&args);
 }
 
-/// Runs one measured workload phase and returns the report plus the
-/// compaction/filter counter deltas for exactly that phase.
-fn measure(
-    cluster: &Cluster,
-    workload: Workload,
-    secs: u64,
-    tag: &str,
-    args: &BenchArgs,
-) -> (cumulo_ycsb::DriverReport, CompactionTotals, FilterTotals) {
-    let comp0 = cluster.compaction_totals();
-    let filt0 = cluster.filter_totals();
-    let driver = cumulo_ycsb::Driver::new(cluster, workload);
-    let report = driver.run(
+/// Runs one measured workload phase and prints its row: the driver's
+/// report, the widest file stack at the end, and the compaction and
+/// filter counter deltas of exactly that phase.
+fn measure(cluster: &Cluster, workload: Workload, secs: u64, phase: &str, policy: &str) {
+    let before = cluster.metrics.snapshot();
+    let r = Driver::new(cluster, workload).run(
         cluster,
         SimDuration::from_secs(2),
         SimDuration::from_secs(2 + secs),
     );
-    if args.timeline {
-        print_timeline(tag, &driver.windows(), driver.window());
-    }
-    (
-        report,
-        cluster.compaction_totals().since(&comp0),
-        cluster.filter_totals().since(&filt0),
-    )
-}
-
-fn emit(
-    phase: &str,
-    policy: &str,
-    cluster: &Cluster,
-    r: &cumulo_ycsb::DriverReport,
-    c: &CompactionTotals,
-    f: &FilterTotals,
-    rep: &mut BenchReport,
-) {
-    let mut fields = vec![kv("phase", phase), kv("policy", policy)];
-    fields.extend(report_fields(r));
-    fields.extend([
-        kv("store_files_max", cluster.max_read_amplification()),
-        kv("consulted_per_get", f.consulted_per_get()),
-        kv("compactions", c.completed),
-        kv("deferred", c.deferred),
-        kv("forced", c.forced),
-        kv("flush_stalls", c.flush_stalls),
-        kv("stall_ms", c.stall_ns as f64 / 1e6),
-    ]);
-    rep.phase(fields);
+    let delta = cluster.metrics.snapshot().diff(&before);
+    let compaction = |name: &str| delta.sum(&format!("store.compaction.{name}"));
+    let (completed, deferred) = (compaction("completed"), compaction("deferred"));
+    let (forced, flush_stalls) = (compaction("forced"), compaction("flush_stalls"));
+    let stall_ms = compaction("stall_ns") as f64 / 1e6;
+    let files_max = cluster.metrics.max("store.read_amplification");
+    let gets = delta.sum("store.gets");
+    let consulted_per_get = if gets == 0 {
+        0.0
+    } else {
+        delta.sum("store.filter.files_consulted") as f64 / gets as f64
+    };
     println!(
-        "{phase},{policy},{},{:.1},{:.2},{:.2},{:.2},{:.2},{},{},{},{},{:.1}",
-        cluster.max_read_amplification(),
-        r.throughput_tps,
-        r.mean_ms,
-        r.p95_ms,
-        r.p99_ms,
-        f.consulted_per_get(),
-        c.completed,
-        c.deferred,
-        c.forced,
-        c.flush_stalls,
-        c.stall_ns as f64 / 1e6,
+        "{phase},{policy},{files_max},{:.1},{:.2},{:.2},{:.2},{consulted_per_get:.2},\
+         {completed},{deferred},{forced},{flush_stalls},{stall_ms:.1}",
+        r.throughput_tps, r.mean_ms, r.p95_ms, r.p99_ms,
     );
     eprintln!(
-        "[policy_compare] {phase:>11} {policy:>11}: files={:2} {:7.1} tps \
-         p99 {:7.2} ms consulted/get {:5.2} ({} compactions, {} deferred, {} stalls)",
-        cluster.max_read_amplification(),
-        r.throughput_tps,
-        r.p99_ms,
-        f.consulted_per_get(),
-        c.completed,
-        c.deferred,
-        c.flush_stalls,
+        "[policy_compare] {phase:>11} {policy:>11}: files={files_max:2} {:7.1} tps \
+         p99 {:7.2} ms consulted/get {consulted_per_get:5.2} ({completed} compactions, \
+         {deferred} deferred, {flush_stalls} stalls)",
+        r.throughput_tps, r.p99_ms,
     );
 }

@@ -25,12 +25,10 @@
 //! live server examined.
 //!
 //! Run: `cargo run --release -p cumulo-bench --bin scale_bench`
-//! (`--quick` or `CUMULO_QUICK=1` for the CI smoke run). CSV on stdout
-//! is byte-identical across runs of the same build (determinism probe —
-//! CI runs it twice and diffs); `--emit-json PATH` writes the
-//! `BENCH_scale.json` snapshot.
+//! (`CUMULO_QUICK=1` for the CI smoke run). CSV on stdout is
+//! byte-identical across runs of the same build (determinism probe — CI
+//! runs it twice and diffs).
 
-use cumulo_bench::report::{kv, print_timeline, report_fields, BenchArgs, BenchReport};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_ycsb::{Driver, KeyDistribution, Workload};
@@ -46,7 +44,7 @@ enum Chaos {
     DataNode(usize),
 }
 
-/// The campaign's dimensions, full-scale or `--quick`.
+/// The campaign's dimensions, full-scale or quick.
 struct Dims {
     rows: u64,
     servers: usize,
@@ -193,15 +191,18 @@ fn build_cluster(d: &Dims) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// Looks one counter up in the cluster's metric registry.
-fn metric(cluster: &Cluster, name: &str) -> u64 {
-    cluster
-        .metrics
-        .snapshot()
-        .entries()
-        .find(|(k, _)| *k == name)
-        .map(|(_, v)| v)
-        .unwrap_or(0)
+/// The cumulative structural counts of the CSV's last five columns:
+/// splits and merges applied, moves completed, failovers and placement
+/// cost.
+fn structure_counts(cluster: &Cluster) -> [u64; 5] {
+    [
+        "master.split.applied",
+        "master.merge.applied",
+        "master.move.completed",
+        "master.failovers",
+        "master.placement.cost",
+    ]
+    .map(|name| cluster.metrics.sum(name))
 }
 
 /// Fires one chaos action if its victim is still eligible.
@@ -272,19 +273,7 @@ fn settle(cluster: &Cluster, max: SimDuration, label: &str) {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    let quick = std::env::args().any(|a| a == "--quick") || cumulo_bench::quick();
-    let d = Dims::new(quick);
-    let mut rep = BenchReport::new("scale");
-    rep.config("quick", quick);
-    rep.config("rows", d.rows);
-    rep.config("servers", d.servers);
-    rep.config("clients", d.clients);
-    rep.config("initial_regions", d.regions);
-    rep.config("threads", d.threads);
-    rep.config("target_tps", d.target_tps);
-    rep.config("phase_secs", d.phase.as_secs_f64() as u64);
-    rep.config("split_threshold_bytes", d.split_threshold);
+    let d = Dims::new(cumulo_bench::quick());
 
     let cluster = build_cluster(&d);
     eprintln!(
@@ -334,11 +323,7 @@ fn main() {
 
         let regions = cluster.master.snapshot_map().regions().len();
         peak_regions = peak_regions.max(regions);
-        let splits = cluster.total_splits();
-        let merges = cluster.total_merges();
-        let moves = cluster.total_moves();
-        let failovers = cluster.master.failover_count();
-        let cost = metric(&cluster, "master.placement.cost");
+        let [splits, merges, moves, failovers, cost] = structure_counts(&cluster);
         println!(
             "{name},{},{},{},{:.1},{:.2},{:.2},{:.2},{regions},{peak_regions},{splits},\
              {merges},{moves},{failovers},{cost}",
@@ -360,52 +345,20 @@ fn main() {
              consolidations firing), {moves} moves, {failovers} failovers",
             report.throughput_tps, report.p99_ms, report.committed
         );
-        if args.timeline {
-            print_timeline(name, &driver.windows(), driver.window());
-        }
-        let mut fields = vec![kv("phase", *name)];
-        fields.extend(report_fields(&report));
-        fields.extend([
-            kv("regions", regions),
-            kv("regions_peak", peak_regions),
-            kv("splits_applied", splits),
-            kv("merges_applied", merges),
-            kv("moves_completed", moves),
-            kv("failovers", failovers),
-            kv("consolidations_fired", merges_fired),
-        ]);
-        rep.phase(fields);
     }
 
     // Final convergence + the summary row.
     settle(&cluster, d.settle, "final");
     let regions = cluster.master.snapshot_map().regions().len();
-    let splits = cluster.total_splits();
-    let merge_totals = cluster.merge_totals();
-    let merges = cluster.total_merges();
-    let moves = cluster.total_moves();
-    let failovers = cluster.master.failover_count();
-    let cost = metric(&cluster, "master.placement.cost");
+    let [splits, merges, moves, failovers, cost] = structure_counts(&cluster);
     println!(
         "summary,,,,,,,,{regions},{peak_regions},{splits},{merges},{moves},{failovers},{cost}"
     );
     eprintln!(
         "[scale_bench] summary: peak {peak_regions} regions, {splits} splits, {merges} merges \
          ({} rolled back), {moves} moves, {failovers} failovers; placement cost {cost}",
-        merge_totals.rolled_back,
+        cluster.metrics.sum("master.merge.rolled_back"),
     );
-    rep.phase(vec![
-        kv("phase", "summary"),
-        kv("regions", regions),
-        kv("regions_peak", peak_regions),
-        kv("splits_applied", splits),
-        kv("merges_applied", merges),
-        kv("merges_rolled_back", merge_totals.rolled_back),
-        kv("moves_completed", moves),
-        kv("failovers", failovers),
-        kv("placement_cost", cost),
-    ]);
-    rep.cluster("final", &cluster);
 
     // The campaign must actually have exercised everything it claims.
     assert!(
@@ -420,5 +373,4 @@ fn main() {
     );
     assert!(merges > 0, "no merge was ever applied");
     assert!(moves > 0, "no proactive move ever completed");
-    rep.write(&args);
 }

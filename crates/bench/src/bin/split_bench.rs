@@ -24,7 +24,6 @@
 //! byte-identical across runs of the same build (determinism probe — CI
 //! runs it twice and diffs).
 
-use cumulo_bench::report::{kv, print_timeline, report_fields, BenchArgs, BenchReport};
 use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::{Sim, SimDuration};
 use cumulo_ycsb::{KeyDistribution, Workload};
@@ -53,15 +52,10 @@ fn split_cluster(seed: u64, splits: bool, rows: u64) -> Cluster {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
     let quick = cumulo_bench::quick();
     let rows: u64 = if quick { 4_000 } else { 20_000 };
     let phase_secs = if quick { 25 } else { 90 };
     let audit_txns: u64 = if quick { 900 } else { 6_000 };
-    let mut rep = BenchReport::new("split_bench");
-    rep.config("rows", rows);
-    rep.config("phase_secs", phase_secs as u64);
-    rep.config("audit_txns", audit_txns);
 
     println!(
         "phase,splits_enabled,splits_applied,rolled_back,regions,throughput_tps,mean_ms,\
@@ -87,46 +81,28 @@ fn main() {
         window: SimDuration::from_secs(5),
         ..Workload::default()
     };
-    let driver = cumulo_ycsb::Driver::new(&cluster, hotspot);
-    let report = driver.run(
+    let report = cumulo_ycsb::Driver::new(&cluster, hotspot).run(
         &cluster,
         SimDuration::from_secs(2),
         SimDuration::from_secs(2 + phase_secs),
     );
     cluster.run_for(SimDuration::from_secs(5));
-    let totals = cluster.split_totals();
+    let applied = cluster.metrics.sum("master.split.applied");
+    let rolled_back = cluster.metrics.sum("master.split.rolled_back");
     cluster.assert_region_partition();
     let regions = cluster.master.snapshot_map().regions().len();
     println!(
-        "hotspot,true,{},{},{regions},{:.1},{:.2},{:.2},{},,",
-        totals.applied,
-        totals.rolled_back,
-        report.throughput_tps,
-        report.mean_ms,
-        report.p99_ms,
-        report.committed,
+        "hotspot,true,{applied},{rolled_back},{regions},{:.1},{:.2},{:.2},{},,",
+        report.throughput_tps, report.mean_ms, report.p99_ms, report.committed,
     );
     eprintln!(
-        "[split_bench] hotspot: {} splits applied ({} rolled back), {regions} regions, \
-         {:.1} tps, p99 {:.2} ms",
-        totals.applied, totals.rolled_back, report.throughput_tps, report.p99_ms
+        "[split_bench] hotspot: {applied} splits applied ({rolled_back} rolled back), \
+         {regions} regions, {:.1} tps, p99 {:.2} ms",
+        report.throughput_tps, report.p99_ms
     );
-    if args.timeline {
-        print_timeline("hotspot", &driver.windows(), driver.window());
-    }
-    let mut fields = vec![kv("phase", "hotspot"), kv("splits_enabled", true)];
-    fields.extend(report_fields(&report));
-    fields.extend([
-        kv("splits_applied", totals.applied),
-        kv("rolled_back", totals.rolled_back),
-        kv("regions", regions),
-    ]);
-    rep.phase(fields);
-    rep.cluster("hotspot", &cluster);
     assert!(
-        totals.applied >= 2,
-        "hotspot workload must trigger at least 2 online splits, saw {}",
-        totals.applied
+        applied >= 2,
+        "hotspot workload must trigger at least 2 online splits, saw {applied}"
     );
 
     // ------------------------------------------------------------------
@@ -146,16 +122,7 @@ fn main() {
         if splits {
             assert!(applied >= 2, "audit run must also split, saw {applied}");
         }
-        rep.phase(vec![
-            kv("phase", format!("divergence_{label}")),
-            kv("splits_enabled", splits),
-            kv("splits_applied", applied),
-            kv("committed", committed),
-            kv("divergent_cells", divergent),
-            kv("cells_audited", audited),
-        ]);
     }
-    rep.write(&args);
 }
 
 /// Generates the deterministic op stream (4 blind puts per transaction;
@@ -282,7 +249,7 @@ fn run_audit(splits: bool, rows: u64, txns: u64) -> (u64, u64, u64, u64) {
         }
     }
     (
-        cluster.total_splits(),
+        cluster.metrics.sum("master.split.applied"),
         divergent,
         audited,
         audit.committed.get(),

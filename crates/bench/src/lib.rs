@@ -18,18 +18,17 @@
 //! per-layer ledger and a contract (`BENCHMARK.json`), micro-loops over
 //! single data structures included (`benchmark/src/micro.rs`).
 //!
-//! Every binary prints CSV to stdout and a human-readable commentary to
-//! stderr. Set `CUMULO_QUICK=1` to run a scaled-down version (fewer rows,
-//! shorter measurement).
+//! Every binary prints CSV to stdout, its only output and the one the
+//! pins compare, and a human-readable commentary to stderr. Set
+//! `CUMULO_QUICK=1` to run a scaled-down version (fewer rows, shorter
+//! measurement).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod report;
-
 use cumulo_core::{Cluster, ClusterConfig, PersistenceMode};
 use cumulo_sim::SimDuration;
-use cumulo_ycsb::{Driver, Workload};
+use cumulo_ycsb::{Driver, DriverReport, Workload};
 
 /// Whether `CUMULO_QUICK=1` asks for the scaled-down run.
 pub fn quick() -> bool {
@@ -101,14 +100,12 @@ pub fn paper_workload(rows: u64, threads: usize, target_tps: Option<f64>) -> Wor
     }
 }
 
-/// Runs one complete measurement and returns (driver, report).
+/// Runs one complete measurement and returns its report.
 pub fn run_measurement(
     cluster: &Cluster,
     workload: Workload,
     warmup: SimDuration,
     measure: SimDuration,
-) -> (Driver, cumulo_ycsb::DriverReport) {
-    let driver = Driver::new(cluster, workload);
-    let report = driver.run(cluster, warmup, warmup + measure);
-    (driver, report)
+) -> DriverReport {
+    Driver::new(cluster, workload).run(cluster, warmup, warmup + measure)
 }

@@ -7,7 +7,7 @@
 //! shifts the jitter stream and diverges every number downstream.
 //!
 //! The third pins the other half of the structure-change protocol:
-//! `split_bench` only splits, while `scale_bench --quick` also merges,
+//! `split_bench` only splits, while `scale_bench` also merges,
 //! moves and fails over (106 splits, 29 merges, 4 moves and two
 //! failovers by its last phase).
 //!
@@ -132,11 +132,8 @@
 use std::process::Command;
 
 fn run_quick(bin: &str) -> String {
-    run(Command::new(bin).env("CUMULO_QUICK", "1"), bin)
-}
-
-fn run(command: &mut Command, bin: &str) -> String {
-    let out = command
+    let out = Command::new(bin)
+        .env("CUMULO_QUICK", "1")
         .output()
         .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     assert!(
@@ -193,10 +190,7 @@ fn split_bench_csv_matches_pre_replication_baseline() {
 
 #[test]
 fn scale_bench_csv_matches_pinned_baseline() {
-    let bin = env!("CARGO_BIN_EXE_scale_bench");
-    // This bin takes its quick mode as an argument, not from the
-    // environment.
-    let got = run(Command::new(bin).arg("--quick"), bin);
+    let got = run_quick(env!("CARGO_BIN_EXE_scale_bench"));
     let want = include_str!("baselines/scale_bench_quick.csv");
     assert_pinned(
         &got,

@@ -20,9 +20,9 @@ use cumulo_sim::{
 };
 use cumulo_store::compaction::GcWatermark;
 use cumulo_store::{
-    ChangeKind, ClientId, Master, MasterConfig, RegionId, RegionMap, RegionServer,
-    RegionServerConfig, ServerDirectory, ServerId, StoreClient, StoreClientConfig,
-    StoreFileBuilder, StoreFileRegistry, Timestamp, WalSyncMode,
+    ClientId, Master, MasterConfig, RegionId, RegionMap, RegionServer, RegionServerConfig,
+    ServerDirectory, ServerId, StoreClient, StoreClientConfig, StoreFileBuilder, StoreFileRegistry,
+    Timestamp, WalSyncMode,
 };
 use cumulo_txn::{TmClient, TransactionManager};
 use std::cell::{Cell, RefCell};
@@ -176,9 +176,9 @@ pub struct Cluster {
     /// The run's metrics registry ([`Sim::metrics`]): every component
     /// registered its counters and gauges there under stable names and
     /// labels as it was built, so one [`MetricsRegistry::snapshot`]
-    /// captures the whole deployment. The aggregate views
-    /// ([`Cluster::filter_totals`], [`Cluster::compaction_totals`], …)
-    /// are thin queries over it.
+    /// captures the whole deployment. It is how callers read the
+    /// cluster's numbers: `sum` / `max` for totals, a snapshot `diff`
+    /// for one phase.
     pub metrics: MetricsRegistry,
     /// The run's trace journal ([`Sim::trace`]): per-RPC service spans
     /// (`rpc.*`) and per-transaction lifecycle spans (`txn.*`), in
@@ -578,113 +578,12 @@ impl Cluster {
         every_region_online(&self.master, &self.dir)
     }
 
-    /// Total transactions committed across all clients (a registry view
-    /// over `txn.committed`).
-    pub fn total_committed(&self) -> u64 {
-        self.metrics.sum("txn.committed")
-    }
-
-    /// Total transactions aborted across all clients (a registry view
-    /// over `txn.aborted`).
-    pub fn total_aborted(&self) -> u64 {
-        self.metrics.sum("txn.aborted")
-    }
-
-    /// Background compactions completed across all servers (a registry
-    /// view over `store.compaction.completed`).
-    pub fn total_compactions(&self) -> u64 {
-        self.metrics.sum("store.compaction.completed")
-    }
-
-    /// Worst-case read amplification right now: the largest store-file
-    /// count backing any region on any server (a registry view over the
-    /// `store.read_amplification` gauges).
-    pub fn max_read_amplification(&self) -> u64 {
-        self.metrics.max("store.read_amplification")
-    }
-
-    /// Cluster-wide snapshot of the point-get filter statistics, summed
-    /// across all region servers — a view over the registry's
-    /// `store.filter.*` metrics (see `cumulo_store::FilterStats`).
-    pub fn filter_totals(&self) -> FilterTotals {
-        FilterTotals {
-            probes: self.metrics.sum("store.filter.probes"),
-            range_skips: self.metrics.sum("store.filter.range_skips"),
-            filter_skips: self.metrics.sum("store.filter.filter_skips"),
-            false_positives: self.metrics.sum("store.filter.false_positives"),
-            false_negatives: self.metrics.sum("store.filter.false_negatives"),
-            files_consulted: self.metrics.sum("store.filter.files_consulted"),
-            gets_served: self.metrics.sum("store.gets"),
-            filter_bytes: self.metrics.sum("store.filter.bytes"),
-        }
-    }
-
     /// Toggles bloom probing on point gets on every region server (the
     /// benchmarks' A/B switch; the store-file stacks are unaffected).
     pub fn set_bloom_filters(&self, enabled: bool) {
         for s in &self.servers {
             s.set_bloom_filters(enabled);
         }
-    }
-
-    /// Cluster-wide snapshot of the compaction statistics, summed across
-    /// all region servers — a view over the registry's
-    /// `store.compaction.*` metrics (see `cumulo_store::CompactionStats`).
-    pub fn compaction_totals(&self) -> CompactionTotals {
-        CompactionTotals {
-            started: self.metrics.sum("store.compaction.started"),
-            completed: self.metrics.sum("store.compaction.completed"),
-            bytes_rewritten: self.metrics.sum("store.compaction.bytes_rewritten"),
-            versions_dropped: self.metrics.sum("store.compaction.versions_dropped"),
-            files_retired: self.metrics.sum("store.compaction.files_retired"),
-            deferred: self.metrics.sum("store.compaction.deferred"),
-            forced: self.metrics.sum("store.compaction.forced"),
-            flush_stalls: self.metrics.sum("store.compaction.flush_stalls"),
-            stall_ns: self.metrics.sum("store.compaction.stall_ns"),
-        }
-    }
-
-    /// Cluster-wide snapshot of the online-split statistics: per-server
-    /// counters summed, master-side intent/apply/rollback counters
-    /// attached (see `cumulo_store::StructureStats`).
-    pub fn split_totals(&self) -> StructureTotals {
-        self.structure_totals(ChangeKind::Split)
-    }
-
-    /// Cluster-wide snapshot of the online-merge statistics, in the same
-    /// terms as [`Cluster::split_totals`].
-    pub fn merge_totals(&self) -> StructureTotals {
-        self.structure_totals(ChangeKind::Merge)
-    }
-
-    fn structure_totals(&self, kind: ChangeKind) -> StructureTotals {
-        let kind = kind.name();
-        let sum = |side: &str, name: &str| self.metrics.sum(&format!("{side}.{kind}.{name}"));
-        StructureTotals {
-            considered: sum("store", "considered"),
-            intents_requested: sum("store", "intents_requested"),
-            executing: sum("store", "executing"),
-            completed: sum("store", "completed"),
-            server_aborted: sum("store", "aborted"),
-            intents_persisted: sum("master", "intents_persisted"),
-            applied: sum("master", "applied"),
-            rolled_back: sum("master", "rolled_back"),
-        }
-    }
-
-    /// Splits applied to the region map so far.
-    pub fn total_splits(&self) -> u64 {
-        self.master.splits_applied()
-    }
-
-    /// Merges applied to the region map so far.
-    pub fn total_merges(&self) -> u64 {
-        self.master.merges_applied()
-    }
-
-    /// Proactive region moves completed by the master so far.
-    pub fn total_moves(&self) -> u64 {
-        self.master.moves_completed()
     }
 
     /// Admin trigger: ask the server currently hosting `left` to merge
@@ -793,137 +692,6 @@ fn every_region_online(master: &Master, dir: &ServerDirectory) -> bool {
             .map(|srv| srv.region_online(r.id))
             .unwrap_or(false)
     })
-}
-
-/// Cluster-wide sums of the statistics of one kind of online structure
-/// change — splits or merges (server counters plus the master's intent
-/// bookkeeping).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct StructureTotals {
-    /// Candidacies accepted by servers (timer or admin trigger).
-    pub considered: u64,
-    /// Intent requests sent to the master.
-    pub intents_requested: u64,
-    /// Intents whose execution reached reference building.
-    pub executing: u64,
-    /// Changes flipped on a server (inputs replaced by outputs).
-    pub completed: u64,
-    /// Requests the master denied plus granted intents abandoned
-    /// server-side.
-    pub server_aborted: u64,
-    /// Intents the master made durable.
-    pub intents_persisted: u64,
-    /// Changes applied to the region map.
-    pub applied: u64,
-    /// Intents rolled back at the master (failover or abort).
-    pub rolled_back: u64,
-}
-
-/// Cluster-wide sums of the per-server compaction statistics.
-///
-/// Counters only ever grow, so the difference of two snapshots
-/// ([`CompactionTotals::since`]) isolates one measurement phase — the
-/// same pattern as [`FilterTotals`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CompactionTotals {
-    /// Compactions started.
-    pub started: u64,
-    /// Compactions that swapped their merged outputs in.
-    pub completed: u64,
-    /// Bytes written into merged output files.
-    pub bytes_rewritten: u64,
-    /// MVCC versions garbage-collected.
-    pub versions_dropped: u64,
-    /// Input files retired.
-    pub files_retired: u64,
-    /// Due merges deferred by the backpressure scheduler.
-    pub deferred: u64,
-    /// Deferred merges forced through after the deficit bank filled.
-    pub forced: u64,
-    /// Memstore flushes stalled by the file-count hard limit.
-    pub flush_stalls: u64,
-    /// Simulated nanoseconds flush work spent stalled.
-    pub stall_ns: u64,
-}
-
-impl CompactionTotals {
-    /// The counter deltas accumulated after `earlier` was taken.
-    pub fn since(&self, earlier: &CompactionTotals) -> CompactionTotals {
-        CompactionTotals {
-            started: self.started - earlier.started,
-            completed: self.completed - earlier.completed,
-            bytes_rewritten: self.bytes_rewritten - earlier.bytes_rewritten,
-            versions_dropped: self.versions_dropped - earlier.versions_dropped,
-            files_retired: self.files_retired - earlier.files_retired,
-            deferred: self.deferred - earlier.deferred,
-            forced: self.forced - earlier.forced,
-            flush_stalls: self.flush_stalls - earlier.flush_stalls,
-            stall_ns: self.stall_ns - earlier.stall_ns,
-        }
-    }
-}
-
-/// Cluster-wide sums of the per-server point-get filter statistics.
-///
-/// Counters only ever grow, so the difference of two snapshots
-/// ([`FilterTotals::since`]) isolates one measurement phase.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct FilterTotals {
-    /// Bloom-filter probes performed.
-    pub probes: u64,
-    /// Files excluded by key-range pruning.
-    pub range_skips: u64,
-    /// Files excluded by a negative bloom probe.
-    pub filter_skips: u64,
-    /// Consulted files that did not hold the key (filter false positives).
-    pub false_positives: u64,
-    /// Wrong filter exclusions (counted in debug builds; must be zero).
-    pub false_negatives: u64,
-    /// Store files consulted by point gets.
-    pub files_consulted: u64,
-    /// Point gets served.
-    pub gets_served: u64,
-    /// Current filter-metadata bytes across all servers (a gauge, not a
-    /// counter — `since` keeps the later snapshot's value).
-    pub filter_bytes: u64,
-}
-
-impl FilterTotals {
-    /// The counter deltas accumulated after `earlier` was taken.
-    pub fn since(&self, earlier: &FilterTotals) -> FilterTotals {
-        FilterTotals {
-            probes: self.probes - earlier.probes,
-            range_skips: self.range_skips - earlier.range_skips,
-            filter_skips: self.filter_skips - earlier.filter_skips,
-            false_positives: self.false_positives - earlier.false_positives,
-            false_negatives: self.false_negatives - earlier.false_negatives,
-            files_consulted: self.files_consulted - earlier.files_consulted,
-            gets_served: self.gets_served - earlier.gets_served,
-            filter_bytes: self.filter_bytes,
-        }
-    }
-
-    /// Mean store files consulted per point get (0 if no gets).
-    pub fn consulted_per_get(&self) -> f64 {
-        if self.gets_served == 0 {
-            0.0
-        } else {
-            self.files_consulted as f64 / self.gets_served as f64
-        }
-    }
-
-    /// Fraction of filter *negatives-or-false-positives* that were false
-    /// positives: `fp / (fp + true negatives)`, the standard bloom
-    /// false-positive rate (0 if the filter never answered for an absent
-    /// key).
-    pub fn false_positive_rate(&self) -> f64 {
-        let denominator = self.false_positives + self.filter_skips;
-        if denominator == 0 {
-            0.0
-        } else {
-            self.false_positives as f64 / denominator as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ mod server_tracker;
 )]
 mod txn_client;
 
-pub use cluster::{Cluster, ClusterConfig, CompactionTotals, FilterTotals, StructureTotals};
+pub use cluster::{Cluster, ClusterConfig};
 pub use flush_tracker::FlushTracker;
 pub use hooks_impl::MiddlewareHooks;
 pub use persist_tracker::PersistTracker;

@@ -6,8 +6,11 @@
 //! Every long-lived counter or gauge in the cluster also registers into a
 //! [`MetricsRegistry`] under a `name{label=value,...}` key, and
 //! [`MetricsRegistry::snapshot`] renders the whole cluster state as one
-//! fully sorted, deterministic key→value map (the backbone of the
-//! `BENCH_*.json` exporters and of `Cluster`'s aggregate views).
+//! fully sorted, deterministic key→value map. The registry is how bins
+//! and tests read a cluster's numbers: [`MetricsRegistry::sum`] and
+//! [`MetricsRegistry::max`] for totals so far, and
+//! [`MetricsSnapshot::diff`] then [`MetricsSnapshot::sum`] for one
+//! measurement phase.
 
 use crate::time::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
@@ -481,6 +484,23 @@ impl MetricsSnapshot {
         MetricsSnapshot { entries }
     }
 
+    /// Sum of the entries of every label set of `name` (`name` itself and
+    /// `name{...}`, not a longer name that shares the prefix), as
+    /// [`MetricsRegistry::sum`] adds the live metrics; after
+    /// [`MetricsSnapshot::diff`] a counter adds its delta and a gauge its
+    /// later value. A histogram's entries render under `name.count`,
+    /// `name.p99` and so on.
+    pub fn sum(&self, name: &str) -> u64 {
+        self.entries
+            .iter()
+            .filter(|(k, _)| {
+                k.strip_prefix(name)
+                    .is_some_and(|labels| labels.is_empty() || labels.starts_with('{'))
+            })
+            .map(|(_, e)| e.value)
+            .sum()
+    }
+
     /// Renders one `key value` line per entry, sorted by key — two runs
     /// of the same seed produce byte-identical output.
     pub fn render(&self) -> String {
@@ -640,20 +660,6 @@ impl MetricsRegistry {
             })
             .max()
             .unwrap_or(0)
-    }
-
-    /// Key-wise sum of every [`GaugeMap`] registered under `name`,
-    /// sorted by key.
-    pub fn sum_map(&self, name: &str) -> Vec<(u64, u64)> {
-        let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-        for r in self.inner.borrow().values().filter(|r| r.name == name) {
-            if let Metric::Map { m, .. } = &r.metric {
-                for (k, v) in m.snapshot() {
-                    *merged.entry(k).or_insert(0) += v;
-                }
-            }
-        }
-        merged.into_iter().collect()
     }
 
     /// Renders every registered metric into a fully sorted
@@ -839,7 +845,7 @@ mod tests {
         m.set(3, 50);
         let snap = reg.snapshot();
         assert_eq!(snap.get("store.region.load{region=3,server=0}"), Some(50));
-        assert_eq!(reg.sum_map("store.region.load"), vec![(3, 50), (12, 100)]);
+        assert_eq!(snap.sum("store.region.load"), reg.sum("store.region.load"));
     }
 
     #[test]
@@ -855,6 +861,42 @@ mod tests {
         let d = reg.snapshot().diff(&before);
         assert_eq!(d.get("c"), Some(5));
         assert_eq!(d.get("g"), Some(3));
+    }
+
+    #[test]
+    fn snapshot_sum_adds_the_label_sets_of_one_name() {
+        let reg = MetricsRegistry::new();
+        let gets0 = reg.counter("store.gets", &[("server", "0")]);
+        let gets1 = reg.counter("store.gets", &[("server", "1")]);
+        let longer = reg.counter("store.gets_ok", &[("server", "0")]);
+        let bare = reg.counter("master.failovers", &[]);
+        let bytes0 = reg.gauge("store.filter.bytes", &[("server", "0")]);
+        let bytes1 = reg.gauge("store.filter.bytes", &[("server", "1")]);
+        gets0.add(2);
+        gets1.add(3);
+        longer.add(100);
+        bare.add(7);
+        bytes0.set(10);
+        bytes1.set(20);
+        let before = reg.snapshot();
+        assert_eq!(before.sum("store.gets"), 5);
+        assert_eq!(before.sum("store.gets"), reg.sum("store.gets"));
+        assert_eq!(before.sum("master.failovers"), 7);
+        assert_eq!(before.sum("store.filter.bytes"), 30);
+        assert_eq!(before.sum("store.get"), 0);
+
+        gets1.add(4);
+        longer.add(100);
+        bytes0.set(1);
+        let delta = reg.snapshot().diff(&before);
+        assert_eq!(delta.sum("store.gets"), 4, "a counter sums its delta");
+        assert_eq!(delta.sum("store.gets_ok"), 100);
+        assert_eq!(delta.sum("master.failovers"), 0);
+        assert_eq!(
+            delta.sum("store.filter.bytes"),
+            21,
+            "a gauge keeps its later value"
+        );
     }
 
     #[test]

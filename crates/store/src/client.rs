@@ -74,9 +74,7 @@ struct Inner {
     last_refresh: Cell<Option<u64>>,
     retries: Counter,
     gets_ok: Counter,
-    puts_ok: Counter,
     multi_get_rpcs: Counter,
-    multi_gets_ok: Counter,
     scan_leg_rpcs: Counter,
     scans_ok: Counter,
     refresh_skips: Counter,
@@ -121,9 +119,7 @@ impl StoreClient {
                 last_refresh: Cell::new(None),
                 retries: Counter::new(),
                 gets_ok: Counter::new(),
-                puts_ok: Counter::new(),
                 multi_get_rpcs: Counter::new(),
-                multi_gets_ok: Counter::new(),
                 scan_leg_rpcs: Counter::new(),
                 scans_ok: Counter::new(),
                 refresh_skips: Counter::new(),
@@ -282,16 +278,6 @@ impl StoreClient {
     /// cells spanning R regions cost exactly R round trips".
     pub fn multi_get_rpcs(&self) -> u64 {
         self.inner.multi_get_rpcs.get()
-    }
-
-    /// Per-region batched-read RPCs answered successfully.
-    pub fn multi_gets_ok(&self) -> u64 {
-        self.inner.multi_gets_ok.get()
-    }
-
-    /// Acknowledged multi-puts.
-    pub fn puts_ok(&self) -> u64 {
-        self.inner.puts_ok.get()
     }
 
     /// Per-region scan leg RPCs issued (continuation legs + retries; a
@@ -580,8 +566,7 @@ impl Request for Put {
         );
     }
 
-    fn served(self, inner: Rc<Inner>, (): (), done: Self::Then) {
-        inner.puts_ok.inc();
+    fn served(self, _: Rc<Inner>, (): (), done: Self::Then) {
         done();
     }
 }
@@ -675,8 +660,7 @@ impl Request for MultiGet {
 
     /// Writes the group's values into the batch result (input order) and
     /// fires the batch completion when the last cell lands.
-    fn served(self, inner: Rc<Inner>, values: Self::Reply, ctx: Self::Then) {
-        inner.multi_gets_ok.inc();
+    fn served(self, _: Rc<Inner>, values: Self::Reply, ctx: Self::Then) {
         debug_assert_eq!(self.group.len(), values.len());
         {
             let mut results = ctx.results.borrow_mut();

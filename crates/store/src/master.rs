@@ -205,7 +205,8 @@ pub struct Master {
     moves_refused: Counter,
     /// Placement target-selection work performed: one unit per live
     /// server examined (the assigned-region counts are indexed, so no
-    /// placement scans the assignments map). Emitted in `BENCH_scale.json`.
+    /// placement scans the assignments map). `scale_bench` prints it as
+    /// its `placement_cost` column.
     placement_cost: Counter,
     /// The shared store-file registry: a WAL split's output enters it
     /// once durable, and intent rollback purges a crashed split's

@@ -57,7 +57,7 @@ fn write_heavy_load_is_compacted_in_the_background() {
     // Let in-flight flushes and compactions drain.
     cluster.run_for(SimDuration::from_secs(15));
 
-    let compactions = cluster.total_compactions();
+    let compactions = cluster.metrics.sum("store.compaction.completed");
     assert!(
         compactions >= 3,
         "expected several compactions, saw {compactions}"
@@ -77,7 +77,7 @@ fn write_heavy_load_is_compacted_in_the_background() {
         .map(|s| s.compaction_stats().deletes_confirmed.get())
         .sum();
     assert!(confirmed > 0, "no obsolete-file deletion was confirmed");
-    let amp = cluster.max_read_amplification();
+    let amp = cluster.metrics.max("store.read_amplification");
     assert!(
         amp <= 6,
         "read amplification unbounded: {amp} store files on one region"
@@ -181,7 +181,7 @@ fn compaction_is_read_invisible_and_reduces_files() {
         let acked = write_load(&cluster, 90, VALUE_PAD);
         cluster.run_for(SimDuration::from_secs(15));
         verify_acked(&cluster, &acked.borrow());
-        cluster.max_read_amplification()
+        cluster.metrics.max("store.read_amplification")
     };
     let amp_on = run(true);
     let amp_off = run(false);

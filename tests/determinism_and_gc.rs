@@ -35,7 +35,7 @@ fn run_scenario(seed: u64) -> (u64, u64, u64, u64) {
     (
         cluster.sim.events_executed(),
         cluster.net.messages_delivered(),
-        cluster.total_committed(),
+        cluster.metrics.sum("txn.committed"),
         cluster.rm.recovery_client().region_txns_replayed(),
     )
 }
@@ -135,7 +135,7 @@ fn wal_split_output_is_adopted_at_open_and_compacted_away() {
     }
     cluster.run_for(SimDuration::from_secs(20));
     assert!(
-        cluster.total_compactions() >= 1,
+        cluster.metrics.sum("store.compaction.completed") >= 1,
         "a compaction must have run"
     );
     let left: Vec<String> = cluster
@@ -181,7 +181,7 @@ fn log_stays_bounded_under_continuous_load() {
         }
         cluster.run_for(SimDuration::from_secs(4));
         max_log = max_log.max(cluster.tm.log().len());
-        committed_total = cluster.total_committed();
+        committed_total = cluster.metrics.sum("txn.committed");
     }
     assert!(committed_total >= 240);
     assert!(

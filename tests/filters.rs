@@ -71,7 +71,7 @@ fn gets_identical_with_filters_on_and_off_through_failures() {
 
     cluster.set_bloom_filters(true);
     let with_filters = read_all(&cluster);
-    let totals_on = cluster.filter_totals();
+    let filtered = cluster.metrics.snapshot();
     cluster.set_bloom_filters(false);
     let without_filters = read_all(&cluster);
 
@@ -85,19 +85,24 @@ fn gets_identical_with_filters_on_and_off_through_failures() {
             .unwrap_or_else(|| panic!("acked row {row} missing"));
         assert_eq!(got, val, "row {row} lost its newest acked value");
     }
+    let filter = |name: &str| filtered.sum(&format!("store.filter.{name}"));
     assert_eq!(
-        totals_on.false_negatives, 0,
+        filter("false_negatives"),
+        0,
         "bloom filters produced false negatives"
     );
-    assert!(totals_on.probes > 0, "the filtered pass never probed");
+    assert!(filter("probes") > 0, "the filtered pass never probed");
+    let (false_positives, filter_skips) = (filter("false_positives"), filter("filter_skips"));
     assert!(
-        totals_on.filter_skips > 0,
+        filter_skips > 0,
         "filters never pruned a file despite a deep stack"
     );
+    // The standard bloom false-positive rate: false positives over every
+    // answer the filter gave for an absent key.
+    let false_positive_rate = false_positives as f64 / (false_positives + filter_skips) as f64;
     assert!(
-        totals_on.false_positive_rate() <= 0.05,
-        "false positive rate {:.4} far above the design point",
-        totals_on.false_positive_rate()
+        false_positive_rate <= 0.05,
+        "false positive rate {false_positive_rate:.4} far above the design point"
     );
 }
 
@@ -116,7 +121,10 @@ fn filters_compose_with_compaction_and_recovery() {
     cluster.run_for(SimDuration::from_secs(15));
 
     assert!(cluster.all_regions_online());
-    assert!(cluster.total_compactions() > 0, "no compactions ran");
+    assert!(
+        cluster.metrics.sum("store.compaction.completed") > 0,
+        "no compactions ran"
+    );
     let (dropped, created): (u64, u64) = cluster
         .servers
         .iter()
@@ -137,7 +145,6 @@ fn filters_compose_with_compaction_and_recovery() {
             .unwrap_or_else(|| panic!("acked row {row} missing"));
         assert_eq!(got, val, "row {row} lost its newest acked value");
     }
-    let totals = cluster.filter_totals();
-    assert_eq!(totals.false_negatives, 0);
-    assert!(totals.probes > 0);
+    assert_eq!(cluster.metrics.sum("store.filter.false_negatives"), 0);
+    assert!(cluster.metrics.sum("store.filter.probes") > 0);
 }

@@ -106,7 +106,7 @@ fn crash_before_intent_persisted_recovers_daughters() {
             SimDuration::from_millis(200),
             || {
                 changing_server(&cluster, ChangeKind::Merge).is_some()
-                    && cluster.merge_totals().intents_persisted == 0
+                    && cluster.metrics.sum("master.merge.intents_persisted") == 0
             },
         ) {
             caught = true;
@@ -116,7 +116,7 @@ fn crash_before_intent_persisted_recovers_daughters() {
     assert!(caught, "no merge candidacy was ever observed");
     let victim = changing_server(&cluster, ChangeKind::Merge).expect("just observed");
     assert_eq!(
-        cluster.merge_totals().intents_persisted,
+        cluster.metrics.sum("master.merge.intents_persisted"),
         0,
         "crash point 1 requires no durable intent"
     );
@@ -145,7 +145,10 @@ fn crash_after_intent_before_merged_online_rolls_back() {
             &cluster,
             SimDuration::from_millis(2),
             SimDuration::from_millis(200),
-            || cluster.merge_totals().intents_persisted > 0 && cluster.master.merges_applied() == 0,
+            || {
+                cluster.metrics.sum("master.merge.intents_persisted") > 0
+                    && cluster.master.merges_applied() == 0
+            },
         ) {
             caught = true;
             break;
@@ -164,7 +167,7 @@ fn crash_after_intent_before_merged_online_rolls_back() {
         &cluster,
         SimDuration::from_millis(100),
         SimDuration::from_secs(30),
-        || cluster.merge_totals().rolled_back > 0,
+        || cluster.metrics.sum("master.merge.rolled_back") > 0,
     );
     assert!(rolled, "failover did not roll the durable intent back");
     for _ in 0..20 {

@@ -153,8 +153,8 @@ fn seed_shift_changes_journals_but_keeps_them_consistent() {
     assert_journal_consistent(&b);
 }
 
-/// The registry-backed cluster aggregates must agree with a direct walk
-/// over the per-component accessors they replaced.
+/// The registry's sums and maxima must agree with a direct walk over the
+/// per-component accessors.
 #[test]
 fn registry_views_agree_with_component_accessors() {
     let cluster = small_cluster(33);
@@ -174,42 +174,39 @@ fn registry_views_agree_with_component_accessors() {
     }
 
     let committed: u64 = cluster.clients.iter().map(|c| c.committed_count()).sum();
-    assert_eq!(cluster.total_committed(), committed);
+    assert_eq!(cluster.metrics.sum("txn.committed"), committed);
     assert_eq!(committed, 20, "schedule commits exactly 20 transactions");
     let aborted: u64 = cluster.clients.iter().map(|c| c.aborted_count()).sum();
-    assert_eq!(cluster.total_aborted(), aborted);
+    assert_eq!(cluster.metrics.sum("txn.aborted"), aborted);
 
-    let totals = cluster.filter_totals();
     let gets: u64 = cluster.servers.iter().map(|s| s.gets_served()).sum();
-    assert_eq!(totals.gets_served, gets);
+    assert_eq!(cluster.metrics.sum("store.gets"), gets);
     let probes: u64 = cluster
         .servers
         .iter()
         .map(|s| s.filter_stats().probes.get())
         .sum();
-    assert_eq!(totals.probes, probes);
+    assert_eq!(cluster.metrics.sum("store.filter.probes"), probes);
     let filter_bytes: u64 = cluster
         .servers
         .iter()
         .map(|s| s.filter_stats().filter_bytes.get())
         .sum();
-    assert_eq!(totals.filter_bytes, filter_bytes);
+    assert_eq!(cluster.metrics.sum("store.filter.bytes"), filter_bytes);
 
-    let comp = cluster.compaction_totals();
     let completed: u64 = cluster
         .servers
         .iter()
         .map(|s| s.compaction_stats().completed.get())
         .sum();
-    assert_eq!(comp.completed, completed);
-    assert_eq!(cluster.total_compactions(), completed);
+    assert_eq!(cluster.metrics.sum("store.compaction.completed"), completed);
     let amp = cluster
         .servers
         .iter()
         .map(|s| s.compaction_stats().read_amplification.get())
         .max()
         .unwrap_or(0);
-    assert_eq!(cluster.max_read_amplification(), amp);
+    assert_eq!(cluster.metrics.max("store.read_amplification"), amp);
 
     // The recovery log's rows. The schedule ran one transaction at a
     // time, so every record found the log idle: one batch per append,

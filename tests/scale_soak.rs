@@ -161,24 +161,26 @@ fn soak_run(seed: u64, shift: u64) {
         committed.get()
     );
     // The scenario must actually exercise the structural machinery.
+    let splits = cluster.metrics.sum("master.split.applied");
+    let merges = cluster.metrics.sum("master.merge.applied");
+    let moves = cluster.metrics.sum("master.move.completed");
     assert!(
-        cluster.total_splits() > 0,
+        splits > 0,
         "seed {seed}: no split ever applied — thresholds need tuning"
     );
     assert!(
-        cluster.merge_totals().applied > 0,
+        merges > 0,
         "seed {seed}: no merge ever applied — consolidation sweep found no pairs"
     );
     assert!(
-        cluster.total_moves() > 0,
+        moves > 0,
         "seed {seed}: no proactive move ever completed — ratio needs tuning"
     );
     eprintln!(
-        "seed {seed} shift {shift}: committed={} splits={} merges={:?} moves={}",
+        "seed {seed} shift {shift}: committed={} splits={splits} merges={merges} \
+         (rolled back {}) moves={moves}",
         committed.get(),
-        cluster.total_splits(),
-        cluster.merge_totals(),
-        cluster.total_moves(),
+        cluster.metrics.sum("master.merge.rolled_back"),
     );
 }
 

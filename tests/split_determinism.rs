@@ -66,11 +66,16 @@ fn run_schedule(shift: u32) -> String {
     csv.push_str(&format!("throughput_tps,{:.3}\n", report.throughput_tps));
     csv.push_str(&format!("mean_ms,{:.3}\n", report.mean_ms));
     csv.push_str(&format!("p99_ms,{:.3}\n", report.p99_ms));
-    let t = cluster.split_totals();
-    csv.push_str(&format!(
-        "splits,{},{},{},{},{},{}\n",
-        t.considered, t.intents_persisted, t.executing, t.completed, t.applied, t.rolled_back
-    ));
+    let splits = [
+        "store.split.considered",
+        "master.split.intents_persisted",
+        "store.split.executing",
+        "store.split.completed",
+        "master.split.applied",
+        "master.split.rolled_back",
+    ]
+    .map(|name| cluster.metrics.sum(name).to_string());
+    csv.push_str(&format!("splits,{}\n", splits.join(",")));
     let map = cluster.master.snapshot_map();
     csv.push_str(&format!("regions,{}\n", map.regions().len()));
     csv.push_str(&format!("map_epoch,{}\n", map.epoch()));

@@ -104,7 +104,7 @@ fn crash_before_intent_persisted_recovers_parent() {
             SimDuration::from_millis(200),
             || {
                 changing_server(&cluster, ChangeKind::Split).is_some()
-                    && cluster.split_totals().intents_persisted == 0
+                    && cluster.metrics.sum("master.split.intents_persisted") == 0
             },
         ) {
             caught = true;
@@ -114,7 +114,7 @@ fn crash_before_intent_persisted_recovers_parent() {
     assert!(caught, "no split candidacy was ever observed");
     let victim = changing_server(&cluster, ChangeKind::Split).expect("just observed");
     assert_eq!(
-        cluster.split_totals().intents_persisted,
+        cluster.metrics.sum("master.split.intents_persisted"),
         0,
         "crash point 1 requires no durable intent"
     );
@@ -148,7 +148,10 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
             &cluster,
             SimDuration::from_millis(2),
             SimDuration::from_millis(200),
-            || cluster.split_totals().intents_persisted > 0 && cluster.master.splits_applied() == 0,
+            || {
+                cluster.metrics.sum("master.split.intents_persisted") > 0
+                    && cluster.master.splits_applied() == 0
+            },
         ) {
             caught = true;
             break;
@@ -167,7 +170,7 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
         &cluster,
         SimDuration::from_millis(100),
         SimDuration::from_secs(30),
-        || cluster.split_totals().rolled_back > 0,
+        || cluster.metrics.sum("master.split.rolled_back") > 0,
     );
     assert!(rolled, "failover did not roll the durable intent back");
     for _ in 0..20 {
@@ -251,7 +254,7 @@ fn the_nested_split_flag_alone_turns_splits_on() {
         &cluster,
         SimDuration::from_millis(500),
         SimDuration::from_secs(20),
-        || cluster.total_splits() > 0,
+        || cluster.metrics.sum("master.split.applied") > 0,
     );
     assert!(
         split,
