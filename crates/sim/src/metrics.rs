@@ -359,11 +359,6 @@ impl TimeSeries {
         }
     }
 
-    /// The aggregation window length.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// Snapshot of all windows from t=0 through the last recorded event.
     pub fn windows(&self) -> Vec<Window> {
         self.data.borrow().clone()

@@ -904,11 +904,6 @@ impl Master {
     // Proactive hot-region moves (master side)
     // ------------------------------------------------------------------
 
-    /// Moves completed (region reopened on its new host).
-    pub fn moves_completed(&self) -> u64 {
-        self.moves_completed.get()
-    }
-
     /// Compares live servers' placement loads and, when the spread
     /// exceeds the configured ratio, closes the most loaded server's
     /// hottest region and reopens it on the least loaded server. One

@@ -165,11 +165,6 @@ impl Driver {
             .windows_until(self.inner.stop_at.get())
     }
 
-    /// The measurement window length.
-    pub fn window(&self) -> SimDuration {
-        self.inner.workload.window
-    }
-
     /// Summary over the measured interval.
     pub fn report(&self) -> DriverReport {
         let measured_ns = self
