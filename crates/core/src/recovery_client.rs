@@ -10,7 +10,7 @@
 
 use cumulo_sim::metrics::Counter;
 use cumulo_sim::Sim;
-use cumulo_store::{Mutation, RegionId, StoreClient, Timestamp};
+use cumulo_store::{Mutation, RegionId, Replay, ServerId, StoreClient, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -27,7 +27,9 @@ const REPLAY_WINDOW: usize = 8;
 /// One region's replay in progress (shared by its in-flight portions).
 struct RegionReplay {
     region: RegionId,
-    floor: Timestamp,
+    /// The floor every portion carries, and the new host each portion's
+    /// first attempt goes to.
+    replay: Replay,
     items: Vec<(Timestamp, Vec<Mutation>)>,
     /// The next item to send.
     next: Cell<usize>,
@@ -114,14 +116,17 @@ impl RecoveryClient {
     }
 
     /// Server recovery (Algorithm 4's replay): applies the given
-    /// region-filtered updates to the recovering region, `REPLAY_WINDOW`
-    /// of them in flight at a time, each carrying the effective recovery
-    /// `floor` (the failed server's `T_P(s)`, lowered further by any
-    /// interrupted earlier recovery of the same region). `done` runs when
-    /// every update is applied.
+    /// region-filtered updates to the recovering region on its new `host`,
+    /// `REPLAY_WINDOW` of them in flight at a time, each carrying the
+    /// effective recovery `floor` (the failed server's `T_P(s)`, lowered
+    /// further by any interrupted earlier recovery of the same region).
+    /// Each update's first attempt goes to `host`, not to whatever the
+    /// cached map names; retries route by the map. `done` runs when every
+    /// update is applied.
     pub fn replay_region_log(
         self: &Rc<Self>,
         region: RegionId,
+        host: ServerId,
         items: Vec<(Timestamp, Vec<Mutation>)>,
         floor: Timestamp,
         done: Box<dyn FnOnce()>,
@@ -138,7 +143,7 @@ impl RecoveryClient {
         }
         let replay = Rc::new(RegionReplay {
             region,
-            floor,
+            replay: Replay { floor, host },
             items,
             next: Cell::new(0),
             applied: Cell::new(0),
@@ -159,15 +164,11 @@ impl RecoveryClient {
         replay.next.set(idx + 1);
         let this = Rc::clone(self);
         let replay2 = Rc::clone(replay);
-        // `replay = true`: the target region is still offline (gated on
-        // this very recovery); the floor piggyback makes the receiving
-        // server inherit responsibility for the replayed updates.
         self.store.multi_put(
             replay.region,
             *ts,
             mutations.clone(),
-            Some(replay.floor),
-            true,
+            Some(replay.replay),
             move || {
                 this.region_txns_replayed.inc();
                 replay2.applied.set(replay2.applied.get() + 1);

@@ -748,6 +748,7 @@ impl RecoveryManager {
         let this = Rc::clone(self);
         self.rc.replay_region_log(
             region,
+            server.id(),
             items,
             floor,
             Box::new(move || {

@@ -20,7 +20,7 @@ use crate::master::{Master, ServerDirectory};
 use crate::memstore::VersionedValue;
 use crate::region::RegionMap;
 use crate::server::{RegionServer, ScanPage};
-use crate::types::{Mutation, RegionId, Timestamp, WriteSet};
+use crate::types::{Mutation, RegionId, ServerId, Timestamp, WriteSet};
 use bytes::Bytes;
 use cumulo_sim::metrics::Counter;
 use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
@@ -151,23 +151,20 @@ impl StoreClient {
     }
 
     /// Flushes one transaction's mutations for one region to its hosting
-    /// server, retrying forever (paper §3.2). `floor` piggybacks the
-    /// failed server's persisted threshold during server-recovery replay;
-    /// `replay` write-sets may target regions still under recovery.
+    /// server, retrying forever (paper §3.2). A server-recovery `replay`
+    /// may target a region still under recovery; see [`Replay`].
     pub fn multi_put(
         &self,
         region: RegionId,
         ts: Timestamp,
         mutations: Vec<Mutation>,
-        floor: Option<Timestamp>,
-        replay: bool,
+        replay: Option<Replay>,
         done: impl FnOnce() + 'static,
     ) {
         let put = Put {
             region,
             ts,
             mutations,
-            floor,
             replay,
         };
         call(Rc::clone(&self.inner), put, Box::new(done), 0);
@@ -182,7 +179,7 @@ impl StoreClient {
     /// re-groups by the refreshed map before retrying.
     pub fn flush(&self, ts: Timestamp, ws: &WriteSet, done: impl FnOnce() + 'static) {
         let mutations = ws.mutations.iter().cloned();
-        put_by_region(&self.inner, ts, mutations, None, false, 0, done);
+        put_by_region(&self.inner, ts, mutations, None, 0, done);
     }
 
     /// Batched point read: fetches the newest version of every
@@ -373,6 +370,9 @@ enum Route<'a> {
     /// To a region id fixed when its batch was grouped, which a split
     /// may have retired since.
     Region(RegionId),
+    /// To a region id on a host the caller names, first attempt only;
+    /// a retry is routed as [`Route::Region`].
+    Host(RegionId, ServerId),
 }
 
 /// The reply callback a server handler takes.
@@ -425,8 +425,11 @@ fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
         let split_away = |r| !map.regions().is_empty() && map.descriptor(r).is_none();
         match request.route() {
             Route::Row(row) => Some((map.epoch(), map.locate(row).1)),
-            Route::Region(region) if split_away(region) => None,
-            Route::Region(region) => Some((map.epoch(), map.server_for(region))),
+            Route::Host(_, host) if attempt == 0 => Some((map.epoch(), Some(host))),
+            Route::Region(region) | Route::Host(region, _) if split_away(region) => None,
+            Route::Region(region) | Route::Host(region, _) => {
+                Some((map.epoch(), map.server_for(region)))
+            }
         }
     };
     let Some((routed_epoch, server)) = routed else {
@@ -514,13 +517,26 @@ impl Request for Get {
     }
 }
 
+/// What a server-recovery replay put carries (Algorithm 4): the region
+/// it targets is still offline, gated on this very replay.
+#[derive(Copy, Clone, Debug)]
+pub struct Replay {
+    /// The failed server's `T_P(s)`, piggybacked so the receiving server
+    /// inherits responsibility for the replayed updates.
+    pub floor: Timestamp,
+    /// The region's new host, which reported in to the recovery manager.
+    /// The put's first attempt goes there; the cached map may still name
+    /// the dead server. Retries route by the map, so a host that died
+    /// since cannot pin the retry chain.
+    pub host: ServerId,
+}
+
 #[derive(Clone)]
 struct Put {
     region: RegionId,
     ts: Timestamp,
     mutations: Vec<Mutation>,
-    floor: Option<Timestamp>,
-    replay: bool,
+    replay: Option<Replay>,
 }
 
 impl Request for Put {
@@ -528,22 +544,17 @@ impl Request for Put {
     type Then = Box<dyn FnOnce()>;
 
     fn route(&self) -> Route<'_> {
-        Route::Region(self.region)
+        match self.replay {
+            Some(replay) => Route::Host(self.region, replay.host),
+            None => Route::Region(self.region),
+        }
     }
 
     /// Fans the batch out to the daughters. Mutation replay stays
     /// idempotent (same commit timestamp), so a partial earlier delivery
     /// is harmless.
     fn regroup(self, inner: Rc<Inner>, done: Self::Then, attempt: u32) {
-        put_by_region(
-            &inner,
-            self.ts,
-            self.mutations,
-            self.floor,
-            self.replay,
-            attempt,
-            done,
-        );
+        put_by_region(&inner, self.ts, self.mutations, self.replay, attempt, done);
     }
 
     fn wire_size(&self) -> usize {
@@ -556,14 +567,8 @@ impl Request for Put {
     }
 
     fn serve(self, server: &Rc<RegionServer>, reply: impl ReplyTo<()>) {
-        server.handle_multi_put(
-            self.region,
-            self.ts,
-            self.mutations,
-            self.floor,
-            self.replay,
-            reply,
-        );
+        let floor = self.replay.map(|replay| replay.floor);
+        server.handle_multi_put(self.region, self.ts, self.mutations, floor, reply);
     }
 
     fn served(self, _: Rc<Inner>, (): (), done: Self::Then) {
@@ -579,8 +584,7 @@ fn put_by_region(
     inner: &Rc<Inner>,
     ts: Timestamp,
     mutations: impl IntoIterator<Item = Mutation>,
-    floor: Option<Timestamp>,
-    replay: bool,
+    replay: Option<Replay>,
     attempt: u32,
     done: impl FnOnce() + 'static,
 ) {
@@ -594,7 +598,6 @@ fn put_by_region(
             region,
             ts,
             mutations,
-            floor,
             replay,
         };
         let join = Rc::clone(&join);

@@ -103,7 +103,7 @@ mod wal;
 
 pub use blockcache::BlockCache;
 pub use bloom::CellKey;
-pub use client::{StoreClient, StoreClientConfig};
+pub use client::{Replay, StoreClient, StoreClientConfig};
 pub use codec::WalRecord;
 pub use compaction::{CompactionConfig, CompactionStats};
 pub use error::StoreError;

@@ -554,7 +554,8 @@ impl RegionServer {
     }
 
     /// Applies one transaction's mutations for one region (the flush of a
-    /// committed write-set portion, or a recovery replay when `replay`).
+    /// committed write-set portion, or a recovery replay when it carries
+    /// the failed server's `floor`).
     ///
     /// Matches Algorithm 3 "On receive": WAL-buffer append, memstore
     /// apply, PQ tracking via the hook, then the ack — immediately in
@@ -565,9 +566,9 @@ impl RegionServer {
         ts: Timestamp,
         mutations: Vec<Mutation>,
         floor: Option<Timestamp>,
-        replay: bool,
         reply: impl FnOnce(Result<(), StoreError>) + 'static,
     ) {
+        let replay = floor.is_some();
         let first_row = mutations.first().map(|m| &m.row[..]);
         if let Err(e) = self.route_by_id(region, first_row, replay) {
             return reply(Err(e));

@@ -9,7 +9,7 @@ use cumulo_sim::{DiskConfig, LatencyConfig, Network, Sim, SimDuration};
 use cumulo_store::compaction::GcWatermark;
 use cumulo_store::{
     ChangeKind, Master, MasterConfig, Mutation, RecoveryHooks, RegionId, RegionMap, RegionServer,
-    RegionServerConfig, ServerDirectory, ServerId, StoreClient, StoreClientConfig,
+    RegionServerConfig, Replay, ServerDirectory, ServerId, StoreClient, StoreClientConfig,
     StoreFileRegistry, Timestamp, WalSyncMode, WriteSet,
 };
 use std::cell::RefCell;
@@ -557,7 +557,7 @@ fn filter_stats_of_a_fixed_read_sequence_are_pinned() {
     let region = server.hosted_regions()[0];
     let put = |ts: u64, mutation: Mutation| {
         c.client
-            .multi_put(region, Timestamp(ts), vec![mutation], None, false, || {});
+            .multi_put(region, Timestamp(ts), vec![mutation], None, || {});
     };
     // Three overlapping files (rows 0..40 at ts 100.., 20..60 at 200..,
     // deletes and rewrites of 50..56 at 300..), then a live memstore.
@@ -679,7 +679,7 @@ fn put_rows(c: &Cluster, base_ts: u64, rows: impl Iterator<Item = u64>, value: &
         let m = Mutation::put(key(i), "f0", format!("{value}{i:0>90}"));
         let region = c.client.region_for(&key(i));
         c.client
-            .multi_put(region, Timestamp(base_ts + i), vec![m], None, false, || {});
+            .multi_put(region, Timestamp(base_ts + i), vec![m], None, || {});
     }
 }
 
@@ -1272,7 +1272,7 @@ fn at_first_sync_ship() -> (Cluster, RegionId, Rc<RegionServer>) {
     for i in 100..164 {
         let m = Mutation::put(key(i), "f0", vec![b'a'; 2048]);
         c.client
-            .multi_put(region, Timestamp(1_000 + i), vec![m], None, false, || {});
+            .multi_put(region, Timestamp(1_000 + i), vec![m], None, || {});
     }
     run_to(&c, 1_900);
     while primary.replication_stats().syncs.get() == 0 {
@@ -1287,7 +1287,7 @@ fn put_row_7(c: &Cluster, region: RegionId) -> Rc<std::cell::Cell<bool>> {
     let on_ack = Rc::clone(&acked);
     let m = Mutation::put(key(7), "f0", "acknowledged");
     c.client
-        .multi_put(region, Timestamp(5_000), vec![m], None, false, move || {
+        .multi_put(region, Timestamp(5_000), vec![m], None, move || {
             on_ack.set(true)
         });
     acked
@@ -1405,6 +1405,43 @@ fn the_first_answered_write_of_a_reissued_flush_wins_and_the_other_is_deleted() 
         let got = read_row(&c, i, 10_000).and_then(|(_, v)| v);
         assert_eq!(got, Some(Bytes::from(format!("a{i:0>90}"))), "row {i}");
     }
+}
+
+/// A server-recovery replay put's first attempt goes to the host its
+/// hint names. When that host has died, the attempt times out and the
+/// retry routes by the cached map: the put completes on the map's host
+/// after exactly one retry.
+#[test]
+fn a_replay_hinted_at_a_crashed_server_completes_on_the_maps_host() {
+    let c = build(5, 2, 4, WalSyncMode::Async);
+    let map = c.master.snapshot_map();
+    let live = c.servers[0].id();
+    let row = (0..1_000u64)
+        .find(|i| map.server_for(map.region_for(&key(*i))) == Some(live))
+        .expect("rs0 hosts a row");
+    let region = map.region_for(&key(row));
+    c.servers[1].crash();
+    let sent = c.sim.now();
+    let acked: Rc<std::cell::Cell<Option<cumulo_sim::SimTime>>> = Rc::default();
+    let (on_ack, sim) = (Rc::clone(&acked), c.sim.clone());
+    let replay = Replay {
+        floor: Timestamp(1),
+        host: c.servers[1].id(),
+    };
+    let m = Mutation::put(key(row), "f0", "replayed");
+    c.client
+        .multi_put(region, Timestamp(7_000), vec![m], Some(replay), move || {
+            on_ack.set(Some(sim.now()))
+        });
+    c.sim.run_for(SimDuration::from_secs(1));
+    let acked = acked.get().expect("the replay put completes");
+    assert_eq!(c.client.retry_count(), 1, "one retry, by the map");
+    let timeout = StoreClientConfig::default().request_timeout;
+    assert!(acked - sent > timeout, "the hinted attempt timed out first");
+    let puts = c.sim.metrics().snapshot().get("store.puts{server=rs0}");
+    assert_eq!(puts, Some(1), "served by the map's host");
+    let got = read_row(&c, row, 100_000);
+    assert_eq!(got, Some((Timestamp(7_000), Some("replayed".into()))));
 }
 
 /// A client whose request timeout is shorter than a loaded server's

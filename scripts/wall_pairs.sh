@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Host-time check of a change against its parent: alternating pairs of
-# the benchmark's contract command on one workload.
+# Check of a change against its parent: alternating pairs of the
+# benchmark's contract command on one workload.
 #
 # Usage: scripts/wall_pairs.sh PARENT_REV CHANGE_REV WORKLOAD[,WORKLOAD...] [N]
 #
@@ -10,19 +10,21 @@
 # benchmark is built there with its own CARGO_TARGET_DIR. Then N pairs
 # (default 10) of
 #
-#   cumulo-benchmark --workload WORKLOAD --seed 1 --seconds 10 --trace 0
+#   cumulo-benchmark --workload WORKLOAD --seed i --seconds 10 --trace 0
 #
-# run one after the other, the parent first in odd pairs and the change
-# first in even ones, so drift of the machine's speed falls on both
-# sides alike. Several comma-separated workloads share the two builds:
-# each pair runs every workload, in the order given. Per workload, for
-# wall_us_per_txn and setup_s it prints every pair, then each side's
-# median and quartiles, the change's median delta and how many pairs the
-# change won (lower is better for both). The sim-clock metrics are exact
-# for a seed, so one run of each side says all there is about them:
-# last, it prints every WORKLOAD.metric line of pair 1 whose value
-# differs between the sides, the two host-time ones left out. That list
-# is empty for a change that moves no simulated number.
+# run one after the other, pair i at seed i, the parent first in odd
+# pairs and the change first in even ones, so drift of the machine's
+# speed falls on both sides alike. Several comma-separated workloads
+# share the two builds: each pair runs every workload, in the order
+# given. Per workload, for the host-time metrics wall_us_per_txn and
+# setup_s and the sim-clock ones txn_p50_ms and txn_p99_ms it prints
+# every pair, then each side's median and quartiles, the change's median
+# delta and how many pairs the change won (lower is better for all
+# four). The sim-clock metrics are exact for a seed, so one run of each
+# side says all there is about them at that seed: last, it prints every
+# WORKLOAD.metric line of pair 1 (seed 1) whose value differs between
+# the sides, the two host-time ones left out. That list is empty for a
+# change that moves no simulated number.
 #
 # Run from anywhere inside the repository, on an otherwise idle machine.
 # The temporary directory is removed on exit; set KEEP=1 to keep it.
@@ -36,7 +38,8 @@ parent_rev=$1
 change_rev=$2
 workloads=$(echo "$3" | tr , ' ')
 pairs=${4:-10}
-metrics="wall_us_per_txn setup_s"
+host_metrics="wall_us_per_txn setup_s"
+metrics="$host_metrics txn_p50_ms txn_p99_ms"
 
 repo=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/wall_pairs.XXXXXX")
@@ -61,7 +64,7 @@ build() {
 run() {
     local side=$1 workload=$2 pair=$3 out
     out=$(env -u CARGO_MANIFEST_DIR "$tmp/$side/target/release/cumulo-benchmark" \
-        --workload "$workload" --seed 1 --seconds 10 --trace 0 2>"$tmp/$side.log")
+        --workload "$workload" --seed "$pair" --seconds 10 --trace 0 2>"$tmp/$side.log")
     if [ "$pair" = 1 ]; then
         echo "$out" >"$tmp/$side.$workload.pair1"
     fi
@@ -101,7 +104,7 @@ quartiles() {
 # "<metric> <value>" for every WORKLOAD.metric line of a side's pair 1
 # but the host-time ones, sorted for join.
 sim_metrics() {
-    awk -v prefix="$2." -v host="$metrics" '
+    awk -v prefix="$2." -v host="$host_metrics" '
         BEGIN { n = split(host, h, " "); for (i = 1; i <= n; i++) skip[prefix h[i]] = 1 }
         index($1, prefix) == 1 && !($1 in skip) { print $1, $2 }' "$tmp/$1.$2.pair1" | sort -k1,1
 }

@@ -458,6 +458,123 @@ fn new_host_crash_before_online_hands_the_same_file_to_the_next_host() {
     );
 }
 
+/// The recovery manager knows which host each failed region reported in
+/// from, so every replayed portion's first attempt goes there, not to the
+/// dead server the recovery client's cached map still names: no region
+/// waits out a store-client request timeout between the start of its
+/// replay and its recovery.
+#[test]
+fn replay_reaches_the_new_host_on_its_first_attempt() {
+    let cluster = small_cluster(4);
+    for i in 0..30u64 {
+        let value = format!("val{i}");
+        run_txn(&cluster, (i % 3) as usize, &[(i * 300, "f0", &value)]);
+    }
+    let crash_seq = cluster.events.total_recorded();
+    cluster.crash_server(0);
+    cluster.run_for(SimDuration::from_secs(15));
+    assert!(cluster.all_regions_online(), "failover must complete");
+    let after: Vec<_> = cluster
+        .events
+        .entries()
+        .into_iter()
+        .filter(|e| e.seq >= crash_seq)
+        .collect();
+    let starts: Vec<_> = after
+        .iter()
+        .filter(|e| e.kind == "region.replay_start")
+        .collect();
+    assert_eq!(starts.len(), 2, "rs0's two regions are replayed");
+    let timeout = cluster.config().store_client_cfg.request_timeout;
+    for start in starts {
+        let region = field(&start.detail, "region");
+        assert_ne!(
+            field(&start.detail, "txns"),
+            "0",
+            "{region} replays nothing"
+        );
+        let recovered = after
+            .iter()
+            .find(|e| {
+                e.kind == "region.recovered"
+                    && e.seq > start.seq
+                    && field(&e.detail, "region") == region
+            })
+            .unwrap_or_else(|| panic!("{region} is never recovered"));
+        let took = recovered.time - start.time;
+        assert!(
+            took < timeout,
+            "{region}'s replay took {took:?}, not under the {timeout:?} request timeout"
+        );
+    }
+}
+
+/// Without a timed-out replay attempt to refresh it, the recovery
+/// client's region map still names the dead server after a failover.
+/// A client recovery after that routes its flushes by the stale map, so
+/// each first attempt to a failed-over region times out and retries on
+/// the new host: the recovery still finishes, and nothing acknowledged
+/// is lost.
+#[test]
+fn client_recovery_after_a_failover_flushes_past_the_stale_map() {
+    let cluster = small_cluster(13);
+    for i in 0..12u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 800, "f0", "before")]);
+    }
+    cluster.crash_server(0);
+    cluster.run_for(SimDuration::from_secs(15));
+    assert!(cluster.all_regions_online(), "failover must complete");
+    assert!(cluster.rm.region_recovery_count() >= 1);
+
+    // Three transactions, each writing a row in every region; the client
+    // dies the instant the last commit is acknowledged, so at least that
+    // one's flush never leaves it.
+    let client = cluster.client(0).clone();
+    let flushed_before = client.flushed_count();
+    let acked: Rc<RefCell<Vec<(u64, String)>>> = Rc::default();
+    for t in 0..3u64 {
+        let (acked, dying) = (acked.clone(), client.clone());
+        client.begin(move |txn| {
+            let txn = txn.expect("begin on live client");
+            let rows: Vec<(u64, String)> = (0..4u64)
+                .map(|r| (r * 2_500 + t, format!("after-{t}")))
+                .collect();
+            for (row, value) in &rows {
+                txn.put(key(*row), "f0", value.clone()).unwrap();
+            }
+            txn.commit(move |r| {
+                r.expect("commit on live client");
+                let mut acked = acked.borrow_mut();
+                acked.extend(rows);
+                if acked.len() == 12 {
+                    dying.crash();
+                }
+            });
+        });
+    }
+    cluster.run_for(SimDuration::from_secs(1));
+    assert_eq!(acked.borrow().len(), 12, "all three commits acknowledged");
+    assert!(
+        client.flushed_count() - flushed_before < 3,
+        "the crash interrupted a flush"
+    );
+    let replays_before = cluster.rm.recovery_client().client_txns_replayed();
+    cluster.run_for(SimDuration::from_secs(15));
+    assert_eq!(cluster.rm.client_recovery_count(), 1, "client recovery ran");
+    assert!(cluster.rm.recovery_client().client_txns_replayed() > replays_before);
+    // The recovery's last step unregisters the dead client.
+    let threshold = cumulo_core::paths::client_threshold(client.id());
+    assert_eq!(
+        cluster.coord.get_data(&threshold),
+        None,
+        "recovery finished"
+    );
+    for (row, value) in acked.borrow().iter() {
+        let got = cluster.read_cell(key(*row), "f0", SimDuration::from_secs(10));
+        assert_eq!(got.as_deref(), Some(value.as_bytes()), "row {row} lost");
+    }
+}
+
 #[test]
 fn recovery_manager_crash_delays_but_does_not_lose_recovery() {
     let cluster = small_cluster(7);
