@@ -687,8 +687,8 @@ fn failure_noted_by_a_restarted_recovery_manager_is_pinned() {
         288_763,
         289_599,
         316_475,
-        7_484_576_003,
-        7_485_495_859,
+        7_407_938_593,
+        7_409_568_777,
     ];
     assert_eq!(
         instants("region.online"),
@@ -696,7 +696,7 @@ fn failure_noted_by_a_restarted_recovery_manager_is_pinned() {
         "opened, then back online"
     );
     let net = &cluster.net;
-    assert_eq!((net.messages_sent(), net.messages_dropped()), (930, 74));
+    assert_eq!((net.messages_sent(), net.messages_dropped()), (915, 61));
 }
 
 #[test]
