@@ -89,9 +89,9 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
     assert_eq!(
         digests,
         [
-            10_600_815_373_260_093_831,
-            17_761_706_867_330_210_869,
-            17_266_071_314_461_873_275
+            8_093_084_702_909_526_762,
+            4_012_086_932_484_755_473,
+            15_233_610_972_886_219_495
         ],
         "replication digest per run"
     );
@@ -160,9 +160,9 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
         digests,
         [
             281_612_163_055_868_446,
-            5_321_163_304_921_376_670,
+            2_211_822_390_510_139_842,
             14_353_321_876_536_749_347,
-            1_218_873_349_469_030_602
+            1_178_915_210_052_785_477
         ],
         "replication digest per run"
     );
@@ -227,9 +227,9 @@ fn partitioned_primary_is_fenced_after_promotion() {
     assert_eq!(
         digests,
         [
-            15_814_752_995_506_055_332,
-            1_244_631_672_439_703_849,
-            7_843_418_059_929_619_064
+            4_844_700_908_158_084_315,
+            17_373_099_639_829_014_824,
+            9_372_214_734_195_320_506
         ],
         "replication digest per run"
     );
@@ -278,7 +278,7 @@ fn fenced_primary_stops_reporting_its_lanes() {
     audit_balances(&cluster, "fenced, quiet");
     assert_eq!(
         replication_digest(&cluster),
-        763_765_515_386_028_823,
+        13_434_265_130_704_591_811,
         "replication digest"
     );
 }
@@ -344,7 +344,7 @@ fn a_sync_lost_on_an_out_of_sync_lane_is_retried() {
     audit_balances(&cluster, "lost first sync");
     assert_eq!(
         replication_digest(&cluster),
-        8_219_882_369_730_080_884,
+        9_701_401_140_004_272_833,
         "replication digest"
     );
 }
@@ -385,9 +385,9 @@ fn all_replicas_dead_falls_back_to_replay() {
     assert_eq!(
         digests,
         [
-            9_209_561_919_522_818_501,
-            320_023_914_112_106_167,
-            9_727_521_975_369_079_263
+            5_017_801_706_465_086_924,
+            126_926_893_115_053_629,
+            2_447_890_509_640_235_206
         ],
         "replication digest per run"
     );
@@ -465,7 +465,7 @@ fn primary_crash_mid_split_converges() {
     }
     assert_eq!(
         digests,
-        [10_323_741_243_516_590_385, 1_618_642_043_071_030_188],
+        [8_380_336_722_451_214_384, 9_518_779_565_315_453_213],
         "replication digest per run"
     );
 }
