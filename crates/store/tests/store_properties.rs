@@ -44,6 +44,23 @@ fn arb_versions(max: usize) -> impl Strategy<Value = Vec<ArbVersion>> {
     )
 }
 
+/// A row of 0–24 bytes over `{0x00, 0x01, 0xff}`: the first `n ≤ 16`
+/// bytes of one of two 16-byte stems, then up to 8 more. So rows that
+/// share their first 16 bytes and differ after them occur, and so do rows
+/// that tie once zero-padded to 16 bytes (`ab` against `ab\0`).
+fn arb_edge_row() -> impl Strategy<Value = Bytes> {
+    const ALPHABET: [u8; 3] = [0x00, 0x01, 0xff];
+    const STEMS: [[u8; 16]; 2] = [
+        [0x01; 16],
+        [0x00, 0x01, 0xff, 0x00, 0x00, 0x01, 0xff, 0x01, 0x00, 0xff, 0xff, 0x01, 0x00, 0x00, 0x01, 0x00],
+    ];
+    (0usize..2, 0usize..17, prop::collection::vec(0usize..3, 0..9)).prop_map(|(stem, n, tail)| {
+        let mut row = STEMS[stem][..n].to_vec();
+        row.extend(tail.into_iter().map(|i| ALPHABET[i]));
+        Bytes::from(row)
+    })
+}
+
 fn scan_row(r: u8) -> Bytes {
     Bytes::from(format!("row{r:02}"))
 }
@@ -696,33 +713,65 @@ proptest! {
     }
 
     /// MemStore behaves exactly like a model map keyed by
-    /// (row, col) -> sorted versions, for any apply/get interleaving.
+    /// (row, col) -> sorted versions, for any apply/get interleaving:
+    /// point gets, the full `iter()` order and `range(start, end)`. Its
+    /// rows ([`arb_edge_row`]) sit on both edges of the memstore key's
+    /// inline 16-byte prefix.
     #[test]
     fn memstore_matches_reference_model(
-        writes in prop::collection::vec((arb_mutation(), 1u64..100), 1..200),
+        writes in prop::collection::vec(
+            (arb_edge_row(), prop::collection::vec(0u8..2, 1..3), prop::option::of(any::<u8>()), 1u64..100),
+            1..200,
+        ),
         reads in prop::collection::vec((0usize..200, 0u64..120), 1..50),
+        ranges in prop::collection::vec((arb_edge_row(), prop::option::of(arb_edge_row())), 1..10),
     ) {
         let mut ms = MemStore::new();
         let mut model: BTreeMap<(Bytes, Bytes), Vec<(u64, Option<Bytes>)>> = BTreeMap::new();
-        for (m, ts) in &writes {
-            let value = match &m.kind {
-                MutationKind::Put(v) => Some(v.clone()),
-                MutationKind::Delete => None,
-            };
-            ms.apply(m.row.clone(), m.column.clone(), Timestamp(*ts), value.clone());
-            let versions = model.entry((m.row.clone(), m.column.clone())).or_default();
+        for (row, column, value, ts) in &writes {
+            let column = Bytes::from(column.clone());
+            let value = value.map(|v| Bytes::from(vec![v]));
+            ms.apply(row.clone(), column.clone(), Timestamp(*ts), value.clone());
+            let versions = model.entry((row.clone(), column)).or_default();
             versions.retain(|(t, _)| t != ts);
             versions.push((*ts, value));
             versions.sort_by_key(|(t, _)| *t);
         }
         for (idx, snap) in reads {
-            let (m, _) = &writes[idx % writes.len()];
-            let got = ms.get(&m.row, &m.column, Timestamp(snap));
+            let (row, column, _, _) = &writes[idx % writes.len()];
+            let got = ms.get(row, column, Timestamp(snap));
             let expect = model
-                .get(&(m.row.clone(), m.column.clone()))
+                .get(&(row.clone(), Bytes::from(column.clone())))
                 .and_then(|vs| vs.iter().rev().find(|(t, _)| *t <= snap))
                 .map(|(t, v)| (Timestamp(*t), v.clone()));
             prop_assert_eq!(got.map(|vv| (vv.ts, vv.value)), expect);
+        }
+        // The model's order: row, column, then newest version first.
+        let model_versions = || {
+            model.iter().flat_map(|((row, column), versions)| {
+                versions
+                    .iter()
+                    .rev()
+                    .map(move |(ts, value)| (row.clone(), column.clone(), Timestamp(*ts), value.clone()))
+            })
+        };
+        let iterated: Vec<_> = ms
+            .iter()
+            .map(|(row, column, ts, value)| (row.clone(), column.clone(), ts, value.clone()))
+            .collect();
+        prop_assert_eq!(iterated, model_versions().collect::<Vec<_>>());
+        for (start, end) in &ranges {
+            let got: Vec<_> = ms
+                .range(start, end.as_deref())
+                .map(|e| {
+                    let (row, column, vv) = e.to_cell();
+                    (row, column, vv.ts, vv.value)
+                })
+                .collect();
+            let expect: Vec<_> = model_versions()
+                .filter(|(row, ..)| row >= start && end.as_ref().is_none_or(|end| row < end))
+                .collect();
+            prop_assert_eq!(got, expect);
         }
     }
 

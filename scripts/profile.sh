@@ -16,7 +16,11 @@
 # set-up (under Cluster::build or Cluster::load_rows). A sample's
 # inclusive frames are those from its innermost one up to the frame
 # that put it in the phase, and inlined functions count as frames of
-# their own.
+# their own. The simulator's dispatch frames, which nearly every sample
+# of a phase passes through ({closure#N}, call_once<...> and
+# FnOnce::call_once{{vtable.shim}}), are left out of the inclusive list
+# so that it shows the functions doing the work; the self list keeps
+# every frame.
 #
 # The sampler asks for a SIGPROF every 0.5 ms of CPU time, but the
 # kernel delivers at most one per scheduler tick (every 4 ms at 250 Hz),
@@ -126,7 +130,9 @@ report() {
             if (taken == 0) exit
             for (f in self) printf "self %6.1f%%  %s\n", 100 * self[f] / taken, f | "sort -k2 -rn | head -" top
             close("sort -k2 -rn | head -" top)
-            for (f in incl) printf "incl %6.1f%%  %s\n", 100 * incl[f] / taken, f | "sort -k2 -rn | head -" top
+            for (f in incl)
+                if (f !~ /(^|::)[{]closure#[0-9]+[}](<.*)?$|^call_once<|FnOnce::call_once[{][{]vtable[.]shim[}][}]$/)
+                    printf "incl %6.1f%%  %s\n", 100 * incl[f] / taken, f | "sort -k2 -rn | head -" top
             close("sort -k2 -rn | head -" top)
         }' "$tmp/symbols" "$tmp/frames"
 }

@@ -20,7 +20,19 @@
 # setup_s and the sim-clock ones txn_p50_ms and txn_p99_ms it prints
 # every pair, then each side's median and quartiles, the change's median
 # delta and how many pairs the change won (lower is better for all
-# four). The sim-clock metrics are exact for a seed, so one run of each
+# four), and then the gate's verdict on the metric, with its bound (a
+# fraction of the parent's median) read from the change's
+# BENCHMARK.json, end_to_end:
+#
+#   gain        the change won at least 9 in 10 of the pairs, and its
+#               median is below the parent's by more than the parent's IQR
+#   worse       the change's median is above the parent's by more than
+#               the bound
+#   unresolved  the parent's IQR is wider than the bound, and not every
+#               change run is below every parent run
+#   no worse    otherwise
+#
+# The sim-clock metrics are exact for a seed, so one run of each
 # side says all there is about them at that seed: last, it prints every
 # WORKLOAD.metric line of pair 1 (seed 1) whose value differs between
 # the sides, the two host-time ones left out. That list is empty for a
@@ -101,6 +113,16 @@ quartiles() {
         END { printf "%.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75) }'
 }
 
+# The gate's bound of an end-to-end metric, from the change's BENCHMARK.json.
+bound_of() {
+    awk -v name="\"name\": \"$1\"" '
+        /"end_to_end"/ { in_list = 1 }
+        in_list && /\]/ { exit }
+        in_list && index($0, name) && match($0, /"bound": *[0-9.eE+-]+/) {
+            bound = substr($0, RSTART, RLENGTH); sub(/.*: */, "", bound); print bound; exit
+        }' "$tmp/change/BENCHMARK.json"
+}
+
 # "<metric> <value>" for every WORKLOAD.metric line of a side's pair 1
 # but the host-time ones, sorted for join.
 sim_metrics() {
@@ -120,10 +142,23 @@ for workload in $workloads; do
         read -r p_med p_q1 p_q3 < <(awk '{ print $2 }' "$tmp/$metric.pairs" | quartiles)
         read -r c_med c_q1 c_q3 < <(awk '{ print $3 }' "$tmp/$metric.pairs" | quartiles)
         wins=$(awk '$3 < $2 { n++ } END { print n + 0 }' "$tmp/$metric.pairs")
+        # Whether every change run is below every parent run.
+        apart=$(awk 'NR == 1 || $2 < p { p = $2 } NR == 1 || $3 > c { c = $3 } END { print (c < p) }' "$tmp/$metric.pairs")
+        bound=$(bound_of "$metric")
+        if [ -z "$bound" ]; then
+            echo "no bound for $metric in the change's BENCHMARK.json" >&2
+            exit 1
+        fi
         awk -v m="$metric" -v pm="$p_med" -v p1="$p_q1" -v p3="$p_q3" \
-            -v cm="$c_med" -v c1="$c_q1" -v c3="$c_q3" -v wins="$wins" -v n="$pairs" 'BEGIN {
+            -v cm="$c_med" -v c1="$c_q1" -v c3="$c_q3" -v wins="$wins" -v n="$pairs" \
+            -v bound="$bound" -v apart="$apart" 'BEGIN {
             printf "  %s parent median %s [q1 %s, q3 %s], change median %s [q1 %s, q3 %s]\n", m, pm, p1, p3, cm, c1, c3
             printf "  %s change %+.2f %% of the parent median, parent IQR %s, change lower in %d of %d pairs\n", m, (cm - pm) / pm * 100, p3 - p1, wins, n
+            if (wins * 10 >= 9 * n && pm - cm > p3 - p1) verdict = "gain"
+            else if (cm - pm > bound * pm) verdict = "worse"
+            else if (p3 - p1 > bound * pm && !apart) verdict = "unresolved"
+            else verdict = "no worse"
+            printf "  %s verdict: %s (bound %s of the parent median)\n", m, verdict, bound
         }'
     done
     echo "sim-clock metrics that differ in pair 1 (parent change)"
