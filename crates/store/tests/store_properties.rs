@@ -52,13 +52,21 @@ fn arb_edge_row() -> impl Strategy<Value = Bytes> {
     const ALPHABET: [u8; 3] = [0x00, 0x01, 0xff];
     const STEMS: [[u8; 16]; 2] = [
         [0x01; 16],
-        [0x00, 0x01, 0xff, 0x00, 0x00, 0x01, 0xff, 0x01, 0x00, 0xff, 0xff, 0x01, 0x00, 0x00, 0x01, 0x00],
+        [
+            0x00, 0x01, 0xff, 0x00, 0x00, 0x01, 0xff, 0x01, 0x00, 0xff, 0xff, 0x01, 0x00, 0x00,
+            0x01, 0x00,
+        ],
     ];
-    (0usize..2, 0usize..17, prop::collection::vec(0usize..3, 0..9)).prop_map(|(stem, n, tail)| {
-        let mut row = STEMS[stem][..n].to_vec();
-        row.extend(tail.into_iter().map(|i| ALPHABET[i]));
-        Bytes::from(row)
-    })
+    (
+        0usize..2,
+        0usize..17,
+        prop::collection::vec(0usize..3, 0..9),
+    )
+        .prop_map(|(stem, n, tail)| {
+            let mut row = STEMS[stem][..n].to_vec();
+            row.extend(tail.into_iter().map(|i| ALPHABET[i]));
+            Bytes::from(row)
+        })
 }
 
 fn scan_row(r: u8) -> Bytes {
