@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, CoordService};
 use cumulo_dfs::{DataNode, DfsClient, NameNode, NameNodeConfig};
-use cumulo_sim::trace::Journal;
+use cumulo_sim::trace::{Journal, JournalEntry};
 use cumulo_sim::{DiskConfig, LatencyConfig, Network, Sim, SimDuration};
 use cumulo_store::compaction::GcWatermark;
 use cumulo_store::{
@@ -666,6 +666,29 @@ fn concurrent_failures_leave_no_region_unassigned_forever() {
 }
 
 /// Advances the simulation to `millis` after its start.
+/// An FNV-1a digest over one full `<nanos> <kind> <detail>` line per
+/// entry, as `Journal::dump` renders it: the pin beside the `<nanos>
+/// <kind>` digests below that covers what each record says.
+fn lines_digest<'a>(entries: impl IntoIterator<Item = &'a JournalEntry>) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for e in entries {
+        for byte in format!("{} {} {}\n", e.time.nanos(), e.kind, e.detail).bytes() {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// The full `<nanos> <kind> <detail>` lines of the `journal`'s records
+/// whose kind starts with `prefix`.
+fn lines(journal: &Journal, prefix: &str) -> Vec<String> {
+    let entries = journal.entries().into_iter();
+    entries
+        .filter(|e| e.kind.starts_with(prefix))
+        .map(|e| format!("{} {} {}", e.time.nanos(), e.kind, e.detail))
+        .collect()
+}
+
 fn run_to(c: &Cluster, millis: u64) {
     c.sim
         .run_until(cumulo_sim::SimTime::from_nanos(millis * 1_000_000));
@@ -758,6 +781,25 @@ fn split_then_merge_of_a_fixed_schedule_is_pinned() {
             ("split.flip", 1),
             ("split.intent", 1),
             ("split.persisted", 1),
+        ]
+    );
+    let mut changes = lines(&c.events, "split.");
+    changes.extend(lines(&c.events, "merge."));
+    assert_eq!(
+        changes,
+        [
+            "10000000000 split.consider server=rs0 region=r0",
+            "20000000000 split.intent server=rs0 region=r0",
+            "20003061617 split.persisted region=r0 server=rs0 bottom=r1 top=r2",
+            "20003357766 split.execute server=rs0 region=r0 bottom=r1 top=r2",
+            "20014406628 split.flip server=rs0 region=r0 bottom=r1 top=r2",
+            "20014699596 split.applied region=r0 bottom=r1 top=r2",
+            "23000000000 merge.consider server=rs0 left=r1 right=r2",
+            "28000000000 merge.intent server=rs0 left=r1 right=r2",
+            "28003140118 merge.persisted left=r1 right=r2 server=rs0 merged=r3",
+            "28003432623 merge.execute server=rs0 left=r1 right=r2 merged=r3",
+            "28020001837 merge.flip server=rs0 left=r1 right=r2 merged=r3",
+            "28020320541 merge.applied left=r1 right=r2 merged=r3",
         ]
     );
     let map = c.master.snapshot_map();
@@ -987,6 +1029,21 @@ fn master_answers_of_a_fixed_schedule_are_pinned() {
         });
     assert_eq!(digest, 4_640_770_150_240_183_908, "event instants");
     assert_eq!(
+        lines_digest(&c.events.entries()),
+        15_751_923_180_590_719_378,
+        "event lines"
+    );
+    assert_eq!(
+        lines(&c.events, "move."),
+        [
+            "5000000000 move.start region=r0 donor=rs0 target=rs1",
+            "10000000000 move.start region=r3 donor=rs0 target=rs1",
+            "10000286727 move.close server=rs0 region=r3",
+            "10200286727 move.closed server=rs0 region=r3",
+            "10200585428 move.open region=r3 donor=rs0 target=rs1",
+        ]
+    );
+    assert_eq!(
         (c.net.messages_sent(), c.net.messages_dropped()),
         (1478, 10)
     );
@@ -1092,6 +1149,10 @@ fn replication_of_a_fixed_schedule_is_pinned() {
         ]
     );
     assert_eq!(counts(&c.trace, "repl."), [("repl.ship", 717)]);
+    assert_eq!(
+        lines(&c.trace, "repl.ship")[0],
+        "5000838801 repl.ship server=rs2 region=r2 seq=2 backup=rs0 bytes=149"
+    );
     // When each of those events happened, as an FNV-1a digest over one
     // `<nanos> <kind>` line per event in journal order (details are left
     // out: they carry sequence numbers, which are not part of the pin).
@@ -1107,6 +1168,15 @@ fn replication_of_a_fixed_schedule_is_pinned() {
     assert_eq!(
         digest, 3_112_701_426_328_024_054,
         "replication event instants"
+    );
+    let entries = c.events.entries();
+    let replication = entries
+        .iter()
+        .filter(|e| e.kind.starts_with("replication."));
+    assert_eq!(
+        lines_digest(replication),
+        6_704_772_698_682_124_541,
+        "replication event lines"
     );
     let stats: Vec<[u64; 11]> = c
         .servers
@@ -1400,6 +1470,10 @@ fn the_first_answered_write_of_a_reissued_flush_wins_and_the_other_is_deleted() 
     assert_eq!(store_files(), [first], "the surplus copy is gone");
     run_to(&c, 100_000);
     assert_eq!(c.events.count("flush.reissue"), 1, "the slot was freed");
+    assert_eq!(
+        lines(&c.events, "flush.reissue"),
+        ["35163026170 flush.reissue server=rs0 region=r0 file=/store/r0/000001-rs0"]
+    );
     assert_eq!(c.master.failover_count(), 0);
     for i in [0, 57, 99] {
         let got = read_row(&c, i, 10_000).and_then(|(_, v)| v);

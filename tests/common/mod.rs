@@ -23,7 +23,8 @@
 //!
 //! The bank-transfer workload those suites audit with is in [`bank`].
 //! [`replication_digest`] turns what a run's replication did into one
-//! number a suite can pin.
+//! number a suite can pin, and [`lines_digest`] does the same for how a
+//! run's journal records render.
 //!
 //! The setup every suite repeats is here once: the row [`key`], the
 //! three-client [`small_cluster`], [`run_txn`] / [`begin_txn`] to drive
@@ -37,7 +38,7 @@
 pub mod bank;
 
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
-use cumulo_sim::{NodeId, SimDuration};
+use cumulo_sim::{JournalEntry, NodeId, SimDuration};
 use cumulo_store::{ChangeKind, RegionId, RegionServer, ServerId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -442,6 +443,35 @@ pub fn replication_digest(cluster: &Cluster) -> u64 {
         }
     }
     text += &format!("{sums:?}\n");
+    fnv1a(&text)
+}
+
+/// What each of a run's `replication.*` events says: [`lines_digest`]
+/// over them, the pin beside [`replication_digest`] that covers their
+/// details.
+pub fn replication_lines_digest(cluster: &Cluster) -> u64 {
+    assert_eq!(cluster.events.dropped(), 0, "the event journal overflowed");
+    let entries = cluster.events.entries();
+    lines_digest(
+        entries
+            .iter()
+            .filter(|e| e.kind.starts_with("replication.")),
+    )
+}
+
+/// An FNV-1a digest over one full `<nanos> <kind> <detail>` line per
+/// entry, as `Journal::dump` renders it: a change to how any of the
+/// records renders changes the number.
+pub fn lines_digest<'a>(entries: impl IntoIterator<Item = &'a JournalEntry>) -> u64 {
+    let text: String = entries
+        .into_iter()
+        .map(|e| format!("{} {} {}\n", e.time.nanos(), e.kind, e.detail))
+        .collect();
+    fnv1a(&text)
+}
+
+/// The 64-bit FNV-1a hash of `text`.
+pub fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, byte| {
         (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
     })

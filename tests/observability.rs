@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{key, run_txn, small_cluster};
+use common::{fnv1a, key, run_txn, small_cluster};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
@@ -99,6 +99,11 @@ fn same_seed_chaos_journals_are_byte_identical() {
     let trace_a = a.trace.dump();
     assert!(!trace_a.is_empty(), "chaos run must journal trace spans");
     assert_eq!(trace_a, b.trace.dump(), "trace journals diverged");
+    assert_eq!(
+        (fnv1a(&events_a), fnv1a(&trace_a)),
+        (432_675_252_191_920_925, 13_195_077_043_411_618_844),
+        "journal dump digests"
+    );
     assert_eq!(
         a.metrics.snapshot().render(),
         b.metrics.snapshot().render(),
@@ -345,5 +350,12 @@ fn scan_examines_what_it_returns_not_the_region() {
             .ends_with(&format!("returned=10 examined={examined}")),
         "{}",
         span.detail
+    );
+    assert_eq!(
+        (span.time.nanos(), span.detail.as_str()),
+        (
+            3_223_098_243,
+            "server=rs0 region=r0 files=1 queue_ns=0 service_ns=2140000 returned=10 examined=13"
+        )
     );
 }

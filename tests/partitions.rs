@@ -6,7 +6,7 @@
 mod common;
 
 use bytes::Bytes;
-use common::{ChaosAction, ChaosSchedule};
+use common::{lines_digest, ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
 use cumulo_sim::SimDuration;
 use cumulo_store::RegionId;
@@ -105,6 +105,11 @@ fn a_client_cut_from_coordination_terminates_itself_is_pinned() {
         (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
     });
     assert_eq!(digest, 11_297_342_578_732_041_919, "failure-event journal");
+    assert_eq!(
+        lines_digest(&entries),
+        611_582_158_919_922_707,
+        "failure-event lines"
+    );
     let net = &cluster.net;
     assert_eq!((net.messages_sent(), net.messages_dropped()), (400, 8));
 }
@@ -276,6 +281,19 @@ fn flush_write_lost_to_a_healed_partition_is_reissued() {
         server.memstore_bytes(region)
     );
     assert!(cluster.events.count("flush.reissue") >= 1);
+    let reissue = cluster
+        .events
+        .entries()
+        .into_iter()
+        .find(|e| e.kind == "flush.reissue");
+    let reissue = reissue.expect("the re-issue is retained");
+    assert_eq!(
+        (reissue.time.nanos(), reissue.detail.as_str()),
+        (
+            32_030_310_258,
+            "server=rs0 region=r0 file=/store/r0/000001-rs0"
+        )
+    );
     let acked = acked.borrow();
     assert!(acked.len() > 500, "only {} rows acknowledged", acked.len());
     for (row, value) in acked.iter() {

@@ -13,7 +13,9 @@
 mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
-use common::{crash_first_observed, replication_digest, ChaosAction, ChaosSchedule};
+use common::{
+    crash_first_observed, replication_digest, replication_lines_digest, ChaosAction, ChaosSchedule,
+};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
@@ -57,6 +59,7 @@ fn audit_balances(cluster: &Cluster, label: &str) {
 #[test]
 fn primary_crash_promotes_backup_and_conserves_balances() {
     let mut digests = Vec::new();
+    let mut lines = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8101));
         shift_rng(&cluster, shift);
@@ -85,6 +88,7 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
         );
         audit_balances(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
+        lines.push(replication_lines_digest(&cluster));
     }
     assert_eq!(
         digests,
@@ -94,6 +98,15 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
             15_233_610_972_886_219_495
         ],
         "replication digest per run"
+    );
+    assert_eq!(
+        lines,
+        [
+            7_559_969_977_251_083_018,
+            10_636_630_080_086_057_024,
+            18_195_644_458_171_210_574
+        ],
+        "replication lines per run"
     );
 }
 
@@ -113,6 +126,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
         ..replicated_config(seed)
     };
     let mut digests = Vec::new();
+    let mut lines = Vec::new();
     for shift in [0u32, 1] {
         let cluster = Cluster::build(three_copies(8101));
         shift_rng(&cluster, shift);
@@ -134,6 +148,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
         }
         audit_balances(&cluster, &format!("healthy, shift {shift}"));
         digests.push(replication_digest(&cluster));
+        lines.push(replication_lines_digest(&cluster));
 
         let cluster = Cluster::build(three_copies(8101));
         shift_rng(&cluster, shift);
@@ -155,6 +170,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
         );
         audit_balances(&cluster, &format!("crash, shift {shift}"));
         digests.push(replication_digest(&cluster));
+        lines.push(replication_lines_digest(&cluster));
     }
     assert_eq!(
         digests,
@@ -165,6 +181,16 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
             1_178_915_210_052_785_477
         ],
         "replication digest per run"
+    );
+    assert_eq!(
+        lines,
+        [
+            1_239_224_100_539_922_333,
+            457_100_027_732_158_748,
+            18_157_297_853_710_838_773,
+            4_155_194_479_700_013_543
+        ],
+        "replication lines per run"
     );
 }
 
@@ -177,6 +203,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
 #[test]
 fn partitioned_primary_is_fenced_after_promotion() {
     let mut digests = Vec::new();
+    let mut lines = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8202));
         shift_rng(&cluster, shift);
@@ -223,6 +250,7 @@ fn partitioned_primary_is_fenced_after_promotion() {
         }
         audit_balances(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
+        lines.push(replication_lines_digest(&cluster));
     }
     assert_eq!(
         digests,
@@ -232,6 +260,15 @@ fn partitioned_primary_is_fenced_after_promotion() {
             9_372_214_734_195_320_506
         ],
         "replication digest per run"
+    );
+    assert_eq!(
+        lines,
+        [
+            1_647_608_262_830_625_026,
+            12_805_288_988_195_251_579,
+            560_144_971_103_957_536
+        ],
+        "replication lines per run"
     );
 }
 
@@ -280,6 +317,11 @@ fn fenced_primary_stops_reporting_its_lanes() {
         replication_digest(&cluster),
         13_434_265_130_704_591_811,
         "replication digest"
+    );
+    assert_eq!(
+        replication_lines_digest(&cluster),
+        16_134_166_104_475_273_355,
+        "replication lines"
     );
 }
 
@@ -347,6 +389,11 @@ fn a_sync_lost_on_an_out_of_sync_lane_is_retried() {
         9_701_401_140_004_272_833,
         "replication digest"
     );
+    assert_eq!(
+        replication_lines_digest(&cluster),
+        7_839_856_853_852_428_789,
+        "replication lines"
+    );
 }
 
 /// Crash the primary *and* every backup of its regions: no eligible
@@ -355,6 +402,7 @@ fn a_sync_lost_on_an_out_of_sync_lane_is_retried() {
 #[test]
 fn all_replicas_dead_falls_back_to_replay() {
     let mut digests = Vec::new();
+    let mut lines = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8303));
         shift_rng(&cluster, shift);
@@ -381,6 +429,7 @@ fn all_replicas_dead_falls_back_to_replay() {
         );
         audit_balances(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
+        lines.push(replication_lines_digest(&cluster));
     }
     assert_eq!(
         digests,
@@ -390,6 +439,15 @@ fn all_replicas_dead_falls_back_to_replay() {
             2_447_890_509_640_235_206
         ],
         "replication digest per run"
+    );
+    assert_eq!(
+        lines,
+        [
+            7_447_485_093_709_529_019,
+            14_598_203_422_303_530_642,
+            4_116_315_720_117_360_450
+        ],
+        "replication lines per run"
     );
 }
 
@@ -420,6 +478,7 @@ fn fire_pads(cluster: &Cluster, round: u32) {
 #[test]
 fn primary_crash_mid_split_converges() {
     let mut digests = Vec::new();
+    let mut lines = Vec::new();
     for shift in [0u32, 1] {
         let mut cfg = replicated_config(8404);
         cfg.server_cfg.split.enabled = true;
@@ -462,10 +521,16 @@ fn primary_crash_mid_split_converges() {
         );
         audit_balances(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
+        lines.push(replication_lines_digest(&cluster));
     }
     assert_eq!(
         digests,
         [8_380_336_722_451_214_384, 9_518_779_565_315_453_213],
         "replication digest per run"
+    );
+    assert_eq!(
+        lines,
+        [2_002_597_252_397_405_140, 17_188_269_531_971_313_661],
+        "replication lines per run"
     );
 }
