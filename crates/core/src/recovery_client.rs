@@ -9,7 +9,7 @@
 //! responsibility for the replayed data.
 
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::Sim;
+use cumulo_sim::{fields, Sim};
 use cumulo_store::{Mutation, RegionId, Replay, ServerId, StoreClient, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
@@ -131,12 +131,10 @@ impl RecoveryClient {
         floor: Timestamp,
         done: Box<dyn FnOnce()>,
     ) {
-        let txns = items.len();
+        let fields = fields!(region, txns = items.len());
         self.sim
             .events()
-            .record(self.sim.now(), "region.replay_start", move || {
-                format!("region={region} txns={txns}")
-            });
+            .record(self.sim.now(), "region.replay_start", fields);
         if items.is_empty() {
             done();
             return;

@@ -44,7 +44,8 @@ use crate::recovery_client::RecoveryClient;
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, WatchEvent};
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::{Network, NodeId, Sim, SimDuration};
+use cumulo_sim::trace::Fields;
+use cumulo_sim::{fields, Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Mutation, RegionId, RegionServer, ServerId, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
@@ -299,10 +300,9 @@ impl RecoveryManager {
     }
 
     /// Records `kind` in the failure-event journal: the one door the
-    /// manager's events leave through. `detail` obeys the journal's
-    /// capture-values rule.
-    fn event(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
-        self.sim.events().record(self.sim.now(), kind, detail);
+    /// manager's events leave through.
+    fn event(&self, kind: &'static str, fields: Fields) {
+        self.sim.events().record(self.sim.now(), kind, fields);
     }
 
     // ------------------------------------------------------------------
@@ -400,7 +400,7 @@ impl RecoveryManager {
         let Some(min) = min else { return };
         if min > self.t_f.get() {
             self.t_f.set(min);
-            self.event("threshold.tf", move || format!("t_f={}", min.0));
+            self.event("threshold.tf", fields!(t_f = min));
             self.coord.set_data(paths::TF_PATH, paths::encode_ts(min));
         }
     }
@@ -417,7 +417,7 @@ impl RecoveryManager {
         let Some(min) = min else { return };
         if min > self.t_p.get() {
             self.t_p.set(min);
-            self.event("threshold.tp", move || format!("t_p={}", min.0));
+            self.event("threshold.tp", fields!(t_p = min));
             self.coord.set_data(paths::TP_PATH, paths::encode_ts(min));
         }
     }
@@ -429,7 +429,7 @@ impl RecoveryManager {
         if t_p > self.last_truncated.get() {
             self.last_truncated.set(t_p);
             self.truncations.inc();
-            self.event("log.truncate", move || format!("below={}", t_p.0));
+            self.event("log.truncate", fields!(below = t_p));
             self.tm.truncate_below(t_p);
         }
     }
@@ -440,9 +440,7 @@ impl RecoveryManager {
 
     fn recover_client(self: &Rc<Self>, c: ClientId, t_f_r: Timestamp) {
         self.client_recoveries.inc();
-        self.event("client.recover", move || {
-            format!("client={c} t_f_r={}", t_f_r.0)
-        });
+        self.event("client.recover", fields!(client = c, t_f_r));
         // Pin the global T_F at the dead client's threshold: the recovery
         // client now vouches for the interrupted flushes.
         let pin = self.next_pin.get();
@@ -608,12 +606,10 @@ impl RecoveryManager {
             };
             let (regions, count) = (st.floors.len(), records.len());
             st.suffix = Some(Rc::new(records));
-            self.event("recovery.staged", move || {
-                format!(
-                    "server={failed} regions={regions} records={count} floor={}",
-                    lowest.0
-                )
-            });
+            self.event(
+                "recovery.staged",
+                fields!(server = failed, regions, records = count, floor = lowest),
+            );
         }
         let waiting: Vec<RegionId> = self
             .region_tasks
@@ -781,13 +777,11 @@ impl RecoveryManager {
         // The `promoted` marker only appears on promotion epochs so the
         // replay-path event text stays byte-identical to earlier releases.
         let host = server.id();
-        self.event("region.recovered", move || {
-            if promoted {
-                format!("region={region} server={host} failed={failed} promoted=true")
-            } else {
-                format!("region={region} server={host} failed={failed}")
-            }
-        });
+        let mut fields = fields!(region, server = host, failed);
+        if promoted {
+            fields = fields.with("promoted", true);
+        }
+        self.event("region.recovered", fields);
         self.coord.delete(&paths::region_floor(region));
         // Let the region declare itself online (runs at the server).
         if let Some(cb) = online.borrow_mut().take() {

@@ -52,7 +52,8 @@ use crate::paths;
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, SessionId};
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::{Network, NodeId, Sim, SimDuration};
+use cumulo_sim::trace::Fields;
+use cumulo_sim::{fields, Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Mutation, MutationKind, StoreClient, Timestamp, WriteSet};
 use cumulo_txn::{CommitOutcome, Session, TmClient, TxnId};
 use std::cell::{Cell, RefCell};
@@ -641,10 +642,9 @@ impl TcInner {
     /// Records a transaction-lifecycle span (`txn.begin` / `txn.commit` /
     /// `txn.abort` / `txn.retry`) in the trace journal: the one door this
     /// client's spans leave through, at event-execution time so the
-    /// journal order is deterministic. `detail` obeys the journal's
-    /// capture-values rule.
-    fn span(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
-        self.sim.trace().record(self.sim.now(), kind, detail);
+    /// journal order is deterministic.
+    fn span(&self, kind: &'static str, fields: Fields) {
+        self.sim.trace().record(self.sim.now(), kind, fields);
     }
 
     /// What this client's next begin or idle query tells the manager.
@@ -661,18 +661,14 @@ impl TcInner {
 fn note_commit(inner: &TcInner, txn: TxnId, ts: Timestamp, writes: usize) {
     inner.committed.inc();
     let client = inner.id;
-    inner.span("txn.commit", move || {
-        format!("client={client} txn={} ts={ts} writes={writes}", txn.0)
-    });
+    inner.span("txn.commit", fields!(client, txn = txn.0, ts, writes));
 }
 
 /// Counts an abort of `txn` and journals its cause.
 fn note_abort(inner: &TcInner, txn: TxnId, cause: &'static str) {
     inner.aborted.inc();
     let client = inner.id;
-    inner.span("txn.abort", move || {
-        format!("client={client} txn={} cause={cause}", txn.0)
-    });
+    inner.span("txn.abort", fields!(client, txn = txn.0, cause));
 }
 
 impl TransactionalClient {
@@ -814,9 +810,10 @@ impl TransactionalClient {
         let (on_reply, slot) = (Rc::clone(inner), Rc::clone(&snapshot));
         inner.tm.begin(txn, inner.session(), move |start_ts| {
             let client = on_reply.id;
-            on_reply.span("txn.begin", move || {
-                format!("client={client} txn={} snapshot={start_ts}", txn.0)
-            });
+            on_reply.span(
+                "txn.begin",
+                fields!(client, txn = txn.0, snapshot = start_ts),
+            );
             if let Snapshot::Awaited(Some(reads)) = slot.replace(Snapshot::Known(start_ts)) {
                 reads(start_ts);
             }
@@ -988,9 +985,7 @@ fn settle_attempt(
         Err(TxnError::Conflict) if attempt + 1 < policy.max_attempts => {
             inner.conflict_retries.inc();
             let client = inner.id;
-            inner.span("txn.retry", move || {
-                format!("client={client} attempt={}", attempt + 1)
-            });
+            inner.span("txn.retry", fields!(client, attempt = attempt + 1));
             let wait = policy.backoff_for(attempt);
             let sim = inner.sim.clone();
             sim.schedule_in(wait, move || {

@@ -353,8 +353,9 @@ mod tests {
     fn the_recorder_is_on_from_the_start_and_pure() {
         let sim = Sim::new(99);
         let twin = Sim::new(99);
-        sim.events().record(sim.now(), "k", || "a=1".into());
-        sim.trace().record(sim.now(), "s", || "b=2".into());
+        sim.events()
+            .record(sim.now(), "k", crate::fields!(a = 1u64));
+        sim.trace().record(sim.now(), "s", crate::fields!(b = 2u64));
         sim.metrics().counter("c", &[]).inc();
         assert_eq!(sim.events().dump(), "0 k a=1\n");
         assert_eq!(sim.trace().count("s"), 1);

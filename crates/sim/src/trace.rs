@@ -22,20 +22,17 @@
 //!   first, but the per-kind [`Journal::counts`] keep counting evicted
 //!   records, so aggregate assertions survive long runs.
 //!
-//! ## Details render on read
+//! ## Records are typed fields, rendered on read
 //!
-//! The journals are always on, and a run nobody inspects evicts almost
-//! every record unread. So [`Journal::record`] keeps the
-//! closure that renders a record's detail line and runs it the first
-//! time the record is read ([`Journal::entries`],
-//! [`Journal::drain_sorted`], [`Journal::dump`]) — or never, if the ring
-//! evicts the record first. What a read returns must be what recording
-//! eagerly would have stored, hence the **capture-values rule**: a detail
-//! closure owns everything it formats — `move` closures over `Copy`
-//! values, or clones taken at the record site — and never holds an `Rc`
-//! (or any other handle) to state that can change between the record and
-//! the read. Debug builds check the rule: `record` renders eagerly as
-//! well, and the read asserts that the late rendering is the same string.
+//! A record is its kind plus at most [`MAX_FIELDS`] named [`Value`]s,
+//! built with the [`fields!`](crate::fields) macro. [`Journal::record`]
+//! moves them into the ring with no heap allocation; a read
+//! ([`Journal::entries`], [`Journal::drain_sorted`], [`Journal::dump`])
+//! renders them as the record's `name=value` detail line, and a record
+//! the ring evicts unread is never rendered. A value is a copy taken at
+//! the record site, so a late rendering is what an eager one would have
+//! been. Readers that want the facts rather than the text take them from
+//! [`JournalEntry::field`].
 //!
 //! Handles are cheap to clone (`Rc`-shared) and single-threaded, like
 //! the rest of the simulation.
@@ -43,9 +40,133 @@
 use crate::time::SimTime;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::rc::Rc;
 
-/// One journal record: a sim-timestamped, kind-tagged detail line.
+/// The most fields a record carries (`rpc.get` and `rpc.scan` have
+/// seven).
+pub const MAX_FIELDS: usize = 7;
+
+/// One field's value; its `Display` is the field's rendering.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Value {
+    /// A count, size, time in nanoseconds, timestamp or sequence number.
+    Num(u64),
+    /// An id, rendered as its prefix and number: `rs0`, `r3`, `c2`.
+    Id(&'static str, u32),
+    /// `true` or `false`.
+    Flag(bool),
+    /// A fixed word, e.g. an abort's cause.
+    Word(&'static str),
+    /// An owned string (a store file's path).
+    Text(Rc<str>),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Num(n) => write!(f, "{n}"),
+            Value::Id(prefix, n) => write!(f, "{prefix}{n}"),
+            Value::Flag(b) => write!(f, "{b}"),
+            Value::Word(w) => f.write_str(w),
+            Value::Text(t) => f.write_str(t),
+        }
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::Num(n)
+    }
+}
+
+impl From<u32> for Value {
+    fn from(n: u32) -> Value {
+        Value::Num(n.into())
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Value {
+        Value::Num(n as u64)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Flag(b)
+    }
+}
+
+impl From<&'static str> for Value {
+    fn from(w: &'static str) -> Value {
+        Value::Word(w)
+    }
+}
+
+impl From<String> for Value {
+    fn from(t: String) -> Value {
+        Value::Text(t.into())
+    }
+}
+
+/// A record's fields, in order: an inline list of at most
+/// [`MAX_FIELDS`] `name=value` pairs. Its `Display` is the record's
+/// detail line.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Fields([Option<(&'static str, Value)>; MAX_FIELDS]);
+
+impl Fields {
+    /// These fields followed by `name=value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are [`MAX_FIELDS`] fields already.
+    pub fn with(mut self, name: &'static str, value: impl Into<Value>) -> Fields {
+        let free = self.0.iter_mut().find(|field| field.is_none());
+        *free.expect("a record has at most MAX_FIELDS fields") = Some((name, value.into()));
+        self
+    }
+
+    /// These fields followed by every field of `more`.
+    pub fn and(self, more: Fields) -> Fields {
+        let more = more.0.into_iter().flatten();
+        more.fold(self, |fields, (name, value)| fields.with(name, value))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(&'static str, Value)> {
+        self.0.iter().map_while(Option::as_ref)
+    }
+}
+
+impl fmt::Display for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (name, value)) in self.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{name}={value}")?;
+        }
+        Ok(())
+    }
+}
+
+/// Builds [`Fields`] from `name = value` pairs, in order, each value
+/// converted by `Into<Value>`; a bare `name` is `name = name`.
+/// `fields!(region = id, files)` renders `region=r3 files=2`.
+#[macro_export]
+macro_rules! fields {
+    (@value $name:ident = $value:expr) => {
+        $value
+    };
+    (@value $name:ident) => {
+        $name
+    };
+    ($($name:ident $(= $value:expr)?),* $(,)?) => {
+        $crate::trace::Fields::default()
+            $(.with(stringify!($name), $crate::fields!(@value $name $(= $value)?)))*
+    };
+}
+
+/// One journal record: a sim-timestamped, kind-tagged list of fields.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalEntry {
     /// Simulation time at which the record was appended.
@@ -56,58 +177,38 @@ pub struct JournalEntry {
     /// Record kind, e.g. `"rpc.get"` or `"split.applied"` — a static
     /// taxonomy so per-kind counting needs no allocation.
     pub kind: &'static str,
-    /// Free-form `key=value` detail (deterministic content only).
+    /// The fields rendered: `name=value` pairs, space-separated.
     pub detail: String,
+    /// The record's fields.
+    pub fields: Fields,
 }
 
-/// A record's detail line: the closure given to [`Journal::record`]
-/// until the record is first read, the string it rendered afterwards.
-enum Detail {
-    Pending {
-        render: Box<dyn Fn() -> String>,
-        /// What rendering at record time gave (module docs).
-        #[cfg(debug_assertions)]
-        eager: String,
-    },
-    Rendered(String),
+impl JournalEntry {
+    /// The value of the field called `name`, if the record has one.
+    pub fn field(&self, name: &str) -> Option<&Value> {
+        let mut fields = self.fields.iter();
+        fields.find(|(n, _)| *n == name).map(|(_, value)| value)
+    }
 }
 
-/// A retained record: a [`JournalEntry`] whose detail may be pending.
+/// A retained record: a [`JournalEntry`] not yet rendered.
+#[derive(Clone)]
 struct Slot {
     time: SimTime,
     seq: u64,
     kind: &'static str,
-    detail: Detail,
+    fields: Fields,
 }
 
 impl Slot {
-    /// The record as readers see it, its detail rendered now if this is
-    /// the first read; `detail` copies the rendered line, or takes it
-    /// when the record is leaving the ring.
-    fn entry(&mut self, detail: impl FnOnce(&mut String) -> String) -> JournalEntry {
-        if let Detail::Pending {
-            render,
-            #[cfg(debug_assertions)]
-            eager,
-        } = &self.detail
-        {
-            let line = render();
-            #[cfg(debug_assertions)]
-            assert_eq!(
-                &line, eager,
-                "the detail closure of a {} record captured state that changed after the record",
-                self.kind
-            );
-            self.detail = Detail::Rendered(line);
-        }
-        let Detail::Rendered(line) = &mut self.detail else {
-            unreachable!("rendered above");
-        };
+    /// The record as readers see it, its fields rendered now.
+    fn entry(self) -> JournalEntry {
         JournalEntry {
             time: self.time,
             seq: self.seq,
             kind: self.kind,
-            detail: detail(line),
+            detail: self.fields.to_string(),
+            fields: self.fields,
         }
     }
 }
@@ -127,10 +228,11 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates a journal retaining at most `cap` entries (oldest evicted
-    /// first; per-kind counts keep counting). Only the kernel does: a
-    /// run's journals are its [`Sim`](crate::Sim)'s.
+    /// Creates a journal retaining at most `cap` entries, `cap ≥ 1`
+    /// (oldest evicted first; per-kind counts keep counting). Only the
+    /// kernel does: a run's journals are its [`Sim`](crate::Sim)'s.
     pub(crate) fn new(cap: usize) -> Journal {
+        assert!(cap > 0, "a journal retains at least one record");
         Journal {
             inner: Rc::new(RefCell::new(JournalInner {
                 entries: VecDeque::new(),
@@ -142,21 +244,12 @@ impl Journal {
         }
     }
 
-    /// Appends one record. `detail` renders the record's detail line; it
-    /// runs when the record is first read, and never if the ring evicts
-    /// the record unread. It must therefore
-    /// own what it formats — see the capture-values rule in the module
-    /// docs, which debug builds enforce by also rendering here.
-    pub fn record(&self, now: SimTime, kind: &'static str, detail: impl Fn() -> String + 'static) {
+    /// Appends one record of `kind` with `fields` (module docs).
+    pub fn record(&self, now: SimTime, kind: &'static str, fields: Fields) {
         let mut inner = self.inner.borrow_mut();
         *inner.counts.entry(kind).or_insert(0) += 1;
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        if inner.cap == 0 {
-            // Counts-only journal: nothing retained.
-            inner.dropped += 1;
-            return;
-        }
         if inner.entries.len() == inner.cap {
             inner.entries.pop_front();
             inner.dropped += 1;
@@ -165,11 +258,7 @@ impl Journal {
             time: now,
             seq,
             kind,
-            detail: Detail::Pending {
-                #[cfg(debug_assertions)]
-                eager: detail(),
-                render: Box::new(detail),
-            },
+            fields,
         });
     }
 
@@ -210,12 +299,8 @@ impl Journal {
 
     /// A copy of the retained entries in `(time, seq)` order.
     pub fn entries(&self) -> Vec<JournalEntry> {
-        let mut inner = self.inner.borrow_mut();
-        let mut v: Vec<JournalEntry> = inner
-            .entries
-            .iter_mut()
-            .map(|s| s.entry(|line| line.clone()))
-            .collect();
+        let inner = self.inner.borrow();
+        let mut v: Vec<JournalEntry> = inner.entries.iter().cloned().map(Slot::entry).collect();
         v.sort_by_key(|e| (e.time, e.seq));
         v
     }
@@ -224,11 +309,7 @@ impl Journal {
     /// Per-kind counts and the total are unaffected.
     pub fn drain_sorted(&self) -> Vec<JournalEntry> {
         let mut inner = self.inner.borrow_mut();
-        let mut v: Vec<JournalEntry> = inner
-            .entries
-            .drain(..)
-            .map(|mut s| s.entry(std::mem::take))
-            .collect();
+        let mut v: Vec<JournalEntry> = inner.entries.drain(..).map(Slot::entry).collect();
         v.sort_by_key(|e| (e.time, e.seq));
         v
     }
@@ -261,7 +342,6 @@ impl std::fmt::Debug for Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -270,9 +350,9 @@ mod tests {
     #[test]
     fn records_and_dumps_in_order() {
         let j = Journal::new(16);
-        j.record(t(5), "b", || "x=1".into());
-        j.record(t(5), "a", || "x=2".into());
-        j.record(t(9), "b", || "x=3".into());
+        j.record(t(5), "b", fields!(x = 1u64));
+        j.record(t(5), "a", fields!(x = 2u64));
+        j.record(t(9), "b", fields!(x = 3u64));
         assert_eq!(j.len(), 3);
         assert_eq!(j.count("b"), 2);
         assert_eq!(j.dump(), "5 b x=1\n5 a x=2\n9 b x=3\n");
@@ -282,7 +362,7 @@ mod tests {
     fn ring_cap_evicts_oldest_but_counts_survive() {
         let j = Journal::new(2);
         for i in 0..5u64 {
-            j.record(t(i), "k", move || format!("i={i}"));
+            j.record(t(i), "k", fields!(i = i));
         }
         assert_eq!(j.len(), 2);
         assert_eq!(j.dropped(), 3);
@@ -293,89 +373,56 @@ mod tests {
         assert_eq!(e[1].detail, "i=4");
     }
 
-    /// How often a detail closure runs at record time: debug builds
-    /// render eagerly as well, to check the capture-values rule.
-    const EAGER: u32 = cfg!(debug_assertions) as u32;
-
-    /// A detail closure that counts its calls.
-    fn counted(calls: &Rc<Cell<u32>>, line: &'static str) -> impl Fn() -> String + 'static {
-        let calls = Rc::clone(calls);
-        move || {
-            calls.set(calls.get() + 1);
-            line.to_owned()
-        }
-    }
-
     #[test]
-    fn details_render_on_first_read_only() {
+    fn fields_render_in_order_and_read_back_typed() {
         let j = Journal::new(8);
-        let calls = Rc::new(Cell::new(0));
-        j.record(t(2), "k", counted(&calls, "b"));
-        j.record(t(1), "k", counted(&calls, "a"));
-        assert_eq!(calls.get(), 2 * EAGER, "recording renders nothing");
+        let path = String::from("/store/r3/000001-rs0");
+        j.record(
+            t(2),
+            "k",
+            fields!(
+                server = Value::Id("rs", 0),
+                n = 7u64,
+                on = true,
+                cause = "user",
+                file = path
+            ),
+        );
+        j.record(t(1), "k", Fields::default());
         let read = j.entries();
-        assert_eq!(calls.get(), 2 * EAGER + 2);
-        // What a read returns is what eager recording stored: same
-        // fields, same order, same dump.
-        let details: Vec<&str> = read.iter().map(|e| e.detail.as_str()).collect();
-        assert_eq!(details, ["a", "b"]);
         assert_eq!((read[0].seq, read[1].seq), (1, 0));
-        assert_eq!(j.dump(), "1 k a\n2 k b\n");
-        assert_eq!(j.entries(), read);
-        assert_eq!(calls.get(), 2 * EAGER + 2, "later reads reuse the line");
-        // Draining hands the rendered lines over; nothing is left to
-        // render twice.
-        assert_eq!(j.drain_sorted(), read);
-        assert!(j.entries().is_empty());
-        assert_eq!(calls.get(), 2 * EAGER + 2);
-    }
-
-    #[test]
-    fn drain_renders_unread_entries_once() {
-        let j = Journal::new(8);
-        let calls = Rc::new(Cell::new(0));
-        j.record(t(1), "k", counted(&calls, "a"));
-        assert_eq!(j.drain_sorted()[0].detail, "a");
-        assert_eq!(calls.get(), EAGER + 1);
-        assert!(j.drain_sorted().is_empty() && j.entries().is_empty());
-        assert_eq!(calls.get(), EAGER + 1);
+        assert_eq!(read[0].detail, "");
+        let e = &read[1];
+        assert_eq!(
+            e.detail,
+            "server=rs0 n=7 on=true cause=user file=/store/r3/000001-rs0"
+        );
+        assert_eq!(e.field("n"), Some(&Value::Num(7)));
+        assert_eq!(e.field("server"), Some(&Value::Id("rs", 0)));
+        assert_eq!(e.field("missing"), None);
+        assert_eq!(j.dump(), format!("1 k \n2 k {}\n", e.detail));
+        let joined = fields!(a = 1u64).and(fields!(b = 2u64, c = 3u64));
+        assert_eq!(joined.to_string(), "a=1 b=2 c=3");
     }
 
     #[test]
     fn evicted_records_never_render() {
-        let calls = Rc::new(Cell::new(0));
         let j = Journal::new(1);
-        j.record(t(1), "k", counted(&calls, "evicted"));
-        j.record(t(2), "k", counted(&calls, "kept"));
-        let counts_only = Journal::new(0);
-        counts_only.record(t(1), "k", counted(&calls, "uncounted"));
-        assert_eq!(j.dump(), "2 k kept\n");
-        assert_eq!(calls.get(), 2 * EAGER + 1, "only the retained record");
-        assert_eq!((j.dropped(), counts_only.dropped()), (1, 1));
-    }
-
-    /// The capture-values rule, enforced: a closure that reads shared
-    /// state renders differently late than it would have at record time.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "captured state that changed")]
-    fn a_detail_over_shared_state_is_caught_on_read() {
-        let j = Journal::new(8);
-        let state = Rc::new(Cell::new(1));
-        let seen = Rc::clone(&state);
-        j.record(t(1), "k", move || format!("state={}", seen.get()));
-        state.set(2);
-        j.entries();
+        j.record(t(1), "k", fields!(at = "evicted"));
+        j.record(t(2), "k", fields!(at = "kept"));
+        assert_eq!(j.dump(), "2 k at=kept\n");
+        assert_eq!(j.dropped(), 1);
     }
 
     #[test]
     fn drain_empties_entries_only() {
         let j = Journal::new(8);
-        j.record(t(1), "k", || "a".into());
-        j.record(t(2), "k", || "b".into());
+        j.record(t(1), "k", fields!(x = "a"));
+        j.record(t(2), "k", fields!(x = "b"));
         let drained = j.drain_sorted();
         assert_eq!(drained.len(), 2);
-        assert!(j.is_empty());
+        assert_eq!(drained[1].detail, "x=b");
+        assert!(j.is_empty() && j.entries().is_empty());
         assert_eq!(j.count("k"), 2);
     }
 }

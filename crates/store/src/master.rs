@@ -12,7 +12,8 @@ use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
+use cumulo_sim::trace::Fields;
+use cumulo_sim::{fields, Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -405,10 +406,9 @@ impl Master {
     }
 
     /// Records `kind` in the failure-event journal: the one door the
-    /// master's events leave through. `detail` obeys the journal's
-    /// capture-values rule.
-    fn event(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
-        self.sim.events().record(self.sim.now(), kind, detail);
+    /// master's events leave through.
+    fn event(&self, kind: &'static str, fields: Fields) {
+        self.sim.events().record(self.sim.now(), kind, fields);
     }
 
     /// Handles a detected server failure: marks its regions offline,
@@ -423,9 +423,7 @@ impl Master {
         self.failovers.inc();
         let regions = self.region_map.borrow().regions_of(failed);
         let count = regions.len();
-        self.event("server.failover", move || {
-            format!("server={failed} regions={count}")
-        });
+        self.event("server.failover", fields!(server = failed, regions = count));
         // Roll back every intent granted to the failed server. This is
         // always safe before the map flip: clients can only address
         // region ids the map has shown them, so no write was ever
@@ -484,9 +482,7 @@ impl Master {
             let Some(master) = weak.upgrade() else { return };
             for batch in split.corrupt_batches {
                 master.wal_split_corrupt_batches.inc();
-                master.event("wal.split.corrupt", move || {
-                    format!("server={failed} batch={batch}")
-                });
+                master.event("wal.split.corrupt", fields!(server = failed, batch));
             }
             // WAL records written before an online split are tagged with
             // the parent region id, which may no longer exist — re-route
@@ -510,10 +506,10 @@ impl Master {
     fn rollback_intent(&self, change: StructureChange) {
         let kind = change.kind();
         self.counters(kind).rolled_back.inc();
-        let (inputs, server) = (change.inputs.clone(), change.server);
-        self.event(kind.pick("split.rollback", "merge.rollback"), move || {
-            format!("{} server={server}", kind.inputs_label(&inputs))
-        });
+        let fields = kind
+            .input_fields(&change.inputs)
+            .with("server", change.server);
+        self.event(kind.pick("split.rollback", "merge.rollback"), fields);
         self.dfs.delete(&change.intent_path());
         for output in change.outputs {
             let dir = format!("/store/{}/", output.id);
@@ -632,9 +628,7 @@ impl Master {
             return;
         };
         self.region_map.borrow_mut().assign(region, target);
-        self.event("region.assign", move || {
-            format!("region={region} server={target}")
-        });
+        self.event("region.assign", fields!(region, server = target));
         self.open_on(region, target, failed);
         // A replicated region placed via the replay fallback gets its
         // group rebuilt around the new primary.
@@ -815,14 +809,9 @@ impl Master {
             }
             let kind = change.kind();
             master.counters(kind).persisted.inc();
-            let journal_change = change.clone();
-            master.event(kind.pick("split.persisted", "merge.persisted"), move || {
-                format!(
-                    "{} server={server} {}",
-                    kind.inputs_label(&journal_change.inputs),
-                    journal_change.outputs_label()
-                )
-            });
+            let inputs = kind.input_fields(&change.inputs).with("server", server);
+            let fields = inputs.and(change.output_fields());
+            master.event(kind.pick("split.persisted", "merge.persisted"), fields);
             // The server may have died while the intent was being
             // written; its failover already rolled the intent back.
             if !master.intents.borrow().contains_key(&first) {
@@ -866,10 +855,7 @@ impl Master {
         self.intents.borrow_mut().remove(&first);
         let kind = change.kind();
         self.counters(kind).applied.inc();
-        let journal_change = change.clone();
-        self.event(kind.pick("split.applied", "merge.applied"), move || {
-            journal_change.label()
-        });
+        self.event(kind.pick("split.applied", "merge.applied"), change.fields());
         self.dfs.delete(&change.intent_path());
         // Split daughters inherited the parent's replicas in the map;
         // rebuild their groups under the bumped epoch (the server already
@@ -947,9 +933,7 @@ impl Master {
         };
         *self.pending_move.borrow_mut() = Some((region, donor, target));
         self.moves_started.inc();
-        self.event("move.start", move || {
-            format!("region={region} donor={donor} target={target}")
-        });
+        self.event("move.start", fields!(region, donor, target));
         let Some(server) = self.dir.get(donor) else {
             self.pending_move.borrow_mut().take();
             return;
@@ -996,9 +980,7 @@ impl Master {
         }
         self.region_map.borrow_mut().assign(region, target);
         self.moves_completed.inc();
-        self.event("move.open", move || {
-            format!("region={region} donor={donor} target={target}")
-        });
+        self.event("move.open", fields!(region, donor, target));
         self.open_on(region, target, None);
     }
 
@@ -1076,9 +1058,10 @@ impl Master {
             });
         }
         let backup_count = replicas.len();
-        self.event("replication.establish", move || {
-            format!("region={region} primary={primary} epoch={epoch} backups={backup_count}")
-        });
+        self.event(
+            "replication.establish",
+            fields!(region, primary, epoch, backups = backup_count),
+        );
         let pnode = pserver.node();
         self.net.send(self.node, pnode, 128, move || {
             pserver.establish_replica_group(region, epoch, backups);
@@ -1131,9 +1114,7 @@ impl Master {
                 self.fill_replicas(region, p, &mut replicas);
             }
             self.region_map.borrow_mut().set_replicas(region, replicas);
-            self.event("replication.repair", move || {
-                format!("region={region} lost_backup={failed}")
-            });
+            self.event("replication.repair", fields!(region, lost_backup = failed));
             if primary.is_some() {
                 self.establish_group(region);
             }
@@ -1242,9 +1223,7 @@ impl Master {
         match winner {
             Some(winner) => {
                 self.repl_promotions.inc();
-                self.event("replication.promote", move || {
-                    format!("region={region} winner={winner} failed={failed}")
-                });
+                self.event("replication.promote", fields!(region, winner, failed));
                 self.region_map.borrow_mut().assign(region, winner);
                 let mut replicas: Vec<ServerId> = self
                     .region_map
@@ -1271,9 +1250,7 @@ impl Master {
             }
             None => {
                 self.repl_fallback_replays.inc();
-                self.event("replication.fallback", move || {
-                    format!("region={region} failed={failed}")
-                });
+                self.event("replication.fallback", fields!(region, failed));
                 let records = {
                     let mut pending = self.pending_recoveries.borrow_mut();
                     match pending.get_mut(&region).and_then(|p| p.records.take()) {
@@ -1337,17 +1314,13 @@ impl Master {
         let current = self.repl_epochs.borrow().get(&region).copied();
         let stale = current.map(|c| epoch < c).unwrap_or(true);
         if stale {
-            self.event("replication.stale_report", move || {
-                format!("region={region} epoch={epoch} backup={backup}")
-            });
+            self.event("replication.stale_report", fields!(region, epoch, backup));
             return true;
         }
         self.repl_ineligible
             .borrow_mut()
             .insert((region, epoch, backup), true);
-        self.event("replication.ineligible", move || {
-            format!("region={region} epoch={epoch} backup={backup}")
-        });
+        self.event("replication.ineligible", fields!(region, epoch, backup));
         // Acking *after* recording is the soundness point: the primary
         // releases gates only once this backup can no longer win a
         // promotion at this epoch.
@@ -1367,9 +1340,7 @@ impl Master {
         // The journal follows reports: a lane's first sync after an
         // establish makes it eligible without an event.
         if was == Some(true) {
-            self.event("replication.eligible", move || {
-                format!("region={region} epoch={epoch} backup={backup}")
-            });
+            self.event("replication.eligible", fields!(region, epoch, backup));
         }
     }
 }

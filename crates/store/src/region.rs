@@ -21,6 +21,7 @@
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::types::{RegionId, ServerId};
 use bytes::Bytes;
+use cumulo_sim::trace::Fields;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -61,20 +62,22 @@ impl ChangeKind {
         }
     }
 
-    /// The journal-detail rendering of a change's inputs: `region=4`
-    /// for a split, `left=4 right=5` for a merge.
-    pub fn inputs_label(self, inputs: &[RegionId]) -> String {
-        labelled(self.pick(&["region"][..], &["left", "right"][..]), inputs)
+    /// The journal fields naming a change's inputs: `region=r4` for a
+    /// split, `left=r4 right=r5` for a merge.
+    pub fn input_fields(self, inputs: &[RegionId]) -> Fields {
+        named(
+            self.pick(&["region"], &["left", "right"]),
+            inputs.iter().copied(),
+        )
     }
 }
 
-fn labelled(names: &[&str], ids: &[RegionId]) -> String {
-    let parts: Vec<String> = names
-        .iter()
-        .zip(ids)
-        .map(|(name, id)| format!("{name}={id}"))
-        .collect();
-    parts.join(" ")
+/// Each of `names` with the id in the same position.
+fn named(names: &[&'static str], ids: impl Iterator<Item = RegionId>) -> Fields {
+    let pairs = names.iter().zip(ids);
+    pairs.fold(Fields::default(), |fields, (name, id)| {
+        fields.with(name, id)
+    })
 }
 
 /// One online change to the table's structure: the adjacent regions
@@ -138,18 +141,18 @@ impl StructureChange {
         ChangeKind::of(&self.inputs)
     }
 
-    /// The journal-detail rendering of the outputs: `bottom=6 top=7`
-    /// for a split, `merged=6` for a merge.
-    pub fn outputs_label(&self) -> String {
-        let ids: Vec<RegionId> = self.outputs.iter().map(|o| o.id).collect();
-        let names = self.kind().pick(&["bottom", "top"][..], &["merged"][..]);
-        labelled(names, &ids)
+    /// The journal fields naming the outputs: `bottom=r6 top=r7` for a
+    /// split, `merged=r6` for a merge.
+    pub fn output_fields(&self) -> Fields {
+        let names = self.kind().pick(&["bottom", "top"][..], &["merged"]);
+        named(names, self.outputs.iter().map(|o| o.id))
     }
 
-    /// The inputs ([`ChangeKind::inputs_label`]), then the outputs.
-    pub fn label(&self) -> String {
-        let inputs = self.kind().inputs_label(&self.inputs);
-        format!("{inputs} {}", self.outputs_label())
+    /// The inputs' fields ([`ChangeKind::input_fields`]), then the
+    /// outputs'.
+    pub fn fields(&self) -> Fields {
+        let inputs = self.kind().input_fields(&self.inputs);
+        inputs.and(self.output_fields())
     }
 
     /// The boundaries between consecutive outputs (a split's one key;

@@ -22,8 +22,8 @@ use crate::types::{Mutation, RegionId, Timestamp};
 use crate::wal::WalSyncMode;
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge, MetricsRegistry};
-use cumulo_sim::{SimDuration, SimTime};
-use std::fmt::{self, Write as _};
+use cumulo_sim::trace::Fields;
+use cumulo_sim::{fields, SimDuration, SimTime};
 use std::rc::Rc;
 
 // The service model: what a request costs a handler slot. Calibrated so
@@ -155,28 +155,19 @@ struct Span {
 }
 
 impl Span {
-    /// Records the span. `fields` writes what follows `server=` and
-    /// `region=`, given the queue wait and the service time in
-    /// nanoseconds: queue wait is everything between submission and
-    /// completion that was not this request's own service.
-    fn record(
-        self,
-        server: &RegionServer,
-        fields: impl Fn(&mut String, u64, u64) -> fmt::Result + 'static,
-    ) {
-        let now = server.sim.now();
+    /// Records the span: `server=` and `region=`, then `before`, the
+    /// queue wait and the service time in nanoseconds, then `after`.
+    /// Queue wait is everything between submission and completion that
+    /// was not this request's own service.
+    fn record(self, server: &RegionServer, before: Fields, after: Fields) {
         let service_ns = self.service.nanos();
-        let queue_ns = (now.nanos() - self.submitted.nanos()).saturating_sub(service_ns);
-        let (me, region) = (server.id, self.region);
-        server.span(self.kind, move || {
-            // A traced run renders every span it records: one buffer,
-            // one allocation per line.
-            let mut line = String::with_capacity(112);
-            let written = write!(line, "server={me} region={region} ")
-                .and_then(|()| fields(&mut line, queue_ns, service_ns));
-            written.expect("a String accepts every write");
-            line
-        });
+        let queue_ns =
+            (server.sim.now().nanos() - self.submitted.nanos()).saturating_sub(service_ns);
+        let fields = fields!(region = self.region).and(before);
+        let fields = fields
+            .with("queue_ns", queue_ns)
+            .with("service_ns", service_ns);
+        server.span(self.kind, fields.and(after));
     }
 }
 
@@ -373,12 +364,7 @@ impl RegionServer {
             }
             this.gets.inc();
             let (files, probes) = (plan.consulted, plan.probes);
-            span.record(this, move |line, queue_ns, service_ns| {
-                write!(
-                    line,
-                    "queue_ns={queue_ns} service_ns={service_ns} files={files} probes={probes} hit={hit}"
-                )
-            });
+            span.record(this, Fields::default(), fields!(files, probes, hit));
             reply(result);
         });
     }
@@ -543,12 +529,11 @@ impl RegionServer {
             }
             this.gets.add(cell_count as u64);
             this.multi_gets.inc();
-            span.record(this, move |line, queue_ns, service_ns| {
-                write!(
-                    line,
-                    "cells={cell_count} queue_ns={queue_ns} service_ns={service_ns} misses={miss_count}"
-                )
-            });
+            span.record(
+                this,
+                fields!(cells = cell_count),
+                fields!(misses = miss_count),
+            );
             reply(Ok(out));
         });
     }
@@ -605,12 +590,7 @@ impl RegionServer {
                 mutations,
             });
             this.puts.inc();
-            span.record(this, move |line, queue_ns, service_ns| {
-                write!(
-                    line,
-                    "mutations={n_mutations} queue_ns={queue_ns} service_ns={service_ns} replay={replay}"
-                )
-            });
+            span.record(this, fields!(mutations = n_mutations), fields!(replay));
             let complete: Box<dyn FnOnce(Result<(), StoreError>)> = {
                 let this = Rc::clone(this);
                 Box::new(move |result| match result {
@@ -689,12 +669,7 @@ impl RegionServer {
             let region_end = st.desc.end.clone();
             this.scans.inc();
             let returned = out.len();
-            span.record(this, move |line, queue_ns, service_ns| {
-                write!(
-                    line,
-                    "files={files} queue_ns={queue_ns} service_ns={service_ns} returned={returned} examined={examined}"
-                )
-            });
+            span.record(this, fields!(files), fields!(returned, examined));
             reply(Ok(ScanPage {
                 cells: out,
                 region_end,

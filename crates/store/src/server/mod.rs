@@ -31,10 +31,11 @@ use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, GaugeMap};
-use cumulo_sim::{Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime};
+use cumulo_sim::trace::Fields;
+use cumulo_sim::{fields, Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::rc::Rc;
 
 /// Concurrent request handler slots (the paper's VMs had 2 cores).
@@ -480,25 +481,19 @@ impl RegionServer {
         self.regions.borrow().get(&region).map(|st| st.desc.clone())
     }
 
-    /// Records `kind` in the failure-event journal; `detail` writes what
-    /// follows the `server=` field every server event starts with (and
-    /// obeys the journal's capture-values rule) into the line's one
-    /// buffer.
-    fn event(&self, kind: &'static str, detail: impl Fn(&mut String) -> fmt::Result + 'static) {
-        let me = self.id;
-        self.sim.events().record(self.sim.now(), kind, move || {
-            let mut line = String::with_capacity(96);
-            let written = write!(line, "server={me} ").and_then(|()| detail(&mut line));
-            written.expect("a String accepts every write");
-            line
-        });
+    /// Records `kind` in the failure-event journal: `server=` first,
+    /// then `fields`.
+    fn event(&self, kind: &'static str, fields: Fields) {
+        let fields = fields!(server = self.id).and(fields);
+        self.sim.events().record(self.sim.now(), kind, fields);
     }
 
     /// Records `kind` in the trace journal: the one door this server's
-    /// spans (`rpc.*`, `repl.ship`) leave through. `detail` obeys the
-    /// journal's capture-values rule.
-    fn span(&self, kind: &'static str, detail: impl Fn() -> String + 'static) {
-        self.sim.trace().record(self.sim.now(), kind, detail);
+    /// spans (`rpc.*`, `repl.ship`) leave through, `server=` first, then
+    /// `fields`.
+    fn span(&self, kind: &'static str, fields: Fields) {
+        let fields = fields!(server = self.id).and(fields);
+        self.sim.trace().record(self.sim.now(), kind, fields);
     }
 
     /// Crash-stop failure: the node dies, so the network drops its
@@ -615,7 +610,7 @@ impl RegionServer {
     fn mark_region_online(&self, region: RegionId) {
         if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
             st.online = true;
-            self.event("region.online", move |line| write!(line, "region={region}"));
+            self.event("region.online", fields!(region));
         }
     }
 }

@@ -17,9 +17,8 @@ use crate::region::RegionDescriptor;
 use crate::types::{Mutation, RegionId, ServerId, Timestamp};
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge, MetricsRegistry};
-use cumulo_sim::{NodeId, SimDuration};
+use cumulo_sim::{fields, NodeId, SimDuration};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::rc::{Rc, Weak};
 
 /// Unacknowledged shipped bytes per backup lane at which the lane is
@@ -544,9 +543,7 @@ impl RegionServer {
             group.lanes.sort_unstable_by_key(|l| l.backup);
             group.take_all_gates()
         };
-        self.event("replication.establish", move |line| {
-            write!(line, "region={region} epoch={epoch}")
-        });
+        self.event("replication.establish", fields!(region, epoch));
         resolve(finishes, Ok(()));
         self.update_repl_gauges();
     }
@@ -566,9 +563,7 @@ impl RegionServer {
             shadow.epoch = shadow.epoch.max(epoch);
             shadow.synced = false;
         }
-        self.event("replication.shadow_open", move |line| {
-            write!(line, "region={region} epoch={epoch}")
-        });
+        self.event("replication.shadow_open", fields!(region, epoch));
     }
 
     /// Master RPC: `region`'s shadow is obsolete (parent of an applied
@@ -582,9 +577,7 @@ impl RegionServer {
             }
         };
         if removed {
-            self.event("replication.shadow_close", move |line| {
-                write!(line, "region={region}")
-            });
+            self.event("replication.shadow_close", fields!(region));
         }
     }
 
@@ -615,9 +608,7 @@ impl RegionServer {
             region,
             RegionState::new(shadow.desc, shadow.memstore, storefiles),
         );
-        self.event("replication.promote", move |line| {
-            write!(line, "region={region} epoch={epoch} failed={failed}")
-        });
+        self.event("replication.promote", fields!(region, epoch, failed));
         self.update_file_metrics();
         self.flush_region(region);
         self.finish_region_open(region, Some(failed), true);
@@ -700,23 +691,12 @@ impl RegionServer {
                 StreamElement::WriteSet { .. } => {
                     stats.ships.inc();
                     stats.ship_bytes.add(bytes as u64);
-                    let me = self.id;
-                    self.span("repl.ship", move || {
-                        format!(
-                            "server={me} region={region} seq={seq} \
-                             backup={backup} bytes={bytes}"
-                        )
-                    });
+                    self.span("repl.ship", fields!(region, seq, backup, bytes));
                 }
                 StreamElement::Sync { .. } => {
                     stats.syncs.inc();
                     stats.ship_bytes.add(bytes as u64);
-                    self.event("replication.sync", move |line| {
-                        write!(
-                            line,
-                            "region={region} seq={seq} backup={backup} bytes={bytes}"
-                        )
-                    });
+                    self.event("replication.sync", fields!(region, seq, backup, bytes));
                 }
             }
             let (element, this) = (Rc::clone(&element), Rc::clone(self));
@@ -775,15 +755,11 @@ impl RegionServer {
             }
             LaneAction::Report => {
                 self.repl_stats.lane_drops.inc();
-                self.event("replication.lane_unsynced", move |line| {
-                    write!(line, "region={region} backup={backup}")
-                });
+                self.event("replication.lane_unsynced", fields!(region, backup));
                 self.report_lane_unsynced(id);
             }
             LaneAction::Resynced => {
-                self.event("replication.lane_resynced", move |line| {
-                    write!(line, "region={region} backup={backup}")
-                });
+                self.event("replication.lane_resynced", fields!(region, backup));
                 let master = Rc::clone(&self.master);
                 self.net.send(self.node, master.node(), 48, move || {
                     master.replica_synced(region, id.epoch, backup);
@@ -902,9 +878,7 @@ impl RegionServer {
             st.online = false;
         }
         self.repl_stats.fenced.inc();
-        self.event("replication.fenced", move |line| {
-            write!(line, "region={region} newer_epoch={newer_epoch}")
-        });
+        self.event("replication.fenced", fields!(region, newer_epoch));
         resolve(finishes, Err(StoreError::WrongRegion(region)));
         self.update_repl_gauges();
     }
@@ -1010,9 +984,10 @@ impl RegionServer {
         }
         let newer = own.unwrap_or(epoch + 1).max(epoch + 1);
         self.repl_stats.fences.inc();
-        self.event("replication.fence", move |line| {
-            write!(line, "region={region} stale_epoch={epoch} newer={newer}")
-        });
+        self.event(
+            "replication.fence",
+            fields!(region, stale_epoch = epoch, newer),
+        );
         Some(ReplAck::Stale(newer))
     }
 
@@ -1024,9 +999,7 @@ impl RegionServer {
             ReplAck::Gap => {}
             ReplAck::Stale(_) => {
                 self.repl_stats.fences.inc();
-                self.event("replication.fence", move |line| {
-                    write!(line, "region={region}")
-                });
+                self.event("replication.fence", fields!(region));
             }
         }
     }

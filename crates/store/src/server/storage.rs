@@ -7,8 +7,8 @@ use super::{RegionServer, RegionState, HANDLERS};
 use crate::compaction::{self, CompactionStats};
 use crate::sstable::StoreFileData;
 use crate::types::{RegionId, Timestamp};
-use cumulo_sim::SimDuration;
-use std::fmt::Write as _;
+use cumulo_sim::{fields, SimDuration};
+
 use std::rc::Rc;
 
 /// How long the filesystem write of a flush may stay unanswered before
@@ -104,9 +104,7 @@ impl RegionServer {
                         .stall_ns
                         .add(self.cfg.flush_check_interval.nanos());
                     let region = *id;
-                    self.event("flush.stall", move |line| {
-                        write!(line, "region={region} files={files}")
-                    });
+                    self.event("flush.stall", fields!(region, files));
                     continue;
                 }
                 candidates.push(*id);
@@ -171,9 +169,7 @@ impl RegionServer {
             (Rc::clone(snapshot), Rc::new(copy))
         };
         let path = copy.path().to_owned();
-        self.event("flush.reissue", move |line| {
-            write!(line, "region={region} file={path}")
-        });
+        self.event("flush.reissue", fields!(region, file = path));
         self.write_flush_snapshot(region, snapshot, copy);
     }
 
@@ -283,15 +279,11 @@ impl RegionServer {
                 let deficit = self.compaction_deficit.get() + 1;
                 self.compaction_deficit.set(deficit);
                 self.compaction_stats.deferred.inc();
-                self.event("compaction.defer", move |line| {
-                    write!(line, "region={region} deficit={deficit}")
-                });
+                self.event("compaction.defer", fields!(region, deficit));
                 return;
             }
             self.compaction_stats.forced.inc();
-            self.event("compaction.force", move |line| {
-                write!(line, "region={region}")
-            });
+            self.event("compaction.force", fields!(region));
         }
         self.compaction_deficit.set(0);
         {
@@ -303,9 +295,7 @@ impl RegionServer {
         }
         self.compaction_stats.started.inc();
         let inputs = input_paths.len();
-        self.event("compaction.start", move |line| {
-            write!(line, "region={region} inputs={inputs} level=0")
-        });
+        self.event("compaction.start", fields!(region, inputs, level = 0u64));
         let service = BASE_SERVICE + cfg.merge_service_per_entry * total_entries.max(1);
         let this = Rc::clone(self);
         self.submit_background(service, move || this.run_compaction(region, input_paths));
@@ -475,9 +465,7 @@ impl RegionServer {
             .filter_bytes_created
             .add(filter_created);
         let retired = input_paths.len();
-        self.event("compaction.finish", move |line| {
-            write!(line, "region={region} retired={retired} bytes={bytes}")
-        });
+        self.event("compaction.finish", fields!(region, retired, bytes));
         self.update_file_metrics();
         // Compaction rewrote the file set; re-baseline backup lanes so a
         // promoted shadow resolves the merged files, not retired ones.

@@ -17,8 +17,8 @@ use crate::sstable::StoreFileData;
 use crate::types::RegionId;
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::{Reply, SimDuration};
-use std::fmt::Write as _;
+use cumulo_sim::{fields, Reply, SimDuration};
+
 use std::rc::Rc;
 
 /// Shared observability for one kind of online structure change — a
@@ -279,9 +279,10 @@ impl RegionServer {
         };
         let kind = pending.kind();
         self.structure_stats(kind).considered.inc();
-        self.event(kind.pick("split.consider", "merge.consider"), move |line| {
-            line.write_str(&kind.inputs_label(&inputs))
-        });
+        self.event(
+            kind.pick("split.consider", "merge.consider"),
+            kind.input_fields(&inputs),
+        );
         *self.pending_change.borrow_mut() = Some(pending);
         self.advance_pending_change();
     }
@@ -338,10 +339,11 @@ impl RegionServer {
             p.intent_sent = true;
         }
         self.structure_stats(kind).intents_requested.inc();
-        let (me, journal_inputs) = (self.id, inputs.clone());
-        self.event(kind.pick("split.intent", "merge.intent"), move |line| {
-            line.write_str(&kind.inputs_label(&journal_inputs))
-        });
+        let me = self.id;
+        self.event(
+            kind.pick("split.intent", "merge.intent"),
+            kind.input_fields(&inputs),
+        );
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
         let (this, master, first) = (Rc::clone(self), Rc::clone(&self.master), inputs[0]);
         self.net.request(
@@ -383,9 +385,10 @@ impl RegionServer {
             .map(|p| (p.kind(), p.inputs.clone()));
         if let Some((kind, inputs)) = pending {
             self.structure_stats(kind).aborted.inc();
-            self.event(kind.pick("split.denied", "merge.denied"), move |line| {
-                line.write_str(&kind.inputs_label(&inputs))
-            });
+            self.event(
+                kind.pick("split.denied", "merge.denied"),
+                kind.input_fields(&inputs),
+            );
             self.clear_pending_change();
         }
     }
@@ -426,10 +429,7 @@ impl RegionServer {
         }
         let kind = change.kind();
         self.structure_stats(kind).executing.inc();
-        let journal_change = change.clone();
-        self.event(kind.pick("split.execute", "merge.execute"), move |line| {
-            line.write_str(&journal_change.label())
-        });
+        self.event(kind.pick("split.execute", "merge.execute"), change.fields());
         let sources: Option<Vec<(RegionDescriptor, Vec<Rc<StoreFileData>>)>> = {
             let regions = self.regions.borrow();
             change
@@ -526,10 +526,8 @@ impl RegionServer {
         }
         let kind = work.change.kind();
         self.structure_stats(kind).aborted.inc();
-        let inputs = work.change.inputs.clone();
-        self.event(kind.pick("split.abort", "merge.abort"), move |line| {
-            line.write_str(&kind.inputs_label(&inputs))
-        });
+        let inputs = kind.input_fields(&work.change.inputs);
+        self.event(kind.pick("split.abort", "merge.abort"), inputs);
         self.clear_pending_change();
         self.notify_change_aborted(work.change.inputs[0]);
     }
@@ -624,10 +622,7 @@ impl RegionServer {
         self.pending_change.borrow_mut().take();
         let kind = change.kind();
         self.structure_stats(kind).completed.inc();
-        let journal_change = change.clone();
-        self.event(kind.pick("split.flip", "merge.flip"), move |line| {
-            line.write_str(&journal_change.label())
-        });
+        self.event(kind.pick("split.flip", "merge.flip"), change.fields());
         self.update_file_metrics();
         // A split parent's replica group follows the flip: daughters
         // inherit the parent's lanes (brought in sync by immediate
@@ -696,7 +691,7 @@ impl RegionServer {
             st.restructuring = true;
         }
         *self.pending_move.borrow_mut() = Some(region);
-        self.event("move.close", move |line| write!(line, "region={region}"));
+        self.event("move.close", fields!(region));
         self.advance_pending_move(region, reply, 0);
     }
 
@@ -742,7 +737,7 @@ impl RegionServer {
                 self.cache.borrow_mut().evict_region(region);
                 self.region_load.remove(region.0 as u64);
                 self.update_file_metrics();
-                self.event("move.closed", move |line| write!(line, "region={region}"));
+                self.event("move.closed", fields!(region));
                 true
             }
         };

@@ -1,6 +1,7 @@
 //! Core identifiers and data-model types shared across the stack.
 
 use bytes::Bytes;
+use cumulo_sim::trace::Value;
 use std::fmt;
 
 /// Identifier of a region server process.
@@ -16,6 +17,12 @@ impl fmt::Debug for ServerId {
 impl fmt::Display for ServerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "rs{}", self.0)
+    }
+}
+
+impl From<ServerId> for Value {
+    fn from(id: ServerId) -> Value {
+        Value::Id("rs", id.0)
     }
 }
 
@@ -57,6 +64,12 @@ impl fmt::Display for ClientId {
     }
 }
 
+impl From<ClientId> for Value {
+    fn from(id: ClientId) -> Value {
+        Value::Id("c", id.0)
+    }
+}
+
 /// Identifier of a region (a contiguous key range of the table).
 ///
 /// Region ids are never reused: an online split retires the parent's id
@@ -75,6 +88,12 @@ impl fmt::Debug for RegionId {
 impl fmt::Display for RegionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "r{}", self.0)
+    }
+}
+
+impl From<RegionId> for Value {
+    fn from(id: RegionId) -> Value {
+        Value::Id("r", id.0)
     }
 }
 
@@ -108,6 +127,12 @@ impl fmt::Debug for Timestamp {
 impl fmt::Display for Timestamp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+impl From<Timestamp> for Value {
+    fn from(ts: Timestamp) -> Value {
+        Value::Num(ts.0)
     }
 }
 

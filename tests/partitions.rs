@@ -8,6 +8,7 @@ mod common;
 use bytes::Bytes;
 use common::{lines_digest, ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
+use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
 use cumulo_store::RegionId;
 use std::cell::{Cell, RefCell};
@@ -621,8 +622,8 @@ fn read_whose_begin_was_lost_settles_once_healed() {
 // Region server ↔ master (ROADMAP item 2, store side)
 // ----------------------------------------------------------------------
 
-/// The server that recorded the newest `kind` event (its detail starts
-/// with `server=rsN`), and the region it names.
+/// The server that recorded the newest `kind` event (its `server=rsN`
+/// field), and the region it names.
 fn newest_event_site(cluster: &Cluster, kind: &str) -> (usize, RegionId) {
     let entry = cluster
         .events
@@ -630,14 +631,12 @@ fn newest_event_site(cluster: &Cluster, kind: &str) -> (usize, RegionId) {
         .into_iter()
         .rev()
         .find(|e| e.kind == kind);
-    let detail = entry.expect("the event was recorded").detail;
-    let field = |name: &str| -> u32 {
-        let value = detail.split(' ').find_map(|f| f.strip_prefix(name));
-        value
-            .and_then(|v| v.parse().ok())
-            .expect("the field is in the detail")
+    let entry = entry.expect("the event was recorded");
+    let id = |name: &str, prefix: &str| match entry.field(name) {
+        Some(&Value::Id(p, n)) if p == prefix => n,
+        other => panic!("{name}= is {other:?}, not a {prefix}N id"),
     };
-    (field("server=rs") as usize, RegionId(field("region=r")))
+    (id("server", "rs") as usize, RegionId(id("region", "r")))
 }
 
 /// Steps the simulation until `kind` has been recorded once more.

@@ -7,6 +7,7 @@ mod common;
 
 use common::{key, run_txn, small_cluster};
 use cumulo_core::{Cluster, ClusterConfig, PersistenceMode, Timestamp, TxnError};
+use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -310,14 +311,6 @@ fn cascading_server_failures_preserve_all_commits() {
     }
 }
 
-/// The value of `key=` in a journal detail line.
-fn field<'a>(detail: &'a str, key: &str) -> &'a str {
-    detail
-        .split(' ')
-        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
-        .unwrap_or_else(|| panic!("no {key}= in {detail:?}"))
-}
-
 #[test]
 fn new_host_crash_before_online_hands_the_same_file_to_the_next_host() {
     let cluster = Cluster::build(ClusterConfig {
@@ -367,12 +360,12 @@ fn new_host_crash_before_online_hands_the_same_file_to_the_next_host() {
             "rs0 was never failed over"
         );
     };
-    let region = field(&assign.detail, "region").to_owned();
-    let host = field(&assign.detail, "server").to_owned();
+    let region = assign.field("region").expect("region=").clone();
+    let host = assign.field("server").expect("server=").clone();
     let host_idx = cluster
         .servers
         .iter()
-        .position(|s| s.id().to_string() == host)
+        .position(|s| Value::from(s.id()) == host)
         .expect("the new host is a cluster server");
     assert_ne!(host_idx, 0);
     assert!(
@@ -418,7 +411,7 @@ fn new_host_crash_before_online_hands_the_same_file_to_the_next_host() {
     assert!(cluster.servers[survivor]
         .hosted_regions()
         .iter()
-        .any(|r| r.to_string() == region));
+        .any(|r| Value::from(*r) == region));
     // The second round staged the region again — under the floor the first
     // round persisted, not just under the second dead host's own T_P.
     let staged: Vec<_> = cluster
@@ -429,11 +422,11 @@ fn new_host_crash_before_online_hands_the_same_file_to_the_next_host() {
         .collect();
     let second = staged
         .iter()
-        .find(|e| field(&e.detail, "server") == host)
+        .find(|e| e.field("server") == Some(&host))
         .expect("the new host's failure is staged too");
     assert_eq!(
-        field(&second.detail, "floor"),
-        first_floor.min(host_t_p).0.to_string(),
+        second.field("floor"),
+        Some(&first_floor.min(host_t_p).into()),
         "first floor {first_floor:?}, dead host's T_P {host_t_p:?}: {}",
         second.detail
     );
@@ -487,10 +480,10 @@ fn replay_reaches_the_new_host_on_its_first_attempt() {
     assert_eq!(starts.len(), 2, "rs0's two regions are replayed");
     let timeout = cluster.config().store_client_cfg.request_timeout;
     for start in starts {
-        let region = field(&start.detail, "region");
+        let region = start.field("region").expect("region=");
         assert_ne!(
-            field(&start.detail, "txns"),
-            "0",
+            start.field("txns"),
+            Some(&Value::Num(0)),
             "{region} replays nothing"
         );
         let recovered = after
@@ -498,7 +491,7 @@ fn replay_reaches_the_new_host_on_its_first_attempt() {
             .find(|e| {
                 e.kind == "region.recovered"
                     && e.seq > start.seq
-                    && field(&e.detail, "region") == region
+                    && e.field("region") == Some(region)
             })
             .unwrap_or_else(|| panic!("{region} is never recovered"));
         let took = recovered.time - start.time;
