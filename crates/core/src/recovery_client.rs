@@ -134,7 +134,7 @@ impl RecoveryClient {
         let fields = fields!(region, txns = items.len());
         self.sim
             .events()
-            .record(self.sim.now(), "region.replay_start", fields);
+            .record(self.sim.now(), "region.replay_start", &[fields]);
         if items.is_empty() {
             done();
             return;

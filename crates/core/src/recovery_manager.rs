@@ -44,7 +44,7 @@ use crate::recovery_client::RecoveryClient;
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, WatchEvent};
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::trace::Fields;
+use cumulo_sim::trace::Field;
 use cumulo_sim::{fields, Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Mutation, RegionId, RegionServer, ServerId, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
@@ -301,8 +301,8 @@ impl RecoveryManager {
 
     /// Records `kind` in the failure-event journal: the one door the
     /// manager's events leave through.
-    fn event(&self, kind: &'static str, fields: Fields) {
-        self.sim.events().record(self.sim.now(), kind, fields);
+    fn event(&self, kind: &'static str, fields: &[Field]) {
+        self.sim.events().record(self.sim.now(), kind, &[fields]);
     }
 
     // ------------------------------------------------------------------
@@ -777,10 +777,8 @@ impl RecoveryManager {
         // The `promoted` marker only appears on promotion epochs so the
         // replay-path event text stays byte-identical to earlier releases.
         let host = server.id();
-        let mut fields = fields!(region, server = host, failed);
-        if promoted {
-            fields = fields.with("promoted", true);
-        }
+        let fields = fields!(region, server = host, failed, promoted = true);
+        let fields = if promoted { &fields[..] } else { &fields[..3] };
         self.event("region.recovered", fields);
         self.coord.delete(&paths::region_floor(region));
         // Let the region declare itself online (runs at the server).

@@ -52,7 +52,7 @@ use crate::paths;
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, SessionId};
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::trace::Fields;
+use cumulo_sim::trace::Field;
 use cumulo_sim::{fields, Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Mutation, MutationKind, StoreClient, Timestamp, WriteSet};
 use cumulo_txn::{CommitOutcome, Session, TmClient, TxnId};
@@ -643,8 +643,8 @@ impl TcInner {
     /// `txn.abort` / `txn.retry`) in the trace journal: the one door this
     /// client's spans leave through, at event-execution time so the
     /// journal order is deterministic.
-    fn span(&self, kind: &'static str, fields: Fields) {
-        self.sim.trace().record(self.sim.now(), kind, fields);
+    fn span(&self, kind: &'static str, fields: &[Field]) {
+        self.sim.trace().record(self.sim.now(), kind, &[fields]);
     }
 
     /// What this client's next begin or idle query tells the manager.
@@ -667,8 +667,7 @@ fn note_commit(inner: &TcInner, txn: TxnId, ts: Timestamp, writes: usize) {
 /// Counts an abort of `txn` and journals its cause.
 fn note_abort(inner: &TcInner, txn: TxnId, cause: &'static str) {
     inner.aborted.inc();
-    let client = inner.id;
-    inner.span("txn.abort", fields!(client, txn = txn.0, cause));
+    inner.span("txn.abort", fields!(client = inner.id, txn = txn.0, cause));
 }
 
 impl TransactionalClient {
@@ -809,11 +808,8 @@ impl TransactionalClient {
         let snapshot = Rc::new(RefCell::new(Snapshot::Awaited(None)));
         let (on_reply, slot) = (Rc::clone(inner), Rc::clone(&snapshot));
         inner.tm.begin(txn, inner.session(), move |start_ts| {
-            let client = on_reply.id;
-            on_reply.span(
-                "txn.begin",
-                fields!(client, txn = txn.0, snapshot = start_ts),
-            );
+            let fields = fields!(client = on_reply.id, txn = txn.0, snapshot = start_ts);
+            on_reply.span("txn.begin", fields);
             if let Snapshot::Awaited(Some(reads)) = slot.replace(Snapshot::Known(start_ts)) {
                 reads(start_ts);
             }

@@ -354,8 +354,9 @@ mod tests {
         let sim = Sim::new(99);
         let twin = Sim::new(99);
         sim.events()
-            .record(sim.now(), "k", crate::fields!(a = 1u64));
-        sim.trace().record(sim.now(), "s", crate::fields!(b = 2u64));
+            .record(sim.now(), "k", &[crate::fields!(a = 1u64)]);
+        sim.trace()
+            .record(sim.now(), "s", &[crate::fields!(b = 2u64)]);
         sim.metrics().counter("c", &[]).inc();
         assert_eq!(sim.events().dump(), "0 k a=1\n");
         assert_eq!(sim.trace().count("s"), 1);

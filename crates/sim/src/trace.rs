@@ -26,7 +26,7 @@
 //!
 //! A record is its kind plus at most [`MAX_FIELDS`] named [`Value`]s,
 //! built with the [`fields!`](crate::fields) macro. [`Journal::record`]
-//! moves them into the ring with no heap allocation; a read
+//! copies them into the ring with no heap allocation; a read
 //! ([`Journal::entries`], [`Journal::drain_sorted`], [`Journal::dump`])
 //! renders them as the record's `name=value` detail line, and a record
 //! the ring evicts unread is never rendered. A value is a copy taken at
@@ -39,17 +39,19 @@
 
 use crate::time::SimTime;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 /// The most fields a record carries (`rpc.get` and `rpc.scan` have
 /// seven).
 pub const MAX_FIELDS: usize = 7;
 
-/// One field's value; its `Display` is the field's rendering.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Value {
+/// One field's value; its `Display` is the field's rendering. `T` holds
+/// a `Text`'s string: an `Rc<str>`, except in a ring slot, which keeps
+/// the string beside its values so that they are `Copy` (`Slot`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Value<T = Rc<str>> {
     /// A count, size, time in nanoseconds, timestamp or sequence number.
     Num(u64),
     /// An id, rendered as its prefix and number: `rs0`, `r3`, `c2`.
@@ -59,7 +61,20 @@ pub enum Value {
     /// A fixed word, e.g. an abort's cause.
     Word(&'static str),
     /// An owned string (a store file's path).
-    Text(Rc<str>),
+    Text(T),
+}
+
+impl<T> Value<T> {
+    /// This value with a `Text`'s string replaced by `text` of it.
+    fn map_text<U>(&self, text: impl FnOnce(&T) -> U) -> Value<U> {
+        match self {
+            Value::Num(n) => Value::Num(*n),
+            Value::Id(prefix, n) => Value::Id(prefix, *n),
+            Value::Flag(b) => Value::Flag(*b),
+            Value::Word(w) => Value::Word(w),
+            Value::Text(t) => Value::Text(text(t)),
+        }
+    }
 }
 
 impl fmt::Display for Value {
@@ -74,23 +89,17 @@ impl fmt::Display for Value {
     }
 }
 
-impl From<u64> for Value {
-    fn from(n: u64) -> Value {
-        Value::Num(n)
-    }
+macro_rules! num_values {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::Num(n as u64)
+            }
+        }
+    )*};
 }
 
-impl From<u32> for Value {
-    fn from(n: u32) -> Value {
-        Value::Num(n.into())
-    }
-}
-
-impl From<usize> for Value {
-    fn from(n: usize) -> Value {
-        Value::Num(n as u64)
-    }
-}
+num_values!(u64, u32, usize);
 
 impl From<bool> for Value {
     fn from(b: bool) -> Value {
@@ -110,48 +119,12 @@ impl From<String> for Value {
     }
 }
 
-/// A record's fields, in order: an inline list of at most
-/// [`MAX_FIELDS`] `name=value` pairs. Its `Display` is the record's
-/// detail line.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Fields([Option<(&'static str, Value)>; MAX_FIELDS]);
+/// One field of a record: its name and its value.
+pub type Field = (&'static str, Value);
 
-impl Fields {
-    /// These fields followed by `name=value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are [`MAX_FIELDS`] fields already.
-    pub fn with(mut self, name: &'static str, value: impl Into<Value>) -> Fields {
-        let free = self.0.iter_mut().find(|field| field.is_none());
-        *free.expect("a record has at most MAX_FIELDS fields") = Some((name, value.into()));
-        self
-    }
-
-    /// These fields followed by every field of `more`.
-    pub fn and(self, more: Fields) -> Fields {
-        let more = more.0.into_iter().flatten();
-        more.fold(self, |fields, (name, value)| fields.with(name, value))
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &(&'static str, Value)> {
-        self.0.iter().map_while(Option::as_ref)
-    }
-}
-
-impl fmt::Display for Fields {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, (name, value)) in self.iter().enumerate() {
-            let sep = if i == 0 { "" } else { " " };
-            write!(f, "{sep}{name}={value}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Builds [`Fields`] from `name = value` pairs, in order, each value
-/// converted by `Into<Value>`; a bare `name` is `name = name`.
-/// `fields!(region = id, files)` renders `region=r3 files=2`.
+/// A reference to an array of [`Field`]s from `name = value` pairs, in
+/// order, each value converted by `Value::from`; a bare `name` is `name
+/// = name`. `fields!(region = id, files)` renders `region=r3 files=2`.
 #[macro_export]
 macro_rules! fields {
     (@value $name:ident = $value:expr) => {
@@ -161,8 +134,10 @@ macro_rules! fields {
         $name
     };
     ($($name:ident $(= $value:expr)?),* $(,)?) => {
-        $crate::trace::Fields::default()
-            $(.with(stringify!($name), $crate::fields!(@value $name $(= $value)?)))*
+        &[$((
+            stringify!($name),
+            $crate::trace::Value::from($crate::fields!(@value $name $(= $value)?)),
+        )),*]
     };
 }
 
@@ -179,42 +154,83 @@ pub struct JournalEntry {
     pub kind: &'static str,
     /// The fields rendered: `name=value` pairs, space-separated.
     pub detail: String,
-    /// The record's fields.
-    pub fields: Fields,
+    fields: [Option<Field>; MAX_FIELDS],
 }
 
 impl JournalEntry {
     /// The value of the field called `name`, if the record has one.
     pub fn field(&self, name: &str) -> Option<&Value> {
-        let mut fields = self.fields.iter();
+        let mut fields = self.fields.iter().flatten();
         fields.find(|(n, _)| *n == name).map(|(_, value)| value)
     }
 }
 
-/// A retained record: a [`JournalEntry`] not yet rendered.
-#[derive(Clone)]
+/// A retained record, its fields not yet rendered. A full ring
+/// overwrites its oldest slot in place, and its values are `Copy` so
+/// that the overwrite reads nothing of the old record first (in a ring
+/// that size, a cache miss per line): a `Text`'s string sits in `text`.
 struct Slot {
     time: SimTime,
     seq: u64,
     kind: &'static str,
-    fields: Fields,
+    text: Option<Rc<str>>,
+    fields: [Option<(&'static str, Value<()>)>; MAX_FIELDS],
 }
 
 impl Slot {
+    const EMPTY: Slot = Slot {
+        time: SimTime::ZERO,
+        seq: 0,
+        kind: "",
+        text: None,
+        fields: [None; MAX_FIELDS],
+    };
+
+    /// Overwrites this slot with a record of `kind` whose fields are
+    /// those of each of `parts`, in order.
+    fn write(&mut self, time: SimTime, seq: u64, kind: &'static str, parts: &[&[Field]]) {
+        (self.time, self.seq, self.kind, self.text) = (time, seq, kind, None);
+        let mut n = 0;
+        for part in parts {
+            for (name, value) in *part {
+                assert!(n < MAX_FIELDS, "a record has at most MAX_FIELDS fields");
+                let value = value.map_text(|text| self.text = Some(Rc::clone(text)));
+                self.fields[n] = Some((name, value));
+                n += 1;
+            }
+        }
+        self.fields[n..].fill(None);
+    }
+
     /// The record as readers see it, its fields rendered now.
-    fn entry(self) -> JournalEntry {
+    fn entry(&self) -> JournalEntry {
+        let text = |_: &()| {
+            self.text
+                .clone()
+                .expect("a Text value's string is the slot's")
+        };
+        let field = |held: &Option<(_, Value<()>)>| held.map(|(name, v)| (name, v.map_text(text)));
+        let fields = self.fields.each_ref().map(field);
+        let mut detail = String::with_capacity(16 * MAX_FIELDS);
+        for (i, (name, value)) in fields.iter().flatten().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(detail, "{sep}{name}={value}").expect("a String accepts every write");
+        }
         JournalEntry {
             time: self.time,
             seq: self.seq,
             kind: self.kind,
-            detail: self.fields.to_string(),
-            fields: self.fields,
+            detail,
+            fields,
         }
     }
 }
 
 struct JournalInner {
-    entries: VecDeque<Slot>,
+    /// The retained records, in no particular order: once the ring is
+    /// full, a record overwrites the oldest one, at `oldest`, in place.
+    slots: Vec<Slot>,
+    oldest: usize,
     counts: BTreeMap<&'static str, u64>,
     next_seq: u64,
     dropped: u64,
@@ -235,7 +251,8 @@ impl Journal {
         assert!(cap > 0, "a journal retains at least one record");
         Journal {
             inner: Rc::new(RefCell::new(JournalInner {
-                entries: VecDeque::new(),
+                slots: Vec::new(),
+                oldest: 0,
                 counts: BTreeMap::new(),
                 next_seq: 0,
                 dropped: 0,
@@ -244,32 +261,38 @@ impl Journal {
         }
     }
 
-    /// Appends one record of `kind` with `fields` (module docs).
-    pub fn record(&self, now: SimTime, kind: &'static str, fields: Fields) {
+    /// Appends one record of `kind` whose fields are those of each of
+    /// `parts`, in order, copied into the ring (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more than [`MAX_FIELDS`] fields.
+    pub fn record(&self, now: SimTime, kind: &'static str, parts: &[&[Field]]) {
         let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
         *inner.counts.entry(kind).or_insert(0) += 1;
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        if inner.entries.len() == inner.cap {
-            inner.entries.pop_front();
+        let at = if inner.slots.len() < inner.cap {
+            inner.slots.push(Slot::EMPTY);
+            inner.slots.len() - 1
+        } else {
             inner.dropped += 1;
-        }
-        inner.entries.push_back(Slot {
-            time: now,
-            seq,
-            kind,
-            fields,
-        });
+            let oldest = inner.oldest;
+            inner.oldest = (oldest + 1) % inner.cap;
+            oldest
+        };
+        inner.slots[at].write(now, seq, kind, parts);
     }
 
     /// Number of entries currently retained (≤ the cap).
     pub fn len(&self) -> usize {
-        self.inner.borrow().entries.len()
+        self.inner.borrow().slots.len()
     }
 
     /// True when no entries are retained.
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().entries.is_empty()
+        self.inner.borrow().slots.is_empty()
     }
 
     /// Entries evicted by the ring-buffer cap so far.
@@ -300,7 +323,7 @@ impl Journal {
     /// A copy of the retained entries in `(time, seq)` order.
     pub fn entries(&self) -> Vec<JournalEntry> {
         let inner = self.inner.borrow();
-        let mut v: Vec<JournalEntry> = inner.entries.iter().cloned().map(Slot::entry).collect();
+        let mut v: Vec<JournalEntry> = inner.slots.iter().map(Slot::entry).collect();
         v.sort_by_key(|e| (e.time, e.seq));
         v
     }
@@ -309,7 +332,8 @@ impl Journal {
     /// Per-kind counts and the total are unaffected.
     pub fn drain_sorted(&self) -> Vec<JournalEntry> {
         let mut inner = self.inner.borrow_mut();
-        let mut v: Vec<JournalEntry> = inner.entries.drain(..).map(Slot::entry).collect();
+        inner.oldest = 0;
+        let mut v: Vec<JournalEntry> = inner.slots.drain(..).map(|slot| slot.entry()).collect();
         v.sort_by_key(|e| (e.time, e.seq));
         v
     }
@@ -331,7 +355,7 @@ impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.borrow();
         f.debug_struct("Journal")
-            .field("len", &inner.entries.len())
+            .field("len", &inner.slots.len())
             .field("total", &inner.next_seq)
             .field("dropped", &inner.dropped)
             .field("cap", &inner.cap)
@@ -350,9 +374,9 @@ mod tests {
     #[test]
     fn records_and_dumps_in_order() {
         let j = Journal::new(16);
-        j.record(t(5), "b", fields!(x = 1u64));
-        j.record(t(5), "a", fields!(x = 2u64));
-        j.record(t(9), "b", fields!(x = 3u64));
+        j.record(t(5), "b", &[fields!(x = 1u64)]);
+        j.record(t(5), "a", &[fields!(x = 2u64)]);
+        j.record(t(9), "b", &[fields!(x = 3u64)]);
         assert_eq!(j.len(), 3);
         assert_eq!(j.count("b"), 2);
         assert_eq!(j.dump(), "5 b x=1\n5 a x=2\n9 b x=3\n");
@@ -362,7 +386,7 @@ mod tests {
     fn ring_cap_evicts_oldest_but_counts_survive() {
         let j = Journal::new(2);
         for i in 0..5u64 {
-            j.record(t(i), "k", fields!(i = i));
+            j.record(t(i), "k", &[fields!(i = i)]);
         }
         assert_eq!(j.len(), 2);
         assert_eq!(j.dropped(), 3);
@@ -377,18 +401,13 @@ mod tests {
     fn fields_render_in_order_and_read_back_typed() {
         let j = Journal::new(8);
         let path = String::from("/store/r3/000001-rs0");
+        let head = fields!(server = Value::Id("rs", 0), n = 7u64);
         j.record(
             t(2),
             "k",
-            fields!(
-                server = Value::Id("rs", 0),
-                n = 7u64,
-                on = true,
-                cause = "user",
-                file = path
-            ),
+            &[head, fields!(on = true, cause = "user", file = path)],
         );
-        j.record(t(1), "k", Fields::default());
+        j.record(t(1), "k", &[]);
         let read = j.entries();
         assert_eq!((read[0].seq, read[1].seq), (1, 0));
         assert_eq!(read[0].detail, "");
@@ -401,15 +420,13 @@ mod tests {
         assert_eq!(e.field("server"), Some(&Value::Id("rs", 0)));
         assert_eq!(e.field("missing"), None);
         assert_eq!(j.dump(), format!("1 k \n2 k {}\n", e.detail));
-        let joined = fields!(a = 1u64).and(fields!(b = 2u64, c = 3u64));
-        assert_eq!(joined.to_string(), "a=1 b=2 c=3");
     }
 
     #[test]
     fn evicted_records_never_render() {
         let j = Journal::new(1);
-        j.record(t(1), "k", fields!(at = "evicted"));
-        j.record(t(2), "k", fields!(at = "kept"));
+        j.record(t(1), "k", &[fields!(at = "evicted")]);
+        j.record(t(2), "k", &[fields!(at = "kept")]);
         assert_eq!(j.dump(), "2 k at=kept\n");
         assert_eq!(j.dropped(), 1);
     }
@@ -417,8 +434,8 @@ mod tests {
     #[test]
     fn drain_empties_entries_only() {
         let j = Journal::new(8);
-        j.record(t(1), "k", fields!(x = "a"));
-        j.record(t(2), "k", fields!(x = "b"));
+        j.record(t(1), "k", &[fields!(x = "a")]);
+        j.record(t(2), "k", &[fields!(x = "b")]);
         let drained = j.drain_sorted();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[1].detail, "x=b");

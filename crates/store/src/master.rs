@@ -12,7 +12,7 @@ use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::trace::Fields;
+use cumulo_sim::trace::Field;
 use cumulo_sim::{fields, Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -407,8 +407,8 @@ impl Master {
 
     /// Records `kind` in the failure-event journal: the one door the
     /// master's events leave through.
-    fn event(&self, kind: &'static str, fields: Fields) {
-        self.sim.events().record(self.sim.now(), kind, fields);
+    fn event(&self, kind: &'static str, fields: &[Field]) {
+        self.sim.events().record(self.sim.now(), kind, &[fields]);
     }
 
     /// Handles a detected server failure: marks its regions offline,
@@ -422,8 +422,8 @@ impl Master {
         }
         self.failovers.inc();
         let regions = self.region_map.borrow().regions_of(failed);
-        let count = regions.len();
-        self.event("server.failover", fields!(server = failed, regions = count));
+        let fields = fields!(server = failed, regions = regions.len());
+        self.event("server.failover", fields);
         // Roll back every intent granted to the failed server. This is
         // always safe before the map flip: clients can only address
         // region ids the map has shown them, so no write was ever
@@ -506,10 +506,9 @@ impl Master {
     fn rollback_intent(&self, change: StructureChange) {
         let kind = change.kind();
         self.counters(kind).rolled_back.inc();
-        let fields = kind
-            .input_fields(&change.inputs)
-            .with("server", change.server);
-        self.event(kind.pick("split.rollback", "merge.rollback"), fields);
+        let mut fields = kind.input_fields(&change.inputs);
+        fields.extend_from_slice(fields!(server = change.server));
+        self.event(kind.pick("split.rollback", "merge.rollback"), &fields);
         self.dfs.delete(&change.intent_path());
         for output in change.outputs {
             let dir = format!("/store/{}/", output.id);
@@ -809,9 +808,10 @@ impl Master {
             }
             let kind = change.kind();
             master.counters(kind).persisted.inc();
-            let inputs = kind.input_fields(&change.inputs).with("server", server);
-            let fields = inputs.and(change.output_fields());
-            master.event(kind.pick("split.persisted", "merge.persisted"), fields);
+            let mut fields = kind.input_fields(&change.inputs);
+            fields.extend_from_slice(fields!(server));
+            fields.extend(change.output_fields());
+            master.event(kind.pick("split.persisted", "merge.persisted"), &fields);
             // The server may have died while the intent was being
             // written; its failover already rolled the intent back.
             if !master.intents.borrow().contains_key(&first) {
@@ -855,7 +855,8 @@ impl Master {
         self.intents.borrow_mut().remove(&first);
         let kind = change.kind();
         self.counters(kind).applied.inc();
-        self.event(kind.pick("split.applied", "merge.applied"), change.fields());
+        let fields = change.fields();
+        self.event(kind.pick("split.applied", "merge.applied"), &fields);
         self.dfs.delete(&change.intent_path());
         // Split daughters inherited the parent's replicas in the map;
         // rebuild their groups under the bumped epoch (the server already

@@ -21,7 +21,7 @@
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::types::{RegionId, ServerId};
 use bytes::Bytes;
-use cumulo_sim::trace::Fields;
+use cumulo_sim::trace::Field;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -64,7 +64,7 @@ impl ChangeKind {
 
     /// The journal fields naming a change's inputs: `region=r4` for a
     /// split, `left=r4 right=r5` for a merge.
-    pub fn input_fields(self, inputs: &[RegionId]) -> Fields {
+    pub fn input_fields(self, inputs: &[RegionId]) -> Vec<Field> {
         named(
             self.pick(&["region"], &["left", "right"]),
             inputs.iter().copied(),
@@ -73,11 +73,12 @@ impl ChangeKind {
 }
 
 /// Each of `names` with the id in the same position.
-fn named(names: &[&'static str], ids: impl Iterator<Item = RegionId>) -> Fields {
-    let pairs = names.iter().zip(ids);
-    pairs.fold(Fields::default(), |fields, (name, id)| {
-        fields.with(name, id)
-    })
+fn named(names: &[&'static str], ids: impl Iterator<Item = RegionId>) -> Vec<Field> {
+    names
+        .iter()
+        .zip(ids)
+        .map(|(name, id)| (*name, id.into()))
+        .collect()
 }
 
 /// One online change to the table's structure: the adjacent regions
@@ -143,16 +144,17 @@ impl StructureChange {
 
     /// The journal fields naming the outputs: `bottom=r6 top=r7` for a
     /// split, `merged=r6` for a merge.
-    pub fn output_fields(&self) -> Fields {
+    pub fn output_fields(&self) -> Vec<Field> {
         let names = self.kind().pick(&["bottom", "top"][..], &["merged"]);
         named(names, self.outputs.iter().map(|o| o.id))
     }
 
     /// The inputs' fields ([`ChangeKind::input_fields`]), then the
     /// outputs'.
-    pub fn fields(&self) -> Fields {
-        let inputs = self.kind().input_fields(&self.inputs);
-        inputs.and(self.output_fields())
+    pub fn fields(&self) -> Vec<Field> {
+        let mut fields = self.kind().input_fields(&self.inputs);
+        fields.extend(self.output_fields());
+        fields
     }
 
     /// The boundaries between consecutive outputs (a split's one key;

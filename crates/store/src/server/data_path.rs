@@ -22,7 +22,7 @@ use crate::types::{Mutation, RegionId, Timestamp};
 use crate::wal::WalSyncMode;
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge, MetricsRegistry};
-use cumulo_sim::trace::Fields;
+use cumulo_sim::trace::Field;
 use cumulo_sim::{fields, SimDuration, SimTime};
 use std::rc::Rc;
 
@@ -159,15 +159,13 @@ impl Span {
     /// queue wait and the service time in nanoseconds, then `after`.
     /// Queue wait is everything between submission and completion that
     /// was not this request's own service.
-    fn record(self, server: &RegionServer, before: Fields, after: Fields) {
+    fn record(self, server: &RegionServer, before: &[Field], after: &[Field]) {
         let service_ns = self.service.nanos();
         let queue_ns =
             (server.sim.now().nanos() - self.submitted.nanos()).saturating_sub(service_ns);
-        let fields = fields!(region = self.region).and(before);
-        let fields = fields
-            .with("queue_ns", queue_ns)
-            .with("service_ns", service_ns);
-        server.span(self.kind, fields.and(after));
+        let site = fields!(server = server.id, region = self.region);
+        let times = fields!(queue_ns, service_ns);
+        server.span(self.kind, &[site, before, times, after]);
     }
 }
 
@@ -364,7 +362,7 @@ impl RegionServer {
             }
             this.gets.inc();
             let (files, probes) = (plan.consulted, plan.probes);
-            span.record(this, Fields::default(), fields!(files, probes, hit));
+            span.record(this, fields!(), fields!(files, probes, hit));
             reply(result);
         });
     }

@@ -31,7 +31,7 @@ use bytes::Bytes;
 use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, GaugeMap};
-use cumulo_sim::trace::Fields;
+use cumulo_sim::trace::Field;
 use cumulo_sim::{fields, Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -483,17 +483,18 @@ impl RegionServer {
 
     /// Records `kind` in the failure-event journal: `server=` first,
     /// then `fields`.
-    fn event(&self, kind: &'static str, fields: Fields) {
-        let fields = fields!(server = self.id).and(fields);
-        self.sim.events().record(self.sim.now(), kind, fields);
+    fn event(&self, kind: &'static str, fields: &[Field]) {
+        let server = fields!(server = self.id);
+        self.sim
+            .events()
+            .record(self.sim.now(), kind, &[server, fields]);
     }
 
     /// Records `kind` in the trace journal: the one door this server's
-    /// spans (`rpc.*`, `repl.ship`) leave through, `server=` first, then
-    /// `fields`.
-    fn span(&self, kind: &'static str, fields: Fields) {
-        let fields = fields!(server = self.id).and(fields);
-        self.sim.trace().record(self.sim.now(), kind, fields);
+    /// spans (`rpc.*` via `Span::record`, `repl.ship`) leave through,
+    /// the fields of each of `parts` in order.
+    fn span(&self, kind: &'static str, parts: &[&[Field]]) {
+        self.sim.trace().record(self.sim.now(), kind, parts);
     }
 
     /// Crash-stop failure: the node dies, so the network drops its

@@ -691,7 +691,8 @@ impl RegionServer {
                 StreamElement::WriteSet { .. } => {
                     stats.ships.inc();
                     stats.ship_bytes.add(bytes as u64);
-                    self.span("repl.ship", fields!(region, seq, backup, bytes));
+                    let fields = fields!(server = self.id, region, seq, backup, bytes);
+                    self.span("repl.ship", &[fields]);
                 }
                 StreamElement::Sync { .. } => {
                     stats.syncs.inc();

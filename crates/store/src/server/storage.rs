@@ -294,8 +294,8 @@ impl RegionServer {
             st.compaction_in_progress = true;
         }
         self.compaction_stats.started.inc();
-        let inputs = input_paths.len();
-        self.event("compaction.start", fields!(region, inputs, level = 0u64));
+        let fields = fields!(region, inputs = input_paths.len(), level = 0u64);
+        self.event("compaction.start", fields);
         let service = BASE_SERVICE + cfg.merge_service_per_entry * total_entries.max(1);
         let this = Rc::clone(self);
         self.submit_background(service, move || this.run_compaction(region, input_paths));
@@ -464,8 +464,8 @@ impl RegionServer {
         self.compaction_stats
             .filter_bytes_created
             .add(filter_created);
-        let retired = input_paths.len();
-        self.event("compaction.finish", fields!(region, retired, bytes));
+        let fields = fields!(region, retired = input_paths.len(), bytes);
+        self.event("compaction.finish", fields);
         self.update_file_metrics();
         // Compaction rewrote the file set; re-baseline backup lanes so a
         // promoted shadow resolves the merged files, not retired ones.

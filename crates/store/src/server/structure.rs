@@ -279,10 +279,8 @@ impl RegionServer {
         };
         let kind = pending.kind();
         self.structure_stats(kind).considered.inc();
-        self.event(
-            kind.pick("split.consider", "merge.consider"),
-            kind.input_fields(&inputs),
-        );
+        let fields = kind.input_fields(&inputs);
+        self.event(kind.pick("split.consider", "merge.consider"), &fields);
         *self.pending_change.borrow_mut() = Some(pending);
         self.advance_pending_change();
     }
@@ -340,10 +338,8 @@ impl RegionServer {
         }
         self.structure_stats(kind).intents_requested.inc();
         let me = self.id;
-        self.event(
-            kind.pick("split.intent", "merge.intent"),
-            kind.input_fields(&inputs),
-        );
+        let fields = kind.input_fields(&inputs);
+        self.event(kind.pick("split.intent", "merge.intent"), &fields);
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
         let (this, master, first) = (Rc::clone(self), Rc::clone(&self.master), inputs[0]);
         self.net.request(
@@ -385,10 +381,8 @@ impl RegionServer {
             .map(|p| (p.kind(), p.inputs.clone()));
         if let Some((kind, inputs)) = pending {
             self.structure_stats(kind).aborted.inc();
-            self.event(
-                kind.pick("split.denied", "merge.denied"),
-                kind.input_fields(&inputs),
-            );
+            let fields = kind.input_fields(&inputs);
+            self.event(kind.pick("split.denied", "merge.denied"), &fields);
             self.clear_pending_change();
         }
     }
@@ -429,7 +423,8 @@ impl RegionServer {
         }
         let kind = change.kind();
         self.structure_stats(kind).executing.inc();
-        self.event(kind.pick("split.execute", "merge.execute"), change.fields());
+        let fields = change.fields();
+        self.event(kind.pick("split.execute", "merge.execute"), &fields);
         let sources: Option<Vec<(RegionDescriptor, Vec<Rc<StoreFileData>>)>> = {
             let regions = self.regions.borrow();
             change
@@ -526,8 +521,8 @@ impl RegionServer {
         }
         let kind = work.change.kind();
         self.structure_stats(kind).aborted.inc();
-        let inputs = kind.input_fields(&work.change.inputs);
-        self.event(kind.pick("split.abort", "merge.abort"), inputs);
+        let fields = kind.input_fields(&work.change.inputs);
+        self.event(kind.pick("split.abort", "merge.abort"), &fields);
         self.clear_pending_change();
         self.notify_change_aborted(work.change.inputs[0]);
     }
@@ -622,7 +617,7 @@ impl RegionServer {
         self.pending_change.borrow_mut().take();
         let kind = change.kind();
         self.structure_stats(kind).completed.inc();
-        self.event(kind.pick("split.flip", "merge.flip"), change.fields());
+        self.event(kind.pick("split.flip", "merge.flip"), &change.fields());
         self.update_file_metrics();
         // A split parent's replica group follows the flip: daughters
         // inherit the parent's lanes (brought in sync by immediate

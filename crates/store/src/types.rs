@@ -4,27 +4,35 @@ use bytes::Bytes;
 use cumulo_sim::trace::Value;
 use std::fmt;
 
+/// `Debug` and `Display` for an id type as `prefix` then the number, and
+/// its journal value, [`Value::Id`] of the two.
+macro_rules! id_rendering {
+    ($id:ident, $prefix:literal) => {
+        impl fmt::Debug for $id {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, concat!($prefix, "{}"), self.0)
+            }
+        }
+
+        impl fmt::Display for $id {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, concat!($prefix, "{}"), self.0)
+            }
+        }
+
+        impl From<$id> for Value {
+            fn from(id: $id) -> Value {
+                Value::Id($prefix, id.0)
+            }
+        }
+    };
+}
+
 /// Identifier of a region server process.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub u32);
 
-impl fmt::Debug for ServerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rs{}", self.0)
-    }
-}
-
-impl fmt::Display for ServerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rs{}", self.0)
-    }
-}
-
-impl From<ServerId> for Value {
-    fn from(id: ServerId) -> Value {
-        Value::Id("rs", id.0)
-    }
-}
+id_rendering!(ServerId, "rs");
 
 impl ServerId {
     /// Where the servers' ephemeral liveness nodes live in the
@@ -52,23 +60,7 @@ impl ServerId {
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u32);
 
-impl fmt::Debug for ClientId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
-
-impl fmt::Display for ClientId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "c{}", self.0)
-    }
-}
-
-impl From<ClientId> for Value {
-    fn from(id: ClientId) -> Value {
-        Value::Id("c", id.0)
-    }
-}
+id_rendering!(ClientId, "c");
 
 /// Identifier of a region (a contiguous key range of the table).
 ///
@@ -79,23 +71,7 @@ impl From<ClientId> for Value {
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u32);
 
-impl fmt::Debug for RegionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
-    }
-}
-
-impl fmt::Display for RegionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
-    }
-}
-
-impl From<RegionId> for Value {
-    fn from(id: RegionId) -> Value {
-        Value::Id("r", id.0)
-    }
-}
+id_rendering!(RegionId, "r");
 
 /// A commit timestamp / version number.
 ///
