@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::{fnv1a, key, run_txn, small_cluster};
-use cumulo_core::{Cluster, ClusterConfig};
+use common::{fnv1a, key, lines_digest, run_txn, small_cluster};
+use cumulo_core::{Cluster, ClusterConfig, RetryPolicy};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -291,6 +291,60 @@ fn trace_spans_cover_txn_lifecycle_and_rpcs() {
     assert!(
         commit.seq > begin.seq,
         "commit span must follow its begin span"
+    );
+}
+
+/// Conflicts and a user abort journal `txn.abort` and `txn.retry`: three
+/// clients each run three read-modify-writes of one hot cell through the
+/// retrying combinator, and one more transaction is aborted by hand.
+/// Beside the counts, a digest of each kind's full lines pins what every
+/// record says.
+#[test]
+fn conflicts_journal_full_abort_and_retry_lines() {
+    let cluster = small_cluster(36);
+    for round in 0..3u64 {
+        for client in 0..3 {
+            cluster.client(client).run(
+                RetryPolicy::default(),
+                move |txn, finish| {
+                    let txn2 = txn.clone();
+                    txn.get(key(7), "f0", move |v| {
+                        let wrote =
+                            v.and_then(|_| txn2.put(key(7), "f0", format!("{round}{client}")));
+                        finish(wrote);
+                    });
+                },
+                |_| {},
+            );
+        }
+        cluster.run_for(SimDuration::from_millis(300));
+    }
+    cluster.client(0).begin(|txn| {
+        let txn = txn.expect("begin on live client");
+        txn.put(key(8), "f0", "dropped").expect("txn is active");
+        txn.abort();
+    });
+    cluster.run_for(SimDuration::from_secs(3));
+
+    let trace = &cluster.trace;
+    assert_eq!(trace.dropped(), 0, "the trace journal overflowed");
+    assert!(trace.count("txn.retry") > 0, "no conflict was retried");
+    assert_eq!(
+        trace.count("txn.abort"),
+        cluster.metrics.sum("txn.aborted"),
+        "trace journal and metrics registry must agree on aborts"
+    );
+    let entries = trace.entries();
+    let of = |kind: &str| lines_digest(entries.iter().filter(|e| e.kind == kind));
+    assert_eq!(
+        (
+            trace.count("txn.abort"),
+            trace.count("txn.retry"),
+            of("txn.abort"),
+            of("txn.retry")
+        ),
+        (10, 9, 12_884_289_605_298_124_651, 4_629_396_435_784_107_371),
+        "txn.abort and txn.retry counts and full-line digests"
     );
 }
 
