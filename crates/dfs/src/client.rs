@@ -22,9 +22,19 @@ fn append_timeout(bytes: usize) -> SimDuration {
 }
 /// How many times a read retries end-to-end before reporting unavailable.
 const READ_RETRIES: u32 = 3;
-/// How long a read waits for its namenode lookup or its data fetch
-/// before retrying the whole read.
+/// How long a read waits for its namenode lookup, and the base of its
+/// data fetch's wait, before retrying the whole read.
 const READ_DEADLINE: SimDuration = SimDuration::from_millis(100);
+
+/// How long a read waits for a replica of `bytes` bytes to arrive: the
+/// base wait, or the appends' per-byte allowance once that is longer. A
+/// fixed wait timed out every fetch of a file too large to cross the
+/// link within it (about a megabyte), on every retry, so the read
+/// reported the file unavailable: a failed server's WAL split then came
+/// back empty and every edit it had persisted was lost.
+fn fetch_deadline(bytes: usize) -> SimDuration {
+    READ_DEADLINE.max(SimDuration::from_nanos(bytes as u64 * 300))
+}
 
 struct ClientInner {
     sim: Sim,
@@ -479,8 +489,8 @@ fn fetch_longest(
     retries_left: u32,
     done: Box<dyn FnOnce(crate::Result<Vec<Bytes>>)>,
 ) {
-    // Phase 1: collect record counts from every live replica.
-    let counts: Rc<RefCell<Vec<(usize, usize)>>> = Rc::new(RefCell::new(Vec::new()));
+    // Phase 1: collect record and byte counts from every live replica.
+    let counts: Rc<RefCell<Vec<(usize, (usize, usize))>>> = Rc::new(RefCell::new(Vec::new()));
     let expected = live.len();
     // Taken by the first decision: the last count in, or the timer.
     let slot = RefCell::new(Some(done));
@@ -496,11 +506,11 @@ fn fetch_longest(
             let best = counts
                 .borrow()
                 .iter()
-                .max_by_key(|(_, c)| *c)
-                .map(|(i, _)| *i);
+                .max_by_key(|(_, (records, _))| *records)
+                .map(|&(i, (_, bytes))| (i, bytes));
             match best {
                 None => retry_or_fail(Rc::clone(&client), path.clone(), retries_left, done),
-                Some(idx) => {
+                Some((idx, bytes)) => {
                     let dn = client.nn.datanode(idx);
                     let to = dn.node();
                     let path2 = path.clone();
@@ -522,9 +532,10 @@ fn fetch_longest(
                         Some((path3, data)) => done(data.ok_or(DfsError::NotFound(path3))),
                         None => retry_or_fail(client2, path_for_retry, retries_left, done),
                     };
+                    let deadline = fetch_deadline(bytes);
                     client
                         .net
-                        .request_within(READ_DEADLINE, client.from, to, 64, serve, arrived);
+                        .request_within(deadline, client.from, to, 64, serve, arrived);
                 }
             }
         })
@@ -536,7 +547,7 @@ fn fetch_longest(
         let path2 = path.clone();
         let counts2 = Rc::clone(&counts);
         let decide2 = Rc::clone(&decide);
-        let serve = move |reply: Reply<_, _>| reply.send(32, dn.record_count(&path2));
+        let serve = move |reply: Reply<_, _>| reply.send(32, dn.extent(&path2));
         client
             .net
             .request(client.from, to, 32, serve, move |count| {

@@ -72,7 +72,14 @@ impl DataNode {
 
     /// Number of records in the local replica (0 if absent).
     pub fn record_count(&self, path: &str) -> usize {
-        self.files.borrow().get(path).map(Vec::len).unwrap_or(0)
+        self.extent(path).0
+    }
+
+    /// The local replica's records and bytes (`(0, 0)` if absent).
+    pub fn extent(&self, path: &str) -> (usize, usize) {
+        self.files.borrow().get(path).map_or((0, 0), |records| {
+            (records.len(), records.iter().map(Bytes::len).sum())
+        })
     }
 
     /// Whether a replica of `path` exists locally.
