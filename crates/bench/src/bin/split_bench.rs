@@ -12,10 +12,11 @@
 //! (from a private LCG, independent of the simulation RNG, so both runs
 //! execute identical logical transactions) runs once against a
 //! splits-enabled cluster and once against a splits-disabled control.
-//! Each run maintains a client-side mirror of every committed write keyed
-//! by commit timestamp (MVCC's own conflict resolution); after the
-//! workload drains, every written cell is read back through the cluster
-//! and compared to the mirror. Both runs must report **zero divergence**:
+//! Each run records its transactions in the cluster's history
+//! (`Cluster::attach_history`); after the workload drains, every written
+//! cell is read back through the cluster at its newest version and the
+//! history checker checks the read-back against the recorded commits.
+//! Both runs must report **zero divergence** (no read-back violation):
 //! splits must not lose a cell, serve a stale value, or resurrect an
 //! overwritten one.
 //!
@@ -27,8 +28,7 @@
 use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::{Sim, SimDuration};
 use cumulo_ycsb::{KeyDistribution, Workload};
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::cell::Cell;
 use std::rc::Rc;
 
 fn split_cluster(seed: u64, splits: bool, rows: u64) -> Cluster {
@@ -117,7 +117,7 @@ fn main() {
         );
         assert_eq!(
             divergent, 0,
-            "{label}: cells diverged from the commit mirror"
+            "{label}: read-back cells diverged from the recorded commits"
         );
         if splits {
             assert!(applied >= 2, "audit run must also split, saw {applied}");
@@ -162,8 +162,6 @@ struct Audit {
     sim: Sim,
     clients: Vec<TransactionalClient>,
     stream: Vec<Vec<(u64, u64)>>,
-    /// Per key: `(commit ts, value tag)` of the winning write.
-    mirror: RefCell<BTreeMap<u64, (u64, u64)>>,
     committed: Cell<u64>,
     finished: Cell<u64>,
 }
@@ -185,15 +183,8 @@ fn run_stream_txn(audit: Rc<Audit>, idx: usize, stride: usize) {
         let audit2 = Rc::clone(&audit);
         txn.commit(move |result| {
             audit2.finished.set(audit2.finished.get() + 1);
-            if let Ok(ts) = result {
+            if result.is_ok() {
                 audit2.committed.set(audit2.committed.get() + 1);
-                let mut m = audit2.mirror.borrow_mut();
-                for (key, tag) in &writes {
-                    let e = m.entry(*key).or_insert((0, 0));
-                    if ts.0 >= e.0 {
-                        *e = (ts.0, *tag);
-                    }
-                }
             }
             let next = idx + stride;
             let audit3 = Rc::clone(&audit2);
@@ -209,11 +200,11 @@ fn run_stream_txn(audit: Rc<Audit>, idx: usize, stride: usize) {
 fn run_audit(splits: bool, rows: u64, txns: u64) -> (u64, u64, u64, u64) {
     let cluster = split_cluster(8282, splits, rows);
     cluster.load_rows(rows, &["f0"], 64, true);
+    let history = cluster.attach_history();
     let audit = Rc::new(Audit {
         sim: cluster.sim.clone(),
         clients: cluster.clients.clone(),
         stream: gen_stream(rows, txns),
-        mirror: RefCell::new(BTreeMap::new()),
         committed: Cell::new(0),
         finished: Cell::new(0),
     });
@@ -229,29 +220,17 @@ fn run_audit(splits: bool, rows: u64, txns: u64) -> (u64, u64, u64, u64) {
     cluster.run_for(SimDuration::from_secs(20));
     cluster.assert_region_partition();
 
-    let mut divergent = 0u64;
-    let mut audited = 0u64;
-    let snapshot: Vec<(u64, u64)> = {
-        let m = audit.mirror.borrow();
-        m.iter().map(|(k, (_, val))| (*k, *val)).collect()
-    };
-    for (key, val) in snapshot {
-        audited += 1;
-        let row = format!("user{key:012}");
-        let got = cluster.read_cell(row, "f0", SimDuration::from_secs(10));
-        let want = format!("w{val}");
-        if got.as_deref() != Some(want.as_bytes()) {
-            divergent += 1;
-            eprintln!(
-                "[split_bench] DIVERGENCE key {key}: want {want}, got {:?}",
-                got.map(|b| String::from_utf8_lossy(&b).into_owned())
-            );
-        }
+    let violations = history.check();
+    assert!(violations.is_empty(), "history violations: {violations:#?}");
+    let read_back = cluster.read_back(&history);
+    let divergent = history.check_read_back(&read_back);
+    for violation in &divergent {
+        eprintln!("[split_bench] DIVERGENCE {violation}");
     }
     (
         cluster.metrics.sum("master.split.applied"),
-        divergent,
-        audited,
+        divergent.len() as u64,
+        read_back.len() as u64,
         audit.committed.get(),
     )
 }

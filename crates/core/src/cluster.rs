@@ -7,6 +7,7 @@
 //! transaction/recovery management tier, 500 k rows, heartbeats of one
 //! second, and a 100 Mbps LAN.
 
+use crate::history::{History, Read, Seen};
 use crate::hooks_impl::MiddlewareHooks;
 use crate::recovery_client::RecoveryClient;
 use crate::recovery_manager::{RecoveryManager, RecoveryManagerConfig};
@@ -22,7 +23,7 @@ use cumulo_store::compaction::GcWatermark;
 use cumulo_store::{
     ClientId, Master, MasterConfig, RegionId, RegionMap, RegionServer, RegionServerConfig,
     ServerDirectory, ServerId, StoreClient, StoreClientConfig, StoreFileBuilder, StoreFileRegistry,
-    Timestamp, WalSyncMode,
+    Timestamp, VersionedValue, WalSyncMode,
 };
 use cumulo_txn::{TmClient, TransactionManager};
 use std::cell::{Cell, RefCell};
@@ -191,6 +192,9 @@ pub struct Cluster {
     /// that chaos tests assert sequences over.
     pub events: Journal,
     probe: StoreClient,
+    /// What the clients record their transactions in: nothing until
+    /// [`Cluster::attach_history`].
+    history: History,
     cfg: ClusterConfig,
 }
 
@@ -358,6 +362,7 @@ impl Cluster {
             persistence: cfg.persistence,
             tracking: cfg.tracking,
         };
+        let history = History::detached();
         let mut clients = Vec::new();
         for i in 0..cfg.clients {
             let node = net.add_node(&format!("client{i}"));
@@ -372,6 +377,7 @@ impl Cluster {
                 store,
                 coord_client,
                 client_cfg,
+                history.clone(),
             );
             client.start();
             clients.push(client);
@@ -400,6 +406,7 @@ impl Cluster {
             servers,
             clients,
             probe,
+            history,
             cfg,
         }
     }
@@ -545,21 +552,60 @@ impl Cluster {
         }
     }
 
-    /// Reads the newest committed-and-flushed version of a cell through
-    /// the probe client, driving the simulation until the read completes
-    /// (or `within` elapses, which panics — reads retry forever, so this
-    /// indicates an unrecoverable cluster).
+    /// Starts recording every client's transactions from now on, and
+    /// returns the record (see [`History`]). Recording draws no RNG,
+    /// schedules no event and sends no message, so the run is the same
+    /// with it as without.
+    pub fn attach_history(&self) -> History {
+        self.history.attach();
+        self.history.clone()
+    }
+
+    /// Reads the newest value of a cell through the probe client: see
+    /// [`Cluster::read_version`].
     pub fn read_cell(
         &self,
         row: impl Into<Bytes>,
         column: impl Into<Bytes>,
         within: SimDuration,
     ) -> Option<Bytes> {
-        let result: Rc<RefCell<Option<Option<Bytes>>>> = Rc::new(RefCell::new(None));
+        self.read_version(row, column, within).and_then(|v| v.value)
+    }
+
+    /// Reads back every cell a committed or unresolved write-set of
+    /// `history` holds, one [`Cluster::read_version`] after another in
+    /// cell order: what [`History::check_read_back`] checks.
+    pub fn read_back(&self, history: &History) -> Vec<Read> {
+        history
+            .written_cells()
+            .into_iter()
+            .map(|(row, column)| {
+                let version =
+                    self.read_version(row.clone(), column.clone(), SimDuration::from_secs(10));
+                Read {
+                    row,
+                    column,
+                    seen: Seen::of(version.as_ref()),
+                }
+            })
+            .collect()
+    }
+
+    /// Reads the newest committed-and-flushed version of a cell through
+    /// the probe client, driving the simulation until the read completes
+    /// (or `within` elapses, which panics — reads retry forever, so this
+    /// indicates an unrecoverable cluster).
+    pub fn read_version(
+        &self,
+        row: impl Into<Bytes>,
+        column: impl Into<Bytes>,
+        within: SimDuration,
+    ) -> Option<VersionedValue> {
+        let result: Rc<RefCell<Option<Option<VersionedValue>>>> = Rc::new(RefCell::new(None));
         let r2 = Rc::clone(&result);
         self.probe
             .get(row.into(), column.into(), Timestamp::MAX, move |vv| {
-                *r2.borrow_mut() = Some(vv.and_then(|v| v.value));
+                *r2.borrow_mut() = Some(vv);
             });
         let deadline = self.sim.now() + within;
         while result.borrow().is_none() {

@@ -25,7 +25,10 @@
 //! * [`MiddlewareHooks`] — the minimal store-side integration surface;
 //! * [`Cluster`] — a one-call harness that wires the full simulated
 //!   deployment (filesystem, coordination service, store, transaction
-//!   manager, middleware) with fault-injection helpers.
+//!   manager, middleware) with fault-injection helpers;
+//! * [`History`] — the transactions a run's clients saw, recorded at the
+//!   [`Transaction`] door, and the checker that they are snapshot
+//!   isolated and durable.
 //!
 //! # Quickstart
 //!
@@ -61,6 +64,7 @@
 
 mod cluster;
 mod flush_tracker;
+pub mod history;
 mod hooks_impl;
 pub mod paths;
 mod persist_tracker;
@@ -83,6 +87,7 @@ mod txn_client;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use flush_tracker::FlushTracker;
+pub use history::History;
 pub use hooks_impl::MiddlewareHooks;
 pub use persist_tracker::PersistTracker;
 pub use recovery_client::RecoveryClient;

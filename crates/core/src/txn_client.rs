@@ -48,6 +48,7 @@
 //!   threshold (see ARCHITECTURE.md, "Protocol refinements").
 
 use crate::flush_tracker::FlushTracker;
+use crate::history::{History, Outcome, Seen};
 use crate::paths;
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, SessionId};
@@ -221,6 +222,9 @@ struct TcInner {
     /// unflushed local commit — and a crash mid-flush would then escape
     /// recovery replay, leaving a half-applied write-set.
     commits_in_flight: Cell<usize>,
+    /// Where this client's transactions are recorded, when a history is
+    /// attached (see [`History`]).
+    history: History,
     committed: Counter,
     aborted: Counter,
     flushed: Counter,
@@ -355,13 +359,21 @@ impl Transaction {
                 MutationKind::Put(v) => Some(v.clone()),
                 MutationKind::Delete => None,
             };
+            self.inner.history.read(self.id, &row, &column, Seen::Own);
             let sim = self.inner.sim.clone();
             sim.schedule_in(SimDuration::ZERO, move || done(Ok(value)));
             return;
         }
         let inner = Rc::clone(&self.inner);
+        let txn = self.id;
         self.at_snapshot(move |start_ts| {
+            let note = inner
+                .recorder()
+                .map(|history| (history, row.clone(), column.clone()));
             inner.store.get(row, column, start_ts, move |vv| {
+                if let Some((history, row, column)) = note {
+                    history.read(txn, &row, &column, Seen::of(vv.as_ref()));
+                }
                 done(Ok(vv.and_then(|v| v.value)));
             });
         });
@@ -390,14 +402,18 @@ impl Transaction {
             let mut local: Vec<Option<Option<Bytes>>> = Vec::with_capacity(cells.len());
             let mut misses: Vec<(usize, Bytes, Bytes)> = Vec::new();
             for (i, (row, column)) in cells.iter().enumerate() {
-                match write_set.get(row, column) {
-                    Some(MutationKind::Put(v)) => local.push(Some(Some(v.clone()))),
-                    Some(MutationKind::Delete) => local.push(Some(None)),
+                let own = match write_set.get(row, column) {
+                    Some(MutationKind::Put(v)) => Some(Some(v.clone())),
+                    Some(MutationKind::Delete) => Some(None),
                     None => {
-                        local.push(None);
                         misses.push((i, row.clone(), column.clone()));
+                        None
                     }
+                };
+                if own.is_some() {
+                    self.inner.history.read(self.id, row, column, Seen::Own);
                 }
+                local.push(own);
             }
             (local, misses)
         };
@@ -418,11 +434,16 @@ impl Transaction {
             .map(|(_, r, c)| (r.clone(), c.clone()))
             .collect();
         let inner = Rc::clone(&self.inner);
+        let txn = self.id;
         self.at_snapshot(move |start_ts| {
+            let history = inner.recorder();
             inner.store.multi_get(fetch, start_ts, move |values| {
                 debug_assert_eq!(values.len(), misses.len());
                 let mut out = local;
-                for ((i, _, _), vv) in misses.into_iter().zip(values) {
+                for ((i, row, column), vv) in misses.into_iter().zip(values) {
+                    if let Some(history) = &history {
+                        history.read(txn, &row, &column, Seen::of(vv.as_ref()));
+                    }
                     out[i] = Some(vv.and_then(|v| v.value));
                 }
                 #[expect(
@@ -479,10 +500,17 @@ impl Transaction {
             .count();
         let fetch_limit = limit.saturating_add(buffered_deletes);
         let inner = Rc::clone(&self.inner);
+        let txn = self.id;
         self.at_snapshot(move |start_ts| {
+            let history = inner.recorder();
             inner
                 .store
                 .scan(start, end, start_ts, fetch_limit, move |hits| {
+                    if let Some(history) = &history {
+                        for (row, column, vv) in &hits {
+                            history.read(txn, row, column, Seen::of(Some(vv)));
+                        }
+                    }
                     // Merge: buffered writes overwrite store results per cell.
                     let mut merged: Vec<(Bytes, Bytes, Bytes)> = hits
                         .into_iter()
@@ -585,6 +613,7 @@ impl Transaction {
         // The manager keeps the request's copy in its log; this one is
         // flushed to the store once the commit is acknowledged.
         let ws2 = ws.clone();
+        self.inner.history.commit_sent(txn, &ws);
         let inner = Rc::clone(&self.inner);
         self.inner
             .commits_in_flight
@@ -647,6 +676,12 @@ impl TcInner {
         self.sim.trace().record(self.sim.now(), kind, &[fields]);
     }
 
+    /// The history a store read's answer is recorded in, if one is
+    /// attached: the read paths copy what they record only then.
+    fn recorder(&self) -> Option<History> {
+        self.history.recording().then(|| self.history.clone())
+    }
+
     /// What this client's next begin or idle query tells the manager.
     fn session(&self) -> Session {
         let next = TxnId::new(self.id, self.next_seq.get());
@@ -660,6 +695,7 @@ impl TcInner {
 /// Counts the commit of `txn` at `ts` and journals it.
 fn note_commit(inner: &TcInner, txn: TxnId, ts: Timestamp, writes: usize) {
     inner.committed.inc();
+    inner.history.ended(txn, Outcome::Committed(ts));
     let client = inner.id;
     inner.span("txn.commit", fields!(client, txn = txn.0, ts, writes));
 }
@@ -667,12 +703,14 @@ fn note_commit(inner: &TcInner, txn: TxnId, ts: Timestamp, writes: usize) {
 /// Counts an abort of `txn` and journals its cause.
 fn note_abort(inner: &TcInner, txn: TxnId, cause: &'static str) {
     inner.aborted.inc();
+    inner.history.ended(txn, Outcome::Aborted(cause));
     inner.span("txn.abort", fields!(client = inner.id, txn = txn.0, cause));
 }
 
 impl TransactionalClient {
     /// Creates a client on `node`; its transaction counters are the
-    /// run's `txn.*{client=<id>}` metrics. Call
+    /// run's `txn.*{client=<id>}` metrics, and its transactions go into
+    /// `history` while that records. Call
     /// [`TransactionalClient::start`] before using it so it registers
     /// with the recovery manager.
     #[expect(
@@ -688,6 +726,7 @@ impl TransactionalClient {
         store: StoreClient,
         coord: CoordClient,
         cfg: TxnClientConfig,
+        history: History,
     ) -> TransactionalClient {
         let cid = id.to_string();
         let counter = |name: &str| sim.metrics().counter(name, &[("client", cid.as_str())]);
@@ -708,6 +747,7 @@ impl TransactionalClient {
                 last_coord_ack: Cell::new(sim.now()),
                 closed: Cell::new(false),
                 commits_in_flight: Cell::new(0),
+                history,
                 committed: counter("txn.committed"),
                 aborted: counter("txn.aborted"),
                 flushed: counter("txn.flushed"),
@@ -805,11 +845,13 @@ impl TransactionalClient {
         let txn = TxnId::new(inner.id, inner.next_seq.get());
         inner.next_seq.set(inner.next_seq.get() + 1);
         inner.active.borrow_mut().insert(txn, WriteSet::new());
+        inner.history.begun(txn);
         let snapshot = Rc::new(RefCell::new(Snapshot::Awaited(None)));
         let (on_reply, slot) = (Rc::clone(inner), Rc::clone(&snapshot));
         inner.tm.begin(txn, inner.session(), move |start_ts| {
             let fields = fields!(client = on_reply.id, txn = txn.0, snapshot = start_ts);
             on_reply.span("txn.begin", fields);
+            on_reply.history.snapshot(txn, start_ts);
             if let Snapshot::Awaited(Some(reads)) = slot.replace(Snapshot::Known(start_ts)) {
                 reads(start_ts);
             }
