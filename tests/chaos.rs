@@ -1,21 +1,31 @@
 //! Chaos testing: randomized compound failure schedules (server crashes,
 //! client crashes, recovery-manager flaps, partitions) under continuous
-//! load, verifying after each run that (1) every acknowledged commit is
-//! durable and (2) the cluster converges to fully-online regions.
+//! load, verifying after each run that (1) the recorded history passes
+//! the checker and every written cell reads back as its newest commit
+//! wrote it (`common::audit`), so every acknowledged commit is durable,
+//! and (2) the cluster converges to fully-online regions.
 //!
 //! Every schedule is derived deterministically from the seed, so a failure
 //! here is exactly reproducible.
 
 mod common;
 
-use common::{crash_first_observed, key, DiceFaults};
-use cumulo_core::{Cluster, ClusterConfig};
+use common::{audit, crash_first_observed, key, DiceFaults};
+use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::SimDuration;
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
 
 const ROWS: u64 = 4_000;
+
+/// One transaction writing `value` to the `f0` cell of each of `rows`.
+fn write_rows(client: &TransactionalClient, rows: Vec<u64>, value: String) {
+    client.begin(move |txn| {
+        let Ok(txn) = txn else { return };
+        for r in &rows {
+            let _ = txn.put(key(*r), "f0", value.clone());
+        }
+        txn.commit(|_| {});
+    });
+}
 
 /// One chaos run: 5 servers' worth of regions on 3 servers, 6 clients,
 /// ~45 simulated seconds of load with `faults` injected along the way.
@@ -29,8 +39,7 @@ fn chaos_run(seed: u64) {
         heartbeat_interval: SimDuration::from_millis(500),
         ..ClusterConfig::default()
     });
-    // acked[row] = latest acked value writer order is by commit timestamp.
-    let acked: Rc<RefCell<BTreeMap<u64, (u64, String)>>> = Rc::new(RefCell::new(BTreeMap::new()));
+    let history = cluster.attach_history();
     let mut faults = DiceFaults::new();
 
     for round in 0..90u64 {
@@ -41,31 +50,7 @@ fn chaos_run(seed: u64) {
                 continue;
             }
             let rows: Vec<u64> = (0..3).map(|_| cluster.sim.gen_range(0, ROWS)).collect();
-            let val = format!("s{seed}r{round}c{ci}");
-            let acked2 = acked.clone();
-            let rows2 = rows.clone();
-            let val2 = val.clone();
-            client.begin(move |txn| {
-                let Ok(txn) = txn else { return };
-                for r in &rows2 {
-                    let _ = txn.put(key(*r), "f0", val2.clone());
-                }
-                let rows3 = rows2.clone();
-                let val3 = val2.clone();
-                txn.commit(move |result| {
-                    if let Ok(ts) = result {
-                        let mut map = acked2.borrow_mut();
-                        for r in &rows3 {
-                            match map.get(r) {
-                                Some((old_ts, _)) if *old_ts > ts.0 => {}
-                                _ => {
-                                    map.insert(*r, (ts.0, val3.clone()));
-                                }
-                            }
-                        }
-                    }
-                });
-            });
+            write_rows(&client, rows, format!("s{seed}r{round}c{ci}"));
         }
         cluster.run_for(SimDuration::from_millis(400));
 
@@ -89,32 +74,14 @@ fn chaos_run(seed: u64) {
         "seed {seed}: regions failed to converge"
     );
 
-    // Verify every acked row. A row may legitimately hold a *newer* acked
-    // value than the one we recorded (ack ordering vs timestamp ordering),
-    // so check the value is from the acked set for that row with ts >= ours.
-    let acked = acked.borrow();
-    assert!(
-        acked.len() > 100,
-        "seed {seed}: too few acked rows ({})",
-        acked.len()
-    );
-    for (row, (_, val)) in acked.iter() {
-        let got = cluster.read_cell(key(*row), "f0", SimDuration::from_secs(10));
-        let got = got.unwrap_or_else(|| panic!("seed {seed}: acked row {row} missing"));
-        let got = String::from_utf8_lossy(&got).into_owned();
-        // The stored value must be the one we tracked as the newest ack
-        // for this row (our map keeps the max-timestamp ack per row).
-        assert_eq!(
-            &got, val,
-            "seed {seed}: row {row} holds '{got}' but newest acked was '{val}'"
-        );
-    }
+    let cells = audit(&cluster, &history);
+    assert!(cells > 100, "seed {seed}: too few written cells ({cells})");
 }
 
 /// Crashes a server while a compaction is in flight and verifies
-/// recovery: no acked write is lost or stale, regions converge, and the
-/// half-finished compaction leaves at worst ignorable temp files (the
-/// surviving file set stays read-equivalent).
+/// recovery: the history audit passes (no acked write is lost or stale),
+/// regions converge, and the half-finished compaction leaves at worst
+/// ignorable temp files (the surviving file set stays read-equivalent).
 fn compaction_crash_run(seed: u64) {
     let mut cfg = ClusterConfig {
         seed,
@@ -132,8 +99,7 @@ fn compaction_crash_run(seed: u64) {
     cfg.server_cfg.flush_check_interval = SimDuration::from_millis(400);
     cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(700);
     let cluster = Cluster::build(cfg);
-
-    let acked: Rc<RefCell<BTreeMap<u64, (u64, String)>>> = Rc::new(RefCell::new(BTreeMap::new()));
+    let history = cluster.attach_history();
     let mut crashed = false;
     for round in 0..110u64 {
         for ci in 0..cluster.clients.len() {
@@ -142,31 +108,7 @@ fn compaction_crash_run(seed: u64) {
                 continue;
             }
             let rows: Vec<u64> = (0..3).map(|_| cluster.sim.gen_range(0, ROWS)).collect();
-            let val = format!("s{seed}r{round}c{ci}{:#>120}", "");
-            let acked2 = acked.clone();
-            let rows2 = rows.clone();
-            let val2 = val.clone();
-            client.begin(move |txn| {
-                let Ok(txn) = txn else { return };
-                for r in &rows2 {
-                    let _ = txn.put(key(*r), "f0", val2.clone());
-                }
-                let rows3 = rows2.clone();
-                let val3 = val2.clone();
-                txn.commit(move |result| {
-                    if let Ok(ts) = result {
-                        let mut map = acked2.borrow_mut();
-                        for r in &rows3 {
-                            match map.get(r) {
-                                Some((old_ts, _)) if *old_ts > ts.0 => {}
-                                _ => {
-                                    map.insert(*r, (ts.0, val3.clone()));
-                                }
-                            }
-                        }
-                    }
-                });
-            });
+            write_rows(&client, rows, format!("s{seed}r{round}c{ci}{:#>120}", ""));
         }
         // Fine-grained steps so the (short) in-flight compaction window
         // can be caught: crash the first server seen mid-compaction.
@@ -191,21 +133,8 @@ fn compaction_crash_run(seed: u64) {
         "seed {seed}: compaction never completed anywhere"
     );
 
-    let acked = acked.borrow();
-    assert!(
-        acked.len() > 100,
-        "seed {seed}: too few acked rows ({})",
-        acked.len()
-    );
-    for (row, (_, val)) in acked.iter() {
-        let got = cluster.read_cell(key(*row), "f0", SimDuration::from_secs(10));
-        let got = got.unwrap_or_else(|| panic!("seed {seed}: acked row {row} missing"));
-        let got = String::from_utf8_lossy(&got).into_owned();
-        assert_eq!(
-            &got, val,
-            "seed {seed}: row {row} holds a lost or duplicated version after the crash"
-        );
-    }
+    let cells = audit(&cluster, &history);
+    assert!(cells > 100, "seed {seed}: too few written cells ({cells})");
 }
 
 #[test]

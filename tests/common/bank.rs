@@ -6,7 +6,7 @@
 //! order (`from`, `to`, `amount` per transfer; one key per filler), so a
 //! suite's seed keeps meaning the same schedule.
 
-use cumulo_core::{Cluster, TransactionalClient};
+use cumulo_core::{Cluster, History, TransactionalClient};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -86,6 +86,22 @@ impl Bank {
         (0..self.accounts)
             .map(|i| self.parse(cluster.read_cell(account(i), "bal", SimDuration::from_secs(10))))
             .sum()
+    }
+
+    /// Asserts the balance total: the cheap check that stays beside the
+    /// history checker.
+    pub fn assert_conserved(&self, cluster: &Cluster, label: &str) {
+        assert_eq!(
+            self.total(cluster),
+            self.accounts as i64 * self.initial,
+            "{label}: money not conserved"
+        );
+    }
+
+    /// [`super::audit`], then the balance total.
+    pub fn audit(&self, cluster: &Cluster, history: &History, label: &str) {
+        super::audit(cluster, history);
+        self.assert_conserved(cluster, label);
     }
 }
 

@@ -21,7 +21,9 @@
 //! schedule is a pure function of the seed and a failing run replays
 //! byte-identically.
 //!
-//! The bank-transfer workload those suites audit with is in [`bank`].
+//! The bank-transfer workload those suites audit with is in [`bank`];
+//! [`audit`] checks a run's recorded history and reads back what it
+//! wrote.
 //! [`replication_digest`] turns what a run's replication did into one
 //! number a suite can pin, and [`lines_digest`] does the same for how a
 //! run's journal records render.
@@ -37,7 +39,7 @@
 
 pub mod bank;
 
-use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
+use cumulo_core::{Cluster, ClusterConfig, History, Timestamp, Transaction, TxnError};
 use cumulo_sim::{JournalEntry, NodeId, SimDuration};
 use cumulo_store::{ChangeKind, RegionId, RegionServer, ServerId};
 use std::cell::RefCell;
@@ -150,6 +152,33 @@ pub fn write_load(
         cluster.run_for(SimDuration::from_millis(250));
     }
     acked
+}
+
+/// Audits a run that recorded `history` from its start: the checker
+/// over the recorded transactions, then a read-back at the newest
+/// version of every cell a committed or unresolved write-set holds,
+/// checked by the same read rules. Panics naming the first violations.
+/// Returns how many cells it read back.
+///
+/// Run it once the load has drained: a read-back taken while a commit
+/// is still flushing would miss it.
+pub fn audit(cluster: &Cluster, history: &History) -> usize {
+    let mut violations = history.check();
+    let read_back = cluster.read_back(history);
+    assert!(!read_back.is_empty(), "the history recorded no write");
+    violations.extend(history.check_read_back(&read_back));
+    let first: Vec<String> = violations
+        .iter()
+        .take(10)
+        .map(ToString::to_string)
+        .collect();
+    assert!(
+        violations.is_empty(),
+        "{} history violations, first:\n{}",
+        violations.len(),
+        first.join("\n")
+    );
+    read_back.len()
 }
 
 /// One fault-injection step in a [`ChaosSchedule`].

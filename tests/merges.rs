@@ -29,7 +29,7 @@ mod common;
 
 use common::bank::{run_until, Bank};
 use common::{changing_server, crash_for_adjacency};
-use cumulo_core::{Cluster, ClusterConfig};
+use cumulo_core::{Cluster, ClusterConfig, History};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
 use std::cell::Cell;
@@ -60,30 +60,30 @@ fn merge_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// A merge cluster after its setup crash under bank-transfer load, and
-/// the count of transfers committed so far.
-fn merge_cluster_with_adjacency(seed: u64) -> (Cluster, Rc<Cell<u32>>) {
+/// A merge cluster after its setup crash under bank-transfer load, the
+/// history it records from its start, and the count of transfers
+/// committed so far.
+fn merge_cluster_with_adjacency(seed: u64) -> (Cluster, History, Rc<Cell<u32>>) {
     let cluster = merge_cluster(seed);
+    let history = cluster.attach_history();
     let committed = Rc::new(Cell::new(0u32));
     crash_for_adjacency(&cluster, &format!("seed {seed}"), || {
         BANK.transfer_round(&cluster, &committed)
     });
-    (cluster, committed)
+    (cluster, history, committed)
 }
 
-/// The post-crash audit shared by all three schedules.
-fn audit(cluster: &Cluster, committed: u32) {
+/// The post-crash checks shared by all three schedules: enough load
+/// committed, every region back online and the key space partitioned,
+/// then the history audit and the balance total.
+fn assert_recovered(cluster: &Cluster, history: &History, committed: u32) {
     assert!(committed > 60, "too few transfers committed: {committed}");
     assert!(
         cluster.all_regions_online(),
         "cluster did not fully recover"
     );
     cluster.assert_region_partition();
-    assert_eq!(
-        BANK.total(cluster),
-        ACCOUNTS as i64 * INITIAL,
-        "merge x failover lost or duplicated money"
-    );
+    BANK.audit(cluster, history, "merge x failover");
 }
 
 /// Crash point 1: the merging server dies while a merge is pending
@@ -92,7 +92,7 @@ fn audit(cluster: &Cluster, committed: u32) {
 /// the merge had never been considered.
 #[test]
 fn crash_before_intent_persisted_recovers_daughters() {
-    let (cluster, committed) = merge_cluster_with_adjacency(8101);
+    let (cluster, history, committed) = merge_cluster_with_adjacency(8101);
     // Drive load until a merge candidacy is accepted somewhere and no
     // intent has been persisted yet, then crash that server mid-window
     // (the window spans the pre-merge flush of both daughters, so
@@ -126,7 +126,7 @@ fn crash_before_intent_persisted_recovers_daughters() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    audit(&cluster, committed.get());
+    assert_recovered(&cluster, &history, committed.get());
 }
 
 /// Crash point 2: the intent is durable but the merged region never made
@@ -135,7 +135,7 @@ fn crash_before_intent_persisted_recovers_daughters() {
 /// saw the merged id — and recover the daughters on survivors.
 #[test]
 fn crash_after_intent_before_merged_online_rolls_back() {
-    let (cluster, committed) = merge_cluster_with_adjacency(8202);
+    let (cluster, history, committed) = merge_cluster_with_adjacency(8202);
     let mut caught = false;
     for _ in 0..600 {
         BANK.transfer_round(&cluster, &committed);
@@ -175,7 +175,7 @@ fn crash_after_intent_before_merged_online_rolls_back() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    audit(&cluster, committed.get());
+    assert_recovered(&cluster, &history, committed.get());
 }
 
 /// Crash point 3: the merge completed — the merged region is live in the
@@ -186,7 +186,7 @@ fn crash_after_intent_before_merged_online_rolls_back() {
 /// merged region by row).
 #[test]
 fn crash_after_merged_online_fails_over_merged_region() {
-    let (cluster, committed) = merge_cluster_with_adjacency(8303);
+    let (cluster, history, committed) = merge_cluster_with_adjacency(8303);
     let mut applied = false;
     for _ in 0..600 {
         BANK.transfer_round(&cluster, &committed);
@@ -222,7 +222,7 @@ fn crash_after_merged_online_fails_over_merged_region() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    audit(&cluster, committed.get());
+    assert_recovered(&cluster, &history, committed.get());
     assert!(
         cluster.master.failover_count() >= 2,
         "the merged region's failover was not processed"

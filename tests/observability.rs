@@ -6,10 +6,11 @@
 
 mod common;
 
+use common::bank::{account, Bank};
 use common::{fnv1a, key, lines_digest, run_txn, small_cluster};
 use cumulo_core::{Cluster, ClusterConfig, RetryPolicy};
 use cumulo_sim::SimDuration;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// The fixed chaos schedule both determinism tests replay: a batch of
@@ -345,6 +346,50 @@ fn conflicts_journal_full_abort_and_retry_lines() {
         ),
         (10, 9, 12_884_289_605_298_124_651, 4_629_396_435_784_107_371),
         "txn.abort and txn.retry counts and full-line digests"
+    );
+}
+
+/// The recorded history is under the journals' rules: two runs of one
+/// seed — bank transfers through a server crash, then a batched read
+/// and a scan — dump byte-identical histories.
+#[test]
+fn same_seed_histories_dump_byte_identical() {
+    let run = |seed| {
+        let cluster = small_cluster(seed);
+        let history = cluster.attach_history();
+        let bank = Bank {
+            accounts: 40,
+            initial: 100,
+        };
+        let committed = Rc::new(Cell::new(0));
+        for round in 0..20 {
+            bank.transfer_round(&cluster, &committed);
+            if round == 8 {
+                cluster.crash_server(0);
+            }
+            cluster.run_for(SimDuration::from_millis(300));
+        }
+        cluster.run_for(SimDuration::from_secs(15));
+        cluster.client(1).begin(|txn| {
+            let txn = txn.expect("begin on live client");
+            let txn2 = txn.clone();
+            let cells = (0..4).map(|i| (account(i).into(), "bal".into())).collect();
+            txn.multi_get(cells, move |_| {
+                txn2.scan(account(10), Some(account(14).into()), 10, |_| {});
+            });
+        });
+        cluster.run_for(SimDuration::from_secs(1));
+        history.dump()
+    };
+    let dump = run(38);
+    for part in [" snapshot=", " read=", "@none", " write=", " committed="] {
+        assert!(dump.contains(part), "no {part} in the dump:\n{dump}");
+    }
+    assert_eq!(dump, run(38), "same-seed histories diverged");
+    assert_eq!(
+        (dump.lines().count(), fnv1a(&dump)),
+        (61, 4_238_938_562_110_957_084),
+        "history dump"
     );
 }
 

@@ -2,19 +2,23 @@
 //! failure modes the tentpole names — primary crash mid-split, a
 //! partition (not a crash) of the primary mid-commit with stale-primary
 //! fencing, and the all-replicas-dead replay fallback — audited with
+//! the history checker, a read-back of every written cell and
 //! bank-balance conservation under RNG-shifted seeds.
 //!
 //! Every schedule is deterministic in the seed; the RNG-shift variants
 //! draw a few extra values up front so the same logical schedule runs
 //! under perturbed event timings. Beside its outcomes each test pins
 //! [`replication_digest`] of every run it makes: when each lane shipped,
-//! dropped, re-synced and fenced, and how often.
+//! dropped, re-synced and fenced, and how often. The digests cover the
+//! run up to the balance total; the history audit reads back every
+//! written cell after them, so its reads leave them as they were.
 
 mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
 use common::{
-    crash_first_observed, replication_digest, replication_lines_digest, ChaosAction, ChaosSchedule,
+    audit, crash_first_observed, replication_digest, replication_lines_digest, ChaosAction,
+    ChaosSchedule,
 };
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
@@ -45,14 +49,6 @@ fn replicated_config(seed: u64) -> ClusterConfig {
     }
 }
 
-fn audit_balances(cluster: &Cluster, label: &str) {
-    assert_eq!(
-        BANK.total(cluster),
-        ACCOUNTS as i64 * INITIAL,
-        "{label}: money not conserved"
-    );
-}
-
 /// Crash a primary under transfer load: the master must promote a
 /// backup (not fall back to a WAL replay), the cluster must converge,
 /// and no acknowledged transfer may be lost. Run under three RNG shifts.
@@ -62,6 +58,7 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
     let mut lines = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8101));
+        let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
         // Crash server 0 after 21 rounds of load.
@@ -86,9 +83,10 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
              (promotions=0, fallbacks={})",
             cluster.master.fallback_replays()
         );
-        audit_balances(&cluster, &format!("shift {shift}"));
+        BANK.assert_conserved(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
         lines.push(replication_lines_digest(&cluster));
+        audit(&cluster, &history);
     }
     assert_eq!(
         digests,
@@ -129,6 +127,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
     let mut lines = Vec::new();
     for shift in [0u32, 1] {
         let cluster = Cluster::build(three_copies(8101));
+        let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
         ChaosSchedule::new().run_rounds(&cluster, 40, TICK, |cluster, _| {
@@ -146,11 +145,14 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
             );
             assert!(stats.ships.get() > 0, "shift {shift}: nothing shipped");
         }
-        audit_balances(&cluster, &format!("healthy, shift {shift}"));
+        BANK.assert_conserved(&cluster, &format!("healthy, shift {shift}"));
         digests.push(replication_digest(&cluster));
         lines.push(replication_lines_digest(&cluster));
+        audit(&cluster, &history);
 
         let cluster = Cluster::build(three_copies(8101));
+
+        let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
         ChaosSchedule::new()
@@ -168,9 +170,10 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
             "shift {shift}: the crash should promote a replica (fallbacks={})",
             cluster.master.fallback_replays()
         );
-        audit_balances(&cluster, &format!("crash, shift {shift}"));
+        BANK.assert_conserved(&cluster, &format!("crash, shift {shift}"));
         digests.push(replication_digest(&cluster));
         lines.push(replication_lines_digest(&cluster));
+        audit(&cluster, &history);
     }
     assert_eq!(
         digests,
@@ -206,6 +209,7 @@ fn partitioned_primary_is_fenced_after_promotion() {
     let mut lines = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8202));
+        let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
         // Mid-commit: the isolation lands while transfers are still in
@@ -248,9 +252,10 @@ fn partitioned_primary_is_fenced_after_promotion() {
                 rightful.id()
             );
         }
-        audit_balances(&cluster, &format!("shift {shift}"));
+        BANK.assert_conserved(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
         lines.push(replication_lines_digest(&cluster));
+        audit(&cluster, &history);
     }
     assert_eq!(
         digests,
@@ -284,6 +289,7 @@ fn partitioned_primary_is_fenced_after_promotion() {
 #[test]
 fn fenced_primary_stops_reporting_its_lanes() {
     let cluster = Cluster::build(replicated_config(8202));
+    let history = cluster.attach_history();
     let committed = Rc::new(Cell::new(0u32));
     let load = |cluster: &Cluster, _| BANK.transfer_round(cluster, &committed);
     ChaosSchedule::new().run_rounds(&cluster, 20, TICK, load);
@@ -312,7 +318,7 @@ fn fenced_primary_stops_reporting_its_lanes() {
         reports,
         "a fenced group kept re-sending its lane reports to the master"
     );
-    audit_balances(&cluster, "fenced, quiet");
+    BANK.assert_conserved(&cluster, "fenced, quiet");
     assert_eq!(
         replication_digest(&cluster),
         13_434_265_130_704_591_811,
@@ -323,6 +329,7 @@ fn fenced_primary_stops_reporting_its_lanes() {
         16_134_166_104_475_273_355,
         "replication lines"
     );
+    audit(&cluster, &history);
 }
 
 /// A full-state sync lost on an *out-of-sync* lane must be retried. The
@@ -340,6 +347,7 @@ fn a_sync_lost_on_an_out_of_sync_lane_is_retried() {
     // The server's re-sync period (`RESYNC_INTERVAL`).
     let resync_interval = SimDuration::from_secs(2);
     let cluster = Cluster::build(replicated_config(8505));
+    let history = cluster.attach_history();
     let node = |i: usize| cluster.servers[i].node();
     let resynced = || cluster.events.count("replication.lane_resynced");
     let lanes = 6; // one backup for each of six regions
@@ -383,7 +391,7 @@ fn a_sync_lost_on_an_out_of_sync_lane_is_retried() {
         (true, 0),
         "every region of server 0 had a replica to promote"
     );
-    audit_balances(&cluster, "lost first sync");
+    BANK.assert_conserved(&cluster, "lost first sync");
     assert_eq!(
         replication_digest(&cluster),
         9_701_401_140_004_272_833,
@@ -394,6 +402,7 @@ fn a_sync_lost_on_an_out_of_sync_lane_is_retried() {
         7_839_856_853_852_428_789,
         "replication lines"
     );
+    audit(&cluster, &history);
 }
 
 /// Crash the primary *and* every backup of its regions: no eligible
@@ -405,6 +414,7 @@ fn all_replicas_dead_falls_back_to_replay() {
     let mut lines = Vec::new();
     for shift in [0u32, 1, 2] {
         let cluster = Cluster::build(replicated_config(8303));
+        let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
         // With 3 servers and rf=2, killing two servers in the same
@@ -427,9 +437,10 @@ fn all_replicas_dead_falls_back_to_replay() {
              (promotions={})",
             cluster.master.promotions()
         );
-        audit_balances(&cluster, &format!("shift {shift}"));
+        BANK.assert_conserved(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
         lines.push(replication_lines_digest(&cluster));
+        audit(&cluster, &history);
     }
     assert_eq!(
         digests,
@@ -489,6 +500,7 @@ fn primary_crash_mid_split_converges() {
         cfg.server_cfg.flush_check_interval = SimDuration::from_millis(400);
         cfg.server_cfg.split.check_interval = SimDuration::from_millis(300);
         let cluster = Cluster::build(cfg);
+        let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
         let mut crashed = false;
@@ -519,9 +531,10 @@ fn primary_crash_mid_split_converges() {
             cluster.master.promotions() + cluster.master.fallback_replays() > 0,
             "shift {shift}: the crash recovered no region at all"
         );
-        audit_balances(&cluster, &format!("shift {shift}"));
+        BANK.assert_conserved(&cluster, &format!("shift {shift}"));
         digests.push(replication_digest(&cluster));
         lines.push(replication_lines_digest(&cluster));
+        audit(&cluster, &history);
     }
     assert_eq!(
         digests,

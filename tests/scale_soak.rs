@@ -8,9 +8,10 @@
 //! * the region map partitions the key space and no two online regions
 //!   overlap — **after every chaos round** (structural operations and
 //!   failovers race continuously, so this runs mid-flight);
-//! * bank-balance conservation — at every settle point (conservation is
-//!   only meaningful once in-flight transfers drain, so each phase ends
-//!   with a quiesce-then-audit);
+//! * the history audit (`common::audit`: the checker and a read-back of
+//!   every written cell) and bank-balance conservation — at every settle
+//!   point (both are only meaningful once in-flight transfers drain, so
+//!   each phase ends with a quiesce-then-audit);
 //! * the cluster converges back to fully online after the final phase.
 //!
 //! Runs ≥3 seeds, each at two *RNG shifts*: the shifted run burns a few
@@ -65,24 +66,6 @@ fn soak_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// Quiesce and audit conservation: drain in-flight transfers, then sum
-/// every balance. Transfers are zero-sum, so any deviation means a
-/// committed write was lost or doubly applied somewhere in the
-/// split/merge/move/failover churn.
-fn audit_balances(cluster: &Cluster, seed: u64, label: &str) {
-    cluster.run_for(SimDuration::from_secs(40));
-    assert!(
-        cluster.all_regions_online(),
-        "seed {seed}: regions failed to converge before the {label} audit"
-    );
-    cluster.assert_region_partition();
-    assert_eq!(
-        BANK.total(cluster),
-        ACCOUNTS as i64 * INITIAL,
-        "seed {seed}: conservation violated at the {label} audit"
-    );
-}
-
 /// Consolidation sweep at a settle point: request an admin merge for
 /// every adjacent co-hosted region pair (skipping a pair's right region
 /// once claimed — it is mid-merge). Returns how many were accepted.
@@ -113,11 +96,13 @@ fn consolidate(cluster: &Cluster) -> u32 {
 }
 
 /// One full soak: `PHASES` phases of `ROUNDS_PER_PHASE` chaos rounds,
-/// partition-audited every round, balance-audited at every settle point.
+/// partition-audited every round, history- and balance-audited at every
+/// settle point.
 /// `shift` burns that many RNG draws up front, displacing the whole
 /// downstream schedule.
 fn soak_run(seed: u64, shift: u64) {
     let cluster = soak_cluster(seed);
+    let history = cluster.attach_history();
     for _ in 0..shift {
         let _ = cluster.sim.gen_range(0, 1 << 20);
     }
@@ -146,7 +131,17 @@ fn soak_run(seed: u64, shift: u64) {
             );
         }
         faults.settle(&cluster);
-        audit_balances(&cluster, seed, &format!("phase-{phase}"));
+        // Quiesce, then audit: in-flight transfers drain first, as
+        // conservation and the read-back only mean something once they
+        // have. Any deviation means a committed write was lost or doubly
+        // applied somewhere in the split/merge/move/failover churn.
+        cluster.run_for(SimDuration::from_secs(40));
+        assert!(
+            cluster.all_regions_online(),
+            "seed {seed}: regions failed to converge before the phase-{phase} audit"
+        );
+        cluster.assert_region_partition();
+        BANK.audit(&cluster, &history, &format!("seed {seed}: phase-{phase}"));
         // Kick off merges into the next phase's chaos (no-op after the
         // final audit if nothing is adjacent-co-hosted anymore).
         consolidate(&cluster);

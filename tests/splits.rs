@@ -22,7 +22,7 @@ mod common;
 
 use common::bank::{filler, run_until, Bank};
 use common::changing_server;
-use cumulo_core::{Cluster, ClusterConfig};
+use cumulo_core::{Cluster, ClusterConfig, History};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
 use std::cell::Cell;
@@ -67,19 +67,17 @@ fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, round_no: u64) {
     }
 }
 
-/// The post-crash audit shared by all three schedules.
-fn audit(cluster: &Cluster, committed: u32) {
+/// The post-crash checks shared by all three schedules: enough load
+/// committed, every region back online and the key space partitioned,
+/// then the history audit and the balance total.
+fn assert_recovered(cluster: &Cluster, history: &History, committed: u32) {
     assert!(committed > 60, "too few transfers committed: {committed}");
     assert!(
         cluster.all_regions_online(),
         "cluster did not fully recover"
     );
     cluster.assert_region_partition();
-    assert_eq!(
-        BANK.total(cluster),
-        ACCOUNTS as i64 * INITIAL,
-        "split x failover lost or duplicated money"
-    );
+    BANK.audit(cluster, history, "split x failover");
 }
 
 /// Crash point 1: the parent's server dies while a split is pending
@@ -89,6 +87,7 @@ fn audit(cluster: &Cluster, committed: u32) {
 #[test]
 fn crash_before_intent_persisted_recovers_parent() {
     let cluster = split_cluster(4101);
+    let history = cluster.attach_history();
     let committed = Rc::new(Cell::new(0u32));
     let mut rounds = 0u64;
     // Drive load until a split candidacy is accepted somewhere and no
@@ -126,7 +125,7 @@ fn crash_before_intent_persisted_recovers_parent() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    audit(&cluster, committed.get());
+    assert_recovered(&cluster, &history, committed.get());
 }
 
 /// Crash point 2: the intent is durable but the daughters never made it
@@ -136,6 +135,7 @@ fn crash_before_intent_persisted_recovers_parent() {
 #[test]
 fn crash_after_intent_before_daughters_online_rolls_back() {
     let cluster = split_cluster(4202);
+    let history = cluster.attach_history();
     let committed = Rc::new(Cell::new(0u32));
     let mut rounds = 0u64;
     let mut caught = false;
@@ -179,7 +179,7 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    audit(&cluster, committed.get());
+    assert_recovered(&cluster, &history, committed.get());
 }
 
 /// Crash point 3: the split completed — daughters are live in the map
@@ -190,6 +190,7 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
 #[test]
 fn crash_after_daughters_online_fails_over_daughters() {
     let cluster = split_cluster(4303);
+    let history = cluster.attach_history();
     let committed = Rc::new(Cell::new(0u32));
     let mut rounds = 0u64;
     let mut applied = false;
@@ -230,7 +231,7 @@ fn crash_after_daughters_online_fails_over_daughters() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    audit(&cluster, committed.get());
+    assert_recovered(&cluster, &history, committed.get());
     // The daughters really did fail over (not just the bootstrap set).
     assert!(
         cluster.master.failover_count() >= 1,

@@ -1,15 +1,19 @@
 //! The YCSB driver against a failing cluster: end-to-end sanity of the
 //! measurement pipeline itself (throughput accounting, stall behaviour,
-//! rate limiting) and the no-loss guarantee under load.
+//! rate limiting) and the no-loss guarantee under load. The driver's
+//! transactions go through the same `Transaction` door as every other
+//! client's, so each run ends with the history audit (`common::audit`).
 
 mod common;
 
-use common::{ChaosAction, ChaosSchedule};
-use cumulo_core::{Cluster, ClusterConfig, PersistenceMode};
+use common::{audit, ChaosAction, ChaosSchedule};
+use cumulo_core::{Cluster, ClusterConfig, History, PersistenceMode};
 use cumulo_sim::SimDuration;
 use cumulo_ycsb::{Driver, KeyDistribution, Workload};
 
-fn cluster(seed: u64) -> Cluster {
+/// A loaded two-server cluster, and the history it records from the end
+/// of the load on.
+fn cluster(seed: u64) -> (Cluster, History) {
     let c = Cluster::build(ClusterConfig {
         seed,
         servers: 2,
@@ -20,12 +24,13 @@ fn cluster(seed: u64) -> Cluster {
         ..ClusterConfig::default()
     });
     c.load_rows(20_000, &["f0"], 100, true);
-    c
+    let history = c.attach_history();
+    (c, history)
 }
 
 #[test]
 fn rate_limited_driver_hits_its_target() {
-    let c = cluster(51);
+    let (c, history) = cluster(51);
     let workload = Workload {
         record_count: 20_000,
         threads: 10,
@@ -46,11 +51,12 @@ fn rate_limited_driver_hits_its_target() {
         report.mean_ms
     );
     assert!(report.p99_ms >= report.p95_ms && report.p95_ms >= report.mean_ms / 2.0);
+    audit(&c, &history);
 }
 
 #[test]
 fn unlimited_driver_saturates_servers() {
-    let c = cluster(52);
+    let (c, history) = cluster(52);
     let workload = Workload {
         record_count: 20_000,
         threads: 30,
@@ -65,12 +71,13 @@ fn unlimited_driver_saturates_servers() {
         "saturation at {:.1} tps",
         report.throughput_tps
     );
+    audit(&c, &history);
 }
 
 #[test]
 fn zipfian_workload_runs_and_aborts_more_than_uniform() {
     let run = |dist: KeyDistribution, seed: u64| {
-        let c = cluster(seed);
+        let (c, history) = cluster(seed);
         let workload = Workload {
             record_count: 20_000,
             threads: 20,
@@ -78,7 +85,9 @@ fn zipfian_workload_runs_and_aborts_more_than_uniform() {
             ..Workload::default()
         };
         let driver = Driver::new(&c, workload);
-        driver.run(&c, SimDuration::from_secs(1), SimDuration::from_secs(8))
+        let report = driver.run(&c, SimDuration::from_secs(1), SimDuration::from_secs(8));
+        audit(&c, &history);
+        report
     };
     let uniform = run(KeyDistribution::Uniform, 53);
     let zipf = run(KeyDistribution::Zipfian, 53);
@@ -94,7 +103,7 @@ fn zipfian_workload_runs_and_aborts_more_than_uniform() {
 
 #[test]
 fn throughput_dips_and_recovers_around_a_server_crash() {
-    let c = cluster(54);
+    let (c, history) = cluster(54);
     let workload = Workload {
         record_count: 20_000,
         threads: 20,
@@ -131,6 +140,7 @@ fn throughput_dips_and_recovers_around_a_server_crash() {
     }
     // Nothing stuck: all regions online at the end.
     assert!(c.all_regions_online());
+    audit(&c, &history);
 }
 
 #[test]
@@ -138,7 +148,7 @@ fn hotspot_rmw_workload_commits_under_contention() {
     // YCSB-F-style read-modify-write on a hotspot distribution: heavy
     // write-write contention, many first-committer-wins aborts — but the
     // system keeps committing and stays consistent.
-    let c = cluster(55);
+    let (c, history) = cluster(55);
     let workload = Workload {
         record_count: 20_000,
         threads: 20,
@@ -153,4 +163,5 @@ fn hotspot_rmw_workload_commits_under_contention() {
     // Consistency spot-check: the hottest rows hold committed values.
     let v = c.read_cell("user000000000000", "f0", SimDuration::from_secs(10));
     assert!(v.is_some(), "hottest row must have data");
+    audit(&c, &history);
 }
