@@ -561,8 +561,10 @@ impl Cluster {
         self.history.clone()
     }
 
-    /// Reads the newest value of a cell through the probe client: see
-    /// [`Cluster::read_version`].
+    /// Reads the newest committed-and-flushed value of a cell through
+    /// the probe client, driving the simulation until the read completes
+    /// (or `within` elapses, which panics — reads retry forever, so this
+    /// indicates an unrecoverable cluster).
     pub fn read_cell(
         &self,
         row: impl Into<Bytes>,
@@ -573,8 +575,9 @@ impl Cluster {
     }
 
     /// Reads back every cell a committed or unresolved write-set of
-    /// `history` holds, one [`Cluster::read_version`] after another in
-    /// cell order: what [`History::check_read_back`] checks.
+    /// `history` holds, one after another in cell order, at the newest
+    /// version, as [`Cluster::read_cell`] does but keeping the version:
+    /// what [`History::check_read_back`] checks.
     pub fn read_back(&self, history: &History) -> Vec<Read> {
         history
             .written_cells()
@@ -591,11 +594,8 @@ impl Cluster {
             .collect()
     }
 
-    /// Reads the newest committed-and-flushed version of a cell through
-    /// the probe client, driving the simulation until the read completes
-    /// (or `within` elapses, which panics — reads retry forever, so this
-    /// indicates an unrecoverable cluster).
-    pub fn read_version(
+    /// [`Cluster::read_cell`] with the version's timestamp kept.
+    fn read_version(
         &self,
         row: impl Into<Bytes>,
         column: impl Into<Bytes>,

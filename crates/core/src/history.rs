@@ -53,7 +53,7 @@ pub enum Seen {
 
 impl Seen {
     /// What a store read's answer says.
-    pub fn of(vv: Option<&VersionedValue>) -> Seen {
+    pub(crate) fn of(vv: Option<&VersionedValue>) -> Seen {
         match vv {
             None => Seen::Absent,
             Some(v) => Seen::Version(v.ts, v.value.clone()),
@@ -74,7 +74,7 @@ pub struct Read {
 
 /// How a transaction ended, as its client learned it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// No outcome learned: still open, or its client died first. A
     /// transaction whose commit request left and that ends the run here
     /// is *unresolved*: the manager may have committed it.
@@ -87,17 +87,17 @@ pub enum Outcome {
 }
 
 /// One transaction as its client saw it.
-#[derive(Clone, Debug, Default)]
-pub struct TxnRecord {
+#[derive(Debug, Default)]
+struct TxnRecord {
     /// The snapshot, once the begin reply landed.
-    pub snapshot: Option<Timestamp>,
+    snapshot: Option<Timestamp>,
     /// Its reads, in the order their answers arrived.
-    pub reads: Vec<Read>,
+    reads: Vec<Read>,
     /// The write-set its commit request carried (`None`: none left; a
     /// read-only commit sends none).
-    pub writes: Option<WriteSet>,
+    writes: Option<WriteSet>,
     /// How it ended.
-    pub outcome: Outcome,
+    outcome: Outcome,
 }
 
 impl TxnRecord {
@@ -123,20 +123,7 @@ pub struct History {
     inner: Rc<Inner>,
 }
 
-impl Default for History {
-    fn default() -> Self {
-        History::new()
-    }
-}
-
 impl History {
-    /// An empty history that records.
-    pub fn new() -> History {
-        let history = History::detached();
-        history.inner.recording.set(true);
-        history
-    }
-
     /// An empty history that records nothing until
     /// [`History::attach`]: what a cluster's clients are born with.
     pub(crate) fn detached() -> History {
@@ -208,7 +195,7 @@ impl History {
 
     /// Every cell a committed or unresolved write-set holds, in cell
     /// order: what a read-back audits.
-    pub fn written_cells(&self) -> Vec<(Bytes, Bytes)> {
+    pub(crate) fn written_cells(&self) -> Vec<(Bytes, Bytes)> {
         let txns = self.inner.txns.borrow();
         let cells: BTreeSet<(Bytes, Bytes)> = txns
             .values()

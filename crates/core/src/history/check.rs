@@ -292,6 +292,13 @@ mod tests {
     use cumulo_store::{ClientId, Mutation, Timestamp, WriteSet};
     use cumulo_txn::TxnId;
 
+    /// An empty history that records.
+    fn recording() -> History {
+        let h = History::detached();
+        h.attach();
+        h
+    }
+
     fn txn(client: u32, seq: u32) -> TxnId {
         TxnId::new(ClientId(client), seq)
     }
@@ -343,7 +350,7 @@ mod tests {
 
     #[test]
     fn a_legal_history_passes() {
-        let h = History::new();
+        let h = recording();
         // Reads a bulk-loaded version at 0, writes x and deletes y.
         begin(&h, txn(0, 0), 5, &[("x", loaded())]);
         commit(&h, txn(0, 0), &[("x", Some("a")), ("y", None)], Some(10));
@@ -400,7 +407,7 @@ mod tests {
 
     #[test]
     fn r_names_a_version_no_commit_wrote() {
-        let h = History::new();
+        let h = recording();
         begin(&h, txn(0, 0), 5, &[]);
         commit(&h, txn(0, 0), &[("x", Some("a"))], None);
         h.ended(txn(0, 0), Outcome::Aborted("conflict"));
@@ -416,7 +423,7 @@ mod tests {
 
     #[test]
     fn a_names_the_commit_a_snapshot_missed() {
-        let h = History::new();
+        let h = recording();
         begin(&h, txn(0, 0), 5, &[]);
         commit(
             &h,
@@ -442,7 +449,7 @@ mod tests {
 
     #[test]
     fn w_names_overlapping_writers_of_one_cell() {
-        let h = History::new();
+        let h = recording();
         begin(&h, txn(0, 0), 5, &[]);
         commit(&h, txn(0, 0), &[("x", Some("a"))], Some(10));
         begin(&h, txn(1, 0), 8, &[]);
@@ -459,7 +466,7 @@ mod tests {
 
     #[test]
     fn m_names_a_snapshot_that_went_backwards() {
-        let h = History::new();
+        let h = recording();
         begin(&h, txn(0, 0), 20, &[]);
         begin(&h, txn(1, 0), 3, &[]);
         begin(&h, txn(0, 1), 15, &[]);
@@ -471,7 +478,7 @@ mod tests {
 
     #[test]
     fn the_read_back_is_checked_by_the_same_rules() {
-        let h = History::new();
+        let h = recording();
         begin(&h, txn(0, 0), 5, &[]);
         commit(&h, txn(0, 0), &[("x", Some("a"))], Some(10));
         let read_back = [Read {

@@ -367,11 +367,13 @@ impl Transaction {
         let inner = Rc::clone(&self.inner);
         let txn = self.id;
         self.at_snapshot(move |start_ts| {
+            // Boxed, so the callback stays a pointer wider when nothing
+            // records.
             let note = inner
                 .recorder()
-                .map(|history| (history, row.clone(), column.clone()));
+                .map(|history| Box::new((history, row.clone(), column.clone())));
             inner.store.get(row, column, start_ts, move |vv| {
-                if let Some((history, row, column)) = note {
+                if let Some((history, row, column)) = note.map(|note| *note) {
                     history.read(txn, &row, &column, Seen::of(vv.as_ref()));
                 }
                 done(Ok(vv.and_then(|v| v.value)));
