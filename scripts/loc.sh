@@ -7,7 +7,9 @@
 # unit-test module at the end of a file is not counted but a test-only
 # item above production code is.
 # Prints one line per crate and then the total, which is the number
-# ROADMAP's line counts quote.
+# ROADMAP's line counts quote; then, outside that total, a `tests` line:
+# every line of the .rs files under tests/ and crates/*/tests, so a
+# change that deletes test scaffolding shows in a count too.
 #
 # With a revision argument it prints that revision's count beside the
 # working tree's, per crate and in total, so a change's "parent ->
@@ -18,7 +20,8 @@
 # Run from the repository root: sh scripts/loc.sh [REV]
 set -eu
 
-# Prints "<crate> <lines>" for every crate under $1, then "total <lines>".
+# Prints "<crate> <lines>" for every crate under $1, then "total <lines>",
+# then "tests <lines>".
 count() {
     total=0
     for dir in "$1"/crates/*/src; do
@@ -33,6 +36,9 @@ count() {
         total=$((total + lines))
     done
     echo "total $total"
+    tests=$(find "$1"/tests "$1"/crates/*/tests -name '*.rs' -print0 | sort -z |
+        xargs -0 cat | wc -l)
+    echo "tests $tests"
 }
 
 if [ $# -eq 0 ]; then
@@ -49,10 +55,12 @@ count "$tmp" >"$tmp/rev.counts"
 count . >"$tmp/tree.counts"
 printf '%-6s %8s %8s\n' "" "$(git rev-parse --short "$1")" tree
 # The working tree's crates, then any only REV has (0 on the side that
-# lacks it), then the total.
+# lacks it), then the total and the tests.
 {
-    cut -d ' ' -f 1 "$tmp/tree.counts" "$tmp/rev.counts" | awk '$1 != "total" && !seen[$1]++'
+    cut -d ' ' -f 1 "$tmp/tree.counts" "$tmp/rev.counts" |
+        awk '$1 != "total" && $1 != "tests" && !seen[$1]++'
     echo total
+    echo tests
 } | while read -r crate; do
     rev=$(awk -v c="$crate" '$1 == c { print $2 }' "$tmp/rev.counts")
     tree=$(awk -v c="$crate" '$1 == c { print $2 }' "$tmp/tree.counts")
