@@ -14,9 +14,11 @@
 //!    region itself fails over, its file set made of references over
 //!    both daughters' files) —
 //!
-//! and assert the same invariants every time: bank-transfer totals
-//! conserve, every cell is served by exactly one region, and the region
-//! map still partitions the key space.
+//! and assert the same invariants every time: the recorded history
+//! passes the checker and every written cell reads back as its newest
+//! commit wrote it (`common::audit`), bank-transfer totals conserve,
+//! every cell is served by exactly one region, and the region map still
+//! partitions the key space.
 //!
 //! Merge candidates need *adjacent co-hosted* regions, which the
 //! bootstrap striping never produces. Each schedule therefore starts

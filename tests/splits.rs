@@ -13,10 +13,12 @@
 //!    themselves fail over, with pre-split WAL records remapped at the
 //!    daughter boundary) —
 //!
-//! and assert the same invariants every time: bank-transfer totals
-//! conserve, every cell is served by exactly one region (parent and
-//! daughters never both online), and the region map still partitions the
-//! key space.
+//! and assert the same invariants every time: the recorded history
+//! passes the checker and every written cell reads back as its newest
+//! commit wrote it (`common::audit`), bank-transfer totals conserve,
+//! every cell is served by exactly one region (parent and daughters
+//! never both online), and the region map still partitions the key
+//! space.
 
 mod common;
 
