@@ -17,8 +17,8 @@ mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
 use common::{
-    audit, crash_first_observed, replication_digest, replication_lines_digest, ChaosAction,
-    ChaosSchedule,
+    audit, crash_first_observed, key, replication_digest, replication_lines_digest, run_txn,
+    ChaosAction, ChaosSchedule,
 };
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
@@ -546,4 +546,54 @@ fn primary_crash_mid_split_converges() {
         [2_002_597_252_397_405_140, 17_188_269_531_971_313_661],
         "replication lines per run"
     );
+}
+
+/// Bulk-loaded rows are part of what a primary persisted, so a promoted
+/// backup serves them: the loaded file joins its region through the
+/// door a flush's file takes, which re-syncs every lane, so each shadow
+/// knows the file before its primary fails. No write follows the load
+/// far enough to flush, so no later sync could teach a shadow the file.
+#[test]
+fn loaded_rows_survive_a_promotion() {
+    const ROWS: u64 = 600;
+    let cluster = Cluster::build(ClusterConfig {
+        key_count: ROWS,
+        ..replicated_config(8505)
+    });
+    let history = cluster.attach_history();
+    // Every lane in sync before the load, so no re-sync tick carries it.
+    cluster.run_for(SimDuration::from_secs(3));
+    cluster.load_rows(ROWS, &["f0"], 8, false);
+    cluster.run_for(SimDuration::from_secs(5));
+    // A few commits beside the loaded column, for the history to audit.
+    for i in 0..12 {
+        run_txn(&cluster, i as usize % 6, &[(i * 50, "f1", "written")]);
+    }
+    let promoted = cluster.servers[0].hosted_regions();
+    assert!(!promoted.is_empty(), "rs0 hosts no region");
+    cluster.crash_server(0);
+    cluster.run_for(SimDuration::from_secs(30));
+    assert!(cluster.all_regions_online(), "regions failed to converge");
+    let entries = cluster.events.entries();
+    let promoted_any = entries.iter().any(|e| e.kind == "replication.promote");
+    assert!(promoted_any, "the crash promoted no backup");
+    assert_eq!(
+        cluster.master.fallback_replays(),
+        0,
+        "master.repl.fallback_replays: a region fell back to a replay"
+    );
+    // Only the loader writes `f0`, so its value is the version at 0.
+    let map = cluster.master.snapshot_map();
+    for desc in map.regions().iter().filter(|d| promoted.contains(&d.id)) {
+        for row in (0..ROWS).filter(|&i| desc.contains(key(i).as_bytes())) {
+            let got = cluster.read_cell(key(row), "f0", SimDuration::from_secs(10));
+            assert_eq!(
+                got.as_deref(),
+                Some(&[0x61; 8][..]),
+                "loaded row {row} of promoted region {}",
+                desc.id
+            );
+        }
+    }
+    audit(&cluster, &history);
 }
