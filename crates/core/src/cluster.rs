@@ -475,7 +475,8 @@ impl Cluster {
     /// straight from them in file order: each row is formatted once. The
     /// file is the one a memstore holding the same cells would flush to.
     ///
-    /// Drives the simulation while the files replicate.
+    /// Drives the simulation while each file replicates; then it joins its
+    /// region as a flush's does ([`RegionServer::add_storefile`]).
     pub fn load_rows(&self, rows: u64, columns: &[&str], value_len: usize, warm_cache: bool) {
         let map = self.master.snapshot_map();
         let loader_node = self.net.add_node("loader");
@@ -523,12 +524,10 @@ impl Cluster {
             }
             let path = format!("/store/{region}/loaded");
             let data = Rc::new(builder.finish(region, path.clone()));
-            let registry = Rc::clone(&self.registry);
             let done = Rc::new(Cell::new(false));
-            let (done2, data2) = (Rc::clone(&done), Rc::clone(&data));
+            let done2 = Rc::clone(&done);
             dfs.write_file(&path, data.encode(), move |written| {
                 written.expect("loader write");
-                registry.insert(data2);
                 done2.set(true);
             });
             // Drive the replication to completion.
@@ -541,7 +540,7 @@ impl Cluster {
                 .server_for(region)
                 .and_then(|s| self.dir.get(s))
                 .expect("region assigned during load");
-            server.attach_storefile(region, data);
+            server.add_storefile(region, Some(data));
             if warm_cache {
                 let warm_keys = Bytes::from(warm_keys);
                 server.warm_cache(

@@ -52,13 +52,19 @@ impl RegionServer {
             .unwrap_or(0)
     }
 
-    /// Directly injects a store file into a hosted region (bulk load).
-    /// Used by the workload loader; the file must already be registered.
-    pub fn attach_storefile(&self, region: RegionId, data: Rc<StoreFileData>) {
-        if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
-            st.storefiles.push(data);
+    /// The one door a durable file joins a live region through (a flush,
+    /// a compaction — `None` if it dropped everything — or a bulk load):
+    /// registers it, stacks it if the region is hosted here, refreshes the
+    /// file gauges and re-syncs every backup lane with the new file set.
+    pub fn add_storefile(self: &Rc<Self>, region: RegionId, file: Option<Rc<StoreFileData>>) {
+        if let Some(file) = file {
+            self.registry.insert(Rc::clone(&file));
+            if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
+                st.storefiles.push(file);
+            }
         }
         self.update_file_metrics();
+        self.sync_lanes(region, false);
     }
 
     pub(super) fn check_flushes(self: &Rc<Self>) {
@@ -200,15 +206,9 @@ impl RegionServer {
                     server.dfs.delete(file.path());
                     return;
                 }
-                st.storefiles.push(Rc::clone(&file));
                 st.flushing = None;
             }
-            server.registry.insert(file);
-            server.update_file_metrics();
-            // The file set changed and the memstore was truncated:
-            // re-baseline every backup lane with a full-state sync
-            // (this is also what keeps shadow memstores bounded).
-            server.sync_lanes(region, false);
+            server.add_storefile(region, Some(file));
         });
     }
 
@@ -389,9 +389,9 @@ impl RegionServer {
         });
     }
 
-    /// Promotes the durable temp file into its final name, registers it
-    /// and swaps it in. If the rename fails the inputs are not retired,
-    /// so they still cover all data.
+    /// Promotes the durable temp file into its final name and swaps it
+    /// in. If the rename fails the inputs are not retired, so they still
+    /// cover all data.
     fn rename_compaction_output(
         self: &Rc<Self>,
         region: RegionId,
@@ -407,7 +407,6 @@ impl RegionServer {
                 server.abort_compaction_cleanup(region, &output);
                 return;
             }
-            server.registry.insert(Rc::clone(&output));
             server.finish_compaction(region, input_paths, Some(output));
         });
     }
@@ -422,6 +421,7 @@ impl RegionServer {
     /// Atomically swaps the merged file in for its inputs, invalidates
     /// the region's cached blocks (compaction rewrote them), updates the
     /// metrics and retires the obsolete files from registry + filesystem.
+    /// The merged file joins after the `compaction.finish` record.
     fn finish_compaction(
         self: &Rc<Self>,
         region: RegionId,
@@ -438,6 +438,8 @@ impl RegionServer {
                 // alone — the new host is reading them; the merged file
                 // is a harmless (read-equivalent) duplicate that a later
                 // compaction there will fold in.
+                drop(regions);
+                self.add_storefile(region, output);
                 return;
             };
             st.storefiles.retain(|sf| {
@@ -447,7 +449,6 @@ impl RegionServer {
                 }
                 !retired
             });
-            st.storefiles.extend(output);
             st.compaction_in_progress = false;
         }
         // The inputs' blocks died with them; drop the region's cached
@@ -466,10 +467,7 @@ impl RegionServer {
             .add(filter_created);
         let fields = fields!(region, retired = input_paths.len(), bytes);
         self.event("compaction.finish", fields);
-        self.update_file_metrics();
-        // Compaction rewrote the file set; re-baseline backup lanes so a
-        // promoted shadow resolves the merged files, not retired ones.
-        self.sync_lanes(region, false);
+        self.add_storefile(region, output);
         // Retiring the inputs is the one destructive step. If the fence
         // wrongly holds the files (znode raced away), they merely leak —
         // reads stay correct because the merged file is read-equivalent

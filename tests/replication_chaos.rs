@@ -582,6 +582,15 @@ fn loaded_rows_survive_a_promotion() {
         0,
         "master.repl.fallback_replays: a region fell back to a replay"
     );
+    let digests = (
+        replication_digest(&cluster),
+        replication_lines_digest(&cluster),
+    );
+    assert_eq!(
+        digests,
+        (2_214_198_351_939_526_916, 11_303_052_136_115_820_036),
+        "replication digest and lines"
+    );
     // Only the loader writes `f0`, so its value is the version at 0.
     let map = cluster.master.snapshot_map();
     for desc in map.regions().iter().filter(|d| promoted.contains(&d.id)) {
