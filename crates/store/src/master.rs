@@ -179,6 +179,10 @@ pub struct Master {
     /// their split WAL records could not be written), with those records
     /// and their failed-server attribution.
     unplaced: RefCell<Vec<(RegionId, Vec<WalRecord>, Option<ServerId>)>>,
+    /// Failed servers whose WAL could not be read, with their regions and
+    /// the replicated ones among them: split again on the retry tick, and
+    /// until then those regions stay unplaced.
+    unsplit: RefCell<Vec<(ServerId, Vec<RegionId>, Vec<RegionId>)>>,
     /// Store files written by WAL splits so far (names them).
     split_files: Cell<u64>,
     failovers: Counter,
@@ -270,6 +274,7 @@ impl Master {
             hooks: RefCell::new(Rc::new(NoopHooks)),
             handled_failures: RefCell::new(BTreeSet::new()),
             unplaced: RefCell::new(Vec::new()),
+            unsplit: RefCell::new(Vec::new()),
             split_files: Cell::new(0),
             failovers: counter("master.failovers"),
             wal_split_corrupt_batches: counter("master.wal_split.corrupt_batches"),
@@ -477,9 +482,32 @@ impl Master {
         for region in &replicated {
             self.begin_promotion_probe(*region, failed);
         }
+        self.split_failed_wal(failed, regions, replicated);
+    }
+
+    /// Splits `failed`'s WAL and hands each of its `regions` its records:
+    /// to the promotion race if `replicated` names it, to placement
+    /// otherwise. A log that exists but could not be read is split again
+    /// on the retry tick; placing the regions without it would lose what
+    /// the server persisted.
+    fn split_failed_wal(
+        self: &Rc<Self>,
+        failed: ServerId,
+        regions: Vec<RegionId>,
+        replicated: Vec<RegionId>,
+    ) {
         let weak = Rc::downgrade(self);
         split_wal(&self.dfs, &format!("/wal/{failed}"), move |split| {
             let Some(master) = weak.upgrade() else { return };
+            let split = match split {
+                Ok(split) => split,
+                Err(_) => {
+                    master.event("wal.split.retry", fields!(server = failed));
+                    let mut unsplit = master.unsplit.borrow_mut();
+                    unsplit.push((failed, regions, replicated));
+                    return;
+                }
+            };
             for batch in split.corrupt_batches {
                 master.wal_split_corrupt_batches.inc();
                 master.event("wal.split.corrupt", fields!(server = failed, batch));
@@ -692,6 +720,10 @@ impl Master {
     }
 
     fn retry_unplaced(self: &Rc<Self>) {
+        let unsplit: Vec<_> = self.unsplit.borrow_mut().drain(..).collect();
+        for (failed, regions, replicated) in unsplit {
+            self.split_failed_wal(failed, regions, replicated);
+        }
         let pending: Vec<_> = self.unplaced.borrow_mut().drain(..).collect();
         for (region, records, failed) in pending {
             self.place_region(region, records, failed);

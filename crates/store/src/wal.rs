@@ -12,7 +12,7 @@
 
 use crate::codec::{decode_wal_batch, encode_wal_batch, WalRecord};
 use crate::types::RegionId;
-use cumulo_dfs::{DfsClient, DfsFile};
+use cumulo_dfs::{DfsClient, DfsError, DfsFile};
 use cumulo_sim::{Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -275,11 +275,22 @@ pub struct WalSplit {
 /// mid-write, nothing in it was ever acknowledged as durable) and is
 /// dropped; an undecodable batch anywhere else is reported in
 /// [`WalSplit::corrupt_batches`]. `done` receives an empty split if the
-/// WAL file does not exist (the server never synced anything).
-pub fn split_wal(dfs: &DfsClient, wal_path: &str, done: impl FnOnce(WalSplit) + 'static) {
+/// WAL file does not exist (the server never synced anything), and the
+/// read's error if it exists but could not be read: that log is not
+/// empty, and the caller must try again, never place its regions
+/// without it.
+pub fn split_wal(
+    dfs: &DfsClient,
+    wal_path: &str,
+    done: impl FnOnce(cumulo_dfs::Result<WalSplit>) + 'static,
+) {
     dfs.read(wal_path, move |data| {
         let mut split = WalSplit::default();
-        let batches = data.unwrap_or_default();
+        let batches = match data {
+            Ok(batches) => batches,
+            Err(DfsError::NotFound(_)) => Vec::new(),
+            Err(error) => return done(Err(error)),
+        };
         for (n, batch) in batches.iter().enumerate() {
             match decode_wal_batch(batch) {
                 Ok(records) => {
@@ -291,7 +302,7 @@ pub fn split_wal(dfs: &DfsClient, wal_path: &str, done: impl FnOnce(WalSplit) + 
                 Err(_) => split.corrupt_batches.push(n),
             }
         }
-        done(split);
+        done(Ok(split));
     });
 }
 
@@ -326,7 +337,9 @@ mod tests {
     fn split(sim: &Sim, dfs: &DfsClient, path: &str) -> WalSplit {
         let got: Rc<RefCell<Option<WalSplit>>> = Rc::new(RefCell::new(None));
         let g = got.clone();
-        split_wal(dfs, path, move |s| *g.borrow_mut() = Some(s));
+        split_wal(dfs, path, move |s| {
+            *g.borrow_mut() = Some(s.expect("log read"))
+        });
         sim.run_for(SimDuration::from_secs(1));
         let split = got.borrow_mut().take();
         split.expect("split delivered")
@@ -457,6 +470,22 @@ mod tests {
         let (sim, _net, dfs, _) = setup();
         let split = split(&sim, &dfs, "/wal/ghost");
         assert!(split.groups.is_empty() && split.corrupt_batches.is_empty());
+    }
+
+    #[test]
+    fn split_of_an_unreadable_wal_is_an_error_not_an_empty_log() {
+        let (sim, net, dfs, server) = setup();
+        let wal = Wal::new(&sim, &dfs, "/wal/rs0");
+        wal.append(rec(0, 1));
+        wal.sync(|| {});
+        sim.run_until(SimTime::from_secs(1));
+        net.isolate(server);
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        split_wal(&dfs, "/wal/rs0", move |s| *g.borrow_mut() = Some(s.err()));
+        sim.run_for(SimDuration::from_secs(60));
+        let error = got.borrow_mut().take().expect("split answered");
+        assert_eq!(error, Some(DfsError::Unavailable("/wal/rs0".into())));
     }
 
     /// Writes `batches` as one DFS record each — what a WAL's syncs leave.

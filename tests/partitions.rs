@@ -743,3 +743,47 @@ fn lost_split_intent_request_hangs_nothing_once_healed() {
         server.pending_change()
     );
 }
+
+/// A failed server's WAL that the master cannot read — every datanode
+/// is cut off from the master across the crash — is not an empty log:
+/// the split is retried, the server's regions stay unplaced until the
+/// read succeeds, and once the partition heals nothing the server
+/// persisted is lost.
+#[test]
+fn wal_unreadable_across_a_server_crash_is_split_once_healed() {
+    let cluster = Cluster::build(ClusterConfig {
+        seed: 75,
+        clients: 3,
+        servers: 2,
+        regions: 4,
+        key_count: 1_000,
+        ..ClusterConfig::default()
+    });
+    let history = cluster.attach_history();
+    common::write_load(&cluster, 20, 64);
+    let lost = cluster.servers[0].hosted_regions();
+    let master = cluster.master.node();
+    let mut schedule = ChaosSchedule::new();
+    for datanode in &cluster.datanodes {
+        schedule = schedule.at(
+            SimDuration::ZERO,
+            ChaosAction::Partition(master, datanode.node()),
+        );
+    }
+    schedule
+        .at(SimDuration::ZERO, ChaosAction::CrashServer(0))
+        .run(&cluster, SimDuration::from_secs(30));
+    let map = cluster.master.snapshot_map();
+    let placed: Vec<RegionId> = lost
+        .into_iter()
+        .filter(|r| map.server_for(*r).is_some())
+        .collect();
+    assert_eq!(placed, [], "placed without the failed server's WAL");
+    let entries = cluster.events.entries();
+    let retries = entries.iter().filter(|e| e.kind == "wal.split.retry");
+    assert!(retries.count() > 1, "the split was not retried");
+    cluster.net.heal_all();
+    cluster.run_for(SimDuration::from_secs(30));
+    assert!(cluster.all_regions_online(), "regions failed to converge");
+    common::audit(&cluster, &history);
+}
