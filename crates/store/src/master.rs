@@ -1040,7 +1040,11 @@ impl Master {
 
     /// (Re)establishes `region`'s replica group from the current map:
     /// backups get shadows opened, the primary gets the lane set, and the
-    /// map epoch at this instant becomes the group's fencing epoch.
+    /// map epoch at this instant becomes the group's fencing epoch. A
+    /// group left with no backup, and no live server to add, is dissolved
+    /// instead: its primary would otherwise keep a lane to the dead
+    /// backup and re-ship the region's whole state down it every re-sync
+    /// tick.
     fn establish_group(self: &Rc<Self>, region: RegionId) {
         if self.replication_factor.get() <= 1 {
             return;
@@ -1060,7 +1064,17 @@ impl Master {
         let Some(pserver) = self.dir.get(primary) else {
             return;
         };
-        if !pserver.is_alive() || replicas.is_empty() {
+        if !pserver.is_alive() {
+            return;
+        }
+        if replicas.is_empty() {
+            if self.repl_epochs.borrow_mut().remove(&region).is_some() {
+                self.event("replication.dissolve", fields!(region, primary));
+                let pnode = pserver.node();
+                self.net.send(self.node, pnode, 64, move || {
+                    pserver.dissolve_replica_group(region);
+                });
+            }
             return;
         }
         self.repl_epochs.borrow_mut().insert(region, epoch);

@@ -548,6 +548,17 @@ impl RegionServer {
         self.update_repl_gauges();
     }
 
+    /// Master RPC: `region`'s group lost its last backup and no live
+    /// server can replace it, so it goes. Writes gated on it are released
+    /// as a re-establishment releases them: no lane holds them any more.
+    pub(crate) fn dissolve_replica_group(&self, region: RegionId) {
+        let group = self.repl.borrow_mut().groups.remove(&region);
+        let Some(mut group) = group else { return };
+        self.event("replication.dissolve", fields!(region, epoch = group.epoch));
+        resolve(group.take_all_gates(), Ok(()));
+        self.update_repl_gauges();
+    }
+
     /// Master RPC: this server is (or stays) a backup for `region` under
     /// `epoch`. The shadow is created if missing and always marked out
     /// of sync — the primary's next full-state sync re-baselines it

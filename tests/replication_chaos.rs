@@ -426,7 +426,17 @@ fn all_replicas_dead_falls_back_to_replay() {
             .run_rounds(&cluster, 45, TICK, |cluster, _| {
                 BANK.transfer_round(cluster, &committed)
             });
-        cluster.run_for(SimDuration::from_secs(30));
+        cluster.run_for(SimDuration::from_secs(10));
+        // The survivor's groups lost their only backup and nothing can
+        // replace it, so they are dissolved: nothing ships while idle.
+        let idle_from = cluster.now();
+        cluster.run_for(SimDuration::from_secs(20));
+        let entries = cluster.events.entries();
+        let idle_syncs = entries
+            .iter()
+            .filter(|e| e.time >= idle_from && e.kind == "replication.sync")
+            .count();
+        assert_eq!(idle_syncs, 0, "shift {shift}: syncs shipped while idle");
         assert!(
             cluster.all_regions_online(),
             "shift {shift}: regions failed to converge on the survivor"
@@ -445,18 +455,18 @@ fn all_replicas_dead_falls_back_to_replay() {
     assert_eq!(
         digests,
         [
-            5_017_801_706_465_086_924,
-            126_926_893_115_053_629,
-            2_447_890_509_640_235_206
+            9_228_706_450_315_427_255,
+            9_353_887_622_130_607_522,
+            14_056_980_919_608_273_179
         ],
         "replication digest per run"
     );
     assert_eq!(
         lines,
         [
-            7_447_485_093_709_529_019,
-            14_598_203_422_303_530_642,
-            4_116_315_720_117_360_450
+            13_396_177_422_381_717_798,
+            7_742_660_790_294_107_633,
+            12_184_850_890_563_280_081
         ],
         "replication lines per run"
     );
