@@ -43,7 +43,6 @@ use cumulo_core::{Cluster, ClusterConfig, History, Timestamp, Transaction, TxnEr
 use cumulo_sim::{JournalEntry, NodeId, SimDuration};
 use cumulo_store::{ChangeKind, RegionId, RegionServer, ServerId};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// The row key of row `i` of the loaded table.
@@ -106,15 +105,10 @@ pub fn begin_txn(c: &Cluster, client_idx: usize) -> Transaction {
 
 /// Drives `rounds` of write-heavy load — every live client writes four
 /// random rows of the key space a round, values padded with `pad` bytes
-/// so memstores hit the flush threshold quickly — tracking the newest
-/// acked value per row, and returns the tracking map.
-pub fn write_load(
-    cluster: &Cluster,
-    rounds: u64,
-    pad: usize,
-) -> Rc<RefCell<BTreeMap<u64, (u64, String)>>> {
+/// so memstores hit the flush threshold quickly. What it committed is
+/// for an attached history to audit ([`audit`]).
+pub fn write_load(cluster: &Cluster, rounds: u64, pad: usize) {
     let row_count = cluster.config().key_count;
-    let acked: Rc<RefCell<BTreeMap<u64, (u64, String)>>> = Rc::new(RefCell::new(BTreeMap::new()));
     for round in 0..rounds {
         for ci in 0..cluster.clients.len() {
             let client = cluster.client(ci).clone();
@@ -125,33 +119,16 @@ pub fn write_load(
                 .map(|_| cluster.sim.gen_range(0, row_count))
                 .collect();
             let val = format!("r{round}c{ci}{:=>pad$}", "");
-            let acked2 = acked.clone();
-            let rows2 = rows.clone();
             client.begin(move |txn| {
                 let Ok(txn) = txn else { return };
-                for r in &rows2 {
+                for r in &rows {
                     let _ = txn.put(key(*r), "f0", format!("{val}-{r:04}"));
                 }
-                let rows3 = rows2.clone();
-                let val2 = val.clone();
-                txn.commit(move |result| {
-                    if let Ok(ts) = result {
-                        let mut map = acked2.borrow_mut();
-                        for r in &rows3 {
-                            match map.get(r) {
-                                Some((old_ts, _)) if *old_ts > ts.0 => {}
-                                _ => {
-                                    map.insert(*r, (ts.0, format!("{val2}-{r:04}")));
-                                }
-                            }
-                        }
-                    }
-                });
+                txn.commit(|_| {});
             });
         }
         cluster.run_for(SimDuration::from_millis(250));
     }
-    acked
 }
 
 /// Audits a run that recorded `history` from its start: the checker

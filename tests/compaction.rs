@@ -5,11 +5,10 @@
 
 mod common;
 
-use common::{key, write_load};
+use common::{audit, write_load};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 const ROWS: u64 = 2_000;
@@ -36,24 +35,17 @@ fn compaction_cluster(seed: u64, compaction: bool) -> Cluster {
     Cluster::build(cfg)
 }
 
-fn verify_acked(cluster: &Cluster, acked: &BTreeMap<u64, (u64, String)>) {
-    for (row, (_, val)) in acked.iter() {
-        let got = cluster.read_cell(key(*row), "f0", SimDuration::from_secs(10));
-        let got = got.unwrap_or_else(|| panic!("acked row {row} missing"));
-        let got = String::from_utf8_lossy(&got).into_owned();
-        assert_eq!(&got, val, "row {row} lost its newest acked value");
-    }
-}
-
 /// The headline scenario: a write-heavy load accumulates store files,
 /// background compaction merges them to fewer files with obsolete MVCC
-/// versions dropped, and every acked write stays readable with its newest
-/// value. Temp files never leak into the final namespace.
+/// versions dropped, and the history audit passes: every committed write
+/// reads back as its newest version. Temp files never leak into the
+/// final namespace.
 #[test]
 fn write_heavy_load_is_compacted_in_the_background() {
     let cluster = compaction_cluster(71, true);
+    let history = cluster.attach_history();
     cluster.load_rows(ROWS, &["f0"], 64, true);
-    let acked = write_load(&cluster, 120, VALUE_PAD);
+    write_load(&cluster, 120, VALUE_PAD);
     // Let in-flight flushes and compactions drain.
     cluster.run_for(SimDuration::from_secs(15));
 
@@ -98,7 +90,7 @@ fn write_heavy_load_is_compacted_in_the_background() {
         "temp compaction files leaked: {paths:?}"
     );
 
-    verify_acked(&cluster, &acked.borrow());
+    audit(&cluster, &history);
 }
 
 /// The headline scenario run to the end, pinned: how often compaction
@@ -170,17 +162,18 @@ fn the_headline_compaction_run_is_pinned() {
     );
 }
 
-/// Same load and seed, compaction on vs off: every acked write reads
-/// back correctly either way (compaction is invisible to correctness),
-/// and the compacted cluster ends with measurably fewer store files.
+/// Same load and seed, compaction on vs off: the history audit passes
+/// either way (compaction is invisible to correctness), and the
+/// compacted cluster ends with measurably fewer store files.
 #[test]
 fn compaction_is_read_invisible_and_reduces_files() {
     let run = |compaction: bool| {
         let cluster = compaction_cluster(72, compaction);
+        let history = cluster.attach_history();
         cluster.load_rows(ROWS, &["f0"], 64, true);
-        let acked = write_load(&cluster, 90, VALUE_PAD);
+        write_load(&cluster, 90, VALUE_PAD);
         cluster.run_for(SimDuration::from_secs(15));
-        verify_acked(&cluster, &acked.borrow());
+        audit(&cluster, &history);
         cluster.metrics.max("store.read_amplification")
     };
     let amp_on = run(true);

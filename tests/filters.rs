@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{key, write_load};
+use common::{audit, key, write_load};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::collections::BTreeMap;
@@ -50,18 +50,19 @@ fn read_all(cluster: &Cluster) -> BTreeMap<u64, Option<String>> {
 /// The headline equivalence check: a crash/recovery schedule runs under
 /// filters, then every row is read twice over the identical quiesced
 /// file stack — once with bloom probing on, once off. The two result
-/// sets must be identical, match the acked writes, and the verifying
-/// read path must have seen zero false negatives.
+/// sets must be identical, the history audit must pass, and the
+/// verifying read path must have seen zero false negatives.
 #[test]
 fn gets_identical_with_filters_on_and_off_through_failures() {
     let cluster = filter_cluster(913, false);
+    let history = cluster.attach_history();
     cluster.load_rows(ROWS, &["f0"], 64, true);
 
     // Write load, a server crash in the middle, recovery, more load.
     write_load(&cluster, 40, VALUE_PAD);
     cluster.crash_server(0);
     cluster.run_for(SimDuration::from_secs(8)); // failover + region recovery
-    let acked = write_load(&cluster, 40, VALUE_PAD);
+    write_load(&cluster, 40, VALUE_PAD);
     cluster.run_for(SimDuration::from_secs(15)); // drain flushes
 
     assert!(
@@ -79,12 +80,7 @@ fn gets_identical_with_filters_on_and_off_through_failures() {
         with_filters, without_filters,
         "filters changed read results"
     );
-    for (row, (_, val)) in acked.borrow().iter() {
-        let got = with_filters[row]
-            .as_ref()
-            .unwrap_or_else(|| panic!("acked row {row} missing"));
-        assert_eq!(got, val, "row {row} lost its newest acked value");
-    }
+    audit(&cluster, &history);
     let filter = |name: &str| filtered.sum(&format!("store.filter.{name}"));
     assert_eq!(
         filter("false_negatives"),
@@ -112,12 +108,13 @@ fn gets_identical_with_filters_on_and_off_through_failures() {
 #[test]
 fn filters_compose_with_compaction_and_recovery() {
     let cluster = filter_cluster(914, true);
+    let history = cluster.attach_history();
     cluster.load_rows(ROWS, &["f0"], 64, true);
 
     write_load(&cluster, 40, VALUE_PAD);
     cluster.crash_server(1);
     cluster.run_for(SimDuration::from_secs(8));
-    let acked = write_load(&cluster, 40, VALUE_PAD);
+    write_load(&cluster, 40, VALUE_PAD);
     cluster.run_for(SimDuration::from_secs(15));
 
     assert!(cluster.all_regions_online());
@@ -138,13 +135,7 @@ fn filters_compose_with_compaction_and_recovery() {
         "compaction reported no filter metadata churn (dropped={dropped}, created={created})"
     );
 
-    let reads = read_all(&cluster);
-    for (row, (_, val)) in acked.borrow().iter() {
-        let got = reads[row]
-            .as_ref()
-            .unwrap_or_else(|| panic!("acked row {row} missing"));
-        assert_eq!(got, val, "row {row} lost its newest acked value");
-    }
+    audit(&cluster, &history);
     assert_eq!(cluster.metrics.sum("store.filter.false_negatives"), 0);
     assert!(cluster.metrics.sum("store.filter.probes") > 0);
 }
