@@ -499,14 +499,11 @@ impl Master {
         let weak = Rc::downgrade(self);
         split_wal(&self.dfs, &format!("/wal/{failed}"), move |split| {
             let Some(master) = weak.upgrade() else { return };
-            let split = match split {
-                Ok(split) => split,
-                Err(_) => {
-                    master.event("wal.split.retry", fields!(server = failed));
-                    let mut unsplit = master.unsplit.borrow_mut();
-                    unsplit.push((failed, regions, replicated));
-                    return;
-                }
+            let Ok(split) = split else {
+                master.event("wal.split.retry", fields!(server = failed));
+                let mut unsplit = master.unsplit.borrow_mut();
+                unsplit.push((failed, regions, replicated));
+                return;
             };
             for batch in split.corrupt_batches {
                 master.wal_split_corrupt_batches.inc();
