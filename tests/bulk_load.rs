@@ -1,10 +1,11 @@
 //! `Cluster::load_rows`: what the bulk loader leaves behind.
 //!
-//! The loader writes each region's rows as one store file at version 0
-//! and attaches it to the region's server. Two checks hold it still:
-//! every loaded file is the file a memstore holding the same cells would
-//! flush to, byte for byte; and a fixed load's files, simulated clock,
-//! message count and block-cache contents are pinned as literals.
+//! The loader writes each region's rows as one store file at version 0,
+//! which joins its live region the way a flush's file does. Two checks
+//! hold it still: every loaded file is the file a memstore holding the
+//! same cells would flush to, byte for byte; and a fixed load's files,
+//! simulated clock, message count and block-cache contents are pinned as
+//! literals.
 
 mod common;
 
