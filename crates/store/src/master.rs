@@ -1268,6 +1268,9 @@ impl Master {
             Some(winner) => {
                 self.repl_promotions.inc();
                 self.event("replication.promote", fields!(region, winner, failed));
+                // The failed primary's group died with it; the winner
+                // leads none until `establish_group` below gives it one.
+                self.repl_epochs.borrow_mut().remove(&region);
                 self.region_map.borrow_mut().assign(region, winner);
                 let mut replicas: Vec<ServerId> = self
                     .region_map

@@ -455,18 +455,18 @@ fn all_replicas_dead_falls_back_to_replay() {
     assert_eq!(
         digests,
         [
-            9_228_706_450_315_427_255,
-            9_353_887_622_130_607_522,
-            14_056_980_919_608_273_179
+            1_262_089_467_392_366_575,
+            4_367_976_934_441_599_206,
+            13_079_625_285_549_433_274
         ],
         "replication digest per run"
     );
     assert_eq!(
         lines,
         [
-            13_396_177_422_381_717_798,
-            7_742_660_790_294_107_633,
-            12_184_850_890_563_280_081
+            1_797_610_066_469_774_679,
+            4_755_836_338_620_578_850,
+            15_018_106_376_489_257_261
         ],
         "replication lines per run"
     );
