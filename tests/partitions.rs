@@ -763,16 +763,11 @@ fn wal_unreadable_across_a_server_crash_is_split_once_healed() {
     common::write_load(&cluster, 20, 64);
     let lost = cluster.servers[0].hosted_regions();
     let master = cluster.master.node();
-    let mut schedule = ChaosSchedule::new();
     for datanode in &cluster.datanodes {
-        schedule = schedule.at(
-            SimDuration::ZERO,
-            ChaosAction::Partition(master, datanode.node()),
-        );
+        cluster.net.partition(master, datanode.node());
     }
-    schedule
-        .at(SimDuration::ZERO, ChaosAction::CrashServer(0))
-        .run(&cluster, SimDuration::from_secs(30));
+    cluster.crash_server(0);
+    cluster.run_for(SimDuration::from_secs(30));
     let map = cluster.master.snapshot_map();
     let placed: Vec<RegionId> = lost
         .into_iter()
