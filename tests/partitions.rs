@@ -115,6 +115,33 @@ fn a_client_cut_from_coordination_terminates_itself_is_pinned() {
     assert_eq!((net.messages_sent(), net.messages_dropped()), (400, 8));
 }
 
+/// A faulty run's traffic: a write load, one client cut from the
+/// transaction manager for a second under that load, then a server crash
+/// and its failover under more load. What the network carried, delivered
+/// and dropped, and how many events the run took, are pinned.
+#[test]
+fn network_totals_of_a_faulty_run_are_pinned() {
+    let cluster = common::small_cluster(74);
+    common::write_load(&cluster, 8, 64);
+    let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
+    cluster.net.partition(client_node, tm_node);
+    common::write_load(&cluster, 4, 64);
+    cluster.net.heal(client_node, tm_node);
+    cluster.crash_server(1);
+    common::write_load(&cluster, 8, 64);
+    cluster.run_for(SimDuration::from_secs(20));
+    assert!(cluster.all_regions_online());
+    let nodes = concat!(
+        r#"["coord", "dn0", "dn1", "dn2", "namenode", "txn-manager", "rs0", "rs1", "#,
+        r#""master", "recovery-manager", "client0", "client1", "client2", "probe"]"#
+    );
+    assert_eq!(
+        format!("{:?}", cluster.net),
+        format!("Network {{ nodes: {nodes}, sent: 2208, delivered: 2091, dropped: 117 }}")
+    );
+    assert_eq!(cluster.sim.events_executed(), 3_553);
+}
+
 #[test]
 fn healed_partition_before_timeout_causes_no_recovery() {
     let cluster = Cluster::build(ClusterConfig {
