@@ -6,7 +6,7 @@
 
 use crate::service::{CoordService, SessionId, WatchEvent, WatchId};
 use bytes::Bytes;
-use cumulo_sim::{Network, NodeId, Reply, SimDuration};
+use cumulo_sim::{Exchange, Network, NodeId, Reply, SimDuration};
 use std::fmt;
 use std::rc::Rc;
 
@@ -18,6 +18,17 @@ pub struct CoordClient {
     net: Rc<Network>,
     svc: Rc<CoordService>,
     from: NodeId,
+    /// One exchange per operation, named after it.
+    create_session: Exchange,
+    touch: Exchange,
+    close_session: Exchange,
+    create: Exchange,
+    set_data: Exchange,
+    delete: Exchange,
+    get_data: Exchange,
+    children: Exchange,
+    watch_prefix: Exchange,
+    unwatch: Exchange,
 }
 
 impl fmt::Debug for CoordClient {
@@ -35,6 +46,16 @@ impl CoordClient {
             net: Rc::clone(net),
             svc: Rc::clone(svc),
             from,
+            create_session: net.exchange("coord.create_session"),
+            touch: net.exchange("coord.touch"),
+            close_session: net.exchange("coord.close_session"),
+            create: net.exchange("coord.create"),
+            set_data: net.exchange("coord.set_data"),
+            delete: net.exchange("coord.delete"),
+            get_data: net.exchange("coord.get_data"),
+            children: net.exchange("coord.children"),
+            watch_prefix: net.exchange("coord.watch_prefix"),
+            unwatch: net.exchange("coord.unwatch"),
         }
     }
 
@@ -48,30 +69,32 @@ impl CoordClient {
     pub fn create_session(&self, timeout: SimDuration, done: impl FnOnce(SessionId) + 'static) {
         let (svc, from) = (Rc::clone(&self.svc), self.from);
         let serve = move |reply: Reply<_, _>| reply.send(64, svc.create_session(timeout));
-        self.net.request(from, self.svc.node(), 64, serve, done);
+        self.net
+            .request(&self.create_session, from, self.svc.node(), 64, serve, done);
     }
 
     /// Sends a liveness touch for `session` (fire and forget).
     pub fn touch(&self, session: SessionId) {
-        let svc = Rc::clone(&self.svc);
+        let (svc, to) = (Rc::clone(&self.svc), self.svc.node());
         self.net
-            .send(self.from, svc.node(), 48, move || svc.touch(session));
+            .send(&self.touch, self.from, to, 48, move || svc.touch(session));
     }
 
     /// Closes `session` cleanly, removing its ephemeral znodes.
     pub fn close_session(&self, session: SessionId) {
-        let svc = Rc::clone(&self.svc);
-        self.net.send(self.from, svc.node(), 48, move || {
-            svc.close_session(session)
-        });
+        let (svc, to) = (Rc::clone(&self.svc), self.svc.node());
+        self.net
+            .send(&self.close_session, self.from, to, 48, move || {
+                svc.close_session(session)
+            });
     }
 
     /// Creates or replaces a znode (fire and forget).
     pub fn create(&self, path: &str, data: Bytes, ephemeral_owner: Option<SessionId>) {
         let svc = Rc::clone(&self.svc);
         let path = path.to_owned();
-        let size = 64 + path.len() + data.len();
-        self.net.send(self.from, svc.node(), size, move || {
+        let (to, size) = (svc.node(), 64 + path.len() + data.len());
+        self.net.send(&self.create, self.from, to, size, move || {
             svc.create(&path, data, ephemeral_owner)
         });
     }
@@ -80,8 +103,8 @@ impl CoordClient {
     pub fn set_data(&self, path: &str, data: Bytes) {
         let svc = Rc::clone(&self.svc);
         let path = path.to_owned();
-        let size = 64 + path.len() + data.len();
-        self.net.send(self.from, svc.node(), size, move || {
+        let (to, size) = (svc.node(), 64 + path.len() + data.len());
+        self.net.send(&self.set_data, self.from, to, size, move || {
             svc.set_data(&path, data)
         });
     }
@@ -90,10 +113,9 @@ impl CoordClient {
     pub fn delete(&self, path: &str) {
         let svc = Rc::clone(&self.svc);
         let path = path.to_owned();
+        let (to, size) = (svc.node(), 64 + path.len());
         self.net
-            .send(self.from, svc.node(), 64 + path.len(), move || {
-                svc.delete(&path)
-            });
+            .send(&self.delete, self.from, to, size, move || svc.delete(&path));
     }
 
     /// Reads znode data; `done` runs at the caller with the result.
@@ -105,8 +127,9 @@ impl CoordClient {
             let data = svc.get_data(&path);
             reply.send(64 + data.as_ref().map(|d| d.len()).unwrap_or(0), data);
         };
+        let (ex, to) = (&self.get_data, self.svc.node());
         self.net
-            .request(self.from, self.svc.node(), request_bytes, serve, done);
+            .request(ex, self.from, to, request_bytes, serve, done);
     }
 
     /// Lists paths under `prefix`; `done` runs at the caller.
@@ -118,8 +141,9 @@ impl CoordClient {
             let kids = svc.children(&prefix);
             reply.send(64 + kids.iter().map(|k| k.len()).sum::<usize>(), kids);
         };
+        let (ex, to) = (&self.children, self.svc.node());
         self.net
-            .request(self.from, self.svc.node(), request_bytes, serve, done);
+            .request(ex, self.from, to, request_bytes, serve, done);
     }
 
     /// Registers a prefix watch whose callback runs at this client's node;
@@ -134,15 +158,16 @@ impl CoordClient {
         let prefix = prefix.to_owned();
         let request_bytes = 64 + prefix.len();
         let serve = move |reply: Reply<_, _>| reply.send(32, svc.watch_prefix(&prefix, from, cb));
+        let (ex, to) = (&self.watch_prefix, self.svc.node());
         self.net
-            .request(from, self.svc.node(), request_bytes, serve, registered);
+            .request(ex, from, to, request_bytes, serve, registered);
     }
 
     /// Removes a previously registered watch (fire and forget).
     pub fn unwatch(&self, id: WatchId) {
-        let svc = Rc::clone(&self.svc);
+        let (svc, to) = (Rc::clone(&self.svc), self.svc.node());
         self.net
-            .send(self.from, svc.node(), 32, move || svc.unwatch(id));
+            .send(&self.unwatch, self.from, to, 32, move || svc.unwatch(id));
     }
 
     /// Direct (non-RPC) access to the service, for assertions in tests and

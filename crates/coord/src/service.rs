@@ -1,7 +1,7 @@
 //! The coordination service state machine: znodes, sessions, watches.
 
 use bytes::Bytes;
-use cumulo_sim::{Network, NodeId, Sim, SimDuration, SimTime};
+use cumulo_sim::{Exchange, Network, NodeId, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -68,6 +68,8 @@ pub struct CoordService {
     net: Rc<Network>,
     /// The node this service runs on.
     node: NodeId,
+    /// A watch firing at its watcher.
+    watch_event: Exchange,
     znodes: RefCell<BTreeMap<String, Znode>>,
     sessions: RefCell<BTreeMap<SessionId, Session>>,
     watches: RefCell<Vec<(WatchId, Watch)>>,
@@ -100,6 +102,7 @@ impl CoordService {
             sim: sim.clone(),
             net: Rc::clone(net),
             node,
+            watch_event: net.exchange("coord.watch_event"),
             znodes: RefCell::new(BTreeMap::new()),
             sessions: RefCell::new(BTreeMap::new()),
             watches: RefCell::new(Vec::new()),
@@ -285,8 +288,8 @@ impl CoordService {
             .collect();
         for (watcher, cb) in targets {
             let ev = ev.clone();
-            self.net
-                .send(self.node, watcher, 64 + ev.path().len(), move || cb(ev));
+            let (ex, bytes) = (&self.watch_event, 64 + ev.path().len());
+            self.net.send(ex, self.node, watcher, bytes, move || cb(ev));
         }
     }
 

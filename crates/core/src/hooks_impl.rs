@@ -10,7 +10,7 @@
 
 use crate::recovery_manager::RecoveryManager;
 use crate::server_tracker::ServerTracker;
-use cumulo_sim::{Network, NodeId, Reply, SimDuration};
+use cumulo_sim::{Exchange, Network, NodeId, Reply, SimDuration};
 use cumulo_store::{RecoveryHooks, RegionId, RegionServer, ServerId, Timestamp};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -24,6 +24,8 @@ const NOTIFY_RETRY: SimDuration = SimDuration::from_millis(400);
 struct Link {
     net: Rc<Network>,
     rm: Rc<RecoveryManager>,
+    server_failed: Exchange,
+    region_recovered: Exchange,
 }
 
 /// The middleware's implementation of the store's recovery hooks.
@@ -53,6 +55,8 @@ impl MiddlewareHooks {
             link: Rc::new(Link {
                 net: Rc::clone(net),
                 rm: Rc::clone(rm),
+                server_failed: net.exchange("rm.server_failed"),
+                region_recovered: net.exchange("rm.region_recovered"),
             }),
             master_node,
             trackers: RefCell::new(BTreeMap::new()),
@@ -116,11 +120,13 @@ fn notify_server_failed(link: Rc<Link>, src: NodeId, failed: ServerId, regions: 
         reply.send(32, ());
     };
     let (net, to, request_bytes) = (Rc::clone(&link.net), link.rm.node(), 64 + regions.len() * 4);
-    net.request_within(NOTIFY_RETRY, src, to, request_bytes, serve, move |acked| {
+    let ex = link.server_failed.clone();
+    let acked = move |acked: Option<()>| {
         if acked.is_none() {
             notify_server_failed(link, src, failed, regions);
         }
-    });
+    };
+    net.request_within(&ex, NOTIFY_RETRY, src, to, request_bytes, serve, acked);
 }
 
 fn notify_region_recovered(
@@ -136,7 +142,8 @@ fn notify_region_recovered(
         return;
     }
     let (rm, server2, online2) = (Rc::clone(&link.rm), Rc::clone(&server), Rc::clone(&online));
-    link.net.send(server.node(), rm.node(), 128, move || {
+    let ex = &link.region_recovered;
+    link.net.send(ex, server.node(), rm.node(), 128, move || {
         rm.handle_region_recovered(server2, region, failed, promoted, online2);
     });
     let (net, node) = (Rc::clone(&link.net), server.node());

@@ -45,7 +45,7 @@ use bytes::Bytes;
 use cumulo_coord::{CoordClient, WatchEvent};
 use cumulo_sim::metrics::Counter;
 use cumulo_sim::trace::Field;
-use cumulo_sim::{fields, Network, NodeId, Sim, SimDuration};
+use cumulo_sim::{fields, Exchange, Network, NodeId, Sim, SimDuration};
 use cumulo_store::{ClientId, Mutation, RegionId, RegionServer, ServerId, Timestamp};
 use cumulo_txn::{LogRecord, TmClient};
 use std::cell::{Cell, RefCell};
@@ -109,6 +109,8 @@ pub struct RecoveryManager {
     sim: Sim,
     net: Rc<Network>,
     node: NodeId,
+    /// A recovered region's go-ahead to its new host.
+    region_online: Exchange,
     coord: CoordClient,
     tm: TmClient,
     rc: Rc<RecoveryClient>,
@@ -169,6 +171,7 @@ impl RecoveryManager {
             sim: sim.clone(),
             net: Rc::clone(net),
             node,
+            region_online: net.exchange("store.region_online"),
             coord,
             tm,
             rc,
@@ -650,7 +653,7 @@ impl RecoveryManager {
         if server.region_online(region) {
             if let Some(cb) = online.borrow_mut().take() {
                 let net = Rc::clone(&self.net);
-                net.send(self.node, server.node(), 32, cb);
+                net.send(&self.region_online, self.node, server.node(), 32, cb);
             }
             return;
         }
@@ -783,7 +786,8 @@ impl RecoveryManager {
         self.coord.delete(&paths::region_floor(region));
         // Let the region declare itself online (runs at the server).
         if let Some(cb) = online.borrow_mut().take() {
-            self.net.send(self.node, server.node(), 32, cb);
+            let ex = &self.region_online;
+            self.net.send(ex, self.node, server.node(), 32, cb);
         }
         // The region is off every failed server's pending set — in a
         // cascade it was still on the set of the host before `failed`,

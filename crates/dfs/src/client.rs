@@ -5,7 +5,7 @@ use crate::datanode::DataNode;
 use crate::error::DfsError;
 use crate::namenode::NameNode;
 use bytes::Bytes;
-use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
+use cumulo_sim::{Exchange, Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -41,6 +41,22 @@ struct ClientInner {
     net: Rc<Network>,
     nn: Rc<NameNode>,
     from: NodeId,
+    create: Exchange,
+    open: Exchange,
+    list: Exchange,
+    delete: Exchange,
+    delete_acked: Exchange,
+    rename: Exchange,
+    /// An append's record to one replica.
+    append: Exchange,
+    /// A timed-out append's ask for the replicas still alive.
+    prune: Exchange,
+    /// A read's ask for the live replicas.
+    locate: Exchange,
+    /// A read's ask for one replica's record and byte counts.
+    extent: Exchange,
+    /// A read's fetch from the longest replica.
+    read: Exchange,
 }
 
 /// A component's handle to the filesystem.
@@ -133,13 +149,24 @@ impl DfsClient {
                 net: Rc::clone(net),
                 nn: Rc::clone(nn),
                 from,
+                create: net.exchange("namenode.create"),
+                open: net.exchange("namenode.open"),
+                list: net.exchange("namenode.list"),
+                delete: net.exchange("namenode.delete"),
+                delete_acked: net.exchange("namenode.delete_acked"),
+                rename: net.exchange("namenode.rename"),
+                append: net.exchange("datanode.append"),
+                prune: net.exchange("namenode.prune"),
+                locate: net.exchange("namenode.locate"),
+                extent: net.exchange("datanode.extent"),
+                read: net.exchange("datanode.read"),
             }),
         }
     }
 
     /// Creates a new file; `done` receives an appendable handle.
     pub fn create(&self, path: &str, done: impl FnOnce(crate::Result<DfsFile>) + 'static) {
-        self.open_with(path, NameNode::create_file, done);
+        self.open_with(&self.inner.create, path, NameNode::create_file, done);
     }
 
     /// Writes a whole file: creates `path` and appends `bytes` as its one
@@ -162,13 +189,14 @@ impl DfsClient {
 
     /// Opens an existing file for appending; `done` receives the handle.
     pub fn open_append(&self, path: &str, done: impl FnOnce(crate::Result<DfsFile>) + 'static) {
-        self.open_with(path, NameNode::replicas, done);
+        self.open_with(&self.inner.open, path, NameNode::replicas, done);
     }
 
     /// One namenode round trip that yields `path`'s replica set, wrapped
     /// into an appendable handle at the caller.
     fn open_with(
         &self,
+        exchange: &Exchange,
         path: &str,
         replicas_of: impl FnOnce(&NameNode, &str) -> crate::Result<Vec<usize>> + 'static,
         done: impl FnOnce(crate::Result<DfsFile>) + 'static,
@@ -185,7 +213,8 @@ impl DfsClient {
         let wrap = move |(path, replicas): (String, crate::Result<Vec<usize>>)| {
             done(replicas.map(|r| DfsFile::new(inner, path, r)))
         };
-        self.inner.net.request(from, to, request_bytes, serve, wrap);
+        let net = &self.inner.net;
+        net.request(exchange, from, to, request_bytes, serve, wrap);
     }
 
     /// Reads the whole file (all records, in append order) from the
@@ -208,20 +237,18 @@ impl DfsClient {
             let names = nn.list(&prefix);
             reply.send(64 + names.iter().map(String::len).sum::<usize>(), names);
         };
-        inner
-            .net
-            .request(inner.from, inner.nn.node(), 64, serve, done);
+        let (from, to) = (inner.from, inner.nn.node());
+        inner.net.request(&inner.list, from, to, 64, serve, done);
     }
 
     /// Deletes a file (fire and forget); missing files are a no-op.
     pub fn delete(&self, path: &str) {
-        let nn = Rc::clone(&self.inner.nn);
+        let (inner, nn) = (&self.inner, Rc::clone(&self.inner.nn));
         let path = path.to_owned();
-        self.inner
-            .net
-            .send(self.inner.from, nn.node(), 64 + path.len(), move || {
-                nn.delete_file(&path);
-            });
+        let (from, to, bytes) = (inner.from, nn.node(), 64 + path.len());
+        inner.net.send(&inner.delete, from, to, bytes, move || {
+            nn.delete_file(&path);
+        });
     }
 
     /// Deletes a file and confirms completion: `done` runs once the
@@ -234,9 +261,8 @@ impl DfsClient {
         let path = path.to_owned();
         let request_bytes = 64 + path.len();
         let serve = move |reply: Reply<_, _>| reply.send(32, nn.delete_file(&path));
-        inner
-            .net
-            .request(inner.from, inner.nn.node(), request_bytes, serve, done);
+        let (ex, from, to) = (&inner.delete_acked, inner.from, inner.nn.node());
+        inner.net.request(ex, from, to, request_bytes, serve, done);
     }
 
     /// Atomically renames `from_path` to `to_path` at the namenode;
@@ -254,9 +280,8 @@ impl DfsClient {
         let to_path = to_path.to_owned();
         let request_bytes = 64 + from_path.len() + to_path.len();
         let serve = move |reply: Reply<_, _>| reply.send(32, nn.rename_file(&from_path, &to_path));
-        inner
-            .net
-            .request(inner.from, inner.nn.node(), request_bytes, serve, done);
+        let (ex, from, to) = (&inner.rename, inner.from, inner.nn.node());
+        inner.net.request(ex, from, to, request_bytes, serve, done);
     }
 
     /// The node this client issues requests from.
@@ -403,10 +428,10 @@ fn attempt_append(
                 finish_append(client2, state2, done, Ok(()));
             }
         };
-        let request_bytes = 64 + record.len();
+        let (ex, request_bytes) = (&client.append, 64 + record.len());
         client
             .net
-            .request(client.from, to, request_bytes, serve, acked);
+            .request(ex, client.from, to, request_bytes, serve, acked);
     }
 
     // Timeout path: prune replicas through the namenode, then either finish
@@ -423,7 +448,8 @@ fn attempt_append(
             let live = nn.live_replicas(&path).unwrap_or_default();
             reply.send(64, (path, live));
         };
-        net.request(from, to, 64, serve, move |(path, live): (_, Vec<usize>)| {
+        let prune = client3.prune.clone();
+        let pruned = move |(path, live): (_, Vec<usize>)| {
             let Some(done) = slot.borrow_mut().take() else {
                 return;
             };
@@ -435,7 +461,8 @@ fn attempt_append(
             } else {
                 attempt_append(client3, state, record, acks, done);
             }
-        });
+        };
+        net.request(&prune, from, to, 64, serve, pruned);
     });
 }
 
@@ -448,20 +475,20 @@ fn read_attempt(
     done: Box<dyn FnOnce(crate::Result<Vec<Bytes>>)>,
 ) {
     let nn = Rc::clone(&client.nn);
-    let (from, to, request_bytes) = (client.from, nn.node(), 64 + path.len());
+    let (from, to, bytes) = (client.from, nn.node(), 64 + path.len());
     let asked = path.clone();
     let serve = move |reply: Reply<_, _>| {
         let live = nn.live_replicas(&asked);
         reply.send(64, live);
     };
-    let net = Rc::clone(&client.net);
+    let (net, locate) = (Rc::clone(&client.net), client.locate.clone());
     // `None`: the lookup or its answer was lost.
     let arrived = move |live: Option<crate::Result<Vec<usize>>>| match live {
         Some(Err(e)) => done(Err(e)),
         Some(Ok(live)) if !live.is_empty() => fetch_longest(client, path, live, retries_left, done),
         Some(Ok(_)) | None => retry_or_fail(client, path, retries_left, done),
     };
-    net.request_within(READ_DEADLINE, from, to, request_bytes, serve, arrived);
+    net.request_within(&locate, READ_DEADLINE, from, to, bytes, serve, arrived);
 }
 
 fn retry_or_fail(
@@ -532,10 +559,10 @@ fn fetch_longest(
                         Some((path3, data)) => done(data.ok_or(DfsError::NotFound(path3))),
                         None => retry_or_fail(client2, path_for_retry, retries_left, done),
                     };
-                    let deadline = fetch_deadline(bytes);
+                    let (ex, deadline) = (&client.read, fetch_deadline(bytes));
                     client
                         .net
-                        .request_within(deadline, client.from, to, 64, serve, arrived);
+                        .request_within(ex, deadline, client.from, to, 64, serve, arrived);
                 }
             }
         })
@@ -550,7 +577,7 @@ fn fetch_longest(
         let serve = move |reply: Reply<_, _>| reply.send(32, dn.extent(&path2));
         client
             .net
-            .request(client.from, to, 32, serve, move |count| {
+            .request(&client.extent, client.from, to, 32, serve, move |count| {
                 counts2.borrow_mut().push((idx, count));
                 if counts2.borrow().len() == expected {
                     decide2();

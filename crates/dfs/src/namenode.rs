@@ -2,7 +2,7 @@
 
 use crate::datanode::DataNode;
 use crate::error::DfsError;
-use cumulo_sim::{Network, NodeId, SimDuration};
+use cumulo_sim::{Exchange, Network, NodeId, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -35,6 +35,15 @@ struct FileMeta {
 pub struct NameNode {
     net: Rc<Network>,
     node: NodeId,
+    delete_replica: Exchange,
+    rename_replica: Exchange,
+    /// The re-replication copy: the namenode asks the source to send,
+    /// the source sends the records on (or reports the file gone), and
+    /// the destination reports the copy installed.
+    copy: Exchange,
+    copy_failed: Exchange,
+    install_replica: Exchange,
+    copy_done: Exchange,
     cfg: NameNodeConfig,
     datanodes: Vec<Rc<DataNode>>,
     files: RefCell<BTreeMap<String, FileMeta>>,
@@ -78,6 +87,12 @@ impl NameNode {
         let nn = Rc::new_cyclic(|self_weak| NameNode {
             net: Rc::clone(net),
             node,
+            delete_replica: net.exchange("datanode.delete_replica"),
+            rename_replica: net.exchange("datanode.rename_replica"),
+            copy: net.exchange("datanode.copy"),
+            copy_failed: net.exchange("namenode.copy_failed"),
+            install_replica: net.exchange("datanode.install_replica"),
+            copy_done: net.exchange("namenode.copy_done"),
             cfg,
             datanodes,
             files: RefCell::new(BTreeMap::new()),
@@ -215,8 +230,10 @@ impl NameNode {
                 for idx in meta.replicas {
                     let dn = Rc::clone(&self.datanodes[idx]);
                     let path = path.to_owned();
-                    self.net
-                        .send(self.node, dn.node(), 64, move || dn.delete_replica(&path));
+                    let ex = &self.delete_replica;
+                    self.net.send(ex, self.node, dn.node(), 64, move || {
+                        dn.delete_replica(&path)
+                    });
                 }
                 true
             }
@@ -245,7 +262,8 @@ impl NameNode {
         for &idx in &meta.replicas {
             let dn = Rc::clone(&self.datanodes[idx]);
             let (from, to) = (from.to_owned(), to.to_owned());
-            self.net.send(self.node, dn.node(), 64, move || {
+            let ex = &self.rename_replica;
+            self.net.send(ex, self.node, dn.node(), 64, move || {
                 dn.rename_replica(&from, &to)
             });
         }
@@ -302,10 +320,12 @@ impl NameNode {
         let net = Rc::clone(&self.net);
         let nn_node = self.node;
         let weak_nn = self.self_weak.clone();
+        let (failed, install) = (self.copy_failed.clone(), self.install_replica.clone());
+        let copied = self.copy_done.clone();
         // Read at the source, stream to the destination, then update
         // metadata back at the namenode.
-        self.net.send(self.node, src_dn.node(), 64, move || {
-            let src_node = src_dn.node();
+        let (ex, src_node) = (&self.copy, src_dn.node());
+        self.net.send(ex, self.node, src_node, 64, move || {
             let net2 = Rc::clone(&net);
             let path2 = path.clone();
             src_dn.read(&path, move |data| {
@@ -315,7 +335,7 @@ impl NameNode {
                     // in-progress flag so a later sweep can retry;
                     // leaving it set would wedge re-replication of this
                     // path forever.
-                    net2.send(src_node, nn_node, 64, move || {
+                    net2.send(&failed, src_node, nn_node, 64, move || {
                         if let Some(nn) = weak_nn.upgrade() {
                             if let Some(meta) = nn.files.borrow_mut().get_mut(&path2) {
                                 meta.rereplicating = false;
@@ -328,9 +348,9 @@ impl NameNode {
                 let dst_node = dst_dn.node();
                 let path3 = path2.clone();
                 let net3 = Rc::clone(&net2);
-                net2.send(src_node, dst_node, size + 64, move || {
+                net2.send(&install, src_node, dst_node, size + 64, move || {
                     dst_dn.install_replica(&path3, records);
-                    net3.send(dst_node, nn_node, 64, move || {
+                    net3.send(&copied, dst_node, nn_node, 64, move || {
                         if let Some(nn) = weak_nn.upgrade() {
                             nn.finish_rereplication(&path3, dst);
                         }

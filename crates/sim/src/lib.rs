@@ -49,7 +49,7 @@ pub use disk::{Disk, DiskConfig};
 pub use hash::{FixedHasher, FixedState};
 pub use kernel::Sim;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use net::{LatencyConfig, Network, NodeId, Reply, Settle, Within};
+pub use net::{Exchange, LatencyConfig, Network, NodeId, Reply, Settle, Within};
 pub use service::ServiceQueue;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Journal, JournalEntry};

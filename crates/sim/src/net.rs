@@ -6,12 +6,17 @@
 //! callback it scheduled on itself ([`Network::after`]), and each of the
 //! three is dropped while the node is dead.
 //!
+//! Every message belongs to an [`Exchange`], the name of what it carries
+//! (`tm.begin`, `store.get`, …): the network counts what it sent and
+//! dropped per exchange, in the run's metrics registry, and nowhere else.
+//!
 //! FIFO per-pair ordering models TCP connections. The recovery protocol in
 //! `cumulo-core` relies on it: a client must observe its own commit
 //! timestamps in monotonic order or its flushed-threshold `T_F(c)` could
 //! overclaim (see ARCHITECTURE.md, "Protocol refinements").
 
 use crate::kernel::Sim;
+use crate::metrics::Counter;
 use crate::time::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -90,6 +95,29 @@ struct NetState {
     fifo_horizon: BTreeMap<(u32, u32), u64>,
 }
 
+/// One kind of message, a round trip's or a one-way notification's,
+/// named `<service>.<operation>`: the handle its senders pass to
+/// [`Network::send`], [`Network::request`] and
+/// [`Network::request_within`]. [`Network::exchange`] makes it and
+/// registers its `net.sent{exchange=…}` and `net.dropped{exchange=…}`
+/// counters; a message, request hop and reply hop alike, adds one to the
+/// first, and one to the second if it is dropped. Clones share the
+/// counters.
+#[derive(Clone)]
+pub struct Exchange(Rc<Counts>);
+
+struct Counts {
+    name: &'static str,
+    sent: Counter,
+    dropped: Counter,
+}
+
+impl fmt::Debug for Exchange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0.name)
+    }
+}
+
 /// The simulated network. Shared via `Rc`.
 ///
 /// # Example
@@ -103,19 +131,22 @@ struct NetState {
 /// let net = Network::new(&sim, LatencyConfig::lan_100mbps());
 /// let a = net.add_node("a");
 /// let b = net.add_node("b");
+/// let ping = net.exchange("b.ping");
 /// let got = Rc::new(Cell::new(false));
 /// let g = got.clone();
-/// net.send(a, b, 128, move || g.set(true));
+/// net.send(&ping, a, b, 128, move || g.set(true));
 /// sim.run_until(SimTime::from_secs(1));
 /// assert!(got.get());
+/// let sent = sim.metrics().snapshot().get("net.sent{exchange=b.ping}");
+/// assert_eq!(sent, Some(1));
 /// ```
 pub struct Network {
     sim: Sim,
     latency: LatencyConfig,
     state: RefCell<NetState>,
-    sent: Cell<u64>,
+    /// Every exchange made on this network, by name.
+    exchanges: RefCell<BTreeMap<&'static str, Exchange>>,
     delivered: Cell<u64>,
-    dropped: Cell<u64>,
 }
 
 impl fmt::Debug for Network {
@@ -125,9 +156,9 @@ impl fmt::Debug for Network {
                 "nodes",
                 &Vec::from_iter(self.state.borrow().nodes.iter().map(|n| n.name.as_str())),
             )
-            .field("sent", &self.sent.get())
+            .field("sent", &self.messages_sent())
             .field("delivered", &self.delivered.get())
-            .field("dropped", &self.dropped.get())
+            .field("dropped", &self.messages_dropped())
             .finish()
     }
 }
@@ -151,10 +182,26 @@ impl Network {
                 partitions: BTreeSet::new(),
                 fifo_horizon: BTreeMap::new(),
             }),
-            sent: Cell::new(0),
+            exchanges: RefCell::default(),
             delivered: Cell::new(0),
-            dropped: Cell::new(0),
         })
+    }
+
+    /// The handle of the exchange called `name`: made, with its two
+    /// counters registered, by the first call for the name; a clone of
+    /// that one after. A component takes its handles when it is built,
+    /// so a message costs no lookup.
+    pub fn exchange(&self, name: &'static str) -> Exchange {
+        let mut exchanges = self.exchanges.borrow_mut();
+        let made = exchanges.entry(name).or_insert_with(|| {
+            let (metrics, label) = (self.sim.metrics(), [("exchange", name)]);
+            Exchange(Rc::new(Counts {
+                name,
+                sent: metrics.counter("net.sent", &label),
+                dropped: metrics.counter("net.dropped", &label),
+            }))
+        });
+        made.clone()
     }
 
     /// Registers a machine and returns its id. Nodes start alive.
@@ -306,8 +353,9 @@ impl Network {
         self.state.borrow_mut().partitions.clear();
     }
 
-    /// Sends a message of `bytes` payload from `from` to `to`; `deliver`
-    /// runs at the receiver when (and if) the message arrives.
+    /// Sends a message of `exchange` with `bytes` payload from `from` to
+    /// `to`; `deliver` runs at the receiver when (and if) the message
+    /// arrives.
     ///
     /// The message is dropped — `deliver` never runs — if the sender is dead
     /// at send time, the pair is partitioned at send or delivery time, or
@@ -315,16 +363,17 @@ impl Network {
     /// (from, to) pair.
     pub fn send(
         self: &Rc<Self>,
+        exchange: &Exchange,
         from: NodeId,
         to: NodeId,
         bytes: usize,
         deliver: impl FnOnce() + 'static,
     ) {
-        self.sent.set(self.sent.get() + 1);
+        exchange.0.sent.inc();
         {
             let st = self.state.borrow();
             if !st.nodes[from.0 as usize].alive || st.partitions.contains(&pair(from, to)) {
-                self.dropped.set(self.dropped.get() + 1);
+                exchange.0.dropped.inc();
                 return;
             }
         }
@@ -348,7 +397,7 @@ impl Network {
             }
             *horizon = at;
         }
-        let this = Rc::clone(self);
+        let (this, dropped) = (Rc::clone(self), exchange.0.dropped.clone());
         self.sim.schedule_at(SimTime::from_nanos(at), move || {
             let ok = {
                 let st = this.state.borrow();
@@ -358,31 +407,32 @@ impl Network {
                 this.delivered.set(this.delivered.get() + 1);
                 deliver();
             } else {
-                this.dropped.set(this.dropped.get() + 1);
+                dropped.inc();
             }
         });
     }
 
-    /// One round trip: `serve` runs at `to` when the `request_bytes`
-    /// message from `from` arrives, and answers through the [`Reply`] it is
-    /// given — at once, or later from a callback of its own (a handler
-    /// that forces a log first); the reply message then runs `done` at
-    /// `from`.
+    /// One round trip of `exchange`: `serve` runs at `to` when the
+    /// `request_bytes` message from `from` arrives, and answers through the
+    /// [`Reply`] it is given — at once, or later from a callback of its own
+    /// (a handler that forces a log first); the reply message then runs
+    /// `done` at `from`.
     ///
-    /// These are exactly two [`Network::send`]s, the second issued where
-    /// `serve` answers, so either hop is dropped under `send`'s rules and
-    /// `done` then never runs: there is no timeout here — a caller that
-    /// wants one uses [`Network::request_within`]. Every service stub's
-    /// request/reply exchange goes through one of the two.
+    /// These are exactly two [`Network::send`]s of `exchange`, the second
+    /// issued where `serve` answers, so either hop is dropped under
+    /// `send`'s rules and `done` then never runs: there is no timeout here
+    /// — a caller that wants one uses [`Network::request_within`]. Every
+    /// service stub's request/reply exchange goes through one of the two.
     pub fn request<T: 'static, D: FnOnce(T) + 'static>(
         self: &Rc<Self>,
+        exchange: &Exchange,
         from: NodeId,
         to: NodeId,
         request_bytes: usize,
         serve: impl FnOnce(Reply<T, D>) + 'static,
         done: D,
     ) {
-        self.exchange(from, to, request_bytes, serve, done);
+        self.round_trip(exchange, from, to, request_bytes, serve, done);
     }
 
     /// [`Network::request`] with a deadline: `done` runs once, with the
@@ -391,8 +441,13 @@ impl Network {
     /// is scheduled right after the request leaves, in the same event. A
     /// late request is still served; only its answer is dropped, so a
     /// fan-out whose late answers must still count is not this shape.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a request's six parts, as `request` takes them, plus its deadline; a struct of them would only be unpacked here"
+    )]
     pub fn request_within<T: 'static, D: FnOnce(Option<T>) + 'static>(
         self: &Rc<Self>,
+        exchange: &Exchange,
         deadline: SimDuration,
         from: NodeId,
         to: NodeId,
@@ -401,7 +456,8 @@ impl Network {
         done: D,
     ) {
         let slot = Rc::new(Cell::new(Some(done)));
-        self.exchange(from, to, request_bytes, serve, Within(Rc::clone(&slot)));
+        let within = Within(Rc::clone(&slot));
+        self.round_trip(exchange, from, to, request_bytes, serve, within);
         self.sim.schedule_in(deadline, move || {
             if let Some(done) = slot.take() {
                 done(None);
@@ -411,8 +467,9 @@ impl Network {
 
     /// Both round trips, over any [`Settle`]; `request` keeps its own
     /// `FnOnce(T)` bound so that callers' closures infer their argument.
-    fn exchange<T: 'static, D: Settle<T>>(
+    fn round_trip<T: 'static, D: Settle<T>>(
         self: &Rc<Self>,
+        exchange: &Exchange,
         from: NodeId,
         to: NodeId,
         request_bytes: usize,
@@ -421,17 +478,20 @@ impl Network {
     ) {
         let reply = Reply {
             net: Rc::clone(self),
+            exchange: exchange.clone(),
             server: to,
             caller: from,
             done,
             value: PhantomData,
         };
-        self.send(from, to, request_bytes, move || serve(reply));
+        self.send(exchange, from, to, request_bytes, move || serve(reply));
     }
 
-    /// Total messages submitted to the network.
+    /// Total messages submitted to the network: the sum of every
+    /// exchange's `net.sent`.
     pub fn messages_sent(&self) -> u64 {
-        self.sent.get()
+        let exchanges = self.exchanges.borrow();
+        exchanges.values().map(|e| e.0.sent.get()).sum()
     }
 
     /// Total messages delivered to a live receiver.
@@ -439,15 +499,18 @@ impl Network {
         self.delivered.get()
     }
 
-    /// Total messages dropped (dead endpoint or partition).
+    /// Total messages dropped (dead endpoint or partition): the sum of
+    /// every exchange's `net.dropped`.
     pub fn messages_dropped(&self) -> u64 {
-        self.dropped.get()
+        let exchanges = self.exchanges.borrow();
+        exchanges.values().map(|e| e.0.dropped.get()).sum()
     }
 }
 
 /// The server's end of a [`Network::request`]: consumed by the one answer.
 pub struct Reply<T, D> {
     net: Rc<Network>,
+    exchange: Exchange,
     server: NodeId,
     caller: NodeId,
     done: D,
@@ -459,7 +522,9 @@ impl<T: 'static, D: Settle<T>> Reply<T, D> {
     /// `Reply` instead answers nothing (a dead handler).
     pub fn send(self, reply_bytes: usize, value: T) {
         let (net, server, caller, done) = (self.net, self.server, self.caller, self.done);
-        net.send(server, caller, reply_bytes, move || done.settle(value));
+        net.send(&self.exchange, server, caller, reply_bytes, move || {
+            done.settle(value)
+        });
     }
 }
 
@@ -506,7 +571,7 @@ mod tests {
         let (sim, net, a, b) = setup();
         let got = Rc::new(Cell::new(false));
         let g = got.clone();
-        net.send(a, b, 100, move || g.set(true));
+        net.send(&net.exchange("test.msg"), a, b, 100, move || g.set(true));
         sim.run_until(SimTime::from_secs(1));
         assert!(got.get());
         assert_eq!(net.messages_delivered(), 1);
@@ -520,7 +585,9 @@ mod tests {
             let log = log.clone();
             // Alternate tiny and huge messages so raw latencies interleave.
             let size = if i % 2 == 0 { 16 } else { 64 * 1024 };
-            net.send(a, b, size, move || log.borrow_mut().push(i));
+            net.send(&net.exchange("test.msg"), a, b, size, move || {
+                log.borrow_mut().push(i)
+            });
         }
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(*log.borrow(), (0..200).collect::<Vec<_>>());
@@ -531,14 +598,18 @@ mod tests {
         let (sim, net, a, b) = setup();
         let got = Rc::new(Cell::new(0u32));
         let g = got.clone();
-        net.send(a, b, 100, move || g.set(g.get() + 1));
+        net.send(&net.exchange("test.msg"), a, b, 100, move || {
+            g.set(g.get() + 1)
+        });
         net.crash(b);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.get(), 0);
         // Sends from a dead node are dropped at send time.
         net.crash(a);
         let g2 = got.clone();
-        net.send(a, b, 100, move || g2.set(g2.get() + 1));
+        net.send(&net.exchange("test.msg"), a, b, 100, move || {
+            g2.set(g2.get() + 1)
+        });
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(got.get(), 0);
         assert_eq!(net.messages_dropped(), 2);
@@ -551,7 +622,7 @@ mod tests {
         net.restart(b);
         let got = Rc::new(Cell::new(false));
         let g = got.clone();
-        net.send(a, b, 100, move || g.set(true));
+        net.send(&net.exchange("test.msg"), a, b, 100, move || g.set(true));
         sim.run_until(SimTime::from_secs(1));
         assert!(got.get());
     }
@@ -562,13 +633,19 @@ mod tests {
         net.partition(a, b);
         let got = Rc::new(Cell::new(0u32));
         let (g1, g2) = (got.clone(), got.clone());
-        net.send(a, b, 10, move || g1.set(g1.get() + 1));
-        net.send(b, a, 10, move || g2.set(g2.get() + 1));
+        net.send(&net.exchange("test.msg"), a, b, 10, move || {
+            g1.set(g1.get() + 1)
+        });
+        net.send(&net.exchange("test.msg"), b, a, 10, move || {
+            g2.set(g2.get() + 1)
+        });
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.get(), 0);
         net.heal(a, b);
         let g3 = got.clone();
-        net.send(a, b, 10, move || g3.set(g3.get() + 1));
+        net.send(&net.exchange("test.msg"), a, b, 10, move || {
+            g3.set(g3.get() + 1)
+        });
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(got.get(), 1);
     }
@@ -583,11 +660,19 @@ mod tests {
         assert!(!net.partitioned(a, c));
         let got = Rc::new(Cell::new(0u32));
         let (g1, g2, g3, g4) = (got.clone(), got.clone(), got.clone(), got.clone());
-        net.send(a, b, 10, move || g1.set(g1.get() + 1));
-        net.send(b, c, 10, move || g2.set(g2.get() + 1));
-        net.send(a, c, 10, move || g3.set(g3.get() + 1));
+        net.send(&net.exchange("test.msg"), a, b, 10, move || {
+            g1.set(g1.get() + 1)
+        });
+        net.send(&net.exchange("test.msg"), b, c, 10, move || {
+            g2.set(g2.get() + 1)
+        });
+        net.send(&net.exchange("test.msg"), a, c, 10, move || {
+            g3.set(g3.get() + 1)
+        });
         // Loopback on the isolated node still works.
-        net.send(b, b, 10, move || g4.set(g4.get() + 1));
+        net.send(&net.exchange("test.msg"), b, b, 10, move || {
+            g4.set(g4.get() + 1)
+        });
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.get(), 2);
         assert_eq!(net.messages_dropped(), 2);
@@ -605,8 +690,12 @@ mod tests {
         assert!(!net.partitioned(a, c));
         let got = Rc::new(Cell::new(0u32));
         let (g1, g2) = (got.clone(), got.clone());
-        net.send(a, b, 10, move || g1.set(g1.get() + 1));
-        net.send(b, c, 10, move || g2.set(g2.get() + 1));
+        net.send(&net.exchange("test.msg"), a, b, 10, move || {
+            g1.set(g1.get() + 1)
+        });
+        net.send(&net.exchange("test.msg"), b, c, 10, move || {
+            g2.set(g2.get() + 1)
+        });
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(got.get(), 2);
     }
@@ -622,7 +711,7 @@ mod tests {
         assert!(!net.partitioned(b, d));
         let got = Rc::new(Cell::new(false));
         let g = got.clone();
-        net.send(d, b, 10, move || g.set(true));
+        net.send(&net.exchange("test.msg"), d, b, 10, move || g.set(true));
         sim.run_until(SimTime::from_secs(1));
         assert!(got.get());
         let _ = a;
@@ -636,13 +725,14 @@ mod tests {
             let (sim, net, a, b) = setup();
             let log = Rc::new(RefCell::new(Vec::new()));
             // Background traffic on both directions, so FIFO horizons matter.
-            net.send(a, b, 64 * 1024, || {});
-            net.send(b, a, 64 * 1024, || {});
+            net.send(&net.exchange("test.msg"), a, b, 64 * 1024, || {});
+            net.send(&net.exchange("test.msg"), b, a, 64 * 1024, || {});
             for _ in 0..3 {
                 let (l1, l2) = (log.clone(), log.clone());
                 let (s1, s2) = (sim.clone(), sim.clone());
                 if by_request {
                     net.request(
+                        &net.exchange("test.msg"),
                         a,
                         b,
                         100,
@@ -657,9 +747,11 @@ mod tests {
                     );
                 } else {
                     let net2 = Rc::clone(&net);
-                    net.send(a, b, 100, move || {
+                    net.send(&net.exchange("test.msg"), a, b, 100, move || {
                         l1.borrow_mut().push(("served", s1.now()));
-                        net2.send(b, a, 2000, move || l2.borrow_mut().push(("done", s2.now())));
+                        net2.send(&net2.exchange("test.msg"), b, a, 2000, move || {
+                            l2.borrow_mut().push(("done", s2.now()))
+                        });
                     });
                 }
             }
@@ -687,8 +779,8 @@ mod tests {
             let (sim, net, a, b) = setup();
             let log: Log = Rc::default();
             // Background traffic on both directions, so FIFO horizons matter.
-            net.send(a, b, 64 * 1024, || {});
-            net.send(b, a, 64 * 1024, || {});
+            net.send(&net.exchange("test.msg"), a, b, 64 * 1024, || {});
+            net.send(&net.exchange("test.msg"), b, a, 64 * 1024, || {});
             let deadline = SimDuration::from_millis(20);
             for late in [false, true, false] {
                 // The second request is answered after its deadline.
@@ -700,12 +792,12 @@ mod tests {
                 };
                 if by_request_within {
                     let serve = move |reply| serve(l1, s1, delay, reply);
-                    net.request_within(deadline, a, b, 100, serve, done);
+                    net.request_within(&net.exchange("test.msg"), deadline, a, b, 100, serve, done);
                 } else {
                     let slot = Rc::new(Cell::new(Some(done)));
                     let slot2 = Rc::clone(&slot);
                     let serve = move |reply| serve(l1, s1, delay, reply);
-                    net.request(a, b, 100, serve, move |v| {
+                    net.request(&net.exchange("test.msg"), a, b, 100, serve, move |v| {
                         if let Some(done) = slot2.take() {
                             done(Some(v));
                         }
@@ -747,9 +839,17 @@ mod tests {
             sim1.schedule_in(delay, move || reply.send(10, 7));
         };
         let deadline = SimDuration::from_millis(10);
-        net.request_within(deadline, a, b, 10, serve, move |v| {
-            g.borrow_mut().push((v, sim2.now()));
-        });
+        net.request_within(
+            &net.exchange("test.msg"),
+            deadline,
+            a,
+            b,
+            10,
+            serve,
+            move |v| {
+                g.borrow_mut().push((v, sim2.now()));
+            },
+        );
         sim.run_for(SimDuration::from_secs(1));
         let got = got.borrow().clone();
         (served.get(), got)
@@ -801,6 +901,7 @@ mod tests {
         net.partition(a, b);
         let (s, d) = (served.clone(), done.clone());
         net.request(
+            &net.exchange("test.msg"),
             a,
             b,
             10,
@@ -819,6 +920,7 @@ mod tests {
         net.heal(a, b);
         let (s, d, net2) = (served.clone(), done.clone(), Rc::clone(&net));
         net.request(
+            &net.exchange("test.msg"),
             a,
             b,
             10,
@@ -834,6 +936,42 @@ mod tests {
             (served.get(), done.get(), net.messages_dropped()),
             (1, 0, 2)
         );
+    }
+
+    /// A request dropped on either hop counts once under its own
+    /// exchange's `net.dropped`, and under no other exchange's.
+    #[test]
+    fn a_dropped_request_counts_under_its_own_exchange_only() {
+        let (sim, net, a, b) = setup();
+        let (ping, pong) = (net.exchange("b.ping"), net.exchange("b.pong"));
+        let count = |what: &str, name: &str| {
+            let key = format!("net.{what}{{exchange={name}}}");
+            sim.metrics().snapshot().get(&key).expect("registered")
+        };
+        // Request hop cut.
+        net.partition(a, b);
+        net.request(&ping, a, b, 10, |reply| reply.send(10, ()), |()| {});
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(
+            (count("dropped", "b.ping"), count("dropped", "b.pong")),
+            (1, 0)
+        );
+        // Reply hop cut: the server partitions the pair as it answers.
+        net.heal(a, b);
+        let net2 = Rc::clone(&net);
+        let serve = move |reply: Reply<(), _>| {
+            net2.partition(a, b);
+            reply.send(10, ());
+        };
+        net.request(&ping, a, b, 10, serve, |()| {});
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(
+            (count("dropped", "b.ping"), count("dropped", "b.pong")),
+            (2, 0)
+        );
+        assert_eq!((count("sent", "b.ping"), count("sent", "b.pong")), (3, 0));
+        assert_eq!(net.messages_dropped(), 2);
+        assert_eq!(format!("{pong:?}"), "b.pong");
     }
 
     /// Arms a timer on `node` that logs the instant of every tick.
@@ -885,7 +1023,7 @@ mod tests {
         assert!(net.is_alive(a));
         let got = Rc::new(Cell::new(false));
         let g = got.clone();
-        net.send(b, a, 10, move || g.set(true));
+        net.send(&net.exchange("test.msg"), b, a, 10, move || g.set(true));
         sim.run_until(SimTime::from_secs(2));
         assert!(got.get(), "the node still takes deliveries");
     }
@@ -951,9 +1089,13 @@ mod tests {
         let t_big = Rc::new(Cell::new(SimTime::ZERO));
         let (ts, tb) = (t_small.clone(), t_big.clone());
         let (s1, s2) = (sim.clone(), sim.clone());
-        net.send(a, b, 10, move || ts.set(s1.now()));
+        net.send(&net.exchange("test.msg"), a, b, 10, move || {
+            ts.set(s1.now())
+        });
         sim.run_until(SimTime::from_secs(1));
-        net.send(a, b, 1024 * 1024, move || tb.set(s2.now()));
+        net.send(&net.exchange("test.msg"), a, b, 1024 * 1024, move || {
+            tb.set(s2.now())
+        });
         sim.run_until(SimTime::from_secs(2));
         let small_lat = t_small.get() - SimTime::ZERO;
         let big_lat = t_big.get() - SimTime::from_secs(1);
@@ -966,7 +1108,9 @@ mod tests {
         let t = Rc::new(Cell::new(SimTime::ZERO));
         let tc = t.clone();
         let s = sim.clone();
-        net.send(a, a, 10_000, move || tc.set(s.now()));
+        net.send(&net.exchange("test.msg"), a, a, 10_000, move || {
+            tc.set(s.now())
+        });
         sim.run_until(SimTime::from_secs(1));
         assert!(t.get() <= SimTime::ZERO + SimDuration::from_micros(100));
     }

@@ -44,10 +44,11 @@ proptest! {
         let net = Network::new(&sim, LatencyConfig::lan_100mbps());
         let a = net.add_node("a");
         let b = net.add_node("b");
+        let msg = net.exchange("test.msg");
         let got: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
         for (i, sz) in sizes.iter().enumerate() {
             let got = got.clone();
-            net.send(a, b, *sz, move || got.borrow_mut().push(i));
+            net.send(&msg, a, b, *sz, move || got.borrow_mut().push(i));
         }
         sim.run_until(SimTime::from_secs(60));
         prop_assert_eq!(&*got.borrow(), &(0..sizes.len()).collect::<Vec<_>>());
@@ -62,11 +63,12 @@ proptest! {
             let net = Network::new(&sim, LatencyConfig::lan_100mbps());
             let a = net.add_node("a");
             let b = net.add_node("b");
+            let msg = net.exchange("test.msg");
             let times: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
             for i in 0..n {
                 let times = times.clone();
                 let s = sim.clone();
-                net.send(a, b, (i + 1) * 100, move || times.borrow_mut().push(s.now().nanos()));
+                net.send(&msg, a, b, (i + 1) * 100, move || times.borrow_mut().push(s.now().nanos()));
             }
             sim.run_until(SimTime::from_secs(10));
             let out = times.borrow().clone();
@@ -83,18 +85,19 @@ proptest! {
         let net = Network::new(&sim, LatencyConfig::instant());
         let a = net.add_node("a");
         let b = net.add_node("b");
+        let msg = net.exchange("test.msg");
         let delivered: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
         for i in 0..total {
             if i == crash_after {
                 net.crash(b);
             }
             let delivered = delivered.clone();
-            net.send(a, b, 10, move || delivered.borrow_mut().push(i));
+            net.send(&msg, a, b, 10, move || delivered.borrow_mut().push(i));
             sim.run_for(SimDuration::from_millis(1));
         }
         net.restart(b);
         let delivered2 = delivered.clone();
-        net.send(a, b, 10, move || delivered2.borrow_mut().push(usize::MAX));
+        net.send(&msg, a, b, 10, move || delivered2.borrow_mut().push(usize::MAX));
         sim.run_until(SimTime::from_secs(5));
         let delivered = delivered.borrow();
         // Everything before the crash arrived; nothing after (until restart).

@@ -23,7 +23,7 @@ use crate::server::{RegionServer, ScanPage};
 use crate::types::{Mutation, RegionId, ServerId, Timestamp, WriteSet};
 use bytes::Bytes;
 use cumulo_sim::metrics::Counter;
-use cumulo_sim::{Network, NodeId, Reply, Sim, SimDuration};
+use cumulo_sim::{Exchange, Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -78,6 +78,12 @@ struct Inner {
     scan_leg_rpcs: Counter,
     scans_ok: Counter,
     refresh_skips: Counter,
+    /// One exchange per request kind, and the map fetch's.
+    get: Exchange,
+    multi_get: Exchange,
+    multi_put: Exchange,
+    scan: Exchange,
+    region_map: Exchange,
 }
 
 /// A client-side handle to the distributed store. Cheap to clone.
@@ -123,6 +129,11 @@ impl StoreClient {
                 scan_leg_rpcs: Counter::new(),
                 scans_ok: Counter::new(),
                 refresh_skips: Counter::new(),
+                get: net.exchange("store.get"),
+                multi_get: net.exchange("store.multi_get"),
+                multi_put: net.exchange("store.multi_put"),
+                scan: net.exchange("store.scan"),
+                region_map: net.exchange("master.region_map"),
             }),
         }
     }
@@ -356,11 +367,13 @@ fn refresh_map(inner: &Rc<Inner>, observed_epoch: u64) {
         reply.send(64 + snapshot.assignments().len() * 16, snapshot);
     };
     let (from, to) = (inner.from, inner.master.node());
-    inner.net.request(from, to, 64, serve, move |snapshot| {
+    let installed = move |snapshot| {
         *inner2.map.borrow_mut() = snapshot;
         inner2.last_refresh.set(Some(inner2.sim.now().nanos()));
         inner2.refresh_inflight.set(None);
-    });
+    };
+    let ex = &inner.region_map;
+    inner.net.request(ex, from, to, 64, serve, installed);
 }
 
 /// Where a request is addressed.
@@ -388,6 +401,8 @@ trait Request: Clone + 'static {
     /// only a served reply consumes it.
     type Then: 'static;
 
+    /// The exchange this kind of request travels as.
+    fn exchange(inner: &Inner) -> &Exchange;
     fn route(&self) -> Route<'_>;
     fn wire_size(&self) -> usize;
     fn reply_size(result: &Result<Self::Reply, StoreError>) -> usize;
@@ -452,11 +467,13 @@ fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
         })
     };
     let (net, timeout) = (Rc::clone(&inner.net), inner.cfg.request_timeout);
-    net.request_within(timeout, from, to, size, serve, move |result| match result {
+    let exchange = R::exchange(&inner).clone();
+    let settled = move |result: Option<Result<R::Reply, StoreError>>| match result {
         Some(Ok(reply)) => request.served(inner, reply, then),
         // Timed out, NotServing, unavailable: refresh and retry.
         None | Some(Err(_)) => retry(inner, request, then, attempt, routed_epoch),
-    });
+    };
+    net.request_within(&exchange, timeout, from, to, size, serve, settled);
 }
 
 /// The one retry: count it, refresh the map (debounced) as of the epoch
@@ -494,6 +511,10 @@ struct Get {
 impl Request for Get {
     type Reply = Option<VersionedValue>;
     type Then = Box<dyn FnOnce(Option<VersionedValue>)>;
+
+    fn exchange(inner: &Inner) -> &Exchange {
+        &inner.get
+    }
 
     fn route(&self) -> Route<'_> {
         Route::Row(&self.row)
@@ -542,6 +563,10 @@ struct Put {
 impl Request for Put {
     type Reply = ();
     type Then = Box<dyn FnOnce()>;
+
+    fn exchange(inner: &Inner) -> &Exchange {
+        &inner.multi_put
+    }
 
     fn route(&self) -> Route<'_> {
         match self.replay {
@@ -632,6 +657,10 @@ struct MultiGet {
 impl Request for MultiGet {
     type Reply = Vec<Option<VersionedValue>>;
     type Then = Rc<MultiGetCtx>;
+
+    fn exchange(inner: &Inner) -> &Exchange {
+        &inner.multi_get
+    }
 
     fn route(&self) -> Route<'_> {
         Route::Region(self.region)
@@ -725,6 +754,10 @@ struct ScanLeg {
 impl Request for ScanLeg {
     type Reply = ScanPage;
     type Then = ScanState;
+
+    fn exchange(inner: &Inner) -> &Exchange {
+        &inner.scan
+    }
 
     fn route(&self) -> Route<'_> {
         Route::Row(&self.cursor)

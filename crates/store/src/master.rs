@@ -13,7 +13,7 @@ use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
 use cumulo_sim::trace::Field;
-use cumulo_sim::{fields, Network, NodeId, Reply, Sim, SimDuration};
+use cumulo_sim::{fields, Exchange, Network, NodeId, Reply, Sim, SimDuration};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -169,6 +169,14 @@ pub struct Master {
     pub(crate) sim: Sim,
     pub(crate) net: Rc<Network>,
     node: NodeId,
+    /// One exchange per message the master sends a region server.
+    open_region: Exchange,
+    prepare_move: Exchange,
+    open_shadow: Exchange,
+    establish_group: Exchange,
+    dissolve_group: Exchange,
+    query_replica: Exchange,
+    promote_replica: Exchange,
     cfg: MasterConfig,
     dfs: DfsClient,
     dir: Rc<ServerDirectory>,
@@ -267,6 +275,13 @@ impl Master {
             sim: sim.clone(),
             net: Rc::clone(net),
             node,
+            open_region: net.exchange("store.open_region"),
+            prepare_move: net.exchange("store.prepare_move"),
+            open_shadow: net.exchange("repl.open_shadow"),
+            establish_group: net.exchange("repl.establish_group"),
+            dissolve_group: net.exchange("repl.dissolve_group"),
+            query_replica: net.exchange("repl.query_replica"),
+            promote_replica: net.exchange("repl.promote_replica"),
             cfg,
             dfs,
             dir,
@@ -373,7 +388,8 @@ impl Master {
             assigned.push((desc.id, target));
             let server = self.dir.get(target).expect("registered");
             let node = server.node();
-            self.net.send(self.node, node, 256, move || {
+            let ex = &self.open_region;
+            self.net.send(ex, self.node, node, 256, move || {
                 server.open_region(desc, Vec::new(), None);
             });
         }
@@ -707,10 +723,10 @@ impl Master {
             .clone();
         let server = self.dir.get(target).expect("registered");
         let node = server.node();
-        let net = Rc::clone(&self.net);
+        let (net, open_region) = (Rc::clone(&self.net), self.open_region.clone());
         let master_node = self.node;
         self.dfs.list(&format!("/store/{region}/"), move |paths| {
-            net.send(master_node, node, 512, move || {
+            net.send(&open_region, master_node, node, 512, move || {
                 server.open_region(desc, paths, failed);
             });
         });
@@ -970,6 +986,7 @@ impl Master {
         };
         let weak = Rc::downgrade(self);
         self.net.request(
+            &self.prepare_move,
             self.node,
             server.node(),
             64,
@@ -1068,7 +1085,8 @@ impl Master {
             if self.repl_epochs.borrow_mut().remove(&region).is_some() {
                 self.event("replication.dissolve", fields!(region, primary));
                 let pnode = pserver.node();
-                self.net.send(self.node, pnode, 64, move || {
+                let ex = &self.dissolve_group;
+                self.net.send(ex, self.node, pnode, 64, move || {
                     pserver.dissolve_replica_group(region);
                 });
             }
@@ -1097,7 +1115,8 @@ impl Master {
             }
             let bnode = bserver.node();
             let desc = desc.clone();
-            self.net.send(self.node, bnode, 128, move || {
+            let ex = &self.open_shadow;
+            self.net.send(ex, self.node, bnode, 128, move || {
                 bserver.open_shadow(region, desc, epoch);
             });
         }
@@ -1107,7 +1126,8 @@ impl Master {
             fields!(region, primary, epoch, backups = backup_count),
         );
         let pnode = pserver.node();
-        self.net.send(self.node, pnode, 128, move || {
+        let ex = &self.establish_group;
+        self.net.send(ex, self.node, pnode, 128, move || {
             pserver.establish_replica_group(region, epoch, backups);
         });
     }
@@ -1196,6 +1216,7 @@ impl Master {
         for backup in backups {
             let (bid, weak) = (backup.id(), Rc::downgrade(self));
             self.net.request(
+                &self.query_replica,
                 self.node,
                 backup.node(),
                 48,
@@ -1285,7 +1306,8 @@ impl Master {
                 let epoch = self.region_map.borrow().epoch();
                 if let Some(server) = self.dir.get(winner) {
                     let node = server.node();
-                    self.net.send(self.node, node, 256, move || {
+                    let ex = &self.promote_replica;
+                    self.net.send(ex, self.node, node, 256, move || {
                         server.promote_replica(region, epoch, failed);
                     });
                 }

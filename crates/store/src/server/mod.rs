@@ -32,7 +32,7 @@ use cumulo_coord::CoordClient;
 use cumulo_dfs::DfsClient;
 use cumulo_sim::metrics::{Counter, GaugeMap};
 use cumulo_sim::trace::Field;
-use cumulo_sim::{fields, Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime};
+use cumulo_sim::{fields, Exchange, Network, NodeId, ServiceQueue, Sim, SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -253,6 +253,16 @@ pub struct RegionServer {
     /// The master this server proposes structure changes and reports
     /// lane sync state to.
     master: Rc<Master>,
+    /// One exchange per message the server sends: replication's to its
+    /// backups and the master, and structure changes' to the master.
+    ship: Exchange,
+    probe_epoch: Exchange,
+    close_shadow: Exchange,
+    replica_synced: Exchange,
+    replica_unsynced: Exchange,
+    request_change: Exchange,
+    change_aborted: Exchange,
+    change_completed: Exchange,
     /// The in-flight split or merge, if any (one structure change at a
     /// time per server, so their flush/quiescence phases never
     /// interleave).
@@ -305,7 +315,7 @@ impl RegionServer {
         coord: CoordClient,
         gc_watermark: impl Fn() -> GcWatermark + 'static,
     ) -> Rc<RegionServer> {
-        let sim = &master.sim;
+        let (sim, net) = (&master.sim, &master.net);
         let wal = Wal::new(sim, &dfs, format!("/wal/{id}"));
         // Every metric is registered under a `store.*{server=<id>}` key.
         let metrics = sim.metrics();
@@ -314,7 +324,7 @@ impl RegionServer {
         let counter = |name: &str| metrics.counter(name, labels);
         Rc::new(RegionServer {
             sim: sim.clone(),
-            net: Rc::clone(&master.net),
+            net: Rc::clone(net),
             node,
             id,
             cfg,
@@ -342,6 +352,14 @@ impl RegionServer {
             sched_background_ns: Cell::new(0),
             coord,
             master: Rc::clone(master),
+            ship: net.exchange("repl.ship"),
+            probe_epoch: net.exchange("repl.probe_epoch"),
+            close_shadow: net.exchange("repl.close_shadow"),
+            replica_synced: net.exchange("master.replica_synced"),
+            replica_unsynced: net.exchange("master.replica_unsynced"),
+            request_change: net.exchange("master.request_change"),
+            change_aborted: net.exchange("master.change_aborted"),
+            change_completed: net.exchange("master.change_completed"),
             pending_change: RefCell::new(None),
             split_stats: StructureStats::new(metrics, labels, ChangeKind::Split),
             merge_stats: StructureStats::new(metrics, labels, ChangeKind::Merge),

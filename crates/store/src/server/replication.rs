@@ -713,6 +713,7 @@ impl RegionServer {
             }
             let (element, this) = (Rc::clone(&element), Rc::clone(self));
             self.net.request(
+                &self.ship,
                 self.node,
                 node,
                 bytes,
@@ -773,7 +774,8 @@ impl RegionServer {
             LaneAction::Resynced => {
                 self.event("replication.lane_resynced", fields!(region, backup));
                 let master = Rc::clone(&self.master);
-                self.net.send(self.node, master.node(), 48, move || {
+                let ex = &self.replica_synced;
+                self.net.send(ex, self.node, master.node(), 48, move || {
                     master.replica_synced(region, id.epoch, backup);
                 });
             }
@@ -788,6 +790,7 @@ impl RegionServer {
         }
         let (this, master) = (Rc::clone(self), Rc::clone(&self.master));
         self.net.request_within(
+            &self.replica_unsynced,
             REPORT_RETRY,
             self.node,
             master.node(),
@@ -1080,6 +1083,7 @@ impl RegionServer {
         for (id, node, handle) in probes {
             let this = Rc::clone(self);
             self.net.request(
+                &self.probe_epoch,
                 self.node,
                 node,
                 24,
@@ -1123,7 +1127,8 @@ impl RegionServer {
             let Some(handle) = lane.handle.upgrade() else {
                 continue;
             };
-            self.net.send(self.node, lane.node, 48, move || {
+            let ex = &self.close_shadow;
+            self.net.send(ex, self.node, lane.node, 48, move || {
                 handle.close_shadow(parent, epoch);
             });
         }

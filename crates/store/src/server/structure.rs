@@ -343,6 +343,7 @@ impl RegionServer {
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
         let (this, master, first) = (Rc::clone(self), Rc::clone(&self.master), inputs[0]);
         self.net.request(
+            &self.request_change,
             self.node,
             master.node(),
             bytes,
@@ -529,7 +530,8 @@ impl RegionServer {
 
     fn notify_change_aborted(&self, first: RegionId) {
         let (master, id) = (Rc::clone(&self.master), self.id);
-        self.net.send(self.node, master.node(), 48, move || {
+        let ex = &self.change_aborted;
+        self.net.send(ex, self.node, master.node(), 48, move || {
             master.change_aborted(id, first)
         });
     }
@@ -630,7 +632,8 @@ impl RegionServer {
             self.retire_superseded_references(superseded);
         }
         let (master, id, first) = (Rc::clone(&self.master), self.id, change.inputs[0]);
-        self.net.send(self.node, master.node(), 64, move || {
+        let ex = &self.change_completed;
+        self.net.send(ex, self.node, master.node(), 64, move || {
             master.change_completed(id, first)
         });
     }

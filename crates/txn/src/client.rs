@@ -9,7 +9,7 @@
 
 use crate::log::LogRecord;
 use crate::manager::{CommitOutcome, Session, TransactionManager, TxnId};
-use cumulo_sim::{Network, NodeId, Reply};
+use cumulo_sim::{Exchange, Network, NodeId, Reply};
 use cumulo_store::{ClientId, Timestamp, WriteSet};
 use std::rc::Rc;
 
@@ -37,6 +37,14 @@ pub struct TmClient {
     net: Rc<Network>,
     tm: Rc<TransactionManager>,
     from: NodeId,
+    /// One exchange per method, named after it.
+    begin: Exchange,
+    commit: Exchange,
+    flush_complete: Exchange,
+    last_commit_ts: Exchange,
+    reap_and_fetch_client: Exchange,
+    fetch_after: Exchange,
+    truncate_below: Exchange,
 }
 
 impl TmClient {
@@ -46,6 +54,13 @@ impl TmClient {
             net: Rc::clone(net),
             tm: Rc::clone(tm),
             from,
+            begin: net.exchange("tm.begin"),
+            commit: net.exchange("tm.commit"),
+            flush_complete: net.exchange("tm.flush_complete"),
+            last_commit_ts: net.exchange("tm.last_commit_ts"),
+            reap_and_fetch_client: net.exchange("tm.reap_and_fetch_client"),
+            fetch_after: net.exchange("tm.fetch_after"),
+            truncate_below: net.exchange("tm.truncate_below"),
         }
     }
 
@@ -53,21 +68,23 @@ impl TmClient {
     /// the `Reply`. Every request/reply exchange goes through here.
     fn call<T: 'static, D: FnOnce(T) + 'static>(
         &self,
+        exchange: &Exchange,
         request_bytes: usize,
         serve: impl FnOnce(&Rc<TransactionManager>, Reply<T, D>) + 'static,
         done: D,
     ) {
         let tm = Rc::clone(&self.tm);
         let serve = move |reply| serve(&tm, reply);
+        let (from, to) = (self.from, self.tm.node());
         self.net
-            .request(self.from, self.tm.node(), request_bytes, serve, done);
+            .request(exchange, from, to, request_bytes, serve, done);
     }
 
     /// One `SMALL` message, no reply. Every notification goes through here.
-    fn tell(&self, serve: impl FnOnce(&TransactionManager) + 'static) {
+    fn tell(&self, exchange: &Exchange, serve: impl FnOnce(&TransactionManager) + 'static) {
         let tm = Rc::clone(&self.tm);
         self.net
-            .send(self.from, tm.node(), SMALL, move || serve(&tm));
+            .send(exchange, self.from, tm.node(), SMALL, move || serve(&tm));
     }
 
     /// Begins `txn` (named by its client, see [`TxnId::new`]) after
@@ -75,6 +92,7 @@ impl TmClient {
     /// commit of `txn` may follow at once: the FIFO link delivers it behind.
     pub fn begin(&self, txn: TxnId, session: Session, done: impl FnOnce(Timestamp) + 'static) {
         self.call(
+            &self.begin,
             SMALL,
             move |tm, reply| reply.send(SMALL, tm.handle_begin(txn, session)),
             done,
@@ -92,6 +110,7 @@ impl TmClient {
         done: impl FnOnce(CommitOutcome) + 'static,
     ) {
         self.call(
+            &self.commit,
             BULK_HEADER + write_set.wire_size(),
             move |tm, reply| {
                 tm.handle_commit(txn, write_set, move |outcome| reply.send(SMALL, outcome))
@@ -104,13 +123,14 @@ impl TmClient {
     /// forget). The manager's watermark — the snapshot of every new
     /// transaction — stays below `ts` until this arrives.
     pub fn flush_complete(&self, ts: Timestamp) {
-        self.tell(move |tm| tm.handle_flush_complete(ts));
+        self.tell(&self.flush_complete, move |tm| tm.handle_flush_complete(ts));
     }
 
     /// Catches the manager up with an idle client's `session` and reads
     /// the newest commit timestamp it has assigned.
     pub fn last_commit_ts(&self, session: Session, done: impl FnOnce(Timestamp) + 'static) {
         self.call(
+            &self.last_commit_ts,
             SMALL,
             move |tm, reply| {
                 tm.catch_up(session);
@@ -131,6 +151,7 @@ impl TmClient {
         done: impl FnOnce(Vec<LogRecord>) + 'static,
     ) {
         self.call(
+            &self.reap_and_fetch_client,
             BULK_HEADER,
             move |tm, reply| {
                 tm.handle_client_failed(c);
@@ -143,6 +164,7 @@ impl TmClient {
     /// Fetches every log record above `ts` (server recovery).
     pub fn fetch_after(&self, ts: Timestamp, done: impl FnOnce(Vec<LogRecord>) + 'static) {
         self.call(
+            &self.fetch_after,
             BULK_HEADER,
             move |tm, reply| send_records(reply, tm.log().fetch_after(ts)),
             done,
@@ -151,7 +173,7 @@ impl TmClient {
 
     /// Truncates the log below `ts` (fire and forget).
     pub fn truncate_below(&self, ts: Timestamp) {
-        self.tell(move |tm| tm.log().truncate_below(ts));
+        self.tell(&self.truncate_below, move |tm| tm.log().truncate_below(ts));
     }
 }
 
@@ -222,13 +244,19 @@ mod tests {
         got.get().expect("committed")
     }
 
+    /// How many messages of the exchange called `name` were dropped.
+    fn dropped_under(s: &Setup, name: &str) -> u64 {
+        let key = format!("net.dropped{{exchange={name}}}");
+        s.sim.metrics().snapshot().get(&key).expect("registered")
+    }
+
     /// Calls `exchange` with a completion flag, checks that it put `sent`
     /// messages on the wire, that a round trip completes only after both
     /// hops (twice the base latency) and a notification has no completion
     /// at all; then runs it again with the pair cut around `cut` — the
     /// request hop or the reply hop — and checks nothing completes and the
-    /// network counted the drop.
-    fn check(s: &Setup, sent: u64, exchange: impl Fn(&TmClient, Rc<Cell<bool>>)) {
+    /// network counted the drop, under the exchange called `name`.
+    fn check(s: &Setup, name: &str, sent: u64, exchange: impl Fn(&TmClient, Rc<Cell<bool>>)) {
         let me = s.client.from;
         let tm_node = s.tm.node();
         let one_way = LatencyConfig::lan_100mbps().base;
@@ -251,17 +279,20 @@ mod tests {
         // The request hop cut.
         let done = Rc::new(Cell::new(false));
         let dropped = s.net.messages_dropped();
+        let under = dropped_under(s, name);
         s.net.partition(me, tm_node);
         exchange(&s.client, done.clone());
         s.sim.run_for(SimDuration::from_millis(50));
         s.net.heal(me, tm_node);
         assert!(!done.get());
         assert_eq!(s.net.messages_dropped() - dropped, 1);
+        assert_eq!(dropped_under(s, name) - under, 1, "dropped under {name}");
 
         // The reply hop cut: partition once the request has landed.
         if sent == 2 {
             let done = Rc::new(Cell::new(false));
             let dropped = s.net.messages_dropped();
+            let under = dropped_under(s, name);
             let delivered = s.net.messages_delivered();
             exchange(&s.client, done.clone());
             while s.net.messages_delivered() == delivered {
@@ -272,13 +303,14 @@ mod tests {
             s.net.heal(me, tm_node);
             assert!(!done.get());
             assert_eq!(s.net.messages_dropped() - dropped, 1);
+            assert_eq!(dropped_under(s, name) - under, 1, "dropped under {name}");
         }
     }
 
     #[test]
     fn begin_is_a_round_trip() {
         let s = setup();
-        check(&s, 2, |c, done| {
+        check(&s, "tm.begin", 2, |c, done| {
             c.begin(s.txn_of(ClientId(0)), fresh(ClientId(0)), move |_| {
                 done.set(true)
             })
@@ -291,7 +323,7 @@ mod tests {
     fn commit_is_a_round_trip_acked_after_the_log_force() {
         let s = setup();
         let row = Cell::new(0);
-        check(&s, 2, |c, done| {
+        check(&s, "tm.commit", 2, |c, done| {
             row.set(row.get() + 1);
             let txn = s.txn_of(ClientId(0));
             s.tm.handle_begin(txn, fresh(ClientId(0)));
@@ -346,7 +378,7 @@ mod tests {
         let s = setup();
         let ts = commit_directly(&s, ClientId(0), "r");
         assert!(s.tm.watermark() < ts);
-        check(&s, 1, |c, _| c.flush_complete(ts));
+        check(&s, "tm.flush_complete", 1, |c, _| c.flush_complete(ts));
         assert_eq!(s.tm.watermark(), ts);
     }
 
@@ -356,7 +388,7 @@ mod tests {
         let ts = commit_directly(&s, ClientId(0), "r");
         let open = s.txn_of(ClientId(0));
         s.tm.handle_begin(open, fresh(ClientId(0)));
-        check(&s, 2, |c, done| {
+        check(&s, "tm.last_commit_ts", 2, |c, done| {
             let session = Session {
                 floor: s.txn_of(ClientId(0)),
                 t_f: ts,
@@ -378,7 +410,7 @@ mod tests {
         s.tm.handle_begin(s.txn_of(ClientId(7)), fresh(ClientId(7)));
         let got = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
-        check(&s, 2, move |c, done| {
+        check(&s, "tm.reap_and_fetch_client", 2, move |c, done| {
             let g = g.clone();
             c.reap_and_fetch_client(ClientId(7), Timestamp::ZERO, move |records| {
                 *g.borrow_mut() = records;
@@ -400,7 +432,7 @@ mod tests {
         let s = setup();
         let first = commit_directly(&s, ClientId(0), "a");
         let second = commit_directly(&s, ClientId(1), "b");
-        check(&s, 2, move |c, done| {
+        check(&s, "tm.fetch_after", 2, move |c, done| {
             c.fetch_after(first, move |records| {
                 assert_eq!(Vec::from_iter(records.iter().map(|r| r.ts)), [second]);
                 done.set(true);
@@ -426,7 +458,9 @@ mod tests {
     fn truncate_below_is_one_way() {
         let s = setup();
         let ts = commit_directly(&s, ClientId(0), "r");
-        check(&s, 1, |c, _| c.truncate_below(Timestamp(ts.0 + 1)));
+        check(&s, "tm.truncate_below", 1, |c, _| {
+            c.truncate_below(Timestamp(ts.0 + 1))
+        });
         assert_eq!(s.tm.log().len(), 0);
     }
 }

@@ -118,15 +118,26 @@ fn a_client_cut_from_coordination_terminates_itself_is_pinned() {
 /// A faulty run's traffic: a write load, one client cut from the
 /// transaction manager for a second under that load, then a server crash
 /// and its failover under more load. What the network carried, delivered
-/// and dropped, and how many events the run took, are pinned.
+/// and dropped, and how many events the run took, are pinned; the totals
+/// are the sums of the per-exchange counts, and every message the cut
+/// dropped is counted under one of the manager's exchanges.
 #[test]
 fn network_totals_of_a_faulty_run_are_pinned() {
     let cluster = common::small_cluster(74);
     common::write_load(&cluster, 8, 64);
     let (client_node, tm_node) = (cluster.client(0).node(), cluster.tm.node());
+    let before_cut = cluster.metrics.snapshot();
     cluster.net.partition(client_node, tm_node);
     common::write_load(&cluster, 4, 64);
     cluster.net.heal(client_node, tm_node);
+    let cut = cluster.metrics.snapshot().diff(&before_cut);
+    let dropped_under_tm: u64 = cut
+        .entries()
+        .filter(|(key, _)| key.starts_with("net.dropped{exchange=tm."))
+        .map(|(_, n)| n)
+        .sum();
+    assert!(dropped_under_tm > 0, "the cut dropped nothing");
+    assert_eq!(dropped_under_tm, cut.sum("net.dropped"));
     cluster.crash_server(1);
     common::write_load(&cluster, 8, 64);
     cluster.run_for(SimDuration::from_secs(20));
@@ -140,6 +151,9 @@ fn network_totals_of_a_faulty_run_are_pinned() {
         format!("Network {{ nodes: {nodes}, sent: 2208, delivered: 2091, dropped: 117 }}")
     );
     assert_eq!(cluster.sim.events_executed(), 3_553);
+    let net = &cluster.net;
+    assert_eq!(cluster.metrics.sum("net.sent"), net.messages_sent());
+    assert_eq!(cluster.metrics.sum("net.dropped"), net.messages_dropped());
 }
 
 #[test]
