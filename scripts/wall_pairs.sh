@@ -32,6 +32,18 @@
 #               change run is below every parent run
 #   no worse    otherwise
 #
+# A host-time gain (wall_us_per_txn, setup_s) whose median moved less
+# than 3 % reads "gain (under 3 %: confirm with an A/A run)": two builds
+# of the same code can differ by that much through code layout or the
+# machine's drift alone. The A/A run is the control: give the same
+# revision twice, as in
+#
+#   scripts/wall_pairs.sh REV REV WORKLOAD
+#
+# which builds that one commit twice, in separate directories, and runs
+# the two builds against each other exactly as above. A gain is real
+# only if it stands clear of what the A/A run of the parent reads.
+#
 # The sim-clock metrics are exact for a seed, so one run of each
 # side says all there is about them at that seed: last, it prints every
 # WORKLOAD.metric line of pair 1 (seed 1) whose value differs between
@@ -151,11 +163,14 @@ for workload in $workloads; do
         fi
         awk -v m="$metric" -v pm="$p_med" -v p1="$p_q1" -v p3="$p_q3" \
             -v cm="$c_med" -v c1="$c_q1" -v c3="$c_q3" -v wins="$wins" -v n="$pairs" \
-            -v bound="$bound" -v apart="$apart" 'BEGIN {
+            -v bound="$bound" -v apart="$apart" -v host=" $host_metrics " 'BEGIN {
             printf "  %s parent median %s [q1 %s, q3 %s], change median %s [q1 %s, q3 %s]\n", m, pm, p1, p3, cm, c1, c3
             printf "  %s change %+.2f %% of the parent median, parent IQR %s, change lower in %d of %d pairs\n", m, (cm - pm) / pm * 100, p3 - p1, wins, n
-            if (wins * 10 >= 9 * n && pm - cm > p3 - p1) verdict = "gain"
-            else if (cm - pm > bound * pm) verdict = "worse"
+            if (wins * 10 >= 9 * n && pm - cm > p3 - p1) {
+                verdict = "gain"
+                if (index(host, " " m " ") && pm - cm < 0.03 * pm)
+                    verdict = "gain (under 3 %: confirm with an A/A run)"
+            } else if (cm - pm > bound * pm) verdict = "worse"
             else if (p3 - p1 > bound * pm && !apart) verdict = "unresolved"
             else verdict = "no worse"
             printf "  %s verdict: %s (bound %s of the parent median)\n", m, verdict, bound
