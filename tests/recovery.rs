@@ -795,6 +795,57 @@ fn clean_shutdown_racing_a_manager_restart_is_not_recovered() {
     assert_eq!(cluster.rm.client_recovery_count(), 0);
 }
 
+/// A restarted manager must read every client's `T_F(c)` before it
+/// publishes `T_F`. Client 2 commits while the manager is down and is
+/// cut from both servers, so its `T_F(c)` stays below that commit while
+/// the other clients' rise past it. Published from the first client to
+/// answer, `T_F` would pass the commit, `T_P` would follow it, and the
+/// log would be truncated above it — so client 2's crash would leave
+/// nothing to replay the commit from.
+#[test]
+fn a_restarted_manager_publishes_no_threshold_before_it_has_read_them_all() {
+    let cluster = small_cluster(7);
+    for i in 0..6u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 400, "f0", "warm")]);
+    }
+    cluster.run_for(SimDuration::from_secs(3));
+    cluster.crash_recovery_manager();
+
+    let laggard = cluster.client(2).clone();
+    for server in &cluster.servers {
+        cluster.net.partition(laggard.node(), server.node());
+    }
+    let acked: Rc<RefCell<Option<Timestamp>>> = Rc::default();
+    let a = acked.clone();
+    laggard.begin(move |txn| {
+        let txn = txn.expect("begin on live client");
+        txn.put(key(42), "f0", "precious").unwrap();
+        txn.commit(move |r| *a.borrow_mut() = Some(r.expect("commit acknowledged")));
+    });
+    cluster.run_for(SimDuration::from_secs(1));
+    let committed = acked.borrow().expect("the manager acknowledged the commit");
+    assert_eq!(committed, Timestamp(7));
+
+    for i in 0..10u64 {
+        run_txn(&cluster, (i % 2) as usize, &[(i * 700 + 1, "f0", "later")]);
+    }
+    cluster.run_for(SimDuration::from_secs(3));
+    cluster.restart_recovery_manager();
+    cluster.run_for(SimDuration::from_secs(6));
+    assert!(
+        cluster.rm.t_f() < committed,
+        "T_F {:?} passed an unflushed commit at {committed:?}",
+        cluster.rm.t_f()
+    );
+    assert!(cluster.tm.log().truncated_below() <= committed);
+
+    laggard.crash();
+    cluster.net.heal_all();
+    cluster.run_for(SimDuration::from_secs(20));
+    let got = cluster.read_cell(key(42), "f0", SimDuration::from_secs(10));
+    assert_eq!(got.as_deref(), Some(&b"precious"[..]));
+}
+
 #[test]
 fn thresholds_advance_and_log_truncates() {
     let cluster = small_cluster(9);
