@@ -846,6 +846,53 @@ fn a_restarted_manager_publishes_no_threshold_before_it_has_read_them_all() {
     assert_eq!(got.as_deref(), Some(&b"precious"[..]));
 }
 
+/// The server half of the same gate: server 1 is cut from every
+/// datanode, so its `T_P(s)` stays below a commit it acknowledged from
+/// its unsynced log while the other server's rises past it. `T_P(s)`
+/// never passes `T_F`, which stands still while the manager is down, so
+/// the laggard falls behind before the manager crashes. Published from
+/// the first server to answer, `T_P` would pass the commit and the log
+/// would be truncated above it — so server 1's crash would leave
+/// nothing to replay the commit from.
+#[test]
+fn a_restarted_manager_publishes_no_t_p_before_it_has_read_every_server() {
+    let cluster = small_cluster(7);
+    for i in 0..6u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 400, "f0", "warm")]);
+    }
+    cluster.run_for(SimDuration::from_secs(3));
+
+    let laggard = cluster.servers[1].node();
+    for dn in &cluster.datanodes {
+        cluster.net.partition(laggard, dn.node());
+    }
+    let rows = [42, 2_542, 5_042, 7_542];
+    let writes: Vec<(u64, &str, &str)> = rows.iter().map(|r| (*r, "f0", "precious")).collect();
+    let committed = Timestamp(run_txn(&cluster, 0, &writes));
+    for i in 0..10u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 700 + 1, "f0", "later")]);
+    }
+    cluster.run_for(SimDuration::from_secs(3));
+    cluster.crash_recovery_manager();
+    cluster.run_for(SimDuration::from_secs(1));
+    cluster.restart_recovery_manager();
+    cluster.run_for(SimDuration::from_secs(6));
+    assert!(
+        cluster.rm.t_p() < committed,
+        "T_P {:?} passed an unsynced commit at {committed:?}",
+        cluster.rm.t_p()
+    );
+    assert!(cluster.tm.log().truncated_below() <= committed);
+
+    cluster.crash_server(1);
+    cluster.net.heal_all();
+    cluster.run_for(SimDuration::from_secs(20));
+    for row in rows {
+        let got = cluster.read_cell(key(row), "f0", SimDuration::from_secs(10));
+        assert_eq!(got.as_deref(), Some(&b"precious"[..]), "row {row} lost");
+    }
+}
+
 #[test]
 fn thresholds_advance_and_log_truncates() {
     let cluster = small_cluster(9);
