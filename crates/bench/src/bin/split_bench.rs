@@ -168,6 +168,7 @@ struct Audit {
 
 /// Thread `idx % stride` executes transactions `idx, idx+stride, …`
 /// closed-loop: each begins when the previous one finished.
+#[expect(clippy::disallowed_methods, reason = "CD007: the harness's own loop")]
 fn run_stream_txn(audit: Rc<Audit>, idx: usize, stride: usize) {
     if idx >= audit.stream.len() {
         return;

@@ -327,6 +327,10 @@ impl CoordService {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "CD007: a test drives the kernel from outside any process"
+    )]
     use super::*;
     use cumulo_sim::LatencyConfig;
 

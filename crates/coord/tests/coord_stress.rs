@@ -1,6 +1,11 @@
 //! Stress and property tests of the coordination substrate: many
 //! sessions, interleaved expiries, watch storms.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "CD007: a test drives the kernel from outside any process"
+)]
+
 use bytes::Bytes;
 use cumulo_coord::{CoordClient, CoordService, SessionId, WatchEvent};
 use cumulo_sim::{LatencyConfig, Network, Sim, SimDuration, SimTime};

@@ -254,7 +254,7 @@ impl Cluster {
             .map(|i| net.add_node(&format!("rs{i}")))
             .collect();
         let master_node = net.add_node("master");
-        let master_dfs = DfsClient::new(&sim, &net, &namenode, master_node);
+        let master_dfs = DfsClient::new(&net, &namenode, master_node);
         let master = Master::new(
             &sim,
             &net,
@@ -286,7 +286,7 @@ impl Cluster {
                 node,
                 ServerId(i as u32),
                 server_cfg,
-                DfsClient::new(&sim, &net, &namenode, node),
+                DfsClient::new(&net, &namenode, node),
                 CoordClient::new(&net, &coord, node),
                 move || {
                     let horizon = tm_for_gc.oldest_active_snapshot();
@@ -480,7 +480,7 @@ impl Cluster {
     pub fn load_rows(&self, rows: u64, columns: &[&str], value_len: usize, warm_cache: bool) {
         let map = self.master.snapshot_map();
         let loader_node = self.net.add_node("loader");
-        let dfs = DfsClient::new(&self.sim, &self.net, &self.namenode, loader_node);
+        let dfs = DfsClient::new(&self.net, &self.namenode, loader_node);
         let value = vec![0x61; value_len];
         // A row's cells in file order, each once.
         let mut columns: Vec<&[u8]> = columns.iter().map(|c| c.as_bytes()).collect();

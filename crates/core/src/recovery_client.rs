@@ -59,14 +59,17 @@ impl fmt::Debug for RecoveryClient {
 
 impl RecoveryClient {
     /// Creates the recovery client; `store` and `tm` must both be bound
-    /// to the recovery manager's node.
+    /// to the recovery manager's node. Its counters are the run's
+    /// `rm.*_txns_replayed` metrics, so a [`Sim`] takes one recovery
+    /// client.
     pub fn new(sim: &Sim, store: StoreClient, tm: TmClient) -> Rc<RecoveryClient> {
+        let metrics = sim.metrics();
         Rc::new(RecoveryClient {
             sim: sim.clone(),
             store,
             tm,
-            client_txns_replayed: Counter::new(),
-            region_txns_replayed: Counter::new(),
+            client_txns_replayed: metrics.counter("rm.client_txns_replayed", &[]),
+            region_txns_replayed: metrics.counter("rm.region_txns_replayed", &[]),
         })
     }
 

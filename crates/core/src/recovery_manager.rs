@@ -36,8 +36,9 @@
 //! the master reports the failure, while the master is still splitting
 //! the dead server's WAL. A region's new host then only has to report in
 //! for its share to be cut out of the staged suffix (by *its*
-//! descriptor) and replayed. Staging is volatile: a restarted manager
-//! rebuilds it when the first host reports in.
+//! descriptor) and replayed. Staging is volatile, like everything the
+//! manager keeps in memory ([`Volatile`]): a crash drops it, a restarted
+//! manager rebuilds it when the first host reports in.
 
 use crate::paths;
 use crate::recovery_client::RecoveryClient;
@@ -104,6 +105,46 @@ struct StagedReplay {
     suffix: Option<Rc<Vec<LogRecord>>>,
 }
 
+/// What the manager keeps in memory, and loses with its process.
+#[derive(Default)]
+struct Volatile {
+    /// A restarted manager's reads have not all landed: it publishes no
+    /// threshold and truncates nothing.
+    catching_up: bool,
+    /// `T_F_r(c)` per registered client.
+    clients: BTreeMap<ClientId, Timestamp>,
+    /// `T_P_r(s)` per registered server (failed servers stay until all
+    /// their regions have been recovered).
+    servers: BTreeMap<ServerId, Timestamp>,
+    /// Virtual registrations pinning `T_F` during client recoveries (the
+    /// recovery client acts as a tracked client; ARCHITECTURE.md, client failure).
+    pins: BTreeMap<u64, Timestamp>,
+    next_pin: u64,
+    /// In-progress region recoveries (also pin `T_P` via their floors).
+    region_tasks: BTreeMap<RegionId, RegionTask>,
+    next_generation: u64,
+    /// Regions of each failed server still awaiting recovery.
+    pending_regions: BTreeMap<ServerId, BTreeSet<RegionId>>,
+    /// The staged replay of each failed server.
+    staged: BTreeMap<ServerId, StagedReplay>,
+    t_f: Timestamp,
+    t_p: Timestamp,
+    last_truncated: Timestamp,
+}
+
+impl Volatile {
+    fn next_generation(&mut self) -> u64 {
+        self.next_generation += 1;
+        self.next_generation - 1
+    }
+
+    /// `failed`'s staging, if it is still the one `generation` names.
+    fn staging(&mut self, failed: ServerId, generation: u64) -> Option<&mut StagedReplay> {
+        let st = self.staged.get_mut(&failed);
+        st.filter(|st| st.generation == generation)
+    }
+}
+
 /// The recovery manager. Shared via `Rc`.
 pub struct RecoveryManager {
     sim: Sim,
@@ -115,25 +156,7 @@ pub struct RecoveryManager {
     tm: TmClient,
     rc: Rc<RecoveryClient>,
     cfg: RecoveryManagerConfig,
-    /// `T_F_r(c)` per registered client.
-    clients: RefCell<BTreeMap<ClientId, Timestamp>>,
-    /// `T_P_r(s)` per registered server (failed servers stay until all
-    /// their regions have been recovered).
-    servers: RefCell<BTreeMap<ServerId, Timestamp>>,
-    /// Virtual registrations pinning `T_F` during client recoveries (the
-    /// recovery client acts as a tracked client; ARCHITECTURE.md, client failure).
-    pins: RefCell<BTreeMap<u64, Timestamp>>,
-    next_pin: Cell<u64>,
-    /// In-progress region recoveries (also pin `T_P` via their floors).
-    region_tasks: RefCell<BTreeMap<RegionId, RegionTask>>,
-    next_generation: Cell<u64>,
-    /// Regions of each failed server still awaiting recovery.
-    pending_regions: RefCell<BTreeMap<ServerId, BTreeSet<RegionId>>>,
-    /// The staged replay of each failed server (volatile).
-    staged: RefCell<BTreeMap<ServerId, StagedReplay>>,
-    t_f: Cell<Timestamp>,
-    t_p: Cell<Timestamp>,
-    last_truncated: Cell<Timestamp>,
+    state: RefCell<Volatile>,
     client_recoveries: Counter,
     region_recoveries: Counter,
     promotion_recoveries: Counter,
@@ -142,13 +165,14 @@ pub struct RecoveryManager {
 
 impl fmt::Debug for RecoveryManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let st = self.state.borrow();
         f.debug_struct("RecoveryManager")
             .field("node", &self.node)
             .field("alive", &self.is_alive())
-            .field("t_f", &self.t_f.get())
-            .field("t_p", &self.t_p.get())
-            .field("clients", &self.clients.borrow().len())
-            .field("servers", &self.servers.borrow().len())
+            .field("t_f", &st.t_f)
+            .field("t_p", &st.t_p)
+            .field("clients", &st.clients.len())
+            .field("servers", &st.servers.len())
             .finish()
     }
 }
@@ -176,17 +200,7 @@ impl RecoveryManager {
             tm,
             rc,
             cfg,
-            clients: RefCell::new(BTreeMap::new()),
-            servers: RefCell::new(BTreeMap::new()),
-            pins: RefCell::new(BTreeMap::new()),
-            next_pin: Cell::new(0),
-            region_tasks: RefCell::new(BTreeMap::new()),
-            next_generation: Cell::new(0),
-            pending_regions: RefCell::new(BTreeMap::new()),
-            staged: RefCell::new(BTreeMap::new()),
-            t_f: Cell::new(Timestamp::ZERO),
-            t_p: Cell::new(Timestamp::ZERO),
-            last_truncated: Cell::new(Timestamp::ZERO),
+            state: RefCell::default(),
             client_recoveries: metrics.counter("rm.client_recoveries", &[]),
             region_recoveries: metrics.counter("rm.region_recoveries", &[]),
             promotion_recoveries: metrics.counter("rm.promotion_recoveries", &[]),
@@ -198,9 +212,9 @@ impl RecoveryManager {
     /// thresholds and starts the checkpoint timer.
     pub fn start(self: &Rc<Self>) {
         self.coord
-            .set_data(paths::TF_PATH, paths::encode_ts(self.t_f.get()));
+            .set_data(paths::TF_PATH, paths::encode_ts(Timestamp::ZERO));
         self.coord
-            .set_data(paths::TP_PATH, paths::encode_ts(self.t_p.get()));
+            .set_data(paths::TP_PATH, paths::encode_ts(Timestamp::ZERO));
 
         self.watch("/live/clients/", |rm, event| match event {
             WatchEvent::Created(path) => {
@@ -220,7 +234,7 @@ impl RecoveryManager {
         self.watch(ServerId::LIVE_PREFIX, |rm, event| {
             if let WatchEvent::Created(path) = event {
                 if let Some(s) = ServerId::from_path(path) {
-                    rm.on_server_up(s, |_| {});
+                    rm.on_server_up(s);
                 }
             }
         });
@@ -273,12 +287,12 @@ impl RecoveryManager {
 
     /// The global flushed threshold `T_F`.
     pub fn t_f(&self) -> Timestamp {
-        self.t_f.get()
+        self.state.borrow().t_f
     }
 
     /// The global persisted threshold `T_P` (the log-truncation point).
     pub fn t_p(&self) -> Timestamp {
-        self.t_p.get()
+        self.state.borrow().t_p
     }
 
     /// Client recoveries performed.
@@ -316,10 +330,7 @@ impl RecoveryManager {
         let this = Rc::clone(self);
         self.coord
             .get_data(&paths::client_threshold(c), move |data| {
-                let ts = data
-                    .map(|d| paths::decode_ts(&d))
-                    .unwrap_or(Timestamp::ZERO);
-                this.clients.borrow_mut().insert(c, ts);
+                this.state.borrow_mut().clients.insert(c, decode(data));
                 this.recompute_t_f();
             });
     }
@@ -339,25 +350,20 @@ impl RecoveryManager {
                     (_, false) => this.recover_client(c, Timestamp::ZERO),
                     (None, true) => {
                         // Clean unregister.
-                        this.clients.borrow_mut().remove(&c);
+                        this.state.borrow_mut().clients.remove(&c);
                         this.recompute_t_f();
                     }
                 }
             });
     }
 
-    /// Registers `s` at the threshold it reported, then runs `then` in the
-    /// same reply.
-    fn on_server_up(self: &Rc<Self>, s: ServerId, then: impl FnOnce(&Rc<Self>) + 'static) {
+    /// Registers `s` at the threshold it reported.
+    fn on_server_up(self: &Rc<Self>, s: ServerId) {
         let this = Rc::clone(self);
         self.coord
             .get_data(&paths::server_threshold(s), move |data| {
-                let ts = data
-                    .map(|d| paths::decode_ts(&d))
-                    .unwrap_or(Timestamp::ZERO);
-                this.servers.borrow_mut().insert(s, ts);
+                this.state.borrow_mut().servers.insert(s, decode(data));
                 this.recompute_t_p();
-                then(&this);
             });
     }
 
@@ -369,26 +375,17 @@ impl RecoveryManager {
             let ts = paths::decode_ts(&d);
             if path.starts_with("/thresholds/clients/") {
                 if let Some(c) = paths::parse_client_path(&path) {
-                    if let Some(entry) = this.clients.borrow_mut().get_mut(&c) {
-                        if ts > *entry {
-                            *entry = ts;
-                        }
+                    if let Some(entry) = this.state.borrow_mut().clients.get_mut(&c) {
+                        *entry = (*entry).max(ts);
                     }
                     this.recompute_t_f();
                 }
             } else if path.starts_with("/thresholds/servers/") {
                 if let Some(s) = ServerId::from_path(&path) {
-                    let mut servers = this.servers.borrow_mut();
-                    match servers.get_mut(&s) {
-                        // Floors may legitimately *lower* a server's
-                        // threshold (replay inheritance), so take the
-                        // reported value as-is.
-                        Some(entry) => *entry = ts,
-                        None => {
-                            servers.insert(s, ts);
-                        }
-                    }
-                    drop(servers);
+                    // Floors may legitimately *lower* a server's threshold
+                    // (replay inheritance), so take the reported value
+                    // as-is.
+                    this.state.borrow_mut().servers.insert(s, ts);
                     this.recompute_t_p();
                 }
             }
@@ -397,40 +394,36 @@ impl RecoveryManager {
 
     /// `T_F = min over clients (and recovery pins) of T_F(c)`.
     fn recompute_t_f(&self) {
-        let clients = self.clients.borrow();
-        let pins = self.pins.borrow();
-        let min = clients.values().chain(pins.values()).min().copied();
-        let Some(min) = min else { return };
-        if min > self.t_f.get() {
-            self.t_f.set(min);
-            self.event("threshold.tf", fields!(t_f = min));
-            self.coord.set_data(paths::TF_PATH, paths::encode_ts(min));
-        }
+        let mut st = self.state.borrow_mut();
+        let min = st.clients.values().chain(st.pins.values()).min().copied();
+        let raised = min.filter(|min| *min > st.t_f && !st.catching_up);
+        let Some(t_f) = raised else { return };
+        st.t_f = t_f;
+        drop(st);
+        self.event("threshold.tf", fields!(t_f));
+        self.coord.set_data(paths::TF_PATH, paths::encode_ts(t_f));
     }
 
     /// `T_P = min over servers (and active region-recovery floors)`.
     fn recompute_t_p(&self) {
-        let servers = self.servers.borrow();
-        let tasks = self.region_tasks.borrow();
-        let min = servers
-            .values()
-            .copied()
-            .chain(tasks.values().map(|t| t.floor))
-            .min();
-        let Some(min) = min else { return };
-        if min > self.t_p.get() {
-            self.t_p.set(min);
-            self.event("threshold.tp", fields!(t_p = min));
-            self.coord.set_data(paths::TP_PATH, paths::encode_ts(min));
-        }
+        let mut st = self.state.borrow_mut();
+        let floors = st.region_tasks.values().map(|t| t.floor);
+        let min = st.servers.values().copied().chain(floors).min();
+        let raised = min.filter(|min| *min > st.t_p && !st.catching_up);
+        let Some(t_p) = raised else { return };
+        st.t_p = t_p;
+        drop(st);
+        self.event("threshold.tp", fields!(t_p));
+        self.coord.set_data(paths::TP_PATH, paths::encode_ts(t_p));
     }
 
-    /// Checkpoint tick: republish `T_P` and truncate the log below it.
+    /// Checkpoint tick: republish `T_P` and truncate the log below it
+    /// (`T_P` stays zero while a restarted manager catches up).
     fn checkpoint(self: &Rc<Self>) {
         self.recompute_t_p();
-        let t_p = self.t_p.get();
-        if t_p > self.last_truncated.get() {
-            self.last_truncated.set(t_p);
+        let t_p = self.t_p();
+        let last = std::mem::replace(&mut self.state.borrow_mut().last_truncated, t_p);
+        if t_p > last {
             self.truncations.inc();
             self.event("log.truncate", fields!(below = t_p));
             self.tm.truncate_below(t_p);
@@ -446,10 +439,14 @@ impl RecoveryManager {
         self.event("client.recover", fields!(client = c, t_f_r));
         // Pin the global T_F at the dead client's threshold: the recovery
         // client now vouches for the interrupted flushes.
-        let pin = self.next_pin.get();
-        self.next_pin.set(pin + 1);
-        self.pins.borrow_mut().insert(pin, t_f_r);
-        self.clients.borrow_mut().remove(&c);
+        let pin = {
+            let mut st = self.state.borrow_mut();
+            let pin = st.next_pin;
+            st.next_pin += 1;
+            st.pins.insert(pin, t_f_r);
+            st.clients.remove(&c);
+            pin
+        };
         self.recompute_t_f();
 
         // Reap the client's open transactions and fetch its
@@ -461,7 +458,7 @@ impl RecoveryManager {
             rc.replay_client_log(
                 records,
                 Box::new(move || {
-                    this2.pins.borrow_mut().remove(&pin);
+                    this2.state.borrow_mut().pins.remove(&pin);
                     this2.recompute_t_f();
                     // Unregister the dead client permanently.
                     this2.coord.delete(&paths::client_threshold(c));
@@ -478,17 +475,17 @@ impl RecoveryManager {
     /// reassigned. Records the pending-recovery set and stages their
     /// replay (idempotent).
     pub fn note_server_failed(self: &Rc<Self>, failed: ServerId, regions: Vec<RegionId>) {
-        if self.pending_regions.borrow().contains_key(&failed) {
+        let set: BTreeSet<RegionId> = regions.iter().copied().collect();
+        let mut st = self.state.borrow_mut();
+        if st.pending_regions.contains_key(&failed) {
             return;
         }
-        let set: BTreeSet<RegionId> = regions.iter().copied().collect();
+        st.pending_regions.insert(failed, set.clone());
+        drop(st);
         self.coord.set_data(
             &paths::pending_recovery(failed),
             paths::encode_regions(&regions),
         );
-        self.pending_regions
-            .borrow_mut()
-            .insert(failed, set.clone());
         if set.is_empty() {
             self.finish_failed_server(failed);
         } else {
@@ -496,30 +493,11 @@ impl RecoveryManager {
         }
     }
 
-    fn next_generation(&self) -> u64 {
-        let generation = self.next_generation.get();
-        self.next_generation.set(generation + 1);
-        generation
-    }
-
     /// The failed server's last reported `T_P(s)`: what its regions
     /// replay from, unless an earlier recovery left a lower floor.
-    fn failed_threshold(&self, failed: ServerId) -> Timestamp {
-        let tracked = self.servers.borrow().get(&failed).copied();
-        tracked
-            .filter(|_| self.cfg.tracking)
-            .unwrap_or(Timestamp::ZERO)
-    }
-
-    /// `failed`'s staging, if it is still the one `generation` names.
-    fn staging(
-        staged: &mut BTreeMap<ServerId, StagedReplay>,
-        failed: ServerId,
-        generation: u64,
-    ) -> Option<&mut StagedReplay> {
-        staged
-            .get_mut(&failed)
-            .filter(|st| st.generation == generation)
+    fn failed_threshold(&self, st: &Volatile, failed: ServerId) -> Timestamp {
+        let tracked = st.servers.get(&failed).filter(|_| self.cfg.tracking);
+        tracked.copied().unwrap_or(Timestamp::ZERO)
     }
 
     /// Stages the replay of `failed`'s `regions` (replacing any earlier
@@ -529,25 +507,25 @@ impl RecoveryManager {
     /// once per region. Regions whose hosts report in meanwhile start
     /// when the suffix lands.
     fn stage_replay(self: &Rc<Self>, failed: ServerId, regions: BTreeSet<RegionId>) {
-        let generation = self.next_generation();
-        let t_p_r = self.failed_threshold(failed);
-        self.staged.borrow_mut().insert(
-            failed,
-            StagedReplay {
-                generation,
-                floors: regions.iter().map(|r| (*r, t_p_r)).collect(),
-                suffix: None,
-            },
-        );
+        let mut st = self.state.borrow_mut();
+        let generation = st.next_generation();
+        let t_p_r = self.failed_threshold(&st, failed);
+        let staging = StagedReplay {
+            generation,
+            floors: regions.iter().map(|r| (*r, t_p_r)).collect(),
+            suffix: None,
+        };
+        st.staged.insert(failed, staging);
+        drop(st);
         let unread = Rc::new(Cell::new(regions.len()));
         for region in regions {
             let this = Rc::clone(self);
             let unread = Rc::clone(&unread);
             self.coord
                 .get_data(&paths::region_floor(region), move |stored| {
-                    let mut staged = this.staged.borrow_mut();
-                    let Some(st) = Self::staging(&mut staged, failed, generation) else {
-                        return; // superseded, or lost in a crash
+                    let mut state = this.state.borrow_mut();
+                    let Some(st) = state.staging(failed, generation) else {
+                        return; // superseded
                     };
                     if let (Some(prior), Some(floor)) = (stored, st.floors.get_mut(&region)) {
                         *floor = (*floor).min(paths::decode_ts(&prior));
@@ -555,7 +533,7 @@ impl RecoveryManager {
                     unread.set(unread.get() - 1);
                     if unread.get() == 0 {
                         let floors = st.floors.clone();
-                        drop(staged);
+                        drop(state);
                         this.fetch_staged_suffix(failed, generation, floors);
                     }
                 });
@@ -602,25 +580,21 @@ impl RecoveryManager {
         lowest: Timestamp,
         records: Vec<LogRecord>,
     ) {
-        {
-            let mut staged = self.staged.borrow_mut();
-            let Some(st) = Self::staging(&mut staged, failed, generation) else {
-                return;
-            };
-            let (regions, count) = (st.floors.len(), records.len());
-            st.suffix = Some(Rc::new(records));
-            self.event(
-                "recovery.staged",
-                fields!(server = failed, regions, records = count, floor = lowest),
-            );
-        }
-        let waiting: Vec<RegionId> = self
-            .region_tasks
-            .borrow()
-            .iter()
+        let mut state = self.state.borrow_mut();
+        let Some(st) = state.staging(failed, generation) else {
+            return;
+        };
+        let (regions, count) = (st.floors.len(), records.len());
+        st.suffix = Some(Rc::new(records));
+        self.event(
+            "recovery.staged",
+            fields!(server = failed, regions, records = count, floor = lowest),
+        );
+        let waiting: Vec<RegionId> = (state.region_tasks.iter())
             .filter(|(_, task)| task.failed == failed && !task.replaying)
             .map(|(region, _)| *region)
             .collect();
+        drop(state);
         for region in waiting {
             self.start_region_replay(region);
         }
@@ -644,10 +618,15 @@ impl RecoveryManager {
         }
         // Duplicate notification for an in-progress task on the same
         // target: the retry loop re-delivered; nothing to do.
-        if let Some(task) = self.region_tasks.borrow().get(&region) {
-            if task.server.id() == server.id() {
-                return;
-            }
+        let same_target = |task: &RegionTask| task.server.id() == server.id();
+        if self
+            .state
+            .borrow()
+            .region_tasks
+            .get(&region)
+            .is_some_and(same_target)
+        {
+            return;
         }
         // Late duplicate after completion: the region is already online.
         if server.region_online(region) {
@@ -657,35 +636,31 @@ impl RecoveryManager {
             }
             return;
         }
-        let staged_floor = self
-            .staged
-            .borrow()
-            .get(&failed)
-            .and_then(|st| st.floors.get(&region).copied());
-        self.region_tasks.borrow_mut().insert(
-            region,
-            RegionTask {
-                generation: self.next_generation(),
-                server,
-                failed,
-                online,
-                floor: staged_floor.unwrap_or_else(|| self.failed_threshold(failed)),
-                promoted,
-                replaying: false,
-            },
-        );
-        if staged_floor.is_none() {
-            // Nothing staged covers the region: the manager restarted
-            // since the failure (staging is volatile), or this host beat
-            // the master's notification here. Stage on demand, for every
-            // region of `failed` known to be waiting.
+        let mut st = self.state.borrow_mut();
+        let staged = st.staged.get(&failed);
+        let staged_floor = staged.and_then(|st| st.floors.get(&region).copied());
+        // Nothing staged covers the region: the manager restarted since the
+        // failure (staging is volatile), or this host beat the master's
+        // notification here. Stage on demand, for every region of `failed`
+        // known to be waiting.
+        let unstaged = staged_floor.is_none().then(|| {
             let mut regions = BTreeSet::from([region]);
-            if let Some(pending) = self.pending_regions.borrow().get(&failed) {
-                regions.extend(pending);
-            }
-            if let Some(st) = self.staged.borrow().get(&failed) {
-                regions.extend(st.floors.keys());
-            }
+            regions.extend(st.pending_regions.get(&failed).into_iter().flatten());
+            regions.extend(staged.into_iter().flat_map(|st| st.floors.keys()));
+            regions
+        });
+        let task = RegionTask {
+            generation: st.next_generation(),
+            server,
+            failed,
+            online,
+            floor: staged_floor.unwrap_or_else(|| self.failed_threshold(&st, failed)),
+            promoted,
+            replaying: false,
+        };
+        st.region_tasks.insert(region, task);
+        drop(st);
+        if let Some(regions) = unstaged {
             self.stage_replay(failed, regions);
         }
         self.start_region_replay(region);
@@ -697,12 +672,12 @@ impl RecoveryManager {
     /// back here.
     fn start_region_replay(self: &Rc<Self>, region: RegionId) {
         let (generation, server, failed, floor, suffix) = {
-            let mut tasks = self.region_tasks.borrow_mut();
-            let Some(task) = tasks.get_mut(&region).filter(|t| !t.replaying) else {
+            let mut state = self.state.borrow_mut();
+            let state = &mut *state;
+            let Some(task) = state.region_tasks.get_mut(&region).filter(|t| !t.replaying) else {
                 return;
             };
-            let staged = self.staged.borrow();
-            let Some(st) = staged.get(&task.failed) else {
+            let Some(st) = state.staged.get(&task.failed) else {
                 return;
             };
             let (Some(suffix), Some(floor)) = (&st.suffix, st.floors.get(&region)) else {
@@ -764,7 +739,7 @@ impl RecoveryManager {
         failed: ServerId,
     ) {
         let (online, promoted) = {
-            let mut tasks = self.region_tasks.borrow_mut();
+            let tasks = &mut self.state.borrow_mut().region_tasks;
             match tasks.get(&region) {
                 Some(task) if task.generation == generation => {
                     let task = tasks.remove(&region).expect("present");
@@ -793,8 +768,8 @@ impl RecoveryManager {
         // cascade it was still on the set of the host before `failed`,
         // whose own recovery of it never finished. A server whose set
         // empties is done with.
-        let mut done = Vec::new();
-        for (server, set) in self.pending_regions.borrow_mut().iter_mut() {
+        let (mut done, mut st) = (Vec::new(), self.state.borrow_mut());
+        for (server, set) in st.pending_regions.iter_mut() {
             if set.remove(&region) {
                 let regions: Vec<RegionId> = set.iter().copied().collect();
                 self.coord.set_data(
@@ -806,9 +781,10 @@ impl RecoveryManager {
                 }
             }
         }
-        for st in self.staged.borrow_mut().values_mut() {
-            st.floors.remove(&region);
+        for staging in st.staged.values_mut() {
+            staging.floors.remove(&region);
         }
+        drop(st);
         for server in done {
             self.finish_failed_server(server);
         }
@@ -816,10 +792,12 @@ impl RecoveryManager {
     }
 
     fn finish_failed_server(&self, failed: ServerId) {
-        self.pending_regions.borrow_mut().remove(&failed);
-        self.staged.borrow_mut().remove(&failed);
+        let mut st = self.state.borrow_mut();
+        st.pending_regions.remove(&failed);
+        st.staged.remove(&failed);
+        st.servers.remove(&failed);
+        drop(st);
         self.coord.delete(&paths::pending_recovery(failed));
-        self.servers.borrow_mut().remove(&failed);
         self.coord.delete(&paths::server_threshold(failed));
         self.recompute_t_p();
     }
@@ -828,32 +806,22 @@ impl RecoveryManager {
     // Recovery-manager failure (§3.3)
     // ------------------------------------------------------------------
 
-    /// Crash-stop failure of the recovery manager itself. Transaction
-    /// processing continues; heartbeats keep updating the coordination
-    /// service; failure notifications are retried by their hooks.
+    /// Crash-stop failure of the recovery manager itself: its node dies
+    /// and its volatile state is dropped whole. Transaction processing
+    /// continues; heartbeats keep updating the coordination service;
+    /// failure notifications are retried by their hooks.
     pub fn crash(&self) {
         self.net.crash(self.node);
-        // Volatile recovery state is lost with the process.
-        self.region_tasks.borrow_mut().clear();
-        self.staged.borrow_mut().clear();
-        self.pins.borrow_mut().clear();
-        self.pending_regions.borrow_mut().clear();
-        self.clients.borrow_mut().clear();
-        self.servers.borrow_mut().clear();
+        *self.state.borrow_mut() = Volatile::default();
     }
 
     /// Restart after a crash: catches up from the coordination service
-    /// ("contacts ZooKeeper to catch up with the system's progress"). The
-    /// watches registered by [`RecoveryManager::start`] outlive the crash,
-    /// so only the checkpoint timer is re-armed. Then, in order: the
-    /// candidate clients and the liveness nodes are listed, and each
-    /// candidate goes to the handler its liveness watch would have called
-    /// — up if it has a liveness node, down (recovered) if it died while
-    /// the manager was down; each server threshold goes to the server-up
-    /// handler, whose reply reads the server's pending-recovery set; `T_F`
-    /// and `T_P` are read back.
+    /// ("contacts ZooKeeper to catch up with the system's progress"), and
+    /// publishes and truncates nothing until it has. The watches
+    /// [`RecoveryManager::start`] registered outlive the crash, so only
+    /// the checkpoint timer is re-armed.
     ///
-    /// With tracking, the candidates are the clients with a threshold
+    /// With tracking, the candidate clients are those with a threshold
     /// node. Without it clients write none, so the candidates are the
     /// clients the recovery log has records of. Nothing truncates that
     /// log without tracking, so every restart replays each such dead
@@ -861,49 +829,60 @@ impl RecoveryManager {
     /// keyed by its commit timestamp.
     pub fn restart(self: &Rc<Self>) {
         self.net.restart(self.node);
+        self.state.borrow_mut().catching_up = true;
         self.arm_checkpoint_timer();
-
-        // A candidate with no liveness node died while the manager was
-        // down: the down handler recovers it.
-        let client = |p: &String| paths::parse_client_path(p);
         let this = Rc::clone(self);
-        let up_or_down = move |candidates: Vec<ClientId>| {
-            let this2 = Rc::clone(&this);
-            this.coord.children("/live/clients/", move |live| {
-                let live: BTreeSet<ClientId> = live.iter().filter_map(client).collect();
-                for c in candidates {
-                    if live.contains(&c) {
-                        this2.on_client_up(c);
-                    } else {
-                        this2.on_client_down(c);
-                    }
-                }
-            });
-        };
+        let catch_up = move |candidates| this.catch_up(candidates);
         if self.cfg.tracking {
-            self.coord.children("/thresholds/clients/", move |tpaths| {
-                up_or_down(tpaths.iter().filter_map(client).collect());
-            });
+            let listed = move |p: Vec<String>| catch_up(client_ids(&p));
+            self.coord.children("/thresholds/clients/", listed);
         } else {
             self.tm.fetch_after(Timestamp::ZERO, move |records| {
-                let logged: BTreeSet<ClientId> = records.iter().map(|r| r.client).collect();
-                up_or_down(logged.into_iter().collect());
+                catch_up(records.iter().map(|r| r.client).collect());
             });
         }
+    }
 
+    /// Reads every threshold back, in one run of requests on the FIFO link
+    /// to the coordination service: the client liveness nodes, whose
+    /// answer reads each candidate's threshold through the handler its
+    /// liveness watch would call (down, so recovered, if it died while the
+    /// manager was down); the server thresholds, whose answer reads each
+    /// one and its pending-recovery set; then `T_F` and `T_P`. The service
+    /// answers each read as it arrives, so `T_P`'s answer lands last and
+    /// ends the catch-up.
+    fn catch_up(self: &Rc<Self>, candidates: BTreeSet<ClientId>) {
+        let this = Rc::clone(self);
+        self.coord.children("/live/clients/", move |live| {
+            let live = client_ids(&live);
+            for c in candidates {
+                if live.contains(&c) {
+                    this.on_client_up(c);
+                } else {
+                    this.on_client_down(c);
+                }
+            }
+        });
         let this = Rc::clone(self);
         self.coord.children("/thresholds/servers/", move |tpaths| {
             for s in tpaths.iter().filter_map(|p| ServerId::from_path(p)) {
-                this.on_server_up(s, move |this| this.resume_pending_recovery(s));
+                this.on_server_up(s);
+                this.resume_pending_recovery(s);
             }
-        });
-
-        let this = Rc::clone(self);
-        self.coord.get_data(paths::TF_PATH, move |data| {
-            raise(&this.t_f, data);
             let this2 = Rc::clone(&this);
-            this.coord
-                .get_data(paths::TP_PATH, move |data| raise(&this2.t_p, data));
+            this.coord.get_data(paths::TF_PATH, move |data| {
+                let mut st = this2.state.borrow_mut();
+                st.t_f = st.t_f.max(decode(data));
+            });
+            let this2 = Rc::clone(&this);
+            this.coord.get_data(paths::TP_PATH, move |data| {
+                let mut st = this2.state.borrow_mut();
+                st.t_p = st.t_p.max(decode(data));
+                st.catching_up = false;
+                drop(st);
+                this2.recompute_t_f();
+                this2.recompute_t_p();
+            });
         });
     }
 
@@ -919,15 +898,21 @@ impl RecoveryManager {
                 } else {
                     // The per-region hooks keep retrying their notifications;
                     // the first to arrive re-stages the replay.
-                    this.pending_regions.borrow_mut().insert(s, set);
+                    this.state.borrow_mut().pending_regions.insert(s, set);
                 }
             });
     }
 }
 
-/// Raises `cell` to the timestamp `data` holds, if that is higher.
-fn raise(cell: &Cell<Timestamp>, data: Option<Bytes>) {
-    if let Some(d) = data {
-        cell.set(cell.get().max(paths::decode_ts(&d)));
-    }
+/// The timestamp `data` holds; zero if there is none.
+fn decode(data: Option<Bytes>) -> Timestamp {
+    data.map_or(Timestamp::ZERO, |d| paths::decode_ts(&d))
+}
+
+/// The clients `paths` name.
+fn client_ids(paths: &[String]) -> BTreeSet<ClientId> {
+    paths
+        .iter()
+        .filter_map(|p| paths::parse_client_path(p))
+        .collect()
 }

@@ -141,12 +141,6 @@ impl ServerTracker {
             let seq = wal.last_seq();
             let this2 = Rc::clone(&this);
             wal.sync_upto(seq, move || {
-                // A log already synced past `seq` answers a zero-delay
-                // step later, not by a delivery: the server may have
-                // crashed in between.
-                if !this2.server.is_alive() {
-                    return;
-                }
                 let t_p = this2.tracker.borrow_mut().on_synced(seq);
                 if this2.cfg.tracking {
                     this2.coord.set_data(

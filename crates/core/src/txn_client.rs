@@ -330,14 +330,6 @@ impl Transaction {
         None
     }
 
-    /// Delivers `err` through `done` on the next simulation step: an error
-    /// never completes inside the call that caused it.
-    fn fail<T: 'static>(&self, err: TxnError, done: impl FnOnce(Result<T, TxnError>) + 'static) {
-        self.inner
-            .sim
-            .schedule_in(SimDuration::ZERO, move || done(Err(err)));
-    }
-
     /// Transactional read: the transaction's own buffered writes win
     /// (read-your-own-writes); otherwise the newest version at the
     /// transaction's snapshot is fetched from the store. Tombstones and
@@ -349,7 +341,7 @@ impl Transaction {
         done: impl FnOnce(Result<Option<Bytes>, TxnError>) + 'static,
     ) {
         if let Some(e) = self.state_err() {
-            self.fail(e, done);
+            complete(&self.inner.sim, done, Err(e));
             return;
         }
         let row = row.into();
@@ -360,8 +352,7 @@ impl Transaction {
                 MutationKind::Delete => None,
             };
             self.inner.history.read(self.id, &row, &column, Seen::Own);
-            let sim = self.inner.sim.clone();
-            sim.schedule_in(SimDuration::ZERO, move || done(Ok(value)));
+            complete(&self.inner.sim, done, Ok(value));
             return;
         }
         let inner = Rc::clone(&self.inner);
@@ -395,7 +386,7 @@ impl Transaction {
         done: impl FnOnce(Result<Vec<Option<Bytes>>, TxnError>) + 'static,
     ) {
         if let Some(e) = self.state_err() {
-            self.fail(e, done);
+            complete(&self.inner.sim, done, Err(e));
             return;
         }
         let (local, misses) = {
@@ -426,9 +417,7 @@ impl Transaction {
             )]
             let out: Vec<Option<Bytes>> =
                 local.into_iter().map(|v| v.expect("all local")).collect();
-            self.inner
-                .sim
-                .schedule_in(SimDuration::ZERO, move || done(Ok(out)));
+            complete(&self.inner.sim, done, Ok(out));
             return;
         }
         let fetch: Vec<(Bytes, Bytes)> = misses
@@ -486,7 +475,7 @@ impl Transaction {
         done: impl FnOnce(Result<Vec<(Bytes, Bytes, Bytes)>, TxnError>) + 'static,
     ) {
         if let Some(e) = self.state_err() {
-            self.fail(e, done);
+            complete(&self.inner.sim, done, Err(e));
             return;
         }
         let start = start.into();
@@ -590,7 +579,7 @@ impl Transaction {
     /// conflict-aborted commit reports [`TxnError::Conflict`].
     pub fn commit(&self, done: impl FnOnce(Result<Timestamp, TxnError>) + 'static) {
         if let Some(e) = self.state_err() {
-            self.fail(e, done);
+            complete(&self.inner.sim, done, Err(e));
             return;
         }
         #[expect(
@@ -631,7 +620,11 @@ impl Transaction {
                     match inner.cfg.persistence {
                         PersistenceMode::Asynchronous => {
                             done(Ok(ts));
-                            flush_write_set(inner, ts, ws2, None);
+                            // `done` is the caller's, and may have ended
+                            // the process.
+                            if inner.is_alive() {
+                                flush_write_set(inner, ts, ws2, None);
+                            }
                         }
                         PersistenceMode::Synchronous => {
                             flush_write_set(inner, ts, ws2, Some(Box::new(move || done(Ok(ts)))));
@@ -833,16 +826,10 @@ impl TransactionalClient {
     pub fn begin(&self, done: impl FnOnce(Result<Transaction, TxnError>) + 'static) {
         let inner = &self.inner;
         if inner.closed.get() {
-            inner
-                .sim
-                .schedule_in(SimDuration::ZERO, move || done(Err(TxnError::ClientClosed)));
-            return;
+            return complete(&inner.sim, done, Err(TxnError::ClientClosed));
         }
         if !inner.is_alive() {
-            inner
-                .sim
-                .schedule_in(SimDuration::ZERO, move || done(Err(TxnError::ClientDead)));
-            return;
+            return complete(&inner.sim, done, Err(TxnError::ClientDead));
         }
         let txn = TxnId::new(inner.id, inner.next_seq.get());
         inner.next_seq.set(inner.next_seq.get() + 1);
@@ -1027,13 +1014,25 @@ fn settle_attempt(
             let client = inner.id;
             inner.span("txn.retry", fields!(client, attempt = attempt + 1));
             let wait = policy.backoff_for(attempt);
-            let sim = inner.sim.clone();
-            sim.schedule_in(wait, move || {
+            let (net, node) = (Rc::clone(&inner.net), inner.node);
+            net.after(node, wait, move || {
                 run_attempt(inner, policy, body, attempt + 1, done);
             });
         }
         other => done(other),
     }
+}
+
+/// Hands `value` to `done` on the next simulation step, whether or not
+/// the client lives by then: a public call's failure, or a read of the
+/// transaction's own writes, is owed to a caller outside the simulation.
+/// The one completion bound to no node.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "CD007: the caller's, not the process's"
+)]
+fn complete<T: 'static>(sim: &Sim, done: impl FnOnce(T) + 'static, value: T) {
+    sim.schedule_in(SimDuration::ZERO, move || done(value));
 }
 
 /// The process stops, by crash or by its own hand: its node dies, so

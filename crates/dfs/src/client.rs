@@ -5,7 +5,7 @@ use crate::datanode::DataNode;
 use crate::error::DfsError;
 use crate::namenode::NameNode;
 use bytes::Bytes;
-use cumulo_sim::{Exchange, Network, NodeId, Reply, Sim, SimDuration};
+use cumulo_sim::{Exchange, Network, NodeId, Reply, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -37,7 +37,6 @@ fn fetch_deadline(bytes: usize) -> SimDuration {
 }
 
 struct ClientInner {
-    sim: Sim,
     net: Rc<Network>,
     nn: Rc<NameNode>,
     from: NodeId,
@@ -78,7 +77,7 @@ struct ClientInner {
 ///     .collect();
 /// let nn = NameNode::new(&net, net.add_node("nn"), dns, NameNodeConfig::default());
 /// let me = net.add_node("app");
-/// let dfs = DfsClient::new(&sim, &net, &nn, me);
+/// let dfs = DfsClient::new(&net, &nn, me);
 ///
 /// let out: Rc<RefCell<Vec<Bytes>>> = Rc::new(RefCell::new(Vec::new()));
 /// let out2 = out.clone();
@@ -142,10 +141,9 @@ impl fmt::Debug for DfsFile {
 
 impl DfsClient {
     /// Creates a filesystem handle for the component on node `from`.
-    pub fn new(sim: &Sim, net: &Rc<Network>, nn: &Rc<NameNode>, from: NodeId) -> DfsClient {
+    pub fn new(net: &Rc<Network>, nn: &Rc<NameNode>, from: NodeId) -> DfsClient {
         DfsClient {
             inner: Rc::new(ClientInner {
-                sim: sim.clone(),
                 net: Rc::clone(net),
                 nn: Rc::clone(nn),
                 from,
@@ -287,6 +285,11 @@ impl DfsClient {
     /// The node this client issues requests from.
     pub fn from_node(&self) -> NodeId {
         self.inner.from
+    }
+
+    /// [`Network::after`] at this client's node.
+    pub fn after(&self, delay: SimDuration, f: impl FnOnce() + 'static) {
+        self.inner.net.after(self.inner.from, delay, f);
     }
 
     /// Direct namenode access for tests and harness assertions.
@@ -438,7 +441,7 @@ fn attempt_append(
     // or re-attempt against the survivors.
     let client3 = Rc::clone(&client);
     let timeout = append_timeout(record.len());
-    client.sim.schedule_in(timeout, move || {
+    client.net.after(client.from, timeout, move || {
         if slot.borrow().is_none() {
             return;
         }
@@ -501,12 +504,10 @@ fn retry_or_fail(
         done(Err(DfsError::Unavailable(path)));
         return;
     }
-    let client2 = Rc::clone(&client);
-    client
-        .sim
-        .schedule_in(SimDuration::from_millis(20), move || {
-            read_attempt(client2, path, retries_left - 1, done);
-        });
+    let (net, from) = (Rc::clone(&client.net), client.from);
+    net.after(from, SimDuration::from_millis(20), move || {
+        read_attempt(client, path, retries_left - 1, done);
+    });
 }
 
 fn fetch_longest(
@@ -585,8 +586,6 @@ fn fetch_longest(
             });
     }
     // If some replicas die before answering, decide with what arrived.
-    let decide3 = Rc::clone(&decide);
-    client
-        .sim
-        .schedule_in(SimDuration::from_millis(50), move || decide3());
+    let wait = SimDuration::from_millis(50);
+    client.net.after(client.from, wait, move || decide());
 }

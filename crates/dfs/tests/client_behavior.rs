@@ -34,7 +34,7 @@ fn fixture(n_dn: usize, repl: usize) -> Fixture {
     };
     let nn = NameNode::new(&net, nn_node, dns, cfg);
     let writer_node = net.add_node("writer");
-    let dfs = DfsClient::new(&sim, &net, &nn, writer_node);
+    let dfs = DfsClient::new(&net, &nn, writer_node);
     Fixture {
         sim,
         net,
@@ -104,7 +104,7 @@ fn acked_appends_survive_writer_crash() {
     // remain readable by the recovery path.
     fx.net.crash(fx.writer_node);
     let reader_node = fx.net.add_node("reader");
-    let reader = DfsClient::new(&fx.sim, &fx.net, &fx.nn, reader_node);
+    let reader = DfsClient::new(&fx.net, &fx.nn, reader_node);
     let slot: Rc<RefCell<Option<Result<Vec<Bytes>, DfsError>>>> = Rc::new(RefCell::new(None));
     let s = slot.clone();
     reader.read("/wal/s1", move |r| *s.borrow_mut() = Some(r));
@@ -362,7 +362,7 @@ fn deterministic_across_seeds() {
             })
             .collect();
         let nn = NameNode::new(&net, net.add_node("nn"), dns, NameNodeConfig::default());
-        let dfs = DfsClient::new(&sim, &net, &nn, net.add_node("w"));
+        let dfs = DfsClient::new(&net, &nn, net.add_node("w"));
         let file: Rc<RefCell<Option<DfsFile>>> = Rc::new(RefCell::new(None));
         let f2 = file.clone();
         dfs.create("/f", move |f| *f2.borrow_mut() = Some(f.unwrap()));

@@ -109,11 +109,14 @@ impl Disk {
         })
     }
 
-    fn occupy(&self, dur: SimDuration) -> SimTime {
+    /// Occupies the device for `dur` after what it already has queued,
+    /// then runs `done`.
+    #[expect(clippy::disallowed_methods, reason = "CD007: a resource model")]
+    fn occupy(&self, dur: SimDuration, done: impl FnOnce() + 'static) {
         let start = self.busy_until.get().max(self.sim.now().nanos());
         let end = start + dur.nanos();
         self.busy_until.set(end);
-        SimTime::from_nanos(end)
+        self.sim.schedule_at(SimTime::from_nanos(end), done);
     }
 
     /// Buffered write of `bytes`; `done` runs when the write is accepted
@@ -122,24 +125,21 @@ impl Disk {
         self.writes.set(self.writes.get() + 1);
         self.bytes_written
             .set(self.bytes_written.get() + bytes as u64);
-        let end = self.occupy(self.cfg.write_time(bytes));
-        self.sim.schedule_at(end, done);
+        self.occupy(self.cfg.write_time(bytes), done);
     }
 
     /// Forces `pending_bytes` of previously written data to stable storage;
     /// `done` runs at the durability point.
     pub fn sync(self: &Rc<Self>, pending_bytes: usize, done: impl FnOnce() + 'static) {
         self.syncs.set(self.syncs.get() + 1);
-        let end = self.occupy(self.cfg.sync_time(pending_bytes));
-        self.sim.schedule_at(end, done);
+        self.occupy(self.cfg.sync_time(pending_bytes), done);
     }
 
     /// Reads `bytes`; `done` runs when the data is available.
     pub fn read(self: &Rc<Self>, bytes: usize, done: impl FnOnce() + 'static) {
         self.reads.set(self.reads.get() + 1);
         let kb = (bytes as u64).div_ceil(1024);
-        let end = self.occupy(self.cfg.op_latency + self.cfg.read_per_kb * kb);
-        self.sim.schedule_at(end, done);
+        self.occupy(self.cfg.op_latency + self.cfg.read_per_kb * kb, done);
     }
 
     /// Number of completed-or-queued write operations.

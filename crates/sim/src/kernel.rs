@@ -138,14 +138,18 @@ impl Sim {
         SimTime::from_nanos(self.inner.now.get())
     }
 
-    /// Schedules `f` to run `delay` after the current instant.
+    /// Schedules `f` to run `delay` after the current instant (CD007).
     pub fn schedule_in(&self, delay: SimDuration, f: impl FnOnce() + 'static) {
-        self.schedule_at(self.now() + delay, f);
+        self.push(self.now() + delay, f);
     }
 
     /// Schedules `f` to run at absolute instant `at` (clamped to now if in
     /// the past, so an event can never run "before" the clock).
     pub fn schedule_at(&self, at: SimTime, f: impl FnOnce() + 'static) {
+        self.push(at, f);
+    }
+
+    fn push(&self, at: SimTime, f: impl FnOnce() + 'static) {
         let at = at.nanos().max(self.inner.now.get());
         let seq = self.inner.seq.get();
         self.inner.seq.set(seq + 1);
@@ -269,6 +273,10 @@ impl SimTime {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "CD007: a test drives the kernel from outside any process"
+    )]
     use super::*;
     use std::cell::RefCell;
 

@@ -4,7 +4,8 @@
 //! A node's state is the process's liveness: code at a node runs only
 //! from a delivery to it, one of its timers ([`Network::every`]) or a
 //! callback it scheduled on itself ([`Network::after`]), and each of the
-//! three is dropped while the node is dead.
+//! three is dropped while the node is dead. An `after`, a deadline and a
+//! reply run only in the incarnation of the node that asked for them.
 //!
 //! Every message belongs to an [`Exchange`], the name of what it carries
 //! (`tm.begin`, `store.get`, …): the network counts what it sent and
@@ -83,6 +84,8 @@ impl LatencyConfig {
 struct NodeMeta {
     name: String,
     alive: bool,
+    /// Bumped by [`Network::crash`] (module docs).
+    incarnation: u64,
     /// Bumped by [`Network::crash`] and [`Network::stop_timers`]: a timer
     /// fires only while the generation it was armed in is current.
     timers: u64,
@@ -211,6 +214,7 @@ impl Network {
         st.nodes.push(NodeMeta {
             name: name.to_owned(),
             alive: true,
+            incarnation: 0,
             timers: 0,
         });
         id
@@ -221,13 +225,20 @@ impl Network {
         self.state.borrow().nodes[node.0 as usize].alive
     }
 
-    /// Marks a node dead and stops its timers. In-flight messages to or
-    /// from it are dropped at their delivery instant; future sends from it
-    /// are dropped immediately.
+    /// The node's current incarnation, if it is alive.
+    fn incarnation(&self, node: NodeId) -> Option<u64> {
+        let meta = &self.state.borrow().nodes[node.0 as usize];
+        meta.alive.then_some(meta.incarnation)
+    }
+
+    /// Marks a node dead, ends its incarnation and stops its timers.
+    /// In-flight messages to or from it are dropped at their delivery
+    /// instant; future sends from it are dropped immediately.
     pub fn crash(&self, node: NodeId) {
         let mut st = self.state.borrow_mut();
         let meta = &mut st.nodes[node.0 as usize];
         meta.alive = false;
+        meta.incarnation += 1;
         meta.timers += 1;
     }
 
@@ -280,6 +291,7 @@ impl Network {
         self.tick_after(node, armed, first, interval, Box::new(tick));
     }
 
+    #[expect(clippy::disallowed_methods, reason = "CD007: a node's timer")]
     fn tick_after(
         self: &Rc<Self>,
         node: NodeId,
@@ -305,11 +317,12 @@ impl Network {
     }
 
     /// Runs `f` at `node` after `delay` — a retry or poll a process
-    /// schedules on itself — unless the node is dead by then.
+    /// schedules on itself — unless the node has crashed since.
+    #[expect(clippy::disallowed_methods, reason = "CD007: bound to its node")]
     pub fn after(self: &Rc<Self>, node: NodeId, delay: SimDuration, f: impl FnOnce() + 'static) {
-        let this = Rc::clone(self);
+        let (this, asked) = (Rc::clone(self), self.incarnation(node));
         self.sim.schedule_in(delay, move || {
-            if this.is_alive(node) {
+            if asked.is_some() && this.incarnation(node) == asked {
                 f();
             }
         });
@@ -361,6 +374,7 @@ impl Network {
     /// at send time, the pair is partitioned at send or delivery time, or
     /// the receiver is dead at delivery time. Delivery is FIFO per
     /// (from, to) pair.
+    #[expect(clippy::disallowed_methods, reason = "CD007: delivered at a live node")]
     pub fn send(
         self: &Rc<Self>,
         exchange: &Exchange,
@@ -437,8 +451,8 @@ impl Network {
 
     /// [`Network::request`] with a deadline: `done` runs once, with the
     /// answer if it arrives within `deadline`, else with `None` at
-    /// `now + deadline` — whether or not `from` is still alive. The timer
-    /// is scheduled right after the request leaves, in the same event. A
+    /// `now + deadline` — or never, if `from` crashes first. The timer is
+    /// a [`Network::after`] on `from` right after the request leaves. A
     /// late request is still served; only its answer is dropped, so a
     /// fan-out whose late answers must still count is not this shape.
     #[expect(
@@ -458,7 +472,7 @@ impl Network {
         let slot = Rc::new(Cell::new(Some(done)));
         let within = Within(Rc::clone(&slot));
         self.round_trip(exchange, from, to, request_bytes, serve, within);
-        self.sim.schedule_in(deadline, move || {
+        self.after(from, deadline, move || {
             if let Some(done) = slot.take() {
                 done(None);
             }
@@ -480,7 +494,7 @@ impl Network {
             net: Rc::clone(self),
             exchange: exchange.clone(),
             server: to,
-            caller: from,
+            caller: (from, self.incarnation(from)),
             done,
             value: PhantomData,
         };
@@ -512,18 +526,22 @@ pub struct Reply<T, D> {
     net: Rc<Network>,
     exchange: Exchange,
     server: NodeId,
-    caller: NodeId,
+    /// The caller, and its incarnation that asked.
+    caller: (NodeId, Option<u64>),
     done: D,
     value: PhantomData<fn(T)>,
 }
 
 impl<T: 'static, D: Settle<T>> Reply<T, D> {
-    /// Answers with `value` in a message of `reply_bytes`. Dropping the
-    /// `Reply` instead answers nothing (a dead handler).
+    /// Answers with `value` in a message of `reply_bytes`, discarded if the
+    /// caller has restarted. Dropping the `Reply` answers nothing.
     pub fn send(self, reply_bytes: usize, value: T) {
-        let (net, server, caller, done) = (self.net, self.server, self.caller, self.done);
+        let (net, server, (caller, asked), done) = (self.net, self.server, self.caller, self.done);
+        let fence = Rc::clone(&net);
         net.send(&self.exchange, server, caller, reply_bytes, move || {
-            done.settle(value)
+            if fence.incarnation(caller) == asked {
+                done.settle(value)
+            }
         });
     }
 }
@@ -555,6 +573,10 @@ impl<T, D: FnOnce(Option<T>) + 'static> Settle<T> for Within<D> {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "CD007: a test drives the kernel from outside any process"
+    )]
     use super::*;
     use std::cell::RefCell;
 
@@ -1052,7 +1074,7 @@ mod tests {
     }
 
     #[test]
-    fn after_runs_only_if_the_node_is_alive_when_it_fires() {
+    fn after_runs_only_in_the_incarnation_that_asked() {
         let (sim, net, a, _) = setup();
         let ran = Rc::new(RefCell::new(Vec::new()));
         let at = |ms: u64, what: &'static str| {
@@ -1064,17 +1086,45 @@ mod tests {
         at(100, "before the crash");
         at(300, "while dead");
         at(600, "after a crash and restart");
-        // Unlike a timer, `after` asks only whether the node is alive when
-        // it fires: a crash and a restart in between do not drop it.
         let net2 = Rc::clone(&net);
         sim.schedule_at(SimTime::from_millis(200), move || net2.crash(a));
-        let net3 = Rc::clone(&net);
-        sim.schedule_at(SimTime::from_millis(500), move || net3.restart(a));
+        let (net3, r) = (Rc::clone(&net), ran.clone());
+        sim.schedule_at(SimTime::from_millis(500), move || {
+            net3.restart(a);
+            net3.after(a, SimDuration::from_millis(200), move || {
+                r.borrow_mut().push("asked by the restarted process")
+            });
+        });
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(
             *ran.borrow(),
-            ["before the crash", "after a crash and restart"]
+            ["before the crash", "asked by the restarted process"]
         );
+    }
+
+    /// A caller that crashes with a `request_within` outstanding never
+    /// runs `done`: not with the answer, which reaches a dead node, and
+    /// not with `None` at the deadline. Restarted before the answer
+    /// arrives, it does not receive it either.
+    #[test]
+    fn a_crashed_caller_gets_neither_the_answer_nor_the_deadline() {
+        for restart in [false, true] {
+            let (sim, net, a, b) = setup();
+            // The request reaches `b` about 200 µs after it leaves.
+            let net2 = Rc::clone(&net);
+            sim.schedule_in(SimDuration::from_micros(100), move || {
+                net2.crash(a);
+                if restart {
+                    net2.restart(a);
+                }
+            });
+            let (served, got) = run_within(&sim, &net, (a, b), SimDuration::ZERO);
+            assert_eq!((served, got), (1, vec![]), "restarted: {restart}");
+            // Dropped at a dead node; delivered and discarded at a restarted one.
+            let dropped = u64::from(!restart);
+            assert_eq!(net.messages_dropped(), dropped, "restarted: {restart}");
+            assert_eq!(net.is_alive(a), restart);
+        }
     }
 
     #[test]

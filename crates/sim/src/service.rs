@@ -101,6 +101,7 @@ impl ServiceQueue {
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "CD007: a resource model")]
     fn start(self: &Rc<Self>, job: Job) {
         self.busy.set(self.busy.get() + 1);
         self.busy_ns.set(self.busy_ns.get() + job.service.nanos());
@@ -152,6 +153,10 @@ impl ServiceQueue {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "CD007: a test drives the kernel from outside any process"
+    )]
     use super::*;
 
     #[test]

@@ -1,6 +1,11 @@
 //! Property-based tests of the simulation kernel's ordering guarantees —
 //! the foundations the protocol correctness arguments lean on.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "CD007: a test drives the kernel from outside any process"
+)]
+
 use cumulo_sim::{LatencyConfig, Network, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cell::RefCell;

@@ -210,8 +210,8 @@ impl StoreClient {
     ) {
         let n = cells.len();
         if n == 0 {
-            let sim = &self.inner.sim;
-            return sim.schedule_in(SimDuration::ZERO, move || done(Vec::new()));
+            let (net, from) = (&self.inner.net, self.inner.from);
+            return net.after(from, SimDuration::ZERO, move || done(Vec::new()));
         }
         let ctx = Rc::new(MultiGetCtx {
             results: RefCell::new(vec![None; n]),
@@ -428,9 +428,6 @@ trait Request: Clone + 'static {
 
 /// One attempt of one request — the only way a request leaves the client.
 fn call<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32) {
-    if !inner.net.is_alive(inner.from) {
-        return; // the client process is dead; drop the retry chain
-    }
     let routed = {
         let map = inner.map.borrow();
         // The addressed region id was split away since the batch was
@@ -482,8 +479,8 @@ fn retry<R: Request>(inner: Rc<Inner>, request: R, then: R::Then, attempt: u32, 
     inner.retries.inc();
     refresh_map(&inner, epoch);
     let wait = backoff(&inner, attempt);
-    let sim = inner.sim.clone();
-    sim.schedule_in(wait, move || call(inner, request, then, attempt + 1));
+    let (net, from) = (Rc::clone(&inner.net), inner.from);
+    net.after(from, wait, move || call(inner, request, then, attempt + 1));
 }
 
 /// Splits `items` by the region hosting each one's row under `map`, in

@@ -1229,7 +1229,7 @@ impl Master {
             );
         }
         let weak = Rc::downgrade(self);
-        self.sim.schedule_in(PROBE_DEADLINE, move || {
+        self.net.after(self.node, PROBE_DEADLINE, move || {
             if let Some(master) = weak.upgrade() {
                 master.conclude_probe(region);
             }

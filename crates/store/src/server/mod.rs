@@ -316,7 +316,7 @@ impl RegionServer {
         gc_watermark: impl Fn() -> GcWatermark + 'static,
     ) -> Rc<RegionServer> {
         let (sim, net) = (&master.sim, &master.net);
-        let wal = Wal::new(sim, &dfs, format!("/wal/{id}"));
+        let wal = Wal::new(&dfs, format!("/wal/{id}"));
         // Every metric is registered under a `store.*{server=<id>}` key.
         let metrics = sim.metrics();
         let sid = id.to_string();

@@ -801,8 +801,7 @@ impl RegionServer {
             },
             move |stale| match stale {
                 Some(stale) => this.finish_lane_drop(lane, stale),
-                None if this.is_alive() => this.report_lane_unsynced(lane),
-                None => {}
+                None => this.report_lane_unsynced(lane),
             },
         );
     }

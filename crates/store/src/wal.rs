@@ -13,7 +13,7 @@
 use crate::codec::{decode_wal_batch, encode_wal_batch, WalRecord};
 use crate::types::RegionId;
 use cumulo_dfs::{DfsClient, DfsError, DfsFile};
-use cumulo_sim::{Sim, SimDuration};
+use cumulo_sim::SimDuration;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -57,7 +57,8 @@ struct WalInner {
 /// asynchronous mode cheap.
 #[derive(Clone)]
 pub struct Wal {
-    sim: Sim,
+    /// The server's filesystem handle: its node is the log's.
+    dfs: DfsClient,
     inner: Rc<RefCell<WalInner>>,
 }
 
@@ -77,10 +78,10 @@ impl Wal {
     /// Creates the log, asynchronously creating its backing DFS file at
     /// `path`. Appends may begin immediately; they buffer until the file
     /// is ready.
-    pub fn new(sim: &Sim, dfs: &DfsClient, path: impl Into<String>) -> Wal {
+    pub fn new(dfs: &DfsClient, path: impl Into<String>) -> Wal {
         let path = path.into();
         let wal = Wal {
-            sim: sim.clone(),
+            dfs: dfs.clone(),
             inner: Rc::new(RefCell::new(WalInner {
                 path: path.clone(),
                 file: None,
@@ -96,17 +97,16 @@ impl Wal {
                 failed: false,
             })),
         };
-        let inner = Rc::clone(&wal.inner);
-        let sim2 = sim.clone();
+        let this = wal.clone();
         dfs.create(&path, move |file| match file {
             Ok(file) => {
-                inner.borrow_mut().file = Some(file);
-                Wal { sim: sim2, inner }.maybe_start_sync();
+                this.inner.borrow_mut().file = Some(file);
+                this.maybe_start_sync();
             }
             Err(e) => {
                 // Unrecoverable: no datanodes. Mark failed so syncs error
                 // loudly in tests rather than hanging.
-                inner.borrow_mut().failed = true;
+                this.inner.borrow_mut().failed = true;
                 panic!("WAL file creation failed: {e}");
             }
         });
@@ -139,7 +139,7 @@ impl Wal {
             let mut inner = self.inner.borrow_mut();
             if inner.synced_seq >= seq {
                 drop(inner);
-                self.sim.schedule_in(SimDuration::ZERO, done);
+                self.dfs.after(SimDuration::ZERO, done);
                 return;
             }
             inner.waiters.push((seq, Box::new(done)));
@@ -225,10 +225,9 @@ impl Wal {
                     inner.buffer = requeued;
                 }
                 let retry = this.clone();
-                this.sim
-                    .schedule_in(SimDuration::from_millis(100), move || {
-                        retry.maybe_start_sync();
-                    });
+                this.dfs.after(SimDuration::from_millis(100), move || {
+                    retry.maybe_start_sync();
+                });
             }
         });
     }
@@ -311,7 +310,7 @@ mod tests {
     use super::*;
     use crate::types::{Mutation, Timestamp};
     use cumulo_dfs::{DataNode, NameNode, NameNodeConfig};
-    use cumulo_sim::{DiskConfig, LatencyConfig, Network, NodeId, SimTime};
+    use cumulo_sim::{DiskConfig, LatencyConfig, Network, NodeId, Sim, SimTime};
     use std::cell::Cell;
 
     fn setup() -> (Sim, Rc<Network>, DfsClient, NodeId) {
@@ -328,7 +327,7 @@ mod tests {
             .collect();
         let nn = NameNode::new(&net, net.add_node("nn"), dns, NameNodeConfig::default());
         let server = net.add_node("rs");
-        let dfs = DfsClient::new(&sim, &net, &nn, server);
+        let dfs = DfsClient::new(&net, &nn, server);
         (sim, net, dfs, server)
     }
 
@@ -356,7 +355,7 @@ mod tests {
     #[test]
     fn sync_makes_appends_durable_in_order() {
         let (sim, _net, dfs, _) = setup();
-        let wal = Wal::new(&sim, &dfs, "/wal/rs0");
+        let wal = Wal::new(&dfs, "/wal/rs0");
         for i in 1..=5 {
             let seq = wal.append(rec(0, i));
             assert_eq!(seq, i);
@@ -381,7 +380,7 @@ mod tests {
     #[test]
     fn sync_upto_only_waits_for_prefix() {
         let (sim, _net, dfs, _) = setup();
-        let wal = Wal::new(&sim, &dfs, "/wal/rs0");
+        let wal = Wal::new(&dfs, "/wal/rs0");
         let s1 = wal.append(rec(0, 1));
         let fired = Rc::new(Cell::new(false));
         let f = fired.clone();
@@ -397,7 +396,7 @@ mod tests {
     #[test]
     fn already_synced_callback_fires_immediately() {
         let (sim, _net, dfs, _) = setup();
-        let wal = Wal::new(&sim, &dfs, "/wal/rs0");
+        let wal = Wal::new(&dfs, "/wal/rs0");
         let fired = Rc::new(Cell::new(false));
         let f = fired.clone();
         wal.sync_upto(0, move || f.set(true)); // nothing appended yet
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn group_commit_batches_appends() {
         let (sim, _net, dfs, _) = setup();
-        let wal = Wal::new(&sim, &dfs, "/wal/rs0");
+        let wal = Wal::new(&dfs, "/wal/rs0");
         sim.run_until(SimTime::from_millis(100)); // let the file open
         for i in 1..=100 {
             wal.append(rec(0, i));
@@ -428,7 +427,7 @@ mod tests {
     #[test]
     fn unsynced_buffer_is_lost_but_synced_part_survives() {
         let (sim, net, dfs, server) = setup();
-        let wal = Wal::new(&sim, &dfs, "/wal/rs0");
+        let wal = Wal::new(&dfs, "/wal/rs0");
         wal.append(rec(0, 1));
         wal.append(rec(0, 2));
         wal.sync(|| {});
@@ -439,7 +438,7 @@ mod tests {
         wal.append(rec(0, 4));
         net.crash(server);
         // Recovery reads what the filesystem has.
-        let reader = DfsClient::new(&sim, &net, dfs.namenode(), net.add_node("master"));
+        let reader = DfsClient::new(&net, dfs.namenode(), net.add_node("master"));
         let grouped = split(&sim, &reader, "/wal/rs0").groups;
         assert_eq!(
             grouped[&RegionId(0)].len(),
@@ -451,7 +450,7 @@ mod tests {
     #[test]
     fn split_groups_by_region() {
         let (sim, _net, dfs, _) = setup();
-        let wal = Wal::new(&sim, &dfs, "/wal/rs0");
+        let wal = Wal::new(&dfs, "/wal/rs0");
         wal.append(rec(0, 1));
         wal.append(rec(1, 2));
         wal.append(rec(0, 3));
@@ -475,7 +474,7 @@ mod tests {
     #[test]
     fn split_of_an_unreadable_wal_is_an_error_not_an_empty_log() {
         let (sim, net, dfs, server) = setup();
-        let wal = Wal::new(&sim, &dfs, "/wal/rs0");
+        let wal = Wal::new(&dfs, "/wal/rs0");
         wal.append(rec(0, 1));
         wal.sync(|| {});
         sim.run_until(SimTime::from_secs(1));

@@ -105,7 +105,7 @@ fn build_full(
     // Master, then the region servers it runs.
     let dir = ServerDirectory::new();
     let master_node = net.add_node("master");
-    let master_dfs = DfsClient::new(&sim, &net, &nn, master_node);
+    let master_dfs = DfsClient::new(&net, &nn, master_node);
     let master = Master::new(
         &sim,
         &net,
@@ -122,7 +122,7 @@ fn build_full(
             *node,
             ServerId(i as u32),
             cfg,
-            DfsClient::new(&sim, &net, &nn, *node),
+            DfsClient::new(&net, &nn, *node),
             CoordClient::new(&net, &coord_svc, *node),
             || GcWatermark::ZERO,
         );
@@ -148,7 +148,7 @@ fn build_full(
         &dir,
         StoreClientConfig::default(),
     );
-    let dfs = DfsClient::new(&sim, &net, &nn, client_node);
+    let dfs = DfsClient::new(&net, &nn, client_node);
 
     Cluster {
         events: sim.events().clone(),

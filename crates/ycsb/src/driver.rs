@@ -6,7 +6,7 @@ use crate::workload::{KeyDistribution, Workload};
 use bytes::Bytes;
 use cumulo_core::{Cluster, Timestamp, Transaction, TransactionalClient, TxnError};
 use cumulo_sim::metrics::{Counter, Histogram, TimeSeries, Window};
-use cumulo_sim::{Sim, SimDuration, SimTime};
+use cumulo_sim::{Network, Sim, SimDuration, SimTime};
 use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
@@ -43,6 +43,7 @@ pub struct DriverReport {
 
 struct DriverInner {
     sim: Sim,
+    net: Rc<Network>,
     workload: Workload,
     clients: Vec<TransactionalClient>,
     stats: DriverStats,
@@ -96,6 +97,7 @@ impl Driver {
         Driver {
             inner: Rc::new(DriverInner {
                 sim: cluster.sim.clone(),
+                net: Rc::clone(&cluster.net),
                 workload,
                 clients: cluster.clients.clone(),
                 stats,
@@ -122,7 +124,6 @@ impl Driver {
             .target_tps
             .map(|tps| (self.inner.workload.threads as f64 / tps * 1e9) as u64);
         for t in 0..self.inner.workload.threads {
-            let inner = Rc::clone(&self.inner);
             // Stagger thread phases so arrivals are not synchronized.
             let first = match interval_ns {
                 Some(iv) => {
@@ -131,9 +132,7 @@ impl Driver {
                 None => SimDuration::from_nanos(self.inner.sim.gen_range(0, 1_000_000)),
             };
             let arrival = align_to_burst(&self.inner.workload, now + first);
-            self.inner.sim.schedule_in(arrival - now, move || {
-                start_txn(inner, t, arrival, interval_ns);
-            });
+            arrive(Rc::clone(&self.inner), t, arrival, interval_ns);
         }
     }
 
@@ -210,20 +209,26 @@ fn pick_key(inner: &DriverInner) -> u64 {
     }
 }
 
+/// Starts `thread`'s next transaction at `arrival` unless its client dies.
+fn arrive(inner: Rc<DriverInner>, thread: usize, arrival: SimTime, interval_ns: Option<u64>) {
+    let node = inner.clients[thread % inner.clients.len()].node();
+    let (net, delay) = (Rc::clone(&inner.net), arrival - inner.sim.now());
+    net.after(node, delay, move || {
+        start_txn(inner, thread, arrival, interval_ns)
+    });
+}
+
 fn start_txn(inner: Rc<DriverInner>, thread: usize, arrival: SimTime, interval_ns: Option<u64>) {
     if inner.sim.now() >= inner.stop_at.get() {
         return;
     }
     let client = inner.clients[thread % inner.clients.len()].clone();
-    if !client.is_alive() {
-        return; // the thread's client process crashed
-    }
     let started = inner.sim.now();
     let inner2 = Rc::clone(&inner);
     inner.in_flight.inc();
     client.begin(move |txn| {
-        // A client that closed or died between the liveness check and
-        // the handle simply retires this thread (as a crash does).
+        // A client that closed, or died before the handle, retires this
+        // thread (as a crash does).
         let Ok(txn) = txn else { return };
         run_op(inner2, txn, 0, started, thread, arrival, interval_ns);
     });
@@ -366,9 +371,5 @@ fn finish_txn(
         None => now,
     };
     let next_arrival = align_to_burst(&inner.workload, next_arrival);
-    let delay = next_arrival - now;
-    let inner2 = Rc::clone(&inner);
-    inner.sim.schedule_in(delay, move || {
-        start_txn(inner2, thread, next_arrival, interval_ns);
-    });
+    arrive(inner, thread, next_arrival, interval_ns);
 }

@@ -191,5 +191,5 @@ fn compaction_is_read_invisible_and_reduces_files() {
 /// Helper: a DFS client bound to a fresh probe node.
 fn cumulo_dfs_probe(cluster: &Cluster) -> cumulo_dfs::DfsClient {
     let node = cluster.net.add_node("dfs-probe");
-    cumulo_dfs::DfsClient::new(&cluster.sim, &cluster.net, &cluster.namenode, node)
+    cumulo_dfs::DfsClient::new(&cluster.net, &cluster.namenode, node)
 }

@@ -525,8 +525,10 @@ fn client_recovery_after_a_failover_flushes_past_the_stale_map() {
     let client = cluster.client(0).clone();
     let flushed_before = client.flushed_count();
     let acked: Rc<RefCell<Vec<(u64, String)>>> = Rc::default();
+    let retries_at_crash: Rc<RefCell<Option<u64>>> = Rc::default();
     for t in 0..3u64 {
         let (acked, dying) = (acked.clone(), client.clone());
+        let retries_at_crash = retries_at_crash.clone();
         client.begin(move |txn| {
             let txn = txn.expect("begin on live client");
             let rows: Vec<(u64, String)> = (0..4u64)
@@ -541,6 +543,7 @@ fn client_recovery_after_a_failover_flushes_past_the_stale_map() {
                 acked.extend(rows);
                 if acked.len() == 12 {
                     dying.crash();
+                    *retries_at_crash.borrow_mut() = Some(dying.store_client().retry_count());
                 }
             });
         });
@@ -566,6 +569,13 @@ fn client_recovery_after_a_failover_flushes_past_the_stale_map() {
         let got = cluster.read_cell(key(*row), "f0", SimDuration::from_secs(10));
         assert_eq!(got.as_deref(), Some(value.as_bytes()), "row {row} lost");
     }
+    // Nothing of the dead client runs on: a request it had outstanding
+    // neither times out into a retry nor refreshes its map.
+    assert_eq!(
+        Some(client.store_client().retry_count()),
+        *retries_at_crash.borrow(),
+        "the crashed client retried"
+    );
 }
 
 #[test]
@@ -751,7 +761,7 @@ fn client_lost_while_the_recovery_manager_is_down_is_pinned() {
         .collect();
     assert_eq!(
         recovered,
-        [(10_881_817_319, "client=c0 t_f_r=0".to_owned())],
+        [(10_881_830_739, "client=c0 t_f_r=0".to_owned())],
         "recovered once, after the restart"
     );
     assert_eq!(cluster.rm.client_recovery_count(), 1);

@@ -18,6 +18,11 @@
 //! Each schedule runs under several RNG shifts so the same logical
 //! chaos replays with perturbed timings.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "CD007: a test drives the kernel from outside any process"
+)]
+
 mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
