@@ -37,7 +37,7 @@
 //! the dead server's WAL. A region's new host then only has to report in
 //! for its share to be cut out of the staged suffix (by *its*
 //! descriptor) and replayed. Staging is volatile, like everything the
-//! manager keeps in memory ([`Volatile`]): a crash drops it, a restarted
+//! manager keeps in memory (`Volatile`): a crash drops it, a restarted
 //! manager rebuilds it when the first host reports in.
 
 use crate::paths;

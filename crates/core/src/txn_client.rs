@@ -1027,10 +1027,7 @@ fn settle_attempt(
 /// the client lives by then: a public call's failure, or a read of the
 /// transaction's own writes, is owed to a caller outside the simulation.
 /// The one completion bound to no node.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "CD007: the caller's, not the process's"
-)]
+#[expect(clippy::disallowed_methods, reason = "CD007: owed to the caller")]
 fn complete<T: 'static>(sim: &Sim, done: impl FnOnce(T) + 'static, value: T) {
     sim.schedule_in(SimDuration::ZERO, move || done(value));
 }
