@@ -26,7 +26,7 @@
 //! runs it twice and diffs).
 
 use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
-use cumulo_sim::{Sim, SimDuration};
+use cumulo_sim::{Network, SimDuration};
 use cumulo_ycsb::{KeyDistribution, Workload};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -159,7 +159,7 @@ fn gen_stream(rows: u64, txns: u64) -> Vec<Vec<(u64, u64)>> {
 
 /// Shared state of one audit run.
 struct Audit {
-    sim: Sim,
+    net: Rc<Network>,
     clients: Vec<TransactionalClient>,
     stream: Vec<Vec<(u64, u64)>>,
     committed: Cell<u64>,
@@ -167,14 +167,14 @@ struct Audit {
 }
 
 /// Thread `idx % stride` executes transactions `idx, idx+stride, …`
-/// closed-loop: each begins when the previous one finished.
-#[expect(clippy::disallowed_methods, reason = "CD007: the harness's own loop")]
+/// closed-loop: each begins when the previous one finished, one step
+/// later at the finished transaction's client.
 fn run_stream_txn(audit: Rc<Audit>, idx: usize, stride: usize) {
     if idx >= audit.stream.len() {
         return;
     }
     let client = audit.clients[idx % audit.clients.len()].clone();
-    let writes = audit.stream[idx].clone();
+    let (node, writes) = (client.node(), audit.stream[idx].clone());
     client.begin(move |txn| {
         let txn = txn.expect("audit clients never crash");
         for (key, tag) in &writes {
@@ -189,7 +189,7 @@ fn run_stream_txn(audit: Rc<Audit>, idx: usize, stride: usize) {
             }
             let next = idx + stride;
             let audit3 = Rc::clone(&audit2);
-            audit2.sim.schedule_in(SimDuration::ZERO, move || {
+            audit2.net.after(node, SimDuration::ZERO, move || {
                 run_stream_txn(audit3, next, stride);
             });
         });
@@ -203,7 +203,7 @@ fn run_audit(splits: bool, rows: u64, txns: u64) -> (u64, u64, u64, u64) {
     cluster.load_rows(rows, &["f0"], 64, true);
     let history = cluster.attach_history();
     let audit = Rc::new(Audit {
-        sim: cluster.sim.clone(),
+        net: Rc::clone(&cluster.net),
         clients: cluster.clients.clone(),
         stream: gen_stream(rows, txns),
         committed: Cell::new(0),
