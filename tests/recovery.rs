@@ -5,10 +5,11 @@
 
 mod common;
 
-use common::{key, run_txn, small_cluster};
+use common::{bank, crash_for_adjacency, key, run_txn, small_cluster, write_load};
 use cumulo_core::{Cluster, ClusterConfig, PersistenceMode, Timestamp, TxnError};
 use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
+use cumulo_store::ChangeKind;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -651,6 +652,75 @@ fn a_server_crashed_at_its_node_is_as_dead_as_crash_server_makes_it() {
         (journal, (net.messages_sent(), net.messages_dropped()))
     };
     assert_eq!(run(true), run(false));
+}
+
+/// A crash loses the region server's memory whole (crash-stop, §2.2).
+/// The victim is caught mid-workload with a merge pending, a warm block
+/// cache and a WAL record not yet synced. At the crash instant it hosts
+/// no region, caches no row, buffers no record and drives no change, so
+/// the map's regions on it read offline at once. The failover then
+/// brings every write back.
+#[test]
+fn a_crashed_server_keeps_nothing_of_its_memory() {
+    let cluster = Cluster::build(ClusterConfig {
+        seed: 8101,
+        clients: 3,
+        servers: 3,
+        regions: 6,
+        key_count: 10_000,
+        ..ClusterConfig::default()
+    });
+    let history = cluster.attach_history();
+    cluster.load_rows(10_000, &["f0"], 16, true);
+    crash_for_adjacency(&cluster, "seed 8101", || write_load(&cluster, 1, 64));
+
+    let map = cluster.master.snapshot_map();
+    let (left, right) = map
+        .regions()
+        .windows(2)
+        .map(|pair| (pair[0].id, pair[1].id))
+        .find(|(l, r)| map.server_for(*l) == map.server_for(*r))
+        .expect("crash_for_adjacency left an adjacent co-hosted pair");
+    let owner = map.server_for(left).expect("assigned");
+    let victim_idx = cluster
+        .servers
+        .iter()
+        .position(|s| s.id() == owner)
+        .expect("the owner is a server");
+    let victim = Rc::clone(&cluster.servers[victim_idx]);
+
+    let rows: Vec<(u64, &str, &str)> = (0..8).map(|i| (i * 1_250, "f1", "late")).collect();
+    run_txn(&cluster, 0, &rows);
+    let buffered = bank::run_until(
+        &cluster,
+        SimDuration::from_millis(1),
+        SimDuration::from_secs(2),
+        || victim.wal().unsynced_len() > 0,
+    );
+    assert!(buffered, "the victim never buffered a WAL record");
+    assert!(cluster.request_merge(left, right), "the merge was refused");
+    assert_eq!(victim.pending_change(), Some(ChangeKind::Merge));
+    assert!(!victim.block_cache().is_empty(), "the cache is cold");
+    assert!(cluster.all_regions_online());
+
+    cluster.crash_server(victim_idx);
+    assert_eq!(victim.hosted_regions(), Vec::new(), "regions survived");
+    assert!(victim.block_cache().is_empty(), "the block cache survived");
+    assert_eq!(victim.wal().unsynced_len(), 0, "the WAL buffer survived");
+    assert_eq!(victim.pending_change(), None, "the merge survived");
+    assert!(
+        !cluster.all_regions_online(),
+        "the dead server's regions read online"
+    );
+
+    let recovered = bank::run_until(
+        &cluster,
+        SimDuration::from_millis(200),
+        SimDuration::from_secs(60),
+        || cluster.all_regions_online(),
+    );
+    assert!(recovered, "the failover did not finish");
+    common::audit(&cluster, &history);
 }
 
 /// The recovery manager is down across a server failover, so the
