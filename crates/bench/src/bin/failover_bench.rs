@@ -55,21 +55,6 @@ fn fire_load(cluster: &Cluster, rows: u64, round: u64, committed: &Rc<Cell<u64>>
     }
 }
 
-/// Whether every region in the master's map is online on a *live*
-/// server. `Cluster::all_regions_online` alone is not an availability
-/// probe: a crashed process's in-memory region state still reads as
-/// online until the master reassigns, so the liveness check is what
-/// opens the window at the crash instant.
-fn all_regions_available(cluster: &Cluster) -> bool {
-    let map = cluster.master.snapshot_map();
-    map.regions().iter().all(|r| {
-        map.server_for(r.id)
-            .and_then(|s| cluster.dir.get(s))
-            .map(|srv| srv.is_alive() && srv.region_online(r.id))
-            .unwrap_or(false)
-    })
-}
-
 struct ModeResult {
     unavailability: SimDuration,
     detection: SimDuration,
@@ -115,7 +100,7 @@ fn run_mode(replication: usize, rows: u64, warmup_rounds: u64, seed: u64) -> Mod
         fire_load(&cluster, rows, warmup_rounds + round, &committed);
         for _ in 0..40 {
             cluster.run_for(SimDuration::from_millis(10));
-            if all_regions_available(&cluster) {
+            if cluster.all_regions_online() {
                 converged = true;
                 break 'outer;
             }

@@ -651,9 +651,6 @@ impl Cluster {
         let Some(server) = self.servers.iter().find(|s| s.id() == owner_l) else {
             return false;
         };
-        if !server.is_alive() {
-            return false;
-        }
         server.request_region_merge(left, right)
     }
 
@@ -693,11 +690,6 @@ impl Cluster {
         // show up here).
         let mut online: Vec<(cumulo_store::RegionDescriptor, ServerId)> = Vec::new();
         for s in &self.servers {
-            if !s.is_alive() {
-                // A crashed process's in-memory region states are moot:
-                // the network drops all traffic to it.
-                continue;
-            }
             for r in s.hosted_regions() {
                 if !s.region_online(r) {
                     continue;

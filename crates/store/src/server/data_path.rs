@@ -24,6 +24,7 @@ use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, Gauge, MetricsRegistry};
 use cumulo_sim::trace::Field;
 use cumulo_sim::{fields, SimDuration, SimTime};
+use std::cell::Ref;
 use std::rc::Rc;
 
 // The service model: what a request costs a handler slot. Calibrated so
@@ -188,14 +189,14 @@ impl RegionServer {
 
     /// Block-cache hit rate so far (Fig. 3's warm-up indicator).
     pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.borrow().hit_rate()
+        self.mem.borrow().cache.hit_rate()
     }
 
     /// The block cache, for inspecting residency and its counters. Drop
     /// the borrow before driving the simulation: the read path takes it
     /// mutably.
-    pub fn block_cache(&self) -> std::cell::Ref<'_, BlockCache> {
-        self.cache.borrow()
+    pub fn block_cache(&self) -> Ref<'_, BlockCache> {
+        Ref::map(self.mem.borrow(), |mem| &mem.cache)
     }
 
     /// Number of gets served (batched reads count one per cell, so the
@@ -212,7 +213,7 @@ impl RegionServer {
     /// Pre-warms the block cache with the given rows (the paper warms the
     /// cache before measuring, §4.1).
     pub fn warm_cache(&self, region: RegionId, rows: impl ExactSizeIterator<Item = Bytes>) {
-        self.cache.borrow_mut().warm(region, rows);
+        self.mem.borrow_mut().cache.warm(region, rows);
     }
 
     /// The hosted region a get of `row` (or a scan starting there) is
@@ -221,8 +222,9 @@ impl RegionServer {
     /// mid-split): the online one is preferred, the lowest id breaks
     /// ties. A minimum allocates nothing on the path of every read.
     fn covering_region(&self, row: &[u8]) -> Option<(RegionId, bool)> {
-        self.regions
+        self.mem
             .borrow()
+            .regions
             .values()
             .filter(|st| st.desc.contains(row))
             .map(|st| (!st.online, st.desc.id))
@@ -253,9 +255,9 @@ impl RegionServer {
         first_row: Option<&[u8]>,
         offline_ok: bool,
     ) -> Result<(), StoreError> {
-        let regions = self.regions.borrow();
-        let covered = |row| regions.values().any(|st| st.desc.contains(row));
-        self.count_rejection(match regions.get(&region) {
+        let mem = self.mem.borrow();
+        let covered = |row| mem.regions.values().any(|st| st.desc.contains(row));
+        self.count_rejection(match mem.regions.get(&region) {
             Some(st) if st.online || offline_ok => Ok(()),
             // A fenced ex-primary can never serve this region again
             // under its old epoch — send the client to the map, not into
@@ -349,8 +351,8 @@ impl RegionServer {
         // The cell is hashed here, once, for every filter probe and file
         // lookup of this get.
         let key = CellKey::new(row, column);
-        let plan = self.read_plan(&self.regions.borrow()[&region], &key, snapshot);
-        let hit = plan.in_memstore || self.cache.borrow_mut().access(region, key.row());
+        let plan = self.read_plan(&self.mem.borrow().regions[&region], &key, snapshot);
+        let hit = plan.in_memstore || self.mem.borrow_mut().cache.access(region, key.row());
         let mut service = BASE_SERVICE + self.read_service(&plan);
         if !hit {
             service += BLOCK_FETCH_PENALTY;
@@ -358,7 +360,8 @@ impl RegionServer {
         self.serve(region, service, "rpc.get", move |this, span| {
             let result = this.lookup(region, &key, snapshot);
             if !hit {
-                this.cache.borrow_mut().insert(region, key.row().clone());
+                let row = key.row().clone();
+                this.mem.borrow_mut().cache.insert(region, row);
             }
             this.gets.inc();
             let (files, probes) = (plan.consulted, plan.probes);
@@ -408,8 +411,8 @@ impl RegionServer {
         key: &CellKey,
         snapshot: Timestamp,
     ) -> Result<Option<VersionedValue>, StoreError> {
-        let regions = self.regions.borrow();
-        let Some(st) = regions.get(&region_id) else {
+        let mem = self.mem.borrow();
+        let Some(st) = mem.regions.get(&region_id) else {
             return Err(StoreError::NotServing(region_id));
         };
         if !st.online {
@@ -493,9 +496,8 @@ impl RegionServer {
         let mut service = BASE_SERVICE;
         let mut misses: Vec<Bytes> = Vec::new();
         {
-            let regions = self.regions.borrow();
-            let st = &regions[&region];
-            let mut cache = self.cache.borrow_mut();
+            let mem = &mut *self.mem.borrow_mut();
+            let st = &mem.regions[&region];
             for key in &cells {
                 let row = key.row();
                 let plan = self.read_plan(st, key, snapshot);
@@ -503,7 +505,7 @@ impl RegionServer {
                 // is fetched once for the whole batch: later cells on it
                 // ride the same block, like sequential gets would hit
                 // the cache the first miss populated.
-                let hit = plan.in_memstore || misses.contains(row) || cache.access(region, row);
+                let hit = plan.in_memstore || misses.contains(row) || mem.cache.access(region, row);
                 service += self.read_service(&plan);
                 if !hit {
                     service += BLOCK_FETCH_PENALTY;
@@ -522,8 +524,9 @@ impl RegionServer {
                 }
             }
             let (cell_count, miss_count) = (cells.len(), misses.len());
+            let cache = &mut this.mem.borrow_mut().cache;
             for row in misses {
-                this.cache.borrow_mut().insert(region, row);
+                cache.insert(region, row);
             }
             this.gets.add(cell_count as u64);
             this.multi_gets.inc();
@@ -561,16 +564,16 @@ impl RegionServer {
             service += SYNC_MODE_HANDLER_HOLD;
         }
         self.serve(region, service, "rpc.put", move |this, span| {
-            let mut regions = this.regions.borrow_mut();
-            let Some(st) = regions.get_mut(&region) else {
-                drop(regions);
+            let mut mem = this.mem.borrow_mut();
+            let Some(st) = mem.regions.get_mut(&region) else {
+                drop(mem);
                 return reply(Err(StoreError::NotServing(region)));
             };
             for m in &mutations {
                 let (row, column) = (m.row.clone(), m.column.clone());
                 st.memstore.apply_mutation(row, column, ts, &m.kind);
             }
-            drop(regions);
+            drop(mem);
             let n_mutations = mutations.len();
             // Ship to backup lanes *before* the WAL append consumes the
             // batch. Returns the gate when at least one in-sync lane took
@@ -633,8 +636,8 @@ impl RegionServer {
         // cannot exclude a file for them — key-range pruning only: a
         // file is consulted iff its row range overlaps [start, end).
         let files = {
-            let regions = self.regions.borrow();
-            let st = &regions[&region];
+            let mem = self.mem.borrow();
+            let st = &mem.regions[&region];
             let stack = st.flushing_file().into_iter().chain(st.storefiles.iter());
             stack
                 .filter(|sf| sf.range_overlaps(&start, end.as_deref()))
@@ -644,8 +647,8 @@ impl RegionServer {
             + READ_SERVICE * 3
             + STOREFILE_READ_SERVICE * files.saturating_sub(1) as u64;
         self.serve(region, service, "rpc.scan", move |this, span| {
-            let regions = this.regions.borrow();
-            let Some(st) = regions.get(&region) else {
+            let mem = this.mem.borrow();
+            let Some(st) = mem.regions.get(&region) else {
                 return reply(Err(StoreError::NotServing(region)));
             };
             // One streaming merge over memstore, flushing snapshot and

@@ -202,6 +202,62 @@ impl RegionState {
     }
 }
 
+/// What the process keeps in memory, and loses with it: a crash
+/// replaces it whole ([`RegionServer::crash`]). A field added to the
+/// server's memory goes here, or it survives a crash.
+struct Memory {
+    regions: BTreeMap<RegionId, RegionState>,
+    cache: BlockCache,
+    /// Primary/backup replication state (groups this server is primary
+    /// for, shadows it keeps as a backup).
+    repl: replication::ReplState,
+    /// The in-flight split or merge, if any (one structure change at a
+    /// time per server, so their flush/quiescence phases never
+    /// interleave).
+    pending_change: Option<structure::PendingChange>,
+    /// The region currently being closed for a master-driven move, if
+    /// any (one at a time per server, like splits and merges).
+    pending_move: Option<RegionId>,
+    /// Number of the next store file this server names.
+    storefile_counter: u64,
+    /// Backpressure deficit bank: one token accrues per check tick that
+    /// defers a due merge; at `max_deferrals` the merge runs regardless.
+    compaction_deficit: u32,
+    /// Handler busy-ns at the last compaction check (windowed
+    /// utilization sampling).
+    sched_busy_ns: u64,
+    /// Sim-instant of the last compaction check, in nanoseconds.
+    sched_checked_ns: u64,
+    /// Total service-ns this server itself submitted as background work
+    /// (merges, recovery tracking). Subtracted from the utilization
+    /// sample so the scheduler measures *foreground* pressure — one
+    /// admitted large merge must not make the next windows read as
+    /// saturated and defer merges out of genuinely idle gaps.
+    background_ns: u64,
+    /// `background_ns` at the last compaction check.
+    sched_background_ns: u64,
+}
+
+impl Memory {
+    /// A fresh process's memory: no region, a cold cache of
+    /// `cache_rows` rows, and the utilization window opening at `now_ns`.
+    fn new(cache_rows: usize, now_ns: u64) -> Self {
+        Memory {
+            regions: BTreeMap::new(),
+            cache: BlockCache::new(cache_rows),
+            repl: replication::ReplState::default(),
+            pending_change: None,
+            pending_move: None,
+            storefile_counter: 0,
+            compaction_deficit: 0,
+            sched_busy_ns: 0,
+            sched_checked_ns: now_ns,
+            background_ns: 0,
+            sched_background_ns: 0,
+        }
+    }
+}
+
 /// One region server process. Shared via `Rc`; all requests arrive as
 /// events scheduled by [`crate::StoreClient`] or the master.
 pub struct RegionServer {
@@ -212,12 +268,10 @@ pub struct RegionServer {
     cfg: RegionServerConfig,
     handlers: Rc<ServiceQueue>,
     wal: Wal,
-    cache: RefCell<BlockCache>,
     registry: Rc<StoreFileRegistry>,
     dfs: DfsClient,
-    regions: RefCell<BTreeMap<RegionId, RegionState>>,
+    mem: RefCell<Memory>,
     hooks: RefCell<Rc<dyn RecoveryHooks>>,
-    storefile_counter: Cell<u64>,
     gets: Counter,
     multi_gets: Counter,
     puts: Counter,
@@ -231,22 +285,6 @@ pub struct RegionServer {
     /// Runtime master switch for bloom probes (on until
     /// [`RegionServer::set_bloom_filters`] says otherwise).
     bloom_enabled: Cell<bool>,
-    /// Backpressure deficit bank: one token accrues per check tick that
-    /// defers a due merge; at `max_deferrals` the merge runs regardless.
-    compaction_deficit: Cell<u32>,
-    /// Handler busy-ns at the last compaction check (windowed
-    /// utilization sampling).
-    sched_busy_ns: Cell<u64>,
-    /// Sim-instant of the last compaction check, in nanoseconds.
-    sched_checked_ns: Cell<u64>,
-    /// Total service-ns this server itself submitted as background work
-    /// (merges, recovery tracking). Subtracted from the utilization
-    /// sample so the scheduler measures *foreground* pressure — one
-    /// admitted large merge must not make the next windows read as
-    /// saturated and defer merges out of genuinely idle gaps.
-    background_ns: Cell<u64>,
-    /// `background_ns` at the last compaction check.
-    sched_background_ns: Cell<u64>,
     /// The coordination service: the liveness session, and the fencing
     /// check before retired files are destroyed.
     coord: CoordClient,
@@ -263,27 +301,17 @@ pub struct RegionServer {
     request_change: Exchange,
     change_aborted: Exchange,
     change_completed: Exchange,
-    /// The in-flight split or merge, if any (one structure change at a
-    /// time per server, so their flush/quiescence phases never
-    /// interleave).
-    pending_change: RefCell<Option<structure::PendingChange>>,
     split_stats: StructureStats,
     merge_stats: StructureStats,
     /// Cumulative foreground service nanoseconds charged per hosted
     /// region — the master's load-aware placement signal and the
     /// per-region load gauge the split threshold reasoning builds on.
     region_load: GaugeMap,
-    /// The region currently being closed for a master-driven move, if
-    /// any (one at a time per server, like splits and merges).
-    pending_move: RefCell<Option<RegionId>>,
     /// Supplies the MVCC garbage-collection watermark (the transaction
     /// manager's oldest active snapshot). A store without the
     /// transactional tier supplies [`GcWatermark::ZERO`]: compaction
     /// still merges files but garbage-collects nothing.
     gc_watermark: Box<dyn Fn() -> GcWatermark>,
-    /// Primary/backup replication state (groups this server is primary
-    /// for, shadows it keeps as a backup).
-    repl: RefCell<replication::ReplState>,
     repl_stats: ReplicationStats,
 }
 
@@ -292,7 +320,7 @@ impl fmt::Debug for RegionServer {
         f.debug_struct("RegionServer")
             .field("id", &self.id)
             .field("node", &self.node)
-            .field("regions", &self.regions.borrow().len())
+            .field("regions", &self.mem.borrow().regions.len())
             .field("alive", &self.is_alive())
             .field("gets", &self.gets.get())
             .field("puts", &self.puts.get())
@@ -330,12 +358,10 @@ impl RegionServer {
             cfg,
             handlers: ServiceQueue::new(sim, HANDLERS),
             wal,
-            cache: RefCell::new(BlockCache::new(cfg.block_cache_capacity)),
             registry: Rc::clone(&master.registry),
             dfs,
-            regions: RefCell::new(BTreeMap::new()),
+            mem: RefCell::new(Memory::new(cfg.block_cache_capacity, sim.now().nanos())),
             hooks: RefCell::new(Rc::new(NoopHooks)),
-            storefile_counter: Cell::new(0),
             gets: counter("store.gets"),
             multi_gets: counter("store.multi_gets"),
             puts: counter("store.puts"),
@@ -345,11 +371,6 @@ impl RegionServer {
             compaction_stats: CompactionStats::new(metrics, labels),
             filter_stats: FilterStats::new(metrics, labels),
             bloom_enabled: Cell::new(true),
-            compaction_deficit: Cell::new(0),
-            sched_busy_ns: Cell::new(0),
-            sched_checked_ns: Cell::new(sim.now().nanos()),
-            background_ns: Cell::new(0),
-            sched_background_ns: Cell::new(0),
             coord,
             master: Rc::clone(master),
             ship: net.exchange("repl.ship"),
@@ -360,13 +381,10 @@ impl RegionServer {
             request_change: net.exchange("master.request_change"),
             change_aborted: net.exchange("master.change_aborted"),
             change_completed: net.exchange("master.change_completed"),
-            pending_change: RefCell::new(None),
             split_stats: StructureStats::new(metrics, labels, ChangeKind::Split),
             merge_stats: StructureStats::new(metrics, labels, ChangeKind::Merge),
             region_load: metrics.gauge_map("store.region.load_ns", labels, "region"),
-            pending_move: RefCell::new(None),
             gc_watermark: Box::new(gc_watermark),
-            repl: RefCell::default(),
             repl_stats: ReplicationStats::new(metrics, labels),
         })
     }
@@ -496,7 +514,12 @@ impl RegionServer {
     /// write-sets by the *descriptor's* key range, not by a possibly
     /// stale region map — after an online split the two can disagree).
     pub fn region_descriptor(&self, region: RegionId) -> Option<RegionDescriptor> {
-        self.regions.borrow().get(&region).map(|st| st.desc.clone())
+        self.with_region(region, |st| st.desc.clone())
+    }
+
+    /// What `read` makes of hosted `region`, if it is hosted here.
+    fn with_region<T>(&self, region: RegionId, read: impl FnOnce(&RegionState) -> T) -> Option<T> {
+        self.mem.borrow().regions.get(&region).map(read)
     }
 
     /// Records `kind` in the failure-event journal: `server=` first,
@@ -516,27 +539,27 @@ impl RegionServer {
     }
 
     /// Crash-stop failure: the node dies, so the network drops its
-    /// traffic and its timers stop; the coordination session expires on
-    /// its own. In-memory state (memstores, WAL buffer) is lost.
+    /// traffic and its timers stop, and the coordination session expires
+    /// on its own. The process's memory goes whole: the regions'
+    /// memstores and file stacks, the block cache, replication state, a
+    /// pending split, merge or move, and the WAL's unsynced buffer and
+    /// waiters. The WAL's file and counters, the registry's metrics and
+    /// the handler pool stay (ARCHITECTURE.md, "A process is its node").
     pub fn crash(&self) {
         self.net.crash(self.node);
-        // Shadow memstores and primary-side lane state are in-memory
-        // state: gone with the process.
-        self.repl.take();
+        let now = self.sim.now().nanos();
+        *self.mem.borrow_mut() = Memory::new(self.cfg.block_cache_capacity, now);
+        self.wal.crash();
     }
 
     /// Ids of regions currently hosted (online or recovering).
     pub fn hosted_regions(&self) -> Vec<RegionId> {
-        self.regions.borrow().keys().copied().collect()
+        self.mem.borrow().regions.keys().copied().collect()
     }
 
     /// Whether `region` is hosted here and online.
     pub fn region_online(&self, region: RegionId) -> bool {
-        self.regions
-            .borrow()
-            .get(&region)
-            .map(|r| r.online)
-            .unwrap_or(false)
+        self.with_region(region, |st| st.online) == Some(true)
     }
 
     /// Submits background work to the request handlers (used by the
@@ -550,8 +573,7 @@ impl RegionServer {
         // Attributed as background for the utilization sample (charged
         // at submit while the queue charges at start — close enough for
         // a scheduling signal, and always in the same direction).
-        self.background_ns
-            .set(self.background_ns.get() + service.nanos());
+        self.mem.borrow_mut().background_ns += service.nanos();
         let this = Rc::clone(self);
         self.handlers.submit(service, move || {
             if this.is_alive() {
@@ -582,9 +604,8 @@ impl RegionServer {
     ) {
         let region = desc.id;
         let storefiles = self.adoptable_files(&storefile_paths);
-        self.regions
-            .borrow_mut()
-            .insert(region, RegionState::new(desc, MemStore::new(), storefiles));
+        let st = RegionState::new(desc, MemStore::new(), storefiles);
+        self.mem.borrow_mut().regions.insert(region, st);
         self.update_file_metrics();
         self.finish_region_open(region, failed, false);
     }
@@ -627,7 +648,7 @@ impl RegionServer {
 
     /// Declares a hosted region online (ends its recovery gating).
     fn mark_region_online(&self, region: RegionId) {
-        if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
+        if let Some(st) = self.mem.borrow_mut().regions.get_mut(&region) {
             st.online = true;
             self.event("region.online", fields!(region));
         }

@@ -500,20 +500,20 @@ impl RegionServer {
     /// Whether this server fenced itself out of `region` (a backup holds
     /// a newer replica-group epoch).
     pub fn region_fenced(&self, region: RegionId) -> bool {
-        let repl = self.repl.borrow();
+        let repl = &self.mem.borrow().repl;
         repl.groups.get(&region).is_some_and(|g| g.fenced)
     }
 
     /// Whether the lane `id` names still exists and `is` holds of it.
     fn lane_is(&self, id: LaneId, is: impl FnOnce(&ReplLane) -> bool) -> bool {
-        let mut repl = self.repl.borrow_mut();
+        let repl = &mut self.mem.borrow_mut().repl;
         let lane = repl.group_of(id).and_then(|g| g.lane_mut(id.backup));
         lane.is_some_and(|l| is(l))
     }
 
     /// Whether this server leads a replica group for `region`.
     pub(super) fn replicates(&self, region: RegionId) -> bool {
-        self.repl.borrow().groups.contains_key(&region)
+        self.mem.borrow().repl.groups.contains_key(&region)
     }
 
     /// Master RPC: (re)establishes the replica group this server leads
@@ -529,7 +529,7 @@ impl RegionServer {
         backups: Vec<(ServerId, NodeId, Weak<RegionServer>)>,
     ) {
         let finishes = {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             let group = repl
                 .groups
                 .entry(region)
@@ -552,7 +552,7 @@ impl RegionServer {
     /// server can replace it, so it goes. Writes gated on it are released
     /// as a re-establishment releases them: no lane holds them any more.
     pub(crate) fn dissolve_replica_group(&self, region: RegionId) {
-        let group = self.repl.borrow_mut().groups.remove(&region);
+        let group = self.mem.borrow_mut().repl.groups.remove(&region);
         let Some(mut group) = group else { return };
         self.event("replication.dissolve", fields!(region, epoch = group.epoch));
         resolve(group.take_all_gates(), Ok(()));
@@ -565,7 +565,7 @@ impl RegionServer {
     /// (sequence numbers from different primaries must never be mixed).
     pub(crate) fn open_shadow(&self, region: RegionId, desc: RegionDescriptor, epoch: u64) {
         {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             let shadow = repl
                 .shadows
                 .entry(region)
@@ -581,7 +581,7 @@ impl RegionServer {
     /// split, or this backup left the group).
     pub(crate) fn close_shadow(&self, region: RegionId, epoch: u64) {
         let removed = {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             match repl.shadows.get(&region) {
                 Some(s) if s.epoch <= epoch => repl.shadows.remove(&region).is_some(),
                 _ => false,
@@ -597,7 +597,7 @@ impl RegionServer {
     /// part of it: sequence numbers are per lane, and every in-sync shadow
     /// holds every acknowledged write.)
     pub(crate) fn query_replica(&self, region: RegionId) -> (u64, bool) {
-        let repl = self.repl.borrow();
+        let repl = &self.mem.borrow().repl;
         let shadow = repl.shadows.get(&region);
         shadow.map_or((0, false), |s| (s.epoch, s.synced))
     }
@@ -610,15 +610,13 @@ impl RegionServer {
     /// recovery manager replays only the transaction-log suffix above
     /// the persisted floor instead of waiting for a full WAL split.
     pub(crate) fn promote_replica(self: &Rc<Self>, region: RegionId, epoch: u64, failed: ServerId) {
-        let shadow = self.repl.borrow_mut().shadows.remove(&region);
+        let shadow = self.mem.borrow_mut().repl.shadows.remove(&region);
         let Some(shadow) = shadow else {
             return;
         };
         let storefiles = self.adoptable_files(&shadow.storefile_paths);
-        self.regions.borrow_mut().insert(
-            region,
-            RegionState::new(shadow.desc, shadow.memstore, storefiles),
-        );
+        let st = RegionState::new(shadow.desc, shadow.memstore, storefiles);
+        self.mem.borrow_mut().regions.insert(region, st);
         self.event("replication.promote", fields!(region, epoch, failed));
         self.update_file_metrics();
         self.flush_region(region);
@@ -644,7 +642,7 @@ impl RegionServer {
         let sync = matches!(element, StreamElement::Sync { .. });
         let mut laggards: Vec<LaneId> = Vec::new();
         let (gate, targets) = {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             let group = repl.groups.get_mut(&region)?;
             if group.fenced {
                 return None;
@@ -748,7 +746,7 @@ impl RegionServer {
     fn lane_event(self: &Rc<Self>, id: LaneId, event: LaneEvent) {
         let LaneId { region, backup, .. } = id;
         let (action, finishes) = {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             let Some(group) = repl.group_of(id) else {
                 return;
             };
@@ -814,7 +812,7 @@ impl RegionServer {
     fn finish_lane_drop(self: &Rc<Self>, id: LaneId, stale: bool) {
         if !stale {
             self.lane_event(id, LaneEvent::ReportAcked);
-        } else if self.repl.borrow_mut().group_of(id).is_some() {
+        } else if self.mem.borrow_mut().repl.group_of(id).is_some() {
             self.fence_group(id.region, id.epoch + 1);
         }
     }
@@ -825,7 +823,7 @@ impl RegionServer {
     /// in between).
     pub(super) fn arm_gate(self: &Rc<Self>, region: RegionId, gate: u64, finish: Finish) {
         let finishes = {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             let Some(group) = repl.groups.get_mut(&region) else {
                 finish(Ok(()));
                 return;
@@ -872,7 +870,7 @@ impl RegionServer {
     /// so failing it loses nothing the client could rely on.
     fn fence_group(self: &Rc<Self>, region: RegionId, newer_epoch: u64) {
         let finishes = {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             let Some(group) = repl.groups.get_mut(&region) else {
                 return;
             };
@@ -888,7 +886,7 @@ impl RegionServer {
             }
             group.take_all_gates()
         };
-        if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
+        if let Some(st) = self.mem.borrow_mut().regions.get_mut(&region) {
             st.online = false;
         }
         self.repl_stats.fenced.inc();
@@ -914,7 +912,7 @@ impl RegionServer {
             return stale;
         }
         let ack = {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             let sync = matches!(element, StreamElement::Sync { .. });
             if let StreamElement::Sync { desc, .. } = element {
                 repl.shadows
@@ -969,8 +967,9 @@ impl RegionServer {
             return Some(stale);
         }
         let newer = self
-            .repl
+            .mem
             .borrow()
+            .repl
             .shadows
             .get(&region)
             .map(|s| s.epoch)
@@ -988,10 +987,10 @@ impl RegionServer {
     /// sender is fenced with this group's epoch (or one past its own, if
     /// the group is not established yet).
     fn fence_check(self: &Rc<Self>, region: RegionId, epoch: u64) -> Option<ReplAck> {
-        if !self.regions.borrow().contains_key(&region) {
+        if !self.mem.borrow().regions.contains_key(&region) {
             return None;
         }
-        let own = self.repl.borrow().groups.get(&region).map(|g| g.epoch);
+        let own = self.mem.borrow().repl.groups.get(&region).map(|g| g.epoch);
         if own.is_some_and(|own| own < epoch) {
             self.fence_group(region, epoch);
             return None;
@@ -1029,8 +1028,8 @@ impl RegionServer {
             return;
         }
         let element = {
-            let regions = self.regions.borrow();
-            let Some(st) = regions.get(&region).filter(|st| !st.flush_busy()) else {
+            let mem = self.mem.borrow();
+            let Some(st) = mem.regions.get(&region).filter(|st| !st.flush_busy()) else {
                 return;
             };
             StreamElement::Sync {
@@ -1054,7 +1053,7 @@ impl RegionServer {
         let mut due: Vec<RegionId> = Vec::new();
         let mut probes: Vec<(LaneId, NodeId, Rc<RegionServer>)> = Vec::new();
         {
-            let repl = self.repl.borrow();
+            let repl = &self.mem.borrow().repl;
             for (&region, group) in repl.groups.iter().filter(|(_, g)| !g.fenced) {
                 // Lanes with neither a report nor a sync outstanding.
                 for lane in &group.lanes {
@@ -1109,7 +1108,7 @@ impl RegionServer {
         top: RegionId,
     ) {
         let (finishes, epoch, lanes) = {
-            let mut repl = self.repl.borrow_mut();
+            let repl = &mut self.mem.borrow_mut().repl;
             let Some(mut group) = repl.groups.remove(&parent) else {
                 return;
             };
@@ -1139,7 +1138,7 @@ impl RegionServer {
     /// Refreshes the replication gauges: total unacked backlog bytes and
     /// the worst shipped-minus-acked distance across in-sync lanes.
     fn update_repl_gauges(&self) {
-        let repl = self.repl.borrow();
+        let repl = &self.mem.borrow().repl;
         let mut backlog = 0u64;
         let mut lag = 0u64;
         for group in repl.groups.values() {

