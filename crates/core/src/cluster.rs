@@ -618,7 +618,8 @@ impl Cluster {
         out.expect("loop exits only when set")
     }
 
-    /// Whether every region of the table is online on its assigned server.
+    /// Whether every region of the table is online on its assigned
+    /// server; a crashed server's regions are offline until failed over.
     pub fn all_regions_online(&self) -> bool {
         every_region_online(&self.master, &self.dir)
     }

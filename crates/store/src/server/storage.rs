@@ -115,11 +115,12 @@ impl RegionServer {
         }
     }
 
-    /// The name of this server's next store file for `region`, numbered
-    /// by `counter`; `tag` follows the number ("c": a compaction output).
-    fn next_path(&self, counter: &mut u64, region: RegionId, tag: &str) -> String {
+    /// The name of this server's next flush output for `region`, from
+    /// the store-file `counter`.
+    fn next_flush_path(&self, counter: &mut u64, region: RegionId) -> String {
+        let n = *counter;
         *counter += 1;
-        format!("/store/{region}/{:06}{tag}-{}", *counter - 1, self.id)
+        format!("/store/{region}/{:06}-{}", n, self.id)
     }
 
     /// Flushes `region`'s memstore to a new store file in the filesystem.
@@ -133,7 +134,7 @@ impl RegionServer {
             if st.flush_busy() || st.memstore.is_empty() {
                 return;
             }
-            let path = self.next_path(&mut mem.storefile_counter, region, "");
+            let path = self.next_flush_path(&mut mem.storefile_counter, region);
             let snapshot = st.memstore.take();
             let data = Rc::new(StoreFileData::from_memstore(region, path, &snapshot));
             st.flushing = Some((Rc::clone(&data), self.sim.now()));
@@ -155,15 +156,12 @@ impl RegionServer {
     fn reissue_flush(self: &Rc<Self>, region: RegionId) {
         let (snapshot, copy) = {
             let mem = &mut *self.mem.borrow_mut();
-            let flushing = mem
-                .regions
-                .get_mut(&region)
-                .and_then(|st| st.flushing.as_mut());
-            let Some((snapshot, issued)) = flushing else {
+            let st = mem.regions.get_mut(&region);
+            let Some((snapshot, issued)) = st.and_then(|st| st.flushing.as_mut()) else {
                 return;
             };
             *issued = self.sim.now();
-            let path = self.next_path(&mut mem.storefile_counter, region, "");
+            let path = self.next_flush_path(&mut mem.storefile_counter, region);
             let copy = snapshot.with_path(path);
             (Rc::clone(snapshot), Rc::new(copy))
         };
@@ -294,14 +292,6 @@ impl RegionServer {
         self.submit_background(service, move || this.run_compaction(region, input_paths));
     }
 
-    /// Clears the in-flight flag so a failed attempt can be retried by a
-    /// later check.
-    fn abort_compaction(&self, region: RegionId) {
-        if let Some(st) = self.mem.borrow_mut().regions.get_mut(&region) {
-            st.compaction_in_progress = false;
-        }
-    }
-
     /// The merge phase, running on a handler slot. The input set was
     /// chosen when the work was queued; it is re-validated here because
     /// flushes (or a region reopen) may have run in between.
@@ -338,7 +328,13 @@ impl RegionServer {
                         .and_then(|f| f.get(row, col, below))
                         .is_some()
             };
-            let name = || self.next_path(&mut mem.storefile_counter, region, "c");
+            // The output's name draws from the same counter flushes use
+            // — deterministic.
+            let name = || {
+                let n = mem.storefile_counter;
+                mem.storefile_counter += 1;
+                format!("/store/{region}/{:06}c-{}", n, self.id)
+            };
             compaction::merge_survivors(region, name, &inputs, watermark, major, &guard)
         };
         self.compaction_stats.versions_dropped.add(versions_dropped);
@@ -401,7 +397,9 @@ impl RegionServer {
     /// in-flight flag so a later check retries.
     fn abort_compaction_cleanup(&self, region: RegionId, output: &StoreFileData) {
         self.dfs.delete(&compaction::tmp_name(output.path()));
-        self.abort_compaction(region);
+        if let Some(st) = self.mem.borrow_mut().regions.get_mut(&region) {
+            st.compaction_in_progress = false;
+        }
     }
 
     /// Atomically swaps the merged file in for its inputs, invalidates

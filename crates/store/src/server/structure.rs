@@ -290,9 +290,7 @@ impl RegionServer {
     fn advance_pending_change(self: &Rc<Self>) {
         let (kind, inputs, cuts, flush_issued, intent_sent) = {
             let mem = self.mem.borrow();
-            let Some(p) = mem.pending_change.as_ref() else {
-                return;
-            };
+            let Some(p) = &mem.pending_change else { return };
             (
                 p.kind(),
                 p.inputs.clone(),

@@ -973,6 +973,45 @@ fn a_restarted_manager_publishes_no_t_p_before_it_has_read_every_server() {
     }
 }
 
+/// A server cut from every datanode, but not from the namenode or the
+/// coordination service, syncs nothing: its WAL append is retried for
+/// good while it keeps acknowledging writes from its buffer. Its `T_P(s)`
+/// then holds the global `T_P`, and with it log truncation, below every
+/// commit since the cut. As HBase's region server does on a WAL failure,
+/// it should abort once its WAL cannot sync within the session timeout,
+/// so the master fails it over and `T_P` moves on.
+#[test]
+#[ignore = "ROADMAP item 30"]
+fn a_server_whose_wal_cannot_sync_does_not_stall_t_p() {
+    let cluster = small_cluster(7);
+    for i in 0..6u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 400, "f0", "warm")]);
+    }
+    cluster.run_for(SimDuration::from_secs(3));
+
+    let cut = cluster.servers[1].node();
+    for dn in &cluster.datanodes {
+        cluster.net.partition(cut, dn.node());
+    }
+    let rows = [42, 2_542, 5_042, 7_542];
+    let writes: Vec<(u64, &str, &str)> = rows.iter().map(|r| (*r, "f0", "cut")).collect();
+    let committed = Timestamp(run_txn(&cluster, 0, &writes));
+    for i in 0..10u64 {
+        run_txn(&cluster, (i % 3) as usize, &[(i * 700 + 1, "f0", "later")]);
+    }
+    cluster.run_for(SimDuration::from_secs(20));
+    assert!(
+        cluster.rm.t_p() > committed,
+        "T_P {:?} stalled below {committed:?}",
+        cluster.rm.t_p()
+    );
+    assert!(cluster.tm.log().truncated_below() > committed);
+    for row in rows {
+        let got = cluster.read_cell(key(row), "f0", SimDuration::from_secs(10));
+        assert_eq!(got.as_deref(), Some(&b"cut"[..]), "row {row} lost");
+    }
+}
+
 #[test]
 fn thresholds_advance_and_log_truncates() {
     let cluster = small_cluster(9);
