@@ -44,7 +44,7 @@
 //! image:  region:u32  count:u32 | entry 0 | entry 1 | … | filter words
 //! entry:  len:u32 row | len:u32 column | tag:u8 [len:u32 value] | ts:u64
 //! index:  [offset of entry 0, …, offset of entry count-1, end of entries]
-//! slots:  [entry number of a cell's newest version, or EMPTY; 2ⁿ of them]
+//! slots:  [tag:u32 offset:u32 of a cell's newest version, or EMPTY; 2ⁿ of them]
 //! ```
 //!
 //! Every file is built through one streaming constructor,
@@ -61,17 +61,27 @@
 //!
 //! `slots` is an open-addressed table (linear probing) of the smallest
 //! power of two that is at least twice the file's distinct `(row, column)`
-//! cells, so 8–16 bytes per cell beside ~130 of image. A cell's home slot
+//! cells, so 16–32 bytes per cell beside ~130 of image. A cell's home slot
 //! comes from the first half of the [`hash_pair`] the bloom filter already
-//! takes of it ([`cell_hash`]), and cells are inserted in file order: the
-//! table is a pure function of the file's bytes, so it is not on the wire
-//! — the builder fills it in `finish`, `decode` in its validating pass,
-//! and both arrive at the same table. [`StoreFileData::get_cell`] is hash → probe →
-//! compare key bytes in place → gallop from the newest version to the
-//! first one at or below the snapshot (O(log v) for a cell with v
-//! versions); [`StoreFileData::contains_cell`] is the probe alone. A
-//! reference half-file probes the parent's table and treats an entry
-//! outside `lo..hi` as a miss. What needs *order* rather than identity —
+//! takes of it ([`cell_hash`]); its slot packs that half's high 32 bits
+//! (the tag) above the image offset of the cell's newest version. Cells
+//! are inserted in file order: the table is a pure function of the file's
+//! bytes, so it is not on the wire — the builder fills it in `finish`,
+//! `decode` in its validating pass, and both arrive at the same table.
+//! [`StoreFileData::get_cell`] is:
+//!
+//! 1. hash, and probe from the home slot to the first empty one, passing
+//!    every slot whose tag differs without touching `index` or `image`;
+//! 2. at a slot whose tag matches, compare the key bytes in place at its
+//!    offset; a match is the cell's newest version, parsed there;
+//! 3. only if that version is above the snapshot: find its entry number
+//!    (one binary search of the offsets in `index`) and gallop to the
+//!    first version at or below the snapshot (O(log v) for a cell with v
+//!    versions).
+//!
+//! [`StoreFileData::contains_cell`] is steps 1 and 2. A reference
+//! half-file probes the parent's table and treats an offset outside
+//! `index[lo]..index[hi]` as a miss. What needs *order* rather than identity —
 //! [`StoreFileData::range`], the clip points of
 //! [`StoreFileData::reference`] — still binary-searches the offset index
 //! (`lower_bound`).
@@ -119,9 +129,13 @@ const HEADER_BYTES: usize = 8;
 /// The smallest entry on the wire: empty row and column, a delete.
 const MIN_ENTRY_BYTES: usize = 4 + 4 + 1 + 8;
 
-/// An unoccupied slot of the hash index (never an entry number: a file
-/// below 4 GiB holds fewer entries than that).
-const EMPTY: u32 = u32::MAX;
+/// An unoccupied slot of the hash index (never a packed slot: an entry's
+/// offset in an image below 4 GiB is below `u32::MAX`).
+const EMPTY: u64 = u64::MAX;
+
+/// The bits of a slot that hold its cell's tag: the high half of the
+/// cell's [`cell_hash`]. The low half holds the image offset.
+const TAG: u64 = !(u32::MAX as u64);
 
 /// Where the probe for a cell whose first [`hash_pair`] half is `hash`
 /// starts, in a table of `mask + 1` slots. FNV's low bits depend only on
@@ -131,19 +145,19 @@ fn home_slot(hash: u64, mask: usize) -> usize {
 }
 
 /// Builds the hash index (module docs) from each distinct cell's hash and
-/// the entry number of its newest version, in file order.
-fn build_slots(cells: impl ExactSizeIterator<Item = (u64, u32)>) -> Rc<[u32]> {
+/// the image offset of its newest version, in file order.
+fn build_slots(cells: impl ExactSizeIterator<Item = (u64, u32)>) -> Rc<[u64]> {
     if cells.len() == 0 {
         return Rc::new([]);
     }
     let mut slots = vec![EMPTY; (cells.len() * 2).next_power_of_two()];
     let mask = slots.len() - 1;
-    for (hash, entry) in cells {
+    for (hash, at) in cells {
         let mut slot = home_slot(hash, mask);
         while slots[slot] != EMPTY {
             slot = (slot + 1) & mask;
         }
-        slots[slot] = entry;
+        slots[slot] = hash & TAG | u64::from(at);
     }
     slots.into()
 }
@@ -153,6 +167,9 @@ thread_local! {
     /// Entries [`StoreFileData::sorts_before`] compared on this thread:
     /// what the unit tests bound a lookup's work by, without a clock.
     static KEY_COMPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Keys [`StoreFileData::find`] read out of the image on this thread:
+    /// one per probed slot whose tag matched.
+    static KEY_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Reads the fields of entries out of a file's own image, in wire order.
@@ -222,10 +239,10 @@ pub struct StoreFileData {
     /// entries. Shared (`Rc`) so a split's reference half-files are
     /// O(metadata): they alias the parent's index and narrow `[lo, hi)`.
     index: Rc<Vec<u32>>,
-    /// Hash index: for each distinct cell, the number in `index` of its
-    /// newest version (module docs). Shared like `index`; a reference
-    /// half-file ignores what it finds outside `[lo, hi)`.
-    slots: Rc<[u32]>,
+    /// Hash index: for each distinct cell, its hash's tag and the image
+    /// offset of its newest version (module docs). Shared like `index`; a
+    /// reference half-file ignores what it finds outside its window.
+    slots: Rc<[u64]>,
     /// Visible bounds into `index` (`0..count` for physical files).
     lo: usize,
     hi: usize,
@@ -280,7 +297,7 @@ pub struct StoreFileBuilder {
     /// the key is in cache; the filter and the hash index are sized from
     /// their number.
     hashes: Vec<(u64, u64)>,
-    /// Entry number of each distinct cell's first (newest) version, in
+    /// Image offset of each distinct cell's first (newest) version, in
     /// step with `hashes`.
     firsts: Vec<u32>,
     total_bytes: usize,
@@ -342,11 +359,11 @@ impl StoreFileBuilder {
                 );
                 last_row == row && last_column == column
             });
+        let at = u32::try_from(self.image.len()).expect("a store file's image stays below 4 GiB");
         if !same_cell {
             self.hashes.push(hash_pair(row, column));
-            self.firsts.push(self.index.len() as u32);
+            self.firsts.push(at);
         }
-        let at = u32::try_from(self.image.len()).expect("a store file's image stays below 4 GiB");
         self.index.push(at);
         encode_cell(&mut self.image, row, column, value);
         self.image.put_u64(ts.0);
@@ -605,7 +622,20 @@ impl StoreFileData {
 
     /// Entry `i` of the shared index, parsed.
     fn entry(&self, i: usize) -> EntryRef<'_> {
-        self.cursor(i, i + 1).next().expect("index in bounds")
+        self.entry_at(self.index[i])
+    }
+
+    /// The entry at image offset `at`, parsed.
+    fn entry_at(&self, at: u32) -> EntryRef<'_> {
+        let mut one = Cursor {
+            image: &self.image,
+            reader: Reader {
+                image: &self.image,
+                at: at as usize,
+            },
+            left: 1,
+        };
+        one.next().expect("one entry left")
     }
 
     /// Cursor over entries `[from, to)` of the shared index.
@@ -679,30 +709,38 @@ impl StoreFileData {
         self.search(lo, hi, row, column, inv_ts)
     }
 
-    /// The entry number of the newest version of `(row, column)`, whose
+    /// The image offset of the newest version of `(row, column)`, whose
     /// first [`hash_pair`] half is `hash`, if the visible window stores
-    /// the cell: a probe of the hash index, comparing key bytes in place.
-    /// The table is at most half full, so the probe ends at an empty slot.
-    fn find(&self, row: &[u8], column: &[u8], hash: u64) -> Option<usize> {
+    /// the cell: a probe of the hash index that reads the key bytes, in
+    /// place, only of slots whose tag matches. The table is at most half
+    /// full, so the probe ends at an empty slot.
+    fn find(&self, row: &[u8], column: &[u8], hash: u64) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
         let mut slot = home_slot(hash, mask);
         loop {
-            let entry = self.slots[slot];
-            if entry == EMPTY {
+            let packed = self.slots[slot];
+            if packed == EMPTY {
                 return None;
             }
-            let entry = entry as usize;
-            let mut key = Reader {
-                image: &self.image,
-                at: self.index[entry] as usize,
-            };
-            if key.bytes() == row && key.bytes() == column {
-                // A reference half-file shares the parent's table: cells
-                // clipped into the sibling are there, and are misses.
-                return (self.lo..self.hi).contains(&entry).then_some(entry);
+            if packed & TAG == hash & TAG {
+                #[cfg(test)]
+                KEY_READS.with(|n| n.set(n.get() + 1));
+                let at = packed as u32;
+                let mut key = Reader {
+                    image: &self.image,
+                    at: at as usize,
+                };
+                if key.bytes() == row && key.bytes() == column {
+                    // A reference half-file shares the parent's table:
+                    // cells clipped into the sibling are there, and are
+                    // misses.
+                    let visible = !self.is_reference()
+                        || (self.index[self.lo]..self.index[self.hi]).contains(&at);
+                    return visible.then_some(at);
+                }
             }
             slot = (slot + 1) & mask;
         }
@@ -717,11 +755,13 @@ impl StoreFileData {
         hash: u64,
         snapshot: Timestamp,
     ) -> Option<VersionedValue> {
-        let newest = self.find(row, column, hash)?;
-        let mut e = self.entry(newest);
+        let at = self.find(row, column, hash)?;
+        let mut e = self.entry_at(at);
         if e.ts > snapshot {
             // Older versions follow in descending ts; the run may be
             // thousands long (a hot cell in one flush), so no linear walk.
+            // The gallop starts from the newest version's entry number.
+            let newest = self.lo + self.index[self.lo..self.hi].partition_point(|&o| o < at);
             let idx = self.gallop(newest + 1, row, column, !snapshot.0);
             if idx >= self.hi {
                 return None;
@@ -933,20 +973,21 @@ impl StoreFileData {
             return Err(dec.error("entry count"));
         }
         let mut index = Vec::with_capacity(count + 1);
-        // Hash and entry number of each distinct cell's newest version,
+        // Hash and image offset of each distinct cell's newest version,
         // as the builder collects them, for the hash index.
         let mut cells: Vec<(u64, u32)> = Vec::new();
         let mut total_bytes = 0;
         let mut last: Option<(&[u8], &[u8], u64)> = None;
-        for entry in 0..count {
-            index.push(dec.pos() as u32);
+        for _ in 0..count {
+            let at = dec.pos() as u32;
+            index.push(at);
             let (row, column, value) = decode_cell(&mut dec)?;
             let inv_ts = !dec.get_u64()?;
             if last.is_some_and(|last| last >= (row, column, inv_ts)) {
                 return Err(dec.error("entry order"));
             }
             if last.is_none_or(|(r, c, _)| (r, c) != (row, column)) {
-                cells.push((cell_hash(row, column), entry as u32));
+                cells.push((cell_hash(row, column), at));
             }
             last = Some((row, column, inv_ts));
             total_bytes += entry_bytes(row, column, value);
@@ -1324,6 +1365,13 @@ mod tests {
         KEY_COMPARES.with(|n| n.get()) - before
     }
 
+    /// Keys [`StoreFileData::find`] read out of the image while `f` ran.
+    fn key_reads(f: impl FnOnce()) -> u64 {
+        let before = KEY_READS.with(|n| n.get());
+        f();
+        KEY_READS.with(|n| n.get()) - before
+    }
+
     /// A hot cell between two neighbours: 10 000 versions at the even
     /// timestamps 2..=20 000 in one file.
     #[test]
@@ -1368,7 +1416,8 @@ mod tests {
     }
 
     /// Eight cells that all hash to one home slot of their table still
-    /// resolve exactly, present and absent, before and after a decode.
+    /// resolve exactly, present and absent, before and after a decode,
+    /// and the probe reads the key of no slot whose tag differs.
     #[test]
     fn colliding_cells_probe_past_each_other() {
         const CELLS: usize = 8;
@@ -1388,9 +1437,20 @@ mod tests {
         }
         let built = builder.finish(RegionId(0), "/crowd");
         assert_eq!(built.slots.len(), mask + 1);
-        // One run of occupied slots from the shared home, in file order.
-        let run: Vec<u32> = (0..CELLS).map(|i| built.slots[(5 + i) & mask]).collect();
-        assert_eq!(run, (0..CELLS as u32).map(|i| 2 * i).collect::<Vec<_>>());
+        // One run of occupied slots from the shared home, in file order:
+        // each holds its cell's tag and its newest version's offset.
+        let tag = |row: &str| hash_pair(row.as_bytes(), b"c").0 & TAG;
+        for (i, row) in crowd.iter().enumerate() {
+            let packed = built.slots[(5 + i) & mask];
+            assert_eq!(packed & TAG, tag(row), "slot {i}");
+            assert_eq!(packed as u32, built.index[2 * i], "slot {i}");
+        }
+        // 32-bit tags: the nine cells' are distinct (else the counts
+        // below would read one key more).
+        let mut tags: Vec<u64> = crowd.iter().chain([&absent]).map(|r| tag(r)).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), CELLS + 1);
         let decoded = StoreFileData::decode("/crowd", &built.encode()).unwrap();
         for sf in [&built, &decoded] {
             for row in &crowd {
@@ -1399,11 +1459,40 @@ mod tests {
                 let older = sf.get(row.as_bytes(), b"c", Timestamp(8)).unwrap();
                 assert_eq!((older.ts, older.value), (Timestamp(4), None));
                 assert_eq!(sf.get(row.as_bytes(), b"c", Timestamp(3)), None);
-                assert!(sf.contains_key(row.as_bytes(), b"c"));
+                let reads = key_reads(|| assert!(sf.contains_key(row.as_bytes(), b"c")));
+                assert_eq!(reads, 1, "{row}: only its own slot's key is read");
             }
-            assert!(!sf.contains_key(absent.as_bytes(), b"c"));
+            let reads = key_reads(|| assert!(!sf.contains_key(absent.as_bytes(), b"c")));
+            assert_eq!(reads, 0, "the absent cell passes eight slots unread");
             assert_eq!(sf.get(absent.as_bytes(), b"c", Timestamp::MAX), None);
         }
+    }
+
+    /// Two cells forged to share one home slot and one tag: the tag lets
+    /// both through, and the key bytes tell them apart.
+    #[test]
+    fn a_tag_collision_resolves_by_key_bytes() {
+        let mut builder = StoreFileBuilder::with_capacity(0, 0);
+        builder.push(b"a", b"c", Timestamp(7), Some(b"a7"));
+        builder.push(b"a", b"c", Timestamp(3), Some(b"a3"));
+        builder.push(b"b", b"c", Timestamp(5), Some(b"b5"));
+        let mut sf = builder.finish(RegionId(0), "/forged");
+        let forged = 0xDEAD_BEEF_0000_0003;
+        sf.slots = build_slots([(forged, sf.index[0]), (forged, sf.index[2])].into_iter());
+        assert_eq!(sf.slots.len(), 4);
+        let read = |row: &[u8], snapshot| {
+            let mut found = None;
+            let reads = key_reads(|| found = sf.get_hashed(row, b"c", forged, Timestamp(snapshot)));
+            (found.and_then(|vv| vv.value), reads)
+        };
+        assert_eq!(read(b"a", 9), (Some(b("a7")), 1));
+        assert_eq!(read(b"a", 4), (Some(b("a3")), 1));
+        assert_eq!(read(b"b", 9), (Some(b("b5")), 2));
+        assert_eq!(read(b"b", 4), (None, 2));
+        // An absent cell with the same hash reads both keys, then misses.
+        assert_eq!(read(b"z", 9), (None, 2));
+        assert_eq!(sf.find(b"a", b"c", forged), Some(sf.index[0]));
+        assert_eq!(sf.find(b"b", b"c", forged), Some(sf.index[2]));
     }
 
     /// The hash index is a function of the file's bytes: `decode` arrives
@@ -1439,6 +1528,42 @@ mod tests {
             rewritten.get(b"row0099", b"c", Timestamp(250)),
             half.get(b"row0099", b"c", Timestamp(250))
         );
+    }
+
+    /// A read below a cell's newest version recovers the entry number
+    /// from the offset the slot holds; on a half-file whose window
+    /// starts mid-parent that number is still the parent's, and every
+    /// answer is the parent's.
+    #[test]
+    fn reads_below_the_newest_version_of_a_half_file_match_the_parent() {
+        let mut ms = MemStore::new();
+        for i in 0..300u32 {
+            let row = b(&format!("row{:04}", i % 100));
+            ms.apply(
+                row,
+                b("c"),
+                Timestamp(u64::from(i) + 1),
+                Some(b(&i.to_string())),
+            );
+        }
+        let parent = Rc::new(StoreFileData::from_memstore(RegionId(1), "/p", &ms));
+        let half = StoreFileData::reference(&parent, RegionId(2), "/h", b"row0050", None).unwrap();
+        assert_eq!(half.lo, 150, "the window starts mid-parent");
+        let low = StoreFileData::reference(&parent, RegionId(3), "/l", b"", Some(b"row0050"));
+        let low = low.unwrap();
+        for i in 0..100 {
+            let row = format!("row{i:04}");
+            let (mine, other) = if i < 50 { (&low, &half) } else { (&half, &low) };
+            for snapshot in [0, 1, 50, 150, 199, 250, 299, 300, u64::MAX] {
+                let want = parent.get(row.as_bytes(), b"c", Timestamp(snapshot));
+                assert_eq!(mine.get(row.as_bytes(), b"c", Timestamp(snapshot)), want);
+                assert_eq!(other.get(row.as_bytes(), b"c", Timestamp(snapshot)), None);
+            }
+        }
+        // Each row's versions are ts i+1, i+101 and i+201: a snapshot
+        // between the last two takes the middle one.
+        let vv = half.get(b"row0099", b"c", Timestamp(250)).unwrap();
+        assert_eq!((vv.ts, vv.value), (Timestamp(200), Some(b("199"))));
     }
 
     #[test]

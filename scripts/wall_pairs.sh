@@ -44,11 +44,25 @@
 # the two builds against each other exactly as above. A gain is real
 # only if it stands clear of what the A/A run of the parent reads.
 #
+# Code layout moves host time as much as many changes do: relinking
+# one tree with its sections shuffled has moved read_zipf's
+# wall_us_per_txn by 9 %. LAYOUTS=K (K >= 2) makes layout a controlled
+# variable: each side is built K times, build S (S = 1..K) with
+#
+#   RUSTFLAGS="-C link-arg=-Wl,--shuffle-sections=.text*=S"
+#
+# (the same seeds S on both sides), and pair i runs build
+# S = ((i - 1) mod K) + 1 of each side. For each host-time metric it
+# then also prints each side's median per layout and their spread
+# (max - min), and a host-time "gain" whose median moved no more than
+# the parent's layout spread reads "within layout noise". Unset or 1,
+# each side is built once, unshuffled, as before.
+#
 # The sim-clock metrics are exact for a seed, so one run of each
 # side says all there is about them at that seed: last, it prints every
 # WORKLOAD.metric line of pair 1 (seed 1) whose value differs between
-# the sides, the two host-time ones left out. That list is empty for a
-# change that moves no simulated number.
+# the sides, the two host-time ones and cells_checked left out. That
+# list is empty for a change that moves no simulated number.
 #
 # Run from anywhere inside the repository, on an otherwise idle machine.
 # The temporary directory is removed on exit; set KEEP=1 to keep it.
@@ -62,6 +76,13 @@ parent_rev=$1
 change_rev=$2
 workloads=$(echo "$3" | tr , ' ')
 pairs=${4:-10}
+layouts=${LAYOUTS:-1}
+case $layouts in
+'' | *[!0-9]* | 0)
+    echo "LAYOUTS must be a positive integer, not '$layouts'" >&2
+    exit 2
+    ;;
+esac
 host_metrics="wall_us_per_txn setup_s"
 metrics="$host_metrics txn_p50_ms txn_p99_ms"
 
@@ -73,21 +94,40 @@ else
     trap 'rm -rf "$tmp"' EXIT
 fi
 
-# Unpacks and builds one side; its binary is $tmp/<side>/target/release/cumulo-benchmark.
+# The target directory of a side's build of layout S (0: unshuffled).
+target_of() {
+    if [ "$2" = 0 ]; then echo "$tmp/$1/target"; else echo "$tmp/$1/target.$2"; fi
+}
+
+# The layout pair $1 runs: 0 (unshuffled) with one layout, else the
+# shuffle seed ((pair - 1) mod K) + 1.
+layout_of() {
+    if [ "$layouts" = 1 ]; then echo 0; else echo $((($1 - 1) % layouts + 1)); fi
+}
+
+# Unpacks one side and builds it once per layout; a build's binary is
+# $(target_of side S)/release/cumulo-benchmark.
 build() {
-    local side=$1 rev=$2
+    local side=$1 rev=$2 layout flags
     mkdir -p "$tmp/$side"
     git -C "$repo" archive --format=tar "$rev" | tar -x -C "$tmp/$side"
-    echo "building $side ($(git -C "$repo" rev-parse --short "$rev"))" >&2
-    CARGO_TARGET_DIR="$tmp/$side/target" cargo build --release --offline --quiet \
-        --manifest-path "$tmp/$side/benchmark/Cargo.toml"
+    for layout in $(if [ "$layouts" = 1 ]; then echo 0; else seq 1 "$layouts"; fi); do
+        echo "building $side ($(git -C "$repo" rev-parse --short "$rev")), layout $layout" >&2
+        if [ "$layout" = 0 ]; then
+            flags=${RUSTFLAGS:-}
+        else
+            flags="${RUSTFLAGS:+$RUSTFLAGS }-C link-arg=-Wl,--shuffle-sections=.text*=$layout"
+        fi
+        RUSTFLAGS=$flags CARGO_TARGET_DIR=$(target_of "$side" "$layout") \
+            cargo build --release --offline --quiet --manifest-path "$tmp/$side/benchmark/Cargo.toml"
+    done
 }
 
 # Runs one side once on one workload and appends "<pair> <metric> <value>"
 # lines to that side's results for the workload.
 run() {
     local side=$1 workload=$2 pair=$3 out
-    out=$(env -u CARGO_MANIFEST_DIR "$tmp/$side/target/release/cumulo-benchmark" \
+    out=$(env -u CARGO_MANIFEST_DIR "$(target_of "$side" "$(layout_of "$pair")")/release/cumulo-benchmark" \
         --workload "$workload" --seed "$pair" --seconds 10 --trace 0 2>"$tmp/$side.log")
     if [ "$pair" = 1 ]; then
         echo "$out" >"$tmp/$side.$workload.pair1"
@@ -136,15 +176,18 @@ bound_of() {
 }
 
 # "<metric> <value>" for every WORKLOAD.metric line of a side's pair 1
-# but the host-time ones, sorted for join.
+# but the host-time ones, sorted for join. cells_checked is left out
+# with them: the benchmark sums it over every repetition it ran, and how
+# many fit into --seconds depends on host speed, so two builds that
+# simulate identically print different counts.
 sim_metrics() {
-    awk -v prefix="$2." -v host="$host_metrics" '
+    awk -v prefix="$2." -v host="$host_metrics cells_checked" '
         BEGIN { n = split(host, h, " "); for (i = 1; i <= n; i++) skip[prefix h[i]] = 1 }
         index($1, prefix) == 1 && !($1 in skip) { print $1, $2 }' "$tmp/$1.$2.pair1" | sort -k1,1
 }
 
 for workload in $workloads; do
-    echo "workload $workload, $pairs alternating pairs, parent $(git -C "$repo" rev-parse --short "$parent_rev"), change $(git -C "$repo" rev-parse --short "$change_rev")"
+    echo "workload $workload, $pairs alternating pairs, $layouts layout(s), parent $(git -C "$repo" rev-parse --short "$parent_rev"), change $(git -C "$repo" rev-parse --short "$change_rev")"
     for metric in $metrics; do
         echo "$metric (pair: parent change)"
         join <(awk -v m="$metric" '$2 == m { print $1, $3 }' "$tmp/parent.$workload.results" | sort -k1,1) \
@@ -154,6 +197,21 @@ for workload in $workloads; do
         read -r p_med p_q1 p_q3 < <(awk '{ print $2 }' "$tmp/$metric.pairs" | quartiles)
         read -r c_med c_q1 c_q3 < <(awk '{ print $3 }' "$tmp/$metric.pairs" | quartiles)
         wins=$(awk '$3 < $2 { n++ } END { print n + 0 }' "$tmp/$metric.pairs")
+        # The parent's layout spread: how far apart its per-layout medians lie.
+        spread=0
+        if [ "$layouts" != 1 ] && [[ " $host_metrics " == *" $metric "* ]]; then
+            for col in 2 3; do
+                side=$([ "$col" = 2 ] && echo parent || echo change)
+                medians=$(for layout in $(seq 1 "$layouts"); do
+                    awk -v c="$col" -v k="$layouts" -v l="$layout" \
+                        '($1 - 1) % k + 1 == l { print $c }' "$tmp/$metric.pairs" | quartiles |
+                        awk '{ print $1 }'
+                done)
+                range=$(echo "$medians" | sort -g | awk 'NR == 1 { lo = $1 } { hi = $1 } END { printf "%.6g\n", hi - lo }')
+                echo "  $metric $side median per layout 1..$layouts: $(echo $medians), spread $range"
+                if [ "$side" = parent ]; then spread=$range; fi
+            done
+        fi
         # Whether every change run is below every parent run.
         apart=$(awk 'NR == 1 || $2 < p { p = $2 } NR == 1 || $3 > c { c = $3 } END { print (c < p) }' "$tmp/$metric.pairs")
         bound=$(bound_of "$metric")
@@ -163,12 +221,14 @@ for workload in $workloads; do
         fi
         awk -v m="$metric" -v pm="$p_med" -v p1="$p_q1" -v p3="$p_q3" \
             -v cm="$c_med" -v c1="$c_q1" -v c3="$c_q3" -v wins="$wins" -v n="$pairs" \
-            -v bound="$bound" -v apart="$apart" -v host=" $host_metrics " 'BEGIN {
+            -v bound="$bound" -v apart="$apart" -v host=" $host_metrics " -v spread="$spread" 'BEGIN {
             printf "  %s parent median %s [q1 %s, q3 %s], change median %s [q1 %s, q3 %s]\n", m, pm, p1, p3, cm, c1, c3
             printf "  %s change %+.2f %% of the parent median, parent IQR %s, change lower in %d of %d pairs\n", m, (cm - pm) / pm * 100, p3 - p1, wins, n
             if (wins * 10 >= 9 * n && pm - cm > p3 - p1) {
                 verdict = "gain"
-                if (index(host, " " m " ") && pm - cm < 0.03 * pm)
+                if (index(host, " " m " ") && pm - cm <= spread)
+                    verdict = "within layout noise (the parent'"'"'s layout spread is " spread ")"
+                else if (index(host, " " m " ") && pm - cm < 0.03 * pm)
                     verdict = "gain (under 3 %: confirm with an A/A run)"
             } else if (cm - pm > bound * pm) verdict = "worse"
             else if (p3 - p1 > bound * pm && !apart) verdict = "unresolved"
