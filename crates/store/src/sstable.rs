@@ -627,26 +627,18 @@ impl StoreFileData {
 
     /// The entry at image offset `at`, parsed.
     fn entry_at(&self, at: u32) -> EntryRef<'_> {
-        let mut one = Cursor {
+        self.cursor(at, 1).next().expect("one entry left")
+    }
+
+    /// Cursor over `left` entries from image offset `at`.
+    fn cursor(&self, at: u32, left: usize) -> Cursor<'_> {
+        Cursor {
             image: &self.image,
             reader: Reader {
                 image: &self.image,
                 at: at as usize,
             },
-            left: 1,
-        };
-        one.next().expect("one entry left")
-    }
-
-    /// Cursor over entries `[from, to)` of the shared index.
-    fn cursor(&self, from: usize, to: usize) -> Cursor<'_> {
-        Cursor {
-            image: &self.image,
-            reader: Reader {
-                image: &self.image,
-                at: self.index[from] as usize,
-            },
-            left: to - from,
+            left,
         }
     }
 
@@ -802,13 +794,13 @@ impl StoreFileData {
         end: Option<&[u8]>,
     ) -> impl ExactSizeIterator<Item = EntryRef<'_>> + '_ {
         let (from, to) = self.row_bounds(start, end);
-        self.cursor(from, to)
+        self.cursor(self.index[from], to - from)
     }
 
     /// Iterates all stored versions in `(row, column, descending ts)`
     /// order.
     pub fn entries(&self) -> impl ExactSizeIterator<Item = EntryRef<'_>> + '_ {
-        self.cursor(self.lo, self.hi)
+        self.cursor(self.index[self.lo], self.len())
     }
 
     /// Whether this is a reference half-file over another file's bytes.
