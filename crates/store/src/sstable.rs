@@ -81,8 +81,8 @@
 //!
 //! [`StoreFileData::contains_cell`] is steps 1 and 2. A reference
 //! half-file probes the parent's table and treats an offset outside
-//! `index[lo]..index[hi]` as a miss. What needs *order* rather than identity —
-//! [`StoreFileData::range`], the clip points of
+//! `index[lo]..index[hi]` as a miss. What needs *order* rather than
+//! identity — [`StoreFileData::range`], the clip points of
 //! [`StoreFileData::reference`] — still binary-searches the offset index
 //! (`lower_bound`).
 //!
@@ -726,9 +726,8 @@ impl StoreFileData {
                     at: at as usize,
                 };
                 if key.bytes() == row && key.bytes() == column {
-                    // A reference half-file shares the parent's table:
-                    // cells clipped into the sibling are there, and are
-                    // misses.
+                    // A reference half-file shares the parent's table: cells
+                    // clipped into the sibling are there, and are misses.
                     let visible = !self.is_reference()
                         || (self.index[self.lo]..self.index[self.hi]).contains(&at);
                     return visible.then_some(at);
@@ -751,8 +750,8 @@ impl StoreFileData {
         let mut e = self.entry_at(at);
         if e.ts > snapshot {
             // Older versions follow in descending ts; the run may be
-            // thousands long (a hot cell in one flush), so no linear walk.
-            // The gallop starts from the newest version's entry number.
+            // thousands long (a hot cell in one flush), so no linear walk:
+            // the gallop starts behind the newest version's entry number.
             let newest = self.lo + self.index[self.lo..self.hi].partition_point(|&o| o < at);
             let idx = self.gallop(newest + 1, row, column, !snapshot.0);
             if idx >= self.hi {

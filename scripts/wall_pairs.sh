@@ -83,6 +83,10 @@ case $layouts in
     exit 2
     ;;
 esac
+if [ "$layouts" -gt "$pairs" ]; then
+    echo "LAYOUTS=$layouts needs at least $layouts pairs, one per layout" >&2
+    exit 2
+fi
 host_metrics="wall_us_per_txn setup_s"
 metrics="$host_metrics txn_p50_ms txn_p99_ms"
 
