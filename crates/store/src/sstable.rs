@@ -135,7 +135,7 @@ const EMPTY: u64 = u64::MAX;
 
 /// The bits of a slot that hold its cell's tag: the high half of the
 /// cell's [`cell_hash`]. The low half holds the image offset.
-const TAG: u64 = !(u32::MAX as u64);
+const TAG_BITS: u64 = !(u32::MAX as u64);
 
 /// Where the probe for a cell whose first [`hash_pair`] half is `hash`
 /// starts, in a table of `mask + 1` slots. FNV's low bits depend only on
@@ -157,7 +157,7 @@ fn build_slots(cells: impl ExactSizeIterator<Item = (u64, u32)>) -> Rc<[u64]> {
         while slots[slot] != EMPTY {
             slot = (slot + 1) & mask;
         }
-        slots[slot] = hash & TAG | u64::from(at);
+        slots[slot] = hash & TAG_BITS | u64::from(at);
     }
     slots.into()
 }
@@ -717,7 +717,7 @@ impl StoreFileData {
             if packed == EMPTY {
                 return None;
             }
-            if packed & TAG == hash & TAG {
+            if packed & TAG_BITS == hash & TAG_BITS {
                 #[cfg(test)]
                 KEY_READS.with(|n| n.set(n.get() + 1));
                 let at = packed as u32;
@@ -1430,10 +1430,10 @@ mod tests {
         assert_eq!(built.slots.len(), mask + 1);
         // One run of occupied slots from the shared home, in file order:
         // each holds its cell's tag and its newest version's offset.
-        let tag = |row: &str| hash_pair(row.as_bytes(), b"c").0 & TAG;
+        let tag = |row: &str| hash_pair(row.as_bytes(), b"c").0 & TAG_BITS;
         for (i, row) in crowd.iter().enumerate() {
             let packed = built.slots[(5 + i) & mask];
-            assert_eq!(packed & TAG, tag(row), "slot {i}");
+            assert_eq!(packed & TAG_BITS, tag(row), "slot {i}");
             assert_eq!(packed as u32, built.index[2 * i], "slot {i}");
         }
         // 32-bit tags: the nine cells' are distinct (else the counts
