@@ -6,7 +6,7 @@
 mod common;
 
 use common::{bank, crash_for_adjacency, key, run_txn, small_cluster, write_load};
-use cumulo_core::{Cluster, ClusterConfig, PersistenceMode, Timestamp, TxnError};
+use cumulo_core::{Cluster, ClusterConfig, PersistenceMode, Timestamp, Transaction, TxnError};
 use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
@@ -721,6 +721,87 @@ fn a_crashed_server_keeps_nothing_of_its_memory() {
     );
     assert!(recovered, "the failover did not finish");
     common::audit(&cluster, &history);
+}
+
+/// A client's death loses its memory whole (crash-stop, §3.2): its
+/// commit queues, its open write-sets and its session. Both ways a
+/// client dies are taken: a crash while its flushes are stalled (every
+/// server is down) and a transaction is open, and its own termination
+/// once a cut from the coordination service has lasted a session
+/// timeout. At the death instant it reports no pending flush and a zero
+/// `T_F(c)`: its unflushed commits are the recovery manager's work. The
+/// open handle reports `ClientDead` to every operation.
+#[test]
+fn a_crashed_client_keeps_nothing_of_its_memory() {
+    fn before_death(cluster: &Cluster) -> Transaction {
+        for i in 0..6u64 {
+            run_txn(cluster, 0, &[(i * 1_500, "f0", "flushed")]);
+        }
+        cluster.run_for(SimDuration::from_secs(2));
+        let txn = common::begin_txn(cluster, 0);
+        txn.put(key(17), "f0", "open")
+            .expect("the transaction is open");
+        txn
+    }
+    fn after_death(cluster: &Cluster, txn: &Transaction, how: &str) {
+        let client = cluster.client(0);
+        assert!(!client.is_alive(), "{how}: the client lives");
+        assert_eq!(client.pending_flushes(), 0, "{how}: FQ survived");
+        assert_eq!(client.t_f(), Timestamp::ZERO, "{how}: T_F(c) survived");
+        assert_eq!(txn.put(key(17), "f0", "zombie"), Err(TxnError::ClientDead));
+        assert_eq!(txn.delete(key(17), "f0"), Err(TxnError::ClientDead));
+        let got: Rc<RefCell<Vec<Result<(), TxnError>>>> = Rc::default();
+        let g = Rc::clone(&got);
+        txn.get(key(17), "f0", move |r| g.borrow_mut().push(r.map(|_| ())));
+        let g = Rc::clone(&got);
+        let cells = vec![(key(17).into(), "f0".into())];
+        txn.multi_get(cells, move |r| g.borrow_mut().push(r.map(|_| ())));
+        let g = Rc::clone(&got);
+        txn.scan(key(0), None, 10, move |r| {
+            g.borrow_mut().push(r.map(|_| ()))
+        });
+        let g = Rc::clone(&got);
+        txn.commit(move |r| g.borrow_mut().push(r.map(|_| ())));
+        txn.abort();
+        cluster.run_for(SimDuration::from_millis(10));
+        assert_eq!(*got.borrow(), [Err(TxnError::ClientDead); 4], "{how}");
+    }
+
+    let cluster = small_cluster(8201);
+    let txn = before_death(&cluster);
+    cluster.crash_server(0);
+    cluster.crash_server(1);
+    for i in 0..4u64 {
+        let client = cluster.client(0).clone();
+        client.begin(move |txn| {
+            let txn = txn.expect("begin");
+            txn.put(key(i * 2_000 + 3), "f0", "stalled").unwrap();
+            txn.commit(|r| assert!(r.is_ok(), "the commit failed: {r:?}"));
+        });
+    }
+    cluster.run_for(SimDuration::from_secs(1));
+    assert!(cluster.client(0).pending_flushes() > 0, "no flush stalled");
+    assert!(
+        cluster.client(0).t_f() > Timestamp::ZERO,
+        "T_F(c) never moved"
+    );
+    cluster.crash_client(0);
+    after_death(&cluster, &txn, "crash");
+
+    let cluster = small_cluster(8202);
+    let txn = before_death(&cluster);
+    assert!(
+        cluster.client(0).t_f() > Timestamp::ZERO,
+        "T_F(c) never moved"
+    );
+    let node = cluster.client(0).node();
+    cluster.net.isolate(node);
+    let deadline = cluster.now() + SimDuration::from_secs(30);
+    while cluster.net.is_alive(node) {
+        assert!(cluster.now() < deadline, "the cut client never died");
+        cluster.run_for(SimDuration::from_millis(1));
+    }
+    after_death(&cluster, &txn, "self-termination");
 }
 
 /// The recovery manager is down across a server failover, so the
