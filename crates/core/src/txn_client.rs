@@ -54,10 +54,10 @@ use bytes::Bytes;
 use cumulo_coord::{CoordClient, SessionId};
 use cumulo_sim::metrics::Counter;
 use cumulo_sim::trace::Field;
-use cumulo_sim::{fields, Network, NodeId, Sim, SimDuration};
+use cumulo_sim::{fields, Network, NodeId, Sim, SimDuration, SimTime};
 use cumulo_store::{ClientId, Mutation, MutationKind, StoreClient, Timestamp, WriteSet};
 use cumulo_txn::{CommitOutcome, Session, TmClient, TxnId};
-use std::cell::{Cell, RefCell};
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -190,28 +190,26 @@ enum Snapshot {
     Known(Timestamp),
 }
 
-struct TcInner {
-    sim: Sim,
-    net: Rc<Network>,
-    id: ClientId,
-    node: NodeId,
-    tm: TmClient,
-    store: StoreClient,
-    coord: CoordClient,
-    cfg: TxnClientConfig,
-    tracker: RefCell<FlushTracker>,
+/// What the client process keeps in memory, and loses with it: a death
+/// replaces it whole (`die`). A field added to the client's memory goes
+/// here, or it survives a crash.
+#[derive(Default)]
+struct Memory {
+    /// `FQ` and `FQ'` of Algorithm 1, and the threshold `T_F(c)` they
+    /// advance.
+    tracker: FlushTracker,
     /// The write-set of each transaction from its begin request to its
     /// commit request or abort; the least id is the [`Session`]'s floor.
-    active: RefCell<BTreeMap<TxnId, WriteSet>>,
+    active: BTreeMap<TxnId, WriteSet>,
     /// The sequence number the next transaction's id carries.
-    next_seq: Cell<u32>,
-    session: Cell<Option<SessionId>>,
+    next_seq: u32,
+    session: Option<SessionId>,
     /// Instant of the last acknowledged round trip to the coordination
     /// service; when it lags by more than the session timeout the client
     /// terminates itself (§3.1: a partitioned client "will result in it
     /// terminating itself").
-    last_coord_ack: Cell<cumulo_sim::SimTime>,
-    closed: Cell<bool>,
+    last_coord_ack: SimTime,
+    closed: bool,
     /// Commit requests sent to the transaction manager whose outcome has
     /// not come back yet (a read-only commit sends none, so it is never in
     /// flight: the manager assigns it no timestamp). While non-zero, the
@@ -221,7 +219,41 @@ struct TcInner {
     /// adopting its "latest assigned" timestamp would overclaim an
     /// unflushed local commit — and a crash mid-flush would then escape
     /// recovery replay, leaving a half-applied write-set.
-    commits_in_flight: Cell<usize>,
+    commits_in_flight: usize,
+}
+
+impl Memory {
+    /// A fresh process's memory: `T_F(c)` at zero, nothing open or in
+    /// flight, no session, and the coordination service last heard `now`.
+    fn new(now: SimTime) -> Self {
+        Memory {
+            last_coord_ack: now,
+            ..Memory::default()
+        }
+    }
+
+    /// Whether every commit sent has come back and flushed: the guard of
+    /// the idle-threshold shortcut, and part of a shutdown's.
+    fn idle(&mut self) -> bool {
+        self.commits_in_flight == 0 && self.tracker.is_idle()
+    }
+}
+
+/// The client process: its [`Memory`], and what outlives a crash — the
+/// wiring, the store client's region map, the counters and the history
+/// (ARCHITECTURE.md, "A process is its node", says why each stays).
+struct TcInner {
+    sim: Sim,
+    net: Rc<Network>,
+    id: ClientId,
+    node: NodeId,
+    tm: TmClient,
+    store: StoreClient,
+    coord: CoordClient,
+    cfg: TxnClientConfig,
+    /// Everything the process knows. No borrow of it is held across a
+    /// caller's callback, which may kill the process and replace it.
+    mem: RefCell<Memory>,
     /// Where this client's transactions are recorded, when a history is
     /// attached (see [`History`]).
     history: History,
@@ -263,7 +295,7 @@ impl fmt::Debug for TransactionalClient {
             .field("id", &self.inner.id)
             .field("alive", &self.is_alive())
             .field("committed", &self.inner.committed.get())
-            .field("t_f", &self.inner.tracker.borrow().t_f())
+            .field("t_f", &self.t_f())
             .finish()
     }
 }
@@ -318,16 +350,23 @@ impl Transaction {
         read(ts);
     }
 
-    /// The lifecycle error an operation on this handle must report right
-    /// now, if any (`None` = the transaction is active and usable).
-    fn state_err(&self) -> Option<TxnError> {
-        if !self.inner.is_alive() {
-            return Some(TxnError::ClientDead);
+    /// Why this handle has no write-set: a dead client holds none (its
+    /// memory went with it), and a live one has ended this transaction.
+    fn state_err(&self) -> TxnError {
+        if self.inner.is_alive() {
+            TxnError::UnknownTxn
+        } else {
+            TxnError::ClientDead
         }
-        if !self.inner.active.borrow().contains_key(&self.id) {
-            return Some(TxnError::UnknownTxn);
-        }
-        None
+    }
+
+    /// The transaction's write-set, or why it has none. The borrow is of
+    /// the client's memory: drop it before anything calls back.
+    fn write_set(&self) -> Result<RefMut<'_, WriteSet>, TxnError> {
+        RefMut::filter_map(self.inner.mem.borrow_mut(), |mem| {
+            mem.active.get_mut(&self.id)
+        })
+        .map_err(|_| self.state_err())
     }
 
     /// Transactional read: the transaction's own buffered writes win
@@ -340,20 +379,14 @@ impl Transaction {
         column: impl Into<Bytes>,
         done: impl FnOnce(Result<Option<Bytes>, TxnError>) + 'static,
     ) {
-        if let Some(e) = self.state_err() {
-            complete(&self.inner.sim, done, Err(e));
-            return;
-        }
-        let row = row.into();
-        let column = column.into();
-        if let Some(kind) = self.inner.active.borrow()[&self.id].get(&row, &column) {
-            let value = match kind {
-                MutationKind::Put(v) => Some(v.clone()),
-                MutationKind::Delete => None,
-            };
+        let (row, column) = (row.into(), column.into());
+        let own = match self.write_set() {
+            Ok(write_set) => own_write(&write_set, &row, &column),
+            Err(e) => return complete(&self.inner.sim, done, Err(e)),
+        };
+        if let Some(value) = own {
             self.inner.history.read(self.id, &row, &column, Seen::Own);
-            complete(&self.inner.sim, done, Ok(value));
-            return;
+            return complete(&self.inner.sim, done, Ok(value));
         }
         let inner = Rc::clone(&self.inner);
         let txn = self.id;
@@ -385,26 +418,18 @@ impl Transaction {
         cells: Vec<(Bytes, Bytes)>,
         done: impl FnOnce(Result<Vec<Option<Bytes>>, TxnError>) + 'static,
     ) {
-        if let Some(e) = self.state_err() {
-            complete(&self.inner.sim, done, Err(e));
-            return;
-        }
         let (local, misses) = {
-            let active = self.inner.active.borrow();
-            let write_set = &active[&self.id];
+            let write_set = match self.write_set() {
+                Ok(write_set) => write_set,
+                Err(e) => return complete(&self.inner.sim, done, Err(e)),
+            };
             let mut local: Vec<Option<Option<Bytes>>> = Vec::with_capacity(cells.len());
             let mut misses: Vec<(usize, Bytes, Bytes)> = Vec::new();
             for (i, (row, column)) in cells.iter().enumerate() {
-                let own = match write_set.get(row, column) {
-                    Some(MutationKind::Put(v)) => Some(Some(v.clone())),
-                    Some(MutationKind::Delete) => Some(None),
-                    None => {
-                        misses.push((i, row.clone(), column.clone()));
-                        None
-                    }
-                };
-                if own.is_some() {
-                    self.inner.history.read(self.id, row, column, Seen::Own);
+                let own = own_write(&write_set, row, column);
+                match own {
+                    Some(_) => self.inner.history.read(self.id, row, column, Seen::Own),
+                    None => misses.push((i, row.clone(), column.clone())),
                 }
                 local.push(own);
             }
@@ -474,17 +499,16 @@ impl Transaction {
         limit: usize,
         done: impl FnOnce(Result<Vec<(Bytes, Bytes, Bytes)>, TxnError>) + 'static,
     ) {
-        if let Some(e) = self.state_err() {
-            complete(&self.inner.sim, done, Err(e));
-            return;
-        }
         let start = start.into();
-        let own: Vec<Mutation> = self.inner.active.borrow()[&self.id]
-            .mutations
-            .iter()
-            .filter(|m| m.row >= start && end.as_ref().map(|e| m.row < *e).unwrap_or(true))
-            .cloned()
-            .collect();
+        let own: Vec<Mutation> = match self.write_set() {
+            Ok(write_set) => write_set
+                .mutations
+                .iter()
+                .filter(|m| m.row >= start && end.as_ref().map(|e| m.row < *e).unwrap_or(true))
+                .cloned()
+                .collect(),
+            Err(e) => return complete(&self.inner.sim, done, Err(e)),
+        };
         let buffered_deletes = own
             .iter()
             .filter(|m| matches!(m.kind, MutationKind::Delete))
@@ -528,31 +552,13 @@ impl Transaction {
         column: impl Into<Bytes>,
         value: impl Into<Bytes>,
     ) -> Result<(), TxnError> {
-        if let Some(e) = self.state_err() {
-            return Err(e);
-        }
-        let mut active = self.inner.active.borrow_mut();
-        #[expect(
-            clippy::expect_used,
-            reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`"
-        )]
-        let write_set = active.get_mut(&self.id).expect("checked by state_err");
-        write_set.push(Mutation::put(row.into(), column.into(), value.into()));
+        self.write_set()?.push(Mutation::put(row, column, value));
         Ok(())
     }
 
     /// Buffers a delete in the transaction's write-set.
     pub fn delete(&self, row: impl Into<Bytes>, column: impl Into<Bytes>) -> Result<(), TxnError> {
-        if let Some(e) = self.state_err() {
-            return Err(e);
-        }
-        let mut active = self.inner.active.borrow_mut();
-        #[expect(
-            clippy::expect_used,
-            reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`"
-        )]
-        let write_set = active.get_mut(&self.id).expect("checked by state_err");
-        write_set.push(Mutation::delete(row.into(), column.into()));
+        self.write_set()?.push(Mutation::delete(row, column));
         Ok(())
     }
 
@@ -578,20 +584,10 @@ impl Transaction {
     /// begin never reached the manager report [`TxnError::UnknownTxn`]; a
     /// conflict-aborted commit reports [`TxnError::Conflict`].
     pub fn commit(&self, done: impl FnOnce(Result<Timestamp, TxnError>) + 'static) {
-        if let Some(e) = self.state_err() {
-            complete(&self.inner.sim, done, Err(e));
-            return;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "internal invariant, not client input: state_err() just verified the transaction is registered in `active`"
-        )]
-        let ws = self
-            .inner
-            .active
-            .borrow_mut()
-            .remove(&self.id)
-            .expect("checked by state_err");
+        let removed = self.inner.mem.borrow_mut().active.remove(&self.id);
+        let Some(ws) = removed else {
+            return complete(&self.inner.sim, done, Err(self.state_err()));
+        };
         let txn = self.id;
         if ws.is_empty() {
             let inner = Rc::clone(&self.inner);
@@ -606,17 +602,13 @@ impl Transaction {
         let ws2 = ws.clone();
         self.inner.history.commit_sent(txn, &ws);
         let inner = Rc::clone(&self.inner);
-        self.inner
-            .commits_in_flight
-            .set(self.inner.commits_in_flight.get() + 1);
+        self.inner.mem.borrow_mut().commits_in_flight += 1;
         self.inner.tm.commit(txn, ws, move |outcome| {
-            inner
-                .commits_in_flight
-                .set(inner.commits_in_flight.get() - 1);
+            inner.mem.borrow_mut().commits_in_flight -= 1;
             match outcome {
                 CommitOutcome::Committed(ts) => {
                     note_commit(&inner, txn, ts, ws2.mutations.len());
-                    inner.tracker.borrow_mut().on_committed(ts);
+                    inner.mem.borrow_mut().tracker.on_committed(ts);
                     match inner.cfg.persistence {
                         PersistenceMode::Asynchronous => {
                             done(Ok(ts));
@@ -645,15 +637,13 @@ impl Transaction {
 
     /// Aborts the transaction: the write-set is discarded and nothing sent
     /// (the next begin or idle query ends it at the manager). Idempotent —
-    /// an abort after commit/abort (or on a dead client) is a no-op.
+    /// an abort after commit/abort (or on a dead client, which holds no
+    /// write-set) is a no-op.
     pub fn abort(&self) {
-        if !self.inner.is_alive() {
-            return;
+        let removed = self.inner.mem.borrow_mut().active.remove(&self.id);
+        if removed.is_some() {
+            note_abort(&self.inner, self.id, "user");
         }
-        if self.inner.active.borrow_mut().remove(&self.id).is_none() {
-            return;
-        }
-        note_abort(&self.inner, self.id, "user");
     }
 }
 
@@ -679,12 +669,22 @@ impl TcInner {
 
     /// What this client's next begin or idle query tells the manager.
     fn session(&self) -> Session {
-        let next = TxnId::new(self.id, self.next_seq.get());
+        let mem = self.mem.borrow();
+        let next = TxnId::new(self.id, mem.next_seq);
         Session {
-            floor: self.active.borrow().keys().next().copied().unwrap_or(next),
-            t_f: self.tracker.borrow().t_f(),
+            floor: mem.active.keys().next().copied().unwrap_or(next),
+            t_f: mem.tracker.t_f(),
         }
     }
+}
+
+/// What a transaction reads of a cell it wrote itself: the value it put,
+/// or `None` for a delete; `None` outside if it did not write the cell.
+fn own_write(write_set: &WriteSet, row: &[u8], column: &[u8]) -> Option<Option<Bytes>> {
+    write_set.get(row, column).map(|kind| match kind {
+        MutationKind::Put(v) => Some(v.clone()),
+        MutationKind::Delete => None,
+    })
 }
 
 /// Counts the commit of `txn` at `ts` and journals it.
@@ -735,13 +735,7 @@ impl TransactionalClient {
                 store,
                 coord,
                 cfg,
-                tracker: RefCell::new(FlushTracker::new()),
-                active: RefCell::new(BTreeMap::new()),
-                next_seq: Cell::new(0),
-                session: Cell::new(None),
-                last_coord_ack: Cell::new(sim.now()),
-                closed: Cell::new(false),
-                commits_in_flight: Cell::new(0),
+                mem: RefCell::new(Memory::new(sim.now())),
                 history,
                 committed: counter("txn.committed"),
                 aborted: counter("txn.aborted"),
@@ -763,19 +757,19 @@ impl TransactionalClient {
             let seed = data
                 .map(|d| paths::decode_ts(&d))
                 .unwrap_or(Timestamp::ZERO);
-            *inner.tracker.borrow_mut() = FlushTracker::with_threshold(seed);
+            inner.mem.borrow_mut().tracker = FlushTracker::with_threshold(seed);
             let inner2 = Rc::clone(&inner);
             inner
                 .coord
                 .create_session(inner.cfg.session_timeout, move |sid| {
-                    inner2.session.set(Some(sid));
+                    inner2.mem.borrow_mut().session = Some(sid);
                     // Threshold (persistent) strictly before liveness
                     // (ephemeral): the recovery manager reads the threshold
                     // when it sees the liveness node appear or vanish.
                     if inner2.cfg.tracking {
                         inner2.coord.create(
                             &paths::client_threshold(inner2.id),
-                            paths::encode_ts(inner2.tracker.borrow().t_f()),
+                            paths::encode_ts(inner2.mem.borrow().tracker.t_f()),
                             None,
                         );
                     }
@@ -825,15 +819,17 @@ impl TransactionalClient {
     /// store waits for one manager round trip, not two.
     pub fn begin(&self, done: impl FnOnce(Result<Transaction, TxnError>) + 'static) {
         let inner = &self.inner;
-        if inner.closed.get() {
+        if inner.mem.borrow().closed {
             return complete(&inner.sim, done, Err(TxnError::ClientClosed));
         }
         if !inner.is_alive() {
             return complete(&inner.sim, done, Err(TxnError::ClientDead));
         }
-        let txn = TxnId::new(inner.id, inner.next_seq.get());
-        inner.next_seq.set(inner.next_seq.get() + 1);
-        inner.active.borrow_mut().insert(txn, WriteSet::new());
+        let mut mem = inner.mem.borrow_mut();
+        let txn = TxnId::new(inner.id, mem.next_seq);
+        mem.next_seq += 1;
+        mem.active.insert(txn, WriteSet::new());
+        drop(mem);
         inner.history.begun(txn);
         let snapshot = Rc::new(RefCell::new(Snapshot::Awaited(None)));
         let (on_reply, slot) = (Rc::clone(inner), Rc::clone(&snapshot));
@@ -848,11 +844,11 @@ impl TransactionalClient {
         let node = inner.node;
         let inner = Rc::clone(inner);
         self.inner.net.after(node, SimDuration::ZERO, move || {
-            if inner.closed.get() {
+            if inner.mem.borrow().closed {
                 // Shut down since `begin`: an open transaction would hold
                 // the shutdown up. Its last idle query (tracking on) ends
                 // it at the manager; this abort matches the begin's span.
-                inner.active.borrow_mut().remove(&txn);
+                inner.mem.borrow_mut().active.remove(&txn);
                 note_abort(&inner, txn, "closed");
                 done(Err(TxnError::ClientClosed));
                 return;
@@ -907,22 +903,27 @@ impl TransactionalClient {
     /// Transactions already begun may still finish; new
     /// [`TransactionalClient::begin`]s report [`TxnError::ClientClosed`].
     pub fn shutdown(&self) {
-        self.inner.closed.set(true);
+        self.inner.mem.borrow_mut().closed = true;
         if self.is_alive() {
             try_finish_shutdown(Rc::clone(&self.inner));
         }
     }
 
-    /// Crash-stop failure: the process dies mid-flight. The recovery
-    /// manager will detect the missed heartbeats and replay any committed
-    /// write-sets that were not fully flushed.
+    /// Crash-stop failure: the process dies mid-flight, and its memory
+    /// with it: `FQ`/`FQ'`, the open write-sets, the session. The
+    /// recovery manager will detect the missed heartbeats and replay any
+    /// committed write-sets that were not fully flushed. The counters,
+    /// the history and the store client's region map stay
+    /// (ARCHITECTURE.md, "A process is its node").
     pub fn crash(&self) {
         die(&self.inner);
     }
 
-    /// The client's current flushed threshold `T_F(c)`.
+    /// The client's current flushed threshold `T_F(c)`; a dead client
+    /// knows none and reads [`Timestamp::ZERO`] (the recovery manager
+    /// reads the threshold it last published).
     pub fn t_f(&self) -> Timestamp {
-        self.inner.tracker.borrow().t_f()
+        self.inner.mem.borrow().tracker.t_f()
     }
 
     /// Committed transactions: write commits once acknowledged, read-only
@@ -946,9 +947,10 @@ impl TransactionalClient {
         self.inner.conflict_retries.get()
     }
 
-    /// Commits whose flush is still outstanding.
+    /// Commits whose flush is still outstanding. A dead client reads 0:
+    /// its unflushed commits are the recovery manager's to replay.
     pub fn pending_flushes(&self) -> usize {
-        self.inner.tracker.borrow().pending()
+        self.inner.mem.borrow().tracker.pending()
     }
 
     /// The underlying store client (round-trip counters and region-map
@@ -1033,9 +1035,10 @@ fn complete<T: 'static>(sim: &Sim, done: impl FnOnce(T) + 'static, value: T) {
 }
 
 /// The process stops, by crash or by its own hand: its node dies, so
-/// nothing of it runs again.
+/// nothing of it runs again, and its memory goes whole.
 fn die(inner: &TcInner) {
     inner.net.crash(inner.node);
+    *inner.mem.borrow_mut() = Memory::new(inner.sim.now());
 }
 
 fn heartbeat(inner: &Rc<TcInner>) {
@@ -1043,7 +1046,8 @@ fn heartbeat(inner: &Rc<TcInner>) {
     // unreachable for a whole session timeout, our session has (or will
     // have) expired and the recovery manager is recovering us — terminate
     // rather than risk acting as a zombie (§3.1).
-    let silence = inner.sim.now().saturating_since(inner.last_coord_ack.get());
+    let last_ack = inner.mem.borrow().last_coord_ack;
+    let silence = inner.sim.now().saturating_since(last_ack);
     if silence > inner.cfg.session_timeout {
         die(inner);
         return;
@@ -1053,7 +1057,7 @@ fn heartbeat(inner: &Rc<TcInner>) {
     {
         let inner2 = Rc::clone(inner);
         inner.coord.get_data(crate::paths::TF_PATH, move |_| {
-            inner2.last_coord_ack.set(inner2.sim.now());
+            inner2.mem.borrow_mut().last_coord_ack = inner2.sim.now();
         });
     }
     // Idle-client advancement: a client with no unflushed commits may
@@ -1074,23 +1078,17 @@ fn heartbeat(inner: &Rc<TcInner>) {
     // both before asking and before adopting: with no local commit in
     // flight, every timestamp the manager ever assigned to us has been
     // acked to us, so the idle tracker really does cover them all.
-    if inner.cfg.tracking
-        && inner.commits_in_flight.get() == 0
-        && inner.tracker.borrow_mut().is_idle()
-    {
+    if inner.cfg.tracking && inner.mem.borrow_mut().idle() {
         let inner2 = Rc::clone(inner);
         inner.tm.last_commit_ts(inner.session(), move |latest| {
-            if inner2.commits_in_flight.get() > 0 {
-                return;
-            }
-            let mut tracker = inner2.tracker.borrow_mut();
-            if tracker.is_idle() && latest > tracker.t_f() {
-                *tracker = FlushTracker::with_threshold(latest);
+            let mut mem = inner2.mem.borrow_mut();
+            if mem.idle() && latest > mem.tracker.t_f() {
+                mem.tracker = FlushTracker::with_threshold(latest);
             }
         });
     }
-    let t_f = inner.tracker.borrow_mut().advance();
-    let pending = inner.tracker.borrow().pending();
+    let t_f = inner.mem.borrow_mut().tracker.advance();
+    let pending = inner.mem.borrow().tracker.pending();
     if pending > ALERT_PENDING_THRESHOLD {
         inner.alerts.inc();
         inner.coord.set_data(
@@ -1103,7 +1101,7 @@ fn heartbeat(inner: &Rc<TcInner>) {
             .coord
             .set_data(&paths::client_threshold(inner.id), paths::encode_ts(t_f));
     }
-    if let Some(sid) = inner.session.get() {
+    if let Some(sid) = inner.mem.borrow().session {
         inner.coord.touch(sid);
     }
 }
@@ -1113,9 +1111,10 @@ fn try_finish_shutdown(inner: Rc<TcInner>) {
     // window the heartbeat's `commits_in_flight` guard exists for), and an
     // open transaction may still commit: neither may find the threshold
     // znode gone and the session closed.
-    let busy = inner.commits_in_flight.get() > 0
-        || !inner.active.borrow().is_empty()
-        || !inner.tracker.borrow_mut().is_idle();
+    let busy = {
+        let mut mem = inner.mem.borrow_mut();
+        !mem.active.is_empty() || !mem.idle()
+    };
     if busy {
         let inner2 = Rc::clone(&inner);
         let poll = SimDuration::from_millis(20);
@@ -1131,7 +1130,7 @@ fn try_finish_shutdown(inner: Rc<TcInner>) {
     if inner.cfg.tracking {
         inner.coord.delete(&paths::client_threshold(inner.id));
     }
-    if let Some(sid) = inner.session.get() {
+    if let Some(sid) = inner.mem.borrow().session {
         inner.coord.close_session(sid);
     }
     inner.net.stop_timers(inner.node);
@@ -1150,7 +1149,7 @@ fn flush_write_set(
     debug_assert!(!ws.is_empty());
     let inner2 = Rc::clone(&inner);
     inner.store.flush(ts, &ws, move || {
-        inner2.tracker.borrow_mut().on_flushed(ts);
+        inner2.mem.borrow_mut().tracker.on_flushed(ts);
         inner2.flushed.inc();
         inner2.tm.flush_complete(ts);
         if let Some(cb) = then {
