@@ -12,8 +12,9 @@
 #
 #   cumulo-benchmark --workload WORKLOAD --seed i --seconds 10 --trace 0
 #
-# run one after the other, pair i at seed i, the parent first in odd
-# pairs and the change first in even ones, so drift of the machine's
+# run one after the other, pair i at seed i (but see LAYOUTS below), the
+# parent first in odd pairs and the change first in even ones, so drift
+# of the machine's
 # speed falls on both sides alike. Several comma-separated workloads
 # share the two builds: each pair runs every workload, in the order
 # given. Per workload, for the host-time metrics wall_us_per_txn and
@@ -52,11 +53,18 @@
 #   RUSTFLAGS="-C link-arg=-Wl,--shuffle-sections=.text*=S"
 #
 # (the same seeds S on both sides), and pair i runs build
-# S = ((i - 1) mod K) + 1 of each side. For each host-time metric it
-# then also prints each side's median per layout and their spread
-# (max - min), and a host-time "gain" whose median moved no more than
-# the parent's layout spread reads "within layout noise". Unset or 1,
-# each side is built once, unshuffled, as before.
+# S = ((i - 1) mod K) + 1 of each side at seed ceil(i / K): the first K
+# pairs run seed 1 on every layout, the next K seed 2, and so on, so
+# every layout's median covers the same seeds and the spread between
+# them is layout, not seed. N must then be a multiple of K (LAYOUTS=3
+# takes 12 pairs), and an N that is not is refused before anything is
+# built. The parent runs first where seed + S is even, so each layout
+# alternates which side goes first from one seed to the next, whatever
+# K's parity. For each host-time metric it then also prints each side's
+# median per layout and their spread (max - min), and a host-time
+# "gain" whose median moved no more than the parent's layout spread
+# reads "within layout noise". Unset or 1, each side is built once,
+# unshuffled, and pair i runs seed i, as before.
 #
 # The sim-clock metrics are exact for a seed, so one run of each
 # side says all there is about them at that seed: last, it prints every
@@ -83,8 +91,14 @@ case $layouts in
     exit 2
     ;;
 esac
-if [ "$layouts" -gt "$pairs" ]; then
-    echo "LAYOUTS=$layouts needs at least $layouts pairs, one per layout" >&2
+case $pairs in
+'' | *[!0-9]* | 0)
+    echo "N must be a positive integer, not '$pairs'" >&2
+    exit 2
+    ;;
+esac
+if [ $((pairs % layouts)) != 0 ]; then
+    echo "LAYOUTS=$layouts needs a multiple of $layouts pairs, so every layout runs the same seeds; not $pairs" >&2
     exit 2
 fi
 host_metrics="wall_us_per_txn setup_s"
@@ -107,6 +121,22 @@ target_of() {
 # shuffle seed ((pair - 1) mod K) + 1.
 layout_of() {
     if [ "$layouts" = 1 ]; then echo 0; else echo $((($1 - 1) % layouts + 1)); fi
+}
+
+# The seed pair $1 runs: the pair itself with one layout, else
+# ceil(pair / K), shared by the K consecutive pairs that run each layout once.
+seed_of() {
+    echo $((($1 + layouts - 1) / layouts))
+}
+
+# Whether the parent runs first in pair $1: in odd pairs with one
+# layout, else where seed + layout is even.
+parent_first() {
+    if [ "$layouts" = 1 ]; then
+        [ $(($1 % 2)) = 1 ]
+    else
+        [ $((($(seed_of "$1") + $(layout_of "$1")) % 2)) = 0 ]
+    fi
 }
 
 # Unpacks one side and builds it once per layout; a build's binary is
@@ -132,7 +162,7 @@ build() {
 run() {
     local side=$1 workload=$2 pair=$3 out
     out=$(env -u CARGO_MANIFEST_DIR "$(target_of "$side" "$(layout_of "$pair")")/release/cumulo-benchmark" \
-        --workload "$workload" --seed "$pair" --seconds 10 --trace 0 2>"$tmp/$side.log")
+        --workload "$workload" --seed "$(seed_of "$pair")" --seconds 10 --trace 0 2>"$tmp/$side.log")
     if [ "$pair" = 1 ]; then
         echo "$out" >"$tmp/$side.$workload.pair1"
     fi
@@ -150,7 +180,7 @@ build parent "$parent_rev"
 build change "$change_rev"
 for pair in $(seq 1 "$pairs"); do
     for workload in $workloads; do
-        if [ $((pair % 2)) = 1 ]; then
+        if parent_first "$pair"; then
             run parent "$workload" "$pair"
             run change "$workload" "$pair"
         else
