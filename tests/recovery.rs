@@ -738,6 +738,10 @@ fn a_crashed_client_keeps_nothing_of_its_memory() {
             run_txn(cluster, 0, &[(i * 1_500, "f0", "flushed")]);
         }
         cluster.run_for(SimDuration::from_secs(2));
+        assert!(
+            cluster.client(0).t_f() > Timestamp::ZERO,
+            "T_F(c) never moved"
+        );
         let txn = common::begin_txn(cluster, 0);
         txn.put(key(17), "f0", "open")
             .expect("the transaction is open");
@@ -781,19 +785,11 @@ fn a_crashed_client_keeps_nothing_of_its_memory() {
     }
     cluster.run_for(SimDuration::from_secs(1));
     assert!(cluster.client(0).pending_flushes() > 0, "no flush stalled");
-    assert!(
-        cluster.client(0).t_f() > Timestamp::ZERO,
-        "T_F(c) never moved"
-    );
     cluster.crash_client(0);
     after_death(&cluster, &txn, "crash");
 
     let cluster = small_cluster(8202);
     let txn = before_death(&cluster);
-    assert!(
-        cluster.client(0).t_f() > Timestamp::ZERO,
-        "T_F(c) never moved"
-    );
     let node = cluster.client(0).node();
     cluster.net.isolate(node);
     let deadline = cluster.now() + SimDuration::from_secs(30);
