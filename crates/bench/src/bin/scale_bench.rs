@@ -192,13 +192,13 @@ fn build_cluster(d: &Dims) -> Cluster {
 }
 
 /// The cumulative structural counts of the CSV's last five columns:
-/// splits and merges applied, moves completed, failovers and placement
+/// splits, merges and moves applied, failovers and placement
 /// cost.
 fn structure_counts(cluster: &Cluster) -> [u64; 5] {
     [
         "master.split.applied",
         "master.merge.applied",
-        "master.move.completed",
+        "master.move.applied",
         "master.failovers",
         "master.placement.cost",
     ]

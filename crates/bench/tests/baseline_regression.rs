@@ -180,6 +180,23 @@
 //! `scan_heavy,uniform,7758,0,51.7,20.22,…,83,86,92,25,…` →
 //! `…,7779,1,51.9,19.59,…,92,94,101,25,…`; it still splits, merges
 //! (28, from 29, in the summary) and moves.
+//! **`scale_bench` alone was re-pinned next, in one commit made after
+//! the change, because a move is the 1→1 structure change**: the donor
+//! no longer closes the region, flushes it offline and polls it closed
+//! (about 200 ms unavailable), but flushes it online, takes an intent,
+//! cuts references under a fresh id and drops it at its flip; the
+//! master then places the output on the least-loaded live server other
+//! than the donor, so the region is unavailable from the flip to that
+//! open, about a millisecond. The moves' messages and windows are
+//! different, so the RNG stream moves from the first move on. Its
+//! `moves_completed` column counts `master.move.applied`. The other
+//! seven stayed byte-identical (none enables moves), and the bin ran to
+//! completion with its own assertions green, no assertion edited. The
+//! first differing row, pinned → actual, line 3:
+//! `hotspot,hotspot,8175,34,54.5,5.65,9.18,11.27,84,86,89,21,3,1,40` →
+//! `hotspot,hotspot,8204,8,54.7,5.47,9.44,11.27,84,84,86,18,3,1,55`; it
+//! still splits, merges (30, from 28, in the summary) and moves (3,
+//! from 3).
 //!
 //! The last four pin the paper's figures (`fig2a`, `fig2b`, `fig3`) and
 //! the `ablations`; see `assert_figure_pinned`.

@@ -3,7 +3,7 @@
 
 use crate::codec::WalRecord;
 use crate::hooks::{NoopHooks, RecoveryHooks};
-use crate::region::{ChangeKind, RegionDescriptor, RegionMap, StructureChange};
+use crate::region::{journal_kind, ChangeKind, RegionDescriptor, RegionMap, StructureChange};
 use crate::server::RegionServer;
 use crate::sstable::{StoreFileData, StoreFileRegistry};
 use crate::types::{Mutation, RegionId, ServerId};
@@ -93,9 +93,11 @@ pub struct MasterConfig {
 
 /// Proactive hot-region move tuning knobs. Moves reuse the load-aware
 /// placement signal: when one server's load dwarfs the least-loaded
-/// server's, its hottest region is closed there and reopened on the cold
-/// server — the proactive mirror of what failover placement already does
-/// reactively for a dead server's regions.
+/// server's, its hottest region moves — a 1→1 structure change whose
+/// output the master places like a failed server's region, on the
+/// least-loaded live server other than the donor. The proactive mirror
+/// of what failover placement already does reactively for a dead
+/// server's regions.
 #[derive(Copy, Clone, Debug)]
 pub struct MoveConfig {
     /// Master switch. Off by default: moves add master RPCs, flushes and
@@ -121,7 +123,8 @@ impl Default for MoveConfig {
 }
 
 /// The master's bookkeeping for one kind of structure change (kept once
-/// for splits and once for merges, like the servers' `StructureStats`).
+/// each for splits, merges and moves, like the servers'
+/// `StructureStats`).
 struct IntentCounters {
     /// Intents made durable in the filesystem.
     persisted: Counter,
@@ -133,7 +136,8 @@ struct IntentCounters {
 }
 
 impl IntentCounters {
-    /// The counters for `kind`, registered under `master.{split,merge}.*`.
+    /// The counters for `kind`, registered under
+    /// `master.{split,merge,move}.*`.
     fn new(metrics: &MetricsRegistry, kind: ChangeKind) -> Self {
         let c = |field: &str| metrics.counter(&format!("master.{}.{field}", kind.name()), &[]);
         IntentCounters {
@@ -171,7 +175,7 @@ pub struct Master {
     node: NodeId,
     /// One exchange per message the master sends a region server.
     open_region: Exchange,
-    prepare_move: Exchange,
+    request_move: Exchange,
     open_shadow: Exchange,
     establish_group: Exchange,
     dissolve_group: Exchange,
@@ -201,21 +205,15 @@ pub struct Master {
     /// reused, so a cached id always means the same key range).
     next_region_id: Cell<u32>,
     /// Structure-change intents granted but not yet completed, keyed by
-    /// their first input (a split's parent, a merge's left region). The
+    /// their first input (a split's parent, a merge's left region, the
+    /// moving region). The
     /// master's authoritative in-flight set; the DFS record at
     /// [`StructureChange::intent_path`] mirrors it for a real
     /// deployment's master restart.
     intents: RefCell<BTreeMap<RegionId, StructureChange>>,
     split_counters: IntentCounters,
     merge_counters: IntentCounters,
-    /// The one in-flight proactive move, if any: (region, donor, target).
-    /// One at a time — moves are a background rebalance, not a bulk
-    /// migration, and serializing them keeps the load signal honest
-    /// (each move sees the previous one's effect).
-    pending_move: RefCell<Option<(RegionId, ServerId, ServerId)>>,
-    moves_started: Counter,
-    moves_completed: Counter,
-    moves_refused: Counter,
+    move_counters: IntentCounters,
     /// Placement target-selection work performed: one unit per live
     /// server examined (the assigned-region counts are indexed, so no
     /// placement scans the assignments map). `scale_bench` prints it as
@@ -276,7 +274,7 @@ impl Master {
             net: Rc::clone(net),
             node,
             open_region: net.exchange("store.open_region"),
-            prepare_move: net.exchange("store.prepare_move"),
+            request_move: net.exchange("store.request_move"),
             open_shadow: net.exchange("repl.open_shadow"),
             establish_group: net.exchange("repl.establish_group"),
             dissolve_group: net.exchange("repl.dissolve_group"),
@@ -297,10 +295,7 @@ impl Master {
             intents: RefCell::new(BTreeMap::new()),
             split_counters: IntentCounters::new(metrics, ChangeKind::Split),
             merge_counters: IntentCounters::new(metrics, ChangeKind::Merge),
-            pending_move: RefCell::new(None),
-            moves_started: counter("master.move.started"),
-            moves_completed: counter("master.move.completed"),
-            moves_refused: counter("master.move.refused"),
+            move_counters: IntentCounters::new(metrics, ChangeKind::Move),
             placement_cost: counter("master.placement.cost"),
             registry,
             replication_factor: Cell::new(1),
@@ -464,16 +459,6 @@ impl Master {
         for change in doomed.into_values() {
             self.rollback_intent(change);
         }
-        // A move whose donor or target died is abandoned: the region is
-        // either still assigned to the donor (recovered right here) or
-        // already assigned to the target (its own failover recovers it).
-        let abandoned_move = matches!(
-            *self.pending_move.borrow(),
-            Some((_, donor, target)) if donor == failed || target == failed
-        );
-        if abandoned_move {
-            self.pending_move.borrow_mut().take();
-        }
         {
             let mut map = self.region_map.borrow_mut();
             for r in &regions {
@@ -534,7 +519,7 @@ impl Master {
                 if replicated.contains(&region) {
                     master.recovery_records_ready(region, records);
                 } else {
-                    master.place_region(region, records, Some(failed));
+                    master.place_region(region, records, Some(failed), None);
                 }
             }
         });
@@ -549,7 +534,7 @@ impl Master {
         self.counters(kind).rolled_back.inc();
         let mut fields = kind.input_fields(&change.inputs);
         fields.extend_from_slice(fields!(server = change.server));
-        self.event(kind.pick("split.rollback", "merge.rollback"), &fields);
+        self.event(journal_kind!(kind, "rollback"), &fields);
         self.dfs.delete(&change.intent_path());
         for output in change.outputs {
             let dir = format!("/store/{}/", output.id);
@@ -609,15 +594,17 @@ impl Master {
     /// others. The persisted part of a failed server's state so reaches
     /// the new host as a file, not as edits to replay — and a cascading
     /// failure of that host cannot lose it: the next round's host lists
-    /// and adopts the same file.
+    /// and adopts the same file. A move's output names its `donor`, which
+    /// it does not land back on while another server lives.
     fn place_region(
         self: &Rc<Self>,
         region: RegionId,
         records: Vec<WalRecord>,
         failed: Option<ServerId>,
+        donor: Option<ServerId>,
     ) {
         if records.is_empty() {
-            self.assign_region(region, failed);
+            self.assign_region(region, failed, donor);
             return;
         }
         let n = self.split_files.get();
@@ -641,7 +628,7 @@ impl Master {
                 return;
             }
             master.registry.insert(file);
-            master.assign_region(region, failed);
+            master.assign_region(region, failed, donor);
         });
     }
 
@@ -653,13 +640,21 @@ impl Master {
     /// regions have charged (ties broken by server id, so placement is
     /// deterministic). Region counts are a poor proxy under skew — one
     /// hot region outweighs many cold ones, and it is exactly the hot
-    /// parent's daughters this most often places.
-    fn assign_region(self: &Rc<Self>, region: RegionId, failed: Option<ServerId>) {
+    /// parent's daughters this most often places. A moved region skips
+    /// its `donor`: the donor dropped the region's load history at the
+    /// flip, so it would often read as the least loaded itself.
+    fn assign_region(
+        self: &Rc<Self>,
+        region: RegionId,
+        failed: Option<ServerId>,
+        donor: Option<ServerId>,
+    ) {
         let target = {
             let map = self.region_map.borrow();
             let live = self.ranked_live(&map);
             self.placement_cost.add(live.len() as u64);
-            live.first().map(|(_, id)| *id)
+            let mut others = live.iter().filter(|(_, id)| Some(*id) != donor);
+            others.next().or(live.first()).map(|(_, id)| *id)
         };
         let Some(target) = target else {
             self.unplaced
@@ -739,14 +734,14 @@ impl Master {
         }
         let pending: Vec<_> = self.unplaced.borrow_mut().drain(..).collect();
         for (region, records, failed) in pending {
-            self.place_region(region, records, failed);
+            self.place_region(region, records, failed, None);
         }
     }
 
     // ------------------------------------------------------------------
-    // Online structure changes — splits and merges (master side). A
-    // region server proposes a change (`request_change`), the master
-    // validates it, allocates the output ids and persists the
+    // Online structure changes — splits, merges and moves (master
+    // side). A region server proposes a change (`request_change`), the
+    // master validates it, allocates the output ids and persists the
     // `StructureChange` intent, and the server reports completion
     // (`change_completed`) or abandonment (`change_aborted`). Servers
     // call all three *at the master's node*: they send themselves there
@@ -764,7 +759,11 @@ impl Master {
     }
 
     fn counters(&self, kind: ChangeKind) -> &IntentCounters {
-        kind.pick(&self.split_counters, &self.merge_counters)
+        kind.pick(
+            &self.split_counters,
+            &self.merge_counters,
+            &self.move_counters,
+        )
     }
 
     /// Whether an outstanding intent names `region` as an input.
@@ -775,13 +774,22 @@ impl Master {
             .any(|change| change.inputs.contains(&region))
     }
 
+    /// Whether a move's intent is outstanding: moves run one at a time —
+    /// they are a background rebalance, not a bulk migration, and each
+    /// should see the previous one's effect on the load signal.
+    fn move_outstanding(&self) -> bool {
+        let intents = self.intents.borrow();
+        intents.values().any(|c| c.kind() == ChangeKind::Move)
+    }
+
     /// Validates a server's proposal and builds the change it asks for,
     /// with freshly allocated output ids. Every input must be assigned
     /// to the (live) requesting server with no intent outstanding on it;
     /// beyond that a split's key must fall strictly inside the parent,
-    /// and a merge's pair must be adjacent in key order and
-    /// unreplicated (the inputs' shadow lanes would have to be collapsed
-    /// too, and the scale campaign does not need the combination). Any
+    /// a merge's pair must be adjacent in key order and unreplicated
+    /// (the inputs' shadow lanes would have to be collapsed too, and the
+    /// scale campaign does not need the combination), and a move's
+    /// region must be unreplicated with no other move outstanding. Any
     /// other shape is refused.
     fn admit_change(
         &self,
@@ -801,6 +809,7 @@ impl Master {
                     && map.replicas_of(left.id).is_empty()
                     && map.replicas_of(right.id).is_empty()
             }
+            ([region], []) => map.replicas_of(region.id).is_empty() && !self.move_outstanding(),
             _ => false,
         };
         let valid = shape_valid
@@ -820,7 +829,8 @@ impl Master {
     /// A server asks to replace `inputs` (which it hosts; adjacent, in
     /// key order) by `cuts.len() + 1` new regions with `cuts` as the
     /// boundaries between them: one input and one cut is a split, two
-    /// inputs and no cut a merge. The master validates, persists the
+    /// inputs and no cut a merge, one input and no cut a move. The
+    /// master validates, persists the
     /// intent, and — once it is durable — answers with the change to
     /// execute; anything else is answered `None`, a denial.
     pub(crate) fn request_change<D: FnOnce(Option<StructureChange>) + 'static>(
@@ -856,7 +866,7 @@ impl Master {
             let mut fields = kind.input_fields(&change.inputs);
             fields.extend_from_slice(fields!(server));
             fields.extend(change.output_fields());
-            master.event(kind.pick("split.persisted", "merge.persisted"), &fields);
+            master.event(journal_kind!(kind, "persisted"), &fields);
             // The server may have died while the intent was being
             // written; its failover already rolled the intent back.
             if !master.intents.borrow().contains_key(&first) {
@@ -880,8 +890,16 @@ impl Master {
     /// The server finished the local flip of the change whose first
     /// input is `first`: the outputs are online in its memory, the
     /// inputs are gone. The master applies the change to the region map
-    /// and retires the intent.
-    pub(crate) fn change_completed(self: &Rc<Self>, server: ServerId, first: RegionId) {
+    /// and retires the intent. A move's output is online nowhere yet:
+    /// the master places it as a failover places a region, on another
+    /// server than the donor, its `leftovers` (the cells the input
+    /// absorbed after its flush) first made one durable file.
+    pub(crate) fn change_completed(
+        self: &Rc<Self>,
+        server: ServerId,
+        first: RegionId,
+        leftovers: Vec<WalRecord>,
+    ) {
         // A failover that raced ahead has already rolled the intent back
         // (and this message came from a now-dead server): ignore.
         let change = self
@@ -901,8 +919,11 @@ impl Master {
         let kind = change.kind();
         self.counters(kind).applied.inc();
         let fields = change.fields();
-        self.event(kind.pick("split.applied", "merge.applied"), &fields);
+        self.event(journal_kind!(kind, "applied"), &fields);
         self.dfs.delete(&change.intent_path());
+        if kind == ChangeKind::Move {
+            self.place_region(change.outputs[0].id, leftovers, None, Some(server));
+        }
         // Split daughters inherited the parent's replicas in the map;
         // rebuild their groups under the bumped epoch (the server already
         // moved its lanes and closed the parent shadows at the flip).
@@ -937,13 +958,14 @@ impl Master {
     // ------------------------------------------------------------------
 
     /// Compares live servers' placement loads and, when the spread
-    /// exceeds the configured ratio, closes the most loaded server's
-    /// hottest region and reopens it on the least loaded server. One
-    /// move at a time; each runs the same close → flush → reopen path a
-    /// failover uses, minus the WAL replay (the donor flushes before
-    /// closing, so the region's state is entirely in its store files).
+    /// exceeds the configured ratio, asks the most loaded server to move
+    /// its hottest region: a 1→1 structure change, whose output the
+    /// master places on the least-loaded other live server once the
+    /// change is applied. The donor answers whether it began the move;
+    /// a refusal (another structure change in flight, or the region in
+    /// one) is journaled, and the next tick decides afresh.
     fn check_moves(self: &Rc<Self>) {
-        if self.pending_move.borrow().is_some() {
+        if self.move_outstanding() {
             return;
         }
         let picked = {
@@ -952,7 +974,7 @@ impl Master {
             if live.len() < 2 {
                 return;
             }
-            let (cold_load, cold) = live[0];
+            let (cold_load, _) = live[0];
             let (hot_load, hot) = *live.last().expect("non-empty");
             if (hot_load as f64) < (cold_load.max(1) as f64) * self.cfg.moves.load_ratio {
                 return;
@@ -964,71 +986,32 @@ impl Master {
                 return;
             };
             // Hottest hosted region by charged load, ids as the
-            // deterministic tie-break; regions tangled in a split or
-            // merge intent (or replicated) stay put.
+            // deterministic tie-break; regions tangled in another
+            // structure change's intent (or replicated) stay put.
             let candidate = map
                 .regions_of(hot)
                 .into_iter()
                 .filter(|r| !self.intent_involves(*r) && map.replicas_of(*r).is_empty())
                 .map(|r| (donor.region_load_ns(r), r))
                 .max_by(|a, b| (a.0, std::cmp::Reverse(a.1)).cmp(&(b.0, std::cmp::Reverse(b.1))));
-            candidate.map(|(_, region)| (region, hot, cold))
+            candidate.map(|(_, region)| (region, donor))
         };
-        let Some((region, donor, target)) = picked else {
+        let Some((region, server)) = picked else {
             return;
         };
-        *self.pending_move.borrow_mut() = Some((region, donor, target));
-        self.moves_started.inc();
-        self.event("move.start", fields!(region, donor, target));
-        let Some(server) = self.dir.get(donor) else {
-            self.pending_move.borrow_mut().take();
-            return;
-        };
-        let weak = Rc::downgrade(self);
+        let (weak, donor) = (Rc::downgrade(self), server.id());
         self.net.request(
-            &self.prepare_move,
+            &self.request_move,
             self.node,
             server.node(),
             64,
-            move |reply| server.prepare_move(region, reply),
-            move |closed| {
-                if let Some(master) = weak.upgrade() {
-                    master.move_closed(region, donor, closed);
+            move |reply| reply.send(48, server.request_region_move(region)),
+            move |began| {
+                if let Some(master) = weak.upgrade().filter(|_| !began) {
+                    master.event("move.refused", fields!(region, donor));
                 }
             },
         );
-    }
-
-    /// The donor closed (or refused to close) the moving region. On
-    /// success the region is reassigned and reopened on the chosen
-    /// target — or wherever placement prefers now, if the target died in
-    /// the meantime.
-    fn move_closed(self: &Rc<Self>, region: RegionId, donor: ServerId, ok: bool) {
-        let matches = matches!(
-            *self.pending_move.borrow(),
-            Some((r, d, _)) if r == region && d == donor
-        );
-        if !matches || self.handled_failures.borrow().contains(&donor) {
-            return;
-        }
-        let (_, _, target) = self.pending_move.borrow_mut().take().expect("checked");
-        if !ok {
-            self.moves_refused.inc();
-            return;
-        }
-        // The donor flushed and dropped the region; until the reopen
-        // completes the region is offline (clients retry on NotServing,
-        // exactly as during a failover).
-        let alive = self.dir.get(target).map(|s| s.is_alive()).unwrap_or(false);
-        if !alive {
-            self.region_map.borrow_mut().unassign(region);
-            self.assign_region(region, None);
-            return;
-        }
-        self.region_map.borrow_mut().assign(region, target);
-        self.moves_completed.inc();
-        self.event("move.open", fields!(region, donor, target));
-        self.open_on(region, target, None);
     }
 
     // ------------------------------------------------------------------
@@ -1331,7 +1314,7 @@ impl Master {
                     }
                 };
                 if let Some(records) = records {
-                    self.place_region(region, records, Some(failed));
+                    self.place_region(region, records, Some(failed), None);
                 }
             }
         }
@@ -1362,7 +1345,7 @@ impl Master {
             }
         };
         if let Some(failed) = next {
-            self.place_region(region, records, failed);
+            self.place_region(region, records, failed, None);
         }
     }
 

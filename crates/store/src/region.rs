@@ -6,17 +6,18 @@
 //! (online splits are out of its scope), but this implementation goes
 //! further: the map is epoch-versioned and *mutable* — an online
 //! [`StructureChange`] ([`RegionMap::apply_change`]) atomically replaces a
-//! hot parent region with two daughters (a split) or two shrunken
-//! neighbours with their union (a merge), and clients that route with a
-//! stale map get a `WrongRegion` error telling them to refresh and
-//! re-group (see ARCHITECTURE.md, "Structure changes").
+//! hot parent region with two daughters (a split), two shrunken
+//! neighbours with their union (a merge), or one region with a fresh id
+//! over the same range for placement elsewhere (a move), and clients
+//! that route with a stale map get a `WrongRegion` error telling them to
+//! refresh and re-group (see ARCHITECTURE.md, "Structure changes").
 //! [`RegionMap::from_split_points`] remains the bootstrap path. Region ids
 //! are never reused, so a cached id always means the same key range.
 //!
 //! [`StructureChange`] is the one description of such a change — the
 //! server's unit of work, the master's in-flight record and the durable
 //! intent's wire form; [`ChangeKind`], derived from its shape, carries
-//! the few strings in which a split and a merge differ.
+//! the few strings in which a split, a merge and a move differ.
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::types::{RegionId, ServerId};
@@ -26,8 +27,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which structure change a [`StructureChange`] is. Derived from the
-/// shape, never stored: one input is a split, two are a merge. The kind
-/// supplies what differs between the two on the wire and in the journals
+/// shape, never stored: one input and two outputs is a split, two inputs
+/// a merge, one input and one output a move. The kind supplies what
+/// differs between the three on the wire and in the journals
 /// (ARCHITECTURE.md, "Structure changes", has the table).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum ChangeKind {
@@ -35,42 +37,61 @@ pub enum ChangeKind {
     Split,
     /// Two adjacent regions replaced by one spanning their union.
     Merge,
+    /// One region replaced by one over the same range under a fresh id,
+    /// which the master places on the least-loaded live server.
+    Move,
 }
 
 impl ChangeKind {
-    /// The kind of the change that replaces `inputs`.
-    pub fn of(inputs: &[RegionId]) -> ChangeKind {
-        if inputs.len() == 1 {
-            ChangeKind::Split
-        } else {
-            ChangeKind::Merge
+    /// The kind of the change that replaces `inputs` regions with
+    /// `outputs` regions.
+    pub fn of(inputs: usize, outputs: usize) -> ChangeKind {
+        match (inputs, outputs) {
+            (1, 1) => ChangeKind::Move,
+            (1, _) => ChangeKind::Split,
+            _ => ChangeKind::Merge,
         }
     }
 
-    /// `"split"` or `"merge"`: the metric-name segment and the intent
-    /// record's directory.
+    /// `"split"`, `"merge"` or `"move"`: the metric-name segment and the
+    /// intent record's directory.
     pub fn name(self) -> &'static str {
-        self.pick("split", "merge")
+        self.pick("split", "merge", "move")
     }
 
-    /// The first argument for a split, the second for a merge. Journal
-    /// kinds are `&'static str`, so each record site names both.
-    pub fn pick<T>(self, split: T, merge: T) -> T {
+    /// The argument for this kind (`journal_kind!` picks a journal
+    /// kind).
+    pub fn pick<T>(self, split: T, merge: T, moved: T) -> T {
         match self {
             ChangeKind::Split => split,
             ChangeKind::Merge => merge,
+            ChangeKind::Move => moved,
         }
     }
 
     /// The journal fields naming a change's inputs: `region=r4` for a
-    /// split, `left=r4 right=r5` for a merge.
+    /// split or a move, `left=r4 right=r5` for a merge.
     pub fn input_fields(self, inputs: &[RegionId]) -> Vec<Field> {
         named(
-            self.pick(&["region"], &["left", "right"]),
+            self.pick(&["region"], &["left", "right"], &["region"]),
             inputs.iter().copied(),
         )
     }
 }
+
+/// The journal kind `{split,merge,move}.$step` of the [`ChangeKind`]
+/// `$kind`: journal kinds are `&'static str`, so all three are spelled
+/// out at compile time.
+macro_rules! journal_kind {
+    ($kind:expr, $step:literal) => {
+        $kind.pick(
+            concat!("split.", $step),
+            concat!("merge.", $step),
+            concat!("move.", $step),
+        )
+    };
+}
+pub(crate) use journal_kind;
 
 /// Each of `names` with the id in the same position.
 fn named(names: &[&'static str], ids: impl Iterator<Item = RegionId>) -> Vec<Field> {
@@ -84,9 +105,10 @@ fn named(names: &[&'static str], ids: impl Iterator<Item = RegionId>) -> Vec<Fie
 /// One online change to the table's structure: the adjacent regions
 /// `inputs` (in key order) are atomically replaced by `outputs`, which
 /// partition exactly the same key range (also in key order). A split is
-/// 1→2, a merge 2→1. This is both the master's in-flight record and the
-/// durable intent it persists (at `/split/{parent}` or `/merge/{left}`)
-/// *before* the hosting server is told to execute. Failover of a server
+/// 1→2, a merge 2→1, a move 1→1. This is both the master's in-flight
+/// record and the durable intent it persists (at `/split/{parent}`,
+/// `/merge/{left}` or `/move/{region}`) *before* the hosting server is
+/// told to execute. Failover of a server
 /// with an intent outstanding rolls the change back when the map never
 /// flipped — always safe, because clients cannot address output ids the
 /// map has never shown them; after the flip the outputs recover like
@@ -137,15 +159,17 @@ impl StructureChange {
         }
     }
 
-    /// Split or merge, by shape.
+    /// Split, merge or move, by shape.
     pub fn kind(&self) -> ChangeKind {
-        ChangeKind::of(&self.inputs)
+        ChangeKind::of(self.inputs.len(), self.outputs.len())
     }
 
     /// The journal fields naming the outputs: `bottom=r6 top=r7` for a
-    /// split, `merged=r6` for a merge.
+    /// split, `merged=r6` for a merge, `moved=r6` for a move.
     pub fn output_fields(&self) -> Vec<Field> {
-        let names = self.kind().pick(&["bottom", "top"][..], &["merged"]);
+        let names = self
+            .kind()
+            .pick(&["bottom", "top"][..], &["merged"], &["moved"]);
         named(names, self.outputs.iter().map(|o| o.id))
     }
 
@@ -158,7 +182,7 @@ impl StructureChange {
     }
 
     /// The boundaries between consecutive outputs (a split's one key;
-    /// none for a merge).
+    /// none for a merge or a move).
     pub fn cuts(&self) -> impl Iterator<Item = &Bytes> {
         self.outputs.iter().skip(1).map(|o| &o.start)
     }
@@ -200,7 +224,7 @@ impl StructureChange {
         buf: &[u8],
         map: &RegionMap,
     ) -> Result<StructureChange, DecodeError> {
-        let (n_in, n_out) = kind.pick((1, 2), (2, 1));
+        let (n_in, n_out) = kind.pick((1, 2), (2, 1), (1, 1));
         let mut dec = Decoder::new(buf);
         let mut inputs = Vec::with_capacity(n_in);
         for _ in 0..n_in {
@@ -450,15 +474,16 @@ impl RegionMap {
 
     /// Applies an online structure change: the `inputs`' descriptors are
     /// atomically replaced by `outputs`, the inputs' common assignment
-    /// (if any) carries over to every output, and the epoch bumps so
-    /// caches detect the change. Returns `false` (and changes nothing)
-    /// unless the change is a 1→2 split or a 2→1 merge whose inputs are
-    /// in the map, adjacent in key order and assigned to one server (or
-    /// none), and whose outputs partition exactly the inputs' key range
-    /// into non-empty ranges.
+    /// (if any) carries over to every output of a split or a merge — a
+    /// move's output is left unassigned, for the master to place — and
+    /// the epoch bumps so caches detect the change. Returns `false` (and
+    /// changes nothing) unless the change is a 1→2 split, a 2→1 merge or
+    /// a 1→1 move whose inputs are in the map, adjacent in key order and
+    /// assigned to one server (or none), and whose outputs partition
+    /// exactly the inputs' key range into non-empty ranges.
     pub fn apply_change(&mut self, change: &StructureChange) -> bool {
         let (inputs, outputs) = (&change.inputs, &change.outputs);
-        if !matches!((inputs.len(), outputs.len()), (1, 2) | (2, 1)) {
+        if !matches!((inputs.len(), outputs.len()), (1, 2) | (2, 1) | (1, 1)) {
             return false;
         }
         let Some(idx) = self.regions.iter().position(|r| r.id == inputs[0]) else {
@@ -495,9 +520,11 @@ impl RegionMap {
                 self.assignments.remove(r);
                 self.count_dec(server);
             }
-            for o in outputs {
-                self.assignments.insert(o.id, server);
-                self.count_inc(server);
+            if change.kind() != ChangeKind::Move {
+                for o in outputs {
+                    self.assignments.insert(o.id, server);
+                    self.count_inc(server);
+                }
             }
         }
         // A split parent's backup set carries to every daughter: the
@@ -626,6 +653,35 @@ mod tests {
         StructureChange::new(&[left, right], &[], &[RegionId(merged)], ServerId(0))
     }
 
+    /// The move of `region` to the fresh id `moved`, as the master would
+    /// build it from `map`.
+    fn move_of(map: &RegionMap, region: u32, moved: u32) -> StructureChange {
+        let region = map.descriptor(RegionId(region)).expect("region in map");
+        StructureChange::new(&[region], &[], &[RegionId(moved)], ServerId(0))
+    }
+
+    #[test]
+    fn apply_move_retires_the_input_and_leaves_the_output_unassigned() {
+        let mut map = RegionMap::split_decimal_keyspace("user", 100, 2);
+        map.assign(RegionId(0), ServerId(7));
+        map.assign(RegionId(1), ServerId(7));
+        let epoch = map.epoch();
+        let moved = move_of(&map, 0, 2);
+        assert_eq!(moved.kind(), ChangeKind::Move);
+        assert!(map.apply_change(&moved));
+        assert!(map.epoch() > epoch);
+        assert!(map.descriptor(RegionId(0)).is_none(), "input retired");
+        assert_eq!(map.server_for(RegionId(0)), None);
+        // The output spans the input's range, and nobody hosts it yet.
+        assert_eq!(map.region_for(b"user000000000000"), RegionId(2));
+        assert_eq!(map.region_for(b"user000000000049"), RegionId(2));
+        assert_eq!(map.region_for(b"user000000000050"), RegionId(1));
+        assert_eq!(map.server_for(RegionId(2)), None);
+        assert_eq!(map.assigned_count(ServerId(7)), 1);
+        assert_eq!(map.regions().len(), 2);
+        assert_eq!(map.max_region_id(), Some(RegionId(2)));
+    }
+
     #[test]
     fn apply_split_replaces_parent_and_partitions_range() {
         let mut map = RegionMap::split_decimal_keyspace("user", 100, 2);
@@ -736,8 +792,6 @@ mod tests {
         let key = |k: &'static [u8]| Bytes::from_static(k);
         let ids = |ids: &[u32]| ids.iter().map(|i| RegionId(*i)).collect::<Vec<_>>();
         let shapes = [
-            // 1→1: a rename (what a move would be).
-            StructureChange::new(&[&d(0)], &[], &ids(&[9]), ServerId(0)),
             // 1→3.
             StructureChange::new(
                 &[&d(0)],
@@ -792,7 +846,8 @@ mod tests {
     }
 
     /// The intent records' bytes as captured from the last commit that
-    /// had one intent type (and one encoder) per kind: record lengths
+    /// had one intent type (and one encoder) per kind — the move's as
+    /// first written, when a move became the 1→1 shape: record lengths
     /// are inputs to the simulated filesystem, so the wire form is
     /// pinned.
     #[test]
@@ -836,11 +891,23 @@ mod tests {
             Ok(merge)
         );
 
-        // Truncation anywhere is an error, for both shapes; so is a
+        let mut moved = move_of(&map, 1, 13);
+        moved.server = ServerId(2);
+        assert_eq!(moved.kind(), ChangeKind::Move);
+        assert_eq!(moved.intent_path(), "/move/r1");
+        let golden_move: &[u8] = &[0, 0, 0, 1, 0, 0, 0, 13, 0, 0, 0, 2];
+        assert_eq!(&moved.encode()[..], golden_move);
+        assert_eq!(
+            StructureChange::decode(ChangeKind::Move, golden_move, &map),
+            Ok(moved)
+        );
+
+        // Truncation anywhere is an error, for every shape; so is a
         // record naming a region the map does not hold.
         for (kind, golden) in [
             (ChangeKind::Split, golden_split),
             (ChangeKind::Merge, golden_merge),
+            (ChangeKind::Move, golden_move),
         ] {
             for cut in 0..golden.len() {
                 assert!(

@@ -6,8 +6,8 @@
 //! part shares, construction, lifecycle and the accessors. The work is
 //! in four child modules that see the private fields directly — the
 //! request handlers in [`data_path`], flushes, compaction and the file
-//! gauges in [`storage`], splits, merges and the move close path in
-//! [`structure`], primary/backup replication in [`replication`].
+//! gauges in [`storage`], splits, merges and moves in [`structure`],
+//! primary/backup replication in [`replication`].
 
 mod data_path;
 mod replication;
@@ -156,8 +156,8 @@ struct RegionState {
     compaction_in_progress: bool,
     /// A structural operation (split, merge or move) on this region is
     /// pending or executing: flush checks and new compactions skip it so
-    /// the file set stays stable until the flip or the close (a region
-    /// being split or merged keeps serving requests throughout).
+    /// the file set stays stable until the flip (the region keeps
+    /// serving requests throughout).
     restructuring: bool,
 }
 
@@ -189,8 +189,7 @@ impl RegionState {
     }
 
     /// Whether the file set is stable: no flush and no compaction in
-    /// flight. References may only be cut over — and a moving region may
-    /// only be dropped from — a quiescent file set.
+    /// flight. References may only be cut over a quiescent file set.
     fn quiescent(&self) -> bool {
         !self.compaction_in_progress && !self.flush_busy()
     }
@@ -211,13 +210,10 @@ struct Memory {
     /// Primary/backup replication state (groups this server is primary
     /// for, shadows it keeps as a backup).
     repl: replication::ReplState,
-    /// The in-flight split or merge, if any (one structure change at a
-    /// time per server, so their flush/quiescence phases never
+    /// The in-flight split, merge or move, if any (one structure change
+    /// at a time per server, so their flush/quiescence phases never
     /// interleave).
     pending_change: Option<structure::PendingChange>,
-    /// The region currently being closed for a master-driven move, if
-    /// any (one at a time per server, like splits and merges).
-    pending_move: Option<RegionId>,
     /// Number of the next store file this server names.
     storefile_counter: u64,
     /// Backpressure deficit bank: one token accrues per check tick that
@@ -247,7 +243,6 @@ impl Memory {
             cache: BlockCache::new(cache_rows),
             repl: replication::ReplState::default(),
             pending_change: None,
-            pending_move: None,
             storefile_counter: 0,
             compaction_deficit: 0,
             sched_busy_ns: 0,
@@ -303,6 +298,7 @@ pub struct RegionServer {
     change_completed: Exchange,
     split_stats: StructureStats,
     merge_stats: StructureStats,
+    move_stats: StructureStats,
     /// Cumulative foreground service nanoseconds charged per hosted
     /// region — the master's load-aware placement signal and the
     /// per-region load gauge the split threshold reasoning builds on.
@@ -383,6 +379,7 @@ impl RegionServer {
             change_completed: net.exchange("master.change_completed"),
             split_stats: StructureStats::new(metrics, labels, ChangeKind::Split),
             merge_stats: StructureStats::new(metrics, labels, ChangeKind::Merge),
+            move_stats: StructureStats::new(metrics, labels, ChangeKind::Move),
             region_load: metrics.gauge_map("store.region.load_ns", labels, "region"),
             gc_watermark: Box::new(gc_watermark),
             repl_stats: ReplicationStats::new(metrics, labels),

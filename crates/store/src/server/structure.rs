@@ -1,28 +1,36 @@
-//! Online structure changes — region splits and merges — on the server:
-//! one protocol (see ARCHITECTURE.md, "Structure changes").
+//! Online structure changes — region splits, merges and moves — on the
+//! server: one protocol (see ARCHITECTURE.md, "Structure changes").
 //!
 //! candidate → flush the inputs → durable intent at the master → a
 //! reference file (and its marker) from every input file into every
 //! output it intersects → one atomic flip → tell the master. A split is
-//! the 1→2 shape, a merge the 2→1 shape; they differ in how a candidate
-//! is picked ([`RegionServer::check_splits`], [`RegionServer::check_merges`]
-//! and the [`RegionServer::request_region_merge`] admin trigger) and in
-//! the strings [`ChangeKind`] supplies. Everything from
+//! the 1→2 shape, a merge the 2→1 shape, a move the 1→1 shape; they
+//! differ in how a candidate is picked ([`RegionServer::check_splits`],
+//! [`RegionServer::check_merges`], the [`RegionServer::request_region_merge`]
+//! admin trigger and the master's [`RegionServer::request_region_move`]),
+//! in the strings [`ChangeKind`] supplies, and in where a move's output
+//! opens: not here, but wherever the master places it. Everything from
 //! [`RegionServer::begin_change`] on is written once.
 
 use super::{RegionServer, RegionState};
+use crate::codec::WalRecord;
 use crate::memstore::MemStore;
-use crate::region::{ChangeKind, RegionDescriptor, StructureChange};
+use crate::region::{journal_kind, ChangeKind, RegionDescriptor, StructureChange};
 use crate::sstable::StoreFileData;
-use crate::types::RegionId;
+use crate::types::{Mutation, RegionId};
 use bytes::Bytes;
 use cumulo_sim::metrics::{Counter, MetricsRegistry};
-use cumulo_sim::{fields, Reply, SimDuration};
+use cumulo_sim::SimDuration;
 
 use std::rc::Rc;
 
+/// The fixed delay (no RNG) of the change's own retries: a granted
+/// change waiting for its inputs' file sets to quiesce, and a pending
+/// move, which no candidacy tick drives, polling its flush.
+const POLL: SimDuration = SimDuration::from_millis(200);
+
 /// Shared observability for one kind of online structure change — a
-/// server keeps one for splits and one for merges (all handles clone
+/// server keeps one each for splits, merges and moves (all handles clone
 /// cheaply and share state, like [`crate::CompactionStats`]).
 #[derive(Clone, Debug)]
 pub struct StructureStats {
@@ -44,7 +52,8 @@ pub struct StructureStats {
 
 impl StructureStats {
     /// The server's statistics for `kind`, each registered in `metrics`
-    /// under its `store.{split,merge}.*` key with the server's `labels`.
+    /// under its `store.{split,merge,move}.*` key with the server's
+    /// `labels`.
     pub(crate) fn new(
         metrics: &MetricsRegistry,
         labels: &[(&str, &str)],
@@ -67,7 +76,7 @@ pub(super) struct PendingChange {
     /// The hosted regions being replaced, adjacent and in key order.
     inputs: Vec<RegionId>,
     /// The proposed boundaries between the outputs: the split key, or
-    /// nothing for a merge.
+    /// nothing for a merge or a move.
     cuts: Vec<Bytes>,
     /// Whether the pre-change flush round has been issued.
     flush_issued: bool,
@@ -77,7 +86,7 @@ pub(super) struct PendingChange {
 
 impl PendingChange {
     pub(super) fn kind(&self) -> ChangeKind {
-        ChangeKind::of(&self.inputs)
+        ChangeKind::of(self.inputs.len(), self.cuts.len() + 1)
     }
 }
 
@@ -113,13 +122,14 @@ fn encode_ref_marker(r: &StoreFileData) -> Bytes {
 }
 
 impl RegionServer {
-    /// Observability of one kind of structure change — splits or merges:
-    /// candidacies, intents, completions (shared handles; clone freely).
+    /// Observability of one kind of structure change — splits, merges or
+    /// moves: candidacies, intents, completions (shared handles; clone
+    /// freely).
     pub fn structure_stats(&self, kind: ChangeKind) -> &StructureStats {
-        kind.pick(&self.split_stats, &self.merge_stats)
+        kind.pick(&self.split_stats, &self.merge_stats, &self.move_stats)
     }
 
-    /// The kind of the split or merge this server has pending or
+    /// The kind of the split, merge or move this server has pending or
     /// executing, if any.
     pub fn pending_change(&self) -> Option<ChangeKind> {
         self.mem.borrow().pending_change.as_ref().map(|p| p.kind())
@@ -128,8 +138,8 @@ impl RegionServer {
     /// The head of both candidacy timers: whether a tick of `kind` may
     /// pick a new candidate. One structure change runs at a time per
     /// server; a pending change of this kind is advanced instead, and a
-    /// pending change of the other kind defers this tick untouched (its
-    /// own timer drives it).
+    /// pending change of another kind defers this tick untouched (its
+    /// own timer, or a move's own poll, drives it).
     fn candidacy_open(self: &Rc<Self>, kind: ChangeKind) -> bool {
         match self.pending_change() {
             Some(pending) if pending == kind => {
@@ -257,6 +267,19 @@ impl RegionServer {
         ok
     }
 
+    /// The master's move request: begin moving `region`, under
+    /// [`RegionServer::request_region_merge`]'s rules and only with
+    /// replication off. Returns whether the move began.
+    pub(crate) fn request_region_move(self: &Rc<Self>, region: RegionId) -> bool {
+        let ok = !self.cfg.replication
+            && self.pending_change().is_none()
+            && self.with_region(region, |st| st.restructurable()) == Some(true);
+        if ok {
+            self.begin_change(vec![region], Vec::new());
+        }
+        ok
+    }
+
     /// Accepts a candidate: marks every input as mid-structural-op and
     /// starts driving the pending change (flush, then ask the master for
     /// an intent).
@@ -270,7 +293,7 @@ impl RegionServer {
         let kind = pending.kind();
         self.structure_stats(kind).considered.inc();
         let fields = kind.input_fields(&inputs);
-        self.event(kind.pick("split.consider", "merge.consider"), &fields);
+        self.event(journal_kind!(kind, "consider"), &fields);
         {
             let mut mem = self.mem.borrow_mut();
             for id in &inputs {
@@ -286,7 +309,8 @@ impl RegionServer {
     /// Drives the pending change forward: flush every input's memstore
     /// once, then ask the master for a durable intent. Anything the
     /// memstores absorb after the flush moves to the outputs at the
-    /// flip, so the inputs keep serving throughout.
+    /// flip, so the inputs keep serving throughout. A split or a merge
+    /// waits for its kind's next candidacy tick; a move polls itself.
     fn advance_pending_change(self: &Rc<Self>) {
         let (kind, inputs, cuts, flush_issued, intent_sent) = {
             let mem = self.mem.borrow();
@@ -320,6 +344,7 @@ impl RegionServer {
             return;
         }
         if flush_busy {
+            self.poll_move(kind);
             return; // next check tick
         }
         if dirty && !flush_issued {
@@ -329,6 +354,7 @@ impl RegionServer {
             for id in &inputs {
                 self.flush_region(*id);
             }
+            self.poll_move(kind);
             return;
         }
         if let Some(p) = self.mem.borrow_mut().pending_change.as_mut() {
@@ -337,7 +363,7 @@ impl RegionServer {
         self.structure_stats(kind).intents_requested.inc();
         let me = self.id;
         let fields = kind.input_fields(&inputs);
-        self.event(kind.pick("split.intent", "merge.intent"), &fields);
+        self.event(journal_kind!(kind, "intent"), &fields);
         let bytes = 96 + cuts.iter().map(Bytes::len).sum::<usize>();
         let (this, master, first) = (Rc::clone(self), Rc::clone(&self.master), inputs[0]);
         self.net.request(
@@ -351,6 +377,18 @@ impl RegionServer {
                 None => this.change_request_denied(first),
             },
         );
+    }
+
+    /// Advances a pending move again after [`POLL`]: no candidacy tick
+    /// drives a move. A split or a merge waits for its own kind's tick.
+    fn poll_move(self: &Rc<Self>, kind: ChangeKind) {
+        if kind == ChangeKind::Move {
+            self.after(POLL, |this| {
+                if this.pending_change() == Some(ChangeKind::Move) {
+                    this.advance_pending_change();
+                }
+            });
+        }
     }
 
     /// Drops the pending change and clears its inputs' structural-op
@@ -382,7 +420,7 @@ impl RegionServer {
         if let Some((kind, inputs)) = pending {
             self.structure_stats(kind).aborted.inc();
             let fields = kind.input_fields(&inputs);
-            self.event(kind.pick("split.denied", "merge.denied"), &fields);
+            self.event(journal_kind!(kind, "denied"), &fields);
             self.clear_pending_change();
         }
     }
@@ -416,14 +454,13 @@ impl RegionServer {
             change.inputs.iter().any(busy)
         };
         if busy {
-            let retry = SimDuration::from_millis(200);
-            self.after(retry, move |this| this.execute_change(change));
+            self.after(POLL, move |this| this.execute_change(change));
             return;
         }
         let kind = change.kind();
         self.structure_stats(kind).executing.inc();
         let fields = change.fields();
-        self.event(kind.pick("split.execute", "merge.execute"), &fields);
+        self.event(journal_kind!(kind, "execute"), &fields);
         let sources: Option<Vec<(RegionDescriptor, Vec<Rc<StoreFileData>>)>> = {
             let regions = &self.mem.borrow().regions;
             change
@@ -451,7 +488,9 @@ impl RegionServer {
                     // same base name (after earlier splits of a common
                     // ancestor); the source region id disambiguates.
                     let path = match kind {
-                        ChangeKind::Split => format!("/store/{}/ref-{base}", out.id),
+                        ChangeKind::Split | ChangeKind::Move => {
+                            format!("/store/{}/ref-{base}", out.id)
+                        }
                         ChangeKind::Merge => format!("/store/{}/ref-{}-{base}", out.id, src.id.0),
                     };
                     // The part of the file the output owns: where the
@@ -521,7 +560,7 @@ impl RegionServer {
         let kind = work.change.kind();
         self.structure_stats(kind).aborted.inc();
         let fields = kind.input_fields(&work.change.inputs);
-        self.event(kind.pick("split.abort", "merge.abort"), &fields);
+        self.event(journal_kind!(kind, "abort"), &fields);
         self.clear_pending_change();
         self.notify_change_aborted(work.change.inputs[0]);
     }
@@ -539,6 +578,8 @@ impl RegionServer {
     /// stack, the inputs' leftover memstore cells routed to the output
     /// that covers their row. At no instant are an input and an output
     /// both servable. The master is then told to apply the map change.
+    /// A move's output does not open here: the master places it, with
+    /// the leftover cells this message carries.
     fn finish_change(self: &Rc<Self>, work: &ChangeWork) {
         let change = &work.change;
         if !change
@@ -549,7 +590,8 @@ impl RegionServer {
             self.abort_granted_change(work);
             return;
         }
-        let superseded = {
+        let kind = change.kind();
+        let (superseded, leftovers) = {
             let mem = &mut *self.mem.borrow_mut();
             let regions = &mut mem.regions;
             let inputs: Vec<RegionState> = change
@@ -581,7 +623,12 @@ impl RegionServer {
                 .filter(|sf| sf.is_reference())
                 .cloned()
                 .collect();
+            let mut leftovers = Vec::new();
             for ((desc, files), memstore) in change.outputs.iter().zip(&work.files).zip(memstores) {
+                if kind == ChangeKind::Move {
+                    leftovers = log_records(desc.id, &memstore);
+                    continue;
+                }
                 regions.insert(
                     desc.id,
                     RegionState {
@@ -596,12 +643,13 @@ impl RegionServer {
                 mem.cache.evict_region(*id);
             }
             mem.pending_change = None;
-            superseded
+            (superseded, leftovers)
         };
         // The inputs' accumulated load history moves to the outputs in
         // equal shares — the placement signal must not read a server
         // that just split its hottest region, or merged two warm ones,
-        // as suddenly idle.
+        // as suddenly idle. A move's goes with its input: the output's
+        // next host charges its own.
         let load: u64 = change
             .inputs
             .iter()
@@ -610,18 +658,19 @@ impl RegionServer {
         for id in &change.inputs {
             self.region_load.remove(id.0 as u64);
         }
-        let (share, last) = (load / change.outputs.len() as u64, change.outputs.len() - 1);
-        for (i, out) in change.outputs.iter().enumerate() {
-            let part = if i < last {
-                share
-            } else {
-                load - share * last as u64
-            };
-            self.region_load.add(out.id.0 as u64, part);
+        if kind != ChangeKind::Move {
+            let (share, last) = (load / change.outputs.len() as u64, change.outputs.len() - 1);
+            for (i, out) in change.outputs.iter().enumerate() {
+                let part = if i < last {
+                    share
+                } else {
+                    load - share * last as u64
+                };
+                self.region_load.add(out.id.0 as u64, part);
+            }
         }
-        let kind = change.kind();
         self.structure_stats(kind).completed.inc();
-        self.event(kind.pick("split.flip", "merge.flip"), &change.fields());
+        self.event(journal_kind!(kind, "flip"), &change.fields());
         self.update_file_metrics();
         // A split parent's replica group follows the flip: daughters
         // inherit the parent's lanes (brought in sync by immediate
@@ -634,9 +683,10 @@ impl RegionServer {
             self.retire_superseded_references(superseded);
         }
         let (master, id, first) = (Rc::clone(&self.master), self.id, change.inputs[0]);
+        let bytes = 64 + leftovers.iter().map(WalRecord::wire_size).sum::<usize>();
         let ex = &self.change_completed;
-        self.net.send(ex, self.node, master.node(), 64, move || {
-            master.change_completed(id, first)
+        self.net.send(ex, self.node, master.node(), bytes, move || {
+            master.change_completed(id, first, leftovers)
         });
     }
 
@@ -659,87 +709,23 @@ impl RegionServer {
             }
         });
     }
+}
 
-    /// Master RPC: close `region` so it can reopen on another server.
-    /// The region goes offline immediately (requests get NotServing, as
-    /// during a failover), its memstore is flushed, and once the file
-    /// set is quiescent the state is dropped and the answer is `true`.
-    /// Refuses (`false`) when the region is mid-flight in any other
-    /// operation; a crash mid-close simply never answers, and the
-    /// master's failover of this server recovers the region — still
-    /// assigned here — through the normal WAL path.
-    pub(crate) fn prepare_move<D: FnOnce(bool) + 'static>(
-        self: &Rc<Self>,
-        region: RegionId,
-        reply: Reply<bool, D>,
-    ) {
-        {
-            let mut mem = self.mem.borrow_mut();
-            let idle = mem.pending_move.is_none() && !self.cfg.replication;
-            let st = mem.regions.get_mut(&region);
-            let Some(st) =
-                st.filter(|st| idle && st.restructurable() && !st.compaction_in_progress)
-            else {
-                drop(mem);
-                reply.send(48, false);
-                return;
-            };
-            st.online = false;
-            // The structural-op flag keeps flush checks and compaction
-            // candidacy away while this close drives the flush itself.
-            st.restructuring = true;
-            mem.pending_move = Some(region);
-        }
-        self.event("move.close", fields!(region));
-        self.advance_pending_move(region, reply, 0);
-    }
-
-    /// Polls the moving region toward quiescence (fixed 200ms steps, no
-    /// RNG): flush anything dirty, wait out in-flight flushes, then drop
-    /// the state and answer. Gives up (reopening the region in place) if
-    /// the filesystem stays unavailable past the attempt cap.
-    fn advance_pending_move<D: FnOnce(bool) + 'static>(
-        self: &Rc<Self>,
-        region: RegionId,
-        reply: Reply<bool, D>,
-        attempts: u32,
-    ) {
-        const MAX_ATTEMPTS: u32 = 50;
-        let state = self.with_region(region, |st| (!st.quiescent(), !st.memstore.is_empty()));
-        let closed = match state {
-            None => false,
-            Some((busy, dirty)) if (busy || dirty) && attempts < MAX_ATTEMPTS => {
-                if dirty && !busy {
-                    self.flush_region(region);
-                }
-                let poll = SimDuration::from_millis(200);
-                self.after(poll, move |this| {
-                    this.advance_pending_move(region, reply, attempts + 1)
-                });
-                return;
-            }
-            // Filesystem unavailable: abandon the move and resume serving
-            // in place — the region lost availability for the poll
-            // window, not its data.
-            Some((busy, dirty)) if busy || dirty => {
-                if let Some(st) = self.mem.borrow_mut().regions.get_mut(&region) {
-                    st.online = true;
-                    st.restructuring = false;
-                }
-                false
-            }
-            Some(_) => {
-                let mut mem = self.mem.borrow_mut();
-                mem.regions.remove(&region);
-                mem.cache.evict_region(region);
-                drop(mem);
-                self.region_load.remove(region.0 as u64);
-                self.update_file_metrics();
-                self.event("move.closed", fields!(region));
-                true
-            }
+/// `memstore`'s cells as log records of `region`, one per version: the
+/// form a failed server's WAL split hands placement, so a move's leftover
+/// cells reach its output's host as a failover's do.
+fn log_records(region: RegionId, memstore: &MemStore) -> Vec<WalRecord> {
+    let record = |(row, column, ts, value): (&Bytes, &Bytes, _, &Option<Bytes>)| {
+        let (row, column) = (row.clone(), column.clone());
+        let mutation = match value {
+            Some(v) => Mutation::put(row, column, v.clone()),
+            None => Mutation::delete(row, column),
         };
-        self.mem.borrow_mut().pending_move = None;
-        reply.send(48, closed);
-    }
+        WalRecord {
+            region,
+            ts,
+            mutations: vec![mutation],
+        }
+    };
+    memstore.iter().map(record).collect()
 }

@@ -937,14 +937,15 @@ fn a_pending_change_defers_the_other_kinds_candidacy() {
 }
 
 /// One fixed schedule that draws every answer the master and a region
-/// server give each other across a move or a structure change: a move
-/// the donor refuses (5 s: its hottest region is mid-split), a split the
-/// master grants (6 s), a move the donor grants (10 s), and a split the
-/// master denies (12 s: rs2, cut off from the coordination service at
-/// 9.2 s, was failed over while it kept running, and its request comes
-/// from a server the master has declared dead). When each event happened
-/// and how many messages it took are pinned as they were before the
-/// exchanges became `Network::request`s.
+/// server give each other across a structure change: a move the donor
+/// refuses (5 s: its hottest region is mid-split), a split the master
+/// grants (6 s), a move the donor begins and the master grants (10 s),
+/// and a split the master denies (12 s: rs2, cut off from the
+/// coordination service at 9.2 s, was failed over while it kept running,
+/// and its request comes from a server the master has declared dead).
+/// When each event happened and how many messages it took are pinned.
+/// The moved region is unavailable only from the donor's flip to the
+/// output's open on the least-loaded server, about a millisecond.
 #[test]
 fn master_answers_of_a_fixed_schedule_are_pinned() {
     let mut cfg = RegionServerConfig::default();
@@ -980,12 +981,17 @@ fn master_answers_of_a_fixed_schedule_are_pinned() {
     run_to(&c, 14_000);
 
     let metrics = c.sim.metrics().snapshot();
-    let moves =
-        ["started", "refused", "completed"].map(|m| metrics.get(&format!("master.move.{m}")));
+    let moves = ["intents_persisted", "applied", "rolled_back"]
+        .map(|m| metrics.get(&format!("master.move.{m}")));
     assert_eq!(
         moves,
-        [Some(2), Some(1), Some(1)],
-        "moves started, refused, completed"
+        [Some(1), Some(1), Some(0)],
+        "move intents persisted, applied, rolled back"
+    );
+    assert_eq!(
+        metrics.get("net.sent{exchange=store.request_move}"),
+        Some(4),
+        "two move requests, each answered"
     );
     assert_eq!(c.master.splits_applied(), 2);
     assert_eq!(
@@ -1002,10 +1008,13 @@ fn master_answers_of_a_fixed_schedule_are_pinned() {
     assert_eq!(
         counts,
         [
-            ("move.close", 1),
-            ("move.closed", 1),
-            ("move.open", 1),
-            ("move.start", 2),
+            ("move.applied", 1),
+            ("move.consider", 1),
+            ("move.execute", 1),
+            ("move.flip", 1),
+            ("move.intent", 1),
+            ("move.persisted", 1),
+            ("move.refused", 1),
             ("split.applied", 2),
             ("split.consider", 3),
             ("split.denied", 1),
@@ -1027,25 +1036,39 @@ fn master_answers_of_a_fixed_schedule_are_pinned() {
                     (d ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
                 })
         });
-    assert_eq!(digest, 4_640_770_150_240_183_908, "event instants");
+    assert_eq!(digest, 14_938_507_293_202_064_768, "event instants");
     assert_eq!(
         lines_digest(&c.events.entries()),
-        15_751_923_180_590_719_378,
+        16_291_555_462_139_005_377,
         "event lines"
     );
     assert_eq!(
         lines(&c.events, "move."),
         [
-            "5000000000 move.start region=r0 donor=rs0 target=rs1",
-            "10000000000 move.start region=r3 donor=rs0 target=rs1",
-            "10000286727 move.close server=rs0 region=r3",
-            "10200286727 move.closed server=rs0 region=r3",
-            "10200585428 move.open region=r3 donor=rs0 target=rs1",
+            "5000608604 move.refused region=r0 donor=rs0",
+            "10000286727 move.consider server=rs0 region=r3",
+            "10200286727 move.intent server=rs0 region=r3",
+            "10203386428 move.persisted region=r3 server=rs0 moved=r8",
+            "10203673450 move.execute server=rs0 region=r3 moved=r8",
+            "10206420397 move.flip server=rs0 region=r3 moved=r8",
+            "10206729641 move.applied region=r3 moved=r8",
+        ]
+    );
+    // The output opens on the least-loaded server, rs1.
+    let opened: Vec<String> = lines(&c.events, "region.")
+        .into_iter()
+        .filter(|l| l.contains(" region=r8"))
+        .collect();
+    assert_eq!(
+        opened,
+        [
+            "10206729641 region.assign region=r8 server=rs1",
+            "10207639767 region.online server=rs1 region=r8",
         ]
     );
     assert_eq!(
         (c.net.messages_sent(), c.net.messages_dropped()),
-        (1478, 10)
+        (1496, 10)
     );
 }
 

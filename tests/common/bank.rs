@@ -103,6 +103,25 @@ impl Bank {
         super::audit(cluster, history);
         self.assert_conserved(cluster, label);
     }
+
+    /// The post-crash checks the structure-change suites share: enough
+    /// load committed, every region back online and the key space
+    /// partitioned, then [`Bank::audit`] under `label`.
+    pub fn assert_recovered(
+        &self,
+        cluster: &Cluster,
+        history: &History,
+        committed: u32,
+        label: &str,
+    ) {
+        assert!(committed > 60, "too few transfers committed: {committed}");
+        assert!(
+            cluster.all_regions_online(),
+            "cluster did not fully recover"
+        );
+        cluster.assert_region_partition();
+        self.audit(cluster, history, label);
+    }
 }
 
 /// One bulky single-row write into the hot prefix `[0, hot)` (a separate

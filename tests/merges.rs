@@ -75,19 +75,6 @@ fn merge_cluster_with_adjacency(seed: u64) -> (Cluster, History, Rc<Cell<u32>>) 
     (cluster, history, committed)
 }
 
-/// The post-crash checks shared by all three schedules: enough load
-/// committed, every region back online and the key space partitioned,
-/// then the history audit and the balance total.
-fn assert_recovered(cluster: &Cluster, history: &History, committed: u32) {
-    assert!(committed > 60, "too few transfers committed: {committed}");
-    assert!(
-        cluster.all_regions_online(),
-        "cluster did not fully recover"
-    );
-    cluster.assert_region_partition();
-    BANK.audit(cluster, history, "merge x failover");
-}
-
 /// Crash point 1: the merging server dies while a merge is pending
 /// server-side but *before* any intent reached the filesystem. Nothing
 /// durable mentions the merge; failover recovers both daughters as if
@@ -128,7 +115,7 @@ fn crash_before_intent_persisted_recovers_daughters() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    assert_recovered(&cluster, &history, committed.get());
+    BANK.assert_recovered(&cluster, &history, committed.get(), "merge x failover");
 }
 
 /// Crash point 2: the intent is durable but the merged region never made
@@ -177,7 +164,7 @@ fn crash_after_intent_before_merged_online_rolls_back() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    assert_recovered(&cluster, &history, committed.get());
+    BANK.assert_recovered(&cluster, &history, committed.get(), "merge x failover");
 }
 
 /// Crash point 3: the merge completed — the merged region is live in the
@@ -224,7 +211,7 @@ fn crash_after_merged_online_fails_over_merged_region() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    assert_recovered(&cluster, &history, committed.get());
+    BANK.assert_recovered(&cluster, &history, committed.get(), "merge x failover");
     assert!(
         cluster.master.failover_count() >= 2,
         "the merged region's failover was not processed"

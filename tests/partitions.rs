@@ -699,13 +699,14 @@ fn healthy_within_10s(cluster: &Cluster, healthy: impl Fn() -> bool) -> bool {
     healthy()
 }
 
-/// The donor's answer to a move is lost: it closed the region and
-/// dropped it, the master never hears. Today the map keeps naming the
-/// donor and `pending_move` never clears, so the region is unreadable
-/// until the donor dies, and no move ever runs again.
+/// The donor's report that it flipped a move is lost: it dropped the
+/// input region at its flip, and the master, which never hears, never
+/// applies the change. Today the map keeps naming the donor and the
+/// move's intent stays outstanding, so the region is unreadable until
+/// the donor dies, and no move ever runs again.
 #[test]
 #[ignore = "ROADMAP item 2"]
-fn lost_move_close_answer_hangs_nothing_once_healed() {
+fn lost_move_completion_hangs_nothing_once_healed() {
     let mut cfg = ClusterConfig {
         seed: 79,
         clients: 2,
@@ -723,11 +724,11 @@ fn lost_move_close_answer_hangs_nothing_once_healed() {
         start_put(&cluster, (row % 2) as usize, row);
         cluster.run_for(SimDuration::from_millis(20));
     }
-    step_until_event(&cluster, "move.close");
-    let (donor, region) = newest_event_site(&cluster, "move.close");
+    // The flip sends the report; cut the pair before it lands.
+    step_until_event(&cluster, "move.flip");
+    let (donor, region) = newest_event_site(&cluster, "move.flip");
     let (donor_node, master_node) = (cluster.servers[donor].node(), cluster.master.node());
     cluster.net.partition(donor_node, master_node);
-    step_until_event(&cluster, "move.closed");
     cluster.run_for(SimDuration::from_millis(100));
     cluster.net.heal(donor_node, master_node);
 

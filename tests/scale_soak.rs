@@ -158,7 +158,7 @@ fn soak_run(seed: u64, shift: u64) {
     // The scenario must actually exercise the structural machinery.
     let splits = cluster.metrics.sum("master.split.applied");
     let merges = cluster.metrics.sum("master.merge.applied");
-    let moves = cluster.metrics.sum("master.move.completed");
+    let moves = cluster.metrics.sum("master.move.applied");
     assert!(
         splits > 0,
         "seed {seed}: no split ever applied — thresholds need tuning"

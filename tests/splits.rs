@@ -24,7 +24,7 @@ mod common;
 
 use common::bank::{filler, run_until, Bank};
 use common::changing_server;
-use cumulo_core::{Cluster, ClusterConfig, History};
+use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
 use std::cell::Cell;
@@ -67,19 +67,6 @@ fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, round_no: u64) {
             filler(cluster, client, HOT, round_no);
         }
     }
-}
-
-/// The post-crash checks shared by all three schedules: enough load
-/// committed, every region back online and the key space partitioned,
-/// then the history audit and the balance total.
-fn assert_recovered(cluster: &Cluster, history: &History, committed: u32) {
-    assert!(committed > 60, "too few transfers committed: {committed}");
-    assert!(
-        cluster.all_regions_online(),
-        "cluster did not fully recover"
-    );
-    cluster.assert_region_partition();
-    BANK.audit(cluster, history, "split x failover");
 }
 
 /// Crash point 1: the parent's server dies while a split is pending
@@ -127,7 +114,7 @@ fn crash_before_intent_persisted_recovers_parent() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    assert_recovered(&cluster, &history, committed.get());
+    BANK.assert_recovered(&cluster, &history, committed.get(), "split x failover");
 }
 
 /// Crash point 2: the intent is durable but the daughters never made it
@@ -181,7 +168,7 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    assert_recovered(&cluster, &history, committed.get());
+    BANK.assert_recovered(&cluster, &history, committed.get(), "split x failover");
 }
 
 /// Crash point 3: the split completed — daughters are live in the map
@@ -233,7 +220,7 @@ fn crash_after_daughters_online_fails_over_daughters() {
         cluster.run_for(SimDuration::from_millis(400));
     }
     cluster.run_for(SimDuration::from_secs(30));
-    assert_recovered(&cluster, &history, committed.get());
+    BANK.assert_recovered(&cluster, &history, committed.get(), "split x failover");
     // The daughters really did fail over (not just the bootstrap set).
     assert!(
         cluster.master.failover_count() >= 1,
