@@ -127,7 +127,7 @@ struct Pruned {
 /// ([`crate::StoreClient::scan`]) uses `region_end` as the next leg's
 /// cursor, so the resume key is always *server truth* — whatever region
 /// actually served the page, even if the client routed here through a
-/// stale map while a split or merge was in flight.
+/// stale map while a structure change was in flight.
 #[derive(Clone, Debug)]
 pub struct ScanPage {
     /// Newest visible version per `(row, column)` at the scan snapshot,

@@ -610,7 +610,7 @@ impl RegionServer {
                 memstores[owner.unwrap_or(0)].apply(r.clone(), c.clone(), ts, v.clone());
             }
             // An input file that is itself a reference (the input came
-            // from an earlier split or merge) is superseded: the new
+            // from an earlier structure change) is superseded: the new
             // references back directly onto the physical file and hold
             // their own counts. Its retirement is destructive (registry
             // and filesystem deletes), so it runs *after* the flip,
