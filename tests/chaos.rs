@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{audit, crash_first_observed, key, DiceFaults};
+use common::{audit, crash_first_observed, fingerprint, key, DiceFaults};
 use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::SimDuration;
 
@@ -29,7 +29,7 @@ fn write_rows(client: &TransactionalClient, rows: Vec<u64>, value: String) {
 
 /// One chaos run: 5 servers' worth of regions on 3 servers, 6 clients,
 /// ~45 simulated seconds of load with `faults` injected along the way.
-fn chaos_run(seed: u64) {
+fn chaos_run(seed: u64, pin: [u64; 4]) {
     let cluster = Cluster::build(ClusterConfig {
         seed,
         clients: 6,
@@ -76,13 +76,14 @@ fn chaos_run(seed: u64) {
 
     let cells = audit(&cluster, &history);
     assert!(cells > 100, "seed {seed}: too few written cells ({cells})");
+    assert_eq!(fingerprint(&cluster), pin, "seed {seed}: run fingerprint");
 }
 
 /// Crashes a server while a compaction is in flight and verifies
 /// recovery: the history audit passes (no acked write is lost or stale),
 /// regions converge, and the half-finished compaction leaves at worst
 /// ignorable temp files (the surviving file set stays read-equivalent).
-fn compaction_crash_run(seed: u64) {
+fn compaction_crash_run(seed: u64, pin: [u64; 4]) {
     let mut cfg = ClusterConfig {
         seed,
         clients: 6,
@@ -135,34 +136,35 @@ fn compaction_crash_run(seed: u64) {
 
     let cells = audit(&cluster, &history);
     assert!(cells > 100, "seed {seed}: too few written cells ({cells})");
+    assert_eq!(fingerprint(&cluster), pin, "seed {seed}: run fingerprint");
 }
 
 #[test]
 fn chaos_compaction_crash_seed_1() {
-    compaction_crash_run(7101);
+    compaction_crash_run(7101, [62_533, 43_046, 42_936, 110]);
 }
 
 #[test]
 fn chaos_compaction_crash_seed_2() {
-    compaction_crash_run(7102);
+    compaction_crash_run(7102, [63_089, 43_423, 43_276, 147]);
 }
 
 #[test]
 fn chaos_seed_1() {
-    chaos_run(9001);
+    chaos_run(9001, [45_244, 31_492, 31_063, 429]);
 }
 
 #[test]
 fn chaos_seed_2() {
-    chaos_run(9002);
+    chaos_run(9002, [57_985, 40_896, 40_361, 535]);
 }
 
 #[test]
 fn chaos_seed_3() {
-    chaos_run(9003);
+    chaos_run(9003, [32_387, 20_769, 20_447, 322]);
 }
 
 #[test]
 fn chaos_seed_4() {
-    chaos_run(9004);
+    chaos_run(9004, [54_486, 35_935, 35_333, 602]);
 }

@@ -473,6 +473,20 @@ pub fn lines_digest<'a>(entries: impl IntoIterator<Item = &'a JournalEntry>) -> 
     fnv1a(&text)
 }
 
+/// What a whole run did, as four numbers a suite can pin: the events
+/// the simulation executed and the messages the network sent, delivered
+/// and dropped (`Network`'s `Debug` totals, without its node names). A
+/// change to when any fault lands, or to what the load draws, moves it.
+pub fn fingerprint(cluster: &Cluster) -> [u64; 4] {
+    let net = &cluster.net;
+    [
+        cluster.sim.events_executed(),
+        net.messages_sent(),
+        net.messages_delivered(),
+        net.messages_dropped(),
+    ]
+}
+
 /// The 64-bit FNV-1a hash of `text`.
 pub fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, byte| {

@@ -30,7 +30,7 @@
 mod common;
 
 use common::bank::{run_until, Bank};
-use common::{changing_server, crash_for_adjacency};
+use common::{changing_server, crash_for_adjacency, fingerprint};
 use cumulo_core::{Cluster, ClusterConfig, History};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
@@ -116,6 +116,11 @@ fn crash_before_intent_persisted_recovers_daughters() {
     }
     cluster.run_for(SimDuration::from_secs(30));
     BANK.assert_recovered(&cluster, &history, committed.get(), "merge x failover");
+    assert_eq!(
+        fingerprint(&cluster),
+        [20_368, 12_070, 11_953, 117],
+        "run fingerprint"
+    );
 }
 
 /// Crash point 2: the intent is durable but the merged region never made
@@ -165,6 +170,11 @@ fn crash_after_intent_before_merged_online_rolls_back() {
     }
     cluster.run_for(SimDuration::from_secs(30));
     BANK.assert_recovered(&cluster, &history, committed.get(), "merge x failover");
+    assert_eq!(
+        fingerprint(&cluster),
+        [21_051, 12_512, 12_479, 33],
+        "run fingerprint"
+    );
 }
 
 /// Crash point 3: the merge completed — the merged region is live in the
@@ -215,5 +225,10 @@ fn crash_after_merged_online_fails_over_merged_region() {
     assert!(
         cluster.master.failover_count() >= 2,
         "the merged region's failover was not processed"
+    );
+    assert_eq!(
+        fingerprint(&cluster),
+        [24_705, 14_587, 14_460, 127],
+        "run fingerprint"
     );
 }

@@ -25,7 +25,7 @@
 mod common;
 
 use common::bank::{filler, run_until, Bank};
-use common::changing_server;
+use common::{changing_server, fingerprint};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
@@ -123,6 +123,11 @@ fn crash_before_intent_persisted_recovers_the_region() {
     keep_loading(&cluster, &committed, &mut rounds, 20, 400);
     cluster.run_for(SimDuration::from_secs(30));
     BANK.assert_recovered(&cluster, &history, committed.get(), LABEL);
+    assert_eq!(
+        fingerprint(&cluster),
+        [45_728, 27_891, 27_696, 195],
+        "run fingerprint"
+    );
 }
 
 /// Crash point 2: the intent is durable but the donor has not flipped,
@@ -173,6 +178,11 @@ fn crash_after_intent_before_the_flip_rolls_back() {
     keep_loading(&cluster, &committed, &mut rounds, 20, 400);
     cluster.run_for(SimDuration::from_secs(30));
     BANK.assert_recovered(&cluster, &history, committed.get(), LABEL);
+    assert_eq!(
+        fingerprint(&cluster),
+        [39_011, 23_848, 23_835, 13],
+        "run fingerprint"
+    );
 }
 
 /// Crash point 3: the move completed — the output is in the map, placed
@@ -229,5 +239,10 @@ fn crash_of_the_outputs_host_fails_the_output_over() {
     assert!(
         cluster.master.failover_count() >= 1,
         "no failover was processed"
+    );
+    assert_eq!(
+        fingerprint(&cluster),
+        [30_562, 18_825, 18_625, 200],
+        "run fingerprint"
     );
 }

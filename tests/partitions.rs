@@ -6,7 +6,7 @@
 mod common;
 
 use bytes::Bytes;
-use common::{lines_digest, ChaosAction, ChaosSchedule};
+use common::{fingerprint, lines_digest, ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
 use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
@@ -199,6 +199,7 @@ fn healed_partition_before_timeout_causes_no_recovery() {
     });
     cluster.run_for(SimDuration::from_secs(2));
     assert!(matches!(*ok.borrow(), Some(Ok(_))));
+    assert_eq!(fingerprint(&cluster), [868, 505, 505, 0], "run fingerprint");
 }
 
 #[test]
@@ -245,6 +246,11 @@ fn partitioned_server_is_failed_over_like_a_crash() {
         );
         assert_eq!(v.as_deref(), Some(format!("p{i}").as_bytes()), "row {i}");
     }
+    assert_eq!(
+        fingerprint(&cluster),
+        [1_284, 780, 711, 69],
+        "run fingerprint"
+    );
 }
 
 /// A flush whose filesystem write is never answered — the create request

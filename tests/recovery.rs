@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{bank, crash_for_adjacency, key, run_txn, small_cluster, write_load};
+use common::{bank, crash_for_adjacency, fingerprint, key, run_txn, small_cluster, write_load};
 use cumulo_core::{Cluster, ClusterConfig, PersistenceMode, Timestamp, Transaction, TxnError};
 use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
@@ -721,6 +721,11 @@ fn a_crashed_server_keeps_nothing_of_its_memory() {
     );
     assert!(recovered, "the failover did not finish");
     common::audit(&cluster, &history);
+    assert_eq!(
+        fingerprint(&cluster),
+        [3_442, 2_127, 2_115, 12],
+        "run fingerprint"
+    );
 }
 
 /// A client's death loses its memory whole (crash-stop, §3.2): its

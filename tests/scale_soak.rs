@@ -22,7 +22,7 @@
 mod common;
 
 use common::bank::{filler, Bank};
-use common::DiceFaults;
+use common::{fingerprint, DiceFaults};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
@@ -100,7 +100,7 @@ fn consolidate(cluster: &Cluster) -> u32 {
 /// settle point.
 /// `shift` burns that many RNG draws up front, displacing the whole
 /// downstream schedule.
-fn soak_run(seed: u64, shift: u64) {
+fn soak_run(seed: u64, shift: u64, pin: [u64; 4]) {
     let cluster = soak_cluster(seed);
     let history = cluster.attach_history();
     for _ in 0..shift {
@@ -177,34 +177,39 @@ fn soak_run(seed: u64, shift: u64) {
         committed.get(),
         cluster.metrics.sum("master.merge.rolled_back"),
     );
+    assert_eq!(
+        fingerprint(&cluster),
+        pin,
+        "seed {seed} shift {shift}: run fingerprint"
+    );
 }
 
 #[test]
 fn scale_soak_seed_1() {
-    soak_run(11_001, 0);
+    soak_run(11_001, 0, [72_316, 41_789, 41_504, 285]);
 }
 
 #[test]
 fn scale_soak_seed_1_shifted() {
-    soak_run(11_001, 7);
+    soak_run(11_001, 7, [80_577, 43_141, 43_097, 44]);
 }
 
 #[test]
 fn scale_soak_seed_2() {
-    soak_run(11_002, 0);
+    soak_run(11_002, 0, [89_032, 50_201, 50_139, 62]);
 }
 
 #[test]
 fn scale_soak_seed_2_shifted() {
-    soak_run(11_002, 13);
+    soak_run(11_002, 13, [85_462, 48_307, 48_190, 117]);
 }
 
 #[test]
 fn scale_soak_seed_3() {
-    soak_run(11_003, 0);
+    soak_run(11_003, 0, [88_064, 51_356, 51_082, 273]);
 }
 
 #[test]
 fn scale_soak_seed_3_shifted() {
-    soak_run(11_003, 29);
+    soak_run(11_003, 29, [87_096, 45_786, 45_761, 25]);
 }

@@ -26,7 +26,7 @@
 mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
-use common::{crash_for_adjacency, ChaosAction, ChaosSchedule};
+use common::{crash_for_adjacency, fingerprint, ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, Transaction, TransactionalClient};
 use cumulo_sim::{Sim, SimDuration};
 use std::cell::{Cell, RefCell};
@@ -324,6 +324,7 @@ fn scan_under_split_matches_oracle() {
 #[test]
 fn scan_under_merge_matches_oracle() {
     const SEED: u64 = 9202;
+    let mut fingerprints = Vec::new();
     for shift in [0u32, 3, 7] {
         let mut cfg = ClusterConfig {
             seed: SEED,
@@ -361,7 +362,17 @@ fn scan_under_merge_matches_oracle() {
         audit.stop.set(true);
         cluster.run_for(SimDuration::from_secs(30));
         final_audit(&cluster, &audit, &format!("shift {shift}"), 5, 3.0);
+        fingerprints.push(fingerprint(&cluster));
     }
+    assert_eq!(
+        fingerprints,
+        [
+            [15_048, 8_559, 8_547, 12],
+            [15_040, 8_565, 8_554, 11],
+            [15_154, 8_616, 8_606, 10]
+        ],
+        "run fingerprint per shift"
+    );
 }
 
 /// Servers crashing mid-continuation: with audits back-to-back on an
@@ -372,6 +383,7 @@ fn scan_under_merge_matches_oracle() {
 #[test]
 fn scan_with_server_crash_mid_continuation_matches_oracle() {
     const TICK: SimDuration = SimDuration::from_millis(300);
+    let mut fingerprints = Vec::new();
     for shift in [0u32, 3, 7] {
         let cluster = Cluster::build(ClusterConfig {
             seed: 9303,
@@ -403,7 +415,17 @@ fn scan_with_server_crash_mid_continuation_matches_oracle() {
             "shift {shift}: both crashes must be recovered"
         );
         final_audit(&cluster, &audit, &format!("shift {shift}"), 10, 6.0);
+        fingerprints.push(fingerprint(&cluster));
     }
+    assert_eq!(
+        fingerprints,
+        [
+            [20_189, 12_385, 12_184, 201],
+            [19_979, 12_215, 12_065, 150],
+            [20_055, 12_258, 12_083, 175]
+        ],
+        "run fingerprint per shift"
+    );
 }
 
 /// The quiescent counterpart of the chaos schedules above, exact where

@@ -23,7 +23,7 @@
 mod common;
 
 use common::bank::{filler, run_until, Bank};
-use common::changing_server;
+use common::{changing_server, fingerprint};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
@@ -115,6 +115,11 @@ fn crash_before_intent_persisted_recovers_parent() {
     }
     cluster.run_for(SimDuration::from_secs(30));
     BANK.assert_recovered(&cluster, &history, committed.get(), "split x failover");
+    assert_eq!(
+        fingerprint(&cluster),
+        [27_890, 16_952, 16_718, 234],
+        "run fingerprint"
+    );
 }
 
 /// Crash point 2: the intent is durable but the daughters never made it
@@ -169,6 +174,11 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
     }
     cluster.run_for(SimDuration::from_secs(30));
     BANK.assert_recovered(&cluster, &history, committed.get(), "split x failover");
+    assert_eq!(
+        fingerprint(&cluster),
+        [25_576, 15_460, 15_447, 13],
+        "run fingerprint"
+    );
 }
 
 /// Crash point 3: the split completed — daughters are live in the map
@@ -225,6 +235,11 @@ fn crash_after_daughters_online_fails_over_daughters() {
     assert!(
         cluster.master.failover_count() >= 1,
         "no failover was processed"
+    );
+    assert_eq!(
+        fingerprint(&cluster),
+        [31_628, 19_111, 18_899, 212],
+        "run fingerprint"
     );
 }
 

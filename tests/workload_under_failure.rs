@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{audit, ChaosAction, ChaosSchedule};
+use common::{audit, fingerprint, ChaosAction, ChaosSchedule};
 use cumulo_core::{Cluster, ClusterConfig, History, PersistenceMode};
 use cumulo_sim::SimDuration;
 use cumulo_ycsb::{Driver, KeyDistribution, Workload};
@@ -141,6 +141,11 @@ fn throughput_dips_and_recovers_around_a_server_crash() {
     // Nothing stuck: all regions online at the end.
     assert!(c.all_regions_online());
     audit(&c, &history);
+    assert_eq!(
+        fingerprint(&c),
+        [664_673, 402_027, 401_877, 150],
+        "run fingerprint"
+    );
 }
 
 #[test]
