@@ -748,16 +748,6 @@ impl Master {
     // through the simulated network first.
     // ------------------------------------------------------------------
 
-    /// Splits applied to the region map.
-    pub fn splits_applied(&self) -> u64 {
-        self.split_counters.applied.get()
-    }
-
-    /// Merges applied to the region map.
-    pub fn merges_applied(&self) -> u64 {
-        self.merge_counters.applied.get()
-    }
-
     fn counters(&self, kind: ChangeKind) -> &IntentCounters {
         kind.pick(
             &self.split_counters,

@@ -748,7 +748,7 @@ fn split_then_merge_of_a_fixed_schedule_is_pinned() {
     run_to(&c, 22_000);
     let daughters = server.hosted_regions();
     assert_eq!(daughters.len(), 2, "split at the 20 s tick");
-    assert_eq!(c.master.splits_applied(), 1);
+    assert_eq!(c.sim.metrics().sum("master.split.applied"), 1);
     put_rows(&c, 4_000, (0..120).step_by(11), "d");
     run_to(&c, 23_000);
     // Both daughters dirty: the trigger flushes them and the 28 s merge
@@ -758,7 +758,7 @@ fn split_then_merge_of_a_fixed_schedule_is_pinned() {
     // Absorbed after the pre-merge flush: combined at the flip.
     put_rows(&c, 5_000, (0..120).step_by(13), "e");
     run_to(&c, 29_500);
-    assert_eq!(c.master.merges_applied(), 1);
+    assert_eq!(c.sim.metrics().sum("master.merge.applied"), 1);
 
     let counts: Vec<(&str, u64)> = c
         .events
@@ -993,7 +993,7 @@ fn master_answers_of_a_fixed_schedule_are_pinned() {
         Some(4),
         "two move requests, each answered"
     );
-    assert_eq!(c.master.splits_applied(), 2);
+    assert_eq!(c.sim.metrics().sum("master.split.applied"), 2);
     assert_eq!(
         rs2.structure_stats(ChangeKind::Split).aborted.get(),
         1,
@@ -1125,7 +1125,7 @@ fn replication_of_a_fixed_schedule_is_pinned() {
     run_to(&c, 19_900);
     put(2);
     run_to(&c, 23_000);
-    assert_eq!(c.master.splits_applied(), 3);
+    assert_eq!(c.sim.metrics().sum("master.split.applied"), 3);
     put(3);
     // Ships lost behind a short partition, the next ones arrive: the
     // backup nacks the gap, the 26 s re-sync tick restores the lane.

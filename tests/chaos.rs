@@ -10,7 +10,8 @@
 
 mod common;
 
-use common::{audit, crash_first_observed, fingerprint, key, DiceFaults};
+use common::plan::{Action, Drive, FaultPlan, State, Victim};
+use common::{audit, fingerprint, key};
 use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::SimDuration;
 
@@ -40,10 +41,8 @@ fn chaos_run(seed: u64, pin: [u64; 4]) {
         ..ClusterConfig::default()
     });
     let history = cluster.attach_history();
-    let mut faults = DiceFaults::new();
-
-    for round in 0..90u64 {
-        // Load: every live client fires one 3-write transaction.
+    // Load: every live client fires one 3-write transaction a round.
+    let load = |cluster: &Cluster, round: u64| {
         for ci in 0..cluster.clients.len() {
             let client = cluster.client(ci).clone();
             if !client.is_alive() {
@@ -52,21 +51,27 @@ fn chaos_run(seed: u64, pin: [u64; 4]) {
             let rows: Vec<u64> = (0..3).map(|_| cluster.sim.gen_range(0, ROWS)).collect();
             write_rows(&client, rows, format!("s{seed}r{round}c{ci}"));
         }
-        cluster.run_for(SimDuration::from_millis(400));
-
-        // Continuous global invariant: the persisted threshold never
-        // passes the flushed threshold (§3.2: T_P ≤ T_F).
+    };
+    // Continuous global invariant: the persisted threshold never
+    // passes the flushed threshold (§3.2: T_P ≤ T_F).
+    let check = |cluster: &Cluster, round: u64| {
         assert!(
             cluster.rm.t_p() <= cluster.rm.t_f(),
             "seed {seed} round {round}: T_P {} > T_F {}",
             cluster.rm.t_p(),
             cluster.rm.t_f()
         );
-
-        // Fault injection, seed-derived (the shared dice lottery).
-        faults.round(&cluster);
-    }
-    faults.settle(&cluster);
+    };
+    let drive = Drive::rounds(90, SimDuration::from_millis(400))
+        .load(load)
+        .check(check);
+    // Fault injection, seed-derived (the shared dice lottery), after
+    // every round's check; a recovery manager it left down restarts at
+    // the end. The report is held so that a failed audit prints what the
+    // lottery did.
+    let _report = FaultPlan::new()
+        .every_round(Action::ROLL)
+        .run(&cluster, drive);
     // Converge: recoveries, replays, flush retries all drain.
     cluster.run_for(SimDuration::from_secs(40));
     assert!(
@@ -101,8 +106,7 @@ fn compaction_crash_run(seed: u64, pin: [u64; 4]) {
     cfg.server_cfg.compaction.check_interval = SimDuration::from_millis(700);
     let cluster = Cluster::build(cfg);
     let history = cluster.attach_history();
-    let mut crashed = false;
-    for round in 0..110u64 {
+    let load = |cluster: &Cluster, round: u64| {
         for ci in 0..cluster.clients.len() {
             let client = cluster.client(ci).clone();
             if !client.is_alive() {
@@ -111,18 +115,19 @@ fn compaction_crash_run(seed: u64, pin: [u64; 4]) {
             let rows: Vec<u64> = (0..3).map(|_| cluster.sim.gen_range(0, ROWS)).collect();
             write_rows(&client, rows, format!("s{seed}r{round}c{ci}{:#>120}", ""));
         }
-        // Fine-grained steps so the (short) in-flight compaction window
-        // can be caught: crash the first server seen mid-compaction.
-        for _ in 0..15 {
-            cluster.run_for(SimDuration::from_millis(20));
-            if !crashed && round > 20 {
-                crashed = crash_first_observed(&cluster, |s, r| s.compaction_in_progress(r));
-            }
-        }
-    }
-    assert!(
-        crashed,
-        "seed {seed}: no compaction was ever in flight; tune the cadence"
+    };
+    // Fine-grained steps so the (short) in-flight compaction window
+    // can be caught: crash the first server seen mid-compaction, from
+    // round 21 on.
+    const TICK: SimDuration = SimDuration::from_millis(300);
+    const STEP: SimDuration = SimDuration::from_millis(20);
+    let crash = Action::CrashServer(Victim::Observed);
+    let report = FaultPlan::new()
+        .when(State::Compacting, TICK * 21 + STEP, STEP, crash)
+        .run(&cluster, Drive::rounds(110, TICK).load(load));
+    report.assert_fired(
+        0,
+        &format!("seed {seed}: no compaction was ever in flight; tune the cadence"),
     );
     cluster.run_for(SimDuration::from_secs(40));
     assert!(

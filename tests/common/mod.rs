@@ -1,20 +1,17 @@
-//! Shared deterministic chaos-schedule helpers for the failure suites.
+//! Shared deterministic fault-injection helpers for the failure suites.
 //!
-//! Three fault-injection shapes recur across `tests/{chaos, partitions,
-//! workload_under_failure, replication_chaos}.rs`:
+//! Every fault a suite injects is a step of one [`plan::FaultPlan`]: a
+//! `Debug`-printable list of `(Trigger, Action)` pairs whose
+//! triggers are a time offset, an observed cluster state or every round,
+//! and whose actions are crashes, partitions, heals, recovery-manager
+//! flaps and the seed-derived chaos lottery ([`plan::Action::Roll`]).
+//! [`plan::FaultPlan::run`] drives a cluster through rounds of load under
+//! it and returns a [`plan::Report`] of what fired, when, and on whom; a failure
+//! message prints the plan, the report and the seed.
 //!
-//! 1. **Fixed schedules** — crash/partition/heal actions pinned to
-//!    simulated-time offsets ([`ChaosSchedule`]), run either as pure
-//!    time ([`ChaosSchedule::run`]) or interleaved with per-round load
-//!    ([`ChaosSchedule::run_rounds`]).
-//! 2. **Seed-derived dice faults** — a per-round fault lottery drawn
-//!    from the cluster's RNG ([`DiceFaults`]), exactly reproducible
-//!    from the seed.
-//! 3. **Crash-when-observed** — crash the first server caught in some
-//!    transient state, e.g. mid-compaction or mid-split
-//!    ([`crash_first_observed`]).
-//!
-//! The merge suites' setup crash, which has a precondition of its own, is
+//! The structure-change suites' three crash points are written once, in
+//! [`crash_points`], for splits, merges and moves. The merge suites'
+//! setup crash, which has a precondition of its own, is
 //! [`crash_for_adjacency`].
 //!
 //! Every helper draws randomness only through `cluster.sim`, so a
@@ -25,8 +22,8 @@
 //! [`audit`] checks a run's recorded history and reads back what it
 //! wrote.
 //! [`replication_digest`] turns what a run's replication did into one
-//! number a suite can pin, and [`lines_digest`] does the same for how a
-//! run's journal records render.
+//! number a suite can pin, [`lines_digest`] does the same for how a
+//! run's journal records render, and [`fingerprint`] for a whole run.
 //!
 //! The setup every suite repeats is here once: the row [`key`], the
 //! three-client [`small_cluster`], [`run_txn`] / [`begin_txn`] to drive
@@ -38,10 +35,14 @@
 )]
 
 pub mod bank;
+pub mod crash_points;
+pub mod plan;
+
+use plan::{Action, Drive, FaultPlan, Victim};
 
 use cumulo_core::{Cluster, ClusterConfig, History, Timestamp, Transaction, TxnError};
-use cumulo_sim::{JournalEntry, NodeId, SimDuration};
-use cumulo_store::{ChangeKind, RegionId, RegionServer, ServerId};
+use cumulo_sim::{JournalEntry, SimDuration};
+use cumulo_store::{RegionId, ServerId};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -158,222 +159,6 @@ pub fn audit(cluster: &Cluster, history: &History) -> usize {
     read_back.len()
 }
 
-/// One fault-injection step in a [`ChaosSchedule`].
-pub enum ChaosAction {
-    /// Crash the i-th region server.
-    CrashServer(usize),
-    /// Crash the i-th client.
-    CrashClient(usize),
-    /// Partition the i-th region server's node from every other node
-    /// (the machine drops off the rack switch; the process stays up).
-    IsolateServer(usize),
-    /// Remove every installed partition.
-    HealAll,
-    /// Partition a specific node pair.
-    Partition(NodeId, NodeId),
-    /// Heal a specific node pair.
-    Heal(NodeId, NodeId),
-    /// Crash the recovery manager process.
-    CrashRecoveryManager,
-    /// Restart the recovery manager process.
-    RestartRecoveryManager,
-}
-
-/// A deterministic schedule of [`ChaosAction`]s at simulated-time
-/// offsets (relative to when the run starts). Steps at equal offsets
-/// apply in insertion order.
-pub struct ChaosSchedule {
-    steps: Vec<(SimDuration, ChaosAction)>,
-}
-
-impl ChaosSchedule {
-    pub fn new() -> Self {
-        Self { steps: Vec::new() }
-    }
-
-    /// Builder: apply `action` once `offset` of simulated time has
-    /// elapsed since the run began.
-    pub fn at(mut self, offset: SimDuration, action: ChaosAction) -> Self {
-        self.steps.push((offset, action));
-        self
-    }
-
-    fn apply(cluster: &Cluster, action: &ChaosAction) {
-        match action {
-            ChaosAction::CrashServer(i) => cluster.crash_server(*i),
-            ChaosAction::CrashClient(i) => cluster.crash_client(*i),
-            ChaosAction::IsolateServer(i) => cluster.net.isolate(cluster.servers[*i].node()),
-            ChaosAction::HealAll => cluster.net.heal_all(),
-            ChaosAction::Partition(a, b) => cluster.net.partition(*a, *b),
-            ChaosAction::Heal(a, b) => cluster.net.heal(*a, *b),
-            ChaosAction::CrashRecoveryManager => cluster.crash_recovery_manager(),
-            ChaosAction::RestartRecoveryManager => cluster.restart_recovery_manager(),
-        }
-    }
-
-    fn sorted(&self) -> Vec<&(SimDuration, ChaosAction)> {
-        let mut steps: Vec<&(SimDuration, ChaosAction)> = self.steps.iter().collect();
-        steps.sort_by_key(|(t, _)| *t); // stable: ties keep insertion order
-        steps
-    }
-
-    /// Pure-time run: advance the cluster to each step's offset in
-    /// order, apply it, then run out the remainder of `total`.
-    pub fn run(&self, cluster: &Cluster, total: SimDuration) {
-        let mut elapsed = SimDuration::ZERO;
-        for (t, action) in self.sorted() {
-            if *t > elapsed {
-                cluster.run_for(t.saturating_sub(elapsed));
-                elapsed = *t;
-            }
-            Self::apply(cluster, action);
-        }
-        if total > elapsed {
-            cluster.run_for(total.saturating_sub(elapsed));
-        }
-    }
-
-    /// Round-based run under load: each round first applies every step
-    /// due at or before the round's start offset, then fires `load`,
-    /// then advances one `tick`. Steps due after the final round still
-    /// apply at the end (offset exactly `rounds * tick`).
-    pub fn run_rounds(
-        &self,
-        cluster: &Cluster,
-        rounds: u64,
-        tick: SimDuration,
-        mut load: impl FnMut(&Cluster, u64),
-    ) {
-        let steps = self.sorted();
-        let mut next = 0usize;
-        for round in 0..rounds {
-            let now = tick * round;
-            while next < steps.len() && steps[next].0 <= now {
-                Self::apply(cluster, &steps[next].1);
-                next += 1;
-            }
-            load(cluster, round);
-            cluster.run_for(tick);
-        }
-        while next < steps.len() {
-            Self::apply(cluster, &steps[next].1);
-            next += 1;
-        }
-    }
-}
-
-impl Default for ChaosSchedule {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The chaos suite's per-round fault lottery: each call rolls one
-/// `[0, 100)` die from the cluster RNG and maybe crashes a server,
-/// crashes a client, or flaps the recovery manager — bounded so the
-/// cluster can always still make progress. Deterministic in the seed.
-pub struct DiceFaults {
-    /// Never take more than this many servers down.
-    pub max_servers_down: usize,
-    /// Never crash a client when only this many remain alive.
-    pub min_live_clients: usize,
-    rm_down: bool,
-    servers_down: usize,
-}
-
-impl DiceFaults {
-    pub fn new() -> Self {
-        Self {
-            max_servers_down: 2,
-            min_live_clients: 2,
-            rm_down: false,
-            servers_down: 0,
-        }
-    }
-
-    /// Rolls this round's fault die and applies the outcome.
-    pub fn round(&mut self, cluster: &Cluster) {
-        let dice = cluster.sim.gen_range(0, 100);
-        match dice {
-            0..=3 if self.servers_down < self.max_servers_down => {
-                // Crash a random live server (always keep one).
-                let live: Vec<usize> = (0..cluster.servers.len())
-                    .filter(|i| cluster.servers[*i].is_alive())
-                    .collect();
-                if live.len() > 1 {
-                    let victim = live[cluster.sim.gen_range(0, live.len() as u64) as usize];
-                    cluster.crash_server(victim);
-                    self.servers_down += 1;
-                }
-            }
-            4..=6 => {
-                // Crash a random live client (keep a quorum of them).
-                let live: Vec<usize> = (0..cluster.clients.len())
-                    .filter(|i| cluster.clients[*i].is_alive())
-                    .collect();
-                if live.len() > self.min_live_clients {
-                    let victim = live[cluster.sim.gen_range(0, live.len() as u64) as usize];
-                    cluster.crash_client(victim);
-                }
-            }
-            7..=8 if !self.rm_down => {
-                cluster.crash_recovery_manager();
-                self.rm_down = true;
-            }
-            9..=11 if self.rm_down => {
-                cluster.restart_recovery_manager();
-                self.rm_down = false;
-            }
-            _ => {}
-        }
-    }
-
-    /// End of schedule: bring a downed recovery manager back so the
-    /// convergence phase can drain.
-    pub fn settle(&mut self, cluster: &Cluster) {
-        if self.rm_down {
-            cluster.restart_recovery_manager();
-            self.rm_down = false;
-        }
-    }
-}
-
-impl Default for DiceFaults {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Crashes the first live server observed with a hosted region in the
-/// state `pred` describes (mid-compaction, mid-split, …). Returns true
-/// if a victim was found and crashed. Poll this between fine-grained
-/// `run_for` steps to land a crash inside a transient window.
-pub fn crash_first_observed(
-    cluster: &Cluster,
-    pred: impl Fn(&RegionServer, RegionId) -> bool,
-) -> bool {
-    let victim = (0..cluster.servers.len()).find(|&i| {
-        let s = &cluster.servers[i];
-        s.is_alive() && s.hosted_regions().iter().any(|r| pred(s, *r))
-    });
-    match victim {
-        Some(v) => {
-            cluster.crash_server(v);
-            true
-        }
-        None => false,
-    }
-}
-
-/// The index of the live server with a structure change of `kind`
-/// pending or executing, if any.
-pub fn changing_server(cluster: &Cluster, kind: ChangeKind) -> Option<usize> {
-    cluster
-        .servers
-        .iter()
-        .position(|s| s.is_alive() && s.pending_change() == Some(kind))
-}
-
 /// The merge suites' setup crash. Merge candidates are *adjacent
 /// co-hosted* regions, which the bootstrap striping never produces, so
 /// each merge schedule first runs ten rounds of `load` (300 ms apart),
@@ -386,11 +171,11 @@ pub fn changing_server(cluster: &Cluster, kind: ChangeKind) -> Option<usize> {
 /// server can propose. A seed that fails here is re-seeded, not waited
 /// out.
 pub fn crash_for_adjacency(cluster: &Cluster, schedule: &str, mut load: impl FnMut()) {
-    for _ in 0..10 {
-        load();
-        cluster.run_for(SimDuration::from_millis(300));
-    }
-    cluster.crash_server(cluster.servers.len() - 1);
+    const TICK: SimDuration = SimDuration::from_millis(300);
+    let last = Victim::Index(cluster.servers.len() - 1);
+    FaultPlan::new()
+        .at_end(Action::CrashServer(last))
+        .run(cluster, Drive::rounds(10, TICK).load(|_, _| load()));
     let recovered = bank::run_until(
         cluster,
         SimDuration::from_millis(200),

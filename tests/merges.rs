@@ -1,6 +1,6 @@
 //! Online region merges racing the failure-recovery machinery: the
-//! merge-under-failure suite, mirroring `tests/splits.rs` for the
-//! reverse operation.
+//! merge-under-failure suite, the reverse operation of `tests/splits.rs`
+//! through the same three crash points.
 //!
 //! A merge is a region-map change racing the T_F/T_P recovery protocol.
 //! These tests crash the merging server at the three interesting points
@@ -29,9 +29,9 @@
 
 mod common;
 
-use common::bank::{run_until, Bank};
-use common::{changing_server, crash_for_adjacency, fingerprint};
-use cumulo_core::{Cluster, ClusterConfig, History};
+use common::bank::Bank;
+use common::crash_points::CrashPoints;
+use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
 use std::cell::Cell;
@@ -62,18 +62,21 @@ fn merge_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// A merge cluster after its setup crash under bank-transfer load, the
-/// history it records from its start, and the count of transfers
-/// committed so far.
-fn merge_cluster_with_adjacency(seed: u64) -> (Cluster, History, Rc<Cell<u32>>) {
-    let cluster = merge_cluster(seed);
-    let history = cluster.attach_history();
-    let committed = Rc::new(Cell::new(0u32));
-    crash_for_adjacency(&cluster, &format!("seed {seed}"), || {
-        BANK.transfer_round(&cluster, &committed)
-    });
-    (cluster, history, committed)
+/// One load round: every live client fires a transfer.
+fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, _: u64) {
+    BANK.transfer_round(cluster, committed);
 }
+
+/// The three crash points (`common::crash_points`), each after the
+/// setup crash; a merge crash point polls its intent window every 2 ms.
+const MERGES: CrashPoints = CrashPoints {
+    kind: ChangeKind::Merge,
+    cluster: merge_cluster,
+    load: round,
+    bank: BANK,
+    adjacency: true,
+    intent_step: SimDuration::from_millis(2),
+};
 
 /// Crash point 1: the merging server dies while a merge is pending
 /// server-side but *before* any intent reached the filesystem. Nothing
@@ -81,46 +84,7 @@ fn merge_cluster_with_adjacency(seed: u64) -> (Cluster, History, Rc<Cell<u32>>) 
 /// the merge had never been considered.
 #[test]
 fn crash_before_intent_persisted_recovers_daughters() {
-    let (cluster, history, committed) = merge_cluster_with_adjacency(8101);
-    // Drive load until a merge candidacy is accepted somewhere and no
-    // intent has been persisted yet, then crash that server mid-window
-    // (the window spans the pre-merge flush of both daughters, so
-    // coarse polling catches it).
-    let mut caught = false;
-    for _ in 0..600 {
-        BANK.transfer_round(&cluster, &committed);
-        if run_until(
-            &cluster,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(200),
-            || {
-                changing_server(&cluster, ChangeKind::Merge).is_some()
-                    && cluster.metrics.sum("master.merge.intents_persisted") == 0
-            },
-        ) {
-            caught = true;
-            break;
-        }
-    }
-    assert!(caught, "no merge candidacy was ever observed");
-    let victim = changing_server(&cluster, ChangeKind::Merge).expect("just observed");
-    assert_eq!(
-        cluster.metrics.sum("master.merge.intents_persisted"),
-        0,
-        "crash point 1 requires no durable intent"
-    );
-    cluster.crash_server(victim);
-    for _ in 0..20 {
-        BANK.transfer_round(&cluster, &committed);
-        cluster.run_for(SimDuration::from_millis(400));
-    }
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), "merge x failover");
-    assert_eq!(
-        fingerprint(&cluster),
-        [20_368, 12_070, 11_953, 117],
-        "run fingerprint"
-    );
+    MERGES.before_intent(8101, [20_368, 12_070, 11_953, 117]);
 }
 
 /// Crash point 2: the intent is durable but the merged region never made
@@ -129,52 +93,7 @@ fn crash_before_intent_persisted_recovers_daughters() {
 /// saw the merged id — and recover the daughters on survivors.
 #[test]
 fn crash_after_intent_before_merged_online_rolls_back() {
-    let (cluster, history, committed) = merge_cluster_with_adjacency(8202);
-    let mut caught = false;
-    for _ in 0..600 {
-        BANK.transfer_round(&cluster, &committed);
-        // Fine-grained stepping: the window between the durable intent
-        // and the map flip is a handful of DFS marker writes wide.
-        if run_until(
-            &cluster,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(200),
-            || {
-                cluster.metrics.sum("master.merge.intents_persisted") > 0
-                    && cluster.master.merges_applied() == 0
-            },
-        ) {
-            caught = true;
-            break;
-        }
-        if cluster.master.merges_applied() > 0 {
-            panic!("merge completed before the crash window could be hit; lower the step size");
-        }
-    }
-    assert!(caught, "never caught the intent-persisted window");
-    let victim =
-        changing_server(&cluster, ChangeKind::Merge).expect("a server holds the granted intent");
-    cluster.crash_server(victim);
-    // The master's failover must roll the intent back (never serve the
-    // merged region of an unapplied merge).
-    let rolled = run_until(
-        &cluster,
-        SimDuration::from_millis(100),
-        SimDuration::from_secs(30),
-        || cluster.metrics.sum("master.merge.rolled_back") > 0,
-    );
-    assert!(rolled, "failover did not roll the durable intent back");
-    for _ in 0..20 {
-        BANK.transfer_round(&cluster, &committed);
-        cluster.run_for(SimDuration::from_millis(400));
-    }
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), "merge x failover");
-    assert_eq!(
-        fingerprint(&cluster),
-        [21_051, 12_512, 12_479, 33],
-        "run fingerprint"
-    );
+    MERGES.after_intent(8202, [21_051, 12_512, 12_479, 33]);
 }
 
 /// Crash point 3: the merge completed — the merged region is live in the
@@ -185,50 +104,5 @@ fn crash_after_intent_before_merged_online_rolls_back() {
 /// merged region by row).
 #[test]
 fn crash_after_merged_online_fails_over_merged_region() {
-    let (cluster, history, committed) = merge_cluster_with_adjacency(8303);
-    let mut applied = false;
-    for _ in 0..600 {
-        BANK.transfer_round(&cluster, &committed);
-        cluster.run_for(SimDuration::from_millis(200));
-        if cluster.master.merges_applied() > 0 {
-            applied = true;
-            break;
-        }
-    }
-    assert!(applied, "no merge was ever applied");
-    // Let the merged region absorb post-merge writes before the crash.
-    for _ in 0..8 {
-        BANK.transfer_round(&cluster, &committed);
-        cluster.run_for(SimDuration::from_millis(300));
-    }
-    // Crash the server hosting a merged region (initial max id was 7,
-    // so any region id >= 8 is merge output).
-    let map = cluster.master.snapshot_map();
-    let merged_server = map
-        .regions()
-        .iter()
-        .filter(|d| d.id.0 >= 8)
-        .find_map(|d| map.server_for(d.id))
-        .expect("an assigned merged region");
-    let victim = cluster
-        .servers
-        .iter()
-        .position(|s| s.id() == merged_server)
-        .expect("directory index");
-    cluster.crash_server(victim);
-    for _ in 0..25 {
-        BANK.transfer_round(&cluster, &committed);
-        cluster.run_for(SimDuration::from_millis(400));
-    }
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), "merge x failover");
-    assert!(
-        cluster.master.failover_count() >= 2,
-        "the merged region's failover was not processed"
-    );
-    assert_eq!(
-        fingerprint(&cluster),
-        [24_705, 14_587, 14_460, 127],
-        "run fingerprint"
-    );
+    MERGES.after_apply(8303, [24_705, 14_587, 14_460, 127]);
 }

@@ -1,6 +1,6 @@
 //! Proactive moves racing the failure-recovery machinery: the
-//! move-under-failure suite, mirroring `tests/splits.rs` for the 1→1
-//! structure change.
+//! move-under-failure suite, the 1→1 structure change through the same
+//! three crash points as `tests/splits.rs`.
 //!
 //! A move is a region-map change racing the T_F/T_P recovery protocol:
 //! the donor flushes the region, the master persists an intent, the
@@ -24,12 +24,11 @@
 
 mod common;
 
-use common::bank::{filler, run_until, Bank};
-use common::{changing_server, fingerprint};
+use common::bank::{filler, Bank};
+use common::crash_points::CrashPoints;
 use cumulo_core::{Cluster, ClusterConfig};
-use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
-use cumulo_store::{ChangeKind, RegionId};
+use cumulo_store::ChangeKind;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -42,7 +41,6 @@ const BANK: Bank = Bank {
     accounts: ACCOUNTS,
     initial: INITIAL,
 };
-const LABEL: &str = "move x failover";
 
 /// A move-happy cluster: moves on at a low load ratio (as
 /// `tests/partitions.rs` sets it), two regions per server, small
@@ -74,14 +72,16 @@ fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, round_no: u64) {
     }
 }
 
-/// `rounds` more rounds, `gap` apart.
-fn keep_loading(cluster: &Cluster, committed: &Rc<Cell<u32>>, rounds: &mut u64, n: u64, gap: u64) {
-    for _ in 0..n {
-        round(cluster, committed, *rounds);
-        *rounds += 1;
-        cluster.run_for(SimDuration::from_millis(gap));
-    }
-}
+/// The three crash points (`common::crash_points`): a move crash point
+/// polls its intent window every millisecond.
+const MOVES: CrashPoints = CrashPoints {
+    kind: ChangeKind::Move,
+    cluster: move_cluster,
+    load: round,
+    bank: BANK,
+    adjacency: false,
+    intent_step: SimDuration::from_millis(1),
+};
 
 /// Crash point 1: the donor dies while a move is pending server-side but
 /// *before* any intent reached the filesystem. Nothing durable mentions
@@ -89,45 +89,7 @@ fn keep_loading(cluster: &Cluster, committed: &Rc<Cell<u32>>, rounds: &mut u64, 
 /// considered.
 #[test]
 fn crash_before_intent_persisted_recovers_the_region() {
-    let cluster = move_cluster(5101);
-    let history = cluster.attach_history();
-    let committed = Rc::new(Cell::new(0u32));
-    let mut rounds = 0u64;
-    // The window spans the pre-move flush and the move's 200 ms poll, so
-    // coarse polling catches it.
-    let mut caught = false;
-    for _ in 0..600 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        if run_until(
-            &cluster,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(200),
-            || {
-                changing_server(&cluster, ChangeKind::Move).is_some()
-                    && cluster.metrics.sum("master.move.intents_persisted") == 0
-            },
-        ) {
-            caught = true;
-            break;
-        }
-    }
-    assert!(caught, "no move candidacy was ever observed");
-    let victim = changing_server(&cluster, ChangeKind::Move).expect("just observed");
-    assert_eq!(
-        cluster.metrics.sum("master.move.intents_persisted"),
-        0,
-        "crash point 1 requires no durable intent"
-    );
-    cluster.crash_server(victim);
-    keep_loading(&cluster, &committed, &mut rounds, 20, 400);
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), LABEL);
-    assert_eq!(
-        fingerprint(&cluster),
-        [45_728, 27_891, 27_696, 195],
-        "run fingerprint"
-    );
+    MOVES.before_intent(5101, [45_728, 27_891, 27_696, 195]);
 }
 
 /// Crash point 2: the intent is durable but the donor has not flipped,
@@ -137,52 +99,7 @@ fn crash_before_intent_persisted_recovers_the_region() {
 /// region on a survivor.
 #[test]
 fn crash_after_intent_before_the_flip_rolls_back() {
-    let cluster = move_cluster(5202);
-    let history = cluster.attach_history();
-    let committed = Rc::new(Cell::new(0u32));
-    let mut rounds = 0u64;
-    let mut caught = false;
-    for _ in 0..600 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        // Fine-grained stepping: the window between the durable intent
-        // and the flip is a handful of DFS marker writes wide.
-        if run_until(
-            &cluster,
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(200),
-            || {
-                cluster.metrics.sum("master.move.intents_persisted") > 0
-                    && cluster.metrics.sum("master.move.applied") == 0
-                    && changing_server(&cluster, ChangeKind::Move).is_some()
-            },
-        ) {
-            caught = true;
-            break;
-        }
-        if cluster.metrics.sum("master.move.applied") > 0 {
-            panic!("move completed before the crash window could be hit; lower the step size");
-        }
-    }
-    assert!(caught, "never caught the intent-persisted window");
-    let victim =
-        changing_server(&cluster, ChangeKind::Move).expect("the donor holds the granted intent");
-    cluster.crash_server(victim);
-    let rolled = run_until(
-        &cluster,
-        SimDuration::from_millis(100),
-        SimDuration::from_secs(30),
-        || cluster.metrics.sum("master.move.rolled_back") > 0,
-    );
-    assert!(rolled, "failover did not roll the durable intent back");
-    keep_loading(&cluster, &committed, &mut rounds, 20, 400);
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), LABEL);
-    assert_eq!(
-        fingerprint(&cluster),
-        [39_011, 23_848, 23_835, 13],
-        "run fingerprint"
-    );
+    MOVES.after_intent(5202, [39_011, 23_848, 23_835, 13]);
 }
 
 /// Crash point 3: the move completed — the output is in the map, placed
@@ -192,57 +109,5 @@ fn crash_after_intent_before_the_flip_rolls_back() {
 /// master wrote from the donor's leftover cells, and its new host's WAL.
 #[test]
 fn crash_of_the_outputs_host_fails_the_output_over() {
-    let cluster = move_cluster(5303);
-    let history = cluster.attach_history();
-    let committed = Rc::new(Cell::new(0u32));
-    let mut rounds = 0u64;
-    let mut applied = false;
-    for _ in 0..600 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        cluster.run_for(SimDuration::from_millis(200));
-        if cluster.metrics.sum("master.move.applied") > 0 {
-            applied = true;
-            break;
-        }
-    }
-    assert!(applied, "no move was ever applied");
-    let moved = cluster
-        .events
-        .entries()
-        .into_iter()
-        .rev()
-        .find(|e| e.kind == "move.applied")
-        .and_then(|e| match e.field("moved") {
-            Some(&Value::Id("r", n)) => Some(RegionId(n)),
-            _ => None,
-        })
-        .expect("the applied move names its output");
-    // Let the output open on its new host and absorb writes (well inside
-    // the next move tick).
-    keep_loading(&cluster, &committed, &mut rounds, 8, 300);
-    let host = cluster
-        .master
-        .snapshot_map()
-        .server_for(moved)
-        .expect("the output is placed");
-    let victim = cluster
-        .servers
-        .iter()
-        .position(|s| s.id() == host)
-        .expect("directory index");
-    assert!(cluster.servers[victim].region_online(moved));
-    cluster.crash_server(victim);
-    keep_loading(&cluster, &committed, &mut rounds, 25, 400);
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), LABEL);
-    assert!(
-        cluster.master.failover_count() >= 1,
-        "no failover was processed"
-    );
-    assert_eq!(
-        fingerprint(&cluster),
-        [30_562, 18_825, 18_625, 200],
-        "run fingerprint"
-    );
+    MOVES.after_apply(5303, [30_562, 18_825, 18_625, 200]);
 }

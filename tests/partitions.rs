@@ -6,7 +6,8 @@
 mod common;
 
 use bytes::Bytes;
-use common::{fingerprint, lines_digest, ChaosAction, ChaosSchedule};
+use common::plan::{Action, Drive, FaultPlan};
+use common::{fingerprint, lines_digest};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
 use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
@@ -169,16 +170,16 @@ fn healed_partition_before_timeout_causes_no_recovery() {
     let client = cluster.client(0).clone();
     let coord_node = cluster.coord.node();
     // Brief partition (1 s) — well under the 3 s session timeout.
-    ChaosSchedule::new()
+    FaultPlan::new()
         .at(
             SimDuration::ZERO,
-            ChaosAction::Partition(client.node(), coord_node),
+            Action::Partition(client.node(), coord_node),
         )
         .at(
             SimDuration::from_secs(1),
-            ChaosAction::Heal(client.node(), coord_node),
+            Action::Heal(client.node(), coord_node),
         )
-        .run(&cluster, SimDuration::from_secs(11));
+        .run(&cluster, Drive::time(SimDuration::from_secs(11)));
     assert_eq!(
         cluster.rm.client_recovery_count(),
         0,
@@ -228,12 +229,12 @@ fn partitioned_server_is_failed_over_like_a_crash() {
     // expires, the master reassigns, recovery replays.
     let server_node = cluster.servers[0].node();
     let coord_node = cluster.coord.node();
-    ChaosSchedule::new()
+    FaultPlan::new()
         .at(
             SimDuration::ZERO,
-            ChaosAction::Partition(server_node, coord_node),
+            Action::Partition(server_node, coord_node),
         )
-        .run(&cluster, SimDuration::from_secs(15));
+        .run(&cluster, Drive::time(SimDuration::from_secs(15)));
     assert!(
         cluster.master.failover_count() >= 1,
         "partition must trigger failover"

@@ -16,13 +16,10 @@
 mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
-use common::{
-    audit, crash_first_observed, key, replication_digest, replication_lines_digest, run_txn,
-    ChaosAction, ChaosSchedule,
-};
+use common::plan::{Action, Drive, FaultPlan, State, Victim};
+use common::{audit, key, replication_digest, replication_lines_digest, run_txn};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
-use cumulo_store::ChangeKind;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -35,6 +32,11 @@ const BANK: Bank = Bank {
     accounts: ACCOUNTS,
     initial: INITIAL,
 };
+
+/// The transfer load every schedule below fires each round.
+fn load(committed: &Rc<Cell<u32>>) -> impl FnMut(&Cluster, u64) + '_ {
+    |cluster, _| BANK.transfer_round(cluster, committed)
+}
 
 fn replicated_config(seed: u64) -> ClusterConfig {
     ClusterConfig {
@@ -62,11 +64,9 @@ fn primary_crash_promotes_backup_and_conserves_balances() {
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
         // Crash server 0 after 21 rounds of load.
-        ChaosSchedule::new()
-            .at(TICK * 21, ChaosAction::CrashServer(0))
-            .run_rounds(&cluster, 40, TICK, |cluster, _| {
-                BANK.transfer_round(cluster, &committed)
-            });
+        FaultPlan::new()
+            .at(TICK * 21, Action::CrashServer(Victim::Index(0)))
+            .run(&cluster, Drive::rounds(40, TICK).load(load(&committed)));
         cluster.run_for(SimDuration::from_secs(25));
         assert!(
             cluster.all_regions_online(),
@@ -130,9 +130,7 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
         let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
-        ChaosSchedule::new().run_rounds(&cluster, 40, TICK, |cluster, _| {
-            BANK.transfer_round(cluster, &committed)
-        });
+        FaultPlan::new().run(&cluster, Drive::rounds(40, TICK).load(load(&committed)));
         cluster.run_for(SimDuration::from_secs(5));
         assert!(committed.get() > 50, "shift {shift}: too few transfers");
         for server in &cluster.servers {
@@ -155,11 +153,9 @@ fn two_backup_lanes_stay_in_sync_and_promote() {
         let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
-        ChaosSchedule::new()
-            .at(TICK * 21, ChaosAction::CrashServer(0))
-            .run_rounds(&cluster, 40, TICK, |cluster, _| {
-                BANK.transfer_round(cluster, &committed)
-            });
+        FaultPlan::new()
+            .at(TICK * 21, Action::CrashServer(Victim::Index(0)))
+            .run(&cluster, Drive::rounds(40, TICK).load(load(&committed)));
         cluster.run_for(SimDuration::from_secs(25));
         assert!(
             cluster.all_regions_online(),
@@ -214,12 +210,10 @@ fn partitioned_primary_is_fenced_after_promotion() {
         let committed = Rc::new(Cell::new(0u32));
         // Mid-commit: the isolation lands while transfers are still in
         // flight toward the servers; the heal comes six seconds later.
-        ChaosSchedule::new()
-            .at(TICK * 20, ChaosAction::IsolateServer(0))
-            .at(TICK * 36, ChaosAction::HealAll)
-            .run_rounds(&cluster, 50, TICK, |cluster, _| {
-                BANK.transfer_round(cluster, &committed)
-            });
+        FaultPlan::new()
+            .at(TICK * 20, Action::IsolateServer(0))
+            .at(TICK * 36, Action::HealAll)
+            .run(&cluster, Drive::rounds(50, TICK).load(load(&committed)));
         cluster.run_for(SimDuration::from_secs(25));
         assert!(
             cluster.master.failover_count() >= 1,
@@ -291,8 +285,7 @@ fn fenced_primary_stops_reporting_its_lanes() {
     let cluster = Cluster::build(replicated_config(8202));
     let history = cluster.attach_history();
     let committed = Rc::new(Cell::new(0u32));
-    let load = |cluster: &Cluster, _| BANK.transfer_round(cluster, &committed);
-    ChaosSchedule::new().run_rounds(&cluster, 20, TICK, load);
+    FaultPlan::new().run(&cluster, Drive::rounds(20, TICK).load(load(&committed)));
     // Isolate server 0 the moment it has shipped something unacked.
     BANK.transfer_round(&cluster, &committed);
     let backlog = cluster.servers[0].replication_stats().backlog_bytes.clone();
@@ -301,10 +294,10 @@ fn fenced_primary_stops_reporting_its_lanes() {
         run_until(&cluster, step, TICK, || backlog.get() > 0),
         "server 0 shipped nothing this round; pick another seed"
     );
-    ChaosSchedule::new()
-        .at(SimDuration::ZERO, ChaosAction::IsolateServer(0))
-        .at(TICK * 16, ChaosAction::HealAll)
-        .run_rounds(&cluster, 30, TICK, load);
+    FaultPlan::new()
+        .at(SimDuration::ZERO, Action::IsolateServer(0))
+        .at(TICK * 16, Action::HealAll)
+        .run(&cluster, Drive::rounds(30, TICK).load(load(&committed)));
     cluster.run_for(SimDuration::from_secs(5));
     assert!(
         cluster.servers[0].replication_stats().fenced.get() > 0,
@@ -375,11 +368,9 @@ fn a_sync_lost_on_an_out_of_sync_lane_is_retried() {
     );
 
     let committed = Rc::new(Cell::new(0u32));
-    ChaosSchedule::new()
-        .at(TICK * 5, ChaosAction::CrashServer(0))
-        .run_rounds(&cluster, 20, TICK, |cluster, _| {
-            BANK.transfer_round(cluster, &committed)
-        });
+    FaultPlan::new()
+        .at(TICK * 5, Action::CrashServer(Victim::Index(0)))
+        .run(&cluster, Drive::rounds(20, TICK).load(load(&committed)));
     cluster.run_for(SimDuration::from_secs(25));
     assert!(cluster.all_regions_online(), "regions failed to converge");
     assert!(committed.get() > 50, "too few transfers committed");
@@ -420,12 +411,10 @@ fn all_replicas_dead_falls_back_to_replay() {
         // With 3 servers and rf=2, killing two servers in the same
         // instant leaves regions whose primary and only backup are both
         // dead.
-        ChaosSchedule::new()
-            .at(TICK * 21, ChaosAction::CrashServer(0))
-            .at(TICK * 21, ChaosAction::CrashServer(1))
-            .run_rounds(&cluster, 45, TICK, |cluster, _| {
-                BANK.transfer_round(cluster, &committed)
-            });
+        FaultPlan::new()
+            .at(TICK * 21, Action::CrashServer(Victim::Index(0)))
+            .at(TICK * 21, Action::CrashServer(Victim::Index(1)))
+            .run(&cluster, Drive::rounds(45, TICK).load(load(&committed)));
         cluster.run_for(SimDuration::from_secs(10));
         // The survivor's groups lost their only backup and nothing can
         // replace it, so they are dissolved: nothing ships while idle.
@@ -513,25 +502,23 @@ fn primary_crash_mid_split_converges() {
         let history = cluster.attach_history();
         shift_rng(&cluster, shift);
         let committed = Rc::new(Cell::new(0u32));
-        let mut crashed = false;
-        for round in 0..60 {
-            BANK.transfer_round(&cluster, &committed);
-            fire_pads(&cluster, round);
-            for _ in 0..20 {
-                cluster.run_for(SimDuration::from_millis(20));
-                // Crash the first server observed with a split in
-                // flight (after enough rounds that data exists).
-                if !crashed && round > 10 {
-                    crashed = crash_first_observed(&cluster, |s, _| {
-                        s.pending_change() == Some(ChangeKind::Split)
-                    });
-                }
-            }
-        }
+        // Crash the first server observed with a split in flight (after
+        // enough rounds that data exists).
+        const STEP: SimDuration = SimDuration::from_millis(20);
+        let crash = Action::CrashServer(Victim::Observed);
+        let report = FaultPlan::new()
+            .when(State::SplitPending, TICK * 11 + STEP, STEP, crash)
+            .run(
+                &cluster,
+                Drive::rounds(60, TICK).load(|cluster, round| {
+                    BANK.transfer_round(cluster, &committed);
+                    fire_pads(cluster, round as u32);
+                }),
+            );
         cluster.run_for(SimDuration::from_secs(30));
-        assert!(
-            crashed,
-            "shift {shift}: no split was ever in flight; tune the thresholds"
+        report.assert_fired(
+            0,
+            &format!("shift {shift}: no split was ever in flight; tune the thresholds"),
         );
         assert!(
             cluster.all_regions_online(),

@@ -22,7 +22,8 @@
 mod common;
 
 use common::bank::{filler, Bank};
-use common::{fingerprint, DiceFaults};
+use common::fingerprint;
+use common::plan::{Action, Drive, FaultPlan};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
@@ -107,30 +108,36 @@ fn soak_run(seed: u64, shift: u64, pin: [u64; 4]) {
         let _ = cluster.sim.gen_range(0, 1 << 20);
     }
     let committed = Rc::new(Cell::new(0u32));
-    let mut faults = DiceFaults::new();
+    let faults = FaultPlan::new().every_round(Action::ROLL);
 
     for phase in 0..PHASES {
-        for round in 0..ROUNDS_PER_PHASE {
+        let load = |cluster: &Cluster, round: u64| {
             for ci in 0..cluster.clients.len() {
                 let client = cluster.client(ci).clone();
                 if client.is_alive() {
-                    BANK.transfer(&cluster, client.clone(), Rc::clone(&committed));
-                    filler(&cluster, client, HOT, phase * ROUNDS_PER_PHASE + round);
+                    BANK.transfer(cluster, client.clone(), Rc::clone(&committed));
+                    filler(cluster, client, HOT, phase * ROUNDS_PER_PHASE + round);
                 }
             }
-            cluster.run_for(SimDuration::from_millis(400));
-            faults.round(&cluster);
-            // Mid-flight structural invariant, every single chaos round:
-            // splits, merges, moves and failovers may all be in progress
-            // right now, and the map must still partition the key space
-            // with no two online regions overlapping.
+        };
+        // Mid-flight structural invariant, every single chaos round:
+        // splits, merges, moves and failovers may all be in progress
+        // right now, and the map must still partition the key space
+        // with no two online regions overlapping.
+        let check = |cluster: &Cluster, round: u64| {
             cluster.assert_region_partition();
             assert!(
                 cluster.rm.t_p() <= cluster.rm.t_f(),
                 "seed {seed} phase {phase} round {round}: T_P passed T_F"
             );
-        }
-        faults.settle(&cluster);
+        };
+        // The lottery rolls after each round's check, and a recovery
+        // manager it left down restarts at the phase's end. The report is
+        // held so that a failed audit prints what the lottery did.
+        let drive = Drive::rounds(ROUNDS_PER_PHASE, SimDuration::from_millis(400))
+            .load(load)
+            .check(check);
+        let _report = faults.run(&cluster, drive);
         // Quiesce, then audit: in-flight transfers drain first, as
         // conservation and the read-back only mean something once they
         // have. Any deviation means a committed write was lost or doubly

@@ -26,7 +26,8 @@
 mod common;
 
 use common::bank::{account, run_until, shift_rng, Bank};
-use common::{crash_for_adjacency, fingerprint, ChaosAction, ChaosSchedule};
+use common::plan::{Action, Drive, FaultPlan, Victim};
+use common::{crash_for_adjacency, fingerprint};
 use cumulo_core::{Cluster, ClusterConfig, Transaction, TransactionalClient};
 use cumulo_sim::{Sim, SimDuration};
 use std::cell::{Cell, RefCell};
@@ -306,7 +307,7 @@ fn scan_under_split_matches_oracle() {
                     let _ = txn.put(account(key), "pad", pad);
                     txn.commit(|_| {});
                 });
-                cluster.master.splits_applied() >= 2
+                cluster.metrics.sum("master.split.applied") >= 2
             },
         );
         assert!(grown, "shift {shift}: no splits ever applied");
@@ -355,7 +356,7 @@ fn scan_under_merge_matches_oracle() {
             SimDuration::from_secs(120),
             || {
                 round(&cluster, &committed);
-                cluster.master.merges_applied() >= 1
+                cluster.metrics.sum("master.merge.applied") >= 1
             },
         );
         assert!(merged, "shift {shift}: no merge ever applied");
@@ -402,12 +403,13 @@ fn scan_with_server_crash_mid_continuation_matches_oracle() {
         }
         let audit = new_audit(&cluster, &["bal"]);
         start_audit(cluster.client(0).clone(), Rc::clone(&audit));
-        ChaosSchedule::new()
-            .at(TICK * 8, ChaosAction::CrashServer(1))
-            .at(TICK * 24, ChaosAction::CrashServer(2))
-            .run_rounds(&cluster, 40, TICK, |cluster, _| {
-                round(cluster, &committed);
-            });
+        FaultPlan::new()
+            .at(TICK * 8, Action::CrashServer(Victim::Index(1)))
+            .at(TICK * 24, Action::CrashServer(Victim::Index(2)))
+            .run(
+                &cluster,
+                Drive::rounds(40, TICK).load(|cluster, _| round(cluster, &committed)),
+            );
         audit.stop.set(true);
         cluster.run_for(SimDuration::from_secs(30));
         assert!(

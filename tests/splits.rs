@@ -23,7 +23,7 @@
 mod common;
 
 use common::bank::{filler, run_until, Bank};
-use common::{changing_server, fingerprint};
+use common::crash_points::CrashPoints;
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
@@ -69,57 +69,24 @@ fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, round_no: u64) {
     }
 }
 
+/// The three crash points (`common::crash_points`): a split crash
+/// point polls its intent window every 2 ms.
+const SPLITS: CrashPoints = CrashPoints {
+    kind: ChangeKind::Split,
+    cluster: split_cluster,
+    load: round,
+    bank: BANK,
+    adjacency: false,
+    intent_step: SimDuration::from_millis(2),
+};
+
 /// Crash point 1: the parent's server dies while a split is pending
 /// server-side but *before* any intent reached the filesystem. Nothing
 /// durable mentions the split; failover recovers the parent as if the
 /// split had never been considered.
 #[test]
 fn crash_before_intent_persisted_recovers_parent() {
-    let cluster = split_cluster(4101);
-    let history = cluster.attach_history();
-    let committed = Rc::new(Cell::new(0u32));
-    let mut rounds = 0u64;
-    // Drive load until a split candidacy is accepted somewhere and no
-    // intent has been persisted yet, then crash that server mid-window
-    // (the window spans the pre-split flush, so coarse polling catches it).
-    let mut caught = false;
-    for _ in 0..600 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        if run_until(
-            &cluster,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(200),
-            || {
-                changing_server(&cluster, ChangeKind::Split).is_some()
-                    && cluster.metrics.sum("master.split.intents_persisted") == 0
-            },
-        ) {
-            caught = true;
-            break;
-        }
-    }
-    assert!(caught, "no split candidacy was ever observed");
-    let victim = changing_server(&cluster, ChangeKind::Split).expect("just observed");
-    assert_eq!(
-        cluster.metrics.sum("master.split.intents_persisted"),
-        0,
-        "crash point 1 requires no durable intent"
-    );
-    cluster.crash_server(victim);
-    // Keep transferring through the failover, then drain.
-    for _ in 0..20 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        cluster.run_for(SimDuration::from_millis(400));
-    }
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), "split x failover");
-    assert_eq!(
-        fingerprint(&cluster),
-        [27_890, 16_952, 16_718, 234],
-        "run fingerprint"
-    );
+    SPLITS.before_intent(4101, [27_890, 16_952, 16_718, 234]);
 }
 
 /// Crash point 2: the intent is durable but the daughters never made it
@@ -128,57 +95,7 @@ fn crash_before_intent_persisted_recovers_parent() {
 /// a daughter id — and recover the parent on a surviving server.
 #[test]
 fn crash_after_intent_before_daughters_online_rolls_back() {
-    let cluster = split_cluster(4202);
-    let history = cluster.attach_history();
-    let committed = Rc::new(Cell::new(0u32));
-    let mut rounds = 0u64;
-    let mut caught = false;
-    for _ in 0..600 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        // Fine-grained stepping: the window between the durable intent
-        // and the map flip is a handful of DFS marker writes wide.
-        if run_until(
-            &cluster,
-            SimDuration::from_millis(2),
-            SimDuration::from_millis(200),
-            || {
-                cluster.metrics.sum("master.split.intents_persisted") > 0
-                    && cluster.master.splits_applied() == 0
-            },
-        ) {
-            caught = true;
-            break;
-        }
-        if cluster.master.splits_applied() > 0 {
-            panic!("split completed before the crash window could be hit; lower the step size");
-        }
-    }
-    assert!(caught, "never caught the intent-persisted window");
-    let victim =
-        changing_server(&cluster, ChangeKind::Split).expect("a server holds the granted intent");
-    cluster.crash_server(victim);
-    // The master's failover must roll the intent back (never serve the
-    // daughters of an unapplied split).
-    let rolled = run_until(
-        &cluster,
-        SimDuration::from_millis(100),
-        SimDuration::from_secs(30),
-        || cluster.metrics.sum("master.split.rolled_back") > 0,
-    );
-    assert!(rolled, "failover did not roll the durable intent back");
-    for _ in 0..20 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        cluster.run_for(SimDuration::from_millis(400));
-    }
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), "split x failover");
-    assert_eq!(
-        fingerprint(&cluster),
-        [25_576, 15_460, 15_447, 13],
-        "run fingerprint"
-    );
+    SPLITS.after_intent(4202, [25_576, 15_460, 15_447, 13]);
 }
 
 /// Crash point 3: the split completed — daughters are live in the map
@@ -188,59 +105,7 @@ fn crash_after_intent_before_daughters_online_rolls_back() {
 /// master remaps those at the daughter boundary).
 #[test]
 fn crash_after_daughters_online_fails_over_daughters() {
-    let cluster = split_cluster(4303);
-    let history = cluster.attach_history();
-    let committed = Rc::new(Cell::new(0u32));
-    let mut rounds = 0u64;
-    let mut applied = false;
-    for _ in 0..600 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        cluster.run_for(SimDuration::from_millis(200));
-        if cluster.master.splits_applied() > 0 {
-            applied = true;
-            break;
-        }
-    }
-    assert!(applied, "no split was ever applied");
-    // Let the daughters absorb post-split writes before the crash.
-    for _ in 0..8 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        cluster.run_for(SimDuration::from_millis(300));
-    }
-    // Crash the server hosting a daughter (initial max id was 1, so any
-    // region id >= 2 is a split daughter).
-    let map = cluster.master.snapshot_map();
-    let daughter_server = map
-        .regions()
-        .iter()
-        .filter(|d| d.id.0 >= 2)
-        .find_map(|d| map.server_for(d.id))
-        .expect("an assigned daughter");
-    let victim = cluster
-        .servers
-        .iter()
-        .position(|s| s.id() == daughter_server)
-        .expect("directory index");
-    cluster.crash_server(victim);
-    for _ in 0..25 {
-        round(&cluster, &committed, rounds);
-        rounds += 1;
-        cluster.run_for(SimDuration::from_millis(400));
-    }
-    cluster.run_for(SimDuration::from_secs(30));
-    BANK.assert_recovered(&cluster, &history, committed.get(), "split x failover");
-    // The daughters really did fail over (not just the bootstrap set).
-    assert!(
-        cluster.master.failover_count() >= 1,
-        "no failover was processed"
-    );
-    assert_eq!(
-        fingerprint(&cluster),
-        [31_628, 19_111, 18_899, 212],
-        "run fingerprint"
-    );
+    SPLITS.after_apply(4303, [31_628, 19_111, 18_899, 212]);
 }
 
 /// The split switch has one home. A `ClusterConfig` that turns on

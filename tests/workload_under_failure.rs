@@ -6,7 +6,8 @@
 
 mod common;
 
-use common::{audit, fingerprint, ChaosAction, ChaosSchedule};
+use common::plan::{Action, Drive, FaultPlan, Victim};
+use common::{audit, fingerprint};
 use cumulo_core::{Cluster, ClusterConfig, History, PersistenceMode};
 use cumulo_sim::SimDuration;
 use cumulo_ycsb::{Driver, KeyDistribution, Workload};
@@ -113,9 +114,12 @@ fn throughput_dips_and_recovers_around_a_server_crash() {
     };
     let driver = Driver::new(&c, workload);
     driver.start(SimDuration::ZERO, SimDuration::from_secs(60));
-    ChaosSchedule::new()
-        .at(SimDuration::from_secs(30), ChaosAction::CrashServer(0))
-        .run(&c, SimDuration::from_secs(62));
+    FaultPlan::new()
+        .at(
+            SimDuration::from_secs(30),
+            Action::CrashServer(Victim::Index(0)),
+        )
+        .run(&c, Drive::time(SimDuration::from_secs(62)));
 
     let windows = driver.windows();
     let rate = |i: usize| windows[i].rate(SimDuration::from_secs(2));
