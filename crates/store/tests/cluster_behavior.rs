@@ -665,18 +665,22 @@ fn concurrent_failures_leave_no_region_unassigned_forever() {
     let _ = c.net;
 }
 
-/// Advances the simulation to `millis` after its start.
 /// An FNV-1a digest over one full `<nanos> <kind> <detail>` line per
 /// entry, as `Journal::dump` renders it: the pin beside the `<nanos>
 /// <kind>` digests below that covers what each record says.
 fn lines_digest<'a>(entries: impl IntoIterator<Item = &'a JournalEntry>) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for e in entries {
-        for byte in format!("{} {} {}\n", e.time.nanos(), e.kind, e.detail).bytes() {
-            digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    digest
+    let text: String = entries
+        .into_iter()
+        .map(|e| format!("{} {} {}\n", e.time.nanos(), e.kind, e.detail))
+        .collect();
+    fnv1a(&text)
+}
+
+/// The 64-bit FNV-1a hash of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, byte| {
+        (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// The full `<nanos> <kind> <detail>` lines of the `journal`'s records
@@ -1025,18 +1029,17 @@ fn master_answers_of_a_fixed_schedule_are_pinned() {
         ]
     );
     assert_eq!(c.events.dropped(), 0);
-    let digest = c
+    let instants: String = c
         .events
         .entries()
         .iter()
-        .fold(0xcbf2_9ce4_8422_2325u64, |digest, e| {
-            format!("{} {}\n", e.time.nanos(), e.kind)
-                .bytes()
-                .fold(digest, |d, byte| {
-                    (d ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
-                })
-        });
-    assert_eq!(digest, 14_938_507_293_202_064_768, "event instants");
+        .map(|e| format!("{} {}\n", e.time.nanos(), e.kind))
+        .collect();
+    assert_eq!(
+        fnv1a(&instants),
+        14_938_507_293_202_064_768,
+        "event instants"
+    );
     assert_eq!(
         lines_digest(&c.events.entries()),
         16_291_555_462_139_005_377,
@@ -1180,19 +1183,17 @@ fn replication_of_a_fixed_schedule_is_pinned() {
     // `<nanos> <kind>` line per event in journal order (details are left
     // out: they carry sequence numbers, which are not part of the pin).
     assert_eq!(c.events.dropped(), 0);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for e in c.events.entries() {
-        if e.kind.starts_with("replication.") {
-            for byte in format!("{} {}\n", e.time.nanos(), e.kind).bytes() {
-                digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
-            }
-        }
-    }
+    let entries = c.events.entries();
+    let instants: String = entries
+        .iter()
+        .filter(|e| e.kind.starts_with("replication."))
+        .map(|e| format!("{} {}\n", e.time.nanos(), e.kind))
+        .collect();
     assert_eq!(
-        digest, 3_112_701_426_328_024_054,
+        fnv1a(&instants),
+        3_112_701_426_328_024_054,
         "replication event instants"
     );
-    let entries = c.events.entries();
     let replication = entries
         .iter()
         .filter(|e| e.kind.starts_with("replication."));

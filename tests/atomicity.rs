@@ -6,6 +6,7 @@ mod common;
 
 use common::bank::{shift_rng, Bank};
 use common::fingerprint;
+use common::plan::{run_or_shrink, Action, Drive, FaultPlan, Victim};
 use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
@@ -18,21 +19,33 @@ const BANK: Bank = Bank {
     initial: INITIAL,
 };
 
-/// The shared schedule of the conservation tests: 60 rounds of
-/// transfers with a server crash at round 20 and a client crash at
-/// round 40, then a full-balance audit and the run's fingerprint.
-fn run_transfer_schedule(cluster: &Cluster, pin: [u64; 4]) {
+/// The shared schedule of the conservation tests, on the cluster with
+/// its RNG shifted by `shift` draws: 60 rounds of transfers with a
+/// server crash after round 20 and a client crash after round 40, then
+/// a full-balance audit and the run's fingerprint. A failed audit
+/// prints the plan shrunk to the crashes it needs.
+fn run_transfer_schedule(shift: u32, pin: [u64; 4]) {
+    const TICK: SimDuration = SimDuration::from_millis(400);
+    let plan = FaultPlan::new()
+        .at(TICK * 21, Action::CrashServer(Victim::Index(0)))
+        .at(TICK * 41, Action::CrashClient(2));
+    let label = format!("seed 31 shift {shift}");
+    let cluster = run_or_shrink(&label, &plan, |plan| {
+        let cluster = conservation_cluster();
+        // Extra draws that shift every subsequent gen_range/gen_f64.
+        shift_rng(&cluster, shift);
+        transfers(&cluster, plan, TICK);
+        cluster
+    });
+    assert_eq!(fingerprint(&cluster), pin, "{label}: run fingerprint");
+}
+
+/// 60 rounds of `tick`, each one transfer per live client, under `plan`;
+/// then the drain and the audit.
+fn transfers(cluster: &Cluster, plan: &FaultPlan, tick: SimDuration) {
     let committed = Rc::new(Cell::new(0u32));
-    for round in 0..60 {
-        BANK.transfer_round(cluster, &committed);
-        cluster.run_for(SimDuration::from_millis(400));
-        if round == 20 {
-            cluster.crash_server(0);
-        }
-        if round == 40 {
-            cluster.crash_client(2);
-        }
-    }
+    let load = |cluster: &Cluster, _| BANK.transfer_round(cluster, &committed);
+    let _report = plan.run(cluster, Drive::rounds(60, tick).load(load));
     cluster.run_for(SimDuration::from_secs(25));
     assert!(
         committed.get() > 100,
@@ -45,7 +58,6 @@ fn run_transfer_schedule(cluster: &Cluster, pin: [u64; 4]) {
         ACCOUNTS as i64 * INITIAL,
         "atomicity violated: money not conserved"
     );
-    assert_eq!(fingerprint(cluster), pin, "run fingerprint");
 }
 
 fn conservation_cluster() -> Cluster {
@@ -63,7 +75,7 @@ fn conservation_cluster() -> Cluster {
 /// audits that the total balance is conserved.
 #[test]
 fn transfers_conserve_total_balance_through_failures() {
-    run_transfer_schedule(&conservation_cluster(), [14_958, 9_183, 9_128, 55]);
+    run_transfer_schedule(0, [14_958, 9_183, 9_128, 55]);
 }
 
 /// Regression probe for the RNG-shift seed race (ROADMAP "Open items"):
@@ -89,10 +101,7 @@ fn transfers_conserve_total_balance_with_shifted_rng() {
         (2, [14_944, 9_173, 9_127, 46]),
         (3, [15_037, 9_224, 9_154, 70]),
     ] {
-        let cluster = conservation_cluster();
-        // Extra draws that shift every subsequent gen_range/gen_f64.
-        shift_rng(&cluster, shift);
-        run_transfer_schedule(&cluster, pin);
+        run_transfer_schedule(shift, pin);
     }
 }
 

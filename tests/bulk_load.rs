@@ -10,7 +10,7 @@
 mod common;
 
 use bytes::Bytes;
-use common::key;
+use common::{fnv1a, key};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::{MemStore, StoreFileData, Timestamp};
@@ -44,13 +44,6 @@ fn loaded_files(cluster: &Cluster) -> Vec<Rc<StoreFileData>> {
                 .expect("every region got a file")
         })
         .collect()
-}
-
-/// FNV-1a over `bytes`.
-fn fnv(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |digest, &byte| {
-        (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 #[test]
@@ -91,7 +84,7 @@ fn a_fixed_load_is_pinned() {
     // Path, entries, image bytes, image digest.
     let files: Vec<(&str, usize, usize, u64)> = files
         .iter()
-        .map(|f| (f.path(), f.len(), f.encode().len(), fnv(&f.encode())))
+        .map(|f| (f.path(), f.len(), f.encode().len(), fnv1a(f.encode())))
         .collect();
     assert_eq!(
         files,

@@ -1,16 +1,18 @@
 //! Chaos testing: randomized compound failure schedules (server crashes,
-//! client crashes, recovery-manager flaps, partitions) under continuous
-//! load, verifying after each run that (1) the recorded history passes
-//! the checker and every written cell reads back as its newest commit
-//! wrote it (`common::audit`), so every acknowledged commit is durable,
-//! and (2) the cluster converges to fully-online regions.
+//! client crashes, recovery-manager flaps) under continuous load,
+//! verifying after each run that (1) the recorded history passes the
+//! checker and every written cell reads back as its newest commit wrote
+//! it (`common::audit`), so every acknowledged commit is durable, and
+//! (2) the cluster converges to fully-online regions.
 //!
-//! Every schedule is derived deterministically from the seed, so a failure
-//! here is exactly reproducible.
+//! Every schedule is a plan the lottery draws from the seed before the
+//! run (`plan::Lottery`), so a failure here is exactly reproducible, and
+//! a failing run shrinks its plan to the few faults the failure needs
+//! and prints it as a literal (`plan::run_or_shrink`).
 
 mod common;
 
-use common::plan::{Action, Drive, FaultPlan, State, Victim};
+use common::plan::{run_or_shrink, Action, Drive, FaultPlan, Lottery, State, Victim};
 use common::{audit, fingerprint, key};
 use cumulo_core::{Cluster, ClusterConfig, TransactionalClient};
 use cumulo_sim::SimDuration;
@@ -28,10 +30,9 @@ fn write_rows(client: &TransactionalClient, rows: Vec<u64>, value: String) {
     });
 }
 
-/// One chaos run: 5 servers' worth of regions on 3 servers, 6 clients,
-/// ~45 simulated seconds of load with `faults` injected along the way.
-fn chaos_run(seed: u64, pin: [u64; 4]) {
-    let cluster = Cluster::build(ClusterConfig {
+/// Six regions on 3 servers, 6 clients, a 500 ms client heartbeat.
+fn config(seed: u64) -> ClusterConfig {
+    ClusterConfig {
         seed,
         clients: 6,
         servers: 3,
@@ -39,7 +40,26 @@ fn chaos_run(seed: u64, pin: [u64; 4]) {
         key_count: ROWS,
         heartbeat_interval: SimDuration::from_millis(500),
         ..ClusterConfig::default()
+    }
+}
+
+/// One chaos run: 36 simulated seconds of load under the lottery's plan
+/// for the seed, then the audits; a failure prints the shrunk plan.
+fn chaos_run(seed: u64, pin: [u64; 4]) {
+    const TICK: SimDuration = SimDuration::from_millis(400);
+    let cfg = config(seed);
+    let plan = Lottery::new(seed, cfg.servers, cfg.clients).plan(90, TICK);
+    let label = format!("seed {seed}");
+    let cluster = run_or_shrink(&label, &plan, |plan| {
+        chaos_schedule(config(seed), plan, TICK)
     });
+    assert_eq!(fingerprint(&cluster), pin, "seed {seed}: run fingerprint");
+}
+
+/// 90 rounds of `tick` under `plan`, then convergence and the audits.
+fn chaos_schedule(cfg: ClusterConfig, plan: &FaultPlan, tick: SimDuration) -> Cluster {
+    let seed = cfg.seed;
+    let cluster = Cluster::build(cfg);
     let history = cluster.attach_history();
     // Load: every live client fires one 3-write transaction a round.
     let load = |cluster: &Cluster, round: u64| {
@@ -62,16 +82,8 @@ fn chaos_run(seed: u64, pin: [u64; 4]) {
             cluster.rm.t_f()
         );
     };
-    let drive = Drive::rounds(90, SimDuration::from_millis(400))
-        .load(load)
-        .check(check);
-    // Fault injection, seed-derived (the shared dice lottery), after
-    // every round's check; a recovery manager it left down restarts at
-    // the end. The report is held so that a failed audit prints what the
-    // lottery did.
-    let _report = FaultPlan::new()
-        .every_round(Action::ROLL)
-        .run(&cluster, drive);
+    // The report is held so that a failed audit prints what fired.
+    let _report = plan.run(&cluster, Drive::rounds(90, tick).load(load).check(check));
     // Converge: recoveries, replays, flush retries all drain.
     cluster.run_for(SimDuration::from_secs(40));
     assert!(
@@ -81,7 +93,7 @@ fn chaos_run(seed: u64, pin: [u64; 4]) {
 
     let cells = audit(&cluster, &history);
     assert!(cells > 100, "seed {seed}: too few written cells ({cells})");
-    assert_eq!(fingerprint(&cluster), pin, "seed {seed}: run fingerprint");
+    cluster
 }
 
 /// Crashes a server while a compaction is in flight and verifies
@@ -89,15 +101,7 @@ fn chaos_run(seed: u64, pin: [u64; 4]) {
 /// regions converge, and the half-finished compaction leaves at worst
 /// ignorable temp files (the surviving file set stays read-equivalent).
 fn compaction_crash_run(seed: u64, pin: [u64; 4]) {
-    let mut cfg = ClusterConfig {
-        seed,
-        clients: 6,
-        servers: 3,
-        regions: 6,
-        key_count: ROWS,
-        heartbeat_interval: SimDuration::from_millis(500),
-        ..ClusterConfig::default()
-    };
+    let mut cfg = config(seed);
     cfg.server_cfg.compaction.min_files = 3;
     // Aggressive flush + compaction cadence so compactions are frequent
     // enough to crash into one.
@@ -156,20 +160,20 @@ fn chaos_compaction_crash_seed_2() {
 
 #[test]
 fn chaos_seed_1() {
-    chaos_run(9001, [45_244, 31_492, 31_063, 429]);
+    chaos_run(9001, [42_883, 29_924, 29_632, 292]);
 }
 
 #[test]
 fn chaos_seed_2() {
-    chaos_run(9002, [57_985, 40_896, 40_361, 535]);
+    chaos_run(9002, [32_950, 21_029, 20_685, 344]);
 }
 
 #[test]
 fn chaos_seed_3() {
-    chaos_run(9003, [32_387, 20_769, 20_447, 322]);
+    chaos_run(9003, [26_938, 17_097, 16_774, 323]);
 }
 
 #[test]
 fn chaos_seed_4() {
-    chaos_run(9004, [54_486, 35_935, 35_333, 602]);
+    chaos_run(9004, [45_335, 31_680, 31_324, 356]);
 }

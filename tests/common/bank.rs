@@ -78,6 +78,25 @@ impl Bank {
         }
     }
 
+    /// Every live client fires a transfer and then a [`filler`] into the
+    /// hot prefix `[0, hot)`, in client order: the load of the suites
+    /// whose regions must grow.
+    pub fn transfer_fill_round(
+        &self,
+        cluster: &Cluster,
+        committed: &Rc<Cell<u32>>,
+        hot: u64,
+        round: u64,
+    ) {
+        for i in 0..cluster.clients.len() {
+            let client = cluster.client(i).clone();
+            if client.is_alive() {
+                self.transfer(cluster, client.clone(), Rc::clone(committed));
+                filler(cluster, client, hot, round);
+            }
+        }
+    }
+
     /// The sum of every balance, read through the cluster's audit path.
     /// Transfers are zero-sum, so once in-flight ones drained anything
     /// but `accounts * initial` means a committed write was lost or
@@ -127,7 +146,7 @@ impl Bank {
 /// One bulky single-row write into the hot prefix `[0, hot)` (a separate
 /// `pad` column, so balances are untouched) — the fuel that grows the
 /// regions there past a split threshold.
-pub fn filler(cluster: &Cluster, client: TransactionalClient, hot: u64, round: u64) {
+fn filler(cluster: &Cluster, client: TransactionalClient, hot: u64, round: u64) {
     let key = cluster.sim.gen_range(0, hot);
     client.begin(move |txn| {
         let Ok(txn) = txn else { return };

@@ -272,9 +272,12 @@ pub fn fingerprint(cluster: &Cluster) -> [u64; 4] {
     ]
 }
 
-/// The 64-bit FNV-1a hash of `text`.
-pub fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, byte| {
-        (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
-    })
+/// The 64-bit FNV-1a hash of `bytes`.
+pub fn fnv1a(bytes: impl AsRef<[u8]>) -> u64 {
+    bytes
+        .as_ref()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |digest, &byte| {
+            (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+        })
 }

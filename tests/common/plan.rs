@@ -5,28 +5,34 @@
 //!
 //! A run is rounds of load ([`Drive`]). Each round applies the steps due
 //! at its start, fires the load, advances one tick from where the load
-//! left the clock (stopping wherever a step is due inside it), runs the
-//! round's check, then applies the every-round steps. What fired comes back as a [`Report`]: each step's
-//! offset from the run's start and the action it applied, its victim
-//! resolved to an index. It prints with the plan and the seed — in the
-//! message of an unfired step's assertion, and on stderr when a test
-//! fails while holding it — so a failed run is explained by its own
-//! artifacts.
+//! left the clock (stopping wherever a step is due inside it, up to and
+//! including its end), then runs the round's check. What fired comes
+//! back as a [`Report`]: each step's offset from the run's start and the
+//! action it applied, its victim resolved to an index. It prints with
+//! the plan and the seed — in the message of an unfired step's
+//! assertion, and on stderr when a test fails while holding it — so a
+//! failed run is explained by its own artifacts.
 //!
-//! The runner draws from `cluster.sim` only where an action does (a
-//! [`Action::Roll`]), so a plan is a pure function of the seed.
+//! The runner draws no randomness. The chaos lottery is drawn up front,
+//! from a generator of its own, into `At` steps ([`Lottery`]), so every
+//! plan is a pure, printable value. A plan whose schedule fails shrinks
+//! to the few steps the failure needs ([`FaultPlan::shrink`]), printed
+//! as a literal to paste into a test ([`FaultPlan::literal`]);
+//! [`run_or_shrink`] does both when a schedule panics.
 
 use cumulo_core::Cluster;
 use cumulo_sim::trace::Value;
 use cumulo_sim::{NodeId, SimDuration, SimTime};
 use cumulo_store::{ChangeKind, RegionId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The offset of a step that is never due by time.
 const NEVER: SimDuration = SimDuration::from_nanos(u64::MAX);
 
-/// When a step fires. Each `At`, `When` and `End` step fires once; an
-/// `EveryRound` step fires at the end of every round.
+/// When a step fires. Each step fires once.
 #[derive(Clone, Copy, Debug)]
 pub enum Trigger {
     /// Once this much simulated time has passed since the run began.
@@ -41,8 +47,6 @@ pub enum Trigger {
         after: SimDuration,
         step: SimDuration,
     },
-    /// At the end of every round, after the round's check.
-    EveryRound,
     /// Once, when the last round has run: after any `At` step due then.
     End,
 }
@@ -130,30 +134,11 @@ pub enum Action {
     Heal(NodeId, NodeId),
     /// Crash the recovery manager process.
     CrashRecoveryManager,
-    /// Restart the recovery manager process.
+    /// Restart the recovery manager process. A live manager is left as
+    /// it is: only a shrunk plan, which lost the step's crash, asks.
     RestartRecoveryManager,
-    /// The chaos lottery: roll one `[0, 100)` die from the cluster RNG
-    /// and maybe crash a random live server (never more than
-    /// `max_servers_down` down, always one up), crash a random live
-    /// client (only while more than `min_live_clients` live), or crash
-    /// or restart the recovery manager. A run with a roll ends by
-    /// restarting a recovery manager left down, so its convergence phase
-    /// can drain.
-    Roll {
-        max_servers_down: usize,
-        min_live_clients: usize,
-    },
     /// No fault: the step only records when its trigger fired.
     Note,
-}
-
-impl Action {
-    /// The chaos suites' lottery, bounded so the cluster can always still
-    /// make progress.
-    pub const ROLL: Action = Action::Roll {
-        max_servers_down: 2,
-        min_live_clients: 2,
-    };
 }
 
 /// A deterministic list of fault steps; see the module doc.
@@ -196,8 +181,8 @@ impl<'a> Drive<'a> {
         self
     }
 
-    /// Runs `check(cluster, round)` as each round ends, before its
-    /// every-round steps.
+    /// Runs `check(cluster, round)` as each round ends, after the steps
+    /// due at its end.
     pub fn check(mut self, check: impl FnMut(&Cluster, u64) + 'a) -> Self {
         self.check = Box::new(check);
         self
@@ -212,8 +197,7 @@ impl<'a> Drive<'a> {
 }
 
 /// One step that fired: its index in the plan, its offset from the run's
-/// start and the action it applied (a crash's victim as an index). An
-/// every-round roll is reported each time it did something.
+/// start and the action it applied (a crash's victim as an index).
 #[derive(Clone, Copy, Debug)]
 pub struct Fired {
     pub step: usize,
@@ -230,14 +214,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// The first firing of step `step`, if it fired.
-    pub fn first(&self, step: usize) -> Option<&Fired> {
-        self.fired.iter().find(|f| f.step == step)
-    }
-
     /// Whether step `step` fired.
     pub fn fired(&self, step: usize) -> bool {
-        self.first(step).is_some()
+        self.fired.iter().any(|f| f.step == step)
     }
 
     /// Panics with `what`, the step that never fired, and the report, if
@@ -292,11 +271,6 @@ impl FaultPlan {
         self.step(Trigger::When { state, after, step }, action)
     }
 
-    /// Builder: `action` at the end of every round.
-    pub fn every_round(self, action: Action) -> Self {
-        self.step(Trigger::EveryRound, action)
-    }
-
     /// Builder: `action` once the last round has run.
     pub fn at_end(self, action: Action) -> Self {
         self.step(Trigger::End, action)
@@ -322,17 +296,13 @@ impl FaultPlan {
                 cluster.run_for(run.next_stop(end).saturating_sub(now));
             }
             (drive.check)(cluster, round);
-            run.fire_each(|t| matches!(t, Trigger::EveryRound));
         }
         // Steps due after the last round fire at its end.
         run.fire_due(NEVER);
-        run.fire_each(|t| matches!(t, Trigger::End));
-        let roll = self
-            .steps
-            .iter()
-            .position(|(_, a)| matches!(a, Action::Roll { .. }));
-        if let Some(roll) = roll.filter(|_| !cluster.rm.is_alive()) {
-            run.record(roll, Action::RestartRecoveryManager);
+        for i in 0..self.steps.len() {
+            if matches!(self.steps[i].0, Trigger::End) {
+                run.apply(i, None);
+            }
         }
         run.report
     }
@@ -344,7 +314,7 @@ struct Run<'p> {
     cluster: &'p Cluster,
     /// The `At` steps, in offset order (ties in insertion order).
     at: Vec<usize>,
-    /// Whether each step has fired (an every-round step fires again).
+    /// Whether each step has fired.
     done: Vec<bool>,
     /// Each `When` step's next poll offset.
     next_poll: Vec<SimDuration>,
@@ -396,15 +366,6 @@ impl<'p> Run<'p> {
         }
     }
 
-    /// Fires every step whose trigger `pick` picks, in insertion order.
-    fn fire_each(&mut self, pick: fn(Trigger) -> bool) {
-        for i in 0..self.plan.steps.len() {
-            if pick(self.plan.steps[i].0) {
-                self.apply(i, None);
-            }
-        }
-    }
-
     /// Fires the `At` steps due now, then polls each `When` step due a
     /// poll, in insertion order.
     fn poll(&mut self) {
@@ -438,47 +399,33 @@ impl<'p> Run<'p> {
             .map(|i| match self.plan.steps[i].0 {
                 Trigger::At(offset) => offset,
                 Trigger::When { .. } => self.next_poll[i],
-                Trigger::EveryRound | Trigger::End => NEVER,
+                Trigger::End => NEVER,
             })
             .filter(|&t| t > self.offset())
             .fold(end, SimDuration::min)
     }
 
-    /// Applies step `i`'s action; `seen` is the server its state was seen
-    /// on.
-    fn apply(&mut self, i: usize, seen: Option<usize>) {
-        self.done[i] = true;
-        let action = match self.plan.steps[i].1 {
-            Action::CrashServer(victim) => {
-                Action::CrashServer(Victim::Index(self.victim(victim, seen)))
-            }
-            Action::Roll {
-                max_servers_down,
-                min_live_clients,
-            } => match roll(self.cluster, max_servers_down, min_live_clients) {
-                Some(action) => action,
-                None => return,
-            },
-            action => action,
-        };
-        self.record(i, action);
-    }
-
-    /// Applies `action` (a crash's victim an index) for step `i` and
-    /// reports it.
-    fn record(&mut self, step: usize, action: Action) {
+    /// Applies step `step`'s action and reports it, a crash's victim
+    /// resolved to an index; `seen` is the server its state was seen on.
+    fn apply(&mut self, step: usize, seen: Option<usize>) {
+        self.done[step] = true;
         let cluster = self.cluster;
+        let mut action = self.plan.steps[step].1;
         match action {
-            Action::CrashServer(Victim::Index(i)) => cluster.crash_server(i),
+            Action::CrashServer(victim) => {
+                let i = self.victim(victim, seen);
+                cluster.crash_server(i);
+                action = Action::CrashServer(Victim::Index(i));
+            }
             Action::CrashClient(i) => cluster.crash_client(i),
             Action::IsolateServer(i) => cluster.net.isolate(cluster.servers[i].node()),
             Action::HealAll => cluster.net.heal_all(),
             Action::Partition(a, b) => cluster.net.partition(a, b),
             Action::Heal(a, b) => cluster.net.heal(a, b),
             Action::CrashRecoveryManager => cluster.crash_recovery_manager(),
+            Action::RestartRecoveryManager if cluster.rm.is_alive() => return,
             Action::RestartRecoveryManager => cluster.restart_recovery_manager(),
             Action::Note => {}
-            Action::CrashServer(_) | Action::Roll { .. } => unreachable!("resolved in apply"),
         }
         let at = self.offset();
         self.report.fired.push(Fired { step, at, action });
@@ -542,29 +489,166 @@ fn output_host(cluster: &Cluster, kind: ChangeKind) -> Option<(usize, RegionId)>
     Some((host, region))
 }
 
-/// Rolls the lottery's die and picks what it does, drawing exactly what
-/// the lottery always drew: the die, then a victim if one is taken.
-fn roll(cluster: &Cluster, max_servers_down: usize, min_live_clients: usize) -> Option<Action> {
-    let live_servers: Vec<usize> = (0..cluster.servers.len())
-        .filter(|i| cluster.servers[*i].is_alive())
-        .collect();
-    let servers_down = cluster.servers.len() - live_servers.len();
-    let rm_down = !cluster.rm.is_alive();
-    let pick = |live: &[usize]| live[cluster.sim.gen_range(0, live.len() as u64) as usize];
-    match cluster.sim.gen_range(0, 100) {
-        0..=3 if servers_down < max_servers_down => {
-            // Always keep one server.
-            (live_servers.len() > 1)
-                .then(|| Action::CrashServer(Victim::Index(pick(&live_servers))))
+/// The chaos lottery, drawn up front from a generator of its own. Each
+/// round it rolls one `[0, 100)` die that may crash a live server (never
+/// more than two down, always one up), crash a live client (only while
+/// more than two live), or crash or restart the recovery manager. It
+/// keeps its own account of what its steps took down, so the plans it
+/// draws are lists of `At` steps that never read the cluster, and the
+/// plans of a run's successive phases follow on from each other.
+pub struct Lottery {
+    rng: StdRng,
+    /// The servers and clients still up, in index order.
+    servers: Vec<usize>,
+    clients: Vec<usize>,
+    servers_down: usize,
+    rm_down: bool,
+}
+
+impl Lottery {
+    /// A lottery over `servers` servers and `clients` clients, all up.
+    pub fn new(seed: u64, servers: usize, clients: usize) -> Self {
+        Lottery {
+            rng: StdRng::seed_from_u64(seed),
+            servers: (0..servers).collect(),
+            clients: (0..clients).collect(),
+            servers_down: 0,
+            rm_down: false,
         }
-        4..=6 => {
-            let live: Vec<usize> = (0..cluster.clients.len())
-                .filter(|i| cluster.clients[*i].is_alive())
-                .collect();
-            (live.len() > min_live_clients).then(|| Action::CrashClient(pick(&live)))
-        }
-        7..=8 if !rm_down => Some(Action::CrashRecoveryManager),
-        9..=11 if rm_down => Some(Action::RestartRecoveryManager),
-        _ => None,
     }
+
+    /// The plan for `rounds` rounds of `tick`: a round's draw fires at
+    /// the round's end. A recovery manager the plan leaves down restarts
+    /// at the plan's end, so the run's convergence can drain.
+    pub fn plan(&mut self, rounds: u64, tick: SimDuration) -> FaultPlan {
+        let mut plan = FaultPlan::new();
+        for round in 1..=rounds {
+            if let Some(action) = self.draw() {
+                plan = plan.at(tick * round, action);
+            }
+        }
+        if self.rm_down {
+            self.rm_down = false;
+            plan = plan.at(tick * rounds, Action::RestartRecoveryManager);
+        }
+        plan
+    }
+
+    /// One round's die, and a victim if it takes one.
+    fn draw(&mut self) -> Option<Action> {
+        let pick = |rng: &mut StdRng, up: &mut Vec<usize>| up.remove(rng.gen_range(0..up.len()));
+        Some(match self.rng.gen_range(0..100u32) {
+            0..=3 if self.servers_down < 2 && self.servers.len() > 1 => {
+                self.servers_down += 1;
+                Action::CrashServer(Victim::Index(pick(&mut self.rng, &mut self.servers)))
+            }
+            4..=6 if self.clients.len() > 2 => {
+                Action::CrashClient(pick(&mut self.rng, &mut self.clients))
+            }
+            7..=8 if !self.rm_down => {
+                self.rm_down = true;
+                Action::CrashRecoveryManager
+            }
+            9..=11 if self.rm_down => {
+                self.rm_down = false;
+                Action::RestartRecoveryManager
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// What [`FaultPlan::shrink`] found, and what it took.
+pub struct Shrunk {
+    /// A failing plan none of whose steps can go alone.
+    pub plan: FaultPlan,
+    /// Schedules run, each on a cluster of its own.
+    pub runs: u32,
+    /// Candidates that passed: removals that lost the failure.
+    pub passed: u32,
+}
+
+impl FaultPlan {
+    /// Greedy delta debugging over the steps: each pass tries dropping
+    /// every step in turn and keeps each drop after which `fails` still
+    /// holds, until a pass drops nothing, so the plan it returns is
+    /// 1-minimal. `fails` runs the whole schedule, building its cluster
+    /// afresh; it should hold of `self`.
+    pub fn shrink(&self, mut fails: impl FnMut(&FaultPlan) -> bool) -> Shrunk {
+        let mut shrunk = Shrunk {
+            plan: self.clone(),
+            runs: 0,
+            passed: 0,
+        };
+        loop {
+            let before = shrunk.plan.steps.len();
+            let mut i = 0;
+            while i < shrunk.plan.steps.len() {
+                let mut candidate = shrunk.plan.clone();
+                candidate.steps.remove(i);
+                shrunk.runs += 1;
+                if fails(&candidate) {
+                    shrunk.plan = candidate;
+                } else {
+                    shrunk.passed += 1;
+                    i += 1;
+                }
+            }
+            if shrunk.plan.steps.len() == before {
+                return shrunk;
+            }
+        }
+    }
+
+    /// The plan as builder code, one step a line, to paste into a test:
+    /// `FaultPlan::new().at(SimDuration::from_nanos(..), Action::..)`.
+    /// The plans that shrink hold `At` steps; any other trigger, and a
+    /// partition's nodes, print as their `Debug`.
+    pub fn literal(&self) -> String {
+        let mut code = String::from("FaultPlan::new()");
+        for (trigger, action) in &self.steps {
+            let action = match action {
+                Action::CrashServer(victim) => format!("Action::CrashServer(Victim::{victim:?})"),
+                action => format!("Action::{action:?}"),
+            };
+            code += &match trigger {
+                Trigger::At(offset) => {
+                    format!(
+                        "\n    .at(SimDuration::from_nanos({}), {action})",
+                        offset.nanos()
+                    )
+                }
+                trigger => format!("\n    .step(Trigger::{trigger:?}, {action})"),
+            };
+        }
+        code
+    }
+}
+
+/// Runs `schedule(plan)` and returns what it returns. If it panics, the
+/// plan shrinks against it ([`FaultPlan::shrink`]: a candidate fails if
+/// its run panics at all), and this panics again with the first run's
+/// message, `label` (the seed, and a shift if there is one) and the
+/// 1-minimal plan's literal.
+pub fn run_or_shrink<T>(label: &str, plan: &FaultPlan, schedule: impl Fn(&FaultPlan) -> T) -> T {
+    let run = |plan: &FaultPlan| catch_unwind(AssertUnwindSafe(|| schedule(plan)));
+    let payload = match run(plan) {
+        Ok(value) => return value,
+        Err(payload) => payload,
+    };
+    let message = match payload.downcast_ref::<String>() {
+        Some(message) => message.as_str(),
+        None => payload
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("(no message)"),
+    };
+    let shrunk = plan.shrink(|candidate| run(candidate).is_err());
+    panic!(
+        "{message}\n{label}: the plan of {} steps shrank in {} runs ({} candidates passed) to:\n{}",
+        plan.steps.len(),
+        shrunk.runs,
+        shrunk.passed,
+        shrunk.plan.literal()
+    );
 }

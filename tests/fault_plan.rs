@@ -1,10 +1,10 @@
 //! The fault-plan runner (`common::plan`) itself: the ordering rules the
-//! failure suites rely on, and what a run reports about a step that
-//! never fired.
+//! failure suites rely on, what a run reports about a step that never
+//! fired, and how a failing plan shrinks.
 
 mod common;
 
-use common::plan::{Action, Drive, FaultPlan, State};
+use common::plan::{run_or_shrink, Action, Drive, FaultPlan, State, Victim};
 use common::small_cluster;
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
@@ -68,6 +68,57 @@ fn a_plan_fires_in_order_and_names_the_step_that_never_fired() {
         "seed 31",
         "plan: FaultPlan { steps: [(At(300.000ms), Partition(",
         "fired: [Fired { step: 5, at: 100.000ms, action: CrashClient(1) }",
+    ] {
+        assert!(message.contains(part), "{part:?} is not in:\n{message}");
+    }
+}
+
+/// A failing plan shrinks to the steps its failure needs. Here a
+/// schedule "fails" when server 1 and client 2 are both down, so six
+/// steps shrink to those two crashes, printed as a literal to paste into
+/// a test; the restart, once its crash is dropped, meets a live manager
+/// and does nothing. `run_or_shrink` panics with the first run's
+/// message, the label and that literal.
+#[test]
+fn a_failing_plan_shrinks_to_the_two_steps_it_needs() {
+    const TICK: SimDuration = SimDuration::from_millis(100);
+    let plan = FaultPlan::new()
+        .at(TICK, Action::CrashClient(0))
+        .at(TICK * 2, Action::CrashRecoveryManager)
+        .at(TICK * 3, Action::CrashServer(Victim::Index(1)))
+        .at(TICK * 4, Action::RestartRecoveryManager)
+        .at(TICK * 5, Action::CrashClient(2))
+        .at(TICK * 6, Action::Note);
+    let schedule = |plan: &FaultPlan| {
+        let cluster = small_cluster(41);
+        let _report = plan.run(&cluster, Drive::rounds(8, TICK));
+        assert!(
+            cluster.servers[1].is_alive() || cluster.client(2).is_alive(),
+            "server 1 and client 2 are both down"
+        );
+    };
+    let shrunk = plan.shrink(|plan| catch_unwind(AssertUnwindSafe(|| schedule(plan))).is_err());
+    let literal = "FaultPlan::new()
+    .at(SimDuration::from_nanos(300000000), Action::CrashServer(Victim::Index(1)))
+    .at(SimDuration::from_nanos(500000000), Action::CrashClient(2))";
+    assert_eq!(shrunk.plan.literal(), literal);
+    assert_eq!(
+        (shrunk.runs, shrunk.passed),
+        (8, 4),
+        "runs, candidates passed"
+    );
+
+    let failed = catch_unwind(AssertUnwindSafe(|| {
+        run_or_shrink("seed 41", &plan, schedule)
+    }));
+    let message = *failed
+        .expect_err("the plan fails")
+        .downcast::<String>()
+        .expect("a formatted message");
+    for part in [
+        "server 1 and client 2 are both down\n",
+        "seed 41: the plan of 6 steps shrank in 8 runs (4 candidates passed) to:\n",
+        literal,
     ] {
         assert!(message.contains(part), "{part:?} is not in:\n{message}");
     }

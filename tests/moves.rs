@@ -24,7 +24,7 @@
 
 mod common;
 
-use common::bank::{filler, Bank};
+use common::bank::Bank;
 use common::crash_points::CrashPoints;
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
@@ -62,14 +62,8 @@ fn move_cluster(seed: u64) -> Cluster {
 }
 
 /// One scheduling round: every live client fires a transfer and a filler.
-fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, round_no: u64) {
-    for i in 0..cluster.clients.len() {
-        let client = cluster.client(i).clone();
-        if client.is_alive() {
-            BANK.transfer(cluster, client.clone(), Rc::clone(committed));
-            filler(cluster, client, HOT, round_no);
-        }
-    }
+fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, round: u64) {
+    BANK.transfer_fill_round(cluster, committed, HOT, round);
 }
 
 /// The three crash points (`common::crash_points`): a move crash point

@@ -7,7 +7,7 @@ mod common;
 
 use bytes::Bytes;
 use common::plan::{Action, Drive, FaultPlan};
-use common::{fingerprint, lines_digest};
+use common::{fingerprint, fnv1a, lines_digest};
 use cumulo_core::{Cluster, ClusterConfig, Timestamp, Transaction, TxnError};
 use cumulo_sim::trace::Value;
 use cumulo_sim::SimDuration;
@@ -103,10 +103,11 @@ fn a_client_cut_from_coordination_terminates_itself_is_pinned() {
         .iter()
         .map(|e| format!("{} {}\n", e.time.nanos(), e.kind))
         .collect();
-    let digest = journal.bytes().fold(0xcbf2_9ce4_8422_2325, |digest, byte| {
-        (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
-    });
-    assert_eq!(digest, 11_297_342_578_732_041_919, "failure-event journal");
+    assert_eq!(
+        fnv1a(&journal),
+        11_297_342_578_732_041_919,
+        "failure-event journal"
+    );
     assert_eq!(
         lines_digest(&entries),
         611_582_158_919_922_707,

@@ -2,7 +2,7 @@
 //! size. Splits, merges and proactive moves all enabled at aggressive
 //! thresholds, bank-transfer load plus hot-prefix filler, and a
 //! seed-derived chaos lottery (server crashes, client crashes, recovery
-//! manager flaps) rolling every round.
+//! manager flaps) drawn up front, one plan per phase (`plan::Lottery`).
 //!
 //! Invariants checked:
 //! * the region map partitions the key space and no two online regions
@@ -16,14 +16,15 @@
 //!
 //! Runs ≥3 seeds, each at two *RNG shifts*: the shifted run burns a few
 //! draws from the cluster RNG before load starts, displacing every
-//! downstream random choice (key picks, chaos dice) while keeping the
-//! same configuration — cheap schedule diversity per seed.
+//! downstream random choice (key picks), and seeds its lottery with the
+//! shift too, while keeping the same configuration — cheap schedule
+//! diversity per seed.
 
 mod common;
 
-use common::bank::{filler, Bank};
+use common::bank::Bank;
 use common::fingerprint;
-use common::plan::{Action, Drive, FaultPlan};
+use common::plan::{Drive, Lottery};
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use std::cell::Cell;
@@ -100,25 +101,25 @@ fn consolidate(cluster: &Cluster) -> u32 {
 /// partition-audited every round, history- and balance-audited at every
 /// settle point.
 /// `shift` burns that many RNG draws up front, displacing the whole
-/// downstream schedule.
+/// downstream schedule, and shifts the lottery's seed.
 fn soak_run(seed: u64, shift: u64, pin: [u64; 4]) {
+    const TICK: SimDuration = SimDuration::from_millis(400);
     let cluster = soak_cluster(seed);
     let history = cluster.attach_history();
     for _ in 0..shift {
         let _ = cluster.sim.gen_range(0, 1 << 20);
     }
     let committed = Rc::new(Cell::new(0u32));
-    let faults = FaultPlan::new().every_round(Action::ROLL);
+    let mut lottery = Lottery::new(
+        seed << 8 | shift,
+        cluster.servers.len(),
+        cluster.clients.len(),
+    );
 
     for phase in 0..PHASES {
         let load = |cluster: &Cluster, round: u64| {
-            for ci in 0..cluster.clients.len() {
-                let client = cluster.client(ci).clone();
-                if client.is_alive() {
-                    BANK.transfer(cluster, client.clone(), Rc::clone(&committed));
-                    filler(cluster, client, HOT, phase * ROUNDS_PER_PHASE + round);
-                }
-            }
+            let round = phase * ROUNDS_PER_PHASE + round;
+            BANK.transfer_fill_round(cluster, &committed, HOT, round);
         };
         // Mid-flight structural invariant, every single chaos round:
         // splits, merges, moves and failovers may all be in progress
@@ -131,13 +132,15 @@ fn soak_run(seed: u64, shift: u64, pin: [u64; 4]) {
                 "seed {seed} phase {phase} round {round}: T_P passed T_F"
             );
         };
-        // The lottery rolls after each round's check, and a recovery
-        // manager it left down restarts at the phase's end. The report is
-        // held so that a failed audit prints what the lottery did.
-        let drive = Drive::rounds(ROUNDS_PER_PHASE, SimDuration::from_millis(400))
+        // The phase's plan follows on from the last phase's: servers and
+        // clients it crashed stay down, and a recovery manager it left
+        // down restarts at the phase's end. The report is held so that a
+        // failed audit prints what fired.
+        let plan = lottery.plan(ROUNDS_PER_PHASE, TICK);
+        let drive = Drive::rounds(ROUNDS_PER_PHASE, TICK)
             .load(load)
             .check(check);
-        let _report = faults.run(&cluster, drive);
+        let _report = plan.run(&cluster, drive);
         // Quiesce, then audit: in-flight transfers drain first, as
         // conservation and the read-back only mean something once they
         // have. Any deviation means a committed write was lost or doubly
@@ -193,30 +196,30 @@ fn soak_run(seed: u64, shift: u64, pin: [u64; 4]) {
 
 #[test]
 fn scale_soak_seed_1() {
-    soak_run(11_001, 0, [72_316, 41_789, 41_504, 285]);
+    soak_run(11_001, 0, [83_456, 46_855, 46_652, 203]);
 }
 
 #[test]
 fn scale_soak_seed_1_shifted() {
-    soak_run(11_001, 7, [80_577, 43_141, 43_097, 44]);
+    soak_run(11_001, 7, [86_772, 51_741, 51_415, 326]);
 }
 
 #[test]
 fn scale_soak_seed_2() {
-    soak_run(11_002, 0, [89_032, 50_201, 50_139, 62]);
+    soak_run(11_002, 0, [73_643, 41_309, 40_970, 339]);
 }
 
 #[test]
 fn scale_soak_seed_2_shifted() {
-    soak_run(11_002, 13, [85_462, 48_307, 48_190, 117]);
+    soak_run(11_002, 13, [86_869, 52_387, 52_173, 214]);
 }
 
 #[test]
 fn scale_soak_seed_3() {
-    soak_run(11_003, 0, [88_064, 51_356, 51_082, 273]);
+    soak_run(11_003, 0, [87_752, 52_995, 52_898, 97]);
 }
 
 #[test]
 fn scale_soak_seed_3_shifted() {
-    soak_run(11_003, 29, [87_096, 45_786, 45_761, 25]);
+    soak_run(11_003, 29, [84_200, 47_592, 47_428, 164]);
 }
