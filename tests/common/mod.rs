@@ -2,12 +2,14 @@
 //!
 //! Every fault a suite injects is a step of one [`plan::FaultPlan`]: a
 //! `Debug`-printable list of `(Trigger, Action)` pairs whose
-//! triggers are a time offset, an observed cluster state or every round,
-//! and whose actions are crashes, partitions, heals, recovery-manager
-//! flaps and the seed-derived chaos lottery ([`plan::Action::Roll`]).
+//! triggers are a time offset, an observed cluster state or the run's
+//! end, and whose actions are crashes, partitions, heals and
+//! recovery-manager flaps. The seed-derived chaos lottery draws its plan
+//! up front ([`plan::Lottery`]), so the runner draws no randomness.
 //! [`plan::FaultPlan::run`] drives a cluster through rounds of load under
 //! it and returns a [`plan::Report`] of what fired, when, and on whom; a failure
-//! message prints the plan, the report and the seed.
+//! message prints the plan, the report and the seed, and
+//! [`plan::run_or_shrink`] adds the failing plan shrunk to a literal.
 //!
 //! The structure-change suites' three crash points are written once, in
 //! [`crash_points`], for splits, merges and moves. The merge suites'

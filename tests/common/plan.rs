@@ -564,8 +564,9 @@ pub struct Shrunk {
     pub plan: FaultPlan,
     /// Schedules run, each on a cluster of its own.
     pub runs: u32,
-    /// Candidates that passed: removals that lost the failure.
-    pub passed: u32,
+    /// Candidates that lost the failure: removals after which `fails`
+    /// no longer held.
+    pub lost: u32,
 }
 
 impl FaultPlan {
@@ -578,7 +579,7 @@ impl FaultPlan {
         let mut shrunk = Shrunk {
             plan: self.clone(),
             runs: 0,
-            passed: 0,
+            lost: 0,
         };
         loop {
             let before = shrunk.plan.steps.len();
@@ -590,7 +591,7 @@ impl FaultPlan {
                 if fails(&candidate) {
                     shrunk.plan = candidate;
                 } else {
-                    shrunk.passed += 1;
+                    shrunk.lost += 1;
                     i += 1;
                 }
             }
@@ -627,28 +628,31 @@ impl FaultPlan {
 
 /// Runs `schedule(plan)` and returns what it returns. If it panics, the
 /// plan shrinks against it ([`FaultPlan::shrink`]: a candidate fails if
-/// its run panics at all), and this panics again with the first run's
-/// message, `label` (the seed, and a shift if there is one) and the
-/// 1-minimal plan's literal.
+/// its run panics with the same first line, so a shrink never trades
+/// the failure for another, such as the hang of a dropped restart), and
+/// this panics again with the first run's message, `label` (the seed,
+/// and a shift if there is one) and the 1-minimal plan's literal.
 pub fn run_or_shrink<T>(label: &str, plan: &FaultPlan, schedule: impl Fn(&FaultPlan) -> T) -> T {
-    let run = |plan: &FaultPlan| catch_unwind(AssertUnwindSafe(|| schedule(plan)));
-    let payload = match run(plan) {
+    let run = |plan: &FaultPlan| {
+        catch_unwind(AssertUnwindSafe(|| schedule(plan))).map_err(|payload| {
+            match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(payload) => payload.downcast_ref::<&str>().unwrap_or(&"").to_string(),
+            }
+        })
+    };
+    let message = match run(plan) {
         Ok(value) => return value,
-        Err(payload) => payload,
+        Err(message) => message,
     };
-    let message = match payload.downcast_ref::<String>() {
-        Some(message) => message.as_str(),
-        None => payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or("(no message)"),
-    };
-    let shrunk = plan.shrink(|candidate| run(candidate).is_err());
+    let failure = message.lines().next();
+    let shrunk =
+        plan.shrink(|candidate| run(candidate).is_err_and(|other| other.lines().next() == failure));
     panic!(
-        "{message}\n{label}: the plan of {} steps shrank in {} runs ({} candidates passed) to:\n{}",
+        "{message}\n{label}: the plan of {} steps shrank in {} runs ({} candidates lost the failure) to:\n{}",
         plan.steps.len(),
         shrunk.runs,
-        shrunk.passed,
+        shrunk.lost,
         shrunk.plan.literal()
     );
 }

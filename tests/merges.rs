@@ -34,8 +34,6 @@ use common::crash_points::CrashPoints;
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
-use std::cell::Cell;
-use std::rc::Rc;
 
 const ACCOUNTS: u64 = 400;
 const INITIAL: i64 = 1_000;
@@ -62,17 +60,12 @@ fn merge_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// One load round: every live client fires a transfer.
-fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, _: u64) {
-    BANK.transfer_round(cluster, committed);
-}
-
 /// The three crash points (`common::crash_points`), each after the
 /// setup crash; a merge crash point polls its intent window every 2 ms.
 const MERGES: CrashPoints = CrashPoints {
     kind: ChangeKind::Merge,
     cluster: merge_cluster,
-    load: round,
+    load: |cluster, committed, _| BANK.transfer_round(cluster, committed),
     bank: BANK,
     adjacency: true,
     intent_step: SimDuration::from_millis(2),

@@ -27,8 +27,6 @@ use common::crash_points::CrashPoints;
 use cumulo_core::{Cluster, ClusterConfig};
 use cumulo_sim::SimDuration;
 use cumulo_store::ChangeKind;
-use std::cell::Cell;
-use std::rc::Rc;
 
 const ACCOUNTS: u64 = 400;
 const INITIAL: i64 = 1_000;
@@ -58,17 +56,12 @@ fn split_cluster(seed: u64) -> Cluster {
     Cluster::build(cfg)
 }
 
-/// One scheduling round: every live client fires a transfer and a filler.
-fn round(cluster: &Cluster, committed: &Rc<Cell<u32>>, round: u64) {
-    BANK.transfer_fill_round(cluster, committed, HOT, round);
-}
-
 /// The three crash points (`common::crash_points`): a split crash
 /// point polls its intent window every 2 ms.
 const SPLITS: CrashPoints = CrashPoints {
     kind: ChangeKind::Split,
     cluster: split_cluster,
-    load: round,
+    load: |cluster, committed, round| BANK.transfer_fill_round(cluster, committed, HOT, round),
     bank: BANK,
     adjacency: false,
     intent_step: SimDuration::from_millis(2),
